@@ -11,7 +11,6 @@
 //	cimbench -serving -json  # compile-once serving smoke (CI artifact)
 //	cimbench -loadgen -json  # micro-batching vs per-request load generator
 //	cimbench -loadgen -fleet -json  # fleet serving: 1 replica vs -fleet-replicas
-//	cimbench -batchsweep -json  # batched-kernel throughput vs micro-batch size
 //	cimbench -conform        # cross-level conformance matrix vs goldens
 //	cimbench -conform -conform-full -json  # full-zoo sweep, CI artifact
 //	cimbench -tune -json     # autotune the short zoo, per-cell speedup JSON
@@ -45,8 +44,6 @@ func main() {
 	tune := flag.Bool("tune", false, "autotune every short-zoo (model, preset, level) cell and report speedups")
 	tuneBudget := flag.Int("tune-budget", 0, "with -tune: max candidate schedules per cell (0 = default)")
 	tuneBeam := flag.Int("tune-beam", 0, "with -tune: beam width (0 = default)")
-	batchsweep := flag.Bool("batchsweep", false, "sweep Program.RunBatch micro-batch sizes and report per-request cost")
-	batchsweepReqs := flag.Int("batchsweep-requests", 256, "requests per batch-size point in -batchsweep")
 	loadgen := flag.Bool("loadgen", false, "run the micro-batching load generator instead of experiments")
 	loadgenReqs := flag.Int("loadgen-requests", 256, "requests per path in -loadgen")
 	loadgenClients := flag.Int("loadgen-clients", 16, "concurrent clients hitting the batcher in -loadgen")
@@ -85,13 +82,6 @@ func main() {
 	}
 	if *tune {
 		if err := runTuneSweep(*tuneBudget, *tuneBeam, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cimbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batchsweep {
-		if err := runBatchSweep(*servingModel, *servingArch, *batchsweepReqs, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "cimbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -352,7 +352,7 @@ func (c *Compiler) Run(ctx context.Context, g *Graph, fr *FlowResult, w Weights,
 	if err != nil {
 		return nil, fmt.Errorf("cimmlc: Run: %w", err)
 	}
-	return p.run(ctx, inputs, true)
+	return p.run(ctx, inputs, p.nodeIDs())
 }
 
 // Verify checks a generated flow bit-exactly against the quantized reference

@@ -21,26 +21,28 @@ import (
 	"cimmlc/serving/fleet"
 )
 
-// runExecBattery runs one cell's seeded requests through every execution
-// path the system exposes and demands bit-identical outputs:
+// runExecBattery checks one cell's seeded requests against the independent
+// oracle and then through every way the system carries a request to the one
+// executor. Every request must verify bit-exactly against the quantized
+// reference executor (Program.Verify; the float-reference tolerance applies
+// to the calibration request only — it does not hold far from the
+// calibration point), and its Program.Run output, hashed into the golden, is
+// what every carrier must reproduce bit for bit:
 //
-//   - Program.Run, request by request (the reference path, also hashed)
 //   - the deprecated one-shot Compiler.Run (compared on the calibration
 //     request — it re-calibrates on its inputs by design)
-//   - Program.RunBatch across a worker pool, all requests at once
-//   - Program.RunBatch on a widened batch that forces the batched kernel
-//     path (micro-batches on the precompiled closures), with the program's
-//     counters proving the batched path served every request
+//   - Program.RunBatch across a worker pool, two batches at once
+//   - Program.RunBatch on a widened batch whose every request must share a
+//     micro-batch of two or more lanes (the program's counters prove it)
 //   - a serving.Batcher flushed by concurrent client goroutines
 //   - HTTP POST /v1/run against the gateway with JSON tensors
 //   - a 2-replica serving fleet routing the concurrent requests
 //
-// plus Program.Verify, the differential check against the quantized
-// reference executor and the float reference, and a sixth leg: the same cell
-// rebuilt with WithFlowOpt must reproduce every reference output bit-for-bit
-// (the dataflow rewrite may delete and repack, never change arithmetic). It
-// returns the flow's meta-operator counts, the reference path's output hash,
-// the flow-optimization stats, and any violations.
+// plus two rebuilds of the same cell that must reproduce every output:
+// WithFlowOpt (the dataflow rewrite may delete and repack, never change
+// arithmetic) and WithHostFallback (invisible on a fully supported graph).
+// It returns the flow's meta-operator counts, the output hash, the
+// flow-optimization stats, and any violations.
 func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a *cimmlc.Arch, cell Cell, cfg Config) (mops *MOPCounts, hash string, opt *cimmlc.FlowOptStats, violations []string) {
 	key := cell.Key()
 	// failf records one violation and returns whatever mops/hash were
@@ -62,9 +64,18 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 	st := p.Flow().Flow.Stats()
 	mops = &MOPCounts{CIM: st.CIMOps, DCOM: st.DCOMOps, DMOV: st.DMOVOps, Parallel: st.ParallelOps}
 
-	// Reference path: Program.Run per request.
+	// Every request, one lane at a time: differential against the quantized
+	// reference executor (the role the digital reference plays in Kourtis et
+	// al.), then the output the other legs are held to.
 	base := make([]map[int]*cimmlc.Tensor, len(reqs))
 	for i, req := range reqs {
+		floatTol := math.Inf(1)
+		if i == 0 {
+			floatTol = 0.05
+		}
+		if err := p.Verify(ctx, req, floatTol); err != nil {
+			violations = append(violations, fmt.Sprintf("%s: Verify request %d against reference executors: %v", key, i, err))
+		}
 		out, err := p.Run(ctx, req)
 		if err != nil {
 			return failf("Program.Run request %d: %v", i, err)
@@ -72,12 +83,6 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 		base[i] = out
 	}
 	hash = hashOutputs(base)
-
-	// Differential against the quantized reference executor and the float
-	// reference (the role the digital reference plays in Kourtis et al.).
-	if err := p.Verify(ctx, calib, 0.05); err != nil {
-		violations = append(violations, fmt.Sprintf("%s: Verify against reference executors: %v", key, err))
-	}
 
 	// Flow-optimized path: dead-MOP/redundant-transfer deletion and scratch
 	// compaction must leave every output bit untouched.
@@ -173,11 +178,10 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 		}
 	}
 
-	// Batched kernel path: replicate the seeded requests until every worker
+	// Wide micro-batches: replicate the seeded requests until every worker
 	// gets at least two lanes per micro-batch, then demand (a) the program's
-	// counters prove the compiled-kernel path served the entire batch — no
-	// silent per-request fallback — and (b) every lane is bit-identical to
-	// the reference.
+	// counters prove every request shared a micro-batch and (b) every lane is
+	// bit-identical to its one-lane run.
 	wide := make([]map[int]*cimmlc.Tensor, 0, 4*len(reqs))
 	for r := 0; r < 4; r++ {
 		wide = append(wide, reqs...)
@@ -194,7 +198,7 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 			}
 		}
 		if got := p.Stats().BatchedRequests - bBefore.BatchedRequests; got != uint64(len(wide)) {
-			violations = append(violations, fmt.Sprintf("%s: batched RunBatch served %d of %d requests on the compiled-kernel path", key, got, len(wide)))
+			violations = append(violations, fmt.Sprintf("%s: batched RunBatch served %d of %d requests in micro-batches of two or more lanes", key, got, len(wide)))
 		}
 	}
 

@@ -4,7 +4,7 @@ import "sort"
 
 // backwardLiveness runs the backward scratch-liveness pass and marks dead
 // instructions. Node-region words are permanently observable — Program
-// extracts every node's activation after a run and funcsim's settle re-reads
+// extracts every node's activation after a run and funcsim's settleNode re-reads
 // whole regions — so only scratch words participate in the kill/gen lattice,
 // and only pure scratch-writing transfers are deletion candidates. One
 // reverse sweep is the fixpoint: the flow is straight-line, and skipping a

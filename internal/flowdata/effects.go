@@ -684,8 +684,9 @@ func (m *machine) xbOK(xb int, op mop.Op) bool {
 	return true
 }
 
-// applyWrite models cim.writexb / cim.writerow, mirroring funcsim.writeTile:
-// endpoint checks plus the reprogram-reset bookkeeping (and the crossbar
+// applyWrite models cim.writexb / cim.writerow, mirroring the kernel
+// funcsim's compileWrite builds: its compile-time endpoint checks plus the
+// reprogram-reset bookkeeping the kernel applies to the crossbar view (and the crossbar
 // programming-epoch intervals PeakLiveCrossbars is computed from).
 func (m *machine) applyWrite(xb, rowStart, node, cellRowOff, cellColOff, rows, cols int, op mop.Op) bool {
 	if !m.xbOK(xb, op) {
@@ -772,7 +773,8 @@ func (m *machine) crossbarReadEffect(p *xbState, nrows int, src, dst, stride int
 
 // readCoreEffect models cim.readcore: the core gathers windows from the
 // node's input region and writes every output column of every window in the
-// range, using the same destination geometry funcsim's cimDst computes.
+// range, using the same destination geometry funcsim's compileReadCore fixes
+// (output column j of window w at Dst + j·cj + w·cw).
 func (m *machine) readCoreEffect(o mop.ReadCore) (effect, bool) {
 	n, err := m.g.Node(o.Node)
 	if err != nil || !n.Op.CIMSupported() {
@@ -803,7 +805,7 @@ func (m *machine) readCoreEffect(o mop.ReadCore) (effect, bool) {
 		return effect{}, false
 	}
 	eff := effect{regionReads: []*Region{in}, cimNode: -1}
-	// Destination geometry of funcsim.cimDst, expressed as contiguous spans.
+	// That destination geometry, expressed as contiguous spans.
 	switch {
 	case n.Op == graph.OpConv:
 		hw := int64(n.OutShape[1]) * int64(n.OutShape[2])

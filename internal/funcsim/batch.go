@@ -3,37 +3,37 @@ package funcsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mop"
 	"cimmlc/internal/tensor"
 )
 
-// This file is the batched execution mode: instead of interpreting the
-// meta-operator flow once per request, an Image precompiles the flow body
-// into kernel closures (CompileBody), and a BatchState carries a whole
-// micro-batch of activations — its buffer memory gains a leading batch
-// dimension, one lane per request. Each kernel then makes ONE pass over the
-// crossbar's reconstructed-weight cache (or reconstructs the cell slices
-// once) and streams every lane through it, the amortization stationary
-// weights exist for: per-MOP dispatch, address→node resolution, window
-// gather geometry, requantization tables and quantization-domain bookkeeping
-// are all paid once per micro-batch instead of once per request.
+// This file is the execution engine, the only place meta-operator arithmetic
+// lives. An Image compiles a flow section into kernel closures (CompileBody)
+// and a BatchState carries a micro-batch of n >= 1 requests through them: its
+// buffer memory has a leading lane dimension, one lane per request. Each
+// kernel makes ONE pass over a crossbar's weights and streams every lane
+// through it, the amortization stationary weights exist for: per-MOP
+// dispatch, address→node resolution, window gather geometry, requantization
+// tables and quantization-domain bookkeeping are paid once per micro-batch.
+// A single request is the one-lane micro-batch.
 //
 // The bookkeeping that can be shared is shared because it is lane-invariant:
 // every lane runs the same flow against the same image, so region scales,
-// raw/settled flags, and the crossbar cell arrays (weights are a function of
-// the image, never of activations) evolve identically across lanes. Only the
-// activation words themselves differ per lane. Lane arithmetic is exactly
-// the per-request arithmetic (same quantizers, same clamping, same float32
-// rounding), so batched outputs are bit-identical to sequential Run — only
-// integer accumulation order inside one MVM may differ, which is exact.
+// raw/settled flags and the crossbar view (weights are a function of the
+// image, never of activations) evolve identically across lanes. Only the
+// activation words differ per lane, and lane arithmetic does not depend on
+// the lane count (same quantizers, same clamping, same float32 rounding; only
+// the exact integer accumulation order inside one MVM may differ), so a
+// request's output is bit-identical whichever micro-batch carries it.
 
-// CompiledFlow is a flow body precompiled against one Image: the flattened
+// CompiledFlow is a flow section compiled against one Image: the flattened
 // operator list as specialized kernel closures, with static operands
-// (addresses, shapes, node regions, dispatch) resolved at compile time.
-// A CompiledFlow is immutable and safe for concurrent use; each execution
-// supplies its own BatchState.
+// (addresses, shapes, node regions, dispatch, weight tiles) resolved at
+// compile time. A CompiledFlow is immutable and safe for concurrent use; each
+// execution supplies its own BatchState.
 type CompiledFlow struct {
 	img     *Image
 	kernels []kernel
@@ -48,22 +48,19 @@ type CompiledFlow struct {
 type tileKey struct{ xb, row, nrows int }
 
 // readTile is a read op's weight tile transposed to column-major (nWCols
-// runs of nrows weights, contiguous per weight column). It aliases the
-// image's frozen weights, so kernels may use it only while the crossbar
-// still shares the image's cells (st.cellShared); bodies that reprogram the
-// crossbar take the generic batched path instead.
+// runs of nrows weights, contiguous per weight column). It is sliced from the
+// image's frozen weights, so kernels may use it only while the crossbar still
+// shares the image's cells (st.cellShared); once the body reprograms the
+// crossbar, reads walk the state's row-major weights instead.
 type readTile struct {
 	wT     []int64
 	nWCols int
 }
 
-// Ops returns the number of compiled (leaf) kernels.
-func (cf *CompiledFlow) Ops() int { return len(cf.kernels) }
-
 // tile returns the transposed weight tile for a read op, building it on first
 // use. A zero tile (wT == nil) means the tile cannot be precomputed — the
-// crossbar is not programmed at image baseline — and the kernel must take the
-// generic path.
+// crossbar is not programmed at image baseline — and the kernel reads the
+// state's row-major weights.
 func (cf *CompiledFlow) tile(img *Image, xb, row, nrows int) readTile {
 	key := tileKey{xb, row, nrows}
 	if t, ok := cf.tiles[key]; ok {
@@ -78,22 +75,19 @@ func (cf *CompiledFlow) tile(img *Image, xb, row, nrows int) readTile {
 }
 
 // transposedTile builds the column-major weight tile for rows [row, row+nrows)
-// of crossbar xb from the image's frozen weight cache: wT[j·nrows+i] is weight
+// of crossbar xb from the image's frozen weights: wT[j·nrows+i] is weight
 // column j's entry for activation row i, so the MVM inner loop walks one
 // contiguous run per output column. Returns a zero tile when the crossbar is
 // not programmed at image baseline (its weights are only known at run time).
 func (img *Image) transposedTile(xb, row, nrows int) readTile {
-	if img.baseWeights == nil || xb < 0 || xb >= len(img.baseWeights) || img.baseWeights[xb] == nil {
-		return readTile{}
-	}
+	wc := img.baseWeights[xb]
 	p := img.baseProg[xb]
-	if p.node < 0 || nrows <= 0 || row < 0 || row+nrows > p.rows {
+	if wc == nil || nrows <= 0 || row < 0 || row+nrows > p.rows {
 		return readTile{}
 	}
 	s := img.a.CellsPerWeight()
 	nWCols := p.cols / s
 	nWAll := img.a.XB.Cols / s
-	wc := img.baseWeights[xb]
 	wT := make([]int64, nWCols*nrows)
 	for i := 0; i < nrows; i++ {
 		off := (row + i) * nWAll
@@ -117,12 +111,21 @@ type BatchState struct {
 	mem    []int64 // lanes × stride, lane-major
 
 	// Crossbar view, shared across lanes (weights never depend on lane
-	// data); copy-on-write against the image exactly like State.
+	// data), indexed by chip-global crossbar ID: the cell array, the weights
+	// a read reconstructs from it (row-major rows × cols/s), and what the
+	// crossbar holds. cells and weights alias the image's arrays (cellShared)
+	// until a write kernel copies them into the state's own, so reprogramming
+	// in multi-round flows never writes through to the image.
 	cells      [][]uint8
+	weights    [][]int64
 	cellShared []bool
 	prog       []xbProg
+	ownCells   [][]uint8 // private arrays, allocated on first write and
+	ownWeights [][]int64 // kept across resets
 
-	// Lane-invariant region bookkeeping (see package comment above).
+	// Scale of the ints currently in each node's region, and whether they
+	// are raw CIM accumulators awaiting requantization (index = node ID;
+	// scale 0 means "default activation scale"). Lane-invariant.
 	regionScale []float64
 	regionRaw   []bool
 
@@ -130,11 +133,7 @@ type BatchState struct {
 	colSums []int64 // per-weight-column accumulators
 	plan    []int64 // window-gather index plan (-1 = zero padding)
 	table   []int64 // requantization lookup table
-	wrecon  []int64 // per-op reconstructed weights (COW-broken crossbars)
 }
-
-// Lanes returns the micro-batch size the state currently holds.
-func (st *BatchState) Lanes() int { return st.lanes }
 
 func (st *BatchState) lane(l int) []int64 {
 	off := int64(l) * st.stride
@@ -162,20 +161,17 @@ func (st *BatchState) tableBuf(n int64) []int64 {
 	return st.table[:n]
 }
 
-func (st *BatchState) wreconBuf(n int) []int64 {
-	if cap(st.wrecon) < n {
-		st.wrecon = make([]int64, n)
-	}
-	return st.wrecon[:n]
-}
-
 // NewBatchState allocates a micro-batch execution state with the given
 // number of lanes, reset against the image.
 func (img *Image) NewBatchState(lanes int) *BatchState {
+	nXB := len(img.baseCells)
 	st := &BatchState{
-		cells:       make([][]uint8, len(img.baseCells)),
-		cellShared:  make([]bool, len(img.baseCells)),
-		prog:        make([]xbProg, len(img.baseProg)),
+		cells:       make([][]uint8, nXB),
+		weights:     make([][]int64, nXB),
+		cellShared:  make([]bool, nXB),
+		prog:        make([]xbProg, nXB),
+		ownCells:    make([][]uint8, nXB),
+		ownWeights:  make([][]int64, nXB),
 		regionScale: make([]float64, len(img.g.Nodes)),
 		regionRaw:   make([]bool, len(img.g.Nodes)),
 	}
@@ -186,7 +182,7 @@ func (img *Image) NewBatchState(lanes int) *BatchState {
 // ResetBatch recycles st for a new micro-batch of `lanes` requests: lane
 // memory is zeroed (grown when the batch is wider than any before),
 // bookkeeping cleared, and the crossbar view re-pointed at the image's
-// programmed cells.
+// programmed cells and weights.
 func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	st.stride = img.lay.Total
 	st.lanes = lanes
@@ -200,8 +196,9 @@ func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	clear(st.regionScale)
 	clear(st.regionRaw)
 	copy(st.prog, img.baseProg)
+	copy(st.cells, img.baseCells)
+	copy(st.weights, img.baseWeights)
 	for i, c := range img.baseCells {
-		st.cells[i] = c
 		st.cellShared[i] = c != nil
 	}
 }
@@ -218,31 +215,62 @@ func (img *Image) ExecBatch(st *BatchState) *BatchMachine {
 	return &BatchMachine{img: img, st: st}
 }
 
-// LoadInputs quantizes one request's input tensors into the given lane,
-// exactly as Machine.LoadInputs does for a single-request State.
+// CheckInputs validates one request against g's input nodes (g must be
+// shape-inferred): every key must be a graph input, and every graph input
+// must come with a non-nil tensor of the node's element count. Monolithic
+// and partitioned programs share it, so a malformed request draws the same
+// error from either.
+func CheckInputs(g *graph.Graph, inputs map[int]*tensor.Tensor) error {
+	return checkInputs(g, g.InputIDs(), inputs)
+}
+
+func checkInputs(g *graph.Graph, ids []int, inputs map[int]*tensor.Tensor) error {
+	present := 0
+	for _, id := range ids {
+		if _, ok := inputs[id]; ok {
+			present++
+		}
+	}
+	if present != len(inputs) {
+		for _, id := range sortedTensorKeys(inputs) {
+			if !slices.Contains(ids, id) {
+				return fmt.Errorf("funcsim: input for unknown node %d (not a graph input)", id)
+			}
+		}
+	}
+	for _, id := range ids {
+		t, ok := inputs[id]
+		if !ok {
+			return fmt.Errorf("funcsim: no input tensor provided for node %d", id)
+		}
+		if t == nil {
+			return fmt.Errorf("funcsim: input tensor for node %d is nil", id)
+		}
+		if want := graph.NumElements(g.MustNode(id).OutShape); int64(t.Len()) != want {
+			return fmt.Errorf("funcsim: input for node %d has %d elements, region holds %d", id, t.Len(), want)
+		}
+	}
+	return nil
+}
+
+// LoadInputs checks one request (CheckInputs), quantizes its tensors with the
+// image's calibrated scales and writes them into the given lane.
 func (bm *BatchMachine) LoadInputs(lane int, inputs map[int]*tensor.Tensor) error {
 	img, st := bm.img, bm.st
 	if lane < 0 || lane >= st.lanes {
 		return fmt.Errorf("funcsim: lane %d out of range (%d lanes)", lane, st.lanes)
 	}
+	if err := checkInputs(img.g, img.inputs, inputs); err != nil {
+		return err
+	}
 	lm := st.lane(lane)
-	for _, id := range sortedTensorKeys(inputs) {
-		t := inputs[id]
-		q, ok := img.actScale[id]
-		if !ok {
-			return fmt.Errorf("funcsim: input for unknown node %d", id)
-		}
-		if id < 0 || id >= len(img.base) || img.base[id] < 0 {
-			return fmt.Errorf("funcsim: input node %d has no buffer region", id)
-		}
-		base := img.base[id]
-		qv, err := tensor.Quantize(t, q)
+	for _, id := range img.inputs {
+		q := img.actScale[id]
+		qv, err := tensor.Quantize(inputs[id], q)
 		if err != nil {
 			return err
 		}
-		if int64(len(qv)) != img.size[id] {
-			return fmt.Errorf("funcsim: input for node %d has %d elements, region holds %d", id, len(qv), img.size[id])
-		}
+		base := img.base[id]
 		for i, v := range qv {
 			lm[base+int64(i)] = int64(v)
 		}
@@ -261,7 +289,7 @@ func (bm *BatchMachine) RunBody(cf *CompiledFlow) error {
 	}
 	for i, k := range cf.kernels {
 		if err := k(bm); err != nil {
-			return fmt.Errorf("funcsim: batch op %d (%s): %w", i, cf.ops[i], err)
+			return fmt.Errorf("funcsim: op %d (%s): %w", i, cf.ops[i], err)
 		}
 	}
 	return nil
@@ -276,31 +304,20 @@ func (bm *BatchMachine) SettleAll() {
 }
 
 // TensorsOf returns one lane's dequantized float tensors for the given node
-// IDs — the per-lane analogue of Machine.TensorsOf.
+// IDs — serving extracts just the graph's outputs instead of dequantizing
+// every region.
 func (bm *BatchMachine) TensorsOf(lane int, ids []int) map[int]*tensor.Tensor {
-	img, st := bm.img, bm.st
-	lm := st.lane(lane)
 	out := make(map[int]*tensor.Tensor, len(ids))
 	for _, id := range ids {
-		n := img.g.MustNode(id)
-		base, size := img.base[id], img.size[id]
-		t := tensor.New(n.OutShape...)
-		scale := st.regionScale[id]
-		if scale == 0 {
-			scale = float64(img.actScale[id].Scale)
-		}
-		data := t.Data()
-		for i, v := range lm[base : base+size] {
-			data[i] = float32(float64(v) * scale)
-		}
-		out[id] = t
+		out[id] = bm.regionTensor(lane, id)
 	}
 	return out
 }
 
 // settleNode requantizes one raw CIM accumulator region into the node's
-// activation domain across every lane. The scale transition is recorded once
-// — it is lane-invariant.
+// activation domain across every lane (the shift-add + requantization
+// periphery), lazily on first consumption. The scale transition is recorded
+// once — it is lane-invariant.
 func (bm *BatchMachine) settleNode(node int) {
 	img, st := bm.img, bm.st
 	if node < 0 || !st.regionRaw[node] {
@@ -329,10 +346,14 @@ func (bm *BatchMachine) settleNode(node int) {
 	st.regionRaw[node] = false
 }
 
-// markCIMOutput mirrors Machine.markCIMOutput on the shared bookkeeping.
+// markCIMOutput records that node's region now holds raw accumulators whose
+// unit value is wScale·inScale.
 func (bm *BatchMachine) markCIMOutput(node int) {
 	img, st := bm.img, bm.st
 	if st.regionRaw[node] {
+		// Already marked by an earlier window of the same operator; the
+		// input's scale is fixed once its region has settled, so the raw
+		// scale cannot have changed.
 		return
 	}
 	n := img.g.MustNode(node)
@@ -350,24 +371,25 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 	img, st := bm.img, bm.st
 	n := img.g.MustNode(node)
 	base, size := img.base[node], img.size[node]
-	lm := st.lane(lane)
 	t := tensor.New(n.OutShape...)
 	scale := st.regionScale[node]
 	if scale == 0 {
 		scale = float64(img.actScale[node].Scale)
 	}
-	for i := int64(0); i < size; i++ {
-		t.Data()[i] = float32(float64(lm[base+i]) * scale)
+	data := t.Data()
+	for i, v := range st.lane(lane)[base : base+size] {
+		data[i] = float32(float64(v) * scale)
 	}
 	return t
 }
 
-// CompileBody precompiles a flow's compute section into per-operator kernel
-// closures specialized on op, shape and precision: parallel groups are
-// flattened, buffer addresses are resolved to node regions, window-gather
-// geometry generators and destination strides are fixed, and all statically
-// checkable operands are validated here so the batch hot loop carries no
-// dispatch or resolution work. Call after ProgramInit.
+// CompileBody compiles a flow section into per-operator kernel closures
+// specialized on op, shape and precision: parallel groups are flattened,
+// buffer addresses are resolved to node regions, window-gather geometry
+// generators and destination strides are fixed, write tiles are bit-sliced,
+// and all statically checkable operands are validated here so the hot loop
+// carries no dispatch or resolution work. Read tiles are cut from the
+// image's baseline, so compile a serving body after ProgramInit.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	cf := &CompiledFlow{img: img}
 	if err := img.compileOps(body, cf); err != nil {
@@ -379,8 +401,7 @@ func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 func (img *Image) compileOps(ops []mop.Op, cf *CompiledFlow) error {
 	for _, op := range ops {
 		if par, ok := op.(mop.Parallel); ok {
-			// The scalar interpreter executes parallel bodies in order;
-			// flattening preserves that order exactly.
+			// A parallel group's members execute in program order.
 			if err := img.compileOps(par.Body, cf); err != nil {
 				return err
 			}
@@ -403,39 +424,12 @@ func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
 	case mop.WriteRow:
 		return img.compileWrite(o.XB, o.Row, o.Node, o.CellRowOff, o.CellColOff, o.NumRows, o.Cols)
 	case mop.ReadXB:
-		if o.XB < 0 || o.XB >= len(img.baseCells) {
-			return nil, fmt.Errorf("crossbar %d out of range", o.XB)
-		}
-		srcNode := img.nodeAt(o.Src)
-		dstNode := img.nodeAt(o.Dst)
-		rows := img.baseProg[o.XB].rows
-		tile := cf.tile(img, o.XB, 0, rows)
-		return func(bm *BatchMachine) error {
-			if tile.wT != nil && bm.st.cellShared[o.XB] {
-				return bm.readRowsT(rows, tile, o.Src, o.Dst, o.DstStride, o.Acc, srcNode, dstNode)
-			}
-			p := &bm.st.prog[o.XB]
-			if p.node < 0 {
-				return fmt.Errorf("readxb on unprogrammed crossbar %d", o.XB)
-			}
-			return bm.readRows(o.XB, 0, p.rows, o.Src, o.Dst, o.DstStride, o.Acc, srcNode, dstNode)
-		}, nil
+		return img.compileRead(cf, o.XB, 0, -1, o.Src, o.Dst, o.DstStride, o.Acc)
 	case mop.ReadRow:
-		if o.XB < 0 || o.XB >= len(img.baseCells) {
-			return nil, fmt.Errorf("crossbar %d out of range", o.XB)
-		}
 		if o.NumRows > img.a.XB.ParallelRow {
 			return nil, fmt.Errorf("readrow activates %d rows but parallel_row is %d", o.NumRows, img.a.XB.ParallelRow)
 		}
-		srcNode := img.nodeAt(o.Src)
-		dstNode := img.nodeAt(o.Dst)
-		tile := cf.tile(img, o.XB, o.Row, o.NumRows)
-		return func(bm *BatchMachine) error {
-			if tile.wT != nil && bm.st.cellShared[o.XB] {
-				return bm.readRowsT(o.NumRows, tile, o.Src, o.Dst, o.DstStride, o.Acc, srcNode, dstNode)
-			}
-			return bm.readRows(o.XB, o.Row, o.NumRows, o.Src, o.Dst, o.DstStride, o.Acc, srcNode, dstNode)
-		}, nil
+		return img.compileRead(cf, o.XB, o.Row, o.NumRows, o.Src, o.Dst, o.DstStride, o.Acc)
 	case mop.ReadCore:
 		return img.compileReadCore(o)
 	case mop.Mov:
@@ -448,33 +442,133 @@ func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
 	return nil, fmt.Errorf("unknown op type %T", op)
 }
 
+// compileWrite compiles one tile write. The tile's cell bytes (Figure 7's
+// B→XBC bit slicing) and the weights a read reconstructs from them are
+// static, so both are sliced here once; the kernel copies them into the
+// state's crossbar view. Weight programming is lane-invariant: one copy per
+// micro-batch amortizes reprogramming (multi-round flows) across its lanes.
 func (img *Image) compileWrite(xb, rowStart, node, cellRowOff, cellColOff, rows, cols int) (kernel, error) {
-	if _, ok := img.qweights[node]; !ok {
+	a := img.a
+	if xb < 0 || xb >= len(img.baseCells) {
+		return nil, fmt.Errorf("crossbar %d out of range", xb)
+	}
+	if rowStart < 0 || rows <= 0 || cols <= 0 || cellRowOff < 0 || cellColOff < 0 {
+		return nil, fmt.Errorf("negative or empty tile operands")
+	}
+	if rowStart+rows > a.XB.Rows || cols > a.XB.Cols {
+		return nil, fmt.Errorf("tile %dx%d at row %d exceeds crossbar %dx%d", rows, cols, rowStart, a.XB.Rows, a.XB.Cols)
+	}
+	qw, ok := img.qweights[node]
+	if !ok {
 		return nil, fmt.Errorf("no quantized weights for node %d", node)
 	}
-	// Weight programming is lane-invariant: the tile is written once to the
-	// shared crossbar view, amortizing reprogramming (multi-round flows)
-	// across the whole micro-batch.
+	dims := img.wDims[node]
+	s := a.CellsPerWeight()
+	if cellColOff%s != 0 || cols%s != 0 {
+		return nil, fmt.Errorf("cell columns [%d,%d) not aligned to %d cells per weight", cellColOff, cellColOff+cols, s)
+	}
+	if cellRowOff+rows > dims[0] {
+		return nil, fmt.Errorf("cell row %d exceeds weight matrix rows %d", cellRowOff+rows-1, dims[0])
+	}
+	wColOff, nW := cellColOff/s, cols/s
+	if wColOff+nW > dims[1] {
+		return nil, fmt.Errorf("cell column %d exceeds weight matrix cols %d", cellColOff+cols-1, dims[1])
+	}
+	tileCells := make([]uint8, rows*cols)
+	tileWeights := make([]int64, rows*nW)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < nW; j++ {
+			sl := tensor.BitSlice(qw[(cellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
+			for k, v := range sl {
+				tileCells[i*cols+j*s+k] = uint8(v)
+			}
+			tileWeights[i*nW+j] = int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits))
+		}
+	}
+	xbCols, nWAll := a.XB.Cols, a.XB.Cols/s
 	return func(bm *BatchMachine) error {
 		st := bm.st
-		return writeTileInto(bm.img, st.cells, st.cellShared, st.prog, xb, rowStart, node, cellRowOff, cellColOff, rows, cols)
+		p := &st.prog[xb]
+		fresh := p.node != node || p.rowDelta != cellRowOff-rowStart || p.cellColOff != cellColOff
+		if fresh {
+			// Reprogramming with a new tile: the array starts cleared.
+			*p = xbProg{node: node, rowDelta: cellRowOff - rowStart, cellColOff: cellColOff}
+		}
+		p.rows = max(p.rows, rowStart+rows)
+		p.cols = max(p.cols, cols)
+		cells, weights := st.privateXB(bm.img, xb, fresh)
+		for i := 0; i < rows; i++ {
+			copy(cells[(rowStart+i)*xbCols:], tileCells[i*cols:(i+1)*cols])
+			copy(weights[(rowStart+i)*nWAll:], tileWeights[i*nW:(i+1)*nW])
+		}
+		return nil
 	}, nil
 }
 
-// readRowsT is the batched analog MVM over a compile-time transposed weight
-// tile: each output column is a register-accumulated, branchless dot product
-// over one contiguous run of wT, so no per-column accumulator array travels
-// through memory. Valid only while the crossbar still aliases the image's
-// cells (the caller checks st.cellShared); integer partial sums reassociate
-// exactly, so results are bit-identical to readRows.
-func (bm *BatchMachine) readRowsT(nrows int, tile readTile, src, dst, stride int64, acc bool, srcNode, dstNode int) error {
+// privateXB returns crossbar xb's cell and weight arrays for writing, owned
+// by the state: cleared when the write starts a new tile (or the crossbar is
+// empty), copied from the image when it extends a tile that still aliases the
+// image's arrays (copy-on-write), as they are when already private.
+func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int64) {
+	if st.ownCells[xb] == nil {
+		a := img.a
+		st.ownCells[xb] = make([]uint8, a.XB.Rows*a.XB.Cols)
+		st.ownWeights[xb] = make([]int64, a.XB.Rows*(a.XB.Cols/a.CellsPerWeight()))
+	}
+	cells, weights := st.ownCells[xb], st.ownWeights[xb]
+	switch {
+	case fresh || st.cells[xb] == nil:
+		clear(cells)
+		clear(weights)
+	case st.cellShared[xb]:
+		copy(cells, st.cells[xb])
+		copy(weights, st.weights[xb])
+	}
+	st.cells[xb], st.weights[xb], st.cellShared[xb] = cells, weights, false
+	return cells, weights
+}
+
+// compileRead compiles a readxb (nrows < 0: every programmed row) or readrow.
+// While the crossbar still aliases the image the kernel takes the transposed
+// tile cut at compile time; once a body write has made it private — or when
+// nothing was programmed at baseline — it reads the state's row-major weights.
+func (img *Image) compileRead(cf *CompiledFlow, xb, row, nrows int, src, dst, stride int64, acc bool) (kernel, error) {
+	if xb < 0 || xb >= len(img.baseCells) {
+		return nil, fmt.Errorf("crossbar %d out of range", xb)
+	}
+	srcNode, dstNode := img.nodeAt(src), img.nodeAt(dst)
+	tileRows := nrows
+	if nrows < 0 {
+		tileRows = img.baseProg[xb].rows
+	}
+	tile := cf.tile(img, xb, row, tileRows)
+	return func(bm *BatchMachine) error {
+		if tile.wT != nil && bm.st.cellShared[xb] {
+			bm.readRowsT(tileRows, tile, src, dst, stride, acc, srcNode, dstNode)
+			return nil
+		}
+		n := nrows
+		if n < 0 {
+			n = bm.st.prog[xb].rows
+		}
+		return bm.readRows(xb, row, n, src, dst, stride, acc, srcNode, dstNode)
+	}, nil
+}
+
+// readRowsT is the analog MVM over a compile-time transposed weight tile:
+// each output column is a register-accumulated, branchless dot product over
+// one contiguous run of wT, so no per-column accumulator array travels through
+// memory. Valid only while the crossbar still aliases the image's cells (the
+// caller checks st.cellShared); integer partial sums reassociate exactly, so
+// results are bit-identical to readRows.
+func (bm *BatchMachine) readRowsT(nrows int, tile readTile, src, dst, stride int64, acc bool, srcNode, dstNode int) {
 	st := bm.st
 	bm.settleNode(srcNode)
 	wT, nWCols := tile.wT, tile.nWCols
 	// Lane-blocked: four lanes share each weight load, so the tile streams
 	// through the cache once per block instead of once per lane, and the four
 	// accumulator chains are independent. Per-lane sums still add rows in
-	// ascending order — integer-exact, so bit-identical to the scalar path.
+	// ascending order whatever the block width.
 	l := 0
 	for ; l+3 < st.lanes; l += 4 {
 		lm0, lm1, lm2, lm3 := st.lane(l), st.lane(l+1), st.lane(l+2), st.lane(l+3)
@@ -536,10 +630,21 @@ func (bm *BatchMachine) readRowsT(nrows int, tile readTile, src, dst, stride int
 		addr := dst
 		for j := 0; j < nWCols; j++ {
 			wrow := wT[j*nrows : (j+1)*nrows : (j+1)*nrows]
-			var sum int64
-			for i, w := range wrow {
-				sum += avs[i] * w
+			// Four partial sums: a lone lane (every single request) has no
+			// neighbour lane to hide the multiply latency behind.
+			var s0, s1, s2, s3 int64
+			i := 0
+			for ; i+4 <= len(wrow); i += 4 {
+				a, w := avs[i:i+4:i+4], wrow[i:i+4:i+4]
+				s0 += a[0] * w[0]
+				s1 += a[1] * w[1]
+				s2 += a[2] * w[2]
+				s3 += a[3] * w[3]
 			}
+			for ; i < len(wrow); i++ {
+				s0 += avs[i] * wrow[i]
+			}
+			sum := s0 + s1 + s2 + s3
 			if acc {
 				lm[addr] += sum
 			} else {
@@ -551,16 +656,16 @@ func (bm *BatchMachine) readRowsT(nrows int, tile readTile, src, dst, stride int
 	if dstNode >= 0 {
 		bm.markCIMOutput(dstNode)
 	}
-	return nil
 }
 
-// readRows is the batched analog MVM: the per-weight-column pass over the
-// reconstructed-weight cache is made once per lane, with the weight source
-// (cache pointer or one-time cell reassembly) resolved once per op.
+// readRows is the analog MVM over the crossbar view's row-major weights:
+// inputs stream from src, zero activations skip their weight row, and
+// per-weight-column sums are written (or accumulated) at dst with the given
+// stride.
 func (bm *BatchMachine) readRows(xb, row, nrows int, src, dst, stride int64, acc bool, srcNode, dstNode int) error {
-	img, st := bm.img, bm.st
-	a := img.a
-	if xb < 0 || xb >= len(st.cells) || st.cells[xb] == nil {
+	st := bm.st
+	wc := st.weights[xb]
+	if wc == nil {
 		return fmt.Errorf("crossbar %d not programmed", xb)
 	}
 	p := &st.prog[xb]
@@ -568,45 +673,17 @@ func (bm *BatchMachine) readRows(xb, row, nrows int, src, dst, stride int64, acc
 		return fmt.Errorf("read rows [%d,%d) exceed programmed rows %d", row, row+nrows, p.rows)
 	}
 	bm.settleNode(srcNode)
-	s := a.CellsPerWeight()
-	nWCols := p.cols / s
+	s := bm.img.a.CellsPerWeight()
+	nWCols, nWAll := p.cols/s, bm.img.a.XB.Cols/s
 	sums := st.colSumsBuf(nWCols)
-
-	var wc []int64 // weight rows, nWAll-strided (cache) or nWCols-strided (recon)
-	nWStride := nWCols
-	if st.cellShared[xb] && img.baseWeights != nil && img.baseWeights[xb] != nil {
-		wc = img.baseWeights[xb]
-		nWStride = a.XB.Cols / s
-	} else {
-		// COW broke the aliasing (the body reprogrammed this crossbar):
-		// reassemble the bit-sliced weights once for the whole batch instead
-		// of once per element per request.
-		wc = st.wreconBuf(nrows * nWCols)
-		bits, cb := a.WeightBits, a.XB.CellBits
-		cols := a.XB.Cols
-		cells := st.cells[xb]
-		slices := make([]uint32, s)
-		for i := 0; i < nrows; i++ {
-			base := (row + i) * cols
-			for j := 0; j < nWCols; j++ {
-				for k := 0; k < s; k++ {
-					slices[k] = uint32(cells[base+j*s+k])
-				}
-				wc[i*nWCols+j] = int64(tensor.FromBitSlices(slices, bits, cb))
-			}
-		}
-		row = 0 // wc is already offset to the read's first row
-	}
-
 	for l := 0; l < st.lanes; l++ {
 		lm := st.lane(l)
 		clear(sums)
-		srcMem := lm[src : src+int64(nrows)]
-		for i, av := range srcMem {
+		for i, av := range lm[src : src+int64(nrows)] {
 			if av == 0 {
 				continue
 			}
-			off := (row + i) * nWStride
+			off := (row + i) * nWAll
 			rowW := wc[off : off+nWCols : off+nWCols]
 			j := 0
 			for ; j+3 < len(rowW); j += 4 {
@@ -640,8 +717,10 @@ func (bm *BatchMachine) readRows(xb, row, nrows int, src, dst, stride int64, acc
 }
 
 // gatherPlan computes the index plan of window w of node n's input: for each
-// weight-matrix row, the lane-relative source address, or -1 for zero
-// padding. The plan depends only on geometry, so one plan serves every lane.
+// weight-matrix row — (ic, ky, kx) order for convolutions over an NCHW
+// region, a contiguous token row for matrix Dense, the whole vector for vector
+// Dense — the lane-relative source address, or -1 for zero padding. The plan
+// depends only on geometry, so one plan serves every lane.
 func (img *Image) gatherPlan(n *graph.Node, w, srcBase int64, plan []int64) error {
 	switch n.Op {
 	case graph.OpConv:
@@ -684,6 +763,10 @@ func (img *Image) gatherPlan(n *graph.Node, w, srcBase int64, plan []int64) erro
 	return fmt.Errorf("gather for unsupported op %s", n.Op)
 }
 
+// compileReadCore compiles a whole operator window range on a core (MOP_CM):
+// the core's internal crossbars perform the same quantized arithmetic, so the
+// kernel computes the integer MVMs directly from the node's quantized weight
+// matrix.
 func (img *Image) compileReadCore(o mop.ReadCore) (kernel, error) {
 	n, err := img.g.Node(o.Node)
 	if err != nil {
@@ -696,7 +779,8 @@ func (img *Image) compileReadCore(o mop.ReadCore) (kernel, error) {
 	dims := img.wDims[o.Node]
 	rows, cols := dims[0], dims[1]
 	srcNode := img.nodeAt(o.Src)
-	// Destination addressing (see Machine.cimDst): addr = Dst + j·cj + w·cw.
+	// Output column j of window w lands at Dst + j·cj + w·cw: channel-major
+	// for conv (NCHW), token-major for matrix Dense, a plain vector otherwise.
 	var cj, cw int64
 	switch {
 	case n.Op == graph.OpConv:
@@ -804,6 +888,8 @@ func (img *Image) compileMovWindow(o mop.MovWindow) (kernel, error) {
 	}, nil
 }
 
+// compileDcom compiles a digital-compute operator: dequantize the inputs, run
+// the float reference kernel, requantize into the node's activation domain.
 func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	n, err := img.g.Node(o.Node)
 	if err != nil {
@@ -846,10 +932,11 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	}, nil
 }
 
-// compileDcomReLU specializes the allocation-free ReLU: the requantization
-// table (or the direct loop) replicates dcomReLU's arithmetic element for
-// element, but the table is built once per micro-batch instead of once per
-// request.
+// compileDcomReLU specializes the allocation-free ReLU: it replicates the
+// generic dequantize → float kernel → requantize pipeline element by element
+// (including the float32 division Quantize performs), so outputs stay
+// bit-identical to compileDcom's while skipping three tensor allocations per
+// lane.
 func (img *Image) compileDcomReLU(o mop.Dcom, n *graph.Node) (kernel, error) {
 	in := n.Inputs[0]
 	base, size := img.base[in], img.size[in]
@@ -883,6 +970,12 @@ func (img *Image) compileDcomReLU(o mop.Dcom, n *graph.Node) (kernel, error) {
 			}
 			return int64(r)
 		}
+		// Settled activations are clamped to the input's quantized range, so
+		// for the usual low-precision activations (8-bit in every preset)
+		// the requantization of every representable value is tabulated once
+		// per micro-batch and the per-element division becomes a lookup.
+		// High-precision configurations would make the table larger than the
+		// work it saves, so they take the direct loop.
 		if maxIn <= 1<<12 && size >= maxIn {
 			table := st.tableBuf(2*maxIn + 1)
 			for v := -maxIn; v <= maxIn; v++ {

@@ -17,18 +17,26 @@
 // everything that survives across inferences (quantized weights, calibrated
 // activation scales, the crossbar cells programmed by a flow's init section)
 // and is immutable once built, so one Image serves any number of concurrent
-// executions. A State holds the per-inference mutable residue (activation
-// memory, region quantization domains, copy-on-write crossbar overrides) and
-// is cheap to reset and reuse — the compile-once / run-many execution model
-// of the public Program API.
+// executions. A BatchState holds the mutable residue of one micro-batch —
+// one lane of activation memory per request, plus the lane-invariant region
+// quantization domains and copy-on-write crossbar view — and is cheap to
+// reset and reuse: the compile-once / run-many execution model of the public
+// Program API.
 //
-// QuantReference executes the same quantized semantics without crossbars or
-// flows; a correct compiler + simulator pair must match it bit-exactly.
+// There is one executor (batch.go): Image.CompileBody compiles a flow section
+// into kernel closures and a BatchMachine runs them over a BatchState's
+// lanes. A single request is a one-lane micro-batch; weight programming
+// (ProgramInit) and one-shot execution run the same kernels. State and
+// Machine are the one-lane view of that engine for callers that drive one
+// request with an uncompiled flow; they hold no arithmetic of their own.
+//
+// QuantReference executes the same quantized semantics without crossbars,
+// placement or generated flows; a correct compiler + simulator pair must
+// match it bit-exactly.
 package funcsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"cimmlc/internal/arch"
@@ -43,7 +51,7 @@ import (
 // layout, quantized weights and calibrated quantization scales, plus the
 // crossbar cell arrays written by the flow's init section (ProgramInit).
 // Once built it is never written again, so it is safe for concurrent use
-// from many goroutines, each driving its own State.
+// from many goroutines, each driving its own BatchState.
 type Image struct {
 	g   *graph.Graph
 	a   *arch.Arch
@@ -54,6 +62,7 @@ type Image struct {
 	actScale map[int]tensor.QuantParams // node → output activation quantizer
 	qweights map[int][]int32            // CIM node → quantized weight matrix (row-major rows×cols)
 	wDims    map[int][2]int             // CIM node → (rows, cols)
+	inputs   []int                      // the graph's input node IDs
 
 	// Sorted region index for address→node resolution.
 	regionBases []int64
@@ -67,58 +76,15 @@ type Image struct {
 	// lives above it, so addr >= nodeEnd resolves to no node immediately.
 	nodeEnd int64
 
-	// Baseline crossbar contents after the init section: cell arrays are
-	// shared into each State copy-on-write, so the body's reprogramming
-	// operators (multi-round flows) never write through to the image.
-	baseCells [][]uint8
-	baseProg  []xbProg
-
-	// baseWeights caches, for each programmed crossbar, the weights
-	// reconstructed from its cell slices (row-major rows × cols/s). Cells
-	// are immutable after ProgramInit, so reads can skip the per-element
-	// bit-slice reassembly — the dominant cost of the MVM inner loop —
-	// whenever the state still shares the image's cell array.
+	// Baseline crossbar contents after the init section, indexed by
+	// chip-global crossbar ID: the cell arrays, the weights a read
+	// reconstructs from them (row-major rows × cols/s), and what each
+	// crossbar holds. They are shared into every state copy-on-write, so the
+	// body's reprogramming operators (multi-round flows) never write through
+	// to the image.
+	baseCells   [][]uint8
 	baseWeights [][]int64
-}
-
-// State is the mutable residue of one inference: the flat activation
-// memory, the per-region quantization bookkeeping, and the crossbar view
-// (cell arrays shared from the Image until a body write copies them). A
-// State is owned by exactly one execution at a time; Image.Reset recycles
-// it for the next request without reallocating.
-type State struct {
-	mem []int64
-
-	cells      [][]uint8 // crossbar cell arrays, indexed by chip-global ID
-	cellShared []bool    // true while cells[i] aliases the image's array
-	prog       []xbProg  // what each crossbar currently holds
-
-	// Scale of the ints currently in each node's region, and whether they
-	// are raw CIM accumulators awaiting requantization (index = node ID;
-	// scale 0 means "default activation scale").
-	regionScale []float64
-	regionRaw   []bool
-
-	// colSums is readRows' reusable per-weight-column accumulator, and
-	// winVec the reusable window-gather vector (grown on demand).
-	colSums []int64
-	winVec  []int64
-}
-
-// scratchVec returns a reusable []int64 of length n; the caller must fill
-// every element before reading.
-func (st *State) scratchVec(n int) []int64 {
-	if cap(st.winVec) < n {
-		st.winVec = make([]int64, n)
-	}
-	return st.winVec[:n]
-}
-
-// Machine binds an Image to one State for execution. The zero Machine is
-// not usable; obtain one from Image.Exec or New.
-type Machine struct {
-	img *Image
-	st  *State
+	baseProg    []xbProg
 }
 
 // xbProg records the tile programmed into one crossbar: which node's cell
@@ -147,12 +113,14 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 	}
 	img := &Image{
 		g: g, a: a, lay: lay,
-		wScale:    map[int]tensor.QuantParams{},
-		actScale:  map[int]tensor.QuantParams{},
-		qweights:  map[int][]int32{},
-		wDims:     map[int][2]int{},
-		baseCells: make([][]uint8, a.TotalCrossbars()),
-		baseProg:  make([]xbProg, a.TotalCrossbars()),
+		wScale:      map[int]tensor.QuantParams{},
+		actScale:    map[int]tensor.QuantParams{},
+		qweights:    map[int][]int32{},
+		wDims:       map[int][2]int{},
+		inputs:      g.InputIDs(),
+		baseCells:   make([][]uint8, a.TotalCrossbars()),
+		baseWeights: make([][]int64, a.TotalCrossbars()),
+		baseProg:    make([]xbProg, a.TotalCrossbars()),
 	}
 	for i := range img.baseProg {
 		img.baseProg[i].node = -1
@@ -196,53 +164,13 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		}
 	}
 	sort.Sort(byBase{img.regionBases, img.regionNodes})
+	// LoadInputs checks requests against the graph and writes them here.
+	for _, id := range img.inputs {
+		if want := graph.NumElements(g.MustNode(id).OutShape); img.base[id] < 0 || img.size[id] != want {
+			return nil, fmt.Errorf("funcsim: layout has no %d-word buffer region for input node %d", want, id)
+		}
+	}
 	return img, nil
-}
-
-// NewState allocates a fresh execution state sized for the image's layout
-// and crossbar count, ready for LoadInputs.
-func (img *Image) NewState() *State {
-	st := &State{
-		mem:         make([]int64, img.lay.Total),
-		cells:       make([][]uint8, len(img.baseCells)),
-		cellShared:  make([]bool, len(img.baseCells)),
-		prog:        make([]xbProg, len(img.baseProg)),
-		regionScale: make([]float64, len(img.g.Nodes)),
-		regionRaw:   make([]bool, len(img.g.Nodes)),
-		colSums:     make([]int64, img.a.XB.Cols/img.a.CellsPerWeight()+1),
-	}
-	img.Reset(st)
-	return st
-}
-
-// Reset recycles st for a new inference against this image: activation
-// memory is zeroed, region bookkeeping cleared, and the crossbar view is
-// re-pointed at the image's programmed cells (shared, copy-on-write).
-func (img *Image) Reset(st *State) {
-	clear(st.mem)
-	clear(st.regionScale)
-	clear(st.regionRaw)
-	copy(st.prog, img.baseProg)
-	for i, c := range img.baseCells {
-		st.cells[i] = c
-		st.cellShared[i] = c != nil
-	}
-}
-
-// Exec binds st to the image for one execution. The caller must not use st
-// with two machines at once.
-func (img *Image) Exec(st *State) *Machine {
-	return &Machine{img: img, st: st}
-}
-
-// weightsFor returns the cached reconstructed weights of one crossbar, or
-// nil when the cache is unusable: never built (one-shot machines), or the
-// state reprogrammed this crossbar (copy-on-write broke the aliasing).
-func (img *Image) weightsFor(xb int, st *State) []int64 {
-	if img.baseWeights == nil || !st.cellShared[xb] {
-		return nil
-	}
-	return img.baseWeights[xb]
 }
 
 // Graph returns the image's shape-inferred graph (read-only).
@@ -254,85 +182,115 @@ func (img *Image) MemWords() int64 { return img.lay.Total }
 
 // ProgramInit executes the flow's weight-programming section into the
 // image's baseline crossbar state. It must be called before the image is
-// shared across goroutines; afterwards every State starts from the
+// shared across goroutines; afterwards every state starts from the
 // programmed cells and executions run only the compute section.
 func (img *Image) ProgramInit(init []mop.Op) error {
 	if len(init) == 0 {
 		return nil
 	}
-	st := img.NewState()
-	m := img.Exec(st)
-	for i, op := range init {
-		if err := m.exec(op); err != nil {
-			return fmt.Errorf("funcsim: init op %d (%s): %w", i, op, err)
-		}
+	cf, err := img.CompileBody(init)
+	if err != nil {
+		return err
 	}
-	img.baseCells = st.cells
-	img.baseProg = st.prog
-	img.cacheWeights()
+	st := img.NewBatchState(1)
+	if err := img.ExecBatch(st).RunBody(cf); err != nil {
+		return err
+	}
+	img.baseCells, img.baseWeights, img.baseProg = st.cells, st.weights, st.prog
 	return nil
 }
 
-// cacheWeights reconstructs every programmed crossbar's weight matrix from
-// its (now frozen) cell slices, so per-request MVMs read weights directly.
-func (img *Image) cacheWeights() {
-	s := img.a.CellsPerWeight()
-	rows, cols := img.a.XB.Rows, img.a.XB.Cols
-	nW := cols / s
-	img.baseWeights = make([][]int64, len(img.baseCells))
-	slices := make([]uint32, s)
-	for xb, cells := range img.baseCells {
-		if cells == nil {
-			continue
-		}
-		wc := make([]int64, rows*nW)
-		for r := 0; r < rows; r++ {
-			for j := 0; j < nW; j++ {
-				base := r*cols + j*s
-				for k := 0; k < s; k++ {
-					slices[k] = uint32(cells[base+k])
-				}
-				wc[r*nW+j] = int64(tensor.FromBitSlices(slices, img.a.WeightBits, img.a.XB.CellBits))
-			}
-		}
-		img.baseWeights[xb] = wc
-	}
+// State is a one-lane BatchState for callers that drive a single request
+// through an uncompiled flow (the one-shot paths, step-by-step replays). It
+// is owned by exactly one execution at a time; Image.Reset recycles it.
+type State struct {
+	b *BatchState
+	// flows holds the sections RunBody has compiled, by flow identity, so a
+	// replay that runs the same flow per request compiles it once. A flow
+	// must not be modified between runs against one State.
+	flows map[*mop.Flow]*CompiledFlow
 }
 
-// LoadInputs quantizes each input tensor with the image's calibrated scale
-// and writes it into the node's region.
+// Machine binds an Image to one State for execution. The zero Machine is
+// not usable; obtain one from Image.Exec or New.
+type Machine struct {
+	bm *BatchMachine
+	st *State
+}
+
+// NewState allocates a fresh one-lane execution state, ready for LoadInputs.
+func (img *Image) NewState() *State {
+	return &State{b: img.NewBatchState(1), flows: map[*mop.Flow]*CompiledFlow{}}
+}
+
+// Reset recycles st for a new inference against this image.
+func (img *Image) Reset(st *State) { img.ResetBatch(st.b, 1) }
+
+// Exec binds st to the image for one execution. The caller must not use st
+// with two machines at once.
+func (img *Image) Exec(st *State) *Machine {
+	return &Machine{bm: img.ExecBatch(st.b), st: st}
+}
+
+// LoadInputs checks, quantizes and loads one request (BatchMachine.LoadInputs).
 func (m *Machine) LoadInputs(inputs map[int]*tensor.Tensor) error {
-	for _, id := range sortedTensorKeys(inputs) {
-		t := inputs[id]
-		q, ok := m.img.actScale[id]
-		if !ok {
-			return fmt.Errorf("funcsim: input for unknown node %d", id)
-		}
-		if id < 0 || id >= len(m.img.base) || m.img.base[id] < 0 {
-			return fmt.Errorf("funcsim: input node %d has no buffer region", id)
-		}
-		base := m.img.base[id]
-		qv, err := tensor.Quantize(t, q)
-		if err != nil {
+	return m.bm.LoadInputs(0, inputs)
+}
+
+// Run executes the flow's init and compute sections against the machine.
+func (m *Machine) Run(flow *mop.Flow) error {
+	if err := flow.Validate(); err != nil {
+		return fmt.Errorf("funcsim: %w", err)
+	}
+	init, err := m.bm.img.CompileBody(flow.Init)
+	if err != nil {
+		return err
+	}
+	if err := m.bm.RunBody(init); err != nil {
+		return err
+	}
+	return m.RunBody(flow)
+}
+
+// RunBody executes only the flow's compute section, assuming weights were
+// programmed into the machine's image (Image.ProgramInit) or by an earlier
+// Run. It skips re-validation: generated flows are validated once by
+// codegen, not per request.
+func (m *Machine) RunBody(flow *mop.Flow) error {
+	cf, ok := m.st.flows[flow]
+	if !ok {
+		var err error
+		if cf, err = m.bm.img.CompileBody(flow.Body); err != nil {
 			return err
 		}
-		if int64(len(qv)) != m.img.size[id] {
-			return fmt.Errorf("funcsim: input for node %d has %d elements, region holds %d", id, len(qv), m.img.size[id])
-		}
-		for i, v := range qv {
-			m.st.mem[base+int64(i)] = int64(v)
-		}
-		m.st.regionScale[id] = float64(q.Scale)
-		m.st.regionRaw[id] = false
+		m.st.flows[flow] = cf
 	}
-	return nil
+	return m.bm.RunBody(cf)
+}
+
+// SettleAll requantizes every raw region (used before extracting outputs).
+func (m *Machine) SettleAll() { m.bm.SettleAll() }
+
+// TensorsOf returns the dequantized float tensors of the given node IDs.
+func (m *Machine) TensorsOf(ids []int) map[int]*tensor.Tensor {
+	return m.bm.TensorsOf(0, ids)
+}
+
+// Tensors returns the dequantized float tensor of every node's region.
+func (m *Machine) Tensors() map[int]*tensor.Tensor {
+	nodes := m.bm.img.g.Nodes
+	ids := make([]int, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return m.TensorsOf(ids)
 }
 
 // New prepares a one-shot machine: it builds an image calibrated on the
 // given inputs (with no crossbars pre-programmed — Run executes the init
 // section), allocates a state and loads the inputs. Kept for the
 // single-inference paths; the compile-once / run-many path is
-// NewImage + ProgramInit + per-request states.
+// NewImage + ProgramInit + CompileBody + pooled BatchStates.
 func New(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.Weights, inputs map[int]*tensor.Tensor) (*Machine, error) {
 	img, err := NewImage(g, a, lay, weights, inputs)
 	if err != nil {
@@ -371,8 +329,6 @@ func weightMatrix(n *graph.Node, w *tensor.Tensor) (*tensor.Tensor, error) {
 
 // nodeAt resolves a buffer address to the node whose region contains it
 // (scratch addresses resolve to no node and return -1).
-func (m *Machine) nodeAt(addr int64) int { return m.img.nodeAt(addr) }
-
 func (img *Image) nodeAt(addr int64) int {
 	if addr >= img.nodeEnd {
 		return -1 // scratch space
@@ -394,95 +350,6 @@ func (img *Image) nodeAt(addr int64) int {
 		return id
 	}
 	return -1
-}
-
-// settle requantizes a raw CIM accumulator region into the node's 8-bit
-// activation domain (the shift-add + requantization periphery). It runs
-// lazily on first consumption.
-func (m *Machine) settle(node int) {
-	if node < 0 || !m.st.regionRaw[node] {
-		return
-	}
-	raw := m.st.regionScale[node]
-	q := m.img.actScale[node]
-	base, size := m.img.base[node], m.img.size[node]
-	maxQ := int64(q.MaxQ())
-	for i := base; i < base+size; i++ {
-		f := float64(m.st.mem[i]) * raw
-		v := int64(math.RoundToEven(f / float64(q.Scale)))
-		if v > maxQ {
-			v = maxQ
-		}
-		if v < -maxQ {
-			v = -maxQ
-		}
-		m.st.mem[i] = v
-	}
-	m.st.regionScale[node] = float64(q.Scale)
-	m.st.regionRaw[node] = false
-}
-
-// touchSrc settles whatever region the source address lives in.
-func (m *Machine) touchSrc(addr int64) {
-	m.settle(m.nodeAt(addr))
-}
-
-// markCIMOutput records that node's region now holds raw accumulators whose
-// unit value is wScale·inScale.
-func (m *Machine) markCIMOutput(node int) {
-	if m.st.regionRaw[node] {
-		// Already marked by an earlier window of the same operator; the
-		// input's scale is fixed once its region has settled, so the raw
-		// scale cannot have changed.
-		return
-	}
-	n := m.img.g.MustNode(node)
-	in := n.Inputs[0]
-	inScale := m.st.regionScale[in]
-	if inScale == 0 {
-		inScale = float64(m.img.actScale[in].Scale)
-	}
-	m.st.regionScale[node] = float64(m.img.wScale[node].Scale) * inScale
-	m.st.regionRaw[node] = true
-}
-
-// Tensors returns the dequantized float tensor of every node's region.
-func (m *Machine) Tensors() map[int]*tensor.Tensor {
-	ids := make([]int, len(m.img.g.Nodes))
-	for i, n := range m.img.g.Nodes {
-		ids[i] = n.ID
-	}
-	return m.TensorsOf(ids)
-}
-
-// TensorsOf returns the dequantized float tensors of the given node IDs
-// only — the serving fast path extracts just the graph's outputs instead
-// of dequantizing every region.
-func (m *Machine) TensorsOf(ids []int) map[int]*tensor.Tensor {
-	out := make(map[int]*tensor.Tensor, len(ids))
-	for _, id := range ids {
-		n := m.img.g.MustNode(id)
-		base, size := m.img.base[id], m.img.size[id]
-		t := tensor.New(n.OutShape...)
-		scale := m.st.regionScale[id]
-		if scale == 0 {
-			scale = float64(m.img.actScale[id].Scale)
-		}
-		data := t.Data()
-		for i, v := range m.st.mem[base : base+size] {
-			data[i] = float32(float64(v) * scale)
-		}
-		out[id] = t
-	}
-	return out
-}
-
-// RawRegion exposes a copy of a node's integer region (tests).
-func (m *Machine) RawRegion(node int) []int64 {
-	base, size := m.img.base[node], m.img.size[node]
-	out := make([]int64, size)
-	copy(out, m.st.mem[base:base+size])
-	return out
 }
 
 // sortedTensorKeys returns the map's node IDs in ascending order so walks

@@ -168,10 +168,14 @@ func TestMachineRejectsBadOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reading an unprogrammed crossbar must fail.
-	if err := m.readRows(3, 0, 1, 0, 0, 1, false); err == nil {
+	unprogrammed := &mop.Flow{
+		Mode: "WLM", Graph: g.Name, Arch: a.Name,
+		Body: []mop.Op{mop.ReadRow{XB: 3, Row: 0, NumRows: 1, Src: 0, Dst: 0, DstStride: 1}},
+	}
+	if err := m.Run(unprogrammed); err == nil {
 		t.Fatal("read of unprogrammed crossbar accepted")
 	}
-	// Activating more rows than parallel_row must fail through exec.
+	// Activating more rows than parallel_row must fail.
 	wide := &mop.Flow{
 		Mode: "WLM", Graph: g.Name, Arch: a.Name,
 		Body: []mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: a.XB.ParallelRow + 1, Src: 0, Dst: 0, DstStride: 1}},

@@ -30,23 +30,21 @@ func QuantReferenceCalib(g *graph.Graph, a *arch.Arch, weights graph.Weights, ca
 	if err != nil {
 		return nil, err
 	}
-	m := img.Exec(img.NewState())
-	if err := m.LoadInputs(inputs); err != nil {
-		return nil, err
-	}
+	// One reference operator per node, in node order: readcore computes a CIM
+	// node's integer MVMs straight from its quantized weight matrix.
+	var body []mop.Op
 	for _, n := range g.Nodes {
 		switch {
 		case n.Op == graph.OpInput:
 			continue
 		case n.Op.CIMSupported():
-			win := n.MVMCount()
-			err = m.readCore(mop.ReadCore{
+			body = append(body, mop.ReadCore{
 				OpType: string(n.Op), Node: n.ID, Core: 0,
 				Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID],
-				WinStart: 0, WinCount: win,
+				WinStart: 0, WinCount: n.MVMCount(),
 			})
 		case n.Op == graph.OpFlatten || n.Op == graph.OpIdentity:
-			err = m.mov(mop.Mov{Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
+			body = append(body, mop.Mov{Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
 		default:
 			fn, ok := dcomFnFor(n.Op)
 			if !ok {
@@ -56,11 +54,15 @@ func QuantReferenceCalib(g *graph.Graph, a *arch.Arch, weights graph.Weights, ca
 			for i, in := range n.Inputs {
 				srcs[i] = lay.Base[in]
 			}
-			err = m.dcom(mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
+			body = append(body, mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
 		}
-		if err != nil {
-			return nil, fmt.Errorf("funcsim: reference node %d (%s): %w", n.ID, n.Op, err)
-		}
+	}
+	m := img.Exec(img.NewState())
+	if err := m.LoadInputs(inputs); err != nil {
+		return nil, err
+	}
+	if err := m.RunBody(&mop.Flow{Body: body}); err != nil {
+		return nil, fmt.Errorf("funcsim: reference: %w", err)
 	}
 	m.SettleAll()
 	return m.Tensors(), nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"cimmlc/internal/funcsim"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/hostexec"
 	"cimmlc/internal/partition"
@@ -121,12 +122,13 @@ func (c *Compiler) buildPartitioned(ctx context.Context, res *Result, w Weights,
 // IDs: each subprogram reads its boundary inputs from the environment and
 // publishes its exports back.
 func (p *Program) runPartitioned(ctx context.Context, inputs map[int]*Tensor) (map[int]*Tensor, error) {
+	// The same request check a monolithic program's input load applies, so
+	// both shapes reject a malformed request with the same error.
+	if err := funcsim.CheckInputs(p.g, inputs); err != nil {
+		return nil, err
+	}
 	env := make(map[int]*Tensor, len(p.g.Nodes))
-	for _, id := range p.g.InputIDs() {
-		t, ok := inputs[id]
-		if !ok {
-			return nil, fmt.Errorf("cimmlc: Run: no input tensor provided for node %d", id)
-		}
+	for id, t := range inputs {
 		env[id] = t
 	}
 	for _, sp := range p.parts {

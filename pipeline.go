@@ -134,7 +134,7 @@ func (c *Compiler) BuildPipeline(ctx context.Context, g *Graph, w Weights, opt C
 		subW := sub.SubWeights(w)
 		// One chip executes serially: workers=1 regardless of cfg — the
 		// pipeline's parallelism is across stages, not within one.
-		ip, err := c.newProgram(sub.G, fr, subW, buildConfig{calib: subCalib, workers: 1, noBatch: cfg.noBatch})
+		ip, err := c.newProgram(sub.G, fr, subW, buildConfig{calib: subCalib, workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: BuildPipeline: stage %d: %w", sub.Index, err)
 		}

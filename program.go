@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -18,10 +16,11 @@ import (
 // Program is an executable, immutable compilation artifact: the
 // shape-inferred graph, the optimized schedule, the generated meta-operator
 // flow, and a crossbar image with the weights already quantized, bit-sliced
-// and programmed. Building a Program pays the full compile + lower +
-// weight-programming cost exactly once; each Run then executes only the
-// flow's compute section against a pooled per-request execution state, the
-// stationary-weight serving model CIM hardware is built for.
+// and programmed, and the flow's compute section compiled into kernels.
+// Building a Program pays the full compile + lower + weight-programming cost
+// exactly once; each Run then executes only the compiled compute section
+// against a pooled execution state, the stationary-weight serving model CIM
+// hardware is built for.
 //
 // A Program is safe for concurrent use from many goroutines.
 type Program struct {
@@ -34,21 +33,19 @@ type Program struct {
 	img   *funcsim.Image
 	outs  []int // the graph's output node IDs
 
+	// body is the flow's compute section compiled into kernel closures: what
+	// every request executes, as one lane of a micro-batch.
+	body *funcsim.CompiledFlow
+
 	// parts is non-nil for partitioned (multi-target) programs: the
-	// subprograms in execution order. img and fr are then nil — Run
+	// subprograms in execution order. img, fr and body are then nil — Run
 	// orchestrates the parts through a shared tensor environment instead of
 	// executing a single flow.
 	parts []*subprogram
 
-	// bflow is the flow body precompiled into batched kernel closures; nil
-	// for partitioned programs and under WithBatchedExecution(false), in
-	// which case RunBatch always takes the per-request paths.
-	bflow *funcsim.CompiledFlow
-
 	workers int
 
-	pool       sync.Pool // of *funcsim.State
-	bpool      sync.Pool // of *funcsim.BatchState
+	pool       sync.Pool // of *funcsim.BatchState
 	requests   atomic.Uint64
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
@@ -56,28 +53,30 @@ type Program struct {
 	batchReqs  atomic.Uint64
 }
 
-// Test seams, nil outside tests: testHookBatchClaim runs after a pooled
-// RunBatch worker claims request i; testHookRunStart runs inside run after
-// the context check; testHookBatchFail runs after a request error has been
-// recorded. They exist to force cancel/first-error interleavings that are
-// otherwise timing-dependent.
+// Test seams, nil outside tests: testHookBatchClaim runs after a RunBatch
+// worker claims the work item whose first request is i; testHookRunStart
+// runs for each request of a micro-batch after its context check;
+// testHookBatchFail runs after a request error has been recorded. They exist
+// to force cancel/first-error interleavings that are otherwise
+// timing-dependent.
 var (
-	testHookBatchClaim func(i int)
+	testHookBatchClaim func(ctx context.Context, i int)
 	testHookRunStart   func(ctx context.Context, inputs map[int]*Tensor)
 	testHookBatchFail  func(i int)
 )
 
 // ProgramStats reports a program's serving counters.
 type ProgramStats struct {
-	// Requests is the number of successfully completed Run calls.
+	// Requests is the number of successfully completed requests.
 	Requests uint64
-	// PoolHits counts runs that reused a pooled execution state;
-	// PoolMisses counts runs that had to allocate a fresh one.
+	// PoolHits counts micro-batches (a Run is a micro-batch of one) that
+	// reused a pooled execution state; PoolMisses counts those that had to
+	// allocate a fresh one.
 	PoolHits   uint64
 	PoolMisses uint64
-	// BatchRuns counts micro-batches executed on the batched kernel path;
-	// BatchedRequests counts the requests those micro-batches served (also
-	// included in Requests).
+	// BatchRuns counts the micro-batches of two or more requests;
+	// BatchedRequests counts the requests they served (also included in
+	// Requests).
 	BatchRuns       uint64
 	BatchedRequests uint64
 	// Tuning reports the autotune search the program's schedule came from
@@ -97,7 +96,6 @@ type BuildOption func(*buildConfig)
 type buildConfig struct {
 	calib   map[int]*Tensor
 	workers int
-	noBatch bool
 }
 
 // WithCalibration supplies the activation-calibration inputs used to fix
@@ -112,16 +110,6 @@ func WithCalibration(inputs map[int]*Tensor) BuildOption {
 // GOMAXPROCS.
 func WithWorkers(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
-}
-
-// WithBatchedExecution toggles RunBatch's batched kernel path (default on):
-// same-shaped requests are grouped into micro-batches that stream through
-// the precompiled flow kernels together, one pass over each crossbar's
-// weights serving the whole micro-batch. Outputs are bit-identical to
-// per-request execution; disable only to pin the per-request path (baseline
-// benchmarks, tests of the worker pool).
-func WithBatchedExecution(on bool) BuildOption {
-	return func(c *buildConfig) { c.noBatch = !on }
 }
 
 // Build compiles g once for serving: it runs the full pass pipeline
@@ -166,8 +154,9 @@ func (c *Compiler) Build(ctx context.Context, g *Graph, w Weights, opt CodegenOp
 }
 
 // newProgram assembles a Program around an already-lowered flow: it clones
-// and shape-infers the graph, calibrates an image, and programs the flow's
-// init section. Shared by Build and the one-shot Run/Verify wrappers.
+// and shape-infers the graph, calibrates an image, programs the flow's init
+// section and compiles its body. Shared by Build and the one-shot Run/Verify
+// wrappers.
 func (c *Compiler) newProgram(g *Graph, fr *FlowResult, w Weights, cfg buildConfig) (*Program, error) {
 	if fr == nil || fr.Flow == nil || fr.Layout == nil {
 		return nil, fmt.Errorf("nil flow result")
@@ -175,7 +164,7 @@ func (c *Compiler) newProgram(g *Graph, fr *FlowResult, w Weights, cfg buildConf
 	if fr.Truncated {
 		return nil, fmt.Errorf("flow was truncated by codegen (MaxWindowsPerOp); not executable")
 	}
-	// Validate once here: per-request execution (RunBody) skips it.
+	// Validate once here: per-request execution skips it.
 	if err := fr.Flow.Validate(); err != nil {
 		return nil, err
 	}
@@ -203,17 +192,10 @@ func (c *Compiler) newProgram(g *Graph, fr *FlowResult, w Weights, cfg buildConf
 	if err := img.ProgramInit(fr.Flow.Init); err != nil {
 		return nil, err
 	}
-	p.img = img
-	if !cfg.noBatch {
-		// Precompile the flow body into batched kernel closures (specialized
-		// on op, shape and precision) so RunBatch can stream micro-batches
-		// through one dispatch-free pass per operator.
-		bf, err := img.CompileBody(fr.Flow.Body)
-		if err != nil {
-			return nil, fmt.Errorf("compiling batched kernels: %w", err)
-		}
-		p.bflow = bf
+	if p.body, err = img.CompileBody(fr.Flow.Body); err != nil {
+		return nil, err
 	}
+	p.img = img
 	return p, nil
 }
 
@@ -233,70 +215,38 @@ func defaultCalibration(g *Graph) map[int]*Tensor {
 
 // Run executes one inference: inputs are quantized with the program's
 // calibrated scales, the flow's compute section runs against a pooled
-// execution state, and the tensors of the graph's output nodes are
-// returned, keyed by node ID. (The deprecated Compiler.Run returns every
-// node's tensor; serving extracts only the network outputs.) Safe for
-// concurrent use.
+// execution state — a micro-batch of one lane — and the tensors of the
+// graph's output nodes are returned, keyed by node ID. (The deprecated
+// Compiler.Run returns every node's tensor; serving extracts only the network
+// outputs.) Safe for concurrent use.
 func (p *Program) Run(ctx context.Context, inputs map[int]*Tensor) (map[int]*Tensor, error) {
-	return p.run(ctx, inputs, false)
+	return p.run(ctx, inputs, p.outs)
 }
 
-func (p *Program) run(ctx context.Context, inputs map[int]*Tensor, allNodes bool) (map[int]*Tensor, error) {
+// run is Run returning the tensors of the given nodes. Partitioned programs
+// always return the graph outputs: other nodes have no meaning across
+// targets (the deprecated one-shot wrappers never build partitioned
+// programs).
+func (p *Program) run(ctx context.Context, inputs map[int]*Tensor, ids []int) (map[int]*Tensor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if testHookRunStart != nil {
-		testHookRunStart(ctx, inputs)
-	}
 	if p.parts != nil {
-		// allNodes has no meaning across targets (the deprecated one-shot
-		// wrappers never build partitioned programs); the orchestrator
-		// returns the graph outputs.
 		return p.runPartitioned(ctx, inputs)
 	}
-	st := p.getState()
-	defer p.pool.Put(st)
-	m := p.img.Exec(st)
-	if err := m.LoadInputs(inputs); err != nil {
+	var out [1]map[int]*Tensor
+	if _, err := p.runMicroBatch(ctx, []map[int]*Tensor{inputs}, out[:], ids); err != nil {
 		return nil, err
 	}
-	if err := m.RunBody(p.fr.Flow); err != nil {
-		return nil, err
-	}
-	m.SettleAll()
-	var out map[int]*Tensor
-	if allNodes {
-		out = m.Tensors()
-	} else {
-		out = m.TensorsOf(p.outs)
-	}
-	p.requests.Add(1)
-	return out, nil
-}
-
-// getState draws a reset execution state from the pool, allocating when
-// the pool is empty.
-func (p *Program) getState() *funcsim.State {
-	if v := p.pool.Get(); v != nil {
-		p.poolHits.Add(1)
-		st := v.(*funcsim.State)
-		p.img.Reset(st)
-		return st
-	}
-	p.poolMisses.Add(1)
-	return p.img.NewState()
+	return out[0], nil
 }
 
 // RunBatch executes one inference per request map, returning results in
-// request order. Same-shaped requests are grouped into micro-batches that
-// execute on the batched kernel path — one pass over each programmed
-// crossbar serves the whole micro-batch — distributed across a bounded
-// worker pool (WithWorkers, default GOMAXPROCS); ragged shapes, partitioned
-// programs and singleton groups fall back to per-request execution. Batched
-// and per-request execution are bit-identical.
+// request order. The requests are cut into micro-batches — one pass over each
+// programmed crossbar serves every lane of a micro-batch — spread across a
+// bounded worker pool (WithWorkers, default GOMAXPROCS). A request's output
+// does not depend on the micro-batch that carries it. Partitioned programs
+// step their subprograms request by request.
 //
 // On failure the returned results are nil and the error names the failing
 // request: the lowest-indexed request whose execution produced a genuine
@@ -323,58 +273,39 @@ func (p *Program) RunBatch(ctx context.Context, reqs []map[int]*Tensor) ([]map[i
 	if workers > len(reqs) {
 		workers = len(reqs)
 	}
-	items := p.batchItems(reqs, workers)
-	if items == nil && workers == 1 {
-		// Inline fast path: no worker goroutines, no cancel machinery.
-		// Request-major order also keeps each request's execution state hot
-		// through the whole flow, which measures faster than op-major fused
-		// interpretation on cache-resident models.
-		for i, req := range reqs {
-			out, err := p.Run(ctx, req)
-			if err != nil {
-				return nil, fmt.Errorf("cimmlc: RunBatch: request %d: %w", i, err)
-			}
-			outs[i] = out
-		}
-		return outs, nil
-	}
-	if items == nil {
-		// Per-request fallback: one work item per request.
-		items = make([][]int, len(reqs))
-		for i := range reqs {
-			items[i] = []int{i}
-		}
-	}
+	cuts := p.batchCuts(len(reqs), workers)
+	items := len(cuts) - 1
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	rec := &batchErrors{cancel: cancel}
 
-	runItem := func(item []int) {
-		if len(item) == 1 {
-			i := item[0]
-			if testHookBatchClaim != nil {
-				testHookBatchClaim(i)
-			}
-			out, err := p.Run(ctx, reqs[i])
+	// Work item k is requests [cuts[k], cuts[k+1]).
+	runItem := func(k int) {
+		lo, hi := cuts[k], cuts[k+1]
+		if testHookBatchClaim != nil {
+			testHookBatchClaim(ctx, lo)
+		}
+		if p.parts != nil {
+			// batchCuts gives partitioned programs one request per item.
+			out, err := p.runPartitioned(ctx, reqs[lo])
 			if err != nil {
-				rec.record(i, err)
-				return
+				rec.record(lo, err)
 			}
-			outs[i] = out
+			outs[lo] = out
 			return
 		}
-		if i, err := p.runMicroBatch(ctx, reqs, item, outs); err != nil {
-			rec.record(i, err)
+		if lane, err := p.runMicroBatch(ctx, reqs[lo:hi], outs[lo:hi], p.outs); err != nil {
+			rec.record(lo+lane, err)
 		}
 	}
 
-	if w := min(workers, len(items)); w == 1 {
-		for _, item := range items {
+	if w := min(workers, items); w == 1 {
+		for k := 0; k < items; k++ {
 			if ctx.Err() != nil {
 				break
 			}
-			runItem(item)
+			runItem(k)
 			if rec.failed() {
 				break
 			}
@@ -389,11 +320,11 @@ func (p *Program) RunBatch(ctx context.Context, reqs []map[int]*Tensor) ([]map[i
 			go func() {
 				defer wg.Done()
 				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(items) || ctx.Err() != nil {
+					k := int(next.Add(1)) - 1
+					if k >= items || ctx.Err() != nil {
 						return
 					}
-					runItem(items[i])
+					runItem(k)
 				}
 			}()
 		}
@@ -468,137 +399,86 @@ func (e *batchErrors) resolve(ctx context.Context) error {
 // the cap split into further micro-batches.
 const maxMicroBatchWords = int64(1) << 20
 
-// batchItems groups the batch's request indices into work items for the
-// batched path: maximal runs of same-shaped requests, chunked into
-// micro-batches sized to keep every worker busy. It returns nil when the
-// batched path does not apply (partitioned program, batching disabled, or
-// no group of at least two same-shaped requests) — the caller then uses the
-// per-request paths.
-func (p *Program) batchItems(reqs []map[int]*Tensor, workers int) [][]int {
-	if p.bflow == nil || p.parts != nil || len(reqs) < 2 {
-		return nil
+// batchCuts cuts n requests into RunBatch's work items, runs of consecutive
+// requests: item k is requests [cuts[k], cuts[k+1]). Micro-batches are sized
+// to keep every worker busy, capped by the lane-memory budget, and balanced
+// (16 lanes under a cap of 15 become 8+8, not 15+1) so none degenerates to a
+// near-empty tail. Partitioned programs get one request per item.
+func (p *Program) batchCuts(n, workers int) []int {
+	mb := 1
+	if p.parts == nil {
+		laneCap := int(min(64, max(1, maxMicroBatchWords/max(1, p.img.MemWords()))))
+		mb = min((n+workers-1)/workers, laneCap)
 	}
-	laneCap := int(min(64, max(1, maxMicroBatchWords/max(1, p.img.MemWords()))))
-	if laneCap < 2 {
-		return nil
-	}
-	// Group by input signature, preserving first-appearance order.
-	sigOf := make([]string, len(reqs))
-	groups := make(map[string][]int)
-	var order []string
-	for i, req := range reqs {
-		s := requestSig(req)
-		sigOf[i] = s
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], i)
-	}
-	batched := false
-	var items [][]int
-	for _, s := range order {
-		g := groups[s]
-		// Micro-batch size: spread the group across the worker pool, capped
-		// by the lane-memory budget. Groups that would yield single-lane
-		// micro-batches run per-request instead.
-		mb := (len(g) + workers - 1) / workers
-		if mb > laneCap {
-			mb = laneCap
-		}
-		if mb < 2 {
-			for _, i := range g {
-				items = append(items, []int{i})
-			}
-			continue
-		}
-		batched = true
-		// Balance the chunks (16 lanes under a cap of 15 becomes 8+8, not
-		// 15+1) so no micro-batch degenerates to a near-empty tail.
-		chunks := (len(g) + mb - 1) / mb
-		lo, rem := len(g)/chunks, len(g)%chunks
-		for off, c := 0, 0; c < chunks; c++ {
-			n := lo
-			if c < rem {
-				n++
-			}
-			items = append(items, g[off:off+n])
-			off += n
+	chunks := (n + mb - 1) / mb
+	cuts := make([]int, chunks+1)
+	lo, rem := n/chunks, n%chunks
+	for c := 0; c < chunks; c++ {
+		cuts[c+1] = cuts[c] + lo
+		if c < rem {
+			cuts[c+1]++
 		}
 	}
-	if !batched {
-		return nil
-	}
-	return items
+	return cuts
 }
 
-// requestSig canonicalizes a request's input schema (node IDs and shapes)
-// for same-shape grouping.
-func requestSig(req map[int]*Tensor) string {
-	ids := make([]int, 0, len(req))
-	for id := range req {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		t := req[id]
-		if t == nil {
-			fmt.Fprintf(&b, "%d:nil;", id)
-			continue
-		}
-		fmt.Fprintf(&b, "%d:", id)
-		for _, d := range t.Shape() {
-			fmt.Fprintf(&b, "%dx", d)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// runMicroBatch executes one micro-batch of same-shaped requests through the
-// precompiled kernels. On failure it attributes the error to a request: lane
-// loading errors are already indexed; a kernel error triggers a per-request
-// re-run of the micro-batch so the offending request (and its exact error)
-// is the one reported.
-func (p *Program) runMicroBatch(ctx context.Context, reqs []map[int]*Tensor, idxs []int, outs []map[int]*Tensor) (int, error) {
-	st := p.getBatchState(len(idxs))
-	defer p.bpool.Put(st)
-	bm := p.img.ExecBatch(st)
-	for lane, ri := range idxs {
-		if err := bm.LoadInputs(lane, reqs[ri]); err != nil {
-			return ri, err
-		}
-	}
+// runMicroBatch executes reqs as one micro-batch, a lane each, through the
+// compiled kernels and stores the tensors of nodes ids in outs. On failure it
+// returns the lane to blame: loading errors belong to their request; kernel
+// errors do not depend on lane data, so lane 0 stands for all.
+func (p *Program) runMicroBatch(ctx context.Context, reqs, outs []map[int]*Tensor, ids []int) (int, error) {
 	if err := ctx.Err(); err != nil {
-		return idxs[0], err
+		return 0, err
 	}
-	if err := bm.RunBody(p.bflow); err != nil {
-		for _, ri := range idxs {
-			if _, rerr := p.Run(ctx, reqs[ri]); rerr != nil {
-				return ri, rerr
-			}
+	if testHookRunStart != nil {
+		for _, req := range reqs {
+			testHookRunStart(ctx, req)
 		}
-		return idxs[0], err
+	}
+	st := p.getState(len(reqs))
+	defer p.pool.Put(st)
+	bm := p.img.ExecBatch(st)
+	for lane, req := range reqs {
+		if err := bm.LoadInputs(lane, req); err != nil {
+			return lane, err
+		}
+	}
+	if err := bm.RunBody(p.body); err != nil {
+		return 0, err
 	}
 	bm.SettleAll()
-	for lane, ri := range idxs {
-		outs[ri] = bm.TensorsOf(lane, p.outs)
+	for lane := range reqs {
+		outs[lane] = bm.TensorsOf(lane, ids)
 	}
-	p.batchRuns.Add(1)
-	p.batchReqs.Add(uint64(len(idxs)))
-	p.requests.Add(uint64(len(idxs)))
-	return -1, nil
+	if len(reqs) > 1 {
+		p.batchRuns.Add(1)
+		p.batchReqs.Add(uint64(len(reqs)))
+	}
+	p.requests.Add(uint64(len(reqs)))
+	return 0, nil
 }
 
-// getBatchState draws a reset micro-batch state from the pool, allocating
-// when the pool is empty.
-func (p *Program) getBatchState(lanes int) *funcsim.BatchState {
-	if v := p.bpool.Get(); v != nil {
+// getState draws an execution state reset to the given lane count from the
+// pool, allocating when the pool is empty.
+func (p *Program) getState(lanes int) *funcsim.BatchState {
+	if v := p.pool.Get(); v != nil {
+		p.poolHits.Add(1)
 		st := v.(*funcsim.BatchState)
 		p.img.ResetBatch(st, lanes)
 		return st
 	}
+	p.poolMisses.Add(1)
 	return p.img.NewBatchState(lanes)
+}
+
+// nodeIDs returns every node's ID: the extraction list of the paths that
+// check or return all regions (Verify, the deprecated Compiler.Run).
+func (p *Program) nodeIDs() []int {
+	ids := make([]int, len(p.g.Nodes))
+	for i, n := range p.g.Nodes {
+		ids[i] = n.ID
+	}
+	return ids
 }
 
 // Verify checks the program's execution of inputs bit-exactly against the
@@ -611,7 +491,7 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 	if p.parts != nil {
 		return p.verifyPartitioned(ctx, inputs, floatTol)
 	}
-	got, err := p.run(ctx, inputs, true)
+	got, err := p.run(ctx, inputs, p.nodeIDs())
 	if err != nil {
 		return err
 	}

@@ -3,37 +3,81 @@ package cimmlc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestRunBatchErrorContract pins RunBatch's result/error contract across the
-// inline (workers==1) and pooled paths, with the batched kernels both enabled
-// and disabled: the result slice is nil whenever the error is non-nil, an
-// empty batch on a live context yields an empty non-nil slice, and a
-// mid-batch failure names the failing request.
+// buildMixedProgram compiles the host-only-operator test graph onto
+// toy-table2 with host fallback: a partitioned program.
+func buildMixedProgram(t testing.TB, bopts ...BuildOption) (*Graph, *Program) {
+	t.Helper()
+	g, w := mixedTestGraph(t)
+	a, err := Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(a, WithHostFallback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Build(context.Background(), g, w, CodegenOptions{}, bopts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Partition == nil {
+		t.Fatal("mixed graph built a monolithic program")
+	}
+	return g, p
+}
+
+// seededRequest builds a well-formed request for p from its input schema.
+func seededRequest(p *Program, seed uint64) map[int]*Tensor {
+	req := map[int]*Tensor{}
+	for id, shape := range p.Inputs() {
+		in := NewTensor(shape...)
+		in.Rand(seed+uint64(id), 1)
+		req[id] = in
+	}
+	return req
+}
+
+// TestRunBatchErrorContract pins RunBatch's result/error contract on one
+// worker (a whole batch is one micro-batch) and on a pool (work items spread
+// over goroutines), for monolithic programs and for partitioned ones, which
+// RunBatch steps request by request (unbatched): the result slice is nil
+// whenever the error is non-nil, an empty batch on a live context yields an
+// empty non-nil slice, and a mid-batch failure names the failing request.
 func TestRunBatchErrorContract(t *testing.T) {
 	ctx := context.Background()
-	good := func(seed uint64) map[int]*Tensor {
-		in := NewTensor(3, 32, 32)
-		in.Rand(seed, 1)
-		return map[int]*Tensor{0: in}
+	monolithic := func(t *testing.T, workers int) *Program {
+		_, _, _, _, p := buildToyProgram(t, WithWorkers(workers))
+		return p
 	}
-	bad := map[int]*Tensor{0: NewTensor(2, 2)} // wrong shape for the input region
-
+	partitioned := func(t *testing.T, workers int) *Program {
+		_, p := buildMixedProgram(t, WithWorkers(workers))
+		return p
+	}
 	configs := []struct {
-		name  string
-		bopts []BuildOption
+		name    string
+		build   func(t *testing.T, workers int) *Program
+		workers int
 	}{
-		{"inline", []BuildOption{WithWorkers(1)}},
-		{"pooled", []BuildOption{WithWorkers(4)}},
-		{"inline-unbatched", []BuildOption{WithWorkers(1), WithBatchedExecution(false)}},
-		{"pooled-unbatched", []BuildOption{WithWorkers(4), WithBatchedExecution(false)}},
+		{"inline", monolithic, 1},
+		{"pooled", monolithic, 4},
+		{"inline-unbatched", partitioned, 1},
+		{"pooled-unbatched", partitioned, 4},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			_, _, _, _, p := buildToyProgram(t, cfg.bopts...)
+			p := cfg.build(t, cfg.workers)
+			good := func(seed uint64) map[int]*Tensor { return seededRequest(p, seed) }
+			bad := good(9)
+			for id := range bad {
+				bad[id] = NewTensor(2, 2) // wrong element count for the input region
+			}
 
 			t.Run("empty", func(t *testing.T) {
 				outs, err := p.RunBatch(ctx, nil)
@@ -73,15 +117,62 @@ func TestRunBatchErrorContract(t *testing.T) {
 	}
 }
 
+// TestMalformedRequests is the regression test for two input-handling bugs: a
+// nil input tensor used to nil-dereference inside the executor (on a RunBatch
+// worker goroutine, where the caller cannot recover it), and a monolithic
+// program used to compute on an all-zero region when an input was missing
+// while a partitioned one rejected the request. Both program shapes must
+// return the same error, naming the node, from Run and — request-indexed,
+// with two workers — from RunBatch.
+func TestMalformedRequests(t *testing.T) {
+	ctx := context.Background()
+	_, _, _, _, mono := buildToyProgram(t, WithWorkers(2))
+	_, part := buildMixedProgram(t, WithWorkers(2))
+	for _, shape := range []struct {
+		name string
+		p    *Program
+	}{{"monolithic", mono}, {"host-partitioned", part}} {
+		p := shape.p
+		good := seededRequest(p, 1)
+		id := p.g.InputIDs()[0]
+		with := func(edit func(req map[int]*Tensor)) map[int]*Tensor {
+			req := seededRequest(p, 2)
+			edit(req)
+			return req
+		}
+		for _, tc := range []struct {
+			name string
+			req  map[int]*Tensor
+			want string
+		}{
+			{"missing", with(func(r map[int]*Tensor) { delete(r, id) }), fmt.Sprintf("no input tensor provided for node %d", id)},
+			{"nil", with(func(r map[int]*Tensor) { r[id] = nil }), fmt.Sprintf("input tensor for node %d is nil", id)},
+			{"unknown-node", with(func(r map[int]*Tensor) { r[99] = r[id] }), "unknown node 99"},
+			{"wrong-element-count", with(func(r map[int]*Tensor) { r[id] = NewTensor(2, 2) }), fmt.Sprintf("input for node %d has 4 elements", id)},
+		} {
+			t.Run(shape.name+"/"+tc.name, func(t *testing.T) {
+				out, err := p.Run(ctx, tc.req)
+				if err == nil || out != nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Run: out=%v err=%v, want nil output and an error containing %q", out, err, tc.want)
+				}
+				outs, err := p.RunBatch(ctx, []map[int]*Tensor{good, good, tc.req, good})
+				if err == nil || outs != nil || !strings.Contains(err.Error(), "request 2") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("RunBatch: outs=%v err=%v, want nil outputs and request 2's error containing %q", outs, err, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestRunBatchPrefersRequestErrorOverCancel forces the cancel/first-error
 // interleaving: request 0 is parked inside its worker until the caller
-// cancels the batch, while request 1 — already past Run's context check — is
+// cancels the batch, while request 1 — already past its context check — is
 // held until request 0's cancellation has been recorded, and only then fails
 // with a genuine input error. The caller must still receive request 1's
 // indexed error, not the bare (or request-0-attributed) context.Canceled
 // that arrived first.
 func TestRunBatchPrefersRequestErrorOverCancel(t *testing.T) {
-	_, _, _, inputs, p := buildToyProgram(t, WithWorkers(2), WithBatchedExecution(false))
+	_, _, _, inputs, p := buildToyProgram(t, WithWorkers(2))
 	badIn := NewTensor(3, 32, 32)
 	reqs := []map[int]*Tensor{inputs, {99: badIn}} // node 99 does not exist
 
@@ -93,10 +184,13 @@ func TestRunBatchPrefersRequestErrorOverCancel(t *testing.T) {
 	recorded0 := make(chan struct{})
 	var once0, once1, onceRec sync.Once
 
-	testHookBatchClaim = func(i int) {
+	testHookBatchClaim = func(ctx context.Context, i int) {
 		if i == 0 {
 			once0.Do(func() { close(claimed0) })
-			<-pctx.Done() // hold request 0 until the caller cancels the batch
+			// Hold request 0 until the caller's cancellation has reached the
+			// batch's own context: a parent context closes its Done channel
+			// before it cancels its children.
+			<-ctx.Done()
 		}
 	}
 	testHookRunStart = func(ctx context.Context, in map[int]*Tensor) {
@@ -139,11 +233,10 @@ func TestRunBatchPrefersRequestErrorOverCancel(t *testing.T) {
 	}
 }
 
-// TestRunBatchBatchedBitIdentity drives the batched kernel path under the
+// TestRunBatchBatchedBitIdentity drives multi-lane micro-batches under the
 // fan-out pool (run with -race) and requires every result to be bit-identical
-// to a sequential Run of the same request. The second round reuses pooled
-// BatchStates. The stats counters prove the batched path actually served the
-// requests rather than silently falling back.
+// to the one-lane Run of the same request. The second round reuses pooled
+// BatchStates. The stats counters prove every request shared a micro-batch.
 func TestRunBatchBatchedBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	_, _, _, _, p := buildToyProgram(t, WithWorkers(8))
@@ -176,26 +269,20 @@ func TestRunBatchBatchedBitIdentity(t *testing.T) {
 	}
 	st := p.Stats()
 	if got := st.BatchedRequests - before.BatchedRequests; got != 2*n {
-		t.Fatalf("BatchedRequests grew by %d, want %d (batched path did not engage)", got, 2*n)
+		t.Fatalf("BatchedRequests grew by %d, want %d (requests did not share micro-batches)", got, 2*n)
 	}
 	if st.BatchRuns == before.BatchRuns {
 		t.Fatal("BatchRuns did not grow")
 	}
 }
 
-// TestRunBatchRaggedShapeFallback mixes two input signatures so no group
-// reaches two lanes per worker: RunBatch must fall back to per-request
-// execution (BatchedRequests stays flat) and still return correct,
-// request-ordered results.
-func TestRunBatchRaggedShapeFallback(t *testing.T) {
+// TestRunBatchMixedShapes sends tensors of one size but different shapes in
+// one batch: a lane is addressed by element count, so they share micro-batches
+// (the counters prove it) and each result equals the Run of the same data in
+// the graph's own input shape, in request order.
+func TestRunBatchMixedShapes(t *testing.T) {
 	ctx := context.Background()
-	_, g, _, inputs, p := buildToyProgram(t, WithWorkers(4))
-	ref, err := p.Run(ctx, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outID := g.Outputs()[0]
-	aux := NewTensor(ref[outID].Shape()...) // zeros; overwritten during execution
+	_, _, _, _, p := buildToyProgram(t, WithWorkers(2))
 
 	const n = 6
 	reqs := make([]map[int]*Tensor, n)
@@ -203,16 +290,17 @@ func TestRunBatchRaggedShapeFallback(t *testing.T) {
 	for i := range reqs {
 		in := NewTensor(3, 32, 32)
 		in.Rand(uint64(2000+i), 1)
-		if i%2 == 0 {
-			reqs[i] = map[int]*Tensor{0: in}
-		} else {
-			reqs[i] = map[int]*Tensor{0: in, outID: aux}
-		}
-		out, err := p.Run(ctx, reqs[i])
+		out, err := p.Run(ctx, map[int]*Tensor{0: in})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = out
+		if i%2 == 1 {
+			if in, err = TensorFromSlice(in.Data(), 3*32*32); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reqs[i] = map[int]*Tensor{0: in}
 	}
 	before := p.Stats()
 	outs, err := p.RunBatch(ctx, reqs)
@@ -222,13 +310,17 @@ func TestRunBatchRaggedShapeFallback(t *testing.T) {
 	for i := range outs {
 		sameOutputs(t, outs[i], want[i])
 	}
-	if d := p.Stats().BatchedRequests - before.BatchedRequests; d != 0 {
-		t.Fatalf("ragged batch served %d requests on the batched path, want per-request fallback", d)
+	st := p.Stats()
+	if d := st.BatchedRequests - before.BatchedRequests; d != n {
+		t.Fatalf("mixed-shape batch served %d of %d requests in shared micro-batches", d, n)
+	}
+	if d := st.BatchRuns - before.BatchRuns; d != 2 {
+		t.Fatalf("mixed-shape batch ran as %d micro-batches, want 2 (one per worker)", d)
 	}
 }
 
-// TestRunBatchSingleRequestFallsBack pins batch size 1 to the per-request
-// path with output equivalence.
+// TestRunBatchSingleRequestFallsBack pins batch size 1 to a one-lane
+// micro-batch — not counted as batched — with output equivalence.
 func TestRunBatchSingleRequestFallsBack(t *testing.T) {
 	ctx := context.Background()
 	_, _, _, inputs, p := buildToyProgram(t, WithWorkers(4))
@@ -246,24 +338,26 @@ func TestRunBatchSingleRequestFallsBack(t *testing.T) {
 	}
 	sameOutputs(t, outs[0], want)
 	if d := p.Stats().BatchedRequests - before.BatchedRequests; d != 0 {
-		t.Fatalf("batch of one served %d requests on the batched path, want 0", d)
+		t.Fatalf("batch of one counted %d batched requests, want 0", d)
 	}
 }
 
-// FuzzBatchedRun drives random (model, arch, seed, batch) points through
-// RunBatch with a single worker — forcing each same-shaped group into one
-// micro-batch on the compiled kernels — and requires every lane's output to
-// match a per-request Run byte for byte.
+// FuzzBatchedRun drives random (model, arch, seed, width) points through
+// RunBatch with a single worker — the whole batch is one micro-batch of 1 to
+// 6 lanes — and requires every request to verify bit-exactly against the
+// quantized reference and every lane's output to match the one-lane Run byte
+// for byte.
 func FuzzBatchedRun(f *testing.F) {
 	models := []string{"conv-relu", "mlp", "lenet5"}
 	archs := []string{"isaac-baseline", "puma", "toy-table2"}
 	f.Add(uint8(0), uint8(2), uint64(1), uint8(2))
 	f.Add(uint8(1), uint8(2), uint64(7), uint8(1))
 	f.Add(uint8(2), uint8(0), uint64(3), uint8(3))
+	f.Add(uint8(0), uint8(1), uint64(5), uint8(0))
 	f.Fuzz(func(t *testing.T, mi, ai uint8, seed uint64, nb uint8) {
 		model := models[int(mi)%len(models)]
 		archName := archs[int(ai)%len(archs)]
-		lanes := int(nb)%5 + 2
+		lanes := int(nb)%6 + 1
 		ctx := context.Background()
 
 		g, err := Model(model)
@@ -300,6 +394,11 @@ func FuzzBatchedRun(f *testing.F) {
 				req[id] = tt
 			}
 			reqs[i] = req
+			// Bit-exact against QuantReferenceCalib; the float tolerance
+			// only holds near the calibration input, so it is lifted.
+			if err := p.Verify(ctx, req, math.Inf(1)); err != nil {
+				t.Fatalf("%s/%s seed %d: request %d: %v", model, archName, seed, i, err)
+			}
 			out, err := p.Run(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -314,8 +413,12 @@ func FuzzBatchedRun(f *testing.F) {
 		for i := range outs {
 			sameOutputs(t, outs[i], want[i])
 		}
-		if d := p.Stats().BatchedRequests - before.BatchedRequests; d != uint64(lanes) {
-			t.Fatalf("%s/%s seed %d: %d of %d requests took the batched path", model, archName, seed, d, lanes)
+		batched := uint64(lanes)
+		if lanes == 1 {
+			batched = 0 // a one-lane micro-batch is not counted as batched
+		}
+		if d := p.Stats().BatchedRequests - before.BatchedRequests; d != batched {
+			t.Fatalf("%s/%s seed %d: %d of %d requests shared a micro-batch, want %d", model, archName, seed, d, lanes, batched)
 		}
 	})
 }

@@ -203,9 +203,9 @@ func TestProgramRunBatch(t *testing.T) {
 	}
 }
 
-// TestProgramRunBatchSingleWorker pins the workers==1 inline fast path:
-// same ordering and bit-identity guarantees as the fan-out path, without
-// worker goroutines.
+// TestProgramRunBatchSingleWorker pins workers==1, where the whole batch is
+// one micro-batch on the caller's goroutine: same ordering and bit-identity
+// guarantees as the fan-out path.
 func TestProgramRunBatchSingleWorker(t *testing.T) {
 	ctx := context.Background()
 	_, _, _, _, p := buildToyProgram(t, WithWorkers(1))

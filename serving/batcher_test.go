@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,31 +179,64 @@ func TestBatcherShutdownDrainsPending(t *testing.T) {
 }
 
 func TestBatcherPerRequestErrorIsolation(t *testing.T) {
-	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	defer b.Close()
-	// Request 2 is malformed (wrong input shape): it must fail alone while
-	// its three batch-mates succeed.
-	results := submitN(t, b, 4, func(i int) map[int]*cimmlc.Tensor {
-		if i == 2 {
-			bad := cimmlc.NewTensor(1, 2, 2)
-			return map[int]*cimmlc.Tensor{0: bad}
-		}
-		return testInput(uint64(i))
-	})
-	for i, r := range results {
-		if i == 2 {
-			if r.err == nil {
-				t.Fatal("malformed request 2 did not fail")
-			}
-			continue
-		}
-		if r.err != nil {
-			t.Fatalf("request %d failed alongside the malformed one: %v", i, r.err)
-		}
+	// Two RunBatch workers, so a failing lane load happens on a worker
+	// goroutine: a nil tensor used to panic there, beyond the caller's reach.
+	g, err := cimmlc.Model("conv-relu")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := b.Stats(); st.IsolationFallbacks == 0 {
-		t.Fatalf("expected an isolation fallback: %+v", st)
+	a, err := cimmlc.Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cimmlc.New(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Build(context.Background(), g, cimmlc.RandomWeights(g, 42), cimmlc.CodegenOptions{}, cimmlc.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]map[int]*cimmlc.Tensor{
+		"wrong shape": {0: cimmlc.NewTensor(1, 2, 2)},
+		"nil tensor":  {0: nil},
+		"no inputs":   {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
+			defer b.Close()
+			// Request 2 is malformed: it must fail alone while its three
+			// batch-mates get their bit-exact answers.
+			results := submitN(t, b, 4, func(i int) map[int]*cimmlc.Tensor {
+				if i == 2 {
+					return bad
+				}
+				return testInput(uint64(i))
+			})
+			for i, r := range results {
+				if i == 2 {
+					if r.err == nil {
+						t.Fatal("malformed request 2 did not fail")
+					}
+					continue
+				}
+				if r.err != nil {
+					t.Fatalf("request %d failed alongside the malformed one: %v", i, r.err)
+				}
+				want, err := p.Run(context.Background(), testInput(uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, wt := range want {
+					if !slices.Equal(r.outs[id].Data(), wt.Data()) {
+						t.Fatalf("request %d output %d differs from a direct Run", i, id)
+					}
+				}
+			}
+			if st := b.Stats(); st.IsolationFallbacks == 0 {
+				t.Fatalf("expected an isolation fallback: %+v", st)
+			}
+		})
 	}
 }
 
@@ -249,10 +283,10 @@ func TestBatcherBitIdenticalToDirectRun(t *testing.T) {
 	}
 }
 
-// TestBatcherEngagesBatchedKernels pins the Batcher→RunBatch handoff to the
-// batched kernel path: with a single-worker program, a full flush forms one
-// micro-batch, so the program's batched counters must cover every request —
-// and the outputs must still match direct Runs bit-for-bit.
+// TestBatcherEngagesBatchedKernels pins the Batcher→RunBatch handoff: with a
+// single-worker program, a full flush forms one multi-lane micro-batch, so
+// the program's batched counters must cover every request — and the outputs
+// must still match direct Runs bit-for-bit.
 func TestBatcherEngagesBatchedKernels(t *testing.T) {
 	g, err := cimmlc.Model("conv-relu")
 	if err != nil {
@@ -297,6 +331,6 @@ func TestBatcherEngagesBatchedKernels(t *testing.T) {
 		}
 	}
 	if st := p.Stats(); st.BatchedRequests < n {
-		t.Fatalf("BatchedRequests = %d, want at least %d (batched path did not engage)", st.BatchedRequests, n)
+		t.Fatalf("BatchedRequests = %d, want at least %d (requests did not share micro-batches)", st.BatchedRequests, n)
 	}
 }

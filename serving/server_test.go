@@ -130,6 +130,14 @@ func TestServerRunErrors(t *testing.T) {
 			Inputs: map[string]JSONTensor{"zero": {Data: []float32{1}}}}, http.StatusBadRequest, "not a node ID"},
 		{"wrong shape", RunRequest{Model: "conv-relu", Arch: "toy-table2",
 			Inputs: map[string]JSONTensor{"0": {Shape: []int{2, 2}, Data: []float32{1, 2, 3, 4}}}}, http.StatusBadRequest, "expects"},
+		// The malformed requests Program.Run itself rejects (missing, nil,
+		// unknown node, wrong element count) never reach it from the wire.
+		{"unknown node", RunRequest{Model: "conv-relu", Arch: "toy-table2",
+			Inputs: map[string]JSONTensor{"99": {Data: []float32{1}}}}, http.StatusBadRequest, "not an input"},
+		{"null tensor", RunRequest{Model: "conv-relu", Arch: "toy-table2",
+			Inputs: map[string]JSONTensor{"0": {}}}, http.StatusBadRequest, "input 0"},
+		{"wrong element count", RunRequest{Model: "conv-relu", Arch: "toy-table2",
+			Inputs: map[string]JSONTensor{"0": {Data: []float32{1, 2, 3}}}}, http.StatusBadRequest, "input 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
