@@ -63,11 +63,11 @@ func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt Codeg
 	return &rep, nil
 }
 
-// analyzePartitioned builds the static resource report for a multi-target
+// analyzePartitioned builds the static resource report for a staged
 // compilation: every CIM subgraph lowers and analyzes through the normal
 // path, the per-subgraph reports merge into one aggregate, and the Partition
-// section records the partition shape, the host-link transfer volume and the
-// latency decomposition (the transfer costs `cimmlc analyze` surfaces).
+// section records the partition shape, the transfer volume and the latency
+// decomposition (the transfer costs `cimmlc analyze` surfaces).
 func (c *Compiler) analyzePartitioned(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowReport, error) {
 	info := res.Partition
 	level := string(c.opt.MaxLevel)
@@ -111,8 +111,8 @@ func (c *Compiler) analyzePartitioned(ctx context.Context, g *Graph, res *Result
 	}
 	rep.Partition = &flowdata.PartitionReport{
 		Subgraphs:      len(info.Plan.Subs),
-		CIMNodes:       info.Plan.CIMNodeCount(),
-		HostNodes:      info.Plan.HostNodeCount(),
+		CIMNodes:       info.Plan.NodeCount(TargetCIM),
+		HostNodes:      info.Plan.NodeCount(TargetHost),
 		Transfers:      len(info.Plan.Transfers),
 		TransferElems:  info.Plan.TransferElems(),
 		HostOps:        hostOps,

@@ -1,6 +1,7 @@
 package cimmlc
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,24 +15,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compile(g, a, Options{})
+	c, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Cycles <= 0 {
-		t.Fatal("no latency")
-	}
-	fr, err := GenerateFlow(g, a, res, CodegenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	w := RandomWeights(g, 1)
 	in := NewTensor(3, 32, 32)
 	in.Rand(2, 1)
-	if err := VerifyFlow(g, a, fr, w, map[int]*Tensor{0: in}, 0.05); err != nil {
+	inputs := map[int]*Tensor{0: in}
+	p, err := c.Build(ctx, g, w, CodegenOptions{}, WithCalibration(inputs))
+	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := RunFlow(g, a, fr, w, map[int]*Tensor{0: in})
+	if p.Result().Report.Cycles <= 0 {
+		t.Fatal("no latency")
+	}
+	if err := p.Verify(ctx, inputs, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := p.Run(ctx, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +73,15 @@ func TestFacadeRoundTrips(t *testing.T) {
 func TestFacadeFlowParse(t *testing.T) {
 	g, _ := Model("conv-relu")
 	a, _ := Preset("toy-table2")
-	res, err := Compile(g, a, Options{})
+	c, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := GenerateFlow(g, a, res, CodegenOptions{MaxWindowsPerOp: 2})
+	res, err := c.Compile(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := c.Lower(context.Background(), g, res, CodegenOptions{MaxWindowsPerOp: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,19 +219,19 @@ func BenchmarkProgramRunBatchSizes(b *testing.B) {
 	}
 }
 
-// BenchmarkLowerRunPerRequest measures the old per-request path: one
-// Compile up front (as before), then Lower + Run for every inference.
+// BenchmarkLowerRunPerRequest measures what a Program amortizes: a Build per
+// request (the compilation itself is cached; lowering, calibration and weight
+// programming are not), then one Run.
 func BenchmarkLowerRunPerRequest(b *testing.B) {
 	ctx := context.Background()
-	c, g, w, inputs, p := buildToyProgram(b)
-	res := p.Result()
+	c, g, w, inputs, _ := buildToyProgram(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, err := c.Lower(ctx, g, res, CodegenOptions{})
+		p, err := c.Build(ctx, g, w, CodegenOptions{}, WithCalibration(inputs))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Run(ctx, g, fr, w, inputs); err != nil {
+		if _, err := p.Run(ctx, inputs); err != nil {
 			b.Fatal(err)
 		}
 	}

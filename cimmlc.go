@@ -31,14 +31,11 @@
 //	outs, _ := p.Run(context.Background(), inputs)
 //
 // See examples/ for complete programs and DESIGN.md for the architecture of
-// the implementation, including the pass-pipeline design and the migration
-// table from the deprecated free functions to the Compiler and Program
-// methods.
+// the implementation, including the pass-pipeline design and staged
+// execution (host fallback and cross-chip pipelining).
 package cimmlc
 
 import (
-	"context"
-
 	"cimmlc/internal/arch"
 	"cimmlc/internal/baseline"
 	"cimmlc/internal/cg"
@@ -68,12 +65,6 @@ type (
 	Weights = graph.Weights
 	// Tensor is the dense float32 tensor used for weights and activations.
 	Tensor = tensor.Tensor
-	// Options tunes compilation; the zero value enables the full stack.
-	//
-	// Deprecated: pass functional Options to New instead (WithMaxLevel,
-	// WithoutPipeline, …). Options remains for the deprecated free
-	// functions.
-	Options = core.Options
 	// Result carries the schedule, placement, report and cost model.
 	Result = core.Result
 	// Schedule is the multi-level scheduling decision record.
@@ -111,8 +102,8 @@ type (
 	// Target names a node's execution target under multi-target
 	// compilation (WithHostFallback): the CIM accelerator or the host CPU.
 	Target = graph.Target
-	// PartitionInfo bundles a multi-target compilation's plan and
-	// per-subgraph results; see Result.Partition.
+	// PartitionInfo bundles a staged compilation's plan and per-subgraph
+	// results; see Result.Partition.
 	PartitionInfo = core.PartitionInfo
 )
 
@@ -184,84 +175,6 @@ func MixedModelNames() []string { return models.MixedNames() }
 // ModelMixed reports whether the named zoo model contains host-only
 // operators (and therefore requires WithHostFallback to compile).
 func ModelMixed(name string) bool { return models.Mixed(name) }
-
-// Compile runs the multi-level scheduling workflow of Figure 3: CG-grained
-// optimization always, MVM-grained when the target exposes XBM or finer,
-// VVM-grained when it exposes WLM.
-//
-// Deprecated: use New and Compiler.Compile, which add reuse across
-// compilations, caching, cancellation and pluggable passes.
-func Compile(g *Graph, a *Arch, opt Options) (*Result, error) {
-	c, err := New(a, legacyOptions(opt)...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Compile(context.Background(), g)
-}
-
-// GenerateFlow lowers a compilation result into its meta-operator flow.
-//
-// Deprecated: use Compiler.Lower.
-func GenerateFlow(g *Graph, a *Arch, res *Result, opt CodegenOptions) (*FlowResult, error) {
-	c, err := New(a, WithCache(0))
-	if err != nil {
-		return nil, err
-	}
-	return c.Lower(context.Background(), g, res, opt)
-}
-
-// RunFlow executes a generated flow on the functional simulator and returns
-// the per-node output tensors.
-//
-// Deprecated: use Compiler.Run.
-func RunFlow(g *Graph, a *Arch, fr *FlowResult, w Weights, inputs map[int]*Tensor) (map[int]*Tensor, error) {
-	c, err := New(a, WithCache(0))
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(context.Background(), g, fr, w, inputs)
-}
-
-// VerifyFlow checks a generated flow bit-exactly against the quantized
-// reference executor and within floatTol of the float reference.
-//
-// Deprecated: use Compiler.Verify.
-func VerifyFlow(g *Graph, a *Arch, fr *FlowResult, w Weights, inputs map[int]*Tensor, floatTol float64) error {
-	c, err := New(a, WithCache(0))
-	if err != nil {
-		return err
-	}
-	return c.Verify(context.Background(), g, fr, w, inputs, floatTol)
-}
-
-// legacyOptions translates the deprecated Options struct into functional
-// options for the default Compiler the free functions delegate to. The
-// cache is disabled to preserve the one-shot semantics of the old API, and
-// invalid MaxLevel/Allocator values are dropped rather than forwarded — the
-// old implementation silently ignored them, and the deprecated entry points
-// must keep compiling for such callers (New rejects them for new code).
-func legacyOptions(opt Options) []Option {
-	opts := []Option{WithCache(0)}
-	if opt.DisablePipeline {
-		opts = append(opts, WithoutPipeline())
-	}
-	if opt.DisableDuplication {
-		opts = append(opts, WithoutDuplication())
-	}
-	if opt.DisableStagger {
-		opts = append(opts, WithoutStagger())
-	}
-	if opt.DisableRemap {
-		opts = append(opts, WithoutRemap())
-	}
-	if opt.MaxLevel.Valid() {
-		opts = append(opts, WithMaxLevel(opt.MaxLevel))
-	}
-	if opt.Allocator == AllocDP || opt.Allocator == AllocWaterfill {
-		opts = append(opts, WithAllocator(opt.Allocator))
-	}
-	return opts
-}
 
 // ParseFlow reads a flow back from its printed concrete syntax.
 func ParseFlow(text string) (*Flow, error) { return mop.Parse(text) }

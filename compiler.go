@@ -231,6 +231,14 @@ func (c *Compiler) Stats() Stats {
 // fingerprint, arch fingerprint, option set): repeated traffic for the same
 // model returns the same *Result, which callers must treat as read-only.
 func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
+	return c.compile(ctx, g, "", func(ctx context.Context, gc *Graph, a *Arch) (*Result, error) {
+		return core.CompilePasses(ctx, gc, a, c.opt, c.passes, c.trace)
+	})
+}
+
+// compile memoizes run(g) in the artifact cache under g's fingerprint plus
+// variant, which names what run does beyond the compiler's own option set.
+func (c *Compiler) compile(ctx context.Context, g *Graph, variant string, run func(context.Context, *Graph, *Arch) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -246,7 +254,7 @@ func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
 	}
 	var key string
 	if c.cap > 0 {
-		key = fingerprint(data) + "|" + c.archFP + "|" + c.optFP
+		key = fingerprint(data) + "|" + c.archFP + "|" + c.optFP + variant
 	}
 
 	c.mu.Lock()
@@ -266,9 +274,8 @@ func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
 	// Compile a private copy of the graph (shape inference mutates it), on
 	// a private copy of the architecture, so concurrent callers sharing g
 	// never race and cached results are immune to later caller mutations.
-	gc := g.Clone()
 	a := c.arch
-	res, err := core.CompilePasses(ctx, gc, &a, c.opt, c.passes, c.trace)
+	res, err := run(ctx, g.Clone(), &a)
 	if err != nil {
 		return nil, err
 	}
@@ -290,9 +297,9 @@ func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
 }
 
 // Lower generates the meta-operator flow for a compilation result — the
-// codegen step of §3.4. It replaces the free function GenerateFlow. Like
-// Compile, it works on a private copy of g (shape inference mutates the
-// graph), so callers may share Graph values across goroutines.
+// codegen step of §3.4. Like Compile, it works on a private copy of g (shape
+// inference mutates the graph), so callers may share Graph values across
+// goroutines.
 func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -329,53 +336,6 @@ func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt Codegen
 		}
 	}
 	return fr, nil
-}
-
-// Run executes a generated flow on the functional simulator and returns the
-// per-node output tensors (keyed by g's node IDs). It builds a one-shot
-// Program calibrated on the inputs and runs it once, so every call re-pays
-// weight quantization and crossbar programming.
-//
-// Deprecated: use Build once and Program.Run per request — the Program
-// keeps weights resident in the crossbar image and pools execution state.
-func (c *Compiler) Run(ctx context.Context, g *Graph, fr *FlowResult, w Weights, inputs map[int]*Tensor) (map[int]*Tensor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, fmt.Errorf("cimmlc: Run: nil graph")
-	}
-	p, err := c.newProgram(g, fr, w, buildConfig{calib: inputs})
-	if err != nil {
-		return nil, fmt.Errorf("cimmlc: Run: %w", err)
-	}
-	return p.run(ctx, inputs, p.nodeIDs())
-}
-
-// Verify checks a generated flow bit-exactly against the quantized reference
-// executor and within floatTol of the float reference, via a one-shot
-// Program calibrated on the inputs.
-//
-// Deprecated: use Build once and Program.Verify — same checks, without
-// re-paying compilation-adjacent costs per call.
-func (c *Compiler) Verify(ctx context.Context, g *Graph, fr *FlowResult, w Weights, inputs map[int]*Tensor, floatTol float64) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if g == nil {
-		return fmt.Errorf("cimmlc: Verify: nil graph")
-	}
-	p, err := c.newProgram(g, fr, w, buildConfig{calib: inputs})
-	if err != nil {
-		return fmt.Errorf("cimmlc: Verify: %w", err)
-	}
-	return p.Verify(ctx, inputs, floatTol)
 }
 
 // cloneGraph returns a private, shape-inferred deep copy of g, so the

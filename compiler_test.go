@@ -8,11 +8,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cimmlc/internal/core"
 )
 
-// TestCompilerMatchesLegacy checks the acceptance criterion of the API
-// redesign: New(arch).Compile produces the same Schedule and Report as the
-// legacy free-function path for every preset × several zoo models.
+// TestCompilerMatchesLegacy checks that the Compiler — private graph and
+// arch copies, prebuilt pass list, artifact cache — adds nothing to the bare
+// pass pipeline it wraps: New(arch).Compile produces the same Schedule,
+// Report and Placement as core.Compile for every preset × several zoo models.
 func TestCompilerMatchesLegacy(t *testing.T) {
 	zoo := []string{"conv-relu", "lenet5", "resnet18"}
 	for _, pname := range Presets() {
@@ -30,7 +33,7 @@ func TestCompilerMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy, legacyErr := Compile(g1, a, Options{})
+				legacy, legacyErr := core.Compile(g1, a, core.Options{})
 				c, err := New(a)
 				if err != nil {
 					t.Fatal(err)
@@ -365,46 +368,6 @@ func TestCompilerOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrapperTolerance pins the compatibility contract of the
-// deprecated free functions: invalid Options values the old implementation
-// silently ignored must still compile (New rejects them for new code), and
-// nil graphs error instead of panicking across the Compiler surface.
-func TestDeprecatedWrapperTolerance(t *testing.T) {
-	a, err := Preset("puma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Model("lenet5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Compile(g, a, Options{MaxLevel: "xbm", Allocator: "greedy"})
-	if err != nil {
-		t.Fatalf("deprecated Compile rejected legacy-tolerated options: %v", err)
-	}
-	if res.Report.Cycles <= 0 {
-		t.Fatal("no latency")
-	}
-
-	c, err := New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := c.Compile(ctx, nil); err == nil {
-		t.Fatal("Compile accepted nil graph")
-	}
-	if _, err := c.Lower(ctx, nil, res, CodegenOptions{}); err == nil {
-		t.Fatal("Lower accepted nil graph")
-	}
-	if _, err := c.Run(ctx, nil, nil, nil, nil); err == nil {
-		t.Fatal("Run accepted nil graph")
-	}
-	if err := c.Verify(ctx, nil, nil, nil, nil, 0); err == nil {
-		t.Fatal("Verify accepted nil graph")
-	}
-}
-
 type shadowPass struct{}
 
 func (shadowPass) Name() string                            { return PassCG }
@@ -412,7 +375,8 @@ func (shadowPass) Applicable(Mode) bool                    { return true }
 func (shadowPass) Run(context.Context, *PassContext) error { return nil }
 
 // TestCompilerEndToEnd drives the full Compiler surface — Compile, Lower,
-// Verify, Run — as the quickstart does through the deprecated wrappers.
+// Build, then Program.Verify and Run — as the quickstart does, and pins that
+// nil graphs error instead of panicking.
 func TestCompilerEndToEnd(t *testing.T) {
 	a, err := Preset("toy-table2")
 	if err != nil {
@@ -435,24 +399,42 @@ func TestCompilerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fr.Flow == nil || len(fr.Flow.Body) == 0 {
+		t.Fatal("Lower produced an empty flow")
+	}
 	w := RandomWeights(g, 1)
 	in := NewTensor(3, 32, 32)
 	in.Rand(2, 1)
-	if err := c.Verify(ctx, g, fr, w, map[int]*Tensor{0: in}, 0.05); err != nil {
+	inputs := map[int]*Tensor{0: in}
+	p, err := c.Build(ctx, g, w, CodegenOptions{}, WithCalibration(inputs))
+	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := c.Run(ctx, g, fr, w, map[int]*Tensor{0: in})
+	if err := p.Verify(ctx, inputs, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := p.Run(ctx, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if outs[g.Outputs()[0]].Len() != 32*32*32 {
 		t.Fatal("wrong output size")
 	}
+
+	if _, err := c.Compile(ctx, nil); err == nil {
+		t.Fatal("Compile accepted nil graph")
+	}
+	if _, err := c.Lower(ctx, nil, res, CodegenOptions{}); err == nil {
+		t.Fatal("Lower accepted nil graph")
+	}
+	if _, err := c.BuildPipeline(ctx, nil, w, CodegenOptions{}, 0); err == nil {
+		t.Fatal("BuildPipeline accepted nil graph")
+	}
 }
 
-// TestCompilerLowerRunConcurrent drives the whole Compile → Lower → Run
-// surface from goroutines sharing one Graph value; under -race this verifies
-// that no Compiler method writes to caller-owned graphs.
+// TestCompilerLowerRunConcurrent drives the whole Compile → Lower → Build →
+// Run surface from goroutines sharing one Graph value; under -race this
+// verifies that no Compiler method writes to caller-owned graphs.
 func TestCompilerLowerRunConcurrent(t *testing.T) {
 	a, err := Preset("toy-table2")
 	if err != nil {
@@ -485,12 +467,16 @@ func TestCompilerLowerRunConcurrent(t *testing.T) {
 				_, errs[i] = c.Compile(ctx, g)
 				return
 			}
-			fr, err := c.Lower(ctx, g, res, CodegenOptions{})
+			if _, err := c.Lower(ctx, g, res, CodegenOptions{}); err != nil {
+				errs[i] = err
+				return
+			}
+			p, err := c.Build(ctx, g, w, CodegenOptions{})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			_, errs[i] = c.Run(ctx, g, fr, w, map[int]*Tensor{0: in})
+			_, errs[i] = p.Run(ctx, map[int]*Tensor{0: in})
 		}(i)
 	}
 	wg.Wait()

@@ -73,23 +73,25 @@ func main() {
 	fmt.Printf("compiled %s: levels %v, %d segments, %.0f cycles, peak power %.1f\n",
 		g.Name, res.Schedule.Levels, len(res.Schedule.Segments), r.Cycles, r.PeakPower.Total())
 
-	// Generate and execute the flow, verifying numerics end to end.
-	flow, err := c.Lower(ctx, g, res, cimmlc.CodegenOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := flow.Flow.Stats()
-	fmt.Printf("flow: %d CIM ops, %d DCOM ops, %d DMOV ops\n", st.CIMOps, st.DCOMOps, st.DMOVOps)
-
+	// Build the executable program — generate the flow, calibrate, program
+	// the weights — and execute it, verifying numerics end to end.
 	weights := cimmlc.RandomWeights(g, 99)
 	in := cimmlc.NewTensor(1, 28, 28)
 	in.Rand(100, 1)
-	if err := c.Verify(ctx, g, flow, weights, map[int]*cimmlc.Tensor{0: in}, 0.15); err != nil {
+	inputs := map[int]*cimmlc.Tensor{0: in}
+	p, err := c.Build(ctx, g, weights, cimmlc.CodegenOptions{}, cimmlc.WithCalibration(inputs))
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := p.Flow().Flow.Stats()
+	fmt.Printf("flow: %d CIM ops, %d DCOM ops, %d DMOV ops\n", st.CIMOps, st.DCOMOps, st.DMOVOps)
+
+	if err := p.Verify(ctx, inputs, 0.15); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("flow verified bit-exactly against the quantized reference")
 
-	outs, err := c.Run(ctx, g, flow, weights, map[int]*cimmlc.Tensor{0: in})
+	outs, err := p.Run(ctx, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

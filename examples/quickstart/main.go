@@ -3,9 +3,9 @@
 // modes using the Compiler API, prints the head of each generated
 // meta-operator flow (Figure 16 c/d/e), executes the complete flow on the
 // functional simulator and verifies it bit-exactly against the quantized
-// reference. A second Compile of the same graph is served from the
-// compiler's artifact cache, and a trace hook shows which pipeline passes
-// ran.
+// reference. Build compiles through the compiler's artifact cache, so it is
+// served the result of the Compile before it, and a trace hook shows which
+// pipeline passes ran.
 package main
 
 import (
@@ -48,10 +48,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		flow, err := c.Lower(ctx, g, res, cimmlc.CodegenOptions{})
+		inputs := map[int]*cimmlc.Tensor{0: in}
+		p, err := c.Build(ctx, g, weights, cimmlc.CodegenOptions{}, cimmlc.WithCalibration(inputs))
 		if err != nil {
 			log.Fatal(err)
 		}
+		flow := p.Flow()
 
 		fmt.Printf("===== %s mode =====\n", mode)
 		fmt.Printf("levels %v, latency %.0f cycles, %d crossbars programmed\n",
@@ -60,15 +62,13 @@ func main() {
 		fmt.Println(head(flow.Flow.Print(), 14))
 
 		// Bit-exact against the quantized reference, within 5% of float.
-		if err := c.Verify(ctx, g, flow, weights, map[int]*cimmlc.Tensor{0: in}, 0.05); err != nil {
+		if err := p.Verify(ctx, inputs, 0.05); err != nil {
 			log.Fatalf("%s flow failed verification: %v", mode, err)
 		}
 		fmt.Println("flow verified: bit-exact vs quantized reference")
 
-		// Repeated traffic for the same model is memoized.
-		if _, err := c.Compile(ctx, g); err != nil {
-			log.Fatal(err)
-		}
+		// Repeated traffic for the same model is memoized: Build's
+		// compilation was a cache hit.
 		st := c.Stats()
 		fmt.Printf("cache: %d hit, %d miss, %d entries\n\n", st.Hits, st.Misses, st.Entries)
 	}

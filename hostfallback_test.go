@@ -2,6 +2,7 @@ package cimmlc
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -122,38 +123,147 @@ func TestHostFallbackEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPartitionedRunBatchDeterminism runs a partitioned program's RunBatch
-// with 8 workers under whatever -race setting the test binary has, and
-// checks bit-identity against sequential execution.
+// TestPartitionedRunBatchDeterminism is the one lane-identity table over every
+// plan shape — host-cut, chip-cut (the model WithStationaryWeights rejects,
+// served across chips) and the one-stage plan: the program verifies against
+// the reference executors, RunBatch on 8 workers (run under -race) carries the
+// requests through the stages in shared micro-batches yet returns what
+// per-request Run returns bit for bit, stage-wise execution through RunStage
+// and StageBoundary (the fleet path) does too, and the stats describe the
+// plan.
 func TestPartitionedRunBatchDeterminism(t *testing.T) {
-	g, w := mixedTestGraph(t)
-	a, _ := Preset("toy-table2")
-	c, err := New(a, WithHostFallback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Build(context.Background(), g, w, CodegenOptions{}, WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]map[int]*Tensor, 24)
-	for i := range reqs {
-		reqs[i] = mixedTestInput(g, uint64(i)*13+1)
-	}
-	batch, err := p.RunBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, req := range reqs {
-		seq, err := p.Run(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range p.Outputs() {
-			if !tensor.AllClose(batch[i][id], seq[id], 0) {
-				t.Fatalf("request %d output %d: batch differs from sequential run", i, id)
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name, link    string // link is the PartitionStats.Link expected; "" for a one-stage plan
+		model, preset string
+		shrink        bool // jia-small: the zoo mlp needs 13 cores, the shrunk chip has 8
+		tol           float64
+		copts         []Option
+	}{
+		{"host-cut", "host", "conv-gate", "puma", false, 0.12, []Option{WithHostFallback()}},
+		{"chip-cut", "chip", "mlp", "jia-isscc21", true, 0.05, []Option{WithStationaryWeights()}},
+		{"one-stage", "", "conv-relu", "toy-table2", false, 0.05, nil},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			g, err := Model(shape.model)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			a, err := Preset(shape.preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shape.shrink {
+				a.Chip.CoreRows, a.Chip.CoreCols = 2, 4
+			}
+			c, err := New(a, shape.copts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := RandomWeights(g, 7)
+			bopts := []BuildOption{WithCalibration(mixedTestInput(g, 1)), WithWorkers(8)}
+			var p *Program
+			if shape.link == "chip" {
+				p, err = c.BuildPipeline(ctx, g, w, CodegenOptions{}, 0, bopts...)
+			} else {
+				p, err = c.Build(ctx, g, w, CodegenOptions{}, bopts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Verify(ctx, mixedTestInput(g, 1), shape.tol); err != nil {
+				t.Fatal(err)
+			}
+
+			const n = 24
+			reqs := make([]map[int]*Tensor, n)
+			want := make([]map[int]*Tensor, n)
+			for i := range reqs {
+				reqs[i] = mixedTestInput(g, uint64(i)*13+1)
+				out, err := p.Run(ctx, reqs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) != len(g.Outputs()) {
+					t.Fatalf("Run returned %d tensors, want %d graph outputs", len(out), len(g.Outputs()))
+				}
+				want[i] = out
+			}
+			before := p.Stats()
+			batch, err := p.RunBatch(ctx, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range reqs {
+				sameOutputs(t, batch[i], want[i])
+			}
+			after := p.Stats()
+			if d := after.BatchedRequests - before.BatchedRequests; d != n {
+				t.Fatalf("%d of %d requests shared a micro-batch", d, n)
+			}
+			if d := after.Requests - before.Requests; d != n {
+				t.Fatalf("RunBatch counted %d requests, want %d", d, n)
+			}
+
+			// Fleet-style stage-wise execution.
+			env := map[int]*Tensor{}
+			for id, in := range reqs[0] {
+				env[id] = in
+			}
+			for i := 0; i < p.Stages(); i++ {
+				needs, exports := p.StageBoundary(i)
+				for _, gid := range needs {
+					if _, ok := env[gid]; !ok {
+						t.Fatalf("stage %d needs node %d before it is produced", i, gid)
+					}
+				}
+				if err := p.RunStage(ctx, i, env); err != nil {
+					t.Fatal(err)
+				}
+				for _, gid := range exports {
+					if env[gid] == nil {
+						t.Fatalf("stage %d did not publish its export %d", i, gid)
+					}
+				}
+			}
+			for id, wt := range want[0] {
+				if !tensor.AllClose(env[id], wt, 0) {
+					t.Fatalf("stage-wise output %d diverges from Run", id)
+				}
+			}
+			if d := p.Stats().Requests - after.Requests; d != 1 {
+				t.Fatalf("stage-wise pass counted %d requests, want 1", d)
+			}
+
+			ps := p.Stats().Partition
+			if shape.link == "" {
+				if ps != nil || p.Stages() != 1 || p.Flow() == nil {
+					t.Fatalf("one-stage plan reports %d stages, partition %+v, flow %v", p.Stages(), ps, p.Flow())
+				}
+				return
+			}
+			if ps == nil || ps.Link != shape.link || ps.Subgraphs != p.Stages() || p.Stages() < 2 || p.Flow() != nil {
+				t.Fatalf("staged plan (%d stages) reports partition %+v", p.Stages(), ps)
+			}
+			if len(ps.StageCores) != ps.Subgraphs || len(ps.StageCycles) != ps.Subgraphs {
+				t.Fatalf("stats shape mismatch: %+v", ps)
+			}
+			if ps.Transfers == 0 || ps.TransferElems <= 0 || ps.TransferCycles <= 0 {
+				t.Fatalf("staged plan reports no transfer costs: %+v", ps)
+			}
+			if got, want := ps.CIMCycles+ps.HostCycles+ps.TransferCycles, p.Result().Report.Cycles; got != want {
+				t.Fatalf("latency decomposition %g does not sum to aggregate cycles %g", got, want)
+			}
+			for i, sr := range p.Result().Partition.Subs {
+				cores := ps.StageCores[i]
+				if cores < 0 || cores > p.Arch().Chip.CoreCount() || (cores == 0) != (sr.Target == TargetHost) {
+					t.Fatalf("%s stage %d occupies %d cores: %+v", sr.Target, i, cores, ps)
+				}
+				if ps.StageCycles[i] != sr.Cycles || sr.Cycles <= 0 {
+					t.Fatalf("stage %d reports %g cycles, compiled at %g", i, ps.StageCycles[i], sr.Cycles)
+				}
+			}
+		})
 	}
 }
 
@@ -200,18 +310,25 @@ func TestHostFallbackMonolithicIdentity(t *testing.T) {
 	}
 }
 
-// FuzzPartition generates random mixed CIM/host layer stacks (with optional
-// ForceHost evictions) and proves every partition verifies, compiles and
-// runs: the plan passes the part/* verifier rules, Build succeeds under host
-// fallback, execution matches the float reference within tolerance, and
-// graphs that happen to contain no host-only operator stay monolithic.
-// CI runs this for 10s as a smoke.
+// FuzzPartition generates random layer stacks and cuts them with both
+// cutters: chip == 0 partitions mixed CIM/host stacks (with optional ForceHost
+// evictions) under host fallback; chip > 0 shrinks toy-table2 to one or two
+// cores and pipelines the stack across chips under stationary weights. Every
+// plan must pass the part/* verifier rules, build, verify (each CIM stage
+// bit-exact against the quantized reference), run, report a latency
+// decomposition that sums to Report.Cycles, and carry RunBatch lanes through
+// its stages bit-identically to per-request Run; graphs that need no cut stay
+// one-stage, and ChipStages rejects host-only operators. CI runs this for 10s
+// as a smoke.
 func FuzzPartition(f *testing.F) {
-	f.Add([]byte{0, 2, 0, 3, 0}, uint8(0), uint64(1))
-	f.Add([]byte{0, 1, 0}, uint8(0), uint64(2))
-	f.Add([]byte{0, 5, 0, 6}, uint8(2), uint64(3))
-	f.Add([]byte{2, 3, 2, 3}, uint8(0), uint64(4))
-	f.Fuzz(func(t *testing.T, layers []byte, forceHost uint8, seed uint64) {
+	f.Add([]byte{0, 2, 0, 3, 0}, uint8(0), uint8(0), uint64(1))
+	f.Add([]byte{0, 1, 0}, uint8(0), uint8(0), uint64(2))
+	f.Add([]byte{0, 5, 0, 6}, uint8(2), uint8(0), uint64(3))
+	f.Add([]byte{2, 3, 2, 3}, uint8(0), uint8(0), uint64(4))
+	f.Add([]byte{0, 1, 0, 4, 0, 6, 0}, uint8(0), uint8(1), uint64(5))
+	f.Add([]byte{0, 0, 1}, uint8(0), uint8(2), uint64(6))
+	f.Add([]byte{0, 2, 0}, uint8(0), uint8(1), uint64(7))
+	f.Fuzz(func(t *testing.T, layers []byte, forceHost, chip uint8, seed uint64) {
 		if len(layers) == 0 || len(layers) > 12 {
 			t.Skip()
 		}
@@ -243,50 +360,95 @@ func FuzzPartition(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		var opts partition.Options
-		if forceHost > 0 {
-			// Evict one non-input node deterministically.
-			opts.ForceHost = []int{1 + int(forceHost)%(len(g.Nodes)-1)}
+		ctx := context.Background()
+		a, _ := Preset("toy-table2")
+		w := graph.RandomWeights(g, seed)
+
+		var (
+			plan *partition.Plan
+			p    *Program
+		)
+		if chip > 0 {
+			a.Chip.CoreRows = 1 + int(chip)%2 // each Dense(16) occupies one core
+			plan, err = partition.ChipStages(g, a, 0)
+			if hostOnly {
+				if err == nil {
+					t.Fatal("ChipStages accepted a host-only operator")
+				}
+				return
+			}
+		} else {
+			var opts partition.Options
+			if forceHost > 0 {
+				// Evict one non-input node deterministically.
+				opts.ForceHost = []int{1 + int(forceHost)%(len(g.Nodes)-1)}
+			}
+			plan, err = partition.Partition(g, opts)
 		}
-		plan, err := partition.Partition(g, opts)
 		if err != nil {
-			t.Fatalf("partition: %v", err)
+			t.Fatalf("cut: %v", err)
 		}
 		if vs := irverify.VerifyPartition(plan); len(vs) > 0 {
-			t.Fatalf("partition of %d layers violates soundness: %v", len(layers), vs[0])
+			t.Fatalf("plan for %d layers violates soundness: %v", len(layers), vs[0])
+		}
+		if chip > 0 {
+			c, err := New(a, WithStationaryWeights(), WithCache(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err = c.BuildPipeline(ctx, g, w, CodegenOptions{}, 0, WithWorkers(1))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if (len(plan.Subs) == 1) != (p.Result().Partition == nil) || p.Stages() != len(plan.Subs) {
+				t.Fatalf("ChipStages cut %d stages, BuildPipeline built %d (partition %v)", len(plan.Subs), p.Stages(), p.Result().Partition != nil)
+			}
+		} else {
+			c, err := New(a, WithHostFallback(), WithCache(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err = c.Build(ctx, g, w, CodegenOptions{}, WithWorkers(1))
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if !hostOnly && forceHost == 0 && p.Result().Partition != nil {
+				t.Fatal("fully supported graph produced a partitioned result")
+			}
 		}
 
-		a, _ := Preset("toy-table2")
-		c, err := New(a, WithHostFallback(), WithCache(0))
-		if err != nil {
-			t.Fatal(err)
+		// Arbitrary quantized stacks have unbounded relative error, so the
+		// float tolerance is lifted (the deterministic tests hold it); every
+		// CIM stage must still match its quantized reference bit for bit.
+		reqs := make([]map[int]*Tensor, 5)
+		want := make([]map[int]*Tensor, len(reqs))
+		for i := range reqs {
+			reqs[i] = mixedTestInput(g, seed|1+uint64(i))
+			if err := p.Verify(ctx, reqs[i], math.Inf(1)); err != nil {
+				t.Fatalf("verify request %d: %v", i, err)
+			}
+			if want[i], err = p.Run(ctx, reqs[i]); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			for _, id := range p.Outputs() {
+				if want[i][id] == nil {
+					t.Fatalf("output node %d missing from run result", id)
+				}
+			}
 		}
-		w := graph.RandomWeights(g, seed)
-		p, err := c.Build(context.Background(), g, w, CodegenOptions{})
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		if !hostOnly && forceHost == 0 && p.Result().Partition != nil {
-			t.Fatal("fully supported graph produced a partitioned result")
-		}
-		in := mixedTestInput(g, seed|1)
-		out, err := p.Run(context.Background(), in)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		for _, id := range p.Outputs() {
-			if out[id] == nil {
-				t.Fatalf("output node %d missing from run result", id)
+		for _, lanes := range []int{1, 2, 5} {
+			outs, err := p.RunBatch(ctx, reqs[:lanes])
+			if err != nil {
+				t.Fatalf("RunBatch of %d: %v", lanes, err)
+			}
+			for i := range outs {
+				sameOutputs(t, outs[i], want[i])
 			}
 		}
 		if p.Result().Partition != nil {
-			// Arbitrary quantized stacks have unbounded relative error, so
-			// the numeric reference checks live in the deterministic tests;
-			// here the partitioned program must at least report a coherent
-			// latency decomposition.
 			ps := p.Stats().Partition
 			if ps == nil {
-				t.Fatal("partitioned program reports nil PartitionStats")
+				t.Fatal("staged program reports nil PartitionStats")
 			}
 			if got, want := ps.CIMCycles+ps.HostCycles+ps.TransferCycles, p.Result().Report.Cycles; got != want {
 				t.Fatalf("latency decomposition %g does not sum to aggregate %g", got, want)

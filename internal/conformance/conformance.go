@@ -3,10 +3,9 @@
 // level) through the full compile → lower → place → simulate stack and
 // checks four families of properties on every cell:
 //
-//  1. Bit-identity — all execution paths the system exposes (the deprecated
-//     one-shot Compiler.Run, Program.Run, concurrent Program.RunBatch, the
-//     serving Batcher, the HTTP /v1/run gateway and a replicated serving
-//     fleet) produce identical
+//  1. Bit-identity — all execution paths the system exposes (Program.Run,
+//     concurrent Program.RunBatch, the serving Batcher, the HTTP /v1/run
+//     gateway and a replicated serving fleet) produce identical
 //     output bits for seeded inputs, and the functional simulation matches
 //     the quantized reference executor (Program.Verify). Outputs are also
 //     bit-identical across levels of the same machine: the scheduling

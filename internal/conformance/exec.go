@@ -29,8 +29,6 @@ import (
 // calibration point), and its Program.Run output, hashed into the golden, is
 // what every carrier must reproduce bit for bit:
 //
-//   - the deprecated one-shot Compiler.Run (compared on the calibration
-//     request — it re-calibrates on its inputs by design)
 //   - Program.RunBatch across a worker pool, two batches at once
 //   - Program.RunBatch on a widened batch whose every request must share a
 //     micro-batch of two or more lanes (the program's counters prove it)
@@ -140,15 +138,6 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 				}
 			}
 		}
-	}
-
-	// Deprecated one-shot path. It calibrates on its own inputs, so only
-	// the calibration request is comparable bit-for-bit.
-	oneShot, err := c.Run(ctx, g, p.Flow(), w, calib)
-	if err != nil {
-		violations = append(violations, fmt.Sprintf("%s: one-shot Compiler.Run: %v", key, err))
-	} else if d := firstOutputDiff(pickOutputs(oneShot, p.Outputs()), base[0]); d != "" {
-		violations = append(violations, fmt.Sprintf("%s: one-shot Compiler.Run diverges from Program.Run: %s", key, d))
 	}
 
 	// Concurrent RunBatch: two simultaneous batches over the same Program,
@@ -350,16 +339,6 @@ func seededRequests(g *cimmlc.Graph, n int, seed uint64) []map[int]*cimmlc.Tenso
 		reqs[i] = in
 	}
 	return reqs
-}
-
-// pickOutputs narrows an all-nodes tensor map (the deprecated Run's return
-// shape) to the graph's output nodes.
-func pickOutputs(all map[int]*cimmlc.Tensor, ids []int) map[int]*cimmlc.Tensor {
-	out := make(map[int]*cimmlc.Tensor, len(ids))
-	for _, id := range ids {
-		out[id] = all[id]
-	}
-	return out
 }
 
 // firstOutputDiff compares two output maps bit-for-bit and describes the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -252,7 +253,7 @@ func runMixedCell(ctx context.Context, cell Cell, cfg MixedConfig, vs *violation
 		cimmlc.WithCalibration(calib), cimmlc.WithWorkers(8)); err != nil {
 		vs.addf("%s: rebuild: %v", key, err)
 	} else {
-		if st2 := p2.Stats(); st.Partition != nil && (st2.Partition == nil || *st2.Partition != *st.Partition) {
+		if st2 := p2.Stats(); !reflect.DeepEqual(st2.Partition, st.Partition) {
 			vs.addf("%s: nondeterministic partition stats across rebuilds", key)
 		}
 		if p2.Result().Report.Cycles != rep.Cycles {

@@ -16,6 +16,7 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
 	"cimmlc/internal/mapping"
+	"cimmlc/internal/partition"
 	"cimmlc/internal/perfsim"
 	"cimmlc/internal/sched"
 	"cimmlc/internal/tuner"
@@ -74,8 +75,9 @@ type Result struct {
 	// (heuristic vs tuned cycles, budget spent, accepted moves); nil for
 	// untuned compilations.
 	Tuning *tuner.Stats
-	// Partition is set for multi-target compilations (host fallback on a
-	// graph with host-only operators): the plan plus per-subgraph results.
+	// Partition is set for staged compilations (host fallback on a graph
+	// with host-only operators, or a model cut across chips): the plan plus
+	// per-subgraph results.
 	// Schedule, Placement and Model are then nil at the top level — the
 	// per-subgraph results carry them — and Report is the aggregate.
 	Partition *PartitionInfo
@@ -114,20 +116,35 @@ func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Option
 			return nil, fmt.Errorf("core: graph %q: node %q (%s) has no CIM lowering (available: %s); enable host fallback (cimmlc.WithHostFallback) to partition it onto the host CPU",
 				g.Name, n.Name, n.Op, joinOps(graph.CIMLowerableOps()))
 		}
-		return compilePartitioned(ctx, g, a, opt, passes, trace)
+		if err := verifyInput(g, opt); err != nil {
+			return nil, err
+		}
+		plan, err := partition.Partition(g, partition.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		return CompilePlan(ctx, plan, a, opt, passes, trace)
 	}
 	return compileSingle(ctx, g, a, opt, passes, trace)
+}
+
+// verifyInput runs the IR verifier on an input graph when it is on.
+// VerifyGraph subsumes shape inference, so a malformed graph is reported with
+// rule-named diagnostics before any pass (or cutter) runs.
+func verifyInput(g *graph.Graph, opt Options) error {
+	if opt.VerifyIR {
+		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
+			return fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
+		}
+	}
+	return nil
 }
 
 // compileSingle runs the single-target (pure CIM) pipeline — the paper's
 // workflow, unchanged by the multi-target refactor.
 func compileSingle(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
-	if opt.VerifyIR {
-		// VerifyGraph subsumes shape inference, so a malformed input graph
-		// is reported with rule-named diagnostics before any pass runs.
-		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
-			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
-		}
+	if err := verifyInput(g, opt); err != nil {
+		return nil, err
 	}
 	if err := g.InferShapes(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -26,33 +26,26 @@ type SubResult struct {
 	Cycles float64
 }
 
-// PartitionInfo bundles the multi-target compilation: the partition plan,
-// per-subgraph results in execution order, and the latency decomposition the
-// aggregate Report.Cycles is built from.
+// PartitionInfo bundles a staged compilation (host-cut or chip-cut): the
+// partition plan, per-subgraph results in execution order, and the latency
+// decomposition the aggregate Report.Cycles is built from.
 type PartitionInfo struct {
 	Plan *partition.Plan
 	Subs []SubResult
 	// CIMCycles, HostCycles and TransferCycles decompose the aggregate
-	// latency: accelerator subgraphs, host subgraphs, and host-link
-	// transfers at the cut edges.
+	// latency: accelerator subgraphs, host subgraphs, and the transfers at
+	// the cut edges (on Plan.Link).
 	CIMCycles      float64
 	HostCycles     float64
 	TransferCycles float64
 }
 
-// compilePartitioned is the multi-target pipeline: partition the graph, run
-// the normal single-target pipeline over every CIM subgraph, charge host
-// subgraphs with the host cost model, and cost the cut-edge transfers.
-func compilePartitioned(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
-	if opt.VerifyIR {
-		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
-			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
-		}
-	}
-	plan, err := partition.Partition(g, partition.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+// CompilePlan is the staged pipeline, shared by every cutter: verify the
+// plan, run the normal single-target pipeline over every CIM subgraph, charge
+// host subgraphs with the host cost model, and cost the cut-edge transfers on
+// the plan's link tier. CompilePasses feeds it host-cut plans; the root
+// package's BuildPipeline feeds it chip-cut ones.
+func CompilePlan(ctx context.Context, plan *partition.Plan, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
 	if opt.VerifyIR {
 		if vs := irverify.VerifyPartition(plan); len(vs) > 0 {
 			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "partition", Violations: vs})
@@ -97,7 +90,7 @@ func compilePartitioned(ctx context.Context, g *graph.Graph, a *arch.Arch, opt O
 	}
 	//cimlint:ignore ctxcancel -- sum over cut-edge count, trivially bounded; the subgraph loop above polls
 	for _, t := range plan.Transfers {
-		info.TransferCycles += perfsim.TransferCost(a, t.Elems)
+		info.TransferCycles += perfsim.TransferCost(a, plan.Link, t.Elems)
 	}
 	agg.Cycles = info.CIMCycles + info.HostCycles + info.TransferCycles
 	return &Result{Report: agg, Partition: info}, nil

@@ -212,7 +212,7 @@ type State struct {
 }
 
 // Machine binds an Image to one State for execution. The zero Machine is
-// not usable; obtain one from Image.Exec or New.
+// not usable; obtain one from Image.Exec.
 type Machine struct {
 	bm *BatchMachine
 	st *State
@@ -284,23 +284,6 @@ func (m *Machine) Tensors() map[int]*tensor.Tensor {
 		ids[i] = n.ID
 	}
 	return m.TensorsOf(ids)
-}
-
-// New prepares a one-shot machine: it builds an image calibrated on the
-// given inputs (with no crossbars pre-programmed — Run executes the init
-// section), allocates a state and loads the inputs. Kept for the
-// single-inference paths; the compile-once / run-many path is
-// NewImage + ProgramInit + CompileBody + pooled BatchStates.
-func New(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.Weights, inputs map[int]*tensor.Tensor) (*Machine, error) {
-	img, err := NewImage(g, a, lay, weights, inputs)
-	if err != nil {
-		return nil, err
-	}
-	m := img.Exec(img.NewState())
-	if err := m.LoadInputs(inputs); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 type byBase struct {

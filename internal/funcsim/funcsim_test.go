@@ -163,10 +163,11 @@ func TestMachineRejectsBadOps(t *testing.T) {
 	}
 	w := graph.RandomWeights(g, 34)
 	in := tensor.New(3, 32, 32)
-	m, err := New(g, a, gen.Layout, w, map[int]*tensor.Tensor{0: in})
+	img, err := NewImage(g, a, gen.Layout, w, map[int]*tensor.Tensor{0: in})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := img.Exec(img.NewState())
 	// Reading an unprogrammed crossbar must fail.
 	unprogrammed := &mop.Flow{
 		Mode: "WLM", Graph: g.Name, Arch: a.Name,

@@ -116,8 +116,14 @@ func RunFlow(g *graph.Graph, a *arch.Arch, res *codegen.Result, weights graph.We
 	if res.Truncated {
 		return nil, fmt.Errorf("funcsim: flow was truncated by codegen (MaxWindowsPerOp); not executable")
 	}
-	m, err := New(g, a, res.Layout, weights, inputs)
+	// A one-shot image: calibrated on the inputs, no crossbar pre-programmed
+	// (Run executes the init section).
+	img, err := NewImage(g, a, res.Layout, weights, inputs)
 	if err != nil {
+		return nil, err
+	}
+	m := img.Exec(img.NewState())
+	if err := m.LoadInputs(inputs); err != nil {
 		return nil, err
 	}
 	if err := m.Run(res.Flow); err != nil {
@@ -146,11 +152,9 @@ func Verify(g *graph.Graph, a *arch.Arch, res *codegen.Result, weights graph.Wei
 	return CheckOutputs(g, got, want, ref, floatTol)
 }
 
-// CheckOutputs verifies per-node flow outputs: got must match the quantized
-// reference want bit-exactly and stay within floatTol of the float
-// reference ref, relative to each node output's max magnitude. It is the
-// shared comparison behind Verify and Program.Verify.
-func CheckOutputs(g *graph.Graph, got, want, ref map[int]*tensor.Tensor, floatTol float64) error {
+// CheckExact verifies that got matches the quantized reference want bit for
+// bit on every non-Input node of g.
+func CheckExact(g *graph.Graph, got, want map[int]*tensor.Tensor) error {
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpInput {
 			continue
@@ -158,6 +162,21 @@ func CheckOutputs(g *graph.Graph, got, want, ref map[int]*tensor.Tensor, floatTo
 		if !tensor.AllClose(got[n.ID], want[n.ID], 0) {
 			d, _ := tensor.MaxAbsDiff(got[n.ID], want[n.ID])
 			return fmt.Errorf("funcsim: node %d (%s %s): flow diverges from quantized reference by %g", n.ID, n.Name, n.Op, d)
+		}
+	}
+	return nil
+}
+
+// CheckOutputs verifies per-node flow outputs: got must match the quantized
+// reference want bit-exactly (CheckExact) and stay within floatTol of the
+// float reference ref, relative to each node output's max magnitude.
+func CheckOutputs(g *graph.Graph, got, want, ref map[int]*tensor.Tensor, floatTol float64) error {
+	if err := CheckExact(g, got, want); err != nil {
+		return err
+	}
+	for _, n := range g.Nodes {
+		if n.Op == graph.OpInput {
+			continue
 		}
 		scale := maxAbs(ref[n.ID])
 		if scale == 0 {

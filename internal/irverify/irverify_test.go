@@ -118,8 +118,12 @@ func FuzzVerifyIR(f *testing.F) {
 			in.Rand(uint64(id)+23, 1)
 			inputs[id] = in
 		}
-		mach, err := funcsim.New(g, a, fr.Layout, weights, inputs)
+		img, err := funcsim.NewImage(g, a, fr.Layout, weights, inputs)
 		if err != nil {
+			t.Fatalf("verifier accepted a flow funcsim cannot load: %v", err)
+		}
+		mach := img.Exec(img.NewState())
+		if err := mach.LoadInputs(inputs); err != nil {
 			t.Fatalf("verifier accepted a flow funcsim cannot load: %v", err)
 		}
 		if err := mach.Run(fr.Flow); err != nil {

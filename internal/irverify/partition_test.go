@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/partition"
 )
@@ -20,6 +21,31 @@ func mixedPlan(t *testing.T) *partition.Plan {
 	return p
 }
 
+// chipPlan cuts a pure-CIM stack across toy-table2 chips shrunk to one core
+// (each Dense(16) occupies one): the other cutter's plan shape.
+func chipPlan(t *testing.T) *partition.Plan {
+	t.Helper()
+	g := graph.NewBuilder("stack", 16).
+		Dense(16).ReLU().Dense(16).Dense(16).
+		MustFinish()
+	a := arch.ToyExample()
+	a.Chip.CoreRows = 1
+	p, err := partition.ChipStages(g, a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Subs) < 2 {
+		t.Fatalf("stack cut into %d stages, want several", len(p.Subs))
+	}
+	return p
+}
+
+// bothPlans runs check on a fresh plan from each cutter.
+func bothPlans(t *testing.T, check func(t *testing.T, fresh func() *partition.Plan)) {
+	t.Run("host-cut", func(t *testing.T) { check(t, func() *partition.Plan { return mixedPlan(t) }) })
+	t.Run("chip-cut", func(t *testing.T) { check(t, func() *partition.Plan { return chipPlan(t) }) })
+}
+
 func rules(vs []Violation) string {
 	var ss []string
 	for _, v := range vs {
@@ -29,20 +55,24 @@ func rules(vs []Violation) string {
 }
 
 func TestVerifyPartitionClean(t *testing.T) {
-	if vs := VerifyPartition(mixedPlan(t)); len(vs) > 0 {
-		t.Fatalf("clean plan reported violations: %s", rules(vs))
-	}
+	bothPlans(t, func(t *testing.T, fresh func() *partition.Plan) {
+		if vs := VerifyPartition(fresh()); len(vs) > 0 {
+			t.Fatalf("clean plan reported violations: %s", rules(vs))
+		}
+	})
 }
 
 func TestVerifyPartitionCoverage(t *testing.T) {
-	p := mixedPlan(t)
-	// Drop a node from its subgraph: coverage must flag it.
-	s := p.Subs[0]
-	s.NodeIDs = s.NodeIDs[:len(s.NodeIDs)-1]
-	vs := VerifyPartition(p)
-	if !strings.Contains(rules(vs), RulePartCoverage) {
-		t.Fatalf("missing node not flagged; got %s", rules(vs))
-	}
+	bothPlans(t, func(t *testing.T, fresh func() *partition.Plan) {
+		p := fresh()
+		// Drop a node from its subgraph: coverage must flag it.
+		s := p.Subs[0]
+		s.NodeIDs = s.NodeIDs[:len(s.NodeIDs)-1]
+		vs := VerifyPartition(p)
+		if !strings.Contains(rules(vs), RulePartCoverage) {
+			t.Fatalf("missing node not flagged; got %s", rules(vs))
+		}
+	})
 }
 
 func TestVerifyPartitionTarget(t *testing.T) {
@@ -74,21 +104,23 @@ func TestVerifyPartitionHostOnlyOnCIM(t *testing.T) {
 }
 
 func TestVerifyPartitionCutEdges(t *testing.T) {
-	p := mixedPlan(t)
-	dropped := p.Transfers[0]
-	p.Transfers = p.Transfers[1:]
-	vs := VerifyPartition(p)
-	if !strings.Contains(rules(vs), RulePartCut) {
-		t.Fatalf("missing transfer not flagged; got %s", rules(vs))
-	}
+	bothPlans(t, func(t *testing.T, fresh func() *partition.Plan) {
+		p := fresh()
+		dropped := p.Transfers[0]
+		p.Transfers = p.Transfers[1:]
+		vs := VerifyPartition(p)
+		if !strings.Contains(rules(vs), RulePartCut) {
+			t.Fatalf("missing transfer not flagged; got %s", rules(vs))
+		}
 
-	p2 := mixedPlan(t)
-	dropped.Elems++
-	p2.Transfers = append(p2.Transfers, dropped)
-	vs = VerifyPartition(p2)
-	if !strings.Contains(rules(vs), RulePartCut) {
-		t.Fatalf("duplicate/wrong-volume transfer not flagged; got %s", rules(vs))
-	}
+		p2 := fresh()
+		dropped.Elems++
+		p2.Transfers = append(p2.Transfers, dropped)
+		vs = VerifyPartition(p2)
+		if !strings.Contains(rules(vs), RulePartCut) {
+			t.Fatalf("duplicate/wrong-volume transfer not flagged; got %s", rules(vs))
+		}
+	})
 }
 
 func TestVerifyPartitionLocalMap(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
+	"cimmlc/internal/perfsim"
 )
 
 // ChipStages splits g into consecutive pipeline stages for multi-chip
@@ -19,8 +20,7 @@ import (
 //
 // Input nodes ride with their first consumer's stage; digital (non-CIM)
 // operators consume no crossbars and ride with the current stage. The cut
-// edges between stages become Transfers, costed by the perf model's
-// chip-link tier (perfsim.ChipTransferCost).
+// edges between stages become Transfers on the perf model's chip-link tier.
 //
 // maxChips bounds the stage count when positive. A graph containing
 // host-only operators is rejected — cross-chip pipelining composes with the
@@ -93,7 +93,7 @@ func ChipStages(g *graph.Graph, a *arch.Arch, maxChips int) (*Plan, error) {
 	for _, n := range gc.Nodes {
 		n.Target = graph.TargetCIM
 	}
-	return assemble(gc, runs)
+	return assemble(gc, runs, perfsim.ChipLink)
 }
 
 // FitsChip reports whether g's whole crossbar footprint fits one chip under

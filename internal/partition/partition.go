@@ -6,7 +6,7 @@
 // host-only operators (Sigmoid, Tanh, Mul, ...) are partitioned here: every
 // node is assigned an execution target, consecutive same-target runs become
 // subgraphs, and the cut edges between subgraphs become explicit transfers
-// whose data volume the performance model charges to the host link.
+// whose data volume the performance model charges to the plan's link tier.
 //
 // The pass is deterministic: targets derive only from the operator taxonomy
 // and Options, runs are grouped in node-ID (topological) order, and all
@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"cimmlc/internal/graph"
+	"cimmlc/internal/perfsim"
 )
 
 // Options tunes the partitioning pass.
@@ -61,11 +62,13 @@ type Subgraph struct {
 }
 
 // Plan is the result of partitioning: the annotated graph, the subgraphs in
-// execution (topological) order, and the cut-edge transfers.
+// execution (topological) order, the cut-edge transfers, and the link tier
+// those transfers cross (set by the cutter that made the plan).
 type Plan struct {
 	Graph     *graph.Graph // clone of the input with Node.Target filled in
 	Subs      []*Subgraph
 	Transfers []Transfer
+	Link      perfsim.Link
 }
 
 // Partition assigns every node an execution target and splits the graph into
@@ -160,19 +163,12 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 			merged = append(merged, r)
 		}
 		runs = merged
-	} else {
-		// No host node: one CIM subgraph spanning the whole graph.
-		all := make([]int, len(gc.Nodes))
-		for i := range all {
-			all[i] = i
-		}
-		runs = []run{{target: graph.TargetCIM, ids: all}}
 	}
 
 	for id, n := range gc.Nodes {
 		n.Target = tgt[id]
 	}
-	return assemble(gc, runs)
+	return assemble(gc, runs, perfsim.HostLink)
 }
 
 // run is one maximal single-target (or single-chip) stretch of node IDs in
@@ -184,8 +180,8 @@ type run struct {
 
 // assemble turns the grouped runs into a Plan: every run becomes a
 // self-contained Subgraph, and every edge crossing a run boundary becomes a
-// costed Transfer (one per {producer, consuming run} pair).
-func assemble(gc *graph.Graph, runs []run) (*Plan, error) {
+// Transfer (one per {producer, consuming run} pair) costed on link.
+func assemble(gc *graph.Graph, runs []run, link perfsim.Link) (*Plan, error) {
 	// subOf maps every global node to its subgraph index.
 	subOf := make([]int, len(gc.Nodes))
 	for i, r := range runs {
@@ -208,7 +204,7 @@ func assemble(gc *graph.Graph, runs []run) (*Plan, error) {
 		isOutput[id] = true
 	}
 
-	plan := &Plan{Graph: gc}
+	plan := &Plan{Graph: gc, Link: link}
 	seenTransfer := map[[2]int]bool{} // {producer global ID, consumer sub}
 	for i, r := range runs {
 		sub, err := extract(gc, i, r.target, r.ids, subOf, consumedLater, isOutput)
@@ -314,22 +310,11 @@ func (s *Subgraph) SubWeights(w graph.Weights) graph.Weights {
 	return out
 }
 
-// HostNodeCount returns the number of real nodes assigned to the host.
-func (p *Plan) HostNodeCount() int {
+// NodeCount returns the number of real nodes assigned to target.
+func (p *Plan) NodeCount(target graph.Target) int {
 	n := 0
 	for _, s := range p.Subs {
-		if s.Target == graph.TargetHost {
-			n += len(s.NodeIDs)
-		}
-	}
-	return n
-}
-
-// CIMNodeCount returns the number of real nodes assigned to the accelerator.
-func (p *Plan) CIMNodeCount() int {
-	n := 0
-	for _, s := range p.Subs {
-		if s.Target == graph.TargetCIM {
+		if s.Target == target {
 			n += len(s.NodeIDs)
 		}
 	}

@@ -2,19 +2,23 @@ package perfsim
 
 import "cimmlc/internal/arch"
 
-// Host-link cost model for partitioned (mixed CPU/CIM) execution. A transfer
-// crosses the accelerator boundary over the host link: a fixed
-// latency to set up the DMA plus a bandwidth term through the global buffer
-// and the on-chip core NoC.
+// Link is the tier a staged plan's cut edges cross: the host↔accelerator
+// link of mixed CPU/CIM execution, or the chip-to-chip link of a model
+// pipelined across chips.
+type Link string
+
+const (
+	HostLink Link = "host"
+	ChipLink Link = "chip"
+)
+
+// Transfer cost model for staged execution: a fixed per-transfer setup
+// latency set by the link tier, plus a bandwidth term through the producing
+// chip's global buffer and core NoC that both tiers share.
 const (
 	// HostLinkLatencyCycles is the fixed per-transfer setup latency of the
-	// host↔accelerator link, in chip cycles.
+	// host↔accelerator link (a DMA round trip), in chip cycles.
 	HostLinkLatencyCycles = 200.0
-
-	// HostALUOpsPerCycle is the nominal host-CPU throughput, in scalar
-	// float operations per chip cycle, used to charge host subgraphs in
-	// the aggregate report (hostexec.Ops / HostALUOpsPerCycle).
-	HostALUOpsPerCycle = 8.0
 
 	// ChipLinkLatencyCycles is the fixed per-transfer setup latency of the
 	// chip-to-chip link, in chip cycles. Chips on the same board talk over
@@ -22,31 +26,24 @@ const (
 	// the setup cost is a fraction of the host-link DMA round trip.
 	ChipLinkLatencyCycles = 50.0
 
+	// HostALUOpsPerCycle is the nominal host-CPU throughput, in scalar
+	// float operations per chip cycle, used to charge host subgraphs in
+	// the aggregate report (hostexec.Ops / HostALUOpsPerCycle).
+	HostALUOpsPerCycle = 8.0
+
 	transferBitsPerElem = 32 // host tensors are float32
 	flitBits            = 64 // core NoC flit width
 )
 
 // TransferCost returns the modelled cycle cost of moving elems tensor
-// elements across the accelerator boundary on arch a: fixed host-link
-// latency + global-buffer bandwidth + core-NoC injection.
-func TransferCost(a *arch.Arch, elems int64) float64 {
+// elements across link on arch a: the link's fixed setup latency +
+// global-buffer bandwidth + core-NoC injection.
+func TransferCost(a *arch.Arch, link Link, elems int64) float64 {
 	bits := float64(elems) * transferBitsPerElem
 	c := HostLinkLatencyCycles
-	if a.Chip.L0BW > 0 {
-		c += bits / a.Chip.L0BW
+	if link == ChipLink {
+		c = ChipLinkLatencyCycles
 	}
-	c += bits / flitBits * a.Chip.CoreNoCCost
-	return c
-}
-
-// ChipTransferCost returns the modelled cycle cost of moving elems tensor
-// elements between two chips of a multi-chip fleet: fixed chip-link latency
-// + global-buffer bandwidth + core-NoC injection. Same bandwidth terms as
-// TransferCost — the tensor still drains through the producing chip's global
-// buffer and NoC — but the lower chip-link setup latency.
-func ChipTransferCost(a *arch.Arch, elems int64) float64 {
-	bits := float64(elems) * transferBitsPerElem
-	c := ChipLinkLatencyCycles
 	if a.Chip.L0BW > 0 {
 		c += bits / a.Chip.L0BW
 	}

@@ -11,10 +11,10 @@ func TestChipTransferCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := TransferCost(a, 1024)
-	chip := ChipTransferCost(a, 1024)
+	host := TransferCost(a, HostLink, 1024)
+	chip := TransferCost(a, ChipLink, 1024)
 	if chip <= 0 {
-		t.Fatalf("ChipTransferCost = %v, want > 0", chip)
+		t.Fatalf("chip-link TransferCost = %v, want > 0", chip)
 	}
 	// Same bandwidth terms, lower setup latency: the two tiers differ by
 	// exactly the link-latency gap.
@@ -22,11 +22,11 @@ func TestChipTransferCost(t *testing.T) {
 		t.Errorf("host-chip cost gap = %v, want %v", got, want)
 	}
 	// Monotone in volume.
-	if ChipTransferCost(a, 2048) <= chip {
+	if TransferCost(a, ChipLink, 2048) <= chip {
 		t.Error("chip transfer cost not monotone in element count")
 	}
 	// Zero elements still pays the link setup.
-	if got := ChipTransferCost(a, 0); got != ChipLinkLatencyCycles {
+	if got := TransferCost(a, ChipLink, 0); got != ChipLinkLatencyCycles {
 		t.Errorf("zero-volume transfer = %v, want %v", got, ChipLinkLatencyCycles)
 	}
 }

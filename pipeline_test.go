@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"cimmlc/internal/tensor"
 )
 
 // smallChipCompiler returns a compiler for a jia-isscc21 variant shrunk to 8
@@ -59,78 +57,9 @@ func TestStationaryBuildFailsOverCapacity(t *testing.T) {
 	}
 }
 
-// TestPipelineServesOverCapacityModel is the cross-chip acceptance path: the
-// model WithStationaryWeights rejects serves successfully as a multi-chip
-// pipeline, its outputs within float tolerance of the reference, and
-// stage-wise execution (the fleet path) bit-identical to Pipeline.Run.
-func TestPipelineServesOverCapacityModel(t *testing.T) {
-	ctx := context.Background()
-	c, g, w, inputs := smallChipCompiler(t, WithStationaryWeights())
-	pl, err := c.BuildPipeline(ctx, g, w, CodegenOptions{}, 0, WithCalibration(inputs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Stages() < 2 {
-		t.Fatalf("over-capacity model built %d stages, want ≥ 2", pl.Stages())
-	}
-	if err := pl.Verify(ctx, inputs, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	want, err := pl.Run(ctx, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(g.Outputs()) {
-		t.Fatalf("Run returned %d tensors, want %d graph outputs", len(want), len(g.Outputs()))
-	}
-
-	// Fleet-style stage-wise execution through RunStage + StageBoundary.
-	env := map[int]*Tensor{0: inputs[0]}
-	for i := 0; i < pl.Stages(); i++ {
-		needs, exports := pl.StageBoundary(i)
-		for _, gid := range needs {
-			if _, ok := env[gid]; !ok {
-				t.Fatalf("stage %d needs node %d before it is produced", i, gid)
-			}
-		}
-		out, err := pl.RunStage(ctx, i, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != len(exports) {
-			t.Fatalf("stage %d exported %d tensors, want %d", i, len(out), len(exports))
-		}
-		for gid, tt := range out {
-			env[gid] = tt
-		}
-	}
-	for id, wt := range want {
-		if !tensor.AllClose(env[id], wt, 0) {
-			t.Fatalf("stage-wise output %d diverges from Pipeline.Run", id)
-		}
-	}
-
-	st := pl.Stats()
-	if st.Stages != pl.Stages() || len(st.StageCores) != st.Stages || len(st.StageCycles) != st.Stages {
-		t.Fatalf("stats shape mismatch: %+v", st)
-	}
-	if st.Transfers == 0 || st.TransferElems <= 0 || st.TransferCycles <= 0 {
-		t.Fatalf("multi-chip pipeline reports no transfer costs: %+v", st)
-	}
-	for i, cores := range st.StageCores {
-		if cores <= 0 || cores > 8 {
-			t.Fatalf("stage %d cores = %d, want in (0,8]", i, cores)
-		}
-	}
-	// Run + Verify's internal Run + the stage-wise pass each count once.
-	if st.Requests != 3 {
-		t.Fatalf("requests = %d, want 3", st.Requests)
-	}
-}
-
 // TestPipelineSingleStageMatchesProgram pins the degenerate case: a model
-// that fits one chip builds a one-stage pipeline whose outputs are
-// bit-identical to the monolithic Program's.
+// that fits one chip builds the same one-stage plan through BuildPipeline as
+// through Build — no partition, bit-exact Verify, bit-identical outputs.
 func TestPipelineSingleStageMatchesProgram(t *testing.T) {
 	ctx := context.Background()
 	c, g, w, inputs, p := buildToyProgram(t)
@@ -138,8 +67,11 @@ func TestPipelineSingleStageMatchesProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stages() != 1 {
-		t.Fatalf("fitting model built %d stages, want 1", pl.Stages())
+	if pl.Stages() != 1 || pl.Stats().Partition != nil || pl.Result().Partition != nil {
+		t.Fatalf("fitting model built %d stages (partition %+v), want the one-stage plan", pl.Stages(), pl.Stats().Partition)
+	}
+	if err := pl.Verify(ctx, inputs, 0.05); err != nil {
+		t.Fatal(err)
 	}
 	want, err := p.Run(ctx, inputs)
 	if err != nil {

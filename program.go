@@ -4,53 +4,77 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"cimmlc/internal/core"
 	"cimmlc/internal/funcsim"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/hostexec"
+	"cimmlc/internal/partition"
 	"cimmlc/internal/tensor"
 )
 
-// Program is an executable, immutable compilation artifact: the
-// shape-inferred graph, the optimized schedule, the generated meta-operator
-// flow, and a crossbar image with the weights already quantized, bit-sliced
-// and programmed, and the flow's compute section compiled into kernels.
+// Program is an executable, immutable compilation artifact: a plan of ordered
+// stages, each a subgraph bound to its target — for the CIM accelerator the
+// optimized schedule, the generated meta-operator flow and a crossbar image
+// with the weights already quantized, bit-sliced and programmed and the flow's
+// compute section compiled into kernels; for the host CPU a host-executor
+// program — joined by transfers on one link tier. A monolithic build is the
+// one-stage plan: the whole graph on one chip, nothing transferred. Host
+// fallback (WithHostFallback) cuts a plan at host-only operators, BuildPipeline
+// at chip capacity; both execute through the same stage loop.
+//
 // Building a Program pays the full compile + lower + weight-programming cost
-// exactly once; each Run then executes only the compiled compute section
-// against a pooled execution state, the stationary-weight serving model CIM
+// exactly once; each Run then executes only the compiled compute sections
+// against pooled execution state, the stationary-weight serving model CIM
 // hardware is built for.
 //
 // A Program is safe for concurrent use from many goroutines.
 type Program struct {
-	arch  Arch // private copy, never mutated
-	g     *Graph
-	res   *Result
-	fr    *FlowResult
-	w     Weights
-	calib map[int]*Tensor
-	img   *funcsim.Image
-	outs  []int // the graph's output node IDs
-
-	// body is the flow's compute section compiled into kernel closures: what
-	// every request executes, as one lane of a micro-batch.
-	body *funcsim.CompiledFlow
-
-	// parts is non-nil for partitioned (multi-target) programs: the
-	// subprograms in execution order. img, fr and body are then nil — Run
-	// orchestrates the parts through a shared tensor environment instead of
-	// executing a single flow.
-	parts []*subprogram
+	arch   Arch // private copy, never mutated
+	g      *Graph
+	res    *Result
+	w      Weights
+	outs   []int // the graph's output node IDs
+	stages []*stage
+	part   *PartitionStats // nil for one-stage plans
 
 	workers int
+	// laneWords is the widest CIM stage's activation memory per lane: what
+	// the micro-batch lane budget divides.
+	laneWords int64
 
-	pool       sync.Pool // of *funcsim.BatchState
 	requests   atomic.Uint64
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
 	batchRuns  atomic.Uint64
 	batchReqs  atomic.Uint64
+}
+
+// stage is one step of a Program's plan: a self-contained subgraph whose
+// local node IDs map into the full graph through sub, executed either by
+// compiled CIM kernels over a programmed crossbar image or by a host program.
+type stage struct {
+	sub *partition.Subgraph
+	// needs lists the local IDs of the stage graph's Input nodes, every those
+	// of its own nodes — what Verify extracts in place of sub.Exports.
+	needs, every []int
+
+	host *hostexec.Program // host stages
+
+	// CIM stages: the stage's flow, weights, calibration and image, the
+	// flow's compute section compiled into kernel closures — what every
+	// request executes, as one lane of a micro-batch — and pooled lane state.
+	fr    *FlowResult
+	w     Weights
+	calib map[int]*Tensor
+	img   *funcsim.Image
+	body  *funcsim.CompiledFlow
+	pool  sync.Pool // of *funcsim.BatchState
 }
 
 // Test seams, nil outside tests: testHookBatchClaim runs after a RunBatch
@@ -69,9 +93,9 @@ var (
 type ProgramStats struct {
 	// Requests is the number of successfully completed requests.
 	Requests uint64
-	// PoolHits counts micro-batches (a Run is a micro-batch of one) that
-	// reused a pooled execution state; PoolMisses counts those that had to
-	// allocate a fresh one.
+	// PoolHits counts the stage executions of a micro-batch (a Run is a
+	// micro-batch of one) that reused a pooled execution state; PoolMisses
+	// counts those that had to allocate a fresh one.
 	PoolHits   uint64
 	PoolMisses uint64
 	// BatchRuns counts the micro-batches of two or more requests;
@@ -83,14 +107,41 @@ type ProgramStats struct {
 	// (tuned vs heuristic cycles); nil when the program was compiled without
 	// WithAutoTune. Treat it as read-only.
 	Tuning *TuningStats
-	// Partition summarizes the multi-target plan for partitioned programs
-	// (host fallback on a graph with host-only operators); nil for
-	// monolithic programs, including fully supported graphs compiled under
-	// WithHostFallback.
+	// Partition summarizes the plan of a staged program (host fallback on a
+	// graph with host-only operators, or BuildPipeline of a model that needs
+	// several chips); nil for one-stage plans, including fully supported
+	// graphs compiled under WithHostFallback and models BuildPipeline fits on
+	// one chip. Treat it as read-only.
 	Partition *PartitionStats
 }
 
-// BuildOption configures Compiler.Build.
+// PartitionStats summarizes a staged program's plan and the modelled latency
+// decomposition, computed once at build.
+type PartitionStats struct {
+	// Subgraphs counts the plan's stages; CIMNodes and HostNodes the real
+	// graph nodes on each target.
+	Subgraphs int `json:"subgraphs"`
+	CIMNodes  int `json:"cim_nodes"`
+	HostNodes int `json:"host_nodes"`
+	// Link is the tier the cut edges cross: "host" for a host-cut plan, whose
+	// CIM stages share one chip, "chip" for a chip-cut one, whose stages each
+	// occupy their own. Transfers counts the cut edges; TransferElems their
+	// total tensor element volume per request.
+	Link          string `json:"link"`
+	Transfers     int    `json:"transfers"`
+	TransferElems int64  `json:"transfer_elems"`
+	// CIMCycles, HostCycles and TransferCycles decompose the aggregate
+	// modelled latency (Result.Report.Cycles).
+	CIMCycles      float64 `json:"cim_cycles"`
+	HostCycles     float64 `json:"host_cycles"`
+	TransferCycles float64 `json:"transfer_cycles"`
+	// StageCycles and StageCores give each stage's modelled latency and
+	// crossbar-core footprint (zero cores for host stages).
+	StageCycles []float64 `json:"stage_cycles"`
+	StageCores  []int     `json:"stage_cores"`
+}
+
+// BuildOption configures Compiler.Build and Compiler.BuildPipeline.
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
@@ -117,16 +168,64 @@ func WithWorkers(n int) BuildOption {
 // meta-operator flow, calibrates quantization, and programs the flow's
 // init section into an immutable crossbar image. The returned Program
 // serves any number of Run / RunBatch calls without recompiling or
-// reprogramming weights.
+// reprogramming weights. Under WithHostFallback a graph with host-only
+// operators builds a staged Program alternating CIM and host stages.
 //
 // The graph, weights and calibration tensors must not be mutated after
 // Build returns.
 func (c *Compiler) Build(ctx context.Context, g *Graph, w Weights, opt CodegenOptions, bopts ...BuildOption) (*Program, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if g == nil {
 		return nil, fmt.Errorf("cimmlc: Build: nil graph")
+	}
+	res, err := c.Compile(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	return c.buildStaged(ctx, g, res, w, opt, bopts)
+}
+
+// BuildPipeline is Build for a model spread across several chips of the
+// compiler's architecture: the graph is cut into consecutive stages whose
+// crossbar footprints each fit one chip under the stationary-weights
+// constraint (partition.ChipStages, at most maxChips stages when positive),
+// and activations cross the chip-to-chip link at every cut. It is the escape
+// hatch for models Build rejects with ErrOverCapacity under
+// WithStationaryWeights — too many weights for one chip, no reprogramming
+// allowed — at the price of one chip-link transfer per cut edge per request.
+// A model that fits one chip yields the same one-stage Program Build does.
+// Graphs with host-only operators are rejected: cross-chip pipelining
+// composes with pure-CIM models only.
+//
+// Run executes the stages in order on the calling goroutine. A serving fleet
+// that owns one executor per chip instead drives RunStage concurrently —
+// stage i of request k+1 overlapping stage i+1 of request k.
+func (c *Compiler) BuildPipeline(ctx context.Context, g *Graph, w Weights, opt CodegenOptions, maxChips int, bopts ...BuildOption) (*Program, error) {
+	if g == nil {
+		return nil, fmt.Errorf("cimmlc: BuildPipeline: nil graph")
+	}
+	res, err := c.compile(ctx, g, fmt.Sprintf("|chips=%d", maxChips), func(ctx context.Context, gc *Graph, a *Arch) (*Result, error) {
+		plan, err := partition.ChipStages(gc, a, maxChips)
+		if err != nil {
+			return nil, err
+		}
+		if len(plan.Subs) == 1 {
+			return core.CompilePasses(ctx, gc, a, c.opt, c.passes, c.trace)
+		}
+		return core.CompilePlan(ctx, plan, a, c.opt, c.passes, c.trace)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cimmlc: BuildPipeline: %w", err)
+	}
+	return c.buildStaged(ctx, g, res, w, opt, bopts)
+}
+
+// buildStaged assembles the Program for a compilation result: every CIM
+// subgraph of its plan is lowered, calibrated on the activations it will see
+// at its boundary and weight-programmed; every host subgraph becomes a
+// host-executor program. A monolithic result is the one-stage plan.
+func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Weights, opt CodegenOptions, bopts []BuildOption) (*Program, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	var cfg buildConfig
 	for _, o := range bopts {
@@ -134,32 +233,98 @@ func (c *Compiler) Build(ctx context.Context, g *Graph, w Weights, opt CodegenOp
 			o(&cfg)
 		}
 	}
-	res, err := c.Compile(ctx, g)
-	if err != nil {
-		return nil, err
-	}
+	p := &Program{arch: c.arch, res: res, w: w, workers: cfg.workers}
+	var plan *partition.Plan
+	subs := []core.SubResult{{Target: TargetCIM, Res: res}}
 	if res.Partition != nil {
-		return c.buildPartitioned(ctx, res, w, opt, cfg)
+		plan, subs = res.Partition.Plan, res.Partition.Subs
+		p.part = partitionStats(res.Partition)
+	} else {
+		gc, err := cloneGraph(g)
+		if err != nil {
+			return nil, fmt.Errorf("cimmlc: Build: %w", err)
+		}
+		plan = wholePlan(gc)
 	}
-	fr, err := c.Lower(ctx, g, res, opt)
-	if err != nil {
-		return nil, err
+	p.g, p.outs = plan.Graph, plan.Graph.Outputs()
+	calib := cfg.calib
+	if calib == nil {
+		calib = defaultCalibration(p.g)
 	}
-	p, err := c.newProgram(g, fr, w, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("cimmlc: Build: %w", err)
+	// Boundary calibration: reference-execute the full graph on the
+	// calibration set so each stage's synthetic inputs calibrate on the
+	// activation distribution they will actually see. Execute re-runs shape
+	// inference, so give it a private clone — plan.Graph may be shared
+	// through the compiler's artifact cache. A plan without transfers has
+	// no boundary: the calibration set itself covers every stage input.
+	refVals := calib
+	if len(plan.Transfers) > 0 {
+		var err error
+		if refVals, err = graph.Execute(p.g.Clone(), w, calib); err != nil {
+			return nil, fmt.Errorf("cimmlc: Build: boundary calibration: %w", err)
+		}
 	}
-	p.res = res
+	for i, sub := range plan.Subs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		st, err := c.newStage(ctx, sub, subs[i].Res, sub.SubWeights(w), refVals, opt)
+		if err != nil {
+			return nil, fmt.Errorf("cimmlc: Build: stage %d: %w", i, err)
+		}
+		if st.img != nil {
+			p.laneWords = max(p.laneWords, st.img.MemWords())
+		}
+		p.stages = append(p.stages, st)
+	}
 	return p, nil
 }
 
-// newProgram assembles a Program around an already-lowered flow: it clones
-// and shape-infers the graph, calibrates an image, programs the flow's init
-// section and compiles its body. Shared by Build and the one-shot Run/Verify
-// wrappers.
-func (c *Compiler) newProgram(g *Graph, fr *FlowResult, w Weights, cfg buildConfig) (*Program, error) {
-	if fr == nil || fr.Flow == nil || fr.Layout == nil {
-		return nil, fmt.Errorf("nil flow result")
+// wholePlan returns the one-stage plan of a monolithic compilation: g itself
+// (already shape-inferred) as the only subgraph, local node IDs equal to the
+// global ones, nothing transferred.
+func wholePlan(g *Graph) *partition.Plan {
+	sub := &partition.Subgraph{Target: TargetCIM, G: g, LocalOf: map[int]int{}, GlobalOf: map[int]int{}, Exports: g.Outputs()}
+	for id := range g.Nodes {
+		sub.NodeIDs = append(sub.NodeIDs, id)
+		sub.LocalOf[id], sub.GlobalOf[id] = id, id
+	}
+	return &partition.Plan{Graph: g, Subs: []*partition.Subgraph{sub}}
+}
+
+// newStage builds one stage of a plan. A host subgraph compiles to a
+// host-executor program. A CIM subgraph is lowered from its compilation
+// result res; a private, shape-inferred clone of its graph is calibrated on
+// refVals (keyed by global node ID), the flow's init section is programmed
+// into a crossbar image and its body compiled.
+func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *Result, w Weights, refVals map[int]*Tensor, opt CodegenOptions) (*stage, error) {
+	st := &stage{sub: sub, w: w}
+	for _, n := range sub.G.Nodes {
+		if n.Op == graph.OpInput {
+			st.needs = append(st.needs, n.ID)
+		} else {
+			st.every = append(st.every, n.ID)
+		}
+	}
+	if sub.Target == TargetHost {
+		var err error
+		st.host, err = hostexec.Compile(sub.G, w)
+		return st, err
+	}
+	if sub.Target != TargetCIM || res == nil {
+		return nil, fmt.Errorf("target %q without a CIM compilation result", sub.Target)
+	}
+	st.calib = make(map[int]*Tensor, len(st.needs))
+	for _, lid := range st.needs {
+		t, ok := refVals[sub.GlobalOf[lid]]
+		if !ok {
+			return nil, fmt.Errorf("no calibration activation for node %d", sub.GlobalOf[lid])
+		}
+		st.calib[lid] = t
+	}
+	fr, err := c.Lower(ctx, sub.G, res, opt)
+	if err != nil {
+		return nil, err
 	}
 	if fr.Truncated {
 		return nil, fmt.Errorf("flow was truncated by codegen (MaxWindowsPerOp); not executable")
@@ -168,35 +333,49 @@ func (c *Compiler) newProgram(g *Graph, fr *FlowResult, w Weights, cfg buildConf
 	if err := fr.Flow.Validate(); err != nil {
 		return nil, err
 	}
-	gc, err := cloneGraph(g)
+	gc, err := cloneGraph(sub.G)
 	if err != nil {
 		return nil, err
 	}
-	calib := cfg.calib
-	if calib == nil {
-		calib = defaultCalibration(gc)
-	}
-	p := &Program{
-		arch:    c.arch,
-		g:       gc,
-		fr:      fr,
-		w:       w,
-		calib:   calib,
-		outs:    gc.Outputs(),
-		workers: cfg.workers,
-	}
-	img, err := funcsim.NewImage(gc, &p.arch, fr.Layout, w, calib)
-	if err != nil {
+	a := c.arch
+	if st.img, err = funcsim.NewImage(gc, &a, fr.Layout, w, st.calib); err != nil {
 		return nil, err
 	}
-	if err := img.ProgramInit(fr.Flow.Init); err != nil {
+	if err := st.img.ProgramInit(fr.Flow.Init); err != nil {
 		return nil, err
 	}
-	if p.body, err = img.CompileBody(fr.Flow.Body); err != nil {
+	if st.body, err = st.img.CompileBody(fr.Flow.Body); err != nil {
 		return nil, err
 	}
-	p.img = img
-	return p, nil
+	st.fr = fr
+	return st, nil
+}
+
+// partitionStats derives the serving-visible summary of a staged
+// compilation.
+func partitionStats(info *PartitionInfo) *PartitionStats {
+	ps := &PartitionStats{
+		Subgraphs:      len(info.Plan.Subs),
+		CIMNodes:       info.Plan.NodeCount(TargetCIM),
+		HostNodes:      info.Plan.NodeCount(TargetHost),
+		Link:           string(info.Plan.Link),
+		Transfers:      len(info.Plan.Transfers),
+		TransferElems:  info.Plan.TransferElems(),
+		CIMCycles:      info.CIMCycles,
+		HostCycles:     info.HostCycles,
+		TransferCycles: info.TransferCycles,
+	}
+	for _, sr := range info.Subs {
+		cores := 0
+		if sr.Res != nil {
+			for _, f := range sr.Res.Model.FPs {
+				cores += f.CoresPerCopy
+			}
+		}
+		ps.StageCycles = append(ps.StageCycles, sr.Cycles)
+		ps.StageCores = append(ps.StageCores, cores)
+	}
+	return ps
 }
 
 // defaultCalibration generates deterministic pseudo-random inputs for every
@@ -213,40 +392,28 @@ func defaultCalibration(g *Graph) map[int]*Tensor {
 	return calib
 }
 
-// Run executes one inference: inputs are quantized with the program's
-// calibrated scales, the flow's compute section runs against a pooled
-// execution state — a micro-batch of one lane — and the tensors of the
-// graph's output nodes are returned, keyed by node ID. (The deprecated
-// Compiler.Run returns every node's tensor; serving extracts only the network
-// outputs.) Safe for concurrent use.
+// Run executes one inference: the request steps through the plan's stages as
+// a micro-batch of one lane — on CIM stages inputs are quantized with the
+// stage's calibrated scales and the flow's compute section runs against a
+// pooled execution state — and the tensors of the graph's output nodes are
+// returned, keyed by node ID. Safe for concurrent use.
 func (p *Program) Run(ctx context.Context, inputs map[int]*Tensor) (map[int]*Tensor, error) {
-	return p.run(ctx, inputs, p.outs)
-}
-
-// run is Run returning the tensors of the given nodes. Partitioned programs
-// always return the graph outputs: other nodes have no meaning across
-// targets (the deprecated one-shot wrappers never build partitioned
-// programs).
-func (p *Program) run(ctx context.Context, inputs map[int]*Tensor, ids []int) (map[int]*Tensor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.parts != nil {
-		return p.runPartitioned(ctx, inputs)
-	}
-	var out [1]map[int]*Tensor
-	if _, err := p.runMicroBatch(ctx, []map[int]*Tensor{inputs}, out[:], ids); err != nil {
+	envs, _, err := p.exec(ctx, []map[int]*Tensor{inputs}, false)
+	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return p.outputs(envs[0]), nil
 }
 
 // RunBatch executes one inference per request map, returning results in
-// request order. The requests are cut into micro-batches — one pass over each
-// programmed crossbar serves every lane of a micro-batch — spread across a
-// bounded worker pool (WithWorkers, default GOMAXPROCS). A request's output
-// does not depend on the micro-batch that carries it. Partitioned programs
-// step their subprograms request by request.
+// request order. The requests are cut into micro-batches — each carried
+// through the plan's stages lane-wise, so one pass over each programmed
+// crossbar serves every lane — spread across a bounded worker pool
+// (WithWorkers, default GOMAXPROCS). A request's output does not depend on
+// the micro-batch that carries it.
 //
 // On failure the returned results are nil and the error names the failing
 // request: the lowest-indexed request whose execution produced a genuine
@@ -286,17 +453,13 @@ func (p *Program) RunBatch(ctx context.Context, reqs []map[int]*Tensor) ([]map[i
 		if testHookBatchClaim != nil {
 			testHookBatchClaim(ctx, lo)
 		}
-		if p.parts != nil {
-			// batchCuts gives partitioned programs one request per item.
-			out, err := p.runPartitioned(ctx, reqs[lo])
-			if err != nil {
-				rec.record(lo, err)
-			}
-			outs[lo] = out
+		envs, lane, err := p.exec(ctx, reqs[lo:hi], false)
+		if err != nil {
+			rec.record(lo+lane, err)
 			return
 		}
-		if lane, err := p.runMicroBatch(ctx, reqs[lo:hi], outs[lo:hi], p.outs); err != nil {
-			rec.record(lo+lane, err)
+		for i, env := range envs {
+			outs[lo+i] = p.outputs(env)
 		}
 	}
 
@@ -403,13 +566,10 @@ const maxMicroBatchWords = int64(1) << 20
 // requests: item k is requests [cuts[k], cuts[k+1]). Micro-batches are sized
 // to keep every worker busy, capped by the lane-memory budget, and balanced
 // (16 lanes under a cap of 15 become 8+8, not 15+1) so none degenerates to a
-// near-empty tail. Partitioned programs get one request per item.
+// near-empty tail.
 func (p *Program) batchCuts(n, workers int) []int {
-	mb := 1
-	if p.parts == nil {
-		laneCap := int(min(64, max(1, maxMicroBatchWords/max(1, p.img.MemWords()))))
-		mb = min((n+workers-1)/workers, laneCap)
-	}
+	laneCap := int(min(64, max(1, maxMicroBatchWords/max(1, p.laneWords))))
+	mb := min((n+workers-1)/workers, laneCap)
 	chunks := (n + mb - 1) / mb
 	cuts := make([]int, chunks+1)
 	lo, rem := n/chunks, n%chunks
@@ -422,120 +582,269 @@ func (p *Program) batchCuts(n, workers int) []int {
 	return cuts
 }
 
-// runMicroBatch executes reqs as one micro-batch, a lane each, through the
-// compiled kernels and stores the tensors of nodes ids in outs. On failure it
-// returns the lane to blame: loading errors belong to their request; kernel
-// errors do not depend on lane data, so lane 0 stands for all.
-func (p *Program) runMicroBatch(ctx context.Context, reqs, outs []map[int]*Tensor, ids []int) (int, error) {
+// exec admits reqs and carries them through every stage of the plan as one
+// micro-batch, a lane each, returning each lane's environment: the tensors
+// the plan has produced so far, keyed by global node ID — the request's
+// inputs plus every stage's exports (every node's value when every is set).
+// On failure it returns the lane to blame.
+//
+// Admission checks each request against the full graph once, so a malformed
+// request draws the same error, naming global node IDs, from every plan shape.
+func (p *Program) exec(ctx context.Context, reqs []map[int]*Tensor, every bool) ([]map[int]*Tensor, int, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	if testHookRunStart != nil {
-		for _, req := range reqs {
+	envs := make([]map[int]*Tensor, len(reqs))
+	for lane, req := range reqs {
+		if testHookRunStart != nil {
 			testHookRunStart(ctx, req)
 		}
-	}
-	st := p.getState(len(reqs))
-	defer p.pool.Put(st)
-	bm := p.img.ExecBatch(st)
-	for lane, req := range reqs {
-		if err := bm.LoadInputs(lane, req); err != nil {
-			return lane, err
+		if err := funcsim.CheckInputs(p.g, req); err != nil {
+			return nil, lane, err
 		}
+		envs[lane] = maps.Clone(req)
 	}
-	if err := bm.RunBody(p.body); err != nil {
-		return 0, err
-	}
-	bm.SettleAll()
-	for lane := range reqs {
-		outs[lane] = bm.TensorsOf(lane, ids)
+	for i := range p.stages {
+		if lane, err := p.step(ctx, i, envs, every); err != nil {
+			return nil, lane, err
+		}
 	}
 	if len(reqs) > 1 {
 		p.batchRuns.Add(1)
 		p.batchReqs.Add(uint64(len(reqs)))
 	}
-	p.requests.Add(uint64(len(reqs)))
+	return envs, 0, nil
+}
+
+// step runs stage i over a micro-batch: each lane's stage inputs are read
+// from its environment, the stage executes — CIM kernels over all lanes at
+// once, a host program lane by lane — and the stage's exports (every node's
+// value when every is set) are published back under their global IDs. On
+// failure it returns the lane to blame: input and host errors belong to
+// their lane; kernel errors do not depend on lane data, so lane 0 stands for
+// all. The final stage counts the lanes as completed requests.
+func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every bool) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	st := p.stages[i]
+	ids := st.sub.Exports
+	if every {
+		ids = st.every
+	}
+	ins := make([]map[int]*Tensor, len(envs))
+	for lane, env := range envs {
+		in := make(map[int]*Tensor, len(st.needs))
+		for _, lid := range st.needs {
+			t, ok := env[st.sub.GlobalOf[lid]]
+			if !ok {
+				return lane, fmt.Errorf("cimmlc: stage %d: boundary value of node %d not provided", i, st.sub.GlobalOf[lid])
+			}
+			in[lid] = t
+		}
+		ins[lane] = in
+	}
+	outs := make([]map[int]*Tensor, len(envs))
+	if st.host != nil {
+		for lane, in := range ins {
+			var err error
+			if outs[lane], err = st.host.Run(ctx, in); err != nil {
+				return lane, fmt.Errorf("cimmlc: stage %d: %w", i, err)
+			}
+		}
+	} else if lane, err := p.runKernels(st, ins, outs, ids); err != nil {
+		return lane, fmt.Errorf("cimmlc: stage %d: %w", i, err)
+	}
+	for lane, env := range envs {
+		for _, lid := range ids {
+			env[st.sub.GlobalOf[lid]] = outs[lane][lid]
+		}
+	}
+	if i == len(p.stages)-1 {
+		p.requests.Add(uint64(len(envs)))
+	}
 	return 0, nil
 }
 
-// getState draws an execution state reset to the given lane count from the
-// pool, allocating when the pool is empty.
-func (p *Program) getState(lanes int) *funcsim.BatchState {
-	if v := p.pool.Get(); v != nil {
+// runKernels executes ins as one micro-batch, a lane each, through a CIM
+// stage's compiled kernels on a pooled execution state and stores the tensors
+// of the stage's local nodes ids in outs.
+func (p *Program) runKernels(st *stage, ins, outs []map[int]*Tensor, ids []int) (int, error) {
+	var bs *funcsim.BatchState
+	if v := st.pool.Get(); v != nil {
 		p.poolHits.Add(1)
-		st := v.(*funcsim.BatchState)
-		p.img.ResetBatch(st, lanes)
-		return st
+		bs = v.(*funcsim.BatchState)
+		st.img.ResetBatch(bs, len(ins))
+	} else {
+		p.poolMisses.Add(1)
+		bs = st.img.NewBatchState(len(ins))
 	}
-	p.poolMisses.Add(1)
-	return p.img.NewBatchState(lanes)
+	defer st.pool.Put(bs)
+	bm := st.img.ExecBatch(bs)
+	for lane, in := range ins {
+		if err := bm.LoadInputs(lane, in); err != nil {
+			return lane, err
+		}
+	}
+	if err := bm.RunBody(st.body); err != nil {
+		return 0, err
+	}
+	bm.SettleAll()
+	for lane := range ins {
+		outs[lane] = bm.TensorsOf(lane, ids)
+	}
+	return 0, nil
 }
 
-// nodeIDs returns every node's ID: the extraction list of the paths that
-// check or return all regions (Verify, the deprecated Compiler.Run).
-func (p *Program) nodeIDs() []int {
-	ids := make([]int, len(p.g.Nodes))
-	for i, n := range p.g.Nodes {
-		ids[i] = n.ID
+// outputs projects a finished lane's environment onto the graph's output
+// nodes.
+func (p *Program) outputs(env map[int]*Tensor) map[int]*Tensor {
+	outs := make(map[int]*Tensor, len(p.outs))
+	for _, id := range p.outs {
+		outs[id] = env[id]
 	}
-	return ids
+	return outs
 }
 
-// Verify checks the program's execution of inputs bit-exactly against the
-// quantized reference executor (under the program's build-time calibration)
-// and within floatTol of the float reference.
+// Stages returns the number of stages in the program's plan: 1 for a
+// monolithic build; for a BuildPipeline program, the chips it occupies.
+func (p *Program) Stages() int { return len(p.stages) }
+
+// StageBoundary returns stage i's data interface in global node IDs: needs
+// lists the values the stage reads (graph inputs and earlier stages'
+// exports), exports the values it publishes.
+func (p *Program) StageBoundary(i int) (needs, exports []int) {
+	sub := p.stages[i].sub
+	for _, lid := range p.stages[i].needs {
+		needs = append(needs, sub.GlobalOf[lid])
+	}
+	for _, lid := range sub.Exports {
+		exports = append(exports, sub.GlobalOf[lid])
+	}
+	return needs, exports
+}
+
+// RunStage executes stage i alone against env, a tensor environment keyed by
+// global node IDs that must hold every ID in the stage's needs list
+// (StageBoundary), and publishes the stage's exports into it. It is how a
+// fleet that owns one executor per chip overlaps requests across stages; env
+// belongs to one request and must not be shared between concurrent calls.
+// Different requests may run the same or different stages concurrently.
+//
+// Stage 0 admits the request — env must then hold exactly the graph's input
+// tensors, checked as Run checks them — and the final stage counts it and
+// leaves the graph's outputs (Outputs) in env.
+func (p *Program) RunStage(ctx context.Context, i int, env map[int]*Tensor) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if i < 0 || i >= len(p.stages) {
+		return fmt.Errorf("cimmlc: RunStage: stage %d out of range [0,%d)", i, len(p.stages))
+	}
+	if i == 0 {
+		if err := funcsim.CheckInputs(p.g, env); err != nil {
+			return err
+		}
+	}
+	_, err := p.step(ctx, i, []map[int]*Tensor{env}, false)
+	return err
+}
+
+// Verify checks the program's execution of inputs against the reference
+// executors. Every CIM stage must match the quantized reference executor bit
+// for bit, under the stage's build-time calibration, on the boundary
+// activations it actually received; the graph's outputs must stay within
+// floatTol of the float reference, relative to each output's max magnitude.
+//
+// For a one-stage plan the first check covers the whole program: it is
+// bit-exact end to end. A staged plan has no single quantized reference —
+// every CIM stage re-quantizes its boundary activations and host stages
+// compute in float32 where a monolithic pipeline would have quantized the
+// digital operators — so across its cut edges only the float tolerance holds.
 func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol float64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.parts != nil {
-		return p.verifyPartitioned(ctx, inputs, floatTol)
-	}
-	got, err := p.run(ctx, inputs, p.nodeIDs())
+	envs, _, err := p.exec(ctx, []map[int]*Tensor{inputs}, true)
 	if err != nil {
 		return err
 	}
-	// The reference paths re-run shape inference, so give them a private
-	// clone: p.g is shared by concurrent Run calls.
-	gc := p.g.Clone()
+	env := envs[0]
 	a := p.arch
-	want, err := funcsim.QuantReferenceCalib(gc, &a, p.w, p.calib, inputs)
+	for i, st := range p.stages {
+		if st.img == nil {
+			continue // host stages compute in float: nothing quantized to hold them to
+		}
+		in := make(map[int]*Tensor, len(st.needs))
+		for _, lid := range st.needs {
+			in[lid] = env[st.sub.GlobalOf[lid]]
+		}
+		// The reference re-runs shape inference, so give it a private clone:
+		// the stage graph is shared by concurrent builds and runs.
+		gc := st.sub.G.Clone()
+		want, err := funcsim.QuantReferenceCalib(gc, &a, st.w, st.calib, in)
+		if err != nil {
+			return err
+		}
+		got := make(map[int]*Tensor, len(st.every))
+		for _, lid := range st.every {
+			got[lid] = env[st.sub.GlobalOf[lid]]
+		}
+		if err := funcsim.CheckExact(gc, got, want); err != nil {
+			return fmt.Errorf("cimmlc: Verify: stage %d: %w", i, err)
+		}
+	}
+	ref, err := graph.Execute(p.g.Clone(), p.w, inputs)
 	if err != nil {
 		return err
 	}
-	ref, err := graph.Execute(gc, p.w, inputs)
-	if err != nil {
-		return err
+	for _, id := range p.outs {
+		scale := 0.0
+		for _, v := range ref[id].Data() {
+			scale = max(scale, math.Abs(float64(v)))
+		}
+		if scale == 0 {
+			scale = 1
+		}
+		d, err := tensor.MaxAbsDiff(env[id], ref[id])
+		if err != nil {
+			return fmt.Errorf("cimmlc: Verify: output %d: %w", id, err)
+		}
+		if d > floatTol*scale {
+			return fmt.Errorf("cimmlc: Verify: output %d diverges from float reference by %g (tol %g of max magnitude %g)", id, d, floatTol, scale)
+		}
 	}
-	return funcsim.CheckOutputs(gc, got, want, ref, floatTol)
+	return nil
 }
 
 // Stats returns a snapshot of the program's serving counters.
 func (p *Program) Stats() ProgramStats {
-	st := ProgramStats{
+	return ProgramStats{
 		Requests:        p.requests.Load(),
 		PoolHits:        p.poolHits.Load(),
 		PoolMisses:      p.poolMisses.Load(),
 		BatchRuns:       p.batchRuns.Load(),
 		BatchedRequests: p.batchReqs.Load(),
+		Tuning:          p.res.Tuning,
+		Partition:       p.part,
 	}
-	if p.res != nil {
-		st.Tuning = p.res.Tuning
-		if p.res.Partition != nil {
-			st.Partition = partitionStats(p.res)
-		}
-	}
-	return st
 }
 
-// Result returns the compilation result the program was built from
-// (schedule, placement, performance report). Nil for programs created by
-// the deprecated one-shot Run/Verify wrappers.
+// Result returns the compilation result the program was built from: the
+// schedule, placement and performance report of a one-stage plan; for a
+// staged plan the aggregate report plus Result.Partition, which carries the
+// per-stage results.
 func (p *Program) Result() *Result { return p.res }
 
-// Flow returns the program's generated meta-operator flow and buffer
-// layout. Treat it as read-only.
-func (p *Program) Flow() *FlowResult { return p.fr }
+// Flow returns the generated meta-operator flow and buffer layout of a
+// one-stage program; nil for staged programs, which have one flow per CIM
+// stage. Treat it as read-only.
+func (p *Program) Flow() *FlowResult {
+	if len(p.stages) != 1 {
+		return nil
+	}
+	return p.stages[0].fr
+}
 
 // Arch returns a copy of the architecture the program was built for.
 func (p *Program) Arch() *Arch {

@@ -46,10 +46,12 @@ func seededRequest(p *Program, seed uint64) map[int]*Tensor {
 
 // TestRunBatchErrorContract pins RunBatch's result/error contract on one
 // worker (a whole batch is one micro-batch) and on a pool (work items spread
-// over goroutines), for monolithic programs and for partitioned ones, which
-// RunBatch steps request by request (unbatched): the result slice is nil
-// whenever the error is non-nil, an empty batch on a live context yields an
-// empty non-nil slice, and a mid-batch failure names the failing request.
+// over goroutines), for monolithic programs and for staged ones (the
+// *-unbatched configs, named for the request-by-request stepping staged
+// programs once fell back to): the result slice is nil whenever the error is
+// non-nil, an empty batch on a live context yields an empty non-nil slice, a
+// mid-batch failure names the failing request, and every request of a wide
+// batch shares a micro-batch whatever the plan's shape.
 func TestRunBatchErrorContract(t *testing.T) {
 	ctx := context.Background()
 	monolithic := func(t *testing.T, workers int) *Program {
@@ -113,28 +115,57 @@ func TestRunBatchErrorContract(t *testing.T) {
 					t.Fatalf("outs = %v alongside error, want nil", outs)
 				}
 			})
+			t.Run("batched", func(t *testing.T) {
+				reqs := make([]map[int]*Tensor, 8) // two lanes per worker of the pool
+				for i := range reqs {
+					reqs[i] = good(uint64(10 + i))
+				}
+				before := p.Stats()
+				if _, err := p.RunBatch(ctx, reqs); err != nil {
+					t.Fatal(err)
+				}
+				st := p.Stats()
+				if d := st.BatchedRequests - before.BatchedRequests; d != uint64(len(reqs)) {
+					t.Fatalf("%d of %d requests shared a micro-batch", d, len(reqs))
+				}
+				if d := st.BatchRuns - before.BatchRuns; d != uint64(cfg.workers) {
+					t.Fatalf("batch ran as %d micro-batches, want one per worker (%d)", d, cfg.workers)
+				}
+			})
 		})
 	}
 }
 
-// TestMalformedRequests is the regression test for two input-handling bugs: a
-// nil input tensor used to nil-dereference inside the executor (on a RunBatch
-// worker goroutine, where the caller cannot recover it), and a monolithic
-// program used to compute on an all-zero region when an input was missing
-// while a partitioned one rejected the request. Both program shapes must
-// return the same error, naming the node, from Run and — request-indexed,
-// with two workers — from RunBatch.
+// TestMalformedRequests pins the one request contract of every plan shape. It
+// is the regression test for three input-handling bugs: a nil input tensor
+// used to nil-dereference inside the executor (on a RunBatch worker goroutine,
+// where the caller cannot recover it); a monolithic program used to compute on
+// an all-zero region when an input was missing while a partitioned one
+// rejected the request; and a chip-staged program used to accept a tensor for
+// a node that is not a graph input and to report the other three wrapped in
+// stage-local node IDs. Every shape must return the same error, naming the
+// global node, from Run and — request-indexed, with two workers — from
+// RunBatch.
 func TestMalformedRequests(t *testing.T) {
 	ctx := context.Background()
 	_, _, _, _, mono := buildToyProgram(t, WithWorkers(2))
 	_, part := buildMixedProgram(t, WithWorkers(2))
+	sc, sg, sw, sin := smallChipCompiler(t, WithStationaryWeights())
+	staged, err := sc.BuildPipeline(ctx, sg, sw, CodegenOptions{}, 0, WithCalibration(sin), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staged.Stages() < 2 {
+		t.Fatal("over-capacity model built a one-stage plan")
+	}
 	for _, shape := range []struct {
 		name string
 		p    *Program
-	}{{"monolithic", mono}, {"host-partitioned", part}} {
+	}{{"monolithic", mono}, {"host-partitioned", part}, {"chip-staged", staged}} {
 		p := shape.p
 		good := seededRequest(p, 1)
 		id := p.g.InputIDs()[0]
+		other := len(p.g.Nodes) - 1 // a real node, but not a graph input
 		with := func(edit func(req map[int]*Tensor)) map[int]*Tensor {
 			req := seededRequest(p, 2)
 			edit(req)
@@ -145,19 +176,22 @@ func TestMalformedRequests(t *testing.T) {
 			req  map[int]*Tensor
 			want string
 		}{
-			{"missing", with(func(r map[int]*Tensor) { delete(r, id) }), fmt.Sprintf("no input tensor provided for node %d", id)},
-			{"nil", with(func(r map[int]*Tensor) { r[id] = nil }), fmt.Sprintf("input tensor for node %d is nil", id)},
-			{"unknown-node", with(func(r map[int]*Tensor) { r[99] = r[id] }), "unknown node 99"},
-			{"wrong-element-count", with(func(r map[int]*Tensor) { r[id] = NewTensor(2, 2) }), fmt.Sprintf("input for node %d has 4 elements", id)},
+			{"missing", with(func(r map[int]*Tensor) { delete(r, id) }), fmt.Sprintf("funcsim: no input tensor provided for node %d", id)},
+			{"nil", with(func(r map[int]*Tensor) { r[id] = nil }), fmt.Sprintf("funcsim: input tensor for node %d is nil", id)},
+			{"unknown-node", with(func(r map[int]*Tensor) { r[other] = r[id] }), fmt.Sprintf("funcsim: input for unknown node %d (not a graph input)", other)},
+			{"wrong-element-count", with(func(r map[int]*Tensor) { r[id] = NewTensor(2, 2) }), fmt.Sprintf("funcsim: input for node %d has 4 elements", id)},
 		} {
 			t.Run(shape.name+"/"+tc.name, func(t *testing.T) {
 				out, err := p.Run(ctx, tc.req)
-				if err == nil || out != nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("Run: out=%v err=%v, want nil output and an error containing %q", out, err, tc.want)
+				if err == nil || out != nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("Run: out=%v err=%v, want nil output and the error %q", out, err, tc.want)
 				}
 				outs, err := p.RunBatch(ctx, []map[int]*Tensor{good, good, tc.req, good})
-				if err == nil || outs != nil || !strings.Contains(err.Error(), "request 2") || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("RunBatch: outs=%v err=%v, want nil outputs and request 2's error containing %q", outs, err, tc.want)
+				if err == nil || outs != nil || !strings.HasPrefix(err.Error(), "cimmlc: RunBatch: request 2: "+tc.want) {
+					t.Fatalf("RunBatch: outs=%v err=%v, want nil outputs and request 2's error %q", outs, err, tc.want)
+				}
+				if err := p.RunStage(ctx, 0, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("RunStage(0): err=%v, want the error %q", err, tc.want)
 				}
 			})
 		}

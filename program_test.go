@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"cimmlc/internal/funcsim"
 	"cimmlc/internal/tensor"
 )
 
@@ -38,7 +39,7 @@ func buildToyProgram(t testing.TB, bopts ...BuildOption) (*Compiler, *Graph, Wei
 }
 
 // sameOutputs checks every tensor in got bit-exactly against want; want may
-// carry more nodes (the deprecated Run returns all of them, Program.Run
+// carry more nodes (the reference executors return all of them, Program.Run
 // only the graph outputs).
 func sameOutputs(t *testing.T, got, want map[int]*Tensor) {
 	t.Helper()
@@ -53,24 +54,25 @@ func sameOutputs(t *testing.T, got, want map[int]*Tensor) {
 	}
 }
 
-// TestProgramMatchesOneShot pins Program.Run to the deprecated one-shot
-// path: with the program calibrated on the same inputs, both must produce
-// bit-identical tensors, and both must verify against the references.
+// quantReference runs the independent quantized reference executor under the
+// calibration buildToyProgram uses (the inputs themselves).
+func quantReference(t *testing.T, c *Compiler, g *Graph, w Weights, inputs map[int]*Tensor) map[int]*Tensor {
+	t.Helper()
+	want, err := funcsim.QuantReferenceCalib(g.Clone(), c.Arch(), w, inputs, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestProgramMatchesOneShot pins Program.Run to the quantized reference
+// executor: Verify holds it bit-exact on every node, and repeated Runs must
+// keep returning the reference's output tensors bit for bit.
 func TestProgramMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	c, g, w, inputs, p := buildToyProgram(t)
 
-	fr, err := c.Lower(ctx, g, p.Result(), CodegenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.Run(ctx, g, fr, w, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(ctx, g, fr, w, inputs, 0.05); err != nil {
-		t.Fatal(err)
-	}
+	want := quantReference(t, c, g, w, inputs)
 	if err := p.Verify(ctx, inputs, 0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -103,24 +105,16 @@ func TestProgramMatchesOneShot(t *testing.T) {
 
 // TestProgramConcurrentRuns exercises the acceptance criterion: many
 // goroutines share one Program and every output must be bit-identical to
-// the reference the deprecated Verify path checks against. Run with -race.
+// the quantized reference Verify checks against. Run with -race.
 func TestProgramConcurrentRuns(t *testing.T) {
 	ctx := context.Background()
 	c, g, w, inputs, p := buildToyProgram(t)
 
-	fr, err := c.Lower(ctx, g, p.Result(), CodegenOptions{})
-	if err != nil {
+	want := quantReference(t, c, g, w, inputs)
+	if err := p.Verify(ctx, inputs, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	// c.Verify checks flow output == quantized reference bit-exactly, so
-	// the one-shot Run output below *is* Verify's reference.
-	if err := c.Verify(ctx, g, fr, w, inputs, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.Run(ctx, g, fr, w, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	verified := p.Stats().Requests
 
 	const goroutines = 8
 	const runsEach = 4
@@ -155,8 +149,8 @@ func TestProgramConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.Requests != goroutines*runsEach {
-		t.Fatalf("requests = %d, want %d", st.Requests, goroutines*runsEach)
+	if st.Requests != verified+goroutines*runsEach {
+		t.Fatalf("requests = %d, want %d", st.Requests, verified+goroutines*runsEach)
 	}
 	if st.PoolHits+st.PoolMisses != st.Requests {
 		t.Fatalf("pool accounting %+v does not add up", st)

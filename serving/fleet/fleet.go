@@ -7,9 +7,9 @@
 //
 // Models whose crossbar footprint exceeds one chip under the
 // stationary-weights constraint (cimmlc.ErrOverCapacity) are served by
-// cross-chip pipelining instead: each replica owns a multi-chip
-// cimmlc.Pipeline whose stages execute on per-chip goroutines, so stage i of
-// request k+1 overlaps stage i+1 of request k.
+// cross-chip pipelining instead: each replica owns a Program cut across chips
+// (cimmlc.Compiler.BuildPipeline) whose stages execute on per-chip
+// goroutines, so stage i of request k+1 overlaps stage i+1 of request k.
 //
 // Replicas are built from the same deterministic source, so fleet outputs
 // are bit-identical regardless of replica count, routing or interleaving —
@@ -80,9 +80,9 @@ func (c Config) withDefaults() Config {
 // Safe for concurrent use; Close drains every replica.
 type Fleet struct {
 	cfg    Config
-	mode   string // "replicated" or "pipeline"
-	spawn  func(ctx context.Context) (runner, error)
-	inputs map[int][]int // the model's input schema, fixed at build
+	reg    *serving.Registry
+	stages int           // chips per replica, fixed by the first build
+	inputs map[int][]int // the model's input schema, fixed by the first build
 
 	mu       sync.Mutex
 	replicas []*replica
@@ -123,57 +123,50 @@ func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error)
 
 	f := &Fleet{
 		cfg:        cfg,
+		reg:        reg,
 		stop:       make(chan struct{}),
 		scalerDone: make(chan struct{}),
 	}
-
-	// Probe build decides the serving mode: a single chip when the model
-	// places, cross-chip pipelining when stationary placement overflows.
-	// Each replica runs its chip serially (WithWorkers(1)) — the fleet's
-	// parallelism is across chips, not inside one.
-	first, err := reg.BuildProgram(ctx, cfg.Model, cfg.Arch, cimmlc.WithWorkers(1))
-	switch {
-	case err == nil:
-		f.mode = "replicated"
-		f.spawn = func(ctx context.Context) (runner, error) {
-			p, err := reg.BuildProgram(ctx, cfg.Model, cfg.Arch, cimmlc.WithWorkers(1))
-			if err != nil {
-				return nil, err
-			}
-			return newBatcherRunner(p, cfg.Batcher), nil
-		}
-	case errors.Is(err, cimmlc.ErrOverCapacity):
-		f.mode = "pipeline"
-		f.spawn = func(ctx context.Context) (runner, error) {
-			pl, err := reg.BuildPipeline(ctx, cfg.Model, cfg.Arch, cfg.MaxChips, cimmlc.WithWorkers(1))
-			if err != nil {
-				return nil, err
-			}
-			return newPipeRunner(pl), nil
-		}
-	default:
-		return nil, fmt.Errorf("fleet: building %s on %s: %w", cfg.Model, cfg.Arch, err)
-	}
-
 	for i := 0; i < cfg.Replicas; i++ {
-		var rn runner
-		if i == 0 && f.mode == "replicated" {
-			rn = newBatcherRunner(first, cfg.Batcher)
-		} else {
-			rn, err = f.spawn(ctx)
-			if err != nil {
-				// The scaler has not started yet; tear down directly.
-				for _, rep := range f.replicas {
-					rep.run.close()
-				}
-				return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
+		rn, err := f.spawn(ctx)
+		if err != nil {
+			// The scaler has not started yet; tear down directly.
+			for _, rep := range f.replicas {
+				rep.run.Close()
 			}
+			return nil, fmt.Errorf("fleet: replica %d: building %s on %s: %w", i, cfg.Model, cfg.Arch, err)
 		}
 		f.addReplica(rn)
 	}
-	f.inputs = f.replicas[0].run.inputs()
 	go f.scaler()
 	return f, nil
+}
+
+// spawn builds one replica: a fresh Program on one chip when the model
+// places, cut across chips when stationary placement overflows, behind the
+// runner its chip count calls for. Each chip runs serially (WithWorkers(1)) —
+// the fleet's parallelism is across chips, not inside one. The first build
+// fixes the fleet's stage count and input schema (New runs it before the
+// scaler starts), and later ones skip a single-chip attempt known to fail.
+func (f *Fleet) spawn(ctx context.Context) (runner, error) {
+	var p *cimmlc.Program
+	err := cimmlc.ErrOverCapacity // what the first build's single-chip attempt reported, if stages > 1
+	if f.stages <= 1 {
+		p, err = f.reg.BuildProgram(ctx, f.cfg.Model, f.cfg.Arch, cimmlc.WithWorkers(1))
+	}
+	if errors.Is(err, cimmlc.ErrOverCapacity) {
+		p, err = f.reg.BuildPipeline(ctx, f.cfg.Model, f.cfg.Arch, f.cfg.MaxChips, cimmlc.WithWorkers(1))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if f.stages == 0 {
+		f.stages, f.inputs = chips(p), p.Inputs()
+	}
+	if f.stages > 1 {
+		return newStageRunner(p), nil
+	}
+	return serving.NewBatcher(p, f.cfg.Batcher), nil
 }
 
 // Factory adapts a fleet Config into a serving.RunnerFactory: every
@@ -193,7 +186,7 @@ func (f *Fleet) addReplica(rn runner) bool {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		rn.close()
+		rn.Close()
 		return false
 	}
 	rep := &replica{id: f.nextID, run: rn}
@@ -215,7 +208,7 @@ func (f *Fleet) Do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]
 		return nil, serving.ErrClosed
 	}
 	defer rep.release()
-	out, err := rep.run.do(ctx, inputs)
+	out, err := rep.run.Do(ctx, inputs)
 	if err == nil {
 		rep.served.Add(1)
 		f.requests.Add(1)
@@ -301,7 +294,7 @@ func (f *Fleet) scaleTick() {
 			continue
 		}
 		active++
-		depth += rep.run.depth()
+		depth += rep.run.Depth()
 		busy += rep.outstanding.Load()
 	}
 
@@ -348,7 +341,7 @@ func (f *Fleet) scaleTick() {
 		go func() {
 			defer f.retireWG.Done()
 			victim.inflight.Wait()
-			victim.run.close()
+			victim.run.Close()
 			f.mu.Lock()
 			for i, rep := range f.replicas {
 				if rep == victim {
@@ -378,7 +371,12 @@ func (f *Fleet) Replicas() int {
 
 // Mode reports "replicated" (single-chip replicas) or "pipeline"
 // (cross-chip pipeline replicas).
-func (f *Fleet) Mode() string { return f.mode }
+func (f *Fleet) Mode() string {
+	if f.stages > 1 {
+		return "pipeline"
+	}
+	return "replicated"
+}
 
 // Inputs reports the served model's input schema (node ID → shape). With
 // the rest of Do and Close, it makes Fleet a serving.Runner.
@@ -411,7 +409,7 @@ func (f *Fleet) Close() {
 	f.retireWG.Wait()
 	for _, rep := range reps {
 		rep.inflight.Wait()
-		rep.run.close()
+		rep.run.Close()
 	}
 }
 
@@ -443,13 +441,4 @@ func (r *replica) acquire() bool {
 func (r *replica) release() {
 	r.outstanding.Add(-1)
 	r.inflight.Done()
-}
-
-// runner is one replica's execution engine.
-type runner interface {
-	do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error)
-	depth() int
-	stages() int
-	inputs() map[int][]int
-	close()
 }

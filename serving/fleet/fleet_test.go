@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,83 +114,166 @@ func TestFleetBitIdenticalAcrossReplicaCounts(t *testing.T) {
 	}
 }
 
-// TestFleetScaleUpAndDrainDown exercises the autoscaler round trip: a
-// backlog grows the fleet toward MaxReplicas, idleness shrinks it back to
-// MinReplicas, and the retiring replicas drain — no admitted request is
-// dropped or failed at any point.
+// mlpInput returns the deterministic request i for the zoo mlp.
+func mlpInput(i int) map[int]*cimmlc.Tensor {
+	in := cimmlc.NewTensor(784)
+	in.Rand(uint64(i)+100, 1)
+	return map[int]*cimmlc.Tensor{0: in}
+}
+
+// smallChipRegistry returns a stationary-weights registry with jia-small
+// registered: the zoo mlp overflows it, forcing the pipeline path.
+func smallChipRegistry(t *testing.T) *serving.Registry {
+	t.Helper()
+	reg := serving.NewRegistry(serving.WithStationaryWeights())
+	if err := reg.RegisterArch(smallArch(t)); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestFleetScaleUpAndDrainDown exercises the autoscaler round trip in both
+// fleet modes: a backlog grows the fleet toward MaxReplicas, idleness shrinks
+// it back to MinReplicas, and the retiring replicas drain — no admitted
+// request is dropped or failed at any point. The pipeline row is the
+// regression test for a depth signal that could not exceed the stage-0
+// channel's capacity of one, so pipeline fleets never scaled up.
 func TestFleetScaleUpAndDrainDown(t *testing.T) {
 	ctx := context.Background()
-	reg := serving.NewRegistry()
-	f, err := New(ctx, reg, Config{
-		Model: "conv-relu", Arch: "toy-table2",
-		Replicas: 1, MinReplicas: 1, MaxReplicas: 3,
-		ScaleInterval:      2 * time.Millisecond,
-		ScaleUpDepth:       1,
-		ScaleDownIdleTicks: 3,
-		Batcher:            serving.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// Sustained load from looping submitters until the autoscaler observes
-	// the backlog; every request must succeed while the fleet scales
-	// underneath them.
-	var (
-		stopLoad = make(chan struct{})
-		loadWG   sync.WaitGroup
-	)
-	for i := 0; i < 16; i++ {
-		loadWG.Add(1)
-		go func(i int) {
-			defer loadWG.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stopLoad:
-					return
-				default:
-				}
-				if _, err := f.Do(ctx, fleetInput(i*1000+j)); err != nil {
-					t.Errorf("load request %d/%d: %v", i, j, err)
-					return
-				}
+	for _, tc := range []struct {
+		mode, model, arch string
+		reg               func(t *testing.T) *serving.Registry
+		input             func(i int) map[int]*cimmlc.Tensor
+	}{
+		{"replicated", "conv-relu", "toy-table2", func(*testing.T) *serving.Registry { return serving.NewRegistry() }, fleetInput},
+		{"pipeline", "mlp", "jia-small", smallChipRegistry, mlpInput},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			reg := tc.reg(t)
+			f, err := New(ctx, reg, Config{
+				Model: tc.model, Arch: tc.arch,
+				Replicas: 1, MinReplicas: 1, MaxReplicas: 3,
+				ScaleInterval:      2 * time.Millisecond,
+				ScaleUpDepth:       1,
+				ScaleDownIdleTicks: 3,
+				Batcher:            serving.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(i)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for f.State().ScaleUps == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(stopLoad)
-	loadWG.Wait()
-	if grown := f.State(); grown.ScaleUps == 0 {
-		t.Fatalf("no scale-up under sustained backlog: %+v", grown)
-	}
+			defer f.Close()
+			if f.Mode() != tc.mode {
+				t.Fatalf("fleet mode = %s, want %s", f.Mode(), tc.mode)
+			}
 
-	// Idle long enough for the autoscaler to retire the extras, then verify
-	// the fleet still serves correctly at MinReplicas.
-	deadline = time.Now().Add(10 * time.Second)
-	for f.Replicas() > 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+			// Sustained load from looping submitters until the autoscaler
+			// observes the backlog; every request must succeed while the
+			// fleet scales underneath them.
+			var (
+				stopLoad = make(chan struct{})
+				loadWG   sync.WaitGroup
+			)
+			for i := 0; i < 16; i++ {
+				loadWG.Add(1)
+				go func(i int) {
+					defer loadWG.Done()
+					for j := 0; ; j++ {
+						select {
+						case <-stopLoad:
+							return
+						default:
+						}
+						if _, err := f.Do(ctx, tc.input(i*1000+j)); err != nil {
+							t.Errorf("load request %d/%d: %v", i, j, err)
+							return
+						}
+					}
+				}(i)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for f.State().ScaleUps == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			close(stopLoad)
+			loadWG.Wait()
+			if grown := f.State(); grown.ScaleUps == 0 {
+				t.Fatalf("no scale-up under sustained backlog: %+v", grown)
+			}
+
+			// Idle long enough for the autoscaler to retire the extras, then
+			// verify the fleet still serves correctly at MinReplicas.
+			deadline = time.Now().Add(10 * time.Second)
+			for f.Replicas() > 1 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := f.Replicas(); got != 1 {
+				t.Fatalf("fleet did not drain down: %d replicas, want 1 (state %+v)", got, f.State())
+			}
+			if st := f.State(); st.ScaleDowns == 0 {
+				t.Fatalf("no scale-down recorded: %+v", st)
+			}
+			outs := doAll(t, f, 4, tc.input)
+			p, err := reg.BuildPipeline(ctx, tc.model, tc.arch, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range outs {
+				want, err := p.Run(ctx, tc.input(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("post-drain request %d", i), outs[i], want)
+			}
+		})
 	}
-	if got := f.Replicas(); got != 1 {
-		t.Fatalf("fleet did not drain down: %d replicas, want 1 (state %+v)", got, f.State())
-	}
-	if st := f.State(); st.ScaleDowns == 0 {
-		t.Fatalf("no scale-down recorded: %+v", st)
-	}
-	outs := doAll(t, f, 4, fleetInput)
-	p, err := reg.Get(ctx, "conv-relu", "toy-table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outs {
-		want, err := p.Run(ctx, fleetInput(i))
+}
+
+// TestFleetMalformedRequests holds both fleet modes to the request contract
+// of Program.Run: a malformed request draws the error a directly built
+// Program returns for it, naming global node IDs — the pipeline path used to
+// skip the check and run whatever it was given.
+func TestFleetMalformedRequests(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		mode, model, arch string
+		reg               func(t *testing.T) *serving.Registry
+		input             func(i int) map[int]*cimmlc.Tensor
+	}{
+		{"replicated", "conv-relu", "toy-table2", func(*testing.T) *serving.Registry { return serving.NewRegistry() }, fleetInput},
+		{"pipeline", "mlp", "jia-small", smallChipRegistry, mlpInput},
+	} {
+		reg := tc.reg(t)
+		p, err := reg.BuildPipeline(ctx, tc.model, tc.arch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, fmt.Sprintf("post-drain request %d", i), outs[i], want)
+		f, err := New(ctx, reg, Config{Model: tc.model, Arch: tc.arch, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if f.Mode() != tc.mode {
+			t.Fatalf("fleet mode = %s, want %s", f.Mode(), tc.mode)
+		}
+		for name, edit := range map[string]func(req map[int]*cimmlc.Tensor){
+			"missing":             func(r map[int]*cimmlc.Tensor) { delete(r, 0) },
+			"nil":                 func(r map[int]*cimmlc.Tensor) { r[0] = nil },
+			"unknown-node":        func(r map[int]*cimmlc.Tensor) { r[2] = r[0] },
+			"wrong-element-count": func(r map[int]*cimmlc.Tensor) { r[0] = cimmlc.NewTensor(2, 2) },
+		} {
+			t.Run(tc.mode+"/"+name, func(t *testing.T) {
+				req := tc.input(1)
+				edit(req)
+				_, want := p.Run(ctx, req)
+				if want == nil {
+					t.Fatal("Program.Run accepted the malformed request")
+				}
+				out, err := f.Do(ctx, req)
+				if out != nil || err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+					t.Fatalf("fleet.Do: out=%v err=%v, want Program.Run's error %q", out, err, want)
+				}
+			})
+		}
 	}
 }
 
@@ -209,14 +293,11 @@ func smallArch(t *testing.T) *cimmlc.Arch {
 // TestFleetPipelineServesOverCapacityModel is the cross-chip acceptance
 // path end to end: under stationary weights the mlp fails single-chip
 // placement, the fleet transparently builds pipeline replicas, and serves
-// with outputs bit-identical to a directly built Pipeline — regardless of
-// replica count and request interleaving.
+// with outputs bit-identical to a directly built multi-chip Program —
+// regardless of replica count and request interleaving.
 func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 	ctx := context.Background()
-	reg := serving.NewRegistry(serving.WithStationaryWeights())
-	if err := reg.RegisterArch(smallArch(t)); err != nil {
-		t.Fatal(err)
-	}
+	reg := smallChipRegistry(t)
 
 	// Single-chip placement must genuinely fail first.
 	if _, err := reg.BuildProgram(ctx, "mlp", "jia-small"); err == nil {
@@ -231,11 +312,7 @@ func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 		t.Fatalf("reference pipeline has %d stages, want ≥ 2", pl.Stages())
 	}
 	const n = 8
-	input := func(i int) map[int]*cimmlc.Tensor {
-		in := cimmlc.NewTensor(784)
-		in.Rand(uint64(i)+100, 1)
-		return map[int]*cimmlc.Tensor{0: in}
-	}
+	input := mlpInput
 	want := make([]map[int]*cimmlc.Tensor, n)
 	for i := range want {
 		if want[i], err = pl.Run(ctx, input(i)); err != nil {

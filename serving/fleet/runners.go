@@ -2,54 +2,61 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cimmlc"
 	"cimmlc/serving"
 )
 
-// batcherRunner is the single-chip replica: one Program behind one dynamic
-// micro-batching queue.
-type batcherRunner struct {
-	b *serving.Batcher
+// runner is one replica's execution engine: a *serving.Batcher in front of a
+// program that occupies one chip, a *stageRunner around one cut across
+// several.
+type runner interface {
+	Do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error)
+	// Depth reports the requests admitted but not yet executing.
+	Depth() int
+	Close()
 }
 
-func newBatcherRunner(p *cimmlc.Program, cfg serving.BatcherConfig) *batcherRunner {
-	return &batcherRunner{b: serving.NewBatcher(p, cfg)}
+// chips reports how many chips p occupies: its stage count when the plan was
+// cut on the chip link, one otherwise (a host-cut plan's CIM stages share a
+// chip).
+func chips(p *cimmlc.Program) int {
+	if ps := p.Stats().Partition; ps != nil && ps.Link == "chip" {
+		return p.Stages()
+	}
+	return 1
 }
 
-func (r *batcherRunner) do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
-	return r.b.Do(ctx, inputs)
-}
-
-func (r *batcherRunner) depth() int            { return r.b.Depth() }
-func (r *batcherRunner) stages() int           { return 1 }
-func (r *batcherRunner) inputs() map[int][]int { return r.b.Inputs() }
-func (r *batcherRunner) close()                { r.b.Close() }
-
-// pipeJob is one request flowing through a pipeline replica's stages. env
-// accumulates boundary activations keyed by global node ID; exactly one
-// stage worker touches a job at a time, so no locking is needed.
-type pipeJob struct {
+// stageJob is one request flowing through a stageRunner. env accumulates
+// boundary activations keyed by global node ID; exactly one stage worker
+// touches a job at a time, so no locking is needed.
+type stageJob struct {
 	ctx   context.Context
 	env   map[int]*cimmlc.Tensor
-	reply chan pipeRes
+	reply chan stageRes
 }
 
-type pipeRes struct {
+type stageRes struct {
 	outs map[int]*cimmlc.Tensor
 	err  error
 }
 
-// pipeRunner is the cross-chip replica: one cimmlc.Pipeline with a worker
+// stageRunner is the cross-chip replica: one multi-chip Program with a worker
 // goroutine per stage (per chip), connected by channels. Each chip processes
 // one request at a time, so k requests in flight occupy k consecutive
 // stages — stage i of request k+1 overlaps stage i+1 of request k, the
 // inter-request pipelining that hides all but the slowest stage's latency.
-type pipeRunner struct {
-	pl    *cimmlc.Pipeline
-	heads []chan *pipeJob // heads[i] feeds stage i
+type stageRunner struct {
+	p     *cimmlc.Program
+	outs  []int
+	heads []chan *stageJob // heads[i] feeds stage i
+
+	// queued counts the jobs admitted but not yet picked up by stage 0 —
+	// including callers still blocked handing theirs over, which the head
+	// channel's own length cannot show.
+	queued atomic.Int64
 
 	mu       sync.Mutex
 	closed   bool
@@ -57,13 +64,12 @@ type pipeRunner struct {
 	wg       sync.WaitGroup // stage workers
 }
 
-func newPipeRunner(pl *cimmlc.Pipeline) *pipeRunner {
-	n := pl.Stages()
-	r := &pipeRunner{pl: pl, heads: make([]chan *pipeJob, n)}
+func newStageRunner(p *cimmlc.Program) *stageRunner {
+	r := &stageRunner{p: p, outs: p.Outputs(), heads: make([]chan *stageJob, p.Stages())}
 	for i := range r.heads {
-		r.heads[i] = make(chan *pipeJob, 1)
+		r.heads[i] = make(chan *stageJob, 1)
 	}
-	for i := 0; i < n; i++ {
+	for i := range r.heads {
 		r.wg.Add(1)
 		go r.stageWorker(i)
 	}
@@ -71,65 +77,52 @@ func newPipeRunner(pl *cimmlc.Pipeline) *pipeRunner {
 }
 
 // stageWorker drives one chip: it pulls jobs from its head channel, runs its
-// stage, merges the exports into the job's environment, and hands the job to
-// the next chip (or answers the caller after the last stage). A job whose
-// context is already done, or that carries an upstream error, skips the
-// stage and propagates.
-func (r *pipeRunner) stageWorker(i int) {
+// stage — which publishes the stage's exports into the job's environment —
+// and hands the job to the next chip, or answers the caller after the last
+// stage. A job whose context is already done skips the stage and fails.
+func (r *stageRunner) stageWorker(i int) {
 	defer r.wg.Done()
 	last := i == len(r.heads)-1
 	for job := range r.heads[i] {
-		if err := job.ctx.Err(); err != nil {
-			r.finish(job, pipeRes{err: err})
-			continue
+		if i == 0 {
+			r.queued.Add(-1)
 		}
-		exports, err := r.pl.RunStage(job.ctx, i, job.env)
-		if err != nil {
-			r.finish(job, pipeRes{err: err})
-			continue
+		err := job.ctx.Err()
+		if err == nil {
+			err = r.p.RunStage(job.ctx, i, job.env)
 		}
-		for gid, t := range exports {
-			job.env[gid] = t
+		switch {
+		case err != nil:
+			r.finish(job, stageRes{err: err})
+		case last:
+			outs := make(map[int]*cimmlc.Tensor, len(r.outs))
+			for _, id := range r.outs {
+				outs[id] = job.env[id]
+			}
+			r.finish(job, stageRes{outs: outs})
+		default:
+			r.heads[i+1] <- job
 		}
-		if last {
-			r.finish(job, collectOutputs(job.env, r.pl.Outputs()))
-			continue
-		}
-		r.heads[i+1] <- job
 	}
 	if !last {
 		close(r.heads[i+1])
 	}
 }
 
-// collectOutputs projects a finished job's environment onto the graph's
-// output nodes.
-func collectOutputs(env map[int]*cimmlc.Tensor, ids []int) pipeRes {
-	outs := make(map[int]*cimmlc.Tensor, len(ids))
-	for _, id := range ids {
-		t, ok := env[id]
-		if !ok {
-			return pipeRes{err: fmt.Errorf("fleet: pipeline output node %d was never computed", id)}
-		}
-		outs[id] = t
-	}
-	return pipeRes{outs: outs}
-}
-
 // finish answers a job's caller and retires it from the in-flight count. The
 // reply channel is buffered, so a caller that gave up on its context never
 // blocks the stage worker.
-func (r *pipeRunner) finish(job *pipeJob, res pipeRes) {
+func (r *stageRunner) finish(job *stageJob, res stageRes) {
 	job.reply <- res
 	r.inflight.Done()
 }
 
-func (r *pipeRunner) do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
+func (r *stageRunner) Do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
 	env := make(map[int]*cimmlc.Tensor, len(inputs))
 	for id, t := range inputs {
 		env[id] = t
 	}
-	job := &pipeJob{ctx: ctx, env: env, reply: make(chan pipeRes, 1)}
+	job := &stageJob{ctx: ctx, env: env, reply: make(chan stageRes, 1)}
 
 	r.mu.Lock()
 	if r.closed {
@@ -139,9 +132,11 @@ func (r *pipeRunner) do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map
 	r.inflight.Add(1)
 	r.mu.Unlock()
 
+	r.queued.Add(1)
 	select {
 	case r.heads[0] <- job:
 	case <-ctx.Done():
+		r.queued.Add(-1)
 		r.inflight.Done()
 		return nil, ctx.Err()
 	}
@@ -154,13 +149,11 @@ func (r *pipeRunner) do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map
 	}
 }
 
-func (r *pipeRunner) depth() int            { return len(r.heads[0]) }
-func (r *pipeRunner) stages() int           { return len(r.heads) }
-func (r *pipeRunner) inputs() map[int][]int { return r.pl.Inputs() }
+func (r *stageRunner) Depth() int { return int(r.queued.Load()) }
 
-// close drains in-flight jobs, then shuts the stage workers down. It is
-// idempotent; do after close returns serving.ErrClosed.
-func (r *pipeRunner) close() {
+// Close drains in-flight jobs, then shuts the stage workers down. It is
+// idempotent; Do after Close returns serving.ErrClosed.
+func (r *stageRunner) Close() {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -34,8 +34,8 @@ func (f *Fleet) State() State {
 	st := State{
 		Model:       f.cfg.Model,
 		Arch:        f.cfg.Arch,
-		Mode:        f.mode,
-		Stages:      1,
+		Mode:        f.Mode(),
+		Stages:      f.stages,
 		MinReplicas: f.cfg.MinReplicas,
 		MaxReplicas: f.cfg.MaxReplicas,
 		Requests:    f.requests.Load(),
@@ -44,13 +44,10 @@ func (f *Fleet) State() State {
 	}
 	f.mu.Lock()
 	for _, rep := range f.replicas {
-		if st.Stages < rep.run.stages() {
-			st.Stages = rep.run.stages()
-		}
 		st.Replicas = append(st.Replicas, ReplicaState{
 			ID:          rep.id,
 			Outstanding: rep.outstanding.Load(),
-			QueueDepth:  rep.run.depth(),
+			QueueDepth:  rep.run.Depth(),
 			Draining:    rep.draining,
 			Served:      rep.served.Load(),
 		})

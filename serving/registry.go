@@ -239,7 +239,7 @@ func (r *Registry) Get(ctx context.Context, model, archName string) (*cimmlc.Pro
 		e = &progEntry{done: make(chan struct{})}
 		r.programs[key] = e
 		go func() {
-			e.p, e.err = r.build(context.WithoutCancel(ctx), model, archName)
+			e.p, e.err = r.BuildProgram(context.WithoutCancel(ctx), model, archName)
 			if e.err != nil {
 				// Drop the failed entry so the next Get retries; waiters
 				// already holding e still see e.err.
@@ -262,7 +262,10 @@ func (r *Registry) Get(ctx context.Context, model, archName string) (*cimmlc.Pro
 	}
 }
 
-func (r *Registry) build(ctx context.Context, model, archName string) (*cimmlc.Program, error) {
+// buildWith resolves (model, arch) and runs one counted build on the arch's
+// compiler, with extra build options appended to the registry-wide ones.
+func (r *Registry) buildWith(model, archName string, extra []cimmlc.BuildOption,
+	build func(c *cimmlc.Compiler, g *cimmlc.Graph, w cimmlc.Weights, opts []cimmlc.BuildOption) (*cimmlc.Program, error)) (*cimmlc.Program, error) {
 	c, err := r.compiler(archName)
 	if err != nil {
 		return nil, err
@@ -272,7 +275,7 @@ func (r *Registry) build(ctx context.Context, model, archName string) (*cimmlc.P
 		return nil, err
 	}
 	r.builds.Add(1)
-	return c.Build(ctx, g, w, cimmlc.CodegenOptions{}, r.buildOpts...)
+	return build(c, g, w, append(append([]cimmlc.BuildOption{}, r.buildOpts...), extra...))
 }
 
 // BuildProgram builds a fresh, uncached Program for (model, arch) — one
@@ -282,41 +285,18 @@ func (r *Registry) build(ctx context.Context, model, archName string) (*cimmlc.P
 // deterministic model source makes the replicas bit-identical. extra build
 // options append to the registry-wide ones.
 func (r *Registry) BuildProgram(ctx context.Context, model, archName string, extra ...cimmlc.BuildOption) (*cimmlc.Program, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c, err := r.compiler(archName)
-	if err != nil {
-		return nil, err
-	}
-	g, w, err := r.source(model)
-	if err != nil {
-		return nil, err
-	}
-	r.builds.Add(1)
-	opts := append(append([]cimmlc.BuildOption{}, r.buildOpts...), extra...)
-	return c.Build(ctx, g, w, cimmlc.CodegenOptions{}, opts...)
+	return r.buildWith(model, archName, extra, func(c *cimmlc.Compiler, g *cimmlc.Graph, w cimmlc.Weights, opts []cimmlc.BuildOption) (*cimmlc.Program, error) {
+		return c.Build(ctx, g, w, cimmlc.CodegenOptions{}, opts...)
+	})
 }
 
-// BuildPipeline builds a fresh multi-chip Pipeline for (model, arch) — the
-// fleet path for models whose crossbar footprint exceeds one chip. maxChips
-// bounds the chip count when positive. Like BuildProgram, every call builds
-// its own Pipeline so each replica owns its chips.
-func (r *Registry) BuildPipeline(ctx context.Context, model, archName string, maxChips int, extra ...cimmlc.BuildOption) (*cimmlc.Pipeline, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c, err := r.compiler(archName)
-	if err != nil {
-		return nil, err
-	}
-	g, w, err := r.source(model)
-	if err != nil {
-		return nil, err
-	}
-	r.builds.Add(1)
-	opts := append(append([]cimmlc.BuildOption{}, r.buildOpts...), extra...)
-	return c.BuildPipeline(ctx, g, w, cimmlc.CodegenOptions{}, maxChips, opts...)
+// BuildPipeline is BuildProgram across chips (cimmlc.Compiler.BuildPipeline)
+// — the fleet path for models whose crossbar footprint exceeds one chip.
+// maxChips bounds the chip count when positive.
+func (r *Registry) BuildPipeline(ctx context.Context, model, archName string, maxChips int, extra ...cimmlc.BuildOption) (*cimmlc.Program, error) {
+	return r.buildWith(model, archName, extra, func(c *cimmlc.Compiler, g *cimmlc.Graph, w cimmlc.Weights, opts []cimmlc.BuildOption) (*cimmlc.Program, error) {
+		return c.BuildPipeline(ctx, g, w, cimmlc.CodegenOptions{}, maxChips, opts...)
+	})
 }
 
 // ProgramInfo describes one resident Program for introspection endpoints.
