@@ -17,8 +17,8 @@ func allLevels() []cimmlc.Mode { return []cimmlc.Mode{cimmlc.CM, cimmlc.XBM, cim
 func execModels() []string { return []string{"conv-relu", "mlp", "lenet5"} }
 
 // tuneBudget bounds the autotune property family's search: small enough to
-// keep the matrix fast, large enough to find real improvements (the -tune
-// sweep uses the tuner's own defaults instead).
+// keep the matrix fast, large enough to find real improvements (see
+// checkTuneImprovement).
 func tuneBudget() cimmlc.Budget {
 	return cimmlc.Budget{MaxCandidates: 32, Beam: 2, MaxRounds: 6}
 }

@@ -26,10 +26,11 @@
 //  4. Autotune properties — recompiling the cell with WithAutoTune must
 //     never exceed the heuristic latency, must be bit-deterministic across
 //     independent tuned compilations, and (for executed cells) must
-//     reproduce the untuned output bits exactly.
+//     reproduce the untuned output bits exactly; across the matrix the
+//     tuner must strictly improve some cells.
 //
 // The harness runs as `go test ./internal/conformance` (short matrix under
-// -short, full zoo otherwise) and as `cimbench -conform` for CI artifacts.
+// -short, full zoo otherwise).
 package conformance
 
 import (
@@ -175,6 +176,9 @@ type CellResult struct {
 	// (reported, never golden-compared — the digest tracks the unoptimized
 	// flow).
 	FlowOpt *cimmlc.FlowOptStats `json:"flowopt,omitempty"`
+	// tuneImproved is set when the tuned schedule is strictly faster than
+	// the heuristic one (see checkTuneImprovement).
+	tuneImproved bool
 }
 
 // Result is the full matrix outcome. Violations collects every failed
@@ -253,6 +257,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	checkCrossCell(results, cfg, violations)
 	checkFlowOptReduction(results, violations)
+	checkTuneImprovement(results, violations)
 	if cfg.ScaleCheck {
 		runScaleChecks(ctx, cfg, results, violations)
 	}
@@ -380,7 +385,7 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 	// bits (skipped for cells whose battery aborted — no reference hash).
 	if out.Err == "" && tuneCell(cell, cfg) {
 		out.TuneChecked = true
-		runTuneFamily(ctx, cell, cfg, g, a, out.Digest.scalarOnly(), out.Digest.OutputHash, vs)
+		out.tuneImproved = runTuneFamily(ctx, cell, cfg, g, a, out.Digest.scalarOnly(), out.Digest.OutputHash, vs)
 	}
 	return out
 }
@@ -472,6 +477,26 @@ func checkFlowOptReduction(results []CellResult, vs *violationSet) {
 	}
 	if exec > 0 && reduced < want {
 		vs.addf("flowopt: only %d of %d executed cells reduced MOPs or buffer words (want >= %d)", reduced, exec, want)
+	}
+}
+
+// checkTuneImprovement is the autotuner's matching floor: never-worse per
+// cell (runTuneFamily) would pass a tuner that finds nothing, so across the
+// tune-checked cells the tuned cycles must be strictly below the heuristic
+// digest on at least five cells (or on every one when fewer were checked).
+func checkTuneImprovement(results []CellResult, vs *violationSet) {
+	checked, improved := 0, 0
+	for _, r := range results {
+		if !r.TuneChecked {
+			continue
+		}
+		checked++
+		if r.tuneImproved {
+			improved++
+		}
+	}
+	if want := min(5, checked); improved < want {
+		vs.addf("autotune: only %d of %d tune-checked cells beat the heuristic schedule (want >= %d)", improved, checked, want)
 	}
 }
 

@@ -1,34 +1,10 @@
 package conformance
 
 import (
-	_ "embed"
 	"encoding/json"
 	"fmt"
 	"os"
 )
-
-// The committed golden digests are embedded so `cimbench -conform` checks
-// the same snapshots as `go test ./internal/conformance` without needing
-// the source tree at runtime.
-//
-//go:embed testdata/golden.json
-var goldenJSON []byte
-
-// DefaultGolden returns the committed golden digest matrix.
-func DefaultGolden() (map[string]Digest, error) {
-	return decodeGolden(goldenJSON)
-}
-
-func decodeGolden(data []byte) (map[string]Digest, error) {
-	out := map[string]Digest{}
-	if len(data) == 0 {
-		return out, nil
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("conformance: golden file: %w", err)
-	}
-	return out, nil
-}
 
 // LoadGolden reads a golden file from disk; a missing file is an empty
 // matrix (the -update bootstrap case).
@@ -40,7 +16,14 @@ func LoadGolden(path string) (map[string]Digest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeGolden(data)
+	out := map[string]Digest{}
+	if len(data) == 0 {
+		return out, nil
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, fmt.Errorf("conformance: golden file: %w", err)
+	}
+	return out, nil
 }
 
 // SaveGolden writes the digests as stable, human-diffable JSON (keys

@@ -118,6 +118,27 @@ func TestGoldenDiffReadable(t *testing.T) {
 	}
 }
 
+// TestTuneImprovementFloor pins the matrix-level autotune floor: per-cell
+// never-worse alone would pass a tuner that never finds anything.
+func TestTuneImprovementFloor(t *testing.T) {
+	cells := make([]CellResult, 8)
+	for i := range cells {
+		cells[i] = CellResult{TuneChecked: true, tuneImproved: i < 4}
+	}
+	vs := newViolationSet()
+	checkTuneImprovement(cells, vs)
+	if out := strings.Join(vs.sorted(), "\n"); !strings.Contains(out, "only 4 of 8") {
+		t.Errorf("4 improved cells of 8 should trip the floor of 5, got %q", out)
+	}
+	cells[4].tuneImproved = true
+	vs = newViolationSet()
+	checkTuneImprovement(cells[:5], vs)
+	checkTuneImprovement(nil, vs) // no tune-checked cells (RaceConfig): nothing to demand
+	if out := vs.sorted(); len(out) != 0 {
+		t.Errorf("floor met, got violations %q", out)
+	}
+}
+
 // TestGoldenRoundTrip checks save/load/merge stability of the golden file
 // format.
 func TestGoldenRoundTrip(t *testing.T) {

@@ -50,8 +50,7 @@ func DefaultMixedConfig() MixedConfig {
 }
 
 // MixedCellResult records one mixed cell's outcome, including the partition
-// shape and the modelled latency decomposition (the CI transfer-cost
-// artifact `cimbench -partition -json` emits).
+// shape and the modelled latency decomposition.
 type MixedCellResult struct {
 	Cell      Cell                   `json:"cell"`
 	Err       string                 `json:"err,omitempty"`
@@ -196,7 +195,7 @@ func runMixedCell(ctx context.Context, cell Cell, cfg MixedConfig, vs *violation
 		vs.addf("%s: mixed model built without a partition", key)
 	case st.Partition.HostNodes == 0 || st.Partition.CIMNodes == 0:
 		vs.addf("%s: partition is single-target (%d host, %d cim nodes)", key, st.Partition.HostNodes, st.Partition.CIMNodes)
-	case st.Partition.Transfers == 0 || st.Partition.TransferElems == 0:
+	case st.Partition.Transfers == 0 || st.Partition.TransferElems == 0 || st.Partition.TransferCycles <= 0:
 		vs.addf("%s: partition has no costed transfers", key)
 	case st.Partition.CIMCycles+st.Partition.HostCycles+st.Partition.TransferCycles != rep.Cycles:
 		vs.addf("%s: latency decomposition %v+%v+%v does not sum to report cycles %v", key,

@@ -21,8 +21,9 @@ import (
 //     numbers.
 //
 // heuristic is the cell's untuned digest; baseHash the untuned exec-battery
-// output hash ("" for compile-only cells).
-func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, a *cimmlc.Arch, heuristic Digest, baseHash string, vs *violationSet) {
+// output hash ("" for compile-only cells). It reports whether the tuned
+// schedule is strictly faster than the heuristic one.
+func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, a *cimmlc.Arch, heuristic Digest, baseHash string, vs *violationSet) (improved bool) {
 	key := cell.Key()
 
 	tuned1, fp1, err := compileTuned(ctx, g, a, cfg.TuneBudget)
@@ -30,6 +31,7 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 		vs.addf("%s: tuned compile: %v", key, err)
 		return
 	}
+	improved = tuned1.Cycles < heuristic.Cycles
 	if tuned1.Cycles > heuristic.Cycles {
 		vs.addf("%s: tuned latency %v exceeds heuristic latency %v (never-worse guarantee broken)",
 			key, tuned1.Cycles, heuristic.Cycles)
@@ -79,6 +81,7 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 	if h := hashOutputs(outs); h != baseHash {
 		vs.addf("%s: tuned outputs hash %s differ from untuned %s (tuning must never change the arithmetic)", key, h, baseHash)
 	}
+	return improved
 }
 
 // compileTuned compiles g on a fresh autotuning compiler and returns the

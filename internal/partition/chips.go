@@ -95,28 +95,3 @@ func ChipStages(g *graph.Graph, a *arch.Arch, maxChips int) (*Plan, error) {
 	}
 	return assemble(gc, runs, perfsim.ChipLink)
 }
-
-// FitsChip reports whether g's whole crossbar footprint fits one chip under
-// the stationary-weights constraint — one resident copy of every CIM
-// operator, no multi-round operators. It is the cheap pre-check serving
-// fleets use to route models between single-chip replicas and cross-chip
-// pipelines, and mirrors cg's single-segment condition exactly.
-func FitsChip(g *graph.Graph, a *arch.Arch) (bool, error) {
-	gc := g.Clone()
-	if err := gc.InferShapes(); err != nil {
-		return false, fmt.Errorf("partition: %w", err)
-	}
-	fps, err := mapping.Footprints(gc, a)
-	if err != nil {
-		return false, fmt.Errorf("partition: FitsChip: %w", err)
-	}
-	total := 0
-	//cimlint:ignore maprange -- summing ints and an existence check are order-insensitive
-	for _, f := range fps {
-		if f.Rounds(a) > 1 {
-			return false, nil
-		}
-		total += f.CoresPerCopy
-	}
-	return total <= a.Chip.CoreCount(), nil
-}

@@ -219,8 +219,9 @@ func (b *Batcher) loop() {
 		if len(pending) == 0 {
 			return
 		}
-		trigger.Add(1)
-		b.runBatch(pending)
+		if b.runBatch(pending) {
+			trigger.Add(1)
+		}
 		pending = nil
 	}
 
@@ -283,8 +284,10 @@ func (b *Batcher) loop() {
 // runBatch executes one flushed batch. Requests whose context is already
 // done are answered without running; the rest go through RunBatch, falling
 // back to per-request Runs when the batch fails as a whole so errors stay
-// isolated to the request that caused them.
-func (b *Batcher) runBatch(reqs []*batchReq) {
+// isolated to the request that caused them. It reports whether a batch ran
+// (false when every request was already cancelled), so the trigger counters
+// keep splitting Batches.
+func (b *Batcher) runBatch(reqs []*batchReq) bool {
 	live := reqs[:0]
 	for _, r := range reqs {
 		if err := r.ctx.Err(); err != nil {
@@ -294,7 +297,7 @@ func (b *Batcher) runBatch(reqs []*batchReq) {
 		live = append(live, r)
 	}
 	if len(live) == 0 {
-		return
+		return false
 	}
 	b.batches.Add(1)
 	b.requests.Add(uint64(len(live)))
@@ -310,7 +313,7 @@ func (b *Batcher) runBatch(reqs []*batchReq) {
 		for i, r := range live {
 			r.reply <- batchRes{outs: outs[i]}
 		}
-		return
+		return true
 	}
 	// Per-request error isolation: re-run individually so only the
 	// offending request observes its error. The re-runs detach onto their
@@ -326,4 +329,5 @@ func (b *Batcher) runBatch(reqs []*batchReq) {
 			r.reply <- batchRes{outs: o, err: rerr}
 		}
 	}()
+	return true
 }

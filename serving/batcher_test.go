@@ -244,10 +244,29 @@ func TestBatcherCancelledRequestSkipped(t *testing.T) {
 	p := testProgram(t)
 	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000, MaxDelay: 20 * time.Millisecond})
 	defer b.Close()
+	// One live request first, so the counters below are not all zero.
+	if _, err := b.Do(context.Background(), testInput(0)); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Do(ctx, testInput(1)); err != context.Canceled {
-		t.Fatalf("Do with cancelled ctx = %v, want context.Canceled", err)
+	// A pre-cancelled Do still lands in the queue about half the time
+	// (select picks between the buffered submit and ctx.Done() at random),
+	// so some of these reach a flush whose every request is cancelled.
+	for i := 0; i < 16; i++ {
+		if _, err := b.Do(ctx, testInput(1)); err != context.Canceled {
+			t.Fatalf("Do with cancelled ctx = %v, want context.Canceled", err)
+		}
+	}
+	b.Close()
+	st := b.Stats()
+	if st.Batches != 1 || st.Requests != 1 {
+		t.Fatalf("cancelled requests must not execute: %+v", st)
+	}
+	// A flush that ran no batch is not a flush: the trigger counters split
+	// Batches.
+	if sum := st.SizeFlushes + st.DeadlineFlushes + st.IdleFlushes + st.DrainFlushes; sum != st.Batches {
+		t.Fatalf("trigger counters sum to %d, want Batches = %d: %+v", sum, st.Batches, st)
 	}
 }
 

@@ -137,10 +137,15 @@ func (s *Server) handle(ctx context.Context, model, arch string) (*progHandle, e
 		go run.Close()
 		return nil, ErrClosed
 	}
-	if old, ok := s.handles[key]; ok && old.ver >= ver {
-		// Lost a build race to an equally fresh handle; keep theirs.
-		go run.Close()
-		return old, nil
+	if old, ok := s.handles[key]; ok {
+		if old.ver >= ver {
+			// Lost a build race to an equally fresh handle; keep theirs.
+			go run.Close()
+			return old, nil
+		}
+		// A build that began before the arch was re-registered got in
+		// first: drain it off to the side like any stale handle.
+		go old.run.Close()
 	}
 	h = &progHandle{run: run, schema: run.Inputs(), ver: ver}
 	s.handles[key] = h

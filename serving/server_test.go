@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,5 +302,96 @@ func TestServerDrain(t *testing.T) {
 	run, _ := postJSON(t, ts.URL+"/v1/run", RunRequest{Model: "conv-relu", Arch: "toy-table2", Seed: 2})
 	if run.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("run while draining = %d, want 503", run.StatusCode)
+	}
+}
+
+// closeRecorder is a Runner that only records Close; a second Close panics.
+type closeRecorder struct{ closed chan struct{} }
+
+func (r *closeRecorder) Do(context.Context, map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
+	return nil, nil
+}
+func (r *closeRecorder) Inputs() map[int][]int { return nil }
+func (r *closeRecorder) Close()                { close(r.closed) }
+
+// TestServerBuildRaceClosesEveryRunner races a runner build that began
+// before an arch re-registration against one that began after it, in both
+// insertion orders: the fresh runner must end up resident, and after
+// Server.Close every runner ever built must be closed — none orphaned with
+// its goroutines still running.
+func TestServerBuildRaceClosesEveryRunner(t *testing.T) {
+	for _, staleFirst := range []bool{true, false} {
+		a, err := cimmlc.Preset("toy-table2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Name = "race-arch"
+		reg := NewRegistry()
+		if err := reg.RegisterArch(a); err != nil {
+			t.Fatal(err)
+		}
+		// Each build announces itself with a gate and blocks on it.
+		gates := make(chan chan struct{})
+		var mu sync.Mutex
+		var built []*closeRecorder
+		s := NewServer(reg, ServerConfig{Runner: func(context.Context, *Registry, string, string) (Runner, error) {
+			gate := make(chan struct{})
+			gates <- gate
+			<-gate
+			r := &closeRecorder{closed: make(chan struct{})}
+			mu.Lock()
+			built = append(built, r)
+			mu.Unlock()
+			return r, nil
+		}})
+		// start launches one Server.Runner call and returns once its build
+		// is blocked, i.e. after it has read the arch version.
+		start := func() (gate chan struct{}, got chan Runner) {
+			got = make(chan Runner, 1)
+			go func() {
+				r, err := s.Runner(context.Background(), "conv-relu", "race-arch")
+				if err != nil {
+					t.Error(err)
+				}
+				got <- r
+			}()
+			return <-gates, got
+		}
+		staleGate, staleGot := start()
+		if err := reg.RegisterArch(a); err != nil {
+			t.Fatal(err)
+		}
+		freshGate, freshGot := start()
+
+		var fresh Runner
+		if staleFirst {
+			close(staleGate)
+			<-staleGot
+			close(freshGate)
+			fresh = <-freshGot
+		} else {
+			close(freshGate)
+			fresh = <-freshGot
+			close(staleGate)
+			// The late stale build is discarded; its caller is served the
+			// resident fresh runner.
+			if got := <-staleGot; got != fresh {
+				t.Errorf("a stale build displaced the fresh resident runner")
+			}
+		}
+		if got, err := s.Runner(context.Background(), "conv-relu", "race-arch"); err != nil || got != fresh {
+			t.Errorf("staleFirst=%v: resident runner is not the fresh build (err %v)", staleFirst, err)
+		}
+		s.Close()
+		if len(built) != 2 {
+			t.Fatalf("staleFirst=%v: %d runners built, want 2", staleFirst, len(built))
+		}
+		for _, r := range built {
+			select {
+			case <-r.closed:
+			case <-time.After(5 * time.Second):
+				t.Errorf("staleFirst=%v: a built runner was never closed (fresh: %v)", staleFirst, Runner(r) == fresh)
+			}
+		}
 	}
 }
