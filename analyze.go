@@ -6,7 +6,6 @@ import (
 
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/flowdata"
-	"cimmlc/internal/flowopt"
 )
 
 // FlowReport is the static resource report of one compiled flow: MOP counts
@@ -20,89 +19,54 @@ type FlowReport = flowdata.Report
 // field of an optimized FlowResult.
 type FlowOptStats = codegen.OptStats
 
-// Analyze lowers a compilation result (honoring WithFlowOpt, like Lower)
-// and runs the flow-IR dataflow analysis over the generated flow, returning
-// the static resource report. A non-zero MaxWindowsPerOp yields a
-// counts-only report (truncated flows are illustrative, not executable, so
-// liveness facts would be meaningless). Like Lower, it works on a private
-// copy of g.
+// Analyze lowers a compilation result stage by stage through Lower (so
+// WithFlowOpt and WithVerifyIR apply exactly as they do to Build) and runs
+// the flow-IR dataflow analysis over each generated flow, returning the
+// static resource report. A non-zero MaxWindowsPerOp yields a counts-only
+// report (truncated flows are illustrative, not executable, so liveness
+// facts would be meaningless). For a staged compilation the per-stage
+// reports merge into one aggregate whose Partition section records the
+// partition shape, the transfer volume and the latency decomposition. Like
+// Lower, it works on a private copy of g.
 func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if g == nil || res == nil {
 		return nil, fmt.Errorf("cimmlc: Analyze: nil graph or result")
 	}
-	if res.Partition != nil {
-		return c.analyzePartitioned(ctx, g, res, opt)
-	}
-	gc, err := cloneGraph(g)
+	plan, subs, err := stagePlan(g, res)
 	if err != nil {
 		return nil, fmt.Errorf("cimmlc: Analyze: %w", err)
 	}
+	level := string(c.opt.MaxLevel)
+	if level == "" {
+		level = string(c.arch.Mode)
+	}
 	a := c.arch
-	fr, err := codegen.Generate(gc, &a, res.Schedule, res.Placement, res.Model, opt)
-	if err != nil {
-		return nil, err
-	}
-	if c.opt.FlowOpt {
-		fr, err = flowopt.Optimize(gc, &a, res.Schedule, res.Model.FPs, fr)
-		if err != nil {
-			return nil, fmt.Errorf("cimmlc: Analyze: %w", err)
-		}
-	}
-	an := flowdata.Build(gc, &a, res.Schedule, res.Model.FPs, fr)
-	level := string(c.opt.MaxLevel)
-	if level == "" {
-		level = string(c.arch.Mode)
-	}
-	rep := flowdata.NewReport(g.Name, c.arch.Name, level, fr, an)
-	return &rep, nil
-}
-
-// analyzePartitioned builds the static resource report for a staged
-// compilation: every CIM subgraph lowers and analyzes through the normal
-// path, the per-subgraph reports merge into one aggregate, and the Partition
-// section records the partition shape, the transfer volume and the latency
-// decomposition (the transfer costs `cimmlc analyze` surfaces).
-func (c *Compiler) analyzePartitioned(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowReport, error) {
-	info := res.Partition
-	level := string(c.opt.MaxLevel)
-	if level == "" {
-		level = string(c.arch.Mode)
-	}
 	var parts []flowdata.Report
-	for i, sub := range info.Plan.Subs {
+	for i, sub := range plan.Subs {
 		if sub.Target != TargetCIM {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sr := info.Subs[i].Res
+		sr := subs[i].Res
 		if sr == nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: missing CIM compilation result", sub.Index)
+		}
+		fr, err := c.Lower(ctx, sub.G, sr, opt)
+		if err != nil {
+			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
 		}
 		gc, err := cloneGraph(sub.G)
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
 		}
-		a := c.arch
-		fr, err := codegen.Generate(gc, &a, sr.Schedule, sr.Placement, sr.Model, opt)
-		if err != nil {
-			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
-		}
-		if c.opt.FlowOpt {
-			fr, err = flowopt.Optimize(gc, &a, sr.Schedule, sr.Model.FPs, fr)
-			if err != nil {
-				return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
-			}
-		}
 		an := flowdata.Build(gc, &a, sr.Schedule, sr.Model.FPs, fr)
 		parts = append(parts, flowdata.NewReport(g.Name, c.arch.Name, level, fr, an))
+	}
+	info := res.Partition
+	if info == nil {
+		return &parts[0], nil
 	}
 	rep := flowdata.MergeReports(g.Name, c.arch.Name, level, parts)
 	var hostOps int64

@@ -1,12 +1,11 @@
 // Command cimlint runs the repo's custom static-analysis rules (see
-// cimmlc/tools/analyzers): maprange, nondet and libpanic. It speaks the `go
-// vet -vettool` unit-checker protocol by hand — the x/tools analysis driver
-// is deliberately not a dependency — and also runs standalone over package
-// patterns for local use:
+// cimmlc/tools/analyzers): maprange, nondet, libpanic and ctxcancel. It
+// speaks the `go vet -vettool` unit-checker protocol by hand — the x/tools
+// analysis driver is deliberately not a dependency — and is driven only
+// through go vet, locally and in CI:
 //
 //	go build -o bin/cimlint ./cmd/cimlint
-//	go vet -vettool=$PWD/bin/cimlint ./...     # CI entry point
-//	bin/cimlint ./...                          # standalone, same findings
+//	go vet -vettool=$PWD/bin/cimlint ./...
 //
 // Protocol notes: `go vet` probes the tool with -V=full (a version line the
 // build cache fingerprints) and -flags (a JSON list of the tool's analyzer
@@ -26,7 +25,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -49,10 +47,8 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(runUnit(args[0]))
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(runStandalone(args))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$PWD/bin/cimlint ./...")
+	os.Exit(2)
 }
 
 // printVersion answers `cimlint -V=full`: the go command hashes this line
@@ -180,80 +176,3 @@ func analyze(importPath, compiler string, goFiles []string, importMap map[string
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// listPkg is the subset of `go list -json` cimlint consumes.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-}
-
-// runStandalone resolves the patterns with `go list -export -deps -json`
-// (which also produces export data for every dependency) and analyzes each
-// module package from source.
-func runStandalone(patterns []string) int {
-	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cimlint:", err)
-		return 1
-	}
-	if err := cmd.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "cimlint:", err)
-		return 1
-	}
-	exports := map[string]string{}
-	var pkgs []listPkg
-	dec := json.NewDecoder(out)
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			fmt.Fprintln(os.Stderr, "cimlint:", err)
-			return 1
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard && inModule(p.ImportPath) {
-			pkgs = append(pkgs, p)
-		}
-	}
-	if err := cmd.Wait(); err != nil {
-		fmt.Fprintln(os.Stderr, "cimlint: go list:", err)
-		return 1
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	bad := false
-	for _, p := range pkgs {
-		goFiles := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			goFiles[i] = filepath.Join(p.Dir, f)
-		}
-		findings, err := analyze(p.ImportPath, "gc", goFiles, nil, lookup)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cimlint: %s: %v\n", p.ImportPath, err)
-			bad = true
-			continue
-		}
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-			bad = true
-		}
-	}
-	if bad {
-		return 2
-	}
-	return 0
-}

@@ -112,7 +112,9 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 			return fmt.Errorf("-preload %q: want model:arch", p)
 		}
 		start := time.Now()
-		if _, err := reg.Get(context.Background(), model, arch); err != nil {
+		// Through the gateway, not the registry: what must be warm is the
+		// runner requests reach (with -replicas, the fleet's own replicas).
+		if _, err := gw.Runner(context.Background(), model, arch); err != nil {
 			return fmt.Errorf("-preload %s: %w", p, err)
 		}
 		fmt.Printf("preloaded %s on %s in %v\n", model, arch, time.Since(start).Round(time.Millisecond))

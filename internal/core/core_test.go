@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -148,5 +149,38 @@ func TestCompileViTOnBaseline(t *testing.T) {
 	}
 	if res.Report.Cycles <= 0 {
 		t.Fatal("ViT compile produced no latency")
+	}
+}
+
+// TestReportOccupancyMatchesPlacement: the simulator counts occupancy from the
+// placement calculus without placing; over the benchmark's compile-zoo grid
+// (single- and multi-segment, multi-round, all three modes) those counts must
+// equal what the tiles of the compile's own placement touch.
+func TestReportOccupancyMatchesPlacement(t *testing.T) {
+	for _, model := range []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet50", "vit-tiny", "vit-base"} {
+		g, err := models.Build(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preset := range arch.PresetNames() {
+			a, err := arch.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Compile(g, a, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", model, preset, err)
+			}
+			segCores := make([]int, len(res.Schedule.Segments))
+			xbs := map[[2]int]bool{}
+			for _, tl := range res.Placement.Tiles {
+				segCores[tl.Segment] = max(segCores[tl.Segment], tl.Core+1)
+				xbs[[2]int{tl.Segment, tl.XB}] = true
+			}
+			if cores := slices.Max(segCores); res.Report.CoresUsed != cores || res.Report.XBsUsed != len(xbs) {
+				t.Errorf("%s/%s: report says %d cores / %d crossbars, the placement's tiles occupy %d / %d",
+					model, preset, res.Report.CoresUsed, res.Report.XBsUsed, cores, len(xbs))
+			}
+		}
 	}
 }

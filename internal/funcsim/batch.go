@@ -910,7 +910,7 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 			for i, in := range inputs {
 				ins[i] = bm.regionTensor(l, in)
 			}
-			out, err := digitalKernel(n, ins)
+			out, err := n.Kernel(ins, nil)
 			if err != nil {
 				return err
 			}

@@ -70,16 +70,7 @@ func ExecNode(g *Graph, n *Node, w Weights, inputs, vals map[int]*tensor.Tensor)
 }
 
 func executeNode(g *Graph, n *Node, w Weights, inputs, vals map[int]*tensor.Tensor) (*tensor.Tensor, error) {
-	in := make([]*tensor.Tensor, len(n.Inputs))
-	for i, id := range n.Inputs {
-		v, ok := vals[id]
-		if !ok {
-			return nil, fmt.Errorf("missing value for input node %d", id)
-		}
-		in[i] = v
-	}
-	switch n.Op {
-	case OpInput:
+	if n.Op == OpInput {
 		v, ok := inputs[n.ID]
 		if !ok {
 			return nil, fmt.Errorf("no input tensor provided for node %d", n.ID)
@@ -90,15 +81,31 @@ func executeNode(g *Graph, n *Node, w Weights, inputs, vals map[int]*tensor.Tens
 			return nil, fmt.Errorf("input tensor shape %v does not match declared %v", got, want)
 		}
 		return v, nil
-	case OpConv:
-		wt, ok := w[n.ID]
+	}
+	in := make([]*tensor.Tensor, len(n.Inputs))
+	for i, id := range n.Inputs {
+		v, ok := vals[id]
 		if !ok {
+			return nil, fmt.Errorf("missing value for input node %d", id)
+		}
+		in[i] = v
+	}
+	return n.Kernel(in, w[n.ID])
+}
+
+// Kernel runs the node's float reference kernel on already-resolved operand
+// tensors; wt is the node's weight tensor (nil for weightless operators). It
+// is the one op→kernel table: the reference executor above and the functional
+// simulator's digital-compute operators both call it.
+func (n *Node) Kernel(in []*tensor.Tensor, wt *tensor.Tensor) (*tensor.Tensor, error) {
+	switch n.Op {
+	case OpConv:
+		if wt == nil {
 			return nil, fmt.Errorf("no weights for conv node %d", n.ID)
 		}
 		return tensor.Conv2D(in[0], wt, nil, tensor.ConvParams{Stride: n.Attr.Stride, Padding: n.Attr.Padding})
 	case OpDense:
-		wt, ok := w[n.ID]
-		if !ok {
+		if wt == nil {
 			return nil, fmt.Errorf("no weights for dense node %d", n.ID)
 		}
 		if in[0].Rank() == 1 {

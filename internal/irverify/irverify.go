@@ -8,20 +8,23 @@
 //
 //	graph/* — well-formedness of the computation graph (DAG, shapes)
 //	sched/* — schedule legality against the computing-mode level (Table 1)
-//	map/*   — mapping soundness (tile bounds, overlap, capacity lockstep)
+//	map/*   — mapping soundness (tile bounds, overlap, occupancy drift)
 //	flow/*  — meta-operator flow checks on codegen output (def-before-use,
 //	          endpoint existence, parallel write conflicts)
 //
 // Every violation carries a stable rule name so tests and the `cimmlc vet`
 // subcommand can assert on the class of defect, not the message text. The
-// capacity rules deliberately reuse mapping.SegmentCores — the same calculus
-// placement executes — so the checker and the placer can never drift; the
-// map/plan-drift rule re-derives each segment's core count and compares it
-// against what placement recorded.
+// capacity rules fold mapping's one placement calculus (SegmentCores,
+// Occupancy) — the fold PlaceCtx emits tiles from — so the checker and the
+// placer cannot disagree; the map/plan-drift rule checks a placement against
+// that calculus: the cores and crossbars it recorded, and the ones its tiles
+// actually touch, must be what the schedule's fold yields.
 package irverify
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -150,7 +153,7 @@ func VerifyGraph(g *graph.Graph) []Violation {
 // sched.Validate), the computing-mode level gates of Table 1 (remap needs
 // WLM, stagger needs XBM or finer), remap factors within each footprint's
 // row-group bound, and per-segment chip capacity via mapping.SegmentCores —
-// the very calculus placement runs, so this check cannot drift from it.
+// the fold placement itself runs.
 // level is the compilation's effective optimization ceiling (the arch's mode
 // capped by MaxLevel); capacity uses the arch's physical mode via s.Arch.
 func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]mapping.Footprint, s *sched.Schedule) []Violation {
@@ -190,8 +193,8 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 // VerifyPlacement checks mapping soundness: every tile inside the core/
 // crossbar grid and its node's cell matrix, no two tiles of one (segment,
 // round) sharing a crossbar, every CIM node covered in its scheduled
-// segment, and — the lockstep check — each segment's recorded core count
-// equal to what mapping.SegmentCores derives from the same schedule.
+// segment, and — the drift check — each segment's recorded and emitted cores
+// and crossbars equal to what mapping.Occupancy derives from the schedule.
 func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
 	if p == nil {
 		return []Violation{{Rule: RuleMapCoverage, Node: -1, Msg: "nil placement"}}
@@ -203,12 +206,15 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 		}
 	}
 	nSegs := len(s.Segments)
-	if len(p.SegmentCores) != nSegs {
-		report(RuleMapCoverage, -1, "placement records %d segments, schedule has %d", len(p.SegmentCores), nSegs)
+	if len(p.SegmentCores) != nSegs || len(p.SegmentXBs) != nSegs {
+		report(RuleMapCoverage, -1, "placement records %d/%d segments, schedule has %d", len(p.SegmentCores), len(p.SegmentXBs), nSegs)
 	}
 	xbPerCore := a.Core.XBCount()
 	type slot struct{ seg, round, xb int }
 	seen := map[slot]int{}
+	// What the tiles themselves touch per segment: highest core + 1, and
+	// distinct crossbars (every crossbar a segment uses is used in round 0).
+	tileCores, tileXBs := make([]int, nSegs), make([]int, nSegs)
 	for i, t := range p.Tiles {
 		n, err := g.Node(t.Node)
 		if err != nil || !n.Op.CIMSupported() {
@@ -250,6 +256,12 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 			report(RuleMapOverlap, t.Node, "tiles %d and %d both claim crossbar %d in segment %d round %d", prev, i, t.XB, t.Segment, t.Round)
 		} else {
 			seen[k] = i
+			if t.Segment >= 0 && t.Segment < nSegs {
+				tileCores[t.Segment] = max(tileCores[t.Segment], t.Core+1)
+				if t.Round == 0 {
+					tileXBs[t.Segment]++
+				}
+			}
 		}
 	}
 	for _, id := range g.CIMNodeIDs() {
@@ -262,22 +274,16 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 			report(RuleMapGrid, id, "core range [%d,%d] outside the %d-core chip", r[0], r[1], a.Chip.CoreCount())
 		}
 	}
-	for segIdx, seg := range s.Segments {
-		if segIdx >= len(p.SegmentCores) {
-			break
-		}
-		got := p.SegmentCores[segIdx]
-		if got > a.Chip.CoreCount() {
-			report(RuleMapGrid, -1, "segment %d uses %d cores, chip has %d", segIdx, got, a.Chip.CoreCount())
-		}
-		want, err := mapping.SegmentCores(g, a, fps, s.Dup, s.Remap, seg)
-		if err != nil {
-			report(RuleMapPlanDrift, -1, "segment %d was placed but the planning calculus rejects it: %v", segIdx, err)
-			continue
-		}
-		if want != got {
-			report(RuleMapPlanDrift, -1, "segment %d: placement used %d cores, SegmentCores predicts %d — placer and planner drifted", segIdx, got, want)
-		}
+	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
+	if err != nil {
+		report(RuleMapPlanDrift, -1, "schedule was placed but the placement calculus rejects it: %v", err)
+		return vs
+	}
+	if !slices.Equal(p.SegmentCores, cores) || !slices.Equal(p.SegmentXBs, xbs) {
+		report(RuleMapPlanDrift, -1, "placement records cores %v / crossbars %v per segment, the schedule occupies %v / %v", p.SegmentCores, p.SegmentXBs, cores, xbs)
+	}
+	if !slices.Equal(tileCores, cores) || !slices.Equal(tileXBs, xbs) {
+		report(RuleMapPlanDrift, -1, "tiles reach cores %v / crossbars %v per segment, the schedule occupies %v / %v", tileCores, tileXBs, cores, xbs)
 	}
 	return vs
 }

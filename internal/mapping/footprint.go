@@ -4,6 +4,11 @@
 // (forming a virtual crossbar, VXB, per operator copy), the placement of
 // copies onto cores and crossbars, and the WLM row-remapping layout of
 // Figure 14.
+//
+// Packing is decided in one place, plan.go: a per-node rule folded over
+// segments. Asking what a schedule occupies (SegmentCores, Occupancy) and
+// materializing its tiles (Place, placement.go) are the same fold, the
+// latter emitting a Tile per slot of every extent.
 package mapping
 
 import (

@@ -238,8 +238,8 @@ func TestPlaceFourCopiesFillsToy(t *testing.T) {
 	if len(tiles) != 4 {
 		t.Fatalf("tiles = %d, want 4", len(tiles))
 	}
-	if p.XBsUsed(0) != 4 || p.SegmentCores[0] != 2 {
-		t.Fatalf("xbs=%d cores=%d, want 4/2", p.XBsUsed(0), p.SegmentCores[0])
+	if p.SegmentXBs[0] != 4 || p.SegmentCores[0] != 2 {
+		t.Fatalf("xbs=%d cores=%d, want 4/2", p.SegmentXBs[0], p.SegmentCores[0])
 	}
 	// All four crossbars distinct.
 	seen := map[int]bool{}

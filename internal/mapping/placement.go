@@ -42,8 +42,10 @@ type Placement struct {
 	// CoreRange gives each node's allocated core interval [first, last]
 	// within its segment (cores are exclusive to one node per segment).
 	CoreRange map[int][2]int
-	// SegmentCores counts cores used by each segment.
+	// SegmentCores and SegmentXBs count the cores and the distinct crossbars
+	// each segment occupies, as the calculus of plan.go derives them.
 	SegmentCores []int
+	SegmentXBs   []int
 }
 
 // Place computes a placement for the given duplication and remap decisions.
@@ -55,134 +57,58 @@ func Place(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[i
 }
 
 // PlaceCtx is Place with cancellation: ctx is checked once per node so a
-// cancelled compilation stops mid-placement on large graphs.
+// cancelled compilation stops mid-placement on large graphs. It is the
+// schedule fold of plan.go with one addition: every extent the calculus
+// yields is materialized into tiles.
 func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (*Placement, error) {
-	if len(segments) == 0 {
-		return nil, fmt.Errorf("mapping: no segments to place")
-	}
 	p := &Placement{
 		Arch:      a,
 		ByNode:    map[int][]int{},
 		CoreRange: map[int][2]int{},
 	}
-	placed := map[int]bool{}
-	for segIdx, seg := range segments {
-		nextCore := 0
-		for _, id := range seg {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("mapping: cancelled: %w", err)
-			}
-			n := g.MustNode(id)
-			if !n.Op.CIMSupported() {
-				continue
-			}
-			if placed[id] {
-				return nil, fmt.Errorf("mapping: node %d appears in multiple segments", id)
-			}
-			placed[id] = true
-			f, ok := fps[id]
-			if !ok {
-				return nil, fmt.Errorf("mapping: no footprint for node %d", id)
-			}
-			d := valueOr(dup, id, 1)
-			m := valueOr(remap, id, 1)
-			if d < 1 || m < 1 {
-				return nil, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", id, d, m)
-			}
-			if m > f.RowGroups {
-				m = f.RowGroups // splitting finer than one parallel-row group gains nothing
-			}
-			used, err := p.placeNode(g, a, f, segIdx, nextCore, d, m)
-			if err != nil {
-				return nil, err
-			}
-			p.CoreRange[id] = [2]int{nextCore, nextCore + used - 1}
-			nextCore += used
-		}
-		if nextCore > a.Chip.CoreCount() {
-			return nil, fmt.Errorf("mapping: segment %d needs %d cores but the chip has %d", segIdx, nextCore, a.Chip.CoreCount())
-		}
-		p.SegmentCores = append(p.SegmentCores, nextCore)
-	}
-	//cimlint:ignore ctxcancel -- coverage check over node IDs; the placement loop above polls per segment
-	for _, id := range g.CIMNodeIDs() {
-		if !placed[id] {
-			return nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", id)
-		}
+	var err error
+	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(seg int, e extent) {
+		p.CoreRange[e.node] = [2]int{e.firstCore, e.firstCore + e.cores - 1}
+		p.emitTiles(a, fps[e.node], seg, e)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// placeNode packs d copies of the node, each with remap factor m, into
-// crossbars starting at core firstCore, and returns the number of cores
-// consumed. When even one copy exceeds the chip, tiles wrap around into
-// sequential rounds that reuse the crossbars (only legal with d=1, m=1: an
-// oversized operator cannot be duplicated or remapped).
-func (p *Placement) placeNode(g *graph.Graph, a *arch.Arch, f Footprint, segment, firstCore, d, m int) (coresUsed int, err error) {
+// emitTiles materializes one node's extent: copy c starts at slot c·stride
+// and its tiles take consecutive slots in (tileR, sub, tileC) order.
+func (p *Placement) emitTiles(a *arch.Arch, f Footprint, segment int, e extent) {
 	xbPerCore := a.Core.XBCount()
-	firstXB := firstCore * xbPerCore
-	chipXBs := a.TotalCrossbars()
-	oversized := f.XBsPerCopy*m > chipXBs-firstXB
-	if oversized && (d > 1 || m > 1) {
-		return 0, fmt.Errorf("mapping: node %d exceeds chip capacity; duplication %d / remap %d not allowed", f.Node, d, m)
-	}
-	window := chipXBs - firstXB // crossbars available per round
-	if window <= 0 {
-		return 0, fmt.Errorf("mapping: no crossbars left for node %d starting at core %d", f.Node, firstCore)
-	}
-	// In core mode the scheduling granularity is a whole core, so every
-	// copy starts on a core boundary; XBM/WLM repack at crossbar
-	// granularity (the Equation-1 refinement).
-	coreAligned := a.Mode == arch.CM
-	seq := 0 // running tile index for round assignment
-	maxXB := firstXB
-	for copyIdx := 0; copyIdx < d; copyIdx++ {
-		if coreAligned && seq%xbPerCore != 0 {
-			seq += xbPerCore - seq%xbPerCore
-		}
+	for copyIdx := 0; copyIdx < e.dup; copyIdx++ {
+		s := copyIdx * e.stride
 		for tr := 0; tr < f.TilesR; tr++ {
 			tileRows := f.TileRows(tr, a)
-			subRows := ceilDiv(tileRows, m)
-			rowOff := 0
-			for sub := 0; sub < m; sub++ {
-				rows := minInt(subRows, tileRows-rowOff)
-				if rows <= 0 {
-					break
-				}
+			subs, subRows := subTiles(tileRows, e.remap)
+			for sub := 0; sub < subs; sub++ {
+				rowOff := sub * subRows
 				for tc := 0; tc < f.TilesC; tc++ {
-					xb := firstXB + seq%window
-					t := Tile{
+					xb, round := e.slot(s)
+					s++
+					p.ByNode[f.Node] = append(p.ByNode[f.Node], len(p.Tiles))
+					p.Tiles = append(p.Tiles, Tile{
 						Node: f.Node, Copy: copyIdx,
 						TileR: tr, TileC: tc, Sub: sub,
 						Segment:    segment,
-						Round:      seq / window,
+						Round:      round,
 						Core:       xb / xbPerCore,
 						XB:         xb,
 						RowStart:   0,
-						Rows:       rows,
+						Rows:       min(subRows, tileRows-rowOff),
 						CellRowOff: tr*a.XB.Rows + rowOff,
 						CellColOff: tc * f.UsableCols,
 						CellCols:   f.TileCellCols(tc),
-					}
-					p.ByNode[f.Node] = append(p.ByNode[f.Node], len(p.Tiles))
-					p.Tiles = append(p.Tiles, t)
-					seq++
-					if xb+1 > maxXB {
-						maxXB = xb + 1
-					}
+					})
 				}
-				rowOff += rows
 			}
 		}
 	}
-	if seq > window && (d > 1 || m > 1) {
-		return 0, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", f.Node, d, m, seq, window)
-	}
-	coresUsed = ceilDiv(maxXB-firstXB, xbPerCore)
-	if coresUsed == 0 {
-		coresUsed = 1
-	}
-	return coresUsed, nil
 }
 
 // TilesOf returns the tiles of one node, ordered by (copy, tileR, sub, tileC).
@@ -206,17 +132,6 @@ func (p *Placement) TilesOf(node int) []Tile {
 		return a.TileC < b.TileC
 	})
 	return out
-}
-
-// XBsUsed returns the number of distinct crossbars occupied in a segment.
-func (p *Placement) XBsUsed(segment int) int {
-	seen := map[int]bool{}
-	for _, t := range p.Tiles {
-		if t.Segment == segment {
-			seen[t.XB] = true
-		}
-	}
-	return len(seen)
 }
 
 // Validate checks structural invariants: tiles within chip bounds, no two

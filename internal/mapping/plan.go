@@ -1,112 +1,189 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 )
 
-// This file is the planning calculus the schedule autotuner prunes with: the
-// same packing arithmetic placeNode performs, computed without materializing
-// tiles. Every function here must stay in lockstep with placeNode —
-// TestSegmentCoresMatchesPlace compares them exhaustively.
+// This file is the placement calculus: the packing rules of §3.3.3/§3.4,
+// written once. packNode says what one node's copies occupy; foldSegment and
+// foldSchedule sum it over a segment and a schedule. SegmentCores and
+// Occupancy are those folds with nothing attached, PlaceCtx is foldSchedule
+// emitting tiles from every extent — so the autotuner's pruner, the verifier's
+// capacity rule, the simulator's occupancy counts and the placement itself
+// are one walk.
+
+// subTiles returns how one row-stripe of tileRows wordlines splits at remap
+// factor m: n sub-tiles of rows wordlines each (the last may hold fewer).
+func subTiles(tileRows, m int) (n, rows int) {
+	if tileRows <= 0 {
+		return 0, 0
+	}
+	rows = ceilDiv(tileRows, m)
+	return ceilDiv(tileRows, rows), rows
+}
+
+// clampRemap bounds a WLM remap factor to [1, RowGroups]: splitting finer
+// than one parallel-row group gains nothing.
+func (f Footprint) clampRemap(m int) int {
+	return max(1, min(m, f.RowGroups))
+}
 
 // CopyTiles returns the number of physical crossbar tiles one copy of f
-// occupies at WLM remap factor m: each row-stripe splits into sub-tiles of
-// ceil(rows/m) wordlines, and every sub-tile spans the copy's column tiles.
-// m is clamped to the footprint's row-group count, as placement clamps it.
+// occupies at WLM remap factor m (clamped as placement clamps it): each
+// row-stripe splits into sub-tiles, and every sub-tile spans the copy's
+// column tiles.
 func (f Footprint) CopyTiles(a *arch.Arch, m int) int {
-	if m > f.RowGroups {
-		m = f.RowGroups
-	}
-	if m < 1 {
-		m = 1
-	}
+	m = f.clampRemap(m)
 	total := 0
 	for tr := 0; tr < f.TilesR; tr++ {
-		tileRows := f.TileRows(tr, a)
-		if tileRows <= 0 {
-			continue
-		}
-		subRows := ceilDiv(tileRows, m)
-		total += ceilDiv(tileRows, subRows) * f.TilesC
+		n, _ := subTiles(f.TileRows(tr, a), m)
+		total += n * f.TilesC
 	}
 	return total
 }
 
-// CoresNeeded returns the cores placement consumes for d copies of f at
-// remap m when the node starts on a fresh core. In core mode every copy
-// starts on a core boundary; XBM/WLM pack copies at crossbar granularity.
-func CoresNeeded(a *arch.Arch, f Footprint, d, m int) int {
-	tiles := f.CopyTiles(a, m)
-	xb := a.Core.XBCount()
-	if a.Mode == arch.CM {
-		return d * ceilDiv(tiles, xb)
-	}
-	return ceilDiv(d*tiles, xb)
+// extent is what the d copies of one node at remap m occupy when packed from
+// core firstCore. Tiles take consecutive slots of a running index (see slot).
+type extent struct {
+	node       int
+	dup, remap int // remap after clamping to the footprint's row groups
+	firstCore  int
+	firstXB    int
+	window     int // crossbars from firstXB to the end of the chip: one round's capacity
+	stride     int // slots between the starts of consecutive copies
+	cores      int // cores consumed; the next node starts at firstCore+cores
+	xbs        int // distinct crossbars programmed
 }
 
-// SegmentCores walks one segment's CIM nodes in order and returns the cores
-// the placement would consume, failing with the same conditions PlaceCtx
-// rejects: an oversized node (one copy exceeding the remaining crossbars)
-// with duplication or remapping applied, a node whose tiles overflow the
-// remaining window, or a segment total beyond the chip's core count.
-func SegmentCores(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int) (int, error) {
-	nextCore := 0
+// slot maps running tile index s to its crossbar and its sequential
+// weight-loading round: slots past the window wrap around and reuse the same
+// crossbars one round later.
+func (e extent) slot(s int) (xb, round int) {
+	return e.firstXB + s%e.window, s / e.window
+}
+
+// packNode applies the packing rules to one node. A copy whose upper bound
+// XBsPerCopy·m exceeds the window is oversized: legal only undivided (d=1,
+// m=1), in which case its tiles wrap into rounds. Because the window is never
+// empty and an extent never exceeds it, a segment cannot outgrow the core
+// grid without failing here.
+func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (extent, error) {
+	if d < 1 || m < 1 {
+		return extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
+	}
+	m = f.clampRemap(m)
 	xbPerCore := a.Core.XBCount()
-	chipXBs := a.TotalCrossbars()
+	firstXB := firstCore * xbPerCore
+	window := a.TotalCrossbars() - firstXB
+	if window <= 0 {
+		return extent{}, fmt.Errorf("mapping: no crossbars left for node %d starting at core %d", f.Node, firstCore)
+	}
+	divided := d > 1 || m > 1
+	if divided && f.XBsPerCopy*m > window {
+		return extent{}, fmt.Errorf("mapping: node %d exceeds chip capacity; duplication %d / remap %d not allowed", f.Node, d, m)
+	}
+	tiles := f.CopyTiles(a, m)
+	// In core mode the scheduling granularity is a whole core, so every copy
+	// starts on a core boundary; XBM/WLM repack at crossbar granularity (the
+	// Equation-1 refinement).
+	stride := tiles
+	if a.Mode == arch.CM {
+		stride = ceilDiv(tiles, xbPerCore) * xbPerCore
+	}
+	slots := (d-1)*stride + tiles
+	if divided && slots > window {
+		return extent{}, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", f.Node, d, m, slots, window)
+	}
+	return extent{
+		node: f.Node, dup: d, remap: m,
+		firstCore: firstCore,
+		firstXB:   firstXB,
+		window:    window,
+		stride:    stride,
+		cores:     max(1, ceilDiv(min(slots, window), xbPerCore)),
+		xbs:       min(d*tiles, window),
+	}, nil
+}
+
+// foldSegment packs one segment's CIM nodes in order from core 0 and returns
+// the cores and distinct crossbars the segment occupies. visit, when non-nil,
+// sees every node's extent and may reject it.
+func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int, visit func(extent) error) (cores, xbs int, err error) {
 	for _, id := range seg {
-		n := g.MustNode(id)
-		if !n.Op.CIMSupported() {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, fmt.Errorf("mapping: cancelled: %w", err)
+		}
+		if !g.MustNode(id).Op.CIMSupported() {
 			continue
 		}
 		f, ok := fps[id]
 		if !ok {
-			return 0, fmt.Errorf("mapping: no footprint for node %d", id)
+			return 0, 0, fmt.Errorf("mapping: no footprint for node %d", id)
 		}
-		d := valueOr(dup, id, 1)
-		m := valueOr(remap, id, 1)
-		if d < 1 || m < 1 {
-			return 0, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", id, d, m)
+		e, err := packNode(a, f, cores, valueOr(dup, id, 1), valueOr(remap, id, 1))
+		if err != nil {
+			return 0, 0, err
 		}
-		if m > f.RowGroups {
-			m = f.RowGroups
-		}
-		firstXB := nextCore * xbPerCore
-		window := chipXBs - firstXB
-		if window <= 0 {
-			return 0, fmt.Errorf("mapping: no crossbars left for node %d starting at core %d", id, nextCore)
-		}
-		// placeNode's oversize test is on the un-planned upper bound
-		// XBsPerCopy·m, not the packed tile count — mirror it exactly.
-		if f.XBsPerCopy*m > window {
-			if d > 1 || m > 1 {
-				return 0, fmt.Errorf("mapping: node %d exceeds chip capacity; duplication %d / remap %d not allowed", id, d, m)
+		if visit != nil {
+			if err := visit(e); err != nil {
+				return 0, 0, err
 			}
-			// A lone oversized copy wraps into sequential rounds over the
-			// remaining window.
-			tiles := f.CopyTiles(a, 1)
-			if tiles > window {
-				tiles = window
+		}
+		cores += e.cores
+		xbs += e.xbs
+	}
+	return cores, xbs, nil
+}
+
+// foldSchedule folds every segment (segments execute sequentially and reuse
+// the chip, so each packs from core 0) and adds the whole-schedule rules: at
+// least one segment, and every CIM node in exactly one.
+func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int, visit func(seg int, e extent)) (cores, xbs []int, err error) {
+	if len(segments) == 0 {
+		return nil, nil, fmt.Errorf("mapping: no segments to place")
+	}
+	placed := map[int]bool{}
+	for segIdx, seg := range segments {
+		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e extent) error {
+			if placed[e.node] {
+				return fmt.Errorf("mapping: node %d appears in multiple segments", e.node)
 			}
-			nextCore += ceilDiv(tiles, xbPerCore)
-			continue
+			placed[e.node] = true
+			if visit != nil {
+				visit(segIdx, e)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		tiles := f.CopyTiles(a, m)
-		// placeNode's running tile index includes core-alignment padding in
-		// CM mode; the overflow test is on that padded count.
-		seq := d * tiles
-		if a.Mode == arch.CM {
-			seq = (d-1)*ceilDiv(tiles, xbPerCore)*xbPerCore + tiles
-		}
-		if seq > window && (d > 1 || m > 1) {
-			return 0, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", id, d, m, seq, window)
-		}
-		nextCore += CoresNeeded(a, f, d, m)
+		cores = append(cores, c)
+		xbs = append(xbs, x)
 	}
-	if nextCore > a.Chip.CoreCount() {
-		return 0, fmt.Errorf("mapping: segment needs %d cores but the chip has %d", nextCore, a.Chip.CoreCount())
+	//cimlint:ignore ctxcancel -- coverage check over node IDs; the fold above polls per node
+	for _, id := range g.CIMNodeIDs() {
+		if !placed[id] {
+			return nil, nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", id)
+		}
 	}
-	return nextCore, nil
+	return cores, xbs, nil
+}
+
+// SegmentCores returns the cores one segment's placement consumes, or the
+// error placement would fail with: a non-positive dup/remap, a divided
+// oversized node, or tiles overflowing what is left of the chip.
+func SegmentCores(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int) (int, error) {
+	cores, _, err := foldSegment(context.Background(), g, a, fps, dup, remap, seg, nil)
+	return cores, err
+}
+
+// Occupancy returns the cores and distinct crossbars each segment of a
+// schedule occupies — what Place records as SegmentCores and SegmentXBs —
+// without materializing a tile, and rejects exactly what PlaceCtx rejects.
+func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (cores, xbs []int, err error) {
+	return foldSchedule(ctx, g, a, fps, dup, remap, segments, nil)
 }

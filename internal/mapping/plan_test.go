@@ -29,10 +29,26 @@ func planModel(t *testing.T, a *arch.Arch) (*graph.Graph, []int, map[int]Footpri
 	return g, seg, fps
 }
 
+// emitted counts what the materialized tiles of one segment occupy: cores up
+// to the highest one touched, distinct crossbars, and weight-loading rounds.
+func emitted(p *Placement, seg int) (cores, xbs, rounds int) {
+	seen := map[int]bool{}
+	for _, tl := range p.Tiles {
+		if tl.Segment != seg {
+			continue
+		}
+		seen[tl.XB] = true
+		cores = max(cores, tl.Core+1)
+		rounds = max(rounds, tl.Round+1)
+	}
+	return cores, len(seen), rounds
+}
+
 // TestSegmentCoresMatchesPlace sweeps presets × dup × remap settings and
-// checks the planning calculus agrees with the real placement on both the
-// core count and the accept/reject decision — the invariant the autotuner's
-// pruner depends on.
+// checks tile emission against the calculus that drives it: SegmentCores and
+// PlaceCtx accept and reject together (the invariant the autotuner's pruner
+// depends on), and the cores and distinct crossbars the emitted tiles touch
+// are the ones the calculus recorded.
 func TestSegmentCoresMatchesPlace(t *testing.T) {
 	for _, preset := range arch.PresetNames() {
 		for _, mode := range []arch.Mode{arch.CM, arch.XBM, arch.WLM} {
@@ -65,13 +81,98 @@ func TestSegmentCoresMatchesPlace(t *testing.T) {
 					if planErr != nil {
 						continue
 					}
-					if got := p.SegmentCores[0]; got != planCores {
-						t.Errorf("%s: plan says %d cores, placement used %d", name, planCores, got)
+					cores, xbs, _ := emitted(p, 0)
+					if p.SegmentCores[0] != planCores || cores != planCores {
+						t.Errorf("%s: plan says %d cores, placement recorded %d, tiles reach %d", name, planCores, p.SegmentCores[0], cores)
+					}
+					if xbs != p.SegmentXBs[0] {
+						t.Errorf("%s: calculus says %d crossbars, tiles occupy %d", name, p.SegmentXBs[0], xbs)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestExtentCorners pins the two packings whose crossbar count is not simply
+// dup × tiles: a lone oversized operator wrapping into rounds over the window
+// left on the chip, and core-mode copies padded to core boundaries.
+func TestExtentCorners(t *testing.T) {
+	t.Run("oversized multi-round", func(t *testing.T) {
+		a := arch.ToyExample() // 2 cores × 2 crossbars of 32×32
+		g := graph.NewBuilder("big", 8, 6, 6).Conv(8, 1, 1, 0).ReLU().Conv(128, 3, 1, 1).MustFinish()
+		fps, err := Footprints(g, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cim := g.CIMNodeIDs()
+		small, big := fps[cim[0]], fps[cim[1]]
+		if small.XBsPerCopy != 1 || big.XBsPerCopy <= 2*a.TotalCrossbars() {
+			t.Fatalf("fixture drifted: footprints of %d and %d crossbars", small.XBsPerCopy, big.XBsPerCopy)
+		}
+		p, err := Place(g, a, fps, nil, nil, [][]int{g.TopoOrder()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(g, fps); err != nil {
+			t.Fatal(err)
+		}
+		// The small conv takes core 0; the big one wraps over core 1's window.
+		window := a.TotalCrossbars() - a.Core.XBCount()
+		cores, xbs, rounds := emitted(p, 0)
+		if wantXBs := 1 + window; xbs != wantXBs || p.SegmentXBs[0] != wantXBs {
+			t.Errorf("crossbars: tiles %d, calculus %d, want %d", xbs, p.SegmentXBs[0], wantXBs)
+		}
+		if cores != a.Chip.CoreCount() || p.SegmentCores[0] != cores {
+			t.Errorf("cores: tiles %d, calculus %d, want %d", cores, p.SegmentCores[0], a.Chip.CoreCount())
+		}
+		if want := (big.XBsPerCopy + window - 1) / window; rounds != want {
+			t.Errorf("rounds = %d, want %d", rounds, want)
+		}
+		if _, err := Place(g, a, fps, map[int]int{cim[1]: 2}, nil, [][]int{g.TopoOrder()}); err == nil {
+			t.Error("accepted a duplicated oversized operator")
+		}
+	})
+	t.Run("CM alignment padding", func(t *testing.T) {
+		a := arch.ToyExample()
+		a.Mode = arch.CM
+		a.Chip.CoreRows, a.Chip.CoreCols = 2, 4
+		a.Core.XBRows, a.Core.XBCols = 2, 2
+		// 72 rows × 16 cell columns: three row-stripes of one column tile, so a
+		// copy fills 3 of a core's 4 crossbars.
+		g := graph.NewBuilder("pad", 8, 6, 6).Conv(4, 3, 1, 1).MustFinish()
+		fps, err := Footprints(g, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := g.CIMNodeIDs()[0]
+		if got := fps[node].XBsPerCopy; got != 3 {
+			t.Fatalf("fixture drifted: %d crossbars per copy, want 3", got)
+		}
+		p, err := Place(g, a, fps, map[int]int{node: 3}, nil, [][]int{g.TopoOrder()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores, xbs, rounds := emitted(p, 0)
+		if xbs != 9 || p.SegmentXBs[0] != 9 {
+			t.Errorf("crossbars: tiles %d, calculus %d, want 9 (padding slots stay empty)", xbs, p.SegmentXBs[0])
+		}
+		if cores != 3 || p.SegmentCores[0] != 3 || rounds != 1 {
+			t.Errorf("cores: tiles %d, calculus %d, want 3; rounds %d", cores, p.SegmentCores[0], rounds)
+		}
+		for _, tl := range p.Tiles {
+			if tl.TileR == 0 && tl.TileC == 0 && tl.XB%a.Core.XBCount() != 0 {
+				t.Errorf("copy %d starts at crossbar %d, not on a core boundary", tl.Copy, tl.XB)
+			}
+		}
+		a.Mode = arch.XBM
+		if p, err = Place(g, a, fps, map[int]int{node: 3}, nil, [][]int{g.TopoOrder()}); err != nil {
+			t.Fatal(err)
+		}
+		if p.SegmentXBs[0] != 9 || p.SegmentCores[0] != 3 {
+			t.Errorf("XBM repack: %d crossbars on %d cores, want 9 on 3", p.SegmentXBs[0], p.SegmentCores[0])
+		}
+	})
 }
 
 // TestCopyTilesBounds pins the sub-tile arithmetic: remap 1 equals the

@@ -359,21 +359,18 @@ func segmentReload(s *sched.Schedule, m *cost.Model) float64 {
 	return perXB * float64(m.Arch.Core.XBCount())
 }
 
-// fillOccupancy places the schedule to count cores/crossbars used.
+// fillOccupancy folds the placement calculus over the schedule to count the
+// cores and crossbars it occupies; a schedule the placer would reject is
+// rejected here with the same error.
 func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, rep *Report) error {
-	p, err := mapping.PlaceCtx(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
+	cores, xbs, err := mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		return fmt.Errorf("perfsim: placement: %w", err)
 	}
-	//cimlint:ignore ctxcancel -- max over per-segment core counts; PlaceCtx above polled per segment
-	for _, c := range p.SegmentCores {
-		if c > rep.CoresUsed {
-			rep.CoresUsed = c
-		}
-	}
-	//cimlint:ignore ctxcancel -- sum over segment count, trivially bounded
-	for seg := range s.Segments {
-		rep.XBsUsed += p.XBsUsed(seg)
+	//cimlint:ignore ctxcancel -- max and sum over segment count; Occupancy above polled per node
+	for seg := range cores {
+		rep.CoresUsed = max(rep.CoresUsed, cores[seg])
+		rep.XBsUsed += xbs[seg]
 	}
 	return nil
 }

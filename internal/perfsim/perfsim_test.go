@@ -1,10 +1,15 @@
 package perfsim
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
+	"cimmlc/internal/cg"
+	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 	"cimmlc/internal/sched"
@@ -221,6 +226,72 @@ func TestSimulateRejectsOverCapacity(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsWhatPlacementRejects pins every rejection the simulator
+// takes from the placement calculus rather than from its own event model.
+// SimulateWithModelCtx is the entry the autotuner drives; it does not run
+// sched.Validate, so the calculus is the only guard for most of these.
+func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
+	seq := func(g *graph.Graph) func(*arch.Arch) *sched.Schedule {
+		return func(a *arch.Arch) *sched.Schedule { return sched.NewSequential(g, a) }
+	}
+	toy := seq(models.ConvReLU())
+	// 12 crossbars per copy on the 4-crossbar toy chip.
+	big := seq(graph.NewBuilder("big", 8, 6, 6).Conv(128, 3, 1, 1).MustFinish())
+	// Three one-crossbar CIM nodes (1, 3, 5) on two cores: legal only with
+	// the last one in a segment of its own.
+	chain := func(a *arch.Arch) *sched.Schedule {
+		s := sched.NewSequential(graph.NewBuilder("chain", 8, 6, 6).
+			Conv(8, 1, 1, 0).ReLU().Conv(8, 1, 1, 0).ReLU().Conv(8, 1, 1, 0).MustFinish(), a)
+		s.Segments = [][]int{{1, 2, 3, 4}, {5}}
+		return s
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name     string
+		schedule func(*arch.Arch) *sched.Schedule
+		ctx      context.Context
+		corrupt  func(s *sched.Schedule)
+		want     string // substring of the error
+	}{
+		{"no segments", toy, nil, func(s *sched.Schedule) { s.Segments = nil }, "no segments"},
+		{"node in two segments", toy, nil, func(s *sched.Schedule) { s.Segments = append(s.Segments, []int{1}) }, "multiple segments"},
+		{"uncovered CIM node", chain, nil, func(s *sched.Schedule) { s.Segments = s.Segments[:1] }, "not covered"},
+		{"dup < 1", toy, nil, func(s *sched.Schedule) { s.Dup[1] = 0 }, "dup 0"},
+		{"remap < 1", toy, nil, func(s *sched.Schedule) { s.Remap[1] = -1 }, "remap -1"},
+		{"oversized with dup", big, nil, func(s *sched.Schedule) { s.Dup[1] = 2 }, "exceeds chip capacity"},
+		{"oversized with remap", big, nil, func(s *sched.Schedule) { s.Remap[1] = 2 }, "exceeds chip capacity"},
+		{"window overflow", toy, nil, func(s *sched.Schedule) { s.Dup[1] = 64 }, "crossbars but only"},
+		{"segment over the core grid", chain, nil, func(s *sched.Schedule) { s.Segments = [][]int{{1, 2, 3, 4, 5}} }, "no crossbars left"},
+		{"cancelled ctx", toy, cancelled, func(*sched.Schedule) {}, "cancelled"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := arch.ToyExample()
+			s := c.schedule(a)
+			m, err := cost.New(s.Graph, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := c.ctx
+			if ctx == nil {
+				ctx = context.Background()
+				if _, err := SimulateWithModelCtx(ctx, s, m); err != nil {
+					t.Fatalf("clean schedule rejected: %v", err)
+				}
+			}
+			c.corrupt(s)
+			_, err = SimulateWithModelCtx(ctx, s, m)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+			if c.ctx != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v does not wrap context.Canceled", err)
+			}
+		})
+	}
+}
+
 func TestResNetPipelineSpeedupShape(t *testing.T) {
 	// The Figure 21(a) CG-Pipeline effect: pipelining a ResNet on the
 	// baseline should give a clear speedup (paper: 2.3–4.7×).
@@ -262,5 +333,25 @@ func TestBranchingGraphTimings(t *testing.T) {
 	c2 := rep.PerOp[2]
 	if add.Finish < c2.Finish {
 		t.Fatal("add finished before its producer")
+	}
+}
+
+// BenchmarkSimulate is one autotuner-candidate evaluation: a duplicated,
+// pipelined ResNet-18 schedule on the baseline through a shared cost model.
+func BenchmarkSimulate(b *testing.B) {
+	g := models.ResNet18()
+	a := arch.ISAACBaseline()
+	m, err := cost.New(g, a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := cg.Optimize(g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := SimulateWithModel(s, m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

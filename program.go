@@ -234,17 +234,12 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 		}
 	}
 	p := &Program{arch: c.arch, res: res, w: w, workers: cfg.workers}
-	var plan *partition.Plan
-	subs := []core.SubResult{{Target: TargetCIM, Res: res}}
+	plan, subs, err := stagePlan(g, res)
+	if err != nil {
+		return nil, fmt.Errorf("cimmlc: Build: %w", err)
+	}
 	if res.Partition != nil {
-		plan, subs = res.Partition.Plan, res.Partition.Subs
 		p.part = partitionStats(res.Partition)
-	} else {
-		gc, err := cloneGraph(g)
-		if err != nil {
-			return nil, fmt.Errorf("cimmlc: Build: %w", err)
-		}
-		plan = wholePlan(gc)
 	}
 	p.g, p.outs = plan.Graph, plan.Graph.Outputs()
 	calib := cfg.calib
@@ -278,6 +273,20 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 		p.stages = append(p.stages, st)
 	}
 	return p, nil
+}
+
+// stagePlan returns the stages of a compilation result and the per-stage
+// results that go with them: the partition's own plan, or for a monolithic
+// result the one-stage plan over a private, shape-inferred copy of g.
+func stagePlan(g *Graph, res *Result) (*partition.Plan, []core.SubResult, error) {
+	if res.Partition != nil {
+		return res.Partition.Plan, res.Partition.Subs, nil
+	}
+	gc, err := cloneGraph(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wholePlan(gc), []core.SubResult{{Target: TargetCIM, Res: res}}, nil
 }
 
 // wholePlan returns the one-stage plan of a monolithic compilation: g itself
