@@ -1,6 +1,8 @@
 // Command cimserve is the CIM-MLC serving gateway: an HTTP server that
 // routes inference requests to compiled Programs, one per (model, arch)
-// pair, each fronted by a dynamic micro-batching queue.
+// pair, each fronted by a dynamic micro-batching queue: a request runs at once
+// when its executor is idle, and the requests that queue while it is busy form
+// the next batch of at most -max-batch.
 //
 // Usage:
 //
@@ -50,8 +52,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("max-batch", 8, "micro-batch size trigger")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch deadline trigger")
+	maxBatch := flag.Int("max-batch", 8, "most requests one micro-batch carries")
 	queue := flag.Int("queue", 0, "submit queue capacity (0 = 4×max-batch)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, queueing included")
 	seed := flag.Uint64("weight-seed", 42, "seed for the zoo models' deterministic weights")
@@ -63,13 +64,13 @@ func main() {
 	flag.Var(&preloads, "preload", "model:arch pair to build at startup (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *maxBatch, *maxDelay, *queue, *timeout, *seed, *hostFallback, *replicas, *maxReplicas, archFiles, preloads); err != nil {
+	if err := run(*addr, *maxBatch, *queue, *timeout, *seed, *hostFallback, *replicas, *maxReplicas, archFiles, preloads); err != nil {
 		fmt.Fprintf(os.Stderr, "cimserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
+func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
 	if replicas < 0 || maxReplicas < 0 {
 		return fmt.Errorf("-replicas and -max-replicas must be non-negative")
 	}
@@ -95,7 +96,7 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 		}
 		fmt.Printf("registered architecture %q from %s\n", name, f)
 	}
-	batch := serving.BatcherConfig{MaxBatch: maxBatch, MaxDelay: maxDelay, Queue: queue}
+	batch := serving.BatcherConfig{MaxBatch: maxBatch, Queue: queue}
 	cfg := serving.ServerConfig{Batch: batch, RequestTimeout: timeout}
 	if replicas > 0 {
 		cfg.Runner = fleet.Factory(fleet.Config{
@@ -128,10 +129,9 @@ func run(addr string, maxBatch int, maxDelay time.Duration, queue int, timeout t
 		if ceiling == 0 {
 			ceiling = replicas
 		}
-		fmt.Printf("cimserve listening on %s (batch %d, delay %v, fleet %d-%d replicas)\n",
-			addr, maxBatch, maxDelay, replicas, ceiling)
+		fmt.Printf("cimserve listening on %s (batch %d, fleet %d-%d replicas)\n", addr, maxBatch, replicas, ceiling)
 	} else {
-		fmt.Printf("cimserve listening on %s (batch %d, delay %v)\n", addr, maxBatch, maxDelay)
+		fmt.Printf("cimserve listening on %s (batch %d)\n", addr, maxBatch)
 	}
 
 	sigc := make(chan os.Signal, 1)

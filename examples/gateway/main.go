@@ -49,10 +49,11 @@ func main() {
 	}
 
 	// The server fronts every Program with a dynamic micro-batching queue:
-	// requests accumulate until MaxBatch are pending or MaxDelay has
-	// passed, then the whole batch flushes through RunBatch.
+	// a request runs at once when the executor is idle, and the requests
+	// that queue while it is busy — at most MaxBatch of them — run together
+	// as the next batch through RunBatch.
 	gw := serving.NewServer(reg, serving.ServerConfig{
-		Batch: serving.BatcherConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond},
+		Batch: serving.BatcherConfig{MaxBatch: 8},
 	})
 	defer gw.Close()
 
@@ -86,8 +87,9 @@ func main() {
 			key.Model, key.Arch, len(rr.Outputs), time.Since(start).Round(time.Millisecond))
 	}
 
-	// Concurrent clients drive the micro-batcher; the batcher flushes on
-	// size or deadline and keeps outputs bit-identical to per-request runs.
+	// Concurrent clients drive the micro-batcher: a backlog of MaxBatch
+	// leaves as a size flush, a shorter one as an idle flush, and outputs
+	// stay bit-identical to per-request runs.
 	b, err := gw.Batcher(ctx, "conv-relu", "toy-table2")
 	if err != nil {
 		log.Fatal(err)
@@ -106,9 +108,9 @@ func main() {
 	}
 	wg.Wait()
 	st := b.Stats()
-	fmt.Printf("batcher: %d requests in %d batches (%.1f mean), %d size / %d deadline flushes\n",
+	fmt.Printf("batcher: %d requests in %d batches (%.1f mean), %d size / %d idle flushes\n",
 		st.Requests, st.Batches, float64(st.Requests)/float64(st.Batches),
-		st.SizeFlushes, st.DeadlineFlushes)
+		st.SizeFlushes, st.IdleFlushes)
 
 	for _, info := range reg.Loaded() {
 		fmt.Printf("resident: %s on %s — %d requests served\n",

@@ -2,6 +2,7 @@ package cimmlc
 
 import (
 	"context"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -233,6 +234,32 @@ func TestPartitionedRunBatchDeterminism(t *testing.T) {
 			}
 			if d := p.Stats().Requests - after.Requests; d != 1 {
 				t.Fatalf("stage-wise pass counted %d requests, want 1", d)
+			}
+
+			// The same stage-wise pass over all n requests at once, a lane
+			// each: what a chip does with the jobs that queued while it was
+			// busy. It must equal n one-lane passes bit for bit and count as
+			// micro-batched.
+			after = p.Stats()
+			envs := make([]map[int]*Tensor, n)
+			for i, req := range reqs {
+				envs[i] = maps.Clone(req)
+			}
+			for i := 0; i < p.Stages(); i++ {
+				if err := p.RunStage(ctx, i, envs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range reqs {
+				for id, wt := range want[i] {
+					if !tensor.AllClose(envs[i][id], wt, 0) {
+						t.Fatalf("lane %d of the %d-lane stage-wise pass: output %d diverges from Run", i, n, id)
+					}
+				}
+			}
+			if st := p.Stats(); st.Requests-after.Requests != n || st.BatchedRequests-after.BatchedRequests != n {
+				t.Fatalf("%d-lane stage-wise pass counted %d requests, %d of them batched", n,
+					st.Requests-after.Requests, st.BatchedRequests-after.BatchedRequests)
 			}
 
 			ps := p.Stats().Partition

@@ -192,7 +192,7 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 	}
 
 	// Micro-batching queue under concurrent clients.
-	batcher := serving.NewBatcher(p, serving.BatcherConfig{MaxBatch: 3, MaxDelay: 200 * time.Microsecond})
+	batcher := serving.NewBatcher(p, serving.BatcherConfig{MaxBatch: 3})
 	qOuts := make([]map[int]*cimmlc.Tensor, len(reqs))
 	qErrs := make([]error, len(reqs))
 	for i := range reqs {
@@ -243,7 +243,7 @@ func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.
 		return append(violations, fmt.Sprintf("%s: gateway RegisterArch: %v", key, err))
 	}
 	srv := serving.NewServer(reg, serving.ServerConfig{
-		Batch:          serving.BatcherConfig{MaxBatch: 2, MaxDelay: 200 * time.Microsecond},
+		Batch:          serving.BatcherConfig{MaxBatch: 2},
 		RequestTimeout: 2 * time.Minute,
 	})
 	defer srv.Close()
@@ -298,7 +298,7 @@ func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.
 	// router spreads the concurrent requests the outputs must stay
 	// bit-identical to the reference.
 	fl, err := fleet.New(ctx, reg, fleet.Config{Model: cell.Model, Arch: archName, Replicas: 2,
-		Batcher: serving.BatcherConfig{MaxBatch: 2, MaxDelay: 200 * time.Microsecond}})
+		Batcher: serving.BatcherConfig{MaxBatch: 2}})
 	if err != nil {
 		return append(violations, fmt.Sprintf("%s: fleet build: %v", key, err))
 	}

@@ -571,14 +571,19 @@ func (e *batchErrors) resolve(ctx context.Context) error {
 // the cap split into further micro-batches.
 const maxMicroBatchWords = int64(1) << 20
 
+// laneCap is the most lanes one micro-batch may carry under the lane-memory
+// budget.
+func (p *Program) laneCap() int {
+	return int(min(64, max(1, maxMicroBatchWords/max(1, p.laneWords))))
+}
+
 // batchCuts cuts n requests into RunBatch's work items, runs of consecutive
 // requests: item k is requests [cuts[k], cuts[k+1]). Micro-batches are sized
 // to keep every worker busy, capped by the lane-memory budget, and balanced
 // (16 lanes under a cap of 15 become 8+8, not 15+1) so none degenerates to a
 // near-empty tail.
 func (p *Program) batchCuts(n, workers int) []int {
-	laneCap := int(min(64, max(1, maxMicroBatchWords/max(1, p.laneWords))))
-	mb := min((n+workers-1)/workers, laneCap)
+	mb := min((n+workers-1)/workers, p.laneCap())
 	chunks := (n + mb - 1) / mb
 	cuts := make([]int, chunks+1)
 	lo, rem := n/chunks, n%chunks
@@ -618,10 +623,6 @@ func (p *Program) exec(ctx context.Context, reqs []map[int]*Tensor, every bool) 
 			return nil, lane, err
 		}
 	}
-	if len(reqs) > 1 {
-		p.batchRuns.Add(1)
-		p.batchReqs.Add(uint64(len(reqs)))
-	}
 	return envs, 0, nil
 }
 
@@ -631,7 +632,8 @@ func (p *Program) exec(ctx context.Context, reqs []map[int]*Tensor, every bool) 
 // value when every is set) are published back under their global IDs. On
 // failure it returns the lane to blame: input and host errors belong to
 // their lane; kernel errors do not depend on lane data, so lane 0 stands for
-// all. The final stage counts the lanes as completed requests.
+// all. The final stage counts the lanes as completed requests and, two or more
+// of them, as one micro-batch — whether exec or RunStage carried them there.
 func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -671,6 +673,10 @@ func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every
 	}
 	if i == len(p.stages)-1 {
 		p.requests.Add(uint64(len(envs)))
+		if len(envs) > 1 {
+			p.batchRuns.Add(1)
+			p.batchReqs.Add(uint64(len(envs)))
+		}
 	}
 	return 0, nil
 }
@@ -733,17 +739,23 @@ func (p *Program) StageBoundary(i int) (needs, exports []int) {
 	return needs, exports
 }
 
-// RunStage executes stage i alone against env, a tensor environment keyed by
-// global node IDs that must hold every ID in the stage's needs list
-// (StageBoundary), and publishes the stage's exports into it. It is how a
-// fleet that owns one executor per chip overlaps requests across stages; env
-// belongs to one request and must not be shared between concurrent calls.
-// Different requests may run the same or different stages concurrently.
+// RunStage executes stage i alone over envs, one lane each: tensor
+// environments keyed by global node IDs that must hold every ID in the
+// stage's needs list (StageBoundary) and into which the stage's exports are
+// published. It is how a fleet that owns one executor per chip overlaps
+// requests across stages and batches, on each chip, the requests that queued
+// while it was busy. The lanes share micro-batches under RunBatch's
+// lane-memory budget, and n lanes yield bit for bit what n one-lane calls
+// do. An env belongs to one request and must not be shared between
+// concurrent calls; different requests may run the same or different stages
+// concurrently.
 //
-// Stage 0 admits the request — env must then hold exactly the graph's input
-// tensors, checked as Run checks them — and the final stage counts it and
-// leaves the graph's outputs (Outputs) in env.
-func (p *Program) RunStage(ctx context.Context, i int, env map[int]*Tensor) error {
+// Stage 0 admits the requests — each env must then hold exactly the graph's
+// input tensors, checked as Run checks them, before any lane executes — and
+// the final stage counts them and leaves the graph's outputs (Outputs) in
+// each env. On error no lane is to be taken as having run the stage;
+// running it again on the same env is harmless.
+func (p *Program) RunStage(ctx context.Context, i int, envs ...map[int]*Tensor) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -751,12 +763,18 @@ func (p *Program) RunStage(ctx context.Context, i int, env map[int]*Tensor) erro
 		return fmt.Errorf("cimmlc: RunStage: stage %d out of range [0,%d)", i, len(p.stages))
 	}
 	if i == 0 {
-		if err := funcsim.CheckInputs(p.g, env); err != nil {
+		for _, env := range envs {
+			if err := funcsim.CheckInputs(p.g, env); err != nil {
+				return err
+			}
+		}
+	}
+	for lo, mb := 0, p.laneCap(); lo < len(envs); lo += mb {
+		if _, err := p.step(ctx, i, envs[lo:min(lo+mb, len(envs))], false); err != nil {
 			return err
 		}
 	}
-	_, err := p.step(ctx, i, []map[int]*Tensor{env}, false)
-	return err
+	return nil
 }
 
 // Verify checks the program's execution of inputs against the reference

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -192,6 +193,14 @@ func TestMalformedRequests(t *testing.T) {
 				}
 				if err := p.RunStage(ctx, 0, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 					t.Fatalf("RunStage(0): err=%v, want the error %q", err, tc.want)
+				}
+				// Among good lanes it is refused before any lane executes.
+				lane, before := maps.Clone(good), p.Stats().Requests
+				if err := p.RunStage(ctx, 0, lane, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("RunStage(0) of two lanes: err=%v, want the error %q", err, tc.want)
+				}
+				if len(lane) != len(good) || p.Stats().Requests != before {
+					t.Fatalf("RunStage(0) ran the good lane next to a malformed one")
 				}
 			})
 		}

@@ -16,28 +16,28 @@ var (
 	testProgErr  error
 )
 
-// testProgram builds one conv-relu/toy-table2 Program shared by the tests
-// in this package; building it is the expensive part of every test.
+// buildConvRelu builds a conv-relu/toy-table2 Program.
+func buildConvRelu(seed uint64, bopts ...cimmlc.BuildOption) (*cimmlc.Program, error) {
+	g, err := cimmlc.Model("conv-relu")
+	if err != nil {
+		return nil, err
+	}
+	a, err := cimmlc.Preset("toy-table2")
+	if err != nil {
+		return nil, err
+	}
+	c, err := cimmlc.New(a)
+	if err != nil {
+		return nil, err
+	}
+	return c.Build(context.Background(), g, cimmlc.RandomWeights(g, seed), cimmlc.CodegenOptions{}, bopts...)
+}
+
+// testProgram returns the one conv-relu/toy-table2 Program shared by the
+// tests in this package; building it is the expensive part of every test.
 func testProgram(t *testing.T) *cimmlc.Program {
 	t.Helper()
-	testProgOnce.Do(func() {
-		g, err := cimmlc.Model("conv-relu")
-		if err != nil {
-			testProgErr = err
-			return
-		}
-		a, err := cimmlc.Preset("toy-table2")
-		if err != nil {
-			testProgErr = err
-			return
-		}
-		c, err := cimmlc.New(a)
-		if err != nil {
-			testProgErr = err
-			return
-		}
-		testProg, testProgErr = c.Build(context.Background(), g, cimmlc.RandomWeights(g, 42), cimmlc.CodegenOptions{})
-	})
+	testProgOnce.Do(func() { testProg, testProgErr = buildConvRelu(42) })
 	if testProgErr != nil {
 		t.Fatal(testProgErr)
 	}
@@ -51,129 +51,246 @@ func testInput(seed uint64) map[int]*cimmlc.Tensor {
 	return map[int]*cimmlc.Tensor{0: in}
 }
 
-// submitN fires n Do calls concurrently and returns their results.
-func submitN(t *testing.T, b *Batcher, n int, inputs func(i int) map[int]*cimmlc.Tensor) []batchRes {
+type doRes struct {
+	outs map[int]*cimmlc.Tensor
+	err  error
+}
+
+// waitFor polls cond — an event another goroutine brings about — and fails
+// the test when it does not come true.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	results := make([]batchRes, n)
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// heldBatcher is a Batcher whose executor a test holds: the batching loop
+// parks, through testHookBatch, on the first batch it takes — one lone
+// request the fixture sends itself — until release. Whatever the test
+// submits meanwhile is a backlog of exactly known size.
+type heldBatcher struct {
+	*Batcher
+	t       *testing.T
+	release func()
+	first   chan doRes
+
+	mu    sync.Mutex
+	sizes []int // lanes of every batch taken, in order
+}
+
+func holdBatcher(t *testing.T, p *cimmlc.Program, cfg BatcherConfig) *heldBatcher {
+	t.Helper()
+	h := &heldBatcher{t: t, first: make(chan doRes, 1)}
+	parked, gate := make(chan struct{}), make(chan struct{})
+	h.release = sync.OnceFunc(func() { close(gate) })
+	testHookBatch = func(lanes int) {
+		h.mu.Lock()
+		h.sizes = append(h.sizes, lanes)
+		first := len(h.sizes) == 1
+		h.mu.Unlock()
+		if first {
+			close(parked)
+			<-gate
+		}
+	}
+	h.Batcher = NewBatcher(p, cfg)
+	// Cleanups run last in, first out: the loop has exited before the hook
+	// is cleared.
+	t.Cleanup(func() { testHookBatch = nil })
+	t.Cleanup(func() { h.release(); h.Close() })
+	go func() {
+		outs, err := h.Do(context.Background(), testInput(0))
+		h.first <- doRes{outs, err}
+	}()
+	<-parked
+	return h
+}
+
+// backlog submits n requests behind the held batch, request i under ctx(i)
+// (nil: the background context), and returns once all n are queued; wait
+// returns their results.
+func (h *heldBatcher) backlog(n int, inputs func(i int) map[int]*cimmlc.Tensor, ctx func(i int) context.Context) (wait func() []doRes) {
+	h.t.Helper()
+	results := make([]doRes, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs, err := b.Do(context.Background(), inputs(i))
-			results[i] = batchRes{outs: outs, err: err}
+			c := context.Background()
+			if ctx != nil {
+				c = ctx(i)
+			}
+			outs, err := h.Do(c, inputs(i))
+			results[i] = doRes{outs, err}
 		}(i)
 	}
-	wg.Wait()
-	return results
+	waitFor(h.t, "the backlog to queue", func() bool { return h.Depth() >= n })
+	if d := h.Depth(); d != n {
+		h.t.Fatalf("Depth() = %d with %d requests held in the queue", d, n)
+	}
+	return func() []doRes { wg.Wait(); return results }
 }
 
+// closeHeld starts Close while the first batch is still held and returns once
+// it has begun; closed is closed when Close has returned.
+func (h *heldBatcher) closeHeld() (closed <-chan struct{}) {
+	h.t.Helper()
+	c := make(chan struct{})
+	go func() { h.Close(); close(c) }()
+	waitFor(h.t, "Close to begin", h.closing.Load)
+	return c
+}
+
+// batches returns the sizes of the batches taken so far.
+func (h *heldBatcher) batches() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.sizes)
+}
+
+func validInput(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i + 1)) }
+
+// checkSplit holds the flush counters to their contract: they split Batches,
+// and nothing is ever attributed to a deadline.
+func checkSplit(t *testing.T, st BatcherStats) {
+	t.Helper()
+	if sum := st.SizeFlushes + st.IdleFlushes + st.DrainFlushes; sum != st.Batches || st.DeadlineFlushes != 0 {
+		t.Fatalf("flush counters must split Batches with no deadline flush: %+v", st)
+	}
+}
+
+// sameAsRun fails unless outs is bit-identical to a direct Run of in.
+func sameAsRun(t *testing.T, p *cimmlc.Program, label string, in, outs map[int]*cimmlc.Tensor) {
+	t.Helper()
+	want, err := p.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", label, len(outs), len(want))
+	}
+	for id, wt := range want {
+		if gt := outs[id]; gt == nil || !slices.Equal(gt.Data(), wt.Data()) {
+			t.Fatalf("%s: output %d differs from a direct Run", label, id)
+		}
+	}
+}
+
+// TestBatcherTriggers pins the one batching rule on a backlog of known size:
+// what queued while the executor was held leaves as batches of MaxBatch —
+// size flushes — and one remainder, an idle flush.
 func TestBatcherTriggers(t *testing.T) {
 	p := testProgram(t)
 	cases := []struct {
-		name    string
-		cfg     BatcherConfig
-		n       int
-		trigger func(BatcherStats) uint64
+		name       string
+		maxBatch   int
+		k          int
+		sizes      []int // the held lone request first
+		size, idle uint64
 	}{
-		// MaxDelay is effectively infinite: only the size trigger can fire.
-		{"flush on size", BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour}, 4,
-			func(s BatcherStats) uint64 { return s.SizeFlushes }},
-		// MaxBatch is unreachable: only the deadline trigger can fire.
-		{"flush on deadline", BatcherConfig{MaxBatch: 1000, MaxDelay: 10 * time.Millisecond}, 3,
-			func(s BatcherStats) uint64 { return s.DeadlineFlushes }},
+		{"flush on size", 4, 4, []int{1, 4}, 1, 1},
+		{"flush on idle", 1000, 3, []int{1, 3}, 0, 2},
+		{"backlog over the cap", 4, 10, []int{1, 4, 4, 2}, 2, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBatcher(p, tc.cfg)
-			defer b.Close()
-			results := submitN(t, b, tc.n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
-			for i, r := range results {
+			// Queue holds the whole backlog at once whatever MaxBatch is.
+			h := holdBatcher(t, p, BatcherConfig{MaxBatch: tc.maxBatch, Queue: 16})
+			wait := h.backlog(tc.k, validInput, nil)
+			h.release()
+			for i, r := range wait() {
 				if r.err != nil {
 					t.Fatalf("request %d: %v", i, r.err)
 				}
-				if len(r.outs) == 0 {
-					t.Fatalf("request %d: no outputs", i)
-				}
+				sameAsRun(t, p, "backlog request", validInput(i), r.outs)
 			}
-			st := b.Stats()
-			if st.Requests != uint64(tc.n) {
-				t.Fatalf("stats count %d requests, want %d", st.Requests, tc.n)
+			if r := <-h.first; r.err != nil {
+				t.Fatalf("held request: %v", r.err)
 			}
-			if tc.trigger(st) == 0 {
-				t.Fatalf("expected trigger did not fire: %+v", st)
+			if got := h.batches(); !slices.Equal(got, tc.sizes) {
+				t.Fatalf("batches of %v lanes, want %v", got, tc.sizes)
+			}
+			st := h.Stats()
+			checkSplit(t, st)
+			if st.Requests != uint64(tc.k+1) || st.SizeFlushes != tc.size || st.IdleFlushes != tc.idle {
+				t.Fatalf("stats %+v, want %d requests, %d size and %d idle flushes", st, tc.k+1, tc.size, tc.idle)
+			}
+			if d := h.Depth(); d != 0 {
+				t.Fatalf("Depth() = %d after the backlog was served", d)
 			}
 		})
 	}
 }
 
-func TestBatcherWorkConserving(t *testing.T) {
+// TestBatcherLoneRequestRunsAtOnce: on an idle batcher there is nothing to
+// wait for — no deadline exists to be waited out — so a lone request is a
+// batch of one, flushed because the executor was idle.
+func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
 	p := testProgram(t)
-	// MaxDelay is huge on purpose: in work-conserving mode a lone request
-	// must flush the moment the executor is idle, not wait out a deadline.
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 8, MaxDelay: time.Hour, WorkConserving: true})
+	b := NewBatcher(p, BatcherConfig{})
 	defer b.Close()
-	start := time.Now()
-	if _, err := b.Do(context.Background(), testInput(1)); err != nil {
+	outs, err := b.Do(context.Background(), testInput(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("lone work-conserving request took %v; idle flush did not fire", d)
+	sameAsRun(t, p, "lone request", testInput(1), outs)
+	if st := b.Stats(); st != (BatcherStats{Requests: 1, Batches: 1, IdleFlushes: 1}) {
+		t.Fatalf("lone request on an idle batcher: %+v, want one idle flush of one request", st)
 	}
-	if st := b.Stats(); st.IdleFlushes == 0 {
-		t.Fatalf("expected an idle flush: %+v", st)
-	}
-	// A burst is still served in full, through size and idle flushes only.
-	results := submitN(t, b, 16, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-	}
-	st := b.Stats()
-	if st.Requests != 17 {
-		t.Fatalf("served %d requests, want 17", st.Requests)
-	}
-	if st.DeadlineFlushes != 0 {
-		t.Fatalf("work-conserving mode used the deadline timer: %+v", st)
-	}
-	if st.SizeFlushes+st.IdleFlushes != st.Batches {
-		t.Fatalf("flush triggers do not add up: %+v", st)
-	}
-}
-
-func TestBatcherShutdownDrainsPending(t *testing.T) {
-	p := testProgram(t)
-	// Neither trigger can fire on its own: requests sit queued until Close
-	// drains them.
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000, MaxDelay: time.Hour})
-	const n = 3
+	// An unheld burst is served in full, however it happens to batch.
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Do(context.Background(), testInput(uint64(i)))
+			if _, err := b.Do(context.Background(), validInput(i)); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
 		}(i)
 	}
-	// Let the requests reach the queue, then drain.
-	time.Sleep(100 * time.Millisecond)
-	b.Close()
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("drained request %d: %v", i, err)
+	st := b.Stats()
+	checkSplit(t, st)
+	if st.Requests != 17 {
+		t.Fatalf("served %d requests, want 17", st.Requests)
+	}
+}
+
+// TestBatcherShutdownDrainsPending: Close during a held batch answers every
+// queued request exactly once (a second answer would block on the job's
+// one-slot reply or drive the queue's in-flight count negative), and what it
+// drains below MaxBatch is the drain flush.
+func TestBatcherShutdownDrainsPending(t *testing.T) {
+	p := testProgram(t)
+	h := holdBatcher(t, p, BatcherConfig{MaxBatch: 1000, Queue: 16})
+	const n = 3
+	wait := h.backlog(n, validInput, nil)
+	closed := h.closeHeld()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a batch held and requests queued")
+	default:
+	}
+	h.release()
+	<-closed
+	for i, r := range wait() {
+		if r.err != nil {
+			t.Fatalf("drained request %d: %v", i, r.err)
 		}
 	}
-	st := b.Stats()
-	if st.DrainFlushes == 0 {
-		t.Fatalf("expected a drain flush: %+v", st)
+	if r := <-h.first; r.err != nil {
+		t.Fatalf("held request: %v", r.err)
 	}
-	if st.Requests != n {
-		t.Fatalf("drained %d requests, want %d", st.Requests, n)
+	st := h.Stats()
+	checkSplit(t, st)
+	if st.DrainFlushes != 1 || st.Requests != n+1 || !slices.Equal(h.batches(), []int{1, n}) {
+		t.Fatalf("stats %+v over batches %v, want the %d queued requests drained as one flush", st, h.batches(), n)
 	}
-	if _, err := b.Do(context.Background(), testInput(9)); err != ErrClosed {
+	if _, err := h.Do(context.Background(), testInput(9)); err != ErrClosed {
 		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
 }
@@ -181,19 +298,7 @@ func TestBatcherShutdownDrainsPending(t *testing.T) {
 func TestBatcherPerRequestErrorIsolation(t *testing.T) {
 	// Two RunBatch workers, so a failing lane load happens on a worker
 	// goroutine: a nil tensor used to panic there, beyond the caller's reach.
-	g, err := cimmlc.Model("conv-relu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cimmlc.Preset("toy-table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cimmlc.New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Build(context.Background(), g, cimmlc.RandomWeights(g, 42), cimmlc.CodegenOptions{}, cimmlc.WithWorkers(2))
+	p, err := buildConvRelu(42, cimmlc.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,17 +308,17 @@ func TestBatcherPerRequestErrorIsolation(t *testing.T) {
 		"no inputs":   {},
 	} {
 		t.Run(name, func(t *testing.T) {
-			b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
-			defer b.Close()
-			// Request 2 is malformed: it must fail alone while its three
-			// batch-mates get their bit-exact answers.
-			results := submitN(t, b, 4, func(i int) map[int]*cimmlc.Tensor {
+			h := holdBatcher(t, p, BatcherConfig{MaxBatch: 4})
+			// Request 2 is malformed: it must fail alone while the three
+			// requests that share its batch get their bit-exact answers.
+			wait := h.backlog(4, func(i int) map[int]*cimmlc.Tensor {
 				if i == 2 {
 					return bad
 				}
-				return testInput(uint64(i))
-			})
-			for i, r := range results {
+				return validInput(i)
+			}, nil)
+			h.release()
+			for i, r := range wait() {
 				if i == 2 {
 					if r.err == nil {
 						t.Fatal("malformed request 2 did not fail")
@@ -223,133 +328,95 @@ func TestBatcherPerRequestErrorIsolation(t *testing.T) {
 				if r.err != nil {
 					t.Fatalf("request %d failed alongside the malformed one: %v", i, r.err)
 				}
-				want, err := p.Run(context.Background(), testInput(uint64(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for id, wt := range want {
-					if !slices.Equal(r.outs[id].Data(), wt.Data()) {
-						t.Fatalf("request %d output %d differs from a direct Run", i, id)
-					}
-				}
+				sameAsRun(t, p, "batch-mate", validInput(i), r.outs)
 			}
-			if st := b.Stats(); st.IsolationFallbacks == 0 {
-				t.Fatalf("expected an isolation fallback: %+v", st)
+			if st := h.Stats(); st.IsolationFallbacks != 1 || !slices.Equal(h.batches(), []int{1, 4}) {
+				t.Fatalf("stats %+v over batches %v, want one isolation fallback for the batch of 4", st, h.batches())
 			}
 		})
 	}
 }
 
+// TestBatcherCancelledRequestSkipped: a request whose caller gave up while it
+// was queued is answered with its context's error and never executes, and a
+// batch left empty by that is no batch.
 func TestBatcherCancelledRequestSkipped(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 1000, MaxDelay: 20 * time.Millisecond})
-	defer b.Close()
-	// One live request first, so the counters below are not all zero.
-	if _, err := b.Do(context.Background(), testInput(0)); err != nil {
-		t.Fatal(err)
-	}
+	h := holdBatcher(t, p, BatcherConfig{MaxBatch: 2})
 	ctx, cancel := context.WithCancel(context.Background())
+	// Requests 0..3 are given up on, request 4 is not: the backlog leaves
+	// as [0 1] — empty, skipped — [2 3] likewise, or with request 4 mixed
+	// in wherever it landed; either way exactly one more request runs.
+	wait := h.backlog(5, validInput, func(i int) context.Context {
+		if i < 4 {
+			return ctx
+		}
+		return context.Background()
+	})
 	cancel()
-	// A pre-cancelled Do still lands in the queue about half the time
-	// (select picks between the buffered submit and ctx.Done() at random),
-	// so some of these reach a flush whose every request is cancelled.
-	for i := 0; i < 16; i++ {
-		if _, err := b.Do(ctx, testInput(1)); err != context.Canceled {
-			t.Fatalf("Do with cancelled ctx = %v, want context.Canceled", err)
+	h.release()
+	for i, r := range wait() {
+		if i == 4 {
+			if r.err != nil {
+				t.Fatalf("live request: %v", r.err)
+			}
+			sameAsRun(t, p, "live request", validInput(i), r.outs)
+		} else if r.err != context.Canceled {
+			t.Fatalf("Do with cancelled ctx = %v, want context.Canceled", r.err)
 		}
 	}
-	b.Close()
-	st := b.Stats()
-	if st.Batches != 1 || st.Requests != 1 {
-		t.Fatalf("cancelled requests must not execute: %+v", st)
-	}
-	// A flush that ran no batch is not a flush: the trigger counters split
-	// Batches.
-	if sum := st.SizeFlushes + st.DeadlineFlushes + st.IdleFlushes + st.DrainFlushes; sum != st.Batches {
-		t.Fatalf("trigger counters sum to %d, want Batches = %d: %+v", sum, st.Batches, st)
+	h.Close()
+	st := h.Stats()
+	checkSplit(t, st)
+	if st.Batches != 2 || st.Requests != 2 {
+		t.Fatalf("cancelled requests must not execute: %+v over batches %v", st, h.batches())
 	}
 }
 
 func TestBatcherBitIdenticalToDirectRun(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond})
+	b := NewBatcher(p, BatcherConfig{MaxBatch: 4})
 	defer b.Close()
 	const n = 8
-	results := submitN(t, b, n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i)) })
+	results := make([]doRes, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs, err := b.Do(context.Background(), validInput(i))
+			results[i] = doRes{outs, err}
+		}(i)
+	}
+	wg.Wait()
 	for i, r := range results {
 		if r.err != nil {
 			t.Fatalf("request %d: %v", i, r.err)
 		}
-		want, err := p.Run(context.Background(), testInput(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, wt := range want {
-			gt, ok := r.outs[id]
-			if !ok {
-				t.Fatalf("request %d missing output node %d", i, id)
-			}
-			wd, gd := wt.Data(), gt.Data()
-			if len(wd) != len(gd) {
-				t.Fatalf("request %d node %d: length %d vs %d", i, id, len(gd), len(wd))
-			}
-			for j := range wd {
-				if wd[j] != gd[j] {
-					t.Fatalf("request %d node %d element %d: batched %v != direct %v", i, id, j, gd[j], wd[j])
-				}
-			}
-		}
+		sameAsRun(t, p, "batched request", validInput(i), r.outs)
 	}
 }
 
 // TestBatcherEngagesBatchedKernels pins the Batcher→RunBatch handoff: with a
-// single-worker program, a full flush forms one multi-lane micro-batch, so
+// single-worker program, a full batch forms one multi-lane micro-batch, so
 // the program's batched counters must cover every request — and the outputs
 // must still match direct Runs bit-for-bit.
 func TestBatcherEngagesBatchedKernels(t *testing.T) {
-	g, err := cimmlc.Model("conv-relu")
+	p, err := buildConvRelu(43, cimmlc.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cimmlc.Preset("toy-table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cimmlc.New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Build(context.Background(), g, cimmlc.RandomWeights(g, 43), cimmlc.CodegenOptions{}, cimmlc.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	defer b.Close()
-
+	h := holdBatcher(t, p, BatcherConfig{MaxBatch: 4})
 	const n = 4
-	results := submitN(t, b, n, func(i int) map[int]*cimmlc.Tensor { return testInput(uint64(100 + i)) })
-	for i, r := range results {
+	wait := h.backlog(n, validInput, nil)
+	h.release()
+	for i, r := range wait() {
 		if r.err != nil {
 			t.Fatalf("request %d: %v", i, r.err)
 		}
-		want, err := p.Run(context.Background(), testInput(uint64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, wt := range want {
-			gt := r.outs[id]
-			if gt == nil {
-				t.Fatalf("request %d missing output node %d", i, id)
-			}
-			wd, gd := wt.Data(), gt.Data()
-			for j := range wd {
-				if wd[j] != gd[j] {
-					t.Fatalf("request %d node %d element %d: batched %v != direct %v", i, id, j, gd[j], wd[j])
-				}
-			}
-		}
+		sameAsRun(t, p, "batched request", validInput(i), r.outs)
 	}
-	if st := p.Stats(); st.BatchedRequests < n {
-		t.Fatalf("BatchedRequests = %d, want at least %d (requests did not share micro-batches)", st.BatchedRequests, n)
+	if st := p.Stats(); st.BatchRuns != 1 || st.BatchedRequests != n {
+		t.Fatalf("%d requests in %d micro-batches, want the %d queued ones in one", st.BatchedRequests, st.BatchRuns, n)
 	}
 }

@@ -1,0 +1,119 @@
+package serving
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"cimmlc"
+)
+
+// BenchmarkBatcherOpenLoop is the batcher's load evidence: one Batcher with
+// cimserve's defaults over lenet5 on puma, saturated by a closed loop to
+// find its capacity, then fed one second of fixed-rate arrivals — an open
+// loop, one goroutine per request, however many are already in flight — at
+// 0.5×, 0.9× and 1.1× of that capacity (measured anew before each rate: a
+// shared machine's speed drifts). Each request is timed from when it was due,
+// so a stall shows in the requests behind it. Below capacity the numbers to
+// read are p50/p99; at and over it, mean_batch and completed/s: a batching
+// policy earns its keep by forming batches when, and only when, there is a
+// backlog. late_ms is how far behind schedule the generator itself ran.
+func BenchmarkBatcherOpenLoop(b *testing.B) {
+	ctx := context.Background()
+	p, err := NewRegistry().Get(ctx, "lenet5", "puma")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := make([]map[int]*cimmlc.Tensor, 64)
+	for i := range inputs {
+		inputs[i] = map[int]*cimmlc.Tensor{}
+		for id, shape := range p.Inputs() {
+			t := cimmlc.NewTensor(shape...)
+			t.Rand(uint64(i)*31+uint64(id)+1, 1)
+			inputs[i][id] = t
+		}
+	}
+	var cfg BatcherConfig // what cimserve runs with no flags
+
+	// capacity is the closed-loop throughput: as many callers as the queue
+	// holds, each sending its next request when the last one returns.
+	capacity := func(b *testing.B) float64 {
+		const clients, warm, window = 32, 100 * time.Millisecond, 400 * time.Millisecond
+		bt := NewBatcher(p, cfg)
+		defer bt.Close()
+		var done [clients]int
+		var wg sync.WaitGroup
+		start := time.Now()
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; time.Since(start) < warm+window; i++ {
+					if _, err := bt.Do(ctx, inputs[i%len(inputs)]); err != nil {
+						b.Error(err)
+						return
+					}
+					if time.Since(start) >= warm {
+						done[c]++
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		total := 0
+		for _, n := range done {
+			total += n
+		}
+		if b.Failed() || total == 0 {
+			b.Fatalf("closed loop completed %d requests", total)
+		}
+		return float64(total) / window.Seconds()
+	}
+
+	for _, load := range []struct {
+		name string
+		x    float64
+	}{{"0.5x", 0.5}, {"0.9x", 0.9}, {"1.1x", 1.1}} {
+		b.Run(load.name, func(b *testing.B) {
+			for iter := 0; iter < b.N; iter++ {
+				rate := load.x * capacity(b)
+				n := int(rate) // one second of arrivals
+				gap := time.Duration(float64(time.Second) / rate)
+				bt := NewBatcher(p, cfg)
+				lat := make([]float64, n)
+				var late time.Duration
+				var wg sync.WaitGroup
+				start := time.Now()
+				for i := 0; i < n; i++ {
+					due := start.Add(time.Duration(i) * gap)
+					if d := time.Until(due); d > 0 {
+						time.Sleep(d)
+					}
+					late += time.Since(due)
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						if _, err := bt.Do(ctx, inputs[i%len(inputs)]); err != nil {
+							b.Error(err)
+						}
+						lat[i] = float64(time.Since(due)) / 1e6
+					}(i)
+				}
+				wg.Wait()
+				span := time.Since(start)
+				st := bt.Stats()
+				bt.Close()
+				slices.Sort(lat)
+				b.ReportMetric(rate, "offered/s")
+				b.ReportMetric(float64(n)/span.Seconds(), "completed/s")
+				b.ReportMetric(lat[n/2], "p50_ms")
+				b.ReportMetric(lat[n*99/100], "p99_ms")
+				b.ReportMetric(float64(st.Requests)/float64(st.Batches), "mean_batch")
+				b.ReportMetric(float64(late)/float64(n)/1e6, "late_ms")
+				b.ReportMetric(0, "ns/op")
+			}
+		})
+	}
+}

@@ -11,6 +11,11 @@
 // (cimmlc.Compiler.BuildPipeline) whose stages execute on per-chip
 // goroutines, so stage i of request k+1 overlaps stage i+1 of request k.
 //
+// Every executor — a replica's Batcher, each chip of a pipeline replica —
+// sits behind the same batching queue and follows its one rule: run a request
+// at once when idle, otherwise run together, lane-wise, whatever queued while
+// busy. No chip holds a request back to wait for company.
+//
 // Replicas are built from the same deterministic source, so fleet outputs
 // are bit-identical regardless of replica count, routing or interleaving —
 // the property the determinism tests pin under -race.
@@ -42,7 +47,10 @@ type Config struct {
 	// MaxChips bounds a pipeline replica's chip count (0 = unlimited). Only
 	// consulted when the model needs cross-chip pipelining.
 	MaxChips int
-	// Batcher tunes each replica's micro-batching queue (replicated mode).
+	// Batcher sizes every batching queue of the fleet: each replica's
+	// micro-batching queue in replicated mode, each chip's inbox of a
+	// pipeline replica — MaxBatch lanes per step at most, Queue jobs
+	// buffered, the stage-0 inbox being the depth the autoscaler reads.
 	Batcher serving.BatcherConfig
 	// ScaleInterval is the autoscaler's tick (default 20ms).
 	ScaleInterval time.Duration
@@ -144,10 +152,11 @@ func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error)
 
 // spawn builds one replica: a fresh Program on one chip when the model
 // places, cut across chips when stationary placement overflows, behind the
-// runner its chip count calls for. Each chip runs serially (WithWorkers(1)) —
-// the fleet's parallelism is across chips, not inside one. The first build
-// fixes the fleet's stage count and input schema (New runs it before the
-// scaler starts), and later ones skip a single-chip attempt known to fail.
+// runner its chip count calls for, both sized by cfg.Batcher. Each chip runs
+// serially (WithWorkers(1)) — the fleet's parallelism is across chips, not
+// inside one. The first build fixes the fleet's stage count and input schema
+// (New runs it before the scaler starts), and later ones skip a single-chip
+// attempt known to fail.
 func (f *Fleet) spawn(ctx context.Context) (runner, error) {
 	var p *cimmlc.Program
 	err := cimmlc.ErrOverCapacity // what the first build's single-chip attempt reported, if stages > 1
@@ -164,7 +173,7 @@ func (f *Fleet) spawn(ctx context.Context) (runner, error) {
 		f.stages, f.inputs = chips(p), p.Inputs()
 	}
 	if f.stages > 1 {
-		return newStageRunner(p), nil
+		return newStageRunner(p, f.cfg.Batcher), nil
 	}
 	return serving.NewBatcher(p, f.cfg.Batcher), nil
 }

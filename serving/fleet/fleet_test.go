@@ -156,7 +156,7 @@ func TestFleetScaleUpAndDrainDown(t *testing.T) {
 				ScaleInterval:      2 * time.Millisecond,
 				ScaleUpDepth:       1,
 				ScaleDownIdleTicks: 3,
-				Batcher:            serving.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
+				Batcher:            serving.BatcherConfig{MaxBatch: 2},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +203,9 @@ func TestFleetScaleUpAndDrainDown(t *testing.T) {
 			// Idle long enough for the autoscaler to retire the extras, then
 			// verify the fleet still serves correctly at MinReplicas.
 			deadline = time.Now().Add(10 * time.Second)
-			for f.Replicas() > 1 && time.Now().Before(deadline) {
+			// A retiring replica leaves Replicas() at once but counts as a
+			// scale-down only when it has drained: wait for both.
+			for (f.Replicas() > 1 || f.State().ScaleDowns == 0) && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			if got := f.Replicas(); got != 1 {
@@ -294,7 +296,7 @@ func smallArch(t *testing.T) *cimmlc.Arch {
 // path end to end: under stationary weights the mlp fails single-chip
 // placement, the fleet transparently builds pipeline replicas, and serves
 // with outputs bit-identical to a directly built multi-chip Program —
-// regardless of replica count and request interleaving.
+// regardless of replica count, per-chip batch size and request interleaving.
 func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 	ctx := context.Background()
 	reg := smallChipRegistry(t)
@@ -320,8 +322,9 @@ func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 		}
 	}
 
-	for _, replicas := range []int{1, 2} {
-		f, err := New(ctx, reg, Config{Model: "mlp", Arch: "jia-small", Replicas: replicas})
+	for _, tc := range []struct{ replicas, maxBatch int }{{1, 1}, {1, 4}, {2, 8}} {
+		f, err := New(ctx, reg, Config{Model: "mlp", Arch: "jia-small", Replicas: tc.replicas,
+			Batcher: serving.BatcherConfig{MaxBatch: tc.maxBatch}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +336,7 @@ func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 		}
 		outs := doAll(t, f, n, input)
 		for i := range outs {
-			sameBits(t, fmt.Sprintf("pipeline replicas=%d request %d", replicas, i), outs[i], want[i])
+			sameBits(t, fmt.Sprintf("pipeline replicas=%d batch=%d request %d", tc.replicas, tc.maxBatch, i), outs[i], want[i])
 		}
 		f.Close()
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"cimmlc/serving"
 )
@@ -17,7 +16,7 @@ import (
 func TestGatewayServesFleet(t *testing.T) {
 	reg := serving.NewRegistry()
 	s := serving.NewServer(reg, serving.ServerConfig{
-		Batch:  serving.BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
+		Batch:  serving.BatcherConfig{MaxBatch: 4},
 		Runner: Factory(Config{Replicas: 2}),
 	})
 	ts := httptest.NewServer(s.Handler())

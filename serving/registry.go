@@ -6,14 +6,15 @@
 // The registry is the front door for multi-model, multi-architecture
 // serving: many models compiled for many CIM architecture presets stay
 // resident at once, each built exactly once on first use. The batcher
-// amortizes per-request dispatch by accumulating requests until a size or
-// deadline trigger fires and flushing them through Program.RunBatch's
-// bounded worker pool — the dynamic micro-batching strategy GPU/CIM
-// serving stacks use to trade a bounded queueing delay for throughput.
+// amortizes per-request dispatch under load without taxing an idle system: a
+// request runs at once when the executor is free, and the requests that
+// queue while it is busy run together, lane-wise, as the next batch through
+// Program.RunBatch's bounded worker pool.
 package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,9 +24,19 @@ import (
 	"cimmlc"
 )
 
+// ErrNotFound marks a model or architecture name the registry does not know;
+// ErrUnservable a known (model, arch) pair the compiler cannot turn into a
+// Program — an operator with no lowering, a footprint over the chip. Match
+// them with errors.Is; the gateway answers 404 and 422.
+var (
+	ErrNotFound   = errors.New("serving: not found")
+	ErrUnservable = errors.New("serving: cannot build")
+)
+
 // ModelSource resolves a model name to a graph and its weights. The default
 // source builds zoo models with deterministic pseudo-random weights; a real
-// deployment supplies one that loads trained checkpoints.
+// deployment supplies one that loads trained checkpoints, and wraps
+// ErrNotFound around its error for a name it does not serve.
 type ModelSource func(name string) (*cimmlc.Graph, cimmlc.Weights, error)
 
 // RegistryOption configures NewRegistry.
@@ -125,7 +136,7 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 		r.source = func(name string) (*cimmlc.Graph, cimmlc.Weights, error) {
 			g, err := cimmlc.Model(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, fmt.Errorf("%w: %w", ErrNotFound, err)
 			}
 			return g, cimmlc.RandomWeights(g, seed), nil
 		}
@@ -203,7 +214,7 @@ func (r *Registry) compiler(name string) (*cimmlc.Compiler, error) {
 	}
 	a, err := cimmlc.Preset(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrNotFound, err)
 	}
 	c, err = cimmlc.New(a, r.compilerOpts...)
 	if err != nil {
@@ -275,7 +286,11 @@ func (r *Registry) buildWith(model, archName string, extra []cimmlc.BuildOption,
 		return nil, err
 	}
 	r.builds.Add(1)
-	return build(c, g, w, append(append([]cimmlc.BuildOption{}, r.buildOpts...), extra...))
+	p, err := build(c, g, w, append(append([]cimmlc.BuildOption{}, r.buildOpts...), extra...))
+	if err != nil {
+		return nil, fmt.Errorf("%w %s for %s: %w", ErrUnservable, model, archName, err)
+	}
+	return p, nil
 }
 
 // BuildProgram builds a fresh, uncached Program for (model, arch) — one

@@ -4,9 +4,7 @@ import (
 	"context"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"cimmlc"
 )
@@ -132,96 +130,70 @@ func TestArchsKeepsDisplayCasing(t *testing.T) {
 }
 
 // TestBatcherDrainAttributesSizeFlushes is the regression for the drain-stat
-// bug: full batches flushed while Close drains the queue are ordinary
-// size-triggered flushes; only the final partial flush belongs to
-// DrainFlushes. The batcher is assembled by hand with the queue pre-filled
-// and closing pre-closed so the drain path handles the backlog regardless of
-// select ordering.
+// bug: full batches taken while Close drains the queue are ordinary size
+// flushes; only the final partial one belongs to DrainFlushes. The backlog is
+// built behind a held batch, so its split does not depend on timing.
 func TestBatcherDrainAttributesSizeFlushes(t *testing.T) {
 	p := testProgram(t)
-	for iter := 0; iter < 5; iter++ {
-		cfg := BatcherConfig{MaxBatch: 2, MaxDelay: time.Hour}.withDefaults()
-		b := &Batcher{
-			p:       p,
-			cfg:     cfg,
-			submit:  make(chan *batchReq, cfg.Queue),
-			closing: make(chan struct{}),
-			done:    make(chan struct{}),
+	h := holdBatcher(t, p, BatcherConfig{MaxBatch: 2})
+	const n = 5 // two full batches + one partial
+	wait := h.backlog(n, validInput, nil)
+	closed := h.closeHeld()
+	h.release()
+	<-closed
+	for i, r := range wait() {
+		if r.err != nil {
+			t.Fatalf("drained request %d: %v", i, r.err)
 		}
-		const n = 5 // two full batches + one partial
-		reqs := make([]*batchReq, n)
-		for i := range reqs {
-			reqs[i] = &batchReq{ctx: context.Background(), inputs: testInput(uint64(i)), reply: make(chan batchRes, 1)}
-			b.submit <- reqs[i]
-		}
-		b.closed.Store(true)
-		close(b.closing)
-		go b.loop()
-		<-b.done
-
-		for i, r := range reqs {
-			select {
-			case res := <-r.reply:
-				if res.err != nil {
-					t.Fatalf("iter %d: drained request %d: %v", iter, i, res.err)
-				}
-			default:
-				t.Fatalf("iter %d: request %d dropped during drain", iter, i)
-			}
-		}
-		st := b.Stats()
-		if st.SizeFlushes != 2 || st.DrainFlushes != 1 {
-			t.Fatalf("iter %d: size=%d drain=%d, want size=2 drain=1 (full batches are size flushes even while draining)",
-				iter, st.SizeFlushes, st.DrainFlushes)
-		}
-		if st.Batches != 3 || st.Requests != n {
-			t.Fatalf("iter %d: batches=%d requests=%d, want 3/%d", iter, st.Batches, st.Requests, n)
-		}
+	}
+	st := h.Stats()
+	// The held lone request was taken before Close began: an idle flush.
+	if st.SizeFlushes != 2 || st.DrainFlushes != 1 || st.IdleFlushes != 1 {
+		t.Fatalf("size=%d drain=%d idle=%d, want 2/1/1 (full batches are size flushes even while draining)",
+			st.SizeFlushes, st.DrainFlushes, st.IdleFlushes)
+	}
+	if st.Batches != 4 || st.Requests != n+1 {
+		t.Fatalf("batches=%d requests=%d, want 4/%d", st.Batches, st.Requests, n+1)
 	}
 }
 
-// TestBatcherFallbackRepliesSurviveClose pins the detached isolation
-// fallback: a poisoned batch's per-request re-runs now execute off the
-// batching loop, and Close must still wait for their replies — no request
-// may observe ErrClosed after it was admitted.
+// TestBatcherFallbackRepliesSurviveClose pins the isolation fallback against
+// shutdown: a poisoned batch's per-request re-runs must all be answered
+// before Close returns — no request may observe ErrClosed after it was
+// admitted.
 func TestBatcherFallbackRepliesSurviveClose(t *testing.T) {
 	p := testProgram(t)
-	b := NewBatcher(p, BatcherConfig{MaxBatch: 2, MaxDelay: time.Hour})
+	h := holdBatcher(t, p, BatcherConfig{MaxBatch: 2})
 	const n = 4
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	outs := make([]map[int]*cimmlc.Tensor, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := testInput(uint64(i))
-			if i%2 == 1 {
-				in = map[int]*cimmlc.Tensor{0: cimmlc.NewTensor(1, 2, 2)} // malformed
-			}
-			outs[i], errs[i] = b.Do(context.Background(), in)
-		}(i)
-	}
-	wg.Wait()
-	b.Close()
-	for i := 0; i < n; i++ {
+	wait := h.backlog(n, func(i int) map[int]*cimmlc.Tensor {
 		if i%2 == 1 {
-			if errs[i] == nil {
+			return map[int]*cimmlc.Tensor{0: cimmlc.NewTensor(1, 2, 2)} // malformed
+		}
+		return validInput(i)
+	}, nil)
+	closed := h.closeHeld()
+	h.release()
+	<-closed
+	for i, r := range wait() {
+		if i%2 == 1 {
+			if r.err == nil {
 				t.Fatalf("malformed request %d did not fail", i)
 			}
-			if errs[i] == ErrClosed {
+			if r.err == ErrClosed {
 				t.Fatalf("request %d lost its fallback reply to Close", i)
 			}
 			continue
 		}
-		if errs[i] != nil {
-			t.Fatalf("good request %d: %v", i, errs[i])
+		if r.err != nil {
+			t.Fatalf("good request %d: %v", i, r.err)
 		}
-		if len(outs[i]) == 0 {
+		if len(r.outs) == 0 {
 			t.Fatalf("good request %d: no outputs", i)
 		}
 	}
-	if st := b.Stats(); st.IsolationFallbacks == 0 {
+	// Two malformed requests over two batches of two: at least one batch
+	// held one and had to be isolated.
+	if st := h.Stats(); st.IsolationFallbacks == 0 {
 		t.Fatalf("expected isolation fallbacks: %+v", st)
 	}
 }

@@ -53,8 +53,9 @@ type ServerConfig struct {
 // /healthz routes cmd/cimserve serves. Create it with NewServer, mount
 // Handler, and Close it to drain.
 type Server struct {
-	reg *Registry
-	cfg ServerConfig
+	reg     *Registry
+	cfg     ServerConfig
+	maxBody int64 // request-body cap in bytes
 
 	mu       sync.Mutex
 	handles  map[Key]*progHandle
@@ -75,7 +76,7 @@ func NewServer(reg *Registry, cfg ServerConfig) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	return &Server{reg: reg, cfg: cfg, handles: map[Key]*progHandle{}}
+	return &Server{reg: reg, cfg: cfg, maxBody: 64 << 20, handles: map[Key]*progHandle{}}
 }
 
 // Registry returns the server's model registry.
@@ -271,9 +272,8 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with the arch JSON as body"))
 		return
 	}
-	data, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	name, err := s.reg.RegisterArchJSON(data)
@@ -289,9 +289,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	data, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req RunRequest
@@ -361,8 +360,8 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"fleets": states})
 }
 
-// statusFor maps gateway errors to HTTP statuses: unknown names and other
-// lookup failures are client errors, drain is 503, the rest are 500.
+// statusFor maps gateway errors to HTTP statuses: an unknown name is 404, a
+// pair the compiler cannot build 422, drain 503, a timeout 504, the rest 500.
 func statusFor(err error) int {
 	switch {
 	case err == nil:
@@ -371,8 +370,10 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case strings.Contains(err.Error(), "available:"):
+	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
+	case errors.Is(err, ErrUnservable):
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
 	}
@@ -445,16 +446,18 @@ func inputIDs(schema map[int][]int) string {
 }
 
 // readBody reads a request body, capped so an oversized request cannot
-// exhaust memory.
-func readBody(r *http.Request) ([]byte, error) {
-	const maxBody = 64 << 20
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		return nil, fmt.Errorf("serving: reading request body: %w", err)
+// exhaust memory. On failure it answers the request — 413 over the cap, 400
+// otherwise — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		return data, true
 	}
-	if len(data) > maxBody {
-		return nil, fmt.Errorf("serving: request body over %d bytes", maxBody)
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	return data, nil
+	writeError(w, status, fmt.Errorf("serving: reading request body: %w", err))
+	return nil, false
 }

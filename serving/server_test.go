@@ -17,9 +17,8 @@ import (
 
 func testGateway(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(NewRegistry(), ServerConfig{
-		Batch: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
-	})
+	s := NewServer(NewRegistry(), ServerConfig{Batch: BatcherConfig{MaxBatch: 4}})
+	s.maxBody = 256 << 10 // well over every well-formed body the tests send
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -126,6 +125,11 @@ func TestServerRunErrors(t *testing.T) {
 	}{
 		{"unknown model", RunRequest{Model: "no-such", Arch: "toy-table2"}, http.StatusNotFound, "available:"},
 		{"unknown arch", RunRequest{Model: "conv-relu", Arch: "no-such"}, http.StatusNotFound, "available:"},
+		// Both names exist; this registry (no host fallback) cannot compile
+		// the pair, and says so quoting "available:" like a lookup failure.
+		{"unsupported operator", RunRequest{Model: "conv-gate", Arch: "puma"}, http.StatusUnprocessableEntity, "no CIM lowering"},
+		{"oversized body", RunRequest{Model: "conv-relu", Arch: "toy-table2",
+			Inputs: map[string]JSONTensor{"0": {Data: make([]float32, 200_000)}}}, http.StatusRequestEntityTooLarge, "too large"},
 		{"missing fields", RunRequest{}, http.StatusBadRequest, "model and arch"},
 		{"bad input key", RunRequest{Model: "conv-relu", Arch: "toy-table2",
 			Inputs: map[string]JSONTensor{"zero": {Data: []float32{1}}}}, http.StatusBadRequest, "not a node ID"},
