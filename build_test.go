@@ -1,0 +1,118 @@
+package cimmlc
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// buildCell returns what one Build of model for the preset archName takes,
+// set up the way the benchmark's exec-* workloads do: cache off, host
+// fallback, default calibration.
+func buildCell(tb testing.TB, model, archName string) (*Compiler, *Graph, Weights) {
+	tb.Helper()
+	g, err := Model(model)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := Preset(archName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(a, WithCache(0), WithHostFallback(), WithoutVerifyIR())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, g, RandomWeights(g, 42)
+}
+
+// measureBuild runs one Build and returns the program with what the Build
+// left resident (HeapAlloc delta after two collections) and what it allocated
+// on the way (TotalAlloc delta), both in MB.
+func measureBuild(tb testing.TB, c *Compiler, g *Graph, w Weights) (p *Program, residentMB, allocMB float64) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := c.Build(context.Background(), g, w, CodegenOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const mb = 1 << 20
+	return p, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / mb, float64(after.TotalAlloc-before.TotalAlloc) / mb
+}
+
+// programmed sums funcsim.Image.Programmed over p's CIM stages: the crossbars
+// the program's images hold programmed, and the distinct contents among them.
+func programmed(p *Program) (crossbars, distinct int) {
+	for _, st := range p.stages {
+		if st.img != nil {
+			c, d := st.img.Programmed()
+			crossbars, distinct = crossbars+c, distinct+d
+		}
+	}
+	return crossbars, distinct
+}
+
+// TestBuildFootprint pins what makes a Program cheap to keep: Build programs
+// each distinct tile once, so what stays resident follows the model's
+// weights, not duplication × tiles. conv-relu on isaac-baseline programs
+// 2 048 crossbars with two distinct contents, lenet5 on puma 264 with 23; a
+// crossbar of either with arrays of its own reads an order of magnitude over
+// these bounds.
+func TestBuildFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		model, arch           string
+		maxResident, maxAlloc float64 // MB
+	}{
+		{"conv-relu", "isaac-baseline", 10, 20},
+		{"lenet5", "puma", 5, 10},
+	} {
+		c, g, w := buildCell(t, tc.model, tc.arch)
+		p, resident, alloc := measureBuild(t, c, g, w)
+		crossbars, distinct := programmed(p)
+		t.Logf("%s on %s: %.1f MB resident, %.1f MB allocated, %d crossbars programmed with %d distinct contents",
+			tc.model, tc.arch, resident, alloc, crossbars, distinct)
+		if resident > tc.maxResident || alloc > tc.maxAlloc {
+			t.Errorf("Build of %s on %s left %.1f MB resident (limit %.0f) and allocated %.1f MB (limit %.0f)",
+				tc.model, tc.arch, resident, tc.maxResident, alloc, tc.maxAlloc)
+		}
+	}
+}
+
+// BenchmarkBuild is Compiler.Build on the benchmark's six exec-* cells: with
+// -benchmem it reports the bytes and allocations of one Build, resident_MB is
+// what the Program keeps afterwards, and xbs / distinct_xbs are the crossbars
+// it programs and the distinct contents among them — the repetition the
+// footprint depends on.
+func BenchmarkBuild(b *testing.B) {
+	for _, cell := range [][2]string{
+		{"conv-relu", "isaac-baseline"},
+		{"lenet5", "puma"},
+		{"lenet5", "jia-isscc21"},
+		{"mlp", "puma"},
+		{"lenet5", "toy-table2"},
+		{"conv-gate", "puma"},
+	} {
+		b.Run(cell[0]+"."+cell[1], func(b *testing.B) {
+			c, g, w := buildCell(b, cell[0], cell[1])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Build(context.Background(), g, w, CodegenOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			p, resident, _ := measureBuild(b, c, g, w)
+			crossbars, distinct := programmed(p)
+			b.ReportMetric(resident, "resident_MB")
+			b.ReportMetric(float64(crossbars), "xbs")
+			b.ReportMetric(float64(distinct), "distinct_xbs")
+		})
+	}
+}

@@ -293,10 +293,10 @@ func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.
 		}
 	}
 
-	// Fleet path: the same registry behind a 2-replica fleet. Replicas build
-	// independently from the shared deterministic source, so however the
-	// router spreads the concurrent requests the outputs must stay
-	// bit-identical to the reference.
+	// Fleet path: the same registry behind a 2-replica fleet. The fleet
+	// builds its own Program from the shared deterministic source and its
+	// replicas are views of it, so however the router spreads the concurrent
+	// requests the outputs must stay bit-identical to the reference.
 	fl, err := fleet.New(ctx, reg, fleet.Config{Model: cell.Model, Arch: archName, Replicas: 2,
 		Batcher: serving.BatcherConfig{MaxBatch: 2}})
 	if err != nil {

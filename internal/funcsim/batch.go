@@ -39,13 +39,22 @@ type CompiledFlow struct {
 	kernels []kernel
 	ops     []mop.Op // flattened, parallel groups inlined; for error text
 
-	// tiles caches per-op transposed weight tiles built at compile time, so
-	// the hundreds of readxb ops sweeping one crossbar share a single tile.
+	// tiles caches the transposed weight tiles built at compile time, so the
+	// hundreds of readxb ops sweeping one crossbar — and the ops sweeping every
+	// crossbar that aliases its baseline array (ProgramInit) — share one tile.
 	tiles map[tileKey]readTile
+	// writeTiles interns the tiles write ops program, so the copies and rounds
+	// a body rewrites share one bit-sliced tile too.
+	writeTiles map[writeTile]slicedTile
 }
 
-// tileKey identifies a read op's weight tile: crossbar plus row range.
-type tileKey struct{ xb, row, nrows int }
+// tileKey identifies a read op's weight tile: the baseline weight array it is
+// cut from (by its first word — crossbars programmed alike share the array)
+// plus the row range.
+type tileKey struct {
+	base       *int64
+	row, nrows int
+}
 
 // readTile is a read op's weight tile transposed to column-major (nWCols
 // runs of nrows weights, contiguous per weight column). It is sliced from the
@@ -57,33 +66,22 @@ type readTile struct {
 	nWCols int
 }
 
-// tile returns the transposed weight tile for a read op, building it on first
-// use. A zero tile (wT == nil) means the tile cannot be precomputed — the
-// crossbar is not programmed at image baseline — and the kernel reads the
-// state's row-major weights.
-func (cf *CompiledFlow) tile(img *Image, xb, row, nrows int) readTile {
-	key := tileKey{xb, row, nrows}
-	if t, ok := cf.tiles[key]; ok {
-		return t
-	}
-	t := img.transposedTile(xb, row, nrows)
-	if cf.tiles == nil {
-		cf.tiles = make(map[tileKey]readTile)
-	}
-	cf.tiles[key] = t
-	return t
-}
-
-// transposedTile builds the column-major weight tile for rows [row, row+nrows)
-// of crossbar xb from the image's frozen weights: wT[j·nrows+i] is weight
-// column j's entry for activation row i, so the MVM inner loop walks one
-// contiguous run per output column. Returns a zero tile when the crossbar is
-// not programmed at image baseline (its weights are only known at run time).
-func (img *Image) transposedTile(xb, row, nrows int) readTile {
+// tile returns the transposed weight tile for rows [row, row+nrows) of
+// crossbar xb, cut from the image's frozen weights on first use: wT[j·nrows+i]
+// is weight column j's entry for activation row i, so the MVM inner loop walks
+// one contiguous run per output column. A zero tile (wT == nil) means the tile
+// cannot be precomputed — the crossbar is not programmed at image baseline —
+// and the kernel reads the state's row-major weights.
+func (cf *CompiledFlow) tile(xb, row, nrows int) readTile {
+	img := cf.img
 	wc := img.baseWeights[xb]
 	p := img.baseProg[xb]
 	if wc == nil || nrows <= 0 || row < 0 || row+nrows > p.rows {
 		return readTile{}
+	}
+	key := tileKey{&wc[0], row, nrows}
+	if t, ok := cf.tiles[key]; ok {
+		return t
 	}
 	s := img.a.CellsPerWeight()
 	nWCols := p.cols / s
@@ -95,7 +93,12 @@ func (img *Image) transposedTile(xb, row, nrows int) readTile {
 			wT[j*nrows+i] = wc[off+j]
 		}
 	}
-	return readTile{wT: wT, nWCols: nWCols}
+	t := readTile{wT: wT, nWCols: nWCols}
+	if cf.tiles == nil {
+		cf.tiles = make(map[tileKey]readTile)
+	}
+	cf.tiles[key] = t
+	return t
 }
 
 type kernel func(bm *BatchMachine) error
@@ -106,6 +109,7 @@ type kernel func(bm *BatchMachine) error
 // every lane. A BatchState is owned by one execution at a time and is
 // recycled with Image.ResetBatch.
 type BatchState struct {
+	img    *Image // the image the crossbar view was built from
 	lanes  int
 	stride int64
 	mem    []int64 // lanes × stride, lane-major
@@ -115,11 +119,14 @@ type BatchState struct {
 	// a read reconstructs from it (row-major rows × cols/s), and what the
 	// crossbar holds. cells and weights alias the image's arrays (cellShared)
 	// until a write kernel copies them into the state's own, so reprogramming
-	// in multi-round flows never writes through to the image.
+	// in multi-round flows never writes through to the image. dirty lists the
+	// crossbars made private since the last reset — all a reset against the
+	// same image has to restore.
 	cells      [][]uint8
 	weights    [][]int64
 	cellShared []bool
 	prog       []xbProg
+	dirty      []int
 	ownCells   [][]uint8 // private arrays, allocated on first write and
 	ownWeights [][]int64 // kept across resets
 
@@ -164,17 +171,7 @@ func (st *BatchState) tableBuf(n int64) []int64 {
 // NewBatchState allocates a micro-batch execution state with the given
 // number of lanes, reset against the image.
 func (img *Image) NewBatchState(lanes int) *BatchState {
-	nXB := len(img.baseCells)
-	st := &BatchState{
-		cells:       make([][]uint8, nXB),
-		weights:     make([][]int64, nXB),
-		cellShared:  make([]bool, nXB),
-		prog:        make([]xbProg, nXB),
-		ownCells:    make([][]uint8, nXB),
-		ownWeights:  make([][]int64, nXB),
-		regionScale: make([]float64, len(img.g.Nodes)),
-		regionRaw:   make([]bool, len(img.g.Nodes)),
-	}
+	st := &BatchState{}
 	img.ResetBatch(st, lanes)
 	return st
 }
@@ -182,7 +179,10 @@ func (img *Image) NewBatchState(lanes int) *BatchState {
 // ResetBatch recycles st for a new micro-batch of `lanes` requests: lane
 // memory is zeroed (grown when the batch is wider than any before),
 // bookkeeping cleared, and the crossbar view re-pointed at the image's
-// programmed cells and weights.
+// programmed cells and weights. A state recycled against the image it last
+// ran on restores only the crossbars its body wrote, so a request pays for
+// what it reprogrammed, not for the size of the chip; on first use, or
+// against another image, the whole view is built.
 func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	st.stride = img.lay.Total
 	st.lanes = lanes
@@ -193,14 +193,30 @@ func (img *Image) ResetBatch(st *BatchState, lanes int) {
 		st.mem = st.mem[:need]
 		clear(st.mem)
 	}
+	if st.img != img {
+		nXB := len(img.baseProg)
+		st.img = img
+		st.cells = slices.Clone(img.baseCells)
+		st.weights = slices.Clone(img.baseWeights)
+		st.prog = slices.Clone(img.baseProg)
+		st.cellShared = make([]bool, nXB)
+		for xb, c := range img.baseCells {
+			st.cellShared[xb] = c != nil
+		}
+		st.dirty = st.dirty[:0]
+		st.ownCells = make([][]uint8, nXB)
+		st.ownWeights = make([][]int64, nXB)
+		st.regionScale = make([]float64, len(img.g.Nodes))
+		st.regionRaw = make([]bool, len(img.g.Nodes))
+		return
+	}
 	clear(st.regionScale)
 	clear(st.regionRaw)
-	copy(st.prog, img.baseProg)
-	copy(st.cells, img.baseCells)
-	copy(st.weights, img.baseWeights)
-	for i, c := range img.baseCells {
-		st.cellShared[i] = c != nil
+	for _, xb := range st.dirty {
+		st.prog[xb], st.cells[xb], st.weights[xb] = img.baseProg[xb], img.baseCells[xb], img.baseWeights[xb]
+		st.cellShared[xb] = img.baseCells[xb] != nil
 	}
+	st.dirty = st.dirty[:0]
 }
 
 // BatchMachine binds an Image to one BatchState for a micro-batch execution.
@@ -392,37 +408,43 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 // image's baseline, so compile a serving body after ProgramInit.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	cf := &CompiledFlow{img: img}
-	if err := img.compileOps(body, cf); err != nil {
-		return nil, err
-	}
-	return cf, nil
-}
-
-func (img *Image) compileOps(ops []mop.Op, cf *CompiledFlow) error {
-	for _, op := range ops {
-		if par, ok := op.(mop.Parallel); ok {
-			// A parallel group's members execute in program order.
-			if err := img.compileOps(par.Body, cf); err != nil {
-				return err
-			}
-			continue
-		}
+	err := eachLeaf(body, func(op mop.Op) error {
 		k, err := img.compileOp(op, cf)
 		if err != nil {
 			return fmt.Errorf("funcsim: compile %s: %w", op, err)
 		}
 		cf.kernels = append(cf.kernels, k)
 		cf.ops = append(cf.ops, op)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cf, nil
+}
+
+// eachLeaf visits the operators of a flow section in program order, parallel
+// groups inlined: a group's members execute in program order.
+func eachLeaf(ops []mop.Op, visit func(mop.Op) error) error {
+	for _, op := range ops {
+		var err error
+		if par, ok := op.(mop.Parallel); ok {
+			err = eachLeaf(par.Body, visit)
+		} else {
+			err = visit(op)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
+	if xb, w, ok := writeOperands(op); ok {
+		return img.compileWrite(cf, xb, w)
+	}
 	switch o := op.(type) {
-	case mop.WriteXB:
-		return img.compileWrite(o.XB, 0, o.Node, o.CellRowOff, o.CellColOff, o.Rows, o.Cols)
-	case mop.WriteRow:
-		return img.compileWrite(o.XB, o.Row, o.Node, o.CellRowOff, o.CellColOff, o.NumRows, o.Cols)
 	case mop.ReadXB:
 		return img.compileRead(cf, o.XB, 0, -1, o.Src, o.Dst, o.DstStride, o.Acc)
 	case mop.ReadRow:
@@ -442,13 +464,45 @@ func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
 	return nil, fmt.Errorf("unknown op type %T", op)
 }
 
-// compileWrite compiles one tile write. The tile's cell bytes (Figure 7's
-// B→XBC bit slicing) and the weights a read reconstructs from them are
-// static, so both are sliced here once; the kernel copies them into the
-// state's crossbar view. Weight programming is lane-invariant: one copy per
-// micro-batch amortizes reprogramming (multi-round flows) across its lanes.
-func (img *Image) compileWrite(xb, rowStart, node, cellRowOff, cellColOff, rows, cols int) (kernel, error) {
+// tileWrite is every operand of a writexb or writerow but the crossbar: the
+// first wordline written and the tile of the node's cell matrix put there.
+// What a crossbar holds is a function of the tileWrites addressed to it, in
+// order — never of its ID.
+type tileWrite struct {
+	row int
+	writeTile
+}
+
+// writeTile names a rows × cols tile of a node's cell matrix.
+type writeTile struct{ node, cellRowOff, cellColOff, rows, cols int }
+
+// slicedTile is a writeTile's content: the cell bytes (Figure 7's B→XBC bit
+// slicing) and the weights a read reconstructs from them.
+type slicedTile struct {
+	cells   []uint8 // rows × cols
+	weights []int64 // rows × cols/s
+}
+
+// writeOperands splits a weight-programming operator into the crossbar it
+// addresses and what it writes there; ok is false for every other operator.
+func writeOperands(op mop.Op) (xb int, w tileWrite, ok bool) {
+	switch o := op.(type) {
+	case mop.WriteXB:
+		return o.XB, tileWrite{0, writeTile{o.Node, o.CellRowOff, o.CellColOff, o.Rows, o.Cols}}, true
+	case mop.WriteRow:
+		return o.XB, tileWrite{o.Row, writeTile{o.Node, o.CellRowOff, o.CellColOff, o.NumRows, o.Cols}}, true
+	}
+	return 0, tileWrite{}, false
+}
+
+// compileWrite compiles one tile write. The tile's content is static, so it
+// is sliced here, once per distinct tile of the flow; the kernel copies it
+// into the state's crossbar view. Weight programming is lane-invariant: one
+// copy per micro-batch amortizes reprogramming (multi-round flows) across its
+// lanes.
+func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, error) {
 	a := img.a
+	rowStart, node, cellRowOff, cellColOff, rows, cols := w.row, w.node, w.cellRowOff, w.cellColOff, w.rows, w.cols
 	if xb < 0 || xb >= len(img.baseCells) {
 		return nil, fmt.Errorf("crossbar %d out of range", xb)
 	}
@@ -474,16 +528,23 @@ func (img *Image) compileWrite(xb, rowStart, node, cellRowOff, cellColOff, rows,
 	if wColOff+nW > dims[1] {
 		return nil, fmt.Errorf("cell column %d exceeds weight matrix cols %d", cellColOff+cols-1, dims[1])
 	}
-	tileCells := make([]uint8, rows*cols)
-	tileWeights := make([]int64, rows*nW)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < nW; j++ {
-			sl := tensor.BitSlice(qw[(cellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
-			for k, v := range sl {
-				tileCells[i*cols+j*s+k] = uint8(v)
+	tile, ok := cf.writeTiles[w.writeTile]
+	if !ok {
+		tile = slicedTile{cells: make([]uint8, rows*cols), weights: make([]int64, rows*nW)}
+		sl := make([]uint32, s)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < nW; j++ {
+				sl = tensor.BitSliceInto(sl, qw[(cellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
+				for k, v := range sl {
+					tile.cells[i*cols+j*s+k] = uint8(v)
+				}
+				tile.weights[i*nW+j] = int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits))
 			}
-			tileWeights[i*nW+j] = int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits))
 		}
+		if cf.writeTiles == nil {
+			cf.writeTiles = make(map[writeTile]slicedTile)
+		}
+		cf.writeTiles[w.writeTile] = tile
 	}
 	xbCols, nWAll := a.XB.Cols, a.XB.Cols/s
 	return func(bm *BatchMachine) error {
@@ -498,8 +559,8 @@ func (img *Image) compileWrite(xb, rowStart, node, cellRowOff, cellColOff, rows,
 		p.cols = max(p.cols, cols)
 		cells, weights := st.privateXB(bm.img, xb, fresh)
 		for i := 0; i < rows; i++ {
-			copy(cells[(rowStart+i)*xbCols:], tileCells[i*cols:(i+1)*cols])
-			copy(weights[(rowStart+i)*nWAll:], tileWeights[i*nW:(i+1)*nW])
+			copy(cells[(rowStart+i)*xbCols:], tile.cells[i*cols:(i+1)*cols])
+			copy(weights[(rowStart+i)*nWAll:], tile.weights[i*nW:(i+1)*nW])
 		}
 		return nil
 	}, nil
@@ -508,7 +569,9 @@ func (img *Image) compileWrite(xb, rowStart, node, cellRowOff, cellColOff, rows,
 // privateXB returns crossbar xb's cell and weight arrays for writing, owned
 // by the state: cleared when the write starts a new tile (or the crossbar is
 // empty), copied from the image when it extends a tile that still aliases the
-// image's arrays (copy-on-write), as they are when already private.
+// image's arrays (copy-on-write), as they are when already private. The image
+// may share those arrays among crossbars programmed alike; the copy is what
+// keeps a write to one of them from its siblings.
 func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int64) {
 	if st.ownCells[xb] == nil {
 		a := img.a
@@ -516,6 +579,9 @@ func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int6
 		st.ownWeights[xb] = make([]int64, a.XB.Rows*(a.XB.Cols/a.CellsPerWeight()))
 	}
 	cells, weights := st.ownCells[xb], st.ownWeights[xb]
+	if st.cellShared[xb] || st.cells[xb] == nil {
+		st.dirty = append(st.dirty, xb)
+	}
 	switch {
 	case fresh || st.cells[xb] == nil:
 		clear(cells)
@@ -541,7 +607,7 @@ func (img *Image) compileRead(cf *CompiledFlow, xb, row, nrows int, src, dst, st
 	if nrows < 0 {
 		tileRows = img.baseProg[xb].rows
 	}
-	tile := cf.tile(img, xb, row, tileRows)
+	tile := cf.tile(xb, row, tileRows)
 	return func(bm *BatchMachine) error {
 		if tile.wT != nil && bm.st.cellShared[xb] {
 			bm.readRowsT(tileRows, tile, src, dst, stride, acc, srcNode, dstNode)

@@ -17,11 +17,15 @@
 // everything that survives across inferences (quantized weights, calibrated
 // activation scales, the crossbar cells programmed by a flow's init section)
 // and is immutable once built, so one Image serves any number of concurrent
-// executions. A BatchState holds the mutable residue of one micro-batch —
-// one lane of activation memory per request, plus the lane-invariant region
-// quantization domains and copy-on-write crossbar view — and is cheap to
-// reset and reuse: the compile-once / run-many execution model of the public
-// Program API.
+// executions. Crossbars programmed alike — CG-level duplication replicates an
+// operator's tiles so windows run in parallel — share one programmed array in
+// the image, so it costs what the model's distinct tiles cost, not
+// duplication × tiles. A BatchState holds the mutable residue of one
+// micro-batch — one lane of activation memory per request, plus the
+// lane-invariant region quantization domains and copy-on-write crossbar view —
+// and is cheap to reset and reuse (a reset restores the crossbars the body
+// wrote, not the chip): the compile-once / run-many execution model of the
+// public Program API.
 //
 // There is one executor (batch.go): Image.CompileBody compiles a flow section
 // into kernel closures and a BatchMachine runs them over a BatchState's
@@ -51,7 +55,8 @@ import (
 // layout, quantized weights and calibrated quantization scales, plus the
 // crossbar cell arrays written by the flow's init section (ProgramInit).
 // Once built it is never written again, so it is safe for concurrent use
-// from many goroutines, each driving its own BatchState.
+// from many goroutines, each driving its own BatchState — and from many
+// Programs: a fleet's replicas are views of one Image.
 type Image struct {
 	g   *graph.Graph
 	a   *arch.Arch
@@ -79,9 +84,10 @@ type Image struct {
 	// Baseline crossbar contents after the init section, indexed by
 	// chip-global crossbar ID: the cell arrays, the weights a read
 	// reconstructs from them (row-major rows × cols/s), and what each
-	// crossbar holds. They are shared into every state copy-on-write, so the
-	// body's reprogramming operators (multi-round flows) never write through
-	// to the image.
+	// crossbar holds. Crossbars the init section wrote alike share one cell
+	// and one weight array (ProgramInit). They are shared into every state
+	// copy-on-write, so the body's reprogramming operators (multi-round
+	// flows) never write through to the image or to a sibling crossbar.
 	baseCells   [][]uint8
 	baseWeights [][]int64
 	baseProg    []xbProg
@@ -180,24 +186,97 @@ func (img *Image) Graph() *graph.Graph { return img.g }
 // memory footprint, used to budget micro-batch widths.
 func (img *Image) MemWords() int64 { return img.lay.Total }
 
-// ProgramInit executes the flow's weight-programming section into the
-// image's baseline crossbar state. It must be called before the image is
-// shared across goroutines; afterwards every state starts from the
-// programmed cells and executions run only the compute section.
+// ProgramInit programs the flow's weight-programming section into the
+// image's baseline crossbar state. It must be called before any state is made
+// from the image and before the image is shared across goroutines; afterwards
+// every state starts from the programmed cells and executions run only the
+// compute section.
+//
+// What a crossbar holds is a function of the writes addressed to it, in
+// order, and never of its ID — CG-level duplication (§3.3.2) programs the
+// same tiles onto crossbar after crossbar — so each distinct write sequence
+// is programmed once: the first crossbar it is addressed to runs the write
+// kernels, and every other one shares that crossbar's baseline arrays.
+// Every write is still checked in full (a sequence is every operand but the
+// crossbar, whose range is checked per operator), and the sharing cannot be
+// observed: the baseline is immutable and states write to copies.
 func (img *Image) ProgramInit(init []mop.Op) error {
 	if len(init) == 0 {
 		return nil
 	}
-	cf, err := img.CompileBody(init)
+	// sigs is a trie of write sequences: (sequence so far, next write) → the
+	// longer sequence, 0 being the empty one. sig is the sequence addressed to
+	// each crossbar.
+	type step struct {
+		prefix int
+		w      tileWrite
+	}
+	sigs := map[step]int{}
+	sig := make([]int, len(img.baseProg))
+	var writes []mop.Op
+	err := eachLeaf(init, func(op mop.Op) error {
+		xb, w, ok := writeOperands(op)
+		switch {
+		case !ok:
+			return fmt.Errorf("funcsim: init section holds %s, which programs no crossbar", op)
+		case xb < 0 || xb >= len(sig):
+			return fmt.Errorf("funcsim: compile %s: crossbar %d out of range", op, xb)
+		case img.baseProg[xb].node >= 0:
+			return fmt.Errorf("funcsim: %s: crossbar %d is already programmed", op, xb)
+		}
+		next, ok := sigs[step{sig[xb], w}]
+		if !ok {
+			next = len(sigs) + 1
+			sigs[step{sig[xb], w}] = next
+		}
+		sig[xb] = next
+		writes = append(writes, op)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	st := img.NewBatchState(1)
+	// The first crossbar written with each sequence stands for all of them.
+	rep := map[int]int{}
+	kept := writes[:0]
+	for _, op := range writes {
+		xb, _, _ := writeOperands(op)
+		if _, ok := rep[sig[xb]]; !ok {
+			rep[sig[xb]] = xb
+		}
+		if rep[sig[xb]] == xb {
+			kept = append(kept, op)
+		}
+	}
+	cf, err := img.CompileBody(kept)
+	if err != nil {
+		return err
+	}
+	st := img.NewBatchState(0) // programming is lane-invariant: no lane to carry
 	if err := img.ExecBatch(st).RunBody(cf); err != nil {
 		return err
 	}
-	img.baseCells, img.baseWeights, img.baseProg = st.cells, st.weights, st.prog
+	for xb, s := range sig {
+		if s != 0 {
+			r := rep[s]
+			img.baseCells[xb], img.baseWeights[xb], img.baseProg[xb] = st.cells[r], st.weights[r], st.prog[r]
+		}
+	}
 	return nil
+}
+
+// Programmed reports how many crossbars the image's baseline programs and how
+// many distinct contents they hold between them: what ProgramInit's sharing
+// saves is the gap between the two.
+func (img *Image) Programmed() (crossbars, distinct int) {
+	arrays := map[*int64]bool{}
+	for _, w := range img.baseWeights {
+		if w != nil {
+			crossbars++
+			arrays[&w[0]] = true
+		}
+	}
+	return crossbars, len(arrays)
 }
 
 // State is a one-lane BatchState for callers that drive a single request

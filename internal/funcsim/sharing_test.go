@@ -1,0 +1,252 @@
+package funcsim
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"cimmlc/internal/arch"
+	"cimmlc/internal/graph"
+	"cimmlc/internal/models"
+	"cimmlc/internal/mop"
+)
+
+// writesByXB lists, per crossbar, the init section's writes with the crossbar
+// operand blanked: the test's own rendering of "what was written there", kept
+// apart from ProgramInit's signature trie.
+func writesByXB(t *testing.T, init []mop.Op) map[int]string {
+	t.Helper()
+	seq := map[int]string{}
+	for _, op := range init {
+		switch o := op.(type) {
+		case mop.WriteXB:
+			xb := o.XB
+			o.XB = 0
+			seq[xb] += o.String() + ";"
+		case mop.WriteRow:
+			xb := o.XB
+			o.XB = 0
+			seq[xb] += o.String() + ";"
+		default:
+			t.Fatalf("init section holds %s", op)
+		}
+	}
+	return seq
+}
+
+// TestProgramInitSharesEqualCrossbars: after ProgramInit two crossbars share
+// their baseline cell and weight arrays exactly when the same writes were
+// addressed to them in the same order, and what each holds is what its writes
+// say whichever crossbar ran them.
+func TestProgramInitSharesEqualCrossbars(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		a    *arch.Arch
+	}{
+		{"conv-relu.toy-wlm", models.ConvReLU(), toyInMode(arch.WLM)}, // four copies of one tile
+		{"lenet5.puma", models.LeNet5(), arch.PUMAAccelerator()},      // duplicated convs beside distinct dense tiles
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLaneCell(t, tc.g, tc.a, 51, 2, programmed)
+			img := c.img
+			seq := writesByXB(t, c.flow.Init)
+			first := map[string]int{} // write sequence → the lowest crossbar it was addressed to
+			for xb := range img.baseProg {
+				s, written := seq[xb]
+				if !written {
+					if img.baseCells[xb] != nil || img.baseWeights[xb] != nil || img.baseProg[xb].node != -1 {
+						t.Fatalf("crossbar %d holds something, but nothing was written to it", xb)
+					}
+					continue
+				}
+				if img.baseCells[xb] == nil || img.baseWeights[xb] == nil {
+					t.Fatalf("crossbar %d was written but holds nothing", xb)
+				}
+				r, seen := first[s]
+				if !seen {
+					first[s] = xb
+					continue
+				}
+				if &img.baseCells[xb][0] != &img.baseCells[r][0] || &img.baseWeights[xb][0] != &img.baseWeights[r][0] || img.baseProg[xb] != img.baseProg[r] {
+					t.Fatalf("crossbars %d and %d were written alike but do not share their baseline", r, xb)
+				}
+			}
+			reps := make([]int, 0, len(first))
+			for _, xb := range first {
+				reps = append(reps, xb)
+			}
+			for i, x := range reps {
+				for _, y := range reps[i+1:] {
+					if &img.baseCells[x][0] == &img.baseCells[y][0] || &img.baseWeights[x][0] == &img.baseWeights[y][0] {
+						t.Fatalf("crossbars %d and %d were written differently but share their baseline", x, y)
+					}
+				}
+			}
+			crossbars, distinct := img.Programmed()
+			if crossbars != len(seq) || distinct != len(first) {
+				t.Fatalf("Programmed() = %d crossbars, %d distinct; the init section writes %d, %d distinct", crossbars, distinct, len(seq), len(first))
+			}
+			if distinct == crossbars {
+				t.Fatalf("cell programs %d crossbars all differently: nothing shared, nothing tested", crossbars)
+			}
+			t.Logf("%d crossbars programmed, %d distinct", crossbars, distinct)
+			// The contents are right, not only shared: every lane of every node
+			// matches the quantized reference.
+			c.run(t, img.NewBatchState(2), 2)
+		})
+	}
+}
+
+// TestBodyWriteReachesOneCopyOnly reprograms, from the body, one of several
+// crossbars that share a baseline array — with the copy's own tile moved one
+// weight column over, so its reads change — and requires the write to show in
+// that copy's reads and nowhere else: every conv output no read of that copy
+// produces still equals the quantized reference (its siblings read the
+// baseline), as does everything a second state off the same image computes
+// meanwhile and everything the writing state computes once recycled; the
+// image's arrays are untouched. One lane and several.
+func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
+	for _, mode := range []arch.Mode{arch.WLM, arch.XBM} {
+		t.Run(string(mode), func(t *testing.T) {
+			const conv = 1 // conv-relu: input, conv, relu
+			c := newLaneCell(t, models.ConvReLU(), toyInMode(mode), 52, 3, programmed)
+			img := c.img
+			s := img.a.CellsPerWeight()
+
+			// The copy to rewrite: the last crossbar programmed, which shares
+			// the array an earlier one was programmed into.
+			var last mop.Op
+			x := -1
+			for _, op := range c.flow.Init {
+				if xb, _, ok := writeOperands(op); ok && xb >= x {
+					x, last = xb, op
+				}
+			}
+			shared := 0
+			for _, w := range img.baseWeights {
+				if w != nil && &w[0] == &img.baseWeights[x][0] {
+					shared++
+				}
+			}
+			if shared < 2 {
+				t.Fatalf("crossbar %d shares its baseline with no other", x)
+			}
+			var shifted mop.Op
+			switch o := last.(type) {
+			case mop.WriteXB:
+				o.CellColOff, o.Cols = o.CellColOff+s, o.Cols-s
+				shifted = o
+			case mop.WriteRow:
+				o.CellColOff, o.Cols = o.CellColOff+s, o.Cols-s
+				shifted = o
+			}
+			rewriting, err := img.CompileBody(append([]mop.Op{shifted}, c.flow.Body...))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The conv outputs a read of crossbar x produces.
+			fromX := map[int64]bool{}
+			nW := int64(img.baseProg[x].cols / s)
+			for _, op := range c.cf.ops {
+				var xb int
+				var dst, stride int64
+				switch o := op.(type) {
+				case mop.ReadXB:
+					xb, dst, stride = o.XB, o.Dst, o.DstStride
+				case mop.ReadRow:
+					xb, dst, stride = o.XB, o.Dst, o.DstStride
+				default:
+					continue
+				}
+				if xb == x {
+					for j := int64(0); j < nW; j++ {
+						fromX[dst+j*stride-img.base[conv]] = true
+					}
+				}
+			}
+			if len(fromX) == 0 || int64(len(fromX)) == img.size[conv] {
+				t.Fatalf("crossbar %d produces %d of the conv's %d outputs: no split to test", x, len(fromX), img.size[conv])
+			}
+
+			cellsBefore, weightsBefore := slices.Clone(img.baseCells[x]), slices.Clone(img.baseWeights[x])
+			writer, reader := img.NewBatchState(1), img.NewBatchState(1)
+			for _, lanes := range []int{1, 3} {
+				img.ResetBatch(writer, lanes)
+				bm := img.ExecBatch(writer)
+				for l := 0; l < lanes; l++ {
+					if err := bm.LoadInputs(l, c.ins[l]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := bm.RunBody(rewriting); err != nil {
+					t.Fatal(err)
+				}
+				// Mid-flight for the writer: its view of x is private, the
+				// image's is not, and another state reads the baseline.
+				if writer.cellShared[x] || !slices.Equal(writer.dirty, []int{x}) {
+					t.Fatalf("%d lanes: after the body write, cellShared[%d]=%v dirty=%v", lanes, x, writer.cellShared[x], writer.dirty)
+				}
+				c.run(t, reader, lanes)
+				bm.SettleAll()
+				for l := 0; l < lanes; l++ {
+					got, want := bm.regionTensor(l, conv).Data(), c.want[l][conv].Data()
+					changed := 0
+					for i := range got {
+						switch {
+						case fromX[int64(i)] && got[i] != want[i]:
+							changed++
+						case !fromX[int64(i)] && got[i] != want[i]:
+							t.Fatalf("%d lanes, lane %d: conv output %d, which no read of crossbar %d produces, is %g, reference %g", lanes, l, i, x, got[i], want[i])
+						}
+					}
+					if changed == 0 {
+						t.Fatalf("%d lanes, lane %d: the body write to crossbar %d changed none of the %d outputs read from it", lanes, l, x, len(fromX))
+					}
+				}
+				// Recycled, the writer is back on the baseline.
+				c.run(t, writer, lanes)
+				if !writer.cellShared[x] || len(writer.dirty) != 0 {
+					t.Fatalf("%d lanes: a recycled state still holds crossbar %d private", lanes, x)
+				}
+			}
+			if !slices.Equal(cellsBefore, img.baseCells[x]) || !slices.Equal(weightsBefore, img.baseWeights[x]) {
+				t.Fatalf("the body write to crossbar %d reached the image", x)
+			}
+		})
+	}
+}
+
+// TestProgramInitRejects: an init section is weight programming and nothing
+// else, every write's crossbar is range-checked though only one crossbar of a
+// kind runs its writes, and a baseline is programmed once.
+func TestProgramInitRejects(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.XBM), 53, 1, oneShot) // image left unprogrammed
+	init := c.flow.Init
+	beyond := init[len(init)-1].(mop.WriteXB) // a copy of the tile init[0] programs first
+	beyond.XB = c.img.a.TotalCrossbars()
+	for name, tc := range map[string]struct {
+		init []mop.Op
+		want string
+	}{
+		"not-a-write":        {append(slices.Clone(init), mop.Mov{Src: 0, Dst: 0, Len: 1}), "init section holds " + mop.Mov{Src: 0, Dst: 0, Len: 1}.String()},
+		"not-a-write-nested": {[]mop.Op{mop.Parallel{Body: []mop.Op{init[0], mop.ReadXB{XB: 0, DstStride: 1}}}}, "init section holds cim.readxb"},
+		"xb-out-of-range":    {append(slices.Clone(init), beyond), fmt.Sprintf("compile %s: crossbar %d out of range", beyond, beyond.XB)},
+	} {
+		err := c.img.ProgramInit(tc.init)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
+		if n, _ := c.img.Programmed(); n != 0 {
+			t.Fatalf("%s: a rejected init section programmed %d crossbars", name, n)
+		}
+	}
+	if err := c.img.ProgramInit(init); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.img.ProgramInit(init[:1]); err == nil || !strings.Contains(err.Error(), "already programmed") {
+		t.Errorf("second ProgramInit: err = %v, want one containing \"already programmed\"", err)
+	}
+}

@@ -75,6 +75,9 @@ func executeNode(g *Graph, n *Node, w Weights, inputs, vals map[int]*tensor.Tens
 		if !ok {
 			return nil, fmt.Errorf("no input tensor provided for node %d", n.ID)
 		}
+		if v == nil {
+			return nil, fmt.Errorf("input tensor for node %d is nil", n.ID)
+		}
 		want := n.OutShape
 		got := v.Shape()
 		if !equalShape(want, got) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cimmlc/internal/tensor"
@@ -105,8 +106,10 @@ func TestExecuteDenseVectorAndMatrix(t *testing.T) {
 func TestExecuteMissingInputErrors(t *testing.T) {
 	g := smallConvReluGraph(t)
 	w := RandomWeights(g, 1)
-	if _, err := Execute(g, w, nil); err == nil {
-		t.Fatal("accepted missing input tensor")
+	for name, inputs := range map[string]map[int]*tensor.Tensor{"missing": nil, "nil": {0: nil}} {
+		if _, err := Execute(g, w, inputs); err == nil || !strings.Contains(err.Error(), "node 0") {
+			t.Fatalf("%s input tensor: err = %v, want one naming node 0", name, err)
+		}
 	}
 }
 

@@ -93,11 +93,17 @@ func Dequantize(vals []int32, q QuantParams, shape ...int) (*Tensor, error) {
 // This is exactly the decomposition a CIM macro performs when spreading an
 // n-bit weight across cells of limited precision (Figure 7's B→XBC binding).
 func BitSlice(v int32, bits, cellBits int) []uint32 {
-	n := SliceCount(bits, cellBits)
+	return BitSliceInto(make([]uint32, SliceCount(bits, cellBits)), v, bits, cellBits)
+}
+
+// BitSliceInto is BitSlice into the caller's buffer, which must hold
+// SliceCount(bits, cellBits) slices: programming a crossbar slices every
+// weight of a tile and needs no slice of its own for each.
+func BitSliceInto(out []uint32, v int32, bits, cellBits int) []uint32 {
+	out = out[:SliceCount(bits, cellBits)]
 	u := uint32(v) & ((1 << uint(bits)) - 1) // two's complement truncation
-	out := make([]uint32, n)
 	mask := uint32(1<<uint(cellBits)) - 1
-	for i := 0; i < n; i++ {
+	for i := range out {
 		out[i] = u & mask
 		u >>= uint(cellBits)
 	}

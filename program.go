@@ -35,6 +35,7 @@ import (
 //
 // A Program is safe for concurrent use from many goroutines.
 type Program struct {
+	// What Build made, immutable from then on and shared by every Replica.
 	arch   Arch // private copy, never mutated
 	g      *Graph
 	res    *Result
@@ -42,12 +43,15 @@ type Program struct {
 	outs   []int // the graph's output node IDs
 	stages []*stage
 	part   *PartitionStats // nil for one-stage plans
-
-	workers int
 	// laneWords is the widest CIM stage's activation memory per lane: what
 	// the micro-batch lane budget divides.
 	laneWords int64
 
+	// What serving mutates, each replica its own: the worker bound, the
+	// pooled lane state of every CIM stage (of *funcsim.BatchState, by stage
+	// index) and the counters.
+	workers    int
+	pools      []sync.Pool
 	requests   atomic.Uint64
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
@@ -58,6 +62,7 @@ type Program struct {
 // stage is one step of a Program's plan: a self-contained subgraph whose
 // local node IDs map into the full graph through sub, executed either by
 // compiled CIM kernels over a programmed crossbar image or by a host program.
+// It is immutable once built.
 type stage struct {
 	sub *partition.Subgraph
 	// needs lists the local IDs of the stage graph's Input nodes, every those
@@ -66,15 +71,14 @@ type stage struct {
 
 	host *hostexec.Program // host stages
 
-	// CIM stages: the stage's flow, weights, calibration and image, the
+	// CIM stages: the stage's flow, weights, calibration and image, and the
 	// flow's compute section compiled into kernel closures — what every
-	// request executes, as one lane of a micro-batch — and pooled lane state.
+	// request executes, as one lane of a micro-batch.
 	fr    *FlowResult
 	w     Weights
 	calib map[int]*Tensor
 	img   *funcsim.Image
 	body  *funcsim.CompiledFlow
-	pool  sync.Pool // of *funcsim.BatchState
 }
 
 // Test seams, nil outside tests: testHookBatchClaim runs after a RunBatch
@@ -246,6 +250,11 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 	if calib == nil {
 		calib = defaultCalibration(p.g)
 	}
+	// A calibration set is a request: held to the same check, before any stage
+	// is built, so a malformed one draws the error a malformed Run input does.
+	if err := funcsim.CheckInputs(p.g, calib); err != nil {
+		return nil, fmt.Errorf("cimmlc: Build: calibration: %w", err)
+	}
 	// Boundary calibration: reference-execute the full graph on the
 	// calibration set so each stage's synthetic inputs calibrate on the
 	// activation distribution they will actually see. Execute re-runs shape
@@ -272,7 +281,23 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 		}
 		p.stages = append(p.stages, st)
 	}
+	p.pools = make([]sync.Pool, len(p.stages))
 	return p, nil
+}
+
+// Replica returns a Program that serves the same compiled artifact — the
+// stages' crossbar images, kernels, host programs and calibration, all
+// immutable — from lane-state pools, counters and a worker bound of its own
+// (the bound starts as p's). It is how a fleet puts N executors behind one
+// model: the replicas cost one Build and one image between them, answer every
+// request bit for bit as p does, and share nothing a request writes to.
+func (p *Program) Replica() *Program {
+	return &Program{
+		arch: p.arch, g: p.g, res: p.res, w: p.w, outs: p.outs, stages: p.stages, part: p.part,
+		laneWords: p.laneWords,
+		workers:   p.workers,
+		pools:     make([]sync.Pool, len(p.stages)),
+	}
 }
 
 // stagePlan returns the stages of a compilation result and the per-stage
@@ -663,7 +688,7 @@ func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every
 				return lane, fmt.Errorf("cimmlc: stage %d: %w", i, err)
 			}
 		}
-	} else if lane, err := p.runKernels(st, ins, outs, ids); err != nil {
+	} else if lane, err := p.runKernels(i, ins, outs, ids); err != nil {
 		return lane, fmt.Errorf("cimmlc: stage %d: %w", i, err)
 	}
 	for lane, env := range envs {
@@ -681,12 +706,13 @@ func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every
 	return 0, nil
 }
 
-// runKernels executes ins as one micro-batch, a lane each, through a CIM
-// stage's compiled kernels on a pooled execution state and stores the tensors
-// of the stage's local nodes ids in outs.
-func (p *Program) runKernels(st *stage, ins, outs []map[int]*Tensor, ids []int) (int, error) {
+// runKernels executes ins as one micro-batch, a lane each, through CIM stage
+// i's compiled kernels on a pooled execution state and stores the tensors of
+// the stage's local nodes ids in outs.
+func (p *Program) runKernels(i int, ins, outs []map[int]*Tensor, ids []int) (int, error) {
+	st, pool := p.stages[i], &p.pools[i]
 	var bs *funcsim.BatchState
-	if v := st.pool.Get(); v != nil {
+	if v := pool.Get(); v != nil {
 		p.poolHits.Add(1)
 		bs = v.(*funcsim.BatchState)
 		st.img.ResetBatch(bs, len(ins))
@@ -694,7 +720,7 @@ func (p *Program) runKernels(st *stage, ins, outs []map[int]*Tensor, ids []int) 
 		p.poolMisses.Add(1)
 		bs = st.img.NewBatchState(len(ins))
 	}
-	defer st.pool.Put(bs)
+	defer pool.Put(bs)
 	bm := st.img.ExecBatch(bs)
 	for lane, in := range ins {
 		if err := bm.LoadInputs(lane, in); err != nil {

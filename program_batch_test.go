@@ -207,6 +207,64 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsMalformedCalibration holds a calibration set to the request
+// contract above, for every plan shape: a nil calibration tensor used to
+// nil-dereference in the float reference (inside funcsim.NewImage for a
+// one-stage plan, in the boundary calibration for a staged one), and the other
+// three each drew a different layer's error. All four are refused before any
+// stage is built, with the error a malformed Run input draws.
+func TestBuildRejectsMalformedCalibration(t *testing.T) {
+	ctx := context.Background()
+	tc, tg, tw, _, _ := buildToyProgram(t)
+	mg, mw := mixedTestGraph(t)
+	a, err := Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := New(a, WithHostFallback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, sg, sw, _ := smallChipCompiler(t, WithStationaryWeights())
+	for _, shape := range []struct {
+		name  string
+		g     *Graph
+		build func(calib map[int]*Tensor) (*Program, error)
+	}{
+		{"monolithic", tg, func(calib map[int]*Tensor) (*Program, error) {
+			return tc.Build(ctx, tg, tw, CodegenOptions{}, WithCalibration(calib))
+		}},
+		{"host-partitioned", mg, func(calib map[int]*Tensor) (*Program, error) {
+			return mc.Build(ctx, mg, mw, CodegenOptions{}, WithCalibration(calib))
+		}},
+		{"chip-staged", sg, func(calib map[int]*Tensor) (*Program, error) {
+			return sc.BuildPipeline(ctx, sg, sw, CodegenOptions{}, 0, WithCalibration(calib))
+		}},
+	} {
+		id := shape.g.InputIDs()[0]
+		other := len(shape.g.Nodes) - 1 // a real node, but not a graph input
+		for _, tc := range []struct {
+			name string
+			edit func(calib map[int]*Tensor)
+			want string
+		}{
+			{"missing", func(c map[int]*Tensor) { delete(c, id) }, fmt.Sprintf("no input tensor provided for node %d", id)},
+			{"nil", func(c map[int]*Tensor) { c[id] = nil }, fmt.Sprintf("input tensor for node %d is nil", id)},
+			{"unknown-node", func(c map[int]*Tensor) { c[other] = c[id] }, fmt.Sprintf("input for unknown node %d (not a graph input)", other)},
+			{"wrong-element-count", func(c map[int]*Tensor) { c[id] = NewTensor(2, 2) }, fmt.Sprintf("input for node %d has 4 elements", id)},
+		} {
+			t.Run(shape.name+"/"+tc.name, func(t *testing.T) {
+				calib := mixedTestInput(shape.g, 3)
+				tc.edit(calib)
+				want := "cimmlc: Build: calibration: funcsim: " + tc.want
+				if p, err := shape.build(calib); err == nil || p != nil || !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("Build: program=%v err=%v, want no program and the error %q", p, err, want)
+				}
+			})
+		}
+	}
+}
+
 // TestRunBatchPrefersRequestErrorOverCancel forces the cancel/first-error
 // interleaving: request 0 is parked inside its worker until the caller
 // cancels the batch, while request 1 — already past its context check — is

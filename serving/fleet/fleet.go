@@ -1,24 +1,27 @@
 // Package fleet scales cimmlc serving from one simulated chip to a cluster
-// of them. A Fleet binds one (model, arch) pair to N chip replicas — each
-// wrapping its own compiled Program behind its own micro-batching queue —
-// behind a deterministic router (least loaded by outstanding requests,
+// of them. A Fleet binds one (model, arch) pair to N chip replicas — each a
+// view (cimmlc.Program.Replica) of the one Program the fleet built, behind
+// its own micro-batching queue — behind a deterministic router (least loaded by outstanding requests,
 // rendezvous-hash tiebreak), with queue-depth-driven autoscaling between
 // MinReplicas and MaxReplicas and graceful per-replica drain on scale-down.
 //
 // Models whose crossbar footprint exceeds one chip under the
 // stationary-weights constraint (cimmlc.ErrOverCapacity) are served by
-// cross-chip pipelining instead: each replica owns a Program cut across chips
-// (cimmlc.Compiler.BuildPipeline) whose stages execute on per-chip
-// goroutines, so stage i of request k+1 overlaps stage i+1 of request k.
+// cross-chip pipelining instead: the Program is cut across chips
+// (cimmlc.Compiler.BuildPipeline) and each replica executes its stages on
+// per-chip goroutines, so stage i of request k+1 overlaps stage i+1 of
+// request k.
 //
 // Every executor — a replica's Batcher, each chip of a pipeline replica —
 // sits behind the same batching queue and follows its one rule: run a request
 // at once when idle, otherwise run together, lane-wise, whatever queued while
 // busy. No chip holds a request back to wait for company.
 //
-// Replicas are built from the same deterministic source, so fleet outputs
-// are bit-identical regardless of replica count, routing or interleaving —
-// the property the determinism tests pin under -race.
+// Replicas execute the same immutable kernels over the same crossbar image —
+// one Build, one heap, whatever the replica count, and no replica can differ
+// from its siblings because an arch was re-registered between two spawns — so
+// fleet outputs are bit-identical regardless of replica count, routing or
+// interleaving: the property the determinism tests pin under -race.
 package fleet
 
 import (
@@ -88,15 +91,14 @@ func (c Config) withDefaults() Config {
 // Safe for concurrent use; Close drains every replica.
 type Fleet struct {
 	cfg    Config
-	reg    *serving.Registry
-	stages int           // chips per replica, fixed by the first build
-	inputs map[int][]int // the model's input schema, fixed by the first build
+	prog   *cimmlc.Program // what New built; every replica runs a Replica of it
+	stages int             // chips per replica
+	inputs map[int][]int   // the model's input schema
 
 	mu       sync.Mutex
 	replicas []*replica
 	closed   bool
 	nextID   int
-	spawning bool // an async scale-up build is in flight
 
 	seq        atomic.Uint64
 	requests   atomic.Uint64
@@ -110,10 +112,11 @@ type Fleet struct {
 }
 
 // New builds a fleet for cfg's (model, arch) against the registry's model
-// source and compilers. The initial replicas build synchronously — when New
-// returns, the fleet serves. A model that fails single-chip placement with
-// cimmlc.ErrOverCapacity transparently falls back to cross-chip pipeline
-// replicas.
+// source and compilers: one Program — on one chip when the model places, cut
+// across chips when stationary placement overflows (cimmlc.ErrOverCapacity)
+// — that every replica, initial or scaled up later, is a view of. Each chip
+// runs serially (WithWorkers(1)): the fleet's parallelism is across chips, not
+// inside one. When New returns, the fleet serves.
 func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,53 +132,38 @@ func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error)
 		return nil, fmt.Errorf("fleet: Replicas %d outside [%d,%d]", cfg.Replicas, cfg.MinReplicas, cfg.MaxReplicas)
 	}
 
+	p, err := reg.BuildProgram(ctx, cfg.Model, cfg.Arch, cimmlc.WithWorkers(1))
+	if errors.Is(err, cimmlc.ErrOverCapacity) {
+		p, err = reg.BuildPipeline(ctx, cfg.Model, cfg.Arch, cfg.MaxChips, cimmlc.WithWorkers(1))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fleet: building %s on %s: %w", cfg.Model, cfg.Arch, err)
+	}
 	f := &Fleet{
 		cfg:        cfg,
-		reg:        reg,
+		prog:       p,
+		stages:     chips(p),
+		inputs:     p.Inputs(),
 		stop:       make(chan struct{}),
 		scalerDone: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		rn, err := f.spawn(ctx)
-		if err != nil {
-			// The scaler has not started yet; tear down directly.
-			for _, rep := range f.replicas {
-				rep.run.Close()
-			}
-			return nil, fmt.Errorf("fleet: replica %d: building %s on %s: %w", i, cfg.Model, cfg.Arch, err)
-		}
-		f.addReplica(rn)
+		f.addReplica(f.spawn())
 	}
 	go f.scaler()
 	return f, nil
 }
 
-// spawn builds one replica: a fresh Program on one chip when the model
-// places, cut across chips when stationary placement overflows, behind the
-// runner its chip count calls for, both sized by cfg.Batcher. Each chip runs
-// serially (WithWorkers(1)) — the fleet's parallelism is across chips, not
-// inside one. The first build fixes the fleet's stage count and input schema
-// (New runs it before the scaler starts), and later ones skip a single-chip
-// attempt known to fail.
-func (f *Fleet) spawn(ctx context.Context) (runner, error) {
-	var p *cimmlc.Program
-	err := cimmlc.ErrOverCapacity // what the first build's single-chip attempt reported, if stages > 1
-	if f.stages <= 1 {
-		p, err = f.reg.BuildProgram(ctx, f.cfg.Model, f.cfg.Arch, cimmlc.WithWorkers(1))
-	}
-	if errors.Is(err, cimmlc.ErrOverCapacity) {
-		p, err = f.reg.BuildPipeline(ctx, f.cfg.Model, f.cfg.Arch, f.cfg.MaxChips, cimmlc.WithWorkers(1))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if f.stages == 0 {
-		f.stages, f.inputs = chips(p), p.Inputs()
-	}
+// spawn makes one replica: a view of the fleet's Program with lane state and
+// counters of its own, behind the runner its chip count calls for, sized by
+// cfg.Batcher. Nothing is compiled or programmed — a replica costs its
+// queues.
+func (f *Fleet) spawn() runner {
+	p := f.prog.Replica()
 	if f.stages > 1 {
-		return newStageRunner(p, f.cfg.Batcher), nil
+		return newStageRunner(p, f.cfg.Batcher)
 	}
-	return serving.NewBatcher(p, f.cfg.Batcher), nil
+	return serving.NewBatcher(p, f.cfg.Batcher)
 }
 
 // Factory adapts a fleet Config into a serving.RunnerFactory: every
@@ -307,25 +295,13 @@ func (f *Fleet) scaleTick() {
 		busy += rep.outstanding.Load()
 	}
 
-	// Scale up: backlog beyond ScaleUpDepth per replica, capacity left, and
-	// no build already in flight. The build runs detached — a compile +
-	// weight-programming must not stall the ticks (or the router).
-	if active > 0 && !f.spawning && active < f.cfg.MaxReplicas && depth > f.cfg.ScaleUpDepth*active {
-		f.spawning = true
+	// Scale up: backlog beyond ScaleUpDepth per replica and capacity left.
+	if active > 0 && active < f.cfg.MaxReplicas && depth > f.cfg.ScaleUpDepth*active {
 		f.idleTicks = 0
 		f.mu.Unlock()
-		go func() {
-			rn, err := f.spawn(context.Background())
-			f.mu.Lock()
-			f.spawning = false
-			f.mu.Unlock()
-			if err != nil {
-				return // backlog persists; a later tick retries
-			}
-			if f.addReplica(rn) {
-				f.scaleUps.Add(1)
-			}
-		}()
+		if f.addReplica(f.spawn()) {
+			f.scaleUps.Add(1)
+		}
 		return
 	}
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +228,110 @@ func TestFleetScaleUpAndDrainDown(t *testing.T) {
 				sameBits(t, fmt.Sprintf("post-drain request %d", i), outs[i], want)
 			}
 		})
+	}
+}
+
+// TestFleetBuildsOnce: a fleet's replicas are views of one Program, so N of
+// them — initial or scaled up — cost the registry one build (and, for a model
+// that overflows the chip, the one single-chip attempt that says so), not N.
+func TestFleetBuildsOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		mode, model, arch string
+		reg               func(t *testing.T) *serving.Registry
+		input             func(i int) map[int]*cimmlc.Tensor
+		builds            uint64
+	}{
+		{"replicated", "conv-relu", "toy-table2", func(*testing.T) *serving.Registry { return serving.NewRegistry() }, fleetInput, 1},
+		{"pipeline", "mlp", "jia-small", smallChipRegistry, mlpInput, 2},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			reg := tc.reg(t)
+			// The scaler never ticks: the test does its one scale-up itself.
+			f, err := New(ctx, reg, Config{Model: tc.model, Arch: tc.arch, Replicas: 3, MaxReplicas: 4, ScaleInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.addReplica(f.spawn())
+			if f.Mode() != tc.mode || f.Replicas() != 4 {
+				t.Fatalf("fleet mode=%s replicas=%d, want %s/4", f.Mode(), f.Replicas(), tc.mode)
+			}
+			if got := reg.Builds(); got != tc.builds {
+				t.Fatalf("a fleet of 4 replicas ran %d registry builds, want %d", got, tc.builds)
+			}
+			// Every replica serves, whichever the router picks.
+			want, err := f.Do(ctx, tc.input(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rep := range f.replicas {
+				got, err := rep.run.Do(ctx, tc.input(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("replica %d", rep.id), got, want)
+			}
+		})
+	}
+}
+
+// TestFleetReplicasSurviveRegisterArch: a replica spawned after the fleet's
+// arch was re-registered with a different description is still a view of the
+// Program the fleet was built with — bit-identical to its siblings, where one
+// built from the registry at spawn time would answer the same request
+// differently, depending on the router. The gateway replaces the whole fleet
+// when it sees the new version.
+func TestFleetReplicasSurviveRegisterArch(t *testing.T) {
+	ctx := context.Background()
+	a, err := cimmlc.Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Name = "toy-live"
+	reg := serving.NewRegistry()
+	if err := reg.RegisterArch(a); err != nil {
+		t.Fatal(err)
+	}
+	// The scaler never ticks: the test does its one scale-up itself.
+	f, err := New(ctx, reg, Config{Model: "conv-relu", Arch: "toy-live", Replicas: 1, MaxReplicas: 2, ScaleInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := f.Do(ctx, fleetInput(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same name, now with 4-bit weights: a Program built from it answers
+	// differently.
+	a.WeightBits = 4
+	if err := reg.RegisterArch(a); err != nil {
+		t.Fatal(err)
+	}
+	p, err := reg.BuildProgram(ctx, "conv-relu", "toy-live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := p.Run(ctx, fleetInput(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(other, want) {
+		t.Fatal("the re-registered arch answers as the old one: nothing to tell apart")
+	}
+
+	f.addReplica(f.spawn())
+	if f.Replicas() != 2 {
+		t.Fatalf("fleet has %d replicas, want 2", f.Replicas())
+	}
+	for _, rep := range f.replicas {
+		got, err := rep.run.Do(ctx, fleetInput(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("replica %d", rep.id), got, want)
 	}
 }
 

@@ -293,12 +293,12 @@ func (r *Registry) buildWith(model, archName string, extra []cimmlc.BuildOption,
 	return p, nil
 }
 
-// BuildProgram builds a fresh, uncached Program for (model, arch) — one
-// simulated chip of a fleet replica. Unlike Get, every call builds its own
-// Program so each replica owns its crossbar image and state pools; the
-// compiler's artifact cache still makes the repeat compilations cheap, and a
-// deterministic model source makes the replicas bit-identical. extra build
-// options append to the registry-wide ones.
+// BuildProgram builds a fresh, uncached Program for (model, arch) with extra
+// build options appended to the registry-wide ones — what a fleet needs of
+// the registry: its own Program, built once with the worker bound of one chip,
+// that the registry neither caches nor drops on RegisterArch. A fleet's
+// replicas are cimmlc.Program.Replica views of that one build; only a caller
+// that wants a second crossbar image calls BuildProgram twice.
 func (r *Registry) BuildProgram(ctx context.Context, model, archName string, extra ...cimmlc.BuildOption) (*cimmlc.Program, error) {
 	return r.buildWith(model, archName, extra, func(c *cimmlc.Compiler, g *cimmlc.Graph, w cimmlc.Weights, opts []cimmlc.BuildOption) (*cimmlc.Program, error) {
 		return c.Build(ctx, g, w, cimmlc.CodegenOptions{}, opts...)
