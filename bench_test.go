@@ -144,14 +144,14 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 	}
 	b.Run("greedy-prefix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cg.Optimize(g, a, m, cg.Options{Pipeline: true}); err != nil {
+			if _, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pop-refined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cg.Optimize(g, a, m, cg.Options{Pipeline: true, Duplicate: true}); err != nil {
+			if _, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -260,16 +260,34 @@ func BenchmarkAutoTune(b *testing.B) {
 	b.ReportMetric(speedup, "speedup")
 }
 
-// BenchmarkCompileThroughput measures raw compiler throughput per model, the
-// end-to-end cost a user pays.
+// BenchmarkCompileThroughput measures raw compiler throughput per cell, the
+// end-to-end cost a user pays, in time and (with -benchmem) bytes per
+// compile. Beside the four isaac-baseline models it holds the cells a profile
+// of the zoo singled out: vgg16.toy-table2 places the most tiles (135 200),
+// vit-base and vgg16 on isaac-baseline run the longest duplication searches,
+// and resnet152.isaac-baseline is the cell the benchmark's grid leaves out
+// for its compile time.
 func BenchmarkCompileThroughput(b *testing.B) {
-	a := arch.ISAACBaseline()
-	for _, name := range []string{"lenet5", "resnet18", "vgg7", "vit-tiny"} {
-		g, err := models.Build(name)
+	for _, cell := range [][2]string{
+		{"lenet5", "isaac-baseline"},
+		{"resnet18", "isaac-baseline"},
+		{"vgg7", "isaac-baseline"},
+		{"vit-tiny", "isaac-baseline"},
+		{"vgg16", "toy-table2"},
+		{"vit-base", "isaac-baseline"},
+		{"vgg16", "isaac-baseline"},
+		{"resnet152", "isaac-baseline"},
+	} {
+		g, err := models.Build(cell[0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		a, err := arch.Preset(cell[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cell[0]+"."+cell[1], func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Compile(g, a, core.Options{}); err != nil {
 					b.Fatal(err)

@@ -26,24 +26,33 @@ func buildCell(tb testing.TB, model, archName string) (*Compiler, *Graph, Weight
 	return c, g, RandomWeights(g, 42)
 }
 
-// measureBuild runs one Build and returns the program with what the Build
-// left resident (HeapAlloc delta after two collections) and what it allocated
+// measureHeap runs f and returns what it left resident (HeapAlloc delta after
+// two collections; the caller keeps f's result alive) and what it allocated
 // on the way (TotalAlloc delta), both in MB.
-func measureBuild(tb testing.TB, c *Compiler, g *Graph, w Weights) (p *Program, residentMB, allocMB float64) {
-	tb.Helper()
+func measureHeap(f func()) (residentMB, allocMB float64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	p, err := c.Build(context.Background(), g, w, CodegenOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	f()
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	const mb = 1 << 20
-	return p, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / mb, float64(after.TotalAlloc-before.TotalAlloc) / mb
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / mb, float64(after.TotalAlloc-before.TotalAlloc) / mb
+}
+
+// measureBuild runs one Build and returns the program with what the Build
+// left resident and what it allocated on the way, both in MB.
+func measureBuild(tb testing.TB, c *Compiler, g *Graph, w Weights) (p *Program, residentMB, allocMB float64) {
+	tb.Helper()
+	residentMB, allocMB = measureHeap(func() {
+		var err error
+		if p, err = c.Build(context.Background(), g, w, CodegenOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	return p, residentMB, allocMB
 }
 
 // programmed sums funcsim.Image.Programmed over p's CIM stages: the crossbars
@@ -79,6 +88,47 @@ func TestBuildFootprint(t *testing.T) {
 			tc.model, tc.arch, resident, alloc, crossbars, distinct)
 		if resident > tc.maxResident || alloc > tc.maxAlloc {
 			t.Errorf("Build of %s on %s left %.1f MB resident (limit %.0f) and allocated %.1f MB (limit %.0f)",
+				tc.model, tc.arch, resident, tc.maxResident, alloc, tc.maxAlloc)
+		}
+	}
+}
+
+// TestCompileFootprint bounds what one Compile allocates and what its Result
+// keeps. A placement is its extents — a few words per CIM node — so neither
+// follows the crossbars the schedule occupies: vgg16 on toy-table2 places
+// 135 200 tiles, and a Compile that materializes them allocates two orders of
+// magnitude over these bounds and pins 18 MB in every cached Result.
+func TestCompileFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		model, arch           string
+		maxResident, maxAlloc float64 // MB
+	}{
+		{"vgg16", "toy-table2", 1, 2},
+		{"vit-base", "isaac-baseline", 1, 10},
+	} {
+		g, err := Model(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Preset(tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(a, WithCache(0), WithoutVerifyIR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		resident, alloc := measureHeap(func() {
+			var err error
+			if res, err = c.Compile(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.KeepAlive(res)
+		t.Logf("%s on %s: Result keeps %.2f MB, Compile allocated %.2f MB", tc.model, tc.arch, resident, alloc)
+		if resident > tc.maxResident || alloc > tc.maxAlloc {
+			t.Errorf("Compile of %s on %s: Result keeps %.2f MB (limit %.0f), %.2f MB allocated (limit %.0f)",
 				tc.model, tc.arch, resident, tc.maxResident, alloc, tc.maxAlloc)
 		}
 	}

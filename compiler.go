@@ -226,10 +226,11 @@ func (c *Compiler) Stats() Stats {
 // Compile runs the multi-level scheduling workflow of Figure 3 on g:
 // CG-grained optimization always, MVM-grained when the target exposes XBM or
 // finer, VVM-grained when it exposes WLM, then placement and performance
-// simulation. ctx is checked between passes and inside the placement and
-// simulation loops. Results are memoized in an LRU cache keyed by (graph
-// fingerprint, arch fingerprint, option set): repeated traffic for the same
-// model returns the same *Result, which callers must treat as read-only.
+// simulation. ctx is checked between passes and inside the duplication
+// search, placement and simulation loops. Results are memoized in an LRU
+// cache keyed by (graph fingerprint, arch fingerprint, option set): repeated
+// traffic for the same model returns the same *Result, which callers must
+// treat as read-only.
 func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
 	return c.compile(ctx, g, "", func(ctx context.Context, gc *Graph, a *Arch) (*Result, error) {
 		return core.CompilePasses(ctx, gc, a, c.opt, c.passes, c.trace)
@@ -248,13 +249,17 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, variant string, run fu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, err := graph.Encode(g)
-	if err != nil {
-		return nil, fmt.Errorf("cimmlc: Compile: %w", err)
-	}
+	// The cache key fingerprints the encoded graph, and encoding validates
+	// it; with the cache off only the validation is left to do.
 	var key string
 	if c.cap > 0 {
+		data, err := graph.Encode(g)
+		if err != nil {
+			return nil, fmt.Errorf("cimmlc: Compile: %w", err)
+		}
 		key = fingerprint(data) + "|" + c.archFP + "|" + c.optFP + variant
+	} else if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("cimmlc: Compile: graph: refusing to encode invalid graph: %w", err)
 	}
 
 	c.mu.Lock()

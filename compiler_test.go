@@ -56,8 +56,8 @@ func TestCompilerMatchesLegacy(t *testing.T) {
 						ls.Dup, ls.Remap, ls.Segments, ls.Levels, ls.Pipeline, ls.Stagger,
 						ns.Dup, ns.Remap, ns.Segments, ns.Levels, ns.Pipeline, ns.Stagger)
 				}
-				if !reflect.DeepEqual(legacy.Placement.Tiles, res.Placement.Tiles) {
-					t.Errorf("placements differ: %d vs %d tiles", len(legacy.Placement.Tiles), len(res.Placement.Tiles))
+				if !reflect.DeepEqual(legacy.Placement.Extents, res.Placement.Extents) {
+					t.Errorf("placements differ:\nlegacy %+v\nnew    %+v", legacy.Placement.Extents, res.Placement.Extents)
 				}
 			})
 		}
@@ -229,6 +229,36 @@ func TestCompilerCacheDisabledAndEviction(t *testing.T) {
 	}
 	if st := one.Stats(); st.Evictions != 2 || st.Misses != 3 || st.Entries != 1 {
 		t.Fatalf("stats with capacity 1 = %+v", st)
+	}
+}
+
+// TestCompileRejectsInvalidGraphCacheOnOrOff: a caching compiler validates
+// the graph on the way to its fingerprint; a cache-less one skips the
+// fingerprint but must refuse the same graph with the same message.
+func TestCompileRejectsInvalidGraphCacheOnOrOff(t *testing.T) {
+	a, err := Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Model("conv-relu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Nodes[len(g.Nodes)-1].Inputs = nil // the output operator reads nothing
+	var msgs []string
+	for _, capacity := range []int{0, 4} {
+		c, err := New(a, WithCache(capacity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Compile(context.Background(), g)
+		if err == nil {
+			t.Fatalf("WithCache(%d): compiled an invalid graph", capacity)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] || !strings.HasPrefix(msgs[0], "cimmlc: Compile: graph: refusing to encode invalid graph: ") {
+		t.Fatalf("cache off: %q\ncache on:  %q", msgs[0], msgs[1])
 	}
 }
 

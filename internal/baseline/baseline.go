@@ -7,6 +7,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"cimmlc/internal/arch"
@@ -26,7 +27,7 @@ func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func PolySchedule(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Duplicate: true, Allocator: cg.AllocWaterfill})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Allocator: cg.AllocWaterfill})
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +76,7 @@ func PUMANative(g *graph.Graph) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		return nil, err
 	}

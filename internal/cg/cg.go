@@ -3,9 +3,16 @@
 // under the chip's core_number constraint, inter-operator pipeline
 // balancing, and the resource-adaptive compute graph segmentation of
 // Figure 9(b) for models that exceed chip capacity.
+//
+// The dynamic program is split in two (dupTable): a forward table built once
+// per operator list, trying per operator only the copy counts that can win
+// (one per distinct ceil(windows/d), see candidates), and a walk-back that
+// reads the allocation of any leading sub-list off it — so the segmenter's
+// pop-and-re-estimate loop prices every head it tries from one table.
 package cg
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -58,8 +65,10 @@ func (oi opInfo) run(d int) float64 {
 }
 
 // Optimize performs CG-grained optimization and returns the schedule
-// (Levels = ["CG"]). The cost model m must be built over (g, a).
-func Optimize(g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.Schedule, error) {
+// (Levels = ["CG"]). The cost model m must be built over (g, a). ctx is
+// polled once per operator row of every duplication search, so a cancelled
+// compilation stops mid-search.
+func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.Schedule, error) {
 	if opt.Allocator == "" {
 		opt.Allocator = AllocDP
 	}
@@ -67,7 +76,7 @@ func Optimize(g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.
 	if err != nil {
 		return nil, err
 	}
-	segments, err := segment(g, a, m, infos, order, opt)
+	segments, err := segment(ctx, g, a, m, infos, order, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +91,7 @@ func Optimize(g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.
 	}
 	if opt.Duplicate {
 		for _, seg := range segments {
-			dup, err := allocate(segCIMInfos(infos, seg), a.Chip.CoreCount(), opt)
+			dup, err := allocate(ctx, segCIMInfos(infos, seg), a.Chip.CoreCount(), opt)
 			if err != nil {
 				return nil, err
 			}
@@ -145,90 +154,125 @@ func segCIMInfos(infos map[int]opInfo, seg []int) []opInfo {
 	return out
 }
 
+// coresAtDupOne returns the cores ops occupy with one copy each.
+func coresAtDupOne(ops []opInfo) int {
+	cores := 0
+	for _, oi := range ops {
+		cores += oi.coresCopy
+	}
+	return cores
+}
+
 // allocate distributes the core budget over the segment's CIM operators and
 // returns the duplication per node.
-func allocate(ops []opInfo, budget int, opt Options) (map[int]int, error) {
+func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) (map[int]int, error) {
 	if len(ops) == 0 {
 		return map[int]int{}, nil
 	}
-	baseline := 0
-	for _, oi := range ops {
-		baseline += oi.coresCopy
-	}
-	if baseline > budget {
+	if baseline := coresAtDupOne(ops); baseline > budget {
 		return nil, fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, budget)
 	}
 	switch opt.Allocator {
 	case AllocWaterfill:
 		return waterfill(ops, budget), nil
 	default:
-		return allocateDP(ops, budget), nil
+		return allocateDP(ctx, ops, budget)
 	}
 }
 
-// allocateDP is the paper's dynamic-programming search: dp[r] is the minimal
-// summed runtime using exactly ≤ r cores over the operators processed so
-// far; each operator chooses how many copies to instantiate.
-func allocateDP(ops []opInfo, budget int) map[int]int {
+// allocateDP is the paper's dynamic-programming search: the copies per
+// operator that minimize the summed runtime within the core budget.
+func allocateDP(ctx context.Context, ops []opInfo, budget int) (map[int]int, error) {
+	t, err := newDupTable(ctx, ops, budget)
+	if err != nil {
+		return nil, err
+	}
+	return t.dup(len(ops)), nil
+}
+
+// candidate is one copy count worth trying for an operator.
+type candidate struct {
+	d, cores int
+	run      float64
+}
+
+// candidates appends to buf the copy counts of oi that can win a table cell,
+// in ascending order: run(d) depends on d only through ceil(windows/d), the
+// table's rows are non-increasing in the cores left and a tie keeps the
+// candidate tried first, so of the copy counts sharing a ceiling only the
+// smallest is ever chosen. The list stops at maxDup, at the budget, and at
+// the first d ≥ windows (one window per copy: more copies cannot help).
+func (oi opInfo) candidates(budget int, buf []candidate) []candidate {
+	for d := 1; d <= oi.maxDup && d*oi.coresCopy <= budget; {
+		buf = append(buf, candidate{d, d * oi.coresCopy, oi.run(d)})
+		q := ceilDiv64(oi.windows, int64(d))
+		if q <= 1 {
+			break
+		}
+		d = int(ceilDiv64(oi.windows, q-1)) // the smallest d with a lower ceiling
+	}
+	return buf
+}
+
+// dupTable is the forward half of the dynamic program over ops and a core
+// budget: row i holds, for every r ≤ budget, how many copies operator i gets
+// in the allocation of ops[:i+1] to at most r cores that minimizes their
+// summed runtime (0: no copy fits). Row i depends on operators 0..i only, so
+// one table answers every leading sub-list of ops (dup).
+type dupTable struct {
+	ops    []opInfo
+	budget int
+	choice []int // row i is choice[i*(budget+1) : (i+1)*(budget+1)]
+}
+
+// tableBuilt, when a test sets it, sees every forward table as it is built;
+// the search-work counts quoted in CHANGES.md are read through it.
+var tableBuilt func(*dupTable)
+
+func newDupTable(ctx context.Context, ops []opInfo, budget int) (*dupTable, error) {
 	const inf = math.MaxFloat64 / 4
-	dp := make([]float64, budget+1)
-	choice := make([][]int, len(ops))
-	for i := range dp {
-		dp[i] = 0
-	}
-	// dp is built operator by operator; cur[r] = min total runtime of the
-	// first i operators using at most r cores.
-	prev := make([]float64, budget+1)
-	for r := range prev {
-		prev[r] = 0
-	}
+	w := budget + 1
+	t := &dupTable{ops: ops, budget: budget, choice: make([]int, len(ops)*w)}
+	// prev[r] is the minimal summed runtime of the operators before row i on
+	// at most r cores, cur[r] the same including operator i.
+	prev, cur := make([]float64, w), make([]float64, w)
+	var cands []candidate
 	for i, oi := range ops {
-		cur := make([]float64, budget+1)
-		ch := make([]int, budget+1)
-		for r := 0; r <= budget; r++ {
-			cur[r] = inf
-			ch[r] = 0
-			maxD := oi.maxDup
-			if oi.coresCopy > 0 {
-				if lim := r / oi.coresCopy; lim < maxD {
-					maxD = lim
-				}
-			}
-			for d := 1; d <= maxD; d++ {
-				c := d * oi.coresCopy
-				if c > r {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("cg: cancelled: %w", err)
+		}
+		cands = oi.candidates(budget, cands[:0])
+		row := t.choice[i*w : (i+1)*w]
+		for r := range cur {
+			best, bestD := inf, 0
+			for _, c := range cands {
+				if c.cores > r {
 					break
 				}
-				v := prev[r-c] + oi.run(d)
-				if v < cur[r] {
-					cur[r] = v
-					ch[r] = d
-				}
-				// Early exit: once the operator is down to one window per
-				// copy, more copies cannot help.
-				if int64(d) >= oi.windows {
-					break
+				if v := prev[r-c.cores] + c.run; v < best {
+					best, bestD = v, c.d
 				}
 			}
+			cur[r], row[r] = best, bestD
 		}
-		choice[i] = ch
-		prev = cur
+		prev, cur = cur, prev
 	}
-	// Walk back the choices from the full budget.
-	dup := map[int]int{}
-	r := budget
-	for i := len(ops) - 1; i >= 0; i-- {
-		d := choice[i][r]
-		if d < 1 {
-			d = 1
-		}
-		dup[ops[i].id] = d
-		r -= d * ops[i].coresCopy
-		if r < 0 {
-			r = 0
-		}
+	if tableBuilt != nil {
+		tableBuilt(t)
 	}
-	_ = dp
+	return t, nil
+}
+
+// dup walks the choices of the first k operators back from the full budget
+// and returns their duplication — what a fresh search over ops[:k] returns.
+func (t *dupTable) dup(k int) map[int]int {
+	dup := make(map[int]int, k)
+	r := t.budget
+	for i := k - 1; i >= 0; i-- {
+		d := max(1, t.choice[i*(t.budget+1)+r])
+		dup[t.ops[i].id] = d
+		r = max(0, r-d*t.ops[i].coresCopy)
+	}
 	return dup
 }
 

@@ -1,6 +1,8 @@
 package cg
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -17,7 +19,7 @@ func optimize(t *testing.T, g *graph.Graph, a *arch.Arch, opt Options) *sched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Optimize(g, a, m, opt)
+	s, err := Optimize(context.Background(), g, a, m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +224,11 @@ func TestRefinementNotWorse(t *testing.T) {
 	g := models.VGG16()
 	a := arch.JiaAccelerator()
 	m, _ := cost.New(g, a)
-	greedy, err := Optimize(g, a, m, Options{})
+	greedy, err := Optimize(context.Background(), g, a, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Optimize(g, a, m, Options{Duplicate: true})
+	refined, err := Optimize(context.Background(), g, a, m, Options{Duplicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,10 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 		{id: 1, cim: true, coresCopy: 1, maxDup: 100, windows: 100, perWindow: 10, rounds: 1},
 		{id: 2, cim: true, coresCopy: 1, maxDup: 100, windows: 4, perWindow: 10, rounds: 1},
 	}
-	dup := allocateDP(ops, 10)
+	dup, err := allocateDP(context.Background(), ops, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dup[1] <= dup[2] {
 		t.Fatalf("dp gave %v; heavy op should receive more copies", dup)
 	}
@@ -261,7 +266,7 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 
 func TestAllocateRejectsImpossibleBudget(t *testing.T) {
 	ops := []opInfo{{id: 1, cim: true, coresCopy: 10, maxDup: 1, windows: 1, perWindow: 1, rounds: 1}}
-	if _, err := allocate(ops, 5, Options{}); err == nil {
+	if _, err := allocate(context.Background(), ops, 5, Options{}); err == nil {
 		t.Fatal("accepted impossible budget")
 	}
 }
@@ -275,7 +280,10 @@ func TestAllocatorsAblation(t *testing.T) {
 		{id: 3, cim: true, coresCopy: 4, maxDup: 50, windows: 50, perWindow: 5, rounds: 1},
 	}
 	budget := 40
-	dp := allocateDP(ops, budget)
+	dp, err := allocateDP(context.Background(), ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wf := waterfill(ops, budget)
 	sum := func(dup map[int]int) float64 {
 		t := 0.0
@@ -308,4 +316,66 @@ func TestAllocatorsAblation(t *testing.T) {
 			t.Fatalf("allocator exceeded budget: %v", dup)
 		}
 	}
+}
+
+// exhaustiveDP is the duplication search as it stood before the forward table
+// pruned it — every copy count of every operator tried at every core count,
+// run(d) re-evaluated each time — kept verbatim as the oracle the pruned
+// search is tested against. It also returns the choice table it walks back.
+func exhaustiveDP(ops []opInfo, budget int) ([][]int, map[int]int) {
+	const inf = math.MaxFloat64 / 4
+	choice := make([][]int, len(ops))
+	// dp is built operator by operator; cur[r] = min total runtime of the
+	// first i operators using at most r cores.
+	prev := make([]float64, budget+1)
+	for r := range prev {
+		prev[r] = 0
+	}
+	for i, oi := range ops {
+		cur := make([]float64, budget+1)
+		ch := make([]int, budget+1)
+		for r := 0; r <= budget; r++ {
+			cur[r] = inf
+			ch[r] = 0
+			maxD := oi.maxDup
+			if oi.coresCopy > 0 {
+				if lim := r / oi.coresCopy; lim < maxD {
+					maxD = lim
+				}
+			}
+			for d := 1; d <= maxD; d++ {
+				c := d * oi.coresCopy
+				if c > r {
+					break
+				}
+				v := prev[r-c] + oi.run(d)
+				if v < cur[r] {
+					cur[r] = v
+					ch[r] = d
+				}
+				// Early exit: once the operator is down to one window per
+				// copy, more copies cannot help.
+				if int64(d) >= oi.windows {
+					break
+				}
+			}
+		}
+		choice[i] = ch
+		prev = cur
+	}
+	// Walk back the choices from the full budget.
+	dup := map[int]int{}
+	r := budget
+	for i := len(ops) - 1; i >= 0; i-- {
+		d := choice[i][r]
+		if d < 1 {
+			d = 1
+		}
+		dup[ops[i].id] = d
+		r -= d * ops[i].coresCopy
+		if r < 0 {
+			r = 0
+		}
+	}
+	return choice, dup
 }

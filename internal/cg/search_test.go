@@ -1,0 +1,319 @@
+package cg
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"cimmlc/internal/arch"
+	"cimmlc/internal/cost"
+	"cimmlc/internal/models"
+)
+
+// The 240 golden digests pin what the search returns on the zoo; the tests
+// here pin the argument that the pruned, shared-table search is the
+// exhaustive one: cell for cell on random operator sets, row for row on
+// leading sub-lists, and pop for pop in the segmenter.
+
+var primes = []int64{2, 3, 5, 7, 97, 101, 499, 1009, 2503, 4999}
+
+// randomOps draws an operator set and a budget. Every tenth draw gets the
+// tightest feasible budget (the dup-1 baseline), every seventh a one-window
+// or prime-window operator.
+func randomOps(rng *rand.Rand, draw int) ([]opInfo, int) {
+	budget := 1 + rng.IntN(768)
+	ops := make([]opInfo, 1+rng.IntN(8))
+	baseline := 0
+	for i := range ops {
+		oi := opInfo{
+			id:        i + 1,
+			cim:       true,
+			coresCopy: 1 + rng.IntN(8),
+			maxDup:    1 + rng.IntN(budget),
+			windows:   1 + rng.Int64N(5000),
+			perWindow: 0.5 + 100*rng.Float64(),
+			rounds:    1 + rng.IntN(3),
+			reload:    float64(rng.IntN(3)) * 1000 * rng.Float64(),
+		}
+		switch (draw + i) % 7 {
+		case 0:
+			oi.windows = 1
+		case 1:
+			oi.windows = primes[rng.IntN(len(primes))]
+		}
+		ops[i] = oi
+		baseline += oi.coresCopy
+	}
+	if draw%10 == 0 {
+		budget = baseline
+	}
+	return ops, budget
+}
+
+// TestPrunedSearchMatchesExhaustive: on seeded random operator sets the
+// forward table holds the exhaustive search's choice in every cell, and its
+// walk-back returns the same duplication — for the whole list and for every
+// leading sub-list, which is what lets refinePrefix share one table.
+func TestPrunedSearchMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 332))
+	ctx := context.Background()
+	for draw := 0; draw < 1000; draw++ {
+		ops, budget := randomOps(rng, draw)
+		table, err := newDupTable(ctx, ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		choice, dup := exhaustiveDP(ops, budget)
+		for i := range ops {
+			row := table.choice[i*(budget+1) : (i+1)*(budget+1)]
+			for r := range row {
+				if row[r] != choice[i][r] {
+					t.Fatalf("draw %d (budget %d, ops %+v): choice[%d][%d] = %d, exhaustive search chose %d", draw, budget, ops, i, r, row[r], choice[i][r])
+				}
+			}
+		}
+		if got := table.dup(len(ops)); !maps.Equal(got, dup) {
+			t.Fatalf("draw %d: dup %v, exhaustive search %v", draw, got, dup)
+		}
+		for k := 0; k <= len(ops); k++ {
+			_, fresh := exhaustiveDP(ops[:k], budget)
+			if got := table.dup(k); !maps.Equal(got, fresh) {
+				t.Fatalf("draw %d: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", draw, k, got, k, fresh)
+			}
+		}
+	}
+}
+
+// TestCandidatesOnePerCeiling pins the pruning rule itself: the candidate
+// list is exactly the smallest copy count of every distinct ceil(windows/d)
+// the exhaustive loop would try, with that loop's run(d).
+func TestCandidatesOnePerCeiling(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for draw := 0; draw < 500; draw++ {
+		ops, budget := randomOps(rng, draw)
+		for _, oi := range ops {
+			var want []candidate
+			lastCeil := int64(-1)
+			for d := 1; d <= oi.maxDup && d*oi.coresCopy <= budget; d++ {
+				if q := ceilDiv64(oi.windows, int64(d)); q != lastCeil {
+					want = append(want, candidate{d, d * oi.coresCopy, oi.run(d)})
+					lastCeil = q
+				}
+				if int64(d) >= oi.windows {
+					break
+				}
+			}
+			if got := oi.candidates(budget, nil); !slices.Equal(got, want) {
+				t.Fatalf("budget %d, op %+v: candidates %v, want %v", budget, oi, got, want)
+			}
+		}
+	}
+}
+
+// searchWork counts the inner-loop work of duplication searches: tables (or
+// exhaustive searches) run, (r, d) steps taken and run(d) evaluations made.
+type searchWork struct{ searches, steps, runs int }
+
+func (w *searchWork) add(o searchWork) {
+	w.searches += o.searches
+	w.steps += o.steps
+	w.runs += o.runs
+}
+
+// exhaustiveWork is what exhaustiveDP does over ops: it evaluates run(d) at
+// every step, and takes min(maxDup, r/coresCopy, max(windows, 1)) steps per
+// (operator, r).
+func exhaustiveWork(ops []opInfo, budget int) searchWork {
+	w := searchWork{searches: 1}
+	for _, oi := range ops {
+		for r := 0; r <= budget; r++ {
+			w.steps += int(min(int64(oi.maxDup), int64(r/oi.coresCopy), max(oi.windows, 1)))
+		}
+	}
+	w.runs = w.steps
+	return w
+}
+
+// tableWork is what newDupTable did for t: one run(d) per candidate, and per
+// (operator, r) one step for every candidate that fits r cores.
+func tableWork(t *dupTable) searchWork {
+	w := searchWork{searches: 1}
+	for _, oi := range t.ops {
+		cands := oi.candidates(t.budget, nil)
+		w.runs += len(cands)
+		for _, c := range cands {
+			w.steps += t.budget + 1 - c.cores
+		}
+	}
+	return w
+}
+
+// segmentFromScratch is the segmenter as it stood before refinePrefix shared
+// a table: every estimate — two per loop iteration over the prefix and its
+// head, one over the popped group — re-runs a whole exhaustive search. It
+// returns the segments, the duplication of each and the work that took.
+func segmentFromScratch(t *testing.T, infos map[int]opInfo, order []int, budget int, reload float64) ([][]int, map[int]int, searchWork) {
+	var work searchWork
+	search := func(nodes []int) map[int]int {
+		ops := segCIMInfos(infos, nodes)
+		if len(ops) == 0 {
+			return map[int]int{}
+		}
+		work.add(exhaustiveWork(ops, budget))
+		_, dup := exhaustiveDP(ops, budget)
+		return dup
+	}
+	estimate := func(nodes []int) float64 { return latency(infos, nodes, search(nodes)) }
+	var segs [][]int
+	for remaining := order; len(remaining) > 0; {
+		prefix, rest, err := takePrefix(infos, remaining, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(rest) > 0 && cimCount(infos, prefix) > 1 {
+			cut := lastCIMIndex(infos, prefix)
+			if cut <= 0 {
+				break
+			}
+			head, group := prefix[:cut], prefix[cut:]
+			baseline := estimate(prefix)
+			candidate := estimate(head) + estimate(group) + reload
+			if candidate >= baseline {
+				break
+			}
+			prefix, rest = head, append(slices.Clone(group), rest...)
+		}
+		segs = append(segs, prefix)
+		remaining = rest
+	}
+	dup := map[int]int{}
+	for _, seg := range segs {
+		maps.Copy(dup, search(seg))
+	}
+	return segs, dup, work
+}
+
+// TestSharedTableSegmentsLikeFromScratch runs both segmenters over the
+// bench's 35-cell grid — which holds the over-capacity cells whose prefixes
+// are actually refined: vgg16 / vit-base on isaac-baseline and puma,
+// resnet50 on jia-isscc21 — and requires identical segments and duplication.
+// It also reports the search work each did, per cell and summed: the counts
+// CHANGES.md quotes.
+func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
+	var sumOld, sumNew searchWork
+	refined := 0
+	for _, preset := range arch.PresetNames() {
+		for _, model := range []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet50", "vit-tiny", "vit-base"} {
+			a, err := arch.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := models.Build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := cost.New(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, order, err := collectInfos(g, a, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := a.Chip.CoreCount()
+			reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
+
+			var now searchWork
+			tableBuilt = func(tb *dupTable) { now.add(tableWork(tb)) }
+			s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
+			tableBuilt = nil
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+
+			var segs [][]int
+			var dup map[int]int
+			var old searchWork
+			if len(s.Segments) == 1 {
+				// The model fits: no segmentation, one search.
+				segs = [][]int{order}
+				ops := segCIMInfos(infos, order)
+				old = exhaustiveWork(ops, budget)
+				_, dup = exhaustiveDP(ops, budget)
+			} else {
+				segs, dup, old = segmentFromScratch(t, infos, order, budget, reload)
+				refined++
+			}
+			if !reflect.DeepEqual(s.Segments, segs) {
+				t.Errorf("%s.%s: segments %v, from-scratch segmenter %v", model, preset, s.Segments, segs)
+			}
+			if !maps.Equal(s.Dup, dup) {
+				t.Errorf("%s.%s: dup %v, exhaustive search %v", model, preset, s.Dup, dup)
+			}
+			t.Logf("%-9s %-14s %3d segments  searches %4d → %3d  (r,d) steps %10d → %8d  run(d) %10d → %6d",
+				model, preset, len(segs), old.searches, now.searches, old.steps, now.steps, old.runs, now.runs)
+			sumOld.add(old)
+			sumNew.add(now)
+		}
+	}
+	t.Logf("grid: searches %d → %d, (r,d) steps %d → %d, run(d) evaluations %d → %d; %d cells segmented",
+		sumOld.searches, sumNew.searches, sumOld.steps, sumNew.steps, sumOld.runs, sumNew.runs, refined)
+	if refined < 5 {
+		t.Errorf("only %d cells were segmented; the grid no longer exercises refinePrefix", refined)
+	}
+	if sumNew.steps > 15_000_000 || sumNew.runs > 50_000 {
+		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations over the grid, want ≤ 15 M / ≤ 50 K", sumNew.steps, sumNew.runs)
+	}
+}
+
+// countdownCtx reports cancellation after its Err has been polled `left`
+// times: a deterministic way to cancel in the middle of a search.
+type countdownCtx struct {
+	context.Context
+	left, polls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.polls++
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestOptimizeHonoursCancellation: the search polls its context once per
+// operator row, so a context cancelled mid-search stops it there with a
+// wrapped context.Canceled instead of running the pass to completion.
+func TestOptimizeHonoursCancellation(t *testing.T) {
+	g := models.VGG16()
+	a := arch.ISAACBaseline()
+	m, err := cost.New(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Pipeline: true, Duplicate: true}
+	whole := &countdownCtx{Context: context.Background(), left: 1 << 30}
+	if _, err := Optimize(whole, g, a, m, opt); err != nil {
+		t.Fatal(err)
+	}
+	if rows := len(g.CIMNodeIDs()); whole.polls < 2*rows {
+		t.Fatalf("an uncancelled search polled its context %d times over %d operators", whole.polls, rows)
+	}
+	for _, after := range []int{0, 1, whole.polls / 2, whole.polls - 1} {
+		ctx := &countdownCtx{Context: context.Background(), left: after}
+		_, err := Optimize(ctx, g, a, m, opt)
+		if !errors.Is(err, context.Canceled) || !strings.HasPrefix(fmt.Sprint(err), "cg: cancelled: ") {
+			t.Errorf("cancelled after %d of %d polls: err = %v, want cg: cancelled: context canceled", after, whole.polls, err)
+		}
+		if ctx.polls != after+1 {
+			t.Errorf("cancelled after %d polls: the search polled %d more times before stopping", after, ctx.polls-after-1)
+		}
+	}
+}

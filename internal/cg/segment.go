@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -24,19 +25,9 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // nodes while the dynamic-programming latency estimate of (remaining segment
 // + popped nodes as their own segment + weight reload) improves. Operators
 // larger than the whole chip (multi-round) always get a dedicated segment.
-func segment(g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, order []int, opt Options) ([][]int, error) {
+func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, order []int, opt Options) ([][]int, error) {
 	coreCount := a.Chip.CoreCount()
-	totalCores, anyOversized := 0, false
-	for _, id := range order {
-		oi := infos[id]
-		if oi.cim {
-			if oi.rounds > 1 {
-				anyOversized = true
-			} else {
-				totalCores += oi.coresCopy
-			}
-		}
-	}
+	totalCores, anyOversized := demand(infos, order)
 	if totalCores <= coreCount && !anyOversized {
 		return [][]int{order}, nil
 	}
@@ -59,12 +50,30 @@ func segment(g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, 
 			return nil, err
 		}
 		if opt.Duplicate && len(rest) > 0 {
-			prefix, rest = refinePrefix(infos, prefix, rest, coreCount, reload, opt)
+			if prefix, rest, err = refinePrefix(ctx, infos, prefix, rest, coreCount, reload, opt); err != nil {
+				return nil, err
+			}
 		}
 		segs = append(segs, prefix)
 		remaining = rest
 	}
 	return segs, nil
+}
+
+// demand returns the cores the operators that fit the chip occupy with one
+// copy each, and whether any operator is larger than the whole chip.
+func demand(infos map[int]opInfo, order []int) (cores int, anyOversized bool) {
+	for _, id := range order {
+		oi := infos[id]
+		if oi.cim {
+			if oi.rounds > 1 {
+				anyOversized = true
+			} else {
+				cores += oi.coresCopy
+			}
+		}
+	}
+	return cores, anyOversized
 }
 
 // takePrefix returns the maximal prefix of `order` whose CIM operators fit
@@ -101,16 +110,42 @@ func takePrefix(infos map[int]opInfo, order []int, budget int) (prefix, rest []i
 // digital successors after it) off the prefix while the total latency
 // estimate improves: freeing cores lets the remaining operators duplicate
 // more, which can outweigh the extra reload the popped group will pay.
-func refinePrefix(infos map[int]opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int) {
+//
+// Every head the loop prices is a leading part of the first prefix, so under
+// the dynamic program one forward table over that prefix answers them all (a
+// head with k CIM operators is a walk-back of k rows); only the popped group,
+// one operator, runs a search of its own. A head that is kept is the next
+// iteration's baseline, at the price already computed.
+func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, error) {
+	price := func(nodes []int) (float64, error) { return estimate(ctx, infos, nodes, budget, opt) }
+	if opt.Allocator != AllocWaterfill {
+		table, err := newDupTable(ctx, segCIMInfos(infos, prefix), budget)
+		if err != nil {
+			return nil, nil, err
+		}
+		price = func(nodes []int) (float64, error) {
+			return latency(infos, nodes, table.dup(cimCount(infos, nodes))), nil
+		}
+	}
+	baseline, err := price(prefix)
+	if err != nil {
+		return nil, nil, err
+	}
 	for cimCount(infos, prefix) > 1 {
 		cut := lastCIMIndex(infos, prefix)
 		if cut <= 0 {
 			break
 		}
 		head, group := prefix[:cut], prefix[cut:]
-		baseline := estimate(infos, prefix, budget, opt)
-		candidate := estimate(infos, head, budget, opt) + estimate(infos, group, budget, opt) + reload
-		if candidate >= baseline {
+		headCost, err := price(head)
+		if err != nil {
+			return nil, nil, err
+		}
+		groupCost, err := estimate(ctx, infos, group, budget, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		if candidate := headCost + groupCost + reload; candidate >= baseline {
 			break
 		}
 		// Prepend the popped group to the remaining stream so the next
@@ -118,9 +153,9 @@ func refinePrefix(infos map[int]opInfo, prefix, rest []int, budget int, reload f
 		newRest := make([]int, 0, len(group)+len(rest))
 		newRest = append(newRest, group...)
 		newRest = append(newRest, rest...)
-		prefix, rest = head, newRest
+		prefix, rest, baseline = head, newRest, headCost
 	}
-	return prefix, rest
+	return prefix, rest, nil
 }
 
 func cimCount(infos map[int]opInfo, nodes []int) int {
@@ -143,30 +178,30 @@ func lastCIMIndex(infos map[int]opInfo, nodes []int) int {
 }
 
 // estimate returns the summed-runtime latency of the node group after the
-// duplication search — the segmentation loop's DP objective.
-func estimate(infos map[int]opInfo, nodes []int, budget int, opt Options) float64 {
-	var cims []opInfo
+// duplication search — the segmentation loop's objective. Groups are cut
+// from prefixes built to fit, so an allocation error is a cancellation.
+func estimate(ctx context.Context, infos map[int]opInfo, nodes []int, budget int, opt Options) (float64, error) {
+	dup, err := allocate(ctx, segCIMInfos(infos, nodes), budget, opt)
+	if err != nil {
+		return 0, err
+	}
+	return latency(infos, nodes, dup), nil
+}
+
+// latency sums the group's runtimes under dup: the digital operators in node
+// order, then the CIM operators in node order. The order is part of the
+// contract — refinePrefix compares these floats.
+func latency(infos map[int]opInfo, nodes []int, dup map[int]int) float64 {
 	total := 0.0
 	for _, id := range nodes {
-		oi := infos[id]
-		if oi.cim {
-			cims = append(cims, oi)
-		} else {
+		if oi := infos[id]; !oi.cim {
 			total += oi.run(1)
 		}
 	}
-	dup, err := allocate(cims, budget, opt)
-	if err != nil {
-		// Should not happen: prefixes are constructed to fit. Fall back to
-		// the unduplicated estimate.
-		dup = map[int]int{}
-	}
-	for _, oi := range cims {
-		d := dup[oi.id]
-		if d < 1 {
-			d = 1
+	for _, id := range nodes {
+		if oi := infos[id]; oi.cim {
+			total += oi.run(max(1, dup[id]))
 		}
-		total += oi.run(d)
 	}
 	return total
 }

@@ -173,7 +173,7 @@ func TestReportOccupancyMatchesPlacement(t *testing.T) {
 			}
 			segCores := make([]int, len(res.Schedule.Segments))
 			xbs := map[[2]int]bool{}
-			for _, tl := range res.Placement.Tiles {
+			for tl := range res.Placement.Tiles() {
 				segCores[tl.Segment] = max(segCores[tl.Segment], tl.Core+1)
 				xbs[[2]int{tl.Segment, tl.XB}] = true
 			}

@@ -178,7 +178,7 @@ type cgPass struct{}
 func (cgPass) Name() string              { return PassCG }
 func (cgPass) Applicable(arch.Mode) bool { return true }
 func (cgPass) Run(ctx context.Context, pc *PassContext) error {
-	s, err := cg.Optimize(pc.Graph, pc.Arch, pc.Model, cg.Options{
+	s, err := cg.Optimize(ctx, pc.Graph, pc.Arch, pc.Model, cg.Options{
 		Pipeline:   !pc.Opt.DisablePipeline,
 		Duplicate:  !pc.Opt.DisableDuplication,
 		Allocator:  pc.Opt.Allocator,
@@ -225,8 +225,8 @@ func (vvmPass) Run(ctx context.Context, pc *PassContext) error {
 	return nil
 }
 
-// placePass assigns every operator copy's tiles to physical crossbars and
-// validates the packing.
+// placePass packs every operator copy onto physical crossbars and validates
+// the packing at the level it is kept: the extents tiles derive from.
 type placePass struct{}
 
 func (placePass) Name() string              { return PassPlace }
@@ -237,7 +237,7 @@ func (placePass) Run(ctx context.Context, pc *PassContext) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Validate(pc.Graph, pc.Model.FPs); err != nil {
+	if err := p.Validate(); err != nil {
 		return fmt.Errorf("validation: %w", err)
 	}
 	pc.Placement = p

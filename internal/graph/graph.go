@@ -209,28 +209,30 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// arity gives every operator's {min, max} input count.
+var arity = map[Op][2]int{
+	OpInput:         {0, 0},
+	OpConv:          {1, 1},
+	OpDense:         {1, 1},
+	OpMatMul:        {2, 2},
+	OpReLU:          {1, 1},
+	OpGELU:          {1, 1},
+	OpMaxPool:       {1, 1},
+	OpAvgPool:       {1, 1},
+	OpGlobalAvgPool: {1, 1},
+	OpAdd:           {2, 2},
+	OpConcat:        {2, 1 << 20},
+	OpFlatten:       {1, 1},
+	OpSoftmax:       {1, 1},
+	OpLayerNorm:     {1, 1},
+	OpIdentity:      {1, 1},
+	OpTranspose:     {1, 1},
+	OpSigmoid:       {1, 1},
+	OpTanh:          {1, 1},
+	OpMul:           {2, 2},
+}
+
 func (n *Node) validateArity() error {
-	arity := map[Op][2]int{ // {min, max} inputs
-		OpInput:         {0, 0},
-		OpConv:          {1, 1},
-		OpDense:         {1, 1},
-		OpMatMul:        {2, 2},
-		OpReLU:          {1, 1},
-		OpGELU:          {1, 1},
-		OpMaxPool:       {1, 1},
-		OpAvgPool:       {1, 1},
-		OpGlobalAvgPool: {1, 1},
-		OpAdd:           {2, 2},
-		OpConcat:        {2, 1 << 20},
-		OpFlatten:       {1, 1},
-		OpSoftmax:       {1, 1},
-		OpLayerNorm:     {1, 1},
-		OpIdentity:      {1, 1},
-		OpTranspose:     {1, 1},
-		OpSigmoid:       {1, 1},
-		OpTanh:          {1, 1},
-		OpMul:           {2, 2},
-	}
 	a, ok := arity[n.Op]
 	if !ok {
 		return fmt.Errorf("node %q: unknown op %q", n.Name, n.Op)

@@ -57,7 +57,7 @@ func buildPipeOn(g *graph.Graph, mode arch.Mode, withFlow bool) (*pipe, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)
 	}
@@ -169,13 +169,14 @@ func Fixtures() []Fixture {
 				if err != nil {
 					return nil, err
 				}
-				if len(st.p.Tiles) < 2 {
-					return nil, fmt.Errorf("fixture baseline: want >=2 tiles, got %d", len(st.p.Tiles))
+				e := &st.p.Extents[0]
+				if e.Dup < 2 {
+					return nil, fmt.Errorf("fixture baseline: want >=2 copies, got %d", e.Dup)
 				}
-				// Move the second tile onto the first tile's crossbar (and
-				// core, keeping the grid consistent so only overlap trips).
-				st.p.Tiles[1].XB = st.p.Tiles[0].XB
-				st.p.Tiles[1].Core = st.p.Tiles[0].Core
+				// Start every copy on the first copy's slots: the crossbars
+				// stay inside the grid, so only overlap (and the drift it
+				// causes) trips.
+				e.Stride = 0
 				return VerifyPlacement(st.g, st.a, st.m.FPs, st.s, st.p), nil
 			},
 		},
@@ -187,7 +188,7 @@ func Fixtures() []Fixture {
 				if err != nil {
 					return nil, err
 				}
-				st.p.Tiles[0].XB = st.a.TotalCrossbars() + 7
+				st.p.Extents[0].FirstXB = st.a.TotalCrossbars() + 7
 				return VerifyPlacement(st.g, st.a, st.m.FPs, st.s, st.p), nil
 			},
 		},

@@ -15,10 +15,11 @@
 // Every violation carries a stable rule name so tests and the `cimmlc vet`
 // subcommand can assert on the class of defect, not the message text. The
 // capacity rules fold mapping's one placement calculus (SegmentCores,
-// Occupancy) — the fold PlaceCtx emits tiles from — so the checker and the
-// placer cannot disagree; the map/plan-drift rule checks a placement against
-// that calculus: the cores and crossbars it recorded, and the ones its tiles
-// actually touch, must be what the schedule's fold yields.
+// Occupancy) — the fold PlaceCtx keeps its extents from — so the checker and
+// the placer cannot disagree; the map/plan-drift rule checks a placement
+// against that calculus: the cores and crossbars it recorded, and the ones
+// the tiles derived from its extents actually touch, must be what the
+// schedule's fold yields.
 package irverify
 
 import (
@@ -190,11 +191,12 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 	return vs
 }
 
-// VerifyPlacement checks mapping soundness: every tile inside the core/
-// crossbar grid and its node's cell matrix, no two tiles of one (segment,
-// round) sharing a crossbar, every CIM node covered in its scheduled
-// segment, and — the drift check — each segment's recorded and emitted cores
-// and crossbars equal to what mapping.Occupancy derives from the schedule.
+// VerifyPlacement checks mapping soundness over the tiles the placement's
+// extents generate: every tile inside the core/crossbar grid and its node's
+// cell matrix, no two tiles of one (segment, round) sharing a crossbar, every
+// CIM node covered in its scheduled segment, and — the drift check — each
+// segment's recorded and generated cores and crossbars equal to what
+// mapping.Occupancy derives from the schedule.
 func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
 	if p == nil {
 		return []Violation{{Rule: RuleMapCoverage, Node: -1, Msg: "nil placement"}}
@@ -215,11 +217,17 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 	// What the tiles themselves touch per segment: highest core + 1, and
 	// distinct crossbars (every crossbar a segment uses is used in round 0).
 	tileCores, tileXBs := make([]int, nSegs), make([]int, nSegs)
-	for i, t := range p.Tiles {
+	tiled := map[int]bool{} // nodes with at least one tile; tiles arrive node by node
+	i, lastNode := -1, -1
+	for t := range p.Tiles() {
+		i++
 		n, err := g.Node(t.Node)
 		if err != nil || !n.Op.CIMSupported() {
 			report(RuleMapCoverage, t.Node, "tile %d references a non-CIM or unknown node", i)
 			continue
+		}
+		if t.Node != lastNode {
+			tiled[t.Node], lastNode = true, t.Node
 		}
 		if t.Segment < 0 || t.Segment >= nSegs {
 			report(RuleMapCoverage, t.Node, "tile %d in segment %d of %d", i, t.Segment, nSegs)
@@ -265,13 +273,13 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 		}
 	}
 	for _, id := range g.CIMNodeIDs() {
-		if len(p.ByNode[id]) == 0 {
+		if !tiled[id] {
 			report(RuleMapCoverage, id, "CIM node has no tiles")
 		}
-		if r, ok := p.CoreRange[id]; !ok {
+		if e, ok := p.ExtentOf(id); !ok {
 			report(RuleMapCoverage, id, "CIM node has no core range")
-		} else if r[0] < 0 || r[1] < r[0] || r[1] >= a.Chip.CoreCount() {
-			report(RuleMapGrid, id, "core range [%d,%d] outside the %d-core chip", r[0], r[1], a.Chip.CoreCount())
+		} else if first, last := e.FirstCore, e.FirstCore+e.Cores-1; first < 0 || last < first || last >= a.Chip.CoreCount() {
+			report(RuleMapGrid, id, "core range [%d,%d] outside the %d-core chip", first, last, a.Chip.CoreCount())
 		}
 	}
 	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)

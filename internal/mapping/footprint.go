@@ -7,8 +7,10 @@
 //
 // Packing is decided in one place, plan.go: a per-node rule folded over
 // segments. Asking what a schedule occupies (SegmentCores, Occupancy) and
-// materializing its tiles (Place, placement.go) are the same fold, the
-// latter emitting a Tile per slot of every extent.
+// placing it (Place, placement.go) are the same fold, the latter keeping
+// every node's Extent. A Placement is those extents: no Tile is stored, and
+// TilesOf / Tiles derive them from an extent and its footprint for the
+// readers that want tiles (codegen, the verifier).
 package mapping
 
 import (

@@ -182,7 +182,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(g, fps); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	maxRound := 0
@@ -207,7 +207,7 @@ func TestPlaceSingleCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(g, fps); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	tiles := p.TilesOf(node)
@@ -231,7 +231,7 @@ func TestPlaceFourCopiesFillsToy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(g, fps); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	tiles := p.TilesOf(node)
@@ -269,7 +269,7 @@ func TestPlaceWithRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(g, fps); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	tiles := p.TilesOf(node)
@@ -386,7 +386,7 @@ func TestPlacementCoverageProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if p.Validate(g, fps) != nil {
+		if p.Validate() != nil {
 			return false
 		}
 		for _, id := range g.CIMNodeIDs() {

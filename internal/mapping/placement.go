@@ -3,7 +3,8 @@ package mapping
 import (
 	"context"
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
@@ -35,17 +36,20 @@ type Tile struct {
 
 // Placement assigns every operator copy's tiles to physical crossbars, one
 // graph segment at a time (segments execute sequentially and reuse cores).
+// It is its extents: every tile follows from a node's Extent and Footprint
+// by arithmetic, so tiles are derived when asked for (TilesOf, Tiles) and
+// never stored.
 type Placement struct {
-	Arch   *arch.Arch
-	Tiles  []Tile
-	ByNode map[int][]int // node ID → indices into Tiles
-	// CoreRange gives each node's allocated core interval [first, last]
-	// within its segment (cores are exclusive to one node per segment).
-	CoreRange map[int][2]int
+	Arch *arch.Arch
+	// Extents holds one entry per placed CIM node, in placement order:
+	// segment by segment, nodes in segment order.
+	Extents []Extent
 	// SegmentCores and SegmentXBs count the cores and the distinct crossbars
 	// each segment occupies, as the calculus of plan.go derives them.
 	SegmentCores []int
 	SegmentXBs   []int
+
+	fps map[int]Footprint // the footprints the extents were packed from
 }
 
 // Place computes a placement for the given duplication and remap decisions.
@@ -58,18 +62,12 @@ func Place(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[i
 
 // PlaceCtx is Place with cancellation: ctx is checked once per node so a
 // cancelled compilation stops mid-placement on large graphs. It is the
-// schedule fold of plan.go with one addition: every extent the calculus
-// yields is materialized into tiles.
+// schedule fold of plan.go keeping every extent the calculus yields.
 func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (*Placement, error) {
-	p := &Placement{
-		Arch:      a,
-		ByNode:    map[int][]int{},
-		CoreRange: map[int][2]int{},
-	}
+	p := &Placement{Arch: a, fps: fps}
 	var err error
-	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(seg int, e extent) {
-		p.CoreRange[e.node] = [2]int{e.firstCore, e.firstCore + e.cores - 1}
-		p.emitTiles(a, fps[e.node], seg, e)
+	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(e Extent) {
+		p.Extents = append(p.Extents, e)
 	})
 	if err != nil {
 		return nil, err
@@ -77,25 +75,63 @@ func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Foo
 	return p, nil
 }
 
-// emitTiles materializes one node's extent: copy c starts at slot c·stride
-// and its tiles take consecutive slots in (tileR, sub, tileC) order.
-func (p *Placement) emitTiles(a *arch.Arch, f Footprint, segment int, e extent) {
+// ExtentOf returns the extent of one node, or false when the placement does
+// not hold it.
+func (p *Placement) ExtentOf(node int) (Extent, bool) {
+	for _, e := range p.Extents {
+		if e.Node == node {
+			return e, true
+		}
+	}
+	return Extent{}, false
+}
+
+// TilesOf derives the tiles of one node, ordered by (copy, tileR, sub, tileC).
+func (p *Placement) TilesOf(node int) []Tile {
+	e, ok := p.ExtentOf(node)
+	if !ok {
+		return nil
+	}
+	f := p.fps[node]
+	out := make([]Tile, 0, e.Dup*f.CopyTiles(p.Arch, e.Remap))
+	e.tiles(p.Arch, f, func(t Tile) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// Tiles derives every tile of the placement, extent by extent in TilesOf
+// order.
+func (p *Placement) Tiles() iter.Seq[Tile] {
+	return func(yield func(Tile) bool) {
+		for _, e := range p.Extents {
+			if !e.tiles(p.Arch, p.fps[e.Node], yield) {
+				return
+			}
+		}
+	}
+}
+
+// tiles yields the extent's tiles: copy c starts at slot c·Stride and its
+// tiles take consecutive slots in (tileR, sub, tileC) order. It reports
+// whether yield asked for more.
+func (e Extent) tiles(a *arch.Arch, f Footprint, yield func(Tile) bool) bool {
 	xbPerCore := a.Core.XBCount()
-	for copyIdx := 0; copyIdx < e.dup; copyIdx++ {
-		s := copyIdx * e.stride
+	for copyIdx := 0; copyIdx < e.Dup; copyIdx++ {
+		s := copyIdx * e.Stride
 		for tr := 0; tr < f.TilesR; tr++ {
 			tileRows := f.TileRows(tr, a)
-			subs, subRows := subTiles(tileRows, e.remap)
+			subs, subRows := subTiles(tileRows, e.Remap)
 			for sub := 0; sub < subs; sub++ {
 				rowOff := sub * subRows
 				for tc := 0; tc < f.TilesC; tc++ {
 					xb, round := e.slot(s)
 					s++
-					p.ByNode[f.Node] = append(p.ByNode[f.Node], len(p.Tiles))
-					p.Tiles = append(p.Tiles, Tile{
+					if !yield(Tile{
 						Node: f.Node, Copy: copyIdx,
 						TileR: tr, TileC: tc, Sub: sub,
-						Segment:    segment,
+						Segment:    e.Segment,
 						Round:      round,
 						Core:       xb / xbPerCore,
 						XB:         xb,
@@ -104,74 +140,89 @@ func (p *Placement) emitTiles(a *arch.Arch, f Footprint, segment int, e extent) 
 						CellRowOff: tr*a.XB.Rows + rowOff,
 						CellColOff: tc * f.UsableCols,
 						CellCols:   f.TileCellCols(tc),
-					})
+					}) {
+						return false
+					}
 				}
 			}
 		}
 	}
+	return true
 }
 
-// TilesOf returns the tiles of one node, ordered by (copy, tileR, sub, tileC).
-func (p *Placement) TilesOf(node int) []Tile {
-	idxs := p.ByNode[node]
-	out := make([]Tile, len(idxs))
-	for i, ix := range idxs {
-		out[i] = p.Tiles[ix]
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Copy != b.Copy {
-			return a.Copy < b.Copy
-		}
-		if a.TileR != b.TileR {
-			return a.TileR < b.TileR
-		}
-		if a.Sub != b.Sub {
-			return a.Sub < b.Sub
-		}
-		return a.TileC < b.TileC
-	})
-	return out
-}
-
-// Validate checks structural invariants: tiles within chip bounds, no two
-// tiles of the same segment sharing a crossbar (this packing never co-locates
-// tiles), and cell regions within each node's cell matrix.
-func (p *Placement) Validate(g *graph.Graph, fps map[int]Footprint) error {
+// Validate checks the placement at the cost of its extents: each extent
+// inside the chip and consistent with the packing rules, the extents of a
+// segment on consecutive disjoint core ranges, and every row stripe and
+// column tile of each footprint inside a crossbar and the node's cell matrix.
+// Every per-tile property — grid and crossbar bounds, cell region inside the
+// matrix, no crossbar claimed twice in a (segment, round) — is an arithmetic
+// consequence (see DESIGN §2); irverify.VerifyPlacement checks those over the
+// derived tiles themselves.
+func (p *Placement) Validate() error {
 	a := p.Arch
-	type slot struct{ seg, round, xb int }
-	seen := map[slot]bool{}
-	for i, t := range p.Tiles {
-		if t.Core < 0 || t.Core >= a.Chip.CoreCount() {
-			return fmt.Errorf("mapping: tile %d on core %d out of range", i, t.Core)
+	xbPerCore := a.Core.XBCount()
+	cores, xbs := make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores))
+	for _, e := range p.Extents {
+		if e.Segment < 0 || e.Segment >= len(cores) {
+			return fmt.Errorf("mapping: node %d in segment %d of %d", e.Node, e.Segment, len(cores))
 		}
-		if t.XB < 0 || t.XB >= a.TotalCrossbars() {
-			return fmt.Errorf("mapping: tile %d on crossbar %d out of range", i, t.XB)
-		}
-		if t.XB/a.Core.XBCount() != t.Core {
-			return fmt.Errorf("mapping: tile %d crossbar %d not in core %d", i, t.XB, t.Core)
-		}
-		if t.RowStart < 0 || t.Rows <= 0 || t.RowStart+t.Rows > a.XB.Rows {
-			return fmt.Errorf("mapping: tile %d rows [%d,%d) exceed crossbar height %d", i, t.RowStart, t.RowStart+t.Rows, a.XB.Rows)
-		}
-		if t.CellCols <= 0 || t.CellCols > a.XB.Cols {
-			return fmt.Errorf("mapping: tile %d holds %d cell columns, crossbar width %d", i, t.CellCols, a.XB.Cols)
-		}
-		f, ok := fps[t.Node]
+		f, ok := p.fps[e.Node]
 		if !ok {
-			return fmt.Errorf("mapping: tile %d references node %d without footprint", i, t.Node)
+			return fmt.Errorf("mapping: node %d placed without footprint", e.Node)
 		}
-		if t.CellRowOff+t.Rows > f.Rows {
-			return fmt.Errorf("mapping: tile %d cell rows [%d,%d) exceed matrix rows %d", i, t.CellRowOff, t.CellRowOff+t.Rows, f.Rows)
+		if err := f.validate(a); err != nil {
+			return err
 		}
-		if t.CellColOff+t.CellCols > f.CellCols {
-			return fmt.Errorf("mapping: tile %d cell cols [%d,%d) exceed matrix cols %d", i, t.CellColOff, t.CellColOff+t.CellCols, f.CellCols)
+		// Each extent starts where its segment's previous one ended, from
+		// core 0: no two extents of a segment share a core.
+		if e.FirstCore != cores[e.Segment] || e.Cores < 1 || e.FirstCore+e.Cores > a.Chip.CoreCount() {
+			return fmt.Errorf("mapping: node %d on cores [%d,%d) of %d, segment %d is packed up to core %d", e.Node, e.FirstCore, e.FirstCore+e.Cores, a.Chip.CoreCount(), e.Segment, cores[e.Segment])
 		}
-		s := slot{t.Segment, t.Round, t.XB}
-		if seen[s] {
-			return fmt.Errorf("mapping: crossbar %d used twice in segment %d round %d", t.XB, t.Segment, t.Round)
+		if e.FirstXB != e.FirstCore*xbPerCore || e.Window != a.TotalCrossbars()-e.FirstXB {
+			return fmt.Errorf("mapping: node %d starts at crossbar %d with a window of %d, not at core %d's crossbar %d of %d", e.Node, e.FirstXB, e.Window, e.FirstCore, e.FirstCore*xbPerCore, a.TotalCrossbars())
 		}
-		seen[s] = true
+		if e.Dup < 1 || e.Remap != f.clampRemap(e.Remap) {
+			return fmt.Errorf("mapping: node %d has dup %d / remap %d, want dup ≥ 1 and remap in [1,%d]", e.Node, e.Dup, e.Remap, f.RowGroups)
+		}
+		// Copies on disjoint slots: slot is injective in the running index,
+		// so no two tiles of the extent share a (round, crossbar).
+		tiles := f.CopyTiles(a, e.Remap)
+		if e.Stride < tiles {
+			return fmt.Errorf("mapping: node %d copies are %d slots apart but hold %d tiles", e.Node, e.Stride, tiles)
+		}
+		slots := (e.Dup-1)*e.Stride + tiles
+		if slots > e.Window && (e.Dup > 1 || e.Remap > 1) {
+			return fmt.Errorf("mapping: node %d with dup %d remap %d wraps %d slots over a window of %d; only an undivided operator takes rounds", e.Node, e.Dup, e.Remap, slots, e.Window)
+		}
+		// Every slot of a round lands inside the extent's own cores.
+		if min(slots, e.Window) > e.Cores*xbPerCore || e.XBs != min(e.Dup*tiles, e.Window) {
+			return fmt.Errorf("mapping: node %d occupies %d slots / %d crossbars per round, its %d cores hold %d", e.Node, min(slots, e.Window), e.XBs, e.Cores, e.Cores*xbPerCore)
+		}
+		cores[e.Segment] += e.Cores
+		xbs[e.Segment] += e.XBs
+	}
+	if !slices.Equal(cores, p.SegmentCores) || !slices.Equal(xbs, p.SegmentXBs) {
+		return fmt.Errorf("mapping: extents span cores %v / crossbars %v per segment, placement records %v / %v", cores, xbs, p.SegmentCores, p.SegmentXBs)
+	}
+	return nil
+}
+
+// validate checks that the tiling the footprint describes stays inside a
+// crossbar and inside the cell matrix: every row stripe and column tile
+// non-empty, no larger than the crossbar, and ending within Rows / CellCols.
+func (f Footprint) validate(a *arch.Arch) error {
+	if f.TilesR < 1 || f.TilesC < 1 {
+		return fmt.Errorf("mapping: node %d tiles %d×%d", f.Node, f.TilesR, f.TilesC)
+	}
+	for tr := 0; tr < f.TilesR; tr++ {
+		if rows := f.TileRows(tr, a); rows <= 0 || rows > a.XB.Rows || tr*a.XB.Rows+rows > f.Rows {
+			return fmt.Errorf("mapping: node %d row stripe %d holds rows [%d,%d) of a %d-row matrix, crossbar height %d", f.Node, tr, tr*a.XB.Rows, tr*a.XB.Rows+rows, f.Rows, a.XB.Rows)
+		}
+	}
+	for tc := 0; tc < f.TilesC; tc++ {
+		if cols := f.TileCellCols(tc); cols <= 0 || cols > a.XB.Cols || tc*f.UsableCols+cols > f.CellCols {
+			return fmt.Errorf("mapping: node %d column tile %d holds cell columns [%d,%d) of a %d-column matrix, crossbar width %d", f.Node, tc, tc*f.UsableCols, tc*f.UsableCols+cols, f.CellCols, a.XB.Cols)
+		}
 	}
 	return nil
 }

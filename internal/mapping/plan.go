@@ -12,9 +12,9 @@ import (
 // written once. packNode says what one node's copies occupy; foldSegment and
 // foldSchedule sum it over a segment and a schedule. SegmentCores and
 // Occupancy are those folds with nothing attached, PlaceCtx is foldSchedule
-// emitting tiles from every extent — so the autotuner's pruner, the verifier's
-// capacity rule, the simulator's occupancy counts and the placement itself
-// are one walk.
+// keeping every extent (a Placement is its extents; tiles are derived from
+// them on demand) — so the autotuner's pruner, the verifier's capacity rule,
+// the simulator's occupancy counts and the placement itself are one walk.
 
 // subTiles returns how one row-stripe of tileRows wordlines splits at remap
 // factor m: n sub-tiles of rows wordlines each (the last may hold fewer).
@@ -46,24 +46,25 @@ func (f Footprint) CopyTiles(a *arch.Arch, m int) int {
 	return total
 }
 
-// extent is what the d copies of one node at remap m occupy when packed from
-// core firstCore. Tiles take consecutive slots of a running index (see slot).
-type extent struct {
-	node       int
-	dup, remap int // remap after clamping to the footprint's row groups
-	firstCore  int
-	firstXB    int
-	window     int // crossbars from firstXB to the end of the chip: one round's capacity
-	stride     int // slots between the starts of consecutive copies
-	cores      int // cores consumed; the next node starts at firstCore+cores
-	xbs        int // distinct crossbars programmed
+// Extent is what the d copies of one node at remap m occupy when packed from
+// core FirstCore. Tiles take consecutive slots of a running index (see slot),
+// so together with the node's Footprint an extent determines every tile.
+type Extent struct {
+	Node, Segment int
+	Dup, Remap    int // Remap after clamping to the footprint's row groups
+	FirstCore     int
+	FirstXB       int
+	Window        int // crossbars from FirstXB to the end of the chip: one round's capacity
+	Stride        int // slots between the starts of consecutive copies
+	Cores         int // cores consumed, exclusive to the node within its segment; the next node starts at FirstCore+Cores
+	XBs           int // distinct crossbars programmed
 }
 
 // slot maps running tile index s to its crossbar and its sequential
 // weight-loading round: slots past the window wrap around and reuse the same
 // crossbars one round later.
-func (e extent) slot(s int) (xb, round int) {
-	return e.firstXB + s%e.window, s / e.window
+func (e Extent) slot(s int) (xb, round int) {
+	return e.FirstXB + s%e.Window, s / e.Window
 }
 
 // packNode applies the packing rules to one node. A copy whose upper bound
@@ -71,20 +72,20 @@ func (e extent) slot(s int) (xb, round int) {
 // m=1), in which case its tiles wrap into rounds. Because the window is never
 // empty and an extent never exceeds it, a segment cannot outgrow the core
 // grid without failing here.
-func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (extent, error) {
+func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (Extent, error) {
 	if d < 1 || m < 1 {
-		return extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
+		return Extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
 	}
 	m = f.clampRemap(m)
 	xbPerCore := a.Core.XBCount()
 	firstXB := firstCore * xbPerCore
 	window := a.TotalCrossbars() - firstXB
 	if window <= 0 {
-		return extent{}, fmt.Errorf("mapping: no crossbars left for node %d starting at core %d", f.Node, firstCore)
+		return Extent{}, fmt.Errorf("mapping: no crossbars left for node %d starting at core %d", f.Node, firstCore)
 	}
 	divided := d > 1 || m > 1
 	if divided && f.XBsPerCopy*m > window {
-		return extent{}, fmt.Errorf("mapping: node %d exceeds chip capacity; duplication %d / remap %d not allowed", f.Node, d, m)
+		return Extent{}, fmt.Errorf("mapping: node %d exceeds chip capacity; duplication %d / remap %d not allowed", f.Node, d, m)
 	}
 	tiles := f.CopyTiles(a, m)
 	// In core mode the scheduling granularity is a whole core, so every copy
@@ -96,23 +97,23 @@ func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (extent, error) {
 	}
 	slots := (d-1)*stride + tiles
 	if divided && slots > window {
-		return extent{}, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", f.Node, d, m, slots, window)
+		return Extent{}, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", f.Node, d, m, slots, window)
 	}
-	return extent{
-		node: f.Node, dup: d, remap: m,
-		firstCore: firstCore,
-		firstXB:   firstXB,
-		window:    window,
-		stride:    stride,
-		cores:     max(1, ceilDiv(min(slots, window), xbPerCore)),
-		xbs:       min(d*tiles, window),
+	return Extent{
+		Node: f.Node, Dup: d, Remap: m,
+		FirstCore: firstCore,
+		FirstXB:   firstXB,
+		Window:    window,
+		Stride:    stride,
+		Cores:     max(1, ceilDiv(min(slots, window), xbPerCore)),
+		XBs:       min(d*tiles, window),
 	}, nil
 }
 
 // foldSegment packs one segment's CIM nodes in order from core 0 and returns
 // the cores and distinct crossbars the segment occupies. visit, when non-nil,
 // sees every node's extent and may reject it.
-func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int, visit func(extent) error) (cores, xbs int, err error) {
+func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int, visit func(Extent) error) (cores, xbs int, err error) {
 	for _, id := range seg {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, fmt.Errorf("mapping: cancelled: %w", err)
@@ -133,8 +134,8 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]
 				return 0, 0, err
 			}
 		}
-		cores += e.cores
-		xbs += e.xbs
+		cores += e.Cores
+		xbs += e.XBs
 	}
 	return cores, xbs, nil
 }
@@ -142,19 +143,20 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]
 // foldSchedule folds every segment (segments execute sequentially and reuse
 // the chip, so each packs from core 0) and adds the whole-schedule rules: at
 // least one segment, and every CIM node in exactly one.
-func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int, visit func(seg int, e extent)) (cores, xbs []int, err error) {
+func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int, visit func(Extent)) (cores, xbs []int, err error) {
 	if len(segments) == 0 {
 		return nil, nil, fmt.Errorf("mapping: no segments to place")
 	}
 	placed := map[int]bool{}
 	for segIdx, seg := range segments {
-		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e extent) error {
-			if placed[e.node] {
-				return fmt.Errorf("mapping: node %d appears in multiple segments", e.node)
+		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e Extent) error {
+			if placed[e.Node] {
+				return fmt.Errorf("mapping: node %d appears in multiple segments", e.Node)
 			}
-			placed[e.node] = true
+			placed[e.Node] = true
 			if visit != nil {
-				visit(segIdx, e)
+				e.Segment = segIdx
+				visit(e)
 			}
 			return nil
 		})
@@ -183,7 +185,7 @@ func SegmentCores(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, rema
 
 // Occupancy returns the cores and distinct crossbars each segment of a
 // schedule occupies — what Place records as SegmentCores and SegmentXBs —
-// without materializing a tile, and rejects exactly what PlaceCtx rejects.
+// and rejects exactly what PlaceCtx rejects.
 func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (cores, xbs []int, err error) {
 	return foldSchedule(ctx, g, a, fps, dup, remap, segments, nil)
 }

@@ -2,6 +2,8 @@ package mapping
 
 import (
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -33,7 +35,7 @@ func planModel(t *testing.T, a *arch.Arch) (*graph.Graph, []int, map[int]Footpri
 // to the highest one touched, distinct crossbars, and weight-loading rounds.
 func emitted(p *Placement, seg int) (cores, xbs, rounds int) {
 	seen := map[int]bool{}
-	for _, tl := range p.Tiles {
+	for tl := range p.Tiles() {
 		if tl.Segment != seg {
 			continue
 		}
@@ -114,7 +116,7 @@ func TestExtentCorners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Validate(g, fps); err != nil {
+		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		// The small conv takes core 0; the big one wraps over core 1's window.
@@ -160,7 +162,7 @@ func TestExtentCorners(t *testing.T) {
 		if cores != 3 || p.SegmentCores[0] != 3 || rounds != 1 {
 			t.Errorf("cores: tiles %d, calculus %d, want 3; rounds %d", cores, p.SegmentCores[0], rounds)
 		}
-		for _, tl := range p.Tiles {
+		for tl := range p.Tiles() {
 			if tl.TileR == 0 && tl.TileC == 0 && tl.XB%a.Core.XBCount() != 0 {
 				t.Errorf("copy %d starts at crossbar %d, not on a core boundary", tl.Copy, tl.XB)
 			}
@@ -199,5 +201,79 @@ func TestCopyTilesBounds(t *testing.T) {
 					id, m, got, f.CopyTiles(a, f.RowGroups))
 			}
 		}
+	}
+}
+
+// TestValidateRejectsCorruptExtents seeds the corruptions the extent-level
+// check exists for. Each would put derived tiles outside the grid, on a
+// shared crossbar or outside the cell matrix; Validate must name each from
+// the extents alone, without deriving a tile.
+func TestValidateRejectsCorruptExtents(t *testing.T) {
+	a, err := arch.Preset("puma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Mode = arch.XBM
+	g, seg, fps := planModel(t, a)
+	cim := g.CIMNodeIDs()
+	place := func(t *testing.T) *Placement {
+		// Private footprints: two cases corrupt them.
+		p, err := Place(g, a, maps.Clone(fps), map[int]int{cim[0]: 3}, nil, [][]int{seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("uncorrupted placement rejected: %v", err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(p *Placement)
+		want    string
+	}{
+		{"extent past the last core", func(p *Placement) {
+			last := &p.Extents[len(p.Extents)-1]
+			last.Cores = a.Chip.CoreCount() - last.FirstCore + 1
+		}, "on cores"},
+		{"two extents sharing a core", func(p *Placement) {
+			p.Extents[1].FirstCore = p.Extents[0].FirstCore + p.Extents[0].Cores - 1
+		}, "is packed up to core"},
+		{"start crossbar off its core", func(p *Placement) {
+			p.Extents[1].FirstXB--
+		}, "starts at crossbar"},
+		{"divided multi-round extent", func(p *Placement) {
+			p.Extents[0].Stride = p.Extents[0].Window // copies 1 and 2 wrap into rounds 1 and 2
+		}, "only an undivided operator takes rounds"},
+		{"stride below the copy's tiles", func(p *Placement) {
+			p.Extents[0].Stride = fps[cim[0]].CopyTiles(a, 1) - 1
+		}, "slots apart but hold"},
+		{"slots beyond the extent's cores", func(p *Placement) {
+			e := &p.Extents[0]
+			e.Stride = e.Cores * a.Core.XBCount() // copy 1 starts where the next node's cores do
+		}, "cores hold"},
+		{"last row stripe overruns the matrix", func(p *Placement) {
+			f := p.fps[cim[0]]
+			f.TilesR++
+			p.fps[cim[0]] = f
+		}, "row stripe"},
+		{"column tile wider than the crossbar", func(p *Placement) {
+			f := p.fps[cim[0]]
+			f.UsableCols = a.XB.Cols + 1
+			f.CellCols = f.UsableCols * f.TilesC
+			p.fps[cim[0]] = f
+		}, "column tile"},
+		{"segment total drifts", func(p *Placement) {
+			p.SegmentXBs[0]++
+		}, "per segment"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := place(t)
+			tc.corrupt(p)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package mvm
 
 import (
+	"context"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -18,7 +19,7 @@ func cgSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -360,7 +360,7 @@ func FuzzTuneSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("tuned schedule does not place: %v", err)
 		}
-		if err := p.Validate(tuned.Graph, res.Model.FPs); err != nil {
+		if err := p.Validate(); err != nil {
 			t.Fatalf("tuned placement invalid: %v", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package vvm
 
 import (
+	"context"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -19,7 +20,7 @@ func mvmSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cg.Optimize(g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
