@@ -219,6 +219,51 @@ func BenchmarkProgramRunBatchSizes(b *testing.B) {
 	}
 }
 
+// BenchmarkExecCells is per-request execution on the committed benchmark's
+// exec-* cells — the five monolithic ones and the host-partitioned
+// conv-gate.puma — so kernel work is measured where the bench measures it:
+// `go test -run '^$' -bench ExecCells -cpu 1`. run is Program.Run of one
+// request; batch64 is RunBatch of 64 on one worker, ns/op per request. The
+// requests are distinct and seeded.
+func BenchmarkExecCells(b *testing.B) {
+	ctx := context.Background()
+	const batch = 64
+	for _, cell := range [][2]string{
+		{"conv-relu", "isaac-baseline"},
+		{"lenet5", "puma"},
+		{"lenet5", "jia-isscc21"},
+		{"mlp", "puma"},
+		{"lenet5", "toy-table2"},
+		{"conv-gate", "puma"},
+	} {
+		c, g, w := buildCell(b, cell[0], cell[1])
+		p, err := c.Build(ctx, g, w, CodegenOptions{}, WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := make([]map[int]*Tensor, batch)
+		for i := range reqs {
+			reqs[i] = seededRequest(p, uint64(5000+100*i))
+		}
+		b.Run(cell[0]+"."+cell[1]+"/run", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(ctx, reqs[i%batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(cell[0]+"."+cell[1]+"/batch64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += batch {
+				if _, err := p.RunBatch(ctx, reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLowerRunPerRequest measures what a Program amortizes: a Build per
 // request (the compilation itself is cached; lowering, calibration and weight
 // programming are not), then one Run.

@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -31,77 +32,37 @@ import (
 
 // CompiledFlow is a flow section compiled against one Image: the flattened
 // operator list as specialized kernel closures, with static operands
-// (addresses, shapes, node regions, dispatch, weight tiles) resolved at
-// compile time. A CompiledFlow is immutable and safe for concurrent use; each
-// execution supplies its own BatchState.
+// (addresses, shapes, node regions, dispatch) resolved at compile time. Most
+// kernels execute one operator; a run of reads accumulating into the same
+// words executes as one (readChain). A CompiledFlow is immutable and safe for
+// concurrent use; each execution supplies its own BatchState.
 type CompiledFlow struct {
 	img     *Image
 	kernels []kernel
+	first   []int    // kernels[i] executes ops from first[i] up to the next kernel's
 	ops     []mop.Op // flattened, parallel groups inlined; for error text
 
-	// tiles caches the transposed weight tiles built at compile time, so the
-	// hundreds of readxb ops sweeping one crossbar — and the ops sweeping every
-	// crossbar that aliases its baseline array (ProgramInit) — share one tile.
-	tiles map[tileKey]readTile
+	// members backs every readChain's member list.
+	members []xbRead
 	// writeTiles interns the tiles write ops program, so the copies and rounds
-	// a body rewrites share one bit-sliced tile too.
+	// a body rewrites share one bit-sliced tile.
 	writeTiles map[writeTile]slicedTile
-}
-
-// tileKey identifies a read op's weight tile: the baseline weight array it is
-// cut from (by its first word — crossbars programmed alike share the array)
-// plus the row range.
-type tileKey struct {
-	base       *int64
-	row, nrows int
-}
-
-// readTile is a read op's weight tile transposed to column-major (nWCols
-// runs of nrows weights, contiguous per weight column). It is sliced from the
-// image's frozen weights, so kernels may use it only while the crossbar still
-// shares the image's cells (st.cellShared); once the body reprograms the
-// crossbar, reads walk the state's row-major weights instead.
-type readTile struct {
-	wT     []int64
-	nWCols int
-}
-
-// tile returns the transposed weight tile for rows [row, row+nrows) of
-// crossbar xb, cut from the image's frozen weights on first use: wT[j·nrows+i]
-// is weight column j's entry for activation row i, so the MVM inner loop walks
-// one contiguous run per output column. A zero tile (wT == nil) means the tile
-// cannot be precomputed — the crossbar is not programmed at image baseline —
-// and the kernel reads the state's row-major weights.
-func (cf *CompiledFlow) tile(xb, row, nrows int) readTile {
-	img := cf.img
-	wc := img.baseWeights[xb]
-	p := img.baseProg[xb]
-	if wc == nil || nrows <= 0 || row < 0 || row+nrows > p.rows {
-		return readTile{}
-	}
-	key := tileKey{&wc[0], row, nrows}
-	if t, ok := cf.tiles[key]; ok {
-		return t
-	}
-	s := img.a.CellsPerWeight()
-	nWCols := p.cols / s
-	nWAll := img.a.XB.Cols / s
-	wT := make([]int64, nWCols*nrows)
-	for i := 0; i < nrows; i++ {
-		off := (row + i) * nWAll
-		for j := 0; j < nWCols; j++ {
-			wT[j*nrows+i] = wc[off+j]
-		}
-	}
-	t := readTile{wT: wT, nWCols: nWCols}
-	if cf.tiles == nil {
-		cf.tiles = make(map[tileKey]readTile)
-	}
-	cf.tiles[key] = t
-	return t
+	// matrices holds, per node a readcore names, the node's weight matrix in
+	// the layout reads consume.
+	matrices map[int]nodeMatrix
 }
 
 type kernel func(bm *BatchMachine) error
+
+// opError is a failure of a kernel that executes several operators,
+// attributed to the one off places after the kernel's first.
+type opError struct {
+	off int
+	err error
+}
+
+func (e opError) Error() string { return e.err.Error() }
+func (e opError) Unwrap() error { return e.err }
 
 // BatchState is the mutable residue of one micro-batch: per-lane activation
 // memory (lane-major: lane l owns words [l·stride, (l+1)·stride)), plus the
@@ -115,13 +76,14 @@ type BatchState struct {
 	mem    []int64 // lanes × stride, lane-major
 
 	// Crossbar view, shared across lanes (weights never depend on lane
-	// data), indexed by chip-global crossbar ID: the cell array, the weights
-	// a read reconstructs from it (row-major rows × cols/s), and what the
-	// crossbar holds. cells and weights alias the image's arrays (cellShared)
-	// until a write kernel copies them into the state's own, so reprogramming
-	// in multi-round flows never writes through to the image. dirty lists the
-	// crossbars made private since the last reset — all a reset against the
-	// same image has to restore.
+	// data), indexed by chip-global crossbar ID: the cell array, the weight
+	// array reads multiply (Image.baseWeights' layout), and what the crossbar
+	// holds. cells and weights alias the image's arrays (cellShared) until a
+	// write kernel copies them into the state's own, so reprogramming in
+	// multi-round flows never writes through to the image; a read takes
+	// whichever array the view points at. dirty lists the crossbars made
+	// private since the last reset — all a reset against the same image has
+	// to restore.
 	cells      [][]uint8
 	weights    [][]int64
 	cellShared []bool
@@ -137,9 +99,10 @@ type BatchState struct {
 	regionRaw   []bool
 
 	// Reusable scratch, grown on demand.
-	colSums []int64 // per-weight-column accumulators
-	plan    []int64 // window-gather index plan (-1 = zero padding)
-	table   []int64 // requantization lookup table
+	runs   []mvmRun // an accumulation chain's members, resolved against the view
+	gather []int64  // readcore's gathered windows, lanes × rows
+	plan   []int64  // window-gather index plan (-1 = zero padding)
+	table  []int64  // requantization lookup table
 }
 
 func (st *BatchState) lane(l int) []int64 {
@@ -147,11 +110,19 @@ func (st *BatchState) lane(l int) []int64 {
 	return st.mem[off : off+st.stride : off+st.stride]
 }
 
-func (st *BatchState) colSumsBuf(n int) []int64 {
-	if cap(st.colSums) < n {
-		st.colSums = make([]int64, n)
+// runsBuf returns an empty run list with room for n.
+func (st *BatchState) runsBuf(n int) []mvmRun {
+	if cap(st.runs) < n {
+		st.runs = make([]mvmRun, n)
 	}
-	return st.colSums[:n]
+	return st.runs[:0]
+}
+
+func (st *BatchState) gatherBuf(n int) []int64 {
+	if cap(st.gather) < n {
+		st.gather = make([]int64, n)
+	}
+	return st.gather[:n]
 }
 
 func (st *BatchState) planBuf(n int) []int64 {
@@ -305,7 +276,12 @@ func (bm *BatchMachine) RunBody(cf *CompiledFlow) error {
 	}
 	for i, k := range cf.kernels {
 		if err := k(bm); err != nil {
-			return fmt.Errorf("funcsim: op %d (%s): %w", i, cf.ops[i], err)
+			op := cf.first[i]
+			var oe opError
+			if errors.As(err, &oe) {
+				op, err = op+oe.off, oe.err
+			}
+			return fmt.Errorf("funcsim: op %d (%s): %w", op, cf.ops[op], err)
 		}
 	}
 	return nil
@@ -399,26 +375,39 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 	return t
 }
 
-// CompileBody compiles a flow section into per-operator kernel closures
-// specialized on op, shape and precision: parallel groups are flattened,
-// buffer addresses are resolved to node regions, window-gather geometry
-// generators and destination strides are fixed, write tiles are bit-sliced,
-// and all statically checkable operands are validated here so the hot loop
-// carries no dispatch or resolution work. Read tiles are cut from the
-// image's baseline, so compile a serving body after ProgramInit.
+// CompileBody compiles a flow section into kernel closures specialized on
+// op, shape and precision: parallel groups are flattened, buffer addresses are
+// resolved to node regions, window-gather geometry generators and destination
+// strides are fixed, write tiles are bit-sliced, consecutive reads that
+// accumulate into the same words are fused into one kernel, and every operand
+// that can be checked statically is — so the hot loop carries no dispatch or
+// resolution work and no operator can address outside a lane. What a crossbar
+// holds is run-time state (a body may reprogram it), so what depends on it is
+// checked by the kernel before it writes.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
-	cf := &CompiledFlow{img: img}
-	err := eachLeaf(body, func(op mop.Op) error {
-		k, err := img.compileOp(op, cf)
-		if err != nil {
-			return fmt.Errorf("funcsim: compile %s: %w", op, err)
+	// Sized once from a count of the leaves: flows run to millions of them.
+	leaves, reads := 0, 0
+	_ = eachLeaf(body, func(op mop.Op) error { // the visitor never fails
+		if _, _, ok := readOperands(op); ok {
+			reads++
 		}
-		cf.kernels = append(cf.kernels, k)
-		cf.ops = append(cf.ops, op)
+		leaves++
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	cf := &CompiledFlow{img: img, ops: make([]mop.Op, 0, leaves), members: make([]xbRead, 0, reads)}
+	_ = eachLeaf(body, func(op mop.Op) error { cf.ops = append(cf.ops, op); return nil })
+	cf.kernels, cf.first = make([]kernel, 0, leaves), make([]int, 0, leaves)
+	for at := 0; at < leaves; {
+		k, n, err := img.compileReads(cf, at) // n == 0: not a crossbar read
+		if n == 0 && err == nil {
+			k, err = img.compileOp(cf, cf.ops[at])
+			n = 1
+		}
+		if err != nil {
+			return nil, fmt.Errorf("funcsim: compile %s: %w", cf.ops[at], err)
+		}
+		cf.kernels, cf.first = append(cf.kernels, k), append(cf.first, at)
+		at += n
 	}
 	return cf, nil
 }
@@ -440,20 +429,15 @@ func eachLeaf(ops []mop.Op, visit func(mop.Op) error) error {
 	return nil
 }
 
-func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
+// compileOp compiles every operator that is a kernel of its own: all but the
+// crossbar reads (compileReads).
+func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
 	if xb, w, ok := writeOperands(op); ok {
 		return img.compileWrite(cf, xb, w)
 	}
 	switch o := op.(type) {
-	case mop.ReadXB:
-		return img.compileRead(cf, o.XB, 0, -1, o.Src, o.Dst, o.DstStride, o.Acc)
-	case mop.ReadRow:
-		if o.NumRows > img.a.XB.ParallelRow {
-			return nil, fmt.Errorf("readrow activates %d rows but parallel_row is %d", o.NumRows, img.a.XB.ParallelRow)
-		}
-		return img.compileRead(cf, o.XB, o.Row, o.NumRows, o.Src, o.Dst, o.DstStride, o.Acc)
 	case mop.ReadCore:
-		return img.compileReadCore(o)
+		return img.compileReadCore(cf, o)
 	case mop.Mov:
 		return img.compileMov(o)
 	case mop.MovWindow:
@@ -462,6 +446,11 @@ func (img *Image) compileOp(op mop.Op, cf *CompiledFlow) (kernel, error) {
 		return img.compileDcom(o)
 	}
 	return nil, fmt.Errorf("unknown op type %T", op)
+}
+
+// inLane reports whether the n words at addr lie inside a lane's memory.
+func (img *Image) inLane(addr, n int64) bool {
+	return addr >= 0 && n >= 0 && addr <= img.lay.Total-n
 }
 
 // tileWrite is every operand of a writexb or writerow but the crossbar: the
@@ -477,10 +466,11 @@ type tileWrite struct {
 type writeTile struct{ node, cellRowOff, cellColOff, rows, cols int }
 
 // slicedTile is a writeTile's content: the cell bytes (Figure 7's B→XBC bit
-// slicing) and the weights a read reconstructs from them.
+// slicing) and the weights those cells reconstruct to, in the layout reads
+// consume (mvm.go) — the cell bytes themselves are never read back.
 type slicedTile struct {
-	cells   []uint8 // rows × cols
-	weights []int64 // rows × cols/s
+	cells   []uint8 // rows × cols, row-major
+	weights []int64 // column-major in the image's word format, rows words per run
 }
 
 // writeOperands splits a weight-programming operator into the crossbar it
@@ -528,9 +518,10 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 	if wColOff+nW > dims[1] {
 		return nil, fmt.Errorf("cell column %d exceeds weight matrix cols %d", cellColOff+cols-1, dims[1])
 	}
+	packed, xbRows := img.packed, a.XB.Rows
 	tile, ok := cf.writeTiles[w.writeTile]
 	if !ok {
-		tile = slicedTile{cells: make([]uint8, rows*cols), weights: make([]int64, rows*nW)}
+		tile = slicedTile{cells: make([]uint8, rows*cols), weights: make([]int64, wordsFor(nW, packed)*rows)}
 		sl := make([]uint32, s)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < nW; j++ {
@@ -538,7 +529,7 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 				for k, v := range sl {
 					tile.cells[i*cols+j*s+k] = uint8(v)
 				}
-				tile.weights[i*nW+j] = int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits))
+				placeWeight(tile.weights, rows, i, j, int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits)), packed)
 			}
 		}
 		if cf.writeTiles == nil {
@@ -546,7 +537,11 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 		}
 		cf.writeTiles[w.writeTile] = tile
 	}
-	xbCols, nWAll := a.XB.Cols, a.XB.Cols/s
+	xbCols := a.XB.Cols
+	whole := nW // the tile's column words that it fills entirely
+	if packed {
+		whole = nW / 2
+	}
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		p := &st.prog[xb]
@@ -556,11 +551,21 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 			*p = xbProg{node: node, rowDelta: cellRowOff - rowStart, cellColOff: cellColOff}
 		}
 		p.rows = max(p.rows, rowStart+rows)
-		p.cols = max(p.cols, cols)
+		p.wcols = max(p.wcols, nW)
 		cells, weights := st.privateXB(bm.img, xb, fresh)
 		for i := 0; i < rows; i++ {
 			copy(cells[(rowStart+i)*xbCols:], tile.cells[i*cols:(i+1)*cols])
-			copy(weights[(rowStart+i)*nWAll:], tile.weights[i*nW:(i+1)*nW])
+		}
+		for c := 0; c < whole; c++ {
+			copy(weights[c*xbRows+rowStart:], tile.weights[c*rows:(c+1)*rows])
+		}
+		if whole < len(tile.weights)/rows {
+			// An odd last column is the low half of its words; the high half is
+			// a column beyond the tile and stays as the write found it.
+			run := weights[whole*xbRows+rowStart:][:rows]
+			for i, v := range tile.weights[whole*rows:] {
+				run[i] += v - int64(int32(run[i]))
+			}
 		}
 		return nil
 	}, nil
@@ -576,208 +581,237 @@ func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int6
 	if st.ownCells[xb] == nil {
 		a := img.a
 		st.ownCells[xb] = make([]uint8, a.XB.Rows*a.XB.Cols)
-		st.ownWeights[xb] = make([]int64, a.XB.Rows*(a.XB.Cols/a.CellsPerWeight()))
+		st.ownWeights[xb] = make([]int64, a.XB.Rows*wordsFor(a.XB.Cols/a.CellsPerWeight(), img.packed))
 	}
 	cells, weights := st.ownCells[xb], st.ownWeights[xb]
 	if st.cellShared[xb] || st.cells[xb] == nil {
 		st.dirty = append(st.dirty, xb)
 	}
+	p := &st.prog[xb]
 	switch {
 	case fresh || st.cells[xb] == nil:
 		clear(cells)
 		clear(weights)
 	case st.cellShared[xb]:
 		copy(cells, st.cells[xb])
-		copy(weights, st.weights[xb])
+		// The image's weight array is cut to the wordlines it programs
+		// (ProgramInit); the state's has room for every wordline.
+		clear(weights)
+		for c, from := 0, st.weights[xb]; c*p.stride < len(from); c++ {
+			copy(weights[c*img.a.XB.Rows:], from[c*p.stride:(c+1)*p.stride])
+		}
 	}
+	p.stride = img.a.XB.Rows
 	st.cells[xb], st.weights[xb], st.cellShared[xb] = cells, weights, false
 	return cells, weights
 }
 
-// compileRead compiles a readxb (nrows < 0: every programmed row) or readrow.
-// While the crossbar still aliases the image the kernel takes the transposed
-// tile cut at compile time; once a body write has made it private — or when
-// nothing was programmed at baseline — it reads the state's row-major weights.
-func (img *Image) compileRead(cf *CompiledFlow, xb, row, nrows int, src, dst, stride int64, acc bool) (kernel, error) {
-	if xb < 0 || xb >= len(img.baseCells) {
-		return nil, fmt.Errorf("crossbar %d out of range", xb)
+// xbRead is one readxb or readrow as a member of an accumulation chain: the
+// wordlines it activates and the activations it streams into them.
+type xbRead struct {
+	xb, row int
+	nrows   int // < 0: every programmed row (readxb)
+	src     int64
+	srcNode int
+	// run is the chain's dot-product run the member belongs to: a readrow that
+	// continues an earlier member's wordlines and source run — parallel_row
+	// cuts one tile's rows into several reads — lengthens that member's run
+	// instead of starting its own.
+	run int
+}
+
+// accWords names the words a crossbar read produces: weight column j's sum at
+// dst + j·stride, stored or, with acc, added to what is there.
+type accWords struct {
+	dst, stride int64
+	acc         bool
+}
+
+// readOperands splits a crossbar read into the chain member it makes and the
+// words it produces; ok is false for every other operator.
+func readOperands(op mop.Op) (r xbRead, out accWords, ok bool) {
+	switch o := op.(type) {
+	case mop.ReadXB:
+		return xbRead{xb: o.XB, nrows: -1, src: o.Src}, accWords{o.Dst, o.DstStride, o.Acc}, true
+	case mop.ReadRow:
+		return xbRead{xb: o.XB, row: o.Row, nrows: max(o.NumRows, 0), src: o.Src}, accWords{o.Dst, o.DstStride, o.Acc}, true
 	}
-	srcNode, dstNode := img.nodeAt(src), img.nodeAt(dst)
-	tileRows := nrows
-	if nrows < 0 {
-		tileRows = img.baseProg[xb].rows
+	return xbRead{}, accWords{}, false
+}
+
+// readChain is the kernel of a maximal run of consecutive reads that
+// accumulate into the same words: every member after the first has acc set
+// and the first's dst and stride. Integer addition is associative and
+// commutative, so summing the members' dot products in registers and storing
+// each output once leaves what running them one after another leaves —
+// provided no member reads what the chain writes (compileReads). A read with
+// no such neighbour is a chain of one: there is no other read path.
+type readChain struct {
+	members  []xbRead
+	accWords // the first member's
+	dstNode  int
+	limit    int64 // word format and guard bound for sums over all members' rows (mvm.go)
+}
+
+// compileReads compiles the accumulation chain that starts at cf.ops[at] and
+// reports how many operators it takes in; none when cf.ops[at] is no crossbar
+// read.
+func (img *Image) compileReads(cf *CompiledFlow, at int) (kernel, int, error) {
+	a := img.a
+	_, head, ok := readOperands(cf.ops[at])
+	if !ok {
+		return nil, 0, nil
 	}
-	tile := cf.tile(xb, row, tileRows)
-	return func(bm *BatchMachine) error {
-		if tile.wT != nil && bm.st.cellShared[xb] {
-			bm.readRowsT(tileRows, tile, src, dst, stride, acc, srcNode, dstNode)
-			return nil
+	if !img.inLane(head.dst, 1) || head.stride < 1 || head.stride > img.lay.Total {
+		return nil, 0, fmt.Errorf("destination %d with stride %d outside the lane's %d words", head.dst, head.stride, img.lay.Total)
+	}
+	ch := &readChain{accWords: head, dstNode: img.nodeAt(head.dst)}
+	maxCols := a.XB.Cols / a.CellsPerWeight()
+	rows, start := 0, len(cf.members)
+	var endsBuf [8]xbRead
+	ends := endsBuf[:0] // per run, the member that would lengthen it
+	for j := at; j < len(cf.ops); j++ {
+		r, out, ok := readOperands(cf.ops[j])
+		if !ok || j > at && (!out.acc || out.dst != ch.dst || out.stride != ch.stride) {
+			break
 		}
-		n := nrows
+		n := r.nrows
 		if n < 0 {
-			n = bm.st.prog[xb].rows
+			n = a.XB.Rows // what a readxb activates is the crossbar's to say
 		}
-		return bm.readRows(xb, row, n, src, dst, stride, acc, srcNode, dstNode)
-	}, nil
+		err := img.checkRead(r, n)
+		if err != nil && j == at {
+			return nil, 0, err
+		}
+		// A member must not read what the chain writes: its source run, for
+		// the sums' sake, nor its source node's region, which it settles
+		// before the chain runs instead of after the members ahead of it.
+		r.srcNode = img.nodeAt(r.src)
+		lo, hi := r.src, r.src+int64(n)
+		if r.srcNode >= 0 {
+			lo, hi = min(lo, img.base[r.srcNode]), max(hi, img.base[r.srcNode]+img.size[r.srcNode])
+		}
+		alone := strideTouches(ch.dst, ch.stride, maxCols, lo, hi)
+		// Nor may the chain's rows outgrow what a packed half can sum; a lone
+		// read's never do, or the image would not be packed.
+		limit := int64(-1)
+		if img.packed {
+			limit = wordLimit(rows+n, a.WeightBits, a.ActBits)
+		}
+		if j > at && (err != nil || alone || img.packed && limit < 0) {
+			break // it heads the next chain, which is where its error is reported
+		}
+		// A readrow that starts where an earlier member's wordlines and source
+		// run end lengthens that member's run; a readxb's run ends nowhere
+		// known before the crossbar is looked at.
+		r.run = slices.IndexFunc(ends, func(e xbRead) bool { return e.xb == r.xb && e.row == r.row && e.src == r.src })
+		if r.run < 0 {
+			r.run, ends = len(ends), append(ends, xbRead{})
+		}
+		ends[r.run] = xbRead{xb: -1}
+		if r.nrows >= 0 {
+			ends[r.run] = xbRead{xb: r.xb, row: r.row + n, src: r.src + int64(n)}
+		}
+		cf.members = append(cf.members, r)
+		rows, ch.limit = rows+n, limit
+		if alone {
+			break
+		}
+	}
+	ch.members = cf.members[start:len(cf.members):len(cf.members)]
+	return ch.run, len(ch.members), nil
 }
 
-// readRowsT is the analog MVM over a compile-time transposed weight tile:
-// each output column is a register-accumulated, branchless dot product over
-// one contiguous run of wT, so no per-column accumulator array travels through
-// memory. Valid only while the crossbar still aliases the image's cells (the
-// caller checks st.cellShared); integer partial sums reassociate exactly, so
-// results are bit-identical to readRows.
-func (bm *BatchMachine) readRowsT(nrows int, tile readTile, src, dst, stride int64, acc bool, srcNode, dstNode int) {
-	st := bm.st
-	bm.settleNode(srcNode)
-	wT, nWCols := tile.wT, tile.nWCols
-	// Lane-blocked: four lanes share each weight load, so the tile streams
-	// through the cache once per block instead of once per lane, and the four
-	// accumulator chains are independent. Per-lane sums still add rows in
-	// ascending order whatever the block width.
-	l := 0
-	for ; l+3 < st.lanes; l += 4 {
-		lm0, lm1, lm2, lm3 := st.lane(l), st.lane(l+1), st.lane(l+2), st.lane(l+3)
-		end := src + int64(nrows)
-		a0 := lm0[src:end:end]
-		a1 := lm1[src:end:end]
-		a2 := lm2[src:end:end]
-		a3 := lm3[src:end:end]
-		addr := dst
-		for j := 0; j < nWCols; j++ {
-			wrow := wT[j*nrows : (j+1)*nrows : (j+1)*nrows]
-			var s0, s1, s2, s3 int64
-			for i, w := range wrow {
-				s0 += a0[i] * w
-				s1 += a1[i] * w
-				s2 += a2[i] * w
-				s3 += a3[i] * w
-			}
-			if acc {
-				lm0[addr] += s0
-				lm1[addr] += s1
-				lm2[addr] += s2
-				lm3[addr] += s3
-			} else {
-				lm0[addr] = s0
-				lm1[addr] = s1
-				lm2[addr] = s2
-				lm3[addr] = s3
-			}
-			addr += stride
-		}
+// checkRead validates what is static of one crossbar read activating up to n
+// wordlines.
+func (img *Image) checkRead(r xbRead, n int) error {
+	a := img.a
+	switch {
+	case r.xb < 0 || r.xb >= len(img.baseCells):
+		return fmt.Errorf("crossbar %d out of range", r.xb)
+	case r.nrows > a.XB.ParallelRow:
+		return fmt.Errorf("readrow activates %d rows but parallel_row is %d", r.nrows, a.XB.ParallelRow)
+	case r.row < 0 || r.nrows == 0 || r.row+n > a.XB.Rows:
+		return fmt.Errorf("wordlines [%d,%d) outside the crossbar's %d", r.row, r.row+r.nrows, a.XB.Rows)
+	case !img.inLane(r.src, int64(max(r.nrows, 1))):
+		return fmt.Errorf("source run at %d outside the lane's %d words", r.src, img.lay.Total)
 	}
-	for ; l+1 < st.lanes; l += 2 {
-		lm0, lm1 := st.lane(l), st.lane(l+1)
-		end := src + int64(nrows)
-		a0 := lm0[src:end:end]
-		a1 := lm1[src:end:end]
-		addr := dst
-		for j := 0; j < nWCols; j++ {
-			wrow := wT[j*nrows : (j+1)*nrows : (j+1)*nrows]
-			var s0, s1 int64
-			for i, w := range wrow {
-				s0 += a0[i] * w
-				s1 += a1[i] * w
-			}
-			if acc {
-				lm0[addr] += s0
-				lm1[addr] += s1
-			} else {
-				lm0[addr] = s0
-				lm1[addr] = s1
-			}
-			addr += stride
-		}
-	}
-	for ; l < st.lanes; l++ {
-		lm := st.lane(l)
-		avs := lm[src : src+int64(nrows) : src+int64(nrows)]
-		addr := dst
-		for j := 0; j < nWCols; j++ {
-			wrow := wT[j*nrows : (j+1)*nrows : (j+1)*nrows]
-			// Four partial sums: a lone lane (every single request) has no
-			// neighbour lane to hide the multiply latency behind.
-			var s0, s1, s2, s3 int64
-			i := 0
-			for ; i+4 <= len(wrow); i += 4 {
-				a, w := avs[i:i+4:i+4], wrow[i:i+4:i+4]
-				s0 += a[0] * w[0]
-				s1 += a[1] * w[1]
-				s2 += a[2] * w[2]
-				s3 += a[3] * w[3]
-			}
-			for ; i < len(wrow); i++ {
-				s0 += avs[i] * wrow[i]
-			}
-			sum := s0 + s1 + s2 + s3
-			if acc {
-				lm[addr] += sum
-			} else {
-				lm[addr] = sum
-			}
-			addr += stride
-		}
-	}
-	if dstNode >= 0 {
-		bm.markCIMOutput(dstNode)
-	}
+	return nil
 }
 
-// readRows is the analog MVM over the crossbar view's row-major weights:
-// inputs stream from src, zero activations skip their weight row, and
-// per-weight-column sums are written (or accumulated) at dst with the given
-// stride.
-func (bm *BatchMachine) readRows(xb, row, nrows int, src, dst, stride int64, acc bool, srcNode, dstNode int) error {
+// strideTouches reports whether any of the n words dst, dst+stride, … lies in
+// [lo, hi).
+func strideTouches(dst, stride int64, n int, lo, hi int64) bool {
+	j := int64(0)
+	if dst < lo {
+		j = (lo - dst + stride - 1) / stride
+	}
+	return j < int64(n) && dst+j*stride < hi
+}
+
+// run is the chain's kernel. Everything that depends on what the crossbars
+// hold now — programmed at all, the rows read, equal column counts, the
+// columns' destination words — is checked for every member before anything is
+// written; members that turn out to hold different column counts run as
+// chains of one.
+func (ch *readChain) run(bm *BatchMachine) error {
 	st := bm.st
-	wc := st.weights[xb]
-	if wc == nil {
-		return fmt.Errorf("crossbar %d not programmed", xb)
-	}
-	p := &st.prog[xb]
-	if row+nrows > p.rows {
-		return fmt.Errorf("read rows [%d,%d) exceed programmed rows %d", row, row+nrows, p.rows)
-	}
-	bm.settleNode(srcNode)
-	s := bm.img.a.CellsPerWeight()
-	nWCols, nWAll := p.cols/s, bm.img.a.XB.Cols/s
-	sums := st.colSumsBuf(nWCols)
-	for l := 0; l < st.lanes; l++ {
-		lm := st.lane(l)
-		clear(sums)
-		for i, av := range lm[src : src+int64(nrows)] {
-			if av == 0 {
-				continue
-			}
-			off := (row + i) * nWAll
-			rowW := wc[off : off+nWCols : off+nWCols]
-			j := 0
-			for ; j+3 < len(rowW); j += 4 {
-				s0 := sums[j] + av*rowW[j]
-				s1 := sums[j+1] + av*rowW[j+1]
-				s2 := sums[j+2] + av*rowW[j+2]
-				s3 := sums[j+3] + av*rowW[j+3]
-				sums[j], sums[j+1], sums[j+2], sums[j+3] = s0, s1, s2, s3
-			}
-			for ; j < len(rowW); j++ {
-				sums[j] += av * rowW[j]
-			}
+	runs := st.runsBuf(len(ch.members))
+	cols, uniform := 0, true
+	for i := range ch.members {
+		m := &ch.members[i]
+		w, p := st.weights[m.xb], &st.prog[m.xb]
+		n := m.nrows
+		if n < 0 {
+			n = p.rows
 		}
-		addr := dst
-		if acc {
-			for j := 0; j < nWCols; j++ {
-				lm[addr] += sums[j]
-				addr += stride
-			}
+		var err error
+		switch {
+		case w == nil:
+			err = fmt.Errorf("crossbar %d not programmed", m.xb)
+		case m.row+n > p.rows:
+			err = fmt.Errorf("read rows [%d,%d) exceed programmed rows %d", m.row, m.row+n, p.rows)
+		case m.src+int64(n) > st.stride:
+			err = fmt.Errorf("source run [%d,%d) exceeds the lane's %d words", m.src, m.src+int64(n), st.stride)
+		case ch.dst+int64(p.wcols-1)*ch.stride >= st.stride:
+			err = fmt.Errorf("%d columns from %d with stride %d exceed the lane's %d words", p.wcols, ch.dst, ch.stride, st.stride)
+		}
+		if err != nil {
+			return opError{i, err}
+		}
+		if m.run < len(runs) {
+			runs[m.run].n += n
 		} else {
-			for j := 0; j < nWCols; j++ {
-				lm[addr] = sums[j]
-				addr += stride
-			}
+			runs = append(runs, mvmRun{w: w[m.row:], stride: p.stride, n: n, src: m.src})
+		}
+		if i == 0 {
+			cols = p.wcols
+		}
+		uniform = uniform && p.wcols == cols
+	}
+	for i := range ch.members {
+		bm.settleNode(ch.members[i].srcNode)
+		if i == 0 && ch.dstNode >= 0 {
+			// Where running the members apart would mark it: after the first.
+			bm.markCIMOutput(ch.dstNode)
 		}
 	}
-	if dstNode >= 0 {
-		bm.markCIMOutput(dstNode)
+	k := mvmCall{
+		act: st.mem, actStride: st.stride, out: st.mem, outStride: st.stride, lanes: st.lanes,
+		runs: runs, cols: cols, limit: ch.limit,
+		dst: ch.dst, stride: ch.stride, acc: ch.acc,
+	}
+	if uniform {
+		k.run()
+		return nil
+	}
+	next := 0
+	for i := range ch.members {
+		if m := &ch.members[i]; m.run == next { // the member that starts run next
+			k.runs, k.cols = runs[next:next+1], st.prog[m.xb].wcols
+			k.run()
+			k.acc, next = true, next+1
+		}
 	}
 	return nil
 }
@@ -829,21 +863,68 @@ func (img *Image) gatherPlan(n *graph.Node, w, srcBase int64, plan []int64) erro
 	return fmt.Errorf("gather for unsupported op %s", n.Op)
 }
 
+// nodeMatrix is a CIM node's quantized weight matrix in the layout reads
+// consume (mvm.go), for readcore — a core computes a node's MVMs without the
+// flow naming crossbars. Its word format and guard bound follow from its own
+// row count.
+type nodeMatrix struct {
+	w     []int64
+	limit int64
+}
+
+// matrixOf lays node's weight matrix out for readcore, once per flow.
+func (cf *CompiledFlow) matrixOf(node int) nodeMatrix {
+	if m, ok := cf.matrices[node]; ok {
+		return m
+	}
+	img := cf.img
+	qw, rows, cols := img.qweights[node], img.wDims[node][0], img.wDims[node][1]
+	m := nodeMatrix{limit: wordLimit(rows, img.a.WeightBits, img.a.ActBits)}
+	m.w = make([]int64, wordsFor(cols, m.limit >= 0)*rows)
+	for i := 0; i < rows; i++ {
+		for j, v := range qw[i*cols : (i+1)*cols] {
+			placeWeight(m.w, rows, i, j, int64(v), m.limit >= 0)
+		}
+	}
+	if cf.matrices == nil {
+		cf.matrices = make(map[int]nodeMatrix)
+	}
+	cf.matrices[node] = m
+	return m
+}
+
+// gather copies the words plan names out of one lane into dst, zero where the
+// plan says padding.
+func gather(dst, lm, plan []int64) {
+	for i, idx := range plan {
+		if idx < 0 {
+			dst[i] = 0
+		} else {
+			dst[i] = lm[idx]
+		}
+	}
+}
+
 // compileReadCore compiles a whole operator window range on a core (MOP_CM):
 // the core's internal crossbars perform the same quantized arithmetic, so the
-// kernel computes the integer MVMs directly from the node's quantized weight
-// matrix.
-func (img *Image) compileReadCore(o mop.ReadCore) (kernel, error) {
+// kernel gathers each window of every lane and runs the MVM microkernel over
+// the node's weight matrix.
+func (img *Image) compileReadCore(cf *CompiledFlow, o mop.ReadCore) (kernel, error) {
 	n, err := img.g.Node(o.Node)
 	if err != nil {
 		return nil, err
 	}
-	qw, ok := img.qweights[o.Node]
-	if !ok {
+	if _, ok := img.qweights[o.Node]; !ok {
 		return nil, fmt.Errorf("no quantized weights for node %d", o.Node)
 	}
-	dims := img.wDims[o.Node]
-	rows, cols := dims[0], dims[1]
+	if o.WinStart < 0 || o.WinCount < 0 || o.WinStart > n.MVMCount()-o.WinCount {
+		return nil, fmt.Errorf("windows [%d,%d) outside the node's %d", o.WinStart, o.WinStart+o.WinCount, n.MVMCount())
+	}
+	if in := img.g.MustNode(n.Inputs[0]).OutShape; !img.inLane(o.Src, graph.NumElements(in)) || !img.inLane(o.Dst, graph.NumElements(n.OutShape)) {
+		return nil, fmt.Errorf("input at %d or output at %d outside the lane's %d words", o.Src, o.Dst, img.lay.Total)
+	}
+	rows, cols := img.wDims[o.Node][0], img.wDims[o.Node][1]
+	mat := cf.matrixOf(o.Node)
 	srcNode := img.nodeAt(o.Src)
 	// Output column j of window w lands at Dst + j·cj + w·cw: channel-major
 	// for conv (NCHW), token-major for matrix Dense, a plain vector otherwise.
@@ -860,41 +941,19 @@ func (img *Image) compileReadCore(o mop.ReadCore) (kernel, error) {
 		st := bm.st
 		bm.settleNode(srcNode)
 		plan := st.planBuf(rows)
-		sums := st.colSumsBuf(cols)
+		k := mvmCall{
+			act: st.gatherBuf(st.lanes * rows), actStride: int64(rows), out: st.mem, outStride: st.stride, lanes: st.lanes,
+			runs: []mvmRun{{w: mat.w, stride: rows, n: rows}}, cols: cols, limit: mat.limit, stride: cj,
+		}
 		for w := o.WinStart; w < o.WinStart+o.WinCount; w++ {
 			if err := bm.img.gatherPlan(n, w, o.Src, plan); err != nil {
 				return err
 			}
 			for l := 0; l < st.lanes; l++ {
-				lm := st.lane(l)
-				clear(sums)
-				for i := 0; i < rows; i++ {
-					idx := plan[i]
-					if idx < 0 {
-						continue
-					}
-					av := lm[idx]
-					if av == 0 {
-						continue
-					}
-					wr := qw[i*cols : (i+1)*cols : (i+1)*cols]
-					j := 0
-					for ; j+3 < len(wr); j += 4 {
-						s0 := sums[j] + av*int64(wr[j])
-						s1 := sums[j+1] + av*int64(wr[j+1])
-						s2 := sums[j+2] + av*int64(wr[j+2])
-						s3 := sums[j+3] + av*int64(wr[j+3])
-						sums[j], sums[j+1], sums[j+2], sums[j+3] = s0, s1, s2, s3
-					}
-					for ; j < len(wr); j++ {
-						sums[j] += av * int64(wr[j])
-					}
-				}
-				base := o.Dst + w*cw
-				for j := 0; j < cols; j++ {
-					lm[base+int64(j)*cj] = sums[j]
-				}
+				gather(k.act[l*rows:(l+1)*rows], st.lane(l), plan)
 			}
+			k.dst = o.Dst + w*cw
+			k.run()
 		}
 		bm.markCIMOutput(o.Node)
 		return nil
@@ -902,6 +961,9 @@ func (img *Image) compileReadCore(o mop.ReadCore) (kernel, error) {
 }
 
 func (img *Image) compileMov(o mop.Mov) (kernel, error) {
+	if !img.inLane(o.Src, o.Len) || !img.inLane(o.Dst, o.Len) {
+		return nil, fmt.Errorf("source or destination run outside the lane's %d words", img.lay.Total)
+	}
 	srcNode := img.nodeAt(o.Src)
 	dstNode := img.nodeAt(o.Dst)
 	// Whole-region copies propagate the source's numeric domain (Flatten,
@@ -932,6 +994,12 @@ func (img *Image) compileMovWindow(o mop.MovWindow) (kernel, error) {
 		return nil, fmt.Errorf("mov_window on non-conv node %d", o.Node)
 	}
 	rows := n.WeightShape[1] * n.WeightShape[2] * n.WeightShape[3]
+	if o.Window < 0 || o.Window >= n.MVMCount() {
+		return nil, fmt.Errorf("window %d outside the node's %d", o.Window, n.MVMCount())
+	}
+	if in := img.g.MustNode(n.Inputs[0]).OutShape; !img.inLane(o.SrcBase, graph.NumElements(in)) || !img.inLane(o.Dst, int64(rows)) {
+		return nil, fmt.Errorf("input at %d or gathered window at %d outside the lane's %d words", o.SrcBase, o.Dst, img.lay.Total)
+	}
 	srcNode := img.nodeAt(o.SrcBase)
 	return func(bm *BatchMachine) error {
 		st := bm.st
@@ -942,13 +1010,7 @@ func (img *Image) compileMovWindow(o mop.MovWindow) (kernel, error) {
 		}
 		for l := 0; l < st.lanes; l++ {
 			lm := st.lane(l)
-			for i, idx := range plan {
-				if idx < 0 {
-					lm[o.Dst+int64(i)] = 0
-				} else {
-					lm[o.Dst+int64(i)] = lm[idx]
-				}
-			}
+			gather(lm[o.Dst:o.Dst+int64(rows)], lm, plan)
 		}
 		return nil
 	}, nil
@@ -960,6 +1022,9 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	n, err := img.g.Node(o.Node)
 	if err != nil {
 		return nil, err
+	}
+	if !img.inLane(o.Dst, o.Len) {
+		return nil, fmt.Errorf("destination run outside the lane's %d words", img.lay.Total)
 	}
 	if n.Op == graph.OpReLU {
 		return img.compileDcomReLU(o, n)

@@ -1,6 +1,10 @@
 package funcsim
 
 import (
+	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,15 +166,27 @@ func bodyWrites(ops []mop.Op) int {
 	return n
 }
 
+// toyBits is the toy machine in mode m with the given weight and activation
+// precisions; its 32 × 128 crossbars of 2-bit cells hold 128 / ceil(w/2)
+// weight columns.
+func toyBits(m arch.Mode, weightBits, actBits int) *arch.Arch {
+	a := toyInMode(m)
+	a.WeightBits, a.ActBits = weightBits, actBits
+	return a
+}
+
 // TestLanesMatchQuantReference is the engine's lane-count invariance check:
 // each cell runs as micro-batches of 1, 2, 3, 5 and 8 lanes — covering the
-// 4-wide, 2-wide and single-lane blocks of the MVM kernels and their
+// four-lane block of the MVM kernel, the lone-lane loop and their
 // combinations — on one recycled state, and every lane must reproduce the
-// independent quantized reference exactly. The cells sit on both sides of the
-// read selection: stationary weights (transposed tiles cut from the image),
-// body reprogramming (private row-major weights), a body write extending an
-// image tile (copy-on-write), and nothing programmed at baseline. Requests
-// mix tensor shapes of one size.
+// independent quantized reference exactly. The cells cover every way a read
+// finds its weights — stationary (the image's arrays), body reprogramming (the
+// state's private arrays), a body write extending an image tile
+// (copy-on-write), nothing programmed at baseline — and both word formats of
+// the weight arrays: 16-bit × 16-bit fails the packing bound (one column per
+// word), 12-bit weights put 21 columns in a crossbar (a half-filled last
+// word), 8-bit × 16-bit packs with activations near the bound. Requests mix
+// tensor shapes of one size.
 func TestLanesMatchQuantReference(t *testing.T) {
 	cells := []struct {
 		name        string
@@ -178,6 +194,7 @@ func TestLanesMatchQuantReference(t *testing.T) {
 		a           *arch.Arch
 		programming int
 		bodyWrites  bool
+		unpacked    bool // the arch fails the packing bound: one weight column per word
 	}{
 		{name: "conv-relu.xbm", g: models.ConvReLU(), a: toyInMode(arch.XBM)},
 		{name: "conv-relu.wlm", g: models.ConvReLU(), a: toyInMode(arch.WLM)},
@@ -187,12 +204,26 @@ func TestLanesMatchQuantReference(t *testing.T) {
 		{name: "lenet5.isaac", g: models.LeNet5(), a: arch.ISAACBaseline()},
 		{name: "conv-relu.wlm-one-shot", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: oneShot},
 		{name: "conv-relu.wlm-split-tile", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: splitTile},
+		{name: "conv-relu.xbm-w16a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 16, 16), unpacked: true},
+		{name: "conv-relu.wlm-w16a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 16, 16), unpacked: true},
+		{name: "conv-relu.cm-w16a16", g: models.ConvReLU(), a: toyBits(arch.CM, 16, 16), unpacked: true},
+		{name: "conv-relu.xbm-w12a8", g: models.ConvReLU(), a: toyBits(arch.XBM, 12, 8)},
+		{name: "conv-relu.wlm-w12a8", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8)},
+		{name: "conv-relu.cm-w12a8", g: models.ConvReLU(), a: toyBits(arch.CM, 12, 8)},
+		{name: "conv-relu.wlm-w12a8-split-tile", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8), programming: splitTile},
+		{name: "lenet5.wlm-w12a8-reprogrammed", g: models.LeNet5(), a: toyBits(arch.WLM, 12, 8), bodyWrites: true},
+		{name: "conv-relu.xbm-w8a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 8, 16)},
+		{name: "conv-relu.wlm-w8a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 8, 16)},
+		{name: "conv-relu.cm-w8a16", g: models.ConvReLU(), a: toyBits(arch.CM, 8, 16)},
 	}
 	for i, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newLaneCell(t, tc.g, tc.a, uint64(41+i), 8, tc.programming)
 			if got := bodyWrites(c.flow.Body) > 0; got != tc.bodyWrites {
 				t.Fatalf("flow body reprograms crossbars: %v, cell expects %v", got, tc.bodyWrites)
+			}
+			if c.img.packed == tc.unpacked {
+				t.Fatalf("image packs two weight columns per word: %v, cell expects %v", c.img.packed, !tc.unpacked)
 			}
 			st := c.img.NewBatchState(1)
 			for _, n := range []int{1, 2, 3, 5, 8} {
@@ -240,6 +271,12 @@ func TestCompileBodyRejectsBadOps(t *testing.T) {
 		mop.WriteXB{XB: 0, Node: 1, Rows: 1, Cols: a.CellsPerWeight() + 1},
 		mop.WriteXB{XB: 0, Node: 1, CellRowOff: 1 << 20, Rows: 1, Cols: a.CellsPerWeight()},
 		mop.WriteXB{XB: 0, Node: 2, Rows: 1, Cols: a.CellsPerWeight()},
+		// Addresses outside a lane: a kernel would index past its memory.
+		mop.ReadXB{XB: 0, Src: 1 << 40, Dst: 0, DstStride: 1},
+		mop.ReadXB{XB: 0, Src: 0, Dst: 1 << 40, DstStride: 1},
+		mop.ReadXB{XB: 0, Src: 0, Dst: 0, DstStride: 1 << 40},
+		mop.Mov{Src: 0, Dst: 1 << 40, Len: 4},
+		mop.MovWindow{Node: 1, Window: 1 << 30, SrcBase: 0, Dst: 0},
 	} {
 		if _, err := c.img.CompileBody([]mop.Op{op}); err == nil {
 			t.Errorf("CompileBody accepted %s", op)
@@ -249,6 +286,139 @@ func TestCompileBodyRejectsBadOps(t *testing.T) {
 	c2 := newLaneCell(t, models.ConvReLU(), toyInMode(arch.XBM), 46, 1, programmed)
 	if err := c.img.ExecBatch(c.img.NewBatchState(1)).RunBody(c2.cf); err == nil {
 		t.Fatal("RunBody accepted kernels compiled for a different image")
+	}
+}
+
+// TestReadsCheckCrossbarStateBeforeWriting: what a read can only know from
+// the crossbar it finds — here, how many columns it produces — is checked by
+// the kernel, and a failure is an error naming the operator, for a member of
+// an accumulation chain the member's own, with nothing written.
+func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.WLM), 48, 1, programmed)
+	img := c.img
+	total, rows := img.lay.Total, img.baseProg[0].rows
+	for name, tc := range map[string]struct {
+		body []mop.Op
+		want string
+	}{
+		"columns-past-the-lane": {
+			[]mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: 1, Src: 0, Dst: total - 2, DstStride: 1}},
+			"op 0 (cim.readrow(xb=0, row=0",
+		},
+		"chain-member-past-the-programmed-rows": {
+			[]mop.Op{
+				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: img.nodeEnd, DstStride: 1},
+				mop.ReadRow{XB: 1, Row: rows - 1, NumRows: 2, Src: 8, Dst: img.nodeEnd, DstStride: 1, Acc: true},
+			},
+			fmt.Sprintf("op 1 (cim.readrow(xb=1, row=%d", rows-1),
+		},
+	} {
+		cf, err := img.CompileBody(tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(cf.kernels) != 1 {
+			t.Fatalf("%s: %d kernels, want the one chain", name, len(cf.kernels))
+		}
+		st := img.NewBatchState(2)
+		err = img.ExecBatch(st).RunBody(cf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
+		if slices.ContainsFunc(st.mem, func(v int64) bool { return v != 0 }) {
+			t.Errorf("%s: the failed kernel wrote to lane memory", name)
+		}
+	}
+}
+
+// chainLengths counts cf's kernels by the number of operators each executes.
+func chainLengths(cf *CompiledFlow) map[int]int {
+	n := map[int]int{}
+	for i, first := range cf.first {
+		end := len(cf.ops)
+		if i+1 < len(cf.first) {
+			end = cf.first[i+1]
+		}
+		n[end-first]++
+	}
+	return n
+}
+
+// TestChainsMatchOperatorByOperator: a body compiled whole — consecutive
+// reads into the same words fused into chain kernels — leaves exactly the
+// lane memory and quantization bookkeeping the same body leaves compiled one
+// operator per flow (every read a chain of one; how the benchmark's traced
+// replay runs it). The cells: four-member chains over image-shared crossbars,
+// chains across two crossbars, chains over crossbars the body wrote, and a
+// hand-written pair whose second read streams in what the first produced
+// and so must not join its chain.
+func TestChainsMatchOperatorByOperator(t *testing.T) {
+	wlm := toyInMode(arch.WLM)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		a      *arch.Arch
+		body   func(c *laneCell) []mop.Op // nil: the generated body
+		chains map[int]int                // kernels by operator count; nil: only require some chain
+	}{
+		{name: "conv-relu.isaac-baseline", g: models.ConvReLU(), a: arch.ISAACBaseline(), chains: map[int]int{1: 1025, 4: 1024}},
+		{name: "lenet5.puma", g: models.LeNet5(), a: arch.PUMAAccelerator()},
+		{name: "lenet5.toy-table2", g: models.LeNet5(), a: arch.ToyExample()},
+		{name: "overlapping-pair", g: models.ConvReLU(), a: wlm, chains: map[int]int{1: 2}, body: func(c *laneCell) []mop.Op {
+			d := c.img.nodeEnd // scratch
+			return []mop.Op{
+				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: d, DstStride: 1},
+				mop.ReadRow{XB: 0, Row: 8, NumRows: 8, Src: d, Dst: d, DstStride: 1, Acc: true},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLaneCell(t, tc.g, tc.a, 49, 8, programmed)
+			img, whole := c.img, c.cf
+			if tc.body != nil {
+				var err error
+				if whole, err = img.CompileBody(tc.body(c)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := chainLengths(whole)
+			t.Logf("%d operators in %d kernels, by operator count: %v", len(whole.ops), len(whole.kernels), got)
+			if tc.chains != nil && !maps.Equal(got, tc.chains) {
+				t.Fatalf("kernels by operator count: %v, want %v", got, tc.chains)
+			}
+			if tc.chains == nil && len(whole.kernels) == len(whole.ops) {
+				t.Fatal("no two reads share a kernel: nothing tested")
+			}
+			apart := make([]*CompiledFlow, len(whole.ops))
+			for i, op := range whole.ops {
+				var err error
+				if apart[i], err = img.CompileBody([]mop.Op{op}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := img.NewBatchState(1), img.NewBatchState(1)
+			for _, lanes := range []int{1, 2, 3, 5, 8} {
+				img.ResetBatch(a, lanes)
+				img.ResetBatch(b, lanes)
+				ma, mb := img.ExecBatch(a), img.ExecBatch(b)
+				for l := 0; l < lanes; l++ {
+					if err := errors.Join(ma.LoadInputs(l, c.ins[l]), mb.LoadInputs(l, c.ins[l])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ma.RunBody(whole); err != nil {
+					t.Fatal(err)
+				}
+				for _, cf := range apart {
+					if err := mb.RunBody(cf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !slices.Equal(a.mem, b.mem) || !slices.Equal(a.regionScale, b.regionScale) || !slices.Equal(a.regionRaw, b.regionRaw) {
+					t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different states", lanes)
+				}
+			}
+		})
 	}
 }
 

@@ -3,15 +3,17 @@
 // that the result matches the network's reference execution.
 //
 // The hardware model is faithful where it matters for compilation
-// correctness: weights are quantized to the architecture's weight precision,
-// bit-sliced into cells of the crossbar's cell precision (Figure 7's B→XBC
-// binding) by the write meta-operators, and read meta-operators reconstruct
-// each weight from the stored cell slices before the multiply-accumulate —
-// so any mis-programming, mis-placement or mis-gathering produces wrong
-// numbers. Activations live in a flat buffer memory laid out by
-// internal/codegen; CIM outputs are raw integer accumulators that the
-// digital periphery requantizes to 8-bit activations when first consumed
-// (standard post-training-quantization inference).
+// correctness: weights are quantized to the architecture's weight precision
+// and bit-sliced into cells of the crossbar's cell precision (Figure 7's
+// B→XBC binding) when a write meta-operator's tile is compiled; what those
+// cells reconstruct to is laid out beside them the way reads walk it, and a
+// read meta-operator multiplies that array — the cell bytes are never read
+// back on the request path — taking its wordlines, columns and extent from
+// what the crossbar holds when it runs, so any mis-programming, mis-placement
+// or mis-gathering produces wrong numbers. Activations live in a flat buffer
+// memory laid out by internal/codegen; CIM outputs are raw integer
+// accumulators that the digital periphery requantizes to 8-bit activations
+// when first consumed (standard post-training-quantization inference).
 //
 // State is split along the CIM stationary-weight boundary: an Image holds
 // everything that survives across inferences (quantized weights, calibrated
@@ -29,10 +31,12 @@
 //
 // There is one executor (batch.go): Image.CompileBody compiles a flow section
 // into kernel closures and a BatchMachine runs them over a BatchState's
-// lanes. A single request is a one-lane micro-batch; weight programming
-// (ProgramInit) and one-shot execution run the same kernels. State and
-// Machine are the one-lane view of that engine for callers that drive one
-// request with an uncompiled flow; they hold no arithmetic of their own.
+// lanes; every MVM read — readrow, readxb, readcore, alone or fused with the
+// reads it accumulates with — is one microkernel (mvm.go). A single request is
+// a one-lane micro-batch; weight programming (ProgramInit) and one-shot
+// execution run the same kernels. State and Machine are the one-lane view of
+// that engine for callers that drive one request with an uncompiled flow;
+// they hold no arithmetic of their own.
 //
 // QuantReference executes the same quantized semantics without crossbars,
 // placement or generated flows; a correct compiler + simulator pair must
@@ -82,26 +86,36 @@ type Image struct {
 	nodeEnd int64
 
 	// Baseline crossbar contents after the init section, indexed by
-	// chip-global crossbar ID: the cell arrays, the weights a read
-	// reconstructs from them (row-major rows × cols/s), and what each
-	// crossbar holds. Crossbars the init section wrote alike share one cell
-	// and one weight array (ProgramInit). They are shared into every state
-	// copy-on-write, so the body's reprogramming operators (multi-round
-	// flows) never write through to the image or to a sibling crossbar.
+	// chip-global crossbar ID: the cell arrays (row-major), the weights those
+	// cells reconstruct to, and what each crossbar holds. A weight array is
+	// stored the way reads walk it (mvm.go): column-major, weight column c's
+	// wordline r at word c·stride + r — or, when packed, columns 2c and 2c+1
+	// sharing that word — with the stride in the crossbar's xbProg.
+	// Crossbars the init section wrote alike share one cell and one weight
+	// array (ProgramInit). They are shared into every state copy-on-write, so
+	// the body's reprogramming operators (multi-round flows) never write
+	// through to the image or to a sibling crossbar.
 	baseCells   [][]uint8
 	baseWeights [][]int64
 	baseProg    []xbProg
+	// packed: the arch's precisions and wordline count prove that two weight
+	// columns' sums fit the halves of one word (wordLimit).
+	packed bool
 }
 
 // xbProg records the tile programmed into one crossbar: which node's cell
 // matrix it holds, the offset between wordline index and cell-matrix row
 // (rowDelta = cellRow − wordline), the first cell column, and the extent
-// programmed so far.
+// programmed so far, in wordlines and weight columns. stride is the length of
+// a column word's run in the crossbar's weight array: every wordline of the
+// crossbar while a state is still writing the array, the wordlines programmed
+// once ProgramInit has cut the image's to them.
 type xbProg struct {
-	node       int // -1 when empty
-	rowDelta   int
-	cellColOff int
-	rows, cols int
+	node        int // -1 when empty
+	rowDelta    int
+	cellColOff  int
+	rows, wcols int
+	stride      int
 }
 
 // NewImage calibrates and quantizes: weights are quantized to the
@@ -127,6 +141,7 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		baseCells:   make([][]uint8, a.TotalCrossbars()),
 		baseWeights: make([][]int64, a.TotalCrossbars()),
 		baseProg:    make([]xbProg, a.TotalCrossbars()),
+		packed:      wordLimit(a.XB.Rows, a.WeightBits, a.ActBits) >= 0,
 	}
 	for i := range img.baseProg {
 		img.baseProg[i].node = -1
@@ -255,6 +270,20 @@ func (img *Image) ProgramInit(init []mop.Op) error {
 	st := img.NewBatchState(0) // programming is lane-invariant: no lane to carry
 	if err := img.ExecBatch(st).RunBody(cf); err != nil {
 		return err
+	}
+	// The baseline is final. Cut each distinct weight array to the wordlines it
+	// programs, so that a column word's run is as long as reads can walk it:
+	// reads of a few wordlines from many crossbars then touch dense memory
+	// instead of the head of every XB.Rows-long run (a power-of-two stride that
+	// lands them all in the same cache sets).
+	for xb, s := range sig {
+		if p := &st.prog[xb]; s != 0 && rep[s] == xb && p.rows < p.stride {
+			full, cut := st.weights[xb], make([]int64, 0, len(st.weights[xb])/p.stride*p.rows)
+			for c := 0; c < len(full); c += p.stride {
+				cut = append(cut, full[c:c+p.rows]...)
+			}
+			st.weights[xb], p.stride = cut, p.rows
+		}
 	}
 	for xb, s := range sig {
 		if s != 0 {

@@ -1,0 +1,229 @@
+package funcsim
+
+// This file is the MVM microkernel every read meta-operator runs on, and the
+// weight-word format it consumes.
+//
+// A weight array is column-major — a weight column's wordlines are contiguous,
+// in the order a dot product walks them — and, whenever the precisions allow,
+// holds two adjacent weight columns per 64-bit word: lo + hi<<32. One multiply
+// a·(lo + hi<<32) then accumulates both columns, and a sum s of such products
+// splits exactly into lo = int64(int32(s)), hi = (s − lo) >> 32 as long as
+// each half's true sum fits in 32 signed bits: integer arithmetic is exact, so
+// the low 32 bits of s are the low column's sum whatever the high column
+// added above them. Whether the halves fit is decided twice. The array's
+// format is chosen once from the precisions and the row count (packLimit
+// against settled activations); and before every packed accumulation the
+// kernel checks the activations it is about to multiply against the bound
+// (magnitude), sending lanes that exceed it — raw accumulators a hand-written
+// flow routed into a read, nothing codegen emits — through a loop that unpacks
+// each word and accumulates the two columns apart. Every read therefore
+// returns the exact int64 sums for every input.
+
+// packLimit returns 2^b − 1 for the largest b such that rows products of a
+// weightBits-wide weight and an activation in [−2^b, 2^b) sum to less than
+// 2^31 in magnitude: rows · 2^(weightBits−1) · 2^b < 2^31. It returns −1 when
+// not even b = 0 does.
+func packLimit(rows, weightBits int) int64 {
+	b := 31 - weightBits
+	for ; b >= 0 && int64(rows)<<(weightBits-1+b) >= 1<<31; b-- {
+	}
+	if b < 0 {
+		return -1
+	}
+	return 1<<b - 1
+}
+
+// wordLimit decides a weight array's word format from what it will multiply:
+// rows wordlines of weightBits-wide weights against actBits-wide settled
+// activations. Two columns share a word when packLimit covers every settled
+// activation; the result is then the guard bound for sums over that many
+// rows. −1 means one column per word: such sums are exact as they are and
+// need no guard.
+func wordLimit(rows, weightBits, actBits int) int64 {
+	if limit := packLimit(rows, weightBits); limit >= 1<<(actBits-1)-1 {
+		return limit
+	}
+	return -1
+}
+
+// wordsFor returns how many words hold cols weight columns of one wordline.
+func wordsFor(cols int, packed bool) int {
+	if packed {
+		return (cols + 1) / 2
+	}
+	return cols
+}
+
+// placeWeight puts weight v of wordline row, weight column col into a weight
+// array whose column words are runs of rows words. The array must start
+// zeroed: the two columns of a packed word are added into it, lo + hi<<32.
+func placeWeight(w []int64, rows, row, col int, v int64, packed bool) {
+	if packed {
+		w[col/2*rows+row] += v << (32 * uint(col%2))
+	} else {
+		w[col*rows+row] = v
+	}
+}
+
+// mvmRun is one member of an accumulation chain: n activation words starting
+// at src (relative to a lane's base) against n consecutive wordlines of one
+// weight array. w is cut to start at the run's first wordline, so column word
+// c's weights are w[c·stride : c·stride+n].
+type mvmRun struct {
+	w      []int64
+	stride int // words between the array's consecutive column words
+	n      int
+	src    int64
+}
+
+// mvmCall is one accumulation chain's arithmetic: for every lane and weight
+// column j,
+//
+//	out[dst + j·stride] (+)= Σ over runs, i < n: act[src+i] · W[i][j]
+//
+// with the partial sums of a column word in registers and one store — or,
+// with acc, one add — per output. act and out are lane-major (lane l starts
+// at l·actStride / l·outStride); a crossbar read passes lane memory as both.
+// limit is the weight arrays' word format and guard bound (wordLimit over the
+// runs' total rows).
+type mvmCall struct {
+	act       []int64
+	actStride int64
+	out       []int64
+	outStride int64
+	lanes     int
+
+	runs  []mvmRun
+	cols  int // weight columns
+	limit int64
+
+	dst, stride int64
+	acc         bool
+}
+
+// magnitude OR-reduces a ^ (a>>63) over the runs of lanes [l, l+n): the
+// result is at most 2^b − 1 exactly when every activation lies in [−2^b, 2^b).
+func (k *mvmCall) magnitude(l, n int) int64 {
+	var m int64
+	for ; n > 0; l, n = l+1, n-1 {
+		lane := k.act[int64(l)*k.actStride:]
+		for _, r := range k.runs {
+			for _, a := range lane[r.src : r.src+int64(r.n)] {
+				m |= a ^ (a >> 63)
+			}
+		}
+	}
+	return m
+}
+
+// emit writes the accumulated sum s of column word c for one lane: split into
+// its two columns when packed, each stored or (acc) added once.
+func (k *mvmCall) emit(o []int64, c int, s int64) {
+	if k.limit < 0 {
+		k.put(o, c, s)
+		return
+	}
+	lo := int64(int32(s))
+	k.put(o, 2*c, lo)
+	if 2*c+1 < k.cols {
+		k.put(o, 2*c+1, (s-lo)>>32)
+	}
+}
+
+// put stores or accumulates weight column j's output.
+func (k *mvmCall) put(o []int64, j int, s int64) {
+	addr := k.dst + int64(j)*k.stride
+	if k.acc {
+		o[addr] += s
+	} else {
+		o[addr] = s
+	}
+}
+
+// dot4 returns the dot products of one shared vector with four others of its
+// length: four lanes' activations against one column word's weights, or one
+// lane's activations against four column words. The four accumulator chains
+// are independent, which is what hides the multiply latency; the loop is a
+// function of its own so that its ten live values get the registers.
+//
+//go:noinline
+func dot4(shared, v0, v1, v2, v3 []int64) (s0, s1, s2, s3 int64) {
+	v0, v1, v2, v3 = v0[:len(shared)], v1[:len(shared)], v2[:len(shared)], v3[:len(shared)]
+	for i, x := range shared {
+		s0 += x * v0[i]
+		s1 += x * v1[i]
+		s2 += x * v2[i]
+		s3 += x * v3[i]
+	}
+	return
+}
+
+// run executes the call: lanes four at a time, one column word at a time —
+// four requests share every weight load — then the remaining lanes one at a
+// time, four column words at a time, which share every activation load
+// instead. A block whose activations fail the guard is left to the lone-lane
+// loop, which settles each lane on its own.
+func (k *mvmCall) run() {
+	runs := k.runs
+	packed := k.limit >= 0
+	words := wordsFor(k.cols, packed)
+	l := 0
+	for ; l+4 <= k.lanes && (!packed || k.magnitude(l, 4) <= k.limit); l += 4 {
+		var a, o [4][]int64
+		for i := range a {
+			a[i], o[i] = k.act[int64(l+i)*k.actStride:], k.out[int64(l+i)*k.outStride:]
+		}
+		for c := 0; c < words; c++ {
+			var sums [4]int64
+			for _, r := range runs {
+				d0, d1, d2, d3 := dot4(r.w[c*r.stride:][:r.n], a[0][r.src:], a[1][r.src:], a[2][r.src:], a[3][r.src:])
+				sums[0], sums[1], sums[2], sums[3] = sums[0]+d0, sums[1]+d1, sums[2]+d2, sums[3]+d3
+			}
+			for i, s := range sums {
+				k.emit(o[i], c, s)
+			}
+		}
+	}
+	for ; l < k.lanes; l++ {
+		a, o := k.act[int64(l)*k.actStride:], k.out[int64(l)*k.outStride:]
+		if packed && k.magnitude(l, 1) > k.limit {
+			k.runUnpacking(a, o)
+			continue
+		}
+		for c := 0; c < words; c += 4 {
+			// A last group short of four words repeats the last word: its
+			// extra sums are computed and dropped.
+			c1, c2, c3 := min(c+1, words-1), min(c+2, words-1), min(c+3, words-1)
+			var sums [4]int64
+			for _, r := range runs {
+				d0, d1, d2, d3 := dot4(a[r.src:][:r.n], r.w[c*r.stride:], r.w[c1*r.stride:], r.w[c2*r.stride:], r.w[c3*r.stride:])
+				sums[0], sums[1], sums[2], sums[3] = sums[0]+d0, sums[1]+d1, sums[2]+d2, sums[3]+d3
+			}
+			for i, s := range sums[:min(4, words-c)] {
+				k.emit(o, c+i, s)
+			}
+		}
+	}
+}
+
+// runUnpacking is the exact loop for one lane whose activations exceed the
+// packing bound: every packed word is split into its two columns before the
+// multiply, and the two sums accumulate apart in full int64 width.
+func (k *mvmCall) runUnpacking(a, o []int64) {
+	for c := 0; 2*c < k.cols; c++ {
+		var lo, hi int64
+		for _, r := range k.runs {
+			w := r.w[c*r.stride:][:r.n]
+			x := a[r.src:][:len(w)]
+			for i, v := range w {
+				vl := int64(int32(v))
+				lo += x[i] * vl
+				hi += x[i] * ((v - vl) >> 32)
+			}
+		}
+		k.put(o, 2*c, lo)
+		if 2*c+1 < k.cols {
+			k.put(o, 2*c+1, hi)
+		}
+	}
+}

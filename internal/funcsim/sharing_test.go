@@ -64,6 +64,11 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 				if img.baseCells[xb] == nil || img.baseWeights[xb] == nil {
 					t.Fatalf("crossbar %d was written but holds nothing", xb)
 				}
+				// One weight array per crossbar, two weight columns to the
+				// word, cut to the wordlines programmed.
+				if !img.packed || len(img.baseWeights[xb]) != img.baseProg[xb].rows*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), true) {
+					t.Fatalf("crossbar %d keeps %d weight words (packed: %v)", xb, len(img.baseWeights[xb]), img.packed)
+				}
 				r, seen := first[s]
 				if !seen {
 					first[s] = xb
@@ -149,7 +154,7 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 
 			// The conv outputs a read of crossbar x produces.
 			fromX := map[int64]bool{}
-			nW := int64(img.baseProg[x].cols / s)
+			nW := int64(img.baseProg[x].wcols)
 			for _, op := range c.cf.ops {
 				var xb int
 				var dst, stride int64

@@ -450,11 +450,12 @@ func TestRunBatchSingleRequestFallsBack(t *testing.T) {
 // for byte.
 func FuzzBatchedRun(f *testing.F) {
 	models := []string{"conv-relu", "mlp", "lenet5"}
-	archs := []string{"isaac-baseline", "puma", "toy-table2"}
+	archs := []string{"isaac-baseline", "puma", "toy-table2", "jia-isscc21"}
 	f.Add(uint8(0), uint8(2), uint64(1), uint8(2))
 	f.Add(uint8(1), uint8(2), uint64(7), uint8(1))
 	f.Add(uint8(2), uint8(0), uint64(3), uint8(3))
 	f.Add(uint8(0), uint8(1), uint64(5), uint8(0))
+	f.Add(uint8(2), uint8(3), uint64(9), uint8(4)) // CM: readcore on the shared kernel
 	f.Fuzz(func(t *testing.T, mi, ai uint8, seed uint64, nb uint8) {
 		model := models[int(mi)%len(models)]
 		archName := archs[int(ai)%len(archs)]
