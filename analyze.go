@@ -61,7 +61,7 @@ func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt Codeg
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
 		}
-		an := flowdata.Build(gc, &a, sr.Schedule, sr.Model.FPs, fr)
+		an := flowdata.Build(gc, &a, fr)
 		parts = append(parts, flowdata.NewReport(g.Name, c.arch.Name, level, fr, an))
 	}
 	info := res.Partition

@@ -330,12 +330,12 @@ func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt Codegen
 	if c.opt.VerifyIR {
 		// Truncated flows verify vacuously inside VerifyFlow: they are
 		// illustrative, not executable.
-		if vs := irverify.VerifyFlow(gc, &a, res.Schedule, res.Model.FPs, fr); len(vs) > 0 {
+		if vs := irverify.VerifyFlow(gc, &a, fr); len(vs) > 0 {
 			return nil, fmt.Errorf("cimmlc: Lower: %w", &irverify.Error{Stage: "codegen", Violations: vs})
 		}
 	}
 	if c.opt.FlowOpt {
-		fr, err = flowopt.Optimize(gc, &a, res.Schedule, res.Model.FPs, fr)
+		fr, err = flowopt.Optimize(gc, &a, fr)
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Lower: %w", err)
 		}

@@ -37,8 +37,10 @@ type Layout struct {
 	// Size maps node ID → region length in words.
 	Size map[int]int64
 	// Scratch maps CIM node ID → base of its window-gather scratch area
-	// (dup consecutive vectors of the weight-matrix row count each).
-	Scratch map[int]int64
+	// (dup consecutive vectors of the weight-matrix row count each), and
+	// ScratchSize → its length in words.
+	Scratch     map[int]int64
+	ScratchSize map[int]int64
 	// Total is the number of words the flow addresses.
 	Total int64
 }
@@ -98,7 +100,7 @@ func Generate(g *graph.Graph, a *arch.Arch, s *sched.Schedule, p *mapping.Placem
 }
 
 func buildLayout(g *graph.Graph, m *cost.Model, s *sched.Schedule) *Layout {
-	lay := &Layout{Base: map[int]int64{}, Size: map[int]int64{}, Scratch: map[int]int64{}}
+	lay := &Layout{Base: map[int]int64{}, Size: map[int]int64{}, Scratch: map[int]int64{}, ScratchSize: map[int]int64{}}
 	next := int64(0)
 	for _, n := range g.Nodes {
 		size := graph.NumElements(n.OutShape)
@@ -120,8 +122,8 @@ func buildLayout(g *graph.Graph, m *cost.Model, s *sched.Schedule) *Layout {
 		if f.Rounds(m.Arch) > 1 {
 			dup = 1
 		}
-		lay.Scratch[id] = next
-		next += int64(f.Rows) * int64(dup)
+		lay.Scratch[id], lay.ScratchSize[id] = next, int64(f.Rows)*int64(dup)
+		next += lay.ScratchSize[id]
 	}
 	lay.Total = next
 	return lay
@@ -256,21 +258,12 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 	return nil
 }
 
-// dstGeometry returns the destination stride and per-window base offset
-// function for a CIM node's output region: NCHW feature maps scatter output
-// channels with stride outH·outW; token matrices write contiguous rows.
+// dstGeometry returns the destination stride and per-window base address of
+// a CIM node's output region (OutGeometry).
 func (e *emitter) dstGeometry(n *graph.Node) (int64, func(int64) int64) {
 	base := e.lay.Base[n.ID]
-	switch {
-	case n.Op == graph.OpConv:
-		hw := int64(n.OutShape[1]) * int64(n.OutShape[2])
-		return hw, func(w int64) int64 { return base + w }
-	case len(n.OutShape) == 2: // token-matrix Dense
-		outF := int64(n.OutShape[1])
-		return 1, func(w int64) int64 { return base + w*outF }
-	default: // vector Dense
-		return 1, func(int64) int64 { return base }
-	}
+	col, win := OutGeometry(n)
+	return col, func(w int64) int64 { return base + w*win }
 }
 
 // gatherOp returns the DMOV that assembles window w's input vector.

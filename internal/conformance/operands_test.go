@@ -1,0 +1,91 @@
+package conformance
+
+import (
+	"context"
+	"testing"
+
+	"cimmlc"
+	"cimmlc/internal/codegen"
+	"cimmlc/internal/mop"
+)
+
+// TestZooOperandsResolve: every operator codegen emits, on every cell of the
+// short zoo at every level, resolves through the shared operand calculus
+// without error — the crossbar programming records threaded through in
+// program order — so the addresses the emitter chose are ones the verifier and
+// the executor both take. The models the matrix does not execute lower two
+// windows per operator, like the CLI sweeps: a truncated flow does not run,
+// but every operator it holds still resolves.
+func TestZooOperandsResolve(t *testing.T) {
+	cfg := ShortConfig()
+	ctx := context.Background()
+	for _, model := range cfg.Models {
+		for _, archName := range cfg.Archs {
+			for _, level := range cfg.Levels {
+				cell := Cell{Model: model, Arch: archName, Level: level}
+				t.Run(cell.Key(), func(t *testing.T) {
+					g, err := cimmlc.Model(model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, err := cellArch(cell)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := cimmlc.New(a, cimmlc.WithCache(0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := c.Compile(ctx, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var winCap int64 = 2
+					if execCell(cell, cfg) {
+						winCap = 0
+					}
+					fr, err := c.Lower(ctx, g, res, cimmlc.CodegenOptions{MaxWindowsPerOp: winCap})
+					if err != nil {
+						t.Fatal(err)
+					}
+					gc := g.Clone()
+					if err := gc.InferShapes(); err != nil {
+						t.Fatal(err)
+					}
+					r, bad := codegen.NewResolver(gc, a, fr.Layout)
+					if len(bad) > 0 {
+						t.Fatalf("layout: %v", bad[0])
+					}
+					prog := make([]codegen.XBRecord, a.TotalCrossbars())
+					for i := range prog {
+						prog[i].Node = -1
+					}
+					var resolve func(ops []mop.Op)
+					resolve = func(ops []mop.Op) {
+						for _, op := range ops {
+							var err error
+							if par, ok := op.(mop.Parallel); ok {
+								resolve(par.Body)
+							} else if w, ok, e := r.ResolveWrite(op); ok {
+								if err = e; e == nil {
+									r.Program(&prog[w.XB], w)
+								}
+							} else if rd, ok, e := r.ResolveRead(op); ok {
+								if err = e; e == nil {
+									_, err = prog[rd.XB].Activate(&rd)
+								}
+							} else {
+								_, err = r.Resolve(op)
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", op, err)
+							}
+						}
+					}
+					resolve(fr.Flow.Init)
+					resolve(fr.Flow.Body)
+				})
+			}
+		}
+	}
+}

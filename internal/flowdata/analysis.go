@@ -1,6 +1,10 @@
 package flowdata
 
-import "sort"
+import (
+	"sort"
+
+	"cimmlc/internal/codegen"
+)
 
 // backwardLiveness runs the backward scratch-liveness pass and marks dead
 // instructions. Node-region words are permanently observable — Program
@@ -18,38 +22,27 @@ func (m *machine) backwardLiveness(an *Analysis) {
 			continue // deleted before execution: no reads to gen, no writes to kill
 		}
 		eff := m.effects[i]
+		// Only single-span scratch transfers are deletable or killing.
+		dst := eff.Writes.Span
 		if m.instrs[i].Group < 0 && m.deletable(eff) {
 			any := false
-			for _, sp := range eff.writes {
-				for k := int64(0); k < sp.count; k++ {
-					w := sp.word(k)
-					if w >= 0 && w < int64(len(live)) && live[w] {
-						any = true
-						break
-					}
-				}
-				if any {
-					break
-				}
+			for k := int64(0); k < dst.Count && !any; k++ {
+				any = live[dst.Word(k)]
 			}
 			if !any {
 				dead[i] = true
 				continue
 			}
 		}
-		for _, sp := range eff.writes {
-			for k := int64(0); k < sp.count; k++ {
-				if w := sp.word(k); w >= 0 && w < int64(len(live)) && !m.isNode[w] {
-					live[w] = false
-				}
+		// Accumulating writes preserve the prior value: no kill.
+		if eff.Writes.Rep > 0 && !eff.Acc && m.regions[eff.WriteRegion].Scratch {
+			for k := int64(0); k < dst.Count; k++ {
+				live[dst.Word(k)] = false
 			}
 		}
-		// Accumulating writes preserve the prior value: no kill.
-		for _, sp := range eff.reads {
-			for k := int64(0); k < sp.count; k++ {
-				if w := sp.word(k); w >= 0 && w < int64(len(live)) && !m.isNode[w] {
-					live[w] = true
-				}
+		if eff.Reads.Count > 0 && m.regions[eff.ReadRegion].Scratch {
+			for k := int64(0); k < eff.Reads.Count; k++ {
+				live[eff.Reads.Word(k)] = true
 			}
 		}
 	}
@@ -57,21 +50,10 @@ func (m *machine) backwardLiveness(an *Analysis) {
 }
 
 // deletable reports whether an effect is a candidate for dead-code removal:
-// a plain transfer (mov / mov_window) writing only scratch words.
+// a plain transfer (mov / mov_window) writing only scratch words. Weight
+// writes write no word; a crossbar read writes its node's region.
 func (m *machine) deletable(eff effect) bool {
-	if len(eff.accs) > 0 || len(eff.writes) == 0 || eff.cimRead {
-		return false
-	}
-	if len(eff.reads) == 0 && len(eff.regionReads) == 0 {
-		return false // not a transfer shape (broken/zero effects land here)
-	}
-	for _, sp := range eff.writes {
-		r := m.regionOfSpan(sp)
-		if r == nil || !r.Scratch {
-			return false
-		}
-	}
-	return true
+	return eff.Writes.Rep > 0 && !eff.Acc && m.regions[eff.WriteRegion].Scratch
 }
 
 // liveRanges computes region live ranges over the surviving instruction
@@ -83,28 +65,22 @@ func (m *machine) liveRanges(an *Analysis) {
 	for i := range iv {
 		iv[i] = Interval{-1, -1}
 	}
-	touch := func(r *Region, i int) {
-		if r == nil {
-			return
-		}
-		idx := m.regionIdx[r]
+	touch := func(idx, i int) {
 		if iv[idx].First < 0 {
 			iv[idx].First = i
 		}
 		iv[idx].Last = i
 	}
-	touchSpan := func(sp span, i int) {
-		if sp.count == 0 {
+	// touchSpan marks the region holding a span; for aliased scratch, every
+	// containing region is (conservatively) live.
+	touchSpan := func(sp codegen.Span, region, i int) {
+		if !m.regions[region].Scratch {
+			touch(region, i)
 			return
 		}
-		if r := m.nodeRegionAt(sp.lo); r != nil {
-			touch(r, i)
-			return
-		}
-		// Aliased scratch: every containing region is (conservatively) live.
-		for _, r := range m.scratchRegions {
-			if r.Base <= sp.lo && sp.end() <= r.end() {
-				touch(r, i)
+		for idx, r := range m.regions {
+			if r.Scratch && r.Base <= sp.Lo && sp.End() <= r.End() {
+				touch(idx, i)
 			}
 		}
 	}
@@ -113,17 +89,14 @@ func (m *machine) liveRanges(an *Analysis) {
 			continue
 		}
 		eff := m.effects[i]
-		for _, sp := range eff.reads {
-			touchSpan(sp, i)
+		if eff.Reads.Count > 0 {
+			touchSpan(eff.Reads, eff.ReadRegion, i)
 		}
-		for _, r := range eff.regionReads {
-			touch(r, i)
+		for _, id := range eff.RegionReads {
+			touch(m.res.NodeRegion(id), i)
 		}
-		for _, sp := range eff.writes {
-			touchSpan(sp, i)
-		}
-		for _, sp := range eff.accs {
-			touchSpan(sp, i)
+		for r := int64(0); r < eff.Writes.Rep; r++ {
+			touchSpan(eff.Writes.Row(r), eff.WriteRegion, i)
 		}
 	}
 	end := len(m.instrs) - 1
@@ -131,22 +104,18 @@ func (m *machine) liveRanges(an *Analysis) {
 		end = 0
 	}
 	for _, id := range m.g.InputIDs() {
-		if r := m.nodeRegion[id]; r != nil {
-			idx := m.regionIdx[r]
-			iv[idx].First = 0
-			if iv[idx].Last < 0 {
-				iv[idx].Last = 0
-			}
+		idx := m.res.NodeRegion(id)
+		iv[idx].First = 0
+		if iv[idx].Last < 0 {
+			iv[idx].Last = 0
 		}
 	}
 	for _, id := range m.g.Outputs() {
-		if r := m.nodeRegion[id]; r != nil {
-			idx := m.regionIdx[r]
-			if iv[idx].First < 0 {
-				iv[idx].First = 0
-			}
-			iv[idx].Last = end
+		idx := m.res.NodeRegion(id)
+		if iv[idx].First < 0 {
+			iv[idx].First = 0
 		}
+		iv[idx].Last = end
 	}
 	an.Intervals = iv
 

@@ -23,11 +23,16 @@
 // program order — the fixpoint is the first iterate. No map is ranged
 // bare; region construction follows sorted node IDs.
 //
-// The analysis mirrors internal/funcsim's execution semantics exactly
-// (destination geometry of cim.readcore, the reprogram-reset rule of the
-// crossbar programming record, zero-initialized accumulation), so a flow
-// the analysis accepts runs on the simulator and a flow it proves facts
-// about behaves as those facts say.
+// What each operator touches is not this package's knowledge: operand
+// resolution — the words and regions an operator reads and writes, the
+// crossbar programming record with its reprogram-reset rule, cim.readcore's
+// destination geometry, and every endpoint check — lives once in
+// internal/codegen's Resolver (operands.go), which internal/funcsim compiles
+// its kernels from too. The analysis folds the resolved operands into its
+// dataflow state and maps the resolver's typed errors to Problems, so a flow
+// the analysis accepts runs on the simulator, a flow it proves facts about
+// behaves as those facts say, and an operand it rejects the simulator rejects
+// with the same diagnosis.
 package flowdata
 
 import (
@@ -37,21 +42,20 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/graph"
-	"cimmlc/internal/mapping"
 	"cimmlc/internal/mop"
-	"cimmlc/internal/sched"
 )
 
 // Rule names of the flow/* catalog. internal/irverify aliases these so the
-// stable identifiers tests and `cimmlc vet` match on live in one place.
+// stable identifiers tests and `cimmlc vet` match on live in one place; the
+// ones an operand alone can break are the resolver's.
 const (
-	RuleStructure    = "flow/structure"
-	RuleEndpoint     = "flow/endpoint"
-	RuleUnknownNode  = "flow/unknown-node"
+	RuleStructure    = codegen.RuleStructure
+	RuleEndpoint     = codegen.RuleEndpoint
+	RuleUnknownNode  = codegen.RuleUnknownNode
 	RuleUseBeforeDef = "flow/use-before-def"
-	RuleUnprogrammed = "flow/unprogrammed-read"
-	RuleRegionBounds = "flow/region-bounds"
-	RuleScratchLap   = "flow/scratch-overlap"
+	RuleUnprogrammed = codegen.RuleUnprogrammed
+	RuleRegionBounds = codegen.RuleRegionBounds
+	RuleScratchLap   = codegen.RuleScratchLap
 	RuleParallel     = "flow/parallel-conflict"
 	RuleOutputUndef  = "flow/output-undefined"
 	RuleDeadMOP      = "flow/dead-mop"
@@ -84,22 +88,10 @@ func (p Problem) String() string {
 // do not overlap — the word-level owner attribution in the forward pass
 // checks that.
 type Region struct {
-	Base, Size int64
-	Node       int
-	Scratch    bool
+	codegen.Region
 
 	defined int64 // words of this region defined so far (forward state)
 }
-
-func (r *Region) String() string {
-	kind := "output"
-	if r.Scratch {
-		kind = "scratch"
-	}
-	return fmt.Sprintf("node %d %s [%d,%d)", r.Node, kind, r.Base, r.Base+r.Size)
-}
-
-func (r *Region) end() int64 { return r.Base + r.Size }
 
 // Instr is one leaf operation of the flattened flow. Members of a
 // cim.parallel group share a Group id; top-level ops have Group -1.
@@ -149,6 +141,10 @@ type Analysis struct {
 	// by base address.
 	Regions []*Region
 
+	// Operands holds what each instruction touches (parallel to Instrs), as
+	// the resolver funcsim compiles its kernels from resolved it. A weight
+	// write touches no buffer word: its entry is zero.
+	Operands []codegen.Operands
 	// Facts holds per-instruction def-use facts (parallel to Instrs).
 	Facts []Facts
 	// RegionWriters lists, per region (parallel to Regions), the
@@ -305,11 +301,11 @@ func (an *Analysis) InvertDefs() [][]int32 {
 	return uses
 }
 
-// Build analyzes one generated flow against the layout and placement
-// semantics funcsim executes. Truncated flows (MaxWindowsPerOp) are not
-// executable by design and analyze vacuously. The graph must be
-// shape-inferred; callers pass the same private clone codegen consumed.
-func Build(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.Footprint, fr *codegen.Result) *Analysis {
+// Build analyzes one generated flow against its layout. Truncated flows
+// (MaxWindowsPerOp) are not executable by design and analyze vacuously. The
+// graph must be shape-inferred; callers pass the same private clone codegen
+// consumed.
+func Build(g *graph.Graph, a *arch.Arch, fr *codegen.Result) *Analysis {
 	an := &Analysis{arch: a, g: g}
 	if fr == nil || fr.Flow == nil || fr.Layout == nil {
 		an.Problems = []Problem{{Rule: RuleStructure, Node: -1, Msg: "nil flow result"}}
@@ -323,7 +319,7 @@ func Build(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.
 		an.Problems = []Problem{{Rule: RuleStructure, Node: -1, Msg: err.Error()}}
 		return an
 	}
-	m := newMachine(g, a, s, fps, fr.Layout)
+	m := newMachine(g, a, fr.Layout)
 	if len(m.problems) > 0 {
 		an.Problems = m.problems // the region map itself is broken; op checks would cascade
 		an.Regions = m.regions
@@ -333,11 +329,7 @@ func Build(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.
 	m.section(fr.Flow.Body, "body")
 	if !m.full() {
 		for _, id := range g.Outputs() {
-			r := m.nodeRegion[id]
-			if r == nil || r.Size == 0 {
-				continue
-			}
-			if r.defined != r.Size {
+			if r := m.nodeRegion(id); r.defined != r.Size {
 				m.report(RuleOutputUndef, id, "output region has %d of %d words undefined when the flow ends", r.Size-r.defined, r.Size)
 			}
 		}
@@ -348,6 +340,7 @@ func Build(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.
 	if len(an.Problems) > 0 {
 		return an
 	}
+	an.Operands = m.effects
 	an.Facts = m.facts
 	an.RegionWriters = m.regionWriters
 	an.Redundant = m.redundant
@@ -356,14 +349,4 @@ func Build(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.
 	m.liveRanges(an)
 	m.crossbarPressure(an)
 	return an
-}
-
-// sortedInt64Keys returns m's keys ascending (deterministic region order).
-func sortedInt64Keys(m map[int]int64) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }

@@ -7,13 +7,12 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/graph"
-	"cimmlc/internal/mapping"
 	"cimmlc/internal/mop"
 )
 
 // testEnv is a hand-laid analysis environment: a two-node graph (input →
 // relu) whose layout carries two disjoint scratch slots owned by pseudo-node
-// IDs. Scratch ownership only needs a footprint entry, not a graph node, so
+// IDs. Scratch ownership only needs a layout entry, not a graph node, so
 // the tests can craft arbitrary Mov streams against a geometry they fully
 // control instead of fishing addresses out of a generated flow.
 //
@@ -24,7 +23,6 @@ import (
 type testEnv struct {
 	g   *graph.Graph
 	a   *arch.Arch
-	fps map[int]mapping.Footprint
 	lay *codegen.Layout
 
 	in, out            int
@@ -38,6 +36,9 @@ func newTestEnv() *testEnv {
 	g := graph.New("flowdata-test")
 	in := g.AddInput("in", 8)
 	out := g.AddNode("relu", graph.OpReLU, []int{in}, graph.Attr{}, nil)
+	if err := g.InferShapes(); err != nil {
+		panic(err)
+	}
 	e := &testEnv{
 		g: g, a: arch.ToyExample(),
 		in: in, out: out,
@@ -46,27 +47,23 @@ func newTestEnv() *testEnv {
 		scrANode: 100, scrBNode: 101,
 		scrASize: 4, scrBSize: 6,
 	}
-	e.fps = map[int]mapping.Footprint{
-		e.scrANode: {Node: e.scrANode, Rows: int(e.scrASize)},
-		e.scrBNode: {Node: e.scrBNode, Rows: int(e.scrBSize)},
-	}
 	e.lay = &codegen.Layout{
-		Base:    map[int]int64{in: e.inBase, out: e.outBase},
-		Size:    map[int]int64{in: 8, out: 8},
-		Scratch: map[int]int64{e.scrANode: e.scrA, e.scrBNode: e.scrB},
-		Total:   26,
+		Base:        map[int]int64{in: e.inBase, out: e.outBase},
+		Size:        map[int]int64{in: 8, out: 8},
+		Scratch:     map[int]int64{e.scrANode: e.scrA, e.scrBNode: e.scrB},
+		ScratchSize: map[int]int64{e.scrANode: e.scrASize, e.scrBNode: e.scrBSize},
+		Total:       26,
 	}
 	return e
 }
 
-// analyze runs Build over a hand-crafted body (nil schedule: dup defaults
-// to 1, so scratch A and B are exactly Rows words).
+// analyze runs Build over a hand-crafted body.
 func (e *testEnv) analyze(body []mop.Op) *Analysis {
 	fr := &codegen.Result{
 		Flow:   &mop.Flow{Mode: "XBM", Graph: e.g.Name, Arch: "toy", Body: body},
 		Layout: e.lay,
 	}
-	return Build(e.g, e.a, nil, e.fps, fr)
+	return Build(e.g, e.a, fr)
 }
 
 func ops(movs []mop.Mov) []mop.Op {
@@ -132,7 +129,7 @@ func TestEmptyFlowInputPassthrough(t *testing.T) {
 			Total:   4,
 		},
 	}
-	an := Build(g, arch.ToyExample(), nil, map[int]mapping.Footprint{}, fr)
+	an := Build(g, arch.ToyExample(), fr)
 	if len(an.Problems) != 0 {
 		t.Fatalf("passthrough problems: %v", an.Problems)
 	}
@@ -287,7 +284,7 @@ func TestScratchDisjointVsInterleavedRanges(t *testing.T) {
 // what the optimizer already proved.
 func TestAliasedScratchSlotConservative(t *testing.T) {
 	e := newTestEnv()
-	e.fps[e.scrBNode] = mapping.Footprint{Node: e.scrBNode, Rows: int(e.scrASize)}
+	e.lay.ScratchSize[e.scrBNode] = e.scrASize
 	e.lay.Scratch[e.scrBNode] = e.scrA // B now aliases A's slot exactly
 	an := e.analyze(ops([]mop.Mov{
 		{Src: e.inBase, Dst: e.scrA, Len: 4},      // 0: fill the slot (for A)
@@ -341,7 +338,7 @@ func computeNaiveRef(e *testEnv, regions []*Region, body []mop.Mov) naiveRef {
 		if r.Scratch {
 			continue
 		}
-		for w := r.Base; w < r.end(); w++ {
+		for w := r.Base; w < r.End(); w++ {
 			isNode[w] = true
 			nodeRegionAt[w] = ri
 		}
@@ -369,7 +366,7 @@ func computeNaiveRef(e *testEnv, regions []*Region, body []mop.Mov) naiveRef {
 			if r.Scratch || r.Node != id {
 				continue
 			}
-			for w := r.Base; w < r.end(); w++ {
+			for w := r.Base; w < r.End(); w++ {
 				writer[w] = -2
 			}
 			_ = ri
@@ -469,7 +466,7 @@ func computeNaiveRef(e *testEnv, regions []*Region, body []mop.Mov) naiveRef {
 			return
 		}
 		for ri, r := range regions {
-			if r.Scratch && r.Base <= lo && lo+ln <= r.end() {
+			if r.Scratch && r.Base <= lo && lo+ln <= r.End() {
 				touch(ri, i)
 			}
 		}

@@ -26,16 +26,14 @@ import (
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/flowdata"
 	"cimmlc/internal/graph"
-	"cimmlc/internal/mapping"
 	"cimmlc/internal/mop"
-	"cimmlc/internal/sched"
 )
 
 // Optimize rewrites one generated flow. It never mutates fr; the returned
 // Result shares unchanged ops with the input and carries OptStats. Flows
 // that are truncated, nil or already illegal are returned unchanged — the
 // optimizer refuses to touch what it cannot prove facts about.
-func Optimize(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.Footprint, fr *codegen.Result) (*codegen.Result, error) {
+func Optimize(g *graph.Graph, a *arch.Arch, fr *codegen.Result) (*codegen.Result, error) {
 	if fr == nil || fr.Flow == nil || fr.Layout == nil || fr.Truncated {
 		return fr, nil
 	}
@@ -47,7 +45,7 @@ func Optimize(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mappi
 	cur := fr
 	var an *flowdata.Analysis
 	for {
-		an = flowdata.Build(g, a, s, fps, cur)
+		an = flowdata.Build(g, a, cur)
 		if len(an.Problems) > 0 {
 			if cur == fr {
 				return fr, nil // the input flow is illegal; not ours to fix
@@ -71,7 +69,7 @@ func Optimize(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mappi
 	stats.ScratchAfter = scratchWords(out.Layout)
 	stats.TotalAfter = out.Layout.Total
 	out.Opt = stats
-	if ps := flowdata.Build(g, a, s, fps, out).StrictProblems(); len(ps) > 0 {
+	if ps := flowdata.Build(g, a, out).StrictProblems(); len(ps) > 0 {
 		return nil, fmt.Errorf("flowopt: optimized flow fails strict re-verification: %s", ps[0])
 	}
 	return out, nil
@@ -142,7 +140,7 @@ func compact(g *graph.Graph, fr *codegen.Result, an *flowdata.Analysis) *codegen
 	var arenaEnd int64
 	type rebase struct{ oldLo, oldHi, delta int64 }
 	var ranges []rebase
-	newScratch := map[int]int64{}
+	newScratch, newSize := map[int]int64{}, map[int]int64{}
 	for _, sl := range live {
 		// First-fit: the lowest offset whose address span avoids every
 		// already-placed slot with an overlapping live range.
@@ -166,7 +164,7 @@ func compact(g *graph.Graph, fr *codegen.Result, an *flowdata.Analysis) *codegen
 		if end := off + sl.r.Size; end > arenaEnd {
 			arenaEnd = end
 		}
-		newScratch[sl.r.Node] = nodeEnd + off
+		newScratch[sl.r.Node], newSize[sl.r.Node] = nodeEnd+off, sl.r.Size
 		ranges = append(ranges, rebase{sl.r.Base, sl.r.Base + sl.r.Size, nodeEnd + off - sl.r.Base})
 	}
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].oldLo < ranges[j].oldLo })
@@ -221,10 +219,11 @@ func compact(g *graph.Graph, fr *codegen.Result, an *flowdata.Analysis) *codegen
 		return out
 	}
 	newLay := &codegen.Layout{
-		Base:    map[int]int64{},
-		Size:    map[int]int64{},
-		Scratch: newScratch,
-		Total:   nodeEnd + arenaEnd,
+		Base:        map[int]int64{},
+		Size:        map[int]int64{},
+		Scratch:     newScratch,
+		ScratchSize: newSize,
+		Total:       nodeEnd + arenaEnd,
 	}
 	for k, v := range lay.Base {
 		newLay.Base[k] = v

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"cimmlc/internal/codegen"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mop"
 	"cimmlc/internal/tensor"
@@ -46,7 +47,7 @@ type CompiledFlow struct {
 	members []xbRead
 	// writeTiles interns the tiles write ops program, so the copies and rounds
 	// a body rewrites share one bit-sliced tile.
-	writeTiles map[writeTile]slicedTile
+	writeTiles map[codegen.Tile]slicedTile
 	// matrices holds, per node a readcore names, the node's weight matrix in
 	// the layout reads consume.
 	matrices map[int]nodeMatrix
@@ -376,19 +377,23 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 }
 
 // CompileBody compiles a flow section into kernel closures specialized on
-// op, shape and precision: parallel groups are flattened, buffer addresses are
-// resolved to node regions, window-gather geometry generators and destination
-// strides are fixed, write tiles are bit-sliced, consecutive reads that
-// accumulate into the same words are fused into one kernel, and every operand
-// that can be checked statically is — so the hot loop carries no dispatch or
-// resolution work and no operator can address outside a lane. What a crossbar
-// holds is run-time state (a body may reprogram it), so what depends on it is
-// checked by the kernel before it writes.
+// op, shape and precision: parallel groups are flattened, every operator is
+// resolved by the image's codegen.Resolver — the operand calculus the dataflow
+// analysis checks flows with, so a kernel addresses exactly the words the
+// verifier saw and an operand the verifier would reject fails here with the
+// same diagnosis, verifier on or off — window-gather geometry generators are
+// fixed, write tiles are bit-sliced, and consecutive reads that accumulate
+// into the same words are fused into one kernel, so the hot loop carries no
+// dispatch or resolution work and no operator can address outside its
+// regions. What a crossbar holds is run-time state (a body may reprogram it),
+// so a read is completed against it (XBRecord.Activate) by the kernel, before
+// it writes.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	// Sized once from a count of the leaves: flows run to millions of them.
 	leaves, reads := 0, 0
 	_ = eachLeaf(body, func(op mop.Op) error { // the visitor never fails
-		if _, _, ok := readOperands(op); ok {
+		switch op.(type) {
+		case mop.ReadXB, mop.ReadRow:
 			reads++
 		}
 		leaves++
@@ -432,40 +437,30 @@ func eachLeaf(ops []mop.Op, visit func(mop.Op) error) error {
 // compileOp compiles every operator that is a kernel of its own: all but the
 // crossbar reads (compileReads).
 func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
-	if xb, w, ok := writeOperands(op); ok {
-		return img.compileWrite(cf, xb, w)
+	if w, ok, err := img.res.ResolveWrite(op); ok {
+		if err != nil {
+			return nil, err
+		}
+		return img.compileWrite(cf, w), nil
+	}
+	ops, err := img.res.Resolve(op)
+	if err != nil {
+		return nil, err
 	}
 	switch o := op.(type) {
 	case mop.ReadCore:
-		return img.compileReadCore(cf, o)
+		return img.compileReadCore(cf, o, ops), nil
 	case mop.Mov:
-		return img.compileMov(o)
+		return img.compileMov(o, ops), nil
 	case mop.MovWindow:
-		return img.compileMovWindow(o)
+		return img.compileMovWindow(o, ops), nil
 	case mop.Dcom:
 		return img.compileDcom(o)
 	}
 	return nil, fmt.Errorf("unknown op type %T", op)
 }
 
-// inLane reports whether the n words at addr lie inside a lane's memory.
-func (img *Image) inLane(addr, n int64) bool {
-	return addr >= 0 && n >= 0 && addr <= img.lay.Total-n
-}
-
-// tileWrite is every operand of a writexb or writerow but the crossbar: the
-// first wordline written and the tile of the node's cell matrix put there.
-// What a crossbar holds is a function of the tileWrites addressed to it, in
-// order — never of its ID.
-type tileWrite struct {
-	row int
-	writeTile
-}
-
-// writeTile names a rows × cols tile of a node's cell matrix.
-type writeTile struct{ node, cellRowOff, cellColOff, rows, cols int }
-
-// slicedTile is a writeTile's content: the cell bytes (Figure 7's B→XBC bit
+// slicedTile is a codegen.Tile's content: the cell bytes (Figure 7's B→XBC bit
 // slicing) and the weights those cells reconstruct to, in the layout reads
 // consume (mvm.go) — the cell bytes themselves are never read back.
 type slicedTile struct {
@@ -473,59 +468,25 @@ type slicedTile struct {
 	weights []int64 // column-major in the image's word format, rows words per run
 }
 
-// writeOperands splits a weight-programming operator into the crossbar it
-// addresses and what it writes there; ok is false for every other operator.
-func writeOperands(op mop.Op) (xb int, w tileWrite, ok bool) {
-	switch o := op.(type) {
-	case mop.WriteXB:
-		return o.XB, tileWrite{0, writeTile{o.Node, o.CellRowOff, o.CellColOff, o.Rows, o.Cols}}, true
-	case mop.WriteRow:
-		return o.XB, tileWrite{o.Row, writeTile{o.Node, o.CellRowOff, o.CellColOff, o.NumRows, o.Cols}}, true
-	}
-	return 0, tileWrite{}, false
-}
-
-// compileWrite compiles one tile write. The tile's content is static, so it
-// is sliced here, once per distinct tile of the flow; the kernel copies it
-// into the state's crossbar view. Weight programming is lane-invariant: one
-// copy per micro-batch amortizes reprogramming (multi-round flows) across its
-// lanes.
-func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, error) {
+// compileWrite compiles one resolved tile write. The tile's content is
+// static, so it is sliced here, once per distinct tile of the flow; the kernel
+// copies it into the state's crossbar view. Weight programming is
+// lane-invariant: one copy per micro-batch amortizes reprogramming
+// (multi-round flows) across its lanes.
+func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 	a := img.a
-	rowStart, node, cellRowOff, cellColOff, rows, cols := w.row, w.node, w.cellRowOff, w.cellColOff, w.rows, w.cols
-	if xb < 0 || xb >= len(img.baseCells) {
-		return nil, fmt.Errorf("crossbar %d out of range", xb)
-	}
-	if rowStart < 0 || rows <= 0 || cols <= 0 || cellRowOff < 0 || cellColOff < 0 {
-		return nil, fmt.Errorf("negative or empty tile operands")
-	}
-	if rowStart+rows > a.XB.Rows || cols > a.XB.Cols {
-		return nil, fmt.Errorf("tile %dx%d at row %d exceeds crossbar %dx%d", rows, cols, rowStart, a.XB.Rows, a.XB.Cols)
-	}
-	qw, ok := img.qweights[node]
-	if !ok {
-		return nil, fmt.Errorf("no quantized weights for node %d", node)
-	}
-	dims := img.wDims[node]
+	xb, rowStart, rows, cols := w.XB, w.Row, w.Rows, w.Cols
+	qw, dims := img.qweights[w.Node], img.wDims[w.Node]
 	s := a.CellsPerWeight()
-	if cellColOff%s != 0 || cols%s != 0 {
-		return nil, fmt.Errorf("cell columns [%d,%d) not aligned to %d cells per weight", cellColOff, cellColOff+cols, s)
-	}
-	if cellRowOff+rows > dims[0] {
-		return nil, fmt.Errorf("cell row %d exceeds weight matrix rows %d", cellRowOff+rows-1, dims[0])
-	}
-	wColOff, nW := cellColOff/s, cols/s
-	if wColOff+nW > dims[1] {
-		return nil, fmt.Errorf("cell column %d exceeds weight matrix cols %d", cellColOff+cols-1, dims[1])
-	}
+	wColOff, nW := w.CellColOff/s, cols/s
 	packed, xbRows := img.packed, a.XB.Rows
-	tile, ok := cf.writeTiles[w.writeTile]
+	tile, ok := cf.writeTiles[w.Tile]
 	if !ok {
 		tile = slicedTile{cells: make([]uint8, rows*cols), weights: make([]int64, wordsFor(nW, packed)*rows)}
 		sl := make([]uint32, s)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < nW; j++ {
-				sl = tensor.BitSliceInto(sl, qw[(cellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
+				sl = tensor.BitSliceInto(sl, qw[(w.CellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
 				for k, v := range sl {
 					tile.cells[i*cols+j*s+k] = uint8(v)
 				}
@@ -533,9 +494,9 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 			}
 		}
 		if cf.writeTiles == nil {
-			cf.writeTiles = make(map[writeTile]slicedTile)
+			cf.writeTiles = make(map[codegen.Tile]slicedTile)
 		}
-		cf.writeTiles[w.writeTile] = tile
+		cf.writeTiles[w.Tile] = tile
 	}
 	xbCols := a.XB.Cols
 	whole := nW // the tile's column words that it fills entirely
@@ -544,14 +505,8 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 	}
 	return func(bm *BatchMachine) error {
 		st := bm.st
-		p := &st.prog[xb]
-		fresh := p.node != node || p.rowDelta != cellRowOff-rowStart || p.cellColOff != cellColOff
-		if fresh {
-			// Reprogramming with a new tile: the array starts cleared.
-			*p = xbProg{node: node, rowDelta: cellRowOff - rowStart, cellColOff: cellColOff}
-		}
-		p.rows = max(p.rows, rowStart+rows)
-		p.wcols = max(p.wcols, nW)
+		// Reprogramming with a new tile: the array starts cleared.
+		fresh := bm.img.res.Program(&st.prog[xb].XBRecord, w)
 		cells, weights := st.privateXB(bm.img, xb, fresh)
 		for i := 0; i < rows; i++ {
 			copy(cells[(rowStart+i)*xbCols:], tile.cells[i*cols:(i+1)*cols])
@@ -568,7 +523,7 @@ func (img *Image) compileWrite(cf *CompiledFlow, xb int, w tileWrite) (kernel, e
 			}
 		}
 		return nil
-	}, nil
+	}
 }
 
 // privateXB returns crossbar xb's cell and weight arrays for writing, owned
@@ -607,50 +562,26 @@ func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int6
 }
 
 // xbRead is one readxb or readrow as a member of an accumulation chain: the
-// wordlines it activates and the activations it streams into them.
+// resolved read, the node whose region it streams activations from (-1:
+// scratch), and the chain's dot-product run the member belongs to — a readrow
+// that continues an earlier member's wordlines and source run (parallel_row
+// cuts one tile's rows into several reads) lengthens that member's run instead
+// of starting its own.
 type xbRead struct {
-	xb, row int
-	nrows   int // < 0: every programmed row (readxb)
-	src     int64
-	srcNode int
-	// run is the chain's dot-product run the member belongs to: a readrow that
-	// continues an earlier member's wordlines and source run — parallel_row
-	// cuts one tile's rows into several reads — lengthens that member's run
-	// instead of starting its own.
-	run int
-}
-
-// accWords names the words a crossbar read produces: weight column j's sum at
-// dst + j·stride, stored or, with acc, added to what is there.
-type accWords struct {
-	dst, stride int64
-	acc         bool
-}
-
-// readOperands splits a crossbar read into the chain member it makes and the
-// words it produces; ok is false for every other operator.
-func readOperands(op mop.Op) (r xbRead, out accWords, ok bool) {
-	switch o := op.(type) {
-	case mop.ReadXB:
-		return xbRead{xb: o.XB, nrows: -1, src: o.Src}, accWords{o.Dst, o.DstStride, o.Acc}, true
-	case mop.ReadRow:
-		return xbRead{xb: o.XB, row: o.Row, nrows: max(o.NumRows, 0), src: o.Src}, accWords{o.Dst, o.DstStride, o.Acc}, true
-	}
-	return xbRead{}, accWords{}, false
+	codegen.XBRead
+	srcNode, run int32
 }
 
 // readChain is the kernel of a maximal run of consecutive reads that
-// accumulate into the same words: every member after the first has acc set
-// and the first's dst and stride. Integer addition is associative and
+// accumulate into the same words: every member after the first has Acc set
+// and the first's Dst and Stride. Integer addition is associative and
 // commutative, so summing the members' dot products in registers and storing
 // each output once leaves what running them one after another leaves —
 // provided no member reads what the chain writes (compileReads). A read with
 // no such neighbour is a chain of one: there is no other read path.
 type readChain struct {
-	members  []xbRead
-	accWords // the first member's
-	dstNode  int
-	limit    int64 // word format and guard bound for sums over all members' rows (mvm.go)
+	members []xbRead
+	limit   int64 // word format and guard bound for sums over all members' rows (mvm.go)
 }
 
 // compileReads compiles the accumulation chain that starts at cf.ops[at] and
@@ -658,59 +589,53 @@ type readChain struct {
 // read.
 func (img *Image) compileReads(cf *CompiledFlow, at int) (kernel, int, error) {
 	a := img.a
-	_, head, ok := readOperands(cf.ops[at])
-	if !ok {
-		return nil, 0, nil
-	}
-	if !img.inLane(head.dst, 1) || head.stride < 1 || head.stride > img.lay.Total {
-		return nil, 0, fmt.Errorf("destination %d with stride %d outside the lane's %d words", head.dst, head.stride, img.lay.Total)
-	}
-	ch := &readChain{accWords: head, dstNode: img.nodeAt(head.dst)}
+	ch := &readChain{}
 	maxCols := a.XB.Cols / a.CellsPerWeight()
 	rows, start := 0, len(cf.members)
+	var head codegen.XBRead
 	var endsBuf [8]xbRead
 	ends := endsBuf[:0] // per run, the member that would lengthen it
 	for j := at; j < len(cf.ops); j++ {
-		r, out, ok := readOperands(cf.ops[j])
-		if !ok || j > at && (!out.acc || out.dst != ch.dst || out.stride != ch.stride) {
-			break
+		rd, ok, err := img.res.ResolveRead(cf.ops[j])
+		if j == at {
+			if head = rd; !ok || err != nil {
+				return nil, 0, err
+			}
+		} else if !ok || err != nil || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride {
+			break // a bad read heads the next chain, which is where its error is reported
 		}
-		n := r.nrows
+		r := xbRead{XBRead: rd, srcNode: int32(img.res.Owner(img.res.NodeRegionAt(rd.Src)))}
+		n := int(r.Rows)
 		if n < 0 {
 			n = a.XB.Rows // what a readxb activates is the crossbar's to say
-		}
-		err := img.checkRead(r, n)
-		if err != nil && j == at {
-			return nil, 0, err
 		}
 		// A member must not read what the chain writes: its source run, for
 		// the sums' sake, nor its source node's region, which it settles
 		// before the chain runs instead of after the members ahead of it.
-		r.srcNode = img.nodeAt(r.src)
-		lo, hi := r.src, r.src+int64(n)
+		lo, hi := r.Src, r.Src+int64(n)
 		if r.srcNode >= 0 {
 			lo, hi = min(lo, img.base[r.srcNode]), max(hi, img.base[r.srcNode]+img.size[r.srcNode])
 		}
-		alone := strideTouches(ch.dst, ch.stride, maxCols, lo, hi)
+		alone := strideTouches(head.Dst, head.Stride, maxCols, lo, hi)
 		// Nor may the chain's rows outgrow what a packed half can sum; a lone
 		// read's never do, or the image would not be packed.
 		limit := int64(-1)
 		if img.packed {
 			limit = wordLimit(rows+n, a.WeightBits, a.ActBits)
 		}
-		if j > at && (err != nil || alone || img.packed && limit < 0) {
-			break // it heads the next chain, which is where its error is reported
+		if j > at && (alone || img.packed && limit < 0) {
+			break
 		}
 		// A readrow that starts where an earlier member's wordlines and source
 		// run end lengthens that member's run; a readxb's run ends nowhere
 		// known before the crossbar is looked at.
-		r.run = slices.IndexFunc(ends, func(e xbRead) bool { return e.xb == r.xb && e.row == r.row && e.src == r.src })
+		r.run = int32(slices.IndexFunc(ends, func(e xbRead) bool { return e.XB == r.XB && e.Row == r.Row && e.Src == r.Src }))
 		if r.run < 0 {
-			r.run, ends = len(ends), append(ends, xbRead{})
+			r.run, ends = int32(len(ends)), append(ends, xbRead{})
 		}
-		ends[r.run] = xbRead{xb: -1}
-		if r.nrows >= 0 {
-			ends[r.run] = xbRead{xb: r.xb, row: r.row + n, src: r.src + int64(n)}
+		ends[r.run].XB = -1
+		if r.Rows >= 0 {
+			ends[r.run].XBRead = codegen.XBRead{XB: r.XB, Row: r.Row + r.Rows, Src: r.Src + int64(n)}
 		}
 		cf.members = append(cf.members, r)
 		rows, ch.limit = rows+n, limit
@@ -720,23 +645,6 @@ func (img *Image) compileReads(cf *CompiledFlow, at int) (kernel, int, error) {
 	}
 	ch.members = cf.members[start:len(cf.members):len(cf.members)]
 	return ch.run, len(ch.members), nil
-}
-
-// checkRead validates what is static of one crossbar read activating up to n
-// wordlines.
-func (img *Image) checkRead(r xbRead, n int) error {
-	a := img.a
-	switch {
-	case r.xb < 0 || r.xb >= len(img.baseCells):
-		return fmt.Errorf("crossbar %d out of range", r.xb)
-	case r.nrows > a.XB.ParallelRow:
-		return fmt.Errorf("readrow activates %d rows but parallel_row is %d", r.nrows, a.XB.ParallelRow)
-	case r.row < 0 || r.nrows == 0 || r.row+n > a.XB.Rows:
-		return fmt.Errorf("wordlines [%d,%d) outside the crossbar's %d", r.row, r.row+r.nrows, a.XB.Rows)
-	case !img.inLane(r.src, int64(max(r.nrows, 1))):
-		return fmt.Errorf("source run at %d outside the lane's %d words", r.src, img.lay.Total)
-	}
-	return nil
 }
 
 // strideTouches reports whether any of the n words dst, dst+stride, … lies in
@@ -750,56 +658,45 @@ func strideTouches(dst, stride int64, n int, lo, hi int64) bool {
 }
 
 // run is the chain's kernel. Everything that depends on what the crossbars
-// hold now — programmed at all, the rows read, equal column counts, the
-// columns' destination words — is checked for every member before anything is
-// written; members that turn out to hold different column counts run as
-// chains of one.
+// hold now — programmed at all, the rows read, the columns' destination words
+// inside the programmed node's region (XBRecord.Activate), equal column
+// counts — is settled for every member before anything is written; members
+// that turn out to hold different column counts run as chains of one.
 func (ch *readChain) run(bm *BatchMachine) error {
 	st := bm.st
 	runs := st.runsBuf(len(ch.members))
-	cols, uniform := 0, true
+	node, cols, uniform := -1, 0, true
 	for i := range ch.members {
 		m := &ch.members[i]
-		w, p := st.weights[m.xb], &st.prog[m.xb]
-		n := m.nrows
-		if n < 0 {
-			n = p.rows
-		}
-		var err error
-		switch {
-		case w == nil:
-			err = fmt.Errorf("crossbar %d not programmed", m.xb)
-		case m.row+n > p.rows:
-			err = fmt.Errorf("read rows [%d,%d) exceed programmed rows %d", m.row, m.row+n, p.rows)
-		case m.src+int64(n) > st.stride:
-			err = fmt.Errorf("source run [%d,%d) exceeds the lane's %d words", m.src, m.src+int64(n), st.stride)
-		case ch.dst+int64(p.wcols-1)*ch.stride >= st.stride:
-			err = fmt.Errorf("%d columns from %d with stride %d exceed the lane's %d words", p.wcols, ch.dst, ch.stride, st.stride)
-		}
+		p := &st.prog[m.XB]
+		n, err := p.Activate(&m.XBRead)
 		if err != nil {
 			return opError{i, err}
 		}
-		if m.run < len(runs) {
+		if int(m.run) < len(runs) {
 			runs[m.run].n += n
 		} else {
-			runs = append(runs, mvmRun{w: w[m.row:], stride: p.stride, n: n, src: m.src})
+			runs = append(runs, mvmRun{w: st.weights[m.XB][m.Row:], stride: p.stride, n: n, src: m.Src})
 		}
 		if i == 0 {
-			cols = p.wcols
+			node, cols = int(p.Node), int(p.WCols)
 		}
-		uniform = uniform && p.wcols == cols
+		uniform = uniform && int(p.WCols) == cols
 	}
 	for i := range ch.members {
-		bm.settleNode(ch.members[i].srcNode)
-		if i == 0 && ch.dstNode >= 0 {
+		bm.settleNode(int(ch.members[i].srcNode))
+		if i == 0 {
 			// Where running the members apart would mark it: after the first.
-			bm.markCIMOutput(ch.dstNode)
+			// Every member writes the head's words, which lie in one node's
+			// region: the node every member's crossbar is programmed with.
+			bm.markCIMOutput(node)
 		}
 	}
+	head := &ch.members[0]
 	k := mvmCall{
 		act: st.mem, actStride: st.stride, out: st.mem, outStride: st.stride, lanes: st.lanes,
 		runs: runs, cols: cols, limit: ch.limit,
-		dst: ch.dst, stride: ch.stride, acc: ch.acc,
+		dst: head.Dst, stride: head.Stride, acc: head.Acc,
 	}
 	if uniform {
 		k.run()
@@ -807,8 +704,8 @@ func (ch *readChain) run(bm *BatchMachine) error {
 	}
 	next := 0
 	for i := range ch.members {
-		if m := &ch.members[i]; m.run == next { // the member that starts run next
-			k.runs, k.cols = runs[next:next+1], st.prog[m.xb].wcols
+		if m := &ch.members[i]; int(m.run) == next { // the member that starts run next
+			k.runs, k.cols = runs[next:next+1], int(st.prog[m.XB].WCols)
 			k.run()
 			k.acc, next = true, next+1
 		}
@@ -909,34 +806,13 @@ func gather(dst, lm, plan []int64) {
 // the core's internal crossbars perform the same quantized arithmetic, so the
 // kernel gathers each window of every lane and runs the MVM microkernel over
 // the node's weight matrix.
-func (img *Image) compileReadCore(cf *CompiledFlow, o mop.ReadCore) (kernel, error) {
-	n, err := img.g.Node(o.Node)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := img.qweights[o.Node]; !ok {
-		return nil, fmt.Errorf("no quantized weights for node %d", o.Node)
-	}
-	if o.WinStart < 0 || o.WinCount < 0 || o.WinStart > n.MVMCount()-o.WinCount {
-		return nil, fmt.Errorf("windows [%d,%d) outside the node's %d", o.WinStart, o.WinStart+o.WinCount, n.MVMCount())
-	}
-	if in := img.g.MustNode(n.Inputs[0]).OutShape; !img.inLane(o.Src, graph.NumElements(in)) || !img.inLane(o.Dst, graph.NumElements(n.OutShape)) {
-		return nil, fmt.Errorf("input at %d or output at %d outside the lane's %d words", o.Src, o.Dst, img.lay.Total)
-	}
+func (img *Image) compileReadCore(cf *CompiledFlow, o mop.ReadCore, ops codegen.Operands) kernel {
+	n := img.g.MustNode(o.Node)
 	rows, cols := img.wDims[o.Node][0], img.wDims[o.Node][1]
 	mat := cf.matrixOf(o.Node)
-	srcNode := img.nodeAt(o.Src)
-	// Output column j of window w lands at Dst + j·cj + w·cw: channel-major
-	// for conv (NCHW), token-major for matrix Dense, a plain vector otherwise.
-	var cj, cw int64
-	switch {
-	case n.Op == graph.OpConv:
-		cj, cw = int64(n.OutShape[1])*int64(n.OutShape[2]), 1
-	case len(n.OutShape) == 2:
-		cj, cw = 1, int64(n.OutShape[1])
-	default:
-		cj, cw = 1, 0
-	}
+	srcNode := ops.RegionReads[0]
+	// Output column j of window w lands at Dst + j·cj + w·cw.
+	cj, cw := codegen.OutGeometry(n)
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		bm.settleNode(srcNode)
@@ -957,15 +833,11 @@ func (img *Image) compileReadCore(cf *CompiledFlow, o mop.ReadCore) (kernel, err
 		}
 		bm.markCIMOutput(o.Node)
 		return nil
-	}, nil
+	}
 }
 
-func (img *Image) compileMov(o mop.Mov) (kernel, error) {
-	if !img.inLane(o.Src, o.Len) || !img.inLane(o.Dst, o.Len) {
-		return nil, fmt.Errorf("source or destination run outside the lane's %d words", img.lay.Total)
-	}
-	srcNode := img.nodeAt(o.Src)
-	dstNode := img.nodeAt(o.Dst)
+func (img *Image) compileMov(o mop.Mov, ops codegen.Operands) kernel {
+	srcNode, dstNode := img.res.Owner(ops.ReadRegion), img.res.Owner(ops.WriteRegion)
 	// Whole-region copies propagate the source's numeric domain (Flatten,
 	// Identity) — resolved statically.
 	propagate := dstNode >= 0 && srcNode >= 0 &&
@@ -982,50 +854,32 @@ func (img *Image) compileMov(o mop.Mov) (kernel, error) {
 			st.regionRaw[dstNode] = false
 		}
 		return nil
-	}, nil
+	}
 }
 
-func (img *Image) compileMovWindow(o mop.MovWindow) (kernel, error) {
-	n, err := img.g.Node(o.Node)
-	if err != nil {
-		return nil, err
-	}
-	if n.Op != graph.OpConv {
-		return nil, fmt.Errorf("mov_window on non-conv node %d", o.Node)
-	}
-	rows := n.WeightShape[1] * n.WeightShape[2] * n.WeightShape[3]
-	if o.Window < 0 || o.Window >= n.MVMCount() {
-		return nil, fmt.Errorf("window %d outside the node's %d", o.Window, n.MVMCount())
-	}
-	if in := img.g.MustNode(n.Inputs[0]).OutShape; !img.inLane(o.SrcBase, graph.NumElements(in)) || !img.inLane(o.Dst, int64(rows)) {
-		return nil, fmt.Errorf("input at %d or gathered window at %d outside the lane's %d words", o.SrcBase, o.Dst, img.lay.Total)
-	}
-	srcNode := img.nodeAt(o.SrcBase)
+func (img *Image) compileMovWindow(o mop.MovWindow, ops codegen.Operands) kernel {
+	n := img.g.MustNode(o.Node)
+	rows, srcNode := ops.Writes.Count, ops.RegionReads[0]
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		bm.settleNode(srcNode)
-		plan := st.planBuf(rows)
+		plan := st.planBuf(int(rows))
 		if err := bm.img.gatherPlan(n, o.Window, o.SrcBase, plan); err != nil {
 			return err
 		}
 		for l := 0; l < st.lanes; l++ {
 			lm := st.lane(l)
-			gather(lm[o.Dst:o.Dst+int64(rows)], lm, plan)
+			gather(lm[o.Dst:o.Dst+rows], lm, plan)
 		}
 		return nil
-	}, nil
+	}
 }
 
-// compileDcom compiles a digital-compute operator: dequantize the inputs, run
-// the float reference kernel, requantize into the node's activation domain.
+// compileDcom compiles a digital-compute operator (resolved: it writes the
+// node's whole region from its graph inputs'): dequantize the inputs, run the
+// float reference kernel, requantize into the node's activation domain.
 func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
-	n, err := img.g.Node(o.Node)
-	if err != nil {
-		return nil, err
-	}
-	if !img.inLane(o.Dst, o.Len) {
-		return nil, fmt.Errorf("destination run outside the lane's %d words", img.lay.Total)
-	}
+	n := img.g.MustNode(o.Node)
 	if n.Op == graph.OpReLU {
 		return img.compileDcomReLU(o, n)
 	}
@@ -1071,9 +925,6 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 func (img *Image) compileDcomReLU(o mop.Dcom, n *graph.Node) (kernel, error) {
 	in := n.Inputs[0]
 	base, size := img.base[in], img.size[in]
-	if size != o.Len {
-		return nil, fmt.Errorf("dcom %s output length %d does not match len %d", o.Fn, size, o.Len)
-	}
 	q := img.actScale[o.Node]
 	if err := q.Validate(); err != nil {
 		return nil, err

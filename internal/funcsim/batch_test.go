@@ -290,25 +290,26 @@ func TestCompileBodyRejectsBadOps(t *testing.T) {
 }
 
 // TestReadsCheckCrossbarStateBeforeWriting: what a read can only know from
-// the crossbar it finds — here, how many columns it produces — is checked by
-// the kernel, and a failure is an error naming the operator, for a member of
-// an accumulation chain the member's own, with nothing written.
+// the crossbar it finds — which node's region its columns must land in, how
+// many wordlines it may activate — is checked by the kernel, and a failure is
+// an error naming the operator, for a member of an accumulation chain the
+// member's own, with nothing written.
 func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
 	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.WLM), 48, 1, programmed)
 	img := c.img
-	total, rows := img.lay.Total, img.baseProg[0].rows
+	rows := int(img.baseProg[0].Rows)
 	for name, tc := range map[string]struct {
 		body []mop.Op
 		want string
 	}{
-		"columns-past-the-lane": {
-			[]mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: 1, Src: 0, Dst: total - 2, DstStride: 1}},
+		"columns-past-the-node's-region": {
+			[]mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: 1, Src: 0, Dst: img.base[1] + img.size[1] - 1, DstStride: 1}},
 			"op 0 (cim.readrow(xb=0, row=0",
 		},
 		"chain-member-past-the-programmed-rows": {
 			[]mop.Op{
-				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: img.nodeEnd, DstStride: 1},
-				mop.ReadRow{XB: 1, Row: rows - 1, NumRows: 2, Src: 8, Dst: img.nodeEnd, DstStride: 1, Acc: true},
+				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: img.base[1], DstStride: 1},
+				mop.ReadRow{XB: 1, Row: rows - 1, NumRows: 2, Src: 8, Dst: img.base[1], DstStride: 1, Acc: true},
 			},
 			fmt.Sprintf("op 1 (cim.readrow(xb=1, row=%d", rows-1),
 		},
@@ -365,7 +366,7 @@ func TestChainsMatchOperatorByOperator(t *testing.T) {
 		{name: "lenet5.puma", g: models.LeNet5(), a: arch.PUMAAccelerator()},
 		{name: "lenet5.toy-table2", g: models.LeNet5(), a: arch.ToyExample()},
 		{name: "overlapping-pair", g: models.ConvReLU(), a: wlm, chains: map[int]int{1: 2}, body: func(c *laneCell) []mop.Op {
-			d := c.img.nodeEnd // scratch
+			d := c.img.base[1] // the conv's region: what both crossbars' columns may write
 			return []mop.Op{
 				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: d, DstStride: 1},
 				mop.ReadRow{XB: 0, Row: 8, NumRows: 8, Src: d, Dst: d, DstStride: 1, Acc: true},

@@ -38,6 +38,15 @@
 // that engine for callers that drive one request with an uncompiled flow;
 // they hold no arithmetic of their own.
 //
+// What an operator touches is not decided here: every operator is resolved by
+// internal/codegen's Resolver (operands.go) — the words and regions read and
+// written, the crossbar programming record and its reprogram-reset rule, the
+// CIM output geometry, every endpoint check — and the kernels are compiled
+// from the resolved operands. internal/flowdata analyzes flows through the
+// same resolver, so a kernel cannot address a word the verifier did not see,
+// and a flow the verifier would reject for its operands fails ProgramInit,
+// CompileBody or RunBody with the same rule whether or not it was verified.
+//
 // QuantReference executes the same quantized semantics without crossbars,
 // placement or generated flows; a correct compiler + simulator pair must
 // match it bit-exactly.
@@ -65,6 +74,10 @@ type Image struct {
 	g   *graph.Graph
 	a   *arch.Arch
 	lay *codegen.Layout
+	// res resolves every operator the image compiles or programs: operand
+	// geometry and endpoint checks are internal/codegen's, shared with the
+	// dataflow analysis.
+	res *codegen.Resolver
 
 	// Quantization state, fixed at calibration time.
 	wScale   map[int]tensor.QuantParams // CIM node → weight quantizer
@@ -73,17 +86,10 @@ type Image struct {
 	wDims    map[int][2]int             // CIM node → (rows, cols)
 	inputs   []int                      // the graph's input node IDs
 
-	// Sorted region index for address→node resolution.
-	regionBases []int64
-	regionNodes []int
-
-	// Dense per-node layout (index = node ID; -1 base when absent),
-	// mirroring lay.Base/lay.Size without map lookups on the hot path.
+	// Dense per-node layout (index = node ID), mirroring lay.Base/lay.Size
+	// without map lookups on the hot path.
 	base []int64
 	size []int64
-	// nodeEnd is the first address past every node region; scratch space
-	// lives above it, so addr >= nodeEnd resolves to no node immediately.
-	nodeEnd int64
 
 	// Baseline crossbar contents after the init section, indexed by
 	// chip-global crossbar ID: the cell arrays (row-major), the weights those
@@ -103,19 +109,14 @@ type Image struct {
 	packed bool
 }
 
-// xbProg records the tile programmed into one crossbar: which node's cell
-// matrix it holds, the offset between wordline index and cell-matrix row
-// (rowDelta = cellRow − wordline), the first cell column, and the extent
-// programmed so far, in wordlines and weight columns. stride is the length of
-// a column word's run in the crossbar's weight array: every wordline of the
-// crossbar while a state is still writing the array, the wordlines programmed
-// once ProgramInit has cut the image's to them.
+// xbProg is what one crossbar holds — the record operand resolution keeps and
+// reads are checked against — beside stride, the length of a column word's run
+// in the crossbar's weight array: every wordline of the crossbar while a state
+// is still writing the array, the wordlines programmed once ProgramInit has
+// cut the image's to them.
 type xbProg struct {
-	node        int // -1 when empty
-	rowDelta    int
-	cellColOff  int
-	rows, wcols int
-	stride      int
+	codegen.XBRecord
+	stride int
 }
 
 // NewImage calibrates and quantizes: weights are quantized to the
@@ -131,8 +132,14 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 	if err != nil {
 		return nil, fmt.Errorf("funcsim: reference execution for calibration: %w", err)
 	}
+	// Every node has a region of its output's size inside the layout, or
+	// kernels and LoadInputs would index past it.
+	res, bad := codegen.NewResolver(g, a, lay)
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("funcsim: layout: %w", bad[0])
+	}
 	img := &Image{
-		g: g, a: a, lay: lay,
+		g: g, a: a, lay: lay, res: res,
 		wScale:      map[int]tensor.QuantParams{},
 		actScale:    map[int]tensor.QuantParams{},
 		qweights:    map[int][]int32{},
@@ -144,7 +151,7 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		packed:      wordLimit(a.XB.Rows, a.WeightBits, a.ActBits) >= 0,
 	}
 	for i := range img.baseProg {
-		img.baseProg[i].node = -1
+		img.baseProg[i].Node = -1
 	}
 	for _, n := range g.Nodes {
 		q := tensor.CalibrateQuant(ref[n.ID], a.ActBits)
@@ -154,9 +161,14 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 	// always the lowest node ID's, not whichever the map yields first.
 	for _, id := range sortedTensorKeys(weights) {
 		w := weights[id]
-		mat, err := weightMatrix(g.MustNode(id), w)
+		n := g.MustNode(id)
+		mat, err := weightMatrix(n, w)
 		if err != nil {
 			return nil, err
+		}
+		// The resolver bounds tiles by the graph's matrix; they index this one.
+		if rows, cols, _ := n.WeightMatrixDims(); mat.Dim(0) != rows || mat.Dim(1) != cols {
+			return nil, fmt.Errorf("funcsim: node %d: weight matrix is %dx%d, the graph declares %dx%d", id, mat.Dim(0), mat.Dim(1), rows, cols)
 		}
 		q := tensor.CalibrateQuant(mat, a.WeightBits)
 		qv, err := tensor.Quantize(mat, q)
@@ -167,29 +179,10 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		img.qweights[id] = qv
 		img.wDims[id] = [2]int{mat.Dim(0), mat.Dim(1)}
 	}
-	// Region index sorted by base address, plus the dense layout mirror.
 	img.base = make([]int64, len(g.Nodes))
 	img.size = make([]int64, len(g.Nodes))
-	for i := range img.base {
-		img.base[i] = -1
-	}
-	for _, id := range sortedInt64Keys(lay.Base) {
-		img.regionBases = append(img.regionBases, lay.Base[id])
-		img.regionNodes = append(img.regionNodes, id)
-		if id >= 0 && id < len(img.base) {
-			img.base[id] = lay.Base[id]
-			img.size[id] = lay.Size[id]
-		}
-		if end := lay.Base[id] + lay.Size[id]; end > img.nodeEnd {
-			img.nodeEnd = end
-		}
-	}
-	sort.Sort(byBase{img.regionBases, img.regionNodes})
-	// LoadInputs checks requests against the graph and writes them here.
-	for _, id := range img.inputs {
-		if want := graph.NumElements(g.MustNode(id).OutShape); img.base[id] < 0 || img.size[id] != want {
-			return nil, fmt.Errorf("funcsim: layout has no %d-word buffer region for input node %d", want, id)
-		}
+	for _, n := range g.Nodes {
+		img.base[n.ID], img.size[n.ID] = lay.Base[n.ID], lay.Size[n.ID]
 	}
 	return img, nil
 }
@@ -212,8 +205,7 @@ func (img *Image) MemWords() int64 { return img.lay.Total }
 // same tiles onto crossbar after crossbar — so each distinct write sequence
 // is programmed once: the first crossbar it is addressed to runs the write
 // kernels, and every other one shares that crossbar's baseline arrays.
-// Every write is still checked in full (a sequence is every operand but the
-// crossbar, whose range is checked per operator), and the sharing cannot be
+// Every write's operands are still resolved, and the sharing cannot be
 // observed: the baseline is immutable and states write to copies.
 func (img *Image) ProgramInit(init []mop.Op) error {
 	if len(init) == 0 {
@@ -223,29 +215,30 @@ func (img *Image) ProgramInit(init []mop.Op) error {
 	// longer sequence, 0 being the empty one. sig is the sequence addressed to
 	// each crossbar.
 	type step struct {
-		prefix int
-		w      tileWrite
+		prefix, row int
+		tile        codegen.Tile
 	}
 	sigs := map[step]int{}
 	sig := make([]int, len(img.baseProg))
 	var writes []mop.Op
+	var xbs []int // writes[i]'s crossbar
 	err := eachLeaf(init, func(op mop.Op) error {
-		xb, w, ok := writeOperands(op)
+		w, ok, err := img.res.ResolveWrite(op)
 		switch {
 		case !ok:
 			return fmt.Errorf("funcsim: init section holds %s, which programs no crossbar", op)
-		case xb < 0 || xb >= len(sig):
-			return fmt.Errorf("funcsim: compile %s: crossbar %d out of range", op, xb)
-		case img.baseProg[xb].node >= 0:
-			return fmt.Errorf("funcsim: %s: crossbar %d is already programmed", op, xb)
+		case err != nil:
+			return fmt.Errorf("funcsim: compile %s: %w", op, err)
+		case img.baseProg[w.XB].Node >= 0:
+			return fmt.Errorf("funcsim: %s: crossbar %d is already programmed", op, w.XB)
 		}
-		next, ok := sigs[step{sig[xb], w}]
+		next, ok := sigs[step{sig[w.XB], w.Row, w.Tile}]
 		if !ok {
 			next = len(sigs) + 1
-			sigs[step{sig[xb], w}] = next
+			sigs[step{sig[w.XB], w.Row, w.Tile}] = next
 		}
-		sig[xb] = next
-		writes = append(writes, op)
+		sig[w.XB] = next
+		writes, xbs = append(writes, op), append(xbs, w.XB)
 		return nil
 	})
 	if err != nil {
@@ -254,8 +247,8 @@ func (img *Image) ProgramInit(init []mop.Op) error {
 	// The first crossbar written with each sequence stands for all of them.
 	rep := map[int]int{}
 	kept := writes[:0]
-	for _, op := range writes {
-		xb, _, _ := writeOperands(op)
+	for i, op := range writes {
+		xb := xbs[i]
 		if _, ok := rep[sig[xb]]; !ok {
 			rep[sig[xb]] = xb
 		}
@@ -277,12 +270,12 @@ func (img *Image) ProgramInit(init []mop.Op) error {
 	// instead of the head of every XB.Rows-long run (a power-of-two stride that
 	// lands them all in the same cache sets).
 	for xb, s := range sig {
-		if p := &st.prog[xb]; s != 0 && rep[s] == xb && p.rows < p.stride {
-			full, cut := st.weights[xb], make([]int64, 0, len(st.weights[xb])/p.stride*p.rows)
+		if p, rows := &st.prog[xb], int(st.prog[xb].Rows); s != 0 && rep[s] == xb && rows < p.stride {
+			full, cut := st.weights[xb], make([]int64, 0, len(st.weights[xb])/p.stride*rows)
 			for c := 0; c < len(full); c += p.stride {
-				cut = append(cut, full[c:c+p.rows]...)
+				cut = append(cut, full[c:c+rows]...)
 			}
-			st.weights[xb], p.stride = cut, p.rows
+			st.weights[xb], p.stride = cut, rows
 		}
 	}
 	for xb, s := range sig {
@@ -394,18 +387,6 @@ func (m *Machine) Tensors() map[int]*tensor.Tensor {
 	return m.TensorsOf(ids)
 }
 
-type byBase struct {
-	bases []int64
-	nodes []int
-}
-
-func (b byBase) Len() int           { return len(b.bases) }
-func (b byBase) Less(i, j int) bool { return b.bases[i] < b.bases[j] }
-func (b byBase) Swap(i, j int) {
-	b.bases[i], b.bases[j] = b.bases[j], b.bases[i]
-	b.nodes[i], b.nodes[j] = b.nodes[j], b.nodes[i]
-}
-
 // weightMatrix lowers a node's weights to the crossbar matrix form: conv
 // [outC,inC,kH,kW] → [inC·kH·kW, outC]; dense already [in,out].
 func weightMatrix(n *graph.Node, w *tensor.Tensor) (*tensor.Tensor, error) {
@@ -418,44 +399,9 @@ func weightMatrix(n *graph.Node, w *tensor.Tensor) (*tensor.Tensor, error) {
 	return nil, fmt.Errorf("funcsim: node %d (%s) has no weight matrix", n.ID, n.Op)
 }
 
-// nodeAt resolves a buffer address to the node whose region contains it
-// (scratch addresses resolve to no node and return -1).
-func (img *Image) nodeAt(addr int64) int {
-	if addr >= img.nodeEnd {
-		return -1 // scratch space
-	}
-	lo, hi := 0, len(img.regionBases)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if img.regionBases[mid] > addr {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		return -1
-	}
-	id := img.regionNodes[lo-1]
-	if addr < img.base[id]+img.size[id] {
-		return id
-	}
-	return -1
-}
-
 // sortedTensorKeys returns the map's node IDs in ascending order so walks
 // over user-supplied tensor maps behave identically run to run.
 func sortedTensorKeys(m map[int]*tensor.Tensor) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
-// sortedInt64Keys is sortedTensorKeys for the layout's address maps.
-func sortedInt64Keys(m map[int]int64) []int {
 	ks := make([]int, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

@@ -56,7 +56,7 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 			for xb := range img.baseProg {
 				s, written := seq[xb]
 				if !written {
-					if img.baseCells[xb] != nil || img.baseWeights[xb] != nil || img.baseProg[xb].node != -1 {
+					if img.baseCells[xb] != nil || img.baseWeights[xb] != nil || img.baseProg[xb].Node != -1 {
 						t.Fatalf("crossbar %d holds something, but nothing was written to it", xb)
 					}
 					continue
@@ -66,7 +66,7 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 				}
 				// One weight array per crossbar, two weight columns to the
 				// word, cut to the wordlines programmed.
-				if !img.packed || len(img.baseWeights[xb]) != img.baseProg[xb].rows*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), true) {
+				if !img.packed || len(img.baseWeights[xb]) != int(img.baseProg[xb].Rows)*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), true) {
 					t.Fatalf("crossbar %d keeps %d weight words (packed: %v)", xb, len(img.baseWeights[xb]), img.packed)
 				}
 				r, seen := first[s]
@@ -125,8 +125,8 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 			var last mop.Op
 			x := -1
 			for _, op := range c.flow.Init {
-				if xb, _, ok := writeOperands(op); ok && xb >= x {
-					x, last = xb, op
+				if w, ok, _ := img.res.ResolveWrite(op); ok && w.XB >= x {
+					x, last = w.XB, op
 				}
 			}
 			shared := 0
@@ -154,7 +154,7 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 
 			// The conv outputs a read of crossbar x produces.
 			fromX := map[int64]bool{}
-			nW := int64(img.baseProg[x].wcols)
+			nW := int64(img.baseProg[x].WCols)
 			for _, op := range c.cf.ops {
 				var xb int
 				var dst, stride int64
@@ -238,7 +238,7 @@ func TestProgramInitRejects(t *testing.T) {
 	}{
 		"not-a-write":        {append(slices.Clone(init), mop.Mov{Src: 0, Dst: 0, Len: 1}), "init section holds " + mop.Mov{Src: 0, Dst: 0, Len: 1}.String()},
 		"not-a-write-nested": {[]mop.Op{mop.Parallel{Body: []mop.Op{init[0], mop.ReadXB{XB: 0, DstStride: 1}}}}, "init section holds cim.readxb"},
-		"xb-out-of-range":    {append(slices.Clone(init), beyond), fmt.Sprintf("compile %s: crossbar %d out of range", beyond, beyond.XB)},
+		"xb-out-of-range":    {append(slices.Clone(init), beyond), fmt.Sprintf("compile %s: crossbar %d outside the chip's %d crossbars", beyond, beyond.XB, beyond.XB)},
 	} {
 		err := c.img.ProgramInit(tc.init)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

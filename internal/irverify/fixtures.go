@@ -3,6 +3,7 @@ package irverify
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/cg"
@@ -29,6 +30,56 @@ type Fixture struct {
 	// state, or an error if the fixture could not even build its clean
 	// baseline (always a bug).
 	Check func() ([]Violation, error)
+
+	// flow, on the fixtures that corrupt a generated flow, builds what Check
+	// verifies, so tests can hand the same flow to the executor.
+	flow func() (*pipe, error)
+}
+
+// flowFixture is a fixture whose corruption is a generated flow's: corrupt
+// builds a clean compilation and breaks its flow, Check runs verify on it.
+func flowFixture(name, rule string, verify func(*graph.Graph, *arch.Arch, *codegen.Result) []Violation, corrupt func() (*pipe, error)) Fixture {
+	return Fixture{Name: name, Rule: rule, flow: corrupt, Check: func() ([]Violation, error) {
+		st, err := corrupt()
+		if err != nil {
+			return nil, err
+		}
+		return verify(st.g, st.a, st.fr), nil
+	}}
+}
+
+// editFirst replaces, in place, the first leaf operator of ops that edit
+// accepts with what it returns, and reports whether there was one. Generated
+// flows share no parallel body between operators, so writing through is safe.
+func editFirst(ops []mop.Op, edit func(mop.Op) (mop.Op, bool)) bool {
+	for i, op := range ops {
+		if par, ok := op.(mop.Parallel); ok {
+			if editFirst(par.Body, edit) {
+				return true
+			}
+		} else if edited, ok := edit(op); ok {
+			ops[i] = edited
+			return true
+		}
+	}
+	return false
+}
+
+// corruptFlow is the corrupt function of most flow fixtures: compile model on
+// the toy architecture in mode, then apply edit to the first operator of the
+// flow (init section first) that takes it.
+func corruptFlow(model func() *graph.Graph, mode arch.Mode, edit func(st *pipe, op mop.Op) (mop.Op, bool)) func() (*pipe, error) {
+	return func() (*pipe, error) {
+		st, err := buildPipeOn(model(), mode, true)
+		if err != nil {
+			return nil, err
+		}
+		at := func(op mop.Op) (mop.Op, bool) { return edit(st, op) }
+		if !editFirst(st.fr.Flow.Init, at) && !editFirst(st.fr.Flow.Body, at) {
+			return nil, fmt.Errorf("fixture baseline: the %s flow has no operator to corrupt", mode)
+		}
+		return st, nil
+	}
 }
 
 // pipe is one hand-built compilation of conv-relu on the toy architecture:
@@ -204,142 +255,103 @@ func Fixtures() []Fixture {
 				return VerifyPlacement(st.g, st.a, st.m.FPs, st.s, st.p), nil
 			},
 		},
-		{
-			Name: "flow-use-before-def",
-			Rule: RuleFlowUseBeforeDef,
-			Check: func() ([]Violation, error) {
-				st, err := buildPipe(arch.XBM, true)
-				if err != nil {
-					return nil, err
-				}
-				// Read the network output's buffer before anything wrote it.
-				out := st.g.Outputs()[0]
-				base := st.fr.Layout.Base[out]
-				st.fr.Flow.Body = append([]mop.Op{mop.Mov{Src: base, Dst: base, Len: 1}}, st.fr.Flow.Body...)
-				return VerifyFlow(st.g, st.a, st.s, st.m.FPs, st.fr), nil
-			},
-		},
-		{
-			Name: "flow-bad-endpoint",
-			Rule: RuleFlowEndpoint,
-			Check: func() ([]Violation, error) {
-				st, err := buildPipe(arch.XBM, true)
-				if err != nil {
-					return nil, err
-				}
-				wx, ok := st.fr.Flow.Init[0].(mop.WriteXB)
-				if !ok {
-					return nil, fmt.Errorf("fixture baseline: init[0] is %T, want WriteXB", st.fr.Flow.Init[0])
-				}
+		flowFixture("flow-use-before-def", RuleFlowUseBeforeDef, VerifyFlow, func() (*pipe, error) {
+			st, err := buildPipe(arch.XBM, true)
+			if err != nil {
+				return nil, err
+			}
+			// Read the network output's buffer before anything wrote it.
+			out := st.g.Outputs()[0]
+			base := st.fr.Layout.Base[out]
+			st.fr.Flow.Body = append([]mop.Op{mop.Mov{Src: base, Dst: base, Len: 1}}, st.fr.Flow.Body...)
+			return st, nil
+		}),
+		flowFixture("flow-bad-endpoint", RuleFlowEndpoint, VerifyFlow,
+			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
 				// Program a crossbar the chip does not have.
+				wx, ok := op.(mop.WriteXB)
 				wx.XB = st.a.TotalCrossbars() + 3
-				st.fr.Flow.Init[0] = wx
-				return VerifyFlow(st.g, st.a, st.s, st.m.FPs, st.fr), nil
-			},
-		},
-		{
-			Name: "flow-dead-mop",
-			Rule: RuleFlowDeadMOP,
-			Check: func() ([]Violation, error) {
-				st, err := buildPipe(arch.XBM, true)
-				if err != nil {
-					return nil, err
-				}
-				// A transfer into scratch that no later instruction reads:
-				// copy one defined input word into the conv node's gather
-				// buffer as the flow's very last act.
-				cim := st.g.CIMNodeIDs()[0]
-				in := st.g.InputIDs()[0]
-				scratch, ok := st.fr.Layout.Scratch[cim]
-				if !ok {
-					return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cim)
-				}
-				st.fr.Flow.Body = append(st.fr.Flow.Body,
-					mop.Mov{Src: st.fr.Layout.Base[in], Dst: scratch, Len: 1})
-				return VerifyFlowStrict(st.g, st.a, st.s, st.m.FPs, st.fr), nil
-			},
-		},
-		{
-			Name: "flow-redundant-transfer",
-			Rule: RuleFlowRedundant,
-			Check: func() ([]Violation, error) {
-				st, err := buildPipe(arch.XBM, true)
-				if err != nil {
-					return nil, err
-				}
-				// Re-issue the first gather verbatim right after itself: its
-				// source region is unchanged and its destination words still
-				// hold exactly what the original moved.
-				body := st.fr.Flow.Body
-				at := -1
-				for i, op := range body {
-					switch op.(type) {
-					case mop.Mov, mop.MovWindow:
-						at = i
-					}
-					if at >= 0 {
-						break
-					}
-				}
-				if at < 0 {
-					return nil, fmt.Errorf("fixture baseline: flow body has no transfer to duplicate")
-				}
-				dup := make([]mop.Op, 0, len(body)+1)
-				dup = append(dup, body[:at+1]...)
-				dup = append(dup, body[at])
-				dup = append(dup, body[at+1:]...)
-				st.fr.Flow.Body = dup
-				return VerifyFlowStrict(st.g, st.a, st.s, st.m.FPs, st.fr), nil
-			},
-		},
-		{
-			Name: "flow-scratch-cross-read",
-			Rule: RuleFlowScratchLap,
-			Check: func() ([]Violation, error) {
-				// Needs two CIM nodes: redirect the second dense layer's
-				// crossbar read into the first layer's gather buffer, so two
-				// nodes consume the same staged words.
-				st, err := buildPipeOn(models.MLP(), arch.XBM, true)
-				if err != nil {
-					return nil, err
-				}
-				cims := st.g.CIMNodeIDs()
-				if len(cims) < 2 {
-					return nil, fmt.Errorf("fixture baseline: want >=2 CIM nodes, got %d", len(cims))
-				}
-				first, ok := st.fr.Layout.Scratch[cims[0]]
-				if !ok {
-					return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[0])
-				}
-				second, ok := st.fr.Layout.Scratch[cims[1]]
-				if !ok {
-					return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[1])
-				}
-				redirected := false
-				var walk func(ops []mop.Op) []mop.Op
-				walk = func(ops []mop.Op) []mop.Op {
-					for i, op := range ops {
-						switch o := op.(type) {
-						case mop.Parallel:
-							o.Body = walk(o.Body)
-							ops[i] = o
-						case mop.ReadXB:
-							if !redirected && o.Src >= second {
-								o.Src = first
-								ops[i] = o
-								redirected = true
-							}
-						}
-					}
-					return ops
-				}
-				st.fr.Flow.Body = walk(st.fr.Flow.Body)
-				if !redirected {
-					return nil, fmt.Errorf("fixture baseline: no crossbar read sourced from node %d's scratch", cims[1])
-				}
-				return VerifyFlow(st.g, st.a, st.s, st.m.FPs, st.fr), nil
-			},
-		},
+				return wx, ok
+			})),
+		flowFixture("flow-unaligned-tile", RuleFlowEndpoint, VerifyFlow,
+			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
+				// A tile that ends inside a weight: its last cells slice nothing.
+				wx, ok := op.(mop.WriteXB)
+				wx.Cols--
+				return wx, ok && st.a.CellsPerWeight() > 1
+			})),
+		flowFixture("flow-read-foreign-dst", RuleFlowRegionBounds, VerifyFlow,
+			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
+				// Land a crossbar's columns in the input's region, not in the
+				// region of the node it is programmed with.
+				rd, ok := op.(mop.ReadXB)
+				rd.Dst, rd.DstStride = st.fr.Layout.Base[st.g.InputIDs()[0]], 1
+				return rd, ok
+			})),
+		flowFixture("flow-dead-mop", RuleFlowDeadMOP, VerifyFlowStrict, func() (*pipe, error) {
+			st, err := buildPipe(arch.XBM, true)
+			if err != nil {
+				return nil, err
+			}
+			// A transfer into scratch that no later instruction reads:
+			// copy one defined input word into the conv node's gather
+			// buffer as the flow's very last act.
+			cim := st.g.CIMNodeIDs()[0]
+			in := st.g.InputIDs()[0]
+			scratch, ok := st.fr.Layout.Scratch[cim]
+			if !ok {
+				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cim)
+			}
+			st.fr.Flow.Body = append(st.fr.Flow.Body,
+				mop.Mov{Src: st.fr.Layout.Base[in], Dst: scratch, Len: 1})
+			return st, nil
+		}),
+		flowFixture("flow-redundant-transfer", RuleFlowRedundant, VerifyFlowStrict, func() (*pipe, error) {
+			st, err := buildPipe(arch.XBM, true)
+			if err != nil {
+				return nil, err
+			}
+			// Re-issue the first gather verbatim right after itself: its
+			// source region is unchanged and its destination words still
+			// hold exactly what the original moved.
+			body := st.fr.Flow.Body
+			at := slices.IndexFunc(body, func(op mop.Op) bool { return op.Kind() == mop.KindDMOV })
+			if at < 0 {
+				return nil, fmt.Errorf("fixture baseline: flow body has no transfer to duplicate")
+			}
+			st.fr.Flow.Body = slices.Insert(slices.Clone(body), at+1, body[at])
+			return st, nil
+		}),
+		flowFixture("flow-scratch-cross-read", RuleFlowScratchLap, VerifyFlow, func() (*pipe, error) {
+			// Needs two CIM nodes: redirect the second dense layer's
+			// crossbar read into the first layer's gather buffer, so two
+			// nodes consume the same staged words.
+			st, err := buildPipeOn(models.MLP(), arch.XBM, true)
+			if err != nil {
+				return nil, err
+			}
+			cims := st.g.CIMNodeIDs()
+			if len(cims) < 2 {
+				return nil, fmt.Errorf("fixture baseline: want >=2 CIM nodes, got %d", len(cims))
+			}
+			first, ok := st.fr.Layout.Scratch[cims[0]]
+			if !ok {
+				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[0])
+			}
+			second, ok := st.fr.Layout.Scratch[cims[1]]
+			if !ok {
+				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[1])
+			}
+			if !editFirst(st.fr.Flow.Body, func(op mop.Op) (mop.Op, bool) {
+				rd, ok := op.(mop.ReadXB)
+				ok = ok && rd.Src >= second
+				rd.Src = first
+				return rd, ok
+			}) {
+				return nil, fmt.Errorf("fixture baseline: no crossbar read sourced from node %d's scratch", cims[1])
+			}
+			return st, nil
+		}),
 	}
 }
 

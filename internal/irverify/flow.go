@@ -5,8 +5,6 @@ import (
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/flowdata"
 	"cimmlc/internal/graph"
-	"cimmlc/internal/mapping"
-	"cimmlc/internal/sched"
 )
 
 // VerifyFlow checks the generated meta-operator flow with flow-sensitive
@@ -23,8 +21,8 @@ import (
 // Truncated flows (MaxWindowsPerOp) are not executable by design and verify
 // vacuously. The graph must be shape-inferred; callers pass the same
 // private clone codegen consumed.
-func VerifyFlow(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.Footprint, fr *codegen.Result) []Violation {
-	return problemsToViolations(flowdata.Build(g, a, s, fps, fr).Problems)
+func VerifyFlow(g *graph.Graph, a *arch.Arch, fr *codegen.Result) []Violation {
+	return problemsToViolations(flowdata.Build(g, a, fr).Problems)
 }
 
 // VerifyFlowStrict is VerifyFlow plus the advisory dataflow rules promoted
@@ -35,8 +33,8 @@ func VerifyFlow(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]map
 // what the seeded-corruption fixtures assert. It is not the default
 // compilation gate: unoptimized multi-round flows legitimately re-gather
 // unchanged data every round.
-func VerifyFlowStrict(g *graph.Graph, a *arch.Arch, s *sched.Schedule, fps map[int]mapping.Footprint, fr *codegen.Result) []Violation {
-	return problemsToViolations(flowdata.Build(g, a, s, fps, fr).StrictProblems())
+func VerifyFlowStrict(g *graph.Graph, a *arch.Arch, fr *codegen.Result) []Violation {
+	return problemsToViolations(flowdata.Build(g, a, fr).StrictProblems())
 }
 
 func problemsToViolations(ps []flowdata.Problem) []Violation {

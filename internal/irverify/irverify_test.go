@@ -26,7 +26,7 @@ func TestCleanPipelineAccepted(t *testing.T) {
 		if vs := CheckState(st.g, st.a, st.a.Mode, st.m.FPs, st.s, st.p); len(vs) > 0 {
 			t.Errorf("mode %s: clean pipeline rejected: %v", mode, vs)
 		}
-		if vs := VerifyFlow(st.g, st.a, st.s, st.m.FPs, st.fr); len(vs) > 0 {
+		if vs := VerifyFlow(st.g, st.a, st.fr); len(vs) > 0 {
 			t.Errorf("mode %s: clean flow rejected: %v", mode, vs)
 		}
 	}
@@ -108,7 +108,7 @@ func FuzzVerifyIR(f *testing.F) {
 		if err != nil {
 			t.Fatalf("verifier accepted a schedule codegen rejects: %v", err)
 		}
-		if vs := VerifyFlow(g, a, s, m.FPs, fr); len(vs) > 0 {
+		if vs := VerifyFlow(g, a, fr); len(vs) > 0 {
 			t.Fatalf("flow of an accepted schedule fails verification: %v", vs)
 		}
 		weights := graph.RandomWeights(g, 11)
