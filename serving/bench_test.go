@@ -1,14 +1,107 @@
 package serving
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"cimmlc"
 )
+
+// servedPairs are the (model, arch) pairs of the bench's serve-http workload.
+var servedPairs = [][2]string{{"conv-relu", "toy-table2"}, {"lenet5", "puma"}, {"mlp", "isaac-baseline"}}
+
+// seededRequest makes one request for a program's input schema: the tensors
+// and the body a client would send for them.
+func seededRequest(tb testing.TB, model, arch string, schema map[int][]int, seed uint64) (map[int]*cimmlc.Tensor, []byte) {
+	tb.Helper()
+	inputs := map[int]*cimmlc.Tensor{}
+	req := RunRequest{Model: model, Arch: arch, Inputs: map[string]JSONTensor{}}
+	for id, shape := range schema {
+		t := cimmlc.NewTensor(shape...)
+		t.Rand(seed*31+uint64(id)+1, 1)
+		inputs[id] = t
+		req.Inputs[strconv.Itoa(id)] = JSONTensor{Shape: shape, Data: t.Data()}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inputs, body
+}
+
+// discardWriter is a ResponseWriter that keeps the status and the byte count.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// BenchmarkHandleRun is the codec's layer number: one /v1/run request through
+// Handler().ServeHTTP in process — no network, cimserve's defaults — beside
+// Runner.Do on the same inputs, for the three pairs of the bench's serve-http
+// workload. ns/op, B/op and allocs/op are the handler's; codec_us/op is the
+// handler minus Do, what decoding the body and encoding the reply cost;
+// ftoa/op is the float conversions one reply needs from a cold memo.
+func BenchmarkHandleRun(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range servedPairs {
+		b.Run(c[0]+"."+c[1], func(b *testing.B) {
+			s := NewServer(NewRegistry(), ServerConfig{})
+			defer s.Close()
+			run, err := s.Runner(ctx, c[0], c[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs := make([]map[int]*cimmlc.Tensor, 8)
+			bodies := make([][]byte, len(inputs))
+			for i := range inputs {
+				inputs[i], bodies[i] = seededRequest(b, c[0], c[1], run.Inputs(), uint64(i))
+			}
+			var outs map[int]*cimmlc.Tensor
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if outs, err = run.Do(ctx, inputs[i%len(inputs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			do := time.Since(start)
+
+			h := s.Handler()
+			w := &discardWriter{header: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.n = 0
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(bodies[i%len(bodies)])))
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+			b.StopTimer()
+			resp := newRunResponse(c[0], c[1], outs)
+			var memo floatMemo
+			if _, err := appendRunResponse(nil, &resp, &memo); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed()-do)/float64(b.N)/1e3, "codec_us/op")
+			b.ReportMetric(float64(len(bodies[0])), "req_B")
+			b.ReportMetric(float64(w.n), "resp_B")
+			b.ReportMetric(float64(memo.conversions), "ftoa/op")
+		})
+	}
+}
 
 // BenchmarkBatcherOpenLoop is the batcher's load evidence: one Batcher with
 // cimserve's defaults over lenet5 on puma, saturated by a closed loop to
@@ -28,12 +121,7 @@ func BenchmarkBatcherOpenLoop(b *testing.B) {
 	}
 	inputs := make([]map[int]*cimmlc.Tensor, 64)
 	for i := range inputs {
-		inputs[i] = map[int]*cimmlc.Tensor{}
-		for id, shape := range p.Inputs() {
-			t := cimmlc.NewTensor(shape...)
-			t.Rand(uint64(i)*31+uint64(id)+1, 1)
-			inputs[i][id] = t
-		}
+		inputs[i], _ = seededRequest(b, "lenet5", "puma", p.Inputs(), uint64(i))
 	}
 	var cfg BatcherConfig // what cimserve runs with no flags
 

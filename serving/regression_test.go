@@ -2,12 +2,65 @@ package serving
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 
 	"cimmlc"
 )
+
+// fixedRunner answers every request with the same outputs.
+type fixedRunner struct{ outs map[int]*cimmlc.Tensor }
+
+func (r fixedRunner) Do(context.Context, map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
+	return r.outs, nil
+}
+func (fixedRunner) Inputs() map[int][]int { return nil }
+func (fixedRunner) Close()                {}
+
+// TestServerNonFiniteOutputIs500 is the regression for the empty-200 bug: an
+// output JSON cannot carry (a host-fallback float kernel can produce a NaN or
+// an infinity) used to be answered "200" with no body, because the status
+// line went out before the encoder failed and its error was dropped. It must
+// be a 500 whose JSON error names the output node.
+func TestServerNonFiniteOutputIs500(t *testing.T) {
+	for name, bad := range map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1)), "-Inf": float32(math.Inf(-1))} {
+		t.Run(name, func(t *testing.T) {
+			out, err := cimmlc.TensorFromSlice([]float32{1, bad, 1}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewServer(NewRegistry(), ServerConfig{Runner: func(context.Context, *Registry, string, string) (Runner, error) {
+				return fixedRunner{map[int]*cimmlc.Tensor{7: out}}, nil
+			}})
+			defer s.Close()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(`{"model":"m","arch":"a"}`)))
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500 (body %q)", rec.Code, rec.Body)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "output 7") {
+				t.Fatalf("body %q should be a JSON error naming output 7 (%v)", rec.Body, err)
+			}
+		})
+	}
+}
+
+// TestWriteJSONEncodesBeforeTheStatusLine holds every other route to the same
+// rule: a value that does not encode is a 500 with an error body.
+func TestWriteJSONEncodesBeforeTheStatusLine(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"fleets": []any{math.NaN()}})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+		t.Fatalf("status %d body %q, want a 500 JSON error (%v)", rec.Code, rec.Body, err)
+	}
+}
 
 // TestRegisterArchInvalidatesResidentPrograms is the regression for the
 // stale-Program bug: re-registering an architecture (same name, new

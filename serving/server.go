@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,14 +216,37 @@ type RunResponse struct {
 	Outputs map[string]JSONTensor `json:"outputs"`
 }
 
+// newRunResponse is the reply for a runner's outputs; the tensors' data is
+// shared, not copied.
+func newRunResponse(model, arch string, outs map[int]*cimmlc.Tensor) RunResponse {
+	resp := RunResponse{Model: model, Arch: arch, Outputs: make(map[string]JSONTensor, len(outs))}
+	for id, t := range outs {
+		resp.Outputs[strconv.Itoa(id)] = JSONTensor{Shape: t.Shape(), Data: t.Data()}
+	}
+	return resp
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it writes the status line, so a value that
+// does not encode is a 500 with an error body, never a 200 with none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("serving: encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody answers with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // the client is gone; nobody is left to tell
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -272,7 +295,7 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with the arch JSON as body"))
 		return
 	}
-	data, ok := s.readBody(w, r)
+	data, ok := s.readBody(w, r, nil)
 	if !ok {
 		return
 	}
@@ -289,12 +312,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	data, ok := s.readBody(w, r)
+	wb := wirePool.Get().(*wireBuf)
+	defer putWireBuf(wb)
+	data, ok := s.readBody(w, r, wb.b)
 	if !ok {
 		return
 	}
-	var req RunRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	wb.b = data
+	req, err := decodeRunRequest(data)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serving: bad request body: %w", err))
 		return
 	}
@@ -320,11 +346,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := RunResponse{Model: req.Model, Arch: req.Arch, Outputs: map[string]JSONTensor{}}
-	for id, t := range outs {
-		resp.Outputs[strconv.Itoa(id)] = JSONTensor{Shape: t.Shape(), Data: t.Data()}
+	resp := newRunResponse(req.Model, req.Arch, outs)
+	// req shares no memory with the body, so the reply can take its buffer.
+	wb.b, err = appendRunResponse(wb.b[:0], &resp, &wb.memo)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, wb.b)
 }
 
 // handleFleet lists the cluster state of every resident runner that
@@ -445,11 +474,14 @@ func inputIDs(schema map[int][]int) string {
 	return strings.Join(parts, ", ")
 }
 
-// readBody reads a request body, capped so an oversized request cannot
-// exhaust memory. On failure it answers the request — 413 over the cap, 400
+// readBody reads a request body into buf's storage, grown first to the
+// declared Content-Length, and capped so an oversized request cannot exhaust
+// memory. On failure it answers the request — 413 over the cap, 400
 // otherwise — and reports false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
+	// One byte over the declared length, so the read that finds EOF fits.
+	buf = slices.Grow(buf[:0], int(min(max(r.ContentLength, 0), s.maxBody, maxPooledBuf))+1)
+	data, err := readInto(buf, http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err == nil {
 		return data, true
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -26,11 +27,14 @@ func testGateway(t *testing.T) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	return post(t, url, bytes.NewReader(mustMarshal(t, body)))
+}
+
+// post sends body as it is. A *bytes.Reader or *strings.Reader goes with a
+// Content-Length, any other reader chunked.
+func post(t *testing.T, url string, body io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,36 +121,54 @@ func TestServerRunExplicitInputsMatchDirectRun(t *testing.T) {
 
 func TestServerRunErrors(t *testing.T) {
 	_, ts := testGateway(t)
+	oversized := RunRequest{Model: "conv-relu", Arch: "toy-table2",
+		Inputs: map[string]JSONTensor{"0": {Data: make([]float32, 200_000)}}}
 	cases := []struct {
 		name string
 		req  RunRequest
+		raw  string // sent in place of req when set
 		code int
 		frag string
 	}{
-		{"unknown model", RunRequest{Model: "no-such", Arch: "toy-table2"}, http.StatusNotFound, "available:"},
-		{"unknown arch", RunRequest{Model: "conv-relu", Arch: "no-such"}, http.StatusNotFound, "available:"},
+		{"unknown model", RunRequest{Model: "no-such", Arch: "toy-table2"}, "", http.StatusNotFound, "available:"},
+		{"unknown arch", RunRequest{Model: "conv-relu", Arch: "no-such"}, "", http.StatusNotFound, "available:"},
 		// Both names exist; this registry (no host fallback) cannot compile
 		// the pair, and says so quoting "available:" like a lookup failure.
-		{"unsupported operator", RunRequest{Model: "conv-gate", Arch: "puma"}, http.StatusUnprocessableEntity, "no CIM lowering"},
-		{"oversized body", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"0": {Data: make([]float32, 200_000)}}}, http.StatusRequestEntityTooLarge, "too large"},
-		{"missing fields", RunRequest{}, http.StatusBadRequest, "model and arch"},
+		{"unsupported operator", RunRequest{Model: "conv-gate", Arch: "puma"}, "", http.StatusUnprocessableEntity, "no CIM lowering"},
+		{"oversized body", oversized, "", http.StatusRequestEntityTooLarge, "too large"},
+		{"missing fields", RunRequest{}, "", http.StatusBadRequest, "model and arch"},
 		{"bad input key", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"zero": {Data: []float32{1}}}}, http.StatusBadRequest, "not a node ID"},
+			Inputs: map[string]JSONTensor{"zero": {Data: []float32{1}}}}, "", http.StatusBadRequest, "not a node ID"},
 		{"wrong shape", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"0": {Shape: []int{2, 2}, Data: []float32{1, 2, 3, 4}}}}, http.StatusBadRequest, "expects"},
+			Inputs: map[string]JSONTensor{"0": {Shape: []int{2, 2}, Data: []float32{1, 2, 3, 4}}}}, "", http.StatusBadRequest, "expects"},
 		// The malformed requests Program.Run itself rejects (missing, nil,
 		// unknown node, wrong element count) never reach it from the wire.
 		{"unknown node", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"99": {Data: []float32{1}}}}, http.StatusBadRequest, "not an input"},
+			Inputs: map[string]JSONTensor{"99": {Data: []float32{1}}}}, "", http.StatusBadRequest, "not an input"},
 		{"null tensor", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"0": {}}}, http.StatusBadRequest, "input 0"},
+			Inputs: map[string]JSONTensor{"0": {}}}, "", http.StatusBadRequest, "input 0"},
 		{"wrong element count", RunRequest{Model: "conv-relu", Arch: "toy-table2",
-			Inputs: map[string]JSONTensor{"0": {Data: []float32{1, 2, 3}}}}, http.StatusBadRequest, "input 0"},
+			Inputs: map[string]JSONTensor{"0": {Data: []float32{1, 2, 3}}}}, "", http.StatusBadRequest, "input 0"},
+		// Bodies the wire codec's parser declines are encoding/json's to
+		// answer, as every body was before it: valid ones still serve, and
+		// a malformed one is still a 400 carrying json's own message.
+		{name: "escaped key", raw: `{"mod\u0065l":"conv-relu","arch":"toy-table2","seed":1}`, code: http.StatusOK, frag: `"outputs"`},
+		{name: "unknown field", raw: `{"model":"conv-relu","arch":"toy-table2","seed":1,"trace":[[1],{"k":null}]}`, code: http.StatusOK, frag: `"outputs"`},
+		{name: "whitespace", raw: " {\n\t\"model\" : \"conv-relu\" ,\r\n \"arch\": \"toy-table2\", \"seed\" : 1 }\n", code: http.StatusOK, frag: `"outputs"`},
+		{name: "case-folded key", raw: `{"Model":"conv-relu","ARCH":"toy-table2"}`, code: http.StatusOK, frag: `"outputs"`},
+		{name: "duplicate key", raw: `{"model":"no-such","model":"conv-relu","arch":"toy-table2"}`, code: http.StatusOK, frag: `"outputs"`},
+		{name: "number out of range", raw: `{"model":"conv-relu","arch":"toy-table2","inputs":{"0":{"data":[1e39]}}}`,
+			code: http.StatusBadRequest, frag: "cannot unmarshal number 1e39"},
+		{name: "trailing bytes", raw: `{"model":"conv-relu","arch":"toy-table2"}]`, code: http.StatusBadRequest, frag: "invalid character ']' after top-level value"},
+		{name: "truncated", raw: `{"model":"conv-relu","arch":"toy-table2","inputs":{"0":{"data":[1,2`, code: http.StatusBadRequest, frag: "unexpected end of JSON input"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts.URL+"/v1/run", tc.req)
+			var sent io.Reader = strings.NewReader(tc.raw)
+			if tc.raw == "" {
+				sent = bytes.NewReader(mustMarshal(t, tc.req))
+			}
+			resp, body := post(t, ts.URL+"/v1/run", sent)
 			if resp.StatusCode != tc.code {
 				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.code, body)
 			}
@@ -155,6 +177,13 @@ func TestServerRunErrors(t *testing.T) {
 			}
 		})
 	}
+	// The same oversized body with no Content-Length to presize from.
+	t.Run("oversized body chunked", func(t *testing.T) {
+		resp, body := post(t, ts.URL+"/v1/run", struct{ io.Reader }{bytes.NewReader(mustMarshal(t, oversized))})
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "too large") {
+			t.Fatalf("status = %d, want 413 (%s)", resp.StatusCode, body)
+		}
+	})
 }
 
 // TestServerBadArchReturns400 is the end-to-end regression for the old
