@@ -13,9 +13,13 @@
 //	cimserve -replicas 2 -max-replicas 8         # fleet: 2 chips/model, autoscaling to 8
 //
 // With -replicas N (N ≥ 1) each (model, arch) pair is served by a fleet of
-// N simulated chip replicas behind a least-loaded router; -max-replicas M
-// (M > N) additionally lets queue depth autoscale the fleet up to M chips.
-// Models too large for one chip are served by cross-chip pipelining.
+// N replicas behind a least-loaded router; -max-replicas M (M > N)
+// additionally lets queue depth autoscale the fleet up to M replicas. The
+// compiler decides how many chips a replica occupies: a model whose weights
+// fit one chip is served from one, a larger one is cut across as many chips
+// as it needs and its requests pipelined over them (GET /v1/fleet reports
+// mode "pipeline" and the chips per replica as "stages"). Without -replicas
+// such a model is served from one chip, reloading weights as it goes.
 //
 // Routes:
 //
@@ -70,15 +74,18 @@ func main() {
 	}
 }
 
-func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
+// newGateway assembles the gateway the flags describe: the registry with the
+// user architectures registered, the batching and fleet configuration, and
+// every -preload pair built.
+func newGateway(maxBatch, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) (*serving.Server, error) {
 	if replicas < 0 || maxReplicas < 0 {
-		return fmt.Errorf("-replicas and -max-replicas must be non-negative")
+		return nil, fmt.Errorf("-replicas and -max-replicas must be non-negative")
 	}
 	if maxReplicas > 0 && replicas == 0 {
-		return fmt.Errorf("-max-replicas requires -replicas")
+		return nil, fmt.Errorf("-max-replicas requires -replicas")
 	}
 	if maxReplicas > 0 && maxReplicas < replicas {
-		return fmt.Errorf("-max-replicas %d < -replicas %d", maxReplicas, replicas)
+		return nil, fmt.Errorf("-max-replicas %d < -replicas %d", maxReplicas, replicas)
 	}
 	regOpts := []serving.RegistryOption{serving.WithWeightSeed(seed)}
 	if hostFallback {
@@ -88,11 +95,11 @@ func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, h
 	for _, f := range archFiles {
 		data, err := os.ReadFile(f)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name, err := reg.RegisterArchJSON(data)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
+			return nil, fmt.Errorf("%s: %w", f, err)
 		}
 		fmt.Printf("registered architecture %q from %s\n", name, f)
 	}
@@ -110,15 +117,25 @@ func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, h
 	for _, p := range preloads {
 		model, arch, ok := strings.Cut(p, ":")
 		if !ok {
-			return fmt.Errorf("-preload %q: want model:arch", p)
+			gw.Close()
+			return nil, fmt.Errorf("-preload %q: want model:arch", p)
 		}
 		start := time.Now()
 		// Through the gateway, not the registry: what must be warm is the
 		// runner requests reach (with -replicas, the fleet's own replicas).
 		if _, err := gw.Runner(context.Background(), model, arch); err != nil {
-			return fmt.Errorf("-preload %s: %w", p, err)
+			gw.Close()
+			return nil, fmt.Errorf("-preload %s: %w", p, err)
 		}
 		fmt.Printf("preloaded %s on %s in %v\n", model, arch, time.Since(start).Round(time.Millisecond))
+	}
+	return gw, nil
+}
+
+func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, hostFallback bool, replicas, maxReplicas int, archFiles, preloads []string) error {
+	gw, err := newGateway(maxBatch, queue, timeout, seed, hostFallback, replicas, maxReplicas, archFiles, preloads)
+	if err != nil {
+		return err
 	}
 
 	srv := &http.Server{Addr: addr, Handler: gw.Handler()}
@@ -146,7 +163,7 @@ func run(addr string, maxBatch, queue int, timeout time.Duration, seed uint64, h
 	defer cancel()
 	// Stop accepting connections first, then drain the batchers so queued
 	// requests still get answers.
-	err := srv.Shutdown(ctx)
+	err = srv.Shutdown(ctx)
 	gw.Close()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -15,6 +15,7 @@ import (
 	"cimmlc/internal/flowopt"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
+	"cimmlc/internal/partition"
 )
 
 // DefaultCacheSize is the artifact-cache capacity a Compiler gets when
@@ -232,14 +233,13 @@ func (c *Compiler) Stats() Stats {
 // traffic for the same model returns the same *Result, which callers must
 // treat as read-only.
 func (c *Compiler) Compile(ctx context.Context, g *Graph) (*Result, error) {
-	return c.compile(ctx, g, "", func(ctx context.Context, gc *Graph, a *Arch) (*Result, error) {
-		return core.CompilePasses(ctx, gc, a, c.opt, c.passes, c.trace)
-	})
+	return c.compile(ctx, g, partition.Options{})
 }
 
-// compile memoizes run(g) in the artifact cache under g's fingerprint plus
-// variant, which names what run does beyond the compiler's own option set.
-func (c *Compiler) compile(ctx context.Context, g *Graph, variant string, run func(context.Context, *Graph, *Arch) (*Result, error)) (*Result, error) {
+// compile memoizes one compilation of g under the partitioner's policies cut
+// in the artifact cache: for one chip, or with cut.Chip set over as many as
+// the chip policy needs.
+func (c *Compiler) compile(ctx context.Context, g *Graph, cut partition.Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -257,7 +257,10 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, variant string, run fu
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Compile: %w", err)
 		}
-		key = fingerprint(data) + "|" + c.archFP + "|" + c.optFP + variant
+		key = fingerprint(data) + "|" + c.archFP + "|" + c.optFP
+		if cut.Chip != nil {
+			key += fmt.Sprintf("|chips=%d", cut.MaxChips)
+		}
 	} else if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("cimmlc: Compile: graph: refusing to encode invalid graph: %w", err)
 	}
@@ -280,7 +283,10 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, variant string, run fu
 	// a private copy of the architecture, so concurrent callers sharing g
 	// never race and cached results are immune to later caller mutations.
 	a := c.arch
-	res, err := run(ctx, g.Clone(), &a)
+	if cut.Chip != nil {
+		cut.Chip = &a
+	}
+	res, err := core.CompilePasses(ctx, g.Clone(), &a, c.opt, cut, c.passes, c.trace)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cimmlc/internal/core"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
 	"cimmlc/internal/partition"
@@ -126,30 +127,44 @@ func TestHostFallbackEndToEnd(t *testing.T) {
 
 // TestPartitionedRunBatchDeterminism is the one lane-identity table over every
 // plan shape — host-cut, chip-cut (the model WithStationaryWeights rejects,
-// served across chips) and the one-stage plan: the program verifies against
+// served across chips), both cuts at once (a gated stack whose CIM part
+// overflows one chip) and the one-stage plan: the program verifies against
 // the reference executors, RunBatch on 8 workers (run under -race) carries the
 // requests through the stages in shared micro-batches yet returns what
-// per-request Run returns bit for bit, stage-wise execution through RunStage
-// and StageBoundary (the fleet path) does too, and the stats describe the
-// plan.
+// per-request Run returns bit for bit, chip-wise execution through RunChip
+// (the serving path) does too, and the stats describe the plan.
 func TestPartitionedRunBatchDeterminism(t *testing.T) {
 	ctx := context.Background()
-	for _, shape := range []struct {
-		name, link    string // link is the PartitionStats.Link expected; "" for a one-stage plan
-		model, preset string
-		shrink        bool // jia-small: the zoo mlp needs 13 cores, the shrunk chip has 8
-		tol           float64
-		copts         []Option
-	}{
-		{"host-cut", "host", "conv-gate", "puma", false, 0.12, []Option{WithHostFallback()}},
-		{"chip-cut", "chip", "mlp", "jia-isscc21", true, 0.05, []Option{WithStationaryWeights()}},
-		{"one-stage", "", "conv-relu", "toy-table2", false, 0.05, nil},
-	} {
-		t.Run(shape.name, func(t *testing.T) {
-			g, err := Model(shape.model)
+	zoo := func(name string) func() *Graph {
+		return func() *Graph {
+			g, err := Model(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return g
+		}
+	}
+	// On jia-small the first Dense fills a chip (8 cores), the second opens
+	// the next one: a chip-link edge, then the host-link edges of the gate.
+	gated := func() *Graph {
+		return graph.NewBuilder("mlp-gated", 784).Dense(256).Dense(128).Sigmoid().Dense(10).MustFinish()
+	}
+	for _, shape := range []struct {
+		name, link string // link is the PartitionStats.Link expected; "" for a one-stage plan
+		chips      int
+		graph      func() *Graph
+		preset     string
+		shrink     bool // jia-small: the zoo mlp needs 13 cores, the shrunk chip has 8
+		tol        float64
+		copts      []Option
+	}{
+		{"host-cut", "host", 1, zoo("conv-gate"), "puma", false, 0.12, []Option{WithHostFallback()}},
+		{"chip-cut", "chip", 2, zoo("mlp"), "jia-isscc21", true, 0.05, []Option{WithStationaryWeights()}},
+		{"mixed", "host+chip", 2, gated, "jia-isscc21", true, 0.12, []Option{WithHostFallback(), WithStationaryWeights()}},
+		{"one-stage", "", 1, zoo("conv-relu"), "toy-table2", false, 0.05, nil},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			g := shape.graph()
 			a, err := Preset(shape.preset)
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +179,7 @@ func TestPartitionedRunBatchDeterminism(t *testing.T) {
 			w := RandomWeights(g, 7)
 			bopts := []BuildOption{WithCalibration(mixedTestInput(g, 1)), WithWorkers(8)}
 			var p *Program
-			if shape.link == "chip" {
+			if shape.shrink {
 				p, err = c.BuildPipeline(ctx, g, w, CodegenOptions{}, 0, bopts...)
 			} else {
 				p, err = c.Build(ctx, g, w, CodegenOptions{}, bopts...)
@@ -206,71 +221,53 @@ func TestPartitionedRunBatchDeterminism(t *testing.T) {
 				t.Fatalf("RunBatch counted %d requests, want %d", d, n)
 			}
 
-			// Fleet-style stage-wise execution.
-			env := map[int]*Tensor{}
-			for id, in := range reqs[0] {
-				env[id] = in
+			// Serving-style chip-wise execution: one request alone, then all n
+			// at once, a lane each — what a chip does with the jobs that
+			// queued while it was busy. Either way it must equal n one-lane
+			// Runs bit for bit, and the lanes must count as micro-batched.
+			if p.Chips() != shape.chips {
+				t.Fatalf("program occupies %d chips, want %d", p.Chips(), shape.chips)
 			}
-			for i := 0; i < p.Stages(); i++ {
-				needs, exports := p.StageBoundary(i)
-				for _, gid := range needs {
-					if _, ok := env[gid]; !ok {
-						t.Fatalf("stage %d needs node %d before it is produced", i, gid)
+			for _, lanes := range []int{1, n} {
+				after = p.Stats()
+				envs := make([]map[int]*Tensor, lanes)
+				for i := range envs {
+					envs[i] = maps.Clone(reqs[i])
+				}
+				for c := 0; c < p.Chips(); c++ {
+					if err := p.RunChip(ctx, c, envs...); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if err := p.RunStage(ctx, i, env); err != nil {
-					t.Fatal(err)
-				}
-				for _, gid := range exports {
-					if env[gid] == nil {
-						t.Fatalf("stage %d did not publish its export %d", i, gid)
+				for i, env := range envs {
+					for id, wt := range want[i] {
+						if !tensor.AllClose(env[id], wt, 0) {
+							t.Fatalf("lane %d of the %d-lane chip-wise pass: output %d diverges from Run", i, lanes, id)
+						}
 					}
 				}
-			}
-			for id, wt := range want[0] {
-				if !tensor.AllClose(env[id], wt, 0) {
-					t.Fatalf("stage-wise output %d diverges from Run", id)
+				st, batched := p.Stats(), 0
+				if lanes > 1 {
+					batched = lanes
+				}
+				if st.Requests-after.Requests != uint64(lanes) || st.BatchedRequests-after.BatchedRequests != uint64(batched) {
+					t.Fatalf("%d-lane chip-wise pass counted %d requests, %d of them batched", lanes,
+						st.Requests-after.Requests, st.BatchedRequests-after.BatchedRequests)
 				}
 			}
-			if d := p.Stats().Requests - after.Requests; d != 1 {
-				t.Fatalf("stage-wise pass counted %d requests, want 1", d)
-			}
-
-			// The same stage-wise pass over all n requests at once, a lane
-			// each: what a chip does with the jobs that queued while it was
-			// busy. It must equal n one-lane passes bit for bit and count as
-			// micro-batched.
-			after = p.Stats()
-			envs := make([]map[int]*Tensor, n)
-			for i, req := range reqs {
-				envs[i] = maps.Clone(req)
-			}
-			for i := 0; i < p.Stages(); i++ {
-				if err := p.RunStage(ctx, i, envs...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := range reqs {
-				for id, wt := range want[i] {
-					if !tensor.AllClose(envs[i][id], wt, 0) {
-						t.Fatalf("lane %d of the %d-lane stage-wise pass: output %d diverges from Run", i, n, id)
-					}
-				}
-			}
-			if st := p.Stats(); st.Requests-after.Requests != n || st.BatchedRequests-after.BatchedRequests != n {
-				t.Fatalf("%d-lane stage-wise pass counted %d requests, %d of them batched", n,
-					st.Requests-after.Requests, st.BatchedRequests-after.BatchedRequests)
+			if err := p.RunChip(ctx, p.Chips(), maps.Clone(reqs[0])); err == nil {
+				t.Fatalf("RunChip accepted chip %d of %d", p.Chips(), p.Chips())
 			}
 
 			ps := p.Stats().Partition
 			if shape.link == "" {
-				if ps != nil || p.Stages() != 1 || p.Flow() == nil {
-					t.Fatalf("one-stage plan reports %d stages, partition %+v, flow %v", p.Stages(), ps, p.Flow())
+				if ps != nil || p.Result().Partition != nil || p.Flow() == nil {
+					t.Fatalf("one-stage plan reports partition %+v, flow %v", ps, p.Flow())
 				}
 				return
 			}
-			if ps == nil || ps.Link != shape.link || ps.Subgraphs != p.Stages() || p.Stages() < 2 || p.Flow() != nil {
-				t.Fatalf("staged plan (%d stages) reports partition %+v", p.Stages(), ps)
+			if ps == nil || ps.Link != shape.link || ps.Subgraphs != len(p.Result().Partition.Subs) || ps.Subgraphs < 2 || p.Flow() != nil {
+				t.Fatalf("staged plan reports partition %+v", ps)
 			}
 			if len(ps.StageCores) != ps.Subgraphs || len(ps.StageCycles) != ps.Subgraphs {
 				t.Fatalf("stats shape mismatch: %+v", ps)
@@ -337,16 +334,15 @@ func TestHostFallbackMonolithicIdentity(t *testing.T) {
 	}
 }
 
-// FuzzPartition generates random layer stacks and cuts them with both
-// cutters: chip == 0 partitions mixed CIM/host stacks (with optional ForceHost
-// evictions) under host fallback; chip > 0 shrinks toy-table2 to one or two
-// cores and pipelines the stack across chips under stationary weights. Every
-// plan must pass the part/* verifier rules, build, verify (each CIM stage
-// bit-exact against the quantized reference), run, report a latency
-// decomposition that sums to Report.Cycles, and carry RunBatch lanes through
-// its stages bit-identically to per-request Run; graphs that need no cut stay
-// one-stage, and ChipStages rejects host-only operators. CI runs this for 10s
-// as a smoke.
+// FuzzPartition generates random layer stacks and cuts them with both of the
+// cutter's policies at once: the target policy sends host-only operators (and
+// an optional ForceHost eviction) to the host; chip > 0 shrinks toy-table2 to
+// one or two cores and spreads what is left on the accelerator across chips
+// under stationary weights. Every plan must pass the part/* verifier rules,
+// build, verify (each CIM stage bit-exact against the quantized reference),
+// run, report a latency decomposition that sums to Report.Cycles, and carry
+// RunBatch lanes through its stages bit-identically to per-request Run; graphs
+// that need no cut stay one-stage. CI runs this for 10s as a smoke.
 func FuzzPartition(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 3, 0}, uint8(0), uint8(0), uint64(1))
 	f.Add([]byte{0, 1, 0}, uint8(0), uint8(0), uint64(2))
@@ -355,12 +351,14 @@ func FuzzPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 4, 0, 6, 0}, uint8(0), uint8(1), uint64(5))
 	f.Add([]byte{0, 0, 1}, uint8(0), uint8(2), uint64(6))
 	f.Add([]byte{0, 2, 0}, uint8(0), uint8(1), uint64(7))
+	f.Add([]byte{0, 0, 2, 0, 5, 0, 0}, uint8(3), uint8(1), uint64(8))
+	f.Add([]byte{0, 3, 0, 0, 6, 0}, uint8(4), uint8(2), uint64(9))
+	f.Add([]byte{6, 6}, uint8(2), uint8(0), uint64(10)) // nothing host-only, nothing weighted: the eviction alone cuts
 	f.Fuzz(func(t *testing.T, layers []byte, forceHost, chip uint8, seed uint64) {
 		if len(layers) == 0 || len(layers) > 12 {
 			t.Skip()
 		}
 		b := graph.NewBuilder("fuzz-partition", 16)
-		hostOnly := false
 		for _, l := range layers {
 			switch l % 7 {
 			case 0:
@@ -369,16 +367,13 @@ func FuzzPartition(f *testing.F) {
 				b.ReLU()
 			case 2:
 				b.Sigmoid()
-				hostOnly = true
 			case 3:
 				b.Tanh()
-				hostOnly = true
 			case 4:
 				b.GELU()
 			case 5:
 				// Gate against an earlier same-shape node (all are [16]).
 				b.MulFrom(b.Last - b.Last%2)
-				hostOnly = true
 			case 6:
 				b.AddFrom(b.Last - b.Last%2)
 			}
@@ -391,57 +386,45 @@ func FuzzPartition(f *testing.F) {
 		a, _ := Preset("toy-table2")
 		w := graph.RandomWeights(g, seed)
 
-		var (
-			plan *partition.Plan
-			p    *Program
-		)
+		var cut partition.Options
+		copts := []Option{WithHostFallback(), WithCache(0)}
+		if forceHost > 0 {
+			// Evict one non-input node deterministically.
+			cut.ForceHost = []int{1 + int(forceHost)%(len(g.Nodes)-1)}
+		}
 		if chip > 0 {
 			a.Chip.CoreRows = 1 + int(chip)%2 // each Dense(16) occupies one core
-			plan, err = partition.ChipStages(g, a, 0)
-			if hostOnly {
-				if err == nil {
-					t.Fatal("ChipStages accepted a host-only operator")
-				}
-				return
-			}
-		} else {
-			var opts partition.Options
-			if forceHost > 0 {
-				// Evict one non-input node deterministically.
-				opts.ForceHost = []int{1 + int(forceHost)%(len(g.Nodes)-1)}
-			}
-			plan, err = partition.Partition(g, opts)
+			cut.Chip = a
+			copts = append(copts, WithStationaryWeights())
 		}
+		plan, err := partition.Partition(g, cut)
 		if err != nil {
 			t.Fatalf("cut: %v", err)
 		}
 		if vs := irverify.VerifyPartition(plan); len(vs) > 0 {
 			t.Fatalf("plan for %d layers violates soundness: %v", len(layers), vs[0])
 		}
-		if chip > 0 {
-			c, err := New(a, WithStationaryWeights(), WithCache(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err = c.BuildPipeline(ctx, g, w, CodegenOptions{}, 0, WithWorkers(1))
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			if (len(plan.Subs) == 1) != (p.Result().Partition == nil) || p.Stages() != len(plan.Subs) {
-				t.Fatalf("ChipStages cut %d stages, BuildPipeline built %d (partition %v)", len(plan.Subs), p.Stages(), p.Result().Partition != nil)
-			}
-		} else {
-			c, err := New(a, WithHostFallback(), WithCache(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err = c.Build(ctx, g, w, CodegenOptions{}, WithWorkers(1))
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			if !hostOnly && forceHost == 0 && p.Result().Partition != nil {
-				t.Fatal("fully supported graph produced a partitioned result")
-			}
+		// Build what the compiler makes of the same cut: Compiler.Build and
+		// BuildPipeline reach it with no eviction.
+		c, err := New(a, copts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.CompilePasses(ctx, g.Clone(), a, c.opt, cut, c.passes, nil)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		p, err := c.buildStaged(ctx, g, res, w, CodegenOptions{}, []BuildOption{WithWorkers(1)})
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		whole := len(plan.Subs) == 1 && plan.Subs[0].Target == TargetCIM
+		if whole != (res.Partition == nil) || p.Chips() != plan.Subs[len(plan.Subs)-1].Chip+1 {
+			t.Fatalf("the cutter made %d stages on %d chips, the build %d chips (partition %v)",
+				len(plan.Subs), plan.Subs[len(plan.Subs)-1].Chip+1, p.Chips(), res.Partition != nil)
+		}
+		if len(g.HostOnlyNodeIDs()) == 0 && forceHost == 0 && chip == 0 && !whole {
+			t.Fatal("fully supported graph produced a partitioned result")
 		}
 
 		// Arbitrary quantized stacks have unbounded relative error, so the

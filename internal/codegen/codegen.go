@@ -375,7 +375,7 @@ func (e *emitter) emitDigital(flow *mop.Flow, id int) error {
 		})
 		return nil
 	}
-	fn, ok := dcomFn(n.Op)
+	fn, ok := DcomFn(n.Op)
 	if !ok {
 		return fmt.Errorf("codegen: no DCOM lowering for %s", n.Op)
 	}
@@ -387,7 +387,9 @@ func (e *emitter) emitDigital(flow *mop.Flow, id int) error {
 	return nil
 }
 
-func dcomFn(op graph.Op) (mop.DcomFn, bool) {
+// DcomFn names the DCOM function a digital operator lowers to — the one
+// op→DCOM table, shared with funcsim's quantized reference.
+func DcomFn(op graph.Op) (mop.DcomFn, bool) {
 	switch op {
 	case graph.OpReLU:
 		return mop.FnReLU, true

@@ -26,26 +26,25 @@ type SubResult struct {
 	Cycles float64
 }
 
-// PartitionInfo bundles a staged compilation (host-cut or chip-cut): the
-// partition plan, per-subgraph results in execution order, and the latency
-// decomposition the aggregate Report.Cycles is built from.
+// PartitionInfo bundles a staged compilation: the partition plan,
+// per-subgraph results in execution order, and the latency decomposition the
+// aggregate Report.Cycles is built from.
 type PartitionInfo struct {
 	Plan *partition.Plan
 	Subs []SubResult
 	// CIMCycles, HostCycles and TransferCycles decompose the aggregate
 	// latency: accelerator subgraphs, host subgraphs, and the transfers at
-	// the cut edges (on Plan.Link).
+	// the cut edges (each on its own link tier).
 	CIMCycles      float64
 	HostCycles     float64
 	TransferCycles float64
 }
 
-// CompilePlan is the staged pipeline, shared by every cutter: verify the
-// plan, run the normal single-target pipeline over every CIM subgraph, charge
-// host subgraphs with the host cost model, and cost the cut-edge transfers on
-// the plan's link tier. CompilePasses feeds it host-cut plans; the root
-// package's BuildPipeline feeds it chip-cut ones.
-func CompilePlan(ctx context.Context, plan *partition.Plan, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
+// compilePlan is the staged pipeline: verify the plan, run the normal
+// single-target pipeline over every CIM subgraph, charge host subgraphs with
+// the host cost model, and cost every cut-edge transfer on the link tier it
+// crosses.
+func compilePlan(ctx context.Context, plan *partition.Plan, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
 	if opt.VerifyIR {
 		if vs := irverify.VerifyPartition(plan); len(vs) > 0 {
 			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "partition", Violations: vs})
@@ -90,7 +89,7 @@ func CompilePlan(ctx context.Context, plan *partition.Plan, a *arch.Arch, opt Op
 	}
 	//cimlint:ignore ctxcancel -- sum over cut-edge count, trivially bounded; the subgraph loop above polls
 	for _, t := range plan.Transfers {
-		info.TransferCycles += perfsim.TransferCost(a, plan.Link, t.Elems)
+		info.TransferCycles += perfsim.TransferCost(a, t.Link, t.Elems)
 	}
 	agg.Cycles = info.CIMCycles + info.HostCycles + info.TransferCycles
 	return &Result{Report: agg, Partition: info}, nil

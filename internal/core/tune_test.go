@@ -6,6 +6,7 @@ import (
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/models"
+	"cimmlc/internal/partition"
 	"cimmlc/internal/tuner"
 )
 
@@ -26,7 +27,7 @@ func TestCompileWithTune(t *testing.T) {
 	}
 
 	budget := tuner.Budget{MaxCandidates: 24}
-	tuned, err := CompileCtx(context.Background(), g.Clone(), a, Options{Tune: &budget})
+	tuned, err := Compile(g.Clone(), a, Options{Tune: &budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestCompileWithTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inert, err := CompilePasses(context.Background(), g.Clone(), a, Options{}, passes, nil)
+	inert, err := CompilePasses(context.Background(), g.Clone(), a, Options{}, partition.Options{}, passes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

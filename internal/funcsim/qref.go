@@ -46,7 +46,7 @@ func QuantReferenceCalib(g *graph.Graph, a *arch.Arch, weights graph.Weights, ca
 		case n.Op == graph.OpFlatten || n.Op == graph.OpIdentity:
 			body = append(body, mop.Mov{Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
 		default:
-			fn, ok := dcomFnFor(n.Op)
+			fn, ok := codegen.DcomFn(n.Op)
 			if !ok {
 				return nil, fmt.Errorf("funcsim: no reference lowering for %s", n.Op)
 			}
@@ -80,34 +80,6 @@ func referenceLayout(g *graph.Graph) *codegen.Layout {
 	}
 	lay.Total = next
 	return lay
-}
-
-func dcomFnFor(op graph.Op) (mop.DcomFn, bool) {
-	switch op {
-	case graph.OpReLU:
-		return mop.FnReLU, true
-	case graph.OpGELU:
-		return mop.FnGELU, true
-	case graph.OpAdd:
-		return mop.FnAdd, true
-	case graph.OpMaxPool:
-		return mop.FnMaxPool, true
-	case graph.OpAvgPool:
-		return mop.FnAvgPool, true
-	case graph.OpGlobalAvgPool:
-		return mop.FnGAP, true
-	case graph.OpSoftmax:
-		return mop.FnSoftmax, true
-	case graph.OpLayerNorm:
-		return mop.FnLayerNorm, true
-	case graph.OpMatMul:
-		return mop.FnMatMul, true
-	case graph.OpTranspose:
-		return mop.FnTranspose, true
-	case graph.OpConcat:
-		return mop.FnConcat, true
-	}
-	return "", false
 }
 
 // RunFlow executes a generated flow on a fresh machine and returns the

@@ -12,17 +12,18 @@ import (
 // families: the vet CLI and the selftest fixtures quote them verbatim.
 const (
 	RulePartCoverage = "part/coverage"  // every node in exactly one subgraph
-	RulePartTarget   = "part/target"    // node target matches its subgraph; host-only never on CIM
-	RulePartCut      = "part/cut-edge"  // transfers exactly at cross-subgraph edges
+	RulePartTarget   = "part/target"    // node target matches its subgraph; host-only never on CIM; chips in order
+	RulePartCut      = "part/cut-edge"  // transfers exactly at cross-subgraph edges, each on the link it crosses
 	RulePartLocal    = "part/local-map" // LocalOf/GlobalOf are consistent inverse maps
 )
 
 // VerifyPartition checks the soundness of a partition plan against its
 // annotated graph: coverage (every global node appears in exactly one
-// subgraph), target consistency (a subgraph's nodes carry its target, and no
-// host-only operator is assigned to the accelerator), cut edges (the
-// transfer list is exactly the set of cross-subgraph (producer, consumer
-// subgraph) pairs), and local-map integrity.
+// subgraph), target consistency (a subgraph's nodes carry its target, no
+// host-only operator is assigned to the accelerator, and chips never decrease
+// along the plan), cut edges (the transfer list is exactly the set of
+// cross-subgraph (producer, consumer subgraph) pairs, each on the link tier
+// its endpoints call for), and local-map integrity.
 func VerifyPartition(p *partition.Plan) []Violation {
 	if p == nil || p.Graph == nil {
 		return []Violation{{Rule: RulePartCoverage, Node: -1, Msg: "nil plan"}}
@@ -57,7 +58,10 @@ func VerifyPartition(p *partition.Plan) []Violation {
 		}
 	}
 
-	for _, s := range p.Subs {
+	for i, s := range p.Subs {
+		if i > 0 && s.Chip < p.Subs[i-1].Chip {
+			add(RulePartTarget, -1, "subgraph %d on chip %d follows chip %d", s.Index, s.Chip, p.Subs[i-1].Chip)
+		}
 		for _, gid := range s.NodeIDs {
 			if gid < 0 || gid >= len(p.Graph.Nodes) {
 				continue
@@ -125,6 +129,10 @@ func VerifyPartition(p *partition.Plan) []Violation {
 		}
 		if owner[t.FromNode] != t.FromSub {
 			add(RulePartCut, t.FromNode, "transfer FromSub %d, node lives in subgraph %d", t.FromSub, owner[t.FromNode])
+		} else if max(t.FromSub, t.ToSub) < len(p.Subs) {
+			if link := partition.LinkBetween(p.Subs[t.FromSub], p.Subs[t.ToSub]); t.Link != link {
+				add(RulePartCut, t.FromNode, "transfer to subgraph %d on the %s link, its endpoints call for %s", t.ToSub, t.Link, link)
+			}
 		}
 	}
 	// Deterministic sweep over the expected cut edges for missing transfers:

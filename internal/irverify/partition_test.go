@@ -7,6 +7,7 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/partition"
+	"cimmlc/internal/perfsim"
 )
 
 func mixedPlan(t *testing.T) *partition.Plan {
@@ -21,29 +22,35 @@ func mixedPlan(t *testing.T) *partition.Plan {
 	return p
 }
 
-// chipPlan cuts a pure-CIM stack across toy-table2 chips shrunk to one core
-// (each Dense(16) occupies one): the other cutter's plan shape.
-func chipPlan(t *testing.T) *partition.Plan {
+// chipPlan cuts a stack across toy-table2 chips shrunk to one core (each
+// Dense(16) occupies one): the chip policy's plan shape, alone on a pure-CIM
+// stack or, with gated set, on top of the target policy's cut at a Sigmoid.
+func chipPlan(t *testing.T, gated bool) *partition.Plan {
 	t.Helper()
-	g := graph.NewBuilder("stack", 16).
-		Dense(16).ReLU().Dense(16).Dense(16).
-		MustFinish()
+	b := graph.NewBuilder("stack", 16).Dense(16)
+	if gated {
+		b.Sigmoid()
+	} else {
+		b.ReLU()
+	}
+	g := b.Dense(16).Dense(16).MustFinish()
 	a := arch.ToyExample()
 	a.Chip.CoreRows = 1
-	p, err := partition.ChipStages(g, a, 0)
+	p, err := partition.Partition(g, partition.Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Subs) < 2 {
-		t.Fatalf("stack cut into %d stages, want several", len(p.Subs))
+	if last := p.Subs[len(p.Subs)-1]; last.Chip != 2 || gated != (len(p.Subs) == 4) {
+		t.Fatalf("stack cut into %d stages on %d chips, want 3 chips and a host stage only when gated", len(p.Subs), last.Chip+1)
 	}
 	return p
 }
 
-// bothPlans runs check on a fresh plan from each cutter.
+// bothPlans runs check on a fresh plan from each policy, and from both at once.
 func bothPlans(t *testing.T, check func(t *testing.T, fresh func() *partition.Plan)) {
 	t.Run("host-cut", func(t *testing.T) { check(t, func() *partition.Plan { return mixedPlan(t) }) })
-	t.Run("chip-cut", func(t *testing.T) { check(t, func() *partition.Plan { return chipPlan(t) }) })
+	t.Run("chip-cut", func(t *testing.T) { check(t, func() *partition.Plan { return chipPlan(t, false) }) })
+	t.Run("mixed", func(t *testing.T) { check(t, func() *partition.Plan { return chipPlan(t, true) }) })
 }
 
 func rules(vs []Violation) string {
@@ -83,6 +90,13 @@ func TestVerifyPartitionTarget(t *testing.T) {
 	if !strings.Contains(rules(vs), RulePartTarget) {
 		t.Fatalf("target mismatch not flagged; got %s", rules(vs))
 	}
+	// Chips must not go backwards along the plan: an executor per chip runs a
+	// run of consecutive stages.
+	p = chipPlan(t, true)
+	p.Subs[len(p.Subs)-1].Chip = 0
+	if vs := VerifyPartition(p); !strings.Contains(rules(vs), RulePartTarget) {
+		t.Fatalf("chip order not flagged; got %s", rules(vs))
+	}
 }
 
 func TestVerifyPartitionHostOnlyOnCIM(t *testing.T) {
@@ -119,6 +133,14 @@ func TestVerifyPartitionCutEdges(t *testing.T) {
 		vs = VerifyPartition(p2)
 		if !strings.Contains(rules(vs), RulePartCut) {
 			t.Fatalf("duplicate/wrong-volume transfer not flagged; got %s", rules(vs))
+		}
+
+		// A transfer costed on the tier it does not cross.
+		p3 := fresh()
+		x := &p3.Transfers[len(p3.Transfers)-1]
+		x.Link = map[perfsim.Link]perfsim.Link{perfsim.HostLink: perfsim.ChipLink, perfsim.ChipLink: perfsim.HostLink}[x.Link]
+		if vs := VerifyPartition(p3); rules(vs) != RulePartCut {
+			t.Fatalf("wrong link tier not flagged alone; got %s", rules(vs))
 		}
 	})
 }

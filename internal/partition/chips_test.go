@@ -2,12 +2,12 @@ package partition
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
+	"cimmlc/internal/perfsim"
 )
 
 // tinyChip returns a preset shrunk to a rows×cols core grid, so small zoo
@@ -38,7 +38,7 @@ func TestChipStagesSingleStageWhenFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := allCIM()
-	plan, err := ChipStages(g, a, 0)
+	plan, err := Partition(g, Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestChipStagesSingleStageWhenFits(t *testing.T) {
 func TestChipStagesSplitsOverCapacityModel(t *testing.T) {
 	g := mlp()
 	a := tinyChip(t, 4, 4) // 16 cores; the mlp needs 34 in total
-	plan, err := ChipStages(g, a, 0)
+	plan, err := Partition(g, Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,50 +111,100 @@ func TestChipStagesSplitsOverCapacityModel(t *testing.T) {
 func TestChipStagesMaxChips(t *testing.T) {
 	g := mlp()
 	a := tinyChip(t, 4, 4)
-	if _, err := ChipStages(g, a, 1); err == nil {
+	if _, err := Partition(g, Options{Chip: a, MaxChips: 1}); err == nil {
 		t.Error("maxChips=1 accepted a model needing several chips")
 	}
-	plan, err := ChipStages(g, a, 0)
+	plan, err := Partition(g, Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChipStages(g, a, len(plan.Subs)); err != nil {
+	if _, err := Partition(g, Options{Chip: a, MaxChips: len(plan.Subs)}); err != nil {
 		t.Errorf("maxChips equal to the needed stage count rejected: %v", err)
 	}
 }
 
-func TestChipStagesRejectsHostOnlyOps(t *testing.T) {
-	g := graph.NewBuilder("gated", 32).Dense(16).Sigmoid().MustFinish()
+// TestChipStagesComposeWithHostCut: both policies at once. A gated stack
+// whose CIM part overflows the chip is cut at the host-only operator and at
+// chip capacity in one plan: labels never run backwards, the host stage rides
+// with the chip last filled, only the edge between CIM stages on different
+// chips crosses the chip link, and an evicted (ForceHost) operator occupies no
+// cores. The build-and-verify half is the root package's mixed plan shape
+// (TestPartitionedRunBatchDeterminism/mixed) and FuzzPartition.
+func TestChipStagesComposeWithHostCut(t *testing.T) {
+	// input(0) dense(1) dense(2) sigmoid(3) dense(4): 16 + 16 + 2 cores on
+	// chips of 16.
+	g := graph.NewBuilder("gated", 256).Dense(512).Dense(512).Sigmoid().Dense(64).MustFinish()
 	a := tinyChip(t, 4, 4)
-	_, err := ChipStages(g, a, 0)
-	if err == nil || !strings.Contains(err.Error(), "host-only") {
-		t.Errorf("host-only graph accepted (err=%v)", err)
+	type label struct {
+		target graph.Target
+		chip   int
+		ids    []int
 	}
-}
+	labels := func(p *Plan) (ls []label) {
+		for _, s := range p.Subs {
+			ls = append(ls, label{s.Target, s.Chip, s.NodeIDs})
+		}
+		return ls
+	}
+	links := func(p *Plan) (ls []perfsim.Link) {
+		for _, x := range p.Transfers {
+			ls = append(ls, x.Link)
+		}
+		return ls
+	}
 
-func TestChipStagesRejectsOversizedOperator(t *testing.T) {
-	// One dense needing more cores than the whole 1×1 chip.
-	g := graph.NewBuilder("big", 512).Dense(512).MustFinish()
-	a := tinyChip(t, 1, 1)
-	_, err := ChipStages(g, a, 0)
-	if err == nil || !strings.Contains(err.Error(), "cannot be split") {
-		t.Errorf("oversized operator accepted (err=%v)", err)
+	plan, err := Partition(g, Options{Chip: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []label{
+		{graph.TargetCIM, 0, []int{0, 1}},
+		{graph.TargetCIM, 1, []int{2}},
+		{graph.TargetHost, 1, []int{3}},
+		{graph.TargetCIM, 2, []int{4}},
+	}
+	if got := labels(plan); !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := links(plan), []perfsim.Link{perfsim.ChipLink, perfsim.HostLink, perfsim.HostLink}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("transfer links %v, want %v", got, want)
+	}
+	if _, err := Partition(g, Options{Chip: a, MaxChips: 2}); err == nil {
+		t.Error("maxChips=2 accepted a mixed model needing three chips")
+	}
+
+	// Evicting the second Dense leaves the accelerator 18 cores of work —
+	// still two chips — and folds nothing: both CIM runs keep a weight.
+	plan, err = Partition(g, Options{Chip: a, ForceHost: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []label{
+		{graph.TargetCIM, 0, []int{0, 1}},
+		{graph.TargetHost, 0, []int{2, 3}},
+		{graph.TargetCIM, 1, []int{4}},
+	}
+	if got := labels(plan); !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels with the second Dense evicted:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := links(plan), []perfsim.Link{perfsim.HostLink, perfsim.HostLink}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("transfer links with the second Dense evicted %v, want %v", got, want)
 	}
 }
 
 func TestChipStagesDeterministic(t *testing.T) {
 	g := mlp()
 	a := tinyChip(t, 4, 4)
-	p1, err := ChipStages(g, a, 0)
+	p1, err := Partition(g, Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ChipStages(g, a, 0)
+	p2, err := Partition(g, Options{Chip: a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p2) {
-		t.Error("two ChipStages runs of the same graph differ")
+		t.Error("two chip cuts of the same graph differ")
 	}
 	for _, n := range g.Nodes {
 		if n.Target != "" {

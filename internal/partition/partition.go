@@ -1,35 +1,56 @@
-// Package partition splits a computation graph into maximal single-target
-// subgraphs for mixed CPU/CIM execution.
+// Package partition cuts a computation graph into the stages of an execution
+// plan. One cutter labels every node (target, chip) and hands the maximal
+// equal-label runs to one assembler.
 //
-// The CIM pipeline (cg/mvm/vvm scheduling, placement, flow optimisation) can
-// only lower the operator set in graph.CIMLowerableOps. Graphs that contain
-// host-only operators (Sigmoid, Tanh, Mul, ...) are partitioned here: every
-// node is assigned an execution target, consecutive same-target runs become
-// subgraphs, and the cut edges between subgraphs become explicit transfers
-// whose data volume the performance model charges to the plan's link tier.
+// The target policy always applies. The CIM pipeline (cg/mvm/vvm scheduling,
+// placement, flow optimisation) can only lower the operator set in
+// graph.CIMLowerableOps, so host-only operators (Sigmoid, Tanh, Mul, ...) and
+// the nodes Options.ForceHost names go to the host, and a CIM run left without
+// a crossbar-mapped operator follows them.
 //
-// The pass is deterministic: targets derive only from the operator taxonomy
-// and Options, runs are grouped in node-ID (topological) order, and all
-// emitted slices are in ascending ID order. A graph with no host-assigned
-// node yields a single CIM subgraph that is the whole graph, so fully
-// supported models compile and execute bit-identically to the monolithic
-// path.
+// The chip policy applies when Options.Chip asks for it: walking the nodes in
+// ID (topological) order, it fills a chip until the next CIM operator would
+// push the crossbar footprint past one chip's capacity, then moves on to the
+// next chip. Every chip therefore satisfies the stationary-weights placement
+// constraint on its own — one copy of every operator resident, no weight
+// reloading — which is exactly the per-chip condition cg's segmentation
+// enforces, so each stage compiles single-segment under
+// core.Options.Stationary (all but an operator larger than a whole chip, which
+// sits alone on one and is cg's to reject or reload). Host stages and digital
+// operators consume no crossbars and ride with the chip being filled.
+//
+// The cut edges between runs become explicit transfers, each on the link tier
+// it crosses. The pass is deterministic: labels derive only from the operator
+// taxonomy, the footprints and Options, and all emitted slices are in
+// ascending ID order. A graph that needs no cut yields a single CIM subgraph
+// that is the whole graph, so fully supported models that fit one chip compile
+// and execute bit-identically to the monolithic path.
 package partition
 
 import (
 	"fmt"
 	"sort"
 
+	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/mapping"
 	"cimmlc/internal/perfsim"
 )
 
-// Options tunes the partitioning pass.
+// Options selects the cutter's policies.
 type Options struct {
 	// ForceHost lists global node IDs to assign to the host even though a
 	// CIM lowering exists — the relief valve for capacity-pressured nodes.
 	// Host-only operators go to the host regardless.
 	ForceHost []int
+	// Chip turns the chip policy on: the CIM nodes are spread over as many
+	// chips of this architecture as their footprints need, at most MaxChips
+	// when that is positive. nil keeps every node on chip 0. Node granularity
+	// is the finest the cutter splits at: a single operator larger than the
+	// whole chip gets a chip to itself, where only a compilation that may
+	// reload weights (no core.Options.Stationary) can place it.
+	Chip     *arch.Arch
+	MaxChips int
 }
 
 // Transfer is one cut edge of the partition: the value of global node
@@ -40,14 +61,20 @@ type Transfer struct {
 	FromSub  int   `json:"from_sub"`
 	ToSub    int   `json:"to_sub"`
 	Elems    int64 `json:"elems"` // element count of the transferred tensor
+	// Link is the tier the edge crosses: chip to chip between CIM subgraphs
+	// on different chips, host to accelerator otherwise.
+	Link perfsim.Link `json:"link"`
 }
 
-// Subgraph is one maximal single-target run of the partitioned graph,
+// Subgraph is one maximal equal-label run of the partitioned graph,
 // extracted as a self-contained graph. Boundary values produced by earlier
 // subgraphs appear as synthetic Input nodes named "in_n<globalID>".
 type Subgraph struct {
-	Index   int          // position in Plan.Subs (execution order)
-	Target  graph.Target // where every node of this subgraph executes
+	Index  int          // position in Plan.Subs (execution order)
+	Target graph.Target // where every node of this subgraph executes
+	// Chip is the chip a CIM subgraph occupies, and the one a host subgraph
+	// rides with. It never decreases along Plan.Subs.
+	Chip    int
 	G       *graph.Graph // extracted graph (synthetic inputs + real nodes)
 	NodeIDs []int        // global IDs of the real nodes, ascending
 	// LocalOf maps global node IDs to local IDs in G. It covers the real
@@ -62,17 +89,16 @@ type Subgraph struct {
 }
 
 // Plan is the result of partitioning: the annotated graph, the subgraphs in
-// execution (topological) order, the cut-edge transfers, and the link tier
-// those transfers cross (set by the cutter that made the plan).
+// execution (topological) order and the cut-edge transfers.
 type Plan struct {
 	Graph     *graph.Graph // clone of the input with Node.Target filled in
 	Subs      []*Subgraph
 	Transfers []Transfer
-	Link      perfsim.Link
 }
 
-// Partition assigns every node an execution target and splits the graph into
-// maximal single-target subgraphs. The input graph is not mutated.
+// Partition labels every node of g with an execution target and a chip and
+// splits the graph into the maximal equal-label runs. The input graph is not
+// mutated.
 func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 	gc := g.Clone()
 	if err := gc.InferShapes(); err != nil {
@@ -89,38 +115,44 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 		force[id] = true
 	}
 
-	// Per-node targets. Input nodes adopt their first consumer's target so
-	// they stay in the subgraph that reads them.
 	tgt := make([]graph.Target, len(gc.Nodes))
+	chip := make([]int, len(gc.Nodes))
 	for _, n := range gc.Nodes {
-		if n.Op == graph.OpInput {
-			continue
-		}
 		if n.Op.HostOnly() || force[n.ID] {
 			tgt[n.ID] = graph.TargetHost
 		} else {
 			tgt[n.ID] = graph.TargetCIM
 		}
 	}
+	if opts.Chip != nil {
+		if err := fillChips(gc, opts.Chip, opts.MaxChips, tgt, chip); err != nil {
+			return nil, err
+		}
+	}
+	// Input nodes adopt their first consumer's label so they stay in the
+	// subgraph that reads them.
 	cons := gc.Consumers()
 	for _, n := range gc.Nodes {
-		if n.Op != graph.OpInput {
-			continue
-		}
-		tgt[n.ID] = graph.TargetCIM
-		if cs := cons[n.ID]; len(cs) > 0 {
-			tgt[n.ID] = tgt[cs[0]]
+		if cs := cons[n.ID]; n.Op == graph.OpInput && len(cs) > 0 {
+			tgt[n.ID], chip[n.ID] = tgt[cs[0]], chip[cs[0]]
 		}
 	}
 
-	// Group consecutive same-target runs in ID (topological) order.
+	// Group maximal equal-label runs chip by chip, in ID (topological) order
+	// within a chip. Chips never decrease along the non-input nodes, so the
+	// sort only moves an Input forward to the chip of its first consumer.
+	order := make([]int, len(gc.Nodes))
+	for id := range order {
+		order[id] = id
+	}
+	sort.SliceStable(order, func(i, j int) bool { return chip[order[i]] < chip[order[j]] })
 	var runs []run
-	for id := range gc.Nodes {
-		if len(runs) > 0 && runs[len(runs)-1].target == tgt[id] {
-			runs[len(runs)-1].ids = append(runs[len(runs)-1].ids, id)
+	for _, id := range order {
+		if last := len(runs) - 1; last >= 0 && runs[last].target == tgt[id] && runs[last].chip == chip[id] {
+			runs[last].ids = append(runs[last].ids, id)
 			continue
 		}
-		runs = append(runs, run{target: tgt[id], ids: []int{id}})
+		runs = append(runs, run{target: tgt[id], chip: chip[id], ids: []int{id}})
 	}
 
 	mixed := false
@@ -134,7 +166,7 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 		// A CIM run with no weighted (crossbar-mapped) node buys nothing
 		// from the accelerator but still pays two transfers; fold it into
 		// the host. Only in already-mixed plans — fully supported graphs
-		// must keep the monolithic single-subgraph shape.
+		// must keep their pure-CIM shape.
 		for i := range runs {
 			if runs[i].target != graph.TargetCIM {
 				continue
@@ -153,11 +185,11 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 				}
 			}
 		}
-		// Re-merge adjacent same-target runs created by the folding.
+		// Re-merge adjacent equal-label runs created by the folding.
 		merged := runs[:1]
 		for _, r := range runs[1:] {
-			if merged[len(merged)-1].target == r.target {
-				merged[len(merged)-1].ids = append(merged[len(merged)-1].ids, r.ids...)
+			if last := &merged[len(merged)-1]; last.target == r.target && last.chip == r.chip {
+				last.ids = append(last.ids, r.ids...)
 				continue
 			}
 			merged = append(merged, r)
@@ -168,20 +200,53 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 	for id, n := range gc.Nodes {
 		n.Target = tgt[id]
 	}
-	return assemble(gc, runs, perfsim.HostLink)
+	return assemble(gc, runs)
 }
 
-// run is one maximal single-target (or single-chip) stretch of node IDs in
-// topological order, the unit assemble turns into a Subgraph.
+// fillChips is the chip policy: it labels the non-input nodes with chips in
+// ID order, greedily, under one chip's core budget. Only nodes the target
+// policy left on the accelerator occupy cores. Labels never decrease with the
+// node ID, so producers never land on a later chip than their consumers.
+func fillChips(gc *graph.Graph, a *arch.Arch, maxChips int, tgt []graph.Target, chip []int) error {
+	fps, err := mapping.Footprints(gc, a)
+	if err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	budget := a.Chip.CoreCount()
+	cur, used := 0, 0
+	for _, n := range gc.Nodes {
+		if n.Op == graph.OpInput {
+			continue
+		}
+		cores := 0
+		if f, ok := fps[n.ID]; ok && tgt[n.ID] == graph.TargetCIM {
+			cores = f.CoresPerCopy
+		}
+		if used+cores > budget && used > 0 {
+			cur++
+			used = 0
+		}
+		used += cores
+		chip[n.ID] = cur
+	}
+	if maxChips > 0 && cur+1 > maxChips {
+		return fmt.Errorf("partition: model needs %d chips but the fleet allows %d", cur+1, maxChips)
+	}
+	return nil
+}
+
+// run is one maximal equal-label stretch of node IDs in topological order,
+// the unit assemble turns into a Subgraph.
 type run struct {
 	target graph.Target
+	chip   int
 	ids    []int
 }
 
 // assemble turns the grouped runs into a Plan: every run becomes a
 // self-contained Subgraph, and every edge crossing a run boundary becomes a
-// Transfer (one per {producer, consuming run} pair) costed on link.
-func assemble(gc *graph.Graph, runs []run, link perfsim.Link) (*Plan, error) {
+// Transfer (one per {producer, consuming run} pair) on the link it crosses.
+func assemble(gc *graph.Graph, runs []run) (*Plan, error) {
 	// subOf maps every global node to its subgraph index.
 	subOf := make([]int, len(gc.Nodes))
 	for i, r := range runs {
@@ -204,10 +269,10 @@ func assemble(gc *graph.Graph, runs []run, link perfsim.Link) (*Plan, error) {
 		isOutput[id] = true
 	}
 
-	plan := &Plan{Graph: gc, Link: link}
+	plan := &Plan{Graph: gc}
 	seenTransfer := map[[2]int]bool{} // {producer global ID, consumer sub}
 	for i, r := range runs {
-		sub, err := extract(gc, i, r.target, r.ids, subOf, consumedLater, isOutput)
+		sub, err := extract(gc, i, r, subOf, consumedLater, isOutput)
 		if err != nil {
 			return nil, err
 		}
@@ -227,6 +292,7 @@ func assemble(gc *graph.Graph, runs []run, link perfsim.Link) (*Plan, error) {
 					FromSub:  subOf[in],
 					ToSub:    i,
 					Elems:    graph.NumElements(gc.Nodes[in].OutShape),
+					Link:     LinkBetween(plan.Subs[subOf[in]], sub),
 				})
 			}
 		}
@@ -234,18 +300,32 @@ func assemble(gc *graph.Graph, runs []run, link perfsim.Link) (*Plan, error) {
 	return plan, nil
 }
 
+// LinkBetween returns the tier a value crosses on its way from one subgraph to
+// another: the chip-to-chip link between CIM subgraphs on different chips,
+// the host link whenever the host is an endpoint — and between the CIM
+// subgraphs of one chip, whose activations round-trip through the host
+// stage that separates them.
+func LinkBetween(from, to *Subgraph) perfsim.Link {
+	if from.Target == graph.TargetCIM && to.Target == graph.TargetCIM && from.Chip != to.Chip {
+		return perfsim.ChipLink
+	}
+	return perfsim.HostLink
+}
+
 // extract builds the self-contained graph for one run: synthetic Input nodes
 // for every external producer (in ascending global-ID order), then the real
 // nodes in global-ID order with remapped input references.
-func extract(gc *graph.Graph, idx int, target graph.Target, ids []int, subOf []int, consumedLater, isOutput []bool) (*Subgraph, error) {
+func extract(gc *graph.Graph, idx int, r run, subOf []int, consumedLater, isOutput []bool) (*Subgraph, error) {
+	ids := r.ids
 	sub := &Subgraph{
 		Index:    idx,
-		Target:   target,
+		Target:   r.target,
+		Chip:     r.chip,
 		NodeIDs:  append([]int(nil), ids...),
 		LocalOf:  map[int]int{},
 		GlobalOf: map[int]int{},
 	}
-	sg := graph.New(fmt.Sprintf("%s.p%d.%s", gc.Name, idx, target))
+	sg := graph.New(fmt.Sprintf("%s.p%d.%s", gc.Name, idx, r.target))
 
 	inRun := make(map[int]bool, len(ids))
 	for _, id := range ids {

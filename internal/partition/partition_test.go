@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cimmlc/internal/graph"
+	"cimmlc/internal/perfsim"
 )
 
 // allCIM builds input→conv→relu→flatten→dense.
@@ -130,6 +131,11 @@ func TestPartitionShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			subs, xfers := summarize(plan)
+			for i := range tc.wantXfers {
+				// The target policy alone keeps every node on one chip: the
+				// host link is the only tier a cut edge can cross.
+				tc.wantXfers[i].Link = perfsim.HostLink
+			}
 			if !reflect.DeepEqual(subs, tc.wantSubs) {
 				t.Errorf("subgraphs:\n got %+v\nwant %+v", subs, tc.wantSubs)
 			}

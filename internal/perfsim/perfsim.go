@@ -62,11 +62,6 @@ type Report struct {
 
 // Simulate runs the schedule through the event model.
 func Simulate(s *sched.Schedule) (*Report, error) {
-	return SimulateCtx(context.Background(), s)
-}
-
-// SimulateCtx is Simulate with cancellation.
-func SimulateCtx(ctx context.Context, s *sched.Schedule) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,7 +69,7 @@ func SimulateCtx(ctx context.Context, s *sched.Schedule) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SimulateWithModelCtx(ctx, s, m)
+	return SimulateWithModel(s, m)
 }
 
 // SimulateWithModel is Simulate with a pre-built cost model (the optimizers

@@ -3,6 +3,8 @@ package cimmlc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -67,8 +69,8 @@ func TestPipelineSingleStageMatchesProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stages() != 1 || pl.Stats().Partition != nil || pl.Result().Partition != nil {
-		t.Fatalf("fitting model built %d stages (partition %+v), want the one-stage plan", pl.Stages(), pl.Stats().Partition)
+	if pl.Chips() != 1 || pl.Flow() == nil || pl.Stats().Partition != nil || pl.Result().Partition != nil {
+		t.Fatalf("fitting model built on %d chips (partition %+v), want the one-stage plan", pl.Chips(), pl.Stats().Partition)
 	}
 	if err := pl.Verify(ctx, inputs, 0.05); err != nil {
 		t.Fatal(err)
@@ -90,5 +92,71 @@ func TestBuildPipelineMaxChips(t *testing.T) {
 	c, g, w, inputs := smallChipCompiler(t, WithStationaryWeights())
 	if _, err := c.BuildPipeline(ctx, g, w, CodegenOptions{}, 1, WithCalibration(inputs)); err == nil {
 		t.Fatal("maxChips=1 accepted a model needing several chips")
+	}
+}
+
+// TestCutterPoliciesMatchTheOldCutters pins the one cutter to the two it
+// replaced, on the plans the benchmark and the zoo run: the target policy
+// alone makes the host cut partition.Partition made, the chip policy alone
+// the chip cut partition.ChipStages made — same subgraphs, exports and
+// transfers, and TransferCycles to the bit, each transfer now priced on its
+// own link. The digests were printed at the parent commit.
+func TestCutterPoliciesMatchTheOldCutters(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		model, preset string
+		pipeline      bool // jia-small through BuildPipeline
+		copts         []Option
+		want          string
+	}{
+		{"mlp-sig", "toy-table2", false, []Option{WithHostFallback()},
+			"cim[0 1]>[1] host[2]>[1] cim[3]>[1] host[4]>[1] cim[5]>[1] n1:0>1*256 n2:1>2*256 n3:2>3*128 n4:3>4*128 0x4089000000000000"},
+		{"conv-gate", "puma", false, []Option{WithHostFallback()},
+			"cim[0 1 2]>[2] host[3 4]>[2] cim[5 6]>[2] n2:0>1*4096 n4:1>2*4096 0x40b43aaaaaaaaaaa"},
+		{"mlp", "jia-isscc21", true, []Option{WithStationaryWeights()},
+			"cim[0 1 2]>[2] cim[3 4 5]>[3] n2:0>1*256 0x4066400000000000"},
+		// Both policies on change neither plan: the gated models fit one
+		// chip, and mlp has nothing for the host.
+		{"conv-gate", "puma", true, []Option{WithHostFallback()},
+			"cim[0 1 2]>[2] host[3 4]>[2] cim[5 6]>[2] n2:0>1*4096 n4:1>2*4096 0x40b43aaaaaaaaaaa"},
+		{"mlp", "jia-isscc21", true, []Option{WithHostFallback(), WithStationaryWeights()},
+			"cim[0 1 2]>[2] cim[3 4 5]>[3] n2:0>1*256 0x4066400000000000"},
+	} {
+		g, err := Model(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Preset(tc.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.preset == "jia-isscc21" {
+			a.Chip.CoreRows, a.Chip.CoreCols = 2, 4
+		}
+		c, err := New(a, tc.copts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p *Program
+		if tc.pipeline {
+			p, err = c.BuildPipeline(ctx, g, RandomWeights(g, 7), CodegenOptions{}, 0)
+		} else {
+			p, err = c.Build(ctx, g, RandomWeights(g, 7), CodegenOptions{})
+		}
+		if err != nil {
+			t.Fatalf("%s on %s: %v", tc.model, tc.preset, err)
+		}
+		info := p.Result().Partition
+		got := ""
+		for _, sub := range info.Plan.Subs {
+			got += fmt.Sprintf("%s%v>%v ", sub.Target, sub.NodeIDs, sub.Exports)
+		}
+		for _, x := range info.Plan.Transfers {
+			got += fmt.Sprintf("n%d:%d>%d*%d ", x.FromNode, x.FromSub, x.ToSub, x.Elems)
+		}
+		got += fmt.Sprintf("%#x", math.Float64bits(info.TransferCycles))
+		if got != tc.want {
+			t.Errorf("%s on %s (pipeline %v):\n got %s\nwant %s", tc.model, tc.preset, tc.pipeline, got, tc.want)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/hostexec"
 	"cimmlc/internal/partition"
+	"cimmlc/internal/perfsim"
 	"cimmlc/internal/tensor"
 )
 
@@ -23,10 +24,11 @@ import (
 // optimized schedule, the generated meta-operator flow and a crossbar image
 // with the weights already quantized, bit-sliced and programmed and the flow's
 // compute section compiled into kernels; for the host CPU a host-executor
-// program — joined by transfers on one link tier. A monolithic build is the
-// one-stage plan: the whole graph on one chip, nothing transferred. Host
-// fallback (WithHostFallback) cuts a plan at host-only operators, BuildPipeline
-// at chip capacity; both execute through the same stage loop.
+// program — joined by transfers, each on the link tier it crosses. A
+// monolithic build is the one-stage plan: the whole graph on one chip, nothing
+// transferred. Host fallback (WithHostFallback) cuts a plan at host-only
+// operators, BuildPipeline at chip capacity as well; every plan executes
+// through the same stage loop.
 //
 // Building a Program pays the full compile + lower + weight-programming cost
 // exactly once; each Run then executes only the compiled compute sections
@@ -42,7 +44,11 @@ type Program struct {
 	w      Weights
 	outs   []int // the graph's output node IDs
 	stages []*stage
-	part   *PartitionStats // nil for one-stage plans
+	// chips[c] is the first stage of chip c, chips[Chips()] the stage count:
+	// a chip executes a run of consecutive stages, its own CIM stages and the
+	// host stages riding with it.
+	chips []int
+	part  *PartitionStats // nil for one-stage plans
 	// laneWords is the widest CIM stage's activation memory per lane: what
 	// the micro-batch lane budget divides.
 	laneWords int64
@@ -81,18 +87,6 @@ type stage struct {
 	body  *funcsim.CompiledFlow
 }
 
-// Test seams, nil outside tests: testHookBatchClaim runs after a RunBatch
-// worker claims the work item whose first request is i; testHookRunStart
-// runs for each request of a micro-batch after its context check;
-// testHookBatchFail runs after a request error has been recorded. They exist
-// to force cancel/first-error interleavings that are otherwise
-// timing-dependent.
-var (
-	testHookBatchClaim func(ctx context.Context, i int)
-	testHookRunStart   func(ctx context.Context, inputs map[int]*Tensor)
-	testHookBatchFail  func(i int)
-)
-
 // ProgramStats reports a program's serving counters.
 type ProgramStats struct {
 	// Requests is the number of successfully completed requests.
@@ -127,10 +121,10 @@ type PartitionStats struct {
 	Subgraphs int `json:"subgraphs"`
 	CIMNodes  int `json:"cim_nodes"`
 	HostNodes int `json:"host_nodes"`
-	// Link is the tier the cut edges cross: "host" for a host-cut plan, whose
-	// CIM stages share one chip, "chip" for a chip-cut one, whose stages each
-	// occupy their own. Transfers counts the cut edges; TransferElems their
-	// total tensor element volume per request.
+	// Link names, for display only, the tiers the cut edges cross: "host",
+	// "chip", or "host+chip" for a plan cut both ways (Program.Chips is the
+	// chip count). Transfers counts the cut edges; TransferElems their total
+	// tensor element volume per request.
 	Link          string `json:"link"`
 	Transfers     int    `json:"transfers"`
 	TransferElems int64  `json:"transfer_elems"`
@@ -188,35 +182,25 @@ func (c *Compiler) Build(ctx context.Context, g *Graph, w Weights, opt CodegenOp
 	return c.buildStaged(ctx, g, res, w, opt, bopts)
 }
 
-// BuildPipeline is Build for a model spread across several chips of the
-// compiler's architecture: the graph is cut into consecutive stages whose
-// crossbar footprints each fit one chip under the stationary-weights
-// constraint (partition.ChipStages, at most maxChips stages when positive),
-// and activations cross the chip-to-chip link at every cut. It is the escape
-// hatch for models Build rejects with ErrOverCapacity under
-// WithStationaryWeights — too many weights for one chip, no reprogramming
-// allowed — at the price of one chip-link transfer per cut edge per request.
-// A model that fits one chip yields the same one-stage Program Build does.
-// Graphs with host-only operators are rejected: cross-chip pipelining
-// composes with pure-CIM models only.
+// BuildPipeline is Build for a model spread across as many chips of the
+// compiler's architecture as it needs: on top of Build's cut at host-only
+// operators, the graph is cut into consecutive stages whose crossbar
+// footprints each fit one chip under the stationary-weights constraint (the
+// partitioner's chip policy, at most maxChips chips when positive), and
+// activations cross the chip-to-chip link between them. It serves the models
+// Build rejects with ErrOverCapacity under WithStationaryWeights — too many
+// weights for one chip, no reprogramming allowed — at the price of one
+// chip-link transfer per cut edge per request. A model that fits one chip
+// yields the very Program Build does.
 //
-// Run executes the stages in order on the calling goroutine. A serving fleet
-// that owns one executor per chip instead drives RunStage concurrently —
-// stage i of request k+1 overlapping stage i+1 of request k.
+// Run executes the stages in order on the calling goroutine. A serving engine
+// that owns one executor per chip instead drives RunChip concurrently — chip
+// c of request k+1 overlapping chip c+1 of request k.
 func (c *Compiler) BuildPipeline(ctx context.Context, g *Graph, w Weights, opt CodegenOptions, maxChips int, bopts ...BuildOption) (*Program, error) {
 	if g == nil {
 		return nil, fmt.Errorf("cimmlc: BuildPipeline: nil graph")
 	}
-	res, err := c.compile(ctx, g, fmt.Sprintf("|chips=%d", maxChips), func(ctx context.Context, gc *Graph, a *Arch) (*Result, error) {
-		plan, err := partition.ChipStages(gc, a, maxChips)
-		if err != nil {
-			return nil, err
-		}
-		if len(plan.Subs) == 1 {
-			return core.CompilePasses(ctx, gc, a, c.opt, c.passes, c.trace)
-		}
-		return core.CompilePlan(ctx, plan, a, c.opt, c.passes, c.trace)
-	})
+	res, err := c.compile(ctx, g, partition.Options{Chip: &c.arch, MaxChips: maxChips})
 	if err != nil {
 		return nil, fmt.Errorf("cimmlc: BuildPipeline: %w", err)
 	}
@@ -279,8 +263,12 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 		if st.img != nil {
 			p.laneWords = max(p.laneWords, st.img.MemWords())
 		}
+		if i == 0 || sub.Chip != plan.Subs[i-1].Chip {
+			p.chips = append(p.chips, i)
+		}
 		p.stages = append(p.stages, st)
 	}
+	p.chips = append(p.chips, len(p.stages))
 	p.pools = make([]sync.Pool, len(p.stages))
 	return p, nil
 }
@@ -293,7 +281,7 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 // request bit for bit as p does, and share nothing a request writes to.
 func (p *Program) Replica() *Program {
 	return &Program{
-		arch: p.arch, g: p.g, res: p.res, w: p.w, outs: p.outs, stages: p.stages, part: p.part,
+		arch: p.arch, g: p.g, res: p.res, w: p.w, outs: p.outs, stages: p.stages, chips: p.chips, part: p.part,
 		laneWords: p.laneWords,
 		workers:   p.workers,
 		pools:     make([]sync.Pool, len(p.stages)),
@@ -392,12 +380,25 @@ func partitionStats(info *PartitionInfo) *PartitionStats {
 		Subgraphs:      len(info.Plan.Subs),
 		CIMNodes:       info.Plan.NodeCount(TargetCIM),
 		HostNodes:      info.Plan.NodeCount(TargetHost),
-		Link:           string(info.Plan.Link),
 		Transfers:      len(info.Plan.Transfers),
 		TransferElems:  info.Plan.TransferElems(),
 		CIMCycles:      info.CIMCycles,
 		HostCycles:     info.HostCycles,
 		TransferCycles: info.TransferCycles,
+	}
+	onChip := 0
+	for _, t := range info.Plan.Transfers {
+		if t.Link == perfsim.ChipLink {
+			onChip++
+		}
+	}
+	switch {
+	case onChip == 0:
+		ps.Link = string(perfsim.HostLink)
+	case onChip == len(info.Plan.Transfers):
+		ps.Link = string(perfsim.ChipLink)
+	default:
+		ps.Link = "host+chip"
 	}
 	for _, sr := range info.Subs {
 		cores := 0
@@ -435,11 +436,11 @@ func (p *Program) Run(ctx context.Context, inputs map[int]*Tensor) (map[int]*Ten
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	envs, _, err := p.exec(ctx, []map[int]*Tensor{inputs}, false)
-	if err != nil {
+	env := maps.Clone(inputs)
+	if _, err := p.carry(ctx, 0, len(p.stages), []map[int]*Tensor{env}, false); err != nil {
 		return nil, err
 	}
-	return p.outputs(envs[0]), nil
+	return p.outputs(env), nil
 }
 
 // RunBatch executes one inference per request map, returning results in
@@ -450,53 +451,121 @@ func (p *Program) Run(ctx context.Context, inputs map[int]*Tensor) (map[int]*Ten
 // the micro-batch that carries it.
 //
 // On failure the returned results are nil and the error names the failing
-// request: the lowest-indexed request whose execution produced a genuine
-// error, falling back to a request-indexed cancellation and only then to the
-// bare context error. The first genuine error cancels the remaining
+// request: the lowest-indexed malformed request, refused before any request
+// executes; else the lowest-indexed request whose execution produced a
+// genuine error, falling back to a request-indexed cancellation and only then
+// to the bare context error. The first genuine error cancels the remaining
 // requests.
 func (p *Program) RunBatch(ctx context.Context, reqs []map[int]*Tensor) ([]map[int]*Tensor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Empty-batch path: honor the nil-results-on-error convention — a
-	// pre-cancelled context must not hand back a non-nil result slice.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	envs := make([]map[int]*Tensor, len(reqs))
+	for i, req := range reqs {
+		envs[i] = maps.Clone(req)
 	}
-	outs := make([]map[int]*Tensor, len(reqs))
-	if len(reqs) == 0 {
-		return outs, nil
+	if i, err := p.carry(ctx, 0, len(p.stages), envs, false); err != nil {
+		if i < 0 {
+			return nil, err
+		}
+		return nil, fmt.Errorf("cimmlc: RunBatch: request %d: %w", i, err)
+	}
+	for i, env := range envs {
+		envs[i] = p.outputs(env)
+	}
+	return envs, nil
+}
+
+// Chips returns the number of chips the program occupies: 1 unless
+// BuildPipeline had to spread the model over several.
+func (p *Program) Chips() int { return len(p.chips) - 1 }
+
+// RunChip executes one chip's stages alone over envs, one lane each: tensor
+// environments keyed by global node IDs that hold what the earlier chips
+// published and into which this chip's exports are published. It is how a
+// serving engine that owns one executor per chip overlaps requests across
+// chips and batches, on each chip, the requests that queued while it was
+// busy. The lanes share micro-batches as RunBatch's do, and n lanes yield bit
+// for bit what n one-lane calls do. An env belongs to one request and must
+// not be shared between concurrent calls; different requests may run the same
+// or different chips concurrently.
+//
+// Chip 0 admits the requests — each env must then hold exactly the graph's
+// input tensors, checked as Run checks them, before any lane executes — and
+// the last chip counts them and leaves the graph's outputs (Outputs) in each
+// env. On error no lane is to be taken as having run the chip: what its stages
+// had published by then is withdrawn from every env, so running it again on
+// the same envs — all of them, or one by one to find the lane at fault — is
+// harmless.
+func (p *Program) RunChip(ctx context.Context, chip int, envs ...map[int]*Tensor) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if chip < 0 || chip >= p.Chips() {
+		return fmt.Errorf("cimmlc: RunChip: chip %d out of range [0,%d)", chip, p.Chips())
+	}
+	_, err := p.carry(ctx, p.chips[chip], p.chips[chip+1], envs, false)
+	return err
+}
+
+// carry is the one lane carrier behind Run, RunBatch, RunChip and Verify: it
+// takes envs — one request each, the tensors the plan has produced for it so
+// far keyed by global node ID — through stages [lo, hi), which publish their
+// exports (every node's value when every is set) into them. From stage 0 it
+// first admits the requests, checking each against the full graph, so a
+// malformed request draws the same error, naming global node IDs, from every
+// plan shape and before any lane executes. The lanes are cut into
+// micro-batches spread across the worker pool. On failure it returns the
+// request to blame, -1 when the context alone is, and leaves in no env a
+// value the stages published: a chip is several stages when host stages ride
+// with it and its lanes several work items, so some had published when
+// another failed, and an env must hold the graph's inputs alone to be
+// admitted again.
+func (p *Program) carry(ctx context.Context, lo, hi int, envs []map[int]*Tensor, every bool) (req int, err error) {
+	if err := ctx.Err(); err != nil {
+		return -1, err
+	}
+	if lo == 0 {
+		for i, env := range envs {
+			if err := funcsim.CheckInputs(p.g, env); err != nil {
+				return i, err
+			}
+		}
+	}
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, st := range p.stages[lo:hi] {
+			for _, lid := range st.every {
+				for _, env := range envs {
+					delete(env, st.sub.GlobalOf[lid])
+				}
+			}
+		}
+	}()
+	if len(envs) == 0 {
+		return -1, nil
 	}
 	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
+	// Work item k is requests [cuts[k], cuts[k+1]).
+	cuts := p.batchCuts(len(envs), min(workers, len(envs)))
+	if cuts == nil {
+		return p.through(ctx, lo, hi, envs, every)
 	}
-	cuts := p.batchCuts(len(reqs), workers)
 	items := len(cuts) - 1
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	rec := &batchErrors{cancel: cancel}
-
-	// Work item k is requests [cuts[k], cuts[k+1]).
 	runItem := func(k int) {
-		lo, hi := cuts[k], cuts[k+1]
-		if testHookBatchClaim != nil {
-			testHookBatchClaim(ctx, lo)
-		}
-		envs, lane, err := p.exec(ctx, reqs[lo:hi], false)
-		if err != nil {
-			rec.record(lo+lane, err)
-			return
-		}
-		for i, env := range envs {
-			outs[lo+i] = p.outputs(env)
+		if lane, err := p.through(ctx, lo, hi, envs[cuts[k]:cuts[k+1]], every); err != nil {
+			rec.record(cuts[k]+lane, err)
 		}
 	}
-
 	if w := min(workers, items); w == 1 {
 		for k := 0; k < items; k++ {
 			if ctx.Err() != nil {
@@ -527,13 +596,16 @@ func (p *Program) RunBatch(ctx context.Context, reqs []map[int]*Tensor) ([]map[i
 		}
 		wg.Wait()
 	}
-	if err := rec.resolve(ctx); err != nil {
-		return nil, err
-	}
-	return outs, nil
+	return rec.resolve(ctx)
 }
 
-// batchErrors aggregates per-request failures of one RunBatch call. Genuine
+// testHookStep is a test seam, nil outside tests: step calls it with the stage
+// and the micro-batch it is about to run, and fails as the hook does — the
+// lane to blame and its error — so a test can park a worker or fail a request
+// inside one, after admission, where no well-formed input can.
+var testHookStep func(ctx context.Context, stage int, envs []map[int]*Tensor) (lane int, err error)
+
+// batchErrors aggregates the per-request failures of one carry. Genuine
 // request errors take precedence over cancellation-flavored ones regardless
 // of arrival order, so a caller always receives the request-indexed error
 // when one exists — never a bare context.Canceled that happened to be
@@ -549,24 +621,20 @@ type batchErrors struct {
 }
 
 func (e *batchErrors) record(i int, err error) {
-	wrapped := fmt.Errorf("cimmlc: RunBatch: request %d: %w", i, err)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The request observed the batch's cancellation; it did not cause
 		// the failure. Keep it only as a fallback attribution.
 		if e.cancelErr == nil || i < e.cancelIdx {
-			e.cancelErr, e.cancelIdx = wrapped, i
+			e.cancelErr, e.cancelIdx = err, i
 		}
-	} else {
-		if e.err == nil || i < e.errIdx {
-			e.err, e.errIdx = wrapped, i
-		}
-		e.cancel()
+		return
 	}
-	e.mu.Unlock()
-	if testHookBatchFail != nil {
-		testHookBatchFail(i)
+	if e.err == nil || i < e.errIdx {
+		e.err, e.errIdx = err, i
 	}
+	e.cancel()
 }
 
 func (e *batchErrors) failed() bool {
@@ -575,19 +643,19 @@ func (e *batchErrors) failed() bool {
 	return e.err != nil
 }
 
-// resolve picks the batch's error after all workers have joined (no
+// resolve picks the failure to report after all workers have joined (no
 // locking needed: Wait establishes happens-before).
-func (e *batchErrors) resolve(ctx context.Context) error {
+func (e *batchErrors) resolve(ctx context.Context) (int, error) {
 	switch {
 	case e.err != nil:
-		return e.err
+		return e.errIdx, e.err
 	case ctx.Err() != nil:
 		if e.cancelErr != nil {
-			return e.cancelErr
+			return e.cancelIdx, e.cancelErr
 		}
-		return ctx.Err()
+		return -1, ctx.Err()
 	}
-	return nil
+	return -1, nil
 }
 
 // maxMicroBatchWords caps a micro-batch's total lane memory (words, ~8 MB)
@@ -602,14 +670,17 @@ func (p *Program) laneCap() int {
 	return int(min(64, max(1, maxMicroBatchWords/max(1, p.laneWords))))
 }
 
-// batchCuts cuts n requests into RunBatch's work items, runs of consecutive
+// batchCuts cuts n requests into carry's work items, runs of consecutive
 // requests: item k is requests [cuts[k], cuts[k+1]). Micro-batches are sized
 // to keep every worker busy, capped by the lane-memory budget, and balanced
 // (16 lanes under a cap of 15 become 8+8, not 15+1) so none degenerates to a
-// near-empty tail.
+// near-empty tail. One micro-batch of all n is nil: nothing is cut.
 func (p *Program) batchCuts(n, workers int) []int {
 	mb := min((n+workers-1)/workers, p.laneCap())
 	chunks := (n + mb - 1) / mb
+	if chunks == 1 {
+		return nil
+	}
 	cuts := make([]int, chunks+1)
 	lo, rem := n/chunks, n%chunks
 	for c := 0; c < chunks; c++ {
@@ -621,34 +692,15 @@ func (p *Program) batchCuts(n, workers int) []int {
 	return cuts
 }
 
-// exec admits reqs and carries them through every stage of the plan as one
-// micro-batch, a lane each, returning each lane's environment: the tensors
-// the plan has produced so far, keyed by global node ID — the request's
-// inputs plus every stage's exports (every node's value when every is set).
+// through carries one micro-batch, a lane per env, through stages [lo, hi).
 // On failure it returns the lane to blame.
-//
-// Admission checks each request against the full graph once, so a malformed
-// request draws the same error, naming global node IDs, from every plan shape.
-func (p *Program) exec(ctx context.Context, reqs []map[int]*Tensor, every bool) ([]map[int]*Tensor, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	envs := make([]map[int]*Tensor, len(reqs))
-	for lane, req := range reqs {
-		if testHookRunStart != nil {
-			testHookRunStart(ctx, req)
-		}
-		if err := funcsim.CheckInputs(p.g, req); err != nil {
-			return nil, lane, err
-		}
-		envs[lane] = maps.Clone(req)
-	}
-	for i := range p.stages {
+func (p *Program) through(ctx context.Context, lo, hi int, envs []map[int]*Tensor, every bool) (int, error) {
+	for i := lo; i < hi; i++ {
 		if lane, err := p.step(ctx, i, envs, every); err != nil {
-			return nil, lane, err
+			return lane, err
 		}
 	}
-	return envs, 0, nil
+	return 0, nil
 }
 
 // step runs stage i over a micro-batch: each lane's stage inputs are read
@@ -658,8 +710,13 @@ func (p *Program) exec(ctx context.Context, reqs []map[int]*Tensor, every bool) 
 // failure it returns the lane to blame: input and host errors belong to
 // their lane; kernel errors do not depend on lane data, so lane 0 stands for
 // all. The final stage counts the lanes as completed requests and, two or more
-// of them, as one micro-batch — whether exec or RunStage carried them there.
+// of them, as one micro-batch.
 func (p *Program) step(ctx context.Context, i int, envs []map[int]*Tensor, every bool) (int, error) {
+	if testHookStep != nil {
+		if lane, err := testHookStep(ctx, i, envs); err != nil {
+			return lane, err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -747,62 +804,6 @@ func (p *Program) outputs(env map[int]*Tensor) map[int]*Tensor {
 	return outs
 }
 
-// Stages returns the number of stages in the program's plan: 1 for a
-// monolithic build; for a BuildPipeline program, the chips it occupies.
-func (p *Program) Stages() int { return len(p.stages) }
-
-// StageBoundary returns stage i's data interface in global node IDs: needs
-// lists the values the stage reads (graph inputs and earlier stages'
-// exports), exports the values it publishes.
-func (p *Program) StageBoundary(i int) (needs, exports []int) {
-	sub := p.stages[i].sub
-	for _, lid := range p.stages[i].needs {
-		needs = append(needs, sub.GlobalOf[lid])
-	}
-	for _, lid := range sub.Exports {
-		exports = append(exports, sub.GlobalOf[lid])
-	}
-	return needs, exports
-}
-
-// RunStage executes stage i alone over envs, one lane each: tensor
-// environments keyed by global node IDs that must hold every ID in the
-// stage's needs list (StageBoundary) and into which the stage's exports are
-// published. It is how a fleet that owns one executor per chip overlaps
-// requests across stages and batches, on each chip, the requests that queued
-// while it was busy. The lanes share micro-batches under RunBatch's
-// lane-memory budget, and n lanes yield bit for bit what n one-lane calls
-// do. An env belongs to one request and must not be shared between
-// concurrent calls; different requests may run the same or different stages
-// concurrently.
-//
-// Stage 0 admits the requests — each env must then hold exactly the graph's
-// input tensors, checked as Run checks them, before any lane executes — and
-// the final stage counts them and leaves the graph's outputs (Outputs) in
-// each env. On error no lane is to be taken as having run the stage;
-// running it again on the same env is harmless.
-func (p *Program) RunStage(ctx context.Context, i int, envs ...map[int]*Tensor) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if i < 0 || i >= len(p.stages) {
-		return fmt.Errorf("cimmlc: RunStage: stage %d out of range [0,%d)", i, len(p.stages))
-	}
-	if i == 0 {
-		for _, env := range envs {
-			if err := funcsim.CheckInputs(p.g, env); err != nil {
-				return err
-			}
-		}
-	}
-	for lo, mb := 0, p.laneCap(); lo < len(envs); lo += mb {
-		if _, err := p.step(ctx, i, envs[lo:min(lo+mb, len(envs))], false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Verify checks the program's execution of inputs against the reference
 // executors. Every CIM stage must match the quantized reference executor bit
 // for bit, under the stage's build-time calibration, on the boundary
@@ -818,11 +819,10 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	envs, _, err := p.exec(ctx, []map[int]*Tensor{inputs}, true)
-	if err != nil {
+	env := maps.Clone(inputs)
+	if _, err := p.carry(ctx, 0, len(p.stages), []map[int]*Tensor{env}, true); err != nil {
 		return err
 	}
-	env := envs[0]
 	a := p.arch
 	for i, st := range p.stages {
 		if st.img == nil {

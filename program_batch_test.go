@@ -156,8 +156,8 @@ func TestMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if staged.Stages() < 2 {
-		t.Fatal("over-capacity model built a one-stage plan")
+	if staged.Chips() < 2 {
+		t.Fatal("over-capacity model built on one chip")
 	}
 	for _, shape := range []struct {
 		name string
@@ -191,16 +191,16 @@ func TestMalformedRequests(t *testing.T) {
 				if err == nil || outs != nil || !strings.HasPrefix(err.Error(), "cimmlc: RunBatch: request 2: "+tc.want) {
 					t.Fatalf("RunBatch: outs=%v err=%v, want nil outputs and request 2's error %q", outs, err, tc.want)
 				}
-				if err := p.RunStage(ctx, 0, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-					t.Fatalf("RunStage(0): err=%v, want the error %q", err, tc.want)
+				if err := p.RunChip(ctx, 0, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("RunChip(0): err=%v, want the error %q", err, tc.want)
 				}
 				// Among good lanes it is refused before any lane executes.
 				lane, before := maps.Clone(good), p.Stats().Requests
-				if err := p.RunStage(ctx, 0, lane, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-					t.Fatalf("RunStage(0) of two lanes: err=%v, want the error %q", err, tc.want)
+				if err := p.RunChip(ctx, 0, lane, tc.req); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("RunChip(0) of two lanes: err=%v, want the error %q", err, tc.want)
 				}
 				if len(lane) != len(good) || p.Stats().Requests != before {
-					t.Fatalf("RunStage(0) ran the good lane next to a malformed one")
+					t.Fatalf("RunChip(0) ran the good lane next to a malformed one")
 				}
 			})
 		}
@@ -265,49 +265,72 @@ func TestBuildRejectsMalformedCalibration(t *testing.T) {
 	}
 }
 
+// hookStep installs the step seam for the rest of the test.
+func hookStep(t *testing.T, hook func(ctx context.Context, stage int, envs []map[int]*Tensor) (int, error)) {
+	t.Helper()
+	testHookStep = hook
+	t.Cleanup(func() { testHookStep = nil })
+}
+
+// laneHolding returns the lane of envs whose input node in holds exactly the
+// tensor mark, or -1: how a step hook tells one request from its batch-mates,
+// since RunBatch clones the request maps but not the tensors.
+func laneHolding(envs []map[int]*Tensor, in int, mark *Tensor) int {
+	for lane, env := range envs {
+		if env[in] == mark {
+			return lane
+		}
+	}
+	return -1
+}
+
+// observedCancel is the error a parked lane fails with once it has seen its
+// batch cancelled. A carry classifies a failure with errors.Is, which asks
+// the error itself first; the question calls asked, so a test learns that the
+// cancellation is being recorded — under the lock the next failure has to
+// take, hence before it.
+type observedCancel struct {
+	error
+	asked func()
+}
+
+func (e observedCancel) Is(error) bool { e.asked(); return false }
+func (e observedCancel) Unwrap() error { return e.error }
+
 // TestRunBatchPrefersRequestErrorOverCancel forces the cancel/first-error
-// interleaving: request 0 is parked inside its worker until the caller
-// cancels the batch, while request 1 — already past its context check — is
-// held until request 0's cancellation has been recorded, and only then fails
-// with a genuine input error. The caller must still receive request 1's
-// indexed error, not the bare (or request-0-attributed) context.Canceled
-// that arrived first.
+// interleaving through RunBatch on two workers: request 0 is parked inside its
+// worker until the caller cancels the batch, while request 1 — admitted, and
+// already inside its own worker — is held until request 0's cancellation is on
+// record, and only then fails for real. The caller must still receive request
+// 1's indexed error, not the bare (or request-0-attributed) context.Canceled
+// that arrived first. (The failure is injected: a malformed request never
+// reaches the workers, admission refuses it before any lane executes.)
 func TestRunBatchPrefersRequestErrorOverCancel(t *testing.T) {
 	_, _, _, inputs, p := buildToyProgram(t, WithWorkers(2))
-	badIn := NewTensor(3, 32, 32)
-	reqs := []map[int]*Tensor{inputs, {99: badIn}} // node 99 does not exist
+	parked, failing := inputs[0], inputs[0].Clone()
+	genuine := errors.New("kernel fault")
 
 	pctx, pcancel := context.WithCancel(context.Background())
 	defer pcancel()
-
 	claimed0 := make(chan struct{})
 	entered1 := make(chan struct{})
-	recorded0 := make(chan struct{})
-	var once0, once1, onceRec sync.Once
-
-	testHookBatchClaim = func(ctx context.Context, i int) {
-		if i == 0 {
-			once0.Do(func() { close(claimed0) })
+	recording0 := make(chan struct{})
+	var once sync.Once
+	hookStep(t, func(ctx context.Context, _ int, envs []map[int]*Tensor) (int, error) {
+		switch {
+		case laneHolding(envs, 0, parked) >= 0:
+			close(claimed0)
 			// Hold request 0 until the caller's cancellation has reached the
-			// batch's own context: a parent context closes its Done channel
-			// before it cancels its children.
+			// batch's own context.
 			<-ctx.Done()
+			return 0, observedCancel{ctx.Err(), func() { once.Do(func() { close(recording0) }) }}
+		case laneHolding(envs, 0, failing) >= 0:
+			close(entered1)
+			<-recording0 // request 0's cancellation must be recorded first
+			return 0, genuine
 		}
-	}
-	testHookRunStart = func(ctx context.Context, in map[int]*Tensor) {
-		if _, ok := in[99]; ok {
-			once1.Do(func() { close(entered1) })
-			<-recorded0 // request 0's cancellation must be recorded first
-		}
-	}
-	testHookBatchFail = func(i int) {
-		if i == 0 {
-			onceRec.Do(func() { close(recorded0) })
-		}
-	}
-	defer func() {
-		testHookBatchClaim, testHookRunStart, testHookBatchFail = nil, nil, nil
-	}()
+		return 0, nil
+	})
 
 	var (
 		outs []map[int]*Tensor
@@ -316,21 +339,180 @@ func TestRunBatchPrefersRequestErrorOverCancel(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		outs, err = p.RunBatch(pctx, reqs)
+		outs, err = p.RunBatch(pctx, []map[int]*Tensor{{0: parked}, {0: failing}})
 	}()
 	<-claimed0 // request 0 parked inside its worker
-	<-entered1 // request 1 past the context check, about to fail for real
+	<-entered1 // request 1 inside its own, about to fail for real
 	pcancel()  // cancellation now races the genuine failure — and must lose
 	<-done
 
 	if outs != nil {
 		t.Fatalf("outs = %v alongside error, want nil", outs)
 	}
-	if err == nil || !strings.Contains(err.Error(), "request 1") || !strings.Contains(err.Error(), "unknown node 99") {
-		t.Fatalf("err = %v, want request 1's unknown-node error", err)
+	if !errors.Is(err, genuine) || !strings.HasPrefix(err.Error(), "cimmlc: RunBatch: request 1: ") {
+		t.Fatalf("err = %v, want request 1's genuine error", err)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the genuine request error, not cancellation", err)
+	}
+}
+
+// TestRunBatchWorkerFailure fails one admitted request inside the lane carrier
+// — at a late stage, its batch-mates' earlier stages long published — on every
+// route a batch takes through it: one uncut micro-batch, the cuts of a batch
+// past the lane cap run inline on one worker, and work items spread over a
+// pool, where the other worker's lanes see the batch cancelled under them. The
+// caller gets that request's index and error and no outputs; RunChip, which
+// names no request, gets the error.
+func TestRunBatchWorkerFailure(t *testing.T) {
+	ctx := context.Background()
+	toy := func(t *testing.T, workers int) *Program {
+		_, _, _, _, p := buildToyProgram(t, WithWorkers(workers))
+		return p
+	}
+	mixed := func(t *testing.T, workers int) *Program {
+		_, p := buildMixedProgram(t, WithWorkers(workers))
+		return p
+	}
+	for _, tc := range []struct {
+		name     string
+		build    func(t *testing.T, workers int) *Program
+		workers  int
+		n, bad   int
+		wantCuts int
+	}{
+		{"uncut", mixed, 1, 4, 2, 1},
+		{"inline", toy, 1, 17, 12, 2}, // past toy's lane cap of 15: 9 + 8
+		{"pooled", mixed, 2, 4, 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.build(t, tc.workers)
+			if cuts := p.batchCuts(tc.n, tc.workers); max(1, len(cuts)-1) != tc.wantCuts {
+				t.Fatalf("%d requests cut into %d work items, want %d", tc.n, max(1, len(cuts)-1), tc.wantCuts)
+			}
+			in := p.g.InputIDs()[0]
+			reqs := make([]map[int]*Tensor, tc.n)
+			for i := range reqs {
+				reqs[i] = seededRequest(p, uint64(20+i))
+			}
+			genuine := errors.New("kernel fault")
+			hookStep(t, func(_ context.Context, stage int, envs []map[int]*Tensor) (int, error) {
+				if lane := laneHolding(envs, in, reqs[tc.bad][in]); lane >= 0 && stage == len(p.stages)-1 {
+					return lane, genuine
+				}
+				return 0, nil
+			})
+			before := p.Stats().Requests
+			outs, err := p.RunBatch(ctx, reqs)
+			if outs != nil {
+				t.Fatalf("outs = %v alongside error, want nil", outs)
+			}
+			want := fmt.Sprintf("cimmlc: RunBatch: request %d: ", tc.bad)
+			if !errors.Is(err, genuine) || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("err = %v, want %q and the injected error", err, want)
+			}
+			envs := make([]map[int]*Tensor, tc.n)
+			for i, req := range reqs {
+				envs[i] = maps.Clone(req)
+			}
+			if err := p.RunChip(ctx, 0, envs...); !errors.Is(err, genuine) || errors.Is(err, context.Canceled) {
+				t.Fatalf("RunChip err = %v, want the injected error", err)
+			}
+			if tc.wantCuts == 1 && p.Stats().Requests != before {
+				t.Fatal("a failed micro-batch counted its lanes as served")
+			}
+		})
+	}
+}
+
+// TestRunChipFailureLeavesEnvsRerunnable is what a serving engine's isolation
+// pass leans on: a batch that fails on a chip is run again lane by lane, on the
+// same environments, to answer only the lane at fault with the error. A chip is
+// several stages when host stages ride with it and its lanes several work
+// items, so by the time one fails others have published — and chip 0 admits
+// only environments that hold the graph's inputs and nothing else.
+func TestRunChipFailureLeavesEnvsRerunnable(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, p := buildMixedProgram(t, WithWorkers(workers))
+			if p.Chips() != 1 || len(p.stages) < 3 {
+				t.Fatalf("want one chip of several stages, got %d chips, %d stages", p.Chips(), len(p.stages))
+			}
+			in := p.g.InputIDs()[0]
+			const n, bad = 4, 3
+			reqs, envs, want := make([]map[int]*Tensor, n), make([]map[int]*Tensor, n), make([]map[int]*Tensor, n)
+			for i := range reqs {
+				reqs[i] = seededRequest(p, uint64(40+i))
+				envs[i] = maps.Clone(reqs[i])
+				var err error
+				if want[i], err = p.Run(ctx, reqs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			genuine := errors.New("kernel fault")
+			hookStep(t, func(_ context.Context, stage int, lanes []map[int]*Tensor) (int, error) {
+				if lane := laneHolding(lanes, in, reqs[bad][in]); lane >= 0 && stage == len(p.stages)-2 {
+					return lane, genuine
+				}
+				return 0, nil
+			})
+			if err := p.RunChip(ctx, 0, envs...); !errors.Is(err, genuine) {
+				t.Fatalf("RunChip err = %v, want the injected error", err)
+			}
+			for i, env := range envs {
+				if len(env) != len(reqs[i]) {
+					t.Fatalf("lane %d: the failed chip left %d tensors in an environment of %d inputs", i, len(env), len(reqs[i]))
+				}
+				err := p.RunChip(ctx, 0, env)
+				if i == bad {
+					if !errors.Is(err, genuine) {
+						t.Fatalf("lane %d alone: err = %v, want the injected error", i, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("lane %d alone, after its batch failed: %v", i, err)
+				}
+				sameOutputs(t, p.outputs(env), want[i])
+			}
+		})
+	}
+}
+
+// TestBatchErrorsAttribution pins the attribution rule of a batch that fails
+// on several workers at once, whatever the arrival order: the lowest-indexed
+// genuine error wins over any cancellation a lane observed, and is what
+// cancels the rest of the batch.
+func TestBatchErrorsAttribution(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	genuine := errors.New("kernel fault")
+	rec := &batchErrors{cancel: cancel}
+	rec.record(0, fmt.Errorf("stage 0: %w", context.Canceled))
+	if rec.failed() || ctx.Err() != nil {
+		t.Fatal("an observed cancellation counted as the batch's failure")
+	}
+	rec.record(3, context.DeadlineExceeded)
+	rec.record(2, genuine)
+	rec.record(1, genuine)
+	if !rec.failed() || ctx.Err() == nil {
+		t.Fatal("a genuine request error did not fail and cancel the batch")
+	}
+	if i, err := rec.resolve(ctx); i != 1 || err != genuine {
+		t.Fatalf("resolve = request %d, %v; want request 1's genuine error", i, err)
+	}
+
+	// With cancellations only, the lowest-indexed one stands in; with nothing
+	// recorded, the context's own error does, blaming no request.
+	rec = &batchErrors{cancel: cancel}
+	rec.record(4, context.Canceled)
+	rec.record(2, context.Canceled)
+	if i, err := rec.resolve(ctx); i != 2 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("resolve = request %d, %v; want request 2's cancellation", i, err)
+	}
+	if i, err := (&batchErrors{cancel: cancel}).resolve(ctx); i != -1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("resolve = request %d, %v; want the bare context error", i, err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestProgramReplica holds Replica to what a fleet relies on, for every plan
-// shape: a replica answers Run, RunBatch and stage-wise RunStage bit for bit
+// shape: a replica answers Run, RunBatch and chip-wise RunChip bit for bit
 // as the program it was taken from, describes the same artifact, counts its
 // own requests — and original and replicas, hammered concurrently (run under
 // -race), share nothing a request writes to.
@@ -40,7 +40,7 @@ func TestProgramReplica(t *testing.T) {
 			served := p.Stats()
 
 			r := p.Replica()
-			if r.Flow() != p.Flow() || r.Result() != p.Result() || r.Stages() != p.Stages() ||
+			if r.Flow() != p.Flow() || r.Result() != p.Result() || r.Chips() != p.Chips() ||
 				!reflect.DeepEqual(r.Inputs(), p.Inputs()) || !reflect.DeepEqual(r.Outputs(), p.Outputs()) ||
 				!reflect.DeepEqual(r.Arch(), p.Arch()) || r.Stats().Partition != served.Partition {
 				t.Fatal("a replica describes a different artifact than its program")
@@ -64,8 +64,8 @@ func TestProgramReplica(t *testing.T) {
 				sameOutputs(t, outs[i], want[i])
 				envs[i] = maps.Clone(req)
 			}
-			for i := 0; i < r.Stages(); i++ {
-				if err := r.RunStage(ctx, i, envs...); err != nil {
+			for c := 0; c < r.Chips(); c++ {
+				if err := r.RunChip(ctx, c, envs...); err != nil {
 					t.Fatal(err)
 				}
 			}

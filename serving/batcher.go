@@ -2,6 +2,8 @@ package serving
 
 import (
 	"context"
+	"maps"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,18 +50,26 @@ type BatcherStats struct {
 	IsolationFallbacks uint64 `json:"isolation_fallbacks"`
 }
 
-// Batcher is a dynamic micro-batching queue in front of one Program. A
-// request submitted by Do runs at once when the executor is idle; the
-// requests that queue while it is busy form the next batch, capped at
-// MaxBatch, which runs through Program.RunBatch's bounded worker pool. A
-// failed batch falls back to per-request execution so one malformed request
-// cannot fail its batch-mates.
+// Batcher is the serving engine of one Program: a dynamic micro-batching queue
+// and a worker in front of every chip the program occupies — one of each for
+// a program on one chip. A request submitted by Do runs on a chip at once when
+// that chip is idle; the requests that queue while it is busy form its next
+// batch, capped at MaxBatch, which Program.RunChip carries lane-wise. A
+// request that has cleared a chip moves on to the next chip's queue, so the
+// requests in flight spread over the chips: chip c of one batch overlaps chip
+// c+1 of the batch before, the inter-request pipelining that hides all but
+// the slowest chip's latency. A failed batch falls back to per-request
+// execution so one malformed request cannot fail its batch-mates.
 //
 // A Batcher is safe for concurrent use. Close drains pending requests.
 type Batcher struct {
 	p    *cimmlc.Program
-	q    *queue.Queue
-	done chan struct{} // closed when the batching loop has exited
+	outs []int
+	// in[c] feeds chip c. Requests are admitted through in[0], whose Close
+	// therefore waits for every job in flight on any chip, and whose batches
+	// are the ones Stats counts.
+	in []*queue.Queue
+	wg sync.WaitGroup // chip workers
 
 	closing   atomic.Bool
 	requests  atomic.Uint64
@@ -70,30 +80,38 @@ type Batcher struct {
 	fallbacks atomic.Uint64
 }
 
-// testHookBatch is a test seam, nil outside tests: the batching loop calls it
-// with each batch it has taken, before running it, so a test can hold the
-// executor while a backlog of known size builds.
-var testHookBatch func(lanes int)
+// testHookBatch is a test seam, nil outside tests: a chip worker calls it with
+// each batch it has taken, before running it, so a test can hold the chip
+// while a backlog of known size builds.
+var testHookBatch func(chip, lanes int)
 
-// NewBatcher starts the batching loop for p.
+// NewBatcher starts a worker for every chip of p.
 func NewBatcher(p *cimmlc.Program, cfg BatcherConfig) *Batcher {
-	b := &Batcher{p: p, q: queue.New(cfg.MaxBatch, cfg.Queue), done: make(chan struct{})}
-	go b.loop()
+	b := &Batcher{p: p, outs: p.Outputs(), in: make([]*queue.Queue, p.Chips())}
+	for c := range b.in {
+		b.in[c] = queue.New(cfg.MaxBatch, cfg.Queue)
+	}
+	for c := range b.in {
+		b.wg.Add(1)
+		go b.worker(c)
+	}
 	return b
 }
 
-// Do submits one inference request and blocks until its batch has executed
+// Do submits one inference request and blocks until it has cleared every chip
 // (or ctx is done). It returns ErrClosed once Close has begun.
 func (b *Batcher) Do(ctx context.Context, inputs map[int]*cimmlc.Tensor) (map[int]*cimmlc.Tensor, error) {
-	return b.q.Do(ctx, inputs)
+	// The chips publish into the job's environment; the caller's map stays
+	// its own.
+	return b.in[0].Do(ctx, maps.Clone(inputs))
 }
 
 // Close stops accepting requests, serves everything already admitted, and
-// waits for the batching loop to exit. It is idempotent.
+// waits for the chip workers to exit. It is idempotent.
 func (b *Batcher) Close() {
 	b.closing.Store(true)
-	b.q.Close()
-	<-b.done
+	b.in[0].Close()
+	b.wg.Wait()
 }
 
 // Stats returns a snapshot of the batcher's counters.
@@ -111,59 +129,66 @@ func (b *Batcher) Stats() BatcherStats {
 // Program returns the program the batcher serves.
 func (b *Batcher) Program() *cimmlc.Program { return b.p }
 
-// Depth reports the number of requests queued but not yet claimed by the
-// batching loop — the backlog signal fleet autoscalers act on.
-func (b *Batcher) Depth() int { return b.q.Depth() }
+// Depth reports the number of requests admitted but not yet claimed by chip
+// 0's worker — the backlog signal fleet autoscalers act on.
+func (b *Batcher) Depth() int { return b.in[0].Depth() }
 
 // Inputs reports the underlying program's input schema (node ID → shape).
 func (b *Batcher) Inputs() map[int][]int { return b.p.Inputs() }
 
-func (b *Batcher) loop() {
-	defer close(b.done)
-	for {
-		jobs, full := b.q.Take()
-		if jobs == nil {
-			return
+// worker drives chip c: it takes batches from the chip's queue, runs the
+// chip's stages over them — which publishes their exports into each job's
+// environment — and hands the jobs to the next chip, or answers their callers
+// after the last. A job environment is touched by one worker at a time.
+func (b *Batcher) worker(c int) {
+	defer b.wg.Done()
+	last := c == len(b.in)-1
+	step := func(ctx context.Context, jobs []*queue.Job) error {
+		envs := make([]map[int]*cimmlc.Tensor, len(jobs))
+		for k, j := range jobs {
+			envs[k] = j.Env
 		}
-		b.batches.Add(1)
-		b.requests.Add(uint64(len(jobs)))
-		switch {
-		case full:
-			b.sizeFl.Add(1)
-		case b.closing.Load():
-			b.drainFl.Add(1)
-		default:
-			b.idleFl.Add(1)
+		if err := b.p.RunChip(ctx, c, envs...); err != nil {
+			return err
+		}
+		for _, j := range jobs {
+			if !last {
+				b.in[c+1].Forward(j)
+				continue
+			}
+			outs := make(map[int]*cimmlc.Tensor, len(b.outs))
+			for _, id := range b.outs {
+				outs[id] = j.Env[id]
+			}
+			j.Finish(outs, nil)
+		}
+		return nil
+	}
+	for {
+		jobs, full := b.in[c].Take()
+		if jobs == nil {
+			break
+		}
+		if c == 0 {
+			b.batches.Add(1)
+			b.requests.Add(uint64(len(jobs)))
+			switch {
+			case full:
+				b.sizeFl.Add(1)
+			case b.closing.Load():
+				b.drainFl.Add(1)
+			default:
+				b.idleFl.Add(1)
+			}
 		}
 		if testHookBatch != nil {
-			testHookBatch(len(jobs))
+			testHookBatch(c, len(jobs))
 		}
-		if queue.Run(jobs, b.step) {
+		if queue.Run(jobs, step) {
 			b.fallbacks.Add(1)
 		}
 	}
-}
-
-// step executes jobs together and answers them: a lone request as a plain
-// Run, so its errors read as Run's do, several through RunBatch.
-func (b *Batcher) step(ctx context.Context, jobs []*queue.Job) error {
-	if len(jobs) == 1 {
-		outs, err := b.p.Run(ctx, jobs[0].Env)
-		if err == nil {
-			jobs[0].Finish(outs, nil)
-		}
-		return err
+	if !last {
+		b.in[c+1].Close()
 	}
-	inputs := make([]map[int]*cimmlc.Tensor, len(jobs))
-	for i, j := range jobs {
-		inputs[i] = j.Env
-	}
-	outs, err := b.p.RunBatch(ctx, inputs)
-	if err != nil {
-		return err
-	}
-	for i, j := range jobs {
-		j.Finish(outs[i], nil)
-	}
-	return nil
 }

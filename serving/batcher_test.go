@@ -67,46 +67,122 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// heldBatcher is a Batcher whose executor a test holds: the batching loop
-// parks, through testHookBatch, on the first batch it takes — one lone
-// request the fixture sends itself — until release. Whatever the test
-// submits meanwhile is a backlog of exactly known size.
+// twoChipProgram builds the zoo mlp across two chips of jia-isscc21 shrunk to 8
+// cores (the mlp needs 13): the Batcher's several-queues case.
+func twoChipProgram(t *testing.T) *cimmlc.Program {
+	t.Helper()
+	g, err := cimmlc.Model("mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cimmlc.Preset("jia-isscc21")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Chip.CoreRows, a.Chip.CoreCols = 2, 4
+	c, err := cimmlc.New(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.BuildPipeline(context.Background(), g, cimmlc.RandomWeights(g, 42), cimmlc.CodegenOptions{}, 0, cimmlc.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Chips() != 2 {
+		t.Fatalf("mlp on the 8-core chip occupies %d chips, want 2", p.Chips())
+	}
+	return p
+}
+
+// mlpInput returns the deterministic request i for the zoo mlp.
+func mlpInput(i int) map[int]*cimmlc.Tensor {
+	in := cimmlc.NewTensor(784)
+	in.Rand(uint64(i)+100, 1)
+	return map[int]*cimmlc.Tensor{0: in}
+}
+
+// heldBatcher is a Batcher whose chip workers a test can hold: through
+// testHookBatch a worker parks on the batch it takes next once hold(chip) has
+// been called, until the gate it yields is closed. Whatever the test submits
+// meanwhile is a backlog of exactly known size. Every batch taken is recorded
+// per chip.
 type heldBatcher struct {
 	*Batcher
-	t       *testing.T
+	t *testing.T
+	// holdBatcher's fixture: release lets the held first batch go, first
+	// receives its result.
 	release func()
 	first   chan doRes
 
 	mu    sync.Mutex
-	sizes []int // lanes of every batch taken, in order
+	sizes [][]int                // lanes of every batch taken, per chip, in order
+	gates []chan<- chan struct{} // a pending hold per chip: receives the gate once parked
 }
 
-func holdBatcher(t *testing.T, p *cimmlc.Program, cfg BatcherConfig) *heldBatcher {
+// newHeldBatcher starts a Batcher over p with nothing held yet.
+func newHeldBatcher(t *testing.T, p *cimmlc.Program, cfg BatcherConfig) *heldBatcher {
 	t.Helper()
-	h := &heldBatcher{t: t, first: make(chan doRes, 1)}
-	parked, gate := make(chan struct{}), make(chan struct{})
-	h.release = sync.OnceFunc(func() { close(gate) })
-	testHookBatch = func(lanes int) {
+	h := &heldBatcher{t: t, first: make(chan doRes, 1), release: func() {},
+		sizes: make([][]int, p.Chips()), gates: make([]chan<- chan struct{}, p.Chips())}
+	testHookBatch = func(chip, lanes int) {
 		h.mu.Lock()
-		h.sizes = append(h.sizes, lanes)
-		first := len(h.sizes) == 1
+		h.sizes[chip] = append(h.sizes[chip], lanes)
+		parked := h.gates[chip]
+		h.gates[chip] = nil
 		h.mu.Unlock()
-		if first {
-			close(parked)
+		if parked != nil {
+			gate := make(chan struct{})
+			parked <- gate
 			<-gate
 		}
 	}
 	h.Batcher = NewBatcher(p, cfg)
-	// Cleanups run last in, first out: the loop has exited before the hook
-	// is cleared.
+	// Cleanups run last in, first out: the workers have exited before the
+	// hook is cleared.
 	t.Cleanup(func() { testHookBatch = nil })
 	t.Cleanup(func() { h.release(); h.Close() })
-	go func() {
-		outs, err := h.Do(context.Background(), testInput(0))
-		h.first <- doRes{outs, err}
-	}()
-	<-parked
 	return h
+}
+
+// hold makes the chip's worker park on the next batch it takes; parked yields
+// that batch's gate once it has, and closing the gate releases it.
+func (h *heldBatcher) hold(chip int) (parked <-chan chan struct{}) {
+	c := make(chan chan struct{}, 1)
+	h.mu.Lock()
+	h.gates[chip] = c
+	h.mu.Unlock()
+	return c
+}
+
+// holdBatcher is a Batcher held on the first batch chip 0 takes — one lone
+// request the fixture sends itself — until release.
+func holdBatcher(t *testing.T, p *cimmlc.Program, cfg BatcherConfig) *heldBatcher {
+	t.Helper()
+	h := newHeldBatcher(t, p, cfg)
+	parked := h.hold(0)
+	h.first = h.do(context.Background(), testInput(0))
+	gate := <-parked
+	h.release = sync.OnceFunc(func() { close(gate) })
+	return h
+}
+
+// do submits one request in the background.
+func (h *heldBatcher) do(ctx context.Context, in map[int]*cimmlc.Tensor) chan doRes {
+	res := make(chan doRes, 1)
+	go func() {
+		outs, err := h.Do(ctx, in)
+		res <- doRes{outs, err}
+	}()
+	return res
+}
+
+// queued waits until chip's queue holds exactly n jobs.
+func (h *heldBatcher) queued(chip, n int) {
+	h.t.Helper()
+	waitFor(h.t, "the backlog to queue", func() bool { return h.in[chip].Depth() >= n })
+	if d := h.in[chip].Depth(); d != n {
+		h.t.Fatalf("chip %d's queue holds %d jobs, want %d", chip, d, n)
+	}
 }
 
 // backlog submits n requests behind the held batch, request i under ctx(i)
@@ -114,25 +190,22 @@ func holdBatcher(t *testing.T, p *cimmlc.Program, cfg BatcherConfig) *heldBatche
 // returns their results.
 func (h *heldBatcher) backlog(n int, inputs func(i int) map[int]*cimmlc.Tensor, ctx func(i int) context.Context) (wait func() []doRes) {
 	h.t.Helper()
-	results := make([]doRes, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := context.Background()
-			if ctx != nil {
-				c = ctx(i)
-			}
-			outs, err := h.Do(c, inputs(i))
-			results[i] = doRes{outs, err}
-		}(i)
+	pending := make([]chan doRes, n)
+	for i := range pending {
+		c := context.Background()
+		if ctx != nil {
+			c = ctx(i)
+		}
+		pending[i] = h.do(c, inputs(i))
 	}
-	waitFor(h.t, "the backlog to queue", func() bool { return h.Depth() >= n })
-	if d := h.Depth(); d != n {
-		h.t.Fatalf("Depth() = %d with %d requests held in the queue", d, n)
+	h.queued(0, n)
+	return func() []doRes {
+		results := make([]doRes, n)
+		for i, res := range pending {
+			results[i] = <-res
+		}
+		return results
 	}
-	return func() []doRes { wg.Wait(); return results }
 }
 
 // closeHeld starts Close while the first batch is still held and returns once
@@ -145,11 +218,14 @@ func (h *heldBatcher) closeHeld() (closed <-chan struct{}) {
 	return c
 }
 
-// batches returns the sizes of the batches taken so far.
-func (h *heldBatcher) batches() []int {
+// batches returns the sizes of the batches chip 0 has taken so far, taken
+// those of any chip.
+func (h *heldBatcher) batches() []int { return h.taken(0) }
+
+func (h *heldBatcher) taken(chip int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return slices.Clone(h.sizes)
+	return slices.Clone(h.sizes[chip])
 }
 
 func validInput(i int) map[int]*cimmlc.Tensor { return testInput(uint64(i + 1)) }
@@ -418,5 +494,174 @@ func TestBatcherEngagesBatchedKernels(t *testing.T) {
 	}
 	if st := p.Stats(); st.BatchRuns != 1 || st.BatchedRequests != n {
 		t.Fatalf("%d requests in %d micro-batches, want the %d queued ones in one", st.BatchedRequests, st.BatchRuns, n)
+	}
+}
+
+// wantRun fails unless res is the bit-exact answer Program.Run gives in.
+func (h *heldBatcher) wantRun(label string, in map[int]*cimmlc.Tensor, res doRes) {
+	h.t.Helper()
+	if res.err != nil {
+		h.t.Fatalf("%s: %v", label, res.err)
+	}
+	sameAsRun(h.t, h.Program(), label, in, res.outs)
+}
+
+// TestBatcherChipsBatchBacklog: the jobs that queue for a later chip while it
+// is busy leave its queue as one lane-wise step, counted by the program like
+// any micro-batch, and every lane's output equals a direct Run's bit for bit.
+// The batcher's own stats count what chip 0 took.
+func TestBatcherChipsBatchBacklog(t *testing.T) {
+	p := twoChipProgram(t)
+	h := newHeldBatcher(t, p, BatcherConfig{MaxBatch: 4})
+	ctx := context.Background()
+	parked := h.hold(1)
+	first := h.do(ctx, mlpInput(0))
+	gate := <-parked // request 0 has cleared chip 0 and occupies chip 1
+
+	const k = 3
+	rest := make([]chan doRes, k)
+	for i := range rest {
+		rest[i] = h.do(ctx, mlpInput(i+1))
+	}
+	h.queued(1, k) // chip 0 was idle: all k stepped through it and wait for chip 1
+	before := p.Stats()
+	close(gate)
+
+	results := []doRes{<-first}
+	for _, res := range rest {
+		results = append(results, <-res)
+	}
+	after := p.Stats() // before the reference Runs below move the counters
+	for i, res := range results {
+		h.wantRun("request", mlpInput(i), res)
+	}
+	if got := h.taken(1); !slices.Equal(got, []int{1, k}) {
+		t.Fatalf("chip 1 stepped batches of %v lanes, want [1 %d]", got, k)
+	}
+	if runs, reqs := after.BatchRuns-before.BatchRuns, after.BatchedRequests-before.BatchedRequests; runs != 1 || reqs != k {
+		t.Fatalf("program counted %d requests in %d micro-batches, want the %d staged lanes in one", reqs, runs, k)
+	}
+	if d := after.Requests - before.Requests; d != k+1 {
+		t.Fatalf("program counted %d requests, want %d", d, k+1)
+	}
+	st := h.Stats()
+	checkSplit(t, st)
+	if st.Requests != k+1 || st.Batches != uint64(len(h.taken(0))) {
+		t.Fatalf("stats %+v over chip 0's batches %v: they must count what chip 0 took", st, h.taken(0))
+	}
+}
+
+// TestBatcherChipCancelledJobSkipped: a job whose caller gives up while it
+// waits for a later chip is answered with its context's error and does not
+// step there.
+func TestBatcherChipCancelledJobSkipped(t *testing.T) {
+	p := twoChipProgram(t)
+	h := newHeldBatcher(t, p, BatcherConfig{MaxBatch: 4})
+	parked := h.hold(1)
+	first := h.do(context.Background(), mlpInput(0))
+	gate := <-parked
+
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := h.do(ctx, mlpInput(1))
+	live := h.do(context.Background(), mlpInput(2))
+	h.queued(1, 2)
+	cancel()
+	if res := <-gone; res.err != context.Canceled {
+		t.Fatalf("cancelled Do = %v, want context.Canceled", res.err)
+	}
+	before := p.Stats().Requests
+	close(gate)
+
+	firstRes, liveRes := <-first, <-live
+	if d := p.Stats().Requests - before; d != 2 {
+		t.Fatalf("program completed %d requests, want 2", d)
+	}
+	h.wantRun("held request", mlpInput(0), firstRes)
+	h.wantRun("live request", mlpInput(2), liveRes)
+	if got := h.taken(1); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("chip 1 stepped batches of %v lanes, want [1 1]: the cancelled job must not run", got)
+	}
+}
+
+// TestBatcherChipsMalformedLaneFailsAlone: a malformed request poisons the
+// batch it is admitted in; the batch re-runs lane by lane, so it alone draws
+// the error Program.Run gives it and the others flow on to the next chip.
+func TestBatcherChipsMalformedLaneFailsAlone(t *testing.T) {
+	p := twoChipProgram(t)
+	h := newHeldBatcher(t, p, BatcherConfig{MaxBatch: 4})
+	ctx := context.Background()
+	parked := h.hold(0)
+	first := h.do(ctx, mlpInput(0))
+	gate := <-parked
+
+	bad := map[int]*cimmlc.Tensor{0: cimmlc.NewTensor(2, 2)}
+	_, wantErr := p.Run(ctx, bad)
+	if wantErr == nil {
+		t.Fatal("Program.Run accepted the malformed request")
+	}
+	good1, poisoned, good2 := h.do(ctx, mlpInput(1)), h.do(ctx, bad), h.do(ctx, mlpInput(2))
+	h.queued(0, 3)
+	close(gate)
+
+	h.wantRun("held request", mlpInput(0), <-first)
+	h.wantRun("batch-mate", mlpInput(1), <-good1)
+	h.wantRun("batch-mate", mlpInput(2), <-good2)
+	if res := <-poisoned; res.outs != nil || res.err == nil || res.err.Error() != wantErr.Error() {
+		t.Fatalf("malformed request: outs=%v err=%v, want Program.Run's error %q", res.outs, res.err, wantErr)
+	}
+	if got := h.taken(0); !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("chip 0 stepped batches of %v lanes, want [1 3]", got)
+	}
+	if st := h.Stats(); st.IsolationFallbacks != 1 {
+		t.Fatalf("stats %+v, want one isolation fallback", st)
+	}
+}
+
+// TestBatcherCloseAnswersEveryChip: Close with a batch held on each chip and
+// jobs queued behind both waits for all of them; every admitted request gets
+// its bit-exact answer, later ones ErrClosed.
+func TestBatcherCloseAnswersEveryChip(t *testing.T) {
+	p := twoChipProgram(t)
+	h := newHeldBatcher(t, p, BatcherConfig{MaxBatch: 4})
+	ctx := context.Background()
+	var pending []chan doRes
+	submit := func() { pending = append(pending, h.do(ctx, mlpInput(len(pending)))) }
+
+	parked1 := h.hold(1)
+	submit() // request 0: parks on chip 1
+	gate1 := <-parked1
+	submit()
+	submit()
+	h.queued(1, 2) // requests 1, 2: behind it in chip 1's queue
+	parked0 := h.hold(0)
+	submit() // request 3: parks on chip 0
+	gate0 := <-parked0
+	submit()
+	submit()
+	h.queued(0, 2) // requests 4, 5: behind it in chip 0's queue
+
+	closed := h.closeHeld()
+	// Admission has stopped once a request is refused; until then a probe
+	// under a dead context is either turned away by that context or queued
+	// and, cancelled, skipped.
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	waitFor(t, "Close to refuse requests", func() bool {
+		_, err := h.Do(dead, mlpInput(0))
+		if err != ErrClosed && err != context.Canceled {
+			t.Fatalf("probe Do = %v, want context.Canceled or ErrClosed", err)
+		}
+		return err == ErrClosed
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned with jobs held and queued on both chips")
+	default:
+	}
+	close(gate0)
+	close(gate1)
+	<-closed
+	for i, res := range pending {
+		h.wantRun("request admitted before Close", mlpInput(i), <-res)
 	}
 }

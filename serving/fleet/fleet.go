@@ -1,21 +1,27 @@
 // Package fleet scales cimmlc serving from one simulated chip to a cluster
-// of them. A Fleet binds one (model, arch) pair to N chip replicas — each a
-// view (cimmlc.Program.Replica) of the one Program the fleet built, behind
-// its own micro-batching queue — behind a deterministic router (least loaded by outstanding requests,
-// rendezvous-hash tiebreak), with queue-depth-driven autoscaling between
-// MinReplicas and MaxReplicas and graceful per-replica drain on scale-down.
+// of them. A Fleet binds one (model, arch) pair to N replicas — each a view
+// (cimmlc.Program.Replica) of the one Program the fleet built, behind its own
+// serving.Batcher — behind a deterministic router (least loaded by
+// outstanding requests, rendezvous-hash tiebreak), with queue-depth-driven
+// autoscaling between MinReplicas and MaxReplicas and graceful per-replica
+// drain on scale-down.
 //
-// Models whose crossbar footprint exceeds one chip under the
-// stationary-weights constraint (cimmlc.ErrOverCapacity) are served by
-// cross-chip pipelining instead: the Program is cut across chips
-// (cimmlc.Compiler.BuildPipeline) and each replica executes its stages on
-// per-chip goroutines, so stage i of request k+1 overlaps stage i+1 of
-// request k.
+// The compiler decides how many chips a replica occupies: the fleet builds
+// through cimmlc.Compiler.BuildPipeline, whose partitioner keeps a model on
+// one chip when one copy of every operator fits it and otherwise cuts it
+// across as many chips as it needs, weights stationary on each — whether or
+// not the registry's compilers enforce stationary weights themselves. The one
+// exception is an operator that alone exceeds a chip: it gets a chip to itself
+// and reloads its weights there on every request, unless the registry enforces
+// stationary weights, in which case New fails with cimmlc.ErrOverCapacity. A
+// replica's Batcher then runs a queue and a worker per chip, so chip c of
+// request k+1 overlaps chip c+1 of request k; Mode reports "pipeline" for
+// such a fleet, "replicated" for one-chip replicas.
 //
-// Every executor — a replica's Batcher, each chip of a pipeline replica —
-// sits behind the same batching queue and follows its one rule: run a request
-// at once when idle, otherwise run together, lane-wise, whatever queued while
-// busy. No chip holds a request back to wait for company.
+// Every chip sits behind the same batching queue and follows its one rule:
+// run a request at once when idle, otherwise run together, lane-wise,
+// whatever queued while busy. No chip holds a request back to wait for
+// company.
 //
 // Replicas execute the same immutable kernels over the same crossbar image —
 // one Build, one heap, whatever the replica count, and no replica can differ
@@ -26,7 +32,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,13 +52,12 @@ type Config struct {
 	// Replicas, which disables scaling.
 	MinReplicas int
 	MaxReplicas int
-	// MaxChips bounds a pipeline replica's chip count (0 = unlimited). Only
-	// consulted when the model needs cross-chip pipelining.
+	// MaxChips bounds a replica's chip count (0 = unlimited): a model that
+	// needs more fails to build.
 	MaxChips int
-	// Batcher sizes every batching queue of the fleet: each replica's
-	// micro-batching queue in replicated mode, each chip's inbox of a
-	// pipeline replica — MaxBatch lanes per step at most, Queue jobs
-	// buffered, the stage-0 inbox being the depth the autoscaler reads.
+	// Batcher sizes every batching queue of the fleet, one per chip of every
+	// replica — MaxBatch lanes per step at most, Queue jobs buffered, chip
+	// 0's queue being the depth the autoscaler reads.
 	Batcher serving.BatcherConfig
 	// ScaleInterval is the autoscaler's tick (default 20ms).
 	ScaleInterval time.Duration
@@ -112,11 +116,11 @@ type Fleet struct {
 }
 
 // New builds a fleet for cfg's (model, arch) against the registry's model
-// source and compilers: one Program — on one chip when the model places, cut
-// across chips when stationary placement overflows (cimmlc.ErrOverCapacity)
-// — that every replica, initial or scaled up later, is a view of. Each chip
-// runs serially (WithWorkers(1)): the fleet's parallelism is across chips, not
-// inside one. When New returns, the fleet serves.
+// source and compilers: one Program — on one chip when one copy of every
+// operator fits it, cut across chips otherwise — that every replica, initial
+// or scaled up later, is a view of. Each chip runs serially (WithWorkers(1)):
+// the fleet's parallelism is across chips, not inside one. When New returns,
+// the fleet serves.
 func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -132,17 +136,14 @@ func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error)
 		return nil, fmt.Errorf("fleet: Replicas %d outside [%d,%d]", cfg.Replicas, cfg.MinReplicas, cfg.MaxReplicas)
 	}
 
-	p, err := reg.BuildProgram(ctx, cfg.Model, cfg.Arch, cimmlc.WithWorkers(1))
-	if errors.Is(err, cimmlc.ErrOverCapacity) {
-		p, err = reg.BuildPipeline(ctx, cfg.Model, cfg.Arch, cfg.MaxChips, cimmlc.WithWorkers(1))
-	}
+	p, err := reg.BuildPipeline(ctx, cfg.Model, cfg.Arch, cfg.MaxChips, cimmlc.WithWorkers(1))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: building %s on %s: %w", cfg.Model, cfg.Arch, err)
 	}
 	f := &Fleet{
 		cfg:        cfg,
 		prog:       p,
-		stages:     chips(p),
+		stages:     p.Chips(),
 		inputs:     p.Inputs(),
 		stop:       make(chan struct{}),
 		scalerDone: make(chan struct{}),
@@ -155,15 +156,10 @@ func New(ctx context.Context, reg *serving.Registry, cfg Config) (*Fleet, error)
 }
 
 // spawn makes one replica: a view of the fleet's Program with lane state and
-// counters of its own, behind the runner its chip count calls for, sized by
-// cfg.Batcher. Nothing is compiled or programmed — a replica costs its
-// queues.
-func (f *Fleet) spawn() runner {
-	p := f.prog.Replica()
-	if f.stages > 1 {
-		return newStageRunner(p, f.cfg.Batcher)
-	}
-	return serving.NewBatcher(p, f.cfg.Batcher)
+// counters of its own, behind a Batcher sized by cfg.Batcher. Nothing is
+// compiled or programmed — a replica costs its queues.
+func (f *Fleet) spawn() *serving.Batcher {
+	return serving.NewBatcher(f.prog.Replica(), f.cfg.Batcher)
 }
 
 // Factory adapts a fleet Config into a serving.RunnerFactory: every
@@ -179,7 +175,7 @@ func Factory(cfg Config) serving.RunnerFactory {
 
 // addReplica registers a ready runner as a serving replica. Returns false
 // (and closes the runner) when the fleet is already closed.
-func (f *Fleet) addReplica(rn runner) bool {
+func (f *Fleet) addReplica(rn *serving.Batcher) bool {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -354,8 +350,9 @@ func (f *Fleet) Replicas() int {
 	return n
 }
 
-// Mode reports "replicated" (single-chip replicas) or "pipeline"
-// (cross-chip pipeline replicas).
+// Mode reports "replicated" (one-chip replicas) or "pipeline" (replicas
+// that pipeline requests across several chips). The compiler decides which:
+// it is the chip count of the Program BuildPipeline cut.
 func (f *Fleet) Mode() string {
 	if f.stages > 1 {
 		return "pipeline"
@@ -403,7 +400,7 @@ func (f *Fleet) Close() {
 // lock; inflight tracks admitted requests so retirement can wait for them.
 type replica struct {
 	id  int
-	run runner
+	run *serving.Batcher
 
 	draining    bool // guarded by Fleet.mu
 	outstanding atomic.Int64

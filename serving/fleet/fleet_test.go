@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cimmlc"
+	"cimmlc/internal/graph"
 	"cimmlc/serving"
 )
 
@@ -125,8 +126,12 @@ func mlpInput(i int) map[int]*cimmlc.Tensor {
 // smallChipRegistry returns a stationary-weights registry with jia-small
 // registered: the zoo mlp overflows it, forcing the pipeline path.
 func smallChipRegistry(t *testing.T) *serving.Registry {
+	return smallChipRegistryWith(t, serving.WithStationaryWeights())
+}
+
+func smallChipRegistryWith(t *testing.T, opts ...serving.RegistryOption) *serving.Registry {
 	t.Helper()
-	reg := serving.NewRegistry(serving.WithStationaryWeights())
+	reg := serving.NewRegistry(opts...)
 	if err := reg.RegisterArch(smallArch(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +237,8 @@ func TestFleetScaleUpAndDrainDown(t *testing.T) {
 }
 
 // TestFleetBuildsOnce: a fleet's replicas are views of one Program, so N of
-// them — initial or scaled up — cost the registry one build (and, for a model
-// that overflows the chip, the one single-chip attempt that says so), not N.
+// them — initial or scaled up, on one chip each or several — cost the registry
+// one build, not N, and no single-chip attempt first.
 func TestFleetBuildsOnce(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -243,7 +248,7 @@ func TestFleetBuildsOnce(t *testing.T) {
 		builds            uint64
 	}{
 		{"replicated", "conv-relu", "toy-table2", func(*testing.T) *serving.Registry { return serving.NewRegistry() }, fleetInput, 1},
-		{"pipeline", "mlp", "jia-small", smallChipRegistry, mlpInput, 2},
+		{"pipeline", "mlp", "jia-small", smallChipRegistry, mlpInput, 1},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			reg := tc.reg(t)
@@ -415,8 +420,8 @@ func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stages() < 2 {
-		t.Fatalf("reference pipeline has %d stages, want ≥ 2", pl.Stages())
+	if pl.Chips() < 2 {
+		t.Fatalf("reference pipeline occupies %d chips, want ≥ 2", pl.Chips())
 	}
 	const n = 8
 	input := mlpInput
@@ -444,6 +449,66 @@ func TestFleetPipelineServesOverCapacityModel(t *testing.T) {
 			sameBits(t, fmt.Sprintf("pipeline replicas=%d batch=%d request %d", tc.replicas, tc.maxBatch, i), outs[i], want[i])
 		}
 		f.Close()
+	}
+}
+
+// TestFleetPipelinesWhateverTheRegistry is the regression test for fleets that
+// never pipelined: what decides a fleet's mode is the compiler's cut of the
+// model, not an error only a stationary-weights registry raises. Through a
+// registry built as cmd/cimserve builds it — host fallback, no
+// WithStationaryWeights — the over-capacity mlp used to be served
+// "replicated", reloading weights on every request; it must occupy two chips.
+// The same holds for a model that also needs the host: a gated stack whose CIM
+// part overflows the chip is cut both ways, and the fleet serves it bit for
+// bit as the Program BuildPipeline makes of it runs it directly.
+func TestFleetPipelinesWhateverTheRegistry(t *testing.T) {
+	ctx := context.Background()
+	gated := serving.WithModelSource(func(name string) (*cimmlc.Graph, cimmlc.Weights, error) {
+		// The first Dense fills a chip, the second opens the next, the
+		// Sigmoid goes to the host.
+		g, err := graph.NewBuilder(name, 784).Dense(256).Dense(128).Sigmoid().Dense(10).Finish()
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, cimmlc.RandomWeights(g, 42), nil
+	})
+	for _, tc := range []struct {
+		name, model string
+		opts        []serving.RegistryOption
+		link        string
+	}{
+		{"as-cimserve", "mlp", []serving.RegistryOption{serving.WithHostFallback()}, "chip"},
+		{"host-and-chip", "mlp-gated", []serving.RegistryOption{serving.WithHostFallback(), gated}, "host+chip"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := smallChipRegistryWith(t, tc.opts...)
+			pl, err := reg.BuildPipeline(ctx, tc.model, "jia-small", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.Verify(ctx, mlpInput(0), 0.12); err != nil {
+				t.Fatal(err)
+			}
+			f, err := New(ctx, reg, Config{Model: tc.model, Arch: "jia-small", Replicas: 2,
+				Batcher: serving.BatcherConfig{MaxBatch: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			ps := f.prog.Stats().Partition
+			if st := f.State(); f.Mode() != "pipeline" || st.Stages != 2 || ps == nil || ps.Link != tc.link {
+				t.Fatalf("fleet mode=%s stages=%d partition=%+v, want pipeline over 2 chips cut on the %s link", f.Mode(), st.Stages, ps, tc.link)
+			}
+			const n = 8
+			outs := doAll(t, f, n, mlpInput)
+			for i := range outs {
+				want, err := pl.Run(ctx, mlpInput(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("request %d", i), outs[i], want)
+			}
+		})
 	}
 }
 

@@ -4,11 +4,10 @@
 // when its executor is idle; a batch is whatever queued while the executor
 // was busy, capped at the batch limit. No timer ever holds a job back.
 //
-// serving.Batcher consumes one Queue in front of a Program; every per-chip
-// stage worker of a fleet's cross-chip replica consumes another. Both take
-// their batches with Take and carry them out with Run, so the rules a batch
-// runner needs — skip the jobs nobody waits for any more, let a poisoned job
-// fail alone — exist here and nowhere else.
+// serving.Batcher consumes one Queue per chip of its Program: every chip
+// worker takes its batches with Take and carries them out with Run, so the
+// rules a batch runner needs — skip the jobs nobody waits for any more, let a
+// poisoned job fail alone — exist here and nowhere else.
 package queue
 
 import (

@@ -1,15 +1,16 @@
 // Package serving turns compiled cimmlc Programs into a servable system:
-// a concurrency-safe registry of lazily-built (model, arch) Programs, a
-// dynamic micro-batching queue in front of each Program, and an HTTP
-// gateway (see cmd/cimserve) that routes inference requests to them.
+// a concurrency-safe registry of lazily-built (model, arch) Programs, one
+// serving engine — the Batcher, a dynamic micro-batching queue in front of
+// every chip a Program occupies — and an HTTP gateway (see cmd/cimserve) that
+// routes inference requests to them.
 //
 // The registry is the front door for multi-model, multi-architecture
 // serving: many models compiled for many CIM architecture presets stay
 // resident at once, each built exactly once on first use. The batcher
 // amortizes per-request dispatch under load without taxing an idle system: a
-// request runs at once when the executor is free, and the requests that
-// queue while it is busy run together, lane-wise, as the next batch through
-// Program.RunBatch's bounded worker pool.
+// request runs at once when its chip is free, and the requests that queue
+// while it is busy run together, lane-wise, as the chip's next batch through
+// Program.RunChip.
 package serving
 
 import (
@@ -71,7 +72,11 @@ func WithHostFallback() RegistryOption {
 // the serving-grade placement constraint (cimmlc.WithStationaryWeights):
 // models whose crossbar footprint exceeds one chip fail to build with
 // cimmlc.ErrOverCapacity instead of silently reloading weights per request.
-// Fleets detect that error and fall back to cross-chip pipelining.
+// Fleets need no such option to pipeline: they build through BuildPipeline,
+// which cuts such a model across chips either way. What the option still
+// decides there is a single operator larger than a whole chip, which no cut
+// can place: with it the build fails, without it that operator's chip reloads
+// its weights per request.
 func WithStationaryWeights() RegistryOption {
 	return func(r *Registry) { r.compilerOpts = append(r.compilerOpts, cimmlc.WithStationaryWeights()) }
 }
@@ -305,9 +310,10 @@ func (r *Registry) BuildProgram(ctx context.Context, model, archName string, ext
 	})
 }
 
-// BuildPipeline is BuildProgram across chips (cimmlc.Compiler.BuildPipeline)
-// — the fleet path for models whose crossbar footprint exceeds one chip.
-// maxChips bounds the chip count when positive.
+// BuildPipeline is BuildProgram across as many chips as the model needs
+// (cimmlc.Compiler.BuildPipeline) — how a fleet builds: the very Program
+// BuildProgram makes when the model fits one chip, a cut across chips when it
+// does not. maxChips bounds the chip count when positive.
 func (r *Registry) BuildPipeline(ctx context.Context, model, archName string, maxChips int, extra ...cimmlc.BuildOption) (*cimmlc.Program, error) {
 	return r.buildWith(model, archName, extra, func(c *cimmlc.Compiler, g *cimmlc.Graph, w cimmlc.Weights, opts []cimmlc.BuildOption) (*cimmlc.Program, error) {
 		return c.BuildPipeline(ctx, g, w, cimmlc.CodegenOptions{}, maxChips, opts...)

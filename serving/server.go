@@ -59,7 +59,24 @@ type Server struct {
 
 	mu       sync.Mutex
 	handles  map[Key]*progHandle
+	building map[buildKey]*runnerBuild // the runner builds in flight
 	draining bool
+}
+
+// buildKey names one runner build: a pair at one registration of its arch. A
+// build begun before the arch was re-registered and one begun after are not
+// the same build.
+type buildKey struct {
+	Key
+	ver uint64
+}
+
+// runnerBuild is a runner build in flight; h and err are set before done is
+// closed.
+type runnerBuild struct {
+	done chan struct{}
+	h    *progHandle
+	err  error
 }
 
 // progHandle pairs a resident runner with its memoized input schema (so
@@ -76,7 +93,7 @@ func NewServer(reg *Registry, cfg ServerConfig) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	return &Server{reg: reg, cfg: cfg, maxBody: 64 << 20, handles: map[Key]*progHandle{}}
+	return &Server{reg: reg, cfg: cfg, maxBody: 64 << 20, handles: map[Key]*progHandle{}, building: map[buildKey]*runnerBuild{}}
 }
 
 // Registry returns the server's model registry.
@@ -107,6 +124,12 @@ func (s *Server) Runner(ctx context.Context, model, arch string) (Runner, error)
 	return h.run, nil
 }
 
+// handle returns the resident runner of (model, arch), building it on first
+// use. Concurrent first requests for a pair wait for a single in-flight build,
+// which runs detached from any one caller's context — one client's timeout or
+// disconnect must not fail the build for everyone coalesced on it. Each
+// waiter still honors its own ctx. A failed build is not kept, so a later
+// request retries.
 func (s *Server) handle(ctx context.Context, model, arch string) (*progHandle, error) {
 	key := Key{Model: strings.ToLower(model), Arch: strings.ToLower(arch)}
 	ver := s.reg.ArchVersion(arch)
@@ -124,23 +147,47 @@ func (s *Server) handle(ctx context.Context, model, arch string) (*progHandle, e
 		go h.run.Close()
 		ok = false
 	}
-	s.mu.Unlock()
 	if ok {
+		s.mu.Unlock()
 		return h, nil
 	}
-	run, err := s.newRunner(ctx, model, arch)
-	if err != nil {
-		return nil, err
+	bk := buildKey{key, ver}
+	b := s.building[bk]
+	if b == nil {
+		b = &runnerBuild{done: make(chan struct{})}
+		s.building[bk] = b
+		go func() {
+			run, err := s.newRunner(context.WithoutCancel(ctx), model, arch)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			delete(s.building, bk)
+			if b.err = err; err == nil {
+				b.h, b.err = s.install(key, ver, run)
+			}
+			close(b.done)
+		}()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.Unlock()
+	select {
+	case <-b.done:
+		return b.h, b.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// install makes a freshly built runner the resident one of key, unless the
+// server is draining or a runner at least as fresh got there first; whichever
+// runner loses is drained off to the side. The caller holds s.mu.
+func (s *Server) install(key Key, ver uint64, run Runner) (*progHandle, error) {
 	if s.draining {
 		go run.Close()
 		return nil, ErrClosed
 	}
 	if old, ok := s.handles[key]; ok {
 		if old.ver >= ver {
-			// Lost a build race to an equally fresh handle; keep theirs.
+			// A build that began before the arch was re-registered lost to
+			// the fresh runner already resident; its callers get that one.
 			go run.Close()
 			return old, nil
 		}
@@ -148,7 +195,7 @@ func (s *Server) handle(ctx context.Context, model, arch string) (*progHandle, e
 		// first: drain it off to the side like any stale handle.
 		go old.run.Close()
 	}
-	h = &progHandle{run: run, schema: run.Inputs(), ver: ver}
+	h := &progHandle{run: run, schema: run.Inputs(), ver: ver}
 	s.handles[key] = h
 	return h, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,5 +427,81 @@ func TestServerBuildRaceClosesEveryRunner(t *testing.T) {
 				t.Errorf("staleFirst=%v: a built runner was never closed (fresh: %v)", staleFirst, Runner(r) == fresh)
 			}
 		}
+	}
+}
+
+// arrivalCtx reports, once, that its owner has begun to wait on it.
+type arrivalCtx struct {
+	context.Context
+	arrived func()
+}
+
+func (c arrivalCtx) Done() <-chan struct{} {
+	c.arrived()
+	return c.Context.Done()
+}
+
+// TestServerColdBurstBuildsOnce: a burst of first requests for one pair used
+// to run one runner build each — under fleet.Factory a fleet with its scaler
+// each — and close all but one as race losers. The burst must coalesce on one
+// build, which outlives the caller that started it: that caller giving up
+// fails neither the build nor the others waiting on it.
+func TestServerColdBurstBuildsOnce(t *testing.T) {
+	const burst = 8
+	var builds, present atomic.Int32
+	gate := make(chan struct{})
+	s := NewServer(NewRegistry(), ServerConfig{Runner: func(ctx context.Context, _ *Registry, _, _ string) (Runner, error) {
+		builds.Add(1)
+		present.Add(1)
+		<-gate
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return &closeRecorder{closed: make(chan struct{})}, nil
+	}})
+	defer s.Close()
+
+	// The first caller starts the build and then gives up.
+	first, giveUp := context.WithCancel(context.Background())
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := s.Runner(first, "conv-relu", "toy-table2")
+		firstErr <- err
+	}()
+	waitFor(t, "the first build to start", func() bool { return builds.Load() == 1 })
+	giveUp()
+
+	// Every other caller is either waiting for that build or, without
+	// coalescing, inside a build of its own when the gate opens.
+	type handed struct {
+		r   Runner
+		err error
+	}
+	got := make(chan handed, burst)
+	for i := 1; i < burst; i++ {
+		go func() {
+			var once sync.Once
+			ctx := arrivalCtx{context.Background(), func() { once.Do(func() { present.Add(1) }) }}
+			r, err := s.Runner(ctx, "conv-relu", "toy-table2")
+			got <- handed{r, err}
+		}()
+	}
+	waitFor(t, "the burst to arrive", func() bool { return present.Load() >= burst })
+	if n := builds.Load(); n != 1 {
+		close(gate)
+		t.Fatalf("a cold burst of %d requests ran %d runner builds, want 1", burst, n)
+	}
+	if err := <-firstErr; err != context.Canceled {
+		t.Fatalf("the caller that gave up got %v with the build still running, want context.Canceled", err)
+	}
+	close(gate)
+	resident := <-got
+	for i := 2; i < burst; i++ {
+		if h := <-got; h.err != nil || resident.err != nil || h.r != resident.r {
+			t.Fatalf("two callers of one cold burst were handed %v (err %v) and %v (err %v)", resident.r, resident.err, h.r, h.err)
+		}
+	}
+	if r, err := s.Runner(context.Background(), "conv-relu", "toy-table2"); err != nil || r != resident.r || builds.Load() != 1 {
+		t.Fatalf("the burst's runner is not resident afterwards (err %v)", err)
 	}
 }
