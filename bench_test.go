@@ -219,12 +219,25 @@ func BenchmarkProgramRunBatchSizes(b *testing.B) {
 	}
 }
 
+// bodySize sums funcsim.CompiledFlow.Size over p's CIM stages: the kernels a
+// request executes and the windows their sweeps walk.
+func bodySize(p *Program) (kernels, windows int) {
+	for _, st := range p.stages {
+		if st.body != nil {
+			_, k, w := st.body.Size()
+			kernels, windows = kernels+k, windows+w
+		}
+	}
+	return kernels, windows
+}
+
 // BenchmarkExecCells is per-request execution on the committed benchmark's
 // exec-* cells — the five monolithic ones and the host-partitioned
 // conv-gate.puma — so kernel work is measured where the bench measures it:
 // `go test -run '^$' -bench ExecCells -cpu 1`. run is Program.Run of one
 // request; batch64 is RunBatch of 64 on one worker, ns/op per request. The
-// requests are distinct and seeded.
+// requests are distinct and seeded. kernels/op is how many kernel closures a
+// request runs through: a window sweep is one, however many windows it walks.
 func BenchmarkExecCells(b *testing.B) {
 	ctx := context.Background()
 	const batch = 64
@@ -245,6 +258,7 @@ func BenchmarkExecCells(b *testing.B) {
 		for i := range reqs {
 			reqs[i] = seededRequest(p, uint64(5000+100*i))
 		}
+		kernels, _ := bodySize(p)
 		b.Run(cell[0]+"."+cell[1]+"/run", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -252,6 +266,7 @@ func BenchmarkExecCells(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(kernels), "kernels/op")
 		})
 		b.Run(cell[0]+"."+cell[1]+"/batch64", func(b *testing.B) {
 			b.ReportAllocs()
@@ -261,6 +276,44 @@ func BenchmarkExecCells(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSweep is the compiled body alone — no load, settle or extract — on
+// the two cells whose requests are mostly window sweeps, as a micro-batch of
+// one lane and of eight: ns/window is the body's time per window per lane
+// (conv-relu: 1 024 windows of 27 × 32, then a ReLU; lenet5: 784 of 25 × 6 and
+// 100 of 150 × 16, the digital layers and three dense reads).
+func BenchmarkSweep(b *testing.B) {
+	ctx := context.Background()
+	for _, cell := range [][2]string{{"conv-relu", "isaac-baseline"}, {"lenet5", "puma"}} {
+		c, g, w := buildCell(b, cell[0], cell[1])
+		p, err := c.Build(ctx, g, w, CodegenOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := p.stages[0]
+		_, windows := bodySize(p)
+		for _, lanes := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s.%s/lanes%d", cell[0], cell[1], lanes), func(b *testing.B) {
+				bs := st.img.NewBatchState(lanes)
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					st.img.ResetBatch(bs, lanes)
+					bm := st.img.ExecBatch(bs)
+					for l := 0; l < lanes; l++ {
+						if err := bm.LoadInputs(l, seededRequest(p, uint64(7000+l))); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					if err := bm.RunBody(st.body); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes*windows), "ns/window")
+			})
+		}
 	}
 }
 

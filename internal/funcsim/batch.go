@@ -15,12 +15,14 @@ import (
 // This file is the execution engine, the only place meta-operator arithmetic
 // lives. An Image compiles a flow section into kernel closures (CompileBody)
 // and a BatchState carries a micro-batch of n >= 1 requests through them: its
-// buffer memory has a leading lane dimension, one lane per request. Each
-// kernel makes ONE pass over a crossbar's weights and streams every lane
-// through it, the amortization stationary weights exist for: per-MOP
-// dispatch, address→node resolution, window gather geometry, requantization
-// tables and quantization-domain bookkeeping are paid once per micro-batch.
-// A single request is the one-lane micro-batch.
+// buffer memory has a leading lane dimension, one lane per request. A
+// kernel streams every lane — and, in a window sweep (sweep.go), every window
+// that multiplies the same weight words — through one pass over those
+// weights, the amortization stationary weights exist for: per-MOP dispatch,
+// address→node resolution and window gather geometry are paid when the flow
+// is compiled, crossbar resolution, requantization tables and
+// quantization-domain bookkeeping once per micro-batch. A single request is
+// the one-lane micro-batch.
 //
 // The bookkeeping that can be shared is shared because it is lane-invariant:
 // every lane runs the same flow against the same image, so region scales,
@@ -33,27 +35,38 @@ import (
 
 // CompiledFlow is a flow section compiled against one Image: the flattened
 // operator list as specialized kernel closures, with static operands
-// (addresses, shapes, node regions, dispatch) resolved at compile time. Most
-// kernels execute one operator; a run of reads accumulating into the same
-// words executes as one (readChain). A CompiledFlow is immutable and safe for
-// concurrent use; each execution supplies its own BatchState.
+// (addresses, shapes, node regions, dispatch, window geometry) resolved at
+// compile time. A write, a mov and a dcom are a kernel each; a run of
+// mov_windows and crossbar reads executes as one, the window sweep
+// (sweep.go). A CompiledFlow is immutable and safe for concurrent use; each
+// execution supplies its own BatchState.
 type CompiledFlow struct {
 	img     *Image
 	kernels []kernel
 	first   []int    // kernels[i] executes ops from first[i] up to the next kernel's
 	ops     []mop.Op // flattened, parallel groups inlined; for error text
 
-	// members backs every readChain's member list.
+	// wins, chains and members back every sweep's windows, their accumulation
+	// chains and the chains' reads.
+	wins    []sweepWin
+	chains  []sweepChain
 	members []xbRead
 	// writeTiles interns the tiles write ops program, so the copies and rounds
 	// a body rewrites share one bit-sliced tile.
 	writeTiles map[codegen.Tile]slicedTile
-	// matrices holds, per node a readcore names, the node's weight matrix in
-	// the layout reads consume.
-	matrices map[int]nodeMatrix
+	// geos and matrices hold, per node, the window gather geometry and — for a
+	// node a readcore names — the weight matrix in the layout reads consume.
+	geos     map[int]*winGeometry
+	matrices map[int]*nodeMatrix
 }
 
 type kernel func(bm *BatchMachine) error
+
+// Size reports how many leaf operators the section holds, how many kernels
+// execute them, and how many windows its sweeps walk per request.
+func (cf *CompiledFlow) Size() (operators, kernels, windows int) {
+	return len(cf.ops), len(cf.kernels), len(cf.wins)
+}
 
 // opError is a failure of a kernel that executes several operators,
 // attributed to the one off places after the kernel's first.
@@ -100,10 +113,11 @@ type BatchState struct {
 	regionRaw   []bool
 
 	// Reusable scratch, grown on demand.
-	runs   []mvmRun // an accumulation chain's members, resolved against the view
-	gather []int64  // readcore's gathered windows, lanes × rows
-	plan   []int64  // window-gather index plan (-1 = zero padding)
-	table  []int64  // requantization lookup table
+	runs   []mvmRun     // a sweep's reads, resolved against the view:
+	calls  []sweepCall  // per block of windows that resolved alike, the
+	blocks []sweepBlock // first one's runs and kernel calls
+	gather []int64      // the activation vectors of the streams in flight
+	table  []int64      // requantization lookup table
 }
 
 func (st *BatchState) lane(l int) []int64 {
@@ -111,26 +125,11 @@ func (st *BatchState) lane(l int) []int64 {
 	return st.mem[off : off+st.stride : off+st.stride]
 }
 
-// runsBuf returns an empty run list with room for n.
-func (st *BatchState) runsBuf(n int) []mvmRun {
-	if cap(st.runs) < n {
-		st.runs = make([]mvmRun, n)
-	}
-	return st.runs[:0]
-}
-
 func (st *BatchState) gatherBuf(n int) []int64 {
 	if cap(st.gather) < n {
 		st.gather = make([]int64, n)
 	}
 	return st.gather[:n]
-}
-
-func (st *BatchState) planBuf(n int) []int64 {
-	if cap(st.plan) < n {
-		st.plan = make([]int64, n)
-	}
-	return st.plan[:n]
 }
 
 func (st *BatchState) tableBuf(n int64) []int64 {
@@ -381,29 +380,48 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 // resolved by the image's codegen.Resolver — the operand calculus the dataflow
 // analysis checks flows with, so a kernel addresses exactly the words the
 // verifier saw and an operand the verifier would reject fails here with the
-// same diagnosis, verifier on or off — window-gather geometry generators are
-// fixed, write tiles are bit-sliced, and consecutive reads that accumulate
-// into the same words are fused into one kernel, so the hot loop carries no
-// dispatch or resolution work and no operator can address outside its
-// regions. What a crossbar holds is run-time state (a body may reprogram it),
-// so a read is completed against it (XBRecord.Activate) by the kernel, before
-// it writes.
+// same diagnosis, verifier on or off — window-gather geometry is resolved per
+// node, write tiles are bit-sliced, and every run of mov_windows and crossbar
+// reads becomes one sweep kernel, so the hot loop carries no dispatch or
+// resolution work and no operator can address outside its regions. What a
+// crossbar holds is run-time state (a body may reprogram it), so a read is
+// completed against it (XBRecord.Activate) by its sweep, before the sweep
+// writes.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	// Sized once from a count of the leaves: flows run to millions of them.
-	leaves, reads := 0, 0
+	var leaves, reads, chains, windows int
+	// Where the leaf before accumulates, when it is a read: a read into other
+	// words, or one that stores, starts a chain.
+	into := int64(-1)
 	_ = eachLeaf(body, func(op mop.Op) error { // the visitor never fails
-		switch op.(type) {
-		case mop.ReadXB, mop.ReadRow:
-			reads++
+		acc, dst := false, int64(-1)
+		switch o := op.(type) {
+		case mop.ReadXB:
+			acc, dst = o.Acc, o.Dst
+		case mop.ReadRow:
+			acc, dst = o.Acc, o.Dst
+		case mop.MovWindow:
+			windows++
+		case mop.ReadCore:
+			windows, chains = windows+int(max(o.WinCount, 0)), chains+int(max(o.WinCount, 0))
 		}
+		if dst >= 0 {
+			reads++
+			if !acc || dst != into {
+				chains++
+			}
+		}
+		into = dst
 		leaves++
 		return nil
 	})
-	cf := &CompiledFlow{img: img, ops: make([]mop.Op, 0, leaves), members: make([]xbRead, 0, reads)}
+	cf := &CompiledFlow{
+		img: img, ops: make([]mop.Op, 0, leaves),
+		wins: make([]sweepWin, 0, windows), chains: make([]sweepChain, 0, chains), members: make([]xbRead, 0, reads),
+	}
 	_ = eachLeaf(body, func(op mop.Op) error { cf.ops = append(cf.ops, op); return nil })
-	cf.kernels, cf.first = make([]kernel, 0, leaves), make([]int, 0, leaves)
 	for at := 0; at < leaves; {
-		k, n, err := img.compileReads(cf, at) // n == 0: not a crossbar read
+		k, n, err := img.compileSweep(cf, at) // n == 0: not a sweep's operator
 		if n == 0 && err == nil {
 			k, err = img.compileOp(cf, cf.ops[at])
 			n = 1
@@ -434,8 +452,8 @@ func eachLeaf(ops []mop.Op, visit func(mop.Op) error) error {
 	return nil
 }
 
-// compileOp compiles every operator that is a kernel of its own: all but the
-// crossbar reads (compileReads).
+// compileOp compiles every operator that is a kernel of its own: all but a
+// sweep's (compileSweep).
 func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
 	if w, ok, err := img.res.ResolveWrite(op); ok {
 		if err != nil {
@@ -448,12 +466,8 @@ func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
 		return nil, err
 	}
 	switch o := op.(type) {
-	case mop.ReadCore:
-		return img.compileReadCore(cf, o, ops), nil
 	case mop.Mov:
 		return img.compileMov(o, ops), nil
-	case mop.MovWindow:
-		return img.compileMovWindow(o, ops), nil
 	case mop.Dcom:
 		return img.compileDcom(o)
 	}
@@ -561,281 +575,6 @@ func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int6
 	return cells, weights
 }
 
-// xbRead is one readxb or readrow as a member of an accumulation chain: the
-// resolved read, the node whose region it streams activations from (-1:
-// scratch), and the chain's dot-product run the member belongs to — a readrow
-// that continues an earlier member's wordlines and source run (parallel_row
-// cuts one tile's rows into several reads) lengthens that member's run instead
-// of starting its own.
-type xbRead struct {
-	codegen.XBRead
-	srcNode, run int32
-}
-
-// readChain is the kernel of a maximal run of consecutive reads that
-// accumulate into the same words: every member after the first has Acc set
-// and the first's Dst and Stride. Integer addition is associative and
-// commutative, so summing the members' dot products in registers and storing
-// each output once leaves what running them one after another leaves —
-// provided no member reads what the chain writes (compileReads). A read with
-// no such neighbour is a chain of one: there is no other read path.
-type readChain struct {
-	members []xbRead
-	limit   int64 // word format and guard bound for sums over all members' rows (mvm.go)
-}
-
-// compileReads compiles the accumulation chain that starts at cf.ops[at] and
-// reports how many operators it takes in; none when cf.ops[at] is no crossbar
-// read.
-func (img *Image) compileReads(cf *CompiledFlow, at int) (kernel, int, error) {
-	a := img.a
-	ch := &readChain{}
-	maxCols := a.XB.Cols / a.CellsPerWeight()
-	rows, start := 0, len(cf.members)
-	var head codegen.XBRead
-	var endsBuf [8]xbRead
-	ends := endsBuf[:0] // per run, the member that would lengthen it
-	for j := at; j < len(cf.ops); j++ {
-		rd, ok, err := img.res.ResolveRead(cf.ops[j])
-		if j == at {
-			if head = rd; !ok || err != nil {
-				return nil, 0, err
-			}
-		} else if !ok || err != nil || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride {
-			break // a bad read heads the next chain, which is where its error is reported
-		}
-		r := xbRead{XBRead: rd, srcNode: int32(img.res.Owner(img.res.NodeRegionAt(rd.Src)))}
-		n := int(r.Rows)
-		if n < 0 {
-			n = a.XB.Rows // what a readxb activates is the crossbar's to say
-		}
-		// A member must not read what the chain writes: its source run, for
-		// the sums' sake, nor its source node's region, which it settles
-		// before the chain runs instead of after the members ahead of it.
-		lo, hi := r.Src, r.Src+int64(n)
-		if r.srcNode >= 0 {
-			lo, hi = min(lo, img.base[r.srcNode]), max(hi, img.base[r.srcNode]+img.size[r.srcNode])
-		}
-		alone := strideTouches(head.Dst, head.Stride, maxCols, lo, hi)
-		// Nor may the chain's rows outgrow what a packed half can sum; a lone
-		// read's never do, or the image would not be packed.
-		limit := int64(-1)
-		if img.packed {
-			limit = wordLimit(rows+n, a.WeightBits, a.ActBits)
-		}
-		if j > at && (alone || img.packed && limit < 0) {
-			break
-		}
-		// A readrow that starts where an earlier member's wordlines and source
-		// run end lengthens that member's run; a readxb's run ends nowhere
-		// known before the crossbar is looked at.
-		r.run = int32(slices.IndexFunc(ends, func(e xbRead) bool { return e.XB == r.XB && e.Row == r.Row && e.Src == r.Src }))
-		if r.run < 0 {
-			r.run, ends = int32(len(ends)), append(ends, xbRead{})
-		}
-		ends[r.run].XB = -1
-		if r.Rows >= 0 {
-			ends[r.run].XBRead = codegen.XBRead{XB: r.XB, Row: r.Row + r.Rows, Src: r.Src + int64(n)}
-		}
-		cf.members = append(cf.members, r)
-		rows, ch.limit = rows+n, limit
-		if alone {
-			break
-		}
-	}
-	ch.members = cf.members[start:len(cf.members):len(cf.members)]
-	return ch.run, len(ch.members), nil
-}
-
-// strideTouches reports whether any of the n words dst, dst+stride, … lies in
-// [lo, hi).
-func strideTouches(dst, stride int64, n int, lo, hi int64) bool {
-	j := int64(0)
-	if dst < lo {
-		j = (lo - dst + stride - 1) / stride
-	}
-	return j < int64(n) && dst+j*stride < hi
-}
-
-// run is the chain's kernel. Everything that depends on what the crossbars
-// hold now — programmed at all, the rows read, the columns' destination words
-// inside the programmed node's region (XBRecord.Activate), equal column
-// counts — is settled for every member before anything is written; members
-// that turn out to hold different column counts run as chains of one.
-func (ch *readChain) run(bm *BatchMachine) error {
-	st := bm.st
-	runs := st.runsBuf(len(ch.members))
-	node, cols, uniform := -1, 0, true
-	for i := range ch.members {
-		m := &ch.members[i]
-		p := &st.prog[m.XB]
-		n, err := p.Activate(&m.XBRead)
-		if err != nil {
-			return opError{i, err}
-		}
-		if int(m.run) < len(runs) {
-			runs[m.run].n += n
-		} else {
-			runs = append(runs, mvmRun{w: st.weights[m.XB][m.Row:], stride: p.stride, n: n, src: m.Src})
-		}
-		if i == 0 {
-			node, cols = int(p.Node), int(p.WCols)
-		}
-		uniform = uniform && int(p.WCols) == cols
-	}
-	for i := range ch.members {
-		bm.settleNode(int(ch.members[i].srcNode))
-		if i == 0 {
-			// Where running the members apart would mark it: after the first.
-			// Every member writes the head's words, which lie in one node's
-			// region: the node every member's crossbar is programmed with.
-			bm.markCIMOutput(node)
-		}
-	}
-	head := &ch.members[0]
-	k := mvmCall{
-		act: st.mem, actStride: st.stride, out: st.mem, outStride: st.stride, lanes: st.lanes,
-		runs: runs, cols: cols, limit: ch.limit,
-		dst: head.Dst, stride: head.Stride, acc: head.Acc,
-	}
-	if uniform {
-		k.run()
-		return nil
-	}
-	next := 0
-	for i := range ch.members {
-		if m := &ch.members[i]; int(m.run) == next { // the member that starts run next
-			k.runs, k.cols = runs[next:next+1], int(st.prog[m.XB].WCols)
-			k.run()
-			k.acc, next = true, next+1
-		}
-	}
-	return nil
-}
-
-// gatherPlan computes the index plan of window w of node n's input: for each
-// weight-matrix row — (ic, ky, kx) order for convolutions over an NCHW
-// region, a contiguous token row for matrix Dense, the whole vector for vector
-// Dense — the lane-relative source address, or -1 for zero padding. The plan
-// depends only on geometry, so one plan serves every lane.
-func (img *Image) gatherPlan(n *graph.Node, w, srcBase int64, plan []int64) error {
-	switch n.Op {
-	case graph.OpConv:
-		in := img.g.MustNode(n.Inputs[0]).OutShape
-		inC, h, wd := in[0], in[1], in[2]
-		outW := n.OutShape[2]
-		oy := int(w) / outW
-		ox := int(w) % outW
-		kH, kW := n.Attr.KernelH, n.Attr.KernelW
-		st, pad := n.Attr.Stride, n.Attr.Padding
-		y0, x0 := oy*st-pad, ox*st-pad
-		idx := 0
-		for ic := 0; ic < inC; ic++ {
-			for ky := 0; ky < kH; ky++ {
-				iy := y0 + ky
-				rowBase := srcBase + int64((ic*h+iy)*wd)
-				for kx := 0; kx < kW; kx++ {
-					ix := x0 + kx
-					if iy < 0 || iy >= h || ix < 0 || ix >= wd {
-						plan[idx] = -1
-					} else {
-						plan[idx] = rowBase + int64(ix)
-					}
-					idx++
-				}
-			}
-		}
-		return nil
-	case graph.OpDense:
-		rows := int64(len(plan))
-		base := srcBase
-		if len(n.OutShape) == 2 {
-			base += w * rows
-		}
-		for i := int64(0); i < rows; i++ {
-			plan[i] = base + i
-		}
-		return nil
-	}
-	return fmt.Errorf("gather for unsupported op %s", n.Op)
-}
-
-// nodeMatrix is a CIM node's quantized weight matrix in the layout reads
-// consume (mvm.go), for readcore — a core computes a node's MVMs without the
-// flow naming crossbars. Its word format and guard bound follow from its own
-// row count.
-type nodeMatrix struct {
-	w     []int64
-	limit int64
-}
-
-// matrixOf lays node's weight matrix out for readcore, once per flow.
-func (cf *CompiledFlow) matrixOf(node int) nodeMatrix {
-	if m, ok := cf.matrices[node]; ok {
-		return m
-	}
-	img := cf.img
-	qw, rows, cols := img.qweights[node], img.wDims[node][0], img.wDims[node][1]
-	m := nodeMatrix{limit: wordLimit(rows, img.a.WeightBits, img.a.ActBits)}
-	m.w = make([]int64, wordsFor(cols, m.limit >= 0)*rows)
-	for i := 0; i < rows; i++ {
-		for j, v := range qw[i*cols : (i+1)*cols] {
-			placeWeight(m.w, rows, i, j, int64(v), m.limit >= 0)
-		}
-	}
-	if cf.matrices == nil {
-		cf.matrices = make(map[int]nodeMatrix)
-	}
-	cf.matrices[node] = m
-	return m
-}
-
-// gather copies the words plan names out of one lane into dst, zero where the
-// plan says padding.
-func gather(dst, lm, plan []int64) {
-	for i, idx := range plan {
-		if idx < 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = lm[idx]
-		}
-	}
-}
-
-// compileReadCore compiles a whole operator window range on a core (MOP_CM):
-// the core's internal crossbars perform the same quantized arithmetic, so the
-// kernel gathers each window of every lane and runs the MVM microkernel over
-// the node's weight matrix.
-func (img *Image) compileReadCore(cf *CompiledFlow, o mop.ReadCore, ops codegen.Operands) kernel {
-	n := img.g.MustNode(o.Node)
-	rows, cols := img.wDims[o.Node][0], img.wDims[o.Node][1]
-	mat := cf.matrixOf(o.Node)
-	srcNode := ops.RegionReads[0]
-	// Output column j of window w lands at Dst + j·cj + w·cw.
-	cj, cw := codegen.OutGeometry(n)
-	return func(bm *BatchMachine) error {
-		st := bm.st
-		bm.settleNode(srcNode)
-		plan := st.planBuf(rows)
-		k := mvmCall{
-			act: st.gatherBuf(st.lanes * rows), actStride: int64(rows), out: st.mem, outStride: st.stride, lanes: st.lanes,
-			runs: []mvmRun{{w: mat.w, stride: rows, n: rows}}, cols: cols, limit: mat.limit, stride: cj,
-		}
-		for w := o.WinStart; w < o.WinStart+o.WinCount; w++ {
-			if err := bm.img.gatherPlan(n, w, o.Src, plan); err != nil {
-				return err
-			}
-			for l := 0; l < st.lanes; l++ {
-				gather(k.act[l*rows:(l+1)*rows], st.lane(l), plan)
-			}
-			k.dst = o.Dst + w*cw
-			k.run()
-		}
-		bm.markCIMOutput(o.Node)
-		return nil
-	}
-}
-
 func (img *Image) compileMov(o mop.Mov, ops codegen.Operands) kernel {
 	srcNode, dstNode := img.res.Owner(ops.ReadRegion), img.res.Owner(ops.WriteRegion)
 	// Whole-region copies propagate the source's numeric domain (Flatten,
@@ -857,31 +596,13 @@ func (img *Image) compileMov(o mop.Mov, ops codegen.Operands) kernel {
 	}
 }
 
-func (img *Image) compileMovWindow(o mop.MovWindow, ops codegen.Operands) kernel {
-	n := img.g.MustNode(o.Node)
-	rows, srcNode := ops.Writes.Count, ops.RegionReads[0]
-	return func(bm *BatchMachine) error {
-		st := bm.st
-		bm.settleNode(srcNode)
-		plan := st.planBuf(int(rows))
-		if err := bm.img.gatherPlan(n, o.Window, o.SrcBase, plan); err != nil {
-			return err
-		}
-		for l := 0; l < st.lanes; l++ {
-			lm := st.lane(l)
-			gather(lm[o.Dst:o.Dst+rows], lm, plan)
-		}
-		return nil
-	}
-}
-
 // compileDcom compiles a digital-compute operator (resolved: it writes the
 // node's whole region from its graph inputs'): dequantize the inputs, run the
 // float reference kernel, requantize into the node's activation domain.
 func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	n := img.g.MustNode(o.Node)
-	if n.Op == graph.OpReLU {
-		return img.compileDcomReLU(o, n)
+	if k, err := img.compileDcomLevels(o, n); k != nil || err != nil {
+		return k, err
 	}
 	q := img.actScale[o.Node]
 	inputs := append([]int(nil), n.Inputs...)
@@ -917,68 +638,109 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	}, nil
 }
 
-// compileDcomReLU specializes the allocation-free ReLU: it replicates the
-// generic dequantize → float kernel → requantize pipeline element by element
-// (including the float32 division Quantize performs), so outputs stay
-// bit-identical to compileDcom's while skipping three tensor allocations per
-// lane.
-func (img *Image) compileDcomReLU(o mop.Dcom, n *graph.Node) (kernel, error) {
+// requant is compileDcom's pipeline for one element of an operator whose
+// output element is one input element's: dequantize the input level, floor it
+// at zero for a ReLU, then Quantize — its float32 division, rounding and clamp
+// included — so the level it returns is bit for bit the generic kernel's.
+type requant struct {
+	inScale float64
+	scale   float32
+	maxQ    int32
+	relu    bool
+}
+
+func (r requant) level(v int64) int64 {
+	f := float32(float64(v) * r.inScale)
+	if r.relu && f < 0 {
+		f = 0
+	}
+	q := int32(math.RoundToEven(float64(f / r.scale)))
+	return int64(max(min(q, r.maxQ), -r.maxQ))
+}
+
+// compileDcomLevels specializes ReLU and MaxPool, which pick one input level
+// per output element — MaxPool the window's largest: dequantization
+// float32(v·scale) is monotone in v for a positive scale, so the largest float
+// of a window is the float of its largest level, ties and all-negative
+// windows included. The kernel stays in integers and replicates the generic
+// pipeline on the level it picked (requant), bit-identical to compileDcom's
+// without its three tensor allocations per lane. It returns no kernel for
+// every other operator, and for a MaxPool whose shapes it does not recognize.
+func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
+	if n.Op != graph.OpReLU && n.Op != graph.OpMaxPool {
+		return nil, nil
+	}
 	in := n.Inputs[0]
 	base, size := img.base[in], img.size[in]
+	// An elementwise operator is a 1 × 1 pool over a single row.
+	relu, k, stride, h, w, outH, outW := true, 1, 1, 1, int(size), 1, int(size)
+	if n.Op == graph.OpMaxPool {
+		shape := img.g.MustNode(in).OutShape
+		relu, k, stride = false, n.Attr.KernelH, n.Attr.Stride
+		if len(shape) != 3 || k <= 0 || stride <= 0 || shape[1] < k || shape[2] < k {
+			return nil, nil
+		}
+		h, w = shape[1], shape[2]
+		outH, outW = (h-k)/stride+1, (w-k)/stride+1
+		if int64(shape[0]*outH*outW) != o.Len {
+			return nil, nil
+		}
+	}
 	q := img.actScale[o.Node]
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	maxQ, scale := q.MaxQ(), q.Scale
 	maxIn := int64(img.actScale[in].MaxQ())
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		bm.settleNode(in)
-		inScale := st.regionScale[in]
-		if inScale == 0 {
-			inScale = float64(img.actScale[in].Scale)
+		r := requant{inScale: st.regionScale[in], scale: q.Scale, maxQ: q.MaxQ(), relu: relu}
+		if r.inScale == 0 {
+			r.inScale = float64(img.actScale[in].Scale)
 		}
-		reluQuant := func(v int64) int64 {
-			f := float32(float64(v) * inScale)
-			if f < 0 {
-				f = 0
-			}
-			r := int32(math.RoundToEven(float64(f / scale)))
-			if r > maxQ {
-				r = maxQ
-			}
-			if r < -maxQ {
-				r = -maxQ
-			}
-			return int64(r)
+		if !relu && (!(r.inScale > 0) || math.IsInf(r.inScale, 1)) {
+			return fmt.Errorf("dcom %s: input scale %v is not positive and finite", o.Fn, r.inScale)
 		}
 		// Settled activations are clamped to the input's quantized range, so
 		// for the usual low-precision activations (8-bit in every preset)
 		// the requantization of every representable value is tabulated once
 		// per micro-batch and the per-element division becomes a lookup.
 		// High-precision configurations would make the table larger than the
-		// work it saves, so they take the direct loop.
-		if maxIn <= 1<<12 && size >= maxIn {
-			table := st.tableBuf(2*maxIn + 1)
+		// work it saves, so they take the direct computation.
+		var table []int64
+		if maxIn <= 1<<12 && o.Len >= maxIn {
+			table = st.tableBuf(2*maxIn + 1)
 			for v := -maxIn; v <= maxIn; v++ {
-				table[v+maxIn] = reluQuant(v)
+				table[v+maxIn] = r.level(v)
 			}
-			for l := 0; l < st.lanes; l++ {
-				lm := st.lane(l)
-				for i := int64(0); i < size; i++ {
-					v := lm[base+i]
-					if v >= -maxIn && v <= maxIn {
-						lm[o.Dst+i] = table[v+maxIn]
-					} else {
-						lm[o.Dst+i] = reluQuant(v)
-					}
+		}
+		level := func(v int64) int64 {
+			if u := uint64(v + maxIn); u < uint64(len(table)) {
+				return table[u]
+			}
+			return r.level(v)
+		}
+		for l := 0; l < st.lanes; l++ {
+			lm := st.lane(l)
+			src, dst := lm[base:base+size], lm[o.Dst:o.Dst+o.Len]
+			if k == 1 && stride == 1 {
+				for i, v := range src {
+					dst[i] = level(v)
 				}
+				continue
 			}
-		} else {
-			for l := 0; l < st.lanes; l++ {
-				lm := st.lane(l)
-				for i := int64(0); i < size; i++ {
-					lm[o.Dst+i] = reluQuant(lm[base+i])
+			for i, c := 0, 0; i < len(dst); c++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox, i = ox+1, i+1 {
+						win := src[(c*h+oy*stride)*w+ox*stride:]
+						best := win[0]
+						for ky := 0; ky < k; ky++ {
+							for _, v := range win[ky*w:][:k] {
+								best = max(best, v)
+							}
+						}
+						dst[i] = level(best)
+					}
 				}
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 	"cimmlc/internal/mop"
+	"cimmlc/internal/partition"
 	"cimmlc/internal/tensor"
 )
 
@@ -289,15 +290,53 @@ func TestCompileBodyRejectsBadOps(t *testing.T) {
 	}
 }
 
+// windowOps returns the operators of the w-th window of a flattened body:
+// from its w-th mov_window up to the next one, or to the first operator that is
+// neither a mov_window nor a crossbar read.
+func windowOps(t *testing.T, ops []mop.Op, w int) []mop.Op {
+	t.Helper()
+	start := -1
+	for i, op := range ops {
+		switch op.(type) {
+		case mop.MovWindow:
+			if start >= 0 {
+				return ops[start:i]
+			}
+			if w--; w < 0 {
+				start = i
+			}
+		case mop.ReadXB, mop.ReadRow:
+		default:
+			if start >= 0 {
+				return ops[start:i]
+			}
+		}
+	}
+	if start < 0 {
+		t.Fatal("the body has no such window")
+	}
+	return ops[start:]
+}
+
 // TestReadsCheckCrossbarStateBeforeWriting: what a read can only know from
 // the crossbar it finds — which node's region its columns must land in, how
 // many wordlines it may activate — is checked by the kernel, and a failure is
-// an error naming the operator, for a member of an accumulation chain the
-// member's own, with nothing written.
+// an error naming the operator, for a read inside a sweep the read's own, with
+// nothing written: not by the windows ahead of it either.
 func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
 	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.WLM), 48, 1, programmed)
 	img := c.img
 	rows := int(img.baseProg[0].Rows)
+	// Six windows of the generated body, the last read of the fourth reaching
+	// past what its crossbar holds.
+	var sweep []mop.Op
+	for w := 0; w < 6; w++ {
+		sweep = append(sweep, windowOps(t, c.cf.ops, w)...)
+	}
+	k := 4*len(sweep)/6 - 1
+	bad := sweep[k].(mop.ReadRow)
+	bad.Row, bad.NumRows = rows-1, 2
+	sweep[k] = bad
 	for name, tc := range map[string]struct {
 		body []mop.Op
 		want string
@@ -313,27 +352,32 @@ func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
 			},
 			fmt.Sprintf("op 1 (cim.readrow(xb=1, row=%d", rows-1),
 		},
+		"read-in-the-fourth-window-of-a-sweep": {sweep, fmt.Sprintf("op %d (%s)", k, bad)},
 	} {
 		cf, err := img.CompileBody(tc.body)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(cf.kernels) != 1 {
-			t.Fatalf("%s: %d kernels, want the one chain", name, len(cf.kernels))
+			t.Fatalf("%s: %d kernels, want the one sweep", name, len(cf.kernels))
 		}
 		st := img.NewBatchState(2)
+		for w := range st.mem {
+			st.mem[w] = int64(w%251) - 125
+		}
+		before := slices.Clone(st.mem)
 		err = img.ExecBatch(st).RunBody(cf)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
 		}
-		if slices.ContainsFunc(st.mem, func(v int64) bool { return v != 0 }) {
+		if !slices.Equal(st.mem, before) {
 			t.Errorf("%s: the failed kernel wrote to lane memory", name)
 		}
 	}
 }
 
-// chainLengths counts cf's kernels by the number of operators each executes.
-func chainLengths(cf *CompiledFlow) map[int]int {
+// kernelSizes counts cf's kernels by the number of operators each executes.
+func kernelSizes(cf *CompiledFlow) map[int]int {
 	n := map[int]int{}
 	for i, first := range cf.first {
 		end := len(cf.ops)
@@ -345,27 +389,119 @@ func chainLengths(cf *CompiledFlow) map[int]int {
 	return n
 }
 
-// TestChainsMatchOperatorByOperator: a body compiled whole — consecutive
-// reads into the same words fused into chain kernels — leaves exactly the
-// lane memory and quantization bookkeeping the same body leaves compiled one
-// operator per flow (every read a chain of one; how the benchmark's traced
-// replay runs it). The cells: four-member chains over image-shared crossbars,
-// chains across two crossbars, chains over crossbars the body wrote, and a
-// hand-written pair whose second read streams in what the first produced
-// and so must not join its chain.
+// everyLaneCount covers the four-stream pass, the lone stream and their
+// combinations.
+var everyLaneCount = []int{1, 2, 3, 5, 8}
+
+// sweptMatchesApart runs whole and the same operators compiled one per flow —
+// the no-knob oracle: a one-operator body cannot form a sweep — as micro-batches
+// of the given lane counts and requires equal lane memory (scratch included)
+// and equal quantization bookkeeping. prepare, when set, edits each state after
+// the inputs are loaded.
+func sweptMatchesApart(t *testing.T, c *laneCell, whole *CompiledFlow, prepare func(st *BatchState), laneCounts []int) {
+	t.Helper()
+	img := c.img
+	apart := make([]*CompiledFlow, len(whole.ops))
+	for i, op := range whole.ops {
+		var err error
+		if apart[i], err = img.CompileBody([]mop.Op{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := img.NewBatchState(1), img.NewBatchState(1)
+	for _, lanes := range laneCounts {
+		img.ResetBatch(a, lanes)
+		img.ResetBatch(b, lanes)
+		ma, mb := img.ExecBatch(a), img.ExecBatch(b)
+		for l := 0; l < lanes; l++ {
+			if err := errors.Join(ma.LoadInputs(l, c.ins[l]), mb.LoadInputs(l, c.ins[l])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if prepare != nil {
+			prepare(a)
+			prepare(b)
+		}
+		if err := ma.RunBody(whole); err != nil {
+			t.Fatal(err)
+		}
+		for _, cf := range apart {
+			if err := mb.RunBody(cf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(a.mem, b.mem) || !slices.Equal(a.regionScale, b.regionScale) || !slices.Equal(a.regionRaw, b.regionRaw) {
+			for w := range a.mem {
+				if a.mem[w] != b.mem[w] {
+					t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different states: lane %d word %d is %d, apart %d",
+						lanes, int64(w)/a.stride, int64(w)%a.stride, a.mem[w], b.mem[w])
+				}
+			}
+			t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different region bookkeeping", lanes)
+		}
+	}
+}
+
+// stridedConv is a convolution whose windows step by two over a non-square
+// input, so that its border windows, its window count (not a multiple of
+// four) and its row pitch all differ from the zoo's.
+func stridedConv(name string, h, w, pad int) *graph.Graph {
+	return graph.NewBuilder(name, 2, h, w).Conv(5, 3, 2, pad).ReLU().MustFinish()
+}
+
+// cimStage returns the idx-th CIM subgraph of g as the partitioner cuts it for
+// a: what a host-partitioned program runs on the accelerator.
+func cimStage(t *testing.T, g *graph.Graph, idx int) *graph.Graph {
+	t.Helper()
+	plan, err := partition.Partition(g, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range plan.Subs {
+		if sub.Target == graph.TargetCIM {
+			if idx == 0 {
+				return sub.G
+			}
+			idx--
+		}
+	}
+	t.Fatalf("%s has no such CIM stage", g.Name)
+	return nil
+}
+
+// TestChainsMatchOperatorByOperator: a body compiled whole — its runs of
+// mov_windows and reads swept by one kernel each, windows four to a pass — leaves
+// exactly the lane memory and quantization bookkeeping the same body leaves
+// compiled one operator per flow (every operator a sweep of one; how the
+// benchmark's traced replay runs it). The cells: the benchmark's six exec-*
+// cells (conv-gate.puma as its two CIM stages), windows over image-shared
+// crossbars, over crossbars the body wrote, over scratch every window reuses,
+// readcore windows, strided and padded convolutions whose window count is no
+// multiple of four, and a hand-written pair whose second read streams in what
+// the first produced and so must be a sweep of its own.
 func TestChainsMatchOperatorByOperator(t *testing.T) {
 	wlm := toyInMode(arch.WLM)
 	for _, tc := range []struct {
-		name   string
-		g      *graph.Graph
-		a      *arch.Arch
-		body   func(c *laneCell) []mop.Op // nil: the generated body
-		chains map[int]int                // kernels by operator count; nil: only require some chain
+		name    string
+		g       func(t *testing.T) *graph.Graph
+		a       *arch.Arch
+		body    func(c *laneCell) []mop.Op // nil: the generated body
+		kernels map[int]int                // kernels by operator count
 	}{
-		{name: "conv-relu.isaac-baseline", g: models.ConvReLU(), a: arch.ISAACBaseline(), chains: map[int]int{1: 1025, 4: 1024}},
-		{name: "lenet5.puma", g: models.LeNet5(), a: arch.PUMAAccelerator()},
-		{name: "lenet5.toy-table2", g: models.LeNet5(), a: arch.ToyExample()},
-		{name: "overlapping-pair", g: models.ConvReLU(), a: wlm, chains: map[int]int{1: 2}, body: func(c *laneCell) []mop.Op {
+		{name: "conv-relu.isaac-baseline", g: zoo(models.ConvReLU), a: arch.ISAACBaseline(), kernels: map[int]int{1: 1, 5120: 1}},
+		{name: "lenet5.puma", g: zoo(models.LeNet5), a: arch.PUMAAccelerator(), kernels: map[int]int{1: 11, 3: 1, 16: 1, 300: 1, 1568: 1}},
+		{name: "lenet5.toy-table2", g: zoo(models.LeNet5), a: arch.ToyExample(), kernels: map[int]int{1: 96, 4: 1, 6: 1, 8: 15, 300: 1, 900: 1, 2352: 1}},
+		{name: "lenet5.jia-isscc21", g: zoo(models.LeNet5), a: arch.JiaAccelerator(), kernels: map[int]int{1: 10, 2: 1, 6: 1}},
+		{name: "mlp.puma", g: zoo(models.MLP), a: arch.PUMAAccelerator(), kernels: map[int]int{1: 6, 8: 1, 56: 1}},
+		{name: "conv-gate.puma.stage0", g: func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), 0) }, a: arch.PUMAAccelerator(), kernels: map[int]int{1: 1, 512: 1}},
+		{name: "conv-gate.puma.stage1", g: func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), 1) }, a: arch.PUMAAccelerator(), kernels: map[int]int{1: 2, 32: 1}},
+		{name: "conv-relu.toy-table2", g: zoo(models.ConvReLU), a: arch.ToyExample(), kernels: map[int]int{1: 1, 3072: 1}},
+		{name: "conv-s2p0.isaac-baseline", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p0", 11, 13, 0) }), a: arch.ISAACBaseline()},
+		{name: "conv-s2p2.isaac-baseline", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.ISAACBaseline()},
+		{name: "conv-s2p0.puma", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p0", 11, 13, 0) }), a: arch.PUMAAccelerator()},
+		{name: "conv-s2p2.toy-table2", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.ToyExample()},
+		{name: "conv-s2p2.jia-isscc21", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.JiaAccelerator()},
+		{name: "overlapping-pair", g: zoo(models.ConvReLU), a: wlm, kernels: map[int]int{1: 2}, body: func(c *laneCell) []mop.Op {
 			d := c.img.base[1] // the conv's region: what both crossbars' columns may write
 			return []mop.Op{
 				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: d, DstStride: 1},
@@ -374,53 +510,30 @@ func TestChainsMatchOperatorByOperator(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newLaneCell(t, tc.g, tc.a, 49, 8, programmed)
-			img, whole := c.img, c.cf
+			c := newLaneCell(t, tc.g(t), tc.a, 49, 8, programmed)
+			whole := c.cf
 			if tc.body != nil {
 				var err error
-				if whole, err = img.CompileBody(tc.body(c)); err != nil {
+				if whole, err = c.img.CompileBody(tc.body(c)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got := chainLengths(whole)
+			got := kernelSizes(whole)
 			t.Logf("%d operators in %d kernels, by operator count: %v", len(whole.ops), len(whole.kernels), got)
-			if tc.chains != nil && !maps.Equal(got, tc.chains) {
-				t.Fatalf("kernels by operator count: %v, want %v", got, tc.chains)
+			if tc.kernels != nil && !maps.Equal(got, tc.kernels) {
+				t.Fatalf("kernels by operator count: %v, want %v", got, tc.kernels)
 			}
-			if tc.chains == nil && len(whole.kernels) == len(whole.ops) {
-				t.Fatal("no two reads share a kernel: nothing tested")
+			if tc.kernels == nil && len(whole.kernels) == len(whole.ops) {
+				t.Fatal("no two operators share a kernel: nothing tested")
 			}
-			apart := make([]*CompiledFlow, len(whole.ops))
-			for i, op := range whole.ops {
-				var err error
-				if apart[i], err = img.CompileBody([]mop.Op{op}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a, b := img.NewBatchState(1), img.NewBatchState(1)
-			for _, lanes := range []int{1, 2, 3, 5, 8} {
-				img.ResetBatch(a, lanes)
-				img.ResetBatch(b, lanes)
-				ma, mb := img.ExecBatch(a), img.ExecBatch(b)
-				for l := 0; l < lanes; l++ {
-					if err := errors.Join(ma.LoadInputs(l, c.ins[l]), mb.LoadInputs(l, c.ins[l])); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := ma.RunBody(whole); err != nil {
-					t.Fatal(err)
-				}
-				for _, cf := range apart {
-					if err := mb.RunBody(cf); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !slices.Equal(a.mem, b.mem) || !slices.Equal(a.regionScale, b.regionScale) || !slices.Equal(a.regionRaw, b.regionRaw) {
-					t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different states", lanes)
-				}
-			}
+			sweptMatchesApart(t, c, whole, nil, everyLaneCount)
 		})
 	}
+}
+
+// zoo adapts a model constructor to the cells' graph source.
+func zoo(mk func() *graph.Graph) func(*testing.T) *graph.Graph {
+	return func(*testing.T) *graph.Graph { return mk() }
 }
 
 // TestLoadInputsRejectsMalformedRequests pins the one load path's request
@@ -446,5 +559,88 @@ func TestLoadInputsRejectsMalformedRequests(t *testing.T) {
 	}
 	if err := bm.LoadInputs(1, c.ins[0]); err == nil {
 		t.Error("LoadInputs accepted a lane beyond the batch")
+	}
+}
+
+// TestMaxPoolMatchesGenericPipeline holds the integer MaxPool kernel to the
+// pipeline it specializes — dequantize the region, tensor.MaxPool2D, Quantize —
+// level for level: windows of ties, all-negative windows, the quantizer's
+// extremes and words beyond them, under the default and a foreign input scale,
+// through the tabulated requantization (8-bit activations, 144 outputs) and the
+// direct one (16-bit activations; a pool too small to pay for a table; 3 × 3
+// windows that overlap).
+func TestMaxPoolMatchesGenericPipeline(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		k, stride int
+		a         *arch.Arch
+		table     bool
+	}{
+		{"tabulated", 2, 2, toyBits(arch.XBM, 8, 8), true},
+		{"direct-16-bit", 2, 2, toyBits(arch.XBM, 8, 16), false},
+		{"direct-overlapping", 3, 2, toyBits(arch.XBM, 8, 8), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewBuilder("pool", 2, 12, 12).Conv(4, 3, 1, 1).MaxPool(tc.k, tc.stride).MustFinish()
+			c := newLaneCell(t, g, tc.a, 53, 3, programmed)
+			img := c.img
+			var pool mop.Dcom
+			for _, op := range c.cf.ops {
+				if d, ok := op.(mop.Dcom); ok && c.g.MustNode(d.Node).Op == graph.OpMaxPool {
+					pool = d
+				}
+			}
+			in, q := c.g.MustNode(pool.Node).Inputs[0], img.actScale[pool.Node]
+			maxIn := int64(img.actScale[in].MaxQ())
+			if got := maxIn <= 1<<12 && pool.Len >= maxIn; got != tc.table {
+				t.Fatalf("requantization tabulated: %v, the case expects %v", got, tc.table)
+			}
+			cf, err := img.CompileBody([]mop.Op{pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := []int64{0, -1, 1, -maxIn, maxIn, -maxIn - 1, maxIn + 5, -3, -3, 7, 7, -100, 64}
+			for _, scale := range []float64{0, 0.0371} { // 0: the input's calibrated scale
+				st := img.NewBatchState(3)
+				for l := 0; l < 3; l++ {
+					region := st.lane(l)[img.base[in]:][:img.size[in]]
+					for i := range region {
+						switch l {
+						case 0: // runs of equal levels: every window ties
+							region[i] = levels[i/24%len(levels)]
+						case 1: // all negative
+							region[i] = -1 - int64(i*7%int(maxIn))
+						default:
+							region[i] = levels[(i*5+i/12)%len(levels)]
+						}
+					}
+				}
+				st.regionScale[in] = scale
+				bm := img.ExecBatch(st)
+				want := make([][]int32, 3)
+				for l := range want {
+					out, err := tensor.MaxPool2D(bm.regionTensor(l, in), tc.k, tc.stride)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want[l], err = tensor.Quantize(out, q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := bm.RunBody(cf); err != nil {
+					t.Fatal(err)
+				}
+				for l := range want {
+					for i, w := range want[l] {
+						if got := st.lane(l)[pool.Dst+int64(i)]; got != int64(w) {
+							t.Fatalf("input scale %v, lane %d, output %d: level %d, the generic pipeline's %d", scale, l, i, got, w)
+						}
+					}
+				}
+				if st.regionScale[pool.Node] != float64(q.Scale) || st.regionRaw[pool.Node] {
+					t.Fatalf("the pool's region is left at scale %v, raw %v", st.regionScale[pool.Node], st.regionRaw[pool.Node])
+				}
+			}
+		})
 	}
 }

@@ -31,10 +31,12 @@
 //
 // There is one executor (batch.go): Image.CompileBody compiles a flow section
 // into kernel closures and a BatchMachine runs them over a BatchState's
-// lanes; every MVM read — readrow, readxb, readcore, alone or fused with the
-// reads it accumulates with — is one microkernel (mvm.go). A single request is
-// a one-lane micro-batch; weight programming (ProgramInit) and one-shot
-// execution run the same kernels. State and Machine are the one-lane view of
+// lanes. A run of mov_windows and crossbar reads — an operator's window sweep —
+// or of readcores is one kernel (sweep.go) that walks the windows itself, their
+// gather geometry resolved when the flow is compiled, and streams (lane,
+// window) pairs four at a time through the one MVM microkernel (mvm.go). A
+// single request is a one-lane micro-batch; weight programming (ProgramInit)
+// and one-shot execution run the same kernels. State and Machine are the one-lane view of
 // that engine for callers that drive one request with an uncompiled flow;
 // they hold no arithmetic of their own.
 //

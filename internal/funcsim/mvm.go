@@ -13,11 +13,12 @@ package funcsim
 // added above them. Whether the halves fit is decided twice. The array's
 // format is chosen once from the precisions and the row count (packLimit
 // against settled activations); and before every packed accumulation the
-// kernel checks the activations it is about to multiply against the bound
-// (magnitude), sending lanes that exceed it — raw accumulators a hand-written
-// flow routed into a read, nothing codegen emits — through a loop that unpacks
-// each word and accumulates the two columns apart. Every read therefore
-// returns the exact int64 sums for every input.
+// kernel checks the activations it is about to multiply against the bound —
+// their magnitudes are OR-reduced in the pass that gathers them (copyMag) —
+// sending streams that exceed it — raw accumulators a hand-written flow routed
+// into a read, nothing codegen emits — through a loop that unpacks each word
+// and accumulates the two columns apart. Every read therefore returns the
+// exact int64 sums for every input.
 
 // packLimit returns 2^b − 1 for the largest b such that rows products of a
 // weightBits-wide weight and an activation in [−2^b, 2^b) sum to less than
@@ -65,59 +66,61 @@ func placeWeight(w []int64, rows, row, col int, v int64, packed bool) {
 	}
 }
 
-// mvmRun is one member of an accumulation chain: n activation words starting
-// at src (relative to a lane's base) against n consecutive wordlines of one
-// weight array. w is cut to start at the run's first wordline, so column word
-// c's weights are w[c·stride : c·stride+n].
+// mvmRun is one dot-product run of an accumulation chain: n activation words
+// starting at src of a stream's activation vector against n consecutive
+// wordlines of one weight array. w is cut to start at the run's first
+// wordline, so column word c's weights are w[c·stride : c·stride+n]. from is
+// where a sweep copies the n words from before the call (a lane-relative
+// address), -1 when the window's gather already put them at src.
 type mvmRun struct {
 	w      []int64
 	stride int // words between the array's consecutive column words
 	n      int
-	src    int64
+	src    int
+	from   int64
 }
 
-// mvmCall is one accumulation chain's arithmetic: for every lane and weight
-// column j,
+// mvmCall is one accumulation chain's arithmetic over up to four streams —
+// (lane, window) pairs whose chains multiply the same weight words: for every
+// stream s and weight column j,
 //
-//	out[dst + j·stride] (+)= Σ over runs, i < n: act[src+i] · W[i][j]
+//	out[s][j·stride] (+)= Σ over runs, i < n: act[s][src+i] · W[i][j]
 //
-// with the partial sums of a column word in registers and one store — or,
-// with acc, one add — per output. act and out are lane-major (lane l starts
-// at l·actStride / l·outStride); a crossbar read passes lane memory as both.
-// limit is the weight arrays' word format and guard bound (wordLimit over the
-// runs' total rows).
+// with the partial sums of a column word in registers and one store — or, with
+// acc, one add — per output. act[s] is the stream's activation vector as the
+// sweep gathered it, mag[s] the OR of a ^ (a>>63) over it (copyMag), which is
+// at most 2^b − 1 exactly when every activation lies in [−2^b, 2^b); out[s] is
+// the stream's lane memory from weight column 0's word. limit is the weight
+// arrays' word format and guard bound (wordLimit over the runs' total rows).
 type mvmCall struct {
-	act       []int64
-	actStride int64
-	out       []int64
-	outStride int64
-	lanes     int
-
 	runs  []mvmRun
 	cols  int // weight columns
 	limit int64
 
-	dst, stride int64
-	acc         bool
+	stride int64
+	acc    bool
+
+	n   int // streams
+	act [4][]int64
+	mag [4]int64
+	out [4][]int64
 }
 
-// magnitude OR-reduces a ^ (a>>63) over the runs of lanes [l, l+n): the
-// result is at most 2^b − 1 exactly when every activation lies in [−2^b, 2^b).
-func (k *mvmCall) magnitude(l, n int) int64 {
+// copyMag copies src into dst[:len(src)] and returns the OR of a ^ (a>>63)
+// over the words: the packing guard's operand, taken in the pass that moves
+// the activations.
+func copyMag(dst, src []int64) int64 {
 	var m int64
-	for ; n > 0; l, n = l+1, n-1 {
-		lane := k.act[int64(l)*k.actStride:]
-		for _, r := range k.runs {
-			for _, a := range lane[r.src : r.src+int64(r.n)] {
-				m |= a ^ (a >> 63)
-			}
-		}
+	dst = dst[:len(src)]
+	for i, a := range src {
+		dst[i] = a
+		m |= a ^ (a >> 63)
 	}
 	return m
 }
 
-// emit writes the accumulated sum s of column word c for one lane: split into
-// its two columns when packed, each stored or (acc) added once.
+// emit writes the accumulated sum s of column word c for one stream: split
+// into its two columns when packed, each stored or (acc) added once.
 func (k *mvmCall) emit(o []int64, c int, s int64) {
 	if k.limit < 0 {
 		k.put(o, c, s)
@@ -132,17 +135,16 @@ func (k *mvmCall) emit(o []int64, c int, s int64) {
 
 // put stores or accumulates weight column j's output.
 func (k *mvmCall) put(o []int64, j int, s int64) {
-	addr := k.dst + int64(j)*k.stride
 	if k.acc {
-		o[addr] += s
+		o[int64(j)*k.stride] += s
 	} else {
-		o[addr] = s
+		o[int64(j)*k.stride] = s
 	}
 }
 
 // dot4 returns the dot products of one shared vector with four others of its
-// length: four lanes' activations against one column word's weights, or one
-// lane's activations against four column words. The four accumulator chains
+// length: four streams' activations against one column word's weights, or one
+// stream's activations against four column words. The four accumulator chains
 // are independent, which is what hides the multiply latency; the loop is a
 // function of its own so that its ten live values get the registers.
 //
@@ -158,35 +160,37 @@ func dot4(shared, v0, v1, v2, v3 []int64) (s0, s1, s2, s3 int64) {
 	return
 }
 
-// run executes the call: lanes four at a time, one column word at a time —
-// four requests share every weight load — then the remaining lanes one at a
-// time, four column words at a time, which share every activation load
-// instead. A block whose activations fail the guard is left to the lone-lane
-// loop, which settles each lane on its own.
+// run executes the call. Four streams go one column word at a time — they
+// share every weight load, and a sweep's adjacent windows store into adjacent
+// words; fewer go one at a time, four column words at a time, which share
+// every activation load instead. A stream whose activations fail the guard
+// sends the call to the lone-stream loop, which settles each stream on its
+// own.
 func (k *mvmCall) run() {
 	runs := k.runs
 	packed := k.limit >= 0
 	words := wordsFor(k.cols, packed)
-	l := 0
-	for ; l+4 <= k.lanes && (!packed || k.magnitude(l, 4) <= k.limit); l += 4 {
-		var a, o [4][]int64
-		for i := range a {
-			a[i], o[i] = k.act[int64(l+i)*k.actStride:], k.out[int64(l+i)*k.outStride:]
-		}
+	// limit is 2^b − 1, so the OR of the magnitudes is within it exactly when
+	// each is.
+	if k.n == 4 && (!packed || k.mag[0]|k.mag[1]|k.mag[2]|k.mag[3] <= k.limit) {
+		a, o := &k.act, &k.out
 		for c := 0; c < words; c++ {
-			var sums [4]int64
-			for _, r := range runs {
+			var s0, s1, s2, s3 int64
+			for i := range runs {
+				r := &runs[i]
 				d0, d1, d2, d3 := dot4(r.w[c*r.stride:][:r.n], a[0][r.src:], a[1][r.src:], a[2][r.src:], a[3][r.src:])
-				sums[0], sums[1], sums[2], sums[3] = sums[0]+d0, sums[1]+d1, sums[2]+d2, sums[3]+d3
+				s0, s1, s2, s3 = s0+d0, s1+d1, s2+d2, s3+d3
 			}
-			for i, s := range sums {
-				k.emit(o[i], c, s)
-			}
+			k.emit(o[0], c, s0)
+			k.emit(o[1], c, s1)
+			k.emit(o[2], c, s2)
+			k.emit(o[3], c, s3)
 		}
+		return
 	}
-	for ; l < k.lanes; l++ {
-		a, o := k.act[int64(l)*k.actStride:], k.out[int64(l)*k.outStride:]
-		if packed && k.magnitude(l, 1) > k.limit {
+	for s := 0; s < k.n; s++ {
+		a, o := k.act[s], k.out[s]
+		if packed && k.mag[s] > k.limit {
 			k.runUnpacking(a, o)
 			continue
 		}
@@ -195,7 +199,8 @@ func (k *mvmCall) run() {
 			// extra sums are computed and dropped.
 			c1, c2, c3 := min(c+1, words-1), min(c+2, words-1), min(c+3, words-1)
 			var sums [4]int64
-			for _, r := range runs {
+			for i := range runs {
+				r := &runs[i]
 				d0, d1, d2, d3 := dot4(a[r.src:][:r.n], r.w[c*r.stride:], r.w[c1*r.stride:], r.w[c2*r.stride:], r.w[c3*r.stride:])
 				sums[0], sums[1], sums[2], sums[3] = sums[0]+d0, sums[1]+d1, sums[2]+d2, sums[3]+d3
 			}
@@ -206,7 +211,7 @@ func (k *mvmCall) run() {
 	}
 }
 
-// runUnpacking is the exact loop for one lane whose activations exceed the
+// runUnpacking is the exact loop for one stream whose activations exceed the
 // packing bound: every packed word is split into its two columns before the
 // multiply, and the two sums accumulate apart in full int64 width.
 func (k *mvmCall) runUnpacking(a, o []int64) {

@@ -8,9 +8,11 @@ import (
 
 // mvmCase builds one random mvmCall from the seed — one to three runs, each
 // somewhere inside a longer weight column, weights and activations drawn at
-// and around the bounds the packed format depends on — executes it, and
-// requires lane memory to equal what a plain int64 loop over the row-major
-// weights leaves: every output exact, nothing else touched.
+// and around the bounds the packed format depends on — streams every lane
+// through it the way a sweep does (four streams to a call, each lane's
+// activations copied into its vector with the guard's operand taken in the
+// copy), and requires lane memory to equal what a plain int64 loop over the
+// row-major weights leaves: every output exact, nothing else touched.
 func mvmCase(t *testing.T, seed uint64, rowsIn, colsIn, lanesIn, flags uint8) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x6d766d))
@@ -72,10 +74,7 @@ func mvmCase(t *testing.T, seed uint64, rowsIn, colsIn, lanesIn, flags uint8) {
 	}
 	want := slices.Clone(mem)
 
-	k := mvmCall{
-		act: mem, actStride: words, out: mem, outStride: words, lanes: lanes,
-		cols: cols, limit: limit, dst: dst, stride: stride, acc: acc,
-	}
+	k := mvmCall{cols: cols, limit: limit, stride: stride, acc: acc}
 	for r := 0; r < nruns; r++ {
 		w := make([]int64, wordsFor(cols, packed)*colStride)
 		row := rng.IntN(colStride - rows + 1)
@@ -93,9 +92,18 @@ func mvmCase(t *testing.T, seed uint64, rowsIn, colsIn, lanesIn, flags uint8) {
 				}
 			}
 		}
-		k.runs = append(k.runs, mvmRun{w: w[row:], stride: colStride, n: rows, src: src})
+		k.runs = append(k.runs, mvmRun{w: w[row:], stride: colStride, n: rows, src: int(src), from: -1})
 	}
-	k.run()
+	for l := 0; l < lanes; l += k.n {
+		k.n = min(4, lanes-l)
+		for s := 0; s < k.n; s++ {
+			lane := mem[int64(l+s)*words:][:words]
+			k.act[s] = make([]int64, nruns*rows)
+			k.mag[s] = copyMag(k.act[s], lane[:nruns*rows])
+			k.out[s] = lane[dst:]
+		}
+		k.run()
+	}
 	if !slices.Equal(mem, want) {
 		for i := range mem {
 			if mem[i] != want[i] {

@@ -1,0 +1,648 @@
+package funcsim
+
+import (
+	"slices"
+
+	"cimmlc/internal/codegen"
+	"cimmlc/internal/graph"
+	"cimmlc/internal/mop"
+)
+
+// This file is the window sweep: the one kernel behind mov_window, readrow,
+// readxb and readcore.
+//
+// A flow spells a CIM operator out window by window — gather the window
+// (mov_window), multiply it (an accumulation chain of crossbar reads), next
+// window — but nothing inside such a run can reprogram a crossbar or turn a
+// source region raw, and how a window is gathered depends only on geometry.
+// So CompileBody compiles the run as a whole: a sweep is a maximal run of
+// consecutive leaf operators that are mov_windows of one node and crossbar
+// reads. Its windows are what the operators say — a mov_window opens one, the
+// chains after it multiply it; reads before any mov_window form a window that
+// gathers nothing — and a lone mov_window, a lone read and a readcore (whose
+// windows the core gathers itself) are sweeps like any other: there is one
+// window walker and no path beside it.
+//
+// The walker makes three passes. It resolves every read of every window
+// against the crossbar view (XBRecord.Activate) and groups consecutive windows
+// whose chains multiply the same weight words into blocks — before anything is
+// written, so a bad read in window k leaves lane memory as the sweep found
+// it. It settles the source regions and marks the output raw, in program
+// order. Then it streams (lane, window) pairs through each block, lane
+// outermost, four at a time: a stream's window is gathered into a private
+// activation vector (and copied to the scratch words the mov_window names,
+// which stay word for word what the operator would leave), the packing
+// guard's operand taken in that pass, and the four vectors go through the MVM
+// kernel's shared-weight form, so adjacent windows' outputs land in adjacent
+// words. A block of one window streams the lanes four at a time instead — the
+// same loop.
+
+// xbRead is one readxb or readrow as a member of an accumulation chain: the
+// resolved read, the node whose region it streams activations from (-1:
+// scratch), where the run starts in its window's gathered words (-1: it reads
+// lane memory the sweep did not gather), and the chain's dot-product run the
+// member belongs to — a readrow that continues an earlier member's wordlines
+// and source run (parallel_row cuts one tile's rows into several reads)
+// lengthens that member's run instead of starting its own.
+type xbRead struct {
+	codegen.XBRead
+	srcNode, off, run int32
+}
+
+// sweepChain is a maximal run of consecutive reads of one window that
+// accumulate into the same words: every member after the first has Acc set
+// and the first's Dst and Stride. Integer addition is associative and
+// commutative, so summing the members' dot products in registers and storing
+// each output once leaves what running them one after another leaves —
+// provided no member reads what the sweep writes (compileSweep). A readcore's
+// chain has no members: it multiplies the node's matrix.
+type sweepChain struct {
+	lo, hi      int32 // members, in CompiledFlow.members
+	op          int32 // the first member's operator, counted from the sweep's first
+	acc         bool
+	dst, stride int64 // weight column j's sum goes to dst + j·stride
+	limit       int64 // word format and guard bound for sums over all members' rows (mvm.go)
+}
+
+// sweepWin is one window of a sweep: where it lies in the node's input (the
+// first input row and column it covers, negative inside the padding), the
+// scratch words its mov_window names (-1: a readcore's, gathered nowhere but
+// into the kernel), and the chains that multiply it.
+type sweepWin struct {
+	y0, x0 int32
+	gdst   int64
+	lo, hi int32 // chains, in CompiledFlow.chains
+	gather bool  // false: reads that follow no mov_window
+	// fence: a chain may write a word a chain of one of the three windows
+	// before writes too, so the window must not share a four-stream pass with
+	// them (a pass interleaves its windows' stores).
+	fence bool
+	// mod is dst mod stride of every chain, when they agree on both (-1: they
+	// do not): a convolution's column tiles all land on the window's own word
+	// of their channels, so two windows' chains are told apart at a glance.
+	mod int64
+}
+
+// sweep is the compiled form; what the crossbars hold is resolved per run.
+type sweep struct {
+	cf         *CompiledFlow
+	win0, win1 int // windows, in CompiledFlow.wins
+
+	geo   *winGeometry // nil when no window gathers
+	gsrc  int64        // the gathered node's input region
+	rows  int          // words a window gathers
+	pitch int          // words of one stream's activation vector
+
+	// A readcore's weights: the node's matrix and its columns.
+	mat  *nodeMatrix
+	cols int32
+
+	// The source nodes to settle, in the order the operators would, and the
+	// node the chains write, marked raw before settle[mark] (-1: no chain).
+	settle  []int32
+	mark    int
+	dstNode int
+}
+
+// winGeometry is a CIM node's window gather, resolved when the flow is
+// compiled: the input is a [inC, h, wd] region, a window covers kH × kW of
+// every channel, and weight-matrix row (ic, ky, kx) lies rel[row] words after
+// the window's first word — one offset per row, whatever the window. A Dense
+// node is the degenerate case, its token rows the image rows and the kernel
+// one whole row: its gather is the identity, with no border.
+type winGeometry struct {
+	rel                       []int64
+	inC, h, wd, kH, kW        int
+	stride, pad, outW, window int
+}
+
+func newWinGeometry(g *graph.Graph, n *graph.Node, rows int) *winGeometry {
+	geo := &winGeometry{inC: 1, h: int(max(n.MVMCount(), 1)), wd: rows, kH: 1, kW: rows, stride: 1, outW: 1}
+	if n.Op == graph.OpConv {
+		in := g.MustNode(n.Inputs[0]).OutShape
+		geo.inC, geo.h, geo.wd = in[0], in[1], in[2]
+		geo.kH, geo.kW, geo.stride, geo.pad, geo.outW = n.Attr.KernelH, n.Attr.KernelW, n.Attr.Stride, n.Attr.Padding, n.OutShape[2]
+	}
+	geo.window = geo.kH * geo.kW
+	geo.rel = make([]int64, 0, rows)
+	for ic := 0; ic < geo.inC; ic++ {
+		for ky := 0; ky < geo.kH; ky++ {
+			for kx := 0; kx < geo.kW; kx++ {
+				geo.rel = append(geo.rel, int64((ic*geo.h+ky)*geo.wd+kx))
+			}
+		}
+	}
+	return geo
+}
+
+// origin returns the first input row and column window w covers.
+func (geo *winGeometry) origin(w int64) (y0, x0 int32) {
+	oy, ox := int(w)/geo.outW, int(w)%geo.outW
+	return int32(oy*geo.stride - geo.pad), int32(ox*geo.stride - geo.pad)
+}
+
+// gather copies the window at (y0, x0) of the input region in — one lane's —
+// into dst, weight-matrix row order, zero where the window lies in the
+// padding, and returns the packing guard's operand over the words (copyMag).
+// Only a border window tests for padding.
+func (geo *winGeometry) gather(dst, in []int64, y0, x0 int) int64 {
+	var m int64
+	dst = dst[:len(geo.rel)]
+	if y0 >= 0 && x0 >= 0 && y0+geo.kH <= geo.h && x0+geo.kW <= geo.wd {
+		in = in[y0*geo.wd+x0:]
+		for i, r := range geo.rel {
+			a := in[r]
+			dst[i] = a
+			m |= a ^ (a >> 63)
+		}
+		return m
+	}
+	clear(dst)
+	for ky := 0; ky < geo.kH; ky++ {
+		for kx := 0; kx < geo.kW; kx++ {
+			if iy, ix := y0+ky, x0+kx; iy >= 0 && iy < geo.h && ix >= 0 && ix < geo.wd {
+				for ic, i := 0, ky*geo.kW+kx; ic < geo.inC; ic, i = ic+1, i+geo.window {
+					a := in[(ic*geo.h+iy)*geo.wd+ix]
+					dst[i] = a
+					m |= a ^ (a >> 63)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// geometryOf returns node's window geometry, built once per flow.
+func (cf *CompiledFlow) geometryOf(node int) *winGeometry {
+	if geo, ok := cf.geos[node]; ok {
+		return geo
+	}
+	geo := newWinGeometry(cf.img.g, cf.img.g.MustNode(node), cf.img.wDims[node][0])
+	if cf.geos == nil {
+		cf.geos = make(map[int]*winGeometry)
+	}
+	cf.geos[node] = geo
+	return geo
+}
+
+// nodeMatrix is a CIM node's quantized weight matrix in the layout reads
+// consume (mvm.go), for readcore — a core computes a node's MVMs without the
+// flow naming crossbars. Its word format and guard bound follow from its own
+// row count.
+type nodeMatrix struct {
+	w     []int64
+	limit int64
+}
+
+// matrixOf lays node's weight matrix out for readcore, once per flow.
+func (cf *CompiledFlow) matrixOf(node int) *nodeMatrix {
+	if m, ok := cf.matrices[node]; ok {
+		return m
+	}
+	img := cf.img
+	qw, rows, cols := img.qweights[node], img.wDims[node][0], img.wDims[node][1]
+	m := &nodeMatrix{limit: wordLimit(rows, img.a.WeightBits, img.a.ActBits)}
+	m.w = make([]int64, wordsFor(cols, m.limit >= 0)*rows)
+	for i := 0; i < rows; i++ {
+		for j, v := range qw[i*cols : (i+1)*cols] {
+			placeWeight(m.w, rows, i, j, int64(v), m.limit >= 0)
+		}
+	}
+	if cf.matrices == nil {
+		cf.matrices = make(map[int]*nodeMatrix)
+	}
+	cf.matrices[node] = m
+	return m
+}
+
+// hull is the smallest address range covering the spans added to it.
+type hull struct{ lo, hi int64 }
+
+func (h *hull) add(lo, hi int64) {
+	if h.lo == h.hi {
+		h.lo, h.hi = lo, hi
+	}
+	h.lo, h.hi = min(h.lo, lo), max(h.hi, hi)
+}
+
+func (h hull) touches(lo, hi int64) bool { return lo < h.hi && h.lo < hi }
+
+// compileSweep compiles the sweep that starts at cf.ops[at] and reports how
+// many operators it takes in; none when cf.ops[at] is no mov_window, crossbar
+// read or readcore. An operator joins the sweep only while running it inside
+// leaves what running it after would:
+//
+//   - every chain writes one node's region, and nothing in the sweep reads it
+//     — no member's source node, nor the node the mov_windows gather from — so
+//     chains commute with the gathers and sums of other windows, and every
+//     source region can be settled before the first window runs. A read of the
+//     region its own columns land in is a sweep alone.
+//   - mov_windows gather one node's windows into scratch (one into a node's
+//     region is a sweep alone: the words could be settled under it);
+//   - a member reads its window's gathered words, or words no mov_window of
+//     the sweep writes: the walker gathers a window before the windows ahead
+//     of it in the same pass have multiplied theirs.
+//
+// An operator that fails its own resolution ends the sweep too and heads the
+// next one, which is where its error is reported.
+func (img *Image) compileSweep(cf *CompiledFlow, at int) (kernel, int, error) {
+	a := img.a
+	sw := &sweep{cf: cf, win0: len(cf.wins), mark: -1, dstNode: -1}
+	gnode, gfrom := -1, -1    // the node whose windows the sweep gathers, and the node it gathers them from
+	var gathered, direct hull // scratch the mov_windows write; scratch the members read beside it
+	inChain := false          // the operator before was a member of the last chain
+	rows, most := 0, 0        // the last chain's wordlines, at most; the sweep's longest chain's
+	var head codegen.XBRead   // the last chain's first member
+	var endsBuf [8]xbRead
+	ends := endsBuf[:0] // per run of the last chain, the member that would lengthen it
+	settle := func(node int32) {
+		if node >= 0 && !slices.Contains(sw.settle, node) {
+			sw.settle = append(sw.settle, node)
+		}
+	}
+	j := at
+ops:
+	for ; j < len(cf.ops); j++ {
+		switch o := cf.ops[j].(type) {
+		case mop.ReadCore:
+			// Readcores of one node — a parallel group spreads its windows over
+			// cores — are one sweep; a core shares none with crossbar reads.
+			if j > at && (sw.mat == nil || o.Node != sw.dstNode) {
+				break ops
+			}
+			res, err := img.res.Resolve(o)
+			if err != nil {
+				if j == at {
+					return nil, 0, err
+				}
+				break ops
+			}
+			img.coreSweep(sw, o, res)
+
+		case mop.MovWindow:
+			res, err := img.res.Resolve(o)
+			if err != nil {
+				if j == at {
+					return nil, 0, err
+				}
+				break ops
+			}
+			src, span := res.RegionReads[0], res.Writes.Span
+			inScratch := img.res.Owner(res.WriteRegion) < 0
+			if j > at && (sw.mat != nil || !inScratch || gnode >= 0 && gnode != o.Node || src == sw.dstNode || direct.touches(span.Lo, span.End())) {
+				break ops
+			}
+			if gnode < 0 {
+				gnode, gfrom = o.Node, src
+				sw.geo, sw.gsrc = cf.geometryOf(o.Node), o.SrcBase
+				sw.rows = len(sw.geo.rel)
+			}
+			y0, x0 := sw.geo.origin(o.Window)
+			cf.wins = append(cf.wins, sweepWin{y0: y0, x0: x0, gdst: o.Dst, lo: int32(len(cf.chains)), hi: int32(len(cf.chains)), gather: true})
+			inChain = false
+			gathered.add(span.Lo, span.End())
+			settle(int32(src))
+			if !inScratch {
+				j++
+				break ops
+			}
+
+		case mop.ReadXB, mop.ReadRow:
+			rd, _, err := img.res.ResolveRead(o)
+			if err != nil {
+				if j == at {
+					return nil, 0, err
+				}
+				break ops
+			}
+			r := xbRead{XBRead: rd, srcNode: int32(img.res.Owner(img.res.NodeRegionAt(rd.Src))), off: -1}
+			dstNode := img.res.Owner(img.res.NodeRegionAt(rd.Dst))
+			n := int(r.Rows)
+			if n < 0 {
+				n = a.XB.Rows // what a readxb activates is the crossbar's to say
+			}
+			if len(cf.wins) > sw.win0 {
+				// Inside the window's gathered words, as far as the flow says: a
+				// readxb's rows are checked against them when it runs.
+				if win := &cf.wins[len(cf.wins)-1]; win.gather && rd.Src >= win.gdst && rd.Src < win.gdst+int64(sw.rows) &&
+					(r.Rows < 0 || rd.Src+int64(n) <= win.gdst+int64(sw.rows)) {
+					r.off = int32(rd.Src - win.gdst)
+				}
+			}
+			alone := int(r.srcNode) == dstNode
+			beside := r.off < 0 && r.srcNode < 0 // reads scratch as it lies in the lane
+			if j > at && (sw.mat != nil || alone || sw.dstNode >= 0 && sw.dstNode != dstNode || dstNode == gfrom ||
+				beside && gathered.touches(rd.Src, rd.Src+int64(n))) {
+				break ops
+			}
+			// A chain's rows must not outgrow what a packed half can sum; a lone
+			// read's never do, or the image would not be packed.
+			limit := int64(-1)
+			if img.packed {
+				limit = wordLimit(rows+n, a.WeightBits, a.ActBits)
+			}
+			if !inChain || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride || img.packed && limit < 0 {
+				if len(cf.wins) == sw.win0 {
+					cf.wins = append(cf.wins, sweepWin{gdst: -1, lo: int32(len(cf.chains)), hi: int32(len(cf.chains))})
+				}
+				if img.packed {
+					limit = wordLimit(n, a.WeightBits, a.ActBits)
+				}
+				cf.chains = append(cf.chains, sweepChain{
+					lo: int32(len(cf.members)), hi: int32(len(cf.members)), op: int32(j - at),
+					acc: rd.Acc, dst: rd.Dst, stride: rd.Stride,
+				})
+				inChain, head, rows, ends = true, rd, 0, ends[:0]
+				win := &cf.wins[len(cf.wins)-1]
+				if win.hi++; win.hi == win.lo+1 {
+					win.mod = rd.Dst % rd.Stride
+				} else if rd.Stride != cf.chains[win.lo].stride || rd.Dst%rd.Stride != win.mod {
+					win.mod = -1
+				}
+				win.fence = win.fence || sw.clashes(len(cf.wins)-1)
+			}
+			// A readrow that starts where an earlier member's wordlines and source
+			// run end lengthens that member's run; a readxb's run ends nowhere
+			// known before the crossbar is looked at.
+			r.run = int32(slices.IndexFunc(ends, func(e xbRead) bool { return e.XB == r.XB && e.Row == r.Row && e.Src == r.Src }))
+			if r.run < 0 {
+				r.run, ends = int32(len(ends)), append(ends, xbRead{})
+			}
+			ends[r.run].XB = -1
+			if r.Rows >= 0 {
+				ends[r.run].XBRead = codegen.XBRead{XB: r.XB, Row: r.Row + r.Rows, Src: r.Src + int64(n)}
+			}
+			cf.members = append(cf.members, r)
+			ch := &cf.chains[len(cf.chains)-1]
+			ch.hi, ch.limit = ch.hi+1, limit
+			rows += n
+			most = max(most, rows)
+			if beside {
+				direct.add(rd.Src, rd.Src+int64(n))
+			}
+			settle(r.srcNode)
+			if sw.dstNode < 0 {
+				// Where running the reads apart would mark it: after the first has
+				// settled its source.
+				sw.dstNode, sw.mark = dstNode, len(sw.settle)
+			}
+			if alone {
+				j++
+				break ops
+			}
+
+		default:
+			break ops
+		}
+	}
+	if j == at {
+		return nil, 0, nil
+	}
+	sw.win1 = len(cf.wins)
+	if sw.mat == nil {
+		// Room for a window's gathered words and, behind them, for the words
+		// one chain's members read beside them — all its members, should a
+		// readxb turn out to reach past the gathered words (run).
+		sw.pitch = sw.rows + most
+	}
+	return sw.run, j - at, nil
+}
+
+// clashes reports whether the last chain of window w (the last compiled) may
+// write a word that a chain of one of the three windows before it writes too —
+// each weight column a crossbar can hold counted — unless both only add.
+func (sw *sweep) clashes(w int) bool {
+	cf := sw.cf
+	a := cf.img.a
+	maxCols := int64(a.XB.Cols / a.CellsPerWeight())
+	ch := &cf.chains[len(cf.chains)-1]
+	for v := max(w-3, sw.win0); v < w; v++ {
+		win := &cf.wins[v]
+		if win.mod >= 0 && win.lo < win.hi && cf.chains[win.lo].stride == ch.stride && ch.dst%ch.stride != win.mod {
+			continue // equal strides, other words of them: no chain of v meets ch
+		}
+		for _, o := range cf.chains[win.lo:win.hi] {
+			if ch.acc && o.acc {
+				continue
+			}
+			if ch.stride == o.stride {
+				if d := max(ch.dst-o.dst, o.dst-ch.dst); d%ch.stride == 0 && d/ch.stride < maxCols {
+					return true
+				}
+			} else if ch.dst <= o.dst+(maxCols-1)*o.stride && o.dst <= ch.dst+(maxCols-1)*ch.stride {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// coreSweep fills sw for a readcore (MOP_CM): the core's internal crossbars
+// perform the same quantized arithmetic, so its windows are gathered like a
+// mov_window's — into the kernel only — and multiply the node's weight matrix.
+func (img *Image) coreSweep(sw *sweep, o mop.ReadCore, res codegen.Operands) {
+	cf := sw.cf
+	n := img.g.MustNode(o.Node)
+	sw.geo, sw.gsrc = cf.geometryOf(o.Node), o.Src
+	sw.rows = len(sw.geo.rel)
+	sw.pitch = sw.rows
+	sw.mat, sw.cols = cf.matrixOf(o.Node), int32(img.wDims[o.Node][1])
+	sw.settle, sw.mark, sw.dstNode = []int32{int32(res.RegionReads[0])}, 1, o.Node
+	// Output column j of window w lands at Dst + j·cj + w·cw.
+	cj, cw := codegen.OutGeometry(n)
+	for w := o.WinStart; w < o.WinStart+o.WinCount; w++ {
+		y0, x0 := sw.geo.origin(w)
+		c := int32(len(cf.chains))
+		cf.wins = append(cf.wins, sweepWin{y0: y0, x0: x0, gdst: -1, lo: c, hi: c + 1, gather: true})
+		cf.chains = append(cf.chains, sweepChain{dst: o.Dst + w*cw, stride: cj, limit: sw.mat.limit})
+	}
+}
+
+// sweepCall is one MVM kernel call of a window as resolved against the
+// crossbar view: the runs it multiplies (counted from the window's first),
+// which of the window's chains it computes, and the call's shape. Two windows
+// whose calls are equal and whose runs are the same weight words are streams
+// of one block.
+type sweepCall struct {
+	lo, hi, chain, cols int32
+	acc                 bool
+	stride, limit       int64
+}
+
+// sweepBlock is a run of consecutive windows that resolved alike, kept as its
+// first window's runs and calls.
+type sweepBlock struct {
+	win, wins int // the first window and how many
+	run, call int // the first window's runs and calls in the state's lists
+}
+
+// sameWords reports whether two windows' runs multiply the same weight words
+// from the same places of their activation vectors.
+func sameWords(a, b []mvmRun) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if x, y := &a[i], &b[i]; &x.w[0] != &y.w[0] || x.stride != y.stride || x.n != y.n || x.src != y.src || x.from != y.from {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve completes every read of the sweep against the crossbar view and
+// leaves the sweep's blocks, with their runs and calls, in the state. Nothing
+// else is written. A member that reads its window's gathered words takes them
+// from the stream's vector; with beside set every member's words are copied
+// from the lane instead. It reports whether that is needed: a readxb reached
+// past the gathered words.
+func (sw *sweep) resolve(st *BatchState, beside bool) (past bool, err error) {
+	cf := sw.cf
+	runs, calls, blocks := st.runs[:0], st.calls[:0], st.blocks[:0]
+	defer func() { st.runs, st.calls, st.blocks = runs, calls, blocks }()
+	for w := sw.win0; w < sw.win1; w++ {
+		win := &cf.wins[w]
+		run0, call0 := len(runs), len(calls)
+		for c := win.lo; c < win.hi; c++ {
+			ch := &cf.chains[c]
+			first := len(runs)
+			call := sweepCall{lo: int32(first - run0), chain: c - win.lo, cols: sw.cols, acc: ch.acc, stride: ch.stride, limit: ch.limit}
+			if sw.mat != nil {
+				runs = append(runs, mvmRun{w: sw.mat.w, stride: sw.rows, n: sw.rows, from: -1})
+			}
+			uniform := true
+			members := cf.members[ch.lo:ch.hi]
+			for i := range members {
+				m := &members[i]
+				p := &st.prog[m.XB]
+				n, err := p.Activate(&m.XBRead)
+				if err != nil {
+					return false, opError{int(ch.op) + i, err}
+				}
+				if r := first + int(m.run); r < len(runs) {
+					runs[r].n += n
+				} else {
+					run := mvmRun{w: st.weights[m.XB][m.Row:], stride: p.stride, n: n, src: int(m.off), from: -1}
+					if m.off < 0 || beside {
+						run.from = m.Src
+					}
+					runs = append(runs, run)
+				}
+				if i == 0 {
+					call.cols = p.WCols
+				}
+				uniform = uniform && p.WCols == call.cols
+			}
+			// Words read beside the gathered ones go behind them in the vector.
+			at := 0
+			if win.gather {
+				at = sw.rows
+			}
+			for i := first; i < len(runs); i++ {
+				if r := &runs[i]; r.from >= 0 {
+					r.src, at = at, at+r.n
+				} else if r.src+r.n > sw.rows {
+					past = true
+				}
+			}
+			if uniform {
+				call.hi = int32(len(runs) - run0)
+				calls = append(calls, call)
+				continue
+			}
+			// Members that hold different column counts run as chains of one, in
+			// order.
+			for i := range members {
+				if m := &members[i]; first+int(m.run) == run0+int(call.lo) {
+					call.hi, call.cols = call.lo+1, st.prog[m.XB].WCols
+					calls = append(calls, call)
+					call.lo, call.acc = call.hi, true
+				}
+			}
+		}
+		if nb := len(blocks); nb > 0 && !win.fence {
+			if b := &blocks[nb-1]; slices.Equal(calls[b.call:call0], calls[call0:]) && sameWords(runs[b.run:run0], runs[run0:]) {
+				b.wins++
+				runs, calls = runs[:run0], calls[:call0]
+				continue
+			}
+		}
+		blocks = append(blocks, sweepBlock{win: w, wins: 1, run: run0, call: call0})
+	}
+	return past, nil
+}
+
+// run is the sweep's kernel.
+func (sw *sweep) run(bm *BatchMachine) error {
+	st, cf := bm.st, sw.cf
+	// A readxb that reaches past its window's gathered words reads scratch as
+	// it lies in the lane: then every member does, one stream at a time, the
+	// operators' own order.
+	past, err := sw.resolve(st, false)
+	if past && err == nil {
+		_, err = sw.resolve(st, true)
+	}
+	if err != nil {
+		return err
+	}
+	for i := 0; i <= len(sw.settle); i++ {
+		if i == sw.mark {
+			bm.markCIMOutput(sw.dstNode)
+		}
+		if i < len(sw.settle) {
+			bm.settleNode(int(sw.settle[i]))
+		}
+	}
+
+	width := 4
+	if past {
+		width = 1
+	}
+	vectors := st.gatherBuf(width * sw.pitch)
+	var k mvmCall
+	var lanes [4][]int64
+	var chains [4]int32   // each stream's window's first chain
+	var gathered [4]int64 // the guard's operand over each stream's gathered words
+	for bi := range st.blocks {
+		b := &st.blocks[bi]
+		end := len(st.calls)
+		if bi+1 < len(st.blocks) {
+			end = st.blocks[bi+1].call
+		}
+		calls, runs := st.calls[b.call:end], st.runs[b.run:]
+		// Stream s is window s mod b.wins of lane s / b.wins: lane outermost.
+		lane, w := 0, 0
+		for left := st.lanes * b.wins; left > 0; left -= k.n {
+			k.n = min(width, left)
+			for s := 0; s < k.n; s++ {
+				win, lm, act := &cf.wins[b.win+w], st.lane(lane), vectors[s*sw.pitch:(s+1)*sw.pitch]
+				gathered[s] = 0
+				if win.gather {
+					gathered[s] = sw.geo.gather(act, lm[sw.gsrc:], int(win.y0), int(win.x0))
+					if win.gdst >= 0 {
+						copy(lm[win.gdst:], act[:sw.rows])
+					}
+				}
+				chains[s], lanes[s], k.act[s] = win.lo, lm, act
+				if w++; w == b.wins {
+					lane, w = lane+1, 0
+				}
+			}
+			for ci := range calls {
+				c := &calls[ci]
+				k.runs, k.cols, k.limit, k.stride, k.acc = runs[c.lo:c.hi], int(c.cols), c.limit, c.stride, c.acc
+				for s := 0; s < k.n; s++ {
+					k.mag[s] = gathered[s]
+					for i := range k.runs {
+						if r := &k.runs[i]; r.from >= 0 {
+							k.mag[s] |= copyMag(k.act[s][r.src:r.src+r.n], lanes[s][r.from:r.from+int64(r.n)])
+						}
+					}
+					k.out[s] = lanes[s][cf.chains[chains[s]+c.chain].dst:]
+				}
+				k.run()
+			}
+		}
+	}
+	return nil
+}

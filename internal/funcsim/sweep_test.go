@@ -1,0 +1,275 @@
+package funcsim
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"testing"
+
+	"cimmlc/internal/arch"
+	"cimmlc/internal/graph"
+	"cimmlc/internal/models"
+	"cimmlc/internal/mop"
+)
+
+// runOneLane runs cf on request 0 of the cell, prepare (when set) having edited
+// the state after the load, and returns the lane.
+func runOneLane(t *testing.T, c *laneCell, cf *CompiledFlow, prepare func(st *BatchState)) []int64 {
+	t.Helper()
+	st := c.img.NewBatchState(1)
+	bm := c.img.ExecBatch(st)
+	if err := bm.LoadInputs(0, c.ins[0]); err != nil {
+		t.Fatal(err)
+	}
+	if prepare != nil {
+		prepare(st)
+	}
+	if err := bm.RunBody(cf); err != nil {
+		t.Fatal(err)
+	}
+	return st.mem
+}
+
+// TestSweepsMatchOperatorByOperator holds hand-written bodies — what no
+// generated flow contains — to the operators run one per flow
+// (sweptMatchesApart), and pins where their sweeps end. All are cut from
+// conv-relu on isaac-baseline: window w gathers 27 words into a scratch slot of
+// its own and multiplies them on crossbars 2w and 2w+1 (14 + 13 wordlines, all
+// windows' copies sharing the image's two arrays) into word w of each of the
+// conv's 32 output channels.
+func TestSweepsMatchOperatorByOperator(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), arch.ISAACBaseline(), 50, 8, programmed)
+	img := c.img
+	win := func(ws ...int) (ops []mop.Op) {
+		for _, w := range ws {
+			ops = append(ops, windowOps(t, c.cf.ops, w)...)
+		}
+		return ops
+	}
+	perWin := len(win(0))
+	plain := func(ws ...int) []int64 { // what the generated windows leave
+		cf, err := img.CompileBody(win(ws...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runOneLane(t, c, cf, nil)
+	}
+	slot := func(w int) int64 { return win(w)[0].(mop.MovWindow).Dst }
+	out := img.base[1]
+	chans := img.size[1] / 32 // words between the conv's output channels
+	// The two halves of the weight matrix, as the init section cuts them — or
+	// shifted by a row — for window w's crossbars.
+	program := func(w, shift int) []mop.Op {
+		return []mop.Op{
+			mop.WriteRow{XB: 2 * w, Row: 0, NumRows: 14, Node: 1, CellRowOff: shift, Cols: 128},
+			mop.WriteRow{XB: 2*w + 1, Row: 0, NumRows: 13, Node: 1, CellRowOff: 14 - shift, Cols: 128},
+		}
+	}
+	// Eight wordlines of crossbar 0 over scratch no window of the body gathers
+	// into, summed into window 7's output words.
+	beside := mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: slot(9), Dst: out + 7, DstStride: chans}
+	huge := []int64{1 << 40, -(1 << 38), 1<<16 + 3, -1 << 16, 70000, 1, -1, 0}
+
+	for _, tc := range []struct {
+		name    string
+		body    []mop.Op
+		kernels map[int]int // by operator count
+		prepare func(st *BatchState)
+		check   func(t *testing.T, lane []int64)
+	}{
+		{
+			// The windows after the write must read the new tile — and are a
+			// sweep of their own: no pass spans the write.
+			name:    "a-write-to-one-of-its-crossbars-interrupts",
+			body:    slices.Concat(win(0, 1, 2, 3), program(4, 1), win(4, 5)),
+			kernels: map[int]int{4 * perWin: 1, 1: 2, 2 * perWin: 1},
+			check: func(t *testing.T, lane []int64) {
+				plain := plain(0, 1, 2, 3, 4, 5)
+				if lane[out+4] == plain[out+4] || lane[out+3] != plain[out+3] || lane[out+5] != plain[out+5] {
+					t.Errorf("window 4 read the tile it found before the write, or its neighbours did not")
+				}
+			},
+		},
+		{
+			// A read of scratch that a mov filled, inside a sweep; the window
+			// that gathers into that scratch ends the sweep.
+			name:    "a-read-beside-the-gathered-words",
+			body:    slices.Concat([]mop.Op{mop.Mov{Src: 0, Dst: slot(9), Len: 27}}, win(0), []mop.Op{beside}, win(1, 2), win(9, 10)),
+			kernels: map[int]int{1: 1, 3*perWin + 1: 1, 2 * perWin: 1},
+		},
+		{
+			// Private arrays, each of other content: every window is a block of
+			// its own, its lanes streamed four at a time.
+			name:    "four-windows-over-unaliased-crossbars",
+			body:    slices.Concat(program(0, 0), program(1, 1), program(2, 0), program(3, 1), win(0, 1, 2, 3)),
+			kernels: map[int]int{1: 8, 4 * perWin: 1},
+			check: func(t *testing.T, lane []int64) {
+				plain := plain(0, 1, 2, 3)
+				if lane[out] != plain[out] || lane[out+2] != plain[out+2] || lane[out+1] == plain[out+1] || lane[out+3] == plain[out+3] {
+					t.Errorf("windows 1 and 3 read shifted tiles, windows 0 and 2 the image's: outputs say otherwise")
+				}
+			},
+		},
+		{
+			// Raw accumulators where a read expects activations: the packing
+			// guard trips for the lanes that hold them and the sums stay exact.
+			name:    "raw-accumulators-through-scratch",
+			body:    slices.Concat(win(0), []mop.Op{beside}, win(1, 2, 3)),
+			kernels: map[int]int{4*perWin + 1: 1},
+			prepare: func(st *BatchState) {
+				for l := 0; l < st.lanes; l++ {
+					if l != 1 {
+						copy(st.lane(l)[slot(9):], huge)
+					}
+				}
+			},
+			check: func(t *testing.T, lane []int64) {
+				cols := img.wDims[1][1]
+				for j := 0; j < cols; j++ {
+					var want int64
+					for i, a := range huge {
+						want += a * int64(img.qweights[1][i*cols+j])
+					}
+					if got := lane[out+7+int64(j)*chans]; got != want {
+						t.Fatalf("column %d over raw accumulators: %d, want %d", j, got, want)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, err := img.CompileBody(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := kernelSizes(whole); !maps.Equal(got, tc.kernels) {
+				t.Fatalf("kernels by operator count: %v, want %v", got, tc.kernels)
+			}
+			sweptMatchesApart(t, c, whole, tc.prepare, everyLaneCount)
+			if tc.check != nil {
+				tc.check(t, runOneLane(t, c, whole, tc.prepare))
+			}
+		})
+	}
+}
+
+// im2col is the plain nested-loop window gather with zero padding: window w of
+// a [inC, h, wd] input, rows in (channel, kernel row, kernel column) order.
+func im2col(in []int64, inC, h, wd, k, stride, pad, outW int, w int) []int64 {
+	oy, ox := w/outW, w%outW
+	var rows []int64
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+				v := int64(0)
+				if iy >= 0 && iy < h && ix >= 0 && ix < wd {
+					v = in[(ic*h+iy)*wd+ix]
+				}
+				rows = append(rows, v)
+			}
+		}
+	}
+	return rows
+}
+
+// sweepGeometryCase builds a convolution from the parameters, holds its static
+// window geometry to im2col on every window, and holds the body the compiler
+// generates for it — on a WLM chip (mov_window + readrow sweeps) and on a CM
+// chip (readcore sweeps) — to its operators run one per flow.
+func sweepGeometryCase(t *testing.T, chans, h, wd, kernel, stride, pad, lanes uint8) {
+	inC, outC := 1+int(chans)%3, 1+int(chans>>2)%6
+	k := 1 + int(kernel)%3
+	H, W := k+int(h)%7, k+int(wd)%7
+	s, p := 1+int(stride)%3, int(pad)%(k+1)
+	name := fmt.Sprintf("conv-%dx%dx%d-k%d-s%d-p%d-o%d", inC, H, W, k, s, p, outC)
+	g := graph.NewBuilder(name, inC, H, W).Conv(outC, k, s, p).ReLU().MustFinish()
+	if err := g.InferShapes(); err != nil {
+		t.Skip(err)
+	}
+	conv := g.MustNode(1)
+	outW, wins := conv.OutShape[2], int(conv.MVMCount())
+
+	geo := newWinGeometry(g, conv, inC*k*k)
+	in := make([]int64, inC*H*W)
+	for i := range in {
+		in[i] = int64(i%17) - 8 + int64(i)<<8
+	}
+	got := make([]int64, len(geo.rel))
+	for w := 0; w < wins; w++ {
+		y0, x0 := geo.origin(int64(w))
+		mag := geo.gather(got, in, int(y0), int(x0))
+		want := im2col(in, inC, H, W, k, s, p, outW, w)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s window %d: gathered %v, im2col %v", name, w, got, want)
+		}
+		if ref := copyMag(make([]int64, len(want)), want); mag != ref {
+			t.Fatalf("%s window %d: guard operand %#x, over the words %#x", name, w, mag, ref)
+		}
+	}
+
+	n := 1 + int(lanes)%8
+	for _, a := range []*arch.Arch{arch.ToyExample(), toyInMode(arch.CM)} {
+		c := newLaneCell(t, g, a, 51, n, programmed)
+		sweptMatchesApart(t, c, c.cf, nil, []int{n})
+		c.run(t, c.img.NewBatchState(n), n) // and both equal the quantized reference
+	}
+}
+
+// The border cases: a 1 × 1 kernel, padding as wide as the kernel, a stride
+// past the kernel, one window, one column of windows, and the zoo's 3 × 3.
+var sweepGeometrySeeds = [][7]uint8{
+	{0, 0, 0, 0, 0, 0, 0},
+	{2, 4, 4, 2, 0, 1, 3},
+	{1, 6, 2, 2, 1, 3, 4},
+	{6, 0, 5, 1, 2, 2, 7},
+	{9, 3, 0, 2, 2, 0, 2},
+	{23, 5, 6, 1, 1, 1, 5},
+}
+
+func TestSweepGeometryMatchesIm2col(t *testing.T) {
+	for _, s := range sweepGeometrySeeds {
+		sweepGeometryCase(t, s[0], s[1], s[2], s[3], s[4], s[5], s[6])
+	}
+}
+
+// FuzzSweepGeometry drives sweepGeometryCase from fuzzed shapes.
+func FuzzSweepGeometry(f *testing.F) {
+	for _, s := range sweepGeometrySeeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6])
+	}
+	f.Fuzz(sweepGeometryCase)
+}
+
+// TestSweepFencesOverlappingOutputs: a pass of four windows interleaves their
+// stores column word by column word, so a window that stores into words a
+// window just ahead of it stores into too — in other columns; possible only
+// where a node has more output columns than a crossbar — must not share a pass
+// with it. Here window 1's first column tile lands one channel above window
+// 0's, over its columns 1 to 31.
+func TestSweepFencesOverlappingOutputs(t *testing.T) {
+	g := graph.NewBuilder("conv-wide", 2, 6, 6).Conv(40, 3, 1, 1).ReLU().MustFinish()
+	c := newLaneCell(t, g, toyInMode(arch.WLM), 52, 8, programmed)
+	out, chans := c.img.base[1], c.img.size[1]/40
+	var body []mop.Op
+	for w := 0; w < 4; w++ {
+		for _, op := range windowOps(t, c.cf.ops, w) {
+			if rd, ok := op.(mop.ReadRow); ok && w == 1 && rd.Dst == out+1 {
+				rd.Dst = out + chans
+				op = rd
+			}
+			body = append(body, op)
+		}
+	}
+	whole, err := c.img.CompileBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.kernels) != 1 {
+		t.Fatalf("%d kernels, want the one sweep", len(whole.kernels))
+	}
+	if w := whole.wins; len(w) != 4 || w[0].fence || !w[1].fence || w[2].fence || w[3].fence {
+		t.Fatalf("windows fenced: %v, want the second only", w)
+	}
+	sweptMatchesApart(t, c, whole, nil, everyLaneCount)
+}
