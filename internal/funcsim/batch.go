@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/graph"
@@ -20,7 +21,9 @@ import (
 // that multiplies the same weight words — through one pass over those
 // weights, the amortization stationary weights exist for: per-MOP dispatch,
 // address→node resolution and window gather geometry are paid when the flow
-// is compiled, crossbar resolution, requantization tables and
+// is compiled; crossbar resolution once per compiled flow for the runs that
+// start from the image's baseline view (every request: a reset restores it),
+// and once per micro-batch for any other; requantization tables and
 // quantization-domain bookkeeping once per micro-batch. A single request is
 // the one-lane micro-batch.
 //
@@ -38,8 +41,9 @@ import (
 // (addresses, shapes, node regions, dispatch, window geometry) resolved at
 // compile time. A write, a mov and a dcom are a kernel each; a run of
 // mov_windows and crossbar reads executes as one, the window sweep
-// (sweep.go). A CompiledFlow is immutable and safe for concurrent use; each
-// execution supplies its own BatchState.
+// (sweep.go). A CompiledFlow is immutable but for its sweeps' published plans
+// — each written once, atomically, and the same whichever run writes it — and
+// safe for concurrent use; each execution supplies its own BatchState.
 type CompiledFlow struct {
 	img     *Image
 	kernels []kernel
@@ -58,6 +62,11 @@ type CompiledFlow struct {
 	// node a readcore names — the weight matrix in the layout reads consume.
 	geos     map[int]*winGeometry
 	matrices map[int]*nodeMatrix
+	// plans holds, per sweep, its resolution against the view a run that
+	// starts from the image's baseline finds there, once a run has published
+	// it (sweep.resolution).
+	sweeps int
+	plans  []atomic.Pointer[resolution]
 }
 
 type kernel func(bm *BatchMachine) error
@@ -112,12 +121,16 @@ type BatchState struct {
 	regionScale []float64
 	regionRaw   []bool
 
+	// atBase: the view is the image's baseline — the state was reset and no
+	// body has run since. fromBase: the body running started there, so its
+	// sweeps' plans apply (sweep.resolution).
+	atBase, fromBase bool
+
 	// Reusable scratch, grown on demand.
-	runs   []mvmRun     // a sweep's reads, resolved against the view:
-	calls  []sweepCall  // per block of windows that resolved alike, the
-	blocks []sweepBlock // first one's runs and kernel calls
-	gather []int64      // the activation vectors of the streams in flight
-	table  []int64      // requantization lookup table
+	res    resolution // a sweep resolved against the view
+	hit    resolution // a sweep's plan: its runs on this view's arrays, its other lists the plan's
+	gather []int64    // the activation vectors of the streams in flight
+	table  []int64    // requantization lookup table
 }
 
 func (st *BatchState) lane(l int) []int64 {
@@ -157,6 +170,7 @@ func (img *Image) NewBatchState(lanes int) *BatchState {
 func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	st.stride = img.lay.Total
 	st.lanes = lanes
+	st.atBase = true
 	need := int64(lanes) * st.stride
 	if int64(cap(st.mem)) < need {
 		st.mem = make([]int64, need)
@@ -269,11 +283,18 @@ func (bm *BatchMachine) LoadInputs(lane int, inputs map[int]*tensor.Tensor) erro
 	return nil
 }
 
-// RunBody executes the compiled flow over every lane of the batch.
+// RunBody executes the compiled flow over every lane of the batch. The state
+// must have been reset against the machine's image: its crossbar view is what
+// the flow's reads resolve against.
 func (bm *BatchMachine) RunBody(cf *CompiledFlow) error {
+	st := bm.st
 	if cf.img != bm.img {
 		return fmt.Errorf("funcsim: compiled flow belongs to a different image")
 	}
+	if st.img != bm.img {
+		return fmt.Errorf("funcsim: execution state was last reset against a different image")
+	}
+	st.fromBase, st.atBase = st.atBase, false
 	for i, k := range cf.kernels {
 		if err := k(bm); err != nil {
 			op := cf.first[i]
@@ -315,27 +336,35 @@ func (bm *BatchMachine) settleNode(node int) {
 	if node < 0 || !st.regionRaw[node] {
 		return
 	}
-	raw := st.regionScale[node]
-	q := img.actScale[node]
+	s := bm.settlerOf(node)
 	base, size := img.base[node], img.size[node]
-	maxQ := int64(q.MaxQ())
-	scale := float64(q.Scale)
 	for l := 0; l < st.lanes; l++ {
-		lm := st.lane(l)
-		for i := base; i < base+size; i++ {
-			f := float64(lm[i]) * raw
-			v := int64(math.RoundToEven(f / scale))
-			if v > maxQ {
-				v = maxQ
-			}
-			if v < -maxQ {
-				v = -maxQ
-			}
-			lm[i] = v
+		region := st.lane(l)[base : base+size]
+		for i, v := range region {
+			region[i] = s.level(v)
 		}
 	}
-	st.regionScale[node] = scale
-	st.regionRaw[node] = false
+	st.regionScale[node], st.regionRaw[node] = s.scale, false
+}
+
+// settler is the requantization of a raw CIM accumulator into its node's
+// activation domain, one word at a time: settleNode runs it over a region, and
+// a consumer that settles its raw input in its own pass (compileDcomLevels)
+// runs it word by word, so both leave the same level.
+type settler struct {
+	raw, scale float64 // the accumulators' unit value; the node's activation scale
+	maxQ       int64
+}
+
+// settlerOf returns the settler of node's region, raw at its current scale.
+func (bm *BatchMachine) settlerOf(node int) settler {
+	q := bm.img.actScale[node]
+	return settler{raw: bm.st.regionScale[node], scale: float64(q.Scale), maxQ: int64(q.MaxQ())}
+}
+
+func (s settler) level(v int64) int64 {
+	q := int64(math.RoundToEven(float64(v) * s.raw / s.scale))
+	return max(min(q, s.maxQ), -s.maxQ)
 }
 
 // markCIMOutput records that node's region now holds raw accumulators whose
@@ -386,7 +415,8 @@ func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 // resolution work and no operator can address outside its regions. What a
 // crossbar holds is run-time state (a body may reprogram it), so a read is
 // completed against it (XBRecord.Activate) by its sweep, before the sweep
-// writes.
+// writes — once per flow for the runs that start from the baseline view,
+// whose sweeps take the plan the first of them published.
 func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	// Sized once from a count of the leaves: flows run to millions of them.
 	var leaves, reads, chains, windows int
@@ -432,6 +462,7 @@ func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 		cf.kernels, cf.first = append(cf.kernels, k), append(cf.first, at)
 		at += n
 	}
+	cf.plans = make([]atomic.Pointer[resolution], cf.sweeps)
 	return cf, nil
 }
 
@@ -693,7 +724,18 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 	maxIn := int64(img.actScale[in].MaxQ())
 	return func(bm *BatchMachine) error {
 		st := bm.st
-		bm.settleNode(in)
+		// An elementwise kernel settles a raw input in its own pass, writing back
+		// the level settleNode would leave; a pool has it settled first. A raw
+		// region is final only where it is consumed — until then a later chain
+		// or sweep may still add to it — so this is the first place to settle.
+		fuse := relu && st.regionRaw[in]
+		var s settler
+		if fuse {
+			s = bm.settlerOf(in)
+			st.regionScale[in], st.regionRaw[in] = s.scale, false // by the pass below
+		} else {
+			bm.settleNode(in)
+		}
 		r := requant{inScale: st.regionScale[in], scale: q.Scale, maxQ: q.MaxQ(), relu: relu}
 		if r.inScale == 0 {
 			r.inScale = float64(img.actScale[in].Scale)
@@ -723,23 +765,35 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 		for l := 0; l < st.lanes; l++ {
 			lm := st.lane(l)
 			src, dst := lm[base:base+size], lm[o.Dst:o.Dst+o.Len]
-			if k == 1 && stride == 1 {
+			switch {
+			case fuse:
+				for i, v := range src {
+					v = s.level(v)
+					src[i], dst[i] = v, level(v)
+				}
+			case relu:
 				for i, v := range src {
 					dst[i] = level(v)
 				}
-				continue
-			}
-			for i, c := 0, 0; i < len(dst); c++ {
-				for oy := 0; oy < outH; oy++ {
-					for ox := 0; ox < outW; ox, i = ox+1, i+1 {
-						win := src[(c*h+oy*stride)*w+ox*stride:]
-						best := win[0]
-						for ky := 0; ky < k; ky++ {
-							for _, v := range win[ky*w:][:k] {
-								best = max(best, v)
+			default:
+				// Output row (c, oy) covers k input rows, sliced once; each
+				// (ky, kx) of the window is one pass over the row's outputs,
+				// which hold the largest level so far.
+				for i, c := 0, 0; i < len(dst); c++ {
+					for oy := 0; oy < outH; oy, i = oy+1, i+outW {
+						rows, out := src[(c*h+oy*stride)*w:][:k*w], dst[i:i+outW]
+						for ox := range out {
+							out[ox] = rows[ox*stride]
+						}
+						for kk := 1; kk < k*k; kk++ {
+							at := rows[kk/k*w+kk%k:]
+							for ox, v := range out {
+								out[ox] = max(v, at[ox*stride])
 							}
 						}
-						dst[i] = level(best)
+						for ox, v := range out {
+							out[ox] = level(v)
+						}
 					}
 				}
 			}

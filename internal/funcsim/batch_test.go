@@ -1,9 +1,11 @@
 package funcsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -361,17 +363,31 @@ func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
 		if len(cf.kernels) != 1 {
 			t.Fatalf("%s: %d kernels, want the one sweep", name, len(cf.kernels))
 		}
-		st := img.NewBatchState(2)
-		for w := range st.mem {
-			st.mem[w] = int64(w%251) - 125
+		// Every run starts from the baseline view, and every one fails alike:
+		// a failed resolution publishes no plan.
+		first := ""
+		for run := 0; run < 3; run++ {
+			st := img.NewBatchState(2)
+			for w := range st.mem {
+				st.mem[w] = int64(w%251) - 125
+			}
+			before := slices.Clone(st.mem)
+			err = img.ExecBatch(st).RunBody(cf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, run %d: err = %v, want one containing %q", name, run, err, tc.want)
+				break
+			}
+			if run == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("%s, run %d: err = %v, the first run's was %s", name, run, err, first)
+			}
+			if !slices.Equal(st.mem, before) {
+				t.Errorf("%s, run %d: the failed kernel wrote to lane memory", name, run)
+			}
 		}
-		before := slices.Clone(st.mem)
-		err = img.ExecBatch(st).RunBody(cf)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
-		}
-		if !slices.Equal(st.mem, before) {
-			t.Errorf("%s: the failed kernel wrote to lane memory", name)
+		if n := planCount(cf); n != 0 {
+			t.Errorf("%s: a failed sweep published %d plans", name, n)
 		}
 	}
 }
@@ -430,15 +446,22 @@ func sweptMatchesApart(t *testing.T, c *laneCell, whole *CompiledFlow, prepare f
 				t.Fatal(err)
 			}
 		}
-		if !slices.Equal(a.mem, b.mem) || !slices.Equal(a.regionScale, b.regionScale) || !slices.Equal(a.regionRaw, b.regionRaw) {
-			for w := range a.mem {
-				if a.mem[w] != b.mem[w] {
-					t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different states: lane %d word %d is %d, apart %d",
-						lanes, int64(w)/a.stride, int64(w)%a.stride, a.mem[w], b.mem[w])
-				}
+		requireSameState(t, fmt.Sprintf("%d lanes: the body compiled whole and operator by operator", lanes), a, b)
+	}
+}
+
+// requireSameState requires two states to hold equal lane memory, scratch
+// included, and equal quantization bookkeeping; what names the two runs.
+func requireSameState(t *testing.T, what string, a, b *BatchState) {
+	t.Helper()
+	if !slices.Equal(a.mem, b.mem) || !slices.Equal(a.regionScale, b.regionScale) || !slices.Equal(a.regionRaw, b.regionRaw) {
+		for w := range min(len(a.mem), len(b.mem)) {
+			if a.mem[w] != b.mem[w] {
+				t.Fatalf("%s leave different states: lane %d word %d is %d, then %d",
+					what, int64(w)/a.stride, int64(w)%a.stride, a.mem[w], b.mem[w])
 			}
-			t.Fatalf("%d lanes: the body compiled whole and operator by operator leave different region bookkeeping", lanes)
 		}
+		t.Fatalf("%s leave different region bookkeeping or lane counts", what)
 	}
 }
 
@@ -568,20 +591,28 @@ func TestLoadInputsRejectsMalformedRequests(t *testing.T) {
 // extremes and words beyond them, under the default and a foreign input scale,
 // through the tabulated requantization (8-bit activations, 144 outputs) and the
 // direct one (16-bit activations; a pool too small to pay for a table; 3 × 3
-// windows that overlap).
+// windows that overlap) — and the one pool loop on every shape: odd heights and
+// widths a 2 × 2 stride-2 pool floors, 3 × 3 windows at stride 1, non-square
+// inputs.
 func TestMaxPoolMatchesGenericPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		k, stride int
 		a         *arch.Arch
 		table     bool
+		h, w      int // the pooled input's height and width (0: 12)
 	}{
-		{"tabulated", 2, 2, toyBits(arch.XBM, 8, 8), true},
-		{"direct-16-bit", 2, 2, toyBits(arch.XBM, 8, 16), false},
-		{"direct-overlapping", 3, 2, toyBits(arch.XBM, 8, 8), false},
+		{name: "tabulated", k: 2, stride: 2, a: toyBits(arch.XBM, 8, 8), table: true},
+		{name: "direct-16-bit", k: 2, stride: 2, a: toyBits(arch.XBM, 8, 16)},
+		{name: "direct-overlapping", k: 3, stride: 2, a: toyBits(arch.XBM, 8, 8)},
+		{name: "odd-sizes-floor", k: 2, stride: 2, a: toyBits(arch.XBM, 8, 8), table: true, h: 13, w: 15},
+		{name: "3x3-stride-1", k: 3, stride: 1, a: toyBits(arch.XBM, 8, 8), table: true, h: 9, w: 12},
+		{name: "non-square-overlapping", k: 3, stride: 2, a: toyBits(arch.XBM, 8, 8), table: true, h: 11, w: 16},
+		{name: "non-square-tall", k: 2, stride: 2, a: toyBits(arch.XBM, 8, 8), h: 14, w: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := graph.NewBuilder("pool", 2, 12, 12).Conv(4, 3, 1, 1).MaxPool(tc.k, tc.stride).MustFinish()
+			h, w := cmp.Or(tc.h, 12), cmp.Or(tc.w, 12)
+			g := graph.NewBuilder("pool", 2, h, w).Conv(4, 3, 1, 1).MaxPool(tc.k, tc.stride).MustFinish()
 			c := newLaneCell(t, g, tc.a, 53, 3, programmed)
 			img := c.img
 			var pool mop.Dcom
@@ -640,6 +671,86 @@ func TestMaxPoolMatchesGenericPipeline(t *testing.T) {
 				if st.regionScale[pool.Node] != float64(q.Scale) || st.regionRaw[pool.Node] {
 					t.Fatalf("the pool's region is left at scale %v, raw %v", st.regionScale[pool.Node], st.regionRaw[pool.Node])
 				}
+			}
+		})
+	}
+}
+
+// TestReLUSettlesRawInputInItsPass holds a ReLU over a raw accumulator region —
+// which settles its input in its own pass — to settleNode followed by the
+// generic compileDcom pipeline (dequantize, the graph's ReLU, Quantize): the
+// ReLU's levels, the settled input it writes back, and both regions'
+// bookkeeping. Settling itself is held to the documented rule, written out
+// here: round half to even of accumulator × raw scale ÷ activation scale,
+// clamped to ±MaxQ. The input's activation scale is a power of two, so the raw
+// scales 1/2 and 3/2 of it put every odd accumulator on a .5 tie; the
+// accumulators reach both clamps and far past them. 8-bit activations take the
+// tabulated requantization, 16-bit ones the direct.
+func TestReLUSettlesRawInputInItsPass(t *testing.T) {
+	for _, a := range []*arch.Arch{toyBits(arch.XBM, 8, 8), toyBits(arch.XBM, 8, 16)} {
+		t.Run(fmt.Sprintf("a%d", a.ActBits), func(t *testing.T) {
+			g := graph.NewBuilder("relu", 2, 12, 12).Conv(4, 3, 1, 1).ReLU().MustFinish()
+			c := newLaneCell(t, g, a, 58, 3, programmed)
+			img := c.img
+			var relu mop.Dcom
+			for _, op := range c.cf.ops {
+				if d, ok := op.(mop.Dcom); ok && c.g.MustNode(d.Node).Op == graph.OpReLU {
+					relu = d
+				}
+			}
+			n := c.g.MustNode(relu.Node)
+			in := n.Inputs[0]
+			qin := img.actScale[in]
+			qin.Scale = 0.25
+			img.actScale[in] = qin
+			maxQ := int64(qin.MaxQ())
+			cf, err := img.CompileBody([]mop.Op{relu})
+			if err != nil {
+				t.Fatal(err)
+			}
+			accs := []int64{0, 1, -1, 3, -3, 5, -5, 7, -7, 2*maxQ - 1, 2 * maxQ, 2*maxQ + 1, -2*maxQ + 1, -2 * maxQ, -2*maxQ - 1,
+				3 * maxQ, -3 * maxQ, 1 << 40, -1 << 40, 12, -12}
+			settle := func(v int64, raw float64) int64 {
+				return max(min(int64(math.RoundToEven(float64(v)*raw/0.25)), maxQ), -maxQ)
+			}
+			for _, raw := range []float64{0.125, 0.375, 0.0371} {
+				fused, apart := img.NewBatchState(3), img.NewBatchState(3)
+				for _, st := range []*BatchState{fused, apart} {
+					for l := 0; l < 3; l++ {
+						region := st.lane(l)[img.base[in]:][:img.size[in]]
+						for i := range region {
+							region[i] = accs[(i*(l+1)+l)%len(accs)]
+						}
+					}
+					st.regionScale[in], st.regionRaw[in] = raw, true
+				}
+				raws := slices.Clone(fused.mem)
+				if err := img.ExecBatch(fused).RunBody(cf); err != nil {
+					t.Fatal(err)
+				}
+				bm := img.ExecBatch(apart)
+				bm.settleNode(in)
+				for l := 0; l < 3; l++ {
+					lane, settled := apart.lane(l), raws[int64(l)*apart.stride:]
+					for i := img.base[in]; i < img.base[in]+img.size[in]; i++ {
+						if want := settle(settled[i], raw); lane[i] != want {
+							t.Fatalf("raw scale %v, lane %d: settleNode leaves %d for accumulator %d, the rule %d", raw, l, lane[i], settled[i], want)
+						}
+					}
+					out, err := n.Kernel([]*tensor.Tensor{bm.regionTensor(l, in)}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					qv, err := tensor.Quantize(out, img.actScale[relu.Node])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range qv {
+						lane[relu.Dst+int64(i)] = int64(v)
+					}
+				}
+				apart.regionScale[relu.Node], apart.regionRaw[relu.Node] = float64(img.actScale[relu.Node].Scale), false
+				requireSameState(t, fmt.Sprintf("raw scale %v: the fused ReLU and settleNode + the generic pipeline", raw), fused, apart)
 			}
 		})
 	}

@@ -35,7 +35,11 @@
 // or of readcores is one kernel (sweep.go) that walks the windows itself, their
 // gather geometry resolved when the flow is compiled, and streams (lane,
 // window) pairs four at a time through the one MVM microkernel (mvm.go). A
-// single request is a one-lane micro-batch; weight programming (ProgramInit)
+// CompiledFlow is immutable except for its sweeps' published plans: what a
+// sweep's reads resolve to against the view every run from the image's
+// baseline finds, published by the first such run, atomically, and taken by
+// every later one on any state. A single request is a one-lane micro-batch;
+// weight programming (ProgramInit)
 // and one-shot execution run the same kernels. State and Machine are the one-lane view of
 // that engine for callers that drive one request with an uncompiled flow;
 // they hold no arithmetic of their own.

@@ -71,13 +71,16 @@ func placeWeight(w []int64, rows, row, col int, v int64, packed bool) {
 // wordlines of one weight array. w is cut to start at the run's first
 // wordline, so column word c's weights are w[c·stride : c·stride+n]. from is
 // where a sweep copies the n words from before the call (a lane-relative
-// address), -1 when the window's gather already put them at src.
+// address), -1 when the window's gather already put them at src. xb and row
+// name where w lies in a crossbar view — xb -1: in no crossbar's, a readcore's
+// node matrix — so that a sweep plan (sweep.go) can take w from any state's.
 type mvmRun struct {
-	w      []int64
-	stride int // words between the array's consecutive column words
-	n      int
-	src    int
-	from   int64
+	w       []int64
+	stride  int // words between the array's consecutive column words
+	n       int
+	src     int
+	from    int64
+	xb, row int32
 }
 
 // mvmCall is one accumulation chain's arithmetic over up to four streams —

@@ -27,15 +27,18 @@ import (
 // against the crossbar view (XBRecord.Activate) and groups consecutive windows
 // whose chains multiply the same weight words into blocks — before anything is
 // written, so a bad read in window k leaves lane memory as the sweep found
-// it. It settles the source regions and marks the output raw, in program
-// order. Then it streams (lane, window) pairs through each block, lane
-// outermost, four at a time: a stream's window is gathered into a private
-// activation vector (and copied to the scratch words the mov_window names,
-// which stay word for word what the operator would leave), the packing
-// guard's operand taken in that pass, and the four vectors go through the MVM
-// kernel's shared-weight form, so adjacent windows' outputs land in adjacent
-// words. A block of one window streams the lanes four at a time instead — the
-// same loop.
+// it. A body run that starts from the image's baseline view finds one fixed
+// view at each sweep, whatever state carries it, so the first such run
+// publishes that resolution as the sweep's plan and every later one takes the
+// plan instead of resolving (resolution). It settles the source regions and
+// marks the output raw, in program order. Then it streams (lane, window)
+// pairs through each block, lane outermost, four at a time: a stream's window
+// is gathered into a private activation vector (and copied to the scratch
+// words the mov_window names, which stay word for word what the operator would
+// leave), the packing guard's operand taken in that pass, and the four vectors
+// go through the MVM kernel's shared-weight form, so adjacent windows' outputs
+// land in adjacent words. A block of one window streams the lanes four at a
+// time instead — the same loop.
 
 // xbRead is one readxb or readrow as a member of an accumulation chain: the
 // resolved read, the node whose region it streams activations from (-1:
@@ -83,9 +86,11 @@ type sweepWin struct {
 	mod int64
 }
 
-// sweep is the compiled form; what the crossbars hold is resolved per run.
+// sweep is the compiled form; what the crossbars hold is resolved per run, or
+// taken from the sweep's plan, CompiledFlow.plans[id].
 type sweep struct {
 	cf         *CompiledFlow
+	id         int
 	win0, win1 int // windows, in CompiledFlow.wins
 
 	geo   *winGeometry // nil when no window gathers
@@ -247,7 +252,7 @@ func (h hull) touches(lo, hi int64) bool { return lo < h.hi && h.lo < hi }
 // next one, which is where its error is reported.
 func (img *Image) compileSweep(cf *CompiledFlow, at int) (kernel, int, error) {
 	a := img.a
-	sw := &sweep{cf: cf, win0: len(cf.wins), mark: -1, dstNode: -1}
+	sw := &sweep{cf: cf, id: cf.sweeps, win0: len(cf.wins), mark: -1, dstNode: -1}
 	gnode, gfrom := -1, -1    // the node whose windows the sweep gathers, and the node it gathers them from
 	var gathered, direct hull // scratch the mov_windows write; scratch the members read beside it
 	inChain := false          // the operator before was a member of the last chain
@@ -398,6 +403,7 @@ ops:
 	if j == at {
 		return nil, 0, nil
 	}
+	cf.sweeps++
 	sw.win1 = len(cf.wins)
 	if sw.mat == nil {
 		// Room for a window's gathered words and, behind them, for the words
@@ -473,7 +479,65 @@ type sweepCall struct {
 // first window's runs and calls.
 type sweepBlock struct {
 	win, wins int // the first window and how many
-	run, call int // the first window's runs and calls in the state's lists
+	run, call int // the first window's runs and calls in the resolution's lists
+}
+
+// resolution is a sweep resolved against a crossbar view: its blocks, with
+// their runs and calls, and whether every member copies its words from the
+// lane (beside: a readxb reached past its window's gathered words).
+//
+// Published as a plan, it holds no weight array of a crossbar: a run names
+// its weights by (crossbar, wordline), and each state takes the array from its
+// own view. That is what makes a plan state-independent. The crossbars a body
+// writes are private to each state, but which crossbars those are, what they
+// hold and which arrays coincide — all the blocks are grouped by — follow from
+// the image and the body alone.
+type resolution struct {
+	runs   []mvmRun
+	calls  []sweepCall
+	blocks []sweepBlock
+	beside bool
+}
+
+// resolution returns the sweep's resolution against the state's view. A body
+// run that started from the image's baseline view (BatchState.fromBase) sees
+// the baseline plus the body's own earlier writes here, the same view in every
+// state, so every check resolve makes — each read's Activate, the chains'
+// column counts, a readxb past its gathered words, which windows share a block
+// — has the outcome it had for the first such run: that run publishes its
+// resolution, and later ones take it. A failed resolution is never published,
+// so every run that meets it resolves and fails alike. Any other run resolves.
+func (sw *sweep) resolution(st *BatchState) (*resolution, error) {
+	plans := sw.cf.plans
+	if !st.fromBase {
+		return &st.res, sw.resolve(st)
+	}
+	plan := plans[sw.id].Load()
+	if plan == nil {
+		if err := sw.resolve(st); err != nil {
+			return nil, err
+		}
+		res := &st.res
+		p := &resolution{runs: slices.Clone(res.runs), calls: slices.Clone(res.calls), blocks: slices.Clone(res.blocks), beside: res.beside}
+		for i := range p.runs {
+			if p.runs[i].xb >= 0 {
+				p.runs[i].w = nil
+			}
+		}
+		plans[sw.id].CompareAndSwap(nil, p)
+		return res, nil
+	}
+	// The plan's lists are shared: only the runs are copied, to point them at
+	// this state's arrays.
+	hit := &st.hit
+	hit.runs = append(hit.runs[:0], plan.runs...)
+	for i := range hit.runs {
+		if r := &hit.runs[i]; r.xb >= 0 {
+			r.w = st.weights[r.xb][r.row:]
+		}
+	}
+	hit.calls, hit.blocks, hit.beside = plan.calls, plan.blocks, plan.beside
+	return hit, nil
 }
 
 // sameWords reports whether two windows' runs multiply the same weight words
@@ -490,98 +554,100 @@ func sameWords(a, b []mvmRun) bool {
 	return true
 }
 
-// resolve completes every read of the sweep against the crossbar view and
-// leaves the sweep's blocks, with their runs and calls, in the state. Nothing
+// resolve completes every read of the sweep against the state's crossbar view
+// and leaves the resolution in the state's scratch (BatchState.res). Nothing
 // else is written. A member that reads its window's gathered words takes them
-// from the stream's vector; with beside set every member's words are copied
-// from the lane instead. It reports whether that is needed: a readxb reached
-// past the gathered words.
-func (sw *sweep) resolve(st *BatchState, beside bool) (past bool, err error) {
-	cf := sw.cf
-	runs, calls, blocks := st.runs[:0], st.calls[:0], st.blocks[:0]
-	defer func() { st.runs, st.calls, st.blocks = runs, calls, blocks }()
-	for w := sw.win0; w < sw.win1; w++ {
-		win := &cf.wins[w]
-		run0, call0 := len(runs), len(calls)
-		for c := win.lo; c < win.hi; c++ {
-			ch := &cf.chains[c]
-			first := len(runs)
-			call := sweepCall{lo: int32(first - run0), chain: c - win.lo, cols: sw.cols, acc: ch.acc, stride: ch.stride, limit: ch.limit}
-			if sw.mat != nil {
-				runs = append(runs, mvmRun{w: sw.mat.w, stride: sw.rows, n: sw.rows, from: -1})
-			}
-			uniform := true
-			members := cf.members[ch.lo:ch.hi]
-			for i := range members {
-				m := &members[i]
-				p := &st.prog[m.XB]
-				n, err := p.Activate(&m.XBRead)
-				if err != nil {
-					return false, opError{int(ch.op) + i, err}
+// from the stream's vector — unless a readxb reaches past the gathered words:
+// then every member's words are copied from the lane (beside), and the sweep
+// is resolved again so.
+func (sw *sweep) resolve(st *BatchState) error {
+	cf, res := sw.cf, &st.res
+	for beside := false; ; beside = true {
+		runs, calls, blocks := res.runs[:0], res.calls[:0], res.blocks[:0]
+		past := false
+		var err error
+	windows:
+		for w := sw.win0; w < sw.win1; w++ {
+			win := &cf.wins[w]
+			run0, call0 := len(runs), len(calls)
+			for c := win.lo; c < win.hi; c++ {
+				ch := &cf.chains[c]
+				first := len(runs)
+				call := sweepCall{lo: int32(first - run0), chain: c - win.lo, cols: sw.cols, acc: ch.acc, stride: ch.stride, limit: ch.limit}
+				if sw.mat != nil {
+					runs = append(runs, mvmRun{w: sw.mat.w, stride: sw.rows, n: sw.rows, from: -1, xb: -1})
 				}
-				if r := first + int(m.run); r < len(runs) {
-					runs[r].n += n
-				} else {
-					run := mvmRun{w: st.weights[m.XB][m.Row:], stride: p.stride, n: n, src: int(m.off), from: -1}
-					if m.off < 0 || beside {
-						run.from = m.Src
+				uniform := true
+				members := cf.members[ch.lo:ch.hi]
+				for i := range members {
+					m := &members[i]
+					p := &st.prog[m.XB]
+					n, e := p.Activate(&m.XBRead)
+					if e != nil {
+						err = opError{int(ch.op) + i, e}
+						break windows
 					}
-					runs = append(runs, run)
+					if r := first + int(m.run); r < len(runs) {
+						runs[r].n += n
+					} else {
+						run := mvmRun{w: st.weights[m.XB][m.Row:], stride: p.stride, n: n, src: int(m.off), from: -1, xb: m.XB, row: m.Row}
+						if m.off < 0 || beside {
+							run.from = m.Src
+						}
+						runs = append(runs, run)
+					}
+					if i == 0 {
+						call.cols = p.WCols
+					}
+					uniform = uniform && p.WCols == call.cols
 				}
-				if i == 0 {
-					call.cols = p.WCols
+				// Words read beside the gathered ones go behind them in the vector.
+				at := 0
+				if win.gather {
+					at = sw.rows
 				}
-				uniform = uniform && p.WCols == call.cols
-			}
-			// Words read beside the gathered ones go behind them in the vector.
-			at := 0
-			if win.gather {
-				at = sw.rows
-			}
-			for i := first; i < len(runs); i++ {
-				if r := &runs[i]; r.from >= 0 {
-					r.src, at = at, at+r.n
-				} else if r.src+r.n > sw.rows {
-					past = true
+				for i := first; i < len(runs); i++ {
+					if r := &runs[i]; r.from >= 0 {
+						r.src, at = at, at+r.n
+					} else if r.src+r.n > sw.rows {
+						past = true
+					}
 				}
-			}
-			if uniform {
-				call.hi = int32(len(runs) - run0)
-				calls = append(calls, call)
-				continue
-			}
-			// Members that hold different column counts run as chains of one, in
-			// order.
-			for i := range members {
-				if m := &members[i]; first+int(m.run) == run0+int(call.lo) {
-					call.hi, call.cols = call.lo+1, st.prog[m.XB].WCols
+				if uniform {
+					call.hi = int32(len(runs) - run0)
 					calls = append(calls, call)
-					call.lo, call.acc = call.hi, true
+					continue
+				}
+				// Members that hold different column counts run as chains of one,
+				// in order.
+				for i := range members {
+					if m := &members[i]; first+int(m.run) == run0+int(call.lo) {
+						call.hi, call.cols = call.lo+1, st.prog[m.XB].WCols
+						calls = append(calls, call)
+						call.lo, call.acc = call.hi, true
+					}
 				}
 			}
-		}
-		if nb := len(blocks); nb > 0 && !win.fence {
-			if b := &blocks[nb-1]; slices.Equal(calls[b.call:call0], calls[call0:]) && sameWords(runs[b.run:run0], runs[run0:]) {
-				b.wins++
-				runs, calls = runs[:run0], calls[:call0]
-				continue
+			if nb := len(blocks); nb > 0 && !win.fence {
+				if b := &blocks[nb-1]; slices.Equal(calls[b.call:call0], calls[call0:]) && sameWords(runs[b.run:run0], runs[run0:]) {
+					b.wins++
+					runs, calls = runs[:run0], calls[:call0]
+					continue
+				}
 			}
+			blocks = append(blocks, sweepBlock{win: w, wins: 1, run: run0, call: call0})
 		}
-		blocks = append(blocks, sweepBlock{win: w, wins: 1, run: run0, call: call0})
+		res.runs, res.calls, res.blocks, res.beside = runs, calls, blocks, beside
+		if err != nil || !past {
+			return err
+		}
 	}
-	return past, nil
 }
 
 // run is the sweep's kernel.
 func (sw *sweep) run(bm *BatchMachine) error {
 	st, cf := bm.st, sw.cf
-	// A readxb that reaches past its window's gathered words reads scratch as
-	// it lies in the lane: then every member does, one stream at a time, the
-	// operators' own order.
-	past, err := sw.resolve(st, false)
-	if past && err == nil {
-		_, err = sw.resolve(st, true)
-	}
+	res, err := sw.resolution(st)
 	if err != nil {
 		return err
 	}
@@ -594,8 +660,11 @@ func (sw *sweep) run(bm *BatchMachine) error {
 		}
 	}
 
+	// A readxb that reaches past its window's gathered words reads scratch as
+	// it lies in the lane: then every member does, one stream at a time, the
+	// operators' own order.
 	width := 4
-	if past {
+	if res.beside {
 		width = 1
 	}
 	vectors := st.gatherBuf(width * sw.pitch)
@@ -603,13 +672,13 @@ func (sw *sweep) run(bm *BatchMachine) error {
 	var lanes [4][]int64
 	var chains [4]int32   // each stream's window's first chain
 	var gathered [4]int64 // the guard's operand over each stream's gathered words
-	for bi := range st.blocks {
-		b := &st.blocks[bi]
-		end := len(st.calls)
-		if bi+1 < len(st.blocks) {
-			end = st.blocks[bi+1].call
+	for bi := range res.blocks {
+		b := &res.blocks[bi]
+		end := len(res.calls)
+		if bi+1 < len(res.blocks) {
+			end = res.blocks[bi+1].call
 		}
-		calls, runs := st.calls[b.call:end], st.runs[b.run:]
+		calls, runs := res.calls[b.call:end], res.runs[b.run:]
 		// Stream s is window s mod b.wins of lane s / b.wins: lane outermost.
 		lane, w := 0, 0
 		for left := st.lanes * b.wins; left > 0; left -= k.n {

@@ -1,9 +1,12 @@
 package funcsim
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -176,7 +179,8 @@ func im2col(in []int64, inC, h, wd, k, stride, pad, outW int, w int) []int64 {
 // sweepGeometryCase builds a convolution from the parameters, holds its static
 // window geometry to im2col on every window, and holds the body the compiler
 // generates for it — on a WLM chip (mov_window + readrow sweeps) and on a CM
-// chip (readcore sweeps) — to its operators run one per flow.
+// chip (readcore sweeps) — to its operators run one per flow, and to itself
+// run again from its published plans and from a start off the baseline view.
 func sweepGeometryCase(t *testing.T, chans, h, wd, kernel, stride, pad, lanes uint8) {
 	inC, outC := 1+int(chans)%3, 1+int(chans>>2)%6
 	k := 1 + int(kernel)%3
@@ -212,7 +216,274 @@ func sweepGeometryCase(t *testing.T, chans, h, wd, kernel, stride, pad, lanes ui
 	for _, a := range []*arch.Arch{arch.ToyExample(), toyInMode(arch.CM)} {
 		c := newLaneCell(t, g, a, 51, n, programmed)
 		sweptMatchesApart(t, c, c.cf, nil, []int{n})
-		c.run(t, c.img.NewBatchState(n), n) // and both equal the quantized reference
+		plansMatchLive(t, c, c.cf, n)       // again from the published plans, and live
+		c.run(t, c.img.NewBatchState(n), n) // and all equal the quantized reference
+	}
+}
+
+// plansMatchLive runs cf over the first lanes requests of c three ways — on a
+// fresh state, which publishes the sweeps' plans unless a run already has; on
+// a second, which takes them; and on a third after an empty body, so that cf
+// does not start from the baseline view and resolves live — and requires the
+// three to leave the same state. It returns how many of cf's sweeps had a plan
+// published after the first run.
+func plansMatchLive(t *testing.T, c *laneCell, cf *CompiledFlow, lanes int) (published int) {
+	t.Helper()
+	empty, err := c.img.CompileBody(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states [3]*BatchState
+	for i := range states {
+		st := c.img.NewBatchState(lanes)
+		bm := c.img.ExecBatch(st)
+		for l := 0; l < lanes; l++ {
+			if err := bm.LoadInputs(l, c.ins[l]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 2 {
+			if err := bm.RunBody(empty); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bm.RunBody(cf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			published = planCount(cf)
+		}
+		states[i] = st
+	}
+	requireSameState(t, fmt.Sprintf("%d lanes: the publishing run and a run from its plans", lanes), states[0], states[1])
+	requireSameState(t, fmt.Sprintf("%d lanes: the publishing run and a live one", lanes), states[0], states[2])
+	return published
+}
+
+// planCount reports how many of cf's sweeps have a published plan.
+func planCount(cf *CompiledFlow) int {
+	n := 0
+	for i := range cf.plans {
+		if cf.plans[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPlansMatchLiveResolution: a body that starts from the image's baseline
+// view runs its sweeps from the plans the first such run published — on any
+// state — and leaves exactly what resolving against the view leaves, at one
+// and at five lanes, and what the body run operator by operator leaves. The
+// cells: the benchmark's six exec-* cells (conv-gate.puma as its two CIM
+// stages; lenet5.toy-table2's body programs crossbars between its sweeps),
+// conv-relu.toy-table2, and a hand-written body that reprograms crossbars
+// between two sweeps of one node, so the second reads arrays private to each
+// state.
+func TestPlansMatchLiveResolution(t *testing.T) {
+	stage := func(idx int) func(t *testing.T) *graph.Graph {
+		return func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), idx) }
+	}
+	for _, tc := range []struct {
+		name string
+		g    func(t *testing.T) *graph.Graph
+		a    *arch.Arch
+		body func(t *testing.T, c *laneCell) []mop.Op // nil: the generated body
+	}{
+		{name: "conv-relu.isaac-baseline", g: zoo(models.ConvReLU), a: arch.ISAACBaseline()},
+		{name: "lenet5.puma", g: zoo(models.LeNet5), a: arch.PUMAAccelerator()},
+		{name: "lenet5.jia-isscc21", g: zoo(models.LeNet5), a: arch.JiaAccelerator()},
+		{name: "mlp.puma", g: zoo(models.MLP), a: arch.PUMAAccelerator()},
+		{name: "lenet5.toy-table2", g: zoo(models.LeNet5), a: arch.ToyExample()},
+		{name: "conv-gate.puma.stage0", g: stage(0), a: arch.PUMAAccelerator()},
+		{name: "conv-gate.puma.stage1", g: stage(1), a: arch.PUMAAccelerator()},
+		{name: "conv-relu.toy-table2", g: zoo(models.ConvReLU), a: arch.ToyExample()},
+		{name: "reprogrammed-between-sweeps", g: zoo(models.ConvReLU), a: arch.ISAACBaseline(), body: func(t *testing.T, c *laneCell) []mop.Op {
+			// Window w multiplies on crossbars 2w and 2w+1; windows 4 and 5 read
+			// them reprogrammed a row off.
+			var body []mop.Op
+			for w := 0; w < 6; w++ {
+				if w == 4 {
+					body = append(body,
+						mop.WriteRow{XB: 8, Row: 0, NumRows: 14, Node: 1, CellRowOff: 1, Cols: 128},
+						mop.WriteRow{XB: 9, Row: 0, NumRows: 13, Node: 1, CellRowOff: 13, Cols: 128})
+				}
+				body = append(body, windowOps(t, c.cf.ops, w)...)
+			}
+			return body
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLaneCell(t, tc.g(t), tc.a, 54, 8, programmed)
+			body := c.flow.Body
+			if tc.body != nil {
+				body = tc.body(t, c)
+			}
+			cf, err := c.img.CompileBody(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cf.sweeps == 0 {
+				t.Fatal("the body has no sweep: nothing tested")
+			}
+			if got := plansMatchLive(t, c, cf, 1); got != cf.sweeps {
+				t.Fatalf("the first run published %d plans for %d sweeps", got, cf.sweeps)
+			}
+			plans := make([]*resolution, len(cf.plans))
+			for i := range plans {
+				plans[i] = cf.plans[i].Load()
+			}
+			plansMatchLive(t, c, cf, 5)
+			for i := range plans {
+				if cf.plans[i].Load() != plans[i] {
+					t.Fatalf("sweep %d's plan was published again", i)
+				}
+			}
+			sweptMatchesApart(t, c, cf, nil, []int{1, 5})
+		})
+	}
+}
+
+// TestPlansServeOnlyBaselineStarts: a body that does not start from the
+// baseline view resolves live even where its sweeps have plans. Here an
+// earlier body reprogrammed, a row off, the crossbars window 1 reads — which
+// the plans, grouping window 1 with the windows around it, know nothing of.
+func TestPlansServeOnlyBaselineStarts(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), arch.ISAACBaseline(), 59, 2, programmed)
+	var windows []mop.Op
+	for w := 0; w < 4; w++ {
+		windows = append(windows, windowOps(t, c.cf.ops, w)...)
+	}
+	reprogram := []mop.Op{
+		mop.WriteRow{XB: 2, Row: 0, NumRows: 14, Node: 1, CellRowOff: 1, Cols: 128},
+		mop.WriteRow{XB: 3, Row: 0, NumRows: 13, Node: 1, CellRowOff: 13, Cols: 128},
+	}
+	compile := func(ops []mop.Op) *CompiledFlow {
+		cf, err := c.img.CompileBody(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cf
+	}
+	body, first, whole := compile(windows), compile(reprogram), compile(slices.Concat(reprogram, windows))
+	if plansMatchLive(t, c, body, 2) != 1 {
+		t.Fatal("the windows' sweep published no plan")
+	}
+	got, want, base := c.img.NewBatchState(2), c.img.NewBatchState(2), c.img.NewBatchState(2)
+	for _, run := range []struct {
+		st   *BatchState
+		cfs  []*CompiledFlow
+		what string
+	}{{got, []*CompiledFlow{first, body}, "got"}, {want, []*CompiledFlow{whole}, "want"}, {base, []*CompiledFlow{body}, "base"}} {
+		bm := c.img.ExecBatch(run.st)
+		for l := 0; l < 2; l++ {
+			if err := bm.LoadInputs(l, c.ins[l]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, cf := range run.cfs {
+			if err := bm.RunBody(cf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if slices.Equal(want.mem, base.mem) {
+		t.Fatal("reprogramming the crossbars changed no output: nothing tested")
+	}
+	requireSameState(t, "the windows after a body that reprogrammed their crossbars and the two compiled as one", got, want)
+}
+
+// TestPlansNeverMeetAForeignView: a plan indexes the crossbar view of the
+// image it was built against, so a state last reset against another image is
+// refused — with nothing written — until it is reset against the flow's own;
+// then it runs from the plans like any other.
+func TestPlansNeverMeetAForeignView(t *testing.T) {
+	a := newLaneCell(t, models.LeNet5(), arch.ToyExample(), 55, 1, programmed)
+	b := newLaneCell(t, models.LeNet5(), arch.ToyExample(), 56, 1, programmed)
+	if plansMatchLive(t, b, b.cf, 1) == 0 {
+		t.Fatal("b's body published no plan: nothing tested")
+	}
+	st := a.img.NewBatchState(1)
+	if err := a.img.ExecBatch(st).LoadInputs(0, a.ins[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(st.mem)
+	err := b.img.ExecBatch(st).RunBody(b.cf)
+	if err == nil || !strings.Contains(err.Error(), "different image") {
+		t.Fatalf("a state reset against another image ran the flow: err = %v", err)
+	}
+	if !slices.Equal(st.mem, before) {
+		t.Fatal("the refused run wrote to lane memory")
+	}
+	b.img.ResetBatch(st, 1)
+	want := b.img.NewBatchState(1)
+	for _, s := range []*BatchState{st, want} {
+		bm := b.img.ExecBatch(s)
+		if err := bm.LoadInputs(0, b.ins[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := bm.RunBody(b.cf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameState(t, "a state reset against the flow's image and a fresh one", st, want)
+}
+
+// TestPlansPublishConcurrently: goroutines that each run one shared, never-run
+// CompiledFlow on their own states race to publish its plans — the body
+// programs crossbars between its sweeps, so each state reads arrays of its
+// own — and every one of them must leave what a live run leaves.
+func TestPlansPublishConcurrently(t *testing.T) {
+	c := newLaneCell(t, models.LeNet5(), arch.ToyExample(), 57, 3, programmed)
+	cf, err := c.img.CompileBody(c.flow.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := c.img.CompileBody(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(st *BatchState, live bool) error {
+		bm := c.img.ExecBatch(st)
+		for l := 0; l < st.lanes; l++ {
+			if err := bm.LoadInputs(l, c.ins[l]); err != nil {
+				return err
+			}
+		}
+		if live { // the body does not start from the baseline view
+			if err := bm.RunBody(empty); err != nil {
+				return err
+			}
+		}
+		return bm.RunBody(cf)
+	}
+	want := c.img.NewBatchState(3)
+	if err := run(want, true); err != nil {
+		t.Fatal(err)
+	}
+	if planCount(cf) != 0 {
+		t.Fatal("a live run published a plan")
+	}
+	states := make([]*BatchState, 8)
+	errs := make([]error, len(states))
+	var wg sync.WaitGroup
+	for i := range states {
+		states[i] = c.img.NewBatchState(3)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(states[i], false)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if planCount(cf) != cf.sweeps {
+		t.Fatalf("%d plans published for %d sweeps", planCount(cf), cf.sweeps)
+	}
+	for i, st := range states {
+		requireSameState(t, fmt.Sprintf("goroutine %d and a live run", i), st, want)
 	}
 }
 

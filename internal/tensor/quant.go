@@ -33,7 +33,9 @@ func (q QuantParams) Validate() error {
 }
 
 // CalibrateQuant chooses a symmetric scale so the max-abs value of t maps to
-// MaxQ. A zero tensor yields scale 1 to stay well-defined.
+// MaxQ. A zero tensor yields scale 1 to stay well-defined, and the scale never
+// drops below the smallest positive float32: a subnormal max-abs divided by
+// MaxQ would underflow to a zero scale, which no quantizer accepts.
 func CalibrateQuant(t *Tensor, bits int) QuantParams {
 	maxAbs := float32(0)
 	for _, v := range t.data {
@@ -47,7 +49,7 @@ func CalibrateQuant(t *Tensor, bits int) QuantParams {
 	}
 	q := QuantParams{Bits: bits, Scale: 1}
 	if maxAbs > 0 {
-		q.Scale = maxAbs / float32(q.MaxQ())
+		q.Scale = max(maxAbs/float32(q.MaxQ()), math.SmallestNonzeroFloat32)
 	}
 	return q
 }

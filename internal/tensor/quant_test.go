@@ -58,6 +58,36 @@ func TestCalibrateZeroTensor(t *testing.T) {
 	}
 }
 
+// TestCalibrateQuantTinyTensors: whatever the tensor's magnitude, calibration
+// yields a quantizer that validates — an all-zero tensor scale 1, a subnormal
+// max-abs (whose quotient by MaxQ underflows) the smallest positive float32 —
+// and a normal max-abs keeps its plain quotient.
+func TestCalibrateQuantTinyTensors(t *testing.T) {
+	smallestNormal := float32(math.Float32frombits(0x00800000))
+	for _, tc := range []struct {
+		name string
+		data []float32
+		want float32
+	}{
+		{"all-zero", []float32{0, 0, 0, 0}, 1},
+		{"subnormal", []float32{9.8e-45, -2.8e-45}, math.SmallestNonzeroFloat32},
+		{"negative-subnormal", []float32{0, -2.8e-45}, math.SmallestNonzeroFloat32},
+		{"smallest-normal", []float32{smallestNormal, 0}, smallestNormal / 127},
+		{"one", []float32{-1, 0.5}, 1.0 / 127},
+	} {
+		q := CalibrateQuant(MustFromSlice(tc.data, len(tc.data)), 8)
+		if err := q.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if q.Scale != tc.want {
+			t.Errorf("%s: scale %g, want %g", tc.name, q.Scale, tc.want)
+		}
+		if _, err := Quantize(MustFromSlice(tc.data, len(tc.data)), q); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
 func TestDequantizeLengthCheck(t *testing.T) {
 	if _, err := Dequantize([]int32{1, 2, 3}, QuantParams{Bits: 8, Scale: 1}, 2); err == nil {
 		t.Fatal("accepted mismatched length")
