@@ -78,11 +78,14 @@ func runAnalyze(args []string) {
 	printAnalyzeText(rep)
 }
 
-// analyzeCell compiles and lowers one cell with verification on, then runs
-// the dataflow analysis and returns the report.
+// analyzeCell compiles one cell at the given level cap (empty = native) with
+// verification after every pass, lowers and verifies each CIM stage's flow,
+// then runs the dataflow analysis and returns the report; `cimmlc vet` is
+// this with the report discarded. maxWindows caps emission for large models;
+// a capped (truncated) flow still gets its structural checks.
 func analyzeCell(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, level cimmlc.Mode, maxWindows int64, flowOpt bool) (*cimmlc.FlowReport, error) {
-	// Host fallback is on so mixed models analyze too; fully supported
-	// models compile monolithically either way, keeping goldens unchanged.
+	// Host fallback is on so mixed models analyze and vet too; fully
+	// supported models compile monolithically either way.
 	opts := []cimmlc.Option{cimmlc.WithVerifyIR(), cimmlc.WithCache(0), cimmlc.WithHostFallback()}
 	if level != "" {
 		opts = append(opts, cimmlc.WithMaxLevel(level))

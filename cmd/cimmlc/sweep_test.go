@@ -110,19 +110,19 @@ func TestSummarizeSweepAllOK(t *testing.T) {
 	}
 }
 
-// TestShortZooCellsPolicy pins the sweep matrix shape: 45 cells, exec models
-// uncapped, large models window-capped so the sweep (and the analyze golden)
-// stays fast.
+// TestShortZooCellsPolicy pins the sweep matrix shape: 63 cells (seven
+// models, two of them mixed host/CIM graphs), exec models uncapped, large
+// models window-capped so the sweep (and the analyze golden) stays fast.
 func TestShortZooCellsPolicy(t *testing.T) {
 	cells := shortZooCells()
-	if len(cells) != 45 {
-		t.Fatalf("short zoo has %d cells, want 45", len(cells))
+	if len(cells) != 63 {
+		t.Fatalf("short zoo has %d cells, want 63", len(cells))
 	}
 	caps := map[string]int64{}
 	for _, c := range cells {
 		caps[c.Model] = c.WinCap
 	}
-	for _, m := range []string{"conv-relu", "mlp", "lenet5"} {
+	for _, m := range []string{"conv-relu", "mlp", "lenet5", "conv-gate", "mlp-sig"} {
 		if caps[m] != 0 {
 			t.Errorf("exec model %s capped at %d windows, want full emission", m, caps[m])
 		}

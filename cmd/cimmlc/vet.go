@@ -61,34 +61,12 @@ func runVet(args []string) {
 				fatal(fmt.Errorf("cimmlc: invalid -max-level %q", *maxLevel))
 			}
 		}
-		if err := vetCell(g, a, level, 0); err != nil {
+		if _, err := analyzeCell(context.Background(), g, a, level, 0, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("ok   %s × %s: graph, schedule, mapping and flow verified\n", g.Name, a)
 	}
-}
-
-// vetCell compiles one model × arch at the given level cap (empty = native)
-// with verification after every pass, then lowers and verifies the flow.
-// maxWindows caps emission for large models; a capped (truncated) flow still
-// gets its structural checks.
-func vetCell(g *cimmlc.Graph, a *cimmlc.Arch, level cimmlc.Mode, maxWindows int64) error {
-	opts := []cimmlc.Option{cimmlc.WithVerifyIR(), cimmlc.WithCache(0)}
-	if level != "" {
-		opts = append(opts, cimmlc.WithMaxLevel(level))
-	}
-	c, err := cimmlc.New(a, opts...)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	res, err := c.Compile(ctx, g)
-	if err != nil {
-		return err
-	}
-	_, err = c.Lower(ctx, g, res, cimmlc.CodegenOptions{MaxWindowsPerOp: maxWindows})
-	return err
 }
 
 // vetZoo sweeps the short conformance matrix. The cheap exec models lower
@@ -115,7 +93,8 @@ func vetZooCell(cell zooCell) error {
 	if err != nil {
 		return err
 	}
-	return vetCell(g, a, cell.Level, cell.WinCap)
+	_, err = analyzeCell(context.Background(), g, a, cell.Level, cell.WinCap, false)
+	return err
 }
 
 // vetSelftest runs every seeded corruption through the verifier; each must

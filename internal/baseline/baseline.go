@@ -12,6 +12,7 @@ import (
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/cg"
+	"cimmlc/internal/core"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/sched"
@@ -23,7 +24,7 @@ import (
 // vendor-native schedule for Works 1 and 3 (which deploy their networks
 // layer by layer).
 func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
-	m, err := cost.New(g, a)
+	m, err := chipModel(g, a)
 	if err != nil {
 		return nil, err
 	}
@@ -33,6 +34,17 @@ func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 	}
 	s.Levels = []string{"none"}
 	return s, nil
+}
+
+// chipModel is the cost model of a baseline that maps the whole graph onto
+// the chip. A baseline has no host to offload to, so it refuses a host-only
+// operator exactly as the compiler does without host fallback, instead of
+// pricing it as a chip operator.
+func chipModel(g *graph.Graph, a *arch.Arch) (*cost.Model, error) {
+	if err := core.RequireCIMLowering(g); err != nil {
+		return nil, err
+	}
+	return cost.New(g, a)
 }
 
 // PolySchedule reimplements the strategy of the polyhedral-based compiler of
@@ -45,7 +57,7 @@ func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 // crossbar-granularity repacking (Equation 1), staggering or wordline
 // remapping either: its optimization "stays at the computing graph level".
 func PolySchedule(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
-	m, err := cost.New(g, a)
+	m, err := chipModel(g, a)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +84,7 @@ func JiaNative(g *graph.Graph) (*sched.Schedule, error) {
 // no MVM-grained time-division.
 func PUMANative(g *graph.Graph) (*sched.Schedule, error) {
 	a := arch.PUMAAccelerator()
-	m, err := cost.New(g, a)
+	m, err := chipModel(g, a)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,14 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
+	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 	"cimmlc/internal/perfsim"
+	"cimmlc/internal/sched"
 )
 
 func TestNoOptIsSerialSingleCopy(t *testing.T) {
@@ -122,5 +125,30 @@ func TestOversizedSegmentsNotDuplicated(t *testing.T) {
 	}
 	if _, err := perfsim.Simulate(s); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBaselinesRefuseHostOnlyOperators: a baseline maps the whole graph onto
+// the chip, so a graph with a host-only operator gets the compiler's own
+// refusal rather than a schedule that prices the operator as a chip one.
+func TestBaselinesRefuseHostOnlyOperators(t *testing.T) {
+	baselines := map[string]func(*graph.Graph) (*sched.Schedule, error){
+		"NoOpt":        func(g *graph.Graph) (*sched.Schedule, error) { return NoOpt(g, arch.PUMAAccelerator()) },
+		"PolySchedule": func(g *graph.Graph) (*sched.Schedule, error) { return PolySchedule(g, arch.PUMAAccelerator()) },
+		"JiaNative":    JiaNative,
+		"PUMANative":   PUMANative,
+		"JainNative":   JainNative,
+	}
+	for _, name := range models.MixedNames() {
+		g, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bn, fn := range baselines {
+			_, err := fn(g)
+			if err == nil || !strings.Contains(err.Error(), "has no CIM lowering") {
+				t.Errorf("%s on %s: err = %v, want the host-only refusal", bn, name, err)
+			}
+		}
 	}
 }

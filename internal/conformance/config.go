@@ -13,8 +13,16 @@ func allLevels() []cimmlc.Mode { return []cimmlc.Mode{cimmlc.CM, cimmlc.XBM, cim
 
 // execModels are the models cheap enough to push through the full
 // bit-identity battery (functional simulation across every serving path) on every
-// run. Larger models are covered by the compile-level digests.
-func execModels() []string { return []string{"conv-relu", "mlp", "lenet5"} }
+// run: three pure-CIM models and every mixed one (host-only operators, which
+// the compiler offloads to the host). Larger models are covered by the
+// compile-level digests.
+func execModels() []string {
+	return append([]string{"conv-relu", "mlp", "lenet5"}, cimmlc.MixedModelNames()...)
+}
+
+// shortZoo is the short matrix's models: the executed ones plus a deeper
+// conv net and a transformer.
+func shortZoo() []string { return append(execModels(), "vgg7", "vit-tiny") }
 
 // tuneBudget bounds the autotune property family's search: small enough to
 // keep the matrix fast, large enough to find real improvements (see
@@ -23,20 +31,20 @@ func tuneBudget() cimmlc.Budget {
 	return cimmlc.Budget{MaxCandidates: 32, Beam: 2, MaxRounds: 6}
 }
 
-// ShortConfig is the always-on matrix: five models spanning conv nets,
-// perceptrons and a transformer, on three presets spanning the paper's
-// machine classes, at all three scheduling levels — with the three cheap
-// models executed through every serving path and every cell autotuned.
+// ShortConfig is the always-on matrix: the short zoo, spanning conv nets,
+// perceptrons, a transformer and mixed host/CIM graphs, on three presets
+// spanning the paper's machine classes, at all three scheduling levels —
+// with the cheap models executed through every serving path and every cell
+// autotuned.
 func ShortConfig() Config {
 	return Config{
-		Models:         []string{"conv-relu", "mlp", "lenet5", "vgg7", "vit-tiny"},
+		Models:         shortZoo(),
 		Archs:          []string{"isaac-baseline", "puma", "toy-table2"},
 		Levels:         allLevels(),
 		ExecModels:     execModels(),
 		Requests:       3,
 		Seed:           1,
 		ScaleCheck:     true,
-		ScaleModels:    []string{"conv-relu", "mlp", "lenet5", "vgg7", "vit-tiny"},
 		TuneCheck:      true,
 		TuneBudget:     tuneBudget(),
 		PartitionCheck: true,
@@ -78,19 +86,17 @@ func FullConfig() Config {
 		// costs two tuned compilations per cell, which the deep ResNets
 		// cannot afford in CI.
 		TuneCheck:      true,
-		TuneModels:     []string{"conv-relu", "mlp", "lenet5", "vgg7", "vit-tiny"},
+		TuneModels:     shortZoo(),
 		TuneBudget:     tuneBudget(),
 		PartitionCheck: true,
 	}
 }
 
-// modelsExcept returns the pure-CIM zoo minus any additional skips. Mixed
-// models (host-only operators) are always excluded: they cannot compile
-// without host fallback, and RunMixed sweeps them separately.
+// modelsExcept returns the zoo minus the given models.
 func modelsExcept(skip ...string) []string {
 	var out []string
 	for _, m := range cimmlc.ModelNames() {
-		if cimmlc.ModelMixed(m) || slices.Contains(skip, m) {
+		if slices.Contains(skip, m) {
 			continue
 		}
 		out = append(out, m)

@@ -29,6 +29,11 @@
 //     reproduce the untuned output bits exactly; across the matrix the
 //     tuner must strictly improve some cells.
 //
+// Mixed models — graphs with host-only operators — are ordinary cells: host
+// fallback follows from the model (cellOptions), so they compile into staged
+// host/CIM programs and run every family above, and the exec battery also
+// holds each staged program to the partition property (checkPartition).
+//
 // The harness runs as `go test ./internal/conformance` (short matrix under
 // -short, full zoo otherwise).
 package conformance
@@ -44,6 +49,7 @@ import (
 	"time"
 
 	"cimmlc"
+	"cimmlc/serving"
 )
 
 // Cell identifies one matrix point: a model compiled for an architecture
@@ -150,10 +156,11 @@ type Config struct {
 	TuneCheck  bool
 	TuneModels []string
 	TuneBudget cimmlc.Budget
-	// PartitionCheck enables the multi-target property on executed cells:
-	// rebuilding with WithHostFallback must leave a fully-supported graph
-	// monolithic (nil partition) and reproduce every reference output
-	// bit-for-bit. Mixed models are swept separately by RunMixed.
+	// PartitionCheck enables the multi-target property on executed cells: a
+	// program is staged iff its model has host-only operators, a staged one
+	// passes checkPartition, and rebuilding with WithHostFallback must cut
+	// the graph as the reference build did and reproduce every output
+	// bit-for-bit.
 	PartitionCheck bool
 	// Golden, when non-nil, is the expected digest per cell key; cells
 	// missing from it are reported as violations (run with -update).
@@ -302,6 +309,36 @@ func cellArch(c Cell) (*cimmlc.Arch, error) {
 	return a, nil
 }
 
+// cellOptions is the one place a cell's build options are decided: every
+// family compiles the cell on a fresh cache-less, IR-verifying compiler with
+// the returned compiler options (extra appended) and serves it through a
+// registry built with the returned registry options. Host fallback is on iff
+// the model has host-only operators, which compile only with it.
+func cellOptions(cell Cell, extra ...cimmlc.Option) ([]cimmlc.Option, []serving.RegistryOption) {
+	opts := []cimmlc.Option{cimmlc.WithCache(0), cimmlc.WithVerifyIR()}
+	var regOpts []serving.RegistryOption
+	if cimmlc.ModelMixed(cell.Model) {
+		opts = append(opts, cimmlc.WithHostFallback())
+		regOpts = append(regOpts, serving.WithHostFallback())
+	}
+	return append(opts, extra...), regOpts
+}
+
+// stageResults returns the one-stage compilation results res is made of:
+// res itself, or the result of each CIM stage of a staged compilation.
+func stageResults(res *cimmlc.Result) []*cimmlc.Result {
+	if res.Partition == nil {
+		return []*cimmlc.Result{res}
+	}
+	var out []*cimmlc.Result
+	for _, sr := range res.Partition.Subs {
+		if sr.Res != nil {
+			out = append(out, sr.Res)
+		}
+	}
+	return out
+}
+
 func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellResult {
 	out := CellResult{Cell: cell}
 	fail := func(err error) CellResult {
@@ -317,7 +354,8 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 	if err != nil {
 		return fail(err)
 	}
-	c, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithVerifyIR())
+	opts, _ := cellOptions(cell)
+	c, err := cimmlc.New(a, opts...)
 	if err != nil {
 		return fail(err)
 	}
@@ -334,7 +372,7 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 	// comparable because repeated runs agree exactly).
 	if cfg.DeterminismBudget == 0 || out.CompileTime <= cfg.DeterminismBudget {
 		out.DetChecked = true
-		c2, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithVerifyIR())
+		c2, err := cimmlc.New(a, opts...)
 		if err != nil {
 			return fail(err)
 		}
@@ -351,6 +389,7 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 
 	// NoOpt dominance: the full stack never loses to the layer-serial
 	// baseline schedule on the same machine (Figure 20's speedups are ≥ 1).
+	// The baseline has no host, so it refuses a mixed model.
 	ns, err := cimmlc.NoOptSchedule(g, a)
 	if err == nil {
 		nr, err := cimmlc.Simulate(ns)
@@ -404,8 +443,14 @@ func execCell(c Cell, cfg Config) bool {
 	return len(cfg.ExecArchs) == 0 || slices.Contains(cfg.ExecArchs, c.Arch)
 }
 
+// digestOf fingerprints a compilation; a staged one by its aggregate report
+// and the segments of all its CIM stages.
 func digestOf(res *cimmlc.Result) Digest {
 	rep := res.Report
+	segments := 0
+	for _, sr := range stageResults(res) {
+		segments += len(sr.Schedule.Segments)
+	}
 	return Digest{
 		Cycles:        rep.Cycles,
 		Energy:        rep.Energy,
@@ -414,7 +459,7 @@ func digestOf(res *cimmlc.Result) Digest {
 		ReloadCycles:  rep.ReloadCycles,
 		CoresUsed:     rep.CoresUsed,
 		XBsUsed:       rep.XBsUsed,
-		Segments:      len(res.Schedule.Segments),
+		Segments:      segments,
 	}
 }
 
@@ -455,15 +500,15 @@ func checkCrossCell(results []CellResult, cfg Config, vs *violationSet) {
 }
 
 // checkFlowOptReduction asserts the dataflow optimization pass is not
-// vacuous: across the executed cells, WithFlowOpt must strictly shrink the
-// MOP count or the buffer footprint on at least five cells (or on every
-// executed cell when a targeted config runs fewer). Bit-identity per cell is
-// the exec battery's job; this is the matrix-level "it actually optimizes
-// something" floor.
+// vacuous: across the executed one-stage cells (a staged program has no one
+// flow to report on), WithFlowOpt must strictly shrink the MOP count or the
+// buffer footprint on at least five cells (or on every such cell when a
+// targeted config runs fewer). Bit-identity per cell is the exec battery's
+// job; this is the matrix-level "it actually optimizes something" floor.
 func checkFlowOptReduction(results []CellResult, vs *violationSet) {
 	exec, reduced := 0, 0
 	for _, r := range results {
-		if !r.ExecChecked || r.Err != "" {
+		if !r.ExecChecked || r.Err != "" || r.FlowOpt == nil {
 			continue
 		}
 		exec++
@@ -533,16 +578,17 @@ func runScaleChecks(ctx context.Context, cfg Config, results []CellResult, vs *v
 			grown := base.Clone()
 			grown.Name += "-2xcores"
 			grown.Chip.CoreRows *= 2
-			baseCycles, ok := baseline[Cell{Model: m, Arch: an, Level: base.Mode}]
+			cell := Cell{Model: m, Arch: an, Level: base.Mode}
+			baseCycles, ok := baseline[cell]
 			if !ok {
-				r1, err := compileOn(ctx, g, base)
+				r1, err := compileOn(ctx, cell, g, base)
 				if err != nil {
 					vs.addf("%s|%s: scale check failed to compile baseline: %v", m, an, err)
 					continue
 				}
 				baseCycles = r1.Report.Cycles
 			}
-			r2, err := compileOn(ctx, g, grown)
+			r2, err := compileOn(ctx, cell, g, grown)
 			if err != nil {
 				vs.addf("%s|%s: scale check failed to compile grown grid: %v", m, an, err)
 				continue
@@ -554,8 +600,9 @@ func runScaleChecks(ctx context.Context, cfg Config, results []CellResult, vs *v
 	}
 }
 
-func compileOn(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch) (*cimmlc.Result, error) {
-	c, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithVerifyIR())
+func compileOn(ctx context.Context, cell Cell, g *cimmlc.Graph, a *cimmlc.Arch) (*cimmlc.Result, error) {
+	opts, _ := cellOptions(cell)
+	c, err := cimmlc.New(a, opts...)
 	if err != nil {
 		return nil, err
 	}

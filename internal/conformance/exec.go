@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,9 +39,10 @@ import (
 //
 // plus two rebuilds of the same cell that must reproduce every output:
 // WithFlowOpt (the dataflow rewrite may delete and repack, never change
-// arithmetic) and WithHostFallback (invisible on a fully supported graph).
-// It returns the flow's meta-operator counts, the output hash, the
-// flow-optimization stats, and any violations.
+// arithmetic) and WithHostFallback (it cuts the graph exactly as the
+// reference build did), and, for a staged program, checkPartition.
+// It returns the output hash and any violations, and for a one-stage program
+// the flow's meta-operator counts and the flow-optimization stats.
 func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a *cimmlc.Arch, cell Cell, cfg Config) (mops *MOPCounts, hash string, opt *cimmlc.FlowOptStats, violations []string) {
 	key := cell.Key()
 	// failf records one violation and returns whatever mops/hash were
@@ -59,8 +61,10 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 	if err != nil {
 		return failf("build: %v", err)
 	}
-	st := p.Flow().Flow.Stats()
-	mops = &MOPCounts{CIM: st.CIMOps, DCOM: st.DCOMOps, DMOV: st.DMOVOps, Parallel: st.ParallelOps}
+	if fr := p.Flow(); fr != nil {
+		st := fr.Flow.Stats()
+		mops = &MOPCounts{CIM: st.CIMOps, DCOM: st.DCOMOps, DMOV: st.DMOVOps, Parallel: st.ParallelOps}
+	}
 
 	// Every request, one lane at a time: differential against the quantized
 	// reference executor (the role the digital reference plays in Kourtis et
@@ -84,16 +88,18 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 
 	// Flow-optimized path: dead-MOP/redundant-transfer deletion and scratch
 	// compaction must leave every output bit untouched.
-	fc, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithVerifyIR(), cimmlc.WithFlowOpt())
+	fopts, _ := cellOptions(cell, cimmlc.WithFlowOpt())
+	fc, err := cimmlc.New(a, fopts...)
 	if err != nil {
 		violations = append(violations, fmt.Sprintf("%s: flowopt compiler: %v", key, err))
 	} else if fp, err := fc.Build(ctx, g, w, cimmlc.CodegenOptions{},
 		cimmlc.WithCalibration(calib), cimmlc.WithWorkers(4)); err != nil {
 		violations = append(violations, fmt.Sprintf("%s: flowopt build: %v", key, err))
 	} else {
-		opt = fp.Flow().Opt
-		if opt == nil {
-			violations = append(violations, fmt.Sprintf("%s: flow-optimized build carries no OptStats", key))
+		if fr := fp.Flow(); fr != nil {
+			if opt = fr.Opt; opt == nil {
+				violations = append(violations, fmt.Sprintf("%s: flow-optimized build carries no OptStats", key))
+			}
 		}
 		for i, req := range reqs {
 			out, err := fp.Run(ctx, req)
@@ -108,23 +114,23 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 		}
 	}
 
-	// Host-fallback rebuild: on a fully-supported graph the partitioner
-	// must be invisible — the compilation stays monolithic (nil partition
-	// info) and every output bit matches the reference build. This is the
-	// monolithic-identity guarantee of the multi-target refactor.
+	// Host-fallback rebuild: the partitioner cuts only what the chip cannot
+	// run, so a fresh host-fallback build must cut the graph exactly as the
+	// reference build did — a fully supported graph stays monolithic, a mixed
+	// one gets the same plan and latency decomposition — and every output
+	// bit must match the reference build.
 	if cfg.PartitionCheck {
-		hc, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithVerifyIR(), cimmlc.WithHostFallback())
+		violations = append(violations, checkPartition(ctx, c, g, p, cell)...)
+		hopts, _ := cellOptions(cell, cimmlc.WithHostFallback())
+		hc, err := cimmlc.New(a, hopts...)
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("%s: host-fallback compiler: %v", key, err))
 		} else if hp, err := hc.Build(ctx, g, w, cimmlc.CodegenOptions{},
 			cimmlc.WithCalibration(calib), cimmlc.WithWorkers(4)); err != nil {
 			violations = append(violations, fmt.Sprintf("%s: host-fallback build: %v", key, err))
 		} else {
-			if hp.Result().Partition != nil {
-				violations = append(violations, fmt.Sprintf("%s: host-fallback build of a fully-supported graph produced a partition", key))
-			}
-			if hp.Stats().Partition != nil {
-				violations = append(violations, fmt.Sprintf("%s: host-fallback build of a fully-supported graph reports partition stats", key))
+			if got, want := hp.Stats().Partition, p.Stats().Partition; !reflect.DeepEqual(got, want) {
+				violations = append(violations, fmt.Sprintf("%s: host-fallback rebuild reports partition stats %+v, reference build %+v", key, got, want))
 			}
 			for i, req := range reqs {
 				out, err := hp.Run(ctx, req)
@@ -221,11 +227,10 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 
 // runHTTPPath round-trips every request through POST /v1/run and compares
 // the wire outputs bit-for-bit (float32 JSON encoding round-trips exactly).
-// Extra registry options (e.g. serving.WithHostFallback for mixed models)
-// are appended to the defaults.
-func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.Weights, calib map[int]*cimmlc.Tensor, reqs []map[int]*cimmlc.Tensor, base []map[int]*cimmlc.Tensor, cell Cell, regOpts ...serving.RegistryOption) []string {
+func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.Weights, calib map[int]*cimmlc.Tensor, reqs []map[int]*cimmlc.Tensor, base []map[int]*cimmlc.Tensor, cell Cell) []string {
 	var violations []string
 	key := cell.Key()
+	_, regOpts := cellOptions(cell)
 
 	archName := fmt.Sprintf("%s@%s", cell.Arch, cell.Level)
 	ga := a.Clone()
@@ -322,6 +327,44 @@ func runHTTPPath(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, w cimmlc.
 		}
 	}
 	return violations
+}
+
+// checkPartition holds a program to the multi-target property. It is staged
+// iff its model has host-only operators, and a staged program must put nodes
+// on both targets, cost its transfers, decompose its latency exactly
+// (cim + host + transfer == report cycles) and agree with the partition
+// section Analyze reports for its compilation.
+func checkPartition(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, p *cimmlc.Program, cell Cell) []string {
+	key := cell.Key()
+	ps, cycles := p.Stats().Partition, p.Result().Report.Cycles
+	switch {
+	case (ps != nil) != cimmlc.ModelMixed(cell.Model):
+		return []string{fmt.Sprintf("%s: program staged = %v, but the model's host-only operators say %v", key, ps != nil, cimmlc.ModelMixed(cell.Model))}
+	case ps == nil:
+		return nil
+	case ps.HostNodes == 0 || ps.CIMNodes == 0:
+		return []string{fmt.Sprintf("%s: partition is single-target (%d host, %d cim nodes)", key, ps.HostNodes, ps.CIMNodes)}
+	case ps.Transfers == 0 || ps.TransferElems == 0 || ps.TransferCycles <= 0:
+		return []string{fmt.Sprintf("%s: partition has no costed transfers", key)}
+	case ps.CIMCycles+ps.HostCycles+ps.TransferCycles != cycles:
+		return []string{fmt.Sprintf("%s: latency decomposition %v+%v+%v does not sum to report cycles %v", key,
+			ps.CIMCycles, ps.HostCycles, ps.TransferCycles, cycles)}
+	}
+	// The partition section comes from the compilation, not the flows, so a
+	// counts-only report (one window per operator) is enough to compare.
+	rep, err := c.Analyze(ctx, g, p.Result(), cimmlc.CodegenOptions{MaxWindowsPerOp: 1})
+	switch {
+	case err != nil:
+		return []string{fmt.Sprintf("%s: Analyze: %v", key, err)}
+	case rep.Partition == nil:
+		return []string{fmt.Sprintf("%s: Analyze report has no partition section", key)}
+	}
+	if ap := rep.Partition; ap.Subgraphs != ps.Subgraphs || ap.CIMNodes != ps.CIMNodes || ap.HostNodes != ps.HostNodes ||
+		ap.Transfers != ps.Transfers || ap.TransferElems != ps.TransferElems ||
+		ap.CIMCycles != ps.CIMCycles || ap.HostCycles != ps.HostCycles || ap.TransferCycles != ps.TransferCycles {
+		return []string{fmt.Sprintf("%s: Analyze partition section %+v disagrees with program stats %+v", key, *ap, *ps)}
+	}
+	return nil
 }
 
 // seededRequests builds deterministic pseudo-random inputs for every input

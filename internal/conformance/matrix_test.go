@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cimmlc"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.json with this run's digests")
@@ -14,8 +16,8 @@ const goldenPath = "testdata/golden.json"
 
 // runMatrix executes a config against the committed goldens, honoring
 // -update (which merges this run's digests into the golden file instead of
-// comparing).
-func runMatrix(t *testing.T, cfg Config) {
+// comparing), and returns the run's result.
+func runMatrix(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	if *update {
 		cfg.Golden = nil
@@ -53,6 +55,32 @@ func runMatrix(t *testing.T, cfg Config) {
 			t.Fatal(err)
 		}
 	}
+	return res
+}
+
+// requireMixedCells guards the matrix's coverage of mixed models (host-only
+// operators), so that a config edit cannot silently drop them again: each
+// must be a cell on every arch and level, and each of those cells must have
+// been exec-, determinism- and tune-checked with the partition check on.
+func requireMixedCells(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	if !cfg.PartitionCheck {
+		t.Error("config runs no partition check")
+	}
+	mixed := 0
+	for _, c := range res.Cells {
+		if !cimmlc.ModelMixed(c.Cell.Model) {
+			continue
+		}
+		mixed++
+		if !c.ExecChecked || !c.DetChecked || !c.TuneChecked {
+			t.Errorf("mixed cell %s: exec %v, determinism %v, tune %v checked; want all three",
+				c.Cell.Key(), c.ExecChecked, c.DetChecked, c.TuneChecked)
+		}
+	}
+	if want := len(cimmlc.MixedModelNames()) * len(cfg.Archs) * len(cfg.Levels); mixed != want {
+		t.Errorf("matrix carries %d mixed cells, want %d", mixed, want)
+	}
 }
 
 // TestMatrixShort is the always-on conformance sweep. Under the race
@@ -60,11 +88,12 @@ func runMatrix(t *testing.T, cfg Config) {
 // concurrency coverage lives, and race instrumentation makes the broader
 // compile sweep an order of magnitude slower.
 func TestMatrixShort(t *testing.T) {
-	cfg := ShortConfig()
 	if RaceEnabled {
-		cfg = RaceConfig()
+		runMatrix(t, RaceConfig())
+		return
 	}
-	runMatrix(t, cfg)
+	cfg := ShortConfig()
+	requireMixedCells(t, cfg, runMatrix(t, cfg))
 }
 
 // TestMatrixFull sweeps the whole zoo across every preset and level. It is
@@ -77,7 +106,8 @@ func TestMatrixFull(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("full zoo matrix skipped under the race detector; TestMatrixShort covers the concurrent paths")
 	}
-	runMatrix(t, FullConfig())
+	cfg := FullConfig()
+	requireMixedCells(t, cfg, runMatrix(t, cfg))
 }
 
 // TestGoldenDiffReadable pins the failure mode the harness exists for: a

@@ -15,7 +15,8 @@ import (
 // program order — so the addresses the emitter chose are ones the verifier and
 // the executor both take. The models the matrix does not execute lower two
 // windows per operator, like the CLI sweeps: a truncated flow does not run,
-// but every operator it holds still resolves.
+// but every operator it holds still resolves. A staged (mixed) cell resolves
+// each of its CIM stages' flows.
 func TestZooOperandsResolve(t *testing.T) {
 	cfg := ShortConfig()
 	ctx := context.Background()
@@ -32,7 +33,10 @@ func TestZooOperandsResolve(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c, err := cimmlc.New(a, cimmlc.WithCache(0))
+					// The resolver is the check here; the IR verifier would walk
+					// the same operands again.
+					opts, _ := cellOptions(cell, cimmlc.WithoutVerifyIR())
+					c, err := cimmlc.New(a, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -44,48 +48,70 @@ func TestZooOperandsResolve(t *testing.T) {
 					if execCell(cell, cfg) {
 						winCap = 0
 					}
-					fr, err := c.Lower(ctx, g, res, cimmlc.CodegenOptions{MaxWindowsPerOp: winCap})
-					if err != nil {
-						t.Fatal(err)
+					type stage struct {
+						g   *cimmlc.Graph
+						res *cimmlc.Result
 					}
-					gc := g.Clone()
-					if err := gc.InferShapes(); err != nil {
-						t.Fatal(err)
-					}
-					r, bad := codegen.NewResolver(gc, a, fr.Layout)
-					if len(bad) > 0 {
-						t.Fatalf("layout: %v", bad[0])
-					}
-					prog := make([]codegen.XBRecord, a.TotalCrossbars())
-					for i := range prog {
-						prog[i].Node = -1
-					}
-					var resolve func(ops []mop.Op)
-					resolve = func(ops []mop.Op) {
-						for _, op := range ops {
-							var err error
-							if par, ok := op.(mop.Parallel); ok {
-								resolve(par.Body)
-							} else if w, ok, e := r.ResolveWrite(op); ok {
-								if err = e; e == nil {
-									r.Program(&prog[w.XB], w)
-								}
-							} else if rd, ok, e := r.ResolveRead(op); ok {
-								if err = e; e == nil {
-									_, err = prog[rd.XB].Activate(&rd)
-								}
-							} else {
-								_, err = r.Resolve(op)
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", op, err)
+					stages := []stage{{g, res}}
+					if info := res.Partition; info != nil {
+						stages = nil
+						for i, sub := range info.Plan.Subs {
+							if sr := info.Subs[i].Res; sr != nil {
+								stages = append(stages, stage{sub.G, sr})
 							}
 						}
 					}
-					resolve(fr.Flow.Init)
-					resolve(fr.Flow.Body)
+					for _, st := range stages {
+						resolveStage(t, c, a, st.g, st.res, winCap)
+					}
 				})
 			}
 		}
 	}
+}
+
+// resolveStage lowers one one-stage compilation and resolves every operator
+// of its flow, init section first, in program order.
+func resolveStage(t *testing.T, c *cimmlc.Compiler, a *cimmlc.Arch, g *cimmlc.Graph, res *cimmlc.Result, winCap int64) {
+	t.Helper()
+	fr, err := c.Lower(context.Background(), g, res, cimmlc.CodegenOptions{MaxWindowsPerOp: winCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := g.Clone()
+	if err := gc.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	r, bad := codegen.NewResolver(gc, a, fr.Layout)
+	if len(bad) > 0 {
+		t.Fatalf("layout: %v", bad[0])
+	}
+	prog := make([]codegen.XBRecord, a.TotalCrossbars())
+	for i := range prog {
+		prog[i].Node = -1
+	}
+	var resolve func(ops []mop.Op)
+	resolve = func(ops []mop.Op) {
+		for _, op := range ops {
+			var err error
+			if par, ok := op.(mop.Parallel); ok {
+				resolve(par.Body)
+			} else if w, ok, e := r.ResolveWrite(op); ok {
+				if err = e; e == nil {
+					r.Program(&prog[w.XB], w)
+				}
+			} else if rd, ok, e := r.ResolveRead(op); ok {
+				if err = e; e == nil {
+					_, err = prog[rd.XB].Activate(&rd)
+				}
+			} else {
+				_, err = r.Resolve(op)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		}
+	}
+	resolve(fr.Flow.Init)
+	resolve(fr.Flow.Body)
 }

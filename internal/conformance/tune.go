@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"cimmlc"
 )
@@ -26,7 +27,7 @@ import (
 func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, a *cimmlc.Arch, heuristic Digest, baseHash string, vs *violationSet) (improved bool) {
 	key := cell.Key()
 
-	tuned1, fp1, err := compileTuned(ctx, g, a, cfg.TuneBudget)
+	tuned1, fp1, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
 	if err != nil {
 		vs.addf("%s: tuned compile: %v", key, err)
 		return
@@ -37,7 +38,7 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 			key, tuned1.Cycles, heuristic.Cycles)
 	}
 
-	tuned2, fp2, err := compileTuned(ctx, g, a, cfg.TuneBudget)
+	tuned2, fp2, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
 	if err != nil {
 		vs.addf("%s: tuned recompile: %v", key, err)
 		return
@@ -54,7 +55,8 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 	}
 	// Rebuild the exec battery's exact program inputs on a tuned compiler
 	// and demand the same output bits.
-	c, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithAutoTune(cfg.TuneBudget), cimmlc.WithVerifyIR())
+	opts, _ := cellOptions(cell, cimmlc.WithAutoTune(cfg.TuneBudget))
+	c, err := cimmlc.New(a, opts...)
 	if err != nil {
 		vs.addf("%s: tuned exec compiler: %v", key, err)
 		return
@@ -66,7 +68,9 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 		vs.addf("%s: tuned Build: %v", key, err)
 		return
 	}
-	if p.Stats().Tuning == nil {
+	// A staged program's stages carry their own records, which compileTuned
+	// already demands.
+	if p.Result().Partition == nil && p.Stats().Tuning == nil {
 		vs.addf("%s: tuned Program.Stats reports no tuning record", key)
 	}
 	outs := make([]map[int]*cimmlc.Tensor, len(reqs))
@@ -85,9 +89,11 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 }
 
 // compileTuned compiles g on a fresh autotuning compiler and returns the
-// digest and the tuned schedule's canonical fingerprint.
-func compileTuned(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, b cimmlc.Budget) (Digest, string, error) {
-	c, err := cimmlc.New(a, cimmlc.WithCache(0), cimmlc.WithAutoTune(b), cimmlc.WithVerifyIR())
+// digest and the canonical fingerprint of the tuned schedule — of every CIM
+// stage's schedule, in stage order, for a staged compilation.
+func compileTuned(ctx context.Context, cell Cell, g *cimmlc.Graph, a *cimmlc.Arch, b cimmlc.Budget) (Digest, string, error) {
+	opts, _ := cellOptions(cell, cimmlc.WithAutoTune(b))
+	c, err := cimmlc.New(a, opts...)
 	if err != nil {
 		return Digest{}, "", err
 	}
@@ -95,14 +101,19 @@ func compileTuned(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, b cimmlc
 	if err != nil {
 		return Digest{}, "", err
 	}
-	if res.Tuning == nil {
-		return Digest{}, "", fmt.Errorf("tuned compilation returned no tuning record")
+	var fps []string
+	for _, sr := range stageResults(res) {
+		fp := sr.Schedule.Fingerprint()
+		if sr.Tuning == nil {
+			return Digest{}, "", fmt.Errorf("tuned compilation returned no tuning record")
+		}
+		if sr.Tuning.ScheduleFingerprint != fp {
+			return Digest{}, "", fmt.Errorf("tuning record fingerprint %s does not match the compiled schedule %s",
+				sr.Tuning.ScheduleFingerprint, fp)
+		}
+		fps = append(fps, fp)
 	}
-	if res.Tuning.ScheduleFingerprint != res.Schedule.Fingerprint() {
-		return Digest{}, "", fmt.Errorf("tuning record fingerprint %s does not match the compiled schedule %s",
-			res.Tuning.ScheduleFingerprint, res.Schedule.Fingerprint())
-	}
-	return digestOf(res), res.Schedule.Fingerprint(), nil
+	return digestOf(res), strings.Join(fps, "+"), nil
 }
 
 // tuneCell reports whether the cell runs the autotune family.

@@ -108,13 +108,12 @@ func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Option
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	hostIDs := g.HostOnlyNodeIDs()
-	if len(hostIDs) > 0 && !opt.HostFallback {
-		n := g.Nodes[hostIDs[0]]
-		return nil, fmt.Errorf("core: graph %q: node %q (%s) has no CIM lowering (available: %s); enable host fallback (cimmlc.WithHostFallback) to partition it onto the host CPU",
-			g.Name, n.Name, n.Op, joinOps(graph.CIMLowerableOps()))
+	if !opt.HostFallback {
+		if err := RequireCIMLowering(g); err != nil {
+			return nil, err
+		}
 	}
-	if len(hostIDs) == 0 && cut.Chip == nil && len(cut.ForceHost) == 0 {
+	if len(g.HostOnlyNodeIDs()) == 0 && cut.Chip == nil && len(cut.ForceHost) == 0 {
 		// No policy has anything to say, so the cutter could only hand the graph
 		// back whole — after cloning it, inferring its shapes and extracting it
 		// once more. That is what every plain Compile would pay: measured on
@@ -134,6 +133,19 @@ func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Option
 		return compileSingle(ctx, g, a, opt, passes, trace)
 	}
 	return compilePlan(ctx, plan, a, opt, passes, trace)
+}
+
+// RequireCIMLowering refuses a graph with a host-only operator: without host
+// fallback nothing can place it, so every scheduler that maps a whole graph
+// onto the chip checks this first.
+func RequireCIMLowering(g *graph.Graph) error {
+	hostIDs := g.HostOnlyNodeIDs()
+	if len(hostIDs) == 0 {
+		return nil
+	}
+	n := g.Nodes[hostIDs[0]]
+	return fmt.Errorf("core: graph %q: node %q (%s) has no CIM lowering (available: %s); enable host fallback (cimmlc.WithHostFallback) to partition it onto the host CPU",
+		g.Name, n.Name, n.Op, joinOps(graph.CIMLowerableOps()))
 }
 
 // verifyInput runs the IR verifier on an input graph when it is on.

@@ -53,9 +53,9 @@
 // and a flow the verifier would reject for its operands fails ProgramInit,
 // CompileBody or RunBody with the same rule whether or not it was verified.
 //
-// QuantReference executes the same quantized semantics without crossbars,
-// placement or generated flows; a correct compiler + simulator pair must
-// match it bit-exactly.
+// QuantReferenceCalib executes the same quantized semantics without
+// crossbars, placement or generated flows; a correct compiler + simulator
+// pair must match it bit-exactly.
 package funcsim
 
 import (

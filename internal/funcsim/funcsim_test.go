@@ -12,9 +12,10 @@ import (
 	"cimmlc/internal/tensor"
 )
 
-// endToEnd compiles g onto a, generates the full flow, executes it, and
-// verifies bit-exactness against the quantized reference plus closeness to
-// the float reference.
+// endToEnd compiles g onto a, generates the full flow, executes it on an
+// image calibrated on the input (init section included), and verifies
+// bit-exactness against the quantized reference plus closeness to the float
+// reference.
 func endToEnd(t *testing.T, g *graph.Graph, a *arch.Arch, input *tensor.Tensor, tol float64) {
 	t.Helper()
 	res, err := core.Compile(g, a, core.Options{})
@@ -27,7 +28,27 @@ func endToEnd(t *testing.T, g *graph.Graph, a *arch.Arch, input *tensor.Tensor, 
 	}
 	w := graph.RandomWeights(g, 11)
 	inputs := map[int]*tensor.Tensor{g.InputIDs()[0]: input}
-	if err := Verify(g, a, gen, w, inputs, tol); err != nil {
+	img, err := NewImage(g, a, gen.Layout, w, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := img.Exec(img.NewState())
+	if err := m.LoadInputs(inputs); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(gen.Flow); err != nil {
+		t.Fatal(err)
+	}
+	m.SettleAll()
+	want, err := QuantReferenceCalib(g, a, w, inputs, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := graph.Execute(g, w, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckOutputs(g, m.Tensors(), want, ref, tol); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +136,7 @@ func TestQuantReferenceCloseToFloat(t *testing.T) {
 	in := tensor.New(3, 32, 32)
 	in.Rand(32, 1)
 	inputs := map[int]*tensor.Tensor{0: in}
-	qref, err := QuantReference(g, a, w, inputs)
+	qref, err := QuantReferenceCalib(g, a, w, inputs, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,24 +150,6 @@ func TestQuantReferenceCloseToFloat(t *testing.T) {
 		if d > 0.05*scale {
 			t.Fatalf("node %d: quantized reference off by %g (max %g)", id, d, scale)
 		}
-	}
-}
-
-func TestTruncatedFlowRefused(t *testing.T) {
-	g := models.ConvReLU()
-	a := toyInMode(arch.XBM)
-	res, err := core.Compile(g, a, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := codegen.Generate(g, a, res.Schedule, res.Placement, res.Model, codegen.Options{MaxWindowsPerOp: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := graph.RandomWeights(g, 33)
-	in := tensor.New(3, 32, 32)
-	if _, err := RunFlow(g, a, gen, w, map[int]*tensor.Tensor{0: in}); err == nil {
-		t.Fatal("accepted truncated flow")
 	}
 }
 

@@ -10,20 +10,13 @@ import (
 	"cimmlc/internal/tensor"
 )
 
-// QuantReference executes the network under the same quantization semantics
-// as the flow simulator — integer MVMs over the quantized weight matrices,
-// float digital kernels requantized to each node's calibrated activation
-// scale — but without crossbars, placement or meta-operators. A correct
-// compiler must reproduce it bit-exactly, which Verify checks. Activation
-// scales are calibrated on the inputs themselves (the one-shot semantics).
-func QuantReference(g *graph.Graph, a *arch.Arch, weights graph.Weights, inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	return QuantReferenceCalib(g, a, weights, inputs, inputs)
-}
-
-// QuantReferenceCalib is QuantReference with the activation scales
-// calibrated on calib rather than on the executed inputs — the reference for
-// a compile-once Program, whose image fixes its quantizers at build time and
-// then serves arbitrary inputs.
+// QuantReferenceCalib executes the network under the same quantization
+// semantics as the flow simulator — integer MVMs over the quantized weight
+// matrices, float digital kernels requantized to each node's calibrated
+// activation scale — but without crossbars, placement or meta-operators. A
+// correct compiler must reproduce it bit-exactly. The activation scales are
+// calibrated on calib, as a compile-once Program's image fixes them at build
+// time before it serves arbitrary inputs.
 func QuantReferenceCalib(g *graph.Graph, a *arch.Arch, weights graph.Weights, calib, inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
 	lay := referenceLayout(g)
 	img, err := NewImage(g, a, lay, weights, calib)
@@ -80,48 +73,6 @@ func referenceLayout(g *graph.Graph) *codegen.Layout {
 	}
 	lay.Total = next
 	return lay
-}
-
-// RunFlow executes a generated flow on a fresh machine and returns the
-// settled per-node tensors.
-func RunFlow(g *graph.Graph, a *arch.Arch, res *codegen.Result, weights graph.Weights, inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	if res.Truncated {
-		return nil, fmt.Errorf("funcsim: flow was truncated by codegen (MaxWindowsPerOp); not executable")
-	}
-	// A one-shot image: calibrated on the inputs, no crossbar pre-programmed
-	// (Run executes the init section).
-	img, err := NewImage(g, a, res.Layout, weights, inputs)
-	if err != nil {
-		return nil, err
-	}
-	m := img.Exec(img.NewState())
-	if err := m.LoadInputs(inputs); err != nil {
-		return nil, err
-	}
-	if err := m.Run(res.Flow); err != nil {
-		return nil, err
-	}
-	m.SettleAll()
-	return m.Tensors(), nil
-}
-
-// Verify runs the flow, the quantized reference and the float reference, and
-// checks (a) flow == quantized reference bit-exactly and (b) flow ≈ float
-// reference within floatTol of each node output's max magnitude.
-func Verify(g *graph.Graph, a *arch.Arch, res *codegen.Result, weights graph.Weights, inputs map[int]*tensor.Tensor, floatTol float64) error {
-	got, err := RunFlow(g, a, res, weights, inputs)
-	if err != nil {
-		return err
-	}
-	want, err := QuantReference(g, a, weights, inputs)
-	if err != nil {
-		return err
-	}
-	ref, err := graph.Execute(g, weights, inputs)
-	if err != nil {
-		return err
-	}
-	return CheckOutputs(g, got, want, ref, floatTol)
 }
 
 // CheckExact verifies that got matches the quantized reference want bit for
