@@ -56,8 +56,10 @@ type CompiledFlow struct {
 	chains  []sweepChain
 	members []xbRead
 	// writeTiles interns the tiles write ops program, so the copies and rounds
-	// a body rewrites share one bit-sliced tile.
-	writeTiles map[codegen.Tile]slicedTile
+	// a body rewrites share one: its quantized weights in the layout reads
+	// consume (mvm.go), column-major in the image's word format, Rows words per
+	// run.
+	writeTiles map[codegen.Tile][]int64
 	// geos and matrices hold, per node, the window gather geometry and — for a
 	// node a readcore names — the weight matrix in the layout reads consume.
 	geos     map[int]*winGeometry
@@ -99,21 +101,18 @@ type BatchState struct {
 	mem    []int64 // lanes × stride, lane-major
 
 	// Crossbar view, shared across lanes (weights never depend on lane
-	// data), indexed by chip-global crossbar ID: the cell array, the weight
-	// array reads multiply (Image.baseWeights' layout), and what the crossbar
-	// holds. cells and weights alias the image's arrays (cellShared) until a
-	// write kernel copies them into the state's own, so reprogramming in
-	// multi-round flows never writes through to the image; a read takes
-	// whichever array the view points at. dirty lists the crossbars made
-	// private since the last reset — all a reset against the same image has
-	// to restore.
-	cells      [][]uint8
+	// data), indexed by chip-global crossbar ID: the weight array reads
+	// multiply (Image.baseWeights' layout) and what the crossbar holds. A
+	// weight array aliases the image's (shared) until a write kernel copies it
+	// into the state's own, so reprogramming in multi-round flows never writes
+	// through to the image; a read takes whichever array the view points at.
+	// dirty lists the crossbars made private since the last reset — all a
+	// reset against the same image has to restore.
 	weights    [][]int64
-	cellShared []bool
+	shared     []bool
 	prog       []xbProg
 	dirty      []int
-	ownCells   [][]uint8 // private arrays, allocated on first write and
-	ownWeights [][]int64 // kept across resets
+	ownWeights [][]int64 // private arrays, allocated on first write and kept across resets
 
 	// Scale of the ints currently in each node's region, and whether they
 	// are raw CIM accumulators awaiting requantization (index = node ID;
@@ -163,10 +162,10 @@ func (img *Image) NewBatchState(lanes int) *BatchState {
 // ResetBatch recycles st for a new micro-batch of `lanes` requests: lane
 // memory is zeroed (grown when the batch is wider than any before),
 // bookkeeping cleared, and the crossbar view re-pointed at the image's
-// programmed cells and weights. A state recycled against the image it last
-// ran on restores only the crossbars its body wrote, so a request pays for
-// what it reprogrammed, not for the size of the chip; on first use, or
-// against another image, the whole view is built.
+// programmed weights. A state recycled against the image it last ran on
+// restores only the crossbars its body wrote, so a request pays for what it
+// reprogrammed, not for the size of the chip; on first use, or against
+// another image, the whole view is built.
 func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	st.stride = img.lay.Total
 	st.lanes = lanes
@@ -181,15 +180,13 @@ func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	if st.img != img {
 		nXB := len(img.baseProg)
 		st.img = img
-		st.cells = slices.Clone(img.baseCells)
 		st.weights = slices.Clone(img.baseWeights)
 		st.prog = slices.Clone(img.baseProg)
-		st.cellShared = make([]bool, nXB)
-		for xb, c := range img.baseCells {
-			st.cellShared[xb] = c != nil
+		st.shared = make([]bool, nXB)
+		for xb, w := range img.baseWeights {
+			st.shared[xb] = w != nil
 		}
 		st.dirty = st.dirty[:0]
-		st.ownCells = make([][]uint8, nXB)
 		st.ownWeights = make([][]int64, nXB)
 		st.regionScale = make([]float64, len(img.g.Nodes))
 		st.regionRaw = make([]bool, len(img.g.Nodes))
@@ -198,8 +195,8 @@ func (img *Image) ResetBatch(st *BatchState, lanes int) {
 	clear(st.regionScale)
 	clear(st.regionRaw)
 	for _, xb := range st.dirty {
-		st.prog[xb], st.cells[xb], st.weights[xb] = img.baseProg[xb], img.baseCells[xb], img.baseWeights[xb]
-		st.cellShared[xb] = img.baseCells[xb] != nil
+		st.prog[xb], st.weights[xb] = img.baseProg[xb], img.baseWeights[xb]
+		st.shared[xb] = img.baseWeights[xb] != nil
 	}
 	st.dirty = st.dirty[:0]
 }
@@ -505,45 +502,32 @@ func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
 	return nil, fmt.Errorf("unknown op type %T", op)
 }
 
-// slicedTile is a codegen.Tile's content: the cell bytes (Figure 7's B→XBC bit
-// slicing) and the weights those cells reconstruct to, in the layout reads
-// consume (mvm.go) — the cell bytes themselves are never read back.
-type slicedTile struct {
-	cells   []uint8 // rows × cols, row-major
-	weights []int64 // column-major in the image's word format, rows words per run
-}
-
-// compileWrite compiles one resolved tile write. The tile's content is
-// static, so it is sliced here, once per distinct tile of the flow; the kernel
+// compileWrite compiles one resolved tile write. The tile's content — its
+// quantized weights, each spanning CellsPerWeight cell columns — is static,
+// so it is laid out here, once per distinct tile of the flow; the kernel
 // copies it into the state's crossbar view. Weight programming is
 // lane-invariant: one copy per micro-batch amortizes reprogramming
 // (multi-round flows) across its lanes.
 func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 	a := img.a
-	xb, rowStart, rows, cols := w.XB, w.Row, w.Rows, w.Cols
+	xb, rowStart, rows := w.XB, w.Row, w.Rows
 	qw, dims := img.qweights[w.Node], img.wDims[w.Node]
 	s := a.CellsPerWeight()
-	wColOff, nW := w.CellColOff/s, cols/s
+	wColOff, nW := w.CellColOff/s, w.Cols/s
 	packed, xbRows := img.packed, a.XB.Rows
 	tile, ok := cf.writeTiles[w.Tile]
 	if !ok {
-		tile = slicedTile{cells: make([]uint8, rows*cols), weights: make([]int64, wordsFor(nW, packed)*rows)}
-		sl := make([]uint32, s)
+		tile = make([]int64, wordsFor(nW, packed)*rows)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < nW; j++ {
-				sl = tensor.BitSliceInto(sl, qw[(w.CellRowOff+i)*dims[1]+wColOff+j], a.WeightBits, a.XB.CellBits)
-				for k, v := range sl {
-					tile.cells[i*cols+j*s+k] = uint8(v)
-				}
-				placeWeight(tile.weights, rows, i, j, int64(tensor.FromBitSlices(sl, a.WeightBits, a.XB.CellBits)), packed)
+				placeWeight(tile, rows, i, j, int64(qw[(w.CellRowOff+i)*dims[1]+wColOff+j]), packed)
 			}
 		}
 		if cf.writeTiles == nil {
-			cf.writeTiles = make(map[codegen.Tile]slicedTile)
+			cf.writeTiles = make(map[codegen.Tile][]int64)
 		}
 		cf.writeTiles[w.Tile] = tile
 	}
-	xbCols := a.XB.Cols
 	whole := nW // the tile's column words that it fills entirely
 	if packed {
 		whole = nW / 2
@@ -552,18 +536,15 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 		st := bm.st
 		// Reprogramming with a new tile: the array starts cleared.
 		fresh := bm.img.res.Program(&st.prog[xb].XBRecord, w)
-		cells, weights := st.privateXB(bm.img, xb, fresh)
-		for i := 0; i < rows; i++ {
-			copy(cells[(rowStart+i)*xbCols:], tile.cells[i*cols:(i+1)*cols])
-		}
+		weights := st.privateXB(bm.img, xb, fresh)
 		for c := 0; c < whole; c++ {
-			copy(weights[c*xbRows+rowStart:], tile.weights[c*rows:(c+1)*rows])
+			copy(weights[c*xbRows+rowStart:], tile[c*rows:(c+1)*rows])
 		}
-		if whole < len(tile.weights)/rows {
+		if whole < len(tile)/rows {
 			// An odd last column is the low half of its words; the high half is
 			// a column beyond the tile and stays as the write found it.
 			run := weights[whole*xbRows+rowStart:][:rows]
-			for i, v := range tile.weights[whole*rows:] {
+			for i, v := range tile[whole*rows:] {
 				run[i] += v - int64(int32(run[i]))
 			}
 		}
@@ -571,39 +552,36 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 	}
 }
 
-// privateXB returns crossbar xb's cell and weight arrays for writing, owned
-// by the state: cleared when the write starts a new tile (or the crossbar is
-// empty), copied from the image when it extends a tile that still aliases the
-// image's arrays (copy-on-write), as they are when already private. The image
-// may share those arrays among crossbars programmed alike; the copy is what
-// keeps a write to one of them from its siblings.
-func (st *BatchState) privateXB(img *Image, xb int, fresh bool) ([]uint8, []int64) {
-	if st.ownCells[xb] == nil {
-		a := img.a
-		st.ownCells[xb] = make([]uint8, a.XB.Rows*a.XB.Cols)
+// privateXB returns crossbar xb's weight array for writing, owned by the
+// state: cleared when the write starts a new tile (or the crossbar is empty),
+// copied from the image when it extends a tile that still aliases the image's
+// array (copy-on-write), as it is when already private. The image may share
+// one array among crossbars programmed alike; the copy is what keeps a write
+// to one of them from its siblings.
+func (st *BatchState) privateXB(img *Image, xb int, fresh bool) []int64 {
+	a := img.a
+	if st.ownWeights[xb] == nil {
 		st.ownWeights[xb] = make([]int64, a.XB.Rows*wordsFor(a.XB.Cols/a.CellsPerWeight(), img.packed))
 	}
-	cells, weights := st.ownCells[xb], st.ownWeights[xb]
-	if st.cellShared[xb] || st.cells[xb] == nil {
+	weights := st.ownWeights[xb]
+	if st.shared[xb] || st.weights[xb] == nil {
 		st.dirty = append(st.dirty, xb)
 	}
 	p := &st.prog[xb]
 	switch {
-	case fresh || st.cells[xb] == nil:
-		clear(cells)
+	case fresh || st.weights[xb] == nil:
 		clear(weights)
-	case st.cellShared[xb]:
-		copy(cells, st.cells[xb])
-		// The image's weight array is cut to the wordlines it programs
-		// (ProgramInit); the state's has room for every wordline.
+	case st.shared[xb]:
+		// The image's array is cut to the wordlines it programs (ProgramInit);
+		// the state's has room for every wordline.
 		clear(weights)
 		for c, from := 0, st.weights[xb]; c*p.stride < len(from); c++ {
-			copy(weights[c*img.a.XB.Rows:], from[c*p.stride:(c+1)*p.stride])
+			copy(weights[c*a.XB.Rows:], from[c*p.stride:(c+1)*p.stride])
 		}
 	}
-	p.stride = img.a.XB.Rows
-	st.cells[xb], st.weights[xb], st.cellShared[xb] = cells, weights, false
-	return cells, weights
+	p.stride = a.XB.Rows
+	st.weights[xb], st.shared[xb] = weights, false
+	return weights
 }
 
 func (img *Image) compileMov(o mop.Mov, ops codegen.Operands) kernel {

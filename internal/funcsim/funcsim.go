@@ -3,21 +3,22 @@
 // that the result matches the network's reference execution.
 //
 // The hardware model is faithful where it matters for compilation
-// correctness: weights are quantized to the architecture's weight precision
-// and bit-sliced into cells of the crossbar's cell precision (Figure 7's
-// B→XBC binding) when a write meta-operator's tile is compiled; what those
-// cells reconstruct to is laid out beside them the way reads walk it, and a
-// read meta-operator multiplies that array — the cell bytes are never read
-// back on the request path — taking its wordlines, columns and extent from
-// what the crossbar holds when it runs, so any mis-programming, mis-placement
-// or mis-gathering produces wrong numbers. Activations live in a flat buffer
-// memory laid out by internal/codegen; CIM outputs are raw integer
-// accumulators that the digital periphery requantizes to 8-bit activations
-// when first consumed (standard post-training-quantization inference).
+// correctness: weights are quantized to the architecture's weight precision,
+// and a write meta-operator places its tile's weights into the crossbar's
+// weight array the way reads walk it — each weight spanning as many cell
+// columns as Figure 7's B→XBC bit slicing gives it, whose cells reconstruct it
+// exactly (tensor.BitSlice), so the weight is all a crossbar stores. A read
+// meta-operator multiplies that array, taking its wordlines, columns and
+// extent from what the crossbar holds when it runs, so any mis-programming,
+// mis-placement or mis-gathering produces wrong numbers. Activations live in
+// a flat buffer memory laid out by internal/codegen; CIM outputs are raw
+// integer accumulators that the digital periphery requantizes to 8-bit
+// activations when first consumed (standard post-training-quantization
+// inference).
 //
 // State is split along the CIM stationary-weight boundary: an Image holds
 // everything that survives across inferences (quantized weights, calibrated
-// activation scales, the crossbar cells programmed by a flow's init section)
+// activation scales, the crossbar weights programmed by a flow's init section)
 // and is immutable once built, so one Image serves any number of concurrent
 // executions. Crossbars programmed alike — CG-level duplication replicates an
 // operator's tiles so windows run in parallel — share one programmed array in
@@ -72,7 +73,7 @@ import (
 // Image is the immutable programmed accelerator state shared by every
 // execution of one compiled flow: the shape-inferred graph, the buffer
 // layout, quantized weights and calibrated quantization scales, plus the
-// crossbar cell arrays written by the flow's init section (ProgramInit).
+// crossbar weight arrays written by the flow's init section (ProgramInit).
 // Once built it is never written again, so it is safe for concurrent use
 // from many goroutines, each driving its own BatchState — and from many
 // Programs: a fleet's replicas are views of one Image.
@@ -98,16 +99,15 @@ type Image struct {
 	size []int64
 
 	// Baseline crossbar contents after the init section, indexed by
-	// chip-global crossbar ID: the cell arrays (row-major), the weights those
-	// cells reconstruct to, and what each crossbar holds. A weight array is
-	// stored the way reads walk it (mvm.go): column-major, weight column c's
-	// wordline r at word c·stride + r — or, when packed, columns 2c and 2c+1
-	// sharing that word — with the stride in the crossbar's xbProg.
-	// Crossbars the init section wrote alike share one cell and one weight
-	// array (ProgramInit). They are shared into every state copy-on-write, so
-	// the body's reprogramming operators (multi-round flows) never write
-	// through to the image or to a sibling crossbar.
-	baseCells   [][]uint8
+	// chip-global crossbar ID: the weight array (nil for a crossbar the init
+	// section leaves unprogrammed) and what each crossbar holds. A weight
+	// array is stored the way reads walk it (mvm.go): column-major, weight
+	// column c's wordline r at word c·stride + r — or, when packed, columns 2c
+	// and 2c+1 sharing that word — with the stride in the crossbar's xbProg.
+	// Crossbars the init section wrote alike share one array (ProgramInit).
+	// Arrays are shared into every state copy-on-write, so the body's
+	// reprogramming operators (multi-round flows) never write through to the
+	// image or to a sibling crossbar.
 	baseWeights [][]int64
 	baseProg    []xbProg
 	// packed: the arch's precisions and wordline count prove that two weight
@@ -151,7 +151,6 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		qweights:    map[int][]int32{},
 		wDims:       map[int][2]int{},
 		inputs:      g.InputIDs(),
-		baseCells:   make([][]uint8, a.TotalCrossbars()),
 		baseWeights: make([][]int64, a.TotalCrossbars()),
 		baseProg:    make([]xbProg, a.TotalCrossbars()),
 		packed:      wordLimit(a.XB.Rows, a.WeightBits, a.ActBits) >= 0,
@@ -203,7 +202,7 @@ func (img *Image) MemWords() int64 { return img.lay.Total }
 // ProgramInit programs the flow's weight-programming section into the
 // image's baseline crossbar state. It must be called before any state is made
 // from the image and before the image is shared across goroutines; afterwards
-// every state starts from the programmed cells and executions run only the
+// every state starts from the programmed weights and executions run only the
 // compute section.
 //
 // What a crossbar holds is a function of the writes addressed to it, in
@@ -287,7 +286,7 @@ func (img *Image) ProgramInit(init []mop.Op) error {
 	for xb, s := range sig {
 		if s != 0 {
 			r := rep[s]
-			img.baseCells[xb], img.baseWeights[xb], img.baseProg[xb] = st.cells[r], st.weights[r], st.prog[r]
+			img.baseWeights[xb], img.baseProg[xb] = st.weights[r], st.prog[r]
 		}
 	}
 	return nil

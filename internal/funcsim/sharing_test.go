@@ -36,9 +36,9 @@ func writesByXB(t *testing.T, init []mop.Op) map[int]string {
 }
 
 // TestProgramInitSharesEqualCrossbars: after ProgramInit two crossbars share
-// their baseline cell and weight arrays exactly when the same writes were
-// addressed to them in the same order, and what each holds is what its writes
-// say whichever crossbar ran them.
+// their baseline weight array exactly when the same writes were addressed to
+// them in the same order, and what each holds is what its writes say
+// whichever crossbar ran them.
 func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,12 +56,12 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 			for xb := range img.baseProg {
 				s, written := seq[xb]
 				if !written {
-					if img.baseCells[xb] != nil || img.baseWeights[xb] != nil || img.baseProg[xb].Node != -1 {
+					if img.baseWeights[xb] != nil || img.baseProg[xb].Node != -1 {
 						t.Fatalf("crossbar %d holds something, but nothing was written to it", xb)
 					}
 					continue
 				}
-				if img.baseCells[xb] == nil || img.baseWeights[xb] == nil {
+				if img.baseWeights[xb] == nil {
 					t.Fatalf("crossbar %d was written but holds nothing", xb)
 				}
 				// One weight array per crossbar, two weight columns to the
@@ -74,7 +74,7 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 					first[s] = xb
 					continue
 				}
-				if &img.baseCells[xb][0] != &img.baseCells[r][0] || &img.baseWeights[xb][0] != &img.baseWeights[r][0] || img.baseProg[xb] != img.baseProg[r] {
+				if &img.baseWeights[xb][0] != &img.baseWeights[r][0] || img.baseProg[xb] != img.baseProg[r] {
 					t.Fatalf("crossbars %d and %d were written alike but do not share their baseline", r, xb)
 				}
 			}
@@ -84,7 +84,7 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 			}
 			for i, x := range reps {
 				for _, y := range reps[i+1:] {
-					if &img.baseCells[x][0] == &img.baseCells[y][0] || &img.baseWeights[x][0] == &img.baseWeights[y][0] {
+					if &img.baseWeights[x][0] == &img.baseWeights[y][0] {
 						t.Fatalf("crossbars %d and %d were written differently but share their baseline", x, y)
 					}
 				}
@@ -176,7 +176,7 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 				t.Fatalf("crossbar %d produces %d of the conv's %d outputs: no split to test", x, len(fromX), img.size[conv])
 			}
 
-			cellsBefore, weightsBefore := slices.Clone(img.baseCells[x]), slices.Clone(img.baseWeights[x])
+			before := slices.Clone(img.baseWeights[x])
 			writer, reader := img.NewBatchState(1), img.NewBatchState(1)
 			for _, lanes := range []int{1, 3} {
 				img.ResetBatch(writer, lanes)
@@ -191,8 +191,8 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 				}
 				// Mid-flight for the writer: its view of x is private, the
 				// image's is not, and another state reads the baseline.
-				if writer.cellShared[x] || !slices.Equal(writer.dirty, []int{x}) {
-					t.Fatalf("%d lanes: after the body write, cellShared[%d]=%v dirty=%v", lanes, x, writer.cellShared[x], writer.dirty)
+				if writer.shared[x] || !slices.Equal(writer.dirty, []int{x}) {
+					t.Fatalf("%d lanes: after the body write, shared[%d]=%v dirty=%v", lanes, x, writer.shared[x], writer.dirty)
 				}
 				c.run(t, reader, lanes)
 				bm.SettleAll()
@@ -213,14 +213,79 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 				}
 				// Recycled, the writer is back on the baseline.
 				c.run(t, writer, lanes)
-				if !writer.cellShared[x] || len(writer.dirty) != 0 {
+				if !writer.shared[x] || len(writer.dirty) != 0 {
 					t.Fatalf("%d lanes: a recycled state still holds crossbar %d private", lanes, x)
 				}
 			}
-			if !slices.Equal(cellsBefore, img.baseCells[x]) || !slices.Equal(weightsBefore, img.baseWeights[x]) {
+			if !slices.Equal(before, img.baseWeights[x]) {
 				t.Fatalf("the body write to crossbar %d reached the image", x)
 			}
 		})
+	}
+}
+
+// TestBodyWriteExtendsSharedTile: a body write that extends a tile two
+// crossbars still share with the image — more wordlines, and an odd count of
+// weight columns, so its last column is the low half of words whose high half
+// the image programmed — copies the array on write and merges that half word.
+// The crossbar then holds, weight for weight, what the two tiles program from
+// the quantized matrix, its sibling still reads the image's array, and the
+// image is as it was.
+func TestBodyWriteExtendsSharedTile(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.XBM), 54, 1, oneShot) // image left unprogrammed
+	img := c.img
+	s := img.a.CellsPerWeight()
+	full, ok := c.flow.Init[0].(mop.WriteXB)
+	if !ok || full.Rows < 2 || full.Cols/s < 2 {
+		t.Fatalf("init[0] = %s: want a writexb of at least two wordlines and two weight columns", c.flow.Init[0])
+	}
+	if !img.packed {
+		t.Fatal("the toy arch does not pack two weight columns to the word: no half word to merge")
+	}
+	// base programs every weight column of the upper wordlines; ext every
+	// wordline of the largest odd count of weight columns below base's.
+	base, ext := full, full
+	base.Rows = full.Rows / 2
+	ext.Cols = ((full.Cols/s-2)/2*2 + 1) * s
+	const x, y = 0, 1
+	at := func(w mop.WriteXB, xb int) mop.Op { w.XB = xb; return w }
+	if err := img.ProgramInit([]mop.Op{at(base, x), at(base, y)}); err != nil {
+		t.Fatal(err)
+	}
+	if &img.baseWeights[x][0] != &img.baseWeights[y][0] {
+		t.Fatalf("crossbars %d and %d were written alike but do not share their baseline", x, y)
+	}
+	before := slices.Clone(img.baseWeights[x])
+	body, err := img.CompileBody([]mop.Op{at(ext, x)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := img.NewBatchState(1)
+	if err := img.ExecBatch(st).RunBody(body); err != nil {
+		t.Fatal(err)
+	}
+	if st.shared[x] || !st.shared[y] || !slices.Equal(st.dirty, []int{x}) {
+		t.Fatalf("after the body: shared[%d]=%v shared[%d]=%v dirty=%v", x, st.shared[x], y, st.shared[y], st.dirty)
+	}
+	if p := st.prog[x]; int(p.Rows) != full.Rows || int(p.WCols) != full.Cols/s || p.stride != img.a.XB.Rows {
+		t.Fatalf("crossbar %d holds %+v after extending %+v", x, p, img.baseProg[x])
+	}
+	qw, cols := img.qweights[full.Node], img.wDims[full.Node][1]
+	for r := 0; r < img.a.XB.Rows; r++ {
+		for j := 0; j < 2*wordsFor(img.a.XB.Cols/s, true); j++ {
+			var want int64
+			if (r < base.Rows && j < base.Cols/s) || (r < ext.Rows && j < ext.Cols/s) {
+				want = int64(qw[(full.CellRowOff+r)*cols+full.CellColOff/s+j])
+			}
+			word := st.weights[x][j/2*img.a.XB.Rows+r]
+			lo := int64(int32(word))
+			if got := []int64{lo, (word - lo) >> 32}[j%2]; got != want {
+				t.Fatalf("crossbar %d, wordline %d, weight column %d holds %d, the tiles program %d", x, r, j, got, want)
+			}
+		}
+	}
+	if &st.weights[y][0] != &img.baseWeights[y][0] || !slices.Equal(before, img.baseWeights[x]) || &img.baseWeights[x][0] != &img.baseWeights[y][0] {
+		t.Fatalf("the body write to crossbar %d reached the image or its sibling", x)
 	}
 }
 

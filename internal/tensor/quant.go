@@ -94,15 +94,12 @@ func Dequantize(vals []int32, q QuantParams, shape ...int) (*Tensor, error) {
 //
 // This is exactly the decomposition a CIM macro performs when spreading an
 // n-bit weight across cells of limited precision (Figure 7's B→XBC binding).
+// BitSlice, SliceCount and FromBitSlices are the reference model of that
+// binding: the functional simulator stores a crossbar as the weights its
+// cells hold, and their round trip being the identity is what makes that
+// exact. arch.CellsPerWeight counts the same slices for placement.
 func BitSlice(v int32, bits, cellBits int) []uint32 {
-	return BitSliceInto(make([]uint32, SliceCount(bits, cellBits)), v, bits, cellBits)
-}
-
-// BitSliceInto is BitSlice into the caller's buffer, which must hold
-// SliceCount(bits, cellBits) slices: programming a crossbar slices every
-// weight of a tile and needs no slice of its own for each.
-func BitSliceInto(out []uint32, v int32, bits, cellBits int) []uint32 {
-	out = out[:SliceCount(bits, cellBits)]
+	out := make([]uint32, SliceCount(bits, cellBits))
 	u := uint32(v) & ((1 << uint(bits)) - 1) // two's complement truncation
 	mask := uint32(1<<uint(cellBits)) - 1
 	for i := range out {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"cimmlc/internal/arch"
 )
 
 func TestQuantRoundTripWithinScale(t *testing.T) {
@@ -138,21 +140,38 @@ func TestSliceCountPanicsOnZero(t *testing.T) {
 	SliceCount(8, 0)
 }
 
-// Property: BitSlice followed by FromBitSlices is the identity on the
-// representable range, for several cell widths.
+// BitSlice followed by FromBitSlices is the identity on every value of the
+// signed weight range, for every preset's weight and cell precision and for
+// 8-bit weights in 1/2/3/4/8-bit cells (3 leaves a partial top slice): the
+// functional simulator stores a programmed crossbar as the weights its cells
+// hold, not the cells, and this is what makes the two the same.
 func TestBitSliceRoundTripProperty(t *testing.T) {
-	f := func(raw int16, cellSel uint8) bool {
-		bits := 8
-		cell := []int{1, 2, 3, 4, 8}[int(cellSel)%5]
-		v := int32(raw % 128) // within signed 8-bit range
-		slices := BitSlice(v, bits, cell)
-		if len(slices) != SliceCount(bits, cell) {
-			return false
-		}
-		return FromBitSlices(slices, bits, cell) == v
+	type pair struct {
+		name            string
+		bits, cell, cpw int // cpw: cells per weight, 0 when no preset fixes it
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	var pairs []pair
+	for _, name := range arch.PresetNames() {
+		a, err := arch.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, pair{name, a.WeightBits, a.XB.CellBits, a.CellsPerWeight()})
+	}
+	for _, cell := range []int{1, 2, 3, 4, 8} {
+		pairs = append(pairs, pair{"8-bit", 8, cell, 0})
+	}
+	for _, p := range pairs {
+		bits, cell := p.bits, p.cell
+		for v := -int32(1) << (bits - 1); v < int32(1)<<(bits-1); v++ {
+			slices := BitSlice(v, bits, cell)
+			if len(slices) != SliceCount(bits, cell) || (p.cpw != 0 && len(slices) != p.cpw) {
+				t.Fatalf("%s: BitSlice(%d, %d, %d) gives %d slices, want %d (%d cells per weight)", p.name, v, bits, cell, len(slices), SliceCount(bits, cell), p.cpw)
+			}
+			if got := FromBitSlices(slices, bits, cell); got != v {
+				t.Fatalf("%s: %d-bit %d in %d-bit cells reassembles to %d", p.name, v, bits, cell, got)
+			}
+		}
 	}
 }
 
