@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cimmlc"
 	"cimmlc/internal/flowdata"
@@ -60,12 +59,9 @@ func runAnalyze(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	var level cimmlc.Mode
-	if *maxLevel != "" {
-		level = cimmlc.Mode(strings.ToUpper(*maxLevel))
-		if !level.Valid() {
-			fatal(fmt.Errorf("cimmlc: invalid -max-level %q", *maxLevel))
-		}
+	level, err := parseMaxLevel(*maxLevel)
+	if err != nil {
+		fatal(err)
 	}
 	rep, err := analyzeCell(ctx, g, a, level, *maxWin, *flowOpt)
 	if err != nil {

@@ -120,10 +120,11 @@ func compileMain() {
 	if *noRemap {
 		opts = append(opts, cimmlc.WithoutRemap())
 	}
-	if *maxLevel != "" {
-		opts = append(opts, cimmlc.WithMaxLevel(cimmlc.Mode(strings.ToUpper(*maxLevel))))
+	level, err := parseMaxLevel(*maxLevel)
+	if err != nil {
+		fatal(err)
 	}
-	c, err := cimmlc.New(a, opts...)
+	c, err := cimmlc.New(a, append(opts, cimmlc.WithMaxLevel(level))...)
 	if err != nil {
 		fatal(err)
 	}
@@ -287,6 +288,16 @@ func printReport(g *cimmlc.Graph, a *cimmlc.Arch, res *cimmlc.Result) {
 		node := g.MustNode(e.id)
 		fmt.Printf("  %-12s dup=%-4d remap=%d\n", node.Name, e.dup, e.remap)
 	}
+}
+
+// parseMaxLevel reads the -max-level flag every subcommand takes: empty
+// leaves the architecture's own mode, otherwise CM, XBM or WLM in any case.
+func parseMaxLevel(s string) (cimmlc.Mode, error) {
+	level := cimmlc.Mode(strings.ToUpper(s))
+	if s != "" && !level.Valid() {
+		return "", fmt.Errorf("cimmlc: invalid -max-level %q", s)
+	}
+	return level, nil
 }
 
 func fatal(err error) {

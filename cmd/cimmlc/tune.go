@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"cimmlc"
@@ -42,10 +41,11 @@ func runTune(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	var base []cimmlc.Option
-	if *maxLevel != "" {
-		base = append(base, cimmlc.WithMaxLevel(cimmlc.Mode(strings.ToUpper(*maxLevel))))
+	level, err := parseMaxLevel(*maxLevel)
+	if err != nil {
+		fatal(err)
 	}
+	base := []cimmlc.Option{cimmlc.WithMaxLevel(level)}
 	budget := cimmlc.Budget{MaxCandidates: *candidates, Beam: *beam, MaxRounds: *rounds, Workers: *workers}
 
 	hc, err := cimmlc.New(a, base...)

@@ -54,12 +54,9 @@ func runVet(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		var level cimmlc.Mode
-		if *maxLevel != "" {
-			level = cimmlc.Mode(*maxLevel)
-			if !level.Valid() {
-				fatal(fmt.Errorf("cimmlc: invalid -max-level %q", *maxLevel))
-			}
+		level, err := parseMaxLevel(*maxLevel)
+		if err != nil {
+			fatal(err)
 		}
 		if _, err := analyzeCell(context.Background(), g, a, level, 0, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +12,18 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
 	"cimmlc/internal/partition"
+	"cimmlc/internal/perfsim"
 	"cimmlc/internal/tensor"
 )
+
+// crossedLinks returns the tiers a staged program's cut edges cross, sorted.
+func crossedLinks(p *Program) []perfsim.Link {
+	crossed := map[perfsim.Link]bool{}
+	for _, x := range p.Result().Partition.Plan.Transfers {
+		crossed[x.Link] = true
+	}
+	return slices.Sorted(maps.Keys(crossed))
+}
 
 // mixedTestGraph returns a small graph with host-only operators and its
 // deterministic weights.
@@ -150,18 +161,19 @@ func TestPartitionedRunBatchDeterminism(t *testing.T) {
 		return graph.NewBuilder("mlp-gated", 784).Dense(256).Dense(128).Sigmoid().Dense(10).MustFinish()
 	}
 	for _, shape := range []struct {
-		name, link string // link is the PartitionStats.Link expected; "" for a one-stage plan
-		chips      int
-		graph      func() *Graph
-		preset     string
-		shrink     bool // jia-small: the zoo mlp needs 13 cores, the shrunk chip has 8
-		tol        float64
-		copts      []Option
+		name   string
+		links  []perfsim.Link // the tiers the cut edges cross; none for a one-stage plan
+		chips  int
+		graph  func() *Graph
+		preset string
+		shrink bool // jia-small: the zoo mlp needs 13 cores, the shrunk chip has 8
+		tol    float64
+		copts  []Option
 	}{
-		{"host-cut", "host", 1, zoo("conv-gate"), "puma", false, 0.12, []Option{WithHostFallback()}},
-		{"chip-cut", "chip", 2, zoo("mlp"), "jia-isscc21", true, 0.05, []Option{WithStationaryWeights()}},
-		{"mixed", "host+chip", 2, gated, "jia-isscc21", true, 0.12, []Option{WithHostFallback(), WithStationaryWeights()}},
-		{"one-stage", "", 1, zoo("conv-relu"), "toy-table2", false, 0.05, nil},
+		{"host-cut", []perfsim.Link{perfsim.HostLink}, 1, zoo("conv-gate"), "puma", false, 0.12, []Option{WithHostFallback()}},
+		{"chip-cut", []perfsim.Link{perfsim.ChipLink}, 2, zoo("mlp"), "jia-isscc21", true, 0.05, []Option{WithStationaryWeights()}},
+		{"mixed", []perfsim.Link{perfsim.ChipLink, perfsim.HostLink}, 2, gated, "jia-isscc21", true, 0.12, []Option{WithHostFallback(), WithStationaryWeights()}},
+		{"one-stage", nil, 1, zoo("conv-relu"), "toy-table2", false, 0.05, nil},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			g := shape.graph()
@@ -260,14 +272,17 @@ func TestPartitionedRunBatchDeterminism(t *testing.T) {
 			}
 
 			ps := p.Stats().Partition
-			if shape.link == "" {
+			if shape.links == nil {
 				if ps != nil || p.Result().Partition != nil || p.Flow() == nil {
 					t.Fatalf("one-stage plan reports partition %+v, flow %v", ps, p.Flow())
 				}
 				return
 			}
-			if ps == nil || ps.Link != shape.link || ps.Subgraphs != len(p.Result().Partition.Subs) || ps.Subgraphs < 2 || p.Flow() != nil {
+			if ps == nil || ps.Subgraphs != len(p.Result().Partition.Subs) || ps.Subgraphs < 2 || p.Flow() != nil {
 				t.Fatalf("staged plan reports partition %+v", ps)
+			}
+			if got := crossedLinks(p); !slices.Equal(got, shape.links) {
+				t.Fatalf("cut edges cross the %v links, want %v", got, shape.links)
 			}
 			if len(ps.StageCores) != ps.Subgraphs || len(ps.StageCycles) != ps.Subgraphs {
 				t.Fatalf("stats shape mismatch: %+v", ps)

@@ -173,9 +173,11 @@ func TestReportOccupancyMatchesPlacement(t *testing.T) {
 			}
 			segCores := make([]int, len(res.Schedule.Segments))
 			xbs := map[[2]int]bool{}
-			for tl := range res.Placement.Tiles() {
-				segCores[tl.Segment] = max(segCores[tl.Segment], tl.Core+1)
-				xbs[[2]int{tl.Segment, tl.XB}] = true
+			for _, e := range res.Placement.Extents {
+				for _, tl := range res.Placement.TilesOf(e.Node) {
+					segCores[tl.Segment] = max(segCores[tl.Segment], tl.Core+1)
+					xbs[[2]int{tl.Segment, tl.XB}] = true
+				}
 			}
 			if cores := slices.Max(segCores); res.Report.CoresUsed != cores || res.Report.XBsUsed != len(xbs) {
 				t.Errorf("%s/%s: report says %d cores / %d crossbars, the placement's tiles occupy %d / %d",

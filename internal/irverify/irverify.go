@@ -8,7 +8,7 @@
 //
 //	graph/* — well-formedness of the computation graph (DAG, shapes)
 //	sched/* — schedule legality against the computing-mode level (Table 1)
-//	map/*   — mapping soundness (tile bounds, overlap, occupancy drift)
+//	map/*   — mapping soundness (grid, tile bounds, overlap, coverage, drift)
 //	flow/*  — meta-operator flow checks on codegen output (def-before-use,
 //	          endpoint existence, parallel write conflicts)
 //
@@ -16,14 +16,16 @@
 // subcommand can assert on the class of defect, not the message text. The
 // capacity rules fold mapping's one placement calculus (SegmentCores,
 // Occupancy) — the fold PlaceCtx keeps its extents from — so the checker and
-// the placer cannot disagree; the map/plan-drift rule checks a placement
-// against that calculus: the cores and crossbars it recorded, and the ones
-// the tiles derived from its extents actually touch, must be what the
-// schedule's fold yields.
+// the placer cannot disagree. A placement is checked at the cost of its
+// extents: mapping.Placement.Validate, the one placement check, plus the two
+// rules only the schedule can decide — every CIM node placed once in its
+// scheduled segment, and the recorded occupancy what the schedule's fold
+// yields (map/plan-drift). No tile is derived.
 package irverify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,15 +51,16 @@ const (
 	RuleSchedRemapBounds = "sched/remap-bounds"
 	RuleSchedCapacity    = "sched/capacity"
 
-	RuleMapGrid       = "map/grid"
-	RuleMapTileBounds = "map/tile-bounds"
-	RuleMapOverlap    = "map/overlap"
-	RuleMapCoverage   = "map/coverage"
-	RuleMapPlanDrift  = "map/plan-drift"
+	// The map/* family lives in internal/mapping, beside the placement
+	// calculus it checks, and the flow/* family in internal/flowdata (the
+	// dataflow framework that computes them); both are aliased here so every
+	// stable rule identifier is still reachable from one package.
+	RuleMapGrid       = mapping.RuleGrid
+	RuleMapTileBounds = mapping.RuleTileBounds
+	RuleMapOverlap    = mapping.RuleOverlap
+	RuleMapCoverage   = mapping.RuleCoverage
+	RuleMapPlanDrift  = mapping.RulePlanDrift
 
-	// The flow/* family lives in internal/flowdata (the dataflow framework
-	// that computes them); aliased here so every stable rule identifier is
-	// still reachable from one package.
 	RuleFlowStructure    = flowdata.RuleStructure
 	RuleFlowEndpoint     = flowdata.RuleEndpoint
 	RuleFlowUnknownNode  = flowdata.RuleUnknownNode
@@ -191,12 +194,10 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 	return vs
 }
 
-// VerifyPlacement checks mapping soundness over the tiles the placement's
-// extents generate: every tile inside the core/crossbar grid and its node's
-// cell matrix, no two tiles of one (segment, round) sharing a crossbar, every
-// CIM node covered in its scheduled segment, and — the drift check — each
-// segment's recorded and generated cores and crossbars equal to what
-// mapping.Occupancy derives from the schedule.
+// VerifyPlacement checks mapping soundness at the cost of the extents:
+// Placement.Validate, then the schedule-relative rules — each CIM node holds
+// exactly one extent, in its scheduled segment, and each segment's recorded
+// cores and crossbars equal what mapping.Occupancy derives from the schedule.
 func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
 	if p == nil {
 		return []Violation{{Rule: RuleMapCoverage, Node: -1, Msg: "nil placement"}}
@@ -207,91 +208,41 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 			vs = append(vs, Violation{rule, node, fmt.Sprintf(format, args...)})
 		}
 	}
-	nSegs := len(s.Segments)
-	if len(p.SegmentCores) != nSegs || len(p.SegmentXBs) != nSegs {
+	if err := p.Validate(); err != nil {
+		re := &mapping.RuleError{Rule: RuleMapCoverage, Node: -1, Msg: err.Error()}
+		errors.As(err, &re)
+		vs = append(vs, Violation{re.Rule, re.Node, re.Msg})
+	}
+	if nSegs := len(s.Segments); len(p.SegmentCores) != nSegs || len(p.SegmentXBs) != nSegs {
 		report(RuleMapCoverage, -1, "placement records %d/%d segments, schedule has %d", len(p.SegmentCores), len(p.SegmentXBs), nSegs)
 	}
-	xbPerCore := a.Core.XBCount()
-	type slot struct{ seg, round, xb int }
-	seen := map[slot]int{}
-	// What the tiles themselves touch per segment: highest core + 1, and
-	// distinct crossbars (every crossbar a segment uses is used in round 0).
-	tileCores, tileXBs := make([]int, nSegs), make([]int, nSegs)
-	tiled := map[int]bool{} // nodes with at least one tile; tiles arrive node by node
-	i, lastNode := -1, -1
-	for t := range p.Tiles() {
-		i++
-		n, err := g.Node(t.Node)
-		if err != nil || !n.Op.CIMSupported() {
-			report(RuleMapCoverage, t.Node, "tile %d references a non-CIM or unknown node", i)
+	// Coverage: every CIM node holds one extent, in its scheduled segment.
+	segOf, placed := map[int]int{}, map[int]int{}
+	for segIdx, seg := range s.Segments {
+		for _, id := range seg {
+			segOf[id] = segIdx
+		}
+	}
+	for _, e := range p.Extents {
+		if n, err := g.Node(e.Node); err != nil || !n.Op.CIMSupported() {
+			report(RuleMapCoverage, e.Node, "extent of a non-CIM or unknown node")
 			continue
 		}
-		if t.Node != lastNode {
-			tiled[t.Node], lastNode = true, t.Node
-		}
-		if t.Segment < 0 || t.Segment >= nSegs {
-			report(RuleMapCoverage, t.Node, "tile %d in segment %d of %d", i, t.Segment, nSegs)
-		} else if want := s.SegmentOf(t.Node); want != t.Segment {
-			report(RuleMapCoverage, t.Node, "tile %d placed in segment %d but the node is scheduled in %d", i, t.Segment, want)
-		}
-		if t.Core < 0 || t.Core >= a.Chip.CoreCount() {
-			report(RuleMapGrid, t.Node, "tile %d on core %d outside the %d-core chip", i, t.Core, a.Chip.CoreCount())
-		}
-		if t.XB < 0 || t.XB >= a.TotalCrossbars() {
-			report(RuleMapGrid, t.Node, "tile %d on crossbar %d outside the chip's %d crossbars", i, t.XB, a.TotalCrossbars())
-		} else if t.XB/xbPerCore != t.Core {
-			report(RuleMapGrid, t.Node, "tile %d crossbar %d does not belong to core %d", i, t.XB, t.Core)
-		}
-		if t.RowStart < 0 || t.Rows <= 0 || t.RowStart+t.Rows > a.XB.Rows {
-			report(RuleMapTileBounds, t.Node, "tile %d wordlines [%d,%d) exceed crossbar height %d", i, t.RowStart, t.RowStart+t.Rows, a.XB.Rows)
-		}
-		if t.CellCols <= 0 || t.CellCols > a.XB.Cols {
-			report(RuleMapTileBounds, t.Node, "tile %d holds %d cell columns, crossbar width %d", i, t.CellCols, a.XB.Cols)
-		}
-		f, ok := fps[t.Node]
-		if !ok {
-			report(RuleMapCoverage, t.Node, "tile %d references a node without a footprint", i)
-			continue
-		}
-		if t.CellRowOff < 0 || t.CellRowOff+t.Rows > f.Rows {
-			report(RuleMapTileBounds, t.Node, "tile %d cell rows [%d,%d) exceed the %d-row cell matrix", i, t.CellRowOff, t.CellRowOff+t.Rows, f.Rows)
-		}
-		if t.CellColOff < 0 || t.CellColOff+t.CellCols > f.CellCols {
-			report(RuleMapTileBounds, t.Node, "tile %d cell cols [%d,%d) exceed the %d-col cell matrix", i, t.CellColOff, t.CellColOff+t.CellCols, f.CellCols)
-		}
-		k := slot{t.Segment, t.Round, t.XB}
-		if prev, dup := seen[k]; dup {
-			report(RuleMapOverlap, t.Node, "tiles %d and %d both claim crossbar %d in segment %d round %d", prev, i, t.XB, t.Segment, t.Round)
-		} else {
-			seen[k] = i
-			if t.Segment >= 0 && t.Segment < nSegs {
-				tileCores[t.Segment] = max(tileCores[t.Segment], t.Core+1)
-				if t.Round == 0 {
-					tileXBs[t.Segment]++
-				}
-			}
+		placed[e.Node]++
+		if seg, ok := segOf[e.Node]; !ok || seg != e.Segment {
+			report(RuleMapCoverage, e.Node, "placed in segment %d, not in the one the schedule gives it", e.Segment)
 		}
 	}
 	for _, id := range g.CIMNodeIDs() {
-		if !tiled[id] {
-			report(RuleMapCoverage, id, "CIM node has no tiles")
-		}
-		if e, ok := p.ExtentOf(id); !ok {
-			report(RuleMapCoverage, id, "CIM node has no core range")
-		} else if first, last := e.FirstCore, e.FirstCore+e.Cores-1; first < 0 || last < first || last >= a.Chip.CoreCount() {
-			report(RuleMapGrid, id, "core range [%d,%d] outside the %d-core chip", first, last, a.Chip.CoreCount())
+		if placed[id] != 1 {
+			report(RuleMapCoverage, id, "CIM node holds %d extents, want 1", placed[id])
 		}
 	}
 	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		report(RuleMapPlanDrift, -1, "schedule was placed but the placement calculus rejects it: %v", err)
-		return vs
-	}
-	if !slices.Equal(p.SegmentCores, cores) || !slices.Equal(p.SegmentXBs, xbs) {
+	} else if !slices.Equal(p.SegmentCores, cores) || !slices.Equal(p.SegmentXBs, xbs) {
 		report(RuleMapPlanDrift, -1, "placement records cores %v / crossbars %v per segment, the schedule occupies %v / %v", p.SegmentCores, p.SegmentXBs, cores, xbs)
-	}
-	if !slices.Equal(tileCores, cores) || !slices.Equal(tileXBs, xbs) {
-		report(RuleMapPlanDrift, -1, "tiles reach cores %v / crossbars %v per segment, the schedule occupies %v / %v", tileCores, tileXBs, cores, xbs)
 	}
 	return vs
 }

@@ -1,0 +1,32 @@
+package mapping
+
+import (
+	"iter"
+	"maps"
+	"slices"
+)
+
+// Tiles derives every tile of the placement, extent by extent in TilesOf
+// order: the tile-level view the tests hold the extent check against.
+func (p *Placement) Tiles() iter.Seq[Tile] {
+	return func(yield func(Tile) bool) {
+		for _, e := range p.Extents {
+			if !e.tiles(p.Arch, p.fps[e.Node], yield) {
+				return
+			}
+		}
+	}
+}
+
+// Corruptible returns a deep copy of p and the private copy of its
+// footprints the copy was packed from, for tests to corrupt field by field.
+func (p *Placement) Corruptible() (*Placement, map[int]Footprint) {
+	fps := maps.Clone(p.fps)
+	return &Placement{
+		Arch:         p.Arch,
+		Extents:      slices.Clone(p.Extents),
+		SegmentCores: slices.Clone(p.SegmentCores),
+		SegmentXBs:   slices.Clone(p.SegmentXBs),
+		fps:          fps,
+	}, fps
+}

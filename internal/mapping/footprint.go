@@ -9,8 +9,9 @@
 // segments. Asking what a schedule occupies (SegmentCores, Occupancy) and
 // placing it (Place, placement.go) are the same fold, the latter keeping
 // every node's Extent. A Placement is those extents: no Tile is stored, and
-// TilesOf / Tiles derive them from an extent and its footprint for the
-// readers that want tiles (codegen, the verifier).
+// TilesOf derives them from an extent and its footprint for codegen, the one
+// reader that wants tiles. Placement.Validate checks a placement from its
+// extents alone.
 package mapping
 
 import (

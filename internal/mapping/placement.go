@@ -3,7 +3,6 @@ package mapping
 import (
 	"context"
 	"fmt"
-	"iter"
 	"slices"
 
 	"cimmlc/internal/arch"
@@ -37,8 +36,8 @@ type Tile struct {
 // Placement assigns every operator copy's tiles to physical crossbars, one
 // graph segment at a time (segments execute sequentially and reuse cores).
 // It is its extents: every tile follows from a node's Extent and Footprint
-// by arithmetic, so tiles are derived when asked for (TilesOf, Tiles) and
-// never stored.
+// by arithmetic, so tiles are derived when asked for (TilesOf) and never
+// stored.
 type Placement struct {
 	Arch *arch.Arch
 	// Extents holds one entry per placed CIM node, in placement order:
@@ -101,18 +100,6 @@ func (p *Placement) TilesOf(node int) []Tile {
 	return out
 }
 
-// Tiles derives every tile of the placement, extent by extent in TilesOf
-// order.
-func (p *Placement) Tiles() iter.Seq[Tile] {
-	return func(yield func(Tile) bool) {
-		for _, e := range p.Extents {
-			if !e.tiles(p.Arch, p.fps[e.Node], yield) {
-				return
-			}
-		}
-	}
-}
-
 // tiles yields the extent's tiles: copy c starts at slot c·Stride and its
 // tiles take consecutive slots in (tileR, sub, tileC) order. It reports
 // whether yield asked for more.
@@ -150,59 +137,99 @@ func (e Extent) tiles(a *arch.Arch, f Footprint, yield func(Tile) bool) bool {
 	return true
 }
 
-// Validate checks the placement at the cost of its extents: each extent
-// inside the chip and consistent with the packing rules, the extents of a
-// segment on consecutive disjoint core ranges, and every row stripe and
-// column tile of each footprint inside a crossbar and the node's cell matrix.
-// Every per-tile property — grid and crossbar bounds, cell region inside the
+// Rule names of the placement checks. These are stable identifiers:
+// Validate reports under them, irverify reports its schedule-relative checks
+// under them too, and tests and `cimmlc vet` match on them.
+const (
+	RuleGrid       = "map/grid"        // an extent outside the chip, or not where packNode starts it
+	RuleTileBounds = "map/tile-bounds" // a tile outside its crossbar or its node's cell matrix
+	RuleOverlap    = "map/overlap"     // two tiles that could claim one crossbar in one round
+	RuleCoverage   = "map/coverage"    // a node placed without footprint, segment or copy
+	RulePlanDrift  = "map/plan-drift"  // recorded occupancy other than what the extents yield
+)
+
+// RuleError is a placement check's finding, under its rule.
+type RuleError struct {
+	Rule string
+	Node int // graph node ID, or -1 when not node-specific
+	Msg  string
+}
+
+func (e *RuleError) Error() string { return "mapping: " + e.Msg }
+
+func ruleErr(rule string, node int, format string, args ...any) *RuleError {
+	return &RuleError{Rule: rule, Node: node, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Validate is the placement check, at the cost of its extents: each extent
+// inside the chip and where packNode starts it, the extents of a segment on
+// consecutive disjoint core ranges, copies on disjoint slots that wrap into
+// rounds only undivided and fill exactly the extent's own cores, every row
+// stripe and column tile of each footprint inside a crossbar and the node's
+// cell matrix, and the recorded per-segment totals the extents' sums. Every
+// per-tile property — grid and crossbar bounds, cell region inside the
 // matrix, no crossbar claimed twice in a (segment, round) — is an arithmetic
-// consequence (see DESIGN §2); irverify.VerifyPlacement checks those over the
-// derived tiles themselves.
+// consequence (see DESIGN §2), so no tile is derived. A failure is a
+// *RuleError.
 func (p *Placement) Validate() error {
 	a := p.Arch
 	xbPerCore := a.Core.XBCount()
 	cores, xbs := make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores))
 	for _, e := range p.Extents {
 		if e.Segment < 0 || e.Segment >= len(cores) {
-			return fmt.Errorf("mapping: node %d in segment %d of %d", e.Node, e.Segment, len(cores))
+			return ruleErr(RuleCoverage, e.Node, "node %d in segment %d of %d", e.Node, e.Segment, len(cores))
 		}
 		f, ok := p.fps[e.Node]
-		if !ok {
-			return fmt.Errorf("mapping: node %d placed without footprint", e.Node)
+		if !ok || f.Node != e.Node {
+			return ruleErr(RuleCoverage, e.Node, "node %d placed without its footprint", e.Node)
 		}
 		if err := f.validate(a); err != nil {
 			return err
 		}
+		if e.Dup < 1 {
+			return ruleErr(RuleCoverage, e.Node, "node %d placed with %d copies", e.Node, e.Dup)
+		}
+		if e.Remap != f.clampRemap(e.Remap) {
+			return ruleErr(RuleTileBounds, e.Node, "node %d remapped by %d, want a factor in [1,%d]", e.Node, e.Remap, f.RowGroups)
+		}
 		// Each extent starts where its segment's previous one ended, from
 		// core 0: no two extents of a segment share a core.
-		if e.FirstCore != cores[e.Segment] || e.Cores < 1 || e.FirstCore+e.Cores > a.Chip.CoreCount() {
-			return fmt.Errorf("mapping: node %d on cores [%d,%d) of %d, segment %d is packed up to core %d", e.Node, e.FirstCore, e.FirstCore+e.Cores, a.Chip.CoreCount(), e.Segment, cores[e.Segment])
+		if e.FirstCore != cores[e.Segment] {
+			return ruleErr(RuleOverlap, e.Node, "node %d starts at core %d, segment %d is packed up to core %d", e.Node, e.FirstCore, e.Segment, cores[e.Segment])
+		}
+		if e.Cores < 1 || e.FirstCore+e.Cores > a.Chip.CoreCount() {
+			return ruleErr(RuleGrid, e.Node, "node %d on cores [%d,%d) of %d", e.Node, e.FirstCore, e.FirstCore+e.Cores, a.Chip.CoreCount())
 		}
 		if e.FirstXB != e.FirstCore*xbPerCore || e.Window != a.TotalCrossbars()-e.FirstXB {
-			return fmt.Errorf("mapping: node %d starts at crossbar %d with a window of %d, not at core %d's crossbar %d of %d", e.Node, e.FirstXB, e.Window, e.FirstCore, e.FirstCore*xbPerCore, a.TotalCrossbars())
-		}
-		if e.Dup < 1 || e.Remap != f.clampRemap(e.Remap) {
-			return fmt.Errorf("mapping: node %d has dup %d / remap %d, want dup ≥ 1 and remap in [1,%d]", e.Node, e.Dup, e.Remap, f.RowGroups)
+			return ruleErr(RuleGrid, e.Node, "node %d starts at crossbar %d with a window of %d, not at core %d's crossbar %d of %d", e.Node, e.FirstXB, e.Window, e.FirstCore, e.FirstCore*xbPerCore, a.TotalCrossbars())
 		}
 		// Copies on disjoint slots: slot is injective in the running index,
 		// so no two tiles of the extent share a (round, crossbar).
 		tiles := f.CopyTiles(a, e.Remap)
 		if e.Stride < tiles {
-			return fmt.Errorf("mapping: node %d copies are %d slots apart but hold %d tiles", e.Node, e.Stride, tiles)
+			return ruleErr(RuleOverlap, e.Node, "node %d copies are %d slots apart but hold %d tiles", e.Node, e.Stride, tiles)
 		}
 		slots := (e.Dup-1)*e.Stride + tiles
 		if slots > e.Window && (e.Dup > 1 || e.Remap > 1) {
-			return fmt.Errorf("mapping: node %d with dup %d remap %d wraps %d slots over a window of %d; only an undivided operator takes rounds", e.Node, e.Dup, e.Remap, slots, e.Window)
+			return ruleErr(RuleOverlap, e.Node, "node %d with dup %d remap %d wraps %d slots over a window of %d; only an undivided operator takes rounds", e.Node, e.Dup, e.Remap, slots, e.Window)
 		}
-		// Every slot of a round lands inside the extent's own cores.
-		if min(slots, e.Window) > e.Cores*xbPerCore || e.XBs != min(e.Dup*tiles, e.Window) {
-			return fmt.Errorf("mapping: node %d occupies %d slots / %d crossbars per round, its %d cores hold %d", e.Node, min(slots, e.Window), e.XBs, e.Cores, e.Cores*xbPerCore)
+		// A round's slots fill the extent's cores up to its last one: none
+		// spills onto the next extent's cores, none is left empty.
+		if want := ceilDiv(min(slots, e.Window), xbPerCore); e.Cores != want {
+			rule := RulePlanDrift
+			if want > e.Cores {
+				rule = RuleOverlap
+			}
+			return ruleErr(rule, e.Node, "node %d occupies %d slots per round, which fill %d cores, not its %d", e.Node, min(slots, e.Window), want, e.Cores)
+		}
+		if want := min(e.Dup*tiles, e.Window); e.XBs != want {
+			return ruleErr(RulePlanDrift, e.Node, "node %d records %d crossbars, its slots take %d", e.Node, e.XBs, want)
 		}
 		cores[e.Segment] += e.Cores
 		xbs[e.Segment] += e.XBs
 	}
 	if !slices.Equal(cores, p.SegmentCores) || !slices.Equal(xbs, p.SegmentXBs) {
-		return fmt.Errorf("mapping: extents span cores %v / crossbars %v per segment, placement records %v / %v", cores, xbs, p.SegmentCores, p.SegmentXBs)
+		return ruleErr(RulePlanDrift, -1, "extents span cores %v / crossbars %v per segment, placement records %v / %v", cores, xbs, p.SegmentCores, p.SegmentXBs)
 	}
 	return nil
 }
@@ -212,16 +239,16 @@ func (p *Placement) Validate() error {
 // non-empty, no larger than the crossbar, and ending within Rows / CellCols.
 func (f Footprint) validate(a *arch.Arch) error {
 	if f.TilesR < 1 || f.TilesC < 1 {
-		return fmt.Errorf("mapping: node %d tiles %d×%d", f.Node, f.TilesR, f.TilesC)
+		return ruleErr(RuleTileBounds, f.Node, "node %d tiles %d×%d", f.Node, f.TilesR, f.TilesC)
 	}
 	for tr := 0; tr < f.TilesR; tr++ {
 		if rows := f.TileRows(tr, a); rows <= 0 || rows > a.XB.Rows || tr*a.XB.Rows+rows > f.Rows {
-			return fmt.Errorf("mapping: node %d row stripe %d holds rows [%d,%d) of a %d-row matrix, crossbar height %d", f.Node, tr, tr*a.XB.Rows, tr*a.XB.Rows+rows, f.Rows, a.XB.Rows)
+			return ruleErr(RuleTileBounds, f.Node, "node %d row stripe %d holds rows [%d,%d) of a %d-row matrix, crossbar height %d", f.Node, tr, tr*a.XB.Rows, tr*a.XB.Rows+rows, f.Rows, a.XB.Rows)
 		}
 	}
 	for tc := 0; tc < f.TilesC; tc++ {
 		if cols := f.TileCellCols(tc); cols <= 0 || cols > a.XB.Cols || tc*f.UsableCols+cols > f.CellCols {
-			return fmt.Errorf("mapping: node %d column tile %d holds cell columns [%d,%d) of a %d-column matrix, crossbar width %d", f.Node, tc, tc*f.UsableCols, tc*f.UsableCols+cols, f.CellCols, a.XB.Cols)
+			return ruleErr(RuleTileBounds, f.Node, "node %d column tile %d holds cell columns [%d,%d) of a %d-column matrix, crossbar width %d", f.Node, tc, tc*f.UsableCols, tc*f.UsableCols+cols, f.CellCols, a.XB.Cols)
 		}
 	}
 	return nil

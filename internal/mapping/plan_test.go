@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"strings"
@@ -206,8 +207,8 @@ func TestCopyTilesBounds(t *testing.T) {
 
 // TestValidateRejectsCorruptExtents seeds the corruptions the extent-level
 // check exists for. Each would put derived tiles outside the grid, on a
-// shared crossbar or outside the cell matrix; Validate must name each from
-// the extents alone, without deriving a tile.
+// shared crossbar or outside the cell matrix; Validate must name each, under
+// its map/* rule, from the extents alone, without deriving a tile.
 func TestValidateRejectsCorruptExtents(t *testing.T) {
 	a, err := arch.Preset("puma")
 	if err != nil {
@@ -230,49 +231,51 @@ func TestValidateRejectsCorruptExtents(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt func(p *Placement)
+		rule    string
 		want    string
 	}{
 		{"extent past the last core", func(p *Placement) {
 			last := &p.Extents[len(p.Extents)-1]
 			last.Cores = a.Chip.CoreCount() - last.FirstCore + 1
-		}, "on cores"},
+		}, RuleGrid, "on cores"},
 		{"two extents sharing a core", func(p *Placement) {
 			p.Extents[1].FirstCore = p.Extents[0].FirstCore + p.Extents[0].Cores - 1
-		}, "is packed up to core"},
+		}, RuleOverlap, "is packed up to core"},
 		{"start crossbar off its core", func(p *Placement) {
 			p.Extents[1].FirstXB--
-		}, "starts at crossbar"},
+		}, RuleGrid, "starts at crossbar"},
 		{"divided multi-round extent", func(p *Placement) {
 			p.Extents[0].Stride = p.Extents[0].Window // copies 1 and 2 wrap into rounds 1 and 2
-		}, "only an undivided operator takes rounds"},
+		}, RuleOverlap, "only an undivided operator takes rounds"},
 		{"stride below the copy's tiles", func(p *Placement) {
 			p.Extents[0].Stride = fps[cim[0]].CopyTiles(a, 1) - 1
-		}, "slots apart but hold"},
+		}, RuleOverlap, "slots apart but hold"},
 		{"slots beyond the extent's cores", func(p *Placement) {
 			e := &p.Extents[0]
 			e.Stride = e.Cores * a.Core.XBCount() // copy 1 starts where the next node's cores do
-		}, "cores hold"},
+		}, RuleOverlap, "which fill"},
 		{"last row stripe overruns the matrix", func(p *Placement) {
 			f := p.fps[cim[0]]
 			f.TilesR++
 			p.fps[cim[0]] = f
-		}, "row stripe"},
+		}, RuleTileBounds, "row stripe"},
 		{"column tile wider than the crossbar", func(p *Placement) {
 			f := p.fps[cim[0]]
 			f.UsableCols = a.XB.Cols + 1
 			f.CellCols = f.UsableCols * f.TilesC
 			p.fps[cim[0]] = f
-		}, "column tile"},
+		}, RuleTileBounds, "column tile"},
 		{"segment total drifts", func(p *Placement) {
 			p.SegmentXBs[0]++
-		}, "per segment"},
+		}, RulePlanDrift, "per segment"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := place(t)
 			tc.corrupt(p)
 			err := p.Validate()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate() = %v, want an error naming %q", err, tc.want)
+			var re *RuleError
+			if !errors.As(err, &re) || re.Rule != tc.rule || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want a %s error naming %q", err, tc.rule, tc.want)
 			}
 		})
 	}

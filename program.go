@@ -15,7 +15,6 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/hostexec"
 	"cimmlc/internal/partition"
-	"cimmlc/internal/perfsim"
 	"cimmlc/internal/tensor"
 )
 
@@ -121,13 +120,11 @@ type PartitionStats struct {
 	Subgraphs int `json:"subgraphs"`
 	CIMNodes  int `json:"cim_nodes"`
 	HostNodes int `json:"host_nodes"`
-	// Link names, for display only, the tiers the cut edges cross: "host",
-	// "chip", or "host+chip" for a plan cut both ways (Program.Chips is the
-	// chip count). Transfers counts the cut edges; TransferElems their total
-	// tensor element volume per request.
-	Link          string `json:"link"`
-	Transfers     int    `json:"transfers"`
-	TransferElems int64  `json:"transfer_elems"`
+	// Transfers counts the cut edges; TransferElems their total tensor
+	// element volume per request. Each edge names the tier it crosses in the
+	// plan (PartitionInfo.Plan.Transfers); Program.Chips is the chip count.
+	Transfers     int   `json:"transfers"`
+	TransferElems int64 `json:"transfer_elems"`
 	// CIMCycles, HostCycles and TransferCycles decompose the aggregate
 	// modelled latency (Result.Report.Cycles).
 	CIMCycles      float64 `json:"cim_cycles"`
@@ -385,20 +382,6 @@ func partitionStats(info *PartitionInfo) *PartitionStats {
 		CIMCycles:      info.CIMCycles,
 		HostCycles:     info.HostCycles,
 		TransferCycles: info.TransferCycles,
-	}
-	onChip := 0
-	for _, t := range info.Plan.Transfers {
-		if t.Link == perfsim.ChipLink {
-			onChip++
-		}
-	}
-	switch {
-	case onChip == 0:
-		ps.Link = string(perfsim.HostLink)
-	case onChip == len(info.Plan.Transfers):
-		ps.Link = string(perfsim.ChipLink)
-	default:
-		ps.Link = "host+chip"
 	}
 	for _, sr := range info.Subs {
 		cores := 0

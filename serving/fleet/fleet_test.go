@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"cimmlc"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/perfsim"
 	"cimmlc/serving"
 )
 
@@ -475,10 +478,10 @@ func TestFleetPipelinesWhateverTheRegistry(t *testing.T) {
 	for _, tc := range []struct {
 		name, model string
 		opts        []serving.RegistryOption
-		link        string
+		links       []perfsim.Link // the tiers the cut edges cross
 	}{
-		{"as-cimserve", "mlp", []serving.RegistryOption{serving.WithHostFallback()}, "chip"},
-		{"host-and-chip", "mlp-gated", []serving.RegistryOption{serving.WithHostFallback(), gated}, "host+chip"},
+		{"as-cimserve", "mlp", []serving.RegistryOption{serving.WithHostFallback()}, []perfsim.Link{perfsim.ChipLink}},
+		{"host-and-chip", "mlp-gated", []serving.RegistryOption{serving.WithHostFallback(), gated}, []perfsim.Link{perfsim.ChipLink, perfsim.HostLink}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := smallChipRegistryWith(t, tc.opts...)
@@ -495,9 +498,13 @@ func TestFleetPipelinesWhateverTheRegistry(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			ps := f.prog.Stats().Partition
-			if st := f.State(); f.Mode() != "pipeline" || st.Stages != 2 || ps == nil || ps.Link != tc.link {
-				t.Fatalf("fleet mode=%s stages=%d partition=%+v, want pipeline over 2 chips cut on the %s link", f.Mode(), st.Stages, ps, tc.link)
+			crossed := map[perfsim.Link]bool{}
+			for _, x := range f.prog.Result().Partition.Plan.Transfers {
+				crossed[x.Link] = true
+			}
+			links := slices.Sorted(maps.Keys(crossed))
+			if st := f.State(); f.Mode() != "pipeline" || st.Stages != 2 || f.prog.Chips() != 2 || !slices.Equal(links, tc.links) {
+				t.Fatalf("fleet mode=%s stages=%d chips=%d cut on the %v links, want pipeline over 2 chips cut on %v", f.Mode(), st.Stages, f.prog.Chips(), links, tc.links)
 			}
 			const n = 8
 			outs := doAll(t, f, n, mlpInput)
