@@ -663,8 +663,7 @@ func (r requant) level(v int64) int64 {
 	if r.relu && f < 0 {
 		f = 0
 	}
-	q := int32(math.RoundToEven(float64(f / r.scale)))
-	return int64(max(min(q, r.maxQ), -r.maxQ))
+	return int64(tensor.Level(f, r.scale, r.maxQ))
 }
 
 // compileDcomLevels specializes ReLU and MaxPool, which pick one input level

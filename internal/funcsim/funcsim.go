@@ -159,8 +159,12 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		img.baseProg[i].Node = -1
 	}
 	for _, n := range g.Nodes {
-		q := tensor.CalibrateQuant(ref[n.ID], a.ActBits)
-		img.actScale[n.ID] = q
+		// An overflowed activation has no scale: NaN would calibrate like
+		// zeros and ±Inf to a scale no quantizer accepts.
+		if i := tensor.FirstNonFinite(ref[n.ID]); i >= 0 {
+			return nil, fmt.Errorf("funcsim: calibration: node %d (%s) element %d is %v", n.ID, n.Name, i, ref[n.ID].Data()[i])
+		}
+		img.actScale[n.ID] = tensor.CalibrateQuant(ref[n.ID], a.ActBits)
 	}
 	// Sorted so that when several weights are invalid, the reported error is
 	// always the lowest node ID's, not whichever the map yields first.

@@ -112,11 +112,7 @@ func (n *Node) Kernel(in []*tensor.Tensor, wt *tensor.Tensor) (*tensor.Tensor, e
 			return nil, fmt.Errorf("no weights for dense node %d", n.ID)
 		}
 		if in[0].Rank() == 1 {
-			mt, err := tensor.Transpose2D(wt)
-			if err != nil {
-				return nil, err
-			}
-			return tensor.MatVec(mt, in[0])
+			return tensor.VecMat(in[0], wt)
 		}
 		return tensor.MatMul(in[0], wt)
 	case OpMatMul:

@@ -33,23 +33,25 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	return c, nil
 }
 
-// MatVec computes y = M·x for M of shape [m,n] and x of shape [n].
-func MatVec(m, x *Tensor) (*Tensor, error) {
-	if m.Rank() != 2 || x.Rank() != 1 {
-		return nil, fmt.Errorf("tensor: MatVec needs [m,n]×[n], got %v and %v", m.shape, x.shape)
+// VecMat computes y = x·W for x of shape [n] and W of shape [n,m]: y[i] is
+// the sum over j ascending, from zero, of W[j][i]·x[j]. That is MatVec of
+// W's transpose, add for add, without the transposed copy: the loop walks
+// W's rows and adds each one's contribution to every output.
+func VecMat(x, w *Tensor) (*Tensor, error) {
+	if x.Rank() != 1 || w.Rank() != 2 {
+		return nil, fmt.Errorf("tensor: VecMat needs [n]×[n,m], got %v and %v", x.shape, w.shape)
 	}
-	rows, cols := m.shape[0], m.shape[1]
-	if cols != x.shape[0] {
-		return nil, fmt.Errorf("tensor: MatVec dimension mismatch %v vs %v", m.shape, x.shape)
+	n, m := w.shape[0], w.shape[1]
+	if x.shape[0] != n {
+		return nil, fmt.Errorf("tensor: VecMat dimension mismatch %v vs %v", x.shape, w.shape)
 	}
-	y := New(rows)
-	for i := 0; i < rows; i++ {
-		sum := float32(0)
-		row := m.data[i*cols : (i+1)*cols]
-		for j := 0; j < cols; j++ {
-			sum += row[j] * x.data[j]
+	y := New(m)
+	for j, xj := range x.data {
+		wrow := w.data[j*m : (j+1)*m]
+		yd := y.data[:len(wrow)]
+		for i, wv := range wrow {
+			yd[i] += wv * xj
 		}
-		y.data[i] = sum
 	}
 	return y, nil
 }
@@ -86,35 +88,63 @@ func Conv2D(in, weights, bias *Tensor, p ConvParams) (*Tensor, error) {
 	if outH <= 0 || outW <= 0 {
 		return nil, fmt.Errorf("tensor: Conv2D produces empty output for input %v kernel [%d,%d] stride %d pad %d", in.shape, kh, kw, p.Stride, p.Padding)
 	}
+	// Each output is summed as bias, then in·w over (ic, ky, kx) ascending
+	// with the taps that fall in the padding skipped: the order of the plain
+	// per-output loop nest. The taps run outermost so that each one is an
+	// axpy over the output rows and columns it reaches, every output still
+	// receiving its adds in that order.
 	out := New(outC, outH, outW)
+	s, pad := p.Stride, p.Padding
 	for oc := 0; oc < outC; oc++ {
-		var b float32
+		plane := out.data[oc*outH*outW : (oc+1)*outH*outW]
 		if bias != nil {
-			b = bias.data[oc]
+			b := bias.data[oc]
+			for i := range plane {
+				plane[i] = b
+			}
 		}
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				sum := b
-				for ic := 0; ic < inC; ic++ {
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*p.Stride + ky - p.Padding
-						if iy < 0 || iy >= h {
+		for ic := 0; ic < inC; ic++ {
+			chans := in.data[ic*h*w : (ic+1)*h*w]
+			for ky := 0; ky < kh; ky++ {
+				oy0, oy1 := tapRange(ky, pad, s, h, outH)
+				for kx := 0; kx < kw; kx++ {
+					ox0, ox1 := tapRange(kx, pad, s, w, outW)
+					if ox0 >= ox1 {
+						continue
+					}
+					wv := weights.data[((oc*inC+ic)*kh+ky)*kw+kx]
+					for oy := oy0; oy < oy1; oy++ {
+						orow := plane[oy*outW+ox0 : oy*outW+ox1]
+						irow := chans[(oy*s+ky-pad)*w+ox0*s+kx-pad:]
+						if s == 1 {
+							irow = irow[:len(orow)]
+							for i, v := range irow {
+								orow[i] += v * wv
+							}
 							continue
 						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*p.Stride + kx - p.Padding
-							if ix < 0 || ix >= w {
-								continue
-							}
-							sum += in.data[(ic*h+iy)*w+ix] * weights.data[((oc*inC+ic)*kh+ky)*kw+kx]
+						for i := range orow {
+							orow[i] += irow[i*s] * wv
 						}
 					}
 				}
-				out.data[(oc*outH+oy)*outW+ox] = sum
 			}
 		}
 	}
 	return out, nil
+}
+
+// tapRange returns the outputs [lo, hi) along one axis whose tap k lands
+// inside an input of size n: those o with 0 <= o·stride + k − pad < n.
+func tapRange(k, pad, stride, n, outN int) (lo, hi int) {
+	if d := pad - k; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	last := n - 1 + pad - k
+	if last < 0 {
+		return 0, 0
+	}
+	return lo, min(outN, last/stride+1)
 }
 
 // Im2Col lowers input [inC,h,w] into the matrix of convolution sliding

@@ -30,26 +30,6 @@ func TestMatMulShapeErrors(t *testing.T) {
 	}
 }
 
-func TestMatVecAgainstMatMul(t *testing.T) {
-	m := New(5, 7)
-	m.Rand(1, 1)
-	x := New(7)
-	x.Rand(2, 1)
-	y, err := MatVec(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xm, _ := x.Reshape(7, 1)
-	ym, err := MatMul(m, xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yv, _ := ym.Reshape(5)
-	if !AllClose(y, yv, 1e-5) {
-		t.Fatal("MatVec disagrees with MatMul")
-	}
-}
-
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := New(1, 3, 3)
 	in.Iota(1)

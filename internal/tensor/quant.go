@@ -33,17 +33,17 @@ func (q QuantParams) Validate() error {
 }
 
 // CalibrateQuant chooses a symmetric scale so the max-abs value of t maps to
-// MaxQ. A zero tensor yields scale 1 to stay well-defined, and the scale never
-// drops below the smallest positive float32: a subnormal max-abs divided by
-// MaxQ would underflow to a zero scale, which no quantizer accepts.
+// MaxQ, ignoring NaN. A zero tensor yields scale 1 to stay well-defined, and
+// the scale never drops below the smallest positive float32: a subnormal
+// max-abs divided by MaxQ would underflow to a zero scale, which no quantizer
+// accepts.
 func CalibrateQuant(t *Tensor, bits int) QuantParams {
+	const sign = 1 << 31
 	maxAbs := float32(0)
 	for _, v := range t.data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
+		// Clearing the sign bit is the magnitude without a branch on the
+		// sign; a NaN fails the comparison and is skipped.
+		if a := math.Float32frombits(math.Float32bits(v) &^ sign); a > maxAbs {
 			maxAbs = a
 		}
 	}
@@ -54,7 +54,9 @@ func CalibrateQuant(t *Tensor, bits int) QuantParams {
 	return q
 }
 
-// Quantize converts t to integers with the given parameters.
+// Quantize converts t to integers with the given parameters. A value beyond
+// the representable range, ±Inf included, saturates to ±MaxQ; a NaN has no
+// level and is an error naming its index.
 func Quantize(t *Tensor, q QuantParams) ([]int32, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -62,16 +64,26 @@ func Quantize(t *Tensor, q QuantParams) ([]int32, error) {
 	maxQ := q.MaxQ()
 	out := make([]int32, len(t.data))
 	for i, v := range t.data {
-		r := int32(math.RoundToEven(float64(v / q.Scale)))
-		if r > maxQ {
-			r = maxQ
+		if v != v {
+			return nil, fmt.Errorf("tensor: quantize: element %d is NaN", i)
 		}
-		if r < -maxQ {
-			r = -maxQ
-		}
-		out[i] = r
+		out[i] = Level(v, q.Scale, maxQ)
 	}
 	return out, nil
+}
+
+// Level quantizes one value that is not NaN: v/scale rounded half to even,
+// saturated to ±maxQ. The saturation happens in float, before the integer
+// conversion, because Go leaves the conversion of an out-of-range float
+// implementation-defined (on amd64 it yields MinInt32, whatever the sign).
+func Level(v, scale float32, maxQ int32) int32 {
+	r := math.RoundToEven(float64(v / scale))
+	if m := float64(maxQ); r > m {
+		return maxQ
+	} else if r < -m {
+		return -maxQ
+	}
+	return int32(r)
 }
 
 // Dequantize converts integer values back to float32 with the given scale,

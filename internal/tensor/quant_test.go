@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,48 @@ func TestQuantizeClamps(t *testing.T) {
 	}
 	if vals[0] != 127 || vals[1] != -127 {
 		t.Fatalf("clamp failed: %v", vals)
+	}
+}
+
+// TestQuantizeSaturatesNonFinite: what the quantizer cannot represent
+// saturates toward its own sign, +Inf and 1e10 to +MaxQ; Go's float-to-int
+// conversion would turn them into MinInt32, which the clamp made −MaxQ. A NaN
+// has no level and is an error naming its index.
+func TestQuantizeSaturatesNonFinite(t *testing.T) {
+	inf := float32(math.Inf(1))
+	q := QuantParams{Bits: 8, Scale: 0.0078}
+	vals, err := Quantize(MustFromSlice([]float32{inf, -inf, 1e10, -1e10, 1, 3e9 * 0.0078}, 6), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{127, -127, 127, -127, 127, 127}
+	for i := range want {
+		if vals[i] != want[i] {
+			t.Fatalf("Quantize = %v, want %v", vals, want)
+		}
+	}
+	_, err = Quantize(MustFromSlice([]float32{inf, -inf, float32(math.NaN()), 1e10, 1}, 5), q)
+	if err == nil || !strings.Contains(err.Error(), "element 2 is NaN") {
+		t.Fatalf("Quantize of a NaN: err %v, want element 2 named", err)
+	}
+}
+
+// TestCalibrateQuantIgnoresNaN: calibration takes the largest magnitude of
+// the non-NaN elements, whatever their signs.
+func TestCalibrateQuantIgnoresNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		data []float32
+		want float32
+	}{
+		{[]float32{nan, -2.54, 1}, 2.54 / 127},
+		{[]float32{1, nan, float32(math.Copysign(0, -1)), -0.5}, 1.0 / 127},
+		{[]float32{nan, nan}, 1},
+		{[]float32{-3, nan, float32(math.Inf(-1))}, float32(math.Inf(1))},
+	} {
+		if q := CalibrateQuant(MustFromSlice(tc.data, len(tc.data)), 8); q.Scale != tc.want {
+			t.Errorf("CalibrateQuant(%v) scale %g, want %g", tc.data, q.Scale, tc.want)
+		}
 	}
 }
 

@@ -163,19 +163,37 @@ func SameShape(a, b *Tensor) bool {
 }
 
 // MaxAbsDiff returns the maximum elementwise absolute difference between two
-// same-shaped tensors.
+// same-shaped tensors. A position that is NaN on exactly one side differs
+// infinitely; one that is NaN on both sides, or the same infinity on both,
+// does not differ.
 func MaxAbsDiff(a, b *Tensor) (float64, error) {
 	if !SameShape(a, b) {
 		return 0, fmt.Errorf("tensor: shape mismatch %v vs %v", a.shape, b.shape)
 	}
 	maxDiff := 0.0
-	for i := range a.data {
-		d := math.Abs(float64(a.data[i]) - float64(b.data[i]))
+	for i, av := range a.data {
+		bv := b.data[i]
+		if (av != av) != (bv != bv) {
+			return math.Inf(1), nil
+		}
+		d := math.Abs(float64(av) - float64(bv))
 		if d > maxDiff {
 			maxDiff = d
 		}
 	}
 	return maxDiff, nil
+}
+
+// FirstNonFinite returns the index of t's first NaN or ±Inf element, or -1
+// when every element is finite.
+func FirstNonFinite(t *Tensor) int {
+	const exp = 0x7f800000 // all exponent bits set: an infinity or a NaN
+	for i, v := range t.data {
+		if math.Float32bits(v)&exp == exp {
+			return i
+		}
+	}
+	return -1
 }
 
 // AllClose reports whether all elements of a and b differ by at most tol.

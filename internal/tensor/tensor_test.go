@@ -119,6 +119,51 @@ func TestMaxAbsDiffAndAllClose(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffNaN: a NaN on one side only is an infinite difference, so
+// no tolerance accepts it; NaN on both sides, or the same infinity on both,
+// is no difference.
+func TestMaxAbsDiffNaN(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		a, b []float32
+		want float64
+	}{
+		{[]float32{nan, 1}, []float32{0, 1}, math.Inf(1)},
+		{[]float32{1, 2}, []float32{1, nan}, math.Inf(1)},
+		{[]float32{nan, 1}, []float32{nan, 1.5}, 0.5},
+		{[]float32{inf, -inf}, []float32{inf, -inf}, 0},
+		{[]float32{inf, 0}, []float32{-inf, 0}, math.Inf(1)},
+	} {
+		d, err := MaxAbsDiff(MustFromSlice(tc.a, 2), MustFromSlice(tc.b, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != tc.want {
+			t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", tc.a, tc.b, d, tc.want)
+		}
+	}
+	if AllClose(MustFromSlice([]float32{nan}, 1), MustFromSlice([]float32{0}, 1), math.MaxFloat64) {
+		t.Error("AllClose accepted a one-sided NaN")
+	}
+}
+
+func TestFirstNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		data []float32
+		want int
+	}{
+		{[]float32{0, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}, -1},
+		{[]float32{1, 2, nan, inf}, 2},
+		{[]float32{-inf, 0, 0, 0}, 0},
+		{[]float32{0, 0, 0, inf}, 3},
+	} {
+		if got := FirstNonFinite(MustFromSlice(tc.data, len(tc.data))); got != tc.want {
+			t.Errorf("FirstNonFinite(%v) = %d, want %d", tc.data, got, tc.want)
+		}
+	}
+}
+
 func TestRandDeterministicAndBounded(t *testing.T) {
 	a := New(1000)
 	b := New(1000)

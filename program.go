@@ -835,6 +835,9 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 		return err
 	}
 	for _, id := range p.outs {
+		if i := tensor.FirstNonFinite(ref[id]); i >= 0 {
+			return fmt.Errorf("cimmlc: Verify: output %d: float reference element %d is %v", id, i, ref[id].Data()[i])
+		}
 		scale := 0.0
 		for _, v := range ref[id].Data() {
 			scale = max(scale, math.Abs(float64(v)))

@@ -3,6 +3,7 @@ package cimmlc
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -307,4 +308,51 @@ func TestProgramLeavesCallerGraphAlone(t *testing.T) {
 			t.Fatalf("Build mutated caller graph node %d", n.ID)
 		}
 	}
+}
+
+// TestVerifyRejectsNonFiniteReference: an input the float reference cannot
+// carry (one +Inf turns mlp's every output NaN) fails Verify, naming the
+// output, rather than passing because no difference against NaN exceeds the
+// tolerance. The program itself still runs: the +Inf saturates to the
+// quantizer's largest level.
+func TestVerifyRejectsNonFiniteReference(t *testing.T) {
+	ctx := context.Background()
+	c, g, w := buildCell(t, "mlp", "puma")
+	p, err := c.Build(ctx, g, w, CodegenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := defaultCalibration(g)
+	for _, x := range in {
+		x.Data()[0] = float32(math.Inf(1))
+	}
+	if _, err := p.Run(ctx, in); err != nil {
+		t.Fatal(err)
+	}
+	err = p.Verify(ctx, in, 1e-3)
+	if err == nil || !strings.Contains(err.Error(), "float reference element") {
+		t.Fatalf("Verify against a NaN reference: %v", err)
+	}
+	t.Log(err)
+}
+
+// TestBuildRejectsOverflowedCalibration: weights that overflow float32 on
+// the calibration set (×1e30 makes mlp's node 3 all NaN) fail Build, naming
+// the node, instead of calibrating NaN like zeros into a program whose every
+// Run returns zeros.
+func TestBuildRejectsOverflowedCalibration(t *testing.T) {
+	c, g, w := buildCell(t, "mlp", "puma")
+	big := Weights{}
+	for id, wt := range w {
+		s := wt.Clone()
+		for i := range s.Data() {
+			s.Data()[i] *= 1e30
+		}
+		big[id] = s
+	}
+	_, err := c.Build(context.Background(), g, big, CodegenOptions{})
+	if err == nil || !strings.Contains(err.Error(), "calibration: node 3") {
+		t.Fatalf("Build on overflowing weights: %v", err)
+	}
+	t.Log(err)
 }
