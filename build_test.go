@@ -143,6 +143,41 @@ func TestCompileFootprint(t *testing.T) {
 	}
 }
 
+// TestCompileHugeGrid: a core budget far beyond what any model can use costs
+// the duplication search nothing. The table's width is capped where its rows
+// stop changing, so lenet5 on a 2^20 × 2^20 grid compiles in well under a
+// megabyte; a table as wide as the budget would be ops × (2^40 + 1) words, an
+// out-of-memory crash no recover can catch.
+func TestCompileHugeGrid(t *testing.T) {
+	g, err := Model("lenet5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Preset("isaac-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = a.Clone()
+	a.Name = "isaac-huge"
+	a.Chip.CoreRows, a.Chip.CoreCols = 1<<20, 1<<20
+	c, err := New(a, WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	resident, alloc := measureHeap(func() {
+		var err error
+		if res, err = c.Compile(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.KeepAlive(res)
+	t.Logf("lenet5 on %d cores: Result keeps %.3f MB, Compile allocated %.3f MB", a.Chip.CoreCount(), resident, alloc)
+	if resident > 1 || alloc > 1 {
+		t.Errorf("Compile on a 2^20 × 2^20 grid kept %.3f MB and allocated %.3f MB, want ≤ 1 each", resident, alloc)
+	}
+}
+
 // BenchmarkBuild is Compiler.Build on the benchmark's six exec-* cells: with
 // -benchmem it reports the bytes and allocations of one Build, resident_MB is
 // what the Program keeps afterwards, and xbs / distinct_xbs are the crossbars

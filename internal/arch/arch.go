@@ -10,6 +10,7 @@ package arch
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -187,13 +188,53 @@ func (a *Arch) Validate() error {
 	if a.Chip.CoreNoCCost < 0 || a.Core.XBNoCCost < 0 {
 		return fmt.Errorf("arch %q: NoC costs must be non-negative", a.Name)
 	}
+	return a.validateSizes()
+}
+
+// validateSizes checks that the derived sizes — CoreCount, XBCount,
+// TotalCrossbars and WeightCapacity — are representable, and that the chip
+// holds at least one weight. Every field is positive by then, so an
+// overflowing product is the only way a size can wrap to zero or a negative
+// count, which the passes downstream would divide by or allocate.
+func (a *Arch) validateSizes() error {
+	cores, ok := product(int64(a.Chip.CoreRows), int64(a.Chip.CoreCols), math.MaxInt)
+	if !ok {
+		return fmt.Errorf("arch %q: core grid %dx%d overflows the core count", a.Name, a.Chip.CoreRows, a.Chip.CoreCols)
+	}
+	xbs, ok := product(int64(a.Core.XBRows), int64(a.Core.XBCols), math.MaxInt)
+	if !ok {
+		return fmt.Errorf("arch %q: crossbar grid %dx%d overflows the crossbars per core", a.Name, a.Core.XBRows, a.Core.XBCols)
+	}
+	total, ok := product(cores, xbs, math.MaxInt)
+	if !ok {
+		return fmt.Errorf("arch %q: %d cores of %d crossbars overflow the chip's crossbar count", a.Name, cores, xbs)
+	}
+	cells, ok := product(int64(a.XB.Rows), int64(a.XB.Cols), math.MaxInt64)
+	if !ok {
+		return fmt.Errorf("arch %q: crossbar size %dx%d overflows the cells per crossbar", a.Name, a.XB.Rows, a.XB.Cols)
+	}
+	if _, ok := product(cells, total, math.MaxInt64); !ok {
+		return fmt.Errorf("arch %q: %d crossbars of %d cells overflow the weight capacity", a.Name, total, cells)
+	}
+	if a.WeightCapacity() < 1 {
+		return fmt.Errorf("arch %q: weight_bits %d need %d cells per weight, more than the chip's %d crossbars of %d cells",
+			a.Name, a.WeightBits, a.CellsPerWeight(), total, cells)
+	}
 	return nil
+}
+
+// product returns a·b for positive a and b, and whether it is at most limit.
+func product(a, b, limit int64) (int64, bool) {
+	if b > limit/a {
+		return 0, false
+	}
+	return a * b, true
 }
 
 // CellsPerWeight returns how many cells one weight element occupies,
 // ceil(WeightBits / CellBits) — the bit-slicing factor of Figure 7.
 func (a *Arch) CellsPerWeight() int {
-	return (a.WeightBits + a.XB.CellBits - 1) / a.XB.CellBits
+	return (a.WeightBits-1)/a.XB.CellBits + 1
 }
 
 // DACPhases returns how many bit-serial input phases one activation needs,

@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +133,36 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		mut(a)
 		if err := a.Validate(); err == nil {
 			t.Errorf("mutation %d not caught by Validate", i)
+		}
+	}
+}
+
+// TestValidateRejectsOverflowingSizes: a description whose every field is
+// positive but whose derived sizes overflow is refused, naming the size, and
+// not a size short of overflow. The first two grids used to pass Validate and
+// then divide by a zero core count, or report a negative one, in Compile.
+func TestValidateRejectsOverflowingSizes(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Arch)
+		want   string // "" for accepted
+	}{
+		{func(a *Arch) { a.Chip.CoreRows, a.Chip.CoreCols = 1<<32, 1<<32 }, "overflows the core count"},
+		{func(a *Arch) { a.Chip.CoreRows, a.Chip.CoreCols = 3_037_000_500, 3_037_000_500 }, "overflows the core count"},
+		{func(a *Arch) { a.Core.XBRows, a.Core.XBCols = 1<<40, 1<<40 }, "overflows the crossbars per core"},
+		{func(a *Arch) { a.Chip.CoreRows, a.Core.XBRows = 1<<31, 1<<31 }, "overflow the chip's crossbar count"},
+		{func(a *Arch) { a.XB.Rows, a.XB.Cols = 1<<32, 1<<32 }, "overflows the cells per crossbar"},
+		{func(a *Arch) { a.Chip.CoreRows, a.Chip.CoreCols = 1<<20, 1<<20 }, ""},
+		{func(a *Arch) { a.Chip.CoreRows, a.Chip.CoreCols = 1<<25, 1<<25 }, "overflow the weight capacity"},
+		{func(a *Arch) { a.WeightBits = math.MaxInt }, "cells per weight"},
+	} {
+		a := ISAACBaseline()
+		tc.mutate(a)
+		err := a.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want accepted", a, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one naming %q", a, err, tc.want)
 		}
 	}
 }

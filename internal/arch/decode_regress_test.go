@@ -59,6 +59,9 @@ func FuzzDecodeArch(f *testing.F) {
 	f.Add(badArchJSON(func(s string) string { return s }))
 	f.Add(badArchJSON(func(s string) string { return strings.Replace(s, `"Mesh"`, `"Torus"`, 1) }))
 	f.Add(badArchJSON(func(s string) string { return strings.Replace(s, `"ReRAM"`, `"FeFET"`, 1) }))
+	f.Add(badArchJSON(func(s string) string {
+		return strings.Replace(s, `"core_rows": 2, "core_cols": 2`, `"core_rows": 4294967296, "core_cols": 4294967296`, 1)
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)
 		if err != nil {
@@ -68,6 +71,10 @@ func FuzzDecodeArch(f *testing.F) {
 		_ = a.XB.Device.Profile()
 		_ = a.CoreTransferCycles(0, a.Chip.CoreCount()-1, 1024)
 		_ = a.XBTransferCycles(0, a.Core.XBCount()-1, 1024)
-		_ = a.WeightCapacity()
+		// Every derived size is positive: none overflowed past Validate.
+		if a.Chip.CoreCount() < 1 || a.Core.XBCount() < 1 || a.TotalCrossbars() < 1 || a.WeightCapacity() < 1 {
+			t.Fatalf("accepted %s: %d cores, %d crossbars per core, %d crossbars, weight capacity %d",
+				a, a.Chip.CoreCount(), a.Core.XBCount(), a.TotalCrossbars(), a.WeightCapacity())
+		}
 	})
 }

@@ -8,12 +8,17 @@
 // per operator list, trying per operator only the copy counts that can win
 // (one per distinct ceil(windows/d), see candidates), and a walk-back that
 // reads the allocation of any leading sub-list off it — so the segmenter's
-// pop-and-re-estimate loop prices every head it tries from one table.
+// pop-and-re-estimate loop prices every head it tries from one table, and a
+// segment it keeps takes its duplication from that table too. The table is
+// built candidate-major (each candidate streams over the columns it fits) and
+// stores no column past the point where its rows stop changing, and a search
+// prices its last operator as the one cell the walk-back reads.
 package cg
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 
 	"cimmlc/internal/arch"
@@ -66,7 +71,7 @@ func (oi opInfo) run(d int) float64 {
 
 // Optimize performs CG-grained optimization and returns the schedule
 // (Levels = ["CG"]). The cost model m must be built over (g, a). ctx is
-// polled once per operator row of every duplication search, so a cancelled
+// polled once per operator of every duplication search, so a cancelled
 // compilation stops mid-search.
 func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.Schedule, error) {
 	if opt.Allocator == "" {
@@ -76,7 +81,7 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 	if err != nil {
 		return nil, err
 	}
-	segments, err := segment(ctx, g, a, m, infos, order, opt)
+	segments, dups, err := segment(ctx, g, a, m, infos, order, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -90,14 +95,14 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 		Levels:   []string{"CG"},
 	}
 	if opt.Duplicate {
-		for _, seg := range segments {
-			dup, err := allocate(ctx, segCIMInfos(infos, seg), a.Chip.CoreCount(), opt)
-			if err != nil {
-				return nil, err
+		for i, seg := range segments {
+			dup := dups[i]
+			if dup == nil {
+				if dup, err = allocate(ctx, segCIMInfos(infos, seg), a.Chip.CoreCount(), opt); err != nil {
+					return nil, err
+				}
 			}
-			for id, d := range dup {
-				s.Dup[id] = d
-			}
+			maps.Copy(s.Dup, dup)
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -181,14 +186,28 @@ func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) (map[i
 }
 
 // allocateDP is the paper's dynamic-programming search: the copies per
-// operator that minimize the summed runtime within the core budget.
+// operator that minimize the summed runtime within the core budget. Only the
+// last operator's cell at the full budget is ever read, so the table holds
+// the rows before it and that one cell is priced off the table's last row (a
+// one-operator search builds no row); the rows are walked back from the cores
+// the cell leaves.
 func allocateDP(ctx context.Context, ops []opInfo, budget int) (map[int]int, error) {
-	t, err := newDupTable(ctx, ops, budget)
+	n := len(ops) - 1
+	t, err := newDupTable(ctx, ops[:n], budget)
 	if err != nil {
 		return nil, err
 	}
-	return t.dup(len(ops)), nil
+	if err := ctx.Err(); err != nil {
+		return nil, cancelled(err)
+	}
+	last := ops[n]
+	d := max(1, t.next(last))
+	dup := t.walk(n, max(0, budget-d*last.coresCopy))
+	dup[last.id] = d
+	return dup, nil
 }
+
+func cancelled(err error) error { return fmt.Errorf("cg: cancelled: %w", err) }
 
 // candidate is one copy count worth trying for an operator.
 type candidate struct {
@@ -214,62 +233,114 @@ func (oi opInfo) candidates(budget int, buf []candidate) []candidate {
 	return buf
 }
 
+// inf is the summed runtime of a cell no allocation fits.
+const inf = math.MaxFloat64 / 4
+
 // dupTable is the forward half of the dynamic program over ops and a core
 // budget: row i holds, for every r ≤ budget, how many copies operator i gets
 // in the allocation of ops[:i+1] to at most r cores that minimizes their
 // summed runtime (0: no copy fits). Row i depends on operators 0..i only, so
 // one table answers every leading sub-list of ops (dup).
+//
+// Row i is constant from S_i, the summed cores of the largest candidates of
+// operators 0..i, on: every candidate fits there, and reads the row before at
+// an index ≥ S_(i-1), where that row is constant too. So a row stores the
+// columns up to min(budget, S), S the sum over all rows, and column r is read
+// at min(r, S) (at): a core budget far beyond what the operators can use
+// costs the table nothing.
 type dupTable struct {
 	ops    []opInfo
 	budget int
-	choice []int // row i is choice[i*(budget+1) : (i+1)*(budget+1)]
+	width  int       // stored columns per row, min(budget, S) + 1
+	choice []int     // row i is choice[i*width : (i+1)*width]
+	last   []float64 // the last row's minimal summed runtimes (zeros for no row)
+	// cands holds every row's candidates back to back, row i's at
+	// cands[starts[i]:starts[i+1]], then those of the cell next priced.
+	cands  []candidate
+	starts []int
 }
 
 // tableBuilt, when a test sets it, sees every forward table as it is built;
 // the search-work counts quoted in CHANGES.md are read through it.
 var tableBuilt func(*dupTable)
 
+// newDupTable builds the table candidate-major: a row starts at inf
+// everywhere, and each candidate, in ascending d, streams over the columns it
+// fits. Every cell so sees the candidates a column-by-column scan tries, in
+// its order, through the same float expression and strict <, and holds the
+// value and choice that scan finds. ctx is polled once per row.
 func newDupTable(ctx context.Context, ops []opInfo, budget int) (*dupTable, error) {
-	const inf = math.MaxFloat64 / 4
-	w := budget + 1
-	t := &dupTable{ops: ops, budget: budget, choice: make([]int, len(ops)*w)}
+	t := &dupTable{ops: ops, budget: budget, starts: make([]int, len(ops)+1)}
+	s := 0
+	//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
+	for i, oi := range ops {
+		t.cands = oi.candidates(budget, t.cands)
+		t.starts[i+1] = len(t.cands)
+		if t.starts[i+1] > t.starts[i] {
+			s += t.cands[t.starts[i+1]-1].cores
+		}
+	}
+	w := min(budget, s) + 1
+	t.width = w
+	t.choice = make([]int, len(ops)*w)
 	// prev[r] is the minimal summed runtime of the operators before row i on
 	// at most r cores, cur[r] the same including operator i.
 	prev, cur := make([]float64, w), make([]float64, w)
-	var cands []candidate
-	for i, oi := range ops {
+	for i := range ops {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cg: cancelled: %w", err)
+			return nil, cancelled(err)
 		}
-		cands = oi.candidates(budget, cands[:0])
 		row := t.choice[i*w : (i+1)*w]
 		for r := range cur {
-			best, bestD := inf, 0
-			for _, c := range cands {
-				if c.cores > r {
-					break
-				}
-				if v := prev[r-c.cores] + c.run; v < best {
-					best, bestD = v, c.d
+			cur[r] = inf
+		}
+		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
+			src := prev[:w-c.cores]
+			dst, ch := cur[c.cores:], row[c.cores:]
+			dst, ch = dst[:len(src)], ch[:len(src)]
+			for r, p := range src {
+				if v := p + c.run; v < dst[r] {
+					dst[r], ch[r] = v, c.d
 				}
 			}
-			cur[r], row[r] = best, bestD
 		}
 		prev, cur = cur, prev
 	}
+	t.last = prev
 	if tableBuilt != nil {
 		tableBuilt(t)
 	}
 	return t, nil
 }
 
+// at returns row i's choice at r cores.
+func (t *dupTable) at(i, r int) int {
+	return t.choice[i*t.width+min(r, t.width-1)]
+}
+
+// next returns the copies oi gets at the full budget when it follows the
+// table's operators: the one cell of a row after the last, tried with that
+// row's candidates, float expression and tie rule.
+func (t *dupTable) next(oi opInfo) int {
+	t.cands = oi.candidates(t.budget, t.cands)
+	best, bestD := inf, 0
+	for _, c := range t.cands[t.starts[len(t.ops)]:] {
+		if v := t.last[min(t.budget-c.cores, t.width-1)] + c.run; v < best {
+			best, bestD = v, c.d
+		}
+	}
+	return bestD
+}
+
 // dup walks the choices of the first k operators back from the full budget
 // and returns their duplication — what a fresh search over ops[:k] returns.
-func (t *dupTable) dup(k int) map[int]int {
-	dup := make(map[int]int, k)
-	r := t.budget
+func (t *dupTable) dup(k int) map[int]int { return t.walk(k, t.budget) }
+
+// walk is dup from r cores.
+func (t *dupTable) walk(k, r int) map[int]int {
+	dup := make(map[int]int, k+1)
 	for i := k - 1; i >= 0; i-- {
-		d := max(1, t.choice[i*(t.budget+1)+r])
+		d := max(1, t.at(i, r))
 		dup[t.ops[i].id] = d
 		r = max(0, r-d*t.ops[i].coresCopy)
 	}

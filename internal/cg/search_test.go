@@ -71,10 +71,9 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 		}
 		choice, dup := exhaustiveDP(ops, budget)
 		for i := range ops {
-			row := table.choice[i*(budget+1) : (i+1)*(budget+1)]
-			for r := range row {
-				if row[r] != choice[i][r] {
-					t.Fatalf("draw %d (budget %d, ops %+v): choice[%d][%d] = %d, exhaustive search chose %d", draw, budget, ops, i, r, row[r], choice[i][r])
+			for r := 0; r <= budget; r++ {
+				if got := table.at(i, r); got != choice[i][r] {
+					t.Fatalf("draw %d (budget %d, ops %+v): choice[%d][%d] = %d, exhaustive search chose %d", draw, budget, ops, i, r, got, choice[i][r])
 				}
 			}
 		}
@@ -88,6 +87,90 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// decodeOps reads an operator set and a budget from fuzz bytes, over
+// randomOps' field ranges widened where the search has edges: budgets up to
+// 2048, copies as wide as the whole budget, windows of 1 and primes, and
+// perWindow 0 (every copy count ties). Ten bytes make an operator, up to
+// eight of them; a short input is padded with zeros. An odd budgetBits makes
+// the budget the dup-1 baseline, the tightest feasible one.
+func decodeOps(budgetBits uint16, data []byte) ([]opInfo, int) {
+	budget := 1 + int(budgetBits>>1)%2048
+	n := min(8, max(1, len(data)/10))
+	data = append(data, make([]byte, 10*n)...)
+	u16 := func(b []byte) int { return int(b[0])<<8 | int(b[1]) }
+	ops := make([]opInfo, n)
+	baseline := 0
+	for i := range ops {
+		b := data[10*i : 10*i+10]
+		oi := opInfo{
+			id:        i + 1,
+			cim:       true,
+			coresCopy: 1 + int(b[0])%8,
+			maxDup:    1 + u16(b[1:])%budget,
+			windows:   1 + int64(u16(b[3:])%5000),
+			perWindow: 0.5 + 100*float64(b[5])/255,
+			rounds:    1 + int(b[6])%3,
+			reload:    float64(b[7]%3) * 1000 * float64(b[9]) / 255,
+		}
+		if b[0]&0x80 != 0 {
+			oi.coresCopy = 1 + u16(b[8:])%budget
+		}
+		switch b[5] % 8 {
+		case 0:
+			oi.perWindow = 0
+		case 1:
+			oi.windows = 1
+		case 2:
+			oi.windows = primes[int(b[4])%len(primes)]
+		}
+		ops[i] = oi
+		baseline += oi.coresCopy
+	}
+	if budgetBits&1 != 0 {
+		budget = baseline
+	}
+	return ops, budget
+}
+
+// FuzzDupSearch holds the streamed search to the exhaustive one on decoded
+// operator sets: every stored cell, the whole search and every walk-back.
+// Budgets range past the columns the table stores, so the width cap is both
+// hit and not.
+func FuzzDupSearch(f *testing.F) {
+	f.Add(uint16(767<<1), []byte{3, 0, 9, 1, 200, 17, 1, 1, 0, 200, 5, 1, 0, 7, 12, 40, 2, 2, 0, 90})
+	f.Add(uint16(2047<<1), []byte{0, 0, 1, 0, 40, 9, 0, 0, 0, 0})
+	f.Add(uint16(1), []byte{0x81, 0, 40, 0, 90, 11, 2, 2, 0, 9, 1, 0, 3, 9, 0, 2, 0, 0, 0, 0})
+	f.Add(uint16(600<<1), []byte{4, 1, 0, 0, 1, 8, 0, 0, 0, 0, 0x84, 1, 0, 0, 1, 16, 0, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, budgetBits uint16, data []byte) {
+		ops, budget := decodeOps(budgetBits, data)
+		table, err := newDupTable(context.Background(), ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		choice, dup := exhaustiveDP(ops, budget)
+		for i := range ops {
+			for r := 0; r <= budget; r++ {
+				if got := table.at(i, r); got != choice[i][r] {
+					t.Fatalf("budget %d, ops %+v: choice[%d][%d] = %d, exhaustive search chose %d", budget, ops, i, r, got, choice[i][r])
+				}
+			}
+		}
+		got, err := allocateDP(context.Background(), ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, dup) {
+			t.Fatalf("budget %d, ops %+v: allocateDP %v, exhaustive search %v", budget, ops, got, dup)
+		}
+		for k := 0; k <= len(ops); k++ {
+			_, fresh := exhaustiveDP(ops[:k], budget)
+			if got := table.dup(k); !maps.Equal(got, fresh) {
+				t.Fatalf("budget %d, ops %+v: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", budget, ops, k, got, k, fresh)
+			}
+		}
+	})
 }
 
 // TestCandidatesOnePerCeiling pins the pruning rule itself: the candidate
@@ -140,17 +223,17 @@ func exhaustiveWork(ops []opInfo, budget int) searchWork {
 	return w
 }
 
-// tableWork is what newDupTable did for t: one run(d) per candidate, and per
-// (operator, r) one step for every candidate that fits r cores.
+// tableWork is what a search did with t: one run(d) per candidate, per
+// stored column r of a row one step for every candidate that fits r cores,
+// and one step per candidate of the cell next priced after the rows, if any.
 func tableWork(t *dupTable) searchWork {
-	w := searchWork{searches: 1}
-	for _, oi := range t.ops {
-		cands := oi.candidates(t.budget, nil)
-		w.runs += len(cands)
-		for _, c := range cands {
-			w.steps += t.budget + 1 - c.cores
+	w := searchWork{searches: 1, runs: len(t.cands)}
+	for i := range t.ops {
+		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
+			w.steps += t.width - c.cores
 		}
 	}
+	w.steps += len(t.cands) - t.starts[len(t.ops)]
 	return w
 }
 
@@ -229,12 +312,18 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			budget := a.Chip.CoreCount()
 			reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
 
-			var now searchWork
-			tableBuilt = func(tb *dupTable) { now.add(tableWork(tb)) }
+			// A table's work is read once the search is done with it: the
+			// cell allocateDP prices after the rows comes after the hook.
+			var tables []*dupTable
+			tableBuilt = func(tb *dupTable) { tables = append(tables, tb) }
 			s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
 			tableBuilt = nil
 			if err != nil {
 				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			var now searchWork
+			for _, tb := range tables {
+				now.add(tableWork(tb))
 			}
 
 			var segs [][]int
@@ -267,8 +356,9 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 	if refined < 5 {
 		t.Errorf("only %d cells were segmented; the grid no longer exercises refinePrefix", refined)
 	}
-	if sumNew.steps > 15_000_000 || sumNew.runs > 50_000 {
-		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations over the grid, want ≤ 15 M / ≤ 50 K", sumNew.steps, sumNew.runs)
+	if sumNew.steps > 8_000_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
+		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 8 M / ≤ 21 K / ≤ 1 700",
+			sumNew.steps, sumNew.runs, sumNew.searches)
 	}
 }
 
@@ -315,5 +405,39 @@ func TestOptimizeHonoursCancellation(t *testing.T) {
 		if ctx.polls != after+1 {
 			t.Errorf("cancelled after %d polls: the search polled %d more times before stopping", after, ctx.polls-after-1)
 		}
+	}
+}
+
+// BenchmarkDupTable times the forward table alone over the whole CIM
+// operator list of the heaviest isaac-baseline cells, and reports the time
+// per (r, d) step tableWork counts: the search's inner loop, apart from the
+// segmenter around it.
+func BenchmarkDupTable(b *testing.B) {
+	a := arch.ISAACBaseline()
+	for _, model := range []string{"resnet50", "vit-tiny", "vgg16"} {
+		g, err := models.Build(model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := cost.New(g, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		infos, order, err := collectInfos(g, a, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops, budget := segCIMInfos(infos, order), a.Chip.CoreCount()
+		b.Run(model, func(b *testing.B) {
+			var steps int
+			for i := 0; i < b.N; i++ {
+				t, err := newDupTable(context.Background(), ops, budget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = tableWork(t).steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+		})
 	}
 }

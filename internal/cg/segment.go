@@ -25,39 +25,42 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // nodes while the dynamic-programming latency estimate of (remaining segment
 // + popped nodes as their own segment + weight reload) improves. Operators
 // larger than the whole chip (multi-round) always get a dedicated segment.
-func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, order []int, opt Options) ([][]int, error) {
+// dups[i] is segment i's duplication when a refinement priced it off a
+// shared table, nil when Optimize must still search it.
+func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, order []int, opt Options) (segs [][]int, dups []map[int]int, err error) {
 	coreCount := a.Chip.CoreCount()
 	totalCores, anyOversized := demand(infos, order)
 	if totalCores <= coreCount && !anyOversized {
-		return [][]int{order}, nil
+		return [][]int{order}, make([]map[int]int, 1), nil
 	}
 	if opt.Stationary {
 		// Serving-grade compilation: weights stay resident for the program's
 		// lifetime, so the reload-based escape hatches (segment reprogramming,
 		// multi-round operators) are not available.
 		if anyOversized {
-			return nil, fmt.Errorf("cg: an operator needs more crossbars than the whole chip: %w", ErrOverCapacity)
+			return nil, nil, fmt.Errorf("cg: an operator needs more crossbars than the whole chip: %w", ErrOverCapacity)
 		}
-		return nil, fmt.Errorf("cg: model needs %d cores but the chip has %d: %w", totalCores, coreCount, ErrOverCapacity)
+		return nil, nil, fmt.Errorf("cg: model needs %d cores but the chip has %d: %w", totalCores, coreCount, ErrOverCapacity)
 	}
 
 	reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
-	var segs [][]int
 	remaining := order
 	for len(remaining) > 0 {
 		prefix, rest, err := takePrefix(infos, remaining, coreCount)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		var dup map[int]int
 		if opt.Duplicate && len(rest) > 0 {
-			if prefix, rest, err = refinePrefix(ctx, infos, prefix, rest, coreCount, reload, opt); err != nil {
-				return nil, err
+			if prefix, rest, dup, err = refinePrefix(ctx, infos, prefix, rest, coreCount, reload, opt); err != nil {
+				return nil, nil, err
 			}
 		}
 		segs = append(segs, prefix)
+		dups = append(dups, dup)
 		remaining = rest
 	}
-	return segs, nil
+	return segs, dups, nil
 }
 
 // demand returns the cores the operators that fit the chip occupy with one
@@ -115,21 +118,28 @@ func takePrefix(infos map[int]opInfo, order []int, budget int) (prefix, rest []i
 // the dynamic program one forward table over that prefix answers them all (a
 // head with k CIM operators is a walk-back of k rows); only the popped group,
 // one operator, runs a search of its own. A head that is kept is the next
-// iteration's baseline, at the price already computed.
-func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, error) {
-	price := func(nodes []int) (float64, error) { return estimate(ctx, infos, nodes, budget, opt) }
+// iteration's baseline, at the price already computed, and the prefix kept
+// last returns with its walk-back, which is what a fresh search over it
+// returns (nil under AllocWaterfill, which has no table).
+func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, map[int]int, error) {
+	var table *dupTable
 	if opt.Allocator != AllocWaterfill {
-		table, err := newDupTable(ctx, segCIMInfos(infos, prefix), budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		price = func(nodes []int) (float64, error) {
-			return latency(infos, nodes, table.dup(cimCount(infos, nodes))), nil
+		var err error
+		if table, err = newDupTable(ctx, segCIMInfos(infos, prefix), budget); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	baseline, err := price(prefix)
+	price := func(nodes []int) (float64, map[int]int, error) {
+		if table == nil {
+			cost, err := estimate(ctx, infos, nodes, budget, opt)
+			return cost, nil, err
+		}
+		dup := table.dup(cimCount(infos, nodes))
+		return latency(infos, nodes, dup), dup, nil
+	}
+	baseline, dup, err := price(prefix)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for cimCount(infos, prefix) > 1 {
 		cut := lastCIMIndex(infos, prefix)
@@ -137,13 +147,13 @@ func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int,
 			break
 		}
 		head, group := prefix[:cut], prefix[cut:]
-		headCost, err := price(head)
+		headCost, headDup, err := price(head)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		groupCost, err := estimate(ctx, infos, group, budget, opt)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if candidate := headCost + groupCost + reload; candidate >= baseline {
 			break
@@ -153,9 +163,9 @@ func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int,
 		newRest := make([]int, 0, len(group)+len(rest))
 		newRest = append(newRest, group...)
 		newRest = append(newRest, rest...)
-		prefix, rest, baseline = head, newRest, headCost
+		prefix, rest, baseline, dup = head, newRest, headCost, headDup
 	}
-	return prefix, rest, nil
+	return prefix, rest, dup, nil
 }
 
 func cimCount(infos map[int]opInfo, nodes []int) int {
