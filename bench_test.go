@@ -3,6 +3,7 @@ package cimmlc
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -194,11 +195,11 @@ func BenchmarkProgramRunBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProgramRunBatchSizes sweeps the micro-batch width on a single
-// worker, so each batch forms exactly one group on the compiled kernels:
-// ns/op is per-request cost, which should fall as the batch widens (until
-// the lane budget splits the batch). Distinct inputs defeat any
-// memoization and match the serving mix.
+// BenchmarkProgramRunBatchSizes sweeps the batch width on a single worker:
+// ns/op is per-request cost. The toy program's 68 736-word lanes hold a
+// micro-batch to the lane cap's floor of two, so a wider batch runs as
+// two-lane items one after another. Distinct inputs defeat any memoization
+// and match the serving mix.
 func BenchmarkProgramRunBatchSizes(b *testing.B) {
 	ctx := context.Background()
 	_, _, _, _, p := buildToyProgram(b, WithWorkers(1))
@@ -235,9 +236,11 @@ func bodySize(p *Program) (kernels, windows int) {
 // exec-* cells — the five monolithic ones and the host-partitioned
 // conv-gate.puma — so kernel work is measured where the bench measures it:
 // `go test -run '^$' -bench ExecCells -cpu 1`. run is Program.Run of one
-// request; batch64 is RunBatch of 64 on one worker, ns/op per request. The
-// requests are distinct and seeded. kernels/op is how many kernel closures a
-// request runs through: a window sweep is one, however many windows it walks.
+// request; batch64 is RunBatch of 64 on one worker, pool64 the same on a
+// Program with the default workers (GOMAXPROCS, so -cpu sets them), ns/op per
+// request. The requests are distinct and seeded. kernels/op is how many
+// kernel closures a request runs through: a window sweep is one, however many
+// windows it walks. items/op is the work items pool64 cuts each RunBatch into.
 func BenchmarkExecCells(b *testing.B) {
 	ctx := context.Background()
 	const batch = 64
@@ -251,6 +254,10 @@ func BenchmarkExecCells(b *testing.B) {
 	} {
 		c, g, w := buildCell(b, cell[0], cell[1])
 		p, err := c.Build(ctx, g, w, CodegenOptions{}, WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, err := c.Build(ctx, g, w, CodegenOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,6 +282,15 @@ func BenchmarkExecCells(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		b.Run(cell[0]+"."+cell[1]+"/pool64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += batch {
+				if _, err := pool.RunBatch(ctx, reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(max(1, len(pool.batchCuts(batch, min(runtime.GOMAXPROCS(0), batch)))-1)), "items/op")
 		})
 	}
 }

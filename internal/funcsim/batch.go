@@ -359,9 +359,17 @@ func (bm *BatchMachine) settlerOf(node int) settler {
 	return settler{raw: bm.st.regionScale[node], scale: float64(q.Scale), maxQ: int64(q.MaxQ())}
 }
 
+// level saturates in float before it converts: Go leaves the conversion of
+// an out-of-range float implementation-defined, so a level past 2⁶³ must
+// never reach int64.
 func (s settler) level(v int64) int64 {
-	q := int64(math.RoundToEven(float64(v) * s.raw / s.scale))
-	return max(min(q, s.maxQ), -s.maxQ)
+	r := math.RoundToEven(float64(v) * s.raw / s.scale)
+	if m := float64(s.maxQ); r > m {
+		return s.maxQ
+	} else if r < -m {
+		return -s.maxQ
+	}
+	return int64(r)
 }
 
 // markCIMOutput records that node's region now holds raw accumulators whose

@@ -755,3 +755,28 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 		})
 	}
 }
+
+// TestSettlerSaturatesPastInt64 holds settling to its clamp where the level
+// leaves int64's range: saturation happens in float, so a level past ±2⁶³
+// settles to the clamp of its own sign, not to whatever the platform's
+// out-of-range conversion yields (MinInt64 on amd64, hence −MaxQ for both).
+func TestSettlerSaturatesPastInt64(t *testing.T) {
+	s := settler{raw: 1e-6, scale: float64(math.SmallestNonzeroFloat32), maxQ: 127}
+	for _, tc := range []struct{ v, want int64 }{
+		{1 << 20, 127},
+		{-1 << 20, -127},
+		{math.MaxInt64, 127},
+		{math.MinInt64, -127},
+		{0, 0},
+	} {
+		if got := s.level(tc.v); got != tc.want {
+			t.Errorf("level(%d) at raw %g / scale %g = %d, want %d", tc.v, s.raw, s.scale, got, tc.want)
+		}
+	}
+	in := settler{raw: 0.375, scale: 0.25, maxQ: 127}
+	for v, want := range map[int64]int64{1: 2, 3: 4, -3: -4, 84: 126, 85: 127, 86: 127, -85: -127, -1 << 40: -127} {
+		if got := in.level(v); got != want {
+			t.Errorf("level(%d) at raw 0.375 / scale 0.25 = %d, want %d", v, got, want)
+		}
+	}
+}

@@ -641,26 +641,42 @@ func (e *batchErrors) resolve(ctx context.Context) (int, error) {
 	return -1, nil
 }
 
-// maxMicroBatchWords caps a micro-batch's total lane memory (words, ~8 MB)
-// so the batch's activation working set stays cache-resident: per-request
-// cost rises again once the lanes spill the last-level cache. Lanes beyond
-// the cap split into further micro-batches.
-const maxMicroBatchWords = int64(1) << 20
+// maxMicroBatchWords caps a micro-batch's total lane memory at 1 MiB of
+// words (1 << 17), within a core's private L2. A micro-batch runs
+// kernel-major — every lane through a sweep, then through the next kernel —
+// so all its lanes' activations must survive between kernels in the cache of
+// the core carrying it, not in a last-level cache shared with every other
+// core. On a 2-vCPU Xeon (2 MiB L2 per core), RunBatch of 64 at two workers
+// (ms, median of 30 rounds) read, at 8 MB / 1 MB / one lane per item:
+// conv-relu.isaac-baseline 42.3 / 35.3 / 35.4, lenet5.puma 14.9 / 13.2 /
+// 13.9, conv-gate.puma 12.4 / 11.2 / 10.7, and mlp.puma 4.09 / 4.18 / 4.98:
+// lanes still pay where they share weight passes, as long as they fit.
+const maxMicroBatchWords = int64(1) << 17
 
 // laneCap is the most lanes one micro-batch may carry under the lane-memory
-// budget.
+// budget, and never fewer than two: a batch of two or more requests always
+// shares micro-batches, and where the floor binds it costs nothing (two lanes
+// of conv-relu.isaac-baseline per item measure as one).
 func (p *Program) laneCap() int {
-	return int(min(64, max(1, maxMicroBatchWords/max(1, p.laneWords))))
+	return int(min(64, max(2, maxMicroBatchWords/max(1, p.laneWords))))
 }
 
 // batchCuts cuts n requests into carry's work items, runs of consecutive
 // requests: item k is requests [cuts[k], cuts[k+1]). Micro-batches are sized
-// to keep every worker busy, capped by the lane-memory budget, and balanced
-// (16 lanes under a cap of 15 become 8+8, not 15+1) so none degenerates to a
-// near-empty tail. One micro-batch of all n is nil: nothing is cut.
+// to keep every worker busy, capped by laneCap, and balanced (16 lanes under
+// a cap of 15 become 8+8, not 15+1) so none degenerates to a near-empty
+// tail. A batch that needs more items than workers gets a multiple of the
+// workers, so none idles through the last round (64 under a cap of 23 on two
+// workers become 4 × 16, not 3 items), as long as every item keeps two lanes.
+// One micro-batch of all n is nil: nothing is cut.
 func (p *Program) batchCuts(n, workers int) []int {
 	mb := min((n+workers-1)/workers, p.laneCap())
 	chunks := (n + mb - 1) / mb
+	if chunks > workers {
+		if even := (chunks + workers - 1) / workers * workers; n/even >= 2 {
+			chunks = even
+		}
+	}
 	if chunks == 1 {
 		return nil
 	}

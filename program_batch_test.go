@@ -45,14 +45,30 @@ func seededRequest(p *Program, seed uint64) map[int]*Tensor {
 	return req
 }
 
+// microBatches returns what carry's cut of n requests over workers adds to a
+// program's counters: the work items of two or more lanes (BatchRuns) and the
+// requests they carry (BatchedRequests).
+func microBatches(p *Program, n, workers int) (runs, batched uint64) {
+	cuts := p.batchCuts(n, min(workers, n))
+	if cuts == nil {
+		cuts = []int{0, n}
+	}
+	for k := 1; k < len(cuts); k++ {
+		if lanes := cuts[k] - cuts[k-1]; lanes >= 2 {
+			runs, batched = runs+1, batched+uint64(lanes)
+		}
+	}
+	return runs, batched
+}
+
 // TestRunBatchErrorContract pins RunBatch's result/error contract on one
-// worker (a whole batch is one micro-batch) and on a pool (work items spread
-// over goroutines), for monolithic programs and for staged ones (the
-// *-unbatched configs, named for the request-by-request stepping staged
-// programs once fell back to): the result slice is nil whenever the error is
-// non-nil, an empty batch on a live context yields an empty non-nil slice, a
-// mid-batch failure names the failing request, and every request of a wide
-// batch shares a micro-batch whatever the plan's shape.
+// worker (work items run inline) and on a pool (work items spread over
+// goroutines), for monolithic programs and for staged ones (the *-unbatched
+// configs, named for the request-by-request stepping staged programs once
+// fell back to): the result slice is nil whenever the error is non-nil, an
+// empty batch on a live context yields an empty non-nil slice, a mid-batch
+// failure names the failing request, and every request of a wide batch shares
+// a micro-batch whatever the plan's shape.
 func TestRunBatchErrorContract(t *testing.T) {
 	ctx := context.Background()
 	monolithic := func(t *testing.T, workers int) *Program {
@@ -129,8 +145,13 @@ func TestRunBatchErrorContract(t *testing.T) {
 				if d := st.BatchedRequests - before.BatchedRequests; d != uint64(len(reqs)) {
 					t.Fatalf("%d of %d requests shared a micro-batch", d, len(reqs))
 				}
-				if d := st.BatchRuns - before.BatchRuns; d != uint64(cfg.workers) {
-					t.Fatalf("batch ran as %d micro-batches, want one per worker (%d)", d, cfg.workers)
+				// The toy program's lanes are past half the lane budget: its
+				// lane cap is the floor of two, so 8 requests are 4 items on
+				// any pool. The staged program's fit one item per worker.
+				if runs, _ := microBatches(p, len(reqs), cfg.workers); runs < uint64(cfg.workers) {
+					t.Fatalf("%d requests cut into %d micro-batches for %d workers", len(reqs), runs, cfg.workers)
+				} else if d := st.BatchRuns - before.BatchRuns; d != runs {
+					t.Fatalf("batch ran as %d micro-batches, want batchCuts' %d", d, runs)
 				}
 			})
 		})
@@ -382,7 +403,7 @@ func TestRunBatchWorkerFailure(t *testing.T) {
 		wantCuts int
 	}{
 		{"uncut", mixed, 1, 4, 2, 1},
-		{"inline", toy, 1, 17, 12, 2}, // past toy's lane cap of 15: 9 + 8
+		{"inline", toy, 1, 17, 12, 9}, // past toy's lane cap of 2: 8 × 2 + 1
 		{"pooled", mixed, 2, 4, 3, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -597,8 +618,10 @@ func TestRunBatchMixedShapes(t *testing.T) {
 	if d := st.BatchedRequests - before.BatchedRequests; d != n {
 		t.Fatalf("mixed-shape batch served %d of %d requests in shared micro-batches", d, n)
 	}
-	if d := st.BatchRuns - before.BatchRuns; d != 2 {
-		t.Fatalf("mixed-shape batch ran as %d micro-batches, want 2 (one per worker)", d)
+	// Toy's lane cap of two cuts the six into three two-lane items, each
+	// pairing a graph-shaped input with a flat one.
+	if d := st.BatchRuns - before.BatchRuns; d != 3 {
+		t.Fatalf("mixed-shape batch ran as %d micro-batches, want 3 of two lanes", d)
 	}
 }
 
@@ -626,10 +649,11 @@ func TestRunBatchSingleRequestFallsBack(t *testing.T) {
 }
 
 // FuzzBatchedRun drives random (model, arch, seed, width) points through
-// RunBatch with a single worker — the whole batch is one micro-batch of 1 to
-// 6 lanes — and requires every request to verify bit-exactly against the
-// quantized reference and every lane's output to match the one-lane Run byte
-// for byte.
+// RunBatch with a single worker — 1 to 6 lanes, one micro-batch or, past the
+// cell's lane cap, the inline cuts of batchCuts — and requires every request
+// to verify bit-exactly against the quantized reference, every lane's output
+// to match the one-lane Run byte for byte, and every lane of a multi-lane cut
+// to count as batched.
 func FuzzBatchedRun(f *testing.F) {
 	models := []string{"conv-relu", "mlp", "lenet5"}
 	archs := []string{"isaac-baseline", "puma", "toy-table2", "jia-isscc21"}
@@ -697,12 +721,99 @@ func FuzzBatchedRun(f *testing.F) {
 		for i := range outs {
 			sameOutputs(t, outs[i], want[i])
 		}
-		batched := uint64(lanes)
-		if lanes == 1 {
-			batched = 0 // a one-lane micro-batch is not counted as batched
-		}
+		_, batched := microBatches(p, lanes, 1) // a one-lane micro-batch is not counted as batched
 		if d := p.Stats().BatchedRequests - before.BatchedRequests; d != batched {
 			t.Fatalf("%s/%s seed %d: %d of %d requests shared a micro-batch, want %d", model, archName, seed, d, lanes, batched)
 		}
+	})
+}
+
+// checkBatchCuts holds one cut of n requests over workers to carry's rules:
+// the items cover [0, n) contiguously, none is empty or wider than the lane
+// cap, their sizes differ by at most one, a batch that needs more items than
+// workers gets a multiple of the workers whenever that keeps two lanes in
+// every item, and no more items than it needs at the cost of a lone lane. It
+// returns the item count and the narrowest and widest item.
+func checkBatchCuts(t *testing.T, p *Program, n, workers int) (items, narrow, wide int) {
+	t.Helper()
+	lc := p.laneCap()
+	if lc < 2 || lc > 64 || (lc > 2 && int64(lc)*p.laneWords > maxMicroBatchWords) || (lc < 64 && int64(lc+1)*p.laneWords <= maxMicroBatchWords) {
+		t.Fatalf("%d words per lane: lane cap %d is not the most lanes in %d words, within [2, 64]", p.laneWords, lc, maxMicroBatchWords)
+	}
+	cuts := p.batchCuts(n, workers)
+	if cuts == nil {
+		cuts = []int{0, n}
+	} else if len(cuts) < 3 {
+		t.Fatalf("n=%d workers=%d: cuts %v: one item must be nil", n, workers, cuts)
+	}
+	if cuts[0] != 0 || cuts[len(cuts)-1] != n {
+		t.Fatalf("n=%d workers=%d: cuts %v do not cover [0, %d)", n, workers, cuts, n)
+	}
+	items, narrow = len(cuts)-1, n
+	for k := 1; k < len(cuts); k++ {
+		lanes := cuts[k] - cuts[k-1]
+		if lanes < 1 || lanes > lc {
+			t.Fatalf("n=%d workers=%d: item %d of cuts %v has %d lanes, want 1..%d", n, workers, k-1, cuts, lanes, lc)
+		}
+		narrow, wide = min(narrow, lanes), max(wide, lanes)
+	}
+	if wide-narrow > 1 {
+		t.Fatalf("n=%d workers=%d: cuts %v are unbalanced: items of %d and %d lanes", n, workers, cuts, narrow, wide)
+	}
+	if even := (items + workers - 1) / workers * workers; items > workers && items != even && n/even >= 2 {
+		t.Fatalf("n=%d workers=%d lane cap %d: %d items leave workers idle; %d would keep two lanes each", n, workers, lc, items, even)
+	}
+	if fewest := (n + lc - 1) / lc; narrow < 2 && n > 1 && items > max(fewest, min(n, workers)) {
+		t.Fatalf("n=%d workers=%d lane cap %d: %d items leave a lane alone; %d would do", n, workers, lc, items, max(fewest, min(n, workers)))
+	}
+	return items, narrow, wide
+}
+
+// TestBatchCutsExecCells pins how RunBatch of 64 cuts on the benchmark's six
+// exec-* cells, at one worker and at two, under the 1 MiB lane budget: the
+// lane words of each cell's widest CIM stage, and the items they make.
+func TestBatchCutsExecCells(t *testing.T) {
+	ctx := context.Background()
+	type cut struct{ items, narrow, wide int }
+	for _, tc := range []struct {
+		model, arch string
+		laneWords   int64
+		one, two    cut
+	}{
+		{"conv-relu", "isaac-baseline", 96256, cut{32, 2, 2}, cut{32, 2, 2}},
+		{"lenet5", "puma", 25890, cut{13, 4, 5}, cut{14, 4, 5}},
+		{"lenet5", "jia-isscc21", 16840, cut{10, 6, 7}, cut{10, 6, 7}},
+		{"mlp", "puma", 2730, cut{2, 32, 32}, cut{2, 32, 32}},
+		{"lenet5", "toy-table2", 16640, cut{10, 6, 7}, cut{10, 6, 7}},
+		{"conv-gate", "puma", 15872, cut{8, 8, 8}, cut{8, 8, 8}},
+	} {
+		t.Run(tc.model+"."+tc.arch, func(t *testing.T) {
+			c, g, w := buildCell(t, tc.model, tc.arch)
+			p, err := c.Build(ctx, g, w, CodegenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.laneWords != tc.laneWords {
+				t.Fatalf("widest CIM stage holds %d words per lane, want %d", p.laneWords, tc.laneWords)
+			}
+			for workers, want := range map[int]cut{1: tc.one, 2: tc.two} {
+				if items, narrow, wide := checkBatchCuts(t, p, 64, workers); (cut{items, narrow, wide}) != want {
+					t.Errorf("64 requests on %d workers: %d items of %d–%d lanes, want %d of %d–%d", workers, items, narrow, wide, want.items, want.narrow, want.wide)
+				}
+			}
+		})
+	}
+}
+
+// FuzzBatchCuts holds batchCuts to carry's rules (checkBatchCuts) for any
+// batch of 1 to 256 requests over 1 to 16 workers and lanes of 1 to 2²⁰
+// words, seeded with the exec-* cells' lane words.
+func FuzzBatchCuts(f *testing.F) {
+	for _, words := range []uint32{96256, 25890, 16840, 2730, 16640, 15872} {
+		f.Add(uint16(63), uint8(1), words-1)
+	}
+	f.Fuzz(func(t *testing.T, n uint16, workers uint8, words uint32) {
+		p := &Program{laneWords: int64(words%(1<<20)) + 1}
+		checkBatchCuts(t, p, int(n%256)+1, int(workers%16)+1)
 	})
 }

@@ -474,9 +474,10 @@ func TestBatcherBitIdenticalToDirectRun(t *testing.T) {
 }
 
 // TestBatcherEngagesBatchedKernels pins the Batcher→RunBatch handoff: with a
-// single-worker program, a full batch forms one multi-lane micro-batch, so
-// the program's batched counters must cover every request — and the outputs
-// must still match direct Runs bit-for-bit.
+// single-worker program, a full batch forms multi-lane micro-batches — two of
+// two lanes, conv-relu.toy-table2's 68 736-word lanes holding a micro-batch to
+// the lane cap's floor — so the program's batched counters must cover every
+// request, and the outputs must still match direct Runs bit-for-bit.
 func TestBatcherEngagesBatchedKernels(t *testing.T) {
 	p, err := buildConvRelu(43, cimmlc.WithWorkers(1))
 	if err != nil {
@@ -492,8 +493,8 @@ func TestBatcherEngagesBatchedKernels(t *testing.T) {
 		}
 		sameAsRun(t, p, "batched request", validInput(i), r.outs)
 	}
-	if st := p.Stats(); st.BatchRuns != 1 || st.BatchedRequests != n {
-		t.Fatalf("%d requests in %d micro-batches, want the %d queued ones in one", st.BatchedRequests, st.BatchRuns, n)
+	if st := p.Stats(); st.BatchRuns != 2 || st.BatchedRequests != n {
+		t.Fatalf("%d requests in %d micro-batches, want the %d queued ones in two", st.BatchedRequests, st.BatchRuns, n)
 	}
 }
 
