@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cimmlc/internal/codegen"
 	"cimmlc/internal/flowdata"
 )
 
@@ -15,12 +14,8 @@ import (
 // JSON — the `cimmlc analyze` golden format.
 type FlowReport = flowdata.Report
 
-// FlowOptStats records what WithFlowOpt's rewrite changed; it is the Opt
-// field of an optimized FlowResult.
-type FlowOptStats = codegen.OptStats
-
 // Analyze lowers a compilation result stage by stage through Lower (so
-// WithFlowOpt and WithVerifyIR apply exactly as they do to Build) and runs
+// WithVerifyIR applies exactly as it does to Build) and runs
 // the flow-IR dataflow analysis over each generated flow, returning the
 // static resource report. A non-zero MaxWindowsPerOp yields a counts-only
 // report (truncated flows are illustrative, not executable, so liveness

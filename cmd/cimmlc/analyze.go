@@ -29,7 +29,6 @@ func runAnalyze(args []string) {
 		archName  = fs.String("arch", "", "preset architecture name")
 		archFile  = fs.String("arch-file", "", "architecture JSON file (alternative to -arch)")
 		maxLevel  = fs.String("max-level", "", "cap optimization level (CM, XBM or WLM)")
-		flowOpt   = fs.Bool("flowopt", false, "analyze the flow after the WithFlowOpt rewrite")
 		maxWin    = fs.Int64("max-windows", 0, "cap emitted window blocks per operator (0 = all; capped flows get a counts-only report)")
 		asJSON    = fs.Bool("json", false, "emit the report as stable JSON instead of text")
 		zoo       = fs.Bool("zoo", false, "analyze every cell of the short conformance matrix")
@@ -63,7 +62,7 @@ func runAnalyze(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := analyzeCell(ctx, g, a, level, *maxWin, *flowOpt)
+	rep, err := analyzeCell(ctx, g, a, level, *maxWin)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,15 +78,12 @@ func runAnalyze(args []string) {
 // then runs the dataflow analysis and returns the report; `cimmlc vet` is
 // this with the report discarded. maxWindows caps emission for large models;
 // a capped (truncated) flow still gets its structural checks.
-func analyzeCell(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, level cimmlc.Mode, maxWindows int64, flowOpt bool) (*cimmlc.FlowReport, error) {
+func analyzeCell(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, level cimmlc.Mode, maxWindows int64) (*cimmlc.FlowReport, error) {
 	// Host fallback is on so mixed models analyze and vet too; fully
 	// supported models compile monolithically either way.
 	opts := []cimmlc.Option{cimmlc.WithVerifyIR(), cimmlc.WithCache(0), cimmlc.WithHostFallback()}
 	if level != "" {
 		opts = append(opts, cimmlc.WithMaxLevel(level))
-	}
-	if flowOpt {
-		opts = append(opts, cimmlc.WithFlowOpt())
 	}
 	c, err := cimmlc.New(a, opts...)
 	if err != nil {
@@ -114,7 +110,7 @@ func analyzeZoo(ctx context.Context, asJSON bool, goldenPath string, update bool
 		if err != nil {
 			return err
 		}
-		rep, err := analyzeCell(ctx, g, a, cell.Level, cell.WinCap, false)
+		rep, err := analyzeCell(ctx, g, a, cell.Level, cell.WinCap)
 		if err != nil {
 			return err
 		}

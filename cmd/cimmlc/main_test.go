@@ -35,7 +35,7 @@ func TestParseMaxLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analyzeCell(context.Background(), g, a, level, 0, false); err != nil {
+	if _, err := analyzeCell(context.Background(), g, a, level, 0); err != nil {
 		t.Fatalf("vet -max-level wlm lenet5 puma: %v", err)
 	}
 }

@@ -58,7 +58,7 @@ func runVet(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		if _, err := analyzeCell(context.Background(), g, a, level, 0, false); err != nil {
+		if _, err := analyzeCell(context.Background(), g, a, level, 0); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -90,7 +90,7 @@ func vetZooCell(cell zooCell) error {
 	if err != nil {
 		return err
 	}
-	_, err = analyzeCell(context.Background(), g, a, cell.Level, cell.WinCap, false)
+	_, err = analyzeCell(context.Background(), g, a, cell.Level, cell.WinCap)
 	return err
 }
 

@@ -12,7 +12,6 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/core"
-	"cimmlc/internal/flowopt"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
 	"cimmlc/internal/partition"
@@ -117,15 +116,6 @@ func WithVerifyIR() Option { return func(c *Compiler) { c.opt.VerifyIR = true } 
 // in-test-binary default. Intended for tests that deliberately construct
 // illegal intermediates (or benchmark compilation throughput).
 func WithoutVerifyIR() Option { return func(c *Compiler) { c.opt.VerifyIR = false } }
-
-// WithFlowOpt enables the dataflow optimization pass (internal/flowopt) on
-// lowered flows: Lower (and Build, which lowers internally) deletes dead
-// MOPs and redundant transfers and compacts the scratch layout by
-// liveness-based slot reuse before returning the flow. The rewrite is
-// semantics-preserving — optimized flows execute bit-identically on the
-// functional simulator — and the returned FlowResult's Opt field records
-// what changed. Truncated flows (MaxWindowsPerOp) pass through untouched.
-func WithFlowOpt() Option { return func(c *Compiler) { c.opt.FlowOpt = true } }
 
 // WithHostFallback enables multi-target compilation: graphs containing
 // operators with no CIM lowering (see graph.CIMLowerableOps) are partitioned
@@ -340,12 +330,6 @@ func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt Codegen
 			return nil, fmt.Errorf("cimmlc: Lower: %w", &irverify.Error{Stage: "codegen", Violations: vs})
 		}
 	}
-	if c.opt.FlowOpt {
-		fr, err = flowopt.Optimize(gc, &a, fr)
-		if err != nil {
-			return nil, fmt.Errorf("cimmlc: Lower: %w", err)
-		}
-	}
 	return fr, nil
 }
 
@@ -378,7 +362,7 @@ func optionFingerprint(opt core.Options, passes []core.Pass) string {
 		b := opt.Tune.Normalized()
 		tune = fmt.Sprintf("c%d.b%d.r%d", b.MaxCandidates, b.Beam, b.MaxRounds)
 	}
-	return fmt.Sprintf("p=%t,d=%t,s=%t,r=%t,max=%s,alloc=%s,tune=%s,verify=%t,flowopt=%t,hostfb=%t,stat=%t,passes=%v",
+	return fmt.Sprintf("p=%t,d=%t,s=%t,r=%t,max=%s,alloc=%s,tune=%s,verify=%t,hostfb=%t,stat=%t,passes=%v",
 		opt.DisablePipeline, opt.DisableDuplication, opt.DisableStagger, opt.DisableRemap,
-		opt.MaxLevel, opt.Allocator, tune, opt.VerifyIR, opt.FlowOpt, opt.HostFallback, opt.Stationary, names)
+		opt.MaxLevel, opt.Allocator, tune, opt.VerifyIR, opt.HostFallback, opt.Stationary, names)
 }

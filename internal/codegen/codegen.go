@@ -5,14 +5,13 @@
 // operators and DMOV data movement.
 //
 // Addresses reference a flat buffer space laid out by the Layout allocator:
-// every node's output gets a region (feature maps in NCHW order), and every
-// CIM operator gets per-copy scratch vectors for the gathered MVM inputs.
-// The generated flows execute on internal/funcsim.
+// every node's output gets a region (feature maps in NCHW order), and in
+// crossbar modes the CIM operators share one scratch arena above them for
+// the gathered MVM inputs. The generated flows execute on internal/funcsim.
 package codegen
 
 import (
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/cost"
@@ -38,7 +37,12 @@ type Layout struct {
 	Size map[int]int64
 	// Scratch maps CIM node ID → base of its window-gather scratch area
 	// (dup consecutive vectors of the weight-matrix row count each), and
-	// ScratchSize → its length in words.
+	// ScratchSize → its length in words. In XBM and WLM the areas share
+	// one arena at the end of the node regions, each operator's window loop
+	// having it to itself because the flow finishes one operator's windows
+	// before the next one's; only dense operators reading one input stack
+	// their areas (buildLayout). CM flows gather nothing (cim.readcore reads
+	// its input region) and map no scratch.
 	Scratch     map[int]int64
 	ScratchSize map[int]int64
 	// Total is the number of words the flow addresses.
@@ -50,28 +54,6 @@ type Result struct {
 	Flow      *mop.Flow
 	Layout    *Layout
 	Truncated bool // true when MaxWindowsPerOp cut window loops short
-
-	// Opt is set by internal/flowopt when the flow was rewritten: what the
-	// optimizer removed and how the layout shrank. Nil for unoptimized flows.
-	Opt *OptStats
-}
-
-// OptStats summarizes one flowopt rewrite of a Result.
-type OptStats struct {
-	RemovedDead      int   `json:"removed_dead"`
-	RemovedRedundant int   `json:"removed_redundant"`
-	MOPsBefore       int   `json:"mops_before"`
-	MOPsAfter        int   `json:"mops_after"`
-	ScratchBefore    int64 `json:"scratch_before"`
-	ScratchAfter     int64 `json:"scratch_after"`
-	TotalBefore      int64 `json:"total_before"`
-	TotalAfter       int64 `json:"total_after"`
-}
-
-// Reduced reports whether the rewrite strictly shrank the flow: fewer leaf
-// MOPs or a smaller buffer space.
-func (o *OptStats) Reduced() bool {
-	return o != nil && (o.MOPsAfter < o.MOPsBefore || o.TotalAfter < o.TotalBefore)
 }
 
 // Generate lowers the compiled model. The schedule and placement must come
@@ -80,7 +62,7 @@ func Generate(g *graph.Graph, a *arch.Arch, s *sched.Schedule, p *mapping.Placem
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
-	lay := buildLayout(g, m, s)
+	lay := buildLayout(g, a, m, s)
 	e := &emitter{
 		g: g, a: a, s: s, p: p, m: m, lay: lay,
 		maxWin: opt.MaxWindowsPerOp,
@@ -99,7 +81,7 @@ func Generate(g *graph.Graph, a *arch.Arch, s *sched.Schedule, p *mapping.Placem
 	return &Result{Flow: flow, Layout: lay, Truncated: e.truncated}, nil
 }
 
-func buildLayout(g *graph.Graph, m *cost.Model, s *sched.Schedule) *Layout {
+func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule) *Layout {
 	lay := &Layout{Base: map[int]int64{}, Size: map[int]int64{}, Scratch: map[int]int64{}, ScratchSize: map[int]int64{}}
 	next := int64(0)
 	for _, n := range g.Nodes {
@@ -108,24 +90,38 @@ func buildLayout(g *graph.Graph, m *cost.Model, s *sched.Schedule) *Layout {
 		lay.Size[n.ID] = size
 		next += size
 	}
-	// Assign scratch bases in node-ID order: FPs is a map, and iterating it
-	// directly would give every compilation a different (if equivalent)
-	// address layout, making generated flows non-reproducible byte-for-byte.
-	ids := make([]int, 0, len(m.FPs))
-	for id := range m.FPs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f := m.FPs[id]
-		dup := s.DupOf(id)
-		if f.Rounds(m.Arch) > 1 {
-			dup = 1
-		}
-		lay.Scratch[id], lay.ScratchSize[id] = next, int64(f.Rows)*int64(dup)
-		next += lay.ScratchSize[id]
-	}
 	lay.Total = next
+	if a.Mode == arch.CM {
+		return lay
+	}
+	// A dense operator gathers with plain movs, which name no node: a second
+	// one reading the same input would repeat the first one's gathers into
+	// the words that still hold them. So a dense operator's area starts past
+	// those of the dense operators before it on its input; every other area
+	// starts at the arena's base.
+	var arena int64
+	denseEnd := map[int]int64{} // input node → end of its dense readers' areas
+	for _, seg := range s.Segments {
+		for _, id := range seg {
+			f, ok := m.FPs[id]
+			if !ok {
+				continue
+			}
+			dup := s.DupOf(id)
+			if f.Rounds(a) > 1 {
+				dup = 1
+			}
+			size := int64(f.Rows) * int64(dup)
+			var off int64
+			if n := g.MustNode(id); n.Op == graph.OpDense {
+				off = denseEnd[n.Inputs[0]]
+				denseEnd[n.Inputs[0]] = off + size
+			}
+			lay.Scratch[id], lay.ScratchSize[id] = next+off, size
+			arena = max(arena, off+size)
+		}
+	}
+	lay.Total += arena
 	return lay
 }
 
@@ -209,7 +205,9 @@ func (e *emitter) emitReadCore(flow *mop.Flow, id int) error {
 
 // emitCrossbarOp produces the XBM/WLM flow for one CIM operator: weight
 // programming (init section for segment 0 round 0, inline otherwise), then a
-// gather + parallel-activation block per MVM window.
+// gather + parallel-activation block per MVM window. A one-window operator
+// gathers in round 0 only: weight writes never touch scratch, so its vector
+// is still there in the later rounds.
 func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 	n := e.g.MustNode(id)
 	f := e.m.FPs[id]
@@ -250,7 +248,9 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 		for w := int64(0); w < emitWindows; w++ {
 			copyIdx := int(w % int64(dup))
 			scratch := e.lay.Scratch[id] + int64(copyIdx)*int64(f.Rows)
-			flow.Body = append(flow.Body, e.gatherOp(n, f, w, scratch))
+			if r == 0 || windows > 1 {
+				flow.Body = append(flow.Body, e.gatherOp(n, f, w, scratch))
+			}
 			reads := e.readOps(n, f, byCopyRound[[2]int{copyIdx, r}], scratch, winDst(w), stride, r > 0)
 			flow.Body = append(flow.Body, reads...)
 		}

@@ -78,7 +78,7 @@ func (b Block) Row(i int64) Span {
 
 // Region is one contiguous slice of the buffer space: a node's output or a
 // CIM node's gather scratch. Node regions are pairwise disjoint; scratch
-// regions may alias each other after slot reuse (internal/flowopt).
+// regions alias each other in the shared arena (Layout.Scratch).
 type Region struct {
 	Base, Size int64
 	Node       int

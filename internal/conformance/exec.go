@@ -37,19 +37,18 @@ import (
 //   - HTTP POST /v1/run against the gateway with JSON tensors
 //   - a 2-replica serving fleet routing the concurrent requests
 //
-// plus two rebuilds of the same cell that must reproduce every output:
-// WithFlowOpt (the dataflow rewrite may delete and repack, never change
-// arithmetic) and WithHostFallback (it cuts the graph exactly as the
-// reference build did), and, for a staged program, checkPartition.
-// It returns the output hash and any violations, and for a one-stage program
-// the flow's meta-operator counts and the flow-optimization stats.
-func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a *cimmlc.Arch, cell Cell, cfg Config) (mops *MOPCounts, hash string, opt *cimmlc.FlowOptStats, violations []string) {
+// plus a rebuild of the same cell under WithHostFallback that must
+// reproduce every output (it cuts the graph exactly as the reference build
+// did), and, for a staged program, checkPartition. It returns the output
+// hash and any violations, and for a one-stage program the flow's
+// meta-operator counts.
+func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a *cimmlc.Arch, cell Cell, cfg Config) (mops *MOPCounts, hash string, violations []string) {
 	key := cell.Key()
 	// failf records one violation and returns whatever mops/hash were
 	// computed before the failure, so an aborted battery does not also
 	// masquerade as golden drift on those fields.
-	failf := func(format string, args ...any) (*MOPCounts, string, *cimmlc.FlowOptStats, []string) {
-		return mops, hash, opt, append(violations, fmt.Sprintf("%s: %s", key, fmt.Sprintf(format, args...)))
+	failf := func(format string, args ...any) (*MOPCounts, string, []string) {
+		return mops, hash, append(violations, fmt.Sprintf("%s: %s", key, fmt.Sprintf(format, args...)))
 	}
 
 	w := cimmlc.RandomWeights(g, cfg.Seed)
@@ -85,34 +84,6 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 		base[i] = out
 	}
 	hash = hashOutputs(base)
-
-	// Flow-optimized path: dead-MOP/redundant-transfer deletion and scratch
-	// compaction must leave every output bit untouched.
-	fopts, _ := cellOptions(cell, cimmlc.WithFlowOpt())
-	fc, err := cimmlc.New(a, fopts...)
-	if err != nil {
-		violations = append(violations, fmt.Sprintf("%s: flowopt compiler: %v", key, err))
-	} else if fp, err := fc.Build(ctx, g, w, cimmlc.CodegenOptions{},
-		cimmlc.WithCalibration(calib), cimmlc.WithWorkers(4)); err != nil {
-		violations = append(violations, fmt.Sprintf("%s: flowopt build: %v", key, err))
-	} else {
-		if fr := fp.Flow(); fr != nil {
-			if opt = fr.Opt; opt == nil {
-				violations = append(violations, fmt.Sprintf("%s: flow-optimized build carries no OptStats", key))
-			}
-		}
-		for i, req := range reqs {
-			out, err := fp.Run(ctx, req)
-			if err != nil {
-				violations = append(violations, fmt.Sprintf("%s: flowopt Program.Run request %d: %v", key, i, err))
-				break
-			}
-			if d := firstOutputDiff(out, base[i]); d != "" {
-				violations = append(violations, fmt.Sprintf("%s: flowopt request %d diverges from reference: %s", key, i, d))
-				break
-			}
-		}
-	}
 
 	// Host-fallback rebuild: the partitioner cuts only what the chip cannot
 	// run, so a fresh host-fallback build must cut the graph exactly as the
@@ -222,7 +193,7 @@ func runExecBattery(ctx context.Context, c *cimmlc.Compiler, g *cimmlc.Graph, a 
 	// calibration) under the cell's mode-overridden architecture.
 	violations = append(violations, runHTTPPath(ctx, g, a, w, calib, reqs, base, cell)...)
 
-	return mops, hash, opt, violations
+	return mops, hash, violations
 }
 
 // runHTTPPath round-trips every request through POST /v1/run and compares

@@ -46,12 +46,6 @@ type Options struct {
 	// soundness become errors at the stage that broke them instead of
 	// wrong numbers downstream.
 	VerifyIR bool
-	// FlowOpt runs the dataflow optimization pass (internal/flowopt) on
-	// lowered flows: dead-MOP/redundant-transfer deletion and liveness-based
-	// scratch compaction. Consumed by the root package's Lower, not by the
-	// scheduling pipeline here, but kept in Options so it participates in
-	// the compiler's cache fingerprint.
-	FlowOpt bool
 	// HostFallback partitions graphs containing host-only operators into
 	// CIM and host subgraphs (internal/partition) instead of rejecting
 	// them; CIM subgraphs run the normal pipeline, host subgraphs lower to

@@ -3,7 +3,6 @@ package flowdata
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
@@ -47,9 +46,7 @@ type machine struct {
 	cur           int // index of the instruction being interpreted
 	instrs        []Instr
 	effects       []effect
-	facts         []Facts
 	redundant     []bool
-	regionWriters [][]int32
 	lastXfer      map[mop.Op]int
 	claimedBy     map[int32]int32
 	transferWords int64
@@ -94,7 +91,6 @@ func newMachine(g *graph.Graph, a *arch.Arch, lay *codegen.Layout) *machine {
 	}
 	m.mark = make([]int32, lay.Total)
 	m.markOp = make([]int32, lay.Total)
-	m.regionWriters = make([][]int32, len(m.regions))
 	// Inputs are loaded before the flow runs.
 	for _, id := range m.g.InputIDs() {
 		r := m.nodeRegion(id)
@@ -125,7 +121,6 @@ func (m *machine) push(op mop.Op, sec string, group int) int {
 	i := len(m.instrs)
 	m.instrs = append(m.instrs, Instr{Op: op, Sec: sec, Group: group})
 	m.effects = append(m.effects, effect{})
-	m.facts = append(m.facts, Facts{})
 	m.redundant = append(m.redundant, false)
 	m.cur = i
 	return i
@@ -287,25 +282,10 @@ func (m *machine) unchangedSince(cand int, eff effect) bool {
 
 // apply runs the def-use checks of one op's effect and commits its writes.
 func (m *machine) apply(i int, op mop.Op, eff effect) {
-	var defs []int32
-	addDef := func(d int32) {
-		for _, e := range defs {
-			if e == d {
-				return
-			}
-		}
-		defs = append(defs, d)
-	}
-	prev := int32(-3)
 	for k := int64(0); k < eff.Reads.Count; k++ {
-		w := eff.Reads.Word(k)
-		if !m.defined[w] {
+		if w := eff.Reads.Word(k); !m.defined[w] {
 			m.report(RuleUseBeforeDef, -1, "reads undefined word %d: %s", w, op)
 			break
-		}
-		if d := m.writer[w]; d != prev {
-			addDef(max(d, -1))
-			prev = d
 		}
 	}
 	switch op.(type) {
@@ -313,14 +293,10 @@ func (m *machine) apply(i int, op mop.Op, eff effect) {
 		m.claimReads(op, eff)
 	}
 	for _, id := range eff.RegionReads {
-		idx := m.res.NodeRegion(id)
-		if r := m.regions[idx]; r.defined != r.Size {
+		if r := m.nodeRegion(id); r.defined != r.Size {
 			m.report(RuleUseBeforeDef, r.Node, "reads %s with %d of %d words undefined: %s", r, r.Size-r.defined, r.Size, op)
 		}
-		m.facts[i].RegionReads = append(m.facts[i].RegionReads, int32(idx))
 	}
-	sort.Slice(defs, func(a, b int) bool { return defs[a] < defs[b] })
-	m.facts[i].Defs = defs
 	// Accumulating writes need no pre-defined target: the machine's memory
 	// is zero-initialized, so x += v on a never-written word equals a plain
 	// write — multi-round oversized operators depend on exactly that. The
@@ -359,16 +335,13 @@ func (m *machine) claimReads(op mop.Op, eff effect) {
 }
 
 // commit defines the words instruction i writes: defined-ness, per-word
-// writer, region stamps and the region-writer program-order record.
+// writer and region stamps.
 func (m *machine) commit(i int, eff effect) {
 	if eff.Writes.Rep == 0 {
 		return
 	}
 	rIdx := eff.WriteRegion
 	r := m.regions[rIdx]
-	if l := m.regionWriters[rIdx]; len(l) == 0 || l[len(l)-1] != int32(i) {
-		m.regionWriters[rIdx] = append(l, int32(i))
-	}
 	if !r.Scratch {
 		m.nodeStamp[rIdx] = int32(i)
 	}

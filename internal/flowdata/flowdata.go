@@ -5,15 +5,13 @@
 // Build interprets a generated flow abstractly, in program order, and
 // produces an Analysis artifact with
 //
-//   - the legality problems the flow-sensitive verifier found (the flow/*
-//     rule catalog internal/irverify re-exports),
-//   - def-use chains and reaching definitions (per-word last-writer
-//     tracking, so every operand read is attributed to the instruction
-//     that produced its value),
+//   - the rule breaches the flow-sensitive verifier found (the flow/* rule
+//     catalog internal/irverify re-exports), dead MOPs (scratch writes
+//     never read) and redundant transfers (identical re-moves of unchanged
+//     data) among them: a generated flow carries nothing that could be
+//     removed,
 //   - backward liveness for scratch words and region-granular live ranges
-//     for every buffer region, giving a region-interference relation,
-//   - dead-MOP and redundant-transfer candidates (scratch writes never
-//     read; back-to-back identical transfers of unchanged data), and
+//     for every buffer region, and
 //   - static resource facts: peak live scratch words, peak live crossbar
 //     regions, transfer-word totals and a live-range pressure histogram.
 //
@@ -37,7 +35,6 @@ package flowdata
 
 import (
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
@@ -83,10 +80,9 @@ func (p Problem) String() string {
 
 // Region is one contiguous slice of the flat buffer space: a node's output
 // or a CIM node's gather scratch. Node regions are always pairwise
-// disjoint; scratch regions may alias each other after liveness-based slot
-// reuse (internal/flowopt), which is legal exactly when their live ranges
-// do not overlap — the word-level owner attribution in the forward pass
-// checks that.
+// disjoint; scratch regions alias each other in codegen's shared arena,
+// which is legal exactly when no two CIM nodes consume the same gathered
+// words — the word-level owner attribution in the forward pass checks that.
 type Region struct {
 	codegen.Region
 
@@ -109,27 +105,12 @@ type Interval struct {
 
 func (iv Interval) Live() bool { return iv.First >= 0 }
 
-// Overlaps reports whether two live ranges intersect.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Live() && o.Live() && iv.First <= o.Last && o.First <= iv.Last
-}
-
-// Facts records the dataflow facts of one instruction.
-type Facts struct {
-	// Defs lists the instructions whose written words this instruction's
-	// explicit operand reads consume (sorted, unique). -1 denotes memory
-	// preloaded before the flow runs (graph inputs).
-	Defs []int32
-	// RegionReads lists the regions (indices into Analysis.Regions) this
-	// instruction reads wholesale (gather sources, DCOM inputs).
-	RegionReads []int32
-}
-
 // Analysis is the queryable dataflow artifact of one flow.
 type Analysis struct {
 	// Problems is the flow-sensitive verification outcome: the flow/* rule
-	// breaches found. All other fields are meaningful only when Problems
-	// is empty and Truncated is false.
+	// breaches found, a dead MOP or a redundant transfer included. All
+	// other fields are meaningful only when Problems is empty and Truncated
+	// is false.
 	Problems  []Problem
 	Truncated bool
 
@@ -145,20 +126,12 @@ type Analysis struct {
 	// the resolver funcsim compiles its kernels from resolved it. A weight
 	// write touches no buffer word: its entry is zero.
 	Operands []codegen.Operands
-	// Facts holds per-instruction def-use facts (parallel to Instrs).
-	Facts []Facts
-	// RegionWriters lists, per region (parallel to Regions), the
-	// instructions that wrote any of its words, in program order with
-	// consecutive duplicates collapsed.
-	RegionWriters [][]int32
 
 	// Dead marks instructions whose only effect is writing scratch words
 	// no later instruction reads; deleting them cannot change any node
 	// output. Redundant marks top-level transfers that re-move data an
 	// identical earlier transfer already moved from an unchanged source.
-	// Both are advisory in the default verification (real multi-round
-	// flows legitimately contain redundant gathers); StrictProblems and
-	// internal/flowopt consume them.
+	// Each is also a problem (flow/dead-mop, flow/redundant-transfer).
 	Dead      []bool
 	Redundant []bool
 
@@ -211,65 +184,7 @@ func pressureBucket(n int) int {
 	}
 }
 
-// StrictProblems returns the verification problems plus one problem per
-// dead MOP (flow/dead-mop) and per redundant transfer
-// (flow/redundant-transfer). The strict tier is what internal/flowopt
-// requires of its own output, and what the seeded-corruption fixtures
-// assert; it is not the default compilation gate, because unoptimized
-// multi-round flows legitimately re-gather unchanged data.
-func (an *Analysis) StrictProblems() []Problem {
-	out := append([]Problem(nil), an.Problems...)
-	if len(an.Problems) > 0 || an.Truncated {
-		return out
-	}
-	for i, in := range an.Instrs {
-		if len(out) >= MaxProblems {
-			break
-		}
-		switch {
-		case an.Dead[i]:
-			out = append(out, Problem{RuleDeadMOP, -1, fmt.Sprintf("instr %d writes scratch no later instruction reads: %s", i, in.Op)})
-		case an.Redundant[i]:
-			out = append(out, Problem{RuleRedundant, -1, fmt.Sprintf("instr %d re-transfers unchanged data an identical earlier transfer moved: %s", i, in.Op)})
-		}
-	}
-	return out
-}
-
-// Interference returns the scratch-region interference relation: pairs of
-// node IDs whose scratch live ranges overlap, each pair (a<b) once, sorted.
-// Two scratch regions may share addresses exactly when they do NOT appear
-// here — the fact the flowopt slot-reuse compaction builds on.
-func (an *Analysis) Interference() [][2]int {
-	var out [][2]int
-	for i, a := range an.Regions {
-		if !a.Scratch || !an.Intervals[i].Live() {
-			continue
-		}
-		for j := i + 1; j < len(an.Regions); j++ {
-			b := an.Regions[j]
-			if !b.Scratch || !an.Intervals[j].Live() {
-				continue
-			}
-			if an.Intervals[i].Overlaps(an.Intervals[j]) {
-				lo, hi := a.Node, b.Node
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				out = append(out, [2]int{lo, hi})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// DeadCount and RedundantCount total the advisory findings.
+// DeadCount and RedundantCount total the removable instructions.
 func (an *Analysis) DeadCount() int      { return countTrue(an.Dead) }
 func (an *Analysis) RedundantCount() int { return countTrue(an.Redundant) }
 
@@ -281,24 +196,6 @@ func countTrue(bs []bool) int {
 		}
 	}
 	return n
-}
-
-// InvertDefs returns the word-level def-use chains inverted: per
-// instruction, the instructions that read words it wrote (sorted, unique).
-func (an *Analysis) InvertDefs() [][]int32 {
-	uses := make([][]int32, len(an.Instrs))
-	for i, f := range an.Facts {
-		for _, d := range f.Defs {
-			if d < 0 {
-				continue
-			}
-			l := uses[d]
-			if len(l) == 0 || l[len(l)-1] != int32(i) {
-				uses[d] = append(l, int32(i))
-			}
-		}
-	}
-	return uses
 }
 
 // Build analyzes one generated flow against its layout. Truncated flows
@@ -341,12 +238,20 @@ func Build(g *graph.Graph, a *arch.Arch, fr *codegen.Result) *Analysis {
 		return an
 	}
 	an.Operands = m.effects
-	an.Facts = m.facts
-	an.RegionWriters = m.regionWriters
 	an.Redundant = m.redundant
 	an.TransferWords = m.transferWords
 	m.backwardLiveness(an)
 	m.liveRanges(an)
 	m.crossbarPressure(an)
+	for i, in := range an.Instrs {
+		switch {
+		case len(an.Problems) >= MaxProblems:
+			return an
+		case an.Dead[i]:
+			an.Problems = append(an.Problems, Problem{RuleDeadMOP, -1, fmt.Sprintf("instr %d writes scratch no later instruction reads: %s", i, in.Op)})
+		case an.Redundant[i]:
+			an.Problems = append(an.Problems, Problem{RuleRedundant, -1, fmt.Sprintf("instr %d re-transfers unchanged data an identical earlier transfer moved: %s", i, in.Op)})
+		}
+	}
 	return an
 }

@@ -133,6 +133,8 @@ func NewReport(model, archName, level string, fr *codegen.Result, an *Analysis) 
 		return rep
 	}
 	rep.Problems = len(an.Problems)
+	rep.DeadMOPs = an.DeadCount()
+	rep.RedundantTransfers = an.RedundantCount()
 	if len(an.Problems) > 0 {
 		return rep
 	}
@@ -140,8 +142,6 @@ func NewReport(model, archName, level string, fr *codegen.Result, an *Analysis) 
 	rep.PeakLiveScratchWords = an.PeakLiveScratchWords
 	rep.PeakLiveRegions = an.PeakLiveRegions
 	rep.PeakLiveCrossbars = an.PeakLiveCrossbars
-	rep.DeadMOPs = an.DeadCount()
-	rep.RedundantTransfers = an.RedundantCount()
 	for b, n := range an.Pressure {
 		rep.Pressure = append(rep.Pressure, PressureBin{Bucket: PressureBuckets[b], Instrs: n})
 	}

@@ -37,14 +37,14 @@ type Fixture struct {
 }
 
 // flowFixture is a fixture whose corruption is a generated flow's: corrupt
-// builds a clean compilation and breaks its flow, Check runs verify on it.
-func flowFixture(name, rule string, verify func(*graph.Graph, *arch.Arch, *codegen.Result) []Violation, corrupt func() (*pipe, error)) Fixture {
+// builds a clean compilation and breaks its flow, Check runs VerifyFlow on it.
+func flowFixture(name, rule string, corrupt func() (*pipe, error)) Fixture {
 	return Fixture{Name: name, Rule: rule, flow: corrupt, Check: func() ([]Violation, error) {
 		st, err := corrupt()
 		if err != nil {
 			return nil, err
 		}
-		return verify(st.g, st.a, st.fr), nil
+		return VerifyFlow(st.g, st.a, st.fr), nil
 	}}
 }
 
@@ -255,7 +255,7 @@ func Fixtures() []Fixture {
 				return VerifyPlacement(st.g, st.a, st.m.FPs, st.s, st.p), nil
 			},
 		},
-		flowFixture("flow-use-before-def", RuleFlowUseBeforeDef, VerifyFlow, func() (*pipe, error) {
+		flowFixture("flow-use-before-def", RuleFlowUseBeforeDef, func() (*pipe, error) {
 			st, err := buildPipe(arch.XBM, true)
 			if err != nil {
 				return nil, err
@@ -266,21 +266,21 @@ func Fixtures() []Fixture {
 			st.fr.Flow.Body = append([]mop.Op{mop.Mov{Src: base, Dst: base, Len: 1}}, st.fr.Flow.Body...)
 			return st, nil
 		}),
-		flowFixture("flow-bad-endpoint", RuleFlowEndpoint, VerifyFlow,
+		flowFixture("flow-bad-endpoint", RuleFlowEndpoint,
 			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
 				// Program a crossbar the chip does not have.
 				wx, ok := op.(mop.WriteXB)
 				wx.XB = st.a.TotalCrossbars() + 3
 				return wx, ok
 			})),
-		flowFixture("flow-unaligned-tile", RuleFlowEndpoint, VerifyFlow,
+		flowFixture("flow-unaligned-tile", RuleFlowEndpoint,
 			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
 				// A tile that ends inside a weight: its last cells slice nothing.
 				wx, ok := op.(mop.WriteXB)
 				wx.Cols--
 				return wx, ok && st.a.CellsPerWeight() > 1
 			})),
-		flowFixture("flow-read-foreign-dst", RuleFlowRegionBounds, VerifyFlow,
+		flowFixture("flow-read-foreign-dst", RuleFlowRegionBounds,
 			corruptFlow(models.ConvReLU, arch.XBM, func(st *pipe, op mop.Op) (mop.Op, bool) {
 				// Land a crossbar's columns in the input's region, not in the
 				// region of the node it is programmed with.
@@ -288,7 +288,7 @@ func Fixtures() []Fixture {
 				rd.Dst, rd.DstStride = st.fr.Layout.Base[st.g.InputIDs()[0]], 1
 				return rd, ok
 			})),
-		flowFixture("flow-dead-mop", RuleFlowDeadMOP, VerifyFlowStrict, func() (*pipe, error) {
+		flowFixture("flow-dead-mop", RuleFlowDeadMOP, func() (*pipe, error) {
 			st, err := buildPipe(arch.XBM, true)
 			if err != nil {
 				return nil, err
@@ -306,7 +306,7 @@ func Fixtures() []Fixture {
 				mop.Mov{Src: st.fr.Layout.Base[in], Dst: scratch, Len: 1})
 			return st, nil
 		}),
-		flowFixture("flow-redundant-transfer", RuleFlowRedundant, VerifyFlowStrict, func() (*pipe, error) {
+		flowFixture("flow-redundant-transfer", RuleFlowRedundant, func() (*pipe, error) {
 			st, err := buildPipe(arch.XBM, true)
 			if err != nil {
 				return nil, err
@@ -322,10 +322,10 @@ func Fixtures() []Fixture {
 			st.fr.Flow.Body = slices.Insert(slices.Clone(body), at+1, body[at])
 			return st, nil
 		}),
-		flowFixture("flow-scratch-cross-read", RuleFlowScratchLap, VerifyFlow, func() (*pipe, error) {
-			// Needs two CIM nodes: redirect the second dense layer's
-			// crossbar read into the first layer's gather buffer, so two
-			// nodes consume the same staged words.
+		flowFixture("flow-scratch-cross-read", RuleFlowScratchLap, func() (*pipe, error) {
+			// Needs two CIM nodes sharing the scratch arena: drop the second
+			// dense layer's gather, so its crossbar reads consume the words
+			// the first layer gathered.
 			st, err := buildPipeOn(models.MLP(), arch.XBM, true)
 			if err != nil {
 				return nil, err
@@ -334,22 +334,16 @@ func Fixtures() []Fixture {
 			if len(cims) < 2 {
 				return nil, fmt.Errorf("fixture baseline: want >=2 CIM nodes, got %d", len(cims))
 			}
-			first, ok := st.fr.Layout.Scratch[cims[0]]
-			if !ok {
-				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[0])
+			second := st.g.MustNode(cims[1])
+			body := st.fr.Flow.Body
+			at := slices.IndexFunc(body, func(op mop.Op) bool {
+				mv, ok := op.(mop.Mov)
+				return ok && mv.Src == st.fr.Layout.Base[second.Inputs[0]] && mv.Dst == st.fr.Layout.Scratch[second.ID]
+			})
+			if at < 0 {
+				return nil, fmt.Errorf("fixture baseline: no gather for node %d", second.ID)
 			}
-			second, ok := st.fr.Layout.Scratch[cims[1]]
-			if !ok {
-				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cims[1])
-			}
-			if !editFirst(st.fr.Flow.Body, func(op mop.Op) (mop.Op, bool) {
-				rd, ok := op.(mop.ReadXB)
-				ok = ok && rd.Src >= second
-				rd.Src = first
-				return rd, ok
-			}) {
-				return nil, fmt.Errorf("fixture baseline: no crossbar read sourced from node %d's scratch", cims[1])
-			}
+			st.fr.Flow.Body = slices.Delete(slices.Clone(body), at, at+1)
 			return st, nil
 		}),
 	}

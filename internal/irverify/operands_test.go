@@ -95,7 +95,7 @@ func TestExecutorRejectsWhatVerifierRejects(t *testing.T) {
 			return o, ok
 		}},
 	} {
-		cases = append(cases, flowFixture(c.name, c.rule, VerifyFlow, corruptFlow(c.model, c.mode, c.edit)))
+		cases = append(cases, flowFixture(c.name, c.rule, corruptFlow(c.model, c.mode, c.edit)))
 	}
 	for _, fx := range cases {
 		if fx.flow == nil {

@@ -3,7 +3,7 @@
 // equal-label runs to one assembler.
 //
 // The target policy always applies. The CIM pipeline (cg/mvm/vvm scheduling,
-// placement, flow optimisation) can only lower the operator set in
+// placement, codegen) can only lower the operator set in
 // graph.CIMLowerableOps, so host-only operators (Sigmoid, Tanh, Mul, ...) and
 // the nodes Options.ForceHost names go to the host, and a CIM run left without
 // a crossbar-mapped operator follows them.

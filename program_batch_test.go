@@ -648,23 +648,26 @@ func TestRunBatchSingleRequestFallsBack(t *testing.T) {
 	}
 }
 
-// FuzzBatchedRun drives random (model, arch, seed, width) points through
-// RunBatch with a single worker — 1 to 6 lanes, one micro-batch or, past the
-// cell's lane cap, the inline cuts of batchCuts — and requires every request
-// to verify bit-exactly against the quantized reference, every lane's output
-// to match the one-lane Run byte for byte, and every lane of a multi-lane cut
-// to count as batched.
+// FuzzBatchedRun drives random (model, arch, seed, width, level) points
+// through RunBatch with a single worker — 1 to 6 lanes, one micro-batch or,
+// past the cell's lane cap, the inline cuts of batchCuts — and requires every
+// request to verify bit-exactly against the quantized reference, every lane's
+// output to match the one-lane Run byte for byte, and every lane of a
+// multi-lane cut to count as batched. The level caps the scheduling
+// optimization (WithMaxLevel), so the flows codegen emits at each level run.
 func FuzzBatchedRun(f *testing.F) {
 	models := []string{"conv-relu", "mlp", "lenet5"}
 	archs := []string{"isaac-baseline", "puma", "toy-table2", "jia-isscc21"}
-	f.Add(uint8(0), uint8(2), uint64(1), uint8(2))
-	f.Add(uint8(1), uint8(2), uint64(7), uint8(1))
-	f.Add(uint8(2), uint8(0), uint64(3), uint8(3))
-	f.Add(uint8(0), uint8(1), uint64(5), uint8(0))
-	f.Add(uint8(2), uint8(3), uint64(9), uint8(4)) // CM: readcore on the shared kernel
-	f.Fuzz(func(t *testing.T, mi, ai uint8, seed uint64, nb uint8) {
+	levels := []Mode{CM, XBM, WLM}
+	f.Add(uint8(0), uint8(2), uint64(1), uint8(2), uint8(2))
+	f.Add(uint8(1), uint8(2), uint64(7), uint8(1), uint8(1)) // XBM: one-window operators in several rounds
+	f.Add(uint8(2), uint8(0), uint64(3), uint8(3), uint8(0))
+	f.Add(uint8(0), uint8(1), uint64(5), uint8(0), uint8(2))
+	f.Add(uint8(2), uint8(3), uint64(9), uint8(4), uint8(2)) // CM: readcore on the shared kernel
+	f.Fuzz(func(t *testing.T, mi, ai uint8, seed uint64, nb, li uint8) {
 		model := models[int(mi)%len(models)]
 		archName := archs[int(ai)%len(archs)]
+		level := levels[int(li)%len(levels)]
 		lanes := int(nb)%6 + 1
 		ctx := context.Background()
 
@@ -676,7 +679,7 @@ func FuzzBatchedRun(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(a, WithCache(0))
+		c, err := New(a, WithCache(0), WithMaxLevel(level))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -689,7 +692,7 @@ func FuzzBatchedRun(f *testing.F) {
 		}
 		p, err := c.Build(ctx, g, w, CodegenOptions{}, WithCalibration(calib), WithWorkers(1))
 		if err != nil {
-			t.Fatalf("%s/%s seed %d: build: %v", model, archName, seed, err)
+			t.Fatalf("%s/%s/%s seed %d: build: %v", model, archName, level, seed, err)
 		}
 
 		reqs := make([]map[int]*Tensor, lanes)
@@ -705,7 +708,7 @@ func FuzzBatchedRun(f *testing.F) {
 			// Bit-exact against QuantReferenceCalib; the float tolerance
 			// only holds near the calibration input, so it is lifted.
 			if err := p.Verify(ctx, req, math.Inf(1)); err != nil {
-				t.Fatalf("%s/%s seed %d: request %d: %v", model, archName, seed, i, err)
+				t.Fatalf("%s/%s/%s seed %d: request %d: %v", model, archName, level, seed, i, err)
 			}
 			out, err := p.Run(ctx, req)
 			if err != nil {
@@ -723,7 +726,7 @@ func FuzzBatchedRun(f *testing.F) {
 		}
 		_, batched := microBatches(p, lanes, 1) // a one-lane micro-batch is not counted as batched
 		if d := p.Stats().BatchedRequests - before.BatchedRequests; d != batched {
-			t.Fatalf("%s/%s seed %d: %d of %d requests shared a micro-batch, want %d", model, archName, seed, d, lanes, batched)
+			t.Fatalf("%s/%s/%s seed %d: %d of %d requests shared a micro-batch, want %d", model, archName, level, seed, d, lanes, batched)
 		}
 	})
 }
@@ -781,10 +784,10 @@ func TestBatchCutsExecCells(t *testing.T) {
 		one, two    cut
 	}{
 		{"conv-relu", "isaac-baseline", 96256, cut{32, 2, 2}, cut{32, 2, 2}},
-		{"lenet5", "puma", 25890, cut{13, 4, 5}, cut{14, 4, 5}},
-		{"lenet5", "jia-isscc21", 16840, cut{10, 6, 7}, cut{10, 6, 7}},
-		{"mlp", "puma", 2730, cut{2, 32, 32}, cut{2, 32, 32}},
-		{"lenet5", "toy-table2", 16640, cut{10, 6, 7}, cut{10, 6, 7}},
+		{"lenet5", "puma", 20886, cut{11, 5, 6}, cut{12, 5, 6}},
+		{"lenet5", "jia-isscc21", 15786, cut{8, 8, 8}, cut{8, 8, 8}},
+		{"mlp", "puma", 2346, cut{2, 32, 32}, cut{2, 32, 32}},
+		{"lenet5", "toy-table2", 16186, cut{8, 8, 8}, cut{8, 8, 8}},
 		{"conv-gate", "puma", 15872, cut{8, 8, 8}, cut{8, 8, 8}},
 	} {
 		t.Run(tc.model+"."+tc.arch, func(t *testing.T) {
@@ -809,7 +812,7 @@ func TestBatchCutsExecCells(t *testing.T) {
 // batch of 1 to 256 requests over 1 to 16 workers and lanes of 1 to 2²⁰
 // words, seeded with the exec-* cells' lane words.
 func FuzzBatchCuts(f *testing.F) {
-	for _, words := range []uint32{96256, 25890, 16840, 2730, 16640, 15872} {
+	for _, words := range []uint32{96256, 20886, 15786, 2346, 16186, 15872} {
 		f.Add(uint16(63), uint8(1), words-1)
 	}
 	f.Fuzz(func(t *testing.T, n uint16, workers uint8, words uint32) {

@@ -204,7 +204,6 @@ var deterministicPkgs = map[string]bool{
 	"cimmlc/internal/funcsim":   true,
 	"cimmlc/internal/irverify":  true,
 	"cimmlc/internal/flowdata":  true,
-	"cimmlc/internal/flowopt":   true,
 	"cimmlc/internal/partition": true,
 	"cimmlc/internal/hostexec":  true,
 }
