@@ -298,8 +298,10 @@ func BenchmarkExecCells(b *testing.B) {
 // BenchmarkSweep is the compiled body alone — no load, settle or extract — on
 // the two cells whose requests are mostly window sweeps, as a micro-batch of
 // one lane and of eight: ns/window is the body's time per window per lane
-// (conv-relu: 1 024 windows of 27 × 32, then a ReLU; lenet5: 784 of 25 × 6 and
-// 100 of 150 × 16, the digital layers and three dense reads).
+// (conv-relu: 1 024 windows of 27 × 32, three weight columns to the word, so
+// 11 words of 27 wordlines each, then a ReLU; lenet5: 784 of 25 × 6, also
+// three to the word, and 100 of 150 × 16, two to the word, the digital layers
+// and three dense reads).
 func BenchmarkSweep(b *testing.B) {
 	ctx := context.Background()
 	for _, cell := range [][2]string{{"conv-relu", "isaac-baseline"}, {"lenet5", "puma"}} {

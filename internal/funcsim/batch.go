@@ -57,7 +57,7 @@ type CompiledFlow struct {
 	members []xbRead
 	// writeTiles interns the tiles write ops program, so the copies and rounds
 	// a body rewrites share one: its quantized weights in the layout reads
-	// consume (mvm.go), column-major in the image's word format, Rows words per
+	// consume (mvm.go), column-major in its node's word format, Rows words per
 	// run.
 	writeTiles map[codegen.Tile][]int64
 	// geos and matrices hold, per node, the window gather geometry and — for a
@@ -522,13 +522,13 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 	qw, dims := img.qweights[w.Node], img.wDims[w.Node]
 	s := a.CellsPerWeight()
 	wColOff, nW := w.CellColOff/s, w.Cols/s
-	packed, xbRows := img.packed, a.XB.Rows
+	per, xbRows := img.perWord[w.Node], a.XB.Rows
 	tile, ok := cf.writeTiles[w.Tile]
 	if !ok {
-		tile = make([]int64, wordsFor(nW, packed)*rows)
+		tile = make([]int64, wordsFor(nW, per)*rows)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < nW; j++ {
-				placeWeight(tile, rows, i, j, int64(qw[(w.CellRowOff+i)*dims[1]+wColOff+j]), packed)
+				placeWeight(tile, rows, i, j, int64(qw[(w.CellRowOff+i)*dims[1]+wColOff+j]), per)
 			}
 		}
 		if cf.writeTiles == nil {
@@ -536,10 +536,9 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 		}
 		cf.writeTiles[w.Tile] = tile
 	}
-	whole := nW // the tile's column words that it fills entirely
-	if packed {
-		whole = nW / 2
-	}
+	whole := nW / per // the tile's column words that it fills entirely
+	// The fields of a partial last word the tile owns: the low ones.
+	own := uint(nW % per * fieldBits(per))
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		// Reprogramming with a new tile: the array starts cleared.
@@ -549,11 +548,11 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 			copy(weights[c*xbRows+rowStart:], tile[c*rows:(c+1)*rows])
 		}
 		if whole < len(tile)/rows {
-			// An odd last column is the low half of its words; the high half is
-			// a column beyond the tile and stays as the write found it.
+			// The fields above are columns beyond the tile and stay as the write
+			// found them.
 			run := weights[whole*xbRows+rowStart:][:rows]
 			for i, v := range tile[whole*rows:] {
-				run[i] += v - int64(int32(run[i]))
+				run[i] = mergeLow(run[i], v, own)
 			}
 		}
 		return nil
@@ -561,21 +560,23 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 }
 
 // privateXB returns crossbar xb's weight array for writing, owned by the
-// state: cleared when the write starts a new tile (or the crossbar is empty),
-// copied from the image when it extends a tile that still aliases the image's
-// array (copy-on-write), as it is when already private. The image may share
-// one array among crossbars programmed alike; the copy is what keeps a write
-// to one of them from its siblings.
+// state and sized in the word format of the node the write (already recorded
+// in st.prog[xb]) programs: cleared when the write starts a new tile (or the
+// crossbar is empty), copied from the image when it extends a tile that still
+// aliases the image's array (copy-on-write), as it is when already private.
+// The image may share one array among crossbars programmed alike; the copy is
+// what keeps a write to one of them from its siblings.
 func (st *BatchState) privateXB(img *Image, xb int, fresh bool) []int64 {
 	a := img.a
-	if st.ownWeights[xb] == nil {
-		st.ownWeights[xb] = make([]int64, a.XB.Rows*wordsFor(a.XB.Cols/a.CellsPerWeight(), img.packed))
+	p := &st.prog[xb]
+	size := a.XB.Rows * wordsFor(a.XB.Cols/a.CellsPerWeight(), img.perWord[p.Node])
+	if cap(st.ownWeights[xb]) < size {
+		st.ownWeights[xb] = make([]int64, size)
 	}
-	weights := st.ownWeights[xb]
+	weights := st.ownWeights[xb][:size]
 	if st.shared[xb] || st.weights[xb] == nil {
 		st.dirty = append(st.dirty, xb)
 	}
-	p := &st.prog[xb]
 	switch {
 	case fresh || st.weights[xb] == nil:
 		clear(weights)

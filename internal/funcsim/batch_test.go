@@ -185,39 +185,42 @@ func toyBits(m arch.Mode, weightBits, actBits int) *arch.Arch {
 // independent quantized reference exactly. The cells cover every way a read
 // finds its weights — stationary (the image's arrays), body reprogramming (the
 // state's private arrays), a body write extending an image tile
-// (copy-on-write), nothing programmed at baseline — and both word formats of
-// the weight arrays: 16-bit × 16-bit fails the packing bound (one column per
-// word), 12-bit weights put 21 columns in a crossbar (a half-filled last
-// word), 8-bit × 16-bit packs with activations near the bound. Requests mix
-// tensor shapes of one size.
+// (copy-on-write), nothing programmed at baseline — and all three word
+// formats of the weight arrays, which each cell names per node with weights:
+// 8-bit × 8-bit puts a small node's three columns to the word (conv-relu's
+// conv, lenet5's conv1) and a larger one's two, 16-bit × 16-bit fails the
+// packing bound (one column per word), 12-bit weights put 21 columns in a
+// crossbar (a half-filled last word), 8-bit × 16-bit packs two with
+// activations near the bound. Requests mix tensor shapes of one size.
 func TestLanesMatchQuantReference(t *testing.T) {
+	lenet5 := []int{3, 2, 2, 2, 2}
 	cells := []struct {
 		name        string
 		g           *graph.Graph
 		a           *arch.Arch
 		programming int
 		bodyWrites  bool
-		unpacked    bool // the arch fails the packing bound: one weight column per word
+		per         []int // word format of each node with weights, in node order
 	}{
-		{name: "conv-relu.xbm", g: models.ConvReLU(), a: toyInMode(arch.XBM)},
-		{name: "conv-relu.wlm", g: models.ConvReLU(), a: toyInMode(arch.WLM)},
-		{name: "conv-relu.cm", g: models.ConvReLU(), a: toyInMode(arch.CM)},
-		{name: "mlp.xbm-reprogrammed", g: models.MLP(), a: toyInMode(arch.XBM), bodyWrites: true},
-		{name: "lenet5.toy-table2-reprogrammed", g: models.LeNet5(), a: arch.ToyExample(), bodyWrites: true},
-		{name: "lenet5.isaac", g: models.LeNet5(), a: arch.ISAACBaseline()},
-		{name: "conv-relu.wlm-one-shot", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: oneShot},
-		{name: "conv-relu.wlm-split-tile", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: splitTile},
-		{name: "conv-relu.xbm-w16a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 16, 16), unpacked: true},
-		{name: "conv-relu.wlm-w16a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 16, 16), unpacked: true},
-		{name: "conv-relu.cm-w16a16", g: models.ConvReLU(), a: toyBits(arch.CM, 16, 16), unpacked: true},
-		{name: "conv-relu.xbm-w12a8", g: models.ConvReLU(), a: toyBits(arch.XBM, 12, 8)},
-		{name: "conv-relu.wlm-w12a8", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8)},
-		{name: "conv-relu.cm-w12a8", g: models.ConvReLU(), a: toyBits(arch.CM, 12, 8)},
-		{name: "conv-relu.wlm-w12a8-split-tile", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8), programming: splitTile},
-		{name: "lenet5.wlm-w12a8-reprogrammed", g: models.LeNet5(), a: toyBits(arch.WLM, 12, 8), bodyWrites: true},
-		{name: "conv-relu.xbm-w8a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 8, 16)},
-		{name: "conv-relu.wlm-w8a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 8, 16)},
-		{name: "conv-relu.cm-w8a16", g: models.ConvReLU(), a: toyBits(arch.CM, 8, 16)},
+		{name: "conv-relu.xbm", g: models.ConvReLU(), a: toyInMode(arch.XBM), per: []int{3}},
+		{name: "conv-relu.wlm", g: models.ConvReLU(), a: toyInMode(arch.WLM), per: []int{3}},
+		{name: "conv-relu.cm", g: models.ConvReLU(), a: toyInMode(arch.CM), per: []int{3}},
+		{name: "mlp.xbm-reprogrammed", g: models.MLP(), a: toyInMode(arch.XBM), bodyWrites: true, per: []int{2, 2, 2}},
+		{name: "lenet5.toy-table2-reprogrammed", g: models.LeNet5(), a: arch.ToyExample(), bodyWrites: true, per: lenet5},
+		{name: "lenet5.isaac", g: models.LeNet5(), a: arch.ISAACBaseline(), per: lenet5},
+		{name: "conv-relu.wlm-one-shot", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: oneShot, per: []int{3}},
+		{name: "conv-relu.wlm-split-tile", g: models.ConvReLU(), a: toyInMode(arch.WLM), programming: splitTile, per: []int{3}},
+		{name: "conv-relu.xbm-w16a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 16, 16), per: []int{1}},
+		{name: "conv-relu.wlm-w16a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 16, 16), per: []int{1}},
+		{name: "conv-relu.cm-w16a16", g: models.ConvReLU(), a: toyBits(arch.CM, 16, 16), per: []int{1}},
+		{name: "conv-relu.xbm-w12a8", g: models.ConvReLU(), a: toyBits(arch.XBM, 12, 8), per: []int{2}},
+		{name: "conv-relu.wlm-w12a8", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8), per: []int{2}},
+		{name: "conv-relu.cm-w12a8", g: models.ConvReLU(), a: toyBits(arch.CM, 12, 8), per: []int{2}},
+		{name: "conv-relu.wlm-w12a8-split-tile", g: models.ConvReLU(), a: toyBits(arch.WLM, 12, 8), programming: splitTile, per: []int{2}},
+		{name: "lenet5.wlm-w12a8-reprogrammed", g: models.LeNet5(), a: toyBits(arch.WLM, 12, 8), bodyWrites: true, per: []int{2, 2, 2, 2, 2}},
+		{name: "conv-relu.xbm-w8a16", g: models.ConvReLU(), a: toyBits(arch.XBM, 8, 16), per: []int{2}},
+		{name: "conv-relu.wlm-w8a16", g: models.ConvReLU(), a: toyBits(arch.WLM, 8, 16), per: []int{2}},
+		{name: "conv-relu.cm-w8a16", g: models.ConvReLU(), a: toyBits(arch.CM, 8, 16), per: []int{2}},
 	}
 	for i, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,8 +228,8 @@ func TestLanesMatchQuantReference(t *testing.T) {
 			if got := bodyWrites(c.flow.Body) > 0; got != tc.bodyWrites {
 				t.Fatalf("flow body reprograms crossbars: %v, cell expects %v", got, tc.bodyWrites)
 			}
-			if c.img.packed == tc.unpacked {
-				t.Fatalf("image packs two weight columns per word: %v, cell expects %v", c.img.packed, !tc.unpacked)
+			if got := wordFormats(c.img); !slices.Equal(got, tc.per) {
+				t.Fatalf("weight columns to the word, per node with weights: %v, cell expects %v", got, tc.per)
 			}
 			st := c.img.NewBatchState(1)
 			for _, n := range []int{1, 2, 3, 5, 8} {
@@ -234,6 +237,17 @@ func TestLanesMatchQuantReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wordFormats lists the word format of every node with weights, in node order.
+func wordFormats(img *Image) []int {
+	var per []int
+	for _, n := range img.g.Nodes {
+		if _, ok := img.wDims[n.ID]; ok {
+			per = append(per, img.perWord[n.ID])
+		}
+	}
+	return per
 }
 
 func TestBatchStateReuseAcrossLaneCounts(t *testing.T) {

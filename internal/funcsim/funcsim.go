@@ -102,17 +102,21 @@ type Image struct {
 	// chip-global crossbar ID: the weight array (nil for a crossbar the init
 	// section leaves unprogrammed) and what each crossbar holds. A weight
 	// array is stored the way reads walk it (mvm.go): column-major, weight
-	// column c's wordline r at word c·stride + r — or, when packed, columns 2c
-	// and 2c+1 sharing that word — with the stride in the crossbar's xbProg.
-	// Crossbars the init section wrote alike share one array (ProgramInit).
+	// column c's wordline r at word c·stride + r — or, packed per columns to
+	// the word, columns per·c to per·c + per − 1 sharing that word, in the
+	// format of the node the crossbar holds — with the stride in the
+	// crossbar's xbProg. Crossbars the init section wrote alike share one
+	// array (ProgramInit).
 	// Arrays are shared into every state copy-on-write, so the body's
 	// reprogramming operators (multi-round flows) never write through to the
 	// image or to a sibling crossbar.
 	baseWeights [][]int64
 	baseProg    []xbProg
-	// packed: the arch's precisions and wordline count prove that two weight
-	// columns' sums fit the halves of one word (wordLimit).
-	packed bool
+	// perWord is, by node ID, the word format of the node's crossbar arrays:
+	// how many weight columns share a word (wordFormat, over the node's matrix
+	// rows and the wordlines one read of a crossbar may sum). 1 for a node
+	// without weights.
+	perWord []int
 }
 
 // xbProg is what one crossbar holds — the record operand resolution keeps and
@@ -153,7 +157,10 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		inputs:      g.InputIDs(),
 		baseWeights: make([][]int64, a.TotalCrossbars()),
 		baseProg:    make([]xbProg, a.TotalCrossbars()),
-		packed:      wordLimit(a.XB.Rows, a.WeightBits, a.ActBits) >= 0,
+		perWord:     make([]int, len(g.Nodes)),
+	}
+	for i := range img.perWord {
+		img.perWord[i] = 1
 	}
 	for i := range img.baseProg {
 		img.baseProg[i].Node = -1
@@ -187,6 +194,7 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		img.wScale[id] = q
 		img.qweights[id] = qv
 		img.wDims[id] = [2]int{mat.Dim(0), mat.Dim(1)}
+		img.perWord[id] = wordFormat(mat.Dim(0), a.XB.Rows, a.WeightBits, a.ActBits)
 	}
 	img.base = make([]int64, len(g.Nodes))
 	img.size = make([]int64, len(g.Nodes))

@@ -1,32 +1,44 @@
 package funcsim
 
 // This file is the MVM microkernel every read meta-operator runs on, and the
-// weight-word format it consumes.
+// weight-word formats it consumes.
 //
 // A weight array is column-major — a weight column's wordlines are contiguous,
 // in the order a dot product walks them — and, whenever the precisions allow,
-// holds two adjacent weight columns per 64-bit word: lo + hi<<32. One multiply
-// a·(lo + hi<<32) then accumulates both columns, and a sum s of such products
-// splits exactly into lo = int64(int32(s)), hi = (s − lo) >> 32 as long as
-// each half's true sum fits in 32 signed bits: integer arithmetic is exact, so
-// the low 32 bits of s are the low column's sum whatever the high column
-// added above them. Whether the halves fit is decided twice. The array's
-// format is chosen once from the precisions and the row count (packLimit
+// holds several adjacent weight columns per 64-bit word, each in a field of its
+// own: two 32-bit fields, lo + hi<<32, or three 21-bit ones at bits 0, 21 and
+// 42. One multiply a·word then accumulates every column of the word, and a sum
+// s of such products splits exactly into its fields by sign extension — the
+// low field is lo = s<<(64−f)>>(64−f), the rest (s − lo) >> f — as long as
+// each field's true sum fits in f signed bits: integer arithmetic is exact, so
+// the low f bits of s are the low column's sum whatever the columns above it
+// added. Whether the fields fit is decided twice. A node's format is chosen
+// once, from the precisions and the rows its dot products sum (wordFormat,
 // against settled activations); and before every packed accumulation the
-// kernel checks the activations it is about to multiply against the bound —
-// their magnitudes are OR-reduced in the pass that gathers them (copyMag) —
-// sending streams that exceed it — raw accumulators a hand-written flow routed
-// into a read, nothing codegen emits — through a loop that unpacks each word
-// and accumulates the two columns apart. Every read therefore returns the
-// exact int64 sums for every input.
+// kernel checks the activations it is about to multiply against the format's
+// bound — their magnitudes are OR-reduced in the pass that gathers them
+// (copyMag) — sending streams that exceed it — raw accumulators a hand-written
+// flow routed into a read, nothing codegen emits — through a loop that unpacks
+// each word and accumulates its columns apart. Every read therefore returns
+// the exact int64 sums for every input.
+//
+// The format is a node's, not the image's: a crossbar holds one node's tile at
+// a time, and a read may only write into the output region of the node its
+// crossbar holds, so every array a chain multiplies is in the format of the
+// node the chain writes.
+
+// fieldBits is the width of one column's field in a word that holds per
+// weight columns: 64, 32 or 21 bits.
+func fieldBits(per int) int { return 64 / per }
 
 // packLimit returns 2^b − 1 for the largest b such that rows products of a
 // weightBits-wide weight and an activation in [−2^b, 2^b) sum to less than
-// 2^31 in magnitude: rows · 2^(weightBits−1) · 2^b < 2^31. It returns −1 when
-// not even b = 0 does.
-func packLimit(rows, weightBits int) int64 {
-	b := 31 - weightBits
-	for ; b >= 0 && int64(rows)<<(weightBits-1+b) >= 1<<31; b-- {
+// 2^(field−1) in magnitude: rows · 2^(weightBits−1) · 2^b < 2^(field−1), so
+// that every sum fits a field of field signed bits. It returns −1 when not
+// even b = 0 does.
+func packLimit(rows, weightBits, field int) int64 {
+	b := field - 1 - weightBits
+	for ; b >= 0 && int64(rows)<<(weightBits-1+b) >= 1<<(field-1); b-- {
 	}
 	if b < 0 {
 		return -1
@@ -34,36 +46,66 @@ func packLimit(rows, weightBits int) int64 {
 	return 1<<b - 1
 }
 
-// wordLimit decides a weight array's word format from what it will multiply:
-// rows wordlines of weightBits-wide weights against actBits-wide settled
-// activations. Two columns share a word when packLimit covers every settled
-// activation; the result is then the guard bound for sums over that many
-// rows. −1 means one column per word: such sums are exact as they are and
-// need no guard.
-func wordLimit(rows, weightBits, actBits int) int64 {
-	if limit := packLimit(rows, weightBits); limit >= 1<<(actBits-1)-1 {
+// wordLimit is the guard bound of arrays that hold per weight columns to the
+// word (2 or 3) for sums over rows wordlines of weightBits-wide weights, when
+// it covers every actBits-wide settled activation; −1 when it does not: such
+// sums do not fit the format's fields.
+func wordLimit(rows, weightBits, actBits, per int) int64 {
+	if limit := packLimit(rows, weightBits, fieldBits(per)); limit >= 1<<(actBits-1)-1 {
 		return limit
 	}
 	return -1
 }
 
-// wordsFor returns how many words hold cols weight columns of one wordline.
-func wordsFor(cols int, packed bool) int {
-	if packed {
-		return (cols + 1) / 2
+// wordFormat returns how many weight columns share a word of a node's arrays:
+// three when the node's k matrix rows fit 21-bit fields, else two when the
+// most rows one of its dot products may sum fit 32-bit ones, else one, which
+// needs no guard.
+func wordFormat(k, most, weightBits, actBits int) int {
+	switch {
+	case wordLimit(k, weightBits, actBits, 3) >= 0:
+		return 3
+	case wordLimit(most, weightBits, actBits, 2) >= 0:
+		return 2
 	}
-	return cols
+	return 1
 }
 
+// wordsFor returns how many words hold cols weight columns of one wordline,
+// per to the word.
+func wordsFor(cols, per int) int { return (cols + per - 1) / per }
+
 // placeWeight puts weight v of wordline row, weight column col into a weight
-// array whose column words are runs of rows words. The array must start
-// zeroed: the two columns of a packed word are added into it, lo + hi<<32.
-func placeWeight(w []int64, rows, row, col int, v int64, packed bool) {
-	if packed {
-		w[col/2*rows+row] += v << (32 * uint(col%2))
-	} else {
+// array whose column words are runs of rows words, per columns to the word.
+// The array must start zeroed: the columns of a word are added into it, each
+// shifted to its field. (Each format divides by its own constant: a build
+// places every weight of the model, and a division by a variable is several
+// times a multiply.)
+func placeWeight(w []int64, rows, row, col int, v int64, per int) {
+	switch per {
+	case 1:
 		w[col*rows+row] = v
+	case 2:
+		w[col/2*rows+row] += v << (32 * uint(col%2))
+	default:
+		w[col/3*rows+row] += v << (21 * uint(col%3))
 	}
+}
+
+// splitField splits s, a sum of fields f bits apart, into its low field,
+// sign-extended, and the sum of the fields above it, shifted down to bit 0:
+// exact as long as every field's value fits f signed bits.
+func splitField(s int64, f uint) (lo, rest int64) {
+	lo = s << (64 - f) >> (64 - f)
+	return lo, (s - lo) >> f
+}
+
+// mergeLow returns word with its fields below bit own replaced by v, the
+// fields a tile places there (placeWeight): the fields above are columns
+// beyond the tile and keep their values.
+func mergeLow(word, v int64, own uint) int64 {
+	lo, _ := splitField(word, own)
+	return word - lo + v
 }
 
 // mvmRun is one dot-product run of an accumulation chain: n activation words
@@ -93,11 +135,13 @@ type mvmRun struct {
 // acc, one add — per output. act[s] is the stream's activation vector as the
 // sweep gathered it, mag[s] the OR of a ^ (a>>63) over it (copyMag), which is
 // at most 2^b − 1 exactly when every activation lies in [−2^b, 2^b); out[s] is
-// the stream's lane memory from weight column 0's word. limit is the weight
-// arrays' word format and guard bound (wordLimit over the runs' total rows).
+// the stream's lane memory from weight column 0's word. per is the weight
+// arrays' word format, the weight columns to the word, and limit — when per > 1
+// — its guard bound for the runs' rows (wordLimit).
 type mvmCall struct {
 	runs  []mvmRun
 	cols  int // weight columns
+	per   int
 	limit int64
 
 	stride int64
@@ -123,16 +167,27 @@ func copyMag(dst, src []int64) int64 {
 }
 
 // emit writes the accumulated sum s of column word c for one stream: split
-// into its two columns when packed, each stored or (acc) added once.
+// into its columns' fields by sign extension, each stored or (acc) added once.
 func (k *mvmCall) emit(o []int64, c int, s int64) {
-	if k.limit < 0 {
+	switch j := k.per * c; k.per {
+	case 1:
 		k.put(o, c, s)
-		return
-	}
-	lo := int64(int32(s))
-	k.put(o, 2*c, lo)
-	if 2*c+1 < k.cols {
-		k.put(o, 2*c+1, (s-lo)>>32)
+	case 2:
+		lo, hi := splitField(s, 32)
+		k.put(o, j, lo)
+		if j+1 < k.cols {
+			k.put(o, j+1, hi)
+		}
+	default:
+		lo, s := splitField(s, 21)
+		k.put(o, j, lo)
+		if j+1 < k.cols {
+			mid, hi := splitField(s, 21)
+			k.put(o, j+1, mid)
+			if j+2 < k.cols {
+				k.put(o, j+2, hi)
+			}
+		}
 	}
 }
 
@@ -171,8 +226,8 @@ func dot4(shared, v0, v1, v2, v3 []int64) (s0, s1, s2, s3 int64) {
 // own.
 func (k *mvmCall) run() {
 	runs := k.runs
-	packed := k.limit >= 0
-	words := wordsFor(k.cols, packed)
+	packed := k.per > 1
+	words := wordsFor(k.cols, k.per)
 	// limit is 2^b − 1, so the OR of the magnitudes is within it exactly when
 	// each is.
 	if k.n == 4 && (!packed || k.mag[0]|k.mag[1]|k.mag[2]|k.mag[3] <= k.limit) {
@@ -215,23 +270,25 @@ func (k *mvmCall) run() {
 }
 
 // runUnpacking is the exact loop for one stream whose activations exceed the
-// packing bound: every packed word is split into its two columns before the
-// multiply, and the two sums accumulate apart in full int64 width.
+// packing bound: every packed word is split into its columns' weights before
+// the multiply, and the columns' sums accumulate apart in full int64 width.
 func (k *mvmCall) runUnpacking(a, o []int64) {
-	for c := 0; 2*c < k.cols; c++ {
-		var lo, hi int64
+	per, f := k.per, uint(fieldBits(k.per))
+	for c := 0; c*per < k.cols; c++ {
+		var sums [3]int64
 		for _, r := range k.runs {
 			w := r.w[c*r.stride:][:r.n]
 			x := a[r.src:][:len(w)]
 			for i, v := range w {
-				vl := int64(int32(v))
-				lo += x[i] * vl
-				hi += x[i] * ((v - vl) >> 32)
+				for j := range per {
+					var lo int64
+					lo, v = splitField(v, f)
+					sums[j] += x[i] * lo
+				}
 			}
 		}
-		k.put(o, 2*c, lo)
-		if 2*c+1 < k.cols {
-			k.put(o, 2*c+1, hi)
+		for j, s := range sums[:min(per, k.cols-c*per)] {
+			k.put(o, c*per+j, s)
 		}
 	}
 }

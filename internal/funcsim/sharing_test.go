@@ -64,10 +64,11 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 				if img.baseWeights[xb] == nil {
 					t.Fatalf("crossbar %d was written but holds nothing", xb)
 				}
-				// One weight array per crossbar, two weight columns to the
-				// word, cut to the wordlines programmed.
-				if !img.packed || len(img.baseWeights[xb]) != int(img.baseProg[xb].Rows)*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), true) {
-					t.Fatalf("crossbar %d keeps %d weight words (packed: %v)", xb, len(img.baseWeights[xb]), img.packed)
+				// One weight array per crossbar, in the word format of the node
+				// it holds, cut to the wordlines programmed.
+				node := img.baseProg[xb].Node
+				if per := img.perWord[node]; per == 1 || len(img.baseWeights[xb]) != int(img.baseProg[xb].Rows)*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), per) {
+					t.Fatalf("crossbar %d keeps %d weight words (node %d, %d columns to the word)", xb, len(img.baseWeights[xb]), node, per)
 				}
 				r, seen := first[s]
 				if !seen {
@@ -225,67 +226,92 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 }
 
 // TestBodyWriteExtendsSharedTile: a body write that extends a tile two
-// crossbars still share with the image — more wordlines, and an odd count of
-// weight columns, so its last column is the low half of words whose high half
-// the image programmed — copies the array on write and merges that half word.
-// The crossbar then holds, weight for weight, what the two tiles program from
-// the quantized matrix, its sibling still reads the image's array, and the
-// image is as it was.
+// crossbars still share with the image — more wordlines, and fewer weight
+// columns, so its last word holds one column of two (conv-relu's conv on the
+// toy arch at 12-bit weights packs two to the word) or one or two of three (at
+// 8-bit weights, three to the word), above which the image programmed the
+// rest — copies the array on write and merges that last word. The crossbar
+// then holds, weight for weight, what the two tiles program from the quantized
+// matrix, its sibling still reads the image's array, and the image is as it
+// was.
 func TestBodyWriteExtendsSharedTile(t *testing.T) {
-	c := newLaneCell(t, models.ConvReLU(), toyInMode(arch.XBM), 54, 1, oneShot) // image left unprogrammed
-	img := c.img
-	s := img.a.CellsPerWeight()
-	full, ok := c.flow.Init[0].(mop.WriteXB)
-	if !ok || full.Rows < 2 || full.Cols/s < 2 {
-		t.Fatalf("init[0] = %s: want a writexb of at least two wordlines and two weight columns", c.flow.Init[0])
-	}
-	if !img.packed {
-		t.Fatal("the toy arch does not pack two weight columns to the word: no half word to merge")
-	}
-	// base programs every weight column of the upper wordlines; ext every
-	// wordline of the largest odd count of weight columns below base's.
-	base, ext := full, full
-	base.Rows = full.Rows / 2
-	ext.Cols = ((full.Cols/s-2)/2*2 + 1) * s
-	const x, y = 0, 1
-	at := func(w mop.WriteXB, xb int) mop.Op { w.XB = xb; return w }
-	if err := img.ProgramInit([]mop.Op{at(base, x), at(base, y)}); err != nil {
-		t.Fatal(err)
-	}
-	if &img.baseWeights[x][0] != &img.baseWeights[y][0] {
-		t.Fatalf("crossbars %d and %d were written alike but do not share their baseline", x, y)
-	}
-	before := slices.Clone(img.baseWeights[x])
-	body, err := img.CompileBody([]mop.Op{at(ext, x)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := img.NewBatchState(1)
-	if err := img.ExecBatch(st).RunBody(body); err != nil {
-		t.Fatal(err)
-	}
-	if st.shared[x] || !st.shared[y] || !slices.Equal(st.dirty, []int{x}) {
-		t.Fatalf("after the body: shared[%d]=%v shared[%d]=%v dirty=%v", x, st.shared[x], y, st.shared[y], st.dirty)
-	}
-	if p := st.prog[x]; int(p.Rows) != full.Rows || int(p.WCols) != full.Cols/s || p.stride != img.a.XB.Rows {
-		t.Fatalf("crossbar %d holds %+v after extending %+v", x, p, img.baseProg[x])
-	}
-	qw, cols := img.qweights[full.Node], img.wDims[full.Node][1]
-	for r := 0; r < img.a.XB.Rows; r++ {
-		for j := 0; j < 2*wordsFor(img.a.XB.Cols/s, true); j++ {
-			var want int64
-			if (r < base.Rows && j < base.Cols/s) || (r < ext.Rows && j < ext.Cols/s) {
-				want = int64(qw[(full.CellRowOff+r)*cols+full.CellColOff/s+j])
+	for _, tc := range []struct {
+		a          *arch.Arch
+		per, owned int
+	}{
+		{toyBits(arch.XBM, 12, 8), 2, 1},
+		{toyInMode(arch.XBM), 3, 1},
+		{toyInMode(arch.XBM), 3, 2},
+	} {
+		t.Run(fmt.Sprintf("last-word-owns-%d-of-%d", tc.owned, tc.per), func(t *testing.T) {
+			c := newLaneCell(t, models.ConvReLU(), tc.a, 54, 1, oneShot) // image left unprogrammed
+			img := c.img
+			s := img.a.CellsPerWeight()
+			full, ok := c.flow.Init[0].(mop.WriteXB)
+			if !ok || full.Rows < 2 || full.Cols/s <= tc.per {
+				t.Fatalf("init[0] = %s: want a writexb of at least two wordlines and more than %d weight columns", c.flow.Init[0], tc.per)
 			}
-			word := st.weights[x][j/2*img.a.XB.Rows+r]
-			lo := int64(int32(word))
-			if got := []int64{lo, (word - lo) >> 32}[j%2]; got != want {
-				t.Fatalf("crossbar %d, wordline %d, weight column %d holds %d, the tiles program %d", x, r, j, got, want)
+			per := img.perWord[full.Node]
+			if per != tc.per {
+				t.Fatalf("the arch packs %d weight columns to the word of conv-relu's conv, want %d", per, tc.per)
 			}
-		}
-	}
-	if &st.weights[y][0] != &img.baseWeights[y][0] || !slices.Equal(before, img.baseWeights[x]) || &img.baseWeights[x][0] != &img.baseWeights[y][0] {
-		t.Fatalf("the body write to crossbar %d reached the image or its sibling", x)
+			// base programs every weight column of the upper wordlines; ext every
+			// wordline of the most weight columns below base's that leave owned
+			// columns in ext's last word.
+			base, ext := full, full
+			base.Rows = full.Rows / 2
+			cols := full.Cols/s - 1
+			for cols%per != tc.owned {
+				cols--
+			}
+			ext.Cols = cols * s
+			const x, y = 0, 1
+			at := func(w mop.WriteXB, xb int) mop.Op { w.XB = xb; return w }
+			if err := img.ProgramInit([]mop.Op{at(base, x), at(base, y)}); err != nil {
+				t.Fatal(err)
+			}
+			if &img.baseWeights[x][0] != &img.baseWeights[y][0] {
+				t.Fatalf("crossbars %d and %d were written alike but do not share their baseline", x, y)
+			}
+			before := slices.Clone(img.baseWeights[x])
+			body, err := img.CompileBody([]mop.Op{at(ext, x)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := img.NewBatchState(1)
+			if err := img.ExecBatch(st).RunBody(body); err != nil {
+				t.Fatal(err)
+			}
+			if st.shared[x] || !st.shared[y] || !slices.Equal(st.dirty, []int{x}) {
+				t.Fatalf("after the body: shared[%d]=%v shared[%d]=%v dirty=%v", x, st.shared[x], y, st.shared[y], st.dirty)
+			}
+			if p := st.prog[x]; int(p.Rows) != full.Rows || int(p.WCols) != full.Cols/s || p.stride != img.a.XB.Rows {
+				t.Fatalf("crossbar %d holds %+v after extending %+v", x, p, img.baseProg[x])
+			}
+			qw, qcols := img.qweights[full.Node], img.wDims[full.Node][1]
+			f := fieldBits(per)
+			for r := 0; r < img.a.XB.Rows; r++ {
+				for j := 0; j < per*wordsFor(img.a.XB.Cols/s, per); j++ {
+					var want int64
+					if (r < base.Rows && j < base.Cols/s) || (r < ext.Rows && j < ext.Cols/s) {
+						want = int64(qw[(full.CellRowOff+r)*qcols+full.CellColOff/s+j])
+					}
+					// Field j%per of the word, by sign extension from the bottom
+					// (spelled out here, not splitField, whose use in the merge
+					// this checks).
+					word := st.weights[x][j/per*img.a.XB.Rows+r]
+					for range j % per {
+						word = (word - word<<(64-f)>>(64-f)) >> f
+					}
+					if got := word << (64 - f) >> (64 - f); got != want {
+						t.Fatalf("crossbar %d, wordline %d, weight column %d holds %d, the tiles program %d", x, r, j, got, want)
+					}
+				}
+			}
+			if &st.weights[y][0] != &img.baseWeights[y][0] || !slices.Equal(before, img.baseWeights[x]) || &img.baseWeights[x][0] != &img.baseWeights[y][0] {
+				t.Fatalf("the body write to crossbar %d reached the image or its sibling", x)
+			}
+		})
 	}
 }
 

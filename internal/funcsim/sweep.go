@@ -63,8 +63,9 @@ type sweepChain struct {
 	lo, hi      int32 // members, in CompiledFlow.members
 	op          int32 // the first member's operator, counted from the sweep's first
 	acc         bool
+	per         int8  // the word format of the arrays the chain multiplies (mvm.go)
 	dst, stride int64 // weight column j's sum goes to dst + j·stride
-	limit       int64 // word format and guard bound for sums over all members' rows (mvm.go)
+	limit       int64 // its guard bound for sums over all members' rows
 }
 
 // sweepWin is one window of a sweep: where it lies in the node's input (the
@@ -193,9 +194,10 @@ func (cf *CompiledFlow) geometryOf(node int) *winGeometry {
 // nodeMatrix is a CIM node's quantized weight matrix in the layout reads
 // consume (mvm.go), for readcore — a core computes a node's MVMs without the
 // flow naming crossbars. Its word format and guard bound follow from its own
-// row count.
+// row count, every dot product summing all of them.
 type nodeMatrix struct {
 	w     []int64
+	per   int8
 	limit int64
 }
 
@@ -205,12 +207,16 @@ func (cf *CompiledFlow) matrixOf(node int) *nodeMatrix {
 		return m
 	}
 	img := cf.img
+	a := img.a
 	qw, rows, cols := img.qweights[node], img.wDims[node][0], img.wDims[node][1]
-	m := &nodeMatrix{limit: wordLimit(rows, img.a.WeightBits, img.a.ActBits)}
-	m.w = make([]int64, wordsFor(cols, m.limit >= 0)*rows)
+	per := wordFormat(rows, rows, a.WeightBits, a.ActBits)
+	m := &nodeMatrix{w: make([]int64, wordsFor(cols, per)*rows), per: int8(per), limit: -1}
+	if per > 1 {
+		m.limit = wordLimit(rows, a.WeightBits, a.ActBits, per)
+	}
 	for i := 0; i < rows; i++ {
 		for j, v := range qw[i*cols : (i+1)*cols] {
-			placeWeight(m.w, rows, i, j, int64(v), m.limit >= 0)
+			placeWeight(m.w, rows, i, j, int64(v), per)
 		}
 	}
 	if cf.matrices == nil {
@@ -257,6 +263,8 @@ func (img *Image) compileSweep(cf *CompiledFlow, at int) (kernel, int, error) {
 	var gathered, direct hull // scratch the mov_windows write; scratch the members read beside it
 	inChain := false          // the operator before was a member of the last chain
 	rows, most := 0, 0        // the last chain's wordlines, at most; the sweep's longest chain's
+	summed := 0               // the last chain's wordlines that may hold a weight, at most
+	kNode, per, k := -1, 1, 0 // the node the reads write, its word format and matrix rows
 	var head codegen.XBRead   // the last chain's first member
 	var endsBuf [8]xbRead
 	ends := endsBuf[:0] // per run of the last chain, the member that would lengthen it
@@ -340,24 +348,30 @@ ops:
 				beside && gathered.touches(rd.Src, rd.Src+int64(n))) {
 				break ops
 			}
-			// A chain's rows must not outgrow what a packed half can sum; a lone
-			// read's never do, or the image would not be packed.
-			limit := int64(-1)
-			if img.packed {
-				limit = wordLimit(rows+n, a.WeightBits, a.ActBits)
+			// The crossbar holds a tile of dstNode (Activate), in that node's
+			// format, and maps each wordline to a row of its matrix: at most
+			// min(n, k) of the n wordlines hold a weight. A chain's such rows must
+			// not outgrow what a packed field can sum; a lone read's never do, by
+			// the choice of the format.
+			if dstNode != kNode {
+				kNode, per, k = dstNode, img.perWord[dstNode], img.wDims[dstNode][0]
 			}
-			if !inChain || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride || img.packed && limit < 0 {
+			limit := int64(-1)
+			if per > 1 {
+				limit = wordLimit(summed+min(n, k), a.WeightBits, a.ActBits, per)
+			}
+			if !inChain || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride || per > 1 && limit < 0 {
 				if len(cf.wins) == sw.win0 {
 					cf.wins = append(cf.wins, sweepWin{gdst: -1, lo: int32(len(cf.chains)), hi: int32(len(cf.chains))})
 				}
-				if img.packed {
-					limit = wordLimit(n, a.WeightBits, a.ActBits)
+				if per > 1 {
+					limit = wordLimit(min(n, k), a.WeightBits, a.ActBits, per)
 				}
 				cf.chains = append(cf.chains, sweepChain{
 					lo: int32(len(cf.members)), hi: int32(len(cf.members)), op: int32(j - at),
-					acc: rd.Acc, dst: rd.Dst, stride: rd.Stride,
+					acc: rd.Acc, per: int8(per), dst: rd.Dst, stride: rd.Stride,
 				})
-				inChain, head, rows, ends = true, rd, 0, ends[:0]
+				inChain, head, rows, summed, ends = true, rd, 0, 0, ends[:0]
 				win := &cf.wins[len(cf.wins)-1]
 				if win.hi++; win.hi == win.lo+1 {
 					win.mod = rd.Dst % rd.Stride
@@ -380,7 +394,7 @@ ops:
 			cf.members = append(cf.members, r)
 			ch := &cf.chains[len(cf.chains)-1]
 			ch.hi, ch.limit = ch.hi+1, limit
-			rows += n
+			rows, summed = rows+n, summed+min(n, k)
 			most = max(most, rows)
 			if beside {
 				direct.add(rd.Src, rd.Src+int64(n))
@@ -460,7 +474,7 @@ func (img *Image) coreSweep(sw *sweep, o mop.ReadCore, res codegen.Operands) {
 		y0, x0 := sw.geo.origin(w)
 		c := int32(len(cf.chains))
 		cf.wins = append(cf.wins, sweepWin{y0: y0, x0: x0, gdst: -1, lo: c, hi: c + 1, gather: true})
-		cf.chains = append(cf.chains, sweepChain{dst: o.Dst + w*cw, stride: cj, limit: sw.mat.limit})
+		cf.chains = append(cf.chains, sweepChain{per: sw.mat.per, dst: o.Dst + w*cw, stride: cj, limit: sw.mat.limit})
 	}
 }
 
@@ -471,6 +485,7 @@ func (img *Image) coreSweep(sw *sweep, o mop.ReadCore, res codegen.Operands) {
 // of one block.
 type sweepCall struct {
 	lo, hi, chain, cols int32
+	per                 int8
 	acc                 bool
 	stride, limit       int64
 }
@@ -573,7 +588,7 @@ func (sw *sweep) resolve(st *BatchState) error {
 			for c := win.lo; c < win.hi; c++ {
 				ch := &cf.chains[c]
 				first := len(runs)
-				call := sweepCall{lo: int32(first - run0), chain: c - win.lo, cols: sw.cols, acc: ch.acc, stride: ch.stride, limit: ch.limit}
+				call := sweepCall{lo: int32(first - run0), chain: c - win.lo, cols: sw.cols, per: ch.per, acc: ch.acc, stride: ch.stride, limit: ch.limit}
 				if sw.mat != nil {
 					runs = append(runs, mvmRun{w: sw.mat.w, stride: sw.rows, n: sw.rows, from: -1, xb: -1})
 				}
@@ -699,7 +714,7 @@ func (sw *sweep) run(bm *BatchMachine) error {
 			}
 			for ci := range calls {
 				c := &calls[ci]
-				k.runs, k.cols, k.limit, k.stride, k.acc = runs[c.lo:c.hi], int(c.cols), c.limit, c.stride, c.acc
+				k.runs, k.cols, k.per, k.limit, k.stride, k.acc = runs[c.lo:c.hi], int(c.cols), int(c.per), c.limit, c.stride, c.acc
 				for s := 0; s < k.n; s++ {
 					k.mag[s] = gathered[s]
 					for i := range k.runs {

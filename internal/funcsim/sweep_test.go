@@ -544,3 +544,121 @@ func TestSweepFencesOverlappingOutputs(t *testing.T) {
 	}
 	sweptMatchesApart(t, c, whole, nil, everyLaneCount)
 }
+
+// TestExecCellsWordFormats pins, on the benchmark's six exec-* cells
+// (conv-gate.puma as its two CIM stages), which nodes multiply three weight
+// columns to the word, how many accumulation chains each node's sweeps
+// compile to and how many multiplies they do per request, as the published
+// plans run them: a node that silently fell back to two columns to the word,
+// or to one, multiplies more, and a chain cut by its guard bound into two
+// shows as one chain more per window. And no packed chain's guard bound
+// refuses settled activations, which would send every window through the
+// unpacking loop.
+func TestExecCellsWordFormats(t *testing.T) {
+	stage := func(idx int) func(t *testing.T) *graph.Graph {
+		return func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), idx) }
+	}
+	// lenet5's conv1 is 25 × 6 (784 windows), conv2 150 × 16 (100), the dense
+	// layers 400 × 120, 120 × 84 and 84 × 10.
+	lenet5Per := map[string]int{"conv_1": 3, "conv_2": 2, "fc_1": 2, "fc_2": 2, "fc_3": 2}
+	lenet5Mults := map[string]int{"conv_1": 39200, "conv_2": 120000, "fc_1": 24000, "fc_2": 5040, "fc_3": 420}
+	for _, tc := range []struct {
+		name   string
+		g      func(t *testing.T) *graph.Graph
+		a      *arch.Arch
+		per    map[string]int // weight columns to the word of each node's chains
+		chains map[string]int // accumulation chains of each node's sweeps
+		mults  map[string]int // multiplies per request of each node's sweeps
+	}{
+		// 27 × 32 over 1 024 windows, one chain each: 11 words of 27
+		// wordlines. (The chain counts are those of the two-column executor:
+		// no chain is cut for a third column.)
+		{"conv-relu.isaac-baseline", zoo(models.ConvReLU), arch.ISAACBaseline(), map[string]int{"conv_1": 3}, map[string]int{"conv_1": 1024}, map[string]int{"conv_1": 304128}},
+		{"lenet5.puma", zoo(models.LeNet5), arch.PUMAAccelerator(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 100, "fc_1": 16, "fc_2": 3, "fc_3": 1}, lenet5Mults},
+		{"lenet5.jia-isscc21", zoo(models.LeNet5), arch.JiaAccelerator(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 100, "fc_1": 1, "fc_2": 1, "fc_3": 1}, lenet5Mults},
+		{"mlp.puma", zoo(models.MLP), arch.PUMAAccelerator(), map[string]int{"fc_1": 2, "fc_2": 2, "fc_3": 2}, map[string]int{"fc_1": 56, "fc_2": 8, "fc_3": 1}, map[string]int{"fc_1": 100352, "fc_2": 16384, "fc_3": 640}},
+		{"lenet5.toy-table2", zoo(models.LeNet5), arch.ToyExample(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 200, "fc_1": 100, "fc_2": 21, "fc_3": 1}, lenet5Mults},
+		// 27 × 16 over 256 windows: 6 words.
+		{"conv-gate.puma.stage0", stage(0), arch.PUMAAccelerator(), map[string]int{"conv_1": 3}, map[string]int{"conv_1": 256}, map[string]int{"conv_1": 41472}},
+		{"conv-gate.puma.stage1", stage(1), arch.PUMAAccelerator(), map[string]int{"fc_1": 2}, map[string]int{"fc_1": 1}, map[string]int{"fc_1": 20480}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLaneCell(t, tc.g(t), tc.a, 55, 1, programmed)
+			c.run(t, c.img.NewBatchState(1), 1) // publishes every sweep's plan
+			cf, img := c.cf, c.img
+			nodeOf := func(ch sweepChain) string { return img.g.MustNode(img.res.Owner(img.res.NodeRegionAt(ch.dst))).Name }
+			per, chains, mults := map[string]int{}, map[string]int{}, map[string]int{}
+			for _, ch := range cf.chains {
+				name := nodeOf(ch)
+				chains[name]++
+				if p, ok := per[name]; ok && p != int(ch.per) {
+					t.Fatalf("node %s's chains multiply %d and %d columns to the word", name, p, ch.per)
+				}
+				if settled := int64(1)<<(tc.a.ActBits-1) - 1; ch.per > 1 && ch.limit < settled {
+					t.Fatalf("a chain of node %s guards its %d columns to the word with bound %d, below settled activations' %d", name, ch.per, ch.limit, settled)
+				}
+				per[name] = int(ch.per)
+			}
+			for i := range cf.plans {
+				plan := cf.plans[i].Load()
+				if plan == nil {
+					t.Fatalf("sweep %d published no plan", i)
+				}
+				for bi, b := range plan.blocks {
+					end := len(plan.calls)
+					if bi+1 < len(plan.blocks) {
+						end = plan.blocks[bi+1].call
+					}
+					for _, call := range plan.calls[b.call:end] {
+						name := nodeOf(cf.chains[cf.wins[b.win].lo+call.chain])
+						for _, r := range plan.runs[b.run+int(call.lo) : b.run+int(call.hi)] {
+							mults[name] += b.wins * wordsFor(int(call.cols), int(call.per)) * r.n
+						}
+					}
+				}
+			}
+			if !maps.Equal(per, tc.per) || !maps.Equal(chains, tc.chains) || !maps.Equal(mults, tc.mults) {
+				t.Fatalf("weight columns to the word %v, chains %v, multiplies per request %v; want %v, %v and %v", per, chains, mults, tc.per, tc.chains, tc.mults)
+			}
+		})
+	}
+}
+
+// TestChainBoundCountsWeightRows: a chain's guard bound counts, of each
+// member's wordlines, only as many as can hold a weight — a crossbar maps each
+// wordline to one row of its node's matrix — so two readxbs over conv-relu's
+// 27 × 32 conv, split 14 / 13 over two of isaac-baseline's 128-wordline
+// crossbars, stay one chain of three columns to the word, its bound that of
+// 54 rows, instead of being cut for 256; and the chains leave what their reads
+// leave one operator per flow.
+func TestChainBoundCountsWeightRows(t *testing.T) {
+	c := newLaneCell(t, models.ConvReLU(), arch.ISAACBaseline(), 56, 5, programmed)
+	var body []mop.Op
+	const windows = 6
+	for w := range windows {
+		for _, op := range windowOps(t, c.cf.ops, w) {
+			switch o := op.(type) {
+			case mop.MovWindow:
+				body = append(body, o)
+			case mop.ReadRow:
+				if o.Row == 0 {
+					body = append(body, mop.ReadXB{XB: o.XB, Src: o.Src, Dst: o.Dst, DstStride: o.DstStride, Acc: o.Acc})
+				}
+			}
+		}
+	}
+	cf, err := c.img.CompileBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := packLimit(54, c.img.a.WeightBits, 21)
+	if len(cf.chains) != windows || len(cf.members) != 2*windows {
+		t.Fatalf("%d windows of two readxbs compiled to %d chains of %d members", windows, len(cf.chains), len(cf.members))
+	}
+	for _, ch := range cf.chains {
+		if ch.per != 3 || ch.limit != want {
+			t.Fatalf("a chain multiplies %d columns to the word with guard bound %d, want 3 and %d", ch.per, ch.limit, want)
+		}
+	}
+	sweptMatchesApart(t, c, cf, nil, []int{1, 5})
+}
