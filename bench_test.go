@@ -380,9 +380,9 @@ func BenchmarkAutoTune(b *testing.B) {
 // end-to-end cost a user pays, in time and (with -benchmem) bytes per
 // compile. Beside the four isaac-baseline models it holds the cells a profile
 // of the zoo singled out: vgg16.toy-table2 places the most tiles (135 200),
-// vit-base and vgg16 on isaac-baseline run the longest duplication searches,
-// and resnet152.isaac-baseline is the cell the benchmark's grid leaves out
-// for its compile time.
+// vit-base, resnet50 and vgg16 on isaac-baseline run the longest duplication
+// searches, and resnet152.isaac-baseline is the cell the benchmark's grid
+// leaves out for its compile time.
 func BenchmarkCompileThroughput(b *testing.B) {
 	for _, cell := range [][2]string{
 		{"lenet5", "isaac-baseline"},
@@ -391,6 +391,7 @@ func BenchmarkCompileThroughput(b *testing.B) {
 		{"vit-tiny", "isaac-baseline"},
 		{"vgg16", "toy-table2"},
 		{"vit-base", "isaac-baseline"},
+		{"resnet50", "isaac-baseline"},
 		{"vgg16", "isaac-baseline"},
 		{"resnet152", "isaac-baseline"},
 	} {

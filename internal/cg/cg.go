@@ -10,9 +10,12 @@
 // reads the allocation of any leading sub-list off it — so the segmenter's
 // pop-and-re-estimate loop prices every head it tries from one table, and a
 // segment it keeps takes its duplication from that table too. The table is
-// built candidate-major (each candidate streams over the columns it fits) and
-// stores no column past the point where its rows stop changing, and a search
-// prices its last operator as the one cell the walk-back reads.
+// built candidate-major (each candidate streams over the columns it fits),
+// and each row streams and stores only its live window: no dead prefix where
+// no allocation fits, no constant tail past the point where the row stops
+// changing, and, in a search's table, no column past what its one walk-back
+// can read with one copy of every later operator in reserve. A search prices
+// its last operator as the one cell the walk-back starts from.
 package cg
 
 import (
@@ -190,10 +193,11 @@ func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) (map[i
 // last operator's cell at the full budget is ever read, so the table holds
 // the rows before it and that one cell is priced off the table's last row (a
 // one-operator search builds no row); the rows are walked back from the cores
-// the cell leaves.
+// the cell leaves, at most budget − the last operator's cores, which the
+// table takes as its reserve.
 func allocateDP(ctx context.Context, ops []opInfo, budget int) (map[int]int, error) {
 	n := len(ops) - 1
-	t, err := newDupTable(ctx, ops[:n], budget)
+	t, err := newDupTable(ctx, ops[:n], budget, ops[n].coresCopy)
 	if err != nil {
 		return nil, err
 	}
@@ -242,17 +246,28 @@ const inf = math.MaxFloat64 / 4
 // summed runtime (0: no copy fits). Row i depends on operators 0..i only, so
 // one table answers every leading sub-list of ops (dup).
 //
-// Row i is constant from S_i, the summed cores of the largest candidates of
-// operators 0..i, on: every candidate fits there, and reads the row before at
-// an index ≥ S_(i-1), where that row is constant too. So a row stores the
-// columns up to min(budget, S), S the sum over all rows, and column r is read
-// at min(r, S) (at): a core budget far beyond what the operators can use
-// costs the table nothing.
+// A row stores only its live window, the columns a walk-back can read that
+// its candidates decide (span, at):
+//   - Dead prefix. Below L_i + coresCopy_i, L_i the cores of one copy of each
+//     operator before row i, no allocation fits: the row before is inf there
+//     and the choice is 0.
+//   - Constant tail. Row i is constant from S_i, the summed cores of the
+//     largest candidates of operators 0..i, on: every candidate fits there,
+//     and reads the row before at an index ≥ S_(i-1), where that row is
+//     constant too. Column r > S_i reads column S_i, so a core budget far
+//     beyond what the operators can use costs the table nothing.
+//   - One-walk reserve. A table built with a reserve is walked once, over
+//     all its rows, from at most budget − reserve cores (allocateDP: the last
+//     operator takes at least one copy after them). Each operator after row
+//     i takes at least one copy too, so row i is read only up to its cap,
+//     budget − reserve − Σ_(j>i) coresCopy_j, and holds no column past it:
+//     with the dead prefix, no row is wider than the cores the walk can
+//     spare, budget − reserve − Σ_j coresCopy_j, plus one.
 type dupTable struct {
 	ops    []opInfo
 	budget int
-	width  int       // stored columns per row, min(budget, S) + 1
-	choice []int     // row i is choice[i*width : (i+1)*width]
+	spans  []span    // row i's live window
+	choice []int     // row i at column r in its window is choice[spans[i].off+r]
 	last   []float64 // the last row's minimal summed runtimes (zeros for no row)
 	// cands holds every row's candidates back to back, row i's at
 	// cands[starts[i]:starts[i+1]], then those of the cell next priced.
@@ -260,51 +275,96 @@ type dupTable struct {
 	starts []int
 }
 
+// span is one row's live window: its candidates stream over the columns
+// lo..end it fits (none if end < lo), and the columns end+1..cap hold the
+// value of column end, the row's constant tail.
+type span struct{ lo, end, cap, off int }
+
 // tableBuilt, when a test sets it, sees every forward table as it is built;
 // the search-work counts quoted in CHANGES.md are read through it.
 var tableBuilt func(*dupTable)
 
-// newDupTable builds the table candidate-major: a row starts at inf
-// everywhere, and each candidate, in ascending d, streams over the columns it
-// fits. Every cell so sees the candidates a column-by-column scan tries, in
-// its order, through the same float expression and strict <, and holds the
-// value and choice that scan finds. ctx is polled once per row.
-func newDupTable(ctx context.Context, ops []opInfo, budget int) (*dupTable, error) {
-	t := &dupTable{ops: ops, budget: budget, starts: make([]int, len(ops)+1)}
-	s := 0
+// newDupTable builds the table candidate-major: a row starts at inf over its
+// live window, and each candidate, in ascending d, streams over the columns
+// of that window it fits. Every cell a walk-back reads so sees the candidates
+// a column-by-column scan tries on a finite row before, in its order, through
+// the same float expression and strict <, and holds the value and choice that
+// scan finds (a candidate on an inf cell of the row before cannot win it).
+// reserve > 0 caps the rows for the one walk allocateDP makes; reserve 0
+// keeps every column, for walk-backs of any head from the full budget. ctx is
+// polled once per row.
+func newDupTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTable, error) {
+	t := &dupTable{ops: ops, budget: budget, spans: make([]span, len(ops)), starts: make([]int, len(ops)+1)}
+	total := 0 // L_n, the cores of one copy of every operator
 	//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
 	for i, oi := range ops {
 		t.cands = oi.candidates(budget, t.cands)
 		t.starts[i+1] = len(t.cands)
-		if t.starts[i+1] > t.starts[i] {
-			s += t.cands[t.starts[i+1]-1].cores
-		}
+		total += oi.coresCopy
 	}
-	w := min(budget, s) + 1
-	t.width = w
-	t.choice = make([]int, len(ops)*w)
+	// Under a reserve, every row's cap lies the cores a walk can spare above
+	// its lo: row i's lo is L_(i+1), and its cap is budget − reserve − L_n +
+	// L_(i+1).
+	spare := budget - reserve - total
+	low, sum, size, end := 0, 0, 0, 0 // L_i, S_i, the columns stored so far and the last row's end
+	//cimlint:ignore ctxcancel -- O(1) per operator; the row loop below polls per row
+	for i, oi := range ops {
+		if c := t.starts[i+1]; c > t.starts[i] {
+			sum += t.cands[c-1].cores
+		}
+		sp := span{lo: low + oi.coresCopy, cap: budget}
+		if reserve > 0 {
+			sp.cap = sp.lo + spare
+		}
+		sp.end = min(sp.cap, sum)
+		sp.off = size - sp.lo
+		size += max(0, sp.end+1-sp.lo)
+		t.spans[i] = sp
+		low, end = sp.lo, sp.end
+	}
+	t.choice = make([]int, size)
 	// prev[r] is the minimal summed runtime of the operators before row i on
-	// at most r cores, cur[r] the same including operator i.
+	// at most r cores, cur[r] the same including operator i; a row's buffer is
+	// meaningful from its lo to its cap only. No row ends past the last.
+	w := max(0, end) + 1
 	prev, cur := make([]float64, w), make([]float64, w)
-	for i := range ops {
+	for i, oi := range ops {
 		if err := ctx.Err(); err != nil {
 			return nil, cancelled(err)
 		}
-		row := t.choice[i*w : (i+1)*w]
-		for r := range cur {
-			cur[r] = inf
-		}
-		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
-			src := prev[:w-c.cores]
-			dst, ch := cur[c.cores:], row[c.cores:]
-			dst, ch = dst[:len(src)], ch[:len(src)]
-			for r, p := range src {
-				if v := p + c.run; v < dst[r] {
-					dst[r], ch[r] = v, c.d
+		sp := t.spans[i]
+		if sp.end >= sp.lo {
+			win, row := cur[sp.lo:sp.end+1], t.choice[sp.off+sp.lo:sp.off+sp.end+1]
+			for r := range win {
+				win[r] = inf
+			}
+			from := sp.lo - oi.coresCopy // L_i: the row before is finite from here
+			for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
+				k := c.cores - oi.coresCopy // c's first column in the window
+				if k >= len(win) {
+					break
 				}
+				src := prev[from : from+len(win)-k]
+				dst, ch := win[k:], row[k:]
+				dst, ch = dst[:len(src)], ch[:len(src)]
+				for r, p := range src {
+					if v := p + c.run; v < dst[r] {
+						dst[r], ch[r] = v, c.d
+					}
+				}
+			}
+			tail, v := cur[sp.end+1:min(sp.cap, w-1)+1], cur[sp.end]
+			for r := range tail {
+				tail[r] = v
 			}
 		}
 		prev, cur = cur, prev
+	}
+	// next reads the last row below its window (its lo is now low) too,
+	// where it is inf.
+	//cimlint:ignore ctxcancel -- one pass over one row, after the last poll
+	for r := range min(low, w) {
+		prev[r] = inf
 	}
 	t.last = prev
 	if tableBuilt != nil {
@@ -313,9 +373,14 @@ func newDupTable(ctx context.Context, ops []opInfo, budget int) (*dupTable, erro
 	return t, nil
 }
 
-// at returns row i's choice at r cores.
+// at returns row i's choice at r cores: 0 below its window, and past it the
+// choice at its end.
 func (t *dupTable) at(i, r int) int {
-	return t.choice[i*t.width+min(r, t.width-1)]
+	sp := t.spans[i]
+	if r = min(r, sp.end); r < sp.lo {
+		return 0
+	}
+	return t.choice[sp.off+r]
 }
 
 // next returns the copies oi gets at the full budget when it follows the
@@ -325,7 +390,7 @@ func (t *dupTable) next(oi opInfo) int {
 	t.cands = oi.candidates(t.budget, t.cands)
 	best, bestD := inf, 0
 	for _, c := range t.cands[t.starts[len(t.ops)]:] {
-		if v := t.last[min(t.budget-c.cores, t.width-1)] + c.run; v < best {
+		if v := t.last[min(t.budget-c.cores, len(t.last)-1)] + c.run; v < best {
 			best, bestD = v, c.d
 		}
 	}

@@ -59,33 +59,64 @@ func randomOps(rng *rand.Rand, draw int) ([]opInfo, int) {
 // TestPrunedSearchMatchesExhaustive: on seeded random operator sets the
 // forward table holds the exhaustive search's choice in every cell, and its
 // walk-back returns the same duplication — for the whole list and for every
-// leading sub-list, which is what lets refinePrefix share one table.
+// leading sub-list, which is what lets refinePrefix share one table — and
+// allocateDP, on the reserve-capped table it builds, the same as a fresh
+// search.
 func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 332))
-	ctx := context.Background()
 	for draw := 0; draw < 1000; draw++ {
 		ops, budget := randomOps(rng, draw)
-		table, err := newDupTable(ctx, ops, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		choice, dup := exhaustiveDP(ops, budget)
-		for i := range ops {
-			for r := 0; r <= budget; r++ {
-				if got := table.at(i, r); got != choice[i][r] {
-					t.Fatalf("draw %d (budget %d, ops %+v): choice[%d][%d] = %d, exhaustive search chose %d", draw, budget, ops, i, r, got, choice[i][r])
-				}
+		checkAgainstExhaustive(t, fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops), ops, budget)
+	}
+}
+
+// checkAgainstExhaustive holds every search over ops and budget to
+// exhaustiveDP: every cell of the uncapped table and every walk-back of it;
+// allocateDP; and every cell of the table allocateDP builds over the
+// operators before the last, with the last's cores in reserve, at the columns
+// its walk can read — r ≤ budget − reserve_i, reserve_i the cores of one copy
+// of each operator after row i.
+func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int) {
+	t.Helper()
+	ctx := context.Background()
+	table, err := newDupTable(ctx, ops, budget, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choice, dup := exhaustiveDP(ops, budget)
+	for i := range ops {
+		for r := 0; r <= budget; r++ {
+			if got := table.at(i, r); got != choice[i][r] {
+				t.Fatalf("%s: choice[%d][%d] = %d, exhaustive search chose %d", what, i, r, got, choice[i][r])
 			}
 		}
-		if got := table.dup(len(ops)); !maps.Equal(got, dup) {
-			t.Fatalf("draw %d: dup %v, exhaustive search %v", draw, got, dup)
+	}
+	for k := 0; k <= len(ops); k++ {
+		_, fresh := exhaustiveDP(ops[:k], budget)
+		if got := table.dup(k); !maps.Equal(got, fresh) {
+			t.Fatalf("%s: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", what, k, got, k, fresh)
 		}
-		for k := 0; k <= len(ops); k++ {
-			_, fresh := exhaustiveDP(ops[:k], budget)
-			if got := table.dup(k); !maps.Equal(got, fresh) {
-				t.Fatalf("draw %d: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", draw, k, got, k, fresh)
+	}
+	got, err := allocateDP(ctx, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, dup) {
+		t.Fatalf("%s: allocateDP %v, exhaustive search %v", what, got, dup)
+	}
+	n := len(ops) - 1
+	capped, err := newDupTable(ctx, ops[:n], budget, ops[n].coresCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserve := ops[n].coresCopy
+	for i := n - 1; i >= 0; i-- {
+		for r := 0; r <= budget-reserve; r++ {
+			if got := capped.at(i, r); got != choice[i][r] {
+				t.Fatalf("%s: reserve-capped choice[%d][%d] = %d (cap %d), exhaustive search chose %d", what, i, r, got, budget-reserve, choice[i][r])
 			}
 		}
+		reserve += ops[i].coresCopy
 	}
 }
 
@@ -135,7 +166,8 @@ func decodeOps(budgetBits uint16, data []byte) ([]opInfo, int) {
 }
 
 // FuzzDupSearch holds the streamed search to the exhaustive one on decoded
-// operator sets: every stored cell, the whole search and every walk-back.
+// operator sets (checkAgainstExhaustive): every stored cell, the whole
+// search, every walk-back and every cell a reserve-capped walk reads.
 // Budgets range past the columns the table stores, so the width cap is both
 // hit and not.
 func FuzzDupSearch(f *testing.F) {
@@ -143,33 +175,12 @@ func FuzzDupSearch(f *testing.F) {
 	f.Add(uint16(2047<<1), []byte{0, 0, 1, 0, 40, 9, 0, 0, 0, 0})
 	f.Add(uint16(1), []byte{0x81, 0, 40, 0, 90, 11, 2, 2, 0, 9, 1, 0, 3, 9, 0, 2, 0, 0, 0, 0})
 	f.Add(uint16(600<<1), []byte{4, 1, 0, 0, 1, 8, 0, 0, 0, 0, 0x84, 1, 0, 0, 1, 16, 0, 0, 2, 0})
+	// Row 0 (one window: S_0 = 1) turns constant far below its cap under
+	// the reserve, so row 1 reads the copied tail.
+	f.Add(uint16(300<<1), []byte{0, 0, 50, 0, 0, 9, 0, 0, 0, 0, 1, 0, 100, 0x07, 0xd0, 20, 0, 0, 0, 0, 0, 0, 10, 0, 200, 30, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, budgetBits uint16, data []byte) {
 		ops, budget := decodeOps(budgetBits, data)
-		table, err := newDupTable(context.Background(), ops, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		choice, dup := exhaustiveDP(ops, budget)
-		for i := range ops {
-			for r := 0; r <= budget; r++ {
-				if got := table.at(i, r); got != choice[i][r] {
-					t.Fatalf("budget %d, ops %+v: choice[%d][%d] = %d, exhaustive search chose %d", budget, ops, i, r, got, choice[i][r])
-				}
-			}
-		}
-		got, err := allocateDP(context.Background(), ops, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(got, dup) {
-			t.Fatalf("budget %d, ops %+v: allocateDP %v, exhaustive search %v", budget, ops, got, dup)
-		}
-		for k := 0; k <= len(ops); k++ {
-			_, fresh := exhaustiveDP(ops[:k], budget)
-			if got := table.dup(k); !maps.Equal(got, fresh) {
-				t.Fatalf("budget %d, ops %+v: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", budget, ops, k, got, k, fresh)
-			}
-		}
+		checkAgainstExhaustive(t, fmt.Sprintf("budget %d, ops %+v", budget, ops), ops, budget)
 	})
 }
 
@@ -223,14 +234,15 @@ func exhaustiveWork(ops []opInfo, budget int) searchWork {
 	return w
 }
 
-// tableWork is what a search did with t: one run(d) per candidate, per
-// stored column r of a row one step for every candidate that fits r cores,
-// and one step per candidate of the cell next priced after the rows, if any.
+// tableWork is what a search did with t: one run(d) per candidate, one step
+// per column each candidate of a row streams over — those of the row's live
+// window it fits — and one step per candidate of the cell next priced after
+// the rows, if any.
 func tableWork(t *dupTable) searchWork {
 	w := searchWork{searches: 1, runs: len(t.cands)}
-	for i := range t.ops {
+	for i, sp := range t.spans {
 		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
-			w.steps += t.width - c.cores
+			w.steps += max(0, sp.end+1-sp.lo-(c.cores-t.ops[i].coresCopy))
 		}
 	}
 	w.steps += len(t.cands) - t.starts[len(t.ops)]
@@ -356,8 +368,8 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 	if refined < 5 {
 		t.Errorf("only %d cells were segmented; the grid no longer exercises refinePrefix", refined)
 	}
-	if sumNew.steps > 8_000_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
-		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 8 M / ≤ 21 K / ≤ 1 700",
+	if sumNew.steps > 4_600_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
+		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 4.6 M / ≤ 21 K / ≤ 1 700",
 			sumNew.steps, sumNew.runs, sumNew.searches)
 	}
 }
@@ -411,7 +423,10 @@ func TestOptimizeHonoursCancellation(t *testing.T) {
 // BenchmarkDupTable times the forward table alone over the whole CIM
 // operator list of the heaviest isaac-baseline cells, and reports the time
 // per (r, d) step tableWork counts: the search's inner loop, apart from the
-// segmenter around it.
+// segmenter around it. The /table legs build the uncapped table refinePrefix
+// shares; the /allocateDP legs run the whole search, whose table is capped by
+// the last operator's reserve, on the lists that fit the chip (vgg16 does
+// not).
 func BenchmarkDupTable(b *testing.B) {
 	a := arch.ISAACBaseline()
 	for _, model := range []string{"resnet50", "vit-tiny", "vgg16"} {
@@ -428,16 +443,30 @@ func BenchmarkDupTable(b *testing.B) {
 			b.Fatal(err)
 		}
 		ops, budget := segCIMInfos(infos, order), a.Chip.CoreCount()
-		b.Run(model, func(b *testing.B) {
+		b.Run(model+"/table", func(b *testing.B) {
 			var steps int
 			for i := 0; i < b.N; i++ {
-				t, err := newDupTable(context.Background(), ops, budget)
+				t, err := newDupTable(context.Background(), ops, budget, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
 				steps = tableWork(t).steps
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+		})
+		if coresAtDupOne(ops) > budget {
+			continue // over capacity: only refinePrefix's tables see this list
+		}
+		b.Run(model+"/allocateDP", func(b *testing.B) {
+			var t *dupTable
+			tableBuilt = func(tb *dupTable) { t = tb }
+			defer func() { tableBuilt = nil }()
+			for i := 0; i < b.N; i++ {
+				if _, err := allocateDP(context.Background(), ops, budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tableWork(t).steps), "ns/step")
 		})
 	}
 }

@@ -125,7 +125,7 @@ func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int,
 	var table *dupTable
 	if opt.Allocator != AllocWaterfill {
 		var err error
-		if table, err = newDupTable(ctx, segCIMInfos(infos, prefix), budget); err != nil {
+		if table, err = newDupTable(ctx, segCIMInfos(infos, prefix), budget, 0); err != nil {
 			return nil, nil, nil, err
 		}
 	}
