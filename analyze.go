@@ -16,7 +16,8 @@ type FlowReport = flowdata.Report
 
 // Analyze lowers a compilation result stage by stage through Lower (so
 // WithVerifyIR applies exactly as it does to Build) and runs
-// the flow-IR dataflow analysis over each generated flow, returning the
+// the flow-IR dataflow analysis over each generated flow — once: under
+// WithVerifyIR, the analysis Lower verified the flow with — returning the
 // static resource report. A non-zero MaxWindowsPerOp yields a counts-only
 // report (truncated flows are illustrative, not executable, so liveness
 // facts would be meaningless). For a staged compilation the per-stage
@@ -48,15 +49,17 @@ func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt Codeg
 		if sr == nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: missing CIM compilation result", sub.Index)
 		}
-		fr, err := c.Lower(ctx, sub.G, sr, opt)
+		fr, an, err := c.lower(ctx, sub.G, sr, opt)
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
 		}
-		gc, err := cloneGraph(sub.G)
-		if err != nil {
-			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
+		if an == nil { // verification off: nothing analyzed the flow yet
+			gc, err := cloneGraph(sub.G)
+			if err != nil {
+				return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
+			}
+			an = flowdata.Build(gc, &a, fr)
 		}
-		an := flowdata.Build(gc, &a, fr)
 		parts = append(parts, flowdata.NewReport(g.Name, c.arch.Name, level, fr, an))
 	}
 	info := res.Partition

@@ -241,6 +241,8 @@ func bodySize(p *Program) (kernels, windows int) {
 // request. The requests are distinct and seeded. kernels/op is how many
 // kernel closures a request runs through: a window sweep is one, however many
 // windows it walks. items/op is the work items pool64 cuts each RunBatch into.
+// verify is Program.Verify of one request on the one-worker Program: the run,
+// the quantized reference of every CIM stage and the float reference.
 func BenchmarkExecCells(b *testing.B) {
 	ctx := context.Background()
 	const batch = 64
@@ -291,6 +293,14 @@ func BenchmarkExecCells(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(max(1, len(pool.batchCuts(batch, min(runtime.GOMAXPROCS(0), batch)))-1)), "items/op")
+		})
+		b.Run(cell[0]+"."+cell[1]+"/verify", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := p.Verify(ctx, reqs[i%batch], 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

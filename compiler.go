@@ -12,6 +12,7 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/core"
+	"cimmlc/internal/flowdata"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/irverify"
 	"cimmlc/internal/partition"
@@ -302,35 +303,44 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, cut partition.Options)
 // inference mutates the graph), so callers may share Graph values across
 // goroutines.
 func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowResult, error) {
+	fr, _, err := c.lower(ctx, g, res, opt)
+	return fr, err
+}
+
+// lower is Lower, also returning the flow's dataflow analysis when WithVerifyIR
+// built one to verify the flow (nil otherwise), so Analyze need not build it
+// again.
+func (c *Compiler) lower(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowResult, *flowdata.Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if g == nil || res == nil {
-		return nil, fmt.Errorf("cimmlc: Lower: nil graph or result")
+		return nil, nil, fmt.Errorf("cimmlc: Lower: nil graph or result")
 	}
 	if res.Partition != nil {
-		return nil, fmt.Errorf("cimmlc: Lower: result is partitioned (multi-target); a single flow cannot express it — use Build, which orchestrates per-subgraph programs")
+		return nil, nil, fmt.Errorf("cimmlc: Lower: result is partitioned (multi-target); a single flow cannot express it — use Build, which orchestrates per-subgraph programs")
 	}
 	gc, err := cloneGraph(g)
 	if err != nil {
-		return nil, fmt.Errorf("cimmlc: Lower: %w", err)
+		return nil, nil, fmt.Errorf("cimmlc: Lower: %w", err)
 	}
 	a := c.arch
 	fr, err := codegen.Generate(gc, &a, res.Schedule, res.Placement, res.Model, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if c.opt.VerifyIR {
-		// Truncated flows verify vacuously inside VerifyFlow: they are
-		// illustrative, not executable.
-		if vs := irverify.VerifyFlow(gc, &a, fr); len(vs) > 0 {
-			return nil, fmt.Errorf("cimmlc: Lower: %w", &irverify.Error{Stage: "codegen", Violations: vs})
-		}
+	if !c.opt.VerifyIR {
+		return fr, nil, nil
 	}
-	return fr, nil
+	// Truncated flows verify vacuously: they are illustrative, not executable.
+	an := flowdata.Build(gc, &a, fr)
+	if vs := irverify.FlowViolations(an); len(vs) > 0 {
+		return nil, nil, fmt.Errorf("cimmlc: Lower: %w", &irverify.Error{Stage: "codegen", Violations: vs})
+	}
+	return fr, an, nil
 }
 
 // cloneGraph returns a private, shape-inferred deep copy of g, so the

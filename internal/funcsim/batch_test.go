@@ -22,7 +22,7 @@ import (
 
 // laneCell is one (model, arch) point of the lane tests: the calibrated image
 // (weights programmed unless oneShot), the compiled kernels, and seeded
-// requests with their QuantReferenceCalib answers.
+// requests with their quantized reference (Image.Reference) answers.
 type laneCell struct {
 	g    *graph.Graph
 	img  *Image
@@ -118,7 +118,7 @@ func newLaneCell(t *testing.T, g *graph.Graph, a *arch.Arch, seed uint64, nreq i
 		t.Fatal(err)
 	}
 	for _, in := range c.ins {
-		want, err := QuantReferenceCalib(g, a, w, calib, in)
+		want, err := c.img.Reference(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,10 +40,10 @@
 // sweep's reads resolve to against the view every run from the image's
 // baseline finds, published by the first such run, atomically, and taken by
 // every later one on any state. A single request is a one-lane micro-batch;
-// weight programming (ProgramInit)
-// and one-shot execution run the same kernels. State and Machine are the one-lane view of
-// that engine for callers that drive one request with an uncompiled flow;
-// they hold no arithmetic of their own.
+// weight programming (ProgramInit) and the quantized reference run the same
+// kernels. State and Machine are a one-lane view of that engine, left for the
+// benchmark's step-by-step replay and for tests; they hold no arithmetic of
+// their own.
 //
 // What an operator touches is not decided here: every operator is resolved by
 // internal/codegen's Resolver (operands.go) — the words and regions read and
@@ -54,9 +54,10 @@
 // and a flow the verifier would reject for its operands fails ProgramInit,
 // CompileBody or RunBody with the same rule whether or not it was verified.
 //
-// QuantReferenceCalib executes the same quantized semantics without
-// crossbars, placement or generated flows; a correct compiler + simulator
-// pair must match it bit-exactly.
+// Image.Reference executes the same quantized semantics without crossbars,
+// placement or generated flows — one operator per node, on the image's own
+// scales, quantized weights and node regions — and a correct compiler +
+// simulator pair must match it bit-exactly.
 package funcsim
 
 import (
@@ -319,7 +320,7 @@ func (img *Image) Programmed() (crossbars, distinct int) {
 }
 
 // State is a one-lane BatchState for callers that drive a single request
-// through an uncompiled flow (the one-shot paths, step-by-step replays). It
+// through an uncompiled flow (the benchmark's step-by-step replay, tests). It
 // is owned by exactly one execution at a time; Image.Reset recycles it.
 type State struct {
 	b *BatchState
@@ -355,25 +356,9 @@ func (m *Machine) LoadInputs(inputs map[int]*tensor.Tensor) error {
 	return m.bm.LoadInputs(0, inputs)
 }
 
-// Run executes the flow's init and compute sections against the machine.
-func (m *Machine) Run(flow *mop.Flow) error {
-	if err := flow.Validate(); err != nil {
-		return fmt.Errorf("funcsim: %w", err)
-	}
-	init, err := m.bm.img.CompileBody(flow.Init)
-	if err != nil {
-		return err
-	}
-	if err := m.bm.RunBody(init); err != nil {
-		return err
-	}
-	return m.RunBody(flow)
-}
-
 // RunBody executes only the flow's compute section, assuming weights were
-// programmed into the machine's image (Image.ProgramInit) or by an earlier
-// Run. It skips re-validation: generated flows are validated once by
-// codegen, not per request.
+// programmed into the machine's image (Image.ProgramInit). It skips
+// validation: generated flows are validated once by codegen, not per request.
 func (m *Machine) RunBody(flow *mop.Flow) error {
 	cf, ok := m.st.flows[flow]
 	if !ok {
@@ -392,16 +377,6 @@ func (m *Machine) SettleAll() { m.bm.SettleAll() }
 // TensorsOf returns the dequantized float tensors of the given node IDs.
 func (m *Machine) TensorsOf(ids []int) map[int]*tensor.Tensor {
 	return m.bm.TensorsOf(0, ids)
-}
-
-// Tensors returns the dequantized float tensor of every node's region.
-func (m *Machine) Tensors() map[int]*tensor.Tensor {
-	nodes := m.bm.img.g.Nodes
-	ids := make([]int, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.ID
-	}
-	return m.TensorsOf(ids)
 }
 
 // weightMatrix lowers a node's weights to the crossbar matrix form: conv

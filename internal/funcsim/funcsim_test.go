@@ -32,25 +32,37 @@ func endToEnd(t *testing.T, g *graph.Graph, a *arch.Arch, input *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := img.Reference(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := img.ProgramInit(gen.Flow.Init); err != nil {
+		t.Fatal(err)
+	}
 	m := img.Exec(img.NewState())
 	if err := m.LoadInputs(inputs); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(gen.Flow); err != nil {
+	if err := m.RunBody(gen.Flow); err != nil {
 		t.Fatal(err)
 	}
 	m.SettleAll()
-	want, err := QuantReferenceCalib(g, a, w, inputs, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := graph.Execute(g, w, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckOutputs(g, m.Tensors(), want, ref, tol); err != nil {
+	if err := CheckOutputs(g, m.TensorsOf(nodeIDs(g)), want, ref, tol); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nodeIDs lists every node of g, in node order.
+func nodeIDs(g *graph.Graph) []int {
+	ids := make([]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		ids[i] = n.ID
+	}
+	return ids
 }
 
 func toyInMode(m arch.Mode) *arch.Arch {
@@ -132,11 +144,23 @@ func TestCMWholeModel(t *testing.T) {
 func TestQuantReferenceCloseToFloat(t *testing.T) {
 	g := models.ConvReLU()
 	a := arch.ToyExample()
+	res, err := core.Compile(g, a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := codegen.Generate(g, a, res.Schedule, res.Placement, res.Model, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := graph.RandomWeights(g, 31)
 	in := tensor.New(3, 32, 32)
 	in.Rand(32, 1)
 	inputs := map[int]*tensor.Tensor{0: in}
-	qref, err := QuantReferenceCalib(g, a, w, inputs, inputs)
+	img, err := NewImage(g, a, gen.Layout, w, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qref, err := img.Reference(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +200,7 @@ func TestMachineRejectsBadOps(t *testing.T) {
 		Mode: "WLM", Graph: g.Name, Arch: a.Name,
 		Body: []mop.Op{mop.ReadRow{XB: 3, Row: 0, NumRows: 1, Src: 0, Dst: 0, DstStride: 1}},
 	}
-	if err := m.Run(unprogrammed); err == nil {
+	if err := m.RunBody(unprogrammed); err == nil {
 		t.Fatal("read of unprogrammed crossbar accepted")
 	}
 	// Activating more rows than parallel_row must fail.
@@ -184,7 +208,7 @@ func TestMachineRejectsBadOps(t *testing.T) {
 		Mode: "WLM", Graph: g.Name, Arch: a.Name,
 		Body: []mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: a.XB.ParallelRow + 1, Src: 0, Dst: 0, DstStride: 1}},
 	}
-	if err := m.Run(wide); err == nil {
+	if err := m.RunBody(wide); err == nil {
 		t.Fatal("over-wide readrow accepted")
 	}
 	// A mov_window on a non-conv node must fail.
@@ -192,7 +216,7 @@ func TestMachineRejectsBadOps(t *testing.T) {
 		Mode: "WLM", Graph: g.Name, Arch: a.Name,
 		Body: []mop.Op{mop.MovWindow{Node: 2, Window: 0, SrcBase: 0, Dst: 0}},
 	}
-	if err := m.Run(badWin); err == nil {
+	if err := m.RunBody(badWin); err == nil {
 		t.Fatal("mov_window on relu accepted")
 	}
 }

@@ -3,76 +3,63 @@ package funcsim
 import (
 	"fmt"
 
-	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mop"
 	"cimmlc/internal/tensor"
 )
 
-// QuantReferenceCalib executes the network under the same quantization
+// Reference executes the image's graph on inputs under the same quantization
 // semantics as the flow simulator — integer MVMs over the quantized weight
 // matrices, float digital kernels requantized to each node's calibrated
-// activation scale — but without crossbars, placement or meta-operators. A
-// correct compiler must reproduce it bit-exactly. The activation scales are
-// calibrated on calib, as a compile-once Program's image fixes them at build
-// time before it serves arbitrary inputs.
-func QuantReferenceCalib(g *graph.Graph, a *arch.Arch, weights graph.Weights, calib, inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	lay := referenceLayout(g)
-	img, err := NewImage(g, a, lay, weights, calib)
-	if err != nil {
-		return nil, err
-	}
-	// One reference operator per node, in node order: readcore computes a CIM
-	// node's integer MVMs straight from its quantized weight matrix.
+// activation scale — but without crossbars, placement or generated flows: one
+// readcore, mov or dcom per node, addressed at the node regions of the image's
+// own layout and run on a fresh one-lane state. A correct compiler must
+// reproduce it bit-exactly. The scales and quantized weights are the image's,
+// fixed at build time before it serves arbitrary inputs; the crossbars are
+// never read (a readcore multiplies its node's matrix), so the reference is
+// the same before ProgramInit and after, and safe beside any run of the image.
+func (img *Image) Reference(inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
 	var body []mop.Op
-	for _, n := range g.Nodes {
+	ids := make([]int, len(img.g.Nodes))
+	for i, n := range img.g.Nodes {
+		ids[i] = n.ID
 		switch {
 		case n.Op == graph.OpInput:
 			continue
 		case n.Op.CIMSupported():
 			body = append(body, mop.ReadCore{
 				OpType: string(n.Op), Node: n.ID, Core: 0,
-				Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID],
+				Src: img.base[n.Inputs[0]], Dst: img.base[n.ID],
 				WinStart: 0, WinCount: n.MVMCount(),
 			})
 		case n.Op == graph.OpFlatten || n.Op == graph.OpIdentity:
-			body = append(body, mop.Mov{Src: lay.Base[n.Inputs[0]], Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
+			body = append(body, mop.Mov{Src: img.base[n.Inputs[0]], Dst: img.base[n.ID], Len: img.size[n.ID]})
 		default:
 			fn, ok := codegen.DcomFn(n.Op)
 			if !ok {
 				return nil, fmt.Errorf("funcsim: no reference lowering for %s", n.Op)
 			}
 			srcs := make([]int64, len(n.Inputs))
-			for i, in := range n.Inputs {
-				srcs[i] = lay.Base[in]
+			for j, in := range n.Inputs {
+				srcs[j] = img.base[in]
 			}
-			body = append(body, mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: lay.Base[n.ID], Len: lay.Size[n.ID]})
+			body = append(body, mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: img.base[n.ID], Len: img.size[n.ID]})
 		}
 	}
-	m := img.Exec(img.NewState())
-	if err := m.LoadInputs(inputs); err != nil {
-		return nil, err
-	}
-	if err := m.RunBody(&mop.Flow{Body: body}); err != nil {
+	cf, err := img.CompileBody(body)
+	if err != nil {
 		return nil, fmt.Errorf("funcsim: reference: %w", err)
 	}
-	m.SettleAll()
-	return m.Tensors(), nil
-}
-
-// referenceLayout allocates one region per node (no scratch space).
-func referenceLayout(g *graph.Graph) *codegen.Layout {
-	lay := &codegen.Layout{Base: map[int]int64{}, Size: map[int]int64{}, Scratch: map[int]int64{}}
-	next := int64(0)
-	for _, n := range g.Nodes {
-		size := graph.NumElements(n.OutShape)
-		lay.Base[n.ID] = next
-		lay.Size[n.ID] = size
-		next += size
+	bm := img.ExecBatch(img.NewBatchState(1))
+	if err := bm.LoadInputs(0, inputs); err != nil {
+		return nil, err
 	}
-	lay.Total = next
-	return lay
+	if err := bm.RunBody(cf); err != nil {
+		return nil, fmt.Errorf("funcsim: reference: %w", err)
+	}
+	bm.SettleAll()
+	return bm.TensorsOf(0, ids), nil
 }
 
 // CheckExact verifies that got matches the quantized reference want bit for

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cimmlc/internal/arch"
+	"cimmlc/internal/codegen"
+	"cimmlc/internal/core"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 	"cimmlc/internal/mop"
+	"cimmlc/internal/tensor"
 )
 
 // writesByXB lists, per crossbar, the init section's writes with the crossbar
@@ -344,5 +348,121 @@ func TestProgramInitRejects(t *testing.T) {
 	}
 	if err := c.img.ProgramInit(init[:1]); err == nil || !strings.Contains(err.Error(), "already programmed") {
 		t.Errorf("second ProgramInit: err = %v, want one containing \"already programmed\"", err)
+	}
+}
+
+// TestReferenceIgnoresCrossbarState holds Image.Reference to what lets
+// Program.Verify run it on the stage image: a readcore multiplies its node's
+// quantized matrix and reads no crossbar, so the reference answers the same on
+// an image before ProgramInit and after, and it shares the programmed image
+// with lane runs — which must keep matching it — without a race (run with
+// -race). The cells cover the three modes and flows that reprogram crossbars
+// per request.
+func TestReferenceIgnoresCrossbarState(t *testing.T) {
+	for i, tc := range []struct {
+		name string
+		g    *graph.Graph
+		a    *arch.Arch
+	}{
+		{"conv-relu.xbm", models.ConvReLU(), toyInMode(arch.XBM)},
+		{"conv-relu.wlm", models.ConvReLU(), toyInMode(arch.WLM)},
+		{"conv-relu.cm", models.ConvReLU(), toyInMode(arch.CM)},
+		{"mlp.xbm-reprogrammed", models.MLP(), toyInMode(arch.XBM)},
+		{"lenet5.toy-table2-reprogrammed", models.LeNet5(), arch.ToyExample()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Compile(tc.g, tc.a, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := codegen.Generate(tc.g, tc.a, res.Schedule, res.Placement, res.Model, codegen.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const nreq = 4
+			ins := seededInputs(tc.g, nreq, uint64(7100+100*i))
+			img, err := NewImage(tc.g, tc.a, gen.Layout, graph.RandomWeights(tc.g, uint64(71+i)), ins[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := make([]map[int]*tensor.Tensor, nreq)
+			for r, in := range ins {
+				if before[r], err = img.Reference(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := img.ProgramInit(gen.Flow.Init); err != nil {
+				t.Fatal(err)
+			}
+			cf, err := img.CompileBody(gen.Flow.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(what string, r int, got map[int]*tensor.Tensor) error {
+				for _, n := range tc.g.Nodes {
+					if !tensor.AllClose(got[n.ID], before[r][n.ID], 0) {
+						d, _ := tensor.MaxAbsDiff(got[n.ID], before[r][n.ID])
+						return fmt.Errorf("%s, request %d, node %d (%s): off the reference before ProgramInit by %g", what, r, n.ID, n.Op, d)
+					}
+				}
+				return nil
+			}
+			for r, in := range ins {
+				after, err := img.Reference(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := same("reference after ProgramInit", r, after); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := func(st *BatchState, in map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
+				img.ResetBatch(st, 1)
+				bm := img.ExecBatch(st)
+				if err := bm.LoadInputs(0, in); err != nil {
+					return nil, err
+				}
+				if err := bm.RunBody(cf); err != nil {
+					return nil, err
+				}
+				bm.SettleAll()
+				return bm.TensorsOf(0, nodeIDs(tc.g)), nil
+			}
+			// Four goroutines at once: the even ones take the reference of every
+			// request, the odd ones run every request through the programmed body.
+			errs := make(chan error, 4)
+			var wg sync.WaitGroup
+			for worker := 0; worker < 4; worker++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st := img.NewBatchState(1)
+					for k := range ins {
+						r := (k + worker) % nreq
+						var got map[int]*tensor.Tensor
+						var err error
+						what := "concurrent reference"
+						if worker%2 == 0 {
+							got, err = img.Reference(ins[r])
+						} else {
+							what = "concurrent lane run"
+							got, err = run(st, ins[r])
+						}
+						if err == nil {
+							err = same(what, r, got)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -23,10 +23,13 @@ import (
 // vacuously. The graph must be shape-inferred; callers pass the same
 // private clone codegen consumed.
 func VerifyFlow(g *graph.Graph, a *arch.Arch, fr *codegen.Result) []Violation {
-	return problemsToViolations(flowdata.Build(g, a, fr).Problems)
+	return FlowViolations(flowdata.Build(g, a, fr))
 }
 
-func problemsToViolations(ps []flowdata.Problem) []Violation {
+// FlowViolations is VerifyFlow over an analysis already built, for a caller
+// that keeps the analysis.
+func FlowViolations(an *flowdata.Analysis) []Violation {
+	ps := an.Problems
 	if len(ps) == 0 {
 		return nil
 	}

@@ -122,11 +122,14 @@ func FuzzVerifyIR(f *testing.F) {
 		if err != nil {
 			t.Fatalf("verifier accepted a flow funcsim cannot load: %v", err)
 		}
+		if err := img.ProgramInit(fr.Flow.Init); err != nil {
+			t.Fatalf("verifier accepted a flow funcsim cannot program: %v", err)
+		}
 		mach := img.Exec(img.NewState())
 		if err := mach.LoadInputs(inputs); err != nil {
 			t.Fatalf("verifier accepted a flow funcsim cannot load: %v", err)
 		}
-		if err := mach.Run(fr.Flow); err != nil {
+		if err := mach.RunBody(fr.Flow); err != nil {
 			t.Fatalf("verifier accepted a flow funcsim cannot run: %v", err)
 		}
 	})

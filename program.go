@@ -76,14 +76,12 @@ type stage struct {
 
 	host *hostexec.Program // host stages
 
-	// CIM stages: the stage's flow, weights, calibration and image, and the
-	// flow's compute section compiled into kernel closures — what every
-	// request executes, as one lane of a micro-batch.
-	fr    *FlowResult
-	w     Weights
-	calib map[int]*Tensor
-	img   *funcsim.Image
-	body  *funcsim.CompiledFlow
+	// CIM stages: the stage's flow and image, and the flow's compute section
+	// compiled into kernel closures — what every request executes, as one
+	// lane of a micro-batch.
+	fr   *FlowResult
+	img  *funcsim.Image
+	body *funcsim.CompiledFlow
 }
 
 // ProgramStats reports a program's serving counters.
@@ -317,7 +315,7 @@ func wholePlan(g *Graph) *partition.Plan {
 // refVals (keyed by global node ID), the flow's init section is programmed
 // into a crossbar image and its body compiled.
 func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *Result, w Weights, refVals map[int]*Tensor, opt CodegenOptions) (*stage, error) {
-	st := &stage{sub: sub, w: w}
+	st := &stage{sub: sub}
 	for _, n := range sub.G.Nodes {
 		if n.Op == graph.OpInput {
 			st.needs = append(st.needs, n.ID)
@@ -333,13 +331,13 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 	if sub.Target != TargetCIM || res == nil {
 		return nil, fmt.Errorf("target %q without a CIM compilation result", sub.Target)
 	}
-	st.calib = make(map[int]*Tensor, len(st.needs))
+	calib := make(map[int]*Tensor, len(st.needs))
 	for _, lid := range st.needs {
 		t, ok := refVals[sub.GlobalOf[lid]]
 		if !ok {
 			return nil, fmt.Errorf("no calibration activation for node %d", sub.GlobalOf[lid])
 		}
-		st.calib[lid] = t
+		calib[lid] = t
 	}
 	fr, err := c.Lower(ctx, sub.G, res, opt)
 	if err != nil {
@@ -357,7 +355,7 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 		return nil, err
 	}
 	a := c.arch
-	if st.img, err = funcsim.NewImage(gc, &a, fr.Layout, w, st.calib); err != nil {
+	if st.img, err = funcsim.NewImage(gc, &a, fr.Layout, w, calib); err != nil {
 		return nil, err
 	}
 	if err := st.img.ProgramInit(fr.Flow.Init); err != nil {
@@ -805,9 +803,10 @@ func (p *Program) outputs(env map[int]*Tensor) map[int]*Tensor {
 
 // Verify checks the program's execution of inputs against the reference
 // executors. Every CIM stage must match the quantized reference executor bit
-// for bit, under the stage's build-time calibration, on the boundary
-// activations it actually received; the graph's outputs must stay within
-// floatTol of the float reference, relative to each output's max magnitude.
+// for bit — its image's Reference, on the scales and quantized weights fixed
+// at build time — on the boundary activations it actually received; the
+// graph's outputs must stay within floatTol of the float reference, relative
+// to each output's max magnitude.
 //
 // For a one-stage plan the first check covers the whole program: it is
 // bit-exact end to end. A staged plan has no single quantized reference —
@@ -822,7 +821,6 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 	if _, err := p.carry(ctx, 0, len(p.stages), []map[int]*Tensor{env}, true); err != nil {
 		return err
 	}
-	a := p.arch
 	for i, st := range p.stages {
 		if st.img == nil {
 			continue // host stages compute in float: nothing quantized to hold them to
@@ -831,10 +829,7 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 		for _, lid := range st.needs {
 			in[lid] = env[st.sub.GlobalOf[lid]]
 		}
-		// The reference re-runs shape inference, so give it a private clone:
-		// the stage graph is shared by concurrent builds and runs.
-		gc := st.sub.G.Clone()
-		want, err := funcsim.QuantReferenceCalib(gc, &a, st.w, st.calib, in)
+		want, err := st.img.Reference(in)
 		if err != nil {
 			return err
 		}
@@ -842,7 +837,7 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 		for _, lid := range st.every {
 			got[lid] = env[st.sub.GlobalOf[lid]]
 		}
-		if err := funcsim.CheckExact(gc, got, want); err != nil {
+		if err := funcsim.CheckExact(st.img.Graph(), got, want); err != nil {
 			return fmt.Errorf("cimmlc: Verify: stage %d: %w", i, err)
 		}
 	}

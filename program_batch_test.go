@@ -705,7 +705,7 @@ func FuzzBatchedRun(f *testing.F) {
 				req[id] = tt
 			}
 			reqs[i] = req
-			// Bit-exact against QuantReferenceCalib; the float tolerance
+			// Bit-exact against each stage image's Reference; the float tolerance
 			// only holds near the calibration input, so it is lifted.
 			if err := p.Verify(ctx, req, math.Inf(1)); err != nil {
 				t.Fatalf("%s/%s/%s seed %d: request %d: %v", model, archName, level, seed, i, err)

@@ -55,11 +55,17 @@ func sameOutputs(t *testing.T, got, want map[int]*Tensor) {
 	}
 }
 
-// quantReference runs the independent quantized reference executor under the
-// calibration buildToyProgram uses (the inputs themselves).
-func quantReference(t *testing.T, c *Compiler, g *Graph, w Weights, inputs map[int]*Tensor) map[int]*Tensor {
+// quantReference runs the quantized reference executor on an image built
+// apart from the program's, from the same graph, layout, weights and
+// calibration buildToyProgram uses (the inputs themselves): Verify's reference
+// on the program's own image must need no second one.
+func quantReference(t *testing.T, c *Compiler, g *Graph, w Weights, p *Program, inputs map[int]*Tensor) map[int]*Tensor {
 	t.Helper()
-	want, err := funcsim.QuantReferenceCalib(g.Clone(), c.Arch(), w, inputs, inputs)
+	img, err := funcsim.NewImage(g.Clone(), c.Arch(), p.Flow().Layout, w, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := img.Reference(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func TestProgramMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	c, g, w, inputs, p := buildToyProgram(t)
 
-	want := quantReference(t, c, g, w, inputs)
+	want := quantReference(t, c, g, w, p, inputs)
 	if err := p.Verify(ctx, inputs, 0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +112,14 @@ func TestProgramMatchesOneShot(t *testing.T) {
 
 // TestProgramConcurrentRuns exercises the acceptance criterion: many
 // goroutines share one Program and every output must be bit-identical to
-// the quantized reference Verify checks against. Run with -race.
+// the quantized reference Verify checks against. Half the goroutines Verify
+// while the rest Run, so Verify's reference runs on the stage image while
+// serving shares it. Run with -race.
 func TestProgramConcurrentRuns(t *testing.T) {
 	ctx := context.Background()
 	c, g, w, inputs, p := buildToyProgram(t)
 
-	want := quantReference(t, c, g, w, inputs)
+	want := quantReference(t, c, g, w, p, inputs)
 	if err := p.Verify(ctx, inputs, 0.05); err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +134,13 @@ func TestProgramConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < runsEach; r++ {
+				if i%2 == 1 {
+					if err := p.Verify(ctx, inputs, 0.05); err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
 				got, err := p.Run(ctx, inputs)
 				if err != nil {
 					errs <- err
@@ -149,9 +164,12 @@ func TestProgramConcurrentRuns(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A Verify is one request through the stage and one pooled state; its
+	// reference runs on a state of its own, outside the pool and the counts.
 	st := p.Stats()
-	if st.Requests != verified+goroutines*runsEach {
-		t.Fatalf("requests = %d, want %d", st.Requests, verified+goroutines*runsEach)
+	runs, verifies := uint64(goroutines/2*runsEach), uint64(goroutines/2*runsEach)
+	if st.Requests != verified+runs+verifies {
+		t.Fatalf("requests = %d, want %d (%d runs, %d verifies after %d)", st.Requests, verified+runs+verifies, runs, verifies, verified)
 	}
 	if st.PoolHits+st.PoolMisses != st.Requests {
 		t.Fatalf("pool accounting %+v does not add up", st)
