@@ -52,8 +52,11 @@ func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len
 // Handler().ServeHTTP in process — no network, cimserve's defaults — beside
 // Runner.Do on the same inputs, for the three pairs of the bench's serve-http
 // workload. ns/op, B/op and allocs/op are the handler's; codec_us/op is the
-// handler minus Do, what decoding the body and encoding the reply cost;
-// ftoa/op is the float conversions one reply needs from a cold memo.
+// handler minus Do, what decoding the body and encoding the reply cost, and
+// decode_us/op and encode_us/op split it: decodeRunRequest of the body, and
+// appendRunResponse of the reply from a warm memo, each timed alone (the
+// rest of codec_us is the request's plumbing around them). ftoa/op is the
+// float conversions one reply needs from a cold memo.
 func BenchmarkHandleRun(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range servedPairs {
@@ -66,13 +69,18 @@ func BenchmarkHandleRun(b *testing.B) {
 			}
 			inputs := make([]map[int]*cimmlc.Tensor, 8)
 			bodies := make([][]byte, len(inputs))
+			resps := make([]RunResponse, len(inputs))
 			for i := range inputs {
 				inputs[i], bodies[i] = seededRequest(b, c[0], c[1], run.Inputs(), uint64(i))
+				outs, err := run.Do(ctx, inputs[i])
+				if err != nil {
+					b.Fatal(err)
+				}
+				resps[i] = newRunResponse(c[0], c[1], outs)
 			}
-			var outs map[int]*cimmlc.Tensor
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if outs, err = run.Do(ctx, inputs[i%len(inputs)]); err != nil {
+				if _, err = run.Do(ctx, inputs[i%len(inputs)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -90,15 +98,34 @@ func BenchmarkHandleRun(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			resp := newRunResponse(c[0], c[1], outs)
-			var memo floatMemo
-			if _, err := appendRunResponse(nil, &resp, &memo); err != nil {
+
+			start = time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeRunRequest(bodies[i%len(bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decode := time.Since(start)
+			var reply []byte
+			var warm floatMemo
+			start = time.Now()
+			for i := 0; i < b.N; i++ {
+				if reply, err = appendRunResponse(reply[:0], &resps[i%len(resps)], &warm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			encode := time.Since(start)
+			var cold floatMemo
+			if _, err := appendRunResponse(nil, &resps[0], &cold); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed()-do)/float64(b.N)/1e3, "codec_us/op")
+			perOp := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e3 }
+			b.ReportMetric(perOp(b.Elapsed()-do), "codec_us/op")
+			b.ReportMetric(perOp(decode), "decode_us/op")
+			b.ReportMetric(perOp(encode), "encode_us/op")
 			b.ReportMetric(float64(len(bodies[0])), "req_B")
 			b.ReportMetric(float64(w.n), "resp_B")
-			b.ReportMetric(float64(memo.conversions), "ftoa/op")
+			b.ReportMetric(float64(cold.conversions), "ftoa/op")
 		})
 	}
 }

@@ -19,10 +19,12 @@ import (
 // (FuzzAppendRunResponse).
 
 const (
-	// memoBits sizes the float memo: 1024 slots. A CIM operator's output is
-	// requantized to the architecture's activation precision, so a settled
-	// tensor holds at most 2·MaxQ+1 distinct values — 255 at the 8 bits of
-	// every preset, a quarter of the table (TestSettledOutputLevels).
+	// memoBits sizes the float memo: 1 << memoBits = 2 048 slots for the
+	// values other than zero, which has one more of its own. A CIM
+	// operator's output is requantized to the architecture's activation
+	// precision, so a settled tensor holds at most 2·MaxQ+1 distinct values
+	// — 255 at the 8 bits of every preset, an eighth of the table
+	// (TestSettledOutputLevels).
 	memoBits = 11
 	// maxPooledBuf is the largest buffer a request hands back to the pool,
 	// and the most a Content-Length may presize: four times the largest
@@ -70,42 +72,70 @@ func readInto(buf []byte, r io.Reader) ([]byte, error) {
 // stale — the text is a function of the bits — so a memo is reused across
 // replies without clearing.
 type floatMemo struct {
-	slots [1 << memoBits]memoSlot
+	slots [1<<memoBits + 1]memoSlot
 	// conversions counts strconv.AppendFloat calls (the memo's misses).
 	conversions int
 }
 
-// memoSlot is 32 bytes; the longest float32 in encoding/json's format is 22
-// (a sign and 21 digits just under 1e21). n == 0 marks an empty slot.
+// memoText is the width a slot's text is copied at. The longest float32 in
+// encoding/json's format is 22 bytes (a sign and 21 digits just under
+// 1e21), and a slot holds it followed by a comma.
+const memoText = 24
+
+// memoSlot is 32 bytes: the text of the bits, a comma after it, and n bytes
+// of that in use. n == 0 marks an empty slot.
 type memoSlot struct {
+	text [memoText]byte
 	bits uint32
 	n    uint8
-	text [27]byte
 }
 
-// appendFloat appends f as encoding/json writes a float32; ok is false for
-// NaN and ±Inf, which JSON cannot carry (they are never memoized, so the
-// check sits on the miss path only).
-func (m *floatMemo) appendFloat(dst []byte, f float32) (_ []byte, ok bool) {
-	bits := math.Float32bits(f)
-	if bits == 0 {
-		return append(dst, '0'), true
+// memoIndex is the slot of bits: the sign, the low three exponent bits and
+// the leading memoBits-4 mantissa bits, so the levels of one quantized
+// tensor — k·scale over at most eight binades, 2⁻⁷ of a binade apart — fall
+// into slots of their own. Zero, which ReLU outputs are half made of, alone
+// takes the extra slot 1 << memoBits: (bits-1)>>63 in 64 bits is 1 for zero
+// and 0 for every other pattern, so no branch depends on the value.
+func memoIndex(bits uint32) uint32 {
+	const low = memoBits - 1 // index bits below the sign, ending at bit 25
+	i := bits>>(26-low)&(1<<low-1) | bits>>31<<low
+	return i | uint32((uint64(bits)-1)>>63)<<memoBits
+}
+
+// appendFloats appends data, output id's, as encoding/json writes a
+// []float32 that is not nil. A NaN or ±Inf, which JSON cannot carry, is an
+// error; they are never memoized, so the check sits on the miss path only.
+//
+// The hit path takes no branch on the value: a reply's elements are levels
+// and zeros in no predictable order, and a branch on which — zero or not,
+// a one-byte text or a ten-byte one — mispredicts on about half of them.
+// So zero is memoized like every other value, and a hit stores the slot's
+// whole fixed-width text into spare capacity and then advances by its
+// length, where append would dispatch on the length.
+func (m *floatMemo) appendFloats(dst []byte, id string, data []float32) ([]byte, error) {
+	dst = append(dst, '[')
+	for j, f := range data {
+		bits := math.Float32bits(f)
+		s := &m.slots[memoIndex(bits)]
+		if s.n == 0 || s.bits != bits {
+			if bits&0x7F800000 == 0x7F800000 {
+				return dst, fmt.Errorf("serving: output %s element %d is %v, which JSON cannot carry", id, j, f)
+			}
+			m.conversions++
+			text := append(appendJSONFloat32(s.text[:0], f), ',')
+			s.bits, s.n = bits, uint8(copy(s.text[:], text))
+		}
+		n := len(dst)
+		if cap(dst)-n < memoText {
+			dst = slices.Grow(dst, memoText)
+		}
+		*(*[memoText]byte)(dst[n : n+memoText]) = s.text
+		dst = dst[:n+int(s.n)]
 	}
-	s := &m.slots[bits>>16&0x3FF|bits>>31<<10]
-	if s.n != 0 && s.bits == bits {
-		return append(dst, s.text[:s.n]...), true
+	if len(data) > 0 {
+		dst = dst[:len(dst)-1] // the last element's comma
 	}
-	if bits&0x7F800000 == 0x7F800000 {
-		return dst, false
-	}
-	m.conversions++
-	start := len(dst)
-	dst = appendJSONFloat32(dst, f)
-	if n := len(dst) - start; n <= len(s.text) {
-		s.bits, s.n = bits, uint8(n)
-		copy(s.text[:], dst[start:])
-	}
-	return dst, true
+	return append(dst, ']'), nil
 }
 
 // appendJSONFloat32 is encoding/json's floatEncoder for 32 bits: ES6 number
@@ -140,7 +170,7 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // appendRunResponse appends the reply for resp and its trailing newline to
 // dst. A NaN or ±Inf output is an error naming the output node.
-func appendRunResponse(dst []byte, resp *RunResponse, m *floatMemo) ([]byte, error) {
+func appendRunResponse(dst []byte, resp *RunResponse, m *floatMemo) (_ []byte, err error) {
 	dst = append(dst, `{"model":`...)
 	dst = appendJSONString(dst, resp.Model)
 	dst = append(dst, `,"arch":`...)
@@ -177,18 +207,8 @@ func appendRunResponse(dst []byte, resp *RunResponse, m *floatMemo) ([]byte, err
 		dst = append(dst, `,"data":`...)
 		if t.Data == nil {
 			dst = append(dst, "null"...)
-		} else {
-			dst = append(dst, '[')
-			for j, f := range t.Data {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				var ok bool
-				if dst, ok = m.appendFloat(dst, f); !ok {
-					return dst, fmt.Errorf("serving: output %s element %d is %v, which JSON cannot carry", id, j, f)
-				}
-			}
-			dst = append(dst, ']')
+		} else if dst, err = m.appendFloats(dst, id, t.Data); err != nil {
+			return dst, err
 		}
 		dst = append(dst, '}')
 	}
@@ -441,7 +461,8 @@ func (p *wireParser) ints(dst *[]int) bool {
 }
 
 // floats consumes null or an array of numbers in float32 range, into a fresh
-// slice sized by the commas before the closing bracket.
+// slice sized by the commas before the closing bracket. Each element takes
+// fastFloat's one pass when it can, number and strconv.ParseFloat when not.
 func (p *wireParser) floats(dst *[]float32) bool {
 	if p.null() {
 		return true
@@ -452,6 +473,11 @@ func (p *wireParser) floats(dst *[]float32) bool {
 	}
 	out := make([]float32, 0, bytes.Count(p.b[p.i:p.i+end], []byte{','})+1)
 	ok := p.array(func() bool {
+		p.ws()
+		if f, ok := p.fastFloat(); ok {
+			out = append(out, f)
+			return true
+		}
 		tok, ok := p.number()
 		f, err := strconv.ParseFloat(string(tok), 32)
 		out = append(out, float32(f))
@@ -459,4 +485,80 @@ func (p *wireParser) floats(dst *[]float32) bool {
 	})
 	*dst = out
 	return ok
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// fastFloat consumes a number -?(0|[1-9][0-9]*)(\.[0-9]+)? with no exponent
+// whose digits, the fraction's leading zeros aside, make an integer m ≤ 2⁵³,
+// and returns what strconv.ParseFloat(text, 32) returns for it. It checks the
+// grammar and accumulates m in the same pass. Anything else — and the rare
+// number it cannot round alone — it declines, leaving the cursor where it
+// was, for number and ParseFloat.
+//
+// m and 10^frac (frac ≤ 22) are both exact in a float64, so m/10^frac is the
+// correctly rounded float64 of the decimal: zero, or a normal number from
+// 1e-22 to 2⁵³. Rounding that again to float32 is rounding the decimal itself,
+// since every float32 halfway point is a float64 and rounding is monotonic:
+// the two can differ only when the float64 lands on a halfway point (its
+// low 29 mantissa bits are 1 << 28), where the decimal may lie to either
+// side. That case is declined.
+func (p *wireParser) fastFloat() (float32, bool) {
+	b, i := p.b, p.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	sig := 0 // significant digits in m
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' <= 8:
+		j := i
+		i, m = accumulate(b, i, 0)
+		sig = i - j
+	default:
+		return 0, false
+	}
+	frac := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		j := i
+		if m == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		k := i
+		i, m = accumulate(b, i, m)
+		if i == j {
+			return 0, false
+		}
+		frac, sig = i-j, sig+i-k
+	}
+	// 19 digits cannot overflow m; 2⁵³ is the last integer of a run a
+	// float64 holds exactly.
+	if sig > 19 || m > 1<<53 || frac >= len(pow10) || i < len(b) && b[i]|0x20 == 'e' {
+		return 0, false
+	}
+	f := float64(m) / pow10[frac]
+	if math.Float64bits(f)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	if neg {
+		f = -f
+	}
+	p.i = i
+	return float32(f), true
+}
+
+// accumulate consumes the decimal digits at b[i:] into m.
+func accumulate(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return i, m
 }

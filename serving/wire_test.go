@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,6 +157,130 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return b
 }
 
+// fastFloatAgrees runs fastFloat from the start of text and, when it
+// answers, holds its value and cursor to number and strconv.ParseFloat(·,
+// 32); a decline must leave the cursor where it was. It reports whether the
+// fast path answered.
+func fastFloatAgrees(t *testing.T, text []byte) bool {
+	t.Helper()
+	fast := wireParser{b: text}
+	f, ok := fast.fastFloat()
+	if !ok {
+		if fast.i != 0 {
+			t.Fatalf("%q: fastFloat declined but moved the cursor to %d", text, fast.i)
+		}
+		return false
+	}
+	ref := wireParser{b: text}
+	tok, numOK := ref.number()
+	want, err := strconv.ParseFloat(string(tok), 32)
+	if !numOK || err != nil {
+		t.Fatalf("%q: fastFloat answered %v, number %v and ParseFloat %v", text, f, numOK, err)
+	}
+	if math.Float32bits(f) != math.Float32bits(float32(want)) || fast.i != ref.i {
+		t.Fatalf("%q: fastFloat %v (%#08x) ending at %d, ParseFloat %v (%#08x) ending at %d",
+			text, f, math.Float32bits(f), fast.i, want, math.Float32bits(float32(want)), ref.i)
+	}
+	return true
+}
+
+// TestParseFloatMatchesStrconv holds the decoder's one-pass float path to
+// strconv on the numbers it is for and the edges of what it takes. Which
+// way each edge goes is pinned too, so a fast path that declined everything
+// would not pass.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 1))
+	// Float32 shortest texts in encoding/json's format: any bit pattern, and
+	// the inputs seededRequest sends, in [-1, 1), which all take the fast
+	// path unless written with an exponent.
+	for n := 0; n < 200_000; n++ {
+		if f := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+			fastFloatAgrees(t, appendJSONFloat32(nil, f))
+		}
+		text := appendJSONFloat32(nil, 2*rng.Float32()-1)
+		if !fastFloatAgrees(t, text) && !bytes.ContainsAny(text, "e") {
+			t.Fatalf("%q: fastFloat declined a client's input", text)
+		}
+	}
+	// Random decimals of up to 16 digits, with up to eight leading fraction
+	// zeros.
+	took := 0
+	for n := 0; n < 200_000; n++ {
+		var text []byte
+		if rng.IntN(2) == 0 {
+			text = append(text, '-')
+		}
+		intDigits, fracZeros := rng.IntN(8), rng.IntN(9)
+		text = strconv.AppendUint(text, rng.Uint64N(uint64(math.Pow10(intDigits))), 10)
+		if fracDigits := rng.IntN(17 - len(text)); fracDigits > 0 || fracZeros > 0 {
+			text = append(text, '.')
+			text = append(text, strings.Repeat("0", fracZeros)...)
+			for range max(fracDigits, 1) {
+				text = append(text, byte('0'+rng.IntN(10)))
+			}
+		}
+		if fastFloatAgrees(t, text) {
+			took++
+		}
+	}
+	if took < 140_000 { // the rest have 16 digits past 2⁵³ or 23 fraction digits
+		t.Errorf("fastFloat took %d of 200 000 random decimals", took)
+	}
+
+	for _, c := range []struct {
+		text string
+		took bool
+	}{
+		{"0", true}, {"-0", true}, {"0.0", true}, {"-0.000", true}, {"1", true}, {"-17.25", true},
+		// 15 and 16 significant digits: up to 2⁵³ the digits fit a float64.
+		{"0.123456789012345", true}, {"1234567890.123456", true},
+		{"9007199254740992", true}, {"9007199254740993", false},
+		{"0.9007199254740993", false}, {"0.00009007199254740992", true},
+		// 22 fraction digits, and 23.
+		{"0.0000000000000000000001", true}, {"0.1234567890123456789012", false},
+		{"0.00000000000000000000001", false},
+		// 20 digits would overflow the accumulator.
+		{"18446744073709551617", false},
+		// What follows the number is the caller's: json's grammar and
+		// number's cursor decide.
+		{"01", true}, {"0.5]", true}, {"1,2", true}, {"-0x1", true}, {"12a", true},
+		{"1.", false}, {"-", false}, {".5", false}, {"+1", false}, {"-.5", false}, {" 1", false}, {"", false},
+		{"1e5", false}, {"1E5", false}, {"1.5e-3", false}, {"0e0", false},
+	} {
+		if got := fastFloatAgrees(t, []byte(c.text)); got != c.took {
+			t.Errorf("%q: fastFloat took it %v, want %v", c.text, got, c.took)
+		}
+	}
+
+	// A decimal whose correctly rounded float64 is exactly a float32
+	// halfway point must be declined, and rounding that float64 again would
+	// in fact be wrong: 0.5000000298023224 lies above 0.5 + 2⁻²⁵, the
+	// halfway point between 0.5 and its float32 successor, but its float64
+	// is that point, which float32() rounds to even, down to 0.5. 16777217
+	// is a halfway point exactly.
+	for _, text := range []string{"0.5000000298023224", "-0.5000000298023224", "16777217"} {
+		if fastFloatAgrees(t, []byte(text)) {
+			t.Errorf("%q: fastFloat took a decimal whose float64 is a float32 halfway point", text)
+		}
+	}
+	want, _ := strconv.ParseFloat("0.5000000298023224", 32)
+	m, pow := float64(5000000298023224), 1e16 // variables: a constant quotient would be exact
+	if twice := float32(m / pow); twice == float32(want) {
+		t.Errorf("rounding through float64 gives ParseFloat's %v: the halfway case tests nothing", want)
+	}
+}
+
+// FuzzParseFloat32 holds fastFloat to number and ParseFloat on arbitrary
+// bytes: it may decline anything, but what it answers — value and cursor —
+// is theirs.
+func FuzzParseFloat32(f *testing.F) {
+	for _, text := range []string{"0", "-0.000", "0.15625", "-17.25]", "9007199254740993",
+		"0.0000000000000000000001", "0.5000000298023224", "16777217", "1.5e-3", "01", "1."} {
+		f.Add([]byte(text))
+	}
+	f.Fuzz(func(t *testing.T, text []byte) { fastFloatAgrees(t, text) })
+}
+
 // FuzzAppendRunResponse holds the encoder to its contract: the bytes are
 // json.NewEncoder's for the same RunResponse — key order, float format, null
 // for nil and [] for empty, string escaping — from a cold memo and again from
@@ -172,12 +299,15 @@ func FuzzAppendRunResponse(f *testing.F) {
 	}
 	f32 := math.Float32bits
 	f.Add("conv-relu", "toy-table2", "4", uint16(0), bits(0, f32(1.5), f32(-2), f32(1.5), 0))
-	// "10" sorts before "2"; -0, subnormals, both sides of 1e-6 and 1e21.
+	// "10" sorts before "2"; -0, subnormals, both sides of 1e-6 and 1e21,
+	// the longest text (22 bytes, −9.9999994e20 written out).
 	f.Add("m", "a", "2,10,1", uint16(0), bits(0x80000000, 1, 0x007FFFFF, f32(1e-6), f32(9.9999e-7), math.Float32bits(math.Nextafter32(1e-6, 0)),
-		f32(1e21), math.Float32bits(math.Nextafter32(1e21, 0)), f32(1e-9), f32(1e-10), f32(math.MaxFloat32), f32(-math.SmallestNonzeroFloat32)))
+		f32(1e21), math.Float32bits(math.Nextafter32(1e21, 0)), math.Float32bits(-math.Nextafter32(1e21, 0)), f32(1e-9), f32(1e-10), f32(math.MaxFloat32), f32(-math.SmallestNonzeroFloat32)))
 	// Two values in one memo slot (same sign, low exponent bits and leading
 	// mantissa bits), alternating, so each evicts the other.
 	f.Add("m", "a", "0", uint16(0), bits(0x3F800001, 0x3F800002, 0x3F800001, 0x3F800002, 0x43800001, 0x3F800001))
+	// Zero and 2⁻⁷, whose slot zero would share if it had none of its own.
+	f.Add("m", "a", "0", uint16(0), bits(0, f32(0x1p-7), 0, f32(0x1p-7), 0x80000000, f32(-0x1p-7), 0))
 	f.Add("m", "a", "0", uint16(0), bits(f32(1), 0x7FC00000))
 	f.Add("m", "a", "0,1", uint16(0), bits(f32(1), f32(2), f32(3), 0x7F800000))
 	f.Add("m", "a", "0", uint16(0), bits(0xFF800000))
@@ -234,8 +364,9 @@ func FuzzAppendRunResponse(f *testing.F) {
 // for. A CIM operator's output is requantized into the architecture's
 // activation precision, so however many elements a served output has, it
 // holds at most 2·MaxQ+1 distinct values; the float memo has a slot for
-// each, and an encoder starting cold converts each non-zero one once. The
-// bodies and replies fit the buffers the pool keeps.
+// each, and an encoder starting cold converts each once — zero too, which
+// has a slot of its own. The bodies and replies fit the buffers the pool
+// keeps.
 func TestSettledOutputLevels(t *testing.T) {
 	ctx := context.Background()
 	reg := NewRegistry()
@@ -255,14 +386,12 @@ func TestSettledOutputLevels(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp := newRunResponse(c[0], c[1], outs)
-			elems, nonzero := 0, map[uint32]bool{}
+			elems, values := 0, map[uint32]bool{}
 			for id, o := range outs {
 				distinct := map[uint32]bool{}
 				for _, f := range o.Data() {
 					distinct[math.Float32bits(f)] = true
-					if f != 0 {
-						nonzero[math.Float32bits(f)] = true
-					}
+					values[math.Float32bits(f)] = true
 				}
 				if len(distinct) > levels {
 					t.Errorf("%s.%s output %d: %d distinct values, want at most %d levels", c[0], c[1], id, len(distinct), levels)
@@ -274,17 +403,37 @@ func TestSettledOutputLevels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if memo.conversions != len(nonzero) {
-				t.Errorf("%s.%s seed %d: %d float conversions for %d distinct non-zero values", c[0], c[1], seed, memo.conversions, len(nonzero))
+			if memo.conversions != len(values) {
+				t.Errorf("%s.%s seed %d: %d float conversions for %d distinct values", c[0], c[1], seed, memo.conversions, len(values))
 			}
 			if 4*max(len(body), len(reply)) > maxPooledBuf {
 				t.Errorf("%s.%s: a %d B body and a %d B reply leave the pool's %d B cap no headroom", c[0], c[1], len(body), len(reply), maxPooledBuf)
 			}
 			if seed == 1 {
-				t.Logf("%s.%s: %d elements, %d distinct non-zero values, %d conversions, %d B request, %d B reply",
-					c[0], c[1], elems, len(nonzero), memo.conversions, len(body), len(reply))
+				t.Logf("%s.%s: %d elements, %d distinct values, %d conversions, %d B request, %d B reply",
+					c[0], c[1], elems, len(values), memo.conversions, len(body), len(reply))
 			}
 		}
+	}
+}
+
+// TestZeroHasItsOwnSlot: zero, half of a ReLU output, shares no slot with
+// a level. 2⁻⁷ has zero's sign, low exponent bits and leading mantissa
+// bits; alternating with zero, it would evict and be evicted on every
+// element if zero took the slot those bits index. (−0 is an ordinary bit
+// pattern, in −2⁻⁷'s slot.)
+func TestZeroHasItsOwnSlot(t *testing.T) {
+	data := make([]float32, 64)
+	for i := range data {
+		data[i] = [...]float32{0, 0x1p-7, 0, -0x1p-7}[i%4]
+	}
+	var memo floatMemo
+	resp := RunResponse{Outputs: map[string]JSONTensor{"0": {Data: data}}}
+	if _, err := appendRunResponse(nil, &resp, &memo); err != nil {
+		t.Fatal(err)
+	}
+	if memo.conversions != 3 {
+		t.Errorf("%d float conversions for 3 distinct values", memo.conversions)
 	}
 }
 
