@@ -23,23 +23,21 @@ import (
 //	cimmlc analyze -zoo -golden testdata/analyze_golden.json -update  refresh
 func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
+	cf := declareCellFlags(fs, true, true)
 	var (
-		modelName = fs.String("model", "", "zoo model name (see -list)")
-		modelFile = fs.String("model-file", "", "graph JSON file (alternative to -model)")
-		archName  = fs.String("arch", "", "preset architecture name")
-		archFile  = fs.String("arch-file", "", "architecture JSON file (alternative to -arch)")
-		maxLevel  = fs.String("max-level", "", "cap optimization level (CM, XBM or WLM)")
-		maxWin    = fs.Int64("max-windows", 0, "cap emitted window blocks per operator (0 = all; capped flows get a counts-only report)")
-		asJSON    = fs.Bool("json", false, "emit the report as stable JSON instead of text")
-		zoo       = fs.Bool("zoo", false, "analyze every cell of the short conformance matrix")
-		golden    = fs.String("golden", "", "with -zoo: committed golden file to diff the reports against")
-		update    = fs.Bool("update", false, "with -zoo -golden: merge this run's reports into the golden file instead of diffing")
+		maxWin = fs.Int64("max-windows", 0, "cap emitted window blocks per operator (0 = all; capped flows get a counts-only report)")
+		asJSON = fs.Bool("json", false, "emit the report as stable JSON instead of text")
+		zoo    = fs.Bool("zoo", false, "analyze every cell of the short conformance matrix")
+		golden = fs.String("golden", "", "with -zoo: committed golden file to diff the reports against")
+		update = fs.Bool("update", false, "with -zoo -golden: write this run's reports to the golden file instead of diffing")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: cimmlc analyze -model <m> -arch <a> [-json] | cimmlc analyze -zoo [-json] [-golden file [-update]]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	fs.Parse(args)
+	if (!*zoo && (*golden != "" || *update)) || (*update && *golden == "") {
+		fs.Usage()
 		os.Exit(2)
 	}
 
@@ -50,18 +48,7 @@ func runAnalyze(args []string) {
 		os.Exit(analyzeZoo(ctx, *asJSON, *golden, *update))
 	}
 
-	g, err := loadModel(*modelName, *modelFile)
-	if err != nil {
-		fatal(err)
-	}
-	a, err := loadArch(*archName, *archFile)
-	if err != nil {
-		fatal(err)
-	}
-	level, err := parseMaxLevel(*maxLevel)
-	if err != nil {
-		fatal(err)
-	}
+	g, a, level := cf.load()
 	rep, err := analyzeCell(ctx, g, a, level, *maxWin)
 	if err != nil {
 		fatal(err)
@@ -96,40 +83,18 @@ func analyzeCell(ctx context.Context, g *cimmlc.Graph, a *cimmlc.Arch, level cim
 	return c.Analyze(ctx, g, res, cimmlc.CodegenOptions{MaxWindowsPerOp: maxWindows})
 }
 
-// analyzeZoo sweeps the short conformance matrix, optionally diffing against
-// (or refreshing) the committed golden file. Like vet -zoo, a failing cell
-// never aborts the sweep.
+// analyzeZoo sweeps the short conformance matrix, optionally diffing the
+// reports against (or writing them to) the golden file. Like vet -zoo, a
+// failing cell never aborts the sweep.
 func analyzeZoo(ctx context.Context, asJSON bool, goldenPath string, update bool) int {
-	reports := map[string]cimmlc.FlowReport{}
-	outcomes := sweepZoo(os.Stderr, shortZooCells(), func(cell zooCell) error {
-		g, err := cimmlc.Model(cell.Model)
-		if err != nil {
-			return err
-		}
-		a, err := cimmlc.Preset(cell.Arch)
-		if err != nil {
-			return err
-		}
-		rep, err := analyzeCell(ctx, g, a, cell.Level, cell.WinCap)
-		if err != nil {
-			return err
-		}
-		reports[cell.Key()] = *rep
-		return nil
-	})
-	bad := summarizeSweep(os.Stderr, "cimmlc analyze -zoo", outcomes)
-
+	reports, bad := sweepShortZoo(ctx, os.Stderr, "cimmlc analyze -zoo")
 	switch {
-	case goldenPath != "" && update:
+	case update:
 		if bad > 0 {
 			fmt.Fprintln(os.Stderr, "cimmlc analyze: refusing to -update goldens from a failing sweep")
 			return 1
 		}
-		existing, err := flowdata.LoadReportGolden(goldenPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := flowdata.SaveReportGolden(goldenPath, flowdata.MergeReportGolden(existing, reports)); err != nil {
+		if err := flowdata.SaveReportGolden(goldenPath, reports); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "cimmlc analyze: wrote %d reports to %s\n", len(reports), goldenPath)
@@ -138,7 +103,14 @@ func analyzeZoo(ctx context.Context, asJSON bool, goldenPath string, update bool
 		if err != nil {
 			fatal(err)
 		}
-		bad += diffAgainstGolden(reports, want, outcomes)
+		drift, drifted := goldenDrift(reports, want)
+		for _, d := range drift {
+			fmt.Fprintln(os.Stderr, "DRIFT "+d)
+		}
+		if drifted > 0 {
+			fmt.Fprintf(os.Stderr, "cimmlc analyze: %d cell(s) drifted from %s\n", drifted, goldenPath)
+		}
+		bad += drifted
 	}
 
 	if asJSON {
@@ -150,39 +122,30 @@ func analyzeZoo(ctx context.Context, asJSON bool, goldenPath string, update bool
 	return 0
 }
 
-// diffAgainstGolden compares this sweep's reports against the committed map
-// and prints field-level drift; cells that failed to analyze are skipped
-// (their failure is already counted). Returns the number of drifted or
-// missing cells.
-func diffAgainstGolden(got map[string]cimmlc.FlowReport, want map[string]cimmlc.FlowReport, outcomes []sweepOutcome) int {
-	bad := 0
-	for _, o := range outcomes {
-		if o.Err != nil {
-			continue
-		}
-		key := o.Cell.Key()
-		g, ok := got[key]
+// goldenDrift compares a sweep's reports with the golden in sweep order. It
+// returns one "cell: difference" line per drifted field or missing golden
+// entry, and the number of cells that drifted. A cell the sweep could not
+// analyze has no report and is skipped: its failure is already counted.
+func goldenDrift(reports, golden map[string]cimmlc.FlowReport) (drift []string, cells int) {
+	for _, cell := range shortZooCells() {
+		key := cell.Key()
+		got, ok := reports[key]
 		if !ok {
 			continue
 		}
-		w, ok := want[key]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "DRIFT %s: no golden entry (regenerate with `cimmlc analyze -zoo -golden <file> -update`)\n", key)
-			bad++
-			continue
+		want, ok := golden[key]
+		diffs := []string{"no golden entry (regenerate with `cimmlc analyze -zoo -golden <file> -update`)"}
+		if ok {
+			diffs = flowdata.DiffReports(got, want)
 		}
-		diffs := flowdata.DiffReports(g, w)
 		if len(diffs) > 0 {
-			bad++
-			for _, d := range diffs {
-				fmt.Fprintf(os.Stderr, "DRIFT %s: %s\n", key, d)
-			}
+			cells++
+		}
+		for _, d := range diffs {
+			drift = append(drift, key+": "+d)
 		}
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "cimmlc analyze: %d cell(s) drifted from %s\n", bad, "golden")
-	}
-	return bad
+	return drift, cells
 }
 
 // printJSON writes stable JSON to stdout.

@@ -11,7 +11,7 @@
 //
 //	cimmlc -model resnet18 -arch isaac-baseline
 //	cimmlc -model conv-relu -arch toy-table2 -flow -max-windows 2
-//	cimmlc -model-file net.json -arch-file accel.json -report
+//	cimmlc -model-file net.json -arch-file accel.json
 //	cimmlc -list
 //	cimmlc run -model conv-relu -arch toy-table2 -requests 64 -parallel 8
 //	cimmlc tune -model vgg7 -arch puma -budget 256
@@ -42,24 +42,23 @@ import (
 	"cimmlc"
 )
 
+// subcommands maps each subcommand name to its entry point; anything else
+// is the compiler's own flags.
+var subcommands = map[string]func(args []string){
+	"run":     runServe,
+	"tune":    runTune,
+	"vet":     runVet,
+	"analyze": runAnalyze,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "run" {
-		runServe(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			cmd(os.Args[2:])
+			return
+		}
 	}
-	if len(os.Args) > 1 && os.Args[1] == "tune" {
-		runTune(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "vet" {
-		runVet(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		runAnalyze(os.Args[2:])
-		return
-	}
-	compileMain()
+	compileMain(os.Args[1:])
 }
 
 // signalContext is the CLI-wide interruptible context.
@@ -67,22 +66,62 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt)
 }
 
-func compileMain() {
+// cellFlags names the cell a command works on: a model and an architecture,
+// each by zoo name or JSON file, and the optimization level cap.
+type cellFlags struct {
+	model, modelFile, arch, archFile, maxLevel string
+}
+
+// declareCellFlags declares the cell flags on fs. byName adds -model and
+// -arch (vet takes the names as arguments instead); level adds -max-level.
+func declareCellFlags(fs *flag.FlagSet, byName, level bool) *cellFlags {
+	cf := &cellFlags{}
+	if byName {
+		fs.StringVar(&cf.model, "model", "", "zoo model name (see -list)")
+		fs.StringVar(&cf.arch, "arch", "", "preset architecture name (see -list)")
+	}
+	fs.StringVar(&cf.modelFile, "model-file", "", "graph JSON file (alternative to -model)")
+	fs.StringVar(&cf.archFile, "arch-file", "", "architecture JSON file (alternative to -arch)")
+	if level {
+		fs.StringVar(&cf.maxLevel, "max-level", "", "cap optimization level (CM, XBM or WLM)")
+	}
+	return cf
+}
+
+// load resolves the cell, exiting on the first error.
+func (cf *cellFlags) load() (*cimmlc.Graph, *cimmlc.Arch, cimmlc.Mode) {
+	g, err := nameOrFile("model", cf.model, cf.modelFile, cimmlc.Model, cimmlc.DecodeGraph)
+	if err != nil {
+		fatal(err)
+	}
+	a, err := nameOrFile("arch", cf.arch, cf.archFile, cimmlc.Preset, cimmlc.DecodeArch)
+	if err != nil {
+		fatal(err)
+	}
+	level, err := parseMaxLevel(cf.maxLevel)
+	if err != nil {
+		fatal(err)
+	}
+	return g, a, level
+}
+
+func compileMain(args []string) {
+	fs := flag.NewFlagSet("cimmlc", flag.ExitOnError)
+	cf := declareCellFlags(fs, true, true)
 	var (
-		modelName = flag.String("model", "", "zoo model name (see -list)")
-		modelFile = flag.String("model-file", "", "graph JSON file (alternative to -model)")
-		archName  = flag.String("arch", "", "preset architecture name (see -list)")
-		archFile  = flag.String("arch-file", "", "architecture JSON file (alternative to -arch)")
-		maxLevel  = flag.String("max-level", "", "cap optimization level (CM, XBM or WLM)")
-		noPipe    = flag.Bool("no-pipeline", false, "disable inter-operator pipelining")
-		noDup     = flag.Bool("no-duplication", false, "disable operator duplication")
-		noStagger = flag.Bool("no-stagger", false, "disable the staggered MVM pipeline")
-		noRemap   = flag.Bool("no-remap", false, "disable wordline remapping")
-		emitFlow  = flag.Bool("flow", false, "print the generated meta-operator flow")
-		maxWin    = flag.Int64("max-windows", 0, "cap emitted window blocks per operator (0 = all)")
-		list      = flag.Bool("list", false, "list models and architectures, then exit")
+		noPipe    = fs.Bool("no-pipeline", false, "disable inter-operator pipelining")
+		noDup     = fs.Bool("no-duplication", false, "disable operator duplication")
+		noStagger = fs.Bool("no-stagger", false, "disable the staggered MVM pipeline")
+		noRemap   = fs.Bool("no-remap", false, "disable wordline remapping")
+		emitFlow  = fs.Bool("flow", false, "print the generated meta-operator flow")
+		maxWin    = fs.Int64("max-windows", 0, "cap emitted window blocks per operator (0 = all)")
+		list      = fs.Bool("list", false, "list models and architectures, then exit")
 	)
-	flag.Parse()
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: cimmlc [flags] | cimmlc {run|tune|vet|analyze} [flags] (-h after a subcommand for its flags)")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
 
 	if *list {
 		fmt.Println("models:")
@@ -96,18 +135,11 @@ func compileMain() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signalContext()
 	defer stop()
 
-	g, err := loadModel(*modelName, *modelFile)
-	if err != nil {
-		fatal(err)
-	}
-	a, err := loadArch(*archName, *archFile)
-	if err != nil {
-		fatal(err)
-	}
-	var opts []cimmlc.Option
+	g, a, level := cf.load()
+	opts := []cimmlc.Option{cimmlc.WithMaxLevel(level)}
 	if *noPipe {
 		opts = append(opts, cimmlc.WithoutPipeline())
 	}
@@ -120,11 +152,7 @@ func compileMain() {
 	if *noRemap {
 		opts = append(opts, cimmlc.WithoutRemap())
 	}
-	level, err := parseMaxLevel(*maxLevel)
-	if err != nil {
-		fatal(err)
-	}
-	c, err := cimmlc.New(a, append(opts, cimmlc.WithMaxLevel(level))...)
+	c, err := cimmlc.New(a, opts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,29 +178,19 @@ func compileMain() {
 // random inferences across -parallel workers and report throughput.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("cimmlc run", flag.ExitOnError)
+	cf := declareCellFlags(fs, true, false)
 	var (
-		modelName = fs.String("model", "", "zoo model name")
-		modelFile = fs.String("model-file", "", "graph JSON file (alternative to -model)")
-		archName  = fs.String("arch", "", "preset architecture name")
-		archFile  = fs.String("arch-file", "", "architecture JSON file (alternative to -arch)")
-		requests  = fs.Int("requests", 32, "number of inference requests to serve")
-		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the batch")
-		seed      = fs.Uint64("seed", 1, "seed for random weights and inputs")
-		verify    = fs.Float64("verify", 0, "if > 0, verify the first request within this float tolerance")
+		requests = fs.Int("requests", 32, "number of inference requests to serve")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the batch")
+		seed     = fs.Uint64("seed", 1, "seed for random weights and inputs")
+		verify   = fs.Float64("verify", 0, "if > 0, verify the first request within this float tolerance")
 	)
 	fs.Parse(args)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signalContext()
 	defer stop()
 
-	g, err := loadModel(*modelName, *modelFile)
-	if err != nil {
-		fatal(err)
-	}
-	a, err := loadArch(*archName, *archFile)
-	if err != nil {
-		fatal(err)
-	}
+	g, a, _ := cf.load()
 	if *requests < 1 {
 		fatal(fmt.Errorf("cimmlc run: -requests must be at least 1"))
 	}
@@ -224,38 +242,23 @@ func runServe(args []string) {
 	fmt.Printf("state pool:   %d hits, %d misses\n", st.PoolHits, st.PoolMisses)
 }
 
-func loadModel(name, file string) (*cimmlc.Graph, error) {
+// nameOrFile resolves one -<what> / -<what>-file flag pair: by name, or by
+// decoding the JSON file, and exactly one of the two must be set.
+func nameOrFile[T any](what, name, file string, byName func(string) (T, error), decode func([]byte) (T, error)) (T, error) {
+	var zero T
 	switch {
 	case name != "" && file != "":
-		return nil, fmt.Errorf("cimmlc: use either -model or -model-file, not both")
+		return zero, fmt.Errorf("cimmlc: use either -%s or -%s-file, not both", what, what)
 	case name != "":
-		return cimmlc.Model(name)
+		return byName(name)
 	case file != "":
 		data, err := os.ReadFile(file)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
-		return cimmlc.DecodeGraph(data)
-	default:
-		return nil, fmt.Errorf("cimmlc: -model or -model-file is required (try -list)")
+		return decode(data)
 	}
-}
-
-func loadArch(name, file string) (*cimmlc.Arch, error) {
-	switch {
-	case name != "" && file != "":
-		return nil, fmt.Errorf("cimmlc: use either -arch or -arch-file, not both")
-	case name != "":
-		return cimmlc.Preset(name)
-	case file != "":
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return cimmlc.DecodeArch(data)
-	default:
-		return nil, fmt.Errorf("cimmlc: -arch or -arch-file is required (try -list)")
-	}
+	return zero, fmt.Errorf("cimmlc: -%s or -%s-file is required (try -list)", what, what)
 }
 
 func printReport(g *cimmlc.Graph, a *cimmlc.Arch, res *cimmlc.Result) {
@@ -290,7 +293,7 @@ func printReport(g *cimmlc.Graph, a *cimmlc.Arch, res *cimmlc.Result) {
 	}
 }
 
-// parseMaxLevel reads the -max-level flag every subcommand takes: empty
+// parseMaxLevel reads the -max-level flag of every command but run: empty
 // leaves the architecture's own mode, otherwise CM, XBM or WLM in any case.
 func parseMaxLevel(s string) (cimmlc.Mode, error) {
 	level := cimmlc.Mode(strings.ToUpper(s))

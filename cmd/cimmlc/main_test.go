@@ -23,18 +23,8 @@ func TestParseMaxLevel(t *testing.T) {
 		}
 	}
 
-	level, err := parseMaxLevel("wlm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := loadModel("lenet5", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := loadArch("puma", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cf := &cellFlags{model: "lenet5", arch: "puma", maxLevel: "wlm"}
+	g, a, level := cf.load()
 	if _, err := analyzeCell(context.Background(), g, a, level, 0); err != nil {
 		t.Fatalf("vet -max-level wlm lenet5 puma: %v", err)
 	}

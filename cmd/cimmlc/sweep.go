@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"os"
 
 	"cimmlc"
 	"cimmlc/internal/conformance"
@@ -43,6 +45,37 @@ func shortZooCells() []zooCell {
 		}
 	}
 	return cells
+}
+
+// sweepShortZoo analyzes every cell of the short conformance matrix: the one
+// sweep behind vet -zoo, analyze -zoo and the golden test. A failing cell
+// never aborts it. The per-cell lines go to progress and the summary to
+// stderr; it returns the reports of the cells that passed and the number
+// that failed.
+func sweepShortZoo(ctx context.Context, progress io.Writer, verb string) (map[string]cimmlc.FlowReport, int) {
+	reports := map[string]cimmlc.FlowReport{}
+	outcomes := sweepZoo(progress, shortZooCells(), func(cell zooCell) error {
+		rep, err := analyzeZooCell(ctx, cell)
+		if err == nil {
+			reports[cell.Key()] = *rep
+		}
+		return err
+	})
+	return reports, summarizeSweep(os.Stderr, verb, outcomes)
+}
+
+// analyzeZooCell loads and analyzes one cell; a model or arch that does not
+// load is that cell's failure, not the sweep's.
+func analyzeZooCell(ctx context.Context, cell zooCell) (*cimmlc.FlowReport, error) {
+	g, err := cimmlc.Model(cell.Model)
+	if err != nil {
+		return nil, err
+	}
+	a, err := cimmlc.Preset(cell.Arch)
+	if err != nil {
+		return nil, err
+	}
+	return analyzeCell(ctx, g, a, cell.Level, cell.WinCap)
 }
 
 // sweepOutcome records one visited cell; Err nil means the cell passed.

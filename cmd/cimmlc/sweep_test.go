@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -51,15 +52,19 @@ func TestSweepZooVisitsEveryCellPastFailures(t *testing.T) {
 }
 
 // TestVetZooCellLoadFailureIsPerCell proves an unloadable model or arch
-// becomes that cell's outcome (so the sweep reports it and moves on) rather
-// than an early exit, and that healthy cells still verify.
+// becomes that cell's outcome in the shared zoo sweep (so it reports the
+// cell and moves on) rather than an early exit, and that healthy cells
+// still verify.
 func TestVetZooCellLoadFailureIsPerCell(t *testing.T) {
 	cells := []zooCell{
 		{Model: "no-such-model", Arch: "toy-table2", Level: cimmlc.XBM},
 		{Model: "conv-relu", Arch: "no-such-arch", Level: cimmlc.XBM},
 		{Model: "conv-relu", Arch: "toy-table2", Level: cimmlc.XBM},
 	}
-	outcomes := sweepZoo(io.Discard, cells, vetZooCell)
+	outcomes := sweepZoo(io.Discard, cells, func(c zooCell) error {
+		_, err := analyzeZooCell(context.Background(), c)
+		return err
+	})
 	if len(outcomes) != 3 {
 		t.Fatalf("sweep stopped early: %d outcomes, want 3", len(outcomes))
 	}

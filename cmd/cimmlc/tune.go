@@ -1,28 +1,23 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"time"
 
 	"cimmlc"
 )
 
-// runTune is the `cimmlc tune` subcommand: it compiles a model twice — once
-// with the multi-level heuristics alone and once with the schedule autotuner
-// on top — and reports the heuristic-vs-tuned latency, the budget spent and
-// the accepted move chain.
+// runTune is the `cimmlc tune` subcommand: it compiles a model once with the
+// schedule autotuner on top of the multi-level heuristics and reports the
+// heuristic-vs-tuned latency, the budget spent and the accepted move chain.
+// The tuned result carries the heuristic figures itself: the tuner's
+// record holds the heuristic latency and its level trail is the heuristic
+// one plus a trailing TUNE.
 func runTune(args []string) {
 	fs := flag.NewFlagSet("cimmlc tune", flag.ExitOnError)
+	cf := declareCellFlags(fs, true, true)
 	var (
-		modelName  = fs.String("model", "", "zoo model name")
-		modelFile  = fs.String("model-file", "", "graph JSON file (alternative to -model)")
-		archName   = fs.String("arch", "", "preset architecture name")
-		archFile   = fs.String("arch-file", "", "architecture JSON file (alternative to -arch)")
-		maxLevel   = fs.String("max-level", "", "cap optimization level (CM, XBM or WLM)")
 		candidates = fs.Int("budget", 0, "max candidate schedules to score (0 = default)")
 		beam       = fs.Int("beam", 0, "beam width of the search (0 = default)")
 		rounds     = fs.Int("rounds", 0, "max search rounds (0 = default)")
@@ -30,46 +25,26 @@ func runTune(args []string) {
 	)
 	fs.Parse(args)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signalContext()
 	defer stop()
 
-	g, err := loadModel(*modelName, *modelFile)
-	if err != nil {
-		fatal(err)
-	}
-	a, err := loadArch(*archName, *archFile)
-	if err != nil {
-		fatal(err)
-	}
-	level, err := parseMaxLevel(*maxLevel)
-	if err != nil {
-		fatal(err)
-	}
-	base := []cimmlc.Option{cimmlc.WithMaxLevel(level)}
+	g, a, level := cf.load()
 	budget := cimmlc.Budget{MaxCandidates: *candidates, Beam: *beam, MaxRounds: *rounds, Workers: *workers}
-
-	hc, err := cimmlc.New(a, base...)
-	if err != nil {
-		fatal(err)
-	}
-	hres, err := hc.Compile(ctx, g)
-	if err != nil {
-		fatal(err)
-	}
-	tc, err := cimmlc.New(a, append(append([]cimmlc.Option{}, base...), cimmlc.WithAutoTune(budget))...)
+	c, err := cimmlc.New(a, cimmlc.WithMaxLevel(level), cimmlc.WithAutoTune(budget))
 	if err != nil {
 		fatal(err)
 	}
 	start := time.Now()
-	tres, err := tc.Compile(ctx, g)
+	res, err := c.Compile(ctx, g)
 	if err != nil {
 		fatal(err)
 	}
 	wall := time.Since(start)
 
-	st := tres.Tuning
+	st := res.Tuning
+	levels := res.Schedule.Levels
 	fmt.Printf("model:        %s on %s\n", g.Name, a)
-	fmt.Printf("heuristic:    %.0f cycles (levels %v)\n", hres.Report.Cycles, hres.Schedule.Levels)
+	fmt.Printf("heuristic:    %.0f cycles (levels %v)\n", st.HeuristicCycles, levels[:len(levels)-1])
 	fmt.Printf("tuned:        %.0f cycles (%.3fx speedup)\n", st.TunedCycles, st.Speedup())
 	fmt.Printf("search:       %d candidates scored over %d rounds in %v\n", st.Evaluated, st.Rounds, wall.Round(time.Millisecond))
 	fmt.Printf("fingerprint:  %s\n", st.ScheduleFingerprint)

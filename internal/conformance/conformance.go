@@ -418,7 +418,7 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 	// bits (skipped for cells whose battery aborted — no reference hash).
 	if out.Err == "" && tuneCell(cell, cfg) {
 		out.TuneChecked = true
-		out.tuneImproved = runTuneFamily(ctx, cell, cfg, g, a, out.Digest.scalarOnly(), out.Digest.OutputHash, vs)
+		out.tuneImproved = runTuneFamily(ctx, cell, cfg, g, a, res, out.Digest.OutputHash, vs)
 	}
 	return out
 }

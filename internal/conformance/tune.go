@@ -20,25 +20,39 @@ import (
 //     Program built from the tuned compilation hash bit-identically to the
 //     untuned reference outputs: tuning changes the schedule, never the
 //     numbers.
+//  4. The heuristic inside — a monolithic tuned compilation records the
+//     untuned latency as its HeuristicCycles, and its level trail is the
+//     untuned one plus exactly one TUNE, so `cimmlc tune` reports both
+//     schedules from one compile.
 //
-// heuristic is the cell's untuned digest; baseHash the untuned exec-battery
+// hres is the cell's untuned compilation; baseHash the untuned exec-battery
 // output hash ("" for compile-only cells). It reports whether the tuned
 // schedule is strictly faster than the heuristic one.
-func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, a *cimmlc.Arch, heuristic Digest, baseHash string, vs *violationSet) (improved bool) {
+func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, a *cimmlc.Arch, hres *cimmlc.Result, baseHash string, vs *violationSet) (improved bool) {
 	key := cell.Key()
+	heuristic := digestOf(hres)
 
-	tuned1, fp1, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
+	tres, fp1, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
 	if err != nil {
 		vs.addf("%s: tuned compile: %v", key, err)
 		return
 	}
+	tuned1 := digestOf(tres)
 	improved = tuned1.Cycles < heuristic.Cycles
 	if tuned1.Cycles > heuristic.Cycles {
 		vs.addf("%s: tuned latency %v exceeds heuristic latency %v (never-worse guarantee broken)",
 			key, tuned1.Cycles, heuristic.Cycles)
 	}
+	if hres.Partition == nil {
+		if hc := tres.Tuning.HeuristicCycles; hc != heuristic.Cycles {
+			vs.addf("%s: tuning record heuristic cycles %v, untuned compile %v", key, hc, heuristic.Cycles)
+		}
+		if want := append(slices.Clone(hres.Schedule.Levels), "TUNE"); !slices.Equal(tres.Schedule.Levels, want) {
+			vs.addf("%s: tuned levels %v, want the untuned %v plus one TUNE", key, tres.Schedule.Levels, hres.Schedule.Levels)
+		}
+	}
 
-	tuned2, fp2, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
+	tres2, fp2, err := compileTuned(ctx, cell, g, a, cfg.TuneBudget)
 	if err != nil {
 		vs.addf("%s: tuned recompile: %v", key, err)
 		return
@@ -46,7 +60,7 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 	if fp1 != fp2 {
 		vs.addf("%s: tuned recompilation chose a different schedule: fingerprint %s vs %s", key, fp1, fp2)
 	}
-	for _, d := range tuned2.diff(tuned1) {
+	for _, d := range digestOf(tres2).diff(tuned1) {
 		vs.addf("%s: nondeterministic tuned compilation: %s", key, d)
 	}
 
@@ -89,31 +103,32 @@ func runTuneFamily(ctx context.Context, cell Cell, cfg Config, g *cimmlc.Graph, 
 }
 
 // compileTuned compiles g on a fresh autotuning compiler and returns the
-// digest and the canonical fingerprint of the tuned schedule — of every CIM
-// stage's schedule, in stage order, for a staged compilation.
-func compileTuned(ctx context.Context, cell Cell, g *cimmlc.Graph, a *cimmlc.Arch, b cimmlc.Budget) (Digest, string, error) {
+// result and the canonical fingerprint of the tuned schedule — of every CIM
+// stage's schedule, in stage order, for a staged compilation. Every stage
+// carries its tuning record.
+func compileTuned(ctx context.Context, cell Cell, g *cimmlc.Graph, a *cimmlc.Arch, b cimmlc.Budget) (*cimmlc.Result, string, error) {
 	opts, _ := cellOptions(cell, cimmlc.WithAutoTune(b))
 	c, err := cimmlc.New(a, opts...)
 	if err != nil {
-		return Digest{}, "", err
+		return nil, "", err
 	}
 	res, err := c.Compile(ctx, g)
 	if err != nil {
-		return Digest{}, "", err
+		return nil, "", err
 	}
 	var fps []string
 	for _, sr := range stageResults(res) {
 		fp := sr.Schedule.Fingerprint()
 		if sr.Tuning == nil {
-			return Digest{}, "", fmt.Errorf("tuned compilation returned no tuning record")
+			return nil, "", fmt.Errorf("tuned compilation returned no tuning record")
 		}
 		if sr.Tuning.ScheduleFingerprint != fp {
-			return Digest{}, "", fmt.Errorf("tuning record fingerprint %s does not match the compiled schedule %s",
+			return nil, "", fmt.Errorf("tuning record fingerprint %s does not match the compiled schedule %s",
 				sr.Tuning.ScheduleFingerprint, fp)
 		}
 		fps = append(fps, fp)
 	}
-	return digestOf(res), strings.Join(fps, "+"), nil
+	return res, strings.Join(fps, "+"), nil
 }
 
 // tuneCell reports whether the cell runs the autotune family.

@@ -14,13 +14,9 @@ func ReportKey(model, arch, level string) string {
 	return model + "|" + arch + "|" + level
 }
 
-// LoadReportGolden reads a committed analyze-golden file. A missing file
-// loads as an empty map so a fresh checkout can bootstrap with -update.
+// LoadReportGolden reads a committed analyze-golden file.
 func LoadReportGolden(path string) (map[string]Report, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]Report{}, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -40,19 +36,6 @@ func SaveReportGolden(path string, m map[string]Report) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// MergeReportGolden overlays the new run's reports onto the existing golden
-// map, keeping entries for cells the run did not cover.
-func MergeReportGolden(old, fresh map[string]Report) map[string]Report {
-	out := make(map[string]Report, len(old)+len(fresh))
-	for k, v := range old {
-		out[k] = v
-	}
-	for k, v := range fresh {
-		out[k] = v
-	}
-	return out
 }
 
 // DiffReports compares two reports field by field through their stable JSON
