@@ -11,6 +11,7 @@ import (
 	"cimmlc/internal/core"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/experiments"
+	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 )
 
@@ -384,6 +385,39 @@ func BenchmarkAutoTune(b *testing.B) {
 		speedup = res.Tuning.Speedup()
 	}
 	b.ReportMetric(speedup, "speedup")
+}
+
+// BenchmarkCompileGrid compiles the committed benchmark's compile-zoo grid,
+// one sub-benchmark per preset, each iteration one compile of every model
+// (compileGridModels) on it: `go test -run '^$' -bench CompileGrid -benchmem
+// -cpu 1`. Where BenchmarkCompileThroughput singles out the long searches, the
+// grid weighs every cell alike, as op_ms_gm does, so the light cells off
+// isaac-baseline that most of its terms come from are measured too.
+func BenchmarkCompileGrid(b *testing.B) {
+	for _, preset := range arch.PresetNames() {
+		a, err := arch.Preset(preset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var grid []*graph.Graph
+		for _, name := range compileGridModels {
+			g, err := models.Build(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grid = append(grid, g)
+		}
+		b.Run(preset, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, g := range grid {
+					if _, err := core.Compile(g, a, core.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCompileThroughput measures raw compiler throughput per cell, the

@@ -21,7 +21,6 @@ package cg
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 
 	"cimmlc/internal/arch"
@@ -91,8 +90,8 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 	s := &sched.Schedule{
 		Graph:    g,
 		Arch:     a,
-		Dup:      map[int]int{},
-		Remap:    map[int]int{},
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
 		Pipeline: opt.Pipeline,
 		Segments: segments,
 		Levels:   []string{"CG"},
@@ -105,7 +104,13 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 					return nil, err
 				}
 			}
-			maps.Copy(s.Dup, dup)
+			j := 0
+			for _, id := range seg {
+				if infos[id].cim {
+					s.Dup[id] = dup[j]
+					j++
+				}
+			}
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -114,10 +119,12 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 	return s, nil
 }
 
-// collectInfos builds opInfo for every non-input node in topological order.
-func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) (map[int]opInfo, []int, error) {
-	infos := map[int]opInfo{}
-	var order []int
+// collectInfos builds opInfo for every non-input node, in a table indexed by
+// node ID (an input's entry is the zero opInfo), and returns the non-input
+// nodes in topological order.
+func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) ([]opInfo, []int, error) {
+	infos := make([]opInfo, len(g.Nodes))
+	order := make([]int, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpInput {
 			continue
@@ -152,7 +159,7 @@ func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) (map[int]opInfo, 
 	return infos, order, nil
 }
 
-func segCIMInfos(infos map[int]opInfo, seg []int) []opInfo {
+func segCIMInfos(infos []opInfo, seg []int) []opInfo {
 	var out []opInfo
 	for _, id := range seg {
 		if oi := infos[id]; oi.cim {
@@ -172,10 +179,10 @@ func coresAtDupOne(ops []opInfo) int {
 }
 
 // allocate distributes the core budget over the segment's CIM operators and
-// returns the duplication per node.
-func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) (map[int]int, error) {
+// returns the duplication of each, dup[i] the copies of ops[i].
+func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) ([]int, error) {
 	if len(ops) == 0 {
-		return map[int]int{}, nil
+		return nil, nil
 	}
 	if baseline := coresAtDupOne(ops); baseline > budget {
 		return nil, fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, budget)
@@ -195,7 +202,7 @@ func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) (map[i
 // one-operator search builds no row); the rows are walked back from the cores
 // the cell leaves, at most budget − the last operator's cores, which the
 // table takes as its reserve.
-func allocateDP(ctx context.Context, ops []opInfo, budget int) (map[int]int, error) {
+func allocateDP(ctx context.Context, ops []opInfo, budget int) ([]int, error) {
 	n := len(ops) - 1
 	t, err := newDupTable(ctx, ops[:n], budget, ops[n].coresCopy)
 	if err != nil {
@@ -206,9 +213,7 @@ func allocateDP(ctx context.Context, ops []opInfo, budget int) (map[int]int, err
 	}
 	last := ops[n]
 	d := max(1, t.next(last))
-	dup := t.walk(n, max(0, budget-d*last.coresCopy))
-	dup[last.id] = d
-	return dup, nil
+	return append(t.walk(n, max(0, budget-d*last.coresCopy)), d), nil
 }
 
 func cancelled(err error) error { return fmt.Errorf("cg: cancelled: %w", err) }
@@ -398,15 +403,17 @@ func (t *dupTable) next(oi opInfo) int {
 }
 
 // dup walks the choices of the first k operators back from the full budget
-// and returns their duplication — what a fresh search over ops[:k] returns.
-func (t *dupTable) dup(k int) map[int]int { return t.walk(k, t.budget) }
+// and returns their duplication, dup[i] the copies of ops[i] — what a fresh
+// search over ops[:k] returns.
+func (t *dupTable) dup(k int) []int { return t.walk(k, t.budget) }
 
-// walk is dup from r cores.
-func (t *dupTable) walk(k, r int) map[int]int {
-	dup := make(map[int]int, k+1)
+// walk is dup from r cores. The slice has room for one more operator, the
+// one allocateDP prices after the table's.
+func (t *dupTable) walk(k, r int) []int {
+	dup := make([]int, k, k+1)
 	for i := k - 1; i >= 0; i-- {
 		d := max(1, t.at(i, r))
-		dup[t.ops[i].id] = d
+		dup[i] = d
 		r = max(0, r-d*t.ops[i].coresCopy)
 	}
 	return dup
@@ -415,12 +422,12 @@ func (t *dupTable) walk(k, r int) map[int]int {
 // waterfill minimizes the pipeline bottleneck stage: binary search the
 // target stage time T, then spend leftover cores on whichever operator
 // currently bounds the pipeline.
-func waterfill(ops []opInfo, budget int) map[int]int {
+func waterfill(ops []opInfo, budget int) []int {
 	// Feasibility check for a target T: the duplication each op needs.
-	need := func(t float64) (int, map[int]int) {
+	need := func(t float64) (int, []int) {
 		total := 0
-		dup := map[int]int{}
-		for _, oi := range ops {
+		dup := make([]int, len(ops))
+		for i, oi := range ops {
 			d := 1
 			if t > 0 && oi.perWindow > 0 {
 				d = int(math.Ceil(float64(oi.windows) * oi.perWindow * float64(oi.rounds) / t))
@@ -431,7 +438,7 @@ func waterfill(ops []opInfo, budget int) map[int]int {
 			if d > oi.maxDup {
 				d = oi.maxDup
 			}
-			dup[oi.id] = d
+			dup[i] = d
 			total += d * oi.coresCopy
 		}
 		return total, dup
@@ -442,9 +449,9 @@ func waterfill(ops []opInfo, budget int) map[int]int {
 			hi = r
 		}
 	}
-	best := map[int]int{}
-	for _, oi := range ops {
-		best[oi.id] = 1
+	best := make([]int, len(ops))
+	for i := range best {
+		best[i] = 1
 	}
 	for iter := 0; iter < 64 && hi-lo > 1e-6*hi; iter++ {
 		mid := (lo + hi) / 2
@@ -458,14 +465,14 @@ func waterfill(ops []opInfo, budget int) map[int]int {
 	}
 	// Greedy top-up with the leftovers.
 	used := 0
-	for _, oi := range ops {
-		used += best[oi.id] * oi.coresCopy
+	for i, oi := range ops {
+		used += best[i] * oi.coresCopy
 	}
 	for {
 		// Find the bottleneck that can still be improved.
 		bi, bt := -1, -1.0
-		for _, oi := range ops {
-			d := best[oi.id]
+		for i, oi := range ops {
+			d := best[i]
 			if d >= oi.maxDup {
 				continue
 			}
@@ -474,18 +481,14 @@ func waterfill(ops []opInfo, budget int) map[int]int {
 			}
 			if t := oi.run(d); t > bt {
 				bt = t
-				bi = oi.id
+				bi = i
 			}
 		}
 		if bi < 0 {
 			break
 		}
-		for _, oi := range ops {
-			if oi.id == bi {
-				best[bi]++
-				used += oi.coresCopy
-			}
-		}
+		best[bi]++
+		used += ops[bi].coresCopy
 	}
 	return best
 }

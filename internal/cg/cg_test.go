@@ -52,7 +52,7 @@ func TestDuplicationRespectsBudget(t *testing.T) {
 		for _, seg := range s.Segments {
 			cores := 0
 			for _, id := range seg {
-				if f, ok := m.FPs[id]; ok && f.Rounds(a) == 1 {
+				if f := m.FPs[id]; g.Nodes[id].Op.CIMSupported() && f.Rounds(a) == 1 {
 					cores += s.DupOf(id) * f.CoresPerCopy
 				}
 			}
@@ -154,7 +154,7 @@ func TestSegmentationVGG16OnPUMA(t *testing.T) {
 	for _, seg := range s.Segments {
 		over := 0
 		for _, id := range seg {
-			if f, ok := m.FPs[id]; ok && f.Rounds(a) > 1 {
+			if g.Nodes[id].Op.CIMSupported() && m.FPs[id].Rounds(a) > 1 {
 				over++
 			}
 		}
@@ -170,7 +170,7 @@ func TestSegmentationVGG16OnPUMA(t *testing.T) {
 func cimCountForTest(m *cost.Model, seg []int) int {
 	c := 0
 	for _, id := range seg {
-		if _, ok := m.FPs[id]; ok {
+		if m.Graph.Nodes[id].Op.CIMSupported() {
 			c++
 		}
 	}
@@ -256,10 +256,10 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dup[1] <= dup[2] {
+	if dup[0] <= dup[1] {
 		t.Fatalf("dp gave %v; heavy op should receive more copies", dup)
 	}
-	if dup[1]+dup[2] > 10 {
+	if dup[0]+dup[1] > 10 {
 		t.Fatalf("dp exceeded budget: %v", dup)
 	}
 }
@@ -285,17 +285,17 @@ func TestAllocatorsAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wf := waterfill(ops, budget)
-	sum := func(dup map[int]int) float64 {
+	sum := func(dup []int) float64 {
 		t := 0.0
-		for _, oi := range ops {
-			t += oi.run(dup[oi.id])
+		for i, oi := range ops {
+			t += oi.run(dup[i])
 		}
 		return t
 	}
-	worst := func(dup map[int]int) float64 {
+	worst := func(dup []int) float64 {
 		w := 0.0
-		for _, oi := range ops {
-			if r := oi.run(dup[oi.id]); r > w {
+		for i, oi := range ops {
+			if r := oi.run(dup[i]); r > w {
 				w = r
 			}
 		}
@@ -307,10 +307,10 @@ func TestAllocatorsAblation(t *testing.T) {
 	if worst(wf) > worst(dp)*1.001 {
 		t.Fatalf("waterfill bottleneck %v worse than DP %v", worst(wf), worst(dp))
 	}
-	for _, dup := range []map[int]int{dp, wf} {
+	for _, dup := range [][]int{dp, wf} {
 		used := 0
-		for _, oi := range ops {
-			used += dup[oi.id] * oi.coresCopy
+		for i, oi := range ops {
+			used += dup[i] * oi.coresCopy
 		}
 		if used > budget {
 			t.Fatalf("allocator exceeded budget: %v", dup)
@@ -322,7 +322,8 @@ func TestAllocatorsAblation(t *testing.T) {
 // pruned it — every copy count of every operator tried at every core count,
 // run(d) re-evaluated each time — kept verbatim as the oracle the pruned
 // search is tested against. It also returns the choice table it walks back.
-func exhaustiveDP(ops []opInfo, budget int) ([][]int, map[int]int) {
+// dup[i] is the copies of ops[i].
+func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 	const inf = math.MaxFloat64 / 4
 	choice := make([][]int, len(ops))
 	// dp is built operator by operator; cur[r] = min total runtime of the
@@ -364,14 +365,14 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, map[int]int) {
 		prev = cur
 	}
 	// Walk back the choices from the full budget.
-	dup := map[int]int{}
+	dup := make([]int, len(ops))
 	r := budget
 	for i := len(ops) - 1; i >= 0; i-- {
 		d := choice[i][r]
 		if d < 1 {
 			d = 1
 		}
-		dup[ops[i].id] = d
+		dup[i] = d
 		r -= d * ops[i].coresCopy
 		if r < 0 {
 			r = 0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -93,7 +92,7 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 	}
 	for k := 0; k <= len(ops); k++ {
 		_, fresh := exhaustiveDP(ops[:k], budget)
-		if got := table.dup(k); !maps.Equal(got, fresh) {
+		if got := table.dup(k); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", what, k, got, k, fresh)
 		}
 	}
@@ -101,7 +100,7 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !maps.Equal(got, dup) {
+	if !slices.Equal(got, dup) {
 		t.Fatalf("%s: allocateDP %v, exhaustive search %v", what, got, dup)
 	}
 	n := len(ops) - 1
@@ -252,13 +251,13 @@ func tableWork(t *dupTable) searchWork {
 // segmentFromScratch is the segmenter as it stood before refinePrefix shared
 // a table: every estimate — two per loop iteration over the prefix and its
 // head, one over the popped group — re-runs a whole exhaustive search. It
-// returns the segments, the duplication of each and the work that took.
-func segmentFromScratch(t *testing.T, infos map[int]opInfo, order []int, budget int, reload float64) ([][]int, map[int]int, searchWork) {
+// returns the segments, the duplication by node ID and the work that took.
+func segmentFromScratch(t *testing.T, infos []opInfo, order []int, budget int, reload float64) ([][]int, []int, searchWork) {
 	var work searchWork
-	search := func(nodes []int) map[int]int {
+	search := func(nodes []int) []int {
 		ops := segCIMInfos(infos, nodes)
 		if len(ops) == 0 {
-			return map[int]int{}
+			return nil
 		}
 		work.add(exhaustiveWork(ops, budget))
 		_, dup := exhaustiveDP(ops, budget)
@@ -287,11 +286,18 @@ func segmentFromScratch(t *testing.T, infos map[int]opInfo, order []int, budget 
 		segs = append(segs, prefix)
 		remaining = rest
 	}
-	dup := map[int]int{}
+	dup := make([]int, len(infos))
 	for _, seg := range segs {
-		maps.Copy(dup, search(seg))
+		scatter(dup, segCIMInfos(infos, seg), search(seg))
 	}
 	return segs, dup, work
+}
+
+// scatter writes dup, the copies of each of ops, into table, by node ID.
+func scatter(table []int, ops []opInfo, dup []int) {
+	for i, oi := range ops {
+		table[oi.id] = dup[i]
+	}
 }
 
 // TestSharedTableSegmentsLikeFromScratch runs both segmenters over the
@@ -339,14 +345,16 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			}
 
 			var segs [][]int
-			var dup map[int]int
+			var dup []int
 			var old searchWork
 			if len(s.Segments) == 1 {
 				// The model fits: no segmentation, one search.
 				segs = [][]int{order}
 				ops := segCIMInfos(infos, order)
 				old = exhaustiveWork(ops, budget)
-				_, dup = exhaustiveDP(ops, budget)
+				_, opDup := exhaustiveDP(ops, budget)
+				dup = make([]int, len(infos))
+				scatter(dup, ops, opDup)
 			} else {
 				segs, dup, old = segmentFromScratch(t, infos, order, budget, reload)
 				refined++
@@ -354,7 +362,7 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			if !reflect.DeepEqual(s.Segments, segs) {
 				t.Errorf("%s.%s: segments %v, from-scratch segmenter %v", model, preset, s.Segments, segs)
 			}
-			if !maps.Equal(s.Dup, dup) {
+			if !slices.Equal(s.Dup, dup) {
 				t.Errorf("%s.%s: dup %v, exhaustive search %v", model, preset, s.Dup, dup)
 			}
 			t.Logf("%-9s %-14s %3d segments  searches %4d → %3d  (r,d) steps %10d → %8d  run(d) %10d → %6d",

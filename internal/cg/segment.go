@@ -25,13 +25,14 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // nodes while the dynamic-programming latency estimate of (remaining segment
 // + popped nodes as their own segment + weight reload) improves. Operators
 // larger than the whole chip (multi-round) always get a dedicated segment.
-// dups[i] is segment i's duplication when a refinement priced it off a
-// shared table, nil when Optimize must still search it.
-func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos map[int]opInfo, order []int, opt Options) (segs [][]int, dups []map[int]int, err error) {
+// dups[i] is segment i's duplication, one entry per CIM operator in segment
+// order, when a refinement priced it off a shared table, nil when Optimize
+// must still search it.
+func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos []opInfo, order []int, opt Options) (segs [][]int, dups [][]int, err error) {
 	coreCount := a.Chip.CoreCount()
 	totalCores, anyOversized := demand(infos, order)
 	if totalCores <= coreCount && !anyOversized {
-		return [][]int{order}, make([]map[int]int, 1), nil
+		return [][]int{order}, make([][]int, 1), nil
 	}
 	if opt.Stationary {
 		// Serving-grade compilation: weights stay resident for the program's
@@ -50,7 +51,7 @@ func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, i
 		if err != nil {
 			return nil, nil, err
 		}
-		var dup map[int]int
+		var dup []int
 		if opt.Duplicate && len(rest) > 0 {
 			if prefix, rest, dup, err = refinePrefix(ctx, infos, prefix, rest, coreCount, reload, opt); err != nil {
 				return nil, nil, err
@@ -65,7 +66,7 @@ func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, i
 
 // demand returns the cores the operators that fit the chip occupy with one
 // copy each, and whether any operator is larger than the whole chip.
-func demand(infos map[int]opInfo, order []int) (cores int, anyOversized bool) {
+func demand(infos []opInfo, order []int) (cores int, anyOversized bool) {
 	for _, id := range order {
 		oi := infos[id]
 		if oi.cim {
@@ -82,7 +83,7 @@ func demand(infos map[int]opInfo, order []int) (cores int, anyOversized bool) {
 // takePrefix returns the maximal prefix of `order` whose CIM operators fit
 // the core budget; a multi-round operator at the head becomes a singleton
 // prefix.
-func takePrefix(infos map[int]opInfo, order []int, budget int) (prefix, rest []int, err error) {
+func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, err error) {
 	cores := 0
 	for i, id := range order {
 		oi := infos[id]
@@ -121,7 +122,7 @@ func takePrefix(infos map[int]opInfo, order []int, budget int) (prefix, rest []i
 // iteration's baseline, at the price already computed, and the prefix kept
 // last returns with its walk-back, which is what a fresh search over it
 // returns (nil under AllocWaterfill, which has no table).
-func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, map[int]int, error) {
+func refinePrefix(ctx context.Context, infos []opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, []int, error) {
 	var table *dupTable
 	if opt.Allocator != AllocWaterfill {
 		var err error
@@ -129,7 +130,7 @@ func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int,
 			return nil, nil, nil, err
 		}
 	}
-	price := func(nodes []int) (float64, map[int]int, error) {
+	price := func(nodes []int) (float64, []int, error) {
 		if table == nil {
 			cost, err := estimate(ctx, infos, nodes, budget, opt)
 			return cost, nil, err
@@ -168,7 +169,7 @@ func refinePrefix(ctx context.Context, infos map[int]opInfo, prefix, rest []int,
 	return prefix, rest, dup, nil
 }
 
-func cimCount(infos map[int]opInfo, nodes []int) int {
+func cimCount(infos []opInfo, nodes []int) int {
 	c := 0
 	for _, id := range nodes {
 		if infos[id].cim {
@@ -178,7 +179,7 @@ func cimCount(infos map[int]opInfo, nodes []int) int {
 	return c
 }
 
-func lastCIMIndex(infos map[int]opInfo, nodes []int) int {
+func lastCIMIndex(infos []opInfo, nodes []int) int {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		if infos[nodes[i]].cim {
 			return i
@@ -190,7 +191,7 @@ func lastCIMIndex(infos map[int]opInfo, nodes []int) int {
 // estimate returns the summed-runtime latency of the node group after the
 // duplication search — the segmentation loop's objective. Groups are cut
 // from prefixes built to fit, so an allocation error is a cancellation.
-func estimate(ctx context.Context, infos map[int]opInfo, nodes []int, budget int, opt Options) (float64, error) {
+func estimate(ctx context.Context, infos []opInfo, nodes []int, budget int, opt Options) (float64, error) {
 	dup, err := allocate(ctx, segCIMInfos(infos, nodes), budget, opt)
 	if err != nil {
 		return 0, err
@@ -198,19 +199,22 @@ func estimate(ctx context.Context, infos map[int]opInfo, nodes []int, budget int
 	return latency(infos, nodes, dup), nil
 }
 
-// latency sums the group's runtimes under dup: the digital operators in node
-// order, then the CIM operators in node order. The order is part of the
-// contract — refinePrefix compares these floats.
-func latency(infos map[int]opInfo, nodes []int, dup map[int]int) float64 {
+// latency sums the group's runtimes under dup, dup[j] the copies of the
+// group's j-th CIM operator: the digital operators in node order, then the
+// CIM operators in node order. The order is part of the contract —
+// refinePrefix compares these floats.
+func latency(infos []opInfo, nodes []int, dup []int) float64 {
 	total := 0.0
 	for _, id := range nodes {
 		if oi := infos[id]; !oi.cim {
 			total += oi.run(1)
 		}
 	}
+	j := 0
 	for _, id := range nodes {
 		if oi := infos[id]; oi.cim {
-			total += oi.run(max(1, dup[id]))
+			total += oi.run(dup[j])
+			j++
 		}
 	}
 	return total

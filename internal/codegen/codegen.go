@@ -103,10 +103,10 @@ func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule)
 	denseEnd := map[int]int64{} // input node → end of its dense readers' areas
 	for _, seg := range s.Segments {
 		for _, id := range seg {
-			f, ok := m.FPs[id]
-			if !ok {
+			if !g.Nodes[id].Op.CIMSupported() {
 				continue
 			}
+			f := m.FPs[id]
 			dup := s.DupOf(id)
 			if f.Rounds(a) > 1 {
 				dup = 1

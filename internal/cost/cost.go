@@ -23,7 +23,7 @@ import (
 type Model struct {
 	Arch  *arch.Arch
 	Graph *graph.Graph
-	FPs   map[int]mapping.Footprint
+	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
 }
 
 // New builds a cost model, computing footprints for every CIM node.
@@ -65,10 +65,10 @@ func (c OpCost) Run() float64 {
 // CIMOp returns the cost of a CIM-supported node executed with `dup`
 // spatially concurrent copies and WLM remap factor `remap` (both ≥1).
 func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
-	f, ok := m.FPs[node]
-	if !ok {
+	if n, err := m.Graph.Node(node); err != nil || !n.Op.CIMSupported() {
 		return OpCost{}, fmt.Errorf("cost: node %d is not a CIM operator", node)
 	}
+	f := m.FPs[node]
 	if dup < 1 || remap < 1 {
 		return OpCost{}, fmt.Errorf("cost: node %d: dup %d / remap %d must be ≥1", node, dup, remap)
 	}

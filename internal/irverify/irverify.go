@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"cimmlc/internal/arch"
@@ -160,7 +159,7 @@ func VerifyGraph(g *graph.Graph) []Violation {
 // the fold placement itself runs.
 // level is the compilation's effective optimization ceiling (the arch's mode
 // capped by MaxLevel); capacity uses the arch's physical mode via s.Arch.
-func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]mapping.Footprint, s *sched.Schedule) []Violation {
+func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) []Violation {
 	if s == nil {
 		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: "nil schedule"}}
 	}
@@ -172,8 +171,7 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 		vs = append(vs, Violation{RuleSchedLevelStag, -1,
 			fmt.Sprintf("stagger enabled but level %s exposes no crossbar-granularity control (needs %s)", level, arch.XBM)})
 	}
-	for _, id := range sortedIntKeys(s.Remap) {
-		m := s.Remap[id]
+	for id, m := range s.Remap {
 		if m <= 1 {
 			continue
 		}
@@ -181,9 +179,9 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 			vs = append(vs, Violation{RuleSchedLevelRemap, id,
 				fmt.Sprintf("remap %d but level %s exposes no wordline control (needs %s)", m, level, arch.WLM)})
 		}
-		if f, ok := fps[id]; ok && m > f.RowGroups {
+		if m > fps[id].RowGroups {
 			vs = append(vs, Violation{RuleSchedRemapBounds, id,
-				fmt.Sprintf("remap %d exceeds the footprint's %d row groups: finer splitting activates nothing extra", m, f.RowGroups)})
+				fmt.Sprintf("remap %d exceeds the footprint's %d row groups: finer splitting activates nothing extra", m, fps[id].RowGroups)})
 		}
 	}
 	for segIdx, seg := range s.Segments {
@@ -198,7 +196,7 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]m
 // Placement.Validate, then the schedule-relative rules — each CIM node holds
 // exactly one extent, in its scheduled segment, and each segment's recorded
 // cores and crossbars equal what mapping.Occupancy derives from the schedule.
-func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
+func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
 	if p == nil {
 		return []Violation{{Rule: RuleMapCoverage, Node: -1, Msg: "nil placement"}}
 	}
@@ -251,7 +249,7 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps map[int]mapping.Footprint
 // graph always, the schedule once a scheduling pass set one, the placement
 // once the placement pass ran. Nil schedule/placement are simply skipped —
 // early stages have not produced them yet.
-func CheckState(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
+func CheckState(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
 	vs := VerifyGraph(g)
 	if s != nil {
 		vs = append(vs, VerifySchedule(g, a, level, fps, s)...)
@@ -260,14 +258,4 @@ func CheckState(g *graph.Graph, a *arch.Arch, level arch.Mode, fps map[int]mappi
 		vs = append(vs, VerifyPlacement(g, a, fps, s, p)...)
 	}
 	return vs
-}
-
-// sortedIntKeys returns m's keys ascending (deterministic rule order).
-func sortedIntKeys(m map[int]int) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }

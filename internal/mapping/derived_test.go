@@ -24,7 +24,7 @@ import (
 // crossbars (those of round 0) the placement records. Given a schedule it
 // also checks what only the schedule decides, as irverify.VerifyPlacement
 // does from the extents: every CIM node tiled, in its scheduled segment.
-func tileFaults(g *graph.Graph, fps map[int]mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []string {
+func tileFaults(g *graph.Graph, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []string {
 	a := p.Arch
 	var faults []string
 	fault := func(format string, args ...any) {
@@ -46,11 +46,11 @@ func tileFaults(g *graph.Graph, fps map[int]mapping.Footprint, s *sched.Schedule
 	tileCores, tileXBs := make([]int, nSegs), make([]int, nSegs)
 	tiled := map[int]bool{}
 	for t := range p.Tiles() {
-		f, ok := fps[t.Node]
-		if n, err := g.Node(t.Node); err != nil || !n.Op.CIMSupported() || !ok {
+		if n, err := g.Node(t.Node); err != nil || !n.Op.CIMSupported() || t.Node >= len(fps) {
 			fault("tile %+v of a non-CIM node or one without footprint", t)
 			continue
 		}
+		f := fps[t.Node]
 		if t.Segment < 0 || t.Segment >= nSegs {
 			fault("tile %+v in segment %d of %d", t, t.Segment, nSegs)
 			continue

@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"iter"
-	"maps"
 	"slices"
 )
 
@@ -20,8 +19,8 @@ func (p *Placement) Tiles() iter.Seq[Tile] {
 
 // Corruptible returns a deep copy of p and the private copy of its
 // footprints the copy was packed from, for tests to corrupt field by field.
-func (p *Placement) Corruptible() (*Placement, map[int]Footprint) {
-	fps := maps.Clone(p.fps)
+func (p *Placement) Corruptible() (*Placement, []Footprint) {
+	fps := slices.Clone(p.fps)
 	return &Placement{
 		Arch:         p.Arch,
 		Extents:      slices.Clone(p.Extents),

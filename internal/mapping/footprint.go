@@ -77,25 +77,29 @@ func ComputeFootprint(n *graph.Node, a *arch.Arch) (Footprint, error) {
 	return f, nil
 }
 
-// Footprints computes the footprint of every CIM-supported node in g.
-func Footprints(g *graph.Graph, a *arch.Arch) (map[int]Footprint, error) {
+// Footprints computes the footprint of every CIM-supported node in g, in a
+// table indexed by node ID; every other node's entry is the zero Footprint.
+func Footprints(g *graph.Graph, a *arch.Arch) ([]Footprint, error) {
 	if err := g.InferShapes(); err != nil {
 		return nil, err
 	}
-	out := make(map[int]Footprint)
-	for _, id := range g.CIMNodeIDs() {
-		f, err := ComputeFootprint(g.MustNode(id), a)
+	out := make([]Footprint, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if !n.Op.CIMSupported() {
+			continue
+		}
+		f, err := ComputeFootprint(n, a)
 		if err != nil {
 			return nil, err
 		}
-		out[id] = f
+		out[n.ID] = f
 	}
 	return out, nil
 }
 
 // TotalCores returns the cores needed to host every operator once (the
 // minimum chip occupancy of the model).
-func TotalCores(fps map[int]Footprint) int {
+func TotalCores(fps []Footprint) int {
 	total := 0
 	for _, f := range fps {
 		total += f.CoresPerCopy

@@ -9,7 +9,17 @@ import (
 	"cimmlc/internal/models"
 )
 
-func toyFootprint(t *testing.T) (*graph.Graph, *arch.Arch, map[int]Footprint) {
+// nodeTable returns a decision table over g's nodes holding, for each
+// (node, value) pair of kv, value at node and 0 (unset) everywhere else.
+func nodeTable(g *graph.Graph, kv ...int) []int {
+	t := make([]int, len(g.Nodes))
+	for i := 0; i < len(kv); i += 2 {
+		t[kv[i]] = kv[i+1]
+	}
+	return t
+}
+
+func toyFootprint(t *testing.T) (*graph.Graph, *arch.Arch, []Footprint) {
 	t.Helper()
 	g := models.ConvReLU()
 	a := arch.ToyExample()
@@ -24,13 +34,15 @@ func toyFootprint(t *testing.T) (*graph.Graph, *arch.Arch, map[int]Footprint) {
 // matrix is 27×32; with 2-bit cells each 8-bit weight takes 4 cells, so the
 // cell matrix is 27×128 — exactly one 32×128 crossbar per copy.
 func TestFootprintMatchesSection34(t *testing.T) {
-	_, _, fps := toyFootprint(t)
-	if len(fps) != 1 {
-		t.Fatalf("footprints = %d, want 1", len(fps))
+	g, _, fps := toyFootprint(t)
+	if cim := g.CIMNodeIDs(); len(cim) != 1 {
+		t.Fatalf("CIM nodes = %v, want 1", cim)
 	}
-	var f Footprint
-	for _, v := range fps {
-		f = v
+	f := fps[g.CIMNodeIDs()[0]]
+	for id, v := range fps {
+		if !g.Nodes[id].Op.CIMSupported() && v != (Footprint{}) {
+			t.Fatalf("digital node %d has footprint %+v", id, v)
+		}
 	}
 	if f.Rows != 27 || f.Cols != 32 {
 		t.Fatalf("matrix %dx%d, want 27x32", f.Rows, f.Cols)
@@ -195,7 +207,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 		t.Fatal("oversized operator placed without rounds")
 	}
 	// Duplicating an oversized operator must fail.
-	if _, err := Place(g, a, fps, map[int]int{node: 2}, nil, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(g, a, fps, nodeTable(g, node, 2), nil, [][]int{g.TopoOrder()}); err == nil {
 		t.Fatal("accepted duplication of oversized operator")
 	}
 }
@@ -227,7 +239,7 @@ func TestPlaceSingleCopy(t *testing.T) {
 func TestPlaceFourCopiesFillsToy(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	p, err := Place(g, a, fps, map[int]int{node: 4}, nil, [][]int{g.TopoOrder()})
+	p, err := Place(g, a, fps, nodeTable(g, node, 4), nil, [][]int{g.TopoOrder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +266,7 @@ func TestPlaceFourCopiesFillsToy(t *testing.T) {
 func TestPlaceOverflowErrors(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	if _, err := Place(g, a, fps, map[int]int{node: 5}, nil, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(g, a, fps, nodeTable(g, node, 5), nil, [][]int{g.TopoOrder()}); err == nil {
 		t.Fatal("accepted 5 copies on a 4-crossbar chip")
 	}
 }
@@ -265,7 +277,7 @@ func TestPlaceOverflowErrors(t *testing.T) {
 func TestPlaceWithRemap(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	p, err := Place(g, a, fps, map[int]int{node: 2}, map[int]int{node: 2}, [][]int{g.TopoOrder()})
+	p, err := Place(g, a, fps, nodeTable(g, node, 2), nodeTable(g, node, 2), [][]int{g.TopoOrder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +309,7 @@ func TestRemapClampedToRowGroups(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
 	// Requesting remap 100 must clamp to RowGroups (2), not explode.
-	p, err := Place(g, a, fps, nil, map[int]int{node: 100}, [][]int{g.TopoOrder()})
+	p, err := Place(g, a, fps, nil, nodeTable(g, node, 100), [][]int{g.TopoOrder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,10 +361,10 @@ func TestPlaceRejectsMissingNode(t *testing.T) {
 func TestPlaceRejectsBadDup(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	if _, err := Place(g, a, fps, map[int]int{node: 0}, nil, [][]int{g.TopoOrder()}); err == nil {
-		t.Fatal("accepted dup 0")
+	if _, err := Place(g, a, fps, nodeTable(g, node, -1), nil, [][]int{g.TopoOrder()}); err == nil {
+		t.Fatal("accepted dup -1")
 	}
-	if _, err := Place(g, a, fps, nil, map[int]int{node: -1}, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(g, a, fps, nil, nodeTable(g, node, -1), [][]int{g.TopoOrder()}); err == nil {
 		t.Fatal("accepted remap -1")
 	}
 }
@@ -374,8 +386,8 @@ func TestPlacementCoverageProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(dupSel, remapSel uint8) bool {
-		dup := map[int]int{}
-		remap := map[int]int{}
+		dup := make([]int, len(g.Nodes))
+		remap := make([]int, len(g.Nodes))
 		for i, id := range g.CIMNodeIDs() {
 			dup[id] = int(dupSel)%3 + 1
 			if i%2 == 0 {

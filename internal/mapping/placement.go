@@ -48,21 +48,22 @@ type Placement struct {
 	SegmentCores []int
 	SegmentXBs   []int
 
-	fps map[int]Footprint // the footprints the extents were packed from
+	fps []Footprint // the footprints the extents were packed from, by node ID
 }
 
 // Place computes a placement for the given duplication and remap decisions.
-// dup[node] is the copy count (≥1, default 1); remap[node] the WLM remap
-// factor (≥1, default 1). segments lists the node IDs of each sequentially
-// executed graph segment; CIM nodes absent from every segment are an error.
-func Place(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (*Placement, error) {
+// dup[node] is the copy count (≥1) and remap[node] the WLM remap factor
+// (≥1), both indexed by node ID and 1 where they hold 0 or end. segments
+// lists the node IDs of each sequentially executed graph segment; CIM nodes
+// absent from every segment are an error.
+func Place(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
 	return PlaceCtx(context.Background(), g, a, fps, dup, remap, segments)
 }
 
 // PlaceCtx is Place with cancellation: ctx is checked once per node so a
 // cancelled compilation stops mid-placement on large graphs. It is the
 // schedule fold of plan.go keeping every extent the calculus yields.
-func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (*Placement, error) {
+func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
 	p := &Placement{Arch: a, fps: fps}
 	var err error
 	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(e Extent) {
@@ -179,8 +180,11 @@ func (p *Placement) Validate() error {
 		if e.Segment < 0 || e.Segment >= len(cores) {
 			return ruleErr(RuleCoverage, e.Node, "node %d in segment %d of %d", e.Node, e.Segment, len(cores))
 		}
-		f, ok := p.fps[e.Node]
-		if !ok || f.Node != e.Node {
+		var f Footprint // the zero Footprint: no footprint
+		if e.Node >= 0 && e.Node < len(p.fps) {
+			f = p.fps[e.Node]
+		}
+		if f == (Footprint{}) || f.Node != e.Node {
 			return ruleErr(RuleCoverage, e.Node, "node %d placed without its footprint", e.Node)
 		}
 		if err := f.validate(a); err != nil {
@@ -252,14 +256,4 @@ func (f Footprint) validate(a *arch.Arch) error {
 		}
 	}
 	return nil
-}
-
-func valueOr(m map[int]int, key, def int) int {
-	if m == nil {
-		return def
-	}
-	if v, ok := m[key]; ok {
-		return v
-	}
-	return def
 }

@@ -6,6 +6,7 @@ import (
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/sched"
 )
 
 // This file is the placement calculus: the packing rules of §3.3.3/§3.4,
@@ -113,7 +114,7 @@ func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (Extent, error) {
 // foldSegment packs one segment's CIM nodes in order from core 0 and returns
 // the cores and distinct crossbars the segment occupies. visit, when non-nil,
 // sees every node's extent and may reject it.
-func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int, visit func(Extent) error) (cores, xbs int, err error) {
+func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, seg []int, visit func(Extent) error) (cores, xbs int, err error) {
 	for _, id := range seg {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, fmt.Errorf("mapping: cancelled: %w", err)
@@ -121,11 +122,10 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]
 		if !g.MustNode(id).Op.CIMSupported() {
 			continue
 		}
-		f, ok := fps[id]
-		if !ok {
+		if id >= len(fps) || fps[id].Node != id {
 			return 0, 0, fmt.Errorf("mapping: no footprint for node %d", id)
 		}
-		e, err := packNode(a, f, cores, valueOr(dup, id, 1), valueOr(remap, id, 1))
+		e, err := packNode(a, fps[id], cores, sched.Setting(dup, id), sched.Setting(remap, id))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -143,11 +143,11 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]
 // foldSchedule folds every segment (segments execute sequentially and reuse
 // the chip, so each packs from core 0) and adds the whole-schedule rules: at
 // least one segment, and every CIM node in exactly one.
-func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int, visit func(Extent)) (cores, xbs []int, err error) {
+func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int, visit func(Extent)) (cores, xbs []int, err error) {
 	if len(segments) == 0 {
 		return nil, nil, fmt.Errorf("mapping: no segments to place")
 	}
-	placed := map[int]bool{}
+	placed := make([]bool, len(g.Nodes))
 	for segIdx, seg := range segments {
 		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e Extent) error {
 			if placed[e.Node] {
@@ -178,7 +178,7 @@ func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int
 // SegmentCores returns the cores one segment's placement consumes, or the
 // error placement would fail with: a non-positive dup/remap, a divided
 // oversized node, or tiles overflowing what is left of the chip.
-func SegmentCores(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, seg []int) (int, error) {
+func SegmentCores(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, seg []int) (int, error) {
 	cores, _, err := foldSegment(context.Background(), g, a, fps, dup, remap, seg, nil)
 	return cores, err
 }
@@ -186,6 +186,6 @@ func SegmentCores(g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, rema
 // Occupancy returns the cores and distinct crossbars each segment of a
 // schedule occupies — what Place records as SegmentCores and SegmentXBs —
 // and rejects exactly what PlaceCtx rejects.
-func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps map[int]Footprint, dup, remap map[int]int, segments [][]int) (cores, xbs []int, err error) {
+func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (cores, xbs []int, err error) {
 	return foldSchedule(ctx, g, a, fps, dup, remap, segments, nil)
 }

@@ -3,7 +3,7 @@ package mapping
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +13,7 @@ import (
 
 // planModel builds a small conv/dense chain and returns its graph, CIM node
 // IDs (in one segment) and footprints on a.
-func planModel(t *testing.T, a *arch.Arch) (*graph.Graph, []int, map[int]Footprint) {
+func planModel(t *testing.T, a *arch.Arch) (*graph.Graph, []int, []Footprint) {
 	t.Helper()
 	g := graph.NewBuilder("plan", 3, 12, 12).
 		Conv(8, 3, 1, 1).ReLU().
@@ -64,8 +64,8 @@ func TestSegmentCoresMatchesPlace(t *testing.T) {
 			cim := g.CIMNodeIDs()
 			for _, d := range []int{1, 2, 3, 5, 9, 64} {
 				for _, m := range []int{1, 2, 4, 7} {
-					dup := map[int]int{}
-					remap := map[int]int{}
+					dup := make([]int, len(g.Nodes))
+					remap := make([]int, len(g.Nodes))
 					// Stress the packing with mixed settings: the first CIM
 					// node gets (d, m), the second d alone, the rest default.
 					dup[cim[0]] = d
@@ -132,7 +132,7 @@ func TestExtentCorners(t *testing.T) {
 		if want := (big.XBsPerCopy + window - 1) / window; rounds != want {
 			t.Errorf("rounds = %d, want %d", rounds, want)
 		}
-		if _, err := Place(g, a, fps, map[int]int{cim[1]: 2}, nil, [][]int{g.TopoOrder()}); err == nil {
+		if _, err := Place(g, a, fps, nodeTable(g, cim[1], 2), nil, [][]int{g.TopoOrder()}); err == nil {
 			t.Error("accepted a duplicated oversized operator")
 		}
 	})
@@ -152,7 +152,7 @@ func TestExtentCorners(t *testing.T) {
 		if got := fps[node].XBsPerCopy; got != 3 {
 			t.Fatalf("fixture drifted: %d crossbars per copy, want 3", got)
 		}
-		p, err := Place(g, a, fps, map[int]int{node: 3}, nil, [][]int{g.TopoOrder()})
+		p, err := Place(g, a, fps, nodeTable(g, node, 3), nil, [][]int{g.TopoOrder()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestExtentCorners(t *testing.T) {
 			}
 		}
 		a.Mode = arch.XBM
-		if p, err = Place(g, a, fps, map[int]int{node: 3}, nil, [][]int{g.TopoOrder()}); err != nil {
+		if p, err = Place(g, a, fps, nodeTable(g, node, 3), nil, [][]int{g.TopoOrder()}); err != nil {
 			t.Fatal(err)
 		}
 		if p.SegmentXBs[0] != 9 || p.SegmentCores[0] != 3 {
@@ -219,7 +219,7 @@ func TestValidateRejectsCorruptExtents(t *testing.T) {
 	cim := g.CIMNodeIDs()
 	place := func(t *testing.T) *Placement {
 		// Private footprints: two cases corrupt them.
-		p, err := Place(g, a, maps.Clone(fps), map[int]int{cim[0]: 3}, nil, [][]int{seg})
+		p, err := Place(g, a, slices.Clone(fps), nodeTable(g, cim[0], 3), nil, [][]int{seg})
 		if err != nil {
 			t.Fatal(err)
 		}

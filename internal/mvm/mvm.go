@@ -54,10 +54,10 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 func updateDuplication(s *sched.Schedule, m *cost.Model) error {
 	for _, seg := range s.Segments {
 		for _, id := range seg {
-			f, ok := m.FPs[id]
-			if !ok {
+			if !s.Graph.Nodes[id].Op.CIMSupported() {
 				continue // digital operator
 			}
+			f := m.FPs[id]
 			if f.Rounds(s.Arch) > 1 {
 				continue // oversized: cannot duplicate
 			}
@@ -75,7 +75,7 @@ func updateDuplication(s *sched.Schedule, m *cost.Model) error {
 			if dPrime < 1 {
 				dPrime = 1
 			}
-			s.Dup[id] = dPrime
+			s.SetDup(id, dPrime)
 		}
 	}
 	return nil

@@ -219,8 +219,8 @@ func fillChips(gc *graph.Graph, a *arch.Arch, maxChips int, tgt []graph.Target, 
 			continue
 		}
 		cores := 0
-		if f, ok := fps[n.ID]; ok && tgt[n.ID] == graph.TargetCIM {
-			cores = f.CoresPerCopy
+		if n.Op.CIMSupported() && tgt[n.ID] == graph.TargetCIM {
+			cores = fps[n.ID].CoresPerCopy
 		}
 		if used+cores > budget && used > 0 {
 			cur++

@@ -13,10 +13,11 @@
 package perfsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
@@ -46,8 +47,9 @@ type Report struct {
 	// ReloadCycles is the total inter-segment weight-programming time
 	// included in Cycles.
 	ReloadCycles float64
-	// PerOp maps node ID → timing.
-	PerOp map[int]OpTiming
+	// PerOp is indexed by node ID: each simulated operator's timing, the
+	// zero OpTiming for every other node.
+	PerOp []OpTiming
 	// PeakActiveXBs is the maximum number of simultaneously active
 	// crossbars over the whole run; PeakPower converts it to power units.
 	PeakActiveXBs float64
@@ -82,7 +84,9 @@ func SimulateWithModel(s *sched.Schedule, m *cost.Model) (*Report, error) {
 // checked once per simulated operator so a cancelled compilation stops
 // mid-simulation on large schedules.
 func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model) (*Report, error) {
-	rep := &Report{PerOp: map[int]OpTiming{}}
+	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
+	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
+	segOf := make([]int, len(s.Graph.Nodes))
 	segStart := 0.0
 	for segIdx, seg := range s.Segments {
 		if segIdx > 0 {
@@ -90,7 +94,7 @@ func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model)
 			rep.ReloadCycles += reload
 			segStart += reload
 		}
-		segEnd, err := simulateSegment(ctx, s, m, seg, segStart, rep)
+		segEnd, err := simulateSegment(ctx, s, m, segIdx, seg, segStart, rep, segOf)
 		if err != nil {
 			return nil, err
 		}
@@ -100,22 +104,18 @@ func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model)
 	rep.Cycles = segStart
 	rep.PeakActiveXBs = peakConcurrency(rep)
 	rep.PeakPower = cost.PeakPower(s.Arch, rep.PeakActiveXBs)
-	rep.Energy = totalEnergy(s, m, rep)
+	rep.Energy = totalEnergy(s, m, segOf)
 	if err := fillOccupancy(ctx, s, m, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// simulateSegment walks one segment in order, computing each operator's
+// simulateSegment walks segment segIdx in order, computing each operator's
 // start and finish under the pipeline (or strictly serial) discipline, and
-// returns the segment's completion time.
-func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, seg []int, segStart float64, rep *Report) (float64, error) {
-	inSeg := map[int]bool{}
-	//cimlint:ignore ctxcancel -- membership-set build over one segment; the operator loop below polls
-	for _, id := range seg {
-		inSeg[id] = true
-	}
+// returns the segment's completion time. It marks each node it simulates in
+// segOf.
+func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segIdx int, seg []int, segStart float64, rep *Report, segOf []int) (float64, error) {
 	end := segStart
 	prevFinish := segStart
 	for _, id := range seg {
@@ -134,14 +134,14 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, seg 
 			if pred.Op == graph.OpInput {
 				continue
 			}
-			pt, ok := rep.PerOp[in]
-			if !ok {
+			if segOf[in] == 0 {
 				return 0, fmt.Errorf("perfsim: node %d consumes unsimulated node %d", id, in)
 			}
-			if !inSeg[in] {
+			if segOf[in] != segIdx+1 {
 				// Produced by an earlier segment: fully materialized.
 				continue
 			}
+			pt := rep.PerOp[in]
 			if s.Pipeline {
 				ready := pt.Start + oc.FirstFrac*(pt.Finish-pt.Start)
 				if ready > start {
@@ -174,6 +174,7 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, seg 
 			Cost:      oc,
 			ActiveXBs: activeXBs(s, m, id),
 		}
+		segOf[id] = segIdx + 1
 		prevFinish = finish
 		if finish > end {
 			end = finish
@@ -189,10 +190,10 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, seg 
 // feed run concurrently. Without it every tile of every copy fires in
 // lockstep once inputs are buffered — the traditional schedule of [39].
 func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
-	f, ok := m.FPs[node]
-	if !ok {
+	if !s.Graph.Nodes[node].Op.CIMSupported() {
 		return 0 // digital operators draw ALU power, not crossbar power
 	}
+	f := m.FPs[node]
 	remap := s.RemapOf(node)
 	if remap > f.RowGroups {
 		remap = f.RowGroups
@@ -293,20 +294,17 @@ func peakConcurrency(rep *Report) float64 {
 		delta float64
 	}
 	var events []event
-	// Events are fully ordered by the sort below (ties broken by delta), so
-	// the visit order of PerOp cannot reach the result.
-	//cimlint:ignore maprange -- events are fully sorted before use
 	for _, ot := range rep.PerOp {
 		if ot.ActiveXBs <= 0 || ot.Finish <= ot.Start {
 			continue
 		}
 		events = append(events, event{ot.Start, ot.ActiveXBs}, event{ot.Finish, -ot.ActiveXBs})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return events[i].delta < events[j].delta // process departures first
+		return cmp.Compare(a.delta, b.delta) // process departures first
 	})
 	cur, peak := 0.0, 0.0
 	for _, e := range events {
@@ -320,20 +318,15 @@ func peakConcurrency(rep *Report) float64 {
 
 // totalEnergy sums crossbar read energy over every MVM window plus reload
 // write energy; it is independent of duplication (the same arithmetic is
-// done, just spread wider). Nodes are summed in ID order so repeated
-// compilations produce bit-identical energy totals.
-func totalEnergy(s *sched.Schedule, m *cost.Model, rep *Report) float64 {
+// done, just spread wider) over the CIM nodes segOf marks simulated. Nodes
+// are summed in ID order so repeated compilations produce bit-identical
+// energy totals.
+func totalEnergy(s *sched.Schedule, m *cost.Model, segOf []int) float64 {
 	var total float64
 	perXB := cost.ReadEnergyPerXBWindow(m.Arch)
 	writeE := m.Arch.XB.Device.Profile().WriteEnergy
-	ids := make([]int, 0, len(m.FPs))
-	for id := range m.FPs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f := m.FPs[id]
-		if _, ok := rep.PerOp[id]; !ok {
+	for id, f := range m.FPs {
+		if segOf[id] == 0 || !s.Graph.Nodes[id].Op.CIMSupported() {
 			continue
 		}
 		total += float64(f.MVMs) * float64(f.XBsPerCopy) * perXB

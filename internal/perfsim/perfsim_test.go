@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 		{"no segments", toy, nil, func(s *sched.Schedule) { s.Segments = nil }, "no segments"},
 		{"node in two segments", toy, nil, func(s *sched.Schedule) { s.Segments = append(s.Segments, []int{1}) }, "multiple segments"},
 		{"uncovered CIM node", chain, nil, func(s *sched.Schedule) { s.Segments = s.Segments[:1] }, "not covered"},
-		{"dup < 1", toy, nil, func(s *sched.Schedule) { s.Dup[1] = 0 }, "dup 0"},
+		{"dup < 1", toy, nil, func(s *sched.Schedule) { s.Dup[1] = -1 }, "dup -1"},
 		{"remap < 1", toy, nil, func(s *sched.Schedule) { s.Remap[1] = -1 }, "remap -1"},
 		{"oversized with dup", big, nil, func(s *sched.Schedule) { s.Dup[1] = 2 }, "exceeds chip capacity"},
 		{"oversized with remap", big, nil, func(s *sched.Schedule) { s.Remap[1] = 2 }, "exceeds chip capacity"},
@@ -353,5 +354,44 @@ func BenchmarkSimulate(b *testing.B) {
 		if _, err := SimulateWithModel(s, m); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestShortTablesSimulateAsUnset: a schedule built outside the compiler may
+// leave its Dup and Remap tables nil or stop them at its last setting other
+// than the default; every node past the end reads as the default, so the
+// report equals that of the same decisions in full-length tables.
+func TestShortTablesSimulateAsUnset(t *testing.T) {
+	g := models.ResNet18()
+	a := arch.ISAACBaseline()
+	m, err := cost.New(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := full.Clone()
+	last := 0
+	for id, d := range short.Dup {
+		if d > 1 {
+			last = id
+		}
+	}
+	if last == 0 || last == len(g.Nodes)-1 {
+		t.Fatalf("want a schedule duplicating a node before the graph's last, got node %d of %d", last, len(g.Nodes))
+	}
+	short.Dup, short.Remap = short.Dup[:last+1], nil
+	want, err := Simulate(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("short tables simulate to %+v, full ones to %+v", got, want)
 	}
 }

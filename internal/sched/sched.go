@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
@@ -24,15 +24,17 @@ type Schedule struct {
 	Graph *graph.Graph
 	Arch  *arch.Arch
 
-	// Dup maps CIM node ID → number of spatially concurrent copies (≥1).
-	// After CG-grained optimization it counts core-granularity copies;
-	// MVM-grained optimization raises it to crossbar-granularity packing
-	// (Equation 1's D′).
-	Dup map[int]int
+	// Dup is indexed by node ID: a CIM node's number of spatially concurrent
+	// copies (≥1). After CG-grained optimization it counts core-granularity
+	// copies; MVM-grained optimization raises it to crossbar-granularity
+	// packing (Equation 1's D′). 0, like an entry past the table's end, means
+	// unset: the default, 1.
+	Dup []int
 
-	// Remap maps CIM node ID → WLM remap factor m (≥1): each row-stripe is
-	// split over m crossbars so m parallel-row groups activate at once.
-	Remap map[int]int
+	// Remap is indexed by node ID: a CIM node's WLM remap factor m (≥1), each
+	// row-stripe split over m crossbars so m parallel-row groups activate at
+	// once. 0 or past the end means unset: the default, 1.
+	Remap []int
 
 	// Pipeline enables inter-operator pipelining (CG-grained).
 	Pipeline bool
@@ -65,28 +67,42 @@ func NewSequential(g *graph.Graph, a *arch.Arch) *Schedule {
 	return &Schedule{
 		Graph:    g,
 		Arch:     a,
-		Dup:      map[int]int{},
-		Remap:    map[int]int{},
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
 		Segments: [][]int{seg},
 	}
 }
 
 // DupOf returns the duplication of a node (default 1).
-func (s *Schedule) DupOf(node int) int { return valueOr(s.Dup, node, 1) }
+func (s *Schedule) DupOf(node int) int { return Setting(s.Dup, node) }
 
 // RemapOf returns the remap factor of a node (default 1).
-func (s *Schedule) RemapOf(node int) int { return valueOr(s.Remap, node, 1) }
+func (s *Schedule) RemapOf(node int) int { return Setting(s.Remap, node) }
 
-// SegmentOf returns the segment index containing the node, or -1.
-func (s *Schedule) SegmentOf(node int) int {
-	for i, seg := range s.Segments {
-		for _, id := range seg {
-			if id == node {
-				return i
-			}
-		}
+// SetDup sets the duplication of a node, growing a short table to the
+// graph's size.
+func (s *Schedule) SetDup(node, d int) { s.Dup = set(s.Dup, len(s.Graph.Nodes), node, d) }
+
+// SetRemap sets the remap factor of a node, growing a short table to the
+// graph's size.
+func (s *Schedule) SetRemap(node, m int) { s.Remap = set(s.Remap, len(s.Graph.Nodes), node, m) }
+
+// Setting reads a decision table indexed by node ID, such as Dup or Remap:
+// t[id], or the default 1 where t holds 0 (unset) or ends before id.
+func Setting(t []int, id int) int {
+	if uint(id) < uint(len(t)) && t[id] != 0 {
+		return t[id]
 	}
-	return -1
+	return 1
+}
+
+// set writes v at t[id], first growing t to n entries if it is shorter.
+func set(t []int, n, id, v int) []int {
+	if len(t) < n {
+		t = append(t, make([]int, n-len(t))...)
+	}
+	t[id] = v
+	return t
 }
 
 // Validate checks the schedule covers every non-input node exactly once, in
@@ -98,8 +114,11 @@ func (s *Schedule) Validate() error {
 	if len(s.Segments) == 0 {
 		return fmt.Errorf("sched: no segments")
 	}
-	seen := map[int]int{}
-	rank := map[int]int{} // node → (segment, position) flattened rank
+	// seen[id] is 1 + the segment holding id, rank[id] 1 + its position in
+	// the segments' concatenation; both are 0 while id is unscheduled.
+	nodes := len(s.Graph.Nodes)
+	seen := make([]int, 2*nodes)
+	seen, rank := seen[:nodes:nodes], seen[nodes:]
 	pos := 0
 	for segIdx, seg := range s.Segments {
 		if len(seg) == 0 {
@@ -113,19 +132,18 @@ func (s *Schedule) Validate() error {
 			if n.Op == graph.OpInput {
 				return fmt.Errorf("sched: input node %d must not be scheduled", id)
 			}
-			if prev, ok := seen[id]; ok {
-				return fmt.Errorf("sched: node %d in segments %d and %d", id, prev, segIdx)
+			if prev := seen[id]; prev != 0 {
+				return fmt.Errorf("sched: node %d in segments %d and %d", id, prev-1, segIdx)
 			}
-			seen[id] = segIdx
-			rank[id] = pos
 			pos++
+			seen[id], rank[id] = segIdx+1, pos
 		}
 	}
 	for _, n := range s.Graph.Nodes {
 		if n.Op == graph.OpInput {
 			continue
 		}
-		if _, ok := seen[n.ID]; !ok {
+		if seen[n.ID] == 0 {
 			return fmt.Errorf("sched: node %d (%s) not scheduled", n.ID, n.Name)
 		}
 		for _, in := range n.Inputs {
@@ -137,46 +155,41 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Walk the decision maps in sorted node-ID order so the first
-	// validation error is deterministic across runs (Go map iteration
-	// order is randomized).
-	for _, id := range sortedKeys(s.Dup) {
-		d := s.Dup[id]
-		if d < 1 {
-			return fmt.Errorf("sched: node %d has dup %d", id, d)
-		}
-		if n, err := s.Graph.Node(id); err != nil || !n.Op.CIMSupported() {
-			return fmt.Errorf("sched: dup set on non-CIM node %d", id)
-		}
+	if err := s.checkTable("dup", s.Dup); err != nil {
+		return err
 	}
-	for _, id := range sortedKeys(s.Remap) {
-		m := s.Remap[id]
-		if m < 1 {
-			return fmt.Errorf("sched: node %d has remap %d", id, m)
-		}
-		if n, err := s.Graph.Node(id); err != nil || !n.Op.CIMSupported() {
-			return fmt.Errorf("sched: remap set on non-CIM node %d", id)
+	return s.checkTable("remap", s.Remap)
+}
+
+// checkTable reports, at the lowest node ID, an entry of the decision table
+// t, named what, that is set to anything but a positive value on a CIM node,
+// and a table longer than the graph.
+func (s *Schedule) checkTable(what string, t []int) error {
+	if len(t) > len(s.Graph.Nodes) {
+		return fmt.Errorf("sched: %s table has %d entries for %d nodes", what, len(t), len(s.Graph.Nodes))
+	}
+	for id, v := range t {
+		switch {
+		case v == 0:
+		case v < 0:
+			return fmt.Errorf("sched: node %d has %s %d", id, what, v)
+		case !s.Graph.Nodes[id].Op.CIMSupported():
+			return fmt.Errorf("sched: %s set on non-CIM node %d", what, id)
 		}
 	}
 	return nil
 }
 
-// Clone returns a deep copy (Graph and Arch are shared; decision maps are
+// Clone returns a deep copy (Graph and Arch are shared; decision tables are
 // copied) so optimization levels can refine without aliasing.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		Graph:    s.Graph,
 		Arch:     s.Arch,
-		Dup:      map[int]int{},
-		Remap:    map[int]int{},
+		Dup:      slices.Clone(s.Dup),
+		Remap:    slices.Clone(s.Remap),
 		Pipeline: s.Pipeline,
 		Stagger:  s.Stagger,
-	}
-	for _, k := range sortedKeys(s.Dup) {
-		c.Dup[k] = s.Dup[k]
-	}
-	for _, k := range sortedKeys(s.Remap) {
-		c.Remap[k] = s.Remap[k]
 	}
 	for _, seg := range s.Segments {
 		cp := make([]int, len(seg))
@@ -188,28 +201,29 @@ func (s *Schedule) Clone() *Schedule {
 }
 
 // Fingerprint returns a canonical digest of every scheduling decision: the
-// Dup and Remap maps (sorted by node ID, defaults omitted), the Pipeline and
-// Stagger flags, the segment partition and the Levels trail. Two schedules
-// with identical decisions produce identical fingerprints regardless of map
-// iteration order or how the decisions were reached, so the autotuner uses
+// Dup and Remap tables (in node-ID order, unset and default entries
+// omitted), the Pipeline and Stagger flags, the segment partition and the
+// Levels trail. Two schedules with identical decisions produce identical
+// fingerprints regardless of table length, explicit defaults or how the
+// decisions were reached, so the autotuner uses
 // it to deduplicate search states and the determinism tests use it to compare
 // schedules across runs byte-for-byte. Graph and Arch identity are NOT part
 // of the fingerprint; callers comparing across machines must scope it.
 func (s *Schedule) Fingerprint() string {
 	h := sha256.New()
 	writeI64 := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
-	writeMap := func(tag byte, m map[int]int) {
+	writeTable := func(tag byte, t []int) {
 		h.Write([]byte{tag})
-		for _, k := range sortedKeys(m) {
-			if m[k] == 1 {
-				continue // default value; absent and 1 must digest alike
+		for id, v := range t {
+			if v == 0 || v == 1 {
+				continue // unset or the default; absent and 1 must digest alike
 			}
-			writeI64(int64(k))
-			writeI64(int64(m[k]))
+			writeI64(int64(id))
+			writeI64(int64(v))
 		}
 	}
-	writeMap('D', s.Dup)
-	writeMap('R', s.Remap)
+	writeTable('D', s.Dup)
+	writeTable('R', s.Remap)
 	flags := byte(0)
 	if s.Pipeline {
 		flags |= 1
@@ -232,24 +246,4 @@ func (s *Schedule) Fingerprint() string {
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys(m map[int]int) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
-func valueOr(m map[int]int, key, def int) int {
-	if m == nil {
-		return def
-	}
-	if v, ok := m[key]; ok {
-		return v
-	}
-	return def
 }

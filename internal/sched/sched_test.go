@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -39,17 +41,6 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestSegmentOf(t *testing.T) {
-	g := models.ConvReLU()
-	s := NewSequential(g, arch.ToyExample())
-	if s.SegmentOf(1) != 0 || s.SegmentOf(2) != 0 {
-		t.Fatal("nodes should be in segment 0")
-	}
-	if s.SegmentOf(99) != -1 {
-		t.Fatal("missing node should report -1")
-	}
-}
-
 func TestValidateCatchesProblems(t *testing.T) {
 	g := models.ConvReLU()
 	a := arch.ToyExample()
@@ -64,10 +55,13 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"node twice", func(s *Schedule) { s.Segments = [][]int{{1, 2}, {1}} }},
 		{"bad order", func(s *Schedule) { s.Segments = [][]int{{2, 1}} }},
 		{"bad id", func(s *Schedule) { s.Segments = [][]int{{1, 2, 99}} }},
-		{"dup zero", func(s *Schedule) { s.Dup[1] = 0 }},
+		{"dup negative", func(s *Schedule) { s.Dup[1] = -1 }},
 		{"dup on relu", func(s *Schedule) { s.Dup[2] = 2 }},
-		{"remap zero", func(s *Schedule) { s.Remap[1] = 0 }},
+		{"dup of 1 on relu", func(s *Schedule) { s.Dup[2] = 1 }},
+		{"dup table too long", func(s *Schedule) { s.Dup = append(s.Dup, 0) }},
+		{"remap negative", func(s *Schedule) { s.Remap[1] = -1 }},
 		{"remap on relu", func(s *Schedule) { s.Remap[2] = 2 }},
+		{"remap table too long", func(s *Schedule) { s.Remap = make([]int, 4) }},
 		{"nil graph", func(s *Schedule) { s.Graph = nil }},
 	}
 	for _, c := range cases {
@@ -80,44 +74,102 @@ func TestValidateCatchesProblems(t *testing.T) {
 }
 
 func TestValidateErrorsAreDeterministic(t *testing.T) {
-	// Several invalid entries at once: Validate must always report the same
-	// one (the lowest node ID), regardless of map iteration order.
-	g := models.ConvReLU()
+	// Several invalid entries at once: Validate reports the one at the lowest
+	// node ID, and checks Dup before Remap.
+	g := models.LeNet5()
 	a := arch.ToyExample()
-	mutations := []struct {
+	var cim, digital []int
+	for _, n := range g.Nodes {
+		switch {
+		case n.Op.CIMSupported():
+			cim = append(cim, n.ID)
+		case n.ID > 0:
+			digital = append(digital, n.ID)
+		}
+	}
+	cases := []struct {
 		name string
 		mut  func(*Schedule)
 		want string
 	}{
-		{"dup", func(s *Schedule) {
-			for _, id := range []int{50, 60, 70, 80} {
+		{"dup on digital nodes", func(s *Schedule) {
+			for _, id := range digital[1:] {
 				s.Dup[id] = 2
 			}
-		}, "sched: dup set on non-CIM node 50"},
-		{"remap", func(s *Schedule) {
-			for _, id := range []int{41, 52, 63, 74} {
-				s.Remap[id] = 0
+		}, fmt.Sprintf("sched: dup set on non-CIM node %d", digital[1])},
+		{"negative dups", func(s *Schedule) {
+			for _, id := range cim[1:] {
+				s.Dup[id] = -3
 			}
-		}, "sched: node 41 has remap 0"},
+		}, fmt.Sprintf("sched: node %d has dup -3", cim[1])},
+		{"negative dup below a digital one", func(s *Schedule) {
+			s.Dup[digital[len(digital)-1]] = 2
+			s.Dup[cim[2]] = -1
+		}, fmt.Sprintf("sched: node %d has dup -1", cim[2])},
+		{"remap on digital nodes", func(s *Schedule) {
+			for _, id := range digital[2:] {
+				s.Remap[id] = 1
+			}
+		}, fmt.Sprintf("sched: remap set on non-CIM node %d", digital[2])},
+		{"negative remaps", func(s *Schedule) {
+			for _, id := range cim[2:] {
+				s.Remap[id] = -2
+			}
+		}, fmt.Sprintf("sched: node %d has remap -2", cim[2])},
+		{"dup before remap", func(s *Schedule) {
+			s.Remap[cim[0]] = -1
+			s.Dup[cim[len(cim)-1]] = -1
+		}, fmt.Sprintf("sched: node %d has dup -1", cim[len(cim)-1])},
+		{"long dup table", func(s *Schedule) {
+			s.Dup = make([]int, len(g.Nodes)+1)
+			s.Dup[digital[0]] = 2
+		}, fmt.Sprintf("sched: dup table has %d entries for %d nodes", len(g.Nodes)+1, len(g.Nodes))},
+		{"long remap table", func(s *Schedule) {
+			s.Remap = append(s.Remap, 1)
+		}, fmt.Sprintf("sched: remap table has %d entries for %d nodes", len(g.Nodes)+1, len(g.Nodes))},
 	}
-	for _, m := range mutations {
-		first := ""
-		for i := 0; i < 50; i++ {
-			s := NewSequential(g, a)
-			m.mut(s)
-			err := s.Validate()
-			if err == nil {
-				t.Fatalf("%s: not caught", m.name)
-			}
-			if i == 0 {
-				first = err.Error()
-				if first != m.want {
-					t.Fatalf("%s: error %q, want %q", m.name, first, m.want)
-				}
-			} else if err.Error() != first {
-				t.Fatalf("%s: nondeterministic error: %q vs %q", m.name, err.Error(), first)
+	for _, c := range cases {
+		s := NewSequential(g, a)
+		c.mut(s)
+		if err := s.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestNilTableIsDefault: a nil or short decision table reads as every node
+// at the default, validates, and digests like a full table of zeros; a
+// setter grows it to the graph's size.
+func TestNilTableIsDefault(t *testing.T) {
+	g := models.LeNet5()
+	full := NewSequential(g, arch.ToyExample())
+	for _, short := range [][]int{nil, {}, make([]int, 3)} {
+		s := full.Clone()
+		s.Dup, s.Remap = short, slices.Clone(short)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("table %v: %v", short, err)
+		}
+		for _, n := range g.Nodes {
+			if s.DupOf(n.ID) != 1 || s.RemapOf(n.ID) != 1 {
+				t.Fatalf("table %v: node %d reads dup %d remap %d, want 1", short, n.ID, s.DupOf(n.ID), s.RemapOf(n.ID))
 			}
 		}
+		if s.Fingerprint() != full.Fingerprint() {
+			t.Fatalf("table %v digests unlike a full table of zeros", short)
+		}
+		cim := g.CIMNodeIDs()
+		last := cim[len(cim)-1]
+		s.SetDup(last, 3)
+		s.SetRemap(last, 2)
+		if len(s.Dup) != len(g.Nodes) || len(s.Remap) != len(g.Nodes) || s.DupOf(last) != 3 || s.RemapOf(last) != 2 {
+			t.Fatalf("table %v: setters left dup %v remap %v", short, s.Dup, s.Remap)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if full.DupOf(-1) != 1 || full.DupOf(len(g.Nodes)) != 1 {
+		t.Fatal("an ID outside the table must read as the default")
 	}
 }
 
@@ -134,11 +186,21 @@ func TestCloneIndependence(t *testing.T) {
 	g := models.ConvReLU()
 	s := NewSequential(g, arch.ToyExample())
 	s.Dup[1] = 2
+	s.Remap[1] = 3
 	c := s.Clone()
 	c.Dup[1] = 9
+	c.Remap[1] = 8
+	c.SetDup(2, 0)
 	c.Segments[0][0] = 99
 	c.Pipeline = true
-	if s.Dup[1] != 2 || s.Segments[0][0] == 99 || s.Pipeline {
+	if s.Dup[1] != 2 || s.Remap[1] != 3 || s.Segments[0][0] == 99 || s.Pipeline {
 		t.Fatal("Clone shares state")
+	}
+	// Clones of one schedule must not share tables with each other either:
+	// the tuner scores sibling clones in parallel.
+	c1, c2 := s.Clone(), s.Clone()
+	c1.Dup[1], c1.Remap[1] = 5, 5
+	if c2.Dup[1] != 2 || c2.Remap[1] != 3 {
+		t.Fatal("sibling clones share a table")
 	}
 }

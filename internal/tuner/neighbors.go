@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/cost"
@@ -53,27 +52,21 @@ func Neighbors(s *sched.Schedule, m *cost.Model, k Knobs) []Candidate {
 	var out []Candidate
 	a := s.Arch
 
-	segOf := make(map[int]int)
+	// segOf[id] is 1 + the segment holding node id, 0 if none does.
+	segOf := make([]int, len(s.Graph.Nodes))
 	for i, seg := range s.Segments {
 		for _, id := range seg {
-			segOf[id] = i
+			segOf[id] = i + 1
 		}
 	}
-
-	ids := make([]int, 0, len(m.FPs))
-	for id := range m.FPs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 
 	// Per-node knob steps, nodes in ID order.
-	for _, id := range ids {
-		f := m.FPs[id]
-		if f.Rounds(a) > 1 {
-			continue // oversized: a single copy already wraps the chip
+	for id, f := range m.FPs {
+		if !s.Graph.Nodes[id].Op.CIMSupported() || f.Rounds(a) > 1 {
+			continue // digital, or oversized: a single copy already wraps the chip
 		}
-		segIdx, ok := segOf[id]
-		if !ok {
+		segIdx := segOf[id] - 1
+		if segIdx < 0 {
 			continue
 		}
 		d, r := s.DupOf(id), s.RemapOf(id)
@@ -152,17 +145,15 @@ func Neighbors(s *sched.Schedule, m *cost.Model, k Knobs) []Candidate {
 // knobStep returns s with node's (dup, remap) set to (d, r) when the
 // placement calculus accepts the node's segment afterwards, nil otherwise.
 func knobStep(s *sched.Schedule, m *cost.Model, segIdx, node, d, r int) *sched.Schedule {
-	c := s.Clone()
 	if d == 1 {
-		delete(c.Dup, node)
-	} else {
-		c.Dup[node] = d
+		d = 0 // back to the default: unset the entry
 	}
 	if r == 1 {
-		delete(c.Remap, node)
-	} else {
-		c.Remap[node] = r
+		r = 0
 	}
+	c := s.Clone()
+	c.SetDup(node, d)
+	c.SetRemap(node, r)
 	if _, err := mapping.SegmentCores(c.Graph, c.Arch, m.FPs, c.Dup, c.Remap, c.Segments[segIdx]); err != nil {
 		return nil
 	}

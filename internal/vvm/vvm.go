@@ -53,10 +53,10 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 	var cands []cand
 	coresUsed := 0
 	for _, id := range seg {
-		f, ok := m.FPs[id]
-		if !ok {
+		if !s.Graph.Nodes[id].Op.CIMSupported() {
 			continue
 		}
+		f := m.FPs[id]
 		if f.Rounds(s.Arch) > 1 {
 			coresUsed = s.Arch.Chip.CoreCount()
 			continue
@@ -110,7 +110,7 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 		if bestID < 0 {
 			break
 		}
-		s.Remap[bestID] = s.RemapOf(bestID) + 1
+		s.SetRemap(bestID, s.RemapOf(bestID)+1)
 		coresUsed += bestCost
 	}
 	_ = segIdx
