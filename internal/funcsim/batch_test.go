@@ -511,8 +511,11 @@ func cimStage(t *testing.T, g *graph.Graph, idx int) *graph.Graph {
 // exactly the lane memory and quantization bookkeeping the same body leaves
 // compiled one operator per flow (every operator a sweep of one; how the
 // benchmark's traced replay runs it). The cells: the benchmark's six exec-*
-// cells (conv-gate.puma as its two CIM stages), windows over image-shared
-// crossbars, over crossbars the body wrote, over scratch every window reuses,
+// cells (conv-gate.puma as its two CIM stages), the serve-http pairs
+// conv-relu.toy-table2 and mlp.isaac-baseline (whose dense windows interleave
+// their column tiles' reads, eight wordlines at a time), windows over
+// image-shared crossbars, over crossbars the body wrote, over scratch every
+// window reuses,
 // readcore windows, strided and padded convolutions whose window count is no
 // multiple of four, and a hand-written pair whose second read streams in what
 // the first produced and so must be a sweep of its own.
@@ -533,6 +536,7 @@ func TestChainsMatchOperatorByOperator(t *testing.T) {
 		{name: "conv-gate.puma.stage0", g: func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), 0) }, a: arch.PUMAAccelerator(), kernels: map[int]int{1: 1, 512: 1}},
 		{name: "conv-gate.puma.stage1", g: func(t *testing.T) *graph.Graph { return cimStage(t, models.ConvGate(), 1) }, a: arch.PUMAAccelerator(), kernels: map[int]int{1: 2, 32: 1}},
 		{name: "conv-relu.toy-table2", g: zoo(models.ConvReLU), a: arch.ToyExample(), kernels: map[int]int{1: 1, 3072: 1}},
+		{name: "mlp.isaac-baseline", g: zoo(models.MLP), a: arch.ISAACBaseline(), kernels: map[int]int{1: 5, 16: 1, 128: 1, 800: 1}},
 		{name: "conv-s2p0.isaac-baseline", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p0", 11, 13, 0) }), a: arch.ISAACBaseline()},
 		{name: "conv-s2p2.isaac-baseline", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.ISAACBaseline()},
 		{name: "conv-s2p0.puma", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p0", 11, 13, 0) }), a: arch.PUMAAccelerator()},

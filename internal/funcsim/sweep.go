@@ -41,27 +41,30 @@ import (
 // time instead — the same loop.
 
 // xbRead is one readxb or readrow as a member of an accumulation chain: the
-// resolved read, the node whose region it streams activations from (-1:
-// scratch), where the run starts in its window's gathered words (-1: it reads
-// lane memory the sweep did not gather), and the chain's dot-product run the
-// member belongs to — a readrow that continues an earlier member's wordlines
-// and source run (parallel_row cuts one tile's rows into several reads)
-// lengthens that member's run instead of starting its own.
+// resolved read, its operator (counted from the sweep's first), the node whose
+// region it streams activations from (-1: scratch), where the run starts in
+// its window's gathered words (-1: it reads lane memory the sweep did not
+// gather), and the chain's dot-product run the member belongs to — a readrow
+// that continues an earlier member's wordlines and source run (parallel_row
+// cuts one tile's rows into several reads) lengthens that member's run
+// instead of starting its own.
 type xbRead struct {
 	codegen.XBRead
-	srcNode, off, run int32
+	op, srcNode, off, run int32
 }
 
-// sweepChain is a maximal run of consecutive reads of one window that
-// accumulate into the same words: every member after the first has Acc set
-// and the first's Dst and Stride. Integer addition is associative and
-// commutative, so summing the members' dot products in registers and storing
-// each output once leaves what running them one after another leaves —
-// provided no member reads what the sweep writes (compileSweep). A readcore's
-// chain has no members: it multiplies the node's matrix.
+// sweepChain is the reads of one window that accumulate into the same words,
+// in program order: every member after the first has Acc set and the first's
+// Dst and Stride. Reads into other words may come between them in the flow
+// (parallel_row interleaves a row group's column tiles); compileSweep groups
+// the reads by destination only where that leaves what program order leaves.
+// Integer addition is associative and commutative, so summing the members' dot
+// products in registers and storing each output once leaves what running them
+// one after another leaves — provided no member reads what the sweep writes
+// (compileSweep). A readcore's chain has no members: it multiplies the node's
+// matrix.
 type sweepChain struct {
 	lo, hi      int32 // members, in CompiledFlow.members
-	op          int32 // the first member's operator, counted from the sweep's first
 	acc         bool
 	per         int8  // the word format of the arrays the chain multiplies (mvm.go)
 	dst, stride int64 // weight column j's sum goes to dst + j·stride
@@ -238,6 +241,15 @@ func (h *hull) add(lo, hi int64) {
 
 func (h hull) touches(lo, hi int64) bool { return lo < h.hi && h.lo < hi }
 
+// openChain is a chain of the window compileSweep is compiling, as it grows:
+// its members, its wordlines and of those the ones that may hold a weight, at
+// most, and per dot-product run, the member that would lengthen it.
+type openChain struct {
+	members      []xbRead
+	rows, summed int
+	ends         []xbRead
+}
+
 // compileSweep compiles the sweep that starts at cf.ops[at] and reports how
 // many operators it takes in; none when cf.ops[at] is no mov_window, crossbar
 // read or readcore. An operator joins the sweep only while running it inside
@@ -256,22 +268,39 @@ func (h hull) touches(lo, hi int64) bool { return lo < h.hi && h.lo < hi }
 //
 // An operator that fails its own resolution ends the sweep too and heads the
 // next one, which is where its error is reported.
+//
+// A read that only adds joins the window's newest chain into its words, even
+// past reads into other words, while that leaves what program order leaves:
+// every chain after it must be one that only adds too or one whose words the
+// read cannot meet (meets), and the joined chain must stay within its guard
+// bound. Any other read starts a chain of its own, after the window's others.
 func (img *Image) compileSweep(cf *CompiledFlow, at int) (kernel, int, error) {
 	a := img.a
+	maxCols := int64(a.XB.Cols / a.CellsPerWeight()) // the most weight columns a crossbar holds
 	sw := &sweep{cf: cf, id: cf.sweeps, win0: len(cf.wins), mark: -1, dstNode: -1}
 	gnode, gfrom := -1, -1    // the node whose windows the sweep gathers, and the node it gathers them from
 	var gathered, direct hull // scratch the mov_windows write; scratch the members read beside it
-	inChain := false          // the operator before was a member of the last chain
-	rows, most := 0, 0        // the last chain's wordlines, at most; the sweep's longest chain's
-	summed := 0               // the last chain's wordlines that may hold a weight, at most
+	most := 0                 // the sweep's longest chain's wordlines, at most
 	kNode, per, k := -1, 1, 0 // the node the reads write, its word format and matrix rows
-	var head codegen.XBRead   // the last chain's first member
-	var endsBuf [8]xbRead
-	ends := endsBuf[:0] // per run of the last chain, the member that would lengthen it
+	var open []openChain      // the last window's chains, cf.chains[win.lo:win.hi]
 	settle := func(node int32) {
 		if node >= 0 && !slices.Contains(sw.settle, node) {
 			sw.settle = append(sw.settle, node)
 		}
+	}
+	// closeWin lays the last window's chains' members out in cf.members, chain
+	// by chain.
+	closeWin := func() {
+		if len(open) == 0 {
+			return
+		}
+		chains := cf.chains[cf.wins[len(cf.wins)-1].lo:]
+		for i := range open {
+			chains[i].lo = int32(len(cf.members))
+			cf.members = append(cf.members, open[i].members...)
+			chains[i].hi = int32(len(cf.members))
+		}
+		open = open[:0]
 	}
 	j := at
 ops:
@@ -310,9 +339,9 @@ ops:
 				sw.geo, sw.gsrc = cf.geometryOf(o.Node), o.SrcBase
 				sw.rows = len(sw.geo.rel)
 			}
+			closeWin()
 			y0, x0 := sw.geo.origin(o.Window)
 			cf.wins = append(cf.wins, sweepWin{y0: y0, x0: x0, gdst: o.Dst, lo: int32(len(cf.chains)), hi: int32(len(cf.chains)), gather: true})
-			inChain = false
 			gathered.add(span.Lo, span.End())
 			settle(int32(src))
 			if !inScratch {
@@ -328,7 +357,7 @@ ops:
 				}
 				break ops
 			}
-			r := xbRead{XBRead: rd, srcNode: int32(img.res.Owner(img.res.NodeRegionAt(rd.Src))), off: -1}
+			r := xbRead{XBRead: rd, op: int32(j - at), srcNode: int32(img.res.Owner(img.res.NodeRegionAt(rd.Src))), off: -1}
 			dstNode := img.res.Owner(img.res.NodeRegionAt(rd.Dst))
 			n := int(r.Rows)
 			if n < 0 {
@@ -356,46 +385,48 @@ ops:
 			if dstNode != kNode {
 				kNode, per, k = dstNode, img.perWord[dstNode], img.wDims[dstNode][0]
 			}
-			limit := int64(-1)
-			if per > 1 {
-				limit = wordLimit(summed+min(n, k), a.WeightBits, a.ActBits, per)
+			if len(cf.wins) == sw.win0 {
+				cf.wins = append(cf.wins, sweepWin{gdst: -1, lo: int32(len(cf.chains)), hi: int32(len(cf.chains))})
 			}
-			if !inChain || !rd.Acc || rd.Dst != head.Dst || rd.Stride != head.Stride || per > 1 && limit < 0 {
-				if len(cf.wins) == sw.win0 {
-					cf.wins = append(cf.wins, sweepWin{gdst: -1, lo: int32(len(cf.chains)), hi: int32(len(cf.chains))})
+			win := &cf.wins[len(cf.wins)-1]
+			read := sweepChain{acc: rd.Acc, per: int8(per), dst: rd.Dst, stride: rd.Stride, limit: -1}
+			c := joins(cf.chains[win.lo:win.hi], &read, maxCols)
+			if c >= 0 && per > 1 {
+				if read.limit = wordLimit(open[c].summed+min(n, k), a.WeightBits, a.ActBits, per); read.limit < 0 {
+					c = -1
 				}
+			}
+			if c < 0 {
 				if per > 1 {
-					limit = wordLimit(min(n, k), a.WeightBits, a.ActBits, per)
+					read.limit = wordLimit(min(n, k), a.WeightBits, a.ActBits, per)
 				}
-				cf.chains = append(cf.chains, sweepChain{
-					lo: int32(len(cf.members)), hi: int32(len(cf.members)), op: int32(j - at),
-					acc: rd.Acc, per: int8(per), dst: rd.Dst, stride: rd.Stride,
-				})
-				inChain, head, rows, summed, ends = true, rd, 0, 0, ends[:0]
-				win := &cf.wins[len(cf.wins)-1]
+				c = len(open)
+				open = slices.Grow(open, 1)[:c+1] // an earlier window's buffers, if any
+				open[c] = openChain{members: open[c].members[:0], ends: open[c].ends[:0]}
+				cf.chains = append(cf.chains, read)
 				if win.hi++; win.hi == win.lo+1 {
 					win.mod = rd.Dst % rd.Stride
 				} else if rd.Stride != cf.chains[win.lo].stride || rd.Dst%rd.Stride != win.mod {
 					win.mod = -1
 				}
-				win.fence = win.fence || sw.clashes(len(cf.wins)-1)
+				win.fence = win.fence || sw.clashes(len(cf.wins)-1, maxCols)
 			}
+			oc := &open[c]
 			// A readrow that starts where an earlier member's wordlines and source
 			// run end lengthens that member's run; a readxb's run ends nowhere
 			// known before the crossbar is looked at.
-			r.run = int32(slices.IndexFunc(ends, func(e xbRead) bool { return e.XB == r.XB && e.Row == r.Row && e.Src == r.Src }))
+			r.run = int32(slices.IndexFunc(oc.ends, func(e xbRead) bool { return e.XB == r.XB && e.Row == r.Row && e.Src == r.Src }))
 			if r.run < 0 {
-				r.run, ends = int32(len(ends)), append(ends, xbRead{})
+				r.run, oc.ends = int32(len(oc.ends)), append(oc.ends, xbRead{})
 			}
-			ends[r.run].XB = -1
+			oc.ends[r.run].XB = -1
 			if r.Rows >= 0 {
-				ends[r.run].XBRead = codegen.XBRead{XB: r.XB, Row: r.Row + r.Rows, Src: r.Src + int64(n)}
+				oc.ends[r.run].XBRead = codegen.XBRead{XB: r.XB, Row: r.Row + r.Rows, Src: r.Src + int64(n)}
 			}
-			cf.members = append(cf.members, r)
-			ch := &cf.chains[len(cf.chains)-1]
-			ch.hi, ch.limit = ch.hi+1, limit
-			rows, summed = rows+n, summed+min(n, k)
-			most = max(most, rows)
+			oc.members = append(oc.members, r)
+			cf.chains[win.lo+int32(c)].limit = read.limit
+			oc.rows, oc.summed = oc.rows+n, oc.summed+min(n, k)
+			most = max(most, oc.rows)
 			if beside {
 				direct.add(rd.Src, rd.Src+int64(n))
 			}
@@ -417,6 +448,7 @@ ops:
 	if j == at {
 		return nil, 0, nil
 	}
+	closeWin()
 	cf.sweeps++
 	sw.win1 = len(cf.wins)
 	if sw.mat == nil {
@@ -428,28 +460,49 @@ ops:
 	return sw.run, j - at, nil
 }
 
-// clashes reports whether the last chain of window w (the last compiled) may
-// write a word that a chain of one of the three windows before it writes too —
-// each weight column a crossbar can hold counted — unless both only add.
-func (sw *sweep) clashes(w int) bool {
+// meets reports whether chains a and b may write a common word — each of the
+// cols weight columns a crossbar can hold counted — unless both only add, which
+// commutes.
+func meets(a, b *sweepChain, cols int64) bool {
+	switch {
+	case a.acc && b.acc:
+		return false
+	case a.stride == b.stride:
+		d := max(a.dst-b.dst, b.dst-a.dst)
+		return d%a.stride == 0 && d/a.stride < cols
+	}
+	return a.dst <= b.dst+(cols-1)*b.stride && b.dst <= a.dst+(cols-1)*a.stride
+}
+
+// joins returns which of a window's chains, in order, the read described by
+// read joins: the newest into its words, when the read only adds and meets
+// none of the chains after it; -1 when there is none.
+func joins(chains []sweepChain, read *sweepChain, cols int64) int {
+	if !read.acc {
+		return -1
+	}
+	for c := len(chains) - 1; c >= 0; c-- {
+		if o := &chains[c]; o.dst == read.dst && o.stride == read.stride {
+			return c
+		} else if meets(o, read, cols) {
+			return -1
+		}
+	}
+	return -1
+}
+
+// clashes reports whether the last chain of window w (the last compiled) meets
+// a chain of one of the three windows before it.
+func (sw *sweep) clashes(w int, cols int64) bool {
 	cf := sw.cf
-	a := cf.img.a
-	maxCols := int64(a.XB.Cols / a.CellsPerWeight())
 	ch := &cf.chains[len(cf.chains)-1]
 	for v := max(w-3, sw.win0); v < w; v++ {
 		win := &cf.wins[v]
 		if win.mod >= 0 && win.lo < win.hi && cf.chains[win.lo].stride == ch.stride && ch.dst%ch.stride != win.mod {
 			continue // equal strides, other words of them: no chain of v meets ch
 		}
-		for _, o := range cf.chains[win.lo:win.hi] {
-			if ch.acc && o.acc {
-				continue
-			}
-			if ch.stride == o.stride {
-				if d := max(ch.dst-o.dst, o.dst-ch.dst); d%ch.stride == 0 && d/ch.stride < maxCols {
-					return true
-				}
-			} else if ch.dst <= o.dst+(maxCols-1)*o.stride && o.dst <= ch.dst+(maxCols-1)*ch.stride {
+		for i := win.lo; i < win.hi; i++ {
+			if meets(ch, &cf.chains[i], cols) {
 				return true
 			}
 		}
@@ -599,7 +652,7 @@ func (sw *sweep) resolve(st *BatchState) error {
 					p := &st.prog[m.XB]
 					n, e := p.Activate(&m.XBRead)
 					if e != nil {
-						err = opError{int(ch.op) + i, e}
+						err = sw.refusal(st, win)
 						break windows
 					}
 					if r := first + int(m.run); r < len(runs) {
@@ -657,6 +710,21 @@ func (sw *sweep) resolve(st *BatchState) error {
 			return err
 		}
 	}
+}
+
+// refusal returns the error of the read of win that fails first in program
+// order: win's chains hold its reads by destination, not in that order.
+func (sw *sweep) refusal(st *BatchState, win *sweepWin) error {
+	cf := sw.cf
+	var first opError
+	members := cf.members[cf.chains[win.lo].lo:cf.chains[win.hi-1].hi]
+	for i := range members {
+		m := &members[i]
+		if _, e := st.prog[m.XB].Activate(&m.XBRead); e != nil && (first.err == nil || int(m.op) < first.off) {
+			first = opError{int(m.op), e}
+		}
+	}
+	return first
 }
 
 // run is the sweep's kernel.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -35,11 +36,12 @@ func runOneLane(t *testing.T, c *laneCell, cf *CompiledFlow, prepare func(st *Ba
 
 // TestSweepsMatchOperatorByOperator holds hand-written bodies — what no
 // generated flow contains — to the operators run one per flow
-// (sweptMatchesApart), and pins where their sweeps end. All are cut from
-// conv-relu on isaac-baseline: window w gathers 27 words into a scratch slot of
-// its own and multiplies them on crossbars 2w and 2w+1 (14 + 13 wordlines, all
-// windows' copies sharing the image's two arrays) into word w of each of the
-// conv's 32 output channels.
+// (sweptMatchesApart), and pins where their sweeps end and how many chains
+// their reads group into. All are cut from conv-relu on isaac-baseline: window
+// w gathers 27 words into a scratch slot of its own and multiplies them on
+// crossbars 2w and 2w+1 (14 + 13 wordlines, all windows' copies sharing the
+// image's two arrays) into word w of each of the conv's 32 output channels —
+// four readrows, of 8, 8, 6 and 5 wordlines, the first a store.
 func TestSweepsMatchOperatorByOperator(t *testing.T) {
 	c := newLaneCell(t, models.ConvReLU(), arch.ISAACBaseline(), 50, 8, programmed)
 	img := c.img
@@ -72,11 +74,49 @@ func TestSweepsMatchOperatorByOperator(t *testing.T) {
 	// into, summed into window 7's output words.
 	beside := mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: slot(9), Dst: out + 7, DstStride: chans}
 	huge := []int64{1 << 40, -(1 << 38), 1<<16 + 3, -1 << 16, 70000, 1, -1, 0}
+	// Window w's four reads, and a read moved to other words.
+	reads := func(w int) (rd [4]mop.ReadRow) {
+		for i, op := range win(w)[1:] {
+			rd[i] = op.(mop.ReadRow)
+		}
+		return rd
+	}
+	to := func(r mop.ReadRow, dst, stride int64, acc bool) mop.ReadRow {
+		r.Dst, r.DstStride, r.Acc = dst, stride, acc
+		return r
+	}
+	rd := reads(0)
+	// Reads into word 4 of every channel beside window 0's own: a tile the
+	// window's cannot meet.
+	other := func(r mop.ReadRow, acc bool) mop.ReadRow { return to(r, out+4, chans, acc) }
+	var interleaved []mop.Op
+	for w := range 4 {
+		interleaved = append(interleaved, win(w)[0])
+		for _, r := range reads(w) {
+			interleaved = append(interleaved, r, to(r, out+int64(w)+4, chans, r.Acc))
+		}
+	}
+	var cut []mop.Op // window 0's reads three times over, the first time interleaved with another tile's
+	for round := range 3 {
+		for i, r := range rd {
+			cut = append(cut, to(r, out, chans, round > 0 || i > 0))
+			if round == 0 {
+				cut = append(cut, other(r, i > 0))
+			}
+		}
+	}
+	// Two reads past their crossbars' programmed wordlines, one into each tile:
+	// the later one joins the chain that runs first.
+	late, early := rd[3], rd[2]
+	late.Row, late.NumRows, late.Src = 12, 2, slot(0)+25
+	early.Row, early.NumRows, early.Src = 13, 2, slot(0)+13
 
 	for _, tc := range []struct {
 		name    string
 		body    []mop.Op
 		kernels map[int]int // by operator count
+		chains  int         // the body's chains (0: not pinned)
+		fails   int         // the operator whose error the body fails with (0: it runs)
 		prepare func(st *BatchState)
 		check   func(t *testing.T, lane []int64)
 	}{
@@ -139,6 +179,42 @@ func TestSweepsMatchOperatorByOperator(t *testing.T) {
 				}
 			},
 		},
+		{
+			// Each window's reads alternate with the same reads into a tile of
+			// their own, stores first: two chains a window.
+			name:    "stores-and-adds-into-disjoint-tiles-interleaved",
+			body:    interleaved,
+			kernels: map[int]int{len(interleaved): 1},
+			chains:  8,
+		},
+		{
+			// The second read stores into 32 consecutive words, the first of
+			// them one the first read adds into; so the third, adding where
+			// the first does, may not pass it: a chain of its own, which the
+			// fourth joins.
+			name:    "an-add-never-passes-a-store-into-its-words",
+			body:    []mop.Op{win(0)[0], to(rd[0], out, chans, true), to(rd[1], out, 1, false), rd[2], rd[3]},
+			kernels: map[int]int{5: 1},
+			chains:  3,
+		},
+		{
+			// 27 wordlines a time: the first chain reaches 62 of the 63 rows a
+			// three-column word may sum; its next read starts a chain of its
+			// own, which the rest join.
+			name:    "a-regrouped-chain-is-cut-at-its-guard-bound",
+			body:    slices.Concat(win(0)[:1], cut),
+			kernels: map[int]int{1 + len(cut): 1},
+			chains:  3,
+		},
+		{
+			// Operator 4 fails first in program order; operator 5, which
+			// fails too, runs first, in the chain of operator 1.
+			name:    "the-first-failing-read-in-program-order-names-itself",
+			body:    []mop.Op{win(0)[0], rd[0], other(rd[0], false), rd[2], other(early, true), late},
+			kernels: map[int]int{6: 1},
+			chains:  2,
+			fails:   4,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			whole, err := img.CompileBody(tc.body)
@@ -148,11 +224,48 @@ func TestSweepsMatchOperatorByOperator(t *testing.T) {
 			if got := kernelSizes(whole); !maps.Equal(got, tc.kernels) {
 				t.Fatalf("kernels by operator count: %v, want %v", got, tc.kernels)
 			}
+			if tc.chains > 0 && len(whole.chains) != tc.chains {
+				t.Fatalf("%d chains, want %d", len(whole.chains), tc.chains)
+			}
+			if tc.fails > 0 {
+				firstFailureApart(t, c, whole, tc.fails)
+				return
+			}
 			sweptMatchesApart(t, c, whole, tc.prepare, everyLaneCount)
 			if tc.check != nil {
 				tc.check(t, runOneLane(t, c, whole, tc.prepare))
 			}
 		})
+	}
+}
+
+// firstFailureApart requires the operators of whole run one per flow to fail
+// first at operator k, and whole to fail with k's error, named by its place in
+// the body, leaving lane memory as it found it.
+func firstFailureApart(t *testing.T, c *laneCell, whole *CompiledFlow, k int) {
+	t.Helper()
+	img := c.img
+	st := img.NewBatchState(2)
+	bm := img.ExecBatch(st)
+	for i, op := range whole.ops {
+		cf, err := img.CompileBody([]mop.Op{op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bm.RunBody(cf); (err != nil) != (i == k) {
+			t.Fatalf("operator %d run alone: err = %v; the first to fail must be operator %d", i, err, k)
+		} else if err != nil {
+			break
+		}
+	}
+	img.ResetBatch(st, 2)
+	before := slices.Clone(st.mem)
+	want := fmt.Sprintf("op %d (%s)", k, whole.ops[k])
+	if err := img.ExecBatch(st).RunBody(whole); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one containing %q", err, want)
+	}
+	if !slices.Equal(st.mem, before) {
+		t.Fatal("the failed sweep wrote to lane memory")
 	}
 }
 
@@ -277,7 +390,9 @@ func planCount(cf *CompiledFlow) int {
 // and at five lanes, and what the body run operator by operator leaves. The
 // cells: the benchmark's six exec-* cells (conv-gate.puma as its two CIM
 // stages; lenet5.toy-table2's body programs crossbars between its sweeps),
-// conv-relu.toy-table2, and a hand-written body that reprograms crossbars
+// the serve-http pairs conv-relu.toy-table2 and mlp.isaac-baseline (its
+// chains gather reads the flow interleaves), and a hand-written body that
+// reprograms crossbars
 // between two sweeps of one node, so the second reads arrays private to each
 // state.
 func TestPlansMatchLiveResolution(t *testing.T) {
@@ -298,6 +413,7 @@ func TestPlansMatchLiveResolution(t *testing.T) {
 		{name: "conv-gate.puma.stage0", g: stage(0), a: arch.PUMAAccelerator()},
 		{name: "conv-gate.puma.stage1", g: stage(1), a: arch.PUMAAccelerator()},
 		{name: "conv-relu.toy-table2", g: zoo(models.ConvReLU), a: arch.ToyExample()},
+		{name: "mlp.isaac-baseline", g: zoo(models.MLP), a: arch.ISAACBaseline()},
 		{name: "reprogrammed-between-sweeps", g: zoo(models.ConvReLU), a: arch.ISAACBaseline(), body: func(t *testing.T, c *laneCell) []mop.Op {
 			// Window w multiplies on crossbars 2w and 2w+1; windows 4 and 5 read
 			// them reprogrammed a row off.
@@ -512,6 +628,101 @@ func FuzzSweepGeometry(f *testing.F) {
 	f.Fuzz(sweepGeometryCase)
 }
 
+// interleaveSources are FuzzSweepInterleave's cells: dense stacks whose
+// windows interleave the reads of several column tiles (readrows eight
+// wordlines at a time; readxbs; tiles cut by reprogramming), and a
+// convolution of two column tiles a window.
+var interleaveSources = []struct {
+	name string
+	g    func() *graph.Graph
+	a    func() *arch.Arch
+}{
+	{"mlp.isaac-baseline", models.MLP, arch.ISAACBaseline},
+	{"mlp.puma", models.MLP, arch.PUMAAccelerator},
+	{"lenet5.toy-table2", models.LeNet5, arch.ToyExample},
+	{"conv-wide.toy-wlm", convWide, func() *arch.Arch { return toyInMode(arch.WLM) }},
+}
+
+// convWide is a convolution of more output channels, 40, than a toy crossbar
+// holds weight columns, 32: two column tiles a window.
+func convWide() *graph.Graph {
+	return graph.NewBuilder("conv-wide", 2, 6, 6).Conv(40, 3, 1, 1).ReLU().MustFinish()
+}
+
+// interleave returns ops with the reads of each window — each maximal run of
+// crossbar reads — shuffled at random, keeping the reads into each
+// destination in their order (its store first).
+func interleave(ops []mop.Op, rng *rand.Rand) []mop.Op {
+	type key struct{ dst, stride int64 }
+	out := make([]mop.Op, 0, len(ops))
+	for i := 0; i < len(ops); {
+		var order []key
+		byDst := map[key][]mop.Op{}
+		j := i
+	reads:
+		for ; j < len(ops); j++ {
+			var k key
+			switch o := ops[j].(type) {
+			case mop.ReadRow:
+				k = key{o.Dst, o.DstStride}
+			case mop.ReadXB:
+				k = key{o.Dst, o.DstStride}
+			default:
+				break reads
+			}
+			if _, ok := byDst[k]; !ok {
+				order = append(order, k)
+			}
+			byDst[k] = append(byDst[k], ops[j])
+		}
+		if j == i {
+			out = append(out, ops[i])
+			i++
+			continue
+		}
+		// Each next read comes from a destination drawn in proportion to the
+		// reads it has left: every interleaving is as likely as any other.
+		for left := j - i; left > 0; left-- {
+			r := rng.IntN(left)
+			for _, k := range order {
+				if r < len(byDst[k]) {
+					out = append(out, byDst[k][0])
+					byDst[k] = byDst[k][1:]
+					break
+				}
+				r -= len(byDst[k])
+			}
+		}
+		i = j
+	}
+	return out
+}
+
+// FuzzSweepInterleave: a generated body whose windows' reads are shuffled
+// across destinations (interleave) leaves what its operators leave run one
+// per flow, and leaves it again run from its published plans and live.
+func FuzzSweepInterleave(f *testing.F) {
+	for i := range interleaveSources {
+		f.Add(uint8(i), uint64(i), uint8(i))
+	}
+	cells := make([]*laneCell, len(interleaveSources))
+	f.Fuzz(func(t *testing.T, which uint8, seed uint64, lanes uint8) {
+		i, n := int(which)%len(interleaveSources), 1+int(lanes)%4
+		src := interleaveSources[i]
+		t.Logf("%s, seed %d, %d lanes", src.name, seed, n)
+		if cells[i] == nil {
+			cells[i] = newLaneCell(t, src.g(), src.a(), 58, 4, programmed)
+		}
+		c := cells[i]
+		cf, err := c.img.CompileBody(interleave(c.cf.ops, rand.New(rand.NewPCG(seed, 0))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweptMatchesApart(t, c, cf, nil, []int{n})
+		plansMatchLive(t, c, cf, n)
+	})
+}
+
 // TestSweepFencesOverlappingOutputs: a pass of four windows interleaves their
 // stores column word by column word, so a window that stores into words a
 // window just ahead of it stores into too — in other columns; possible only
@@ -519,8 +730,7 @@ func FuzzSweepGeometry(f *testing.F) {
 // with it. Here window 1's first column tile lands one channel above window
 // 0's, over its columns 1 to 31.
 func TestSweepFencesOverlappingOutputs(t *testing.T) {
-	g := graph.NewBuilder("conv-wide", 2, 6, 6).Conv(40, 3, 1, 1).ReLU().MustFinish()
-	c := newLaneCell(t, g, toyInMode(arch.WLM), 52, 8, programmed)
+	c := newLaneCell(t, convWide(), toyInMode(arch.WLM), 52, 8, programmed)
 	out, chans := c.img.base[1], c.img.size[1]/40
 	var body []mop.Op
 	for w := 0; w < 4; w++ {
@@ -574,13 +784,25 @@ func TestExecCellsWordFormats(t *testing.T) {
 		// wordlines. (The chain counts are those of the two-column executor:
 		// no chain is cut for a third column.)
 		{"conv-relu.isaac-baseline", zoo(models.ConvReLU), arch.ISAACBaseline(), map[string]int{"conv_1": 3}, map[string]int{"conv_1": 1024}, map[string]int{"conv_1": 304128}},
-		{"lenet5.puma", zoo(models.LeNet5), arch.PUMAAccelerator(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 100, "fc_1": 16, "fc_2": 3, "fc_3": 1}, lenet5Mults},
+		// A dense layer is one window whose column tiles' reads interleave
+		// (one readxb per row crossbar and tile; on toy-table2 and
+		// isaac-baseline, one readrow per row group of each): one chain per
+		// column tile and sweep. fc_1's 4 row crossbars × 4 tiles are 4 chains.
+		{"lenet5.puma", zoo(models.LeNet5), arch.PUMAAccelerator(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 100, "fc_1": 4, "fc_2": 3, "fc_3": 1}, lenet5Mults},
 		{"lenet5.jia-isscc21", zoo(models.LeNet5), arch.JiaAccelerator(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 100, "fc_1": 1, "fc_2": 1, "fc_3": 1}, lenet5Mults},
-		{"mlp.puma", zoo(models.MLP), arch.PUMAAccelerator(), map[string]int{"fc_1": 2, "fc_2": 2, "fc_3": 2}, map[string]int{"fc_1": 56, "fc_2": 8, "fc_3": 1}, map[string]int{"fc_1": 100352, "fc_2": 16384, "fc_3": 640}},
-		{"lenet5.toy-table2", zoo(models.LeNet5), arch.ToyExample(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 200, "fc_1": 100, "fc_2": 21, "fc_3": 1}, lenet5Mults},
+		// 784 × 256 on 7 row crossbars × 8 tiles, 256 × 128 on 2 × 4.
+		{"mlp.puma", zoo(models.MLP), arch.PUMAAccelerator(), map[string]int{"fc_1": 2, "fc_2": 2, "fc_3": 2}, map[string]int{"fc_1": 8, "fc_2": 4, "fc_3": 1}, map[string]int{"fc_1": 100352, "fc_2": 16384, "fc_3": 640}},
+		// The body reprograms the crossbars every 32 rows, which ends a sweep:
+		// fc_1 is 13 sweeps of 4 tiles, fc_2 3 sweeps of 3.
+		{"lenet5.toy-table2", zoo(models.LeNet5), arch.ToyExample(), lenet5Per, map[string]int{"conv_1": 784, "conv_2": 200, "fc_1": 52, "fc_2": 9, "fc_3": 1}, lenet5Mults},
 		// 27 × 16 over 256 windows: 6 words.
 		{"conv-gate.puma.stage0", stage(0), arch.PUMAAccelerator(), map[string]int{"conv_1": 3}, map[string]int{"conv_1": 256}, map[string]int{"conv_1": 41472}},
 		{"conv-gate.puma.stage1", stage(1), arch.PUMAAccelerator(), map[string]int{"fc_1": 2}, map[string]int{"fc_1": 1}, map[string]int{"fc_1": 20480}},
+		// The serve-http pairs. fc_1 reads 25 crossbars of 32 rows in each of
+		// 8 tiles, four row groups of eight wordlines a crossbar: 800 reads,
+		// one chain of 25 runs per tile. fc_2: 8 crossbars × 4 tiles.
+		{"mlp.isaac-baseline", zoo(models.MLP), arch.ISAACBaseline(), map[string]int{"fc_1": 2, "fc_2": 2, "fc_3": 2}, map[string]int{"fc_1": 8, "fc_2": 4, "fc_3": 1}, map[string]int{"fc_1": 100352, "fc_2": 16384, "fc_3": 640}},
+		{"conv-relu.toy-table2", zoo(models.ConvReLU), arch.ToyExample(), map[string]int{"conv_1": 3}, map[string]int{"conv_1": 1024}, map[string]int{"conv_1": 304128}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newLaneCell(t, tc.g(t), tc.a, 55, 1, programmed)

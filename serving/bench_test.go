@@ -51,8 +51,9 @@ func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len
 // BenchmarkHandleRun is the codec's layer number: one /v1/run request through
 // Handler().ServeHTTP in process — no network, cimserve's defaults — beside
 // Runner.Do on the same inputs, for the three pairs of the bench's serve-http
-// workload. ns/op, B/op and allocs/op are the handler's; codec_us/op is the
-// handler minus Do, what decoding the body and encoding the reply cost, and
+// workload. ns/op, B/op and allocs/op are the handler's; do_us/op is
+// Runner.Do alone, the executor's share; codec_us/op is the handler minus
+// Do, what decoding the body and encoding the reply cost, and
 // decode_us/op and encode_us/op split it: decodeRunRequest of the body, and
 // appendRunResponse of the reply from a warm memo, each timed alone (the
 // rest of codec_us is the request's plumbing around them). ftoa/op is the
@@ -120,6 +121,7 @@ func BenchmarkHandleRun(b *testing.B) {
 				b.Fatal(err)
 			}
 			perOp := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e3 }
+			b.ReportMetric(perOp(do), "do_us/op")
 			b.ReportMetric(perOp(b.Elapsed()-do), "codec_us/op")
 			b.ReportMetric(perOp(decode), "decode_us/op")
 			b.ReportMetric(perOp(encode), "encode_us/op")
