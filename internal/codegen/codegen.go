@@ -29,25 +29,29 @@ type Options struct {
 	MaxWindowsPerOp int64
 }
 
-// Layout is the buffer address map of a generated flow.
+// Layout is the buffer address map of a generated flow: two tables indexed
+// by node ID.
 type Layout struct {
-	// Base maps node ID → first word of its output region.
-	Base map[int]int64
-	// Size maps node ID → region length in words.
-	Size map[int]int64
-	// Scratch maps CIM node ID → base of its window-gather scratch area
-	// (dup consecutive vectors of the weight-matrix row count each), and
-	// ScratchSize → its length in words. In XBM and WLM the areas share
-	// one arena at the end of the node regions, each operator's window loop
-	// having it to itself because the flow finishes one operator's windows
-	// before the next one's; only dense operators reading one input stack
-	// their areas (buildLayout). CM flows gather nothing (cim.readcore reads
-	// its input region) and map no scratch.
-	Scratch     map[int]int64
-	ScratchSize map[int]int64
+	// Region is each node's output region.
+	Region []Area
+	// Scratch is each CIM node's window-gather scratch area (dup consecutive
+	// vectors of the weight-matrix row count each); a zero Size means none.
+	// In XBM and WLM the areas share one arena at the end of the node
+	// regions, each operator's window loop having it to itself because the
+	// flow finishes one operator's windows before the next one's; only dense
+	// operators reading one input stack their areas (buildLayout). CM flows
+	// gather nothing (cim.readcore reads its input region): every Size is
+	// zero.
+	Scratch []Area
 	// Total is the number of words the flow addresses.
 	Total int64
 }
+
+// Area is a run of Size words from Base.
+type Area struct{ Base, Size int64 }
+
+// End returns one past the area's last word.
+func (r Area) End() int64 { return r.Base + r.Size }
 
 // Result bundles the generated flow with its layout.
 type Result struct {
@@ -82,12 +86,11 @@ func Generate(g *graph.Graph, a *arch.Arch, s *sched.Schedule, p *mapping.Placem
 }
 
 func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule) *Layout {
-	lay := &Layout{Base: map[int]int64{}, Size: map[int]int64{}, Scratch: map[int]int64{}, ScratchSize: map[int]int64{}}
+	lay := &Layout{Region: make([]Area, len(g.Nodes)), Scratch: make([]Area, len(g.Nodes))}
 	next := int64(0)
 	for _, n := range g.Nodes {
 		size := graph.NumElements(n.OutShape)
-		lay.Base[n.ID] = next
-		lay.Size[n.ID] = size
+		lay.Region[n.ID] = Area{next, size}
 		next += size
 	}
 	lay.Total = next
@@ -97,13 +100,14 @@ func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule)
 	// A dense operator gathers with plain movs, which name no node: a second
 	// one reading the same input would repeat the first one's gathers into
 	// the words that still hold them. So a dense operator's area starts past
-	// those of the dense operators before it on its input; every other area
-	// starts at the arena's base.
+	// those of the dense operators before it on its input (denseEnd, by
+	// input node); every other area starts at the arena's base.
 	var arena int64
-	denseEnd := map[int]int64{} // input node → end of its dense readers' areas
+	denseEnd := make([]int64, len(g.Nodes))
 	for _, seg := range s.Segments {
 		for _, id := range seg {
-			if !g.Nodes[id].Op.CIMSupported() {
+			n := g.Nodes[id]
+			if !n.Op.CIMSupported() {
 				continue
 			}
 			f := m.FPs[id]
@@ -113,11 +117,11 @@ func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule)
 			}
 			size := int64(f.Rows) * int64(dup)
 			var off int64
-			if n := g.MustNode(id); n.Op == graph.OpDense {
+			if n.Op == graph.OpDense {
 				off = denseEnd[n.Inputs[0]]
 				denseEnd[n.Inputs[0]] = off + size
 			}
-			lay.Scratch[id], lay.ScratchSize[id] = next+off, size
+			lay.Scratch[id] = Area{next + off, size}
 			arena = max(arena, off+size)
 		}
 	}
@@ -189,8 +193,8 @@ func (e *emitter) emitReadCore(flow *mop.Flow, id int) error {
 			OpType:   string(n.Op),
 			Node:     id,
 			Core:     core,
-			Src:      e.lay.Base[n.Inputs[0]],
-			Dst:      e.lay.Base[id],
+			Src:      e.lay.Region[n.Inputs[0]].Base,
+			Dst:      e.lay.Region[id].Base,
 			WinStart: start,
 			WinCount: count,
 		})
@@ -247,7 +251,7 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 		// The MVM window loop.
 		for w := int64(0); w < emitWindows; w++ {
 			copyIdx := int(w % int64(dup))
-			scratch := e.lay.Scratch[id] + int64(copyIdx)*int64(f.Rows)
+			scratch := e.lay.Scratch[id].Base + int64(copyIdx)*int64(f.Rows)
 			if r == 0 || windows > 1 {
 				flow.Body = append(flow.Body, e.gatherOp(n, f, w, scratch))
 			}
@@ -261,7 +265,7 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 // dstGeometry returns the destination stride and per-window base address of
 // a CIM node's output region (OutGeometry).
 func (e *emitter) dstGeometry(n *graph.Node) (int64, func(int64) int64) {
-	base := e.lay.Base[n.ID]
+	base := e.lay.Region[n.ID].Base
 	col, win := OutGeometry(n)
 	return col, func(w int64) int64 { return base + w*win }
 }
@@ -271,11 +275,11 @@ func (e *emitter) gatherOp(n *graph.Node, f mapping.Footprint, w int64, scratch 
 	in := n.Inputs[0]
 	switch {
 	case n.Op == graph.OpConv:
-		return mop.MovWindow{Node: n.ID, Window: w, SrcBase: e.lay.Base[in], Dst: scratch}
+		return mop.MovWindow{Node: n.ID, Window: w, SrcBase: e.lay.Region[in].Base, Dst: scratch}
 	case len(n.OutShape) == 2:
-		return mop.Mov{Src: e.lay.Base[in] + w*int64(f.Rows), Dst: scratch, Len: int64(f.Rows)}
+		return mop.Mov{Src: e.lay.Region[in].Base + w*int64(f.Rows), Dst: scratch, Len: int64(f.Rows)}
 	default:
-		return mop.Mov{Src: e.lay.Base[in], Dst: scratch, Len: int64(f.Rows)}
+		return mop.Mov{Src: e.lay.Region[in].Base, Dst: scratch, Len: int64(f.Rows)}
 	}
 }
 
@@ -371,7 +375,7 @@ func (e *emitter) emitDigital(flow *mop.Flow, id int) error {
 	switch n.Op {
 	case graph.OpFlatten, graph.OpIdentity:
 		flow.Body = append(flow.Body, mop.Mov{
-			Src: e.lay.Base[n.Inputs[0]], Dst: e.lay.Base[id], Len: outLen,
+			Src: e.lay.Region[n.Inputs[0]].Base, Dst: e.lay.Region[id].Base, Len: outLen,
 		})
 		return nil
 	}
@@ -381,9 +385,9 @@ func (e *emitter) emitDigital(flow *mop.Flow, id int) error {
 	}
 	srcs := make([]int64, len(n.Inputs))
 	for i, in := range n.Inputs {
-		srcs[i] = e.lay.Base[in]
+		srcs[i] = e.lay.Region[in].Base
 	}
-	flow.Body = append(flow.Body, mop.Dcom{Fn: fn, Node: id, Srcs: srcs, Dst: e.lay.Base[id], Len: outLen})
+	flow.Body = append(flow.Body, mop.Dcom{Fn: fn, Node: id, Srcs: srcs, Dst: e.lay.Region[id].Base, Len: outLen})
 	return nil
 }
 

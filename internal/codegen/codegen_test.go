@@ -133,18 +133,14 @@ func TestLayoutDisjointRegions(t *testing.T) {
 	g := models.LeNet5()
 	out := compileAndGenerate(t, g, toyInMode(arch.XBM), codegen.Options{MaxWindowsPerOp: 2})
 	lay := out.Layout
-	type span struct{ base, size int64 }
-	var spans []span
-	for id, b := range lay.Base {
-		spans = append(spans, span{b, lay.Size[id]})
-	}
+	spans := lay.Region
 	for i := range spans {
 		for j := range spans {
 			if i == j {
 				continue
 			}
 			a, b := spans[i], spans[j]
-			if a.base < b.base+b.size && b.base < a.base+a.size {
+			if a.Base < b.End() && b.Base < a.End() {
 				t.Fatalf("overlapping regions %+v and %+v", a, b)
 			}
 		}

@@ -80,9 +80,9 @@ func (b Block) Row(i int64) Span {
 // CIM node's gather scratch. Node regions are pairwise disjoint; scratch
 // regions alias each other in the shared arena (Layout.Scratch).
 type Region struct {
-	Base, Size int64
-	Node       int
-	Scratch    bool
+	Area
+	Node    int
+	Scratch bool
 }
 
 func (r Region) String() string {
@@ -92,9 +92,6 @@ func (r Region) String() string {
 	}
 	return fmt.Sprintf("node %d %s [%d,%d)", r.Node, kind, r.Base, r.End())
 }
-
-// End returns one past the region's last word.
-func (r Region) End() int64 { return r.Base + r.Size }
 
 // Operands is what one operator touches once every address is checked.
 type Operands struct {
@@ -179,30 +176,21 @@ func NewResolver(g *graph.Graph, a *arch.Arch, lay *Layout) (*Resolver, []*Opera
 		errs = append(errs, operandErr(RuleRegionBounds, -1, "a layout of %d words", lay.Total))
 	}
 	for _, n := range g.Nodes {
-		base, ok := lay.Base[n.ID]
-		if !ok {
+		if n.ID >= len(lay.Region) {
 			errs = append(errs, operandErr(RuleRegionBounds, n.ID, "node has no layout region"))
 			continue
 		}
-		reg := Region{Base: base, Size: lay.Size[n.ID], Node: n.ID}
+		reg := Region{Area: lay.Region[n.ID], Node: n.ID}
 		if want := graph.NumElements(n.OutShape); reg.Size != want {
 			errs = append(errs, operandErr(RuleRegionBounds, n.ID, "%s holds %d words, the node's output %d", reg, reg.Size, want))
 		}
 		r.regions = append(r.regions, reg)
 	}
 	nNodes := len(r.regions)
-	ids := make([]int, 0, len(lay.Scratch))
-	for id := range lay.Scratch {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		size, ok := lay.ScratchSize[id]
-		if !ok {
-			errs = append(errs, operandErr(RuleRegionBounds, id, "scratch region without a size"))
-			continue
+	for id, area := range lay.Scratch {
+		if area.Size != 0 {
+			r.regions = append(r.regions, Region{Area: area, Node: id, Scratch: true})
 		}
-		r.regions = append(r.regions, Region{Base: lay.Scratch[id], Size: size, Node: id, Scratch: true})
 	}
 	// Node regions by base, scratch by base, then merged keeping that order
 	// among equal bases: aliased scratch slots stay in one fixed order, the

@@ -48,12 +48,13 @@ func newTestEnv() *testEnv {
 		scrASize: 4, scrBSize: 6,
 	}
 	e.lay = &codegen.Layout{
-		Base:        map[int]int64{in: e.inBase, out: e.outBase},
-		Size:        map[int]int64{in: 8, out: 8},
-		Scratch:     map[int]int64{e.scrANode: e.scrA, e.scrBNode: e.scrB},
-		ScratchSize: map[int]int64{e.scrANode: e.scrASize, e.scrBNode: e.scrBSize},
-		Total:       26,
+		Region:  make([]codegen.Area, len(g.Nodes)),
+		Scratch: make([]codegen.Area, e.scrBNode+1),
+		Total:   26,
 	}
+	e.lay.Region[in], e.lay.Region[out] = codegen.Area{Base: e.inBase, Size: 8}, codegen.Area{Base: e.outBase, Size: 8}
+	e.lay.Scratch[e.scrANode] = codegen.Area{Base: e.scrA, Size: e.scrASize}
+	e.lay.Scratch[e.scrBNode] = codegen.Area{Base: e.scrB, Size: e.scrBSize}
 	return e
 }
 
@@ -119,15 +120,10 @@ func TestEmptyFlowUndefinedOutput(t *testing.T) {
 // live range collapses to the single position 0.
 func TestEmptyFlowInputPassthrough(t *testing.T) {
 	g := graph.New("io")
-	in := g.AddInput("in", 4)
+	g.AddInput("in", 4)
 	fr := &codegen.Result{
-		Flow: &mop.Flow{Mode: "XBM", Graph: g.Name, Arch: "toy"},
-		Layout: &codegen.Layout{
-			Base:    map[int]int64{in: 0},
-			Size:    map[int]int64{in: 4},
-			Scratch: map[int]int64{},
-			Total:   4,
-		},
+		Flow:   &mop.Flow{Mode: "XBM", Graph: g.Name, Arch: "toy"},
+		Layout: &codegen.Layout{Region: []codegen.Area{{Base: 0, Size: 4}}, Total: 4},
 	}
 	an := Build(g, arch.ToyExample(), fr)
 	if len(an.Problems) != 0 {
@@ -257,8 +253,7 @@ func TestScratchDisjointVsInterleavedRanges(t *testing.T) {
 // aliased slots' live ranges coincide.
 func TestAliasedScratchSlotConservative(t *testing.T) {
 	e := newTestEnv()
-	e.lay.ScratchSize[e.scrBNode] = e.scrASize
-	e.lay.Scratch[e.scrBNode] = e.scrA // B now aliases A's slot exactly
+	e.lay.Scratch[e.scrBNode] = e.lay.Scratch[e.scrANode] // B now aliases A's slot exactly
 	an := e.analyze(ops([]mop.Mov{
 		{Src: e.inBase, Dst: e.scrA, Len: 4},      // 0: fill the slot (for A)
 		{Src: e.scrA, Dst: e.outBase, Len: 4},     // 1: consume

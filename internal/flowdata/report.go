@@ -125,8 +125,8 @@ func NewReport(model, archName, level string, fr *codegen.Result, an *Analysis) 
 	}
 	rep.LayoutWords = fr.Layout.Total
 	var nodeWords int64
-	for _, sz := range fr.Layout.Size {
-		nodeWords += sz
+	for _, r := range fr.Layout.Region {
+		nodeWords += r.Size
 	}
 	rep.ScratchWords = fr.Layout.Total - nodeWords
 	if an == nil || an.Truncated {

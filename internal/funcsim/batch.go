@@ -60,10 +60,11 @@ type CompiledFlow struct {
 	// consume (mvm.go), column-major in its node's word format, Rows words per
 	// run.
 	writeTiles map[codegen.Tile][]int64
-	// geos and matrices hold, per node, the window gather geometry and — for a
-	// node a readcore names — the weight matrix in the layout reads consume.
-	geos     map[int]*winGeometry
-	matrices map[int]*nodeMatrix
+	// geos and matrices hold, by node ID, the window gather geometry and — for
+	// a node a readcore names — the weight matrix in the layout reads consume,
+	// each built on first use.
+	geos     []*winGeometry
+	matrices []*nodeMatrix
 	// plans holds, per sweep, its resolution against the view a run that
 	// starts from the image's baseline finds there, once a run has published
 	// it (sweep.resolution).
@@ -230,11 +231,8 @@ func checkInputs(g *graph.Graph, ids []int, inputs map[int]*tensor.Tensor) error
 		}
 	}
 	if present != len(inputs) {
-		for _, id := range sortedTensorKeys(inputs) {
-			if !slices.Contains(ids, id) {
-				return fmt.Errorf("funcsim: input for unknown node %d (not a graph input)", id)
-			}
-		}
+		id, _ := lowestKey(inputs, func(id int) bool { return !slices.Contains(ids, id) })
+		return fmt.Errorf("funcsim: input for unknown node %d (not a graph input)", id)
 	}
 	for _, id := range ids {
 		t, ok := inputs[id]
@@ -263,12 +261,12 @@ func (bm *BatchMachine) LoadInputs(lane int, inputs map[int]*tensor.Tensor) erro
 	}
 	lm := st.lane(lane)
 	for _, id := range img.inputs {
-		q := img.actScale[id]
+		q := img.nodes[id].act
 		qv, err := tensor.Quantize(inputs[id], q)
 		if err != nil {
 			return err
 		}
-		base := img.base[id]
+		base := img.lay.Region[id].Base
 		for i, v := range qv {
 			lm[base+int64(i)] = int64(v)
 		}
@@ -334,9 +332,9 @@ func (bm *BatchMachine) settleNode(node int) {
 		return
 	}
 	s := bm.settlerOf(node)
-	base, size := img.base[node], img.size[node]
+	reg := img.lay.Region[node]
 	for l := 0; l < st.lanes; l++ {
-		region := st.lane(l)[base : base+size]
+		region := st.lane(l)[reg.Base:reg.End()]
 		for i, v := range region {
 			region[i] = s.level(v)
 		}
@@ -355,7 +353,7 @@ type settler struct {
 
 // settlerOf returns the settler of node's region, raw at its current scale.
 func (bm *BatchMachine) settlerOf(node int) settler {
-	q := bm.img.actScale[node]
+	q := bm.img.nodes[node].act
 	return settler{raw: bm.st.regionScale[node], scale: float64(q.Scale), maxQ: int64(q.MaxQ())}
 }
 
@@ -386,9 +384,9 @@ func (bm *BatchMachine) markCIMOutput(node int) {
 	in := n.Inputs[0]
 	inScale := st.regionScale[in]
 	if inScale == 0 {
-		inScale = float64(img.actScale[in].Scale)
+		inScale = float64(img.nodes[in].act.Scale)
 	}
-	st.regionScale[node] = float64(img.wScale[node].Scale) * inScale
+	st.regionScale[node] = float64(img.nodes[node].w.Scale) * inScale
 	st.regionRaw[node] = true
 }
 
@@ -396,14 +394,14 @@ func (bm *BatchMachine) markCIMOutput(node int) {
 func (bm *BatchMachine) regionTensor(lane, node int) *tensor.Tensor {
 	img, st := bm.img, bm.st
 	n := img.g.MustNode(node)
-	base, size := img.base[node], img.size[node]
+	reg := img.lay.Region[node]
 	t := tensor.New(n.OutShape...)
 	scale := st.regionScale[node]
 	if scale == 0 {
-		scale = float64(img.actScale[node].Scale)
+		scale = float64(img.nodes[node].act.Scale)
 	}
 	data := t.Data()
-	for i, v := range st.lane(lane)[base : base+size] {
+	for i, v := range st.lane(lane)[reg.Base:reg.End()] {
 		data[i] = float32(float64(v) * scale)
 	}
 	return t
@@ -438,7 +436,12 @@ func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 		case mop.MovWindow:
 			windows++
 		case mop.ReadCore:
-			windows, chains = windows+int(max(o.WinCount, 0)), chains+int(max(o.WinCount, 0))
+			// Bounded by the node's windows, as the resolver bounds the read:
+			// a count past them must fail to resolve, not to allocate.
+			if n, err := img.g.Node(o.Node); err == nil {
+				k := int(min(max(o.WinCount, 0), n.MVMCount()))
+				windows, chains = windows+k, chains+k
+			}
 		}
 		if dst >= 0 {
 			reads++
@@ -453,6 +456,7 @@ func (img *Image) CompileBody(body []mop.Op) (*CompiledFlow, error) {
 	cf := &CompiledFlow{
 		img: img, ops: make([]mop.Op, 0, leaves),
 		wins: make([]sweepWin, 0, windows), chains: make([]sweepChain, 0, chains), members: make([]xbRead, 0, reads),
+		geos: make([]*winGeometry, len(img.g.Nodes)), matrices: make([]*nodeMatrix, len(img.g.Nodes)),
 	}
 	_ = eachLeaf(body, func(op mop.Op) error { cf.ops = append(cf.ops, op); return nil })
 	for at := 0; at < leaves; {
@@ -519,16 +523,16 @@ func (img *Image) compileOp(cf *CompiledFlow, op mop.Op) (kernel, error) {
 func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 	a := img.a
 	xb, rowStart, rows := w.XB, w.Row, w.Rows
-	qw, dims := img.qweights[w.Node], img.wDims[w.Node]
+	qw, qcols := img.nodes[w.Node].qw, img.nodes[w.Node].cols
 	s := a.CellsPerWeight()
 	wColOff, nW := w.CellColOff/s, w.Cols/s
-	per, xbRows := img.perWord[w.Node], a.XB.Rows
+	per, xbRows := img.nodes[w.Node].per, a.XB.Rows
 	tile, ok := cf.writeTiles[w.Tile]
 	if !ok {
 		tile = make([]int64, wordsFor(nW, per)*rows)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < nW; j++ {
-				placeWeight(tile, rows, i, j, int64(qw[(w.CellRowOff+i)*dims[1]+wColOff+j]), per)
+				placeWeight(tile, rows, i, j, int64(qw[(w.CellRowOff+i)*qcols+wColOff+j]), per)
 			}
 		}
 		if cf.writeTiles == nil {
@@ -569,7 +573,7 @@ func (img *Image) compileWrite(cf *CompiledFlow, w codegen.TileWrite) kernel {
 func (st *BatchState) privateXB(img *Image, xb int, fresh bool) []int64 {
 	a := img.a
 	p := &st.prog[xb]
-	size := a.XB.Rows * wordsFor(a.XB.Cols/a.CellsPerWeight(), img.perWord[p.Node])
+	size := a.XB.Rows * wordsFor(a.XB.Cols/a.CellsPerWeight(), img.nodes[p.Node].per)
 	if cap(st.ownWeights[xb]) < size {
 		st.ownWeights[xb] = make([]int64, size)
 	}
@@ -598,7 +602,7 @@ func (img *Image) compileMov(o mop.Mov, ops codegen.Operands) kernel {
 	// Whole-region copies propagate the source's numeric domain (Flatten,
 	// Identity) — resolved statically.
 	propagate := dstNode >= 0 && srcNode >= 0 &&
-		o.Dst == img.base[dstNode] && o.Len == img.size[dstNode]
+		img.lay.Region[dstNode] == codegen.Area{Base: o.Dst, Size: o.Len}
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		bm.settleNode(srcNode)
@@ -622,7 +626,7 @@ func (img *Image) compileDcom(o mop.Dcom) (kernel, error) {
 	if k, err := img.compileDcomLevels(o, n); k != nil || err != nil {
 		return k, err
 	}
-	q := img.actScale[o.Node]
+	q := img.nodes[o.Node].act
 	inputs := append([]int(nil), n.Inputs...)
 	return func(bm *BatchMachine) error {
 		st := bm.st
@@ -688,9 +692,9 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 		return nil, nil
 	}
 	in := n.Inputs[0]
-	base, size := img.base[in], img.size[in]
+	reg := img.lay.Region[in]
 	// An elementwise operator is a 1 × 1 pool over a single row.
-	relu, k, stride, h, w, outH, outW := true, 1, 1, 1, int(size), 1, int(size)
+	relu, k, stride, h, w, outH, outW := true, 1, 1, 1, int(reg.Size), 1, int(reg.Size)
 	if n.Op == graph.OpMaxPool {
 		shape := img.g.MustNode(in).OutShape
 		relu, k, stride = false, n.Attr.KernelH, n.Attr.Stride
@@ -703,11 +707,11 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 			return nil, nil
 		}
 	}
-	q := img.actScale[o.Node]
+	q := img.nodes[o.Node].act
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	maxIn := int64(img.actScale[in].MaxQ())
+	maxIn := int64(img.nodes[in].act.MaxQ())
 	return func(bm *BatchMachine) error {
 		st := bm.st
 		// An elementwise kernel settles a raw input in its own pass, writing back
@@ -724,7 +728,7 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 		}
 		r := requant{inScale: st.regionScale[in], scale: q.Scale, maxQ: q.MaxQ(), relu: relu}
 		if r.inScale == 0 {
-			r.inScale = float64(img.actScale[in].Scale)
+			r.inScale = float64(img.nodes[in].act.Scale)
 		}
 		if !relu && (!(r.inScale > 0) || math.IsInf(r.inScale, 1)) {
 			return fmt.Errorf("dcom %s: input scale %v is not positive and finite", o.Fn, r.inScale)
@@ -750,7 +754,7 @@ func (img *Image) compileDcomLevels(o mop.Dcom, n *graph.Node) (kernel, error) {
 		}
 		for l := 0; l < st.lanes; l++ {
 			lm := st.lane(l)
-			src, dst := lm[base:base+size], lm[o.Dst:o.Dst+o.Len]
+			src, dst := lm[reg.Base:reg.End()], lm[o.Dst:o.Dst+o.Len]
 			switch {
 			case fuse:
 				for i, v := range src {

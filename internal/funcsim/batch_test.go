@@ -242,9 +242,9 @@ func TestLanesMatchQuantReference(t *testing.T) {
 // wordFormats lists the word format of every node with weights, in node order.
 func wordFormats(img *Image) []int {
 	var per []int
-	for _, n := range img.g.Nodes {
-		if _, ok := img.wDims[n.ID]; ok {
-			per = append(per, img.perWord[n.ID])
+	for _, nq := range img.nodes {
+		if nq.qw != nil {
+			per = append(per, nq.per)
 		}
 	}
 	return per
@@ -358,13 +358,13 @@ func TestReadsCheckCrossbarStateBeforeWriting(t *testing.T) {
 		want string
 	}{
 		"columns-past-the-node's-region": {
-			[]mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: 1, Src: 0, Dst: img.base[1] + img.size[1] - 1, DstStride: 1}},
+			[]mop.Op{mop.ReadRow{XB: 0, Row: 0, NumRows: 1, Src: 0, Dst: img.lay.Region[1].End() - 1, DstStride: 1}},
 			"op 0 (cim.readrow(xb=0, row=0",
 		},
 		"chain-member-past-the-programmed-rows": {
 			[]mop.Op{
-				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: img.base[1], DstStride: 1},
-				mop.ReadRow{XB: 1, Row: rows - 1, NumRows: 2, Src: 8, Dst: img.base[1], DstStride: 1, Acc: true},
+				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: img.lay.Region[1].Base, DstStride: 1},
+				mop.ReadRow{XB: 1, Row: rows - 1, NumRows: 2, Src: 8, Dst: img.lay.Region[1].Base, DstStride: 1, Acc: true},
 			},
 			fmt.Sprintf("op 1 (cim.readrow(xb=1, row=%d", rows-1),
 		},
@@ -543,7 +543,7 @@ func TestChainsMatchOperatorByOperator(t *testing.T) {
 		{name: "conv-s2p2.toy-table2", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.ToyExample()},
 		{name: "conv-s2p2.jia-isscc21", g: zoo(func() *graph.Graph { return stridedConv("conv-s2p2", 11, 15, 2) }), a: arch.JiaAccelerator()},
 		{name: "overlapping-pair", g: zoo(models.ConvReLU), a: wlm, kernels: map[int]int{1: 2}, body: func(c *laneCell) []mop.Op {
-			d := c.img.base[1] // the conv's region: what both crossbars' columns may write
+			d := c.img.lay.Region[1].Base // the conv's region: what both crossbars' columns may write
 			return []mop.Op{
 				mop.ReadRow{XB: 0, Row: 0, NumRows: 8, Src: 0, Dst: d, DstStride: 1},
 				mop.ReadRow{XB: 0, Row: 8, NumRows: 8, Src: d, Dst: d, DstStride: 1, Acc: true},
@@ -639,8 +639,8 @@ func TestMaxPoolMatchesGenericPipeline(t *testing.T) {
 					pool = d
 				}
 			}
-			in, q := c.g.MustNode(pool.Node).Inputs[0], img.actScale[pool.Node]
-			maxIn := int64(img.actScale[in].MaxQ())
+			in, q := c.g.MustNode(pool.Node).Inputs[0], img.nodes[pool.Node].act
+			maxIn := int64(img.nodes[in].act.MaxQ())
 			if got := maxIn <= 1<<12 && pool.Len >= maxIn; got != tc.table {
 				t.Fatalf("requantization tabulated: %v, the case expects %v", got, tc.table)
 			}
@@ -652,7 +652,7 @@ func TestMaxPoolMatchesGenericPipeline(t *testing.T) {
 			for _, scale := range []float64{0, 0.0371} { // 0: the input's calibrated scale
 				st := img.NewBatchState(3)
 				for l := 0; l < 3; l++ {
-					region := st.lane(l)[img.base[in]:][:img.size[in]]
+					region := st.lane(l)[img.lay.Region[in].Base:img.lay.Region[in].End()]
 					for i := range region {
 						switch l {
 						case 0: // runs of equal levels: every window ties
@@ -718,9 +718,9 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 			}
 			n := c.g.MustNode(relu.Node)
 			in := n.Inputs[0]
-			qin := img.actScale[in]
+			qin := img.nodes[in].act
 			qin.Scale = 0.25
-			img.actScale[in] = qin
+			img.nodes[in].act = qin
 			maxQ := int64(qin.MaxQ())
 			cf, err := img.CompileBody([]mop.Op{relu})
 			if err != nil {
@@ -735,7 +735,7 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 				fused, apart := img.NewBatchState(3), img.NewBatchState(3)
 				for _, st := range []*BatchState{fused, apart} {
 					for l := 0; l < 3; l++ {
-						region := st.lane(l)[img.base[in]:][:img.size[in]]
+						region := st.lane(l)[img.lay.Region[in].Base:img.lay.Region[in].End()]
 						for i := range region {
 							region[i] = accs[(i*(l+1)+l)%len(accs)]
 						}
@@ -750,7 +750,7 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 				bm.settleNode(in)
 				for l := 0; l < 3; l++ {
 					lane, settled := apart.lane(l), raws[int64(l)*apart.stride:]
-					for i := img.base[in]; i < img.base[in]+img.size[in]; i++ {
+					for i := img.lay.Region[in].Base; i < img.lay.Region[in].End(); i++ {
 						if want := settle(settled[i], raw); lane[i] != want {
 							t.Fatalf("raw scale %v, lane %d: settleNode leaves %d for accumulator %d, the rule %d", raw, l, lane[i], settled[i], want)
 						}
@@ -759,7 +759,7 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					qv, err := tensor.Quantize(out, img.actScale[relu.Node])
+					qv, err := tensor.Quantize(out, img.nodes[relu.Node].act)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -767,7 +767,7 @@ func TestReLUSettlesRawInputInItsPass(t *testing.T) {
 						lane[relu.Dst+int64(i)] = int64(v)
 					}
 				}
-				apart.regionScale[relu.Node], apart.regionRaw[relu.Node] = float64(img.actScale[relu.Node].Scale), false
+				apart.regionScale[relu.Node], apart.regionRaw[relu.Node] = float64(img.nodes[relu.Node].act.Scale), false
 				requireSameState(t, fmt.Sprintf("raw scale %v: the fused ReLU and settleNode + the generic pipeline", raw), fused, apart)
 			}
 		})

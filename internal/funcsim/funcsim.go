@@ -62,7 +62,6 @@ package funcsim
 
 import (
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/codegen"
@@ -87,17 +86,10 @@ type Image struct {
 	// dataflow analysis.
 	res *codegen.Resolver
 
-	// Quantization state, fixed at calibration time.
-	wScale   map[int]tensor.QuantParams // CIM node → weight quantizer
-	actScale map[int]tensor.QuantParams // node → output activation quantizer
-	qweights map[int][]int32            // CIM node → quantized weight matrix (row-major rows×cols)
-	wDims    map[int][2]int             // CIM node → (rows, cols)
-	inputs   []int                      // the graph's input node IDs
-
-	// Dense per-node layout (index = node ID), mirroring lay.Base/lay.Size
-	// without map lookups on the hot path.
-	base []int64
-	size []int64
+	// nodes is, by node ID, the quantization state fixed at calibration time;
+	// lay.Region holds each node's buffer region.
+	nodes  []nodeQuant
+	inputs []int // the graph's input node IDs
 
 	// Baseline crossbar contents after the init section, indexed by
 	// chip-global crossbar ID: the weight array (nil for a crossbar the init
@@ -113,11 +105,21 @@ type Image struct {
 	// image or to a sibling crossbar.
 	baseWeights [][]int64
 	baseProg    []xbProg
-	// perWord is, by node ID, the word format of the node's crossbar arrays:
-	// how many weight columns share a word (wordFormat, over the node's matrix
-	// rows and the wordlines one read of a crossbar may sum). 1 for a node
-	// without weights.
-	perWord []int
+}
+
+// nodeQuant is what an image fixes for one node at calibration time.
+type nodeQuant struct {
+	act tensor.QuantParams // output activation quantizer
+	// A CIM node's weight quantizer and quantized matrix (row-major
+	// rows × cols); qw is nil for a node without weights.
+	w          tensor.QuantParams
+	qw         []int32
+	rows, cols int
+	// per is the word format of the node's crossbar arrays: how many weight
+	// columns share a word (wordFormat, over the node's matrix rows and the
+	// wordlines one read of a crossbar may sum). 1 for a node without
+	// weights.
+	per int
 }
 
 // xbProg is what one crossbar holds — the record operand resolution keeps and
@@ -151,17 +153,10 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 	}
 	img := &Image{
 		g: g, a: a, lay: lay, res: res,
-		wScale:      map[int]tensor.QuantParams{},
-		actScale:    map[int]tensor.QuantParams{},
-		qweights:    map[int][]int32{},
-		wDims:       map[int][2]int{},
+		nodes:       make([]nodeQuant, len(g.Nodes)),
 		inputs:      g.InputIDs(),
 		baseWeights: make([][]int64, a.TotalCrossbars()),
 		baseProg:    make([]xbProg, a.TotalCrossbars()),
-		perWord:     make([]int, len(g.Nodes)),
-	}
-	for i := range img.perWord {
-		img.perWord[i] = 1
 	}
 	for i := range img.baseProg {
 		img.baseProg[i].Node = -1
@@ -172,35 +167,33 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		if i := tensor.FirstNonFinite(ref[n.ID]); i >= 0 {
 			return nil, fmt.Errorf("funcsim: calibration: node %d (%s) element %d is %v", n.ID, n.Name, i, ref[n.ID].Data()[i])
 		}
-		img.actScale[n.ID] = tensor.CalibrateQuant(ref[n.ID], a.ActBits)
+		img.nodes[n.ID] = nodeQuant{act: tensor.CalibrateQuant(ref[n.ID], a.ActBits), per: 1}
 	}
-	// Sorted so that when several weights are invalid, the reported error is
-	// always the lowest node ID's, not whichever the map yields first.
-	for _, id := range sortedTensorKeys(weights) {
-		w := weights[id]
-		n := g.MustNode(id)
+	if id, ok := lowestKey(weights, func(id int) bool { return id < 0 || id >= len(g.Nodes) }); ok {
+		return nil, fmt.Errorf("funcsim: weights for node %d, which graph %q does not have", id, g.Name)
+	}
+	// Node by node, so that when several weights are invalid the reported
+	// error is always the lowest node ID's.
+	for _, n := range g.Nodes {
+		w, ok := weights[n.ID]
+		if !ok {
+			continue
+		}
+		nq := &img.nodes[n.ID]
 		mat, err := weightMatrix(n, w)
 		if err != nil {
 			return nil, err
 		}
 		// The resolver bounds tiles by the graph's matrix; they index this one.
 		if rows, cols, _ := n.WeightMatrixDims(); mat.Dim(0) != rows || mat.Dim(1) != cols {
-			return nil, fmt.Errorf("funcsim: node %d: weight matrix is %dx%d, the graph declares %dx%d", id, mat.Dim(0), mat.Dim(1), rows, cols)
+			return nil, fmt.Errorf("funcsim: node %d: weight matrix is %dx%d, the graph declares %dx%d", n.ID, mat.Dim(0), mat.Dim(1), rows, cols)
 		}
-		q := tensor.CalibrateQuant(mat, a.WeightBits)
-		qv, err := tensor.Quantize(mat, q)
-		if err != nil {
+		nq.w = tensor.CalibrateQuant(mat, a.WeightBits)
+		if nq.qw, err = tensor.Quantize(mat, nq.w); err != nil {
 			return nil, err
 		}
-		img.wScale[id] = q
-		img.qweights[id] = qv
-		img.wDims[id] = [2]int{mat.Dim(0), mat.Dim(1)}
-		img.perWord[id] = wordFormat(mat.Dim(0), a.XB.Rows, a.WeightBits, a.ActBits)
-	}
-	img.base = make([]int64, len(g.Nodes))
-	img.size = make([]int64, len(g.Nodes))
-	for _, n := range g.Nodes {
-		img.base[n.ID], img.size[n.ID] = lay.Base[n.ID], lay.Size[n.ID]
+		nq.rows, nq.cols = mat.Dim(0), mat.Dim(1)
+		nq.per = wordFormat(nq.rows, a.XB.Rows, a.WeightBits, a.ActBits)
 	}
 	return img, nil
 }
@@ -391,13 +384,13 @@ func weightMatrix(n *graph.Node, w *tensor.Tensor) (*tensor.Tensor, error) {
 	return nil, fmt.Errorf("funcsim: node %d (%s) has no weight matrix", n.ID, n.Op)
 }
 
-// sortedTensorKeys returns the map's node IDs in ascending order so walks
-// over user-supplied tensor maps behave identically run to run.
-func sortedTensorKeys(m map[int]*tensor.Tensor) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// lowestKey returns the lowest key of m that bad holds for, if any, so that an
+// error naming one reads the same whichever order the map yields.
+func lowestKey(m map[int]*tensor.Tensor, bad func(int) bool) (low int, found bool) {
+	for id := range m {
+		if bad(id) && (!found || id < low) {
+			low, found = id, true
+		}
 	}
-	sort.Ints(ks)
-	return ks
+	return low, found
 }

@@ -1,6 +1,8 @@
 package funcsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -51,7 +53,7 @@ func endToEnd(t *testing.T, g *graph.Graph, a *arch.Arch, input *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckOutputs(g, m.TensorsOf(nodeIDs(g)), want, ref, tol); err != nil {
+	if err := checkOutputs(g, m.TensorsOf(nodeIDs(g)), want, ref, tol); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,4 +221,83 @@ func TestMachineRejectsBadOps(t *testing.T) {
 	if err := m.RunBody(badWin); err == nil {
 		t.Fatal("mov_window on relu accepted")
 	}
+}
+
+// TestNewImageRejectsStrayWeights: a weight keyed by no node of the graph —
+// past its last node or negative — is refused, naming the lowest such key,
+// and so is one on a node without a weight matrix.
+func TestNewImageRejectsStrayWeights(t *testing.T) {
+	g := models.MLP()
+	a := arch.PUMAAccelerator()
+	res, err := core.Compile(g, a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := codegen.Generate(g, a, res.Schedule, res.Placement, res.Model, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(g.MustNode(g.InputIDs()[0]).OutShape...)
+	in.Rand(5, 1)
+	calib := map[int]*tensor.Tensor{g.InputIDs()[0]: in}
+	relu := g.MustNode(2)
+	if relu.Op != graph.OpReLU {
+		t.Fatalf("node 2 is %s, want the ReLU", relu.Op)
+	}
+	for _, tc := range []struct {
+		stray []int
+		want  string
+	}{
+		{[]int{len(g.Nodes) + 5, len(g.Nodes) + 7, len(g.Nodes)}, fmt.Sprintf("weights for node %d, which graph", len(g.Nodes))},
+		{[]int{len(g.Nodes), -3}, "weights for node -3, which graph"},
+		{[]int{relu.ID}, "has no weight matrix"},
+	} {
+		w := graph.RandomWeights(g, 3)
+		for _, id := range tc.stray {
+			w[id] = tensor.New(4)
+		}
+		if _, err := NewImage(g, a, gen.Layout, w, calib); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("stray weights %v: %v, want %q", tc.stray, err, tc.want)
+		}
+	}
+}
+
+// checkOutputs verifies per-node flow outputs: got must match the quantized
+// reference want bit-exactly (CheckExact) and stay within floatTol of the
+// float reference ref, relative to each node output's max magnitude.
+func checkOutputs(g *graph.Graph, got, want, ref map[int]*tensor.Tensor, floatTol float64) error {
+	if err := CheckExact(g, got, want); err != nil {
+		return err
+	}
+	for _, n := range g.Nodes {
+		if n.Op == graph.OpInput {
+			continue
+		}
+		scale := maxAbs(ref[n.ID])
+		if scale == 0 {
+			scale = 1
+		}
+		d, err := tensor.MaxAbsDiff(got[n.ID], ref[n.ID])
+		if err != nil {
+			return fmt.Errorf("funcsim: node %d: %w", n.ID, err)
+		}
+		if d > floatTol*scale {
+			return fmt.Errorf("funcsim: node %d (%s %s): quantization error %g exceeds %g of max magnitude %g", n.ID, n.Name, n.Op, d, floatTol, scale)
+		}
+	}
+	return nil
+}
+
+func maxAbs(t *tensor.Tensor) float64 {
+	m := 0.0
+	for _, v := range t.Data() {
+		a := float64(v)
+		if a < 0 {
+			a = -a
+		}
+		if a > m {
+			m = a
+		}
+	}
+	return m
 }

@@ -66,7 +66,7 @@ func TestReadIntoForeignRegionIsAnError(t *testing.T) {
 		t.Fatalf("RunBody: %v, want a %s error naming %s", err, codegen.RuleRegionBounds, bad)
 	}
 	// Everything before the bad read ran; the read itself wrote nothing.
-	base, size := c.img.base[0], c.img.size[0]
+	base, size := c.img.lay.Region[0].Base, c.img.lay.Region[0].Size
 	if !slices.Equal(st.mem[base:base+size], loaded[base:base+size]) {
 		t.Error("the rejected read wrote into the input's region")
 	}

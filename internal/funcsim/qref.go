@@ -21,6 +21,7 @@ import (
 // the same before ProgramInit and after, and safe beside any run of the image.
 func (img *Image) Reference(inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
 	var body []mop.Op
+	reg := img.lay.Region
 	ids := make([]int, len(img.g.Nodes))
 	for i, n := range img.g.Nodes {
 		ids[i] = n.ID
@@ -30,11 +31,11 @@ func (img *Image) Reference(inputs map[int]*tensor.Tensor) (map[int]*tensor.Tens
 		case n.Op.CIMSupported():
 			body = append(body, mop.ReadCore{
 				OpType: string(n.Op), Node: n.ID, Core: 0,
-				Src: img.base[n.Inputs[0]], Dst: img.base[n.ID],
+				Src: reg[n.Inputs[0]].Base, Dst: reg[n.ID].Base,
 				WinStart: 0, WinCount: n.MVMCount(),
 			})
 		case n.Op == graph.OpFlatten || n.Op == graph.OpIdentity:
-			body = append(body, mop.Mov{Src: img.base[n.Inputs[0]], Dst: img.base[n.ID], Len: img.size[n.ID]})
+			body = append(body, mop.Mov{Src: reg[n.Inputs[0]].Base, Dst: reg[n.ID].Base, Len: reg[n.ID].Size})
 		default:
 			fn, ok := codegen.DcomFn(n.Op)
 			if !ok {
@@ -42,9 +43,9 @@ func (img *Image) Reference(inputs map[int]*tensor.Tensor) (map[int]*tensor.Tens
 			}
 			srcs := make([]int64, len(n.Inputs))
 			for j, in := range n.Inputs {
-				srcs[j] = img.base[in]
+				srcs[j] = reg[in].Base
 			}
-			body = append(body, mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: img.base[n.ID], Len: img.size[n.ID]})
+			body = append(body, mop.Dcom{Fn: fn, Node: n.ID, Srcs: srcs, Dst: reg[n.ID].Base, Len: reg[n.ID].Size})
 		}
 	}
 	cf, err := img.CompileBody(body)
@@ -75,44 +76,4 @@ func CheckExact(g *graph.Graph, got, want map[int]*tensor.Tensor) error {
 		}
 	}
 	return nil
-}
-
-// CheckOutputs verifies per-node flow outputs: got must match the quantized
-// reference want bit-exactly (CheckExact) and stay within floatTol of the
-// float reference ref, relative to each node output's max magnitude.
-func CheckOutputs(g *graph.Graph, got, want, ref map[int]*tensor.Tensor, floatTol float64) error {
-	if err := CheckExact(g, got, want); err != nil {
-		return err
-	}
-	for _, n := range g.Nodes {
-		if n.Op == graph.OpInput {
-			continue
-		}
-		scale := maxAbs(ref[n.ID])
-		if scale == 0 {
-			scale = 1
-		}
-		d, err := tensor.MaxAbsDiff(got[n.ID], ref[n.ID])
-		if err != nil {
-			return fmt.Errorf("funcsim: node %d: %w", n.ID, err)
-		}
-		if d > floatTol*scale {
-			return fmt.Errorf("funcsim: node %d (%s %s): quantization error %g exceeds %g of max magnitude %g", n.ID, n.Name, n.Op, d, floatTol, scale)
-		}
-	}
-	return nil
-}
-
-func maxAbs(t *tensor.Tensor) float64 {
-	m := 0.0
-	for _, v := range t.Data() {
-		a := float64(v)
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }

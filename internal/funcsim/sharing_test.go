@@ -71,7 +71,7 @@ func TestProgramInitSharesEqualCrossbars(t *testing.T) {
 				// One weight array per crossbar, in the word format of the node
 				// it holds, cut to the wordlines programmed.
 				node := img.baseProg[xb].Node
-				if per := img.perWord[node]; per == 1 || len(img.baseWeights[xb]) != int(img.baseProg[xb].Rows)*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), per) {
+				if per := img.nodes[node].per; per == 1 || len(img.baseWeights[xb]) != int(img.baseProg[xb].Rows)*wordsFor(img.a.XB.Cols/img.a.CellsPerWeight(), per) {
 					t.Fatalf("crossbar %d keeps %d weight words (node %d, %d columns to the word)", xb, len(img.baseWeights[xb]), node, per)
 				}
 				r, seen := first[s]
@@ -173,12 +173,12 @@ func TestBodyWriteReachesOneCopyOnly(t *testing.T) {
 				}
 				if xb == x {
 					for j := int64(0); j < nW; j++ {
-						fromX[dst+j*stride-img.base[conv]] = true
+						fromX[dst+j*stride-img.lay.Region[conv].Base] = true
 					}
 				}
 			}
-			if len(fromX) == 0 || int64(len(fromX)) == img.size[conv] {
-				t.Fatalf("crossbar %d produces %d of the conv's %d outputs: no split to test", x, len(fromX), img.size[conv])
+			if len(fromX) == 0 || int64(len(fromX)) == img.lay.Region[conv].Size {
+				t.Fatalf("crossbar %d produces %d of the conv's %d outputs: no split to test", x, len(fromX), img.lay.Region[conv].Size)
 			}
 
 			before := slices.Clone(img.baseWeights[x])
@@ -255,7 +255,7 @@ func TestBodyWriteExtendsSharedTile(t *testing.T) {
 			if !ok || full.Rows < 2 || full.Cols/s <= tc.per {
 				t.Fatalf("init[0] = %s: want a writexb of at least two wordlines and more than %d weight columns", c.flow.Init[0], tc.per)
 			}
-			per := img.perWord[full.Node]
+			per := img.nodes[full.Node].per
 			if per != tc.per {
 				t.Fatalf("the arch packs %d weight columns to the word of conv-relu's conv, want %d", per, tc.per)
 			}
@@ -292,7 +292,7 @@ func TestBodyWriteExtendsSharedTile(t *testing.T) {
 			if p := st.prog[x]; int(p.Rows) != full.Rows || int(p.WCols) != full.Cols/s || p.stride != img.a.XB.Rows {
 				t.Fatalf("crossbar %d holds %+v after extending %+v", x, p, img.baseProg[x])
 			}
-			qw, qcols := img.qweights[full.Node], img.wDims[full.Node][1]
+			qw, qcols := img.nodes[full.Node].qw, img.nodes[full.Node].cols
 			f := fieldBits(per)
 			for r := 0; r < img.a.XB.Rows; r++ {
 				for j := 0; j < per*wordsFor(img.a.XB.Cols/s, per); j++ {

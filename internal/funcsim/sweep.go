@@ -183,15 +183,10 @@ func (geo *winGeometry) gather(dst, in []int64, y0, x0 int) int64 {
 
 // geometryOf returns node's window geometry, built once per flow.
 func (cf *CompiledFlow) geometryOf(node int) *winGeometry {
-	if geo, ok := cf.geos[node]; ok {
-		return geo
+	if cf.geos[node] == nil {
+		cf.geos[node] = newWinGeometry(cf.img.g, cf.img.g.MustNode(node), cf.img.nodes[node].rows)
 	}
-	geo := newWinGeometry(cf.img.g, cf.img.g.MustNode(node), cf.img.wDims[node][0])
-	if cf.geos == nil {
-		cf.geos = make(map[int]*winGeometry)
-	}
-	cf.geos[node] = geo
-	return geo
+	return cf.geos[node]
 }
 
 // nodeMatrix is a CIM node's quantized weight matrix in the layout reads
@@ -206,12 +201,12 @@ type nodeMatrix struct {
 
 // matrixOf lays node's weight matrix out for readcore, once per flow.
 func (cf *CompiledFlow) matrixOf(node int) *nodeMatrix {
-	if m, ok := cf.matrices[node]; ok {
+	if m := cf.matrices[node]; m != nil {
 		return m
 	}
 	img := cf.img
 	a := img.a
-	qw, rows, cols := img.qweights[node], img.wDims[node][0], img.wDims[node][1]
+	qw, rows, cols := img.nodes[node].qw, img.nodes[node].rows, img.nodes[node].cols
 	per := wordFormat(rows, rows, a.WeightBits, a.ActBits)
 	m := &nodeMatrix{w: make([]int64, wordsFor(cols, per)*rows), per: int8(per), limit: -1}
 	if per > 1 {
@@ -221,9 +216,6 @@ func (cf *CompiledFlow) matrixOf(node int) *nodeMatrix {
 		for j, v := range qw[i*cols : (i+1)*cols] {
 			placeWeight(m.w, rows, i, j, int64(v), per)
 		}
-	}
-	if cf.matrices == nil {
-		cf.matrices = make(map[int]*nodeMatrix)
 	}
 	cf.matrices[node] = m
 	return m
@@ -383,7 +375,7 @@ ops:
 			// not outgrow what a packed field can sum; a lone read's never do, by
 			// the choice of the format.
 			if dstNode != kNode {
-				kNode, per, k = dstNode, img.perWord[dstNode], img.wDims[dstNode][0]
+				kNode, per, k = dstNode, img.nodes[dstNode].per, img.nodes[dstNode].rows
 			}
 			if len(cf.wins) == sw.win0 {
 				cf.wins = append(cf.wins, sweepWin{gdst: -1, lo: int32(len(cf.chains)), hi: int32(len(cf.chains))})
@@ -519,7 +511,7 @@ func (img *Image) coreSweep(sw *sweep, o mop.ReadCore, res codegen.Operands) {
 	sw.geo, sw.gsrc = cf.geometryOf(o.Node), o.Src
 	sw.rows = len(sw.geo.rel)
 	sw.pitch = sw.rows
-	sw.mat, sw.cols = cf.matrixOf(o.Node), int32(img.wDims[o.Node][1])
+	sw.mat, sw.cols = cf.matrixOf(o.Node), int32(img.nodes[o.Node].cols)
 	sw.settle, sw.mark, sw.dstNode = []int32{int32(res.RegionReads[0])}, 1, o.Node
 	// Output column j of window w lands at Dst + j·cj + w·cw.
 	cj, cw := codegen.OutGeometry(n)

@@ -60,8 +60,8 @@ func TestSweepsMatchOperatorByOperator(t *testing.T) {
 		return runOneLane(t, c, cf, nil)
 	}
 	slot := func(w int) int64 { return win(w)[0].(mop.MovWindow).Dst }
-	out := img.base[1]
-	chans := img.size[1] / 32 // words between the conv's output channels
+	out := img.lay.Region[1].Base
+	chans := img.lay.Region[1].Size / 32 // words between the conv's output channels
 	// The two halves of the weight matrix, as the init section cuts them — or
 	// shifted by a row — for window w's crossbars.
 	program := func(w, shift int) []mop.Op {
@@ -167,11 +167,11 @@ func TestSweepsMatchOperatorByOperator(t *testing.T) {
 				}
 			},
 			check: func(t *testing.T, lane []int64) {
-				cols := img.wDims[1][1]
+				cols := img.nodes[1].cols
 				for j := 0; j < cols; j++ {
 					var want int64
 					for i, a := range huge {
-						want += a * int64(img.qweights[1][i*cols+j])
+						want += a * int64(img.nodes[1].qw[i*cols+j])
 					}
 					if got := lane[out+7+int64(j)*chans]; got != want {
 						t.Fatalf("column %d over raw accumulators: %d, want %d", j, got, want)
@@ -731,7 +731,7 @@ func FuzzSweepInterleave(f *testing.F) {
 // 0's, over its columns 1 to 31.
 func TestSweepFencesOverlappingOutputs(t *testing.T) {
 	c := newLaneCell(t, convWide(), toyInMode(arch.WLM), 52, 8, programmed)
-	out, chans := c.img.base[1], c.img.size[1]/40
+	out, chans := c.img.lay.Region[1].Base, c.img.lay.Region[1].Size/40
 	var body []mop.Op
 	for w := 0; w < 4; w++ {
 		for _, op := range windowOps(t, c.cf.ops, w) {

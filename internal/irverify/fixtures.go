@@ -262,7 +262,7 @@ func Fixtures() []Fixture {
 			}
 			// Read the network output's buffer before anything wrote it.
 			out := st.g.Outputs()[0]
-			base := st.fr.Layout.Base[out]
+			base := st.fr.Layout.Region[out].Base
 			st.fr.Flow.Body = append([]mop.Op{mop.Mov{Src: base, Dst: base, Len: 1}}, st.fr.Flow.Body...)
 			return st, nil
 		}),
@@ -285,7 +285,7 @@ func Fixtures() []Fixture {
 				// Land a crossbar's columns in the input's region, not in the
 				// region of the node it is programmed with.
 				rd, ok := op.(mop.ReadXB)
-				rd.Dst, rd.DstStride = st.fr.Layout.Base[st.g.InputIDs()[0]], 1
+				rd.Dst, rd.DstStride = st.fr.Layout.Region[st.g.InputIDs()[0]].Base, 1
 				return rd, ok
 			})),
 		flowFixture("flow-dead-mop", RuleFlowDeadMOP, func() (*pipe, error) {
@@ -298,12 +298,11 @@ func Fixtures() []Fixture {
 			// buffer as the flow's very last act.
 			cim := st.g.CIMNodeIDs()[0]
 			in := st.g.InputIDs()[0]
-			scratch, ok := st.fr.Layout.Scratch[cim]
-			if !ok {
+			if st.fr.Layout.Scratch[cim].Size == 0 {
 				return nil, fmt.Errorf("fixture baseline: node %d has no scratch region", cim)
 			}
 			st.fr.Flow.Body = append(st.fr.Flow.Body,
-				mop.Mov{Src: st.fr.Layout.Base[in], Dst: scratch, Len: 1})
+				mop.Mov{Src: st.fr.Layout.Region[in].Base, Dst: st.fr.Layout.Scratch[cim].Base, Len: 1})
 			return st, nil
 		}),
 		flowFixture("flow-redundant-transfer", RuleFlowRedundant, func() (*pipe, error) {
@@ -338,7 +337,7 @@ func Fixtures() []Fixture {
 			body := st.fr.Flow.Body
 			at := slices.IndexFunc(body, func(op mop.Op) bool {
 				mv, ok := op.(mop.Mov)
-				return ok && mv.Src == st.fr.Layout.Base[second.Inputs[0]] && mv.Dst == st.fr.Layout.Scratch[second.ID]
+				return ok && mv.Src == st.fr.Layout.Region[second.Inputs[0]].Base && mv.Dst == st.fr.Layout.Scratch[second.ID].Base
 			})
 			if at < 0 {
 				return nil, fmt.Errorf("fixture baseline: no gather for node %d", second.ID)

@@ -215,10 +215,14 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *s
 		report(RuleMapCoverage, -1, "placement records %d/%d segments, schedule has %d", len(p.SegmentCores), len(p.SegmentXBs), nSegs)
 	}
 	// Coverage: every CIM node holds one extent, in its scheduled segment.
-	segOf, placed := map[int]int{}, map[int]int{}
+	// By node ID: 1 + the segment the schedule gives it (0 for none), and
+	// its extents.
+	segOf, placed := make([]int, len(g.Nodes)), make([]int, len(g.Nodes))
 	for segIdx, seg := range s.Segments {
 		for _, id := range seg {
-			segOf[id] = segIdx
+			if id >= 0 && id < len(segOf) {
+				segOf[id] = segIdx + 1
+			}
 		}
 	}
 	for _, e := range p.Extents {
@@ -227,7 +231,7 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *s
 			continue
 		}
 		placed[e.Node]++
-		if seg, ok := segOf[e.Node]; !ok || seg != e.Segment {
+		if seg := segOf[e.Node]; seg == 0 || seg != e.Segment+1 {
 			report(RuleMapCoverage, e.Node, "placed in segment %d, not in the one the schedule gives it", e.Segment)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -126,6 +128,27 @@ func TestExecutorRejectsWhatVerifierRejects(t *testing.T) {
 	}
 }
 
+// TestShortLayoutTable: a layout whose region table stops short of the graph
+// leaves its last node without a region, which the verifier and the executor
+// both report under the region-bounds rule instead of indexing past the table.
+func TestShortLayoutTable(t *testing.T) {
+	st, err := buildPipeOn(models.MLP(), arch.XBM, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := st.fr.Layout
+	last := len(lay.Region) - 1
+	lay.Region = lay.Region[:last]
+	vs := VerifyFlow(st.g, st.a, st.fr)
+	if len(vs) == 0 || vs[0].Rule != RuleFlowRegionBounds || vs[0].Node != last || !strings.Contains(vs[0].Msg, "no layout region") {
+		t.Fatalf("verifier: %v, want node %d without a layout region first", vs, last)
+	}
+	var oe *codegen.OperandError
+	if err := execute(st); !errors.As(err, &oe) || oe.Rule != RuleFlowRegionBounds {
+		t.Fatalf("executor: %v, want an operand error of rule %s", err, RuleFlowRegionBounds)
+	}
+}
+
 // intOperands returns pointers to every integer operand of a leaf operator
 // held in an addressable reflect.Value.
 func intOperands(v reflect.Value) []reflect.Value {
@@ -179,13 +202,34 @@ func overwrite(flow *mop.Flow, leaf, field int, value int64) (was, now mop.Op) {
 	return was, now
 }
 
+// overwriteLayout sets the Base (even field) or Size (odd field) of one entry
+// of the layout's tables (modulo their entries, node regions first, then
+// scratch areas) to value, and names the entry and its old value.
+func overwriteLayout(lay *codegen.Layout, entry, field int, value int64) string {
+	areas := append(slices.Clone(lay.Region), lay.Scratch...)
+	i := entry % len(areas)
+	table, id := "region", i
+	if i >= len(lay.Region) {
+		table, id = "scratch", i-len(lay.Region)
+	}
+	was := areas[i]
+	if field%2 == 0 {
+		areas[i].Base = value
+	} else {
+		areas[i].Size = value
+	}
+	lay.Region, lay.Scratch = areas[:len(lay.Region)], areas[len(lay.Region):]
+	return fmt.Sprintf("%s of node %d %+v → %+v", table, id, was, areas[i])
+}
+
 // FuzzFlowOperands is the operand calculus' agreement contract: overwrite one
-// integer operand of one operator of a clean flow, and the verifier and the
-// executor — which resolve operands through the same code — must agree.
-// Nothing panics; a flow the verifier accepts programs, compiles and runs; and
-// a flow the verifier rejects runs only when every rule it broke is a
-// dataflow rule (use-before-def, parallel-conflict, scratch-overlap,
-// output-undefined), which the executor does not compute.
+// integer of a clean flow — an operand of one of its operators or, with
+// layout set, the base or size of one entry of its layout's tables — and the
+// verifier and the executor, which resolve operands and layouts through the
+// same code, must agree. Nothing panics; a flow the verifier accepts
+// programs, compiles and runs; and a flow the verifier rejects runs only when
+// every rule it broke is a dataflow rule (use-before-def, parallel-conflict,
+// scratch-overlap, output-undefined), which the executor does not compute.
 func FuzzFlowOperands(f *testing.F) {
 	// (model, mode, leaf, operand, value): the four flows that used to split
 	// the two — readxb dst=0, dcom dst=0, readcore src+5, mov_window
@@ -214,7 +258,7 @@ func FuzzFlowOperands(f *testing.F) {
 					visit(par.Body)
 				} else if !found {
 					if found = seed.match(op); found {
-						f.Add(uint8(0), seed.mode, uint16(leaf), seed.field, seed.value(op))
+						f.Add(uint8(0), seed.mode, false, uint16(leaf), seed.field, seed.value(op))
 					}
 					leaf++
 				}
@@ -226,17 +270,30 @@ func FuzzFlowOperands(f *testing.F) {
 			f.Fatalf("the %s flow has no operator for its seed", modes[seed.mode])
 		}
 	}
-	f.Add(uint8(1), uint8(2), uint16(9), uint8(1), int64(-1))
-	f.Add(uint8(1), uint8(1), uint16(40), uint8(3), int64(1)<<40)
-	f.Fuzz(func(t *testing.T, modelB, modeB uint8, leaf uint16, field uint8, value int64) {
+	f.Add(uint8(1), uint8(2), false, uint16(9), uint8(1), int64(-1))
+	f.Add(uint8(1), uint8(1), false, uint16(40), uint8(3), int64(1)<<40)
+	// Layout entries of mlp (input, fc_1, relu, fc_2, ...): an output region
+	// moved onto another, one resized, a scratch area cut to nothing, one
+	// moved into node space, one grown past the layout.
+	f.Add(uint8(1), uint8(1), true, uint16(1), uint8(0), int64(0))
+	f.Add(uint8(1), uint8(2), true, uint16(2), uint8(1), int64(3))
+	f.Add(uint8(1), uint8(1), true, uint16(7), uint8(1), int64(0))
+	f.Add(uint8(0), uint8(2), true, uint16(4), uint8(0), int64(5))
+	f.Add(uint8(0), uint8(1), true, uint16(4), uint8(1), int64(1)<<20)
+	f.Fuzz(func(t *testing.T, modelB, modeB uint8, layout bool, leaf uint16, field uint8, value int64) {
 		model := []func() *graph.Graph{models.ConvReLU, models.MLP}[int(modelB)%2]
 		mode := modes[int(modeB)%len(modes)]
 		st, err := buildPipeOn(model(), mode, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		was, now := overwrite(st.fr.Flow, int(leaf), int(field), value)
-		what := fmt.Sprintf("%s → %s", was, now)
+		var what string
+		if layout {
+			what = overwriteLayout(st.fr.Layout, int(leaf), int(field), value)
+		} else {
+			was, now := overwrite(st.fr.Flow, int(leaf), int(field), value)
+			what = fmt.Sprintf("%s → %s", was, now)
+		}
 		vs := VerifyFlow(st.g, st.a, st.fr)
 		err = execute(st)
 		switch {

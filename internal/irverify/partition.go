@@ -2,7 +2,6 @@ package irverify
 
 import (
 	"fmt"
-	"sort"
 
 	"cimmlc/internal/graph"
 	"cimmlc/internal/partition"
@@ -74,25 +73,22 @@ func VerifyPartition(p *partition.Plan) []Violation {
 				add(RulePartTarget, gid, "host-only op %s assigned to CIM subgraph %d", n.Op, s.Index)
 			}
 		}
-		// LocalOf/GlobalOf must be mutual inverses covering every real node.
-		lids := make([]int, 0, len(s.GlobalOf))
-		for lid := range s.GlobalOf {
-			lids = append(lids, lid)
+		// LocalOf/GlobalOf must be mutual inverses covering every real node
+		// and every local one.
+		if s.G != nil && len(s.GlobalOf) != len(s.G.Nodes) {
+			add(RulePartLocal, -1, "subgraph %d: GlobalOf covers %d of %d local nodes", s.Index, len(s.GlobalOf), len(s.G.Nodes))
 		}
-		sort.Ints(lids)
-		for _, lid := range lids {
-			gid := s.GlobalOf[lid]
-			if l, ok := s.LocalOf[gid]; !ok || l != lid {
+		for lid, gid := range s.GlobalOf {
+			if gid < 0 || gid >= len(s.LocalOf) || s.LocalOf[gid] != lid {
 				add(RulePartLocal, gid, "subgraph %d: GlobalOf[%d]=%d but LocalOf inverse missing", s.Index, lid, gid)
 			}
 		}
 		for _, gid := range s.NodeIDs {
-			lid, ok := s.LocalOf[gid]
-			if !ok {
+			if gid < 0 || gid >= len(s.LocalOf) || s.LocalOf[gid] < 0 {
 				add(RulePartLocal, gid, "subgraph %d: real node missing from LocalOf", s.Index)
 				continue
 			}
-			if s.G == nil || lid < 0 || lid >= len(s.G.Nodes) {
+			if lid := s.LocalOf[gid]; s.G == nil || lid >= len(s.G.Nodes) {
 				add(RulePartLocal, gid, "subgraph %d: local ID %d out of range", s.Index, lid)
 			}
 		}

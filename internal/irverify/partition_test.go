@@ -145,12 +145,27 @@ func TestVerifyPartitionCutEdges(t *testing.T) {
 	})
 }
 
+// TestVerifyPartitionLocalMap breaks the local maps one way at a time: an
+// entry dropped or pointing elsewhere, and either table cut short.
 func TestVerifyPartitionLocalMap(t *testing.T) {
-	p := mixedPlan(t)
-	s := p.Subs[0]
-	delete(s.LocalOf, s.NodeIDs[0])
-	vs := VerifyPartition(p)
-	if !strings.Contains(rules(vs), RulePartLocal) {
-		t.Fatalf("broken local map not flagged; got %s", rules(vs))
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *partition.Subgraph)
+	}{
+		{"local-dropped", func(s *partition.Subgraph) { s.LocalOf[s.NodeIDs[0]] = -1 }},
+		{"local-moved", func(s *partition.Subgraph) { s.LocalOf[s.NodeIDs[0]] = s.LocalOf[s.NodeIDs[1]] }},
+		{"local-short", func(s *partition.Subgraph) { s.LocalOf = s.LocalOf[:s.NodeIDs[0]] }},
+		{"global-short", func(s *partition.Subgraph) { s.GlobalOf = s.GlobalOf[:len(s.GlobalOf)-1] }},
+	} {
+		p := mixedPlan(t)
+		tc.corrupt(p.Subs[0])
+		for _, v := range VerifyPartition(p) {
+			if v.Rule != RulePartLocal {
+				t.Errorf("%s: flagged %s", tc.name, v)
+			}
+		}
+		if vs := VerifyPartition(p); len(vs) == 0 {
+			t.Errorf("%s: broken local map not flagged", tc.name)
+		}
 	}
 }

@@ -29,6 +29,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cimmlc/internal/arch"
@@ -77,12 +78,13 @@ type Subgraph struct {
 	Chip    int
 	G       *graph.Graph // extracted graph (synthetic inputs + real nodes)
 	NodeIDs []int        // global IDs of the real nodes, ascending
-	// LocalOf maps global node IDs to local IDs in G. It covers the real
-	// nodes and the external producers feeding the synthetic inputs.
-	LocalOf map[int]int
-	// GlobalOf is the inverse of LocalOf (synthetic inputs map back to
-	// their external producer's global ID).
-	GlobalOf map[int]int
+	// LocalOf maps a global node ID to its local ID in G, -1 for a node
+	// outside the subgraph. It covers the real nodes and the external
+	// producers feeding the synthetic inputs.
+	LocalOf []int
+	// GlobalOf is the inverse of LocalOf, indexed by local ID (synthetic
+	// inputs map back to their external producer's global ID).
+	GlobalOf []int
 	// Exports lists the local IDs whose values leave the subgraph — they
 	// feed a later subgraph or are outputs of the full graph. Ascending.
 	Exports []int
@@ -104,7 +106,15 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 	if err := gc.InferShapes(); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	force := make(map[int]bool, len(opts.ForceHost))
+	tgt := make([]graph.Target, len(gc.Nodes))
+	chip := make([]int, len(gc.Nodes))
+	for _, n := range gc.Nodes {
+		if n.Op.HostOnly() {
+			tgt[n.ID] = graph.TargetHost
+		} else {
+			tgt[n.ID] = graph.TargetCIM
+		}
+	}
 	for _, id := range opts.ForceHost {
 		if id < 0 || id >= len(gc.Nodes) {
 			return nil, fmt.Errorf("partition: ForceHost id %d out of range [0,%d)", id, len(gc.Nodes))
@@ -112,17 +122,7 @@ func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 		if gc.Nodes[id].Op == graph.OpInput {
 			return nil, fmt.Errorf("partition: ForceHost id %d is an Input node", id)
 		}
-		force[id] = true
-	}
-
-	tgt := make([]graph.Target, len(gc.Nodes))
-	chip := make([]int, len(gc.Nodes))
-	for _, n := range gc.Nodes {
-		if n.Op.HostOnly() || force[n.ID] {
-			tgt[n.ID] = graph.TargetHost
-		} else {
-			tgt[n.ID] = graph.TargetCIM
-		}
+		tgt[id] = graph.TargetHost
 	}
 	if opts.Chip != nil {
 		if err := fillChips(gc, opts.Chip, opts.MaxChips, tgt, chip); err != nil {
@@ -270,7 +270,8 @@ func assemble(gc *graph.Graph, runs []run) (*Plan, error) {
 	}
 
 	plan := &Plan{Graph: gc}
-	seenTransfer := map[[2]int]bool{} // {producer global ID, consumer sub}
+	// lastTo[id] is 1 + the latest subgraph that took a transfer of node id.
+	lastTo := make([]int, len(gc.Nodes))
 	for i, r := range runs {
 		sub, err := extract(gc, i, r, subOf, consumedLater, isOutput)
 		if err != nil {
@@ -279,14 +280,10 @@ func assemble(gc *graph.Graph, runs []run) (*Plan, error) {
 		plan.Subs = append(plan.Subs, sub)
 		for _, gid := range r.ids {
 			for _, in := range gc.Nodes[gid].Inputs {
-				if subOf[in] == i {
+				if subOf[in] == i || lastTo[in] == i+1 {
 					continue
 				}
-				key := [2]int{in, i}
-				if seenTransfer[key] {
-					continue
-				}
-				seenTransfer[key] = true
+				lastTo[in] = i + 1
 				plan.Transfers = append(plan.Transfers, Transfer{
 					FromNode: in,
 					FromSub:  subOf[in],
@@ -317,35 +314,31 @@ func LinkBetween(from, to *Subgraph) perfsim.Link {
 // nodes in global-ID order with remapped input references.
 func extract(gc *graph.Graph, idx int, r run, subOf []int, consumedLater, isOutput []bool) (*Subgraph, error) {
 	ids := r.ids
-	sub := &Subgraph{
-		Index:    idx,
-		Target:   r.target,
-		Chip:     r.chip,
-		NodeIDs:  append([]int(nil), ids...),
-		LocalOf:  map[int]int{},
-		GlobalOf: map[int]int{},
-	}
-	sg := graph.New(fmt.Sprintf("%s.p%d.%s", gc.Name, idx, r.target))
-
-	inRun := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		inRun[id] = true
-	}
 	var externals []int
-	seenExt := map[int]bool{}
 	for _, gid := range ids {
 		for _, in := range gc.Nodes[gid].Inputs {
-			if !inRun[in] && !seenExt[in] {
-				seenExt[in] = true
+			if subOf[in] != idx {
 				externals = append(externals, in)
 			}
 		}
 	}
-	sort.Ints(externals)
+	slices.Sort(externals)
+	externals = slices.Compact(externals)
+	sub := &Subgraph{
+		Index:    idx,
+		Target:   r.target,
+		Chip:     r.chip,
+		NodeIDs:  slices.Clone(ids),
+		LocalOf:  make([]int, len(gc.Nodes)),
+		GlobalOf: make([]int, len(externals)+len(ids)),
+	}
+	for gid := range sub.LocalOf {
+		sub.LocalOf[gid] = -1
+	}
+	sg := graph.New(fmt.Sprintf("%s.p%d.%s", gc.Name, idx, r.target))
 	for _, ext := range externals {
 		lid := sg.AddInput(fmt.Sprintf("in_n%d", ext), gc.Nodes[ext].OutShape...)
-		sub.LocalOf[ext] = lid
-		sub.GlobalOf[lid] = ext
+		sub.LocalOf[ext], sub.GlobalOf[lid] = lid, ext
 	}
 	for _, gid := range ids {
 		n := gc.Nodes[gid]
@@ -355,16 +348,13 @@ func extract(gc *graph.Graph, idx int, r run, subOf []int, consumedLater, isOutp
 		} else {
 			inputs := make([]int, len(n.Inputs))
 			for i, in := range n.Inputs {
-				l, ok := sub.LocalOf[in]
-				if !ok {
+				if inputs[i] = sub.LocalOf[in]; inputs[i] < 0 {
 					return nil, fmt.Errorf("partition: subgraph %d: node %d input %d unmapped", idx, gid, in)
 				}
-				inputs[i] = l
 			}
 			lid = sg.AddNode(n.Name, n.Op, inputs, n.Attr, n.WeightShape)
 		}
-		sub.LocalOf[gid] = lid
-		sub.GlobalOf[lid] = gid
+		sub.LocalOf[gid], sub.GlobalOf[lid] = lid, gid
 	}
 	if err := sg.InferShapes(); err != nil {
 		return nil, fmt.Errorf("partition: subgraph %d: %w", idx, err)

@@ -52,24 +52,17 @@ func TestGeneratedFlowIsLean(t *testing.T) {
 					}
 					lay := st.fr.Layout
 					var nodeWords, arena int64
-					for _, sz := range lay.Size {
-						nodeWords += sz
+					for _, r := range lay.Region {
+						nodeWords += r.Size
 					}
-					if mode == CM {
-						if len(lay.Scratch) != 0 || len(lay.ScratchSize) != 0 || lay.Total != nodeWords {
-							t.Errorf("%s stage %d: CM layout maps %d scratch areas and %d words, want none and the %d node words", cell, i, len(lay.Scratch), lay.Total, nodeWords)
+					if len(lay.Scratch) != len(gc.Nodes) {
+						t.Fatalf("%s stage %d: scratch table of %d entries for %d nodes", cell, i, len(lay.Scratch), len(gc.Nodes))
+					}
+					for id, area := range lay.Scratch {
+						if gather := mode != CM && gc.Nodes[id].Op.CIMSupported(); gather != (area.Size > 0) || gather && area.Base != nodeWords {
+							t.Errorf("%s stage %d: node %d scratch %+v, want the arena at %d for CIM nodes alone, none in CM", cell, i, id, area, nodeWords)
 						}
-						continue
-					}
-					for _, id := range gc.CIMNodeIDs() {
-						base, ok := lay.Scratch[id]
-						if !ok || base != nodeWords {
-							t.Errorf("%s stage %d: node %d scratch at %d (mapped %t), want the arena at %d", cell, i, id, base, ok, nodeWords)
-						}
-						arena = max(arena, lay.ScratchSize[id])
-					}
-					if len(lay.Scratch) != len(gc.CIMNodeIDs()) {
-						t.Errorf("%s stage %d: %d scratch areas for %d CIM nodes", cell, i, len(lay.Scratch), len(gc.CIMNodeIDs()))
+						arena = max(arena, area.Size)
 					}
 					if lay.Total != nodeWords+arena {
 						t.Errorf("%s stage %d: layout of %d words, want %d node words + a %d-word arena", cell, i, lay.Total, nodeWords, arena)

@@ -299,13 +299,14 @@ func stagePlan(g *Graph, res *Result) (*partition.Plan, []core.SubResult, error)
 
 // wholePlan returns the one-stage plan of a monolithic compilation: g itself
 // (already shape-inferred) as the only subgraph, local node IDs equal to the
-// global ones, nothing transferred.
+// global ones — one identity table serves as its nodes and both maps —
+// nothing transferred.
 func wholePlan(g *Graph) *partition.Plan {
-	sub := &partition.Subgraph{Target: TargetCIM, G: g, LocalOf: map[int]int{}, GlobalOf: map[int]int{}, Exports: g.Outputs()}
-	for id := range g.Nodes {
-		sub.NodeIDs = append(sub.NodeIDs, id)
-		sub.LocalOf[id], sub.GlobalOf[id] = id, id
+	ids := make([]int, len(g.Nodes))
+	for id := range ids {
+		ids[id] = id
 	}
+	sub := &partition.Subgraph{Target: TargetCIM, G: g, NodeIDs: ids, LocalOf: ids, GlobalOf: ids, Exports: g.Outputs()}
 	return &partition.Plan{Graph: g, Subs: []*partition.Subgraph{sub}}
 }
 
