@@ -3,6 +3,7 @@ package cimmlc
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -175,6 +176,59 @@ func TestCompileHugeGrid(t *testing.T) {
 	t.Logf("lenet5 on %d cores: Result keeps %.3f MB, Compile allocated %.3f MB", a.Chip.CoreCount(), resident, alloc)
 	if resident > 1 || alloc > 1 {
 		t.Errorf("Compile on a 2^20 × 2^20 grid kept %.3f MB and allocated %.3f MB, want ≤ 1 each", resident, alloc)
+	}
+}
+
+// TestBuildHugeGrid: what Build keeps per crossbar — the image's baseline
+// records and arrays, the flow verifier's records — is sized by the crossbars
+// the placement uses, not by the chip. On TestCompileHugeGrid's 2^20 × 2^20
+// isaac grid (2^44 crossbars) lenet5 takes a few hundred, so its Build stays
+// within a few megabytes and runs like the same Build on the stock chip; a
+// table per chip crossbar would be an out-of-memory crash.
+func TestBuildHugeGrid(t *testing.T) {
+	g, err := Model("lenet5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stock, err := Preset("isaac-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := stock.Clone()
+	a.Name = "isaac-huge"
+	a.Chip.CoreRows, a.Chip.CoreCols = 1<<20, 1<<20
+	c, err := New(a, WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := RandomWeights(g, 1)
+	p, resident, alloc := measureBuild(t, c, g, w)
+	runtime.KeepAlive(p)
+	t.Logf("lenet5 on %d crossbars: Program keeps %.3f MB, Build allocated %.3f MB", a.TotalCrossbars(), resident, alloc)
+	if resident > 8 || alloc > 64 {
+		t.Errorf("Build on a 2^20 × 2^20 grid kept %.3f MB and allocated %.3f MB, want ≤ 8 and ≤ 64", resident, alloc)
+	}
+	sc, err := New(stock, WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sc.Build(context.Background(), g, w, CodegenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := mixedTestInput(g, 2)
+	got, err := p.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, tw := range want {
+		if !slices.Equal(got[id].Data(), tw.Data()) {
+			t.Errorf("output %d differs from the stock chip's", id)
+		}
 	}
 }
 

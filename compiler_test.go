@@ -9,7 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"cimmlc/internal/arch"
 	"cimmlc/internal/core"
+	"cimmlc/internal/mapping"
+	"cimmlc/internal/perfsim"
 )
 
 // TestCompilerMatchesLegacy checks that the Compiler — private graph and
@@ -581,5 +584,148 @@ func TestCompilerTrace(t *testing.T) {
 	}
 	if ran[len(ran)-1] != "cache-hit" {
 		t.Fatalf("cache hit not traced: %v", ran)
+	}
+}
+
+// TestReportOccupancyIsTheSchedules: the simulate pass takes its per-segment
+// cores and crossbars from the placement rather than folding the schedule a
+// second time, so on every compile-zoo cell the Report must still count what
+// mapping.Occupancy derives from the final schedule.
+func TestReportOccupancyIsTheSchedules(t *testing.T) {
+	for _, preset := range arch.PresetNames() {
+		a, err := Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(a, WithCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range compileGridModels {
+			g, err := Model(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Compile(context.Background(), g)
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			s := res.Schedule
+			cores, xbs, err := mapping.Occupancy(context.Background(), s.Graph, s.Arch, res.Model.FPs, s.Dup, s.Remap, s.Segments)
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			wantCores, wantXBs := 0, 0
+			for seg := range cores {
+				wantCores, wantXBs = max(wantCores, cores[seg]), wantXBs+xbs[seg]
+			}
+			if res.Report.CoresUsed != wantCores || res.Report.XBsUsed != wantXBs {
+				t.Errorf("%s.%s: report uses %d cores / %d crossbars, the schedule occupies %d / %d",
+					model, preset, res.Report.CoresUsed, res.Report.XBsUsed, wantCores, wantXBs)
+			}
+		}
+	}
+}
+
+// dupPass rewrites the schedule after placement: it sets the first
+// duplicated CIM node back to one copy, in place.
+type dupPass struct{ node int }
+
+func (*dupPass) Name() string              { return "undup" }
+func (*dupPass) Applicable(arch.Mode) bool { return true }
+func (p *dupPass) Run(_ context.Context, pc *PassContext) error {
+	for _, id := range pc.Graph.CIMNodeIDs() {
+		if pc.Schedule.DupOf(id) > 1 {
+			pc.Schedule.Dup[id], p.node = 1, id
+			return nil
+		}
+	}
+	return fmt.Errorf("no duplicated CIM node")
+}
+
+// TestPassAfterPlacementGetsItsReport: a user pass after placement may change
+// the schedule the placement was made from; the Report must then follow the
+// changed schedule — its occupancy folded again — not the stale placement.
+func TestPassAfterPlacementGetsItsReport(t *testing.T) {
+	a, err := Preset("puma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Model("lenet5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(a, WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := plain.Compile(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The verifier would rightly flag the placement as drifted from the
+	// schedule; this pipeline means to leave it so.
+	p := &dupPass{}
+	c, err := New(a, WithCache(0), WithPass(PassPlace, p), WithoutVerifyIR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Compile(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placement.Holds(res.Schedule.Graph, res.Model.FPs, res.Schedule.Dup, res.Schedule.Remap, res.Schedule.Segments) {
+		t.Fatal("the placement still holds the schedule the pass changed")
+	}
+	want, err := perfsim.SimulateWithModel(res.Schedule, res.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Report, want) {
+		t.Fatalf("report after the pass uses %d cores / %d crossbars in %v cycles, the changed schedule %d / %d in %v",
+			res.Report.CoresUsed, res.Report.XBsUsed, res.Report.Cycles, want.CoresUsed, want.XBsUsed, want.Cycles)
+	}
+	if res.Report.XBsUsed >= before.Report.XBsUsed {
+		t.Fatalf("undoing node %d's copies left %d crossbars of %d", p.node, res.Report.XBsUsed, before.Report.XBsUsed)
+	}
+}
+
+// TestCompileAllocs bounds the allocations of one Compile with the cache
+// off, the benchmark's setting: the compiler copies the caller's graph in a
+// constant number of allocations and infers its shapes into that copy, so a
+// per-node copy creeping back (four allocations per node: 52 on lenet5, 736
+// on vit-base) breaks the bound. Allocation counts differ under -race.
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, tc := range []struct {
+		model, arch string
+		max         float64
+	}{
+		{"lenet5", "puma", 75},
+		{"vit-base", "toy-table2", 1150},
+	} {
+		g, err := Model(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Preset(tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(a, WithCache(0), WithoutVerifyIR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cerr error
+		n := testing.AllocsPerRun(10, func() { _, cerr = c.Compile(context.Background(), g) })
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		t.Logf("%s.%s: %.0f allocations per Compile", tc.model, tc.arch, n)
+		if n > tc.max {
+			t.Errorf("%s.%s: %.0f allocations per Compile, want ≤ %.0f", tc.model, tc.arch, n, tc.max)
+		}
 	}
 }

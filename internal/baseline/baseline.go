@@ -39,9 +39,16 @@ func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 // chipModel is the cost model of a baseline that maps the whole graph onto
 // the chip. A baseline has no host to offload to, so it refuses a host-only
 // operator exactly as the compiler does without host fallback, instead of
-// pricing it as a chip operator.
+// pricing it as a chip operator. It validates a and g and infers g's shapes
+// (into g), which cost.New leaves to its caller.
 func chipModel(g *graph.Graph, a *arch.Arch) (*cost.Model, error) {
 	if err := core.RequireCIMLowering(g); err != nil {
+		return nil, err
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if err := g.InferShapes(); err != nil {
 		return nil, err
 	}
 	return cost.New(g, a)

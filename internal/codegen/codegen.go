@@ -45,6 +45,11 @@ type Layout struct {
 	Scratch []Area
 	// Total is the number of words the flow addresses.
 	Total int64
+	// XBs is one past the highest crossbar the placement gives a tile
+	// (mapping.Placement.XBSpan): the crossbars the flow may program or read,
+	// and so the crossbar records an executor keeps — on a chip far larger
+	// than the model, far fewer than the chip holds.
+	XBs int
 }
 
 // Area is a run of Size words from Base.
@@ -67,6 +72,7 @@ func Generate(g *graph.Graph, a *arch.Arch, s *sched.Schedule, p *mapping.Placem
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	lay := buildLayout(g, a, m, s)
+	lay.XBs = p.XBSpan()
 	e := &emitter{
 		g: g, a: a, s: s, p: p, m: m, lay: lay,
 		maxWin: opt.MaxWindowsPerOp,

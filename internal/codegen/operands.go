@@ -155,6 +155,7 @@ type Resolver struct {
 	g     *graph.Graph
 	a     *arch.Arch
 	total int64
+	xbs   int // crossbars the layout places tiles on: Layout.XBs within the chip
 
 	regions []Region // node regions, then scratch, stably sorted by base
 	nodes   []int    // indices into regions of the node regions, by base
@@ -169,7 +170,7 @@ type Resolver struct {
 // analysis' word-level owner attribution catches an actual clash). The graph
 // must be shape-inferred. With errors returned the resolver is not usable.
 func NewResolver(g *graph.Graph, a *arch.Arch, lay *Layout) (*Resolver, []*OperandError) {
-	r := &Resolver{g: g, a: a, total: lay.Total, ofNode: make([]int, len(g.Nodes))}
+	r := &Resolver{g: g, a: a, total: lay.Total, xbs: min(max(lay.XBs, 0), a.TotalCrossbars()), ofNode: make([]int, len(g.Nodes))}
 	var errs []*OperandError
 	if lay.Total < 0 || lay.Total > math.MaxInt64/int64(max(a.XB.Cols, 1)) {
 		// A crossbar's columns times a stride within the layout must not overflow.
@@ -387,8 +388,16 @@ func (r *Resolver) checkXB(xb int) error {
 	if n := r.a.TotalCrossbars(); xb < 0 || xb >= n {
 		return operandErr(RuleEndpoint, -1, "crossbar %d outside the chip's %d crossbars", xb, n)
 	}
+	if xb >= r.xbs {
+		return operandErr(RuleEndpoint, -1, "crossbar %d past the %d crossbars the layout places tiles on", xb, r.xbs)
+	}
 	return nil
 }
+
+// XBs returns how many crossbars, from crossbar 0, an operator may program or
+// read: Layout.XBs bounded by the chip. An executor's crossbar tables need no
+// more entries.
+func (r *Resolver) XBs() int { return r.xbs }
 
 // Program records tile write w in the crossbar's record and reports whether it
 // starts a new tile: a write whose (node, row delta, cell column offset)

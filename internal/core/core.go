@@ -77,8 +77,12 @@ type Result struct {
 	Partition *PartitionInfo
 }
 
-// Compile runs the multi-level scheduling workflow on one chip.
+// Compile runs the multi-level scheduling workflow on one chip. Like
+// CompilePasses it infers g's shapes into g itself; it validates g first.
 func Compile(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	var extras []Insertion
 	if opt.Tune != nil {
 		extras = append(extras, Insertion{After: PassVVM, Pass: TunePass()})
@@ -94,6 +98,11 @@ func Compile(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 // PassContext, reporting each step to trace (which may be nil). It is the
 // entry point the public Compiler uses so one validated pipeline can be
 // shared by many concurrent compilations.
+//
+// g must be valid (graph.Validate), which CompilePasses does not check
+// again, and be the compilation's own: its shapes are inferred into it, once,
+// and the Result's schedule refers to it. The public Compiler hands it a
+// private Clone of its caller's graph.
 //
 // cut selects the partitioner's policies. A graph the cutter leaves whole —
 // nothing for the host, and either no chip policy or a footprint that fits
@@ -155,12 +164,14 @@ func verifyInput(g *graph.Graph, opt Options) error {
 }
 
 // compileSingle runs the single-target (pure CIM) pipeline — the paper's
-// workflow, unchanged by the multi-target refactor.
+// workflow, unchanged by the multi-target refactor. g is valid and a
+// validated: this is where the compilation infers g's shapes, the one time it
+// does, before the cost model reads them.
 func compileSingle(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
 	if err := verifyInput(g, opt); err != nil {
 		return nil, err
 	}
-	if err := g.InferShapes(); err != nil {
+	if err := g.InferValidShapes(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m, err := cost.New(g, a)

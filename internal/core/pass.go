@@ -244,13 +244,16 @@ func (placePass) Run(ctx context.Context, pc *PassContext) error {
 	return nil
 }
 
-// simulatePass runs the schedule through the performance simulator.
+// simulatePass runs the schedule through the performance simulator. The
+// cores and crossbars it reports are the placement's when the placement is
+// still the schedule's; a user pass after placement that changed a decision
+// gets them folded from the changed schedule.
 type simulatePass struct{}
 
 func (simulatePass) Name() string              { return PassSimulate }
 func (simulatePass) Applicable(arch.Mode) bool { return true }
 func (simulatePass) Run(ctx context.Context, pc *PassContext) error {
-	rep, err := perfsim.SimulateWithModelCtx(ctx, pc.Schedule, pc.Model)
+	rep, err := perfsim.SimulateWithModelCtx(ctx, pc.Schedule, pc.Model, pc.Placement)
 	if err != nil {
 		return err
 	}

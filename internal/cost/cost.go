@@ -26,11 +26,11 @@ type Model struct {
 	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
 }
 
-// New builds a cost model, computing footprints for every CIM node.
+// New builds a cost model, computing footprints for every CIM node from the
+// shapes g holds. It checks neither argument: g must be valid with its shapes
+// inferred (graph.InferShapes) and a valid (arch.Validate), as the compiler
+// has made them before it builds the one model of a compilation.
 func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
 	fps, err := mapping.Footprints(g, a)
 	if err != nil {
 		return nil, err

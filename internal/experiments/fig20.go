@@ -74,6 +74,9 @@ func Fig20a() (*Table, error) {
 // per-crossbar parameter of Figure 19.
 func scaledJain(g *graph.Graph) (*arch.Arch, error) {
 	a := arch.JainAccelerator()
+	if err := g.InferShapes(); err != nil {
+		return nil, err
+	}
 	m, err := cost.New(g, a)
 	if err != nil {
 		return nil, err

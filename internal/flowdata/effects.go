@@ -56,9 +56,10 @@ type machine struct {
 }
 
 func newMachine(g *graph.Graph, a *arch.Arch, lay *codegen.Layout) *machine {
+	res, errs := codegen.NewResolver(g, a, lay)
 	m := &machine{
-		g: g, lay: lay,
-		prog:      make([]codegen.XBRecord, a.TotalCrossbars()),
+		g: g, lay: lay, res: res,
+		prog:      make([]codegen.XBRecord, res.XBs()),
 		lastXfer:  map[mop.Op]int{},
 		claimedBy: map[int32]int32{},
 	}
@@ -69,8 +70,6 @@ func newMachine(g *graph.Graph, a *arch.Arch, lay *codegen.Layout) *machine {
 		m.xbFirst[i] = -1
 		m.xbRead[i] = -1
 	}
-	res, errs := codegen.NewResolver(g, a, lay)
-	m.res = res
 	for _, r := range res.Regions() {
 		m.regions = append(m.regions, &Region{Region: r})
 	}

@@ -51,6 +51,7 @@ func newTestEnv() *testEnv {
 		Region:  make([]codegen.Area, len(g.Nodes)),
 		Scratch: make([]codegen.Area, e.scrBNode+1),
 		Total:   26,
+		XBs:     e.a.TotalCrossbars(),
 	}
 	e.lay.Region[in], e.lay.Region[out] = codegen.Area{Base: e.inBase, Size: 8}, codegen.Area{Base: e.outBase, Size: 8}
 	e.lay.Scratch[e.scrANode] = codegen.Area{Base: e.scrA, Size: e.scrASize}

@@ -155,8 +155,8 @@ func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.W
 		g: g, a: a, lay: lay, res: res,
 		nodes:       make([]nodeQuant, len(g.Nodes)),
 		inputs:      g.InputIDs(),
-		baseWeights: make([][]int64, a.TotalCrossbars()),
-		baseProg:    make([]xbProg, a.TotalCrossbars()),
+		baseWeights: make([][]int64, res.XBs()),
+		baseProg:    make([]xbProg, res.XBs()),
 	}
 	for i := range img.baseProg {
 		img.baseProg[i].Node = -1

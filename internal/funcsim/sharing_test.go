@@ -351,6 +351,66 @@ func TestProgramInitRejects(t *testing.T) {
 	}
 }
 
+// TestCrossbarTablesFollowThePlacement: an image keeps one crossbar record
+// per crossbar the placement uses (Layout.XBs), not per crossbar of the chip,
+// and a flow that writes or reads a crossbar past them is refused as one past
+// the chip is.
+func TestCrossbarTablesFollowThePlacement(t *testing.T) {
+	g, a := models.ConvReLU(), toyInMode(arch.XBM)
+	a.Chip.CoreRows, a.Chip.CoreCols = 64, 64
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Compile(g, a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := codegen.Generate(g, a, res.Schedule, res.Placement, res.Model, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xbs := gen.Layout.XBs
+	if xbs != res.Placement.XBSpan() || xbs < 1 || xbs >= a.TotalCrossbars() {
+		t.Fatalf("layout places tiles on %d crossbars (placement span %d) of %d", xbs, res.Placement.XBSpan(), a.TotalCrossbars())
+	}
+	want := fmt.Sprintf("crossbar %d past the %d crossbars the layout places tiles on", xbs, xbs)
+	newImage := func() *Image {
+		img, err := NewImage(g, a, gen.Layout, graph.RandomWeights(g, 3), seededInputs(g, 1, 4)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img.baseProg) != xbs || len(img.baseWeights) != xbs {
+			t.Fatalf("image keeps %d / %d crossbar records, the placement uses %d", len(img.baseProg), len(img.baseWeights), xbs)
+		}
+		return img
+	}
+	init := slices.Clone(gen.Flow.Init)
+	w := init[len(init)-1].(mop.WriteXB)
+	w.XB = xbs
+	init[len(init)-1] = w
+	if err := newImage().ProgramInit(init); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("init write past the placement: err = %v, want one containing %q", err, want)
+	}
+	img := newImage()
+	if err := img.ProgramInit(gen.Flow.Init); err != nil {
+		t.Fatal(err)
+	}
+	body, moved := slices.Clone(gen.Flow.Body), false
+	for i, op := range body {
+		if rd, ok := op.(mop.ReadXB); ok {
+			rd.XB = xbs
+			body[i], moved = rd, true
+			break
+		}
+	}
+	if !moved {
+		t.Fatal("the body reads no crossbar with a top-level readxb")
+	}
+	if _, err := img.CompileBody(body); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("read past the placement: err = %v, want one containing %q", err, want)
+	}
+}
+
 // TestReferenceIgnoresCrossbarState holds Image.Reference to what lets
 // Program.Verify run it on the stage image: a readcore multiplies its node's
 // quantized matrix and reads no crossbar, so the reference answers the same on

@@ -2,14 +2,25 @@ package graph
 
 import "fmt"
 
-// InferShapes fills every node's OutShape from the input nodes' shapes,
-// walking the graph in topological order. It returns an error on any shape
-// incompatibility. Shapes use the conventions of internal/tensor:
-// feature maps are [C,H,W], token matrices [tokens,features], vectors [n].
+// InferShapes validates g, then fills every node's OutShape from the input
+// nodes' shapes (InferValidShapes). It returns an error on any structural
+// fault or shape incompatibility. Shapes use the conventions of
+// internal/tensor: feature maps are [C,H,W], token matrices
+// [tokens,features], vectors [n].
 func (g *Graph) InferShapes() error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
+	return g.InferValidShapes()
+}
+
+// InferValidShapes is InferShapes for a graph its caller has validated
+// (Validate): it walks the nodes in topological order without checking the
+// structure again. A node's shape is written into the OutShape it already
+// holds when that has room for the rank (a graph that was inferred before, or
+// a Clone of one, allocates nothing), so no two nodes may share OutShape
+// storage.
+func (g *Graph) InferValidShapes() error {
 	for _, n := range g.Nodes {
 		if n.Op == OpInput {
 			if len(n.OutShape) == 0 {
@@ -17,7 +28,7 @@ func (g *Graph) InferShapes() error {
 			}
 			continue
 		}
-		shape, err := g.inferNode(n)
+		shape, err := g.inferNode(n, n.OutShape[:0])
 		if err != nil {
 			return fmt.Errorf("graph %q: node %q (%s): %w", g.Name, n.Name, n.Op, err)
 		}
@@ -26,53 +37,57 @@ func (g *Graph) InferShapes() error {
 	return nil
 }
 
-func (g *Graph) inferNode(n *Node) ([]int, error) {
-	in := make([][]int, len(n.Inputs))
-	for i, id := range n.Inputs {
-		in[i] = g.Nodes[id].OutShape
-		if len(in[i]) == 0 {
+// inferNode appends n's output shape to dst. dst may be n's own OutShape: the
+// inputs' shapes are read from other nodes only.
+func (g *Graph) inferNode(n *Node, dst []int) ([]int, error) {
+	var buf [2][]int // every op but Concat takes at most two inputs
+	in := buf[:0]
+	for _, id := range n.Inputs {
+		s := g.Nodes[id].OutShape
+		if len(s) == 0 {
 			return nil, fmt.Errorf("input node %d has no inferred shape", id)
 		}
+		in = append(in, s)
 	}
 	switch n.Op {
 	case OpConv:
-		return inferConv(in[0], n)
+		return inferConv(dst, in[0], n)
 	case OpDense:
-		return inferDense(in[0], n)
+		return inferDense(dst, in[0], n)
 	case OpMatMul:
-		return inferMatMul(in[0], in[1])
+		return inferMatMul(dst, in[0], in[1])
 	case OpReLU, OpGELU, OpSoftmax, OpLayerNorm, OpIdentity, OpSigmoid, OpTanh:
-		return cloneShape(in[0]), nil
+		return append(dst, in[0]...), nil
 	case OpMaxPool, OpAvgPool:
-		return inferPool(in[0], n)
+		return inferPool(dst, in[0], n)
 	case OpGlobalAvgPool:
 		if len(in[0]) != 3 {
 			return nil, fmt.Errorf("GlobalAvgPool needs [C,H,W], got %v", in[0])
 		}
-		return []int{in[0][0]}, nil
+		return append(dst, in[0][0]), nil
 	case OpAdd, OpMul:
 		if !equalShape(in[0], in[1]) {
 			return nil, fmt.Errorf("%s shape mismatch %v vs %v", n.Op, in[0], in[1])
 		}
-		return cloneShape(in[0]), nil
+		return append(dst, in[0]...), nil
 	case OpConcat:
-		return inferConcat(in, n.Attr.Axis)
+		return inferConcat(dst, in, n.Attr.Axis)
 	case OpTranspose:
 		if len(in[0]) != 2 {
 			return nil, fmt.Errorf("Transpose needs rank-2 input, got %v", in[0])
 		}
-		return []int{in[0][1], in[0][0]}, nil
+		return append(dst, in[0][1], in[0][0]), nil
 	case OpFlatten:
 		total := 1
 		for _, d := range in[0] {
 			total *= d
 		}
-		return []int{total}, nil
+		return append(dst, total), nil
 	}
 	return nil, fmt.Errorf("unknown op %q", n.Op)
 }
 
-func inferConv(in []int, n *Node) ([]int, error) {
+func inferConv(dst, in []int, n *Node) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("Conv input must be [C,H,W], got %v", in)
 	}
@@ -88,38 +103,38 @@ func inferConv(in []int, n *Node) ([]int, error) {
 	if outH <= 0 || outW <= 0 {
 		return nil, fmt.Errorf("Conv output empty: input %v kernel (%d,%d) stride %d pad %d", in, kh, kw, n.Attr.Stride, n.Attr.Padding)
 	}
-	return []int{outC, outH, outW}, nil
+	return append(dst, outC, outH, outW), nil
 }
 
-func inferDense(in []int, n *Node) ([]int, error) {
+func inferDense(dst, in []int, n *Node) ([]int, error) {
 	inF, outF := n.WeightShape[0], n.WeightShape[1]
 	switch len(in) {
 	case 1:
 		if in[0] != inF {
 			return nil, fmt.Errorf("Dense feature mismatch: input %d vs weights %d", in[0], inF)
 		}
-		return []int{outF}, nil
+		return append(dst, outF), nil
 	case 2:
 		if in[1] != inF {
 			return nil, fmt.Errorf("Dense feature mismatch: input %v vs weights in=%d", in, inF)
 		}
-		return []int{in[0], outF}, nil
+		return append(dst, in[0], outF), nil
 	default:
 		return nil, fmt.Errorf("Dense input must be [n] or [tokens,n], got %v", in)
 	}
 }
 
-func inferMatMul(a, b []int) ([]int, error) {
+func inferMatMul(dst, a, b []int) ([]int, error) {
 	if len(a) != 2 || len(b) != 2 {
 		return nil, fmt.Errorf("MatMul needs rank-2 inputs, got %v and %v", a, b)
 	}
 	if a[1] != b[0] {
 		return nil, fmt.Errorf("MatMul inner dimension mismatch %v vs %v", a, b)
 	}
-	return []int{a[0], b[1]}, nil
+	return append(dst, a[0], b[1]), nil
 }
 
-func inferPool(in []int, n *Node) ([]int, error) {
+func inferPool(dst, in []int, n *Node) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("pool input must be [C,H,W], got %v", in)
 	}
@@ -129,11 +144,11 @@ func inferPool(in []int, n *Node) ([]int, error) {
 	if outH <= 0 || outW <= 0 {
 		return nil, fmt.Errorf("pool output empty for input %v kernel %d stride %d", in, k, s)
 	}
-	return []int{in[0], outH, outW}, nil
+	return append(dst, in[0], outH, outW), nil
 }
 
-func inferConcat(in [][]int, axis int) ([]int, error) {
-	base := cloneShape(in[0])
+func inferConcat(dst []int, in [][]int, axis int) ([]int, error) {
+	base := append(dst, in[0]...)
 	if axis < 0 || axis >= len(base) {
 		return nil, fmt.Errorf("Concat axis %d out of range for %v", axis, base)
 	}

@@ -104,6 +104,9 @@ func buildPipe(mode arch.Mode, withFlow bool) (*pipe, error) {
 func buildPipeOn(g *graph.Graph, mode arch.Mode, withFlow bool) (*pipe, error) {
 	a := arch.ToyExample()
 	a.Mode = mode
+	if err := g.InferShapes(); err != nil {
+		return nil, fmt.Errorf("fixture baseline: %w", err)
+	}
 	m, err := cost.New(g, a)
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)

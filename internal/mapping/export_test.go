@@ -27,5 +27,6 @@ func (p *Placement) Corruptible() (*Placement, []Footprint) {
 		SegmentCores: slices.Clone(p.SegmentCores),
 		SegmentXBs:   slices.Clone(p.SegmentXBs),
 		fps:          fps,
+		extent:       slices.Clone(p.extent),
 	}, fps
 }

@@ -8,10 +8,16 @@
 // Packing is decided in one place, plan.go: a per-node rule folded over
 // segments. Asking what a schedule occupies (SegmentCores, Occupancy) and
 // placing it (Place, placement.go) are the same fold, the latter keeping
-// every node's Extent. A Placement is those extents: no Tile is stored, and
-// TilesOf derives them from an extent and its footprint for codegen, the one
-// reader that wants tiles. Placement.Validate checks a placement from its
+// every node's Extent, indexed by node ID, and the per-segment totals. So a
+// compilation folds its schedule once: whoever holds the placement reads the
+// occupancy off it while it still Holds the schedule, and folds again only for
+// a schedule changed since. A Placement is its extents: no Tile is stored,
+// and TilesOf derives them from an extent and its footprint for codegen, the
+// one reader that wants tiles. Placement.Validate checks a placement from its
 // extents alone.
+//
+// Footprints reads the shapes of a graph its caller has inferred; nothing in
+// this package infers or validates a graph.
 package mapping
 
 import (
@@ -79,10 +85,10 @@ func ComputeFootprint(n *graph.Node, a *arch.Arch) (Footprint, error) {
 
 // Footprints computes the footprint of every CIM-supported node in g, in a
 // table indexed by node ID; every other node's entry is the zero Footprint.
+// It reads the shapes g holds: g must be valid with its shapes inferred
+// (graph.InferShapes) and a valid (arch.Validate). A CIM node without a shape
+// is an error; a stale one is not detected.
 func Footprints(g *graph.Graph, a *arch.Arch) ([]Footprint, error) {
-	if err := g.InferShapes(); err != nil {
-		return nil, err
-	}
 	out := make([]Footprint, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if !n.Op.CIMSupported() {

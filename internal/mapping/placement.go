@@ -7,6 +7,7 @@ import (
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/sched"
 )
 
 // Tile is one physical-crossbar slice of one copy of an operator's
@@ -48,7 +49,8 @@ type Placement struct {
 	SegmentCores []int
 	SegmentXBs   []int
 
-	fps []Footprint // the footprints the extents were packed from, by node ID
+	fps    []Footprint // the footprints the extents were packed from, by node ID
+	extent []int32     // by node ID: the index of its extent in Extents, -1 for none
 }
 
 // Place computes a placement for the given duplication and remap decisions.
@@ -64,9 +66,20 @@ func Place(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segm
 // cancelled compilation stops mid-placement on large graphs. It is the
 // schedule fold of plan.go keeping every extent the calculus yields.
 func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
-	p := &Placement{Arch: a, fps: fps}
+	p := &Placement{Arch: a, fps: fps, extent: make([]int32, len(g.Nodes))}
+	cim := 0
+	for i, n := range g.Nodes {
+		p.extent[i] = -1
+		if n.Op.CIMSupported() {
+			cim++
+		}
+	}
+	if cim > 0 {
+		p.Extents = make([]Extent, 0, cim) // one per CIM node, or the fold fails
+	}
 	var err error
 	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(e Extent) {
+		p.extent[e.Node] = int32(len(p.Extents))
 		p.Extents = append(p.Extents, e)
 	})
 	if err != nil {
@@ -76,14 +89,66 @@ func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint
 }
 
 // ExtentOf returns the extent of one node, or false when the placement does
-// not hold it.
+// not hold it. The fold indexed the extents by node ID, so this is a table
+// lookup.
 func (p *Placement) ExtentOf(node int) (Extent, bool) {
-	for _, e := range p.Extents {
-		if e.Node == node {
-			return e, true
+	if node < 0 || node >= len(p.extent) || p.extent[node] < 0 {
+		return Extent{}, false
+	}
+	return p.Extents[p.extent[node]], true
+}
+
+// Holds reports whether p is the placement of a schedule's decisions: one
+// extent per CIM node of segments, in segment order, each in its segment with
+// the node's copies, its remap factor as packing clamps it, and the footprint
+// fps gives it — every input of the fold that made the extents. Then p's
+// SegmentCores and SegmentXBs are what Occupancy would return for them,
+// without folding again. A placement made before a later pass changed a
+// decision does not hold the changed schedule. g must be the graph the
+// segments index.
+func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, segments [][]int) bool {
+	if len(p.SegmentCores) != len(segments) {
+		return false
+	}
+	i, cim := 0, 0
+	for _, n := range g.Nodes {
+		if n.Op.CIMSupported() {
+			cim++
 		}
 	}
-	return Extent{}, false
+	for segIdx, seg := range segments {
+		for _, id := range seg {
+			if id < 0 || id >= len(g.Nodes) || id >= len(fps) || id >= len(p.fps) {
+				return false
+			}
+			if !g.Nodes[id].Op.CIMSupported() {
+				continue
+			}
+			if i == len(p.Extents) {
+				return false
+			}
+			e, f := p.Extents[i], fps[id]
+			if e.Node != id || e.Segment != segIdx || f != p.fps[id] ||
+				e.Dup != sched.Setting(dup, id) || e.Remap != f.clampRemap(sched.Setting(remap, id)) {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(p.Extents) && i == cim
+}
+
+// XBSpan returns one past the highest crossbar a tile of p takes: how many
+// crossbar records an executor of p's flow needs, which on a chip far larger
+// than the model is far fewer than the chip holds. An extent whose tiles wrap
+// into rounds takes its whole window, to the end of the chip.
+func (p *Placement) XBSpan() int {
+	span := 0
+	for _, e := range p.Extents {
+		slots := (e.Dup-1)*e.Stride + p.fps[e.Node].CopyTiles(p.Arch, e.Remap)
+		span = max(span, e.FirstXB+min(slots, e.Window))
+	}
+	return span
 }
 
 // TilesOf derives the tiles of one node, ordered by (copy, tileR, sub, tileC).

@@ -167,9 +167,9 @@ func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footp
 		xbs = append(xbs, x)
 	}
 	//cimlint:ignore ctxcancel -- coverage check over node IDs; the fold above polls per node
-	for _, id := range g.CIMNodeIDs() {
-		if !placed[id] {
-			return nil, nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", id)
+	for _, n := range g.Nodes {
+		if n.Op.CIMSupported() && !placed[n.ID] {
+			return nil, nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", n.ID)
 		}
 	}
 	return cores, xbs, nil

@@ -62,9 +62,18 @@ type Report struct {
 	XBsUsed   int
 }
 
-// Simulate runs the schedule through the event model.
+// Simulate runs the schedule through the event model. It validates the
+// schedule and its architecture and infers the shapes of its graph (into
+// s.Graph) before it builds the cost model, so it accepts a schedule whatever
+// made it.
 func Simulate(s *sched.Schedule) (*Report, error) {
 	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.Arch.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.Graph.InferShapes(); err != nil {
 		return nil, err
 	}
 	m, err := cost.New(s.Graph, s.Arch)
@@ -77,13 +86,16 @@ func Simulate(s *sched.Schedule) (*Report, error) {
 // SimulateWithModel is Simulate with a pre-built cost model (the optimizers
 // reuse one model across many candidate schedules).
 func SimulateWithModel(s *sched.Schedule, m *cost.Model) (*Report, error) {
-	return SimulateWithModelCtx(context.Background(), s, m)
+	return SimulateWithModelCtx(context.Background(), s, m, nil)
 }
 
 // SimulateWithModelCtx is SimulateWithModel with cancellation: ctx is
 // checked once per simulated operator so a cancelled compilation stops
-// mid-simulation on large schedules.
-func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model) (*Report, error) {
+// mid-simulation on large schedules. p, when not nil, is a placement the
+// caller holds: if it is the placement of s (mapping.Placement.Holds), the
+// report's occupancy is the one p recorded; otherwise, as without one, it is
+// folded from s.
+func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement) (*Report, error) {
 	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
 	segOf := make([]int, len(s.Graph.Nodes))
@@ -105,7 +117,7 @@ func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model)
 	rep.PeakActiveXBs = peakConcurrency(rep)
 	rep.PeakPower = cost.PeakPower(s.Arch, rep.PeakActiveXBs)
 	rep.Energy = totalEnergy(s, m, segOf)
-	if err := fillOccupancy(ctx, s, m, rep); err != nil {
+	if err := fillOccupancy(ctx, s, m, p, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -347,15 +359,21 @@ func segmentReload(s *sched.Schedule, m *cost.Model) float64 {
 	return perXB * float64(m.Arch.Core.XBCount())
 }
 
-// fillOccupancy folds the placement calculus over the schedule to count the
-// cores and crossbars it occupies; a schedule the placer would reject is
-// rejected here with the same error.
-func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, rep *Report) error {
-	cores, xbs, err := mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
-	if err != nil {
-		return fmt.Errorf("perfsim: placement: %w", err)
+// fillOccupancy counts the cores and crossbars the schedule occupies: the
+// ones p recorded when p is the schedule's placement, else those the placement
+// calculus folds from the schedule, which rejects a schedule the placer would
+// reject with the same error.
+func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement, rep *Report) error {
+	var cores, xbs []int
+	if p != nil && p.Holds(s.Graph, m.FPs, s.Dup, s.Remap, s.Segments) {
+		cores, xbs = p.SegmentCores, p.SegmentXBs
+	} else {
+		var err error
+		if cores, xbs, err = mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments); err != nil {
+			return fmt.Errorf("perfsim: placement: %w", err)
+		}
 	}
-	//cimlint:ignore ctxcancel -- max and sum over segment count; Occupancy above polled per node
+	//cimlint:ignore ctxcancel -- max and sum over segment count; Holds and Occupancy above are per node
 	for seg := range cores {
 		rep.CoresUsed = max(rep.CoresUsed, cores[seg])
 		rep.XBsUsed += xbs[seg]

@@ -277,12 +277,12 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 			ctx := c.ctx
 			if ctx == nil {
 				ctx = context.Background()
-				if _, err := SimulateWithModelCtx(ctx, s, m); err != nil {
+				if _, err := SimulateWithModelCtx(ctx, s, m, nil); err != nil {
 					t.Fatalf("clean schedule rejected: %v", err)
 				}
 			}
 			c.corrupt(s)
-			_, err = SimulateWithModelCtx(ctx, s, m)
+			_, err = SimulateWithModelCtx(ctx, s, m, nil)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want one containing %q", err, c.want)
 			}
