@@ -677,7 +677,7 @@ func TestPassAfterPlacementGetsItsReport(t *testing.T) {
 	if res.Placement.Holds(res.Schedule.Graph, res.Model.FPs, res.Schedule.Dup, res.Schedule.Remap, res.Schedule.Segments) {
 		t.Fatal("the placement still holds the schedule the pass changed")
 	}
-	want, err := perfsim.SimulateWithModel(res.Schedule, res.Model)
+	want, err := perfsim.SimulateWithModel(context.Background(), res.Schedule, res.Model, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,9 +102,3 @@ func PUMANative(g *graph.Graph) (*sched.Schedule, error) {
 	s.Levels = []string{"puma-native"}
 	return s, nil
 }
-
-// JainNative returns Jain et al.'s own deployment: layer-serial WLM macro
-// use without duplication (Figure 20(c)'s 1× reference).
-func JainNative(g *graph.Graph) (*sched.Schedule, error) {
-	return NoOpt(g, arch.JainAccelerator())
-}

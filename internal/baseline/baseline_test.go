@@ -111,9 +111,6 @@ func TestVendorNativeSchedules(t *testing.T) {
 	if _, err := PUMANative(models.VGG7()); err != nil {
 		t.Fatalf("PUMANative: %v", err)
 	}
-	if _, err := JainNative(models.VGG7()); err != nil {
-		t.Fatalf("JainNative: %v", err)
-	}
 }
 
 func TestOversizedSegmentsNotDuplicated(t *testing.T) {
@@ -137,7 +134,6 @@ func TestBaselinesRefuseHostOnlyOperators(t *testing.T) {
 		"PolySchedule": func(g *graph.Graph) (*sched.Schedule, error) { return PolySchedule(g, arch.PUMAAccelerator()) },
 		"JiaNative":    JiaNative,
 		"PUMANative":   PUMANative,
-		"JainNative":   JainNative,
 	}
 	for _, name := range models.MixedNames() {
 		g, err := models.Build(name)

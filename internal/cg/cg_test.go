@@ -232,11 +232,11 @@ func TestRefinementNotWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := perfsim.SimulateWithModel(greedy, m)
+	rg, err := perfsim.SimulateWithModel(context.Background(), greedy, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := perfsim.SimulateWithModel(refined, m)
+	rr, err := perfsim.SimulateWithModel(context.Background(), refined, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

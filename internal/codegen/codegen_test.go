@@ -184,7 +184,8 @@ func TestDigitalLowerings(t *testing.T) {
 	b.Conv(4, 3, 1, 1).ReLU().MaxPool(2, 2).Conv(8, 3, 1, 1)
 	conv2 := b.Last
 	b.AddFrom(conv2) // trivially valid add (x+x)
-	b.AvgPool(2, 2).GlobalAvgPool()
+	b.Last = b.G.AddNode("avgpool", graph.OpAvgPool, []int{b.Last}, graph.Attr{KernelH: 2, KernelW: 2, Stride: 2}, nil)
+	b.GlobalAvgPool()
 	g := b.MustFinish()
 	a := arch.ISAACBaseline()
 	res, err := core.Compile(g, a, core.Options{})

@@ -233,7 +233,7 @@ func (placePass) Name() string              { return PassPlace }
 func (placePass) Applicable(arch.Mode) bool { return true }
 func (placePass) Run(ctx context.Context, pc *PassContext) error {
 	s := pc.Schedule
-	p, err := mapping.PlaceCtx(ctx, pc.Graph, pc.Arch, pc.Model.FPs, s.Dup, s.Remap, s.Segments)
+	p, err := mapping.Place(ctx, pc.Graph, pc.Arch, pc.Model.FPs, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ type simulatePass struct{}
 func (simulatePass) Name() string              { return PassSimulate }
 func (simulatePass) Applicable(arch.Mode) bool { return true }
 func (simulatePass) Run(ctx context.Context, pc *PassContext) error {
-	rep, err := perfsim.SimulateWithModelCtx(ctx, pc.Schedule, pc.Model, pc.Placement)
+	rep, err := perfsim.SimulateWithModel(ctx, pc.Schedule, pc.Model, pc.Placement)
 	if err != nil {
 		return err
 	}

@@ -6,15 +6,15 @@
 // correctness: weights are quantized to the architecture's weight precision,
 // and a write meta-operator places its tile's weights into the crossbar's
 // weight array the way reads walk it — each weight spanning as many cell
-// columns as Figure 7's B→XBC bit slicing gives it, whose cells reconstruct it
-// exactly (tensor.BitSlice), so the weight is all a crossbar stores. A read
-// meta-operator multiplies that array, taking its wordlines, columns and
-// extent from what the crossbar holds when it runs, so any mis-programming,
-// mis-placement or mis-gathering produces wrong numbers. Activations live in
-// a flat buffer memory laid out by internal/codegen; CIM outputs are raw
-// integer accumulators that the digital periphery requantizes to 8-bit
-// activations when first consumed (standard post-training-quantization
-// inference).
+// columns as Figure 7's B→XBC bit slicing gives it, whose cells reconstruct
+// it exactly (an identity pinned by tensor's property tests), so the weight
+// is all a crossbar stores. A read meta-operator multiplies that array,
+// taking its wordlines, columns and extent from what the crossbar holds when
+// it runs, so any mis-programming, mis-placement or mis-gathering produces
+// wrong numbers. Activations live in a flat buffer memory laid out by
+// internal/codegen; CIM outputs are raw integer accumulators that the digital
+// periphery requantizes to 8-bit activations when first consumed (standard
+// post-training-quantization inference).
 //
 // State is split along the CIM stationary-weight boundary: an Image holds
 // everything that survives across inferences (quantized weights, calibrated
@@ -387,6 +387,7 @@ func weightMatrix(n *graph.Node, w *tensor.Tensor) (*tensor.Tensor, error) {
 // lowestKey returns the lowest key of m that bad holds for, if any, so that an
 // error naming one reads the same whichever order the map yields.
 func lowestKey(m map[int]*tensor.Tensor, bad func(int) bool) (low int, found bool) {
+	//cimlint:ignore maprange -- a minimum over the keys is the same in any order
 	for id := range m {
 		if bad(id) && (!found || id < low) {
 			low, found = id, true

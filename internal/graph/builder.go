@@ -13,6 +13,9 @@ type Builder struct {
 	// err latches the first shape-inference failure hit while chaining;
 	// Finish reports it instead of panicking mid-chain.
 	err error
+	// inferred counts the leading nodes of G that infer has validated and
+	// given shapes.
+	inferred int
 }
 
 // NewBuilder starts a builder over a fresh graph with a single input node.
@@ -53,11 +56,11 @@ func (b *Builder) Conv(outC, k, stride, pad int) *Builder {
 	return b
 }
 
-// currentChannels infers the channel count of the last node by running shape
-// inference incrementally. A failure latches into b.err (reported by Finish)
-// and yields a placeholder so the chain stays panic-free.
+// currentChannels infers the channel count of the last node. A failure
+// latches into b.err (reported by Finish) and yields a placeholder so the
+// chain stays panic-free.
 func (b *Builder) currentChannels() int {
-	if err := b.G.InferShapes(); err != nil {
+	if err := b.infer(); err != nil {
 		b.fail(err)
 		return 1
 	}
@@ -68,6 +71,25 @@ func (b *Builder) currentChannels() int {
 	return s[len(s)-1]
 }
 
+// infer validates and infers the nodes appended since it last succeeded, in
+// InferShapes' order (every node's structure, then the shapes), so building
+// a model is linear in its nodes: a builder only appends, and the nodes
+// before those keep the shapes they were given.
+func (b *Builder) infer() error {
+	g := b.G
+	for i := b.inferred; i < len(g.Nodes); i++ {
+		if err := g.validateNode(i); err != nil {
+			return err
+		}
+	}
+	for ; b.inferred < len(g.Nodes); b.inferred++ {
+		if err := g.inferValid(g.Nodes[b.inferred]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // fail latches the first chaining error for Finish to report.
 func (b *Builder) fail(err error) {
 	if b.err == nil {
@@ -75,13 +97,10 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Err returns the first error latched while chaining, or nil.
-func (b *Builder) Err() error { return b.err }
-
 // CurrentShape returns the inferred output shape of the last node, or nil if
 // the chain so far is invalid (the error is latched for Finish).
 func (b *Builder) CurrentShape() []int {
-	if err := b.G.InferShapes(); err != nil {
+	if err := b.infer(); err != nil {
 		b.fail(err)
 		return nil
 	}
@@ -103,13 +122,6 @@ func (b *Builder) GELU() *Builder {
 // MaxPool appends a max pool.
 func (b *Builder) MaxPool(k, stride int) *Builder {
 	b.Last = b.G.AddNode(b.autoName("maxpool"), OpMaxPool, []int{b.Last},
-		Attr{KernelH: k, KernelW: k, Stride: stride}, nil)
-	return b
-}
-
-// AvgPool appends an average pool.
-func (b *Builder) AvgPool(k, stride int) *Builder {
-	b.Last = b.G.AddNode(b.autoName("avgpool"), OpAvgPool, []int{b.Last},
 		Attr{KernelH: k, KernelW: k, Stride: stride}, nil)
 	return b
 }

@@ -57,6 +57,16 @@ func TestExecuteResidualAdd(t *testing.T) {
 	}
 }
 
+// tensorOf is tensor.FromSlice for literals: a shape error fails the test.
+func tensorOf(t *testing.T, data []float32, shape ...int) *tensor.Tensor {
+	t.Helper()
+	x, err := tensor.FromSlice(data, shape...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 func TestExecuteDenseVectorAndMatrix(t *testing.T) {
 	// Vector path.
 	g := New("densevec")
@@ -76,10 +86,10 @@ func TestExecuteDenseVectorAndMatrix(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		sum := float32(0)
 		for i := 0; i < 16; i++ {
-			sum += x.At(i) * w[1].At(i, j)
+			sum += x.Data()[i] * w[1].Data()[i*4+j]
 		}
-		if math.Abs(float64(vals[1].At(j)-sum)) > 1e-4 {
-			t.Fatalf("dense vector output %d = %v, want %v", j, vals[1].At(j), sum)
+		if math.Abs(float64(vals[1].Data()[j]-sum)) > 1e-4 {
+			t.Fatalf("dense vector output %d = %v, want %v", j, vals[1].Data()[j], sum)
 		}
 	}
 
@@ -139,13 +149,13 @@ func TestExecuteConcatFlattenPipeline(t *testing.T) {
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
-	ta := tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	tb := tensor.MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 2, 3)
+	ta := tensorOf(t, []float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	tb := tensorOf(t, []float32{7, 8, 9, 10, 11, 12}, 2, 3)
 	vals, err := Execute(g, nil, map[int]*tensor.Tensor{0: ta, 1: tb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 12)
+	want := tensorOf(t, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 12)
 	if !tensor.AllClose(vals[3], want, 0) {
 		t.Fatalf("concat+flatten = %v", vals[3].Data())
 	}
@@ -159,13 +169,13 @@ func TestExecuteConcatAxis1(t *testing.T) {
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
-	ta := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	tb := tensor.MustFromSlice([]float32{5, 6, 7, 8, 9, 10}, 2, 3)
+	ta := tensorOf(t, []float32{1, 2, 3, 4}, 2, 2)
+	tb := tensorOf(t, []float32{5, 6, 7, 8, 9, 10}, 2, 3)
 	vals, err := Execute(g, nil, map[int]*tensor.Tensor{0: ta, 1: tb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MustFromSlice([]float32{1, 2, 5, 6, 7, 3, 4, 8, 9, 10}, 2, 5)
+	want := tensorOf(t, []float32{1, 2, 5, 6, 7, 3, 4, 8, 9, 10}, 2, 5)
 	if !tensor.AllClose(vals[2], want, 0) {
 		t.Fatalf("axis-1 concat = %v", vals[2].Data())
 	}

@@ -48,8 +48,8 @@ func FuzzDecodeGraph(f *testing.F) {
 		_ = g.InputIDs()
 		_ = g.CIMNodeIDs()
 		_ = g.WeightCount()
-		for _, id := range g.TopoOrder() {
-			_ = g.MustNode(id)
+		for _, n := range g.Nodes {
+			_ = g.MustNode(n.ID)
 		}
 		clone := g.Clone()
 

@@ -55,16 +55,6 @@ func (o Op) CIMSupported() bool {
 	return o == OpConv || o == OpDense
 }
 
-// Digital reports whether the operator runs on the digital ALU.
-func (o Op) Digital() bool {
-	switch o {
-	case OpReLU, OpGELU, OpMaxPool, OpAvgPool, OpGlobalAvgPool, OpAdd,
-		OpSoftmax, OpLayerNorm, OpMatMul, OpTranspose:
-		return true
-	}
-	return false
-}
-
 // HostOnly reports whether the operator has no CIM lowering at all — neither
 // a crossbar mapping nor a digital-ALU meta-operator — and must execute on
 // the host CPU. Graphs containing host-only operators compile only under
@@ -190,21 +180,30 @@ func (g *Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("graph %q: empty", g.Name)
 	}
-	for i, n := range g.Nodes {
-		if n == nil {
-			return fmt.Errorf("graph %q: nil node at %d", g.Name, i)
+	for i := range g.Nodes {
+		if err := g.validateNode(i); err != nil {
+			return err
 		}
-		if n.ID != i {
-			return fmt.Errorf("graph %q: node %q has ID %d at index %d", g.Name, n.Name, n.ID, i)
+	}
+	return nil
+}
+
+// validateNode is Validate's check of node i alone.
+func (g *Graph) validateNode(i int) error {
+	n := g.Nodes[i]
+	if n == nil {
+		return fmt.Errorf("graph %q: nil node at %d", g.Name, i)
+	}
+	if n.ID != i {
+		return fmt.Errorf("graph %q: node %q has ID %d at index %d", g.Name, n.Name, n.ID, i)
+	}
+	for _, in := range n.Inputs {
+		if in < 0 || in >= i {
+			return fmt.Errorf("graph %q: node %q input %d violates topological order", g.Name, n.Name, in)
 		}
-		for _, in := range n.Inputs {
-			if in < 0 || in >= i {
-				return fmt.Errorf("graph %q: node %q input %d violates topological order", g.Name, n.Name, in)
-			}
-		}
-		if err := n.validateArity(); err != nil {
-			return fmt.Errorf("graph %q: %w", g.Name, err)
-		}
+	}
+	if err := n.validateArity(); err != nil {
+		return fmt.Errorf("graph %q: %w", g.Name, err)
 	}
 	return nil
 }
@@ -301,18 +300,6 @@ func (g *Graph) InputIDs() []int {
 		}
 	}
 	return out
-}
-
-// TopoOrder returns node IDs in a valid topological order. Because the
-// representation stores nodes pre-sorted, this is the identity permutation
-// once Validate has passed; it exists so callers do not depend on that
-// detail.
-func (g *Graph) TopoOrder() []int {
-	order := make([]int, len(g.Nodes))
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // CIMNodeIDs returns the IDs of all CIM-supported (weight-bearing) nodes in

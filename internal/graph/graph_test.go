@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,26 +125,6 @@ func TestWeightCount(t *testing.T) {
 	}
 }
 
-func TestTopoOrderCoversAllNodes(t *testing.T) {
-	g := smallConvReluGraph(t)
-	order := g.TopoOrder()
-	if len(order) != len(g.Nodes) {
-		t.Fatalf("TopoOrder length %d, want %d", len(order), len(g.Nodes))
-	}
-	seen := map[int]bool{}
-	for _, id := range order {
-		if seen[id] {
-			t.Fatalf("duplicate id %d in topo order", id)
-		}
-		seen[id] = true
-		for _, in := range g.Nodes[id].Inputs {
-			if !seen[in] {
-				t.Fatalf("node %d scheduled before its input %d", id, in)
-			}
-		}
-	}
-}
-
 func TestOpClassification(t *testing.T) {
 	if !OpConv.CIMSupported() || !OpDense.CIMSupported() {
 		t.Fatal("Conv/Dense must be CIM-supported")
@@ -150,13 +132,20 @@ func TestOpClassification(t *testing.T) {
 	if OpReLU.CIMSupported() || OpMatMul.CIMSupported() {
 		t.Fatal("ReLU/MatMul must not be CIM-supported")
 	}
-	for _, op := range []Op{OpReLU, OpGELU, OpMaxPool, OpAvgPool, OpGlobalAvgPool, OpAdd, OpSoftmax, OpLayerNorm, OpMatMul} {
-		if !op.Digital() {
-			t.Fatalf("%s should be digital", op)
+	lowerable := CIMLowerableOps()
+	// The digital-ALU operators lower to the chip without crossbars.
+	for _, op := range []Op{OpReLU, OpGELU, OpMaxPool, OpAvgPool, OpGlobalAvgPool, OpAdd, OpSoftmax, OpLayerNorm, OpMatMul, OpTranspose} {
+		if op.CIMSupported() || op.HostOnly() || !slices.Contains(lowerable, op) {
+			t.Fatalf("%s should lower to the digital ALU", op)
 		}
 	}
-	if OpConv.Digital() || OpInput.Digital() {
-		t.Fatal("Conv/Input must not be digital")
+	for _, op := range []Op{OpSigmoid, OpTanh, OpMul} {
+		if !op.HostOnly() || op.CIMSupported() || slices.Contains(lowerable, op) {
+			t.Fatalf("%s should be host-only", op)
+		}
+	}
+	if OpConv.HostOnly() || !slices.Contains(lowerable, OpConv) || !slices.Contains(lowerable, OpInput) {
+		t.Fatal("Conv/Input must lower to the chip")
 	}
 }
 
@@ -186,5 +175,18 @@ func TestBuilderGraphsValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuilderLatchesInvalidPrefix: the first node the builder cannot infer
+// is the one Finish names, in InferShapes' own words, and the chain after it
+// stays panic-free.
+func TestBuilderLatchesInvalidPrefix(t *testing.T) {
+	b := NewBuilder("bad", 3, 4, 4).Conv(8, 7, 1, 0)
+	b.ReLU().Conv(8, 3, 1, 1).Flatten().Dense(10)
+	_, err := b.Finish()
+	want := `graph: builder produced invalid prefix: graph "bad": node "conv_1" (Conv): `
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Finish err = %v, want prefix %q", err, want)
 	}
 }

@@ -22,18 +22,27 @@ func (g *Graph) InferShapes() error {
 // storage.
 func (g *Graph) InferValidShapes() error {
 	for _, n := range g.Nodes {
-		if n.Op == OpInput {
-			if len(n.OutShape) == 0 {
-				return fmt.Errorf("graph %q: input %q has no shape", g.Name, n.Name)
-			}
-			continue
+		if err := g.inferValid(n); err != nil {
+			return err
 		}
-		shape, err := g.inferNode(n, n.OutShape[:0])
-		if err != nil {
-			return fmt.Errorf("graph %q: node %q (%s): %w", g.Name, n.Name, n.Op, err)
-		}
-		n.OutShape = shape
 	}
+	return nil
+}
+
+// inferValid is InferValidShapes' step for one node, whose inputs' shapes
+// are already inferred.
+func (g *Graph) inferValid(n *Node) error {
+	if n.Op == OpInput {
+		if len(n.OutShape) == 0 {
+			return fmt.Errorf("graph %q: input %q has no shape", g.Name, n.Name)
+		}
+		return nil
+	}
+	shape, err := g.inferNode(n, n.OutShape[:0])
+	if err != nil {
+		return fmt.Errorf("graph %q: node %q (%s): %w", g.Name, n.Name, n.Op, err)
+	}
+	n.OutShape = shape
 	return nil
 }
 

@@ -34,10 +34,6 @@ func Compile(g *graph.Graph, w graph.Weights) (*Program, error) {
 	return &Program{g: gc, w: w}, nil
 }
 
-// Graph returns the program's (shape-inferred) graph. Callers must treat it
-// as read-only.
-func (p *Program) Graph() *graph.Graph { return p.g }
-
 // Run executes one forward pass. inputs maps the graph's Input-node IDs to
 // tensors; the result maps every node ID to its output tensor. The context
 // is polled between nodes so cancellation interrupts long host chains.

@@ -43,7 +43,7 @@ func TestRunMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range p.Graph().Nodes {
+	for _, n := range p.g.Nodes {
 		if !tensor.AllClose(got[n.ID], want[n.ID], 0) {
 			t.Errorf("node %d (%s): hostexec diverges from reference", n.ID, n.Op)
 		}

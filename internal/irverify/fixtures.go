@@ -125,7 +125,7 @@ func buildPipeOn(g *graph.Graph, mode arch.Mode, withFlow bool) (*pipe, error) {
 			return nil, fmt.Errorf("fixture baseline: %w", err)
 		}
 	}
-	p, err := mapping.PlaceCtx(context.Background(), g, a, m.FPs, s.Dup, s.Remap, s.Segments)
+	p, err := mapping.Place(context.Background(), g, a, m.FPs, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)
 	}

@@ -15,7 +15,7 @@
 // Every violation carries a stable rule name so tests and the `cimmlc vet`
 // subcommand can assert on the class of defect, not the message text. The
 // capacity rules fold mapping's one placement calculus (SegmentCores,
-// Occupancy) — the fold PlaceCtx keeps its extents from — so the checker and
+// Occupancy) — the fold Place keeps its extents from — so the checker and
 // the placer cannot disagree. A placement is checked at the cost of its
 // extents: mapping.Placement.Validate, the one placement check, plus the two
 // rules only the schedule can decide — every CIM node placed once in its

@@ -97,7 +97,7 @@ func FuzzVerifyIR(f *testing.F) {
 		if vs := VerifySchedule(g, a, a.Mode, m.FPs, s); len(vs) > 0 {
 			t.Skip("verifier rejected the mutant (fine)")
 		}
-		p, err := mapping.PlaceCtx(context.Background(), g, a, m.FPs, s.Dup, s.Remap, s.Segments)
+		p, err := mapping.Place(context.Background(), g, a, m.FPs, s.Dup, s.Remap, s.Segments)
 		if err != nil {
 			t.Fatalf("verifier accepted a schedule placement rejects: %v", err)
 		}

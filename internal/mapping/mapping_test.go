@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,15 @@ func nodeTable(g *graph.Graph, kv ...int) []int {
 		t[kv[i]] = kv[i+1]
 	}
 	return t
+}
+
+// oneSegment puts every node of g, in ID order, in one segment.
+func oneSegment(g *graph.Graph) [][]int {
+	seg := make([]int, len(g.Nodes))
+	for i := range seg {
+		seg[i] = i
+	}
+	return [][]int{seg}
 }
 
 func toyFootprint(t *testing.T) (*graph.Graph, *arch.Arch, []Footprint) {
@@ -190,7 +200,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 	if f.Rounds(a) <= 1 {
 		t.Fatalf("expected oversized operator, got %d crossbars on a %d-crossbar chip", f.XBsPerCopy, a.TotalCrossbars())
 	}
-	p, err := Place(g, a, fps, nil, nil, [][]int{g.TopoOrder()})
+	p, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 		t.Fatal("oversized operator placed without rounds")
 	}
 	// Duplicating an oversized operator must fail.
-	if _, err := Place(g, a, fps, nodeTable(g, node, 2), nil, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 2), nil, oneSegment(g)); err == nil {
 		t.Fatal("accepted duplication of oversized operator")
 	}
 }
@@ -215,7 +225,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 func TestPlaceSingleCopy(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	p, err := Place(g, a, fps, nil, nil, [][]int{g.TopoOrder()})
+	p, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +249,7 @@ func TestPlaceSingleCopy(t *testing.T) {
 func TestPlaceFourCopiesFillsToy(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	p, err := Place(g, a, fps, nodeTable(g, node, 4), nil, [][]int{g.TopoOrder()})
+	p, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 4), nil, oneSegment(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +276,7 @@ func TestPlaceFourCopiesFillsToy(t *testing.T) {
 func TestPlaceOverflowErrors(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	if _, err := Place(g, a, fps, nodeTable(g, node, 5), nil, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 5), nil, oneSegment(g)); err == nil {
 		t.Fatal("accepted 5 copies on a 4-crossbar chip")
 	}
 }
@@ -277,7 +287,7 @@ func TestPlaceOverflowErrors(t *testing.T) {
 func TestPlaceWithRemap(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	p, err := Place(g, a, fps, nodeTable(g, node, 2), nodeTable(g, node, 2), [][]int{g.TopoOrder()})
+	p, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 2), nodeTable(g, node, 2), oneSegment(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +319,7 @@ func TestRemapClampedToRowGroups(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
 	// Requesting remap 100 must clamp to RowGroups (2), not explode.
-	p, err := Place(g, a, fps, nil, nodeTable(g, node, 100), [][]int{g.TopoOrder()})
+	p, err := Place(context.Background(), g, a, fps, nil, nodeTable(g, node, 100), oneSegment(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +341,7 @@ func TestPlaceSegmentsReuseCores(t *testing.T) {
 	}
 	ids := g.CIMNodeIDs()
 	segs := [][]int{{ids[0]}, {ids[1]}}
-	p, err := Place(g, a, fps, nil, nil, segs)
+	p, err := Place(context.Background(), g, a, fps, nil, nil, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +356,14 @@ func TestPlaceSegmentsReuseCores(t *testing.T) {
 func TestPlaceRejectsDuplicateNode(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	if _, err := Place(g, a, fps, nil, nil, [][]int{{node}, {node}}); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nil, nil, [][]int{{node}, {node}}); err == nil {
 		t.Fatal("accepted node in two segments")
 	}
 }
 
 func TestPlaceRejectsMissingNode(t *testing.T) {
 	g, a, fps := toyFootprint(t)
-	if _, err := Place(g, a, fps, nil, nil, [][]int{{0}}); err == nil { // segment without the conv
+	if _, err := Place(context.Background(), g, a, fps, nil, nil, [][]int{{0}}); err == nil { // segment without the conv
 		t.Fatal("accepted placement missing a CIM node")
 	}
 }
@@ -361,17 +371,17 @@ func TestPlaceRejectsMissingNode(t *testing.T) {
 func TestPlaceRejectsBadDup(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	if _, err := Place(g, a, fps, nodeTable(g, node, -1), nil, [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nodeTable(g, node, -1), nil, oneSegment(g)); err == nil {
 		t.Fatal("accepted dup -1")
 	}
-	if _, err := Place(g, a, fps, nil, nodeTable(g, node, -1), [][]int{g.TopoOrder()}); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nil, nodeTable(g, node, -1), oneSegment(g)); err == nil {
 		t.Fatal("accepted remap -1")
 	}
 }
 
 func TestPlaceRejectsEmptySegments(t *testing.T) {
 	g, a, fps := toyFootprint(t)
-	if _, err := Place(g, a, fps, nil, nil, nil); err == nil {
+	if _, err := Place(context.Background(), g, a, fps, nil, nil, nil); err == nil {
 		t.Fatal("accepted nil segments")
 	}
 }
@@ -394,7 +404,7 @@ func TestPlacementCoverageProperty(t *testing.T) {
 				remap[id] = int(remapSel)%2 + 1
 			}
 		}
-		p, err := Place(g, a, fps, dup, remap, [][]int{g.TopoOrder()})
+		p, err := Place(context.Background(), g, a, fps, dup, remap, oneSegment(g))
 		if err != nil {
 			return false
 		}

@@ -57,17 +57,13 @@ type Placement struct {
 // dup[node] is the copy count (≥1) and remap[node] the WLM remap factor
 // (≥1), both indexed by node ID and 1 where they hold 0 or end. segments
 // lists the node IDs of each sequentially executed graph segment; CIM nodes
-// absent from every segment are an error.
-func Place(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
-	return PlaceCtx(context.Background(), g, a, fps, dup, remap, segments)
-}
-
-// PlaceCtx is Place with cancellation: ctx is checked once per node so a
+// absent from every segment are an error. ctx is checked once per node so a
 // cancelled compilation stops mid-placement on large graphs. It is the
 // schedule fold of plan.go keeping every extent the calculus yields.
-func PlaceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
+func Place(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (*Placement, error) {
 	p := &Placement{Arch: a, fps: fps, extent: make([]int32, len(g.Nodes))}
 	cim := 0
+	//cimlint:ignore ctxcancel -- one pass to size the tables; the fold below polls per node
 	for i, n := range g.Nodes {
 		p.extent[i] = -1
 		if n.Op.CIMSupported() {

@@ -12,7 +12,7 @@ import (
 // This file is the placement calculus: the packing rules of §3.3.3/§3.4,
 // written once. packNode says what one node's copies occupy; foldSegment and
 // foldSchedule sum it over a segment and a schedule. SegmentCores and
-// Occupancy are those folds with nothing attached, PlaceCtx is foldSchedule
+// Occupancy are those folds with nothing attached, Place is foldSchedule
 // keeping every extent (a Placement is its extents; tiles are derived from
 // them on demand) — so the autotuner's pruner, the verifier's capacity rule,
 // the simulator's occupancy counts and the placement itself are one walk.
@@ -185,7 +185,7 @@ func SegmentCores(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []in
 
 // Occupancy returns the cores and distinct crossbars each segment of a
 // schedule occupies — what Place records as SegmentCores and SegmentXBs —
-// and rejects exactly what PlaceCtx rejects.
+// and rejects exactly what Place rejects.
 func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (cores, xbs []int, err error) {
 	return foldSchedule(ctx, g, a, fps, dup, remap, segments, nil)
 }

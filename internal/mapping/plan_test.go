@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -49,7 +50,7 @@ func emitted(p *Placement, seg int) (cores, xbs, rounds int) {
 
 // TestSegmentCoresMatchesPlace sweeps presets × dup × remap settings and
 // checks tile emission against the calculus that drives it: SegmentCores and
-// PlaceCtx accept and reject together (the invariant the autotuner's pruner
+// Place accept and reject together (the invariant the autotuner's pruner
 // depends on), and the cores and distinct crossbars the emitted tiles touch
 // are the ones the calculus recorded.
 func TestSegmentCoresMatchesPlace(t *testing.T) {
@@ -76,7 +77,7 @@ func TestSegmentCoresMatchesPlace(t *testing.T) {
 					name := fmt.Sprintf("%s/%s/d%d/m%d", preset, mode, d, m)
 
 					planCores, planErr := SegmentCores(g, a, fps, dup, remap, seg)
-					p, placeErr := Place(g, a, fps, dup, remap, [][]int{seg})
+					p, placeErr := Place(context.Background(), g, a, fps, dup, remap, [][]int{seg})
 					if (planErr == nil) != (placeErr == nil) {
 						t.Errorf("%s: plan err %v but place err %v", name, planErr, placeErr)
 						continue
@@ -113,7 +114,7 @@ func TestExtentCorners(t *testing.T) {
 		if small.XBsPerCopy != 1 || big.XBsPerCopy <= 2*a.TotalCrossbars() {
 			t.Fatalf("fixture drifted: footprints of %d and %d crossbars", small.XBsPerCopy, big.XBsPerCopy)
 		}
-		p, err := Place(g, a, fps, nil, nil, [][]int{g.TopoOrder()})
+		p, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestExtentCorners(t *testing.T) {
 		if want := (big.XBsPerCopy + window - 1) / window; rounds != want {
 			t.Errorf("rounds = %d, want %d", rounds, want)
 		}
-		if _, err := Place(g, a, fps, nodeTable(g, cim[1], 2), nil, [][]int{g.TopoOrder()}); err == nil {
+		if _, err := Place(context.Background(), g, a, fps, nodeTable(g, cim[1], 2), nil, oneSegment(g)); err == nil {
 			t.Error("accepted a duplicated oversized operator")
 		}
 	})
@@ -152,7 +153,7 @@ func TestExtentCorners(t *testing.T) {
 		if got := fps[node].XBsPerCopy; got != 3 {
 			t.Fatalf("fixture drifted: %d crossbars per copy, want 3", got)
 		}
-		p, err := Place(g, a, fps, nodeTable(g, node, 3), nil, [][]int{g.TopoOrder()})
+		p, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 3), nil, oneSegment(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestExtentCorners(t *testing.T) {
 			}
 		}
 		a.Mode = arch.XBM
-		if p, err = Place(g, a, fps, nodeTable(g, node, 3), nil, [][]int{g.TopoOrder()}); err != nil {
+		if p, err = Place(context.Background(), g, a, fps, nodeTable(g, node, 3), nil, oneSegment(g)); err != nil {
 			t.Fatal(err)
 		}
 		if p.SegmentXBs[0] != 9 || p.SegmentCores[0] != 3 {
@@ -219,7 +220,7 @@ func TestValidateRejectsCorruptExtents(t *testing.T) {
 	cim := g.CIMNodeIDs()
 	place := func(t *testing.T) *Placement {
 		// Private footprints: two cases corrupt them.
-		p, err := Place(g, a, slices.Clone(fps), nodeTable(g, cim[0], 3), nil, [][]int{seg})
+		p, err := Place(context.Background(), g, a, slices.Clone(fps), nodeTable(g, cim[0], 3), nil, [][]int{seg})
 		if err != nil {
 			t.Fatal(err)
 		}

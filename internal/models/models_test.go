@@ -1,6 +1,7 @@
 package models
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +20,33 @@ func TestAllModelsValidateAndInfer(t *testing.T) {
 		}
 		if g.Name != name {
 			t.Errorf("model %q reports name %q", name, g.Name)
+		}
+	}
+}
+
+// TestBuilderShapesMatchInferShapes replays every zoo model through a
+// Builder node by node and holds the shape the builder infers for each node,
+// as it is appended, to what one InferShapes over the finished graph gives.
+func TestBuilderShapesMatchInferShapes(t *testing.T) {
+	for _, name := range Names() {
+		g, err := Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.InferShapes(); err != nil {
+			t.Fatal(err)
+		}
+		b := graph.NewBuilder(name, g.Nodes[0].OutShape...)
+		for _, n := range g.Nodes[1:] {
+			if n.Op == graph.OpInput {
+				b.Last = b.G.AddInput(n.Name, n.OutShape...)
+			} else {
+				b.Last = b.G.AddNode(n.Name, n.Op, n.Inputs, n.Attr, n.WeightShape)
+			}
+			if got := b.CurrentShape(); !slices.Equal(got, n.OutShape) {
+				_, err := b.Finish()
+				t.Fatalf("%s: node %d (%s): builder infers %v, InferShapes %v (%v)", name, n.ID, n.Name, got, n.OutShape, err)
+			}
 		}
 	}
 }

@@ -13,6 +13,24 @@ import (
 	"cimmlc/internal/sched"
 )
 
+// sequential is a schedule of every operator once, with no pipeline, in one
+// segment; it suits a model that fits the chip.
+func sequential(g *graph.Graph, a *arch.Arch) *sched.Schedule {
+	var seg []int
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpInput {
+			seg = append(seg, n.ID)
+		}
+	}
+	return &sched.Schedule{
+		Graph:    g,
+		Arch:     a,
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
+		Segments: [][]int{seg},
+	}
+}
+
 func cgSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *cost.Model) {
 	t.Helper()
 	m, err := cost.New(g, a)
@@ -84,7 +102,7 @@ func TestMVMDupSpeedsUp(t *testing.T) {
 	g := models.ResNet50()
 	a := arch.ISAACBaseline()
 	s, m := cgSchedule(t, g, a)
-	rCG, err := perfsim.SimulateWithModel(s, m)
+	rCG, err := perfsim.SimulateWithModel(context.Background(), s, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +110,7 @@ func TestMVMDupSpeedsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rMVM, err := perfsim.SimulateWithModel(s2, m)
+	rMVM, err := perfsim.SimulateWithModel(context.Background(), s2, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +132,11 @@ func TestStaggerReducesPeakPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := perfsim.SimulateWithModel(plain, m)
+	rp, err := perfsim.SimulateWithModel(context.Background(), plain, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := perfsim.SimulateWithModel(stag, m)
+	rs, err := perfsim.SimulateWithModel(context.Background(), stag, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +152,7 @@ func TestRejectsCMArchitecture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.NewSequential(g, a)
+	s := sequential(g, a)
 	if _, err := Optimize(s, m, Options{Duplicate: true}); err == nil {
 		t.Fatal("accepted CM-mode architecture")
 	}
@@ -166,7 +184,7 @@ func TestOversizedOpsSkipped(t *testing.T) {
 			t.Fatalf("oversized node %d duplicated", id)
 		}
 	}
-	if _, err := perfsim.SimulateWithModel(s, m); err != nil {
+	if _, err := perfsim.SimulateWithModel(context.Background(), s, m, nil); err != nil {
 		t.Fatal(err)
 	}
 }

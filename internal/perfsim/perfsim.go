@@ -80,22 +80,16 @@ func Simulate(s *sched.Schedule) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SimulateWithModel(s, m)
+	return SimulateWithModel(context.Background(), s, m, nil)
 }
 
 // SimulateWithModel is Simulate with a pre-built cost model (the optimizers
-// reuse one model across many candidate schedules).
-func SimulateWithModel(s *sched.Schedule, m *cost.Model) (*Report, error) {
-	return SimulateWithModelCtx(context.Background(), s, m, nil)
-}
-
-// SimulateWithModelCtx is SimulateWithModel with cancellation: ctx is
-// checked once per simulated operator so a cancelled compilation stops
-// mid-simulation on large schedules. p, when not nil, is a placement the
-// caller holds: if it is the placement of s (mapping.Placement.Holds), the
-// report's occupancy is the one p recorded; otherwise, as without one, it is
-// folded from s.
-func SimulateWithModelCtx(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement) (*Report, error) {
+// reuse one model across many candidate schedules). ctx is checked once per
+// simulated operator so a cancelled compilation stops mid-simulation on
+// large schedules. p, when not nil, is a placement the caller holds: if it
+// is the placement of s (mapping.Placement.Holds), the report's occupancy is
+// the one p recorded; otherwise, as without one, it is folded from s.
+func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement) (*Report, error) {
 	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
 	segOf := make([]int, len(s.Graph.Nodes))

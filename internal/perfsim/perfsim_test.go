@@ -16,9 +16,27 @@ import (
 	"cimmlc/internal/sched"
 )
 
+// sequential is a schedule of every operator once, with no pipeline, in one
+// segment; it suits a model that fits the chip.
+func sequential(g *graph.Graph, a *arch.Arch) *sched.Schedule {
+	var seg []int
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpInput {
+			seg = append(seg, n.ID)
+		}
+	}
+	return &sched.Schedule{
+		Graph:    g,
+		Arch:     a,
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
+		Segments: [][]int{seg},
+	}
+}
+
 func toySchedule(t *testing.T) *sched.Schedule {
 	t.Helper()
-	return sched.NewSequential(models.ConvReLU(), arch.ToyExample())
+	return sequential(models.ConvReLU(), arch.ToyExample())
 }
 
 func TestSequentialLatencyIsSumOfOps(t *testing.T) {
@@ -103,9 +121,9 @@ func TestStaggerCutsPeakPowerNotLatency(t *testing.T) {
 	// stripes). Use pipeline so ops overlap.
 	g := models.ResNet18()
 	a := arch.ISAACBaseline()
-	plain := sched.NewSequential(g, a)
+	plain := sequential(g, a)
 	plain.Pipeline = true
-	stag := sched.NewSequential(g, a)
+	stag := sequential(g, a)
 	stag.Pipeline = true
 	stag.Stagger = true
 	rp, err := Simulate(plain)
@@ -155,7 +173,7 @@ func TestReloadCostlierOnReRAM(t *testing.T) {
 	mkSched := func(dev arch.Device) *sched.Schedule {
 		a := arch.ToyExample()
 		a.XB.Device = dev
-		s := sched.NewSequential(g, a)
+		s := sequential(g, a)
 		s.Segments = [][]int{{1}, {2}}
 		return s
 	}
@@ -229,11 +247,11 @@ func TestSimulateRejectsOverCapacity(t *testing.T) {
 
 // TestSimulateRejectsWhatPlacementRejects pins every rejection the simulator
 // takes from the placement calculus rather than from its own event model.
-// SimulateWithModelCtx is the entry the autotuner drives; it does not run
+// SimulateWithModel is the entry the autotuner drives; it does not run
 // sched.Validate, so the calculus is the only guard for most of these.
 func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 	seq := func(g *graph.Graph) func(*arch.Arch) *sched.Schedule {
-		return func(a *arch.Arch) *sched.Schedule { return sched.NewSequential(g, a) }
+		return func(a *arch.Arch) *sched.Schedule { return sequential(g, a) }
 	}
 	toy := seq(models.ConvReLU())
 	// 12 crossbars per copy on the 4-crossbar toy chip.
@@ -241,7 +259,7 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 	// Three one-crossbar CIM nodes (1, 3, 5) on two cores: legal only with
 	// the last one in a segment of its own.
 	chain := func(a *arch.Arch) *sched.Schedule {
-		s := sched.NewSequential(graph.NewBuilder("chain", 8, 6, 6).
+		s := sequential(graph.NewBuilder("chain", 8, 6, 6).
 			Conv(8, 1, 1, 0).ReLU().Conv(8, 1, 1, 0).ReLU().Conv(8, 1, 1, 0).MustFinish(), a)
 		s.Segments = [][]int{{1, 2, 3, 4}, {5}}
 		return s
@@ -277,12 +295,12 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 			ctx := c.ctx
 			if ctx == nil {
 				ctx = context.Background()
-				if _, err := SimulateWithModelCtx(ctx, s, m, nil); err != nil {
+				if _, err := SimulateWithModel(ctx, s, m, nil); err != nil {
 					t.Fatalf("clean schedule rejected: %v", err)
 				}
 			}
 			c.corrupt(s)
-			_, err = SimulateWithModelCtx(ctx, s, m, nil)
+			_, err = SimulateWithModel(ctx, s, m, nil)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want one containing %q", err, c.want)
 			}
@@ -298,8 +316,8 @@ func TestResNetPipelineSpeedupShape(t *testing.T) {
 	// baseline should give a clear speedup (paper: 2.3–4.7×).
 	g := models.ResNet18()
 	a := arch.ISAACBaseline()
-	seq := sched.NewSequential(g, a)
-	pipe := sched.NewSequential(g, a)
+	seq := sequential(g, a)
+	pipe := sequential(g, a)
 	pipe.Pipeline = true
 	rs, err := Simulate(seq)
 	if err != nil {
@@ -324,7 +342,7 @@ func TestBranchingGraphTimings(t *testing.T) {
 	b.AddFrom(conv1)
 	g := b.MustFinish()
 	a := arch.ISAACBaseline()
-	s := sched.NewSequential(g, a)
+	s := sequential(g, a)
 	s.Pipeline = true
 	rep, err := Simulate(s)
 	if err != nil {
@@ -351,7 +369,7 @@ func BenchmarkSimulate(b *testing.B) {
 		b.Fatal(err)
 	}
 	for b.Loop() {
-		if _, err := SimulateWithModel(s, m); err != nil {
+		if _, err := SimulateWithModel(context.Background(), s, m, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 func TestFingerprintCanonical(t *testing.T) {
 	g := models.ConvReLU()
 	a := arch.ISAACBaseline()
-	s := NewSequential(g, a)
+	s := sequential(g, a)
 	base := s.Fingerprint()
 
 	if got := s.Clone().Fingerprint(); got != base {

@@ -53,26 +53,6 @@ type Schedule struct {
 	Levels []string
 }
 
-// NewSequential returns the unoptimized schedule: every operator once, no
-// pipeline, everything in one segment — the "w/o optimization" baseline of
-// Figure 20(d) — provided the model fits the chip; callers needing
-// segmentation run the CG optimizer instead.
-func NewSequential(g *graph.Graph, a *arch.Arch) *Schedule {
-	var seg []int
-	for _, n := range g.Nodes {
-		if n.Op != graph.OpInput {
-			seg = append(seg, n.ID)
-		}
-	}
-	return &Schedule{
-		Graph:    g,
-		Arch:     a,
-		Dup:      make([]int, len(g.Nodes)),
-		Remap:    make([]int, len(g.Nodes)),
-		Segments: [][]int{seg},
-	}
-}
-
 // DupOf returns the duplication of a node (default 1).
 func (s *Schedule) DupOf(node int) int { return Setting(s.Dup, node) }
 

@@ -6,8 +6,27 @@ import (
 	"testing"
 
 	"cimmlc/internal/arch"
+	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 )
+
+// sequential is a schedule of every operator once, with no pipeline, in one
+// segment; it suits a model that fits the chip.
+func sequential(g *graph.Graph, a *arch.Arch) *Schedule {
+	var seg []int
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpInput {
+			seg = append(seg, n.ID)
+		}
+	}
+	return &Schedule{
+		Graph:    g,
+		Arch:     a,
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
+		Segments: [][]int{seg},
+	}
+}
 
 func TestNewSequentialValidates(t *testing.T) {
 	for _, name := range []string{"conv-relu", "lenet5", "resnet18", "vit-tiny"} {
@@ -15,7 +34,7 @@ func TestNewSequentialValidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewSequential(g, arch.ISAACBaseline())
+		s := sequential(g, arch.ISAACBaseline())
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -30,7 +49,7 @@ func TestNewSequentialValidates(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	g := models.ConvReLU()
-	s := NewSequential(g, arch.ToyExample())
+	s := sequential(g, arch.ToyExample())
 	if s.DupOf(1) != 1 || s.RemapOf(1) != 1 {
 		t.Fatal("defaults must be 1")
 	}
@@ -65,7 +84,7 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"nil graph", func(s *Schedule) { s.Graph = nil }},
 	}
 	for _, c := range cases {
-		s := NewSequential(g, a)
+		s := sequential(g, a)
 		c.mut(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: not caught", c.name)
@@ -129,7 +148,7 @@ func TestValidateErrorsAreDeterministic(t *testing.T) {
 		}, fmt.Sprintf("sched: remap table has %d entries for %d nodes", len(g.Nodes)+1, len(g.Nodes))},
 	}
 	for _, c := range cases {
-		s := NewSequential(g, a)
+		s := sequential(g, a)
 		c.mut(s)
 		if err := s.Validate(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
@@ -142,7 +161,7 @@ func TestValidateErrorsAreDeterministic(t *testing.T) {
 // setter grows it to the graph's size.
 func TestNilTableIsDefault(t *testing.T) {
 	g := models.LeNet5()
-	full := NewSequential(g, arch.ToyExample())
+	full := sequential(g, arch.ToyExample())
 	for _, short := range [][]int{nil, {}, make([]int, 3)} {
 		s := full.Clone()
 		s.Dup, s.Remap = short, slices.Clone(short)
@@ -175,7 +194,7 @@ func TestNilTableIsDefault(t *testing.T) {
 
 func TestValidateAllowsCrossSegmentOrder(t *testing.T) {
 	g := models.ConvReLU()
-	s := NewSequential(g, arch.ToyExample())
+	s := sequential(g, arch.ToyExample())
 	s.Segments = [][]int{{1}, {2}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -184,7 +203,7 @@ func TestValidateAllowsCrossSegmentOrder(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	g := models.ConvReLU()
-	s := NewSequential(g, arch.ToyExample())
+	s := sequential(g, arch.ToyExample())
 	s.Dup[1] = 2
 	s.Remap[1] = 3
 	c := s.Clone()

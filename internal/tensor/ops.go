@@ -147,44 +147,6 @@ func tapRange(k, pad, stride, n, outN int) (lo, hi int) {
 	return lo, min(outN, last/stride+1)
 }
 
-// Im2Col lowers input [inC,h,w] into the matrix of convolution sliding
-// windows with shape [outH*outW, inC*kH*kW], matching the row layout used by
-// WeightsAsMatrix. Conv2D(in,w) equals Im2Col(in)·WeightsAsMatrix(w) reshaped.
-func Im2Col(in *Tensor, kh, kw int, p ConvParams) (*Tensor, error) {
-	if in.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: Im2Col input must be [C,H,W], got %v", in.shape)
-	}
-	inC, h, w := in.shape[0], in.shape[1], in.shape[2]
-	outH := (h+2*p.Padding-kh)/p.Stride + 1
-	outW := (w+2*p.Padding-kw)/p.Stride + 1
-	if outH <= 0 || outW <= 0 {
-		return nil, fmt.Errorf("tensor: Im2Col produces empty output")
-	}
-	cols := inC * kh * kw
-	m := New(outH*outW, cols)
-	row := 0
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			base := row * cols
-			col := 0
-			for ic := 0; ic < inC; ic++ {
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*p.Stride + ky - p.Padding
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*p.Stride + kx - p.Padding
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							m.data[base+col] = in.data[(ic*h+iy)*w+ix]
-						}
-						col++
-					}
-				}
-			}
-			row++
-		}
-	}
-	return m, nil
-}
-
 // WeightsAsMatrix reshapes conv weights [outC,inC,kH,kW] into the matrix
 // [inC*kH*kW, outC] used for crossbar mapping: each column is one filter.
 func WeightsAsMatrix(w *Tensor) (*Tensor, error) {

@@ -1,19 +1,20 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestMatMulSmall(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := fromSlice(t, []float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := fromSlice(t, []float32{7, 8, 9, 10, 11, 12}, 3, 2)
 	c, err := MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustFromSlice([]float32{58, 64, 139, 154}, 2, 2)
+	want := fromSlice(t, []float32{58, 64, 139, 154}, 2, 2)
 	if !AllClose(c, want, 1e-6) {
 		t.Fatalf("MatMul = %v, want %v", c, want)
 	}
@@ -32,9 +33,9 @@ func TestMatMulShapeErrors(t *testing.T) {
 
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := New(1, 3, 3)
-	in.Iota(1)
+	ramp(in, 1)
 	w := New(1, 1, 1, 1)
-	w.Set(1, 0, 0, 0, 0)
+	set(w, 1, 0, 0, 0, 0)
 	out, err := Conv2D(in, w, nil, ConvParams{Stride: 1, Padding: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +47,8 @@ func TestConv2DIdentityKernel(t *testing.T) {
 
 func TestConv2DKnownValues(t *testing.T) {
 	// 2x2 input, 2x2 kernel of ones => single output = sum of inputs.
-	in := MustFromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	w := MustFromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
+	in := fromSlice(t, []float32{1, 2, 3, 4}, 1, 2, 2)
+	w := fromSlice(t, []float32{1, 1, 1, 1}, 1, 1, 2, 2)
 	out, err := Conv2D(in, w, nil, ConvParams{Stride: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +85,12 @@ func TestConv2DStride2Shape(t *testing.T) {
 func TestConv2DBias(t *testing.T) {
 	in := New(1, 2, 2)
 	w := New(2, 1, 1, 1)
-	bias := MustFromSlice([]float32{1, -2}, 2)
+	bias := fromSlice(t, []float32{1, -2}, 2)
 	out, err := Conv2D(in, w, bias, ConvParams{Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.At(0, 0, 0) != 1 || out.At(1, 1, 1) != -2 {
+	if at(out, 0, 0, 0) != 1 || at(out, 1, 1, 1) != -2 {
 		t.Fatalf("bias not applied: %v", out.Data())
 	}
 }
@@ -112,8 +113,8 @@ func TestConv2DErrors(t *testing.T) {
 	}
 }
 
-// TestIm2ColLowering is the key lowering identity the compiler relies on:
-// conv(in, w) == im2col(in) · weightsAsMatrix(w).
+// TestIm2ColLowering holds the identity behind mapping a convolution onto
+// crossbars: conv(in, w) == im2col(in) · WeightsAsMatrix(w).
 func TestIm2ColLowering(t *testing.T) {
 	cases := []struct {
 		inC, h, w, outC, k, stride, pad int
@@ -135,7 +136,7 @@ func TestIm2ColLowering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols, err := Im2Col(in, c.k, c.k, p)
+		cols, err := im2col(in, c.k, c.k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +162,49 @@ func TestIm2ColLowering(t *testing.T) {
 	}
 }
 
+// im2col is TestIm2ColLowering's oracle: it lowers input [inC,h,w] into the
+// matrix of convolution windows, shape [outH*outW, inC*kH*kW], whose columns
+// follow WeightsAsMatrix's rows, so that Conv2D(in,w) is im2col(in) ·
+// WeightsAsMatrix(w) up to a transpose of the result.
+func im2col(in *Tensor, kh, kw int, p ConvParams) (*Tensor, error) {
+	if in.Rank() != 3 {
+		return nil, fmt.Errorf("im2col input must be [C,H,W], got %v", in.shape)
+	}
+	inC, h, w := in.shape[0], in.shape[1], in.shape[2]
+	outH := (h+2*p.Padding-kh)/p.Stride + 1
+	outW := (w+2*p.Padding-kw)/p.Stride + 1
+	if outH <= 0 || outW <= 0 {
+		return nil, fmt.Errorf("im2col produces empty output")
+	}
+	cols := inC * kh * kw
+	m := New(outH*outW, cols)
+	row := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			base := row * cols
+			col := 0
+			for ic := 0; ic < inC; ic++ {
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*p.Stride + ky - p.Padding
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*p.Stride + kx - p.Padding
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							m.data[base+col] = in.data[(ic*h+iy)*w+ix]
+						}
+						col++
+					}
+				}
+			}
+			row++
+		}
+	}
+	return m, nil
+}
+
 func TestReLU(t *testing.T) {
-	in := MustFromSlice([]float32{-1, 0, 2, -3.5}, 4)
+	in := fromSlice(t, []float32{-1, 0, 2, -3.5}, 4)
 	out := ReLU(in)
-	want := MustFromSlice([]float32{0, 0, 2, 0}, 4)
+	want := fromSlice(t, []float32{0, 0, 2, 0}, 4)
 	if !AllClose(out, want, 0) {
 		t.Fatalf("ReLU = %v", out.Data())
 	}
@@ -174,13 +214,13 @@ func TestReLU(t *testing.T) {
 }
 
 func TestAdd(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2}, 2)
-	b := MustFromSlice([]float32{3, 4}, 2)
+	a := fromSlice(t, []float32{1, 2}, 2)
+	b := fromSlice(t, []float32{3, 4}, 2)
 	c, err := Add(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.At(1) != 6 {
+	if at(c, 1) != 6 {
 		t.Fatalf("Add = %v", c.Data())
 	}
 	if _, err := Add(a, New(3)); err == nil {
@@ -189,7 +229,7 @@ func TestAdd(t *testing.T) {
 }
 
 func TestMaxPool2D(t *testing.T) {
-	in := MustFromSlice([]float32{
+	in := fromSlice(t, []float32{
 		1, 2, 3, 4,
 		5, 6, 7, 8,
 		9, 10, 11, 12,
@@ -199,14 +239,14 @@ func TestMaxPool2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustFromSlice([]float32{6, 8, 14, 16}, 1, 2, 2)
+	want := fromSlice(t, []float32{6, 8, 14, 16}, 1, 2, 2)
 	if !AllClose(out, want, 0) {
 		t.Fatalf("MaxPool = %v", out.Data())
 	}
 }
 
 func TestAvgPool2D(t *testing.T) {
-	in := MustFromSlice([]float32{1, 3, 5, 7}, 1, 2, 2)
+	in := fromSlice(t, []float32{1, 3, 5, 7}, 1, 2, 2)
 	out, err := AvgPool2D(in, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -229,12 +269,12 @@ func TestPoolErrors(t *testing.T) {
 }
 
 func TestGlobalAvgPool(t *testing.T) {
-	in := MustFromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
+	in := fromSlice(t, []float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
 	out, err := GlobalAvgPool(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustFromSlice([]float32{2.5, 25}, 2)
+	want := fromSlice(t, []float32{2.5, 25}, 2)
 	if !AllClose(out, want, 1e-6) {
 		t.Fatalf("GlobalAvgPool = %v", out.Data())
 	}
@@ -247,7 +287,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		sum := float64(0)
 		for j := 0; j < 5; j++ {
-			v := out.At(r, j)
+			v := at(out, r, j)
 			if v < 0 || v > 1 {
 				t.Fatalf("softmax value %v outside [0,1]", v)
 			}
@@ -260,7 +300,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 }
 
 func TestSoftmaxStableForLargeInputs(t *testing.T) {
-	in := MustFromSlice([]float32{1000, 1001, 1002}, 3)
+	in := fromSlice(t, []float32{1000, 1001, 1002}, 3)
 	out := Softmax(in)
 	for _, v := range out.Data() {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -279,11 +319,11 @@ func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		mean, varv := 0.0, 0.0
 		for j := 0; j < 16; j++ {
-			mean += float64(out.At(r, j))
+			mean += float64(at(out, r, j))
 		}
 		mean /= 16
 		for j := 0; j < 16; j++ {
-			d := float64(out.At(r, j)) - mean
+			d := float64(at(out, r, j)) - mean
 			varv += d * d
 		}
 		varv /= 16
@@ -295,17 +335,17 @@ func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 
 func TestLayerNormGammaBeta(t *testing.T) {
 	in := New(1, 4)
-	in.Iota(1)
-	gamma := MustFromSlice([]float32{2, 2, 2, 2}, 4)
-	beta := MustFromSlice([]float32{1, 1, 1, 1}, 4)
+	ramp(in, 1)
+	gamma := fromSlice(t, []float32{2, 2, 2, 2}, 4)
+	beta := fromSlice(t, []float32{1, 1, 1, 1}, 4)
 	out, err := LayerNorm(in, gamma, beta, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain, _ := LayerNorm(in, nil, nil, 1e-5)
 	for j := 0; j < 4; j++ {
-		want := plain.At(0, j)*2 + 1
-		if math.Abs(float64(out.At(0, j)-want)) > 1e-5 {
+		want := at(plain, 0, j)*2 + 1
+		if math.Abs(float64(at(out, 0, j)-want)) > 1e-5 {
 			t.Fatalf("gamma/beta not applied at %d", j)
 		}
 	}
@@ -315,27 +355,27 @@ func TestLayerNormGammaBeta(t *testing.T) {
 }
 
 func TestGELUKnownPoints(t *testing.T) {
-	in := MustFromSlice([]float32{0, 100, -100}, 3)
+	in := fromSlice(t, []float32{0, 100, -100}, 3)
 	out := GELU(in)
-	if out.At(0) != 0 {
-		t.Fatalf("GELU(0) = %v", out.At(0))
+	if at(out, 0) != 0 {
+		t.Fatalf("GELU(0) = %v", at(out, 0))
 	}
-	if math.Abs(float64(out.At(1)-100)) > 1e-3 {
-		t.Fatalf("GELU(100) = %v, want ~100", out.At(1))
+	if math.Abs(float64(at(out, 1)-100)) > 1e-3 {
+		t.Fatalf("GELU(100) = %v, want ~100", at(out, 1))
 	}
-	if math.Abs(float64(out.At(2))) > 1e-3 {
-		t.Fatalf("GELU(-100) = %v, want ~0", out.At(2))
+	if math.Abs(float64(at(out, 2))) > 1e-3 {
+		t.Fatalf("GELU(-100) = %v, want ~0", at(out, 2))
 	}
 }
 
 func TestTranspose2D(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at, err := Transpose2D(a)
+	a := fromSlice(t, []float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	tr, err := Transpose2D(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at.Dim(0) != 3 || at.Dim(1) != 2 || at.At(2, 1) != 6 {
-		t.Fatalf("Transpose2D wrong: %v", at)
+	if tr.Dim(0) != 3 || tr.Dim(1) != 2 || at(tr, 2, 1) != 6 {
+		t.Fatalf("Transpose2D wrong: %v", tr)
 	}
 	if _, err := Transpose2D(New(2)); err == nil {
 		t.Fatal("Transpose2D accepted rank-1")

@@ -85,59 +85,3 @@ func Level(v, scale float32, maxQ int32) int32 {
 	}
 	return int32(r)
 }
-
-// Dequantize converts integer values back to float32 with the given scale,
-// writing them into a tensor of the provided shape.
-func Dequantize(vals []int32, q QuantParams, shape ...int) (*Tensor, error) {
-	t := New(shape...)
-	if len(vals) != len(t.data) {
-		return nil, fmt.Errorf("tensor: dequantize length %d does not match shape %v", len(vals), shape)
-	}
-	for i, v := range vals {
-		t.data[i] = float32(v) * q.Scale
-	}
-	return t, nil
-}
-
-// BitSlice decomposes a quantized value into ceil(bits/cellBits) unsigned
-// slices of cellBits each, least-significant slice first, using two's
-// complement over `bits` bits for negatives. SliceCount reports how many
-// slices that is.
-//
-// This is exactly the decomposition a CIM macro performs when spreading an
-// n-bit weight across cells of limited precision (Figure 7's B→XBC binding).
-// BitSlice, SliceCount and FromBitSlices are the reference model of that
-// binding: the functional simulator stores a crossbar as the weights its
-// cells hold, and their round trip being the identity is what makes that
-// exact. arch.CellsPerWeight counts the same slices for placement.
-func BitSlice(v int32, bits, cellBits int) []uint32 {
-	out := make([]uint32, SliceCount(bits, cellBits))
-	u := uint32(v) & ((1 << uint(bits)) - 1) // two's complement truncation
-	mask := uint32(1<<uint(cellBits)) - 1
-	for i := range out {
-		out[i] = u & mask
-		u >>= uint(cellBits)
-	}
-	return out
-}
-
-// SliceCount returns ceil(bits/cellBits). cellBits comes from device
-// profiles already checked positive by arch.Validate.
-func SliceCount(bits, cellBits int) int {
-	return (bits + cellBits - 1) / cellBits
-}
-
-// FromBitSlices reassembles a two's-complement value of `bits` width from its
-// slices (inverse of BitSlice).
-func FromBitSlices(slices []uint32, bits, cellBits int) int32 {
-	var u uint32
-	for i := len(slices) - 1; i >= 0; i-- {
-		u = (u << uint(cellBits)) | (slices[i] & ((1 << uint(cellBits)) - 1))
-	}
-	u &= (1 << uint(bits)) - 1
-	// Sign-extend.
-	if u&(1<<uint(bits-1)) != 0 {
-		u |= ^uint32(0) << uint(bits)
-	}
-	return int32(u)
-}

@@ -17,18 +17,15 @@ func TestQuantRoundTripWithinScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Dequantize(vals, q, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := MaxAbsDiff(x, back)
-	if d > float64(q.Scale)/2+1e-6 {
-		t.Fatalf("quantization error %v exceeds half scale %v", d, q.Scale/2)
+	for i, v := range vals {
+		if d := math.Abs(float64(float32(v)*q.Scale - x.data[i])); d > float64(q.Scale)/2+1e-6 {
+			t.Fatalf("element %d: quantization error %v exceeds half scale %v", i, d, q.Scale/2)
+		}
 	}
 }
 
 func TestQuantizeClamps(t *testing.T) {
-	x := MustFromSlice([]float32{1000, -1000}, 2)
+	x := fromSlice(t, []float32{1000, -1000}, 2)
 	q := QuantParams{Bits: 8, Scale: 1}
 	vals, err := Quantize(x, q)
 	if err != nil {
@@ -46,7 +43,7 @@ func TestQuantizeClamps(t *testing.T) {
 func TestQuantizeSaturatesNonFinite(t *testing.T) {
 	inf := float32(math.Inf(1))
 	q := QuantParams{Bits: 8, Scale: 0.0078}
-	vals, err := Quantize(MustFromSlice([]float32{inf, -inf, 1e10, -1e10, 1, 3e9 * 0.0078}, 6), q)
+	vals, err := Quantize(fromSlice(t, []float32{inf, -inf, 1e10, -1e10, 1, 3e9 * 0.0078}, 6), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +53,7 @@ func TestQuantizeSaturatesNonFinite(t *testing.T) {
 			t.Fatalf("Quantize = %v, want %v", vals, want)
 		}
 	}
-	_, err = Quantize(MustFromSlice([]float32{inf, -inf, float32(math.NaN()), 1e10, 1}, 5), q)
+	_, err = Quantize(fromSlice(t, []float32{inf, -inf, float32(math.NaN()), 1e10, 1}, 5), q)
 	if err == nil || !strings.Contains(err.Error(), "element 2 is NaN") {
 		t.Fatalf("Quantize of a NaN: err %v, want element 2 named", err)
 	}
@@ -75,7 +72,7 @@ func TestCalibrateQuantIgnoresNaN(t *testing.T) {
 		{[]float32{nan, nan}, 1},
 		{[]float32{-3, nan, float32(math.Inf(-1))}, float32(math.Inf(1))},
 	} {
-		if q := CalibrateQuant(MustFromSlice(tc.data, len(tc.data)), 8); q.Scale != tc.want {
+		if q := CalibrateQuant(fromSlice(t, tc.data, len(tc.data)), 8); q.Scale != tc.want {
 			t.Errorf("CalibrateQuant(%v) scale %g, want %g", tc.data, q.Scale, tc.want)
 		}
 	}
@@ -120,45 +117,77 @@ func TestCalibrateQuantTinyTensors(t *testing.T) {
 		{"smallest-normal", []float32{smallestNormal, 0}, smallestNormal / 127},
 		{"one", []float32{-1, 0.5}, 1.0 / 127},
 	} {
-		q := CalibrateQuant(MustFromSlice(tc.data, len(tc.data)), 8)
+		q := CalibrateQuant(fromSlice(t, tc.data, len(tc.data)), 8)
 		if err := q.Validate(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
 		if q.Scale != tc.want {
 			t.Errorf("%s: scale %g, want %g", tc.name, q.Scale, tc.want)
 		}
-		if _, err := Quantize(MustFromSlice(tc.data, len(tc.data)), q); err != nil {
+		if _, err := Quantize(fromSlice(t, tc.data, len(tc.data)), q); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }
 
-func TestDequantizeLengthCheck(t *testing.T) {
-	if _, err := Dequantize([]int32{1, 2, 3}, QuantParams{Bits: 8, Scale: 1}, 2); err == nil {
-		t.Fatal("accepted mismatched length")
+// bitSlice decomposes a quantized value into sliceCount(bits, cellBits)
+// unsigned slices of cellBits each, least-significant first, using two's
+// complement over bits for negatives: how a CIM macro spreads an n-bit weight
+// over cells of lower precision (Figure 7's B→XBC binding). With
+// fromBitSlices it is the model the tests below hold the simulator to: their
+// round trip is the identity, so funcsim may store a crossbar as the weights
+// its cells hold, and arch.CellsPerWeight counts the same slices.
+func bitSlice(v int32, bits, cellBits int) []uint32 {
+	out := make([]uint32, sliceCount(bits, cellBits))
+	u := uint32(v) & ((1 << uint(bits)) - 1) // two's complement truncation
+	mask := uint32(1<<uint(cellBits)) - 1
+	for i := range out {
+		out[i] = u & mask
+		u >>= uint(cellBits)
 	}
+	return out
+}
+
+// sliceCount returns ceil(bits/cellBits).
+func sliceCount(bits, cellBits int) int {
+	return (bits + cellBits - 1) / cellBits
+}
+
+// fromBitSlices reassembles a two's-complement value of bits width from its
+// slices (the inverse of bitSlice).
+func fromBitSlices(slices []uint32, bits, cellBits int) int32 {
+	var u uint32
+	for i := len(slices) - 1; i >= 0; i-- {
+		u = (u << uint(cellBits)) | (slices[i] & ((1 << uint(cellBits)) - 1))
+	}
+	u &= (1 << uint(bits)) - 1
+	// Sign-extend.
+	if u&(1<<uint(bits-1)) != 0 {
+		u |= ^uint32(0) << uint(bits)
+	}
+	return int32(u)
 }
 
 func TestBitSliceKnownValues(t *testing.T) {
 	// 8-bit value 0b01011010 = 90 in 2-bit cells: 10,10,01,01 LSB first = 2,2,1,1.
-	got := BitSlice(90, 8, 2)
+	got := bitSlice(90, 8, 2)
 	want := []uint32{2, 2, 1, 1}
 	if len(got) != 4 {
 		t.Fatalf("slice count = %d", len(got))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("BitSlice(90) = %v, want %v", got, want)
+			t.Fatalf("bitSlice(90) = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestBitSliceNegativeTwosComplement(t *testing.T) {
 	// -1 in 8 bits is 0xFF; all 2-bit slices are 3.
-	got := BitSlice(-1, 8, 2)
+	got := bitSlice(-1, 8, 2)
 	for _, s := range got {
 		if s != 3 {
-			t.Fatalf("BitSlice(-1) = %v", got)
+			t.Fatalf("bitSlice(-1) = %v", got)
 		}
 	}
 }
@@ -168,8 +197,8 @@ func TestSliceCount(t *testing.T) {
 		{8, 2, 4}, {8, 1, 8}, {8, 3, 3}, {8, 8, 1}, {1, 1, 1},
 	}
 	for _, c := range cases {
-		if got := SliceCount(c.bits, c.cell); got != c.want {
-			t.Fatalf("SliceCount(%d,%d) = %d, want %d", c.bits, c.cell, got, c.want)
+		if got := sliceCount(c.bits, c.cell); got != c.want {
+			t.Fatalf("sliceCount(%d,%d) = %d, want %d", c.bits, c.cell, got, c.want)
 		}
 	}
 }
@@ -177,10 +206,10 @@ func TestSliceCount(t *testing.T) {
 func TestSliceCountPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SliceCount(8,0) did not panic")
+			t.Fatal("sliceCount(8,0) did not panic")
 		}
 	}()
-	SliceCount(8, 0)
+	sliceCount(8, 0)
 }
 
 // BitSlice followed by FromBitSlices is the identity on every value of the
@@ -207,11 +236,11 @@ func TestBitSliceRoundTripProperty(t *testing.T) {
 	for _, p := range pairs {
 		bits, cell := p.bits, p.cell
 		for v := -int32(1) << (bits - 1); v < int32(1)<<(bits-1); v++ {
-			slices := BitSlice(v, bits, cell)
-			if len(slices) != SliceCount(bits, cell) || (p.cpw != 0 && len(slices) != p.cpw) {
-				t.Fatalf("%s: BitSlice(%d, %d, %d) gives %d slices, want %d (%d cells per weight)", p.name, v, bits, cell, len(slices), SliceCount(bits, cell), p.cpw)
+			slices := bitSlice(v, bits, cell)
+			if len(slices) != sliceCount(bits, cell) || (p.cpw != 0 && len(slices) != p.cpw) {
+				t.Fatalf("%s: bitSlice(%d, %d, %d) gives %d slices, want %d (%d cells per weight)", p.name, v, bits, cell, len(slices), sliceCount(bits, cell), p.cpw)
 			}
-			if got := FromBitSlices(slices, bits, cell); got != v {
+			if got := fromBitSlices(slices, bits, cell); got != v {
 				t.Fatalf("%s: %d-bit %d in %d-bit cells reassembles to %d", p.name, v, bits, cell, got)
 			}
 		}
@@ -250,8 +279,8 @@ func TestBitSlicedDotProductProperty(t *testing.T) {
 		// slices and verify dot equality.
 		var got int64
 		for i := range w {
-			slices := BitSlice(w[i], 8, cell)
-			rec := FromBitSlices(slices, 8, cell)
+			slices := bitSlice(w[i], 8, cell)
+			rec := fromBitSlices(slices, 8, cell)
 			got += int64(rec) * int64(x[i])
 		}
 		return got == want

@@ -59,15 +59,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	return &Tensor{shape: s, data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on error; for tests and literals.
-func MustFromSlice(data []float32, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Shape returns the tensor's shape. The returned slice must not be modified.
 func (t *Tensor) Shape() []int { return t.shape }
 
@@ -104,49 +95,6 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: t.data}, nil
-}
-
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-// offset flattens a multi-index, panicking on rank or bounds violations —
-// the same contract as built-in slice indexing, which At/Set mirror.
-//
-//cimlint:ignore libpanic -- index contract mirrors built-in slice indexing
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// Iota fills the tensor with 0,1,2,... scaled by scale; handy deterministic
-// test data.
-func (t *Tensor) Iota(scale float32) {
-	for i := range t.data {
-		t.data[i] = float32(i) * scale
-	}
 }
 
 // SameShape reports whether two tensors have identical shapes.

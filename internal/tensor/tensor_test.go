@@ -1,10 +1,50 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// fromSlice is FromSlice for literals: a shape error fails the test.
+func fromSlice(tb testing.TB, data []float32, shape ...int) *Tensor {
+	tb.Helper()
+	x, err := FromSlice(data, shape...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
+// at returns the element of x at a row-major multi-index.
+func at(x *Tensor, idx ...int) float32 { return x.data[offset(x, idx)] }
+
+// set stores v at a row-major multi-index of x.
+func set(x *Tensor, v float32, idx ...int) { x.data[offset(x, idx)] = v }
+
+// offset flattens a multi-index, panicking on a rank or bounds violation as
+// slice indexing does.
+func offset(x *Tensor, idx []int) int {
+	if len(idx) != len(x.shape) {
+		panic(fmt.Sprintf("index rank %d does not match tensor rank %d", len(idx), len(x.shape)))
+	}
+	off := 0
+	for i, v := range idx {
+		if v < 0 || v >= x.shape[i] {
+			panic(fmt.Sprintf("index %v out of range for shape %v", idx, x.shape))
+		}
+		off = off*x.shape[i] + v
+	}
+	return off
+}
+
+// ramp fills x with 0, 1, 2, … times scale: deterministic test data.
+func ramp(x *Tensor, scale float32) {
+	for i := range x.data {
+		x.data[i] = float32(i) * scale
+	}
+}
 
 func TestNewShapeAndLen(t *testing.T) {
 	tt := New(2, 3, 4)
@@ -43,15 +83,15 @@ func TestFromSliceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %v, want 3", got.At(1, 0))
+	if at(got, 1, 0) != 3 {
+		t.Fatalf("At(1,0) = %v, want 3", at(got, 1, 0))
 	}
 }
 
 func TestAtSetRoundTrip(t *testing.T) {
 	tt := New(3, 4)
-	tt.Set(7.5, 2, 1)
-	if got := tt.At(2, 1); got != 7.5 {
+	set(tt, 7.5, 2, 1)
+	if got := at(tt, 2, 1); got != 7.5 {
 		t.Fatalf("At = %v, want 7.5", got)
 	}
 	// Row-major layout: offset 2*4+1 = 9.
@@ -67,42 +107,41 @@ func TestAtOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range At did not panic")
 		}
 	}()
-	tt.At(2, 0)
+	at(tt, 2, 0)
 }
 
 func TestReshape(t *testing.T) {
 	tt := New(2, 6)
-	tt.Iota(1)
+	ramp(tt, 1)
 	r, err := tt.Reshape(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.At(2, 3) != 11 {
-		t.Fatalf("reshaped At(2,3) = %v, want 11", r.At(2, 3))
+	if at(r, 2, 3) != 11 {
+		t.Fatalf("reshaped At(2,3) = %v, want 11", at(r, 2, 3))
 	}
 	if _, err := tt.Reshape(5, 5); err == nil {
 		t.Fatal("Reshape accepted mismatched element count")
 	}
 	// Reshape is a view: mutation is shared.
-	r.Set(99, 0, 0)
-	if tt.At(0, 0) != 99 {
+	set(r, 99, 0, 0)
+	if at(tt, 0, 0) != 99 {
 		t.Fatal("Reshape did not share storage")
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := New(4)
-	a.Fill(1)
+	a := fromSlice(t, []float32{1, 1, 1, 1}, 4)
 	b := a.Clone()
-	b.Set(5, 2)
-	if a.At(2) != 1 {
+	set(b, 5, 2)
+	if at(a, 2) != 1 {
 		t.Fatal("Clone shares storage with original")
 	}
 }
 
 func TestMaxAbsDiffAndAllClose(t *testing.T) {
-	a := MustFromSlice([]float32{1, 2, 3}, 3)
-	b := MustFromSlice([]float32{1, 2.5, 3}, 3)
+	a := fromSlice(t, []float32{1, 2, 3}, 3)
+	b := fromSlice(t, []float32{1, 2.5, 3}, 3)
 	d, err := MaxAbsDiff(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +173,7 @@ func TestMaxAbsDiffNaN(t *testing.T) {
 		{[]float32{inf, -inf}, []float32{inf, -inf}, 0},
 		{[]float32{inf, 0}, []float32{-inf, 0}, math.Inf(1)},
 	} {
-		d, err := MaxAbsDiff(MustFromSlice(tc.a, 2), MustFromSlice(tc.b, 2))
+		d, err := MaxAbsDiff(fromSlice(t, tc.a, 2), fromSlice(t, tc.b, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +181,7 @@ func TestMaxAbsDiffNaN(t *testing.T) {
 			t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", tc.a, tc.b, d, tc.want)
 		}
 	}
-	if AllClose(MustFromSlice([]float32{nan}, 1), MustFromSlice([]float32{0}, 1), math.MaxFloat64) {
+	if AllClose(fromSlice(t, []float32{nan}, 1), fromSlice(t, []float32{0}, 1), math.MaxFloat64) {
 		t.Error("AllClose accepted a one-sided NaN")
 	}
 }
@@ -158,7 +197,7 @@ func TestFirstNonFinite(t *testing.T) {
 		{[]float32{-inf, 0, 0, 0}, 0},
 		{[]float32{0, 0, 0, inf}, 3},
 	} {
-		if got := FirstNonFinite(MustFromSlice(tc.data, len(tc.data))); got != tc.want {
+		if got := FirstNonFinite(fromSlice(t, tc.data, len(tc.data))); got != tc.want {
 			t.Errorf("FirstNonFinite(%v) = %d, want %d", tc.data, got, tc.want)
 		}
 	}
@@ -222,7 +261,7 @@ func TestSameShapeProperty(t *testing.T) {
 }
 
 func TestStringForms(t *testing.T) {
-	small := MustFromSlice([]float32{1, 2}, 2)
+	small := fromSlice(t, []float32{1, 2}, 2)
 	if small.String() == "" {
 		t.Fatal("empty String for small tensor")
 	}

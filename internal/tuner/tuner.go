@@ -125,7 +125,7 @@ func Tune(ctx context.Context, seed *sched.Schedule, m *cost.Model, k Knobs, b B
 	}
 	b = b.Normalized()
 
-	baseRep, err := perfsim.SimulateWithModelCtx(ctx, seed, m, nil)
+	baseRep, err := perfsim.SimulateWithModel(ctx, seed, m, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tuner: seed schedule does not simulate: %w", err)
 	}
@@ -213,7 +213,7 @@ func scoreAll(ctx context.Context, cands []entry, m *cost.Model, workers int) er
 				if i >= len(cands) || ctx.Err() != nil {
 					return
 				}
-				rep, err := perfsim.SimulateWithModelCtx(ctx, cands[i].s, m, nil)
+				rep, err := perfsim.SimulateWithModel(ctx, cands[i].s, m, nil)
 				if err != nil {
 					// Placement or capacity rejection: the candidate is
 					// infeasible on this machine, not a tuner failure.

@@ -249,7 +249,7 @@ func TestTuneNeverWorse(t *testing.T) {
 		if st.TunedCycles > st.HeuristicCycles {
 			t.Errorf("%s/%s: tuned %v > heuristic %v", c.model, c.preset, st.TunedCycles, st.HeuristicCycles)
 		}
-		rep, err := perfsim.SimulateWithModel(tuned, m)
+		rep, err := perfsim.SimulateWithModel(context.Background(), tuned, m, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: tuned schedule does not simulate: %v", c.model, c.preset, err)
 		}
@@ -289,7 +289,7 @@ func TestTuneDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("workers=%d: %v", workers, err)
 				return
 			}
-			rep, err := perfsim.SimulateWithModel(tuned, m)
+			rep, err := perfsim.SimulateWithModel(context.Background(), tuned, m, nil)
 			if err != nil {
 				t.Errorf("workers=%d: %v", workers, err)
 				return
@@ -356,7 +356,7 @@ func FuzzTuneSchedule(f *testing.F) {
 		if err := tuned.Validate(); err != nil {
 			t.Fatalf("tuned schedule invalid: %v", err)
 		}
-		p, err := mapping.Place(tuned.Graph, tuned.Arch, res.Model.FPs, tuned.Dup, tuned.Remap, tuned.Segments)
+		p, err := mapping.Place(context.Background(), tuned.Graph, tuned.Arch, res.Model.FPs, tuned.Dup, tuned.Remap, tuned.Segments)
 		if err != nil {
 			t.Fatalf("tuned schedule does not place: %v", err)
 		}

@@ -14,6 +14,24 @@ import (
 	"cimmlc/internal/sched"
 )
 
+// sequential is a schedule of every operator once, with no pipeline, in one
+// segment; it suits a model that fits the chip.
+func sequential(g *graph.Graph, a *arch.Arch) *sched.Schedule {
+	var seg []int
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpInput {
+			seg = append(seg, n.ID)
+		}
+	}
+	return &sched.Schedule{
+		Graph:    g,
+		Arch:     a,
+		Dup:      make([]int, len(g.Nodes)),
+		Remap:    make([]int, len(g.Nodes)),
+		Segments: [][]int{seg},
+	}
+}
+
 func mvmSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *cost.Model) {
 	t.Helper()
 	m, err := cost.New(g, a)
@@ -40,7 +58,7 @@ func TestRemapUsesSpareCrossbars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.NewSequential(g, a)
+	s := sequential(g, a)
 	s.Levels = []string{"CG", "MVM"}
 	s, err = Optimize(s, m, Options{Remap: true})
 	if err != nil {
@@ -58,7 +76,7 @@ func TestRemapSpeedsUpLowParallelRow(t *testing.T) {
 	a := arch.ISAACBaseline()
 	a.XB.ParallelRow = 8
 	s, m := mvmSchedule(t, g, a)
-	before, err := perfsim.SimulateWithModel(s, m)
+	before, err := perfsim.SimulateWithModel(context.Background(), s, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +84,7 @@ func TestRemapSpeedsUpLowParallelRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := perfsim.SimulateWithModel(s2, m)
+	after, err := perfsim.SimulateWithModel(context.Background(), s2, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +102,7 @@ func TestRemapRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The placement (exercised by the simulator) must still fit.
-	if _, err := perfsim.SimulateWithModel(s, m); err != nil {
+	if _, err := perfsim.SimulateWithModel(context.Background(), s, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range g.CIMNodeIDs() {
@@ -119,7 +137,7 @@ func TestRejectsNonWLM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.NewSequential(g, a)
+	s := sequential(g, a)
 	if _, err := Optimize(s, m, Options{Remap: true}); err == nil {
 		t.Fatal("accepted XBM-mode architecture")
 	}
@@ -148,7 +166,7 @@ func TestRemapOnSegmentedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := perfsim.SimulateWithModel(s, m); err != nil {
+	if _, err := perfsim.SimulateWithModel(context.Background(), s, m, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,6 +19,9 @@
 //     function must poll ctx.Err()/ctx.Done() or forward ctx to a callee,
 //     so cancelled compilations actually stop.
 //
+// TestNoDeadExports (deadexport_test.go) is the one module-wide check beside
+// them: no exported identifier of an internal/ package without a non-test user.
+//
 // A finding can be locally waived with a comment on the flagged line or the
 // line directly above it:
 //
