@@ -694,7 +694,10 @@ func TestPassAfterPlacementGetsItsReport(t *testing.T) {
 // off, the benchmark's setting: the compiler copies the caller's graph in a
 // constant number of allocations and infers its shapes into that copy, so a
 // per-node copy creeping back (four allocations per node: 52 on lenet5, 736
-// on vit-base) breaks the bound. Allocation counts differ under -race.
+// on vit-base) breaks the bound. The two vit cells are cut into 123 segments
+// whose duplication searches share one set of tables per Compile, so an
+// allocation per segment creeping back breaks their bounds too. Allocation
+// counts differ under -race.
 func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -704,7 +707,8 @@ func TestCompileAllocs(t *testing.T) {
 		max         float64
 	}{
 		{"lenet5", "puma", 75},
-		{"vit-base", "toy-table2", 1150},
+		{"vit-base", "toy-table2", 72},
+		{"vit-tiny", "jain-jssc21", 72},
 	} {
 		g, err := Model(tc.model)
 		if err != nil {

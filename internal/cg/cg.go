@@ -9,13 +9,18 @@
 // (one per distinct ceil(windows/d), see candidates), and a walk-back that
 // reads the allocation of any leading sub-list off it — so the segmenter's
 // pop-and-re-estimate loop prices every head it tries from one table, and a
-// segment it keeps takes its duplication from that table too. The table is
-// built candidate-major (each candidate streams over the columns it fits),
-// and each row streams and stores only its live window: no dead prefix where
-// no allocation fits, no constant tail past the point where the row stops
-// changing, and, in a search's table, no column past what its one walk-back
-// can read with one copy of every later operator in reserve. A search prices
-// its last operator as the one cell the walk-back starts from.
+// segment it keeps takes its duplication from that table too. The walk-back
+// writes copies by node ID, straight into the schedule's Dup as each segment
+// is kept. One Optimize call builds all its tables in the buffers of two, the
+// one the segmenter shares across its pops and one for every other search
+// (workspace): a model cut into a hundred segments allocates its tables once,
+// not once per segment. The table is built candidate-major (each candidate
+// streams over the columns it fits), and each row streams and stores only its
+// live window: no dead prefix where no allocation fits, no constant tail past
+// the point where the row stops changing, and, in a search's table, no column
+// past what its one walk-back can read with one copy of every later operator
+// in reserve. A search prices its last operator as the one cell the walk-back
+// starts from.
 package cg
 
 import (
@@ -83,40 +88,38 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 	if err != nil {
 		return nil, err
 	}
-	segments, dups, err := segment(ctx, g, a, m, infos, order, opt)
-	if err != nil {
-		return nil, err
-	}
 	s := &sched.Schedule{
 		Graph:    g,
 		Arch:     a,
 		Dup:      make([]int, len(g.Nodes)),
 		Remap:    make([]int, len(g.Nodes)),
 		Pipeline: opt.Pipeline,
-		Segments: segments,
 		Levels:   []string{"CG"},
 	}
-	if opt.Duplicate {
-		for i, seg := range segments {
-			dup := dups[i]
-			if dup == nil {
-				if dup, err = allocate(ctx, segCIMInfos(infos, seg), a.Chip.CoreCount(), opt); err != nil {
-					return nil, err
-				}
-			}
-			j := 0
-			for _, id := range seg {
-				if infos[id].cim {
-					s.Dup[id] = dup[j]
-					j++
-				}
-			}
-		}
+	w := workspace{infos: infos, budget: a.Chip.CoreCount(), opt: opt, dup: s.Dup}
+	if s.Segments, err = w.segment(ctx, a, order); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("cg: produced invalid schedule: %w", err)
 	}
 	return s, nil
+}
+
+// workspace is one Optimize call's search state: its inputs, the schedule's
+// copies it writes, and the tables its searches reuse, so that a model cut
+// into a hundred segments allocates tables once, not once per segment. It
+// lives and dies inside that call.
+type workspace struct {
+	infos  []opInfo // by node ID
+	budget int      // the chip's cores
+	opt    Options
+	dup    []int // the schedule's copies by node ID: a kept segment's are final
+	// shared is the table refinePrefix walks back across its pops, scratch
+	// the one every other search builds meanwhile; sharedOps and ops are the
+	// operator lists they are built over.
+	shared, scratch dupTable
+	sharedOps, ops  []opInfo
 }
 
 // collectInfos builds opInfo for every non-input node, in a table indexed by
@@ -142,7 +145,7 @@ func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) ([]opInfo, []int,
 			reload:    oc.Reload,
 		}
 		if oi.cim {
-			f := m.FPs[n.ID]
+			f := &m.FPs[n.ID]
 			oi.coresCopy = f.CoresPerCopy
 			oi.maxDup = int(minI64(int64(a.Chip.CoreCount()*a.Core.XBCount()/maxInt(f.XBsPerCopy, 1)), f.MVMs))
 			if oi.maxDup < 1 {
@@ -159,14 +162,15 @@ func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) ([]opInfo, []int,
 	return infos, order, nil
 }
 
-func segCIMInfos(infos []opInfo, seg []int) []opInfo {
-	var out []opInfo
+// segCIMInfos returns the CIM operators of seg, in order, in buf's storage.
+func segCIMInfos(buf, infos []opInfo, seg []int) []opInfo {
+	buf = buf[:0]
 	for _, id := range seg {
 		if oi := infos[id]; oi.cim {
-			out = append(out, oi)
+			buf = append(buf, oi)
 		}
 	}
-	return out
+	return buf
 }
 
 // coresAtDupOne returns the cores ops occupy with one copy each.
@@ -178,42 +182,49 @@ func coresAtDupOne(ops []opInfo) int {
 	return cores
 }
 
-// allocate distributes the core budget over the segment's CIM operators and
-// returns the duplication of each, dup[i] the copies of ops[i].
-func allocate(ctx context.Context, ops []opInfo, budget int, opt Options) ([]int, error) {
-	if len(ops) == 0 {
-		return nil, nil
+// allocate distributes the core budget over the CIM operators of nodes and
+// writes each one's copies into w.dup.
+func (w *workspace) allocate(ctx context.Context, nodes []int) error {
+	w.ops = segCIMInfos(w.ops, w.infos, nodes)
+	if len(w.ops) == 0 {
+		return nil
 	}
-	if baseline := coresAtDupOne(ops); baseline > budget {
-		return nil, fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, budget)
+	if baseline := coresAtDupOne(w.ops); baseline > w.budget {
+		return fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, w.budget)
 	}
-	switch opt.Allocator {
-	case AllocWaterfill:
-		return waterfill(ops, budget), nil
-	default:
-		return allocateDP(ctx, ops, budget)
+	if w.opt.Allocator == AllocWaterfill {
+		//cimlint:ignore ctxcancel -- one store per operator, after the search
+		for i, d := range waterfill(w.ops, w.budget) {
+			w.dup[w.ops[i].id] = d
+		}
+		return nil
 	}
+	return w.scratch.allocateDP(ctx, w.ops, w.budget, w.dup)
 }
 
 // allocateDP is the paper's dynamic-programming search: the copies per
-// operator that minimize the summed runtime within the core budget. Only the
-// last operator's cell at the full budget is ever read, so the table holds
-// the rows before it and that one cell is priced off the table's last row (a
-// one-operator search builds no row); the rows are walked back from the cores
-// the cell leaves, at most budget − the last operator's cores, which the
-// table takes as its reserve.
-func allocateDP(ctx context.Context, ops []opInfo, budget int) ([]int, error) {
+// operator that minimize the summed runtime within the core budget, written
+// into dup by node ID. Only the last operator's cell at the full budget is
+// ever read, so t is built over the rows before it and that one cell is
+// priced off its last row (a one-operator search builds no row); the rows
+// are walked back from the cores the cell leaves, at most budget − the last
+// operator's cores, which the table takes as its reserve.
+func (t *dupTable) allocateDP(ctx context.Context, ops []opInfo, budget int, dup []int) error {
 	n := len(ops) - 1
-	t, err := newDupTable(ctx, ops[:n], budget, ops[n].coresCopy)
-	if err != nil {
-		return nil, err
+	if err := t.build(ctx, ops[:n], budget, ops[n].coresCopy); err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, cancelled(err)
+		return cancelled(err)
 	}
 	last := ops[n]
 	d := max(1, t.next(last))
-	return append(t.walk(n, max(0, budget-d*last.coresCopy)), d), nil
+	t.walk(dup, n, max(0, budget-d*last.coresCopy))
+	dup[last.id] = d
+	if searchDone != nil {
+		searchDone(t)
+	}
+	return nil
 }
 
 func cancelled(err error) error { return fmt.Errorf("cg: cancelled: %w", err) }
@@ -278,6 +289,7 @@ type dupTable struct {
 	// cands[starts[i]:starts[i+1]], then those of the cell next priced.
 	cands  []candidate
 	starts []int
+	rows   []float64 // the two float rows build streams; last is one of them
 }
 
 // span is one row's live window: its candidates stream over the columns
@@ -285,21 +297,33 @@ type dupTable struct {
 // value of column end, the row's constant tail.
 type span struct{ lo, end, cap, off int }
 
-// tableBuilt, when a test sets it, sees every forward table as it is built;
-// the search-work counts quoted in CHANGES.md are read through it.
-var tableBuilt func(*dupTable)
+// searchDone, when a test sets it, sees every forward table a search built
+// once the search is done with it, before the table is built again: the
+// search-work counts quoted in CHANGES.md are read through it.
+var searchDone func(*dupTable)
 
-// newDupTable builds the table candidate-major: a row starts at inf over its
-// live window, and each candidate, in ascending d, streams over the columns
-// of that window it fits. Every cell a walk-back reads so sees the candidates
-// a column-by-column scan tries on a finite row before, in its order, through
-// the same float expression and strict <, and holds the value and choice that
-// scan finds (a candidate on an inf cell of the row before cannot win it).
-// reserve > 0 caps the rows for the one walk allocateDP makes; reserve 0
-// keeps every column, for walk-backs of any head from the full budget. ctx is
-// polled once per row.
-func newDupTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTable, error) {
-	t := &dupTable{ops: ops, budget: budget, spans: make([]span, len(ops)), starts: make([]int, len(ops)+1)}
+// resize returns s at length n, reallocated only when its capacity is short;
+// its contents are not kept.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// build fills t with the table over ops, in the buffers of the table t held
+// before: candidate-major, a row starts at inf over its live window, and each
+// candidate, in ascending d, streams over the columns of that window it fits.
+// Every cell a walk-back reads so sees the candidates a column-by-column scan
+// tries on a finite row before, in its order, through the same float
+// expression and strict <, and holds the value and choice that scan finds (a
+// candidate on an inf cell of the row before cannot win it). reserve > 0 caps
+// the rows for the one walk allocateDP makes; reserve 0 keeps every column,
+// for walk-backs of any head from the full budget. ctx is polled once per row.
+func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int) error {
+	t.ops, t.budget, t.cands = ops, budget, t.cands[:0]
+	t.spans, t.starts = resize(t.spans, len(ops)), resize(t.starts, len(ops)+1)
+	t.starts[0] = 0
 	total := 0 // L_n, the cores of one copy of every operator
 	//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
 	for i, oi := range ops {
@@ -327,15 +351,21 @@ func newDupTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTa
 		t.spans[i] = sp
 		low, end = sp.lo, sp.end
 	}
-	t.choice = make([]int, size)
+	// Candidate d = 1 writes every stored cell (the row before is finite
+	// over what it reads); the zeroing keeps a fresh table's choice 0 for a
+	// cell it would not.
+	t.choice = resize(t.choice, size)
+	clear(t.choice)
 	// prev[r] is the minimal summed runtime of the operators before row i on
 	// at most r cores, cur[r] the same including operator i; a row's buffer is
 	// meaningful from its lo to its cap only. No row ends past the last.
 	w := max(0, end) + 1
-	prev, cur := make([]float64, w), make([]float64, w)
+	t.rows = resize(t.rows, 2*w)
+	prev, cur := t.rows[:w], t.rows[w:]
+	clear(prev) // before row 0: no operators, zero runtime at every r
 	for i, oi := range ops {
 		if err := ctx.Err(); err != nil {
-			return nil, cancelled(err)
+			return cancelled(err)
 		}
 		sp := t.spans[i]
 		if sp.end >= sp.lo {
@@ -372,10 +402,7 @@ func newDupTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTa
 		prev[r] = inf
 	}
 	t.last = prev
-	if tableBuilt != nil {
-		tableBuilt(t)
-	}
-	return t, nil
+	return nil
 }
 
 // at returns row i's choice at r cores: 0 below its window, and past it the
@@ -402,21 +429,15 @@ func (t *dupTable) next(oi opInfo) int {
 	return bestD
 }
 
-// dup walks the choices of the first k operators back from the full budget
-// and returns their duplication, dup[i] the copies of ops[i] — what a fresh
-// search over ops[:k] returns.
-func (t *dupTable) dup(k int) []int { return t.walk(k, t.budget) }
-
-// walk is dup from r cores. The slice has room for one more operator, the
-// one allocateDP prices after the table's.
-func (t *dupTable) walk(k, r int) []int {
-	dup := make([]int, k, k+1)
+// walk walks the choices of the first k operators back from r cores and
+// writes their copies into dup by node ID: from the full budget, what a
+// fresh search over ops[:k] returns.
+func (t *dupTable) walk(dup []int, k, r int) {
 	for i := k - 1; i >= 0; i-- {
 		d := max(1, t.at(i, r))
-		dup[i] = d
+		dup[t.ops[i].id] = d
 		r = max(0, r-d*t.ops[i].coresCopy)
 	}
-	return dup
 }
 
 // waterfill minimizes the pipeline bottleneck stage: binary search the

@@ -252,7 +252,7 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 		{id: 1, cim: true, coresCopy: 1, maxDup: 100, windows: 100, perWindow: 10, rounds: 1},
 		{id: 2, cim: true, coresCopy: 1, maxDup: 100, windows: 4, perWindow: 10, rounds: 1},
 	}
-	dup, err := allocateDP(context.Background(), ops, 10)
+	dup, err := allocateList(context.Background(), new(dupTable), ops, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,12 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 }
 
 func TestAllocateRejectsImpossibleBudget(t *testing.T) {
-	ops := []opInfo{{id: 1, cim: true, coresCopy: 10, maxDup: 1, windows: 1, perWindow: 1, rounds: 1}}
-	if _, err := allocate(context.Background(), ops, 5, Options{}); err == nil {
+	w := workspace{
+		infos:  []opInfo{{}, {id: 1, cim: true, coresCopy: 10, maxDup: 1, windows: 1, perWindow: 1, rounds: 1}},
+		budget: 5,
+		dup:    make([]int, 2),
+	}
+	if err := w.allocate(context.Background(), []int{1}); err == nil {
 		t.Fatal("accepted impossible budget")
 	}
 }
@@ -280,7 +284,7 @@ func TestAllocatorsAblation(t *testing.T) {
 		{id: 3, cim: true, coresCopy: 4, maxDup: 50, windows: 50, perWindow: 5, rounds: 1},
 	}
 	budget := 40
-	dp, err := allocateDP(context.Background(), ops, budget)
+	dp, err := allocateList(context.Background(), new(dupTable), ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int) {
 	t.Helper()
 	ctx := context.Background()
-	table, err := newDupTable(ctx, ops, budget, 0)
+	table, err := newTable(ctx, ops, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 	}
 	for k := 0; k <= len(ops); k++ {
 		_, fresh := exhaustiveDP(ops[:k], budget)
-		if got := table.dup(k); !slices.Equal(got, fresh) {
+		if got := walkList(table, k, budget); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", what, k, got, k, fresh)
 		}
 	}
-	got, err := allocateDP(ctx, ops, budget)
+	got, err := allocateList(ctx, new(dupTable), ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 		t.Fatalf("%s: allocateDP %v, exhaustive search %v", what, got, dup)
 	}
 	n := len(ops) - 1
-	capped, err := newDupTable(ctx, ops[:n], budget, ops[n].coresCopy)
+	capped, err := newTable(ctx, ops[:n], budget, ops[n].coresCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,127 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 			}
 		}
 		reserve += ops[i].coresCopy
+	}
+}
+
+// newTable builds a table over ops in fresh buffers.
+func newTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTable, error) {
+	t := new(dupTable)
+	return t, t.build(ctx, ops, budget, reserve)
+}
+
+// byNode returns a copies table indexed by the node IDs of ops.
+func byNode(ops []opInfo) []int {
+	n := 0
+	for _, oi := range ops {
+		n = max(n, oi.id+1)
+	}
+	return make([]int, n)
+}
+
+// inOrder reads dup, copies by node ID, back as a list: out[i] the copies of
+// ops[i], for the first k of ops.
+func inOrder(ops []opInfo, k int, dup []int) []int {
+	out := make([]int, k)
+	for i := range out {
+		out[i] = dup[ops[i].id]
+	}
+	return out
+}
+
+// walkList is t's walk-back of k rows from r cores as a list.
+func walkList(t *dupTable, k, r int) []int {
+	dup := byNode(t.ops)
+	t.walk(dup, k, r)
+	return inOrder(t.ops, k, dup)
+}
+
+// allocateList runs allocateDP on t and returns its answer as a list.
+func allocateList(ctx context.Context, t *dupTable, ops []opInfo, budget int) ([]int, error) {
+	dup := byNode(ops)
+	if err := t.allocateDP(ctx, ops, budget, dup); err != nil {
+		return nil, err
+	}
+	return inOrder(ops, len(ops), dup), nil
+}
+
+// TestReusedTableMatchesFresh: Optimize builds every table of its searches
+// in the buffers of the one before, so one table is built here again and
+// again — a wide operator list, then a narrow one on a smaller budget, then
+// a wide one, uncapped and under allocateDP's reserve — and must hold what a
+// table built in fresh buffers holds after each: every span, candidate,
+// stored choice and float of the row next reads, every walk-back the table
+// serves, and allocateDP's answer. A buffer the search reads before writing
+// (the row before row 0, read as no operators and zero runtime) that a reused
+// table leaves dirty shows here.
+func TestReusedTableMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 2))
+	ctx := context.Background()
+	var uncapped, capped, searched dupTable
+	for draw := 0; draw < 400; draw++ {
+		ops, budget := randomOps(rng, draw)
+		if draw%3 == 1 {
+			ops, budget = ops[:1+rng.IntN(min(2, len(ops)))], 1+rng.IntN(budget)
+		}
+		what := fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops)
+		n := len(ops) - 1
+		for _, c := range []struct {
+			t       *dupTable
+			ops     []opInfo
+			reserve int
+		}{{&uncapped, ops, 0}, {&capped, ops[:n], ops[n].coresCopy}} {
+			if err := c.t.build(ctx, c.ops, budget, c.reserve); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := newTable(ctx, c.ops, budget, c.reserve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTable(t, fmt.Sprintf("%s, reserve %d", what, c.reserve), c.t, fresh)
+			if c.reserve == 0 {
+				for k := 0; k <= len(c.ops); k++ {
+					if got, want := walkList(c.t, k, budget), walkList(fresh, k, budget); !slices.Equal(got, want) {
+						t.Fatalf("%s: walk-back of %d rows: reused table %v, fresh table %v", what, k, got, want)
+					}
+				}
+				continue
+			}
+			for r := 0; r <= budget-c.reserve; r++ {
+				if got, want := walkList(c.t, n, r), walkList(fresh, n, r); !slices.Equal(got, want) {
+					t.Fatalf("%s, reserve %d: walk-back from %d cores: reused table %v, fresh table %v", what, c.reserve, r, got, want)
+				}
+			}
+		}
+		got, err := allocateList(ctx, &searched, ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := new(dupTable)
+		want, err := allocateList(ctx, fresh, ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: allocateDP on a reused table %v, on a fresh one %v", what, got, want)
+		}
+		sameTable(t, what+", allocateDP", &searched, fresh)
+	}
+}
+
+// sameTable fails unless got holds every value fresh holds that a search
+// reads: spans, candidates (with those next priced), stored choices and the
+// float row next reads.
+func sameTable(t *testing.T, what string, got, fresh *dupTable) {
+	t.Helper()
+	if !slices.Equal(got.spans, fresh.spans) || !slices.Equal(got.starts, fresh.starts) || !slices.Equal(got.cands, fresh.cands) {
+		t.Fatalf("%s: reused table's spans %v / starts %v / candidates %v, fresh table's %v / %v / %v",
+			what, got.spans, got.starts, got.cands, fresh.spans, fresh.starts, fresh.cands)
+	}
+	if !slices.Equal(got.choice, fresh.choice) {
+		t.Fatalf("%s: reused table's choices %v, fresh table's %v", what, got.choice, fresh.choice)
+	}
+	if !slices.Equal(got.last, fresh.last) {
+		t.Fatalf("%s: reused table's last row %v, fresh table's %v", what, got.last, fresh.last)
 	}
 }
 
@@ -254,16 +375,20 @@ func tableWork(t *dupTable) searchWork {
 // returns the segments, the duplication by node ID and the work that took.
 func segmentFromScratch(t *testing.T, infos []opInfo, order []int, budget int, reload float64) ([][]int, []int, searchWork) {
 	var work searchWork
-	search := func(nodes []int) []int {
-		ops := segCIMInfos(infos, nodes)
+	dup := make([]int, len(infos))
+	search := func(nodes []int) {
+		ops := segCIMInfos(nil, infos, nodes)
 		if len(ops) == 0 {
-			return nil
+			return
 		}
 		work.add(exhaustiveWork(ops, budget))
-		_, dup := exhaustiveDP(ops, budget)
-		return dup
+		_, opDup := exhaustiveDP(ops, budget)
+		scatter(dup, ops, opDup)
 	}
-	estimate := func(nodes []int) float64 { return latency(infos, nodes, search(nodes)) }
+	estimate := func(nodes []int) float64 {
+		search(nodes)
+		return latency(infos, nodes, dup)
+	}
 	var segs [][]int
 	for remaining := order; len(remaining) > 0; {
 		prefix, rest, err := takePrefix(infos, remaining, budget)
@@ -286,9 +411,8 @@ func segmentFromScratch(t *testing.T, infos []opInfo, order []int, budget int, r
 		segs = append(segs, prefix)
 		remaining = rest
 	}
-	dup := make([]int, len(infos))
 	for _, seg := range segs {
-		scatter(dup, segCIMInfos(infos, seg), search(seg))
+		search(seg)
 	}
 	return segs, dup, work
 }
@@ -330,18 +454,15 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			budget := a.Chip.CoreCount()
 			reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
 
-			// A table's work is read once the search is done with it: the
-			// cell allocateDP prices after the rows comes after the hook.
-			var tables []*dupTable
-			tableBuilt = func(tb *dupTable) { tables = append(tables, tb) }
+			// A table's work is read when its search is done with it, the
+			// cell allocateDP prices after the rows included: the next
+			// search of the Optimize call refills the same buffers.
+			var now searchWork
+			searchDone = func(tb *dupTable) { now.add(tableWork(tb)) }
 			s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
-			tableBuilt = nil
+			searchDone = nil
 			if err != nil {
 				t.Fatalf("%s.%s: %v", model, preset, err)
-			}
-			var now searchWork
-			for _, tb := range tables {
-				now.add(tableWork(tb))
 			}
 
 			var segs [][]int
@@ -350,7 +471,7 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			if len(s.Segments) == 1 {
 				// The model fits: no segmentation, one search.
 				segs = [][]int{order}
-				ops := segCIMInfos(infos, order)
+				ops := segCIMInfos(nil, infos, order)
 				old = exhaustiveWork(ops, budget)
 				_, opDup := exhaustiveDP(ops, budget)
 				dup = make([]int, len(infos))
@@ -450,31 +571,29 @@ func BenchmarkDupTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops, budget := segCIMInfos(infos, order), a.Chip.CoreCount()
+		ops, budget := segCIMInfos(nil, infos, order), a.Chip.CoreCount()
 		b.Run(model+"/table", func(b *testing.B) {
-			var steps int
+			var t dupTable
 			for i := 0; i < b.N; i++ {
-				t, err := newDupTable(context.Background(), ops, budget, 0)
-				if err != nil {
+				if err := t.build(context.Background(), ops, budget, 0); err != nil {
 					b.Fatal(err)
 				}
-				steps = tableWork(t).steps
 			}
+			steps := tableWork(&t).steps
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 		})
 		if coresAtDupOne(ops) > budget {
 			continue // over capacity: only refinePrefix's tables see this list
 		}
 		b.Run(model+"/allocateDP", func(b *testing.B) {
-			var t *dupTable
-			tableBuilt = func(tb *dupTable) { t = tb }
-			defer func() { tableBuilt = nil }()
+			var t dupTable
+			dup := byNode(ops)
 			for i := 0; i < b.N; i++ {
-				if _, err := allocateDP(context.Background(), ops, budget); err != nil {
+				if err := t.allocateDP(context.Background(), ops, budget, dup); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tableWork(t).steps), "ns/step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tableWork(&t).steps), "ns/step")
 		})
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"cimmlc/internal/arch"
-	"cimmlc/internal/cost"
-	"cimmlc/internal/graph"
 )
 
 // ErrOverCapacity reports that a model's crossbar footprint exceeds one
@@ -25,43 +23,43 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // nodes while the dynamic-programming latency estimate of (remaining segment
 // + popped nodes as their own segment + weight reload) improves. Operators
 // larger than the whole chip (multi-round) always get a dedicated segment.
-// dups[i] is segment i's duplication, one entry per CIM operator in segment
-// order, when a refinement priced it off a shared table, nil when Optimize
-// must still search it.
-func segment(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, infos []opInfo, order []int, opt Options) (segs [][]int, dups [][]int, err error) {
-	coreCount := a.Chip.CoreCount()
-	totalCores, anyOversized := demand(infos, order)
-	if totalCores <= coreCount && !anyOversized {
-		return [][]int{order}, make([][]int, 1), nil
-	}
-	if opt.Stationary {
+// Under Options.Duplicate each kept segment's copies go into w.dup.
+func (w *workspace) segment(ctx context.Context, a *arch.Arch, order []int) ([][]int, error) {
+	if totalCores, anyOversized := demand(w.infos, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
 		// Serving-grade compilation: weights stay resident for the program's
 		// lifetime, so the reload-based escape hatches (segment reprogramming,
 		// multi-round operators) are not available.
 		if anyOversized {
-			return nil, nil, fmt.Errorf("cg: an operator needs more crossbars than the whole chip: %w", ErrOverCapacity)
+			return nil, fmt.Errorf("cg: an operator needs more crossbars than the whole chip: %w", ErrOverCapacity)
 		}
-		return nil, nil, fmt.Errorf("cg: model needs %d cores but the chip has %d: %w", totalCores, coreCount, ErrOverCapacity)
+		return nil, fmt.Errorf("cg: model needs %d cores but the chip has %d: %w", totalCores, w.budget, ErrOverCapacity)
 	}
-
+	// A model that fits the chip is one prefix, taken whole and never refined
+	// (one segment even when it has no node).
 	reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
-	remaining := order
-	for len(remaining) > 0 {
-		prefix, rest, err := takePrefix(infos, remaining, coreCount)
+	// A capacity, not a bound: every segment holds a CIM operator but one of
+	// the digital nodes before a multi-round operator.
+	segs := make([][]int, 0, cimCount(w.infos, order))
+	for remaining := order; ; {
+		prefix, rest, err := takePrefix(w.infos, remaining, w.budget)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var dup []int
-		if opt.Duplicate && len(rest) > 0 {
-			if prefix, rest, dup, err = refinePrefix(ctx, infos, prefix, rest, coreCount, reload, opt); err != nil {
-				return nil, nil, err
-			}
+		switch {
+		case !w.opt.Duplicate:
+		case len(rest) > 0:
+			prefix, err = w.refinePrefix(ctx, prefix, reload)
+		default:
+			err = w.allocate(ctx, prefix)
+		}
+		if err != nil {
+			return nil, err
 		}
 		segs = append(segs, prefix)
-		dups = append(dups, dup)
-		remaining = rest
+		if remaining = remaining[len(prefix):]; len(remaining) == 0 {
+			return segs, nil
+		}
 	}
-	return segs, dups, nil
 }
 
 // demand returns the cores the operators that fit the chip occupy with one
@@ -113,60 +111,67 @@ func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, er
 // refinePrefix pops trailing node groups (the last CIM operator plus any
 // digital successors after it) off the prefix while the total latency
 // estimate improves: freeing cores lets the remaining operators duplicate
-// more, which can outweigh the extra reload the popped group will pay.
+// more, which can outweigh the extra reload the popped group will pay. It
+// returns the head of prefix it keeps, whose copies it leaves in w.dup; the
+// popped nodes stay in the stream after it, for the next prefix to
+// reconsider with full capacity.
 //
 // Every head the loop prices is a leading part of the first prefix, so under
 // the dynamic program one forward table over that prefix answers them all (a
 // head with k CIM operators is a walk-back of k rows); only the popped group,
 // one operator, runs a search of its own. A head that is kept is the next
 // iteration's baseline, at the price already computed, and the prefix kept
-// last returns with its walk-back, which is what a fresh search over it
-// returns (nil under AllocWaterfill, which has no table).
-func refinePrefix(ctx context.Context, infos []opInfo, prefix, rest []int, budget int, reload float64, opt Options) ([]int, []int, []int, error) {
+// last takes its copies from a walk-back too, which is what a fresh search
+// over it returns (under AllocWaterfill, which has no table, every price is
+// a search).
+func (w *workspace) refinePrefix(ctx context.Context, prefix []int, reload float64) ([]int, error) {
 	var table *dupTable
-	if opt.Allocator != AllocWaterfill {
-		var err error
-		if table, err = newDupTable(ctx, segCIMInfos(infos, prefix), budget, 0); err != nil {
-			return nil, nil, nil, err
+	if w.opt.Allocator != AllocWaterfill {
+		w.sharedOps = segCIMInfos(w.sharedOps, w.infos, prefix)
+		if err := w.shared.build(ctx, w.sharedOps, w.budget, 0); err != nil {
+			return nil, err
 		}
+		table = &w.shared
 	}
-	price := func(nodes []int) (float64, []int, error) {
+	// price writes the copies of nodes into w.dup and returns their latency.
+	price := func(nodes []int) (float64, error) {
 		if table == nil {
-			cost, err := estimate(ctx, infos, nodes, budget, opt)
-			return cost, nil, err
+			return w.estimate(ctx, nodes)
 		}
-		dup := table.dup(cimCount(infos, nodes))
-		return latency(infos, nodes, dup), dup, nil
+		table.walk(w.dup, cimCount(w.infos, nodes), w.budget)
+		return latency(w.infos, nodes, w.dup), nil
 	}
-	baseline, dup, err := price(prefix)
+	baseline, err := price(prefix)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	for cimCount(infos, prefix) > 1 {
-		cut := lastCIMIndex(infos, prefix)
+	for cimCount(w.infos, prefix) > 1 {
+		cut := lastCIMIndex(w.infos, prefix)
 		if cut <= 0 {
 			break
 		}
 		head, group := prefix[:cut], prefix[cut:]
-		headCost, headDup, err := price(head)
+		headCost, err := price(head)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		groupCost, err := estimate(ctx, infos, group, budget, opt)
+		groupCost, err := w.estimate(ctx, group)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if candidate := headCost + groupCost + reload; candidate >= baseline {
 			break
 		}
-		// Prepend the popped group to the remaining stream so the next
-		// prefix construction reconsiders it with full capacity.
-		newRest := make([]int, 0, len(group)+len(rest))
-		newRest = append(newRest, group...)
-		newRest = append(newRest, rest...)
-		prefix, rest, baseline, dup = head, newRest, headCost, headDup
+		prefix, baseline = head, headCost
 	}
-	return prefix, rest, dup, nil
+	// The last head priced may be one the loop refused.
+	if _, err := price(prefix); err != nil {
+		return nil, err
+	}
+	if table != nil && searchDone != nil {
+		searchDone(table)
+	}
+	return prefix, nil
 }
 
 func cimCount(infos []opInfo, nodes []int) int {
@@ -188,20 +193,19 @@ func lastCIMIndex(infos []opInfo, nodes []int) int {
 	return -1
 }
 
-// estimate returns the summed-runtime latency of the node group after the
-// duplication search — the segmentation loop's objective. Groups are cut
-// from prefixes built to fit, so an allocation error is a cancellation.
-func estimate(ctx context.Context, infos []opInfo, nodes []int, budget int, opt Options) (float64, error) {
-	dup, err := allocate(ctx, segCIMInfos(infos, nodes), budget, opt)
-	if err != nil {
+// estimate writes the copies of the node group's CIM operators into w.dup
+// and returns the group's summed-runtime latency under them — the
+// segmentation loop's objective. Groups are cut from prefixes built to fit,
+// so an allocation error is a cancellation.
+func (w *workspace) estimate(ctx context.Context, nodes []int) (float64, error) {
+	if err := w.allocate(ctx, nodes); err != nil {
 		return 0, err
 	}
-	return latency(infos, nodes, dup), nil
+	return latency(w.infos, nodes, w.dup), nil
 }
 
-// latency sums the group's runtimes under dup, dup[j] the copies of the
-// group's j-th CIM operator: the digital operators in node order, then the
-// CIM operators in node order. The order is part of the contract —
+// latency sums the group's runtimes under dup, the copies by node ID: the
+// digital operators in node order, then the CIM operators in node order. The order is part of the contract —
 // refinePrefix compares these floats.
 func latency(infos []opInfo, nodes []int, dup []int) float64 {
 	total := 0.0
@@ -210,11 +214,9 @@ func latency(infos []opInfo, nodes []int, dup []int) float64 {
 			total += oi.run(1)
 		}
 	}
-	j := 0
 	for _, id := range nodes {
 		if oi := infos[id]; oi.cim {
-			total += oi.run(dup[j])
-			j++
+			total += oi.run(dup[id])
 		}
 	}
 	return total

@@ -116,7 +116,7 @@ func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule)
 			if !n.Op.CIMSupported() {
 				continue
 			}
-			f := m.FPs[id]
+			f := &m.FPs[id]
 			dup := s.DupOf(id)
 			if f.Rounds(a) > 1 {
 				dup = 1
@@ -165,7 +165,7 @@ func (e *emitter) emitNode(flow *mop.Flow, segIdx, id int) error {
 // ranges partitioned contiguously, grouped in a parallel block (Figure 16(c)).
 func (e *emitter) emitReadCore(flow *mop.Flow, id int) error {
 	n := e.g.MustNode(id)
-	f := e.m.FPs[id]
+	f := &e.m.FPs[id]
 	dup := e.s.DupOf(id)
 	if f.Rounds(e.a) > 1 {
 		dup = 1
@@ -220,7 +220,7 @@ func (e *emitter) emitReadCore(flow *mop.Flow, id int) error {
 // is still there in the later rounds.
 func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 	n := e.g.MustNode(id)
-	f := e.m.FPs[id]
+	f := &e.m.FPs[id]
 	dup := e.s.DupOf(id)
 	rounds := f.Rounds(e.a)
 	if rounds > 1 {
@@ -277,7 +277,7 @@ func (e *emitter) dstGeometry(n *graph.Node) (int64, func(int64) int64) {
 }
 
 // gatherOp returns the DMOV that assembles window w's input vector.
-func (e *emitter) gatherOp(n *graph.Node, f mapping.Footprint, w int64, scratch int64) mop.Op {
+func (e *emitter) gatherOp(n *graph.Node, f *mapping.Footprint, w int64, scratch int64) mop.Op {
 	in := n.Inputs[0]
 	switch {
 	case n.Op == graph.OpConv:
@@ -309,7 +309,7 @@ func (e *emitter) writeOps(t mapping.Tile) []mop.Op {
 // activates whole crossbars in a single parallel block; WLM activates
 // parallel-row chunks, one parallel block per chunk wave (later waves are
 // the "next cycle" activations of Figure 16(e)).
-func (e *emitter) readOps(n *graph.Node, f mapping.Footprint, tiles []mapping.Tile, scratch, winBase, stride int64, laterRound bool) []mop.Op {
+func (e *emitter) readOps(n *graph.Node, f *mapping.Footprint, tiles []mapping.Tile, scratch, winBase, stride int64, laterRound bool) []mop.Op {
 	s := int64(e.a.CellsPerWeight())
 	dstFor := func(t mapping.Tile) int64 {
 		return winBase + int64(t.CellColOff)/s*stride

@@ -68,7 +68,7 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 	if n, err := m.Graph.Node(node); err != nil || !n.Op.CIMSupported() {
 		return OpCost{}, fmt.Errorf("cost: node %d is not a CIM operator", node)
 	}
-	f := m.FPs[node]
+	f := &m.FPs[node]
 	if dup < 1 || remap < 1 {
 		return OpCost{}, fmt.Errorf("cost: node %d: dup %d / remap %d must be ≥1", node, dup, remap)
 	}
@@ -114,7 +114,7 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 // device write latency) while cores program in parallel. Only multi-round
 // operators pay it during inference; single-round weights are programmed
 // once at initialization.
-func (m *Model) reloadCycles(f mapping.Footprint, rounds int) float64 {
+func (m *Model) reloadCycles(f *mapping.Footprint, rounds int) float64 {
 	if rounds <= 1 {
 		return 0
 	}

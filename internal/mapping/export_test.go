@@ -9,8 +9,8 @@ import (
 // order: the tile-level view the tests hold the extent check against.
 func (p *Placement) Tiles() iter.Seq[Tile] {
 	return func(yield func(Tile) bool) {
-		for _, e := range p.Extents {
-			if !e.tiles(p.Arch, p.fps[e.Node], yield) {
+		for i := range p.Extents {
+			if !p.Extents[i].tiles(p.Arch, &p.fps[p.Extents[i].Node], yield) {
 				return
 			}
 		}

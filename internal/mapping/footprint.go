@@ -17,7 +17,10 @@
 // extents alone.
 //
 // Footprints reads the shapes of a graph its caller has inferred; nothing in
-// this package infers or validates a graph.
+// this package infers or validates a graph. A Footprint is a dozen words read
+// in every per-node and per-tile loop of the compiler, so its methods take a
+// pointer and callers, in this package and out of it, point into the table
+// (&fps[id]) instead of copying an entry.
 package mapping
 
 import (
@@ -107,8 +110,8 @@ func Footprints(g *graph.Graph, a *arch.Arch) ([]Footprint, error) {
 // minimum chip occupancy of the model).
 func TotalCores(fps []Footprint) int {
 	total := 0
-	for _, f := range fps {
-		total += f.CoresPerCopy
+	for i := range fps {
+		total += fps[i].CoresPerCopy
 	}
 	return total
 }
@@ -119,13 +122,13 @@ func TotalCores(fps []Footprint) int {
 // classifier layer on PUMA). Each round programs a chip-full slice of the
 // tile set, streams all MVMs through it accumulating partial sums, then
 // reloads (§3.3.2's resource-constrained case, pushed inside one operator).
-func (f Footprint) Rounds(a *arch.Arch) int {
+func (f *Footprint) Rounds(a *arch.Arch) int {
 	return ceilDiv(f.XBsPerCopy, a.TotalCrossbars())
 }
 
 // TileRows returns the number of weight-matrix rows tile (i, ·) of a copy
 // holds: full crossbar height except possibly the last row-stripe.
-func (f Footprint) TileRows(tileR int, a *arch.Arch) int {
+func (f *Footprint) TileRows(tileR int, a *arch.Arch) int {
 	if tileR < 0 || tileR >= f.TilesR {
 		return 0
 	}
@@ -137,7 +140,7 @@ func (f Footprint) TileRows(tileR int, a *arch.Arch) int {
 }
 
 // TileCellCols returns the number of cell columns tile (·, j) holds.
-func (f Footprint) TileCellCols(tileC int) int {
+func (f *Footprint) TileCellCols(tileC int) int {
 	if tileC < 0 || tileC >= f.TilesC {
 		return 0
 	}

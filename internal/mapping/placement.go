@@ -123,8 +123,8 @@ func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, seg
 			if i == len(p.Extents) {
 				return false
 			}
-			e, f := p.Extents[i], fps[id]
-			if e.Node != id || e.Segment != segIdx || f != p.fps[id] ||
+			e, f := &p.Extents[i], &fps[id]
+			if e.Node != id || e.Segment != segIdx || *f != p.fps[id] ||
 				e.Dup != sched.Setting(dup, id) || e.Remap != f.clampRemap(sched.Setting(remap, id)) {
 				return false
 			}
@@ -140,7 +140,8 @@ func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, seg
 // into rounds takes its whole window, to the end of the chip.
 func (p *Placement) XBSpan() int {
 	span := 0
-	for _, e := range p.Extents {
+	for i := range p.Extents {
+		e := &p.Extents[i]
 		slots := (e.Dup-1)*e.Stride + p.fps[e.Node].CopyTiles(p.Arch, e.Remap)
 		span = max(span, e.FirstXB+min(slots, e.Window))
 	}
@@ -153,7 +154,7 @@ func (p *Placement) TilesOf(node int) []Tile {
 	if !ok {
 		return nil
 	}
-	f := p.fps[node]
+	f := &p.fps[node]
 	out := make([]Tile, 0, e.Dup*f.CopyTiles(p.Arch, e.Remap))
 	e.tiles(p.Arch, f, func(t Tile) bool {
 		out = append(out, t)
@@ -165,7 +166,7 @@ func (p *Placement) TilesOf(node int) []Tile {
 // tiles yields the extent's tiles: copy c starts at slot c·Stride and its
 // tiles take consecutive slots in (tileR, sub, tileC) order. It reports
 // whether yield asked for more.
-func (e Extent) tiles(a *arch.Arch, f Footprint, yield func(Tile) bool) bool {
+func (e *Extent) tiles(a *arch.Arch, f *Footprint, yield func(Tile) bool) bool {
 	xbPerCore := a.Core.XBCount()
 	for copyIdx := 0; copyIdx < e.Dup; copyIdx++ {
 		s := copyIdx * e.Stride
@@ -237,15 +238,16 @@ func (p *Placement) Validate() error {
 	a := p.Arch
 	xbPerCore := a.Core.XBCount()
 	cores, xbs := make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores))
-	for _, e := range p.Extents {
+	for i := range p.Extents {
+		e := &p.Extents[i]
 		if e.Segment < 0 || e.Segment >= len(cores) {
 			return ruleErr(RuleCoverage, e.Node, "node %d in segment %d of %d", e.Node, e.Segment, len(cores))
 		}
-		var f Footprint // the zero Footprint: no footprint
+		var f *Footprint // nil: no footprint
 		if e.Node >= 0 && e.Node < len(p.fps) {
-			f = p.fps[e.Node]
+			f = &p.fps[e.Node]
 		}
-		if f == (Footprint{}) || f.Node != e.Node {
+		if f == nil || *f == (Footprint{}) || f.Node != e.Node {
 			return ruleErr(RuleCoverage, e.Node, "node %d placed without its footprint", e.Node)
 		}
 		if err := f.validate(a); err != nil {
@@ -302,7 +304,7 @@ func (p *Placement) Validate() error {
 // validate checks that the tiling the footprint describes stays inside a
 // crossbar and inside the cell matrix: every row stripe and column tile
 // non-empty, no larger than the crossbar, and ending within Rows / CellCols.
-func (f Footprint) validate(a *arch.Arch) error {
+func (f *Footprint) validate(a *arch.Arch) error {
 	if f.TilesR < 1 || f.TilesC < 1 {
 		return ruleErr(RuleTileBounds, f.Node, "node %d tiles %d×%d", f.Node, f.TilesR, f.TilesC)
 	}

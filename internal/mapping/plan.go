@@ -29,7 +29,7 @@ func subTiles(tileRows, m int) (n, rows int) {
 
 // clampRemap bounds a WLM remap factor to [1, RowGroups]: splitting finer
 // than one parallel-row group gains nothing.
-func (f Footprint) clampRemap(m int) int {
+func (f *Footprint) clampRemap(m int) int {
 	return max(1, min(m, f.RowGroups))
 }
 
@@ -37,7 +37,7 @@ func (f Footprint) clampRemap(m int) int {
 // occupies at WLM remap factor m (clamped as placement clamps it): each
 // row-stripe splits into sub-tiles, and every sub-tile spans the copy's
 // column tiles.
-func (f Footprint) CopyTiles(a *arch.Arch, m int) int {
+func (f *Footprint) CopyTiles(a *arch.Arch, m int) int {
 	m = f.clampRemap(m)
 	total := 0
 	for tr := 0; tr < f.TilesR; tr++ {
@@ -73,7 +73,7 @@ func (e Extent) slot(s int) (xb, round int) {
 // m=1), in which case its tiles wrap into rounds. Because the window is never
 // empty and an extent never exceeds it, a segment cannot outgrow the core
 // grid without failing here.
-func packNode(a *arch.Arch, f Footprint, firstCore, d, m int) (Extent, error) {
+func packNode(a *arch.Arch, f *Footprint, firstCore, d, m int) (Extent, error) {
 	if d < 1 || m < 1 {
 		return Extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
 	}
@@ -125,7 +125,7 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footpr
 		if id >= len(fps) || fps[id].Node != id {
 			return 0, 0, fmt.Errorf("mapping: no footprint for node %d", id)
 		}
-		e, err := packNode(a, fps[id], cores, sched.Setting(dup, id), sched.Setting(remap, id))
+		e, err := packNode(a, &fps[id], cores, sched.Setting(dup, id), sched.Setting(remap, id))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -148,6 +148,7 @@ func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footp
 		return nil, nil, fmt.Errorf("mapping: no segments to place")
 	}
 	placed := make([]bool, len(g.Nodes))
+	cores, xbs = make([]int, len(segments)), make([]int, len(segments))
 	for segIdx, seg := range segments {
 		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e Extent) error {
 			if placed[e.Node] {
@@ -163,8 +164,7 @@ func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footp
 		if err != nil {
 			return nil, nil, err
 		}
-		cores = append(cores, c)
-		xbs = append(xbs, x)
+		cores[segIdx], xbs[segIdx] = c, x
 	}
 	//cimlint:ignore ctxcancel -- coverage check over node IDs; the fold above polls per node
 	for _, n := range g.Nodes {

@@ -57,7 +57,7 @@ func updateDuplication(s *sched.Schedule, m *cost.Model) error {
 			if !s.Graph.Nodes[id].Op.CIMSupported() {
 				continue // digital operator
 			}
-			f := m.FPs[id]
+			f := &m.FPs[id]
 			if f.Rounds(s.Arch) > 1 {
 				continue // oversized: cannot duplicate
 			}

@@ -199,7 +199,7 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
 	if !s.Graph.Nodes[node].Op.CIMSupported() {
 		return 0 // digital operators draw ALU power, not crossbar power
 	}
-	f := m.FPs[node]
+	f := &m.FPs[node]
 	remap := s.RemapOf(node)
 	if remap > f.RowGroups {
 		remap = f.RowGroups
@@ -238,7 +238,7 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
 // results occupy (weight columns × ActBits) of bandwidth, and keeping more
 // tiles lit than the drain sustains only burns power.
 func drainableColTiles(s *sched.Schedule, m *cost.Model, node, dup, remap int) int {
-	f := m.FPs[node]
+	f := &m.FPs[node]
 	bw := m.Arch.Chip.L0BW
 	if bw <= 0 {
 		return f.TilesC
@@ -331,10 +331,11 @@ func totalEnergy(s *sched.Schedule, m *cost.Model, segOf []int) float64 {
 	var total float64
 	perXB := cost.ReadEnergyPerXBWindow(m.Arch)
 	writeE := m.Arch.XB.Device.Profile().WriteEnergy
-	for id, f := range m.FPs {
+	for id := range m.FPs {
 		if segOf[id] == 0 || !s.Graph.Nodes[id].Op.CIMSupported() {
 			continue
 		}
+		f := &m.FPs[id]
 		total += float64(f.MVMs) * float64(f.XBsPerCopy) * perXB
 		rounds := f.Rounds(m.Arch)
 		if rounds > 1 {

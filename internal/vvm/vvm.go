@@ -56,7 +56,7 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 		if !s.Graph.Nodes[id].Op.CIMSupported() {
 			continue
 		}
-		f := m.FPs[id]
+		f := &m.FPs[id]
 		if f.Rounds(s.Arch) > 1 {
 			coresUsed = s.Arch.Chip.CoreCount()
 			continue
@@ -71,7 +71,7 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 	for {
 		bestID, bestGain, bestCost := -1, 0.0, 0
 		for _, c := range cands {
-			f := m.FPs[c.id]
+			f := &m.FPs[c.id]
 			cur := s.RemapOf(c.id)
 			if cur >= f.RowGroups {
 				continue
