@@ -368,7 +368,18 @@ func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int)
 			return cancelled(err)
 		}
 		sp := t.spans[i]
-		if sp.end >= sp.lo {
+		if sp.end < sp.lo {
+			// No live column: this row or one before has no candidate (an
+			// operator with no copy count to try), so no allocation fits
+			// anywhere, or a reserve leaves the row nothing to store. The next
+			// row reads it from L_(i+1), this row's lo, on: inf there.
+			if hi := min(sp.cap, w-1) + 1; sp.lo < hi {
+				dead := cur[sp.lo:hi]
+				for r := range dead {
+					dead[r] = inf
+				}
+			}
+		} else {
 			win, row := cur[sp.lo:sp.end+1], t.choice[sp.off+sp.lo:sp.off+sp.end+1]
 			for r := range win {
 				win[r] = inf

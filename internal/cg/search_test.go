@@ -171,56 +171,97 @@ func allocateList(ctx context.Context, t *dupTable, ops []opInfo, budget int) ([
 // table leaves dirty shows here.
 func TestReusedTableMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(48, 2))
-	ctx := context.Background()
-	var uncapped, capped, searched dupTable
+	var tables reusedTables
 	for draw := 0; draw < 400; draw++ {
 		ops, budget := randomOps(rng, draw)
 		if draw%3 == 1 {
 			ops, budget = ops[:1+rng.IntN(min(2, len(ops)))], 1+rng.IntN(budget)
 		}
-		what := fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops)
-		n := len(ops) - 1
-		for _, c := range []struct {
-			t       *dupTable
-			ops     []opInfo
-			reserve int
-		}{{&uncapped, ops, 0}, {&capped, ops[:n], ops[n].coresCopy}} {
-			if err := c.t.build(ctx, c.ops, budget, c.reserve); err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := newTable(ctx, c.ops, budget, c.reserve)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTable(t, fmt.Sprintf("%s, reserve %d", what, c.reserve), c.t, fresh)
-			if c.reserve == 0 {
-				for k := 0; k <= len(c.ops); k++ {
-					if got, want := walkList(c.t, k, budget), walkList(fresh, k, budget); !slices.Equal(got, want) {
-						t.Fatalf("%s: walk-back of %d rows: reused table %v, fresh table %v", what, k, got, want)
-					}
-				}
-				continue
-			}
-			for r := 0; r <= budget-c.reserve; r++ {
-				if got, want := walkList(c.t, n, r), walkList(fresh, n, r); !slices.Equal(got, want) {
-					t.Fatalf("%s, reserve %d: walk-back from %d cores: reused table %v, fresh table %v", what, c.reserve, r, got, want)
-				}
-			}
-		}
-		got, err := allocateList(ctx, &searched, ops, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := new(dupTable)
-		want, err := allocateList(ctx, fresh, ops, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: allocateDP on a reused table %v, on a fresh one %v", what, got, want)
-		}
-		sameTable(t, what+", allocateDP", &searched, fresh)
+		tables.check(t, fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops), ops, budget)
 	}
+}
+
+// TestRowWithoutCandidates: an operator with no copy count to try (maxDup 0,
+// which collectInfos never makes) fits no column, so its row and every row
+// after it are inf and choose 0 everywhere. Its row has no live window; the
+// next row reads it all the same, so it must be written, in fresh and reused
+// buffers alike. Pinned: at budget 146, with the row left unwritten, a fresh
+// table read zeros there and gave the next operator 66 copies where the
+// exhaustive search gives none.
+func TestRowWithoutCandidates(t *testing.T) {
+	ops := []opInfo{
+		{id: 1, cim: true, coresCopy: 2, maxDup: 0, windows: 100, perWindow: 1, rounds: 1},
+		{id: 2, cim: true, coresCopy: 2, maxDup: 67, windows: 5000, perWindow: 1, rounds: 1},
+	}
+	table, err := newTable(context.Background(), ops, 146, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := table.at(1, 146); got != 0 {
+		t.Fatalf("row 1 at 146 cores chooses %d copies after a row without candidates, want 0", got)
+	}
+	checkAgainstExhaustive(t, "pinned (budget 146)", ops, 146)
+	rng := rand.New(rand.NewPCG(49, 3))
+	var tables reusedTables
+	for draw := 0; draw < 400; draw++ {
+		ops, budget := randomOps(rng, draw)
+		ops[draw%len(ops)].maxDup = 0
+		what := fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops)
+		checkAgainstExhaustive(t, what, ops, budget)
+		tables.check(t, what, ops, budget)
+	}
+}
+
+// reusedTables are the tables a search test rebuilds draw after draw: one
+// uncapped, one under allocateDP's reserve, one allocateDP builds.
+type reusedTables struct{ uncapped, capped, searched dupTable }
+
+// check rebuilds each of ts over ops and budget and holds it, and what it
+// serves, to a table built in fresh buffers.
+func (ts *reusedTables) check(t *testing.T, what string, ops []opInfo, budget int) {
+	t.Helper()
+	ctx := context.Background()
+	n := len(ops) - 1
+	for _, c := range []struct {
+		t       *dupTable
+		ops     []opInfo
+		reserve int
+	}{{&ts.uncapped, ops, 0}, {&ts.capped, ops[:n], ops[n].coresCopy}} {
+		if err := c.t.build(ctx, c.ops, budget, c.reserve); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := newTable(ctx, c.ops, budget, c.reserve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTable(t, fmt.Sprintf("%s, reserve %d", what, c.reserve), c.t, fresh)
+		if c.reserve == 0 {
+			for k := 0; k <= len(c.ops); k++ {
+				if got, want := walkList(c.t, k, budget), walkList(fresh, k, budget); !slices.Equal(got, want) {
+					t.Fatalf("%s: walk-back of %d rows: reused table %v, fresh table %v", what, k, got, want)
+				}
+			}
+			continue
+		}
+		for r := 0; r <= budget-c.reserve; r++ {
+			if got, want := walkList(c.t, n, r), walkList(fresh, n, r); !slices.Equal(got, want) {
+				t.Fatalf("%s, reserve %d: walk-back from %d cores: reused table %v, fresh table %v", what, c.reserve, r, got, want)
+			}
+		}
+	}
+	got, err := allocateList(ctx, &ts.searched, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := new(dupTable)
+	want, err := allocateList(ctx, fresh, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: allocateDP on a reused table %v, on a fresh one %v", what, got, want)
+	}
+	sameTable(t, what+", allocateDP", &ts.searched, fresh)
 }
 
 // sameTable fails unless got holds every value fresh holds that a search

@@ -8,34 +8,89 @@
 // playing the role of the NeuroSim/PUMA-sim-derived latency model of §4.1
 // (see DESIGN.md's substitution table). Absolute values are in abstract
 // cycles and power units; every experiment reports ratios.
+//
+// A compilation prices every node many times over (the duplication search,
+// the MVM and VVM refinements, the simulator), so New prices each node once,
+// in the pass that computes its footprint, into a table indexed by node ID:
+// a digital or input node's whole OpCost, and a CIM node's terms that depend
+// on neither copies nor remap. CIMOp computes only the rest. What is
+// precomputed are operands, never partial products: every float expression
+// keeps the order of its terms, so a cost is bit-identical to pricing the
+// node from scratch.
 package cost
 
 import (
 	"fmt"
-	"math"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
 )
 
-// Model bundles the graph, architecture and footprints a cost query needs.
+// Model bundles the graph, architecture and footprints a cost query needs,
+// and the node-indexed table of the cost terms that depend on neither copies
+// nor remap.
 type Model struct {
 	Arch  *arch.Arch
 	Graph *graph.Graph
 	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
+
+	// fixed is by node ID: an input or digital node's whole OpCost, and for a
+	// CIM node the terms CIMOp does not recompute per call (Node, IO, Rounds,
+	// Reload, FirstFrac). kind says which.
+	fixed []OpCost
+	kind  []opKind
+	// phases and read are the operands of every CIM node's compute term: DAC
+	// phases and the device read latency, as floats.
+	phases, read float64
 }
 
-// New builds a cost model, computing footprints for every CIM node from the
-// shapes g holds. It checks neither argument: g must be valid with its shapes
-// inferred (graph.InferShapes) and a valid (arch.Validate), as the compiler
-// has made them before it builds the one model of a compilation.
+// opKind is how a node is priced.
+type opKind uint8
+
+const (
+	inputOp   opKind = iota // costs nothing
+	cimOp                   // on crossbars: CIMOp
+	digitalOp               // on the digital ALUs: digitalCost
+)
+
+// New builds a cost model: in one pass over g it computes the footprint of
+// every CIM node from the shapes g holds and fills the table of each node's
+// fixed cost terms. It checks neither argument: g must be valid with its
+// shapes inferred (graph.InferShapes) and a valid (arch.Validate), as the
+// compiler has made them before it builds the one model of a compilation.
 func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
-	fps, err := mapping.Footprints(g, a)
-	if err != nil {
-		return nil, err
+	m := &Model{
+		Arch:   a,
+		Graph:  g,
+		FPs:    make([]mapping.Footprint, len(g.Nodes)),
+		fixed:  make([]OpCost, len(g.Nodes)),
+		kind:   make([]opKind, len(g.Nodes)),
+		phases: float64(a.DACPhases()),
+		read:   a.XB.Device.Profile().ReadLatency,
 	}
-	return &Model{Arch: a, Graph: g, FPs: fps}, nil
+	// Programming one round's weights: each core owns one write port, so its
+	// crossbars program serially (wordline by wordline at the device write
+	// latency) while cores program in parallel. Only multi-round operators
+	// pay it during inference; single-round weights are programmed once at
+	// initialization.
+	reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency * float64(a.Core.XBCount())
+	for _, n := range g.Nodes {
+		switch {
+		case n.Op == graph.OpInput:
+			m.fixed[n.ID] = OpCost{Node: n.ID, Windows: 0, Rounds: 1}
+		case n.Op.CIMSupported():
+			f, err := mapping.ComputeFootprint(n, a)
+			if err != nil {
+				return nil, err
+			}
+			m.FPs[n.ID] = f
+			m.kind[n.ID], m.fixed[n.ID] = cimOp, m.cimFixed(n, &m.FPs[n.ID], reload)
+		default:
+			m.kind[n.ID], m.fixed[n.ID] = digitalOp, m.digitalCost(n)
+		}
+	}
+	return m, nil
 }
 
 // OpCost describes one operator's execution profile under given scheduling
@@ -63,70 +118,58 @@ func (c OpCost) Run() float64 {
 }
 
 // CIMOp returns the cost of a CIM-supported node executed with `dup`
-// spatially concurrent copies and WLM remap factor `remap` (both ≥1).
+// spatially concurrent copies and WLM remap factor `remap` (both ≥1). It
+// reads the node's fixed terms off the model's table and computes only what
+// copies and remap decide.
 func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
-	if n, err := m.Graph.Node(node); err != nil || !n.Op.CIMSupported() {
+	if uint(node) >= uint(len(m.kind)) || m.kind[node] != cimOp {
 		return OpCost{}, fmt.Errorf("cost: node %d is not a CIM operator", node)
 	}
-	f := &m.FPs[node]
 	if dup < 1 || remap < 1 {
 		return OpCost{}, fmt.Errorf("cost: node %d: dup %d / remap %d must be ≥1", node, dup, remap)
 	}
-	a := m.Arch
+	f, oc := &m.FPs[node], m.fixed[node]
 	if remap > f.RowGroups {
 		remap = f.RowGroups
 	}
-	rounds := f.Rounds(a)
-	if rounds > 1 {
+	if oc.Rounds > 1 {
 		dup, remap = 1, 1
 	}
 
 	// Compute: DAC phases × sequential row groups × device read latency,
 	// plus a shift-add merge tree over the row stripes and one ADC drain.
 	groups := ceilDiv(f.RowGroups, remap)
-	phases := float64(a.DACPhases())
-	read := a.XB.Device.Profile().ReadLatency
 	merge := log2Ceil(f.TilesR*remap) + 1 // +1 ADC pipeline drain
-	compute := phases*float64(groups)*read + float64(merge)
+	oc.Compute = m.phases*float64(groups)*m.read + float64(merge)
+	oc.PerWindow = max(oc.Compute, oc.IO) // the builtin keeps math.Max's NaN and ±0 rules
+	oc.Windows = ceilDiv64(f.MVMs, int64(dup))
+	return oc, nil
+}
 
-	// IO per window through the local buffer: the input vector in, the
-	// output vector out (both ActBits wide).
+// cimFixed returns the terms of CIM node n's cost that copies and remap do
+// not change: IO per window through the local buffer (the input vector in,
+// the output vector out, both ActBits wide), the weight-loading rounds, the
+// reload each round pays (reload, when there is more than one), and the
+// pipeline coupling.
+func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint, reload float64) OpCost {
+	a := m.Arch
 	inBits := int64(f.Rows) * int64(a.ActBits)
 	outBits := int64(f.Cols) * int64(a.ActBits)
-	io := arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW)
-
-	per := math.Max(compute, io)
-	windows := ceilDiv64(f.MVMs, int64(dup))
-	return OpCost{
-		Node:      node,
-		Windows:   windows,
-		PerWindow: per,
-		Compute:   compute,
-		IO:        io,
-		Rounds:    rounds,
-		Reload:    m.reloadCycles(f, rounds),
-		FirstFrac: m.firstFrac(node),
-	}, nil
-}
-
-// reloadCycles estimates programming one round's weights: each core owns one
-// write port, so its crossbars program serially (wordline by wordline at the
-// device write latency) while cores program in parallel. Only multi-round
-// operators pay it during inference; single-round weights are programmed
-// once at initialization.
-func (m *Model) reloadCycles(f *mapping.Footprint, rounds int) float64 {
+	rounds := f.Rounds(a)
 	if rounds <= 1 {
-		return 0
+		reload = 0
 	}
-	return float64(m.Arch.XB.Rows) * m.Arch.XB.Device.Profile().WriteLatency * float64(m.Arch.Core.XBCount())
+	return OpCost{
+		Node:      n.ID,
+		IO:        arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW),
+		Rounds:    rounds,
+		Reload:    reload,
+		FirstFrac: m.firstFrac(n),
+	}
 }
 
-// DigitalOp returns the cost of a non-CIM node on the digital ALUs.
-func (m *Model) DigitalOp(node int) (OpCost, error) {
-	n := m.Graph.MustNode(node)
-	if n.Op.CIMSupported() || n.Op == graph.OpInput {
-		return OpCost{}, fmt.Errorf("cost: node %d (%s) is not a digital operator", node, n.Op)
-	}
+// digitalCost prices digital node n.
+func (m *Model) digitalCost(n *graph.Node) OpCost {
 	windows, perWindowOps := digitalWork(m.Graph, n)
 	// Digital operators shard across the chip ALU plus every core's ALU
 	// (activations are already distributed across the cores holding the
@@ -146,26 +189,23 @@ func (m *Model) DigitalOp(node int) (OpCost, error) {
 		per = 1.0 / 1024 // a data-movement floor so zero-cost ops cannot vanish
 	}
 	return OpCost{
-		Node:      node,
+		Node:      n.ID,
 		Windows:   windows,
 		PerWindow: per,
 		Compute:   per,
 		Rounds:    1,
-		FirstFrac: m.firstFrac(node),
-	}, nil
+		FirstFrac: m.firstFrac(n),
+	}
 }
 
-// Op dispatches to CIMOp or DigitalOp (Input nodes cost nothing).
+// Op dispatches to CIMOp on a CIM node and otherwise reads the node's
+// whole cost off the model's table: a digital node's on the ALUs, an input's
+// nothing.
 func (m *Model) Op(node, dup, remap int) (OpCost, error) {
-	n := m.Graph.MustNode(node)
-	switch {
-	case n.Op == graph.OpInput:
-		return OpCost{Node: node, Windows: 0, Rounds: 1}, nil
-	case n.Op.CIMSupported():
+	if m.kind[node] == cimOp {
 		return m.CIMOp(node, dup, remap)
-	default:
-		return m.DigitalOp(node)
 	}
+	return m.fixed[node], nil
 }
 
 // digitalWork returns (windows, ALU ops per window) for a digital node.
@@ -220,8 +260,7 @@ func spatialWindows(shape []int) (int64, int64) {
 // before the node can emit its first output, the pipelining coupling of
 // adjacent operators: a 3×3 conv needs its first 3 input rows, an
 // elementwise op only the first element, a Dense/GAP/MatMul everything.
-func (m *Model) firstFrac(node int) float64 {
-	n := m.Graph.MustNode(node)
+func (m *Model) firstFrac(n *graph.Node) float64 {
 	switch n.Op {
 	case graph.OpConv, graph.OpMaxPool, graph.OpAvgPool:
 		in := m.Graph.MustNode(n.Inputs[0]).OutShape

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,14 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/models"
 )
+
+// digitalOpCost is Op on a digital node and an error on any other.
+func digitalOpCost(m *Model, node int) (OpCost, error) {
+	if m.kind[node] != digitalOp {
+		return OpCost{}, fmt.Errorf("cost: node %d (%s) is not a digital operator", node, m.Graph.MustNode(node).Op)
+	}
+	return m.Op(node, 1, 1)
+}
 
 func toyModel(t *testing.T) *Model {
 	t.Helper()
@@ -35,6 +44,83 @@ func TestCIMOpToyNumbers(t *testing.T) {
 	}
 	if c.Rounds != 1 || c.Reload != 0 {
 		t.Fatalf("rounds/reload = %d/%v, want 1/0", c.Rounds, c.Reload)
+	}
+}
+
+// cimFromScratch is CIMOp as it stood before the model kept a table: every
+// term derived from the footprint and the architecture on each call.
+func cimFromScratch(m *Model, node, dup, remap int) OpCost {
+	f, a := &m.FPs[node], m.Arch
+	remap = min(remap, f.RowGroups)
+	rounds := f.Rounds(a)
+	if rounds > 1 {
+		dup, remap = 1, 1
+	}
+	groups := ceilDiv(f.RowGroups, remap)
+	phases := float64(a.DACPhases())
+	read := a.XB.Device.Profile().ReadLatency
+	merge := log2Ceil(f.TilesR*remap) + 1
+	compute := phases*float64(groups)*read + float64(merge)
+	inBits := int64(f.Rows) * int64(a.ActBits)
+	outBits := int64(f.Cols) * int64(a.ActBits)
+	io := arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW)
+	var reload float64
+	if rounds > 1 {
+		reload = float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency * float64(a.Core.XBCount())
+	}
+	return OpCost{
+		Node:      node,
+		Windows:   ceilDiv64(f.MVMs, int64(dup)),
+		PerWindow: math.Max(compute, io),
+		Compute:   compute,
+		IO:        io,
+		Rounds:    rounds,
+		Reload:    reload,
+		FirstFrac: m.firstFrac(m.Graph.Nodes[node]),
+	}
+}
+
+// TestTableMatchesPricingFromScratch holds CIMOp, which reads a node's fixed
+// terms off the model's table, to pricing the node from scratch, bit for bit,
+// on every zoo model and preset at several copy counts and every remap up to
+// one past the row groups; on every other node Op answers the cost the node
+// is priced at now.
+func TestTableMatchesPricingFromScratch(t *testing.T) {
+	for _, name := range models.Names() {
+		for _, preset := range arch.PresetNames() {
+			g, err := models.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := arch.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range g.Nodes {
+				if !n.Op.CIMSupported() {
+					want := OpCost{Node: n.ID, Rounds: 1}
+					if n.Op != graph.OpInput {
+						want = m.digitalCost(n)
+					}
+					if got, err := m.Op(n.ID, 3, 2); err != nil || got != want {
+						t.Fatalf("%s.%s node %d: Op %+v (%v), priced now %+v", name, preset, n.ID, got, err, want)
+					}
+					continue
+				}
+				for _, dup := range []int{1, 2, 3, 7} {
+					for remap := 1; remap <= m.FPs[n.ID].RowGroups+1; remap++ {
+						got, err := m.Op(n.ID, dup, remap)
+						if want := cimFromScratch(m, n.ID, dup, remap); err != nil || got != want {
+							t.Fatalf("%s.%s node %d dup %d remap %d: %+v (%v), from scratch %+v", name, preset, n.ID, dup, remap, got, err, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -89,7 +175,7 @@ func TestCIMOpErrors(t *testing.T) {
 
 func TestDigitalOpReLU(t *testing.T) {
 	m := toyModel(t)
-	c, err := m.DigitalOp(2)
+	c, err := digitalOpCost(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +197,7 @@ func TestDigitalOpALUBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := m.DigitalOp(2)
+	c, _ := digitalOpCost(m, 2)
 	// 32 elements per window / 8 ops per cycle = 4 cycles.
 	if c.PerWindow != 4 {
 		t.Fatalf("ALU-bound relu per-window = %v, want 4", c.PerWindow)
@@ -120,10 +206,10 @@ func TestDigitalOpALUBound(t *testing.T) {
 
 func TestDigitalOpErrors(t *testing.T) {
 	m := toyModel(t)
-	if _, err := m.DigitalOp(1); err == nil { // conv
+	if _, err := digitalOpCost(m, 1); err == nil { // conv
 		t.Fatal("accepted CIM node as digital")
 	}
-	if _, err := m.DigitalOp(0); err == nil { // input
+	if _, err := digitalOpCost(m, 0); err == nil { // input
 		t.Fatal("accepted input node as digital")
 	}
 }
@@ -214,7 +300,7 @@ func TestFirstFrac(t *testing.T) {
 	// Elementwise ReLU can start almost immediately.
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpReLU {
-			cr, _ := m.DigitalOp(n.ID)
+			cr, _ := digitalOpCost(m, n.ID)
 			if cr.FirstFrac > 0.05 {
 				t.Fatalf("relu first frac = %v, want ≈0", cr.FirstFrac)
 			}
@@ -232,7 +318,7 @@ func TestViTMatMulCost(t *testing.T) {
 	}
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpMatMul {
-			c, err := m.DigitalOp(n.ID)
+			c, err := digitalOpCost(m, n.ID)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package mapping_test
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -199,6 +200,42 @@ func TestDerivedTilesOverZoo(t *testing.T) {
 		}
 	}
 	t.Logf("%d cells, %d derived tiles walked; the benchmark's 35-cell grid derives %d", cells, total, grid)
+}
+
+// TestClosedFormsOnCorruptFootprints corrupts the footprints of the compile
+// grid's placements (the zoo's benchmark models on every preset, at every
+// level it reaches) one field at a time, by ±1 and ±2 and, on one extent per
+// cell, by a random 16-bit delta, and holds CopyTiles and the tiling check to
+// their stripe walks on each: the same tile counts, and the same first
+// failure under the same rule, node and message.
+func TestClosedFormsOnCorruptFootprints(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 2))
+	checked := 0
+	for _, cell := range zooCells([]string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet50", "vit-tiny", "vit-base"}) {
+		_, res, err := compileCell(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, fps := res.Placement.Corruptible()
+		wide := rng.IntN(len(p.Extents))
+		for i, e := range p.Extents {
+			deltas := []int{-2, -1, 1, 2}
+			if i == wide {
+				deltas = append(deltas, int(int16(rng.Uint32())))
+			}
+			for field := range footprintFields(&fps[e.Node]) {
+				for _, delta := range deltas {
+					f := fps[e.Node]
+					*footprintFields(&f)[field] += delta
+					if faults := mapping.ClosedFormFaults(&f, p.Arch); len(faults) > 0 {
+						t.Fatalf("%s node %d, field %d %+d (%+v): %v", cell, e.Node, field, delta, f, faults)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d corrupted footprints", checked)
 }
 
 // before reports whether a precedes b in (copy, tileR, sub, tileC) order.

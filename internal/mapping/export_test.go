@@ -3,6 +3,8 @@ package mapping
 import (
 	"iter"
 	"slices"
+
+	"cimmlc/internal/arch"
 )
 
 // Tiles derives every tile of the placement, extent by extent in TilesOf
@@ -30,3 +32,8 @@ func (p *Placement) Corruptible() (*Placement, []Footprint) {
 		extent:       slices.Clone(p.extent),
 	}, fps
 }
+
+// ClosedFormFaults holds f's closed-form CopyTiles and tiling check to their
+// stripe-by-stripe definitions (closedform_test.go) and describes each
+// disagreement.
+func ClosedFormFaults(f *Footprint, a *arch.Arch) []string { return closedFormFaults(f, a) }

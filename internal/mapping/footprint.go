@@ -16,6 +16,12 @@
 // one reader that wants tiles. Placement.Validate checks a placement from its
 // extents alone.
 //
+// Work grows with operators, not with the tiles a small crossbar cuts them
+// into: every row stripe of a footprint but the last is a full crossbar high
+// and every column tile but the last a full UsableCols wide, so CopyTiles,
+// the footprint's tiling check and with them packNode, Placement.Validate and
+// XBSpan are closed-form, O(1) per extent. Only TilesOf walks tiles.
+//
 // Footprints reads the shapes of a graph its caller has inferred; nothing in
 // this package infers or validates a graph. A Footprint is a dozen words read
 // in every per-node and per-tile loop of the compiler, so its methods take a

@@ -224,7 +224,7 @@ func ruleErr(rule string, node int, format string, args ...any) *RuleError {
 	return &RuleError{Rule: rule, Node: node, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Validate is the placement check, at the cost of its extents: each extent
+// Validate is the placement check, O(1) per extent: each extent
 // inside the chip and where packNode starts it, the extents of a segment on
 // consecutive disjoint core ranges, copies on disjoint slots that wrap into
 // rounds only undivided and fill exactly the extent's own cores, every row
@@ -232,8 +232,9 @@ func ruleErr(rule string, node int, format string, args ...any) *RuleError {
 // cell matrix, and the recorded per-segment totals the extents' sums. Every
 // per-tile property — grid and crossbar bounds, cell region inside the
 // matrix, no crossbar claimed twice in a (segment, round) — is an arithmetic
-// consequence (see DESIGN §2), so no tile is derived. A failure is a
-// *RuleError.
+// consequence (see DESIGN §2), so no tile is derived, and CopyTiles and the
+// footprint's stripe check are closed-form, so no stripe is walked either. A
+// failure is a *RuleError.
 func (p *Placement) Validate() error {
 	a := p.Arch
 	xbPerCore := a.Core.XBCount()
@@ -304,19 +305,32 @@ func (p *Placement) Validate() error {
 // validate checks that the tiling the footprint describes stays inside a
 // crossbar and inside the cell matrix: every row stripe and column tile
 // non-empty, no larger than the crossbar, and ending within Rows / CellCols.
+// All stripes but the last are alike, so it checks, per dimension, the first
+// full one that fails (firstBad) or else the last, and reports the same
+// first failure a stripe-by-stripe walk would, in O(1).
 func (f *Footprint) validate(a *arch.Arch) error {
 	if f.TilesR < 1 || f.TilesC < 1 {
 		return ruleErr(RuleTileBounds, f.Node, "node %d tiles %d×%d", f.Node, f.TilesR, f.TilesC)
 	}
-	for tr := 0; tr < f.TilesR; tr++ {
-		if rows := f.TileRows(tr, a); rows <= 0 || rows > a.XB.Rows || tr*a.XB.Rows+rows > f.Rows {
-			return ruleErr(RuleTileBounds, f.Node, "node %d row stripe %d holds rows [%d,%d) of a %d-row matrix, crossbar height %d", f.Node, tr, tr*a.XB.Rows, tr*a.XB.Rows+rows, f.Rows, a.XB.Rows)
-		}
+	tr := firstBad(f.TilesR, a.XB.Rows, a.XB.Rows, f.Rows)
+	if rows := f.TileRows(tr, a); rows <= 0 || rows > a.XB.Rows || tr*a.XB.Rows+rows > f.Rows {
+		return ruleErr(RuleTileBounds, f.Node, "node %d row stripe %d holds rows [%d,%d) of a %d-row matrix, crossbar height %d", f.Node, tr, tr*a.XB.Rows, tr*a.XB.Rows+rows, f.Rows, a.XB.Rows)
 	}
-	for tc := 0; tc < f.TilesC; tc++ {
-		if cols := f.TileCellCols(tc); cols <= 0 || cols > a.XB.Cols || tc*f.UsableCols+cols > f.CellCols {
-			return ruleErr(RuleTileBounds, f.Node, "node %d column tile %d holds cell columns [%d,%d) of a %d-column matrix, crossbar width %d", f.Node, tc, tc*f.UsableCols, tc*f.UsableCols+cols, f.CellCols, a.XB.Cols)
-		}
+	tc := firstBad(f.TilesC, f.UsableCols, a.XB.Cols, f.CellCols)
+	if cols := f.TileCellCols(tc); cols <= 0 || cols > a.XB.Cols || tc*f.UsableCols+cols > f.CellCols {
+		return ruleErr(RuleTileBounds, f.Node, "node %d column tile %d holds cell columns [%d,%d) of a %d-column matrix, crossbar width %d", f.Node, tc, tc*f.UsableCols, tc*f.UsableCols+cols, f.CellCols, a.XB.Cols)
 	}
 	return nil
+}
+
+// firstBad returns the index of the first of n stripes to check: the first
+// full stripe (width w, index i < n−1, holding [i·w, (i+1)·w)) that is empty,
+// wider than limit or ends past total, or else n−1, the last stripe. Full
+// stripes are alike but for where they end, so the first to end past total
+// is the one holding total.
+func firstBad(n, w, limit, total int) int {
+	if w <= 0 || w > limit || total < w {
+		return 0
+	}
+	return min(n-1, total/w)
 }

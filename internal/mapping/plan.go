@@ -36,15 +36,16 @@ func (f *Footprint) clampRemap(m int) int {
 // CopyTiles returns the number of physical crossbar tiles one copy of f
 // occupies at WLM remap factor m (clamped as placement clamps it): each
 // row-stripe splits into sub-tiles, and every sub-tile spans the copy's
-// column tiles.
+// column tiles. Every stripe but the last is a full crossbar high and splits
+// alike, so the count is closed-form, O(1) whatever the stripe count.
 func (f *Footprint) CopyTiles(a *arch.Arch, m int) int {
-	m = f.clampRemap(m)
-	total := 0
-	for tr := 0; tr < f.TilesR; tr++ {
-		n, _ := subTiles(f.TileRows(tr, a), m)
-		total += n * f.TilesC
+	if f.TilesR < 1 {
+		return 0
 	}
-	return total
+	m = f.clampRemap(m)
+	full, _ := subTiles(a.XB.Rows, m)
+	last, _ := subTiles(f.TileRows(f.TilesR-1, a), m)
+	return ((f.TilesR-1)*full + last) * f.TilesC
 }
 
 // Extent is what the d copies of one node at remap m occupy when packed from

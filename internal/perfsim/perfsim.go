@@ -93,10 +93,9 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
 	segOf := make([]int, len(s.Graph.Nodes))
-	segStart := 0.0
+	segStart, reload := 0.0, segmentReload(s, m)
 	for segIdx, seg := range s.Segments {
 		if segIdx > 0 {
-			reload := segmentReload(s, m)
 			rep.ReloadCycles += reload
 			segStart += reload
 		}
@@ -147,7 +146,7 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 				// Produced by an earlier segment: fully materialized.
 				continue
 			}
-			pt := rep.PerOp[in]
+			pt := &rep.PerOp[in]
 			if s.Pipeline {
 				ready := pt.Start + oc.FirstFrac*(pt.Finish-pt.Start)
 				if ready > start {
@@ -178,7 +177,7 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 			Start:     start,
 			Finish:    finish,
 			Cost:      oc,
-			ActiveXBs: activeXBs(s, m, id),
+			ActiveXBs: activeXBs(s, m, id, &oc),
 		}
 		segOf[id] = segIdx + 1
 		prevFinish = finish
@@ -194,8 +193,9 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 // its input chunk arrives: within a copy one row-stripe is live at a time,
 // and across copies only as many copies as the shared global buffer can
 // feed run concurrently. Without it every tile of every copy fires in
-// lockstep once inputs are buffered — the traditional schedule of [39].
-func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
+// lockstep once inputs are buffered — the traditional schedule of [39]. oc
+// is the node's cost under the schedule, priced once by the caller.
+func activeXBs(s *sched.Schedule, m *cost.Model, node int, oc *cost.OpCost) float64 {
 	if !s.Graph.Nodes[node].Op.CIMSupported() {
 		return 0 // digital operators draw ALU power, not crossbar power
 	}
@@ -205,7 +205,7 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
 		remap = f.RowGroups
 	}
 	dup := s.DupOf(node)
-	if f.Rounds(m.Arch) > 1 {
+	if oc.Rounds > 1 {
 		dup, remap = 1, 1
 	}
 	perCopy := float64(f.TilesR * f.TilesC * remap)
@@ -216,14 +216,14 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
 		// the time-division activation spreads them at the rate the output
 		// drain (ADC → local/global buffer) sustains, keeping crossbars
 		// dark until their results can leave.
-		if bound := drainableColTiles(s, m, node, dup, remap); bound < cols {
+		if bound := drainableColTiles(m, f, oc); bound < cols {
 			cols = bound
 		}
 		perCopy = float64(cols * remap)
 		if f.TilesR == 1 && cols == f.TilesC {
 			perCopy = float64(f.TilesC * remap)
 		}
-		copies = float64(feedableCopies(s, m, node, f.Rows, dup, remap))
+		copies = float64(feedableCopies(m, f, oc, dup))
 	}
 	total := perCopy * copies
 	chip := float64(m.Arch.TotalCrossbars())
@@ -237,14 +237,9 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int) float64 {
 // concurrently by how fast the shared buffer drains their outputs: a tile's
 // results occupy (weight columns × ActBits) of bandwidth, and keeping more
 // tiles lit than the drain sustains only burns power.
-func drainableColTiles(s *sched.Schedule, m *cost.Model, node, dup, remap int) int {
-	f := &m.FPs[node]
+func drainableColTiles(m *cost.Model, f *mapping.Footprint, oc *cost.OpCost) int {
 	bw := m.Arch.Chip.L0BW
 	if bw <= 0 {
-		return f.TilesC
-	}
-	oc, err := m.CIMOp(node, dup, remap)
-	if err != nil {
 		return f.TilesC
 	}
 	wColsPerTile := f.UsableCols / m.Arch.CellsPerWeight()
@@ -269,16 +264,12 @@ func drainableColTiles(s *sched.Schedule, m *cost.Model, node, dup, remap int) i
 // the rate the shared L0 buffer can deliver their input windows: a copy
 // stays active for its compute time, and a new window arrives every
 // inBits/L0BW cycles.
-func feedableCopies(s *sched.Schedule, m *cost.Model, node, rows, dup, remap int) int {
+func feedableCopies(m *cost.Model, f *mapping.Footprint, oc *cost.OpCost, dup int) int {
 	bw := m.Arch.Chip.L0BW
 	if bw <= 0 {
 		return dup // ideal buffer feeds everyone
 	}
-	oc, err := m.CIMOp(node, dup, remap)
-	if err != nil {
-		return dup
-	}
-	perWindowIn := float64(rows*m.Arch.ActBits) / bw
+	perWindowIn := float64(f.Rows*m.Arch.ActBits) / bw
 	if perWindowIn <= 0 {
 		return dup
 	}
@@ -299,12 +290,18 @@ func peakConcurrency(rep *Report) float64 {
 		t     float64
 		delta float64
 	}
-	var events []event
-	for _, ot := range rep.PerOp {
-		if ot.ActiveXBs <= 0 || ot.Finish <= ot.Start {
-			continue
+	active := func(ot *OpTiming) bool { return ot.ActiveXBs > 0 && ot.Finish > ot.Start }
+	n := 0
+	for i := range rep.PerOp {
+		if active(&rep.PerOp[i]) {
+			n += 2
 		}
-		events = append(events, event{ot.Start, ot.ActiveXBs}, event{ot.Finish, -ot.ActiveXBs})
+	}
+	events := make([]event, 0, n)
+	for i := range rep.PerOp {
+		if ot := &rep.PerOp[i]; active(ot) {
+			events = append(events, event{ot.Start, ot.ActiveXBs}, event{ot.Finish, -ot.ActiveXBs})
+		}
 	}
 	slices.SortFunc(events, func(a, b event) int {
 		if c := cmp.Compare(a.t, b.t); c != 0 {

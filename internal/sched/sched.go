@@ -94,12 +94,10 @@ func (s *Schedule) Validate() error {
 	if len(s.Segments) == 0 {
 		return fmt.Errorf("sched: no segments")
 	}
-	// seen[id] is 1 + the segment holding id, rank[id] 1 + its position in
-	// the segments' concatenation; both are 0 while id is unscheduled.
-	nodes := len(s.Graph.Nodes)
-	seen := make([]int, 2*nodes)
-	seen, rank := seen[:nodes:nodes], seen[nodes:]
-	pos := 0
+	// rank[id] is 1 + id's position in the segments' concatenation, 0 while
+	// id is unscheduled.
+	rank := make([]int32, len(s.Graph.Nodes))
+	pos := int32(0)
 	for segIdx, seg := range s.Segments {
 		if len(seg) == 0 {
 			return fmt.Errorf("sched: segment %d is empty", segIdx)
@@ -112,24 +110,22 @@ func (s *Schedule) Validate() error {
 			if n.Op == graph.OpInput {
 				return fmt.Errorf("sched: input node %d must not be scheduled", id)
 			}
-			if prev := seen[id]; prev != 0 {
-				return fmt.Errorf("sched: node %d in segments %d and %d", id, prev-1, segIdx)
+			if rank[id] != 0 {
+				return fmt.Errorf("sched: node %d in segments %d and %d", id, s.segmentOf(id), segIdx)
 			}
 			pos++
-			seen[id], rank[id] = segIdx+1, pos
+			rank[id] = pos
 		}
 	}
 	for _, n := range s.Graph.Nodes {
 		if n.Op == graph.OpInput {
 			continue
 		}
-		if seen[n.ID] == 0 {
+		if rank[n.ID] == 0 {
 			return fmt.Errorf("sched: node %d (%s) not scheduled", n.ID, n.Name)
 		}
+		// An input node is never scheduled: its rank 0 precedes every other.
 		for _, in := range n.Inputs {
-			if s.Graph.MustNode(in).Op == graph.OpInput {
-				continue
-			}
 			if rank[in] > rank[n.ID] {
 				return fmt.Errorf("sched: node %d scheduled before its input %d", n.ID, in)
 			}
@@ -139,6 +135,16 @@ func (s *Schedule) Validate() error {
 		return err
 	}
 	return s.checkTable("remap", s.Remap)
+}
+
+// segmentOf returns the first segment holding id, or -1.
+func (s *Schedule) segmentOf(id int) int {
+	for segIdx, seg := range s.Segments {
+		if slices.Contains(seg, id) {
+			return segIdx
+		}
+	}
+	return -1
 }
 
 // checkTable reports, at the lowest node ID, an entry of the decision table

@@ -146,6 +146,22 @@ func TestValidateErrorsAreDeterministic(t *testing.T) {
 		{"long remap table", func(s *Schedule) {
 			s.Remap = append(s.Remap, 1)
 		}, fmt.Sprintf("sched: remap table has %d entries for %d nodes", len(g.Nodes)+1, len(g.Nodes))},
+		// The segment rules, the duplicate naming the segment that first
+		// holds the node.
+		{"node in two later segments", func(s *Schedule) {
+			seg := s.Segments[0]
+			s.Segments = [][]int{seg[:1], seg[1:4], seg[4:], {seg[2]}}
+		}, fmt.Sprintf("sched: node %d in segments 1 and 3", cim[0]+2)},
+		{"node twice in one segment", func(s *Schedule) {
+			s.Segments[0] = append(s.Segments[0], s.Segments[0][3])
+		}, fmt.Sprintf("sched: node %d in segments 0 and 0", cim[0]+3)},
+		{"node before its input", func(s *Schedule) {
+			seg := s.Segments[0]
+			seg[0], seg[1] = seg[1], seg[0]
+		}, fmt.Sprintf("sched: node %d scheduled before its input %d", cim[0]+1, cim[0])},
+		{"node unscheduled", func(s *Schedule) {
+			s.Segments[0] = s.Segments[0][:5]
+		}, fmt.Sprintf("sched: node %d (%s) not scheduled", cim[0]+5, g.Nodes[cim[0]+5].Name)},
 	}
 	for _, c := range cases {
 		s := sequential(g, a)
