@@ -690,6 +690,55 @@ func TestPassAfterPlacementGetsItsReport(t *testing.T) {
 	}
 }
 
+// overRemapPass raises the remap of the first CIM node already at its row
+// groups one past them: a setting placement refuses, and one that clamping
+// would turn back into the schedule the pipeline made.
+type overRemapPass struct{}
+
+func (overRemapPass) Name() string         { return "test-over-remap" }
+func (overRemapPass) Applicable(Mode) bool { return true }
+func (overRemapPass) Run(_ context.Context, pc *PassContext) error {
+	for _, id := range pc.Graph.CIMNodeIDs() {
+		if groups := pc.Model.FPs[id].RowGroups; pc.Schedule.RemapOf(id) == groups {
+			pc.Schedule.SetRemap(id, groups+1)
+			return nil
+		}
+	}
+	return fmt.Errorf("no CIM node is remapped to its row groups")
+}
+
+// TestRemapBeyondRowGroupsFailsCompile: a remap past the row groups fails
+// the compile whether the verifier runs (sched/remap-bounds after the pass)
+// or not (placement refuses it); nothing downstream clamps it into a
+// schedule that compiles.
+func TestRemapBeyondRowGroupsFailsCompile(t *testing.T) {
+	a, err := Preset("toy-table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every row of a crossbar activates at once: one row group a node.
+	a.XB.ParallelRow = a.XB.Rows
+	g, err := Model("lenet5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		verify Option
+		want   string
+	}{
+		{WithVerifyIR(), "sched/remap-bounds"},
+		{WithoutVerifyIR(), "row groups"},
+	} {
+		comp, err := New(a, WithCache(0), WithPass(PassVVM, overRemapPass{}), c.verify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := comp.Compile(context.Background(), g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("compile with remap past the row groups: %v, want an error naming %q", err, c.want)
+		}
+	}
+}
+
 // TestCompileAllocs bounds the allocations of one Compile with the cache
 // off, the benchmark's setting: the compiler copies the caller's graph in a
 // constant number of allocations and infers its shapes into that copy, so a

@@ -52,7 +52,7 @@ func TestDuplicationRespectsBudget(t *testing.T) {
 		for _, seg := range s.Segments {
 			cores := 0
 			for _, id := range seg {
-				if f := m.FPs[id]; g.Nodes[id].Op.CIMSupported() && f.Rounds(a) == 1 {
+				if f := m.FPs[id]; g.Nodes[id].Op.CIMSupported() && f.Rounds == 1 {
 					cores += s.DupOf(id) * f.CoresPerCopy
 				}
 			}
@@ -154,7 +154,7 @@ func TestSegmentationVGG16OnPUMA(t *testing.T) {
 	for _, seg := range s.Segments {
 		over := 0
 		for _, id := range seg {
-			if g.Nodes[id].Op.CIMSupported() && m.FPs[id].Rounds(a) > 1 {
+			if g.Nodes[id].Op.CIMSupported() && m.FPs[id].Rounds > 1 {
 				over++
 			}
 		}

@@ -116,12 +116,7 @@ func buildLayout(g *graph.Graph, a *arch.Arch, m *cost.Model, s *sched.Schedule)
 			if !n.Op.CIMSupported() {
 				continue
 			}
-			f := &m.FPs[id]
-			dup := s.DupOf(id)
-			if f.Rounds(a) > 1 {
-				dup = 1
-			}
-			size := int64(f.Rows) * int64(dup)
+			size := int64(m.FPs[id].Rows) * int64(s.DupOf(id))
 			var off int64
 			if n.Op == graph.OpDense {
 				off = denseEnd[n.Inputs[0]]
@@ -167,9 +162,6 @@ func (e *emitter) emitReadCore(flow *mop.Flow, id int) error {
 	n := e.g.MustNode(id)
 	f := &e.m.FPs[id]
 	dup := e.s.DupOf(id)
-	if f.Rounds(e.a) > 1 {
-		dup = 1
-	}
 	tiles := e.p.TilesOf(id)
 	coreOf := make([]int, dup)
 	for c := range coreOf {
@@ -222,10 +214,6 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 	n := e.g.MustNode(id)
 	f := &e.m.FPs[id]
 	dup := e.s.DupOf(id)
-	rounds := f.Rounds(e.a)
-	if rounds > 1 {
-		dup = 1
-	}
 	tiles := e.p.TilesOf(id)
 	byCopyRound := map[[2]int][]mapping.Tile{}
 	for _, t := range tiles {
@@ -241,7 +229,7 @@ func (e *emitter) emitCrossbarOp(flow *mop.Flow, segIdx, id int) error {
 		e.truncated = true
 	}
 
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < f.Rounds; r++ {
 		// Weight programming for this round.
 		var writes []mop.Op
 		for c := 0; c < dup; c++ {

@@ -17,6 +17,9 @@
 // precomputed are operands, never partial products: every float expression
 // keeps the order of its terms, so a cost is bit-identical to pricing the
 // node from scratch.
+//
+// CIMOp prices only settings that placement accepts: mapping's packing
+// rule alone decides which copies and remap a node may take.
 package cost
 
 import (
@@ -120,7 +123,8 @@ func (c OpCost) Run() float64 {
 // CIMOp returns the cost of a CIM-supported node executed with `dup`
 // spatially concurrent copies and WLM remap factor `remap` (both ≥1). It
 // reads the node's fixed terms off the model's table and computes only what
-// copies and remap decide.
+// copies and remap decide, as given: a setting placement refuses (remap
+// beyond the row groups, a divided oversized node) has no meaningful price.
 func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 	if uint(node) >= uint(len(m.kind)) || m.kind[node] != cimOp {
 		return OpCost{}, fmt.Errorf("cost: node %d is not a CIM operator", node)
@@ -129,12 +133,6 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 		return OpCost{}, fmt.Errorf("cost: node %d: dup %d / remap %d must be ≥1", node, dup, remap)
 	}
 	f, oc := &m.FPs[node], m.fixed[node]
-	if remap > f.RowGroups {
-		remap = f.RowGroups
-	}
-	if oc.Rounds > 1 {
-		dup, remap = 1, 1
-	}
 
 	// Compute: DAC phases × sequential row groups × device read latency,
 	// plus a shift-add merge tree over the row stripes and one ADC drain.
@@ -155,14 +153,13 @@ func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint, reload float64) Op
 	a := m.Arch
 	inBits := int64(f.Rows) * int64(a.ActBits)
 	outBits := int64(f.Cols) * int64(a.ActBits)
-	rounds := f.Rounds(a)
-	if rounds <= 1 {
+	if f.Rounds <= 1 {
 		reload = 0
 	}
 	return OpCost{
 		Node:      n.ID,
 		IO:        arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW),
-		Rounds:    rounds,
+		Rounds:    f.Rounds,
 		Reload:    reload,
 		FirstFrac: m.firstFrac(n),
 	}

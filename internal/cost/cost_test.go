@@ -48,14 +48,11 @@ func TestCIMOpToyNumbers(t *testing.T) {
 }
 
 // cimFromScratch is CIMOp as it stood before the model kept a table: every
-// term derived from the footprint and the architecture on each call.
+// term derived from the footprint and the architecture on each call. Like
+// CIMOp it prices the setting as given, with no clamp or fallback.
 func cimFromScratch(m *Model, node, dup, remap int) OpCost {
 	f, a := &m.FPs[node], m.Arch
-	remap = min(remap, f.RowGroups)
-	rounds := f.Rounds(a)
-	if rounds > 1 {
-		dup, remap = 1, 1
-	}
+	rounds := f.Rounds
 	groups := ceilDiv(f.RowGroups, remap)
 	phases := float64(a.DACPhases())
 	read := a.XB.Device.Profile().ReadLatency
@@ -83,8 +80,8 @@ func cimFromScratch(m *Model, node, dup, remap int) OpCost {
 // TestTableMatchesPricingFromScratch holds CIMOp, which reads a node's fixed
 // terms off the model's table, to pricing the node from scratch, bit for bit,
 // on every zoo model and preset at several copy counts and every remap up to
-// one past the row groups; on every other node Op answers the cost the node
-// is priced at now.
+// one past the row groups, settings placement refuses included (neither side
+// clamps); on every other node Op answers the cost the node is priced at now.
 func TestTableMatchesPricingFromScratch(t *testing.T) {
 	for _, name := range models.Names() {
 		for _, preset := range arch.PresetNames() {
@@ -151,11 +148,6 @@ func TestCIMOpRemapReducesCompute(t *testing.T) {
 	}
 	if c2.Compute != 10 {
 		t.Fatalf("remapped compute = %v, want 10", c2.Compute)
-	}
-	// Remap beyond RowGroups clamps.
-	c99, _ := m.CIMOp(node, 1, 99)
-	if c99.Compute != c2.Compute {
-		t.Fatalf("over-remap compute = %v, want %v", c99.Compute, c2.Compute)
 	}
 }
 
@@ -240,7 +232,7 @@ func TestOversizedOpRoundsAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := g.CIMNodeIDs()[0]
-	c, err := m.CIMOp(node, 8, 4) // dup/remap must be ignored for oversized ops
+	c, err := m.CIMOp(node, 1, 1) // the one setting placement accepts for it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +243,7 @@ func TestOversizedOpRoundsAndReload(t *testing.T) {
 		t.Fatal("oversized op must pay reload cycles")
 	}
 	if c.Windows != 1 {
-		t.Fatalf("oversized dense windows = %d, want 1 (dup forced to 1)", c.Windows)
+		t.Fatalf("oversized dense windows = %d, want 1", c.Windows)
 	}
 	// Run must include one reload per round.
 	want := float64(c.Rounds)*float64(c.Windows)*c.PerWindow + float64(c.Rounds)*c.Reload

@@ -201,6 +201,24 @@ func Fixtures() []Fixture {
 			},
 		},
 		{
+			Name: "oversized-divided",
+			Rule: RuleSchedCapacity,
+			Check: func() ([]Violation, error) {
+				// A conv of 12 crossbars a copy on the 4-crossbar toy chip:
+				// it places only undivided, its tiles wrapping into rounds.
+				st, err := buildPipeOn(graph.NewBuilder("big", 8, 6, 6).Conv(128, 3, 1, 1).MustFinish(), arch.XBM, false)
+				if err != nil {
+					return nil, err
+				}
+				id := st.g.CIMNodeIDs()[0]
+				if st.m.FPs[id].Rounds <= 1 {
+					return nil, fmt.Errorf("fixture baseline: node %d fits the chip", id)
+				}
+				st.s.Dup[id] = 2
+				return VerifySchedule(st.g, st.a, st.a.Mode, st.m.FPs, st.s), nil
+			},
+		},
+		{
 			Name: "remap-below-wlm",
 			Rule: RuleSchedLevelRemap,
 			Check: func() ([]Violation, error) {

@@ -15,7 +15,6 @@ import (
 // split into its sub-tiles at remap m: the definition the closed form is held
 // to.
 func copyTilesByStripe(f *Footprint, a *arch.Arch, m int) int {
-	m = f.clampRemap(m)
 	total := 0
 	for tr := 0; tr < f.TilesR; tr++ {
 		n, _ := subTiles(f.TileRows(tr, a), m)
@@ -45,11 +44,12 @@ func validateByTile(f *Footprint, a *arch.Arch) error {
 }
 
 // closedFormFaults holds CopyTiles at remaps 1 … RowGroups+1 (at most 64 of
-// them on a corrupted footprint) and validate to their stripe-by-stripe
-// definitions on f, and describes each disagreement.
+// them on a corrupted footprint, and never below 1, where neither is
+// defined) and validate to their stripe-by-stripe definitions on f, and
+// describes each disagreement.
 func closedFormFaults(f *Footprint, a *arch.Arch) []string {
 	var faults []string
-	remaps := []int{f.RowGroups + 1}
+	remaps := []int{max(1, f.RowGroups+1)}
 	for m := 1; m <= min(f.RowGroups, 64); m++ {
 		remaps = append(remaps, m)
 	}

@@ -6,15 +6,16 @@
 // Figure 14.
 //
 // Packing is decided in one place, plan.go: a per-node rule folded over
-// segments. Asking what a schedule occupies (SegmentCores, Occupancy) and
-// placing it (Place, placement.go) are the same fold, the latter keeping
-// every node's Extent, indexed by node ID, and the per-segment totals. So a
-// compilation folds its schedule once: whoever holds the placement reads the
-// occupancy off it while it still Holds the schedule, and folds again only for
-// a schedule changed since. A Placement is its extents: no Tile is stored,
-// and TilesOf derives them from an extent and its footprint for codegen, the
-// one reader that wants tiles. Placement.Validate checks a placement from its
-// extents alone.
+// segments, which is also the one rule of what copies and remap a node may
+// take (nothing else clamps them). Asking what a schedule occupies
+// (SegmentCores, Occupancy) and placing it (Place, placement.go) are the
+// same fold, the latter keeping every node's Extent, indexed by node ID,
+// and the per-segment totals. So a compilation folds its schedule once:
+// whoever holds the placement reads the occupancy off it while it still
+// Holds the schedule, and folds again only for a schedule changed since. A
+// Placement is its extents: no Tile is stored, and TilesOf derives them from
+// an extent and its footprint for codegen, the one reader that wants tiles.
+// Placement.Validate checks a placement from its extents alone.
 //
 // Work grows with operators, not with the tiles a small crossbar cuts them
 // into: every row stripe of a footprint but the last is a full crossbar high
@@ -55,6 +56,15 @@ type Footprint struct {
 	MVMs int64 // matrix-vector products per inference (sliding windows/tokens)
 
 	RowGroups int // sequential wordline activations per tile, ceil(tileRows/parallelRow)
+
+	// Rounds is how many sequential weight-loading rounds one copy needs: 1
+	// when the copy fits the chip, more when even a single copy exceeds every
+	// crossbar on it (e.g. VGG-16's first classifier layer on PUMA). Each
+	// round programs a chip-full slice of the tile set, streams all MVMs
+	// through it accumulating partial sums, then reloads (§3.3.2's
+	// resource-constrained case, pushed inside one operator). Such a copy is
+	// oversized: packNode places it only undivided, one copy at remap 1.
+	Rounds int
 }
 
 // ComputeFootprint returns the footprint of node n on architecture a. The
@@ -88,6 +98,7 @@ func ComputeFootprint(n *graph.Node, a *arch.Arch) (Footprint, error) {
 		CoresPerCopy: ceilDiv(xbs, a.Core.XBCount()),
 		MVMs:         n.MVMCount(),
 		RowGroups:    a.RowGroups(minInt(r, a.XB.Rows)),
+		Rounds:       ceilDiv(xbs, a.TotalCrossbars()),
 	}
 	return f, nil
 }
@@ -120,16 +131,6 @@ func TotalCores(fps []Footprint) int {
 		total += fps[i].CoresPerCopy
 	}
 	return total
-}
-
-// Rounds returns how many sequential weight-loading rounds one copy of the
-// operator needs on architecture a: 1 when the copy fits the chip, more when
-// even a single copy exceeds every crossbar on the chip (e.g. VGG-16's first
-// classifier layer on PUMA). Each round programs a chip-full slice of the
-// tile set, streams all MVMs through it accumulating partial sums, then
-// reloads (§3.3.2's resource-constrained case, pushed inside one operator).
-func (f *Footprint) Rounds(a *arch.Arch) int {
-	return ceilDiv(f.XBsPerCopy, a.TotalCrossbars())
 }
 
 // TileRows returns the number of weight-matrix rows tile (i, ·) of a copy

@@ -2,6 +2,8 @@ package mapping
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -175,13 +177,13 @@ func TestRoundsForOversizedOperator(t *testing.T) {
 	if fc.Node == 0 && fc.Rows == 0 {
 		t.Fatal("did not find the 25088-input classifier layer")
 	}
-	if r := fc.Rounds(a); r <= 1 {
-		t.Fatalf("fc1 rounds = %d on PUMA, want > 1", r)
+	if fc.Rounds <= 1 {
+		t.Fatalf("fc1 rounds = %d on PUMA, want > 1", fc.Rounds)
 	}
 	// A small conv fits in one round.
 	stem := fps[g.CIMNodeIDs()[0]]
-	if r := stem.Rounds(a); r != 1 {
-		t.Fatalf("stem rounds = %d, want 1", r)
+	if stem.Rounds != 1 {
+		t.Fatalf("stem rounds = %d, want 1", stem.Rounds)
 	}
 }
 
@@ -197,7 +199,7 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 	}
 	node := g.CIMNodeIDs()[0]
 	f := fps[node]
-	if f.Rounds(a) <= 1 {
+	if f.Rounds <= 1 {
 		t.Fatalf("expected oversized operator, got %d crossbars on a %d-crossbar chip", f.XBsPerCopy, a.TotalCrossbars())
 	}
 	p, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g))
@@ -216,9 +218,14 @@ func TestPlaceOversizedOperatorWrapsIntoRounds(t *testing.T) {
 	if maxRound == 0 {
 		t.Fatal("oversized operator placed without rounds")
 	}
-	// Duplicating an oversized operator must fail.
-	if _, err := Place(context.Background(), g, a, fps, nodeTable(g, node, 2), nil, oneSegment(g)); err == nil {
-		t.Fatal("accepted duplication of oversized operator")
+	// Copies or a remap on an oversized operator must fail.
+	if f.RowGroups < 2 {
+		t.Fatalf("footprint %+v: want 2+ row groups", f)
+	}
+	for _, dr := range [][2][]int{{nodeTable(g, node, 2), nil}, {nil, nodeTable(g, node, 2)}} {
+		if err := refusal(t, g, a, fps, dr[0], dr[1]); !strings.Contains(err.Error(), "exceeds chip capacity") {
+			t.Fatalf("dup %v remap %v: %v, want a capacity refusal", dr[0], dr[1], err)
+		}
 	}
 }
 
@@ -315,16 +322,37 @@ func TestPlaceWithRemap(t *testing.T) {
 	}
 }
 
-func TestRemapClampedToRowGroups(t *testing.T) {
+// refusal places g in one segment at (dup, remap), which must fail, and
+// requires Occupancy and SegmentCores, the other folds of the packing rule,
+// to fail with the same error; it returns that error.
+func refusal(t *testing.T, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int) error {
+	t.Helper()
+	_, err := Place(context.Background(), g, a, fps, dup, remap, oneSegment(g))
+	if err == nil {
+		t.Fatalf("Place accepted dup %v remap %v", dup, remap)
+	}
+	if _, _, oerr := Occupancy(context.Background(), g, a, fps, dup, remap, oneSegment(g)); oerr == nil || oerr.Error() != err.Error() {
+		t.Fatalf("Occupancy: %v, Place: %v", oerr, err)
+	}
+	if _, serr := SegmentCores(g, a, fps, dup, remap, oneSegment(g)[0]); serr == nil || serr.Error() != err.Error() {
+		t.Fatalf("SegmentCores: %v, Place: %v", serr, err)
+	}
+	return err
+}
+
+// TestRemapBeyondRowGroupsRefused: a remap past the footprint's row groups
+// (2) is refused, not clamped, alike by every fold of the packing rule.
+func TestRemapBeyondRowGroupsRefused(t *testing.T) {
 	g, a, fps := toyFootprint(t)
 	node := g.CIMNodeIDs()[0]
-	// Requesting remap 100 must clamp to RowGroups (2), not explode.
-	p, err := Place(context.Background(), g, a, fps, nil, nodeTable(g, node, 100), oneSegment(g))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Place(context.Background(), g, a, fps, nil, nodeTable(g, node, 2), oneSegment(g)); err != nil {
+		t.Fatalf("remap at the row groups refused: %v", err)
 	}
-	if got := len(p.TilesOf(node)); got != 2 {
-		t.Fatalf("tiles = %d, want 2 (remap clamped)", got)
+	for _, m := range []int{3, 100} {
+		err := refusal(t, g, a, fps, nil, nodeTable(g, node, m))
+		if want := fmt.Sprintf("mapping: node %d remapped by %d beyond its 2 row groups", node, m); err.Error() != want {
+			t.Fatalf("remap %d: %v, want %q", m, err, want)
+		}
 	}
 }
 

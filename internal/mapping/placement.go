@@ -96,12 +96,11 @@ func (p *Placement) ExtentOf(node int) (Extent, bool) {
 
 // Holds reports whether p is the placement of a schedule's decisions: one
 // extent per CIM node of segments, in segment order, each in its segment with
-// the node's copies, its remap factor as packing clamps it, and the footprint
-// fps gives it — every input of the fold that made the extents. Then p's
-// SegmentCores and SegmentXBs are what Occupancy would return for them,
-// without folding again. A placement made before a later pass changed a
-// decision does not hold the changed schedule. g must be the graph the
-// segments index.
+// the node's copies, its remap factor and the footprint fps gives it — every
+// input of the fold that made the extents. Then p's SegmentCores and
+// SegmentXBs are what Occupancy would return for them, without folding
+// again. A placement made before a later pass changed a decision does not
+// hold the changed schedule. g must be the graph the segments index.
 func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, segments [][]int) bool {
 	if len(p.SegmentCores) != len(segments) {
 		return false
@@ -125,7 +124,7 @@ func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, seg
 			}
 			e, f := &p.Extents[i], &fps[id]
 			if e.Node != id || e.Segment != segIdx || *f != p.fps[id] ||
-				e.Dup != sched.Setting(dup, id) || e.Remap != f.clampRemap(sched.Setting(remap, id)) {
+				e.Dup != sched.Setting(dup, id) || e.Remap != sched.Setting(remap, id) {
 				return false
 			}
 			i++
@@ -257,7 +256,7 @@ func (p *Placement) Validate() error {
 		if e.Dup < 1 {
 			return ruleErr(RuleCoverage, e.Node, "node %d placed with %d copies", e.Node, e.Dup)
 		}
-		if e.Remap != f.clampRemap(e.Remap) {
+		if e.Remap < 1 || e.Remap > f.RowGroups {
 			return ruleErr(RuleTileBounds, e.Node, "node %d remapped by %d, want a factor in [1,%d]", e.Node, e.Remap, f.RowGroups)
 		}
 		// Each extent starts where its segment's previous one ended, from

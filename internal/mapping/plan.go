@@ -27,22 +27,15 @@ func subTiles(tileRows, m int) (n, rows int) {
 	return ceilDiv(tileRows, rows), rows
 }
 
-// clampRemap bounds a WLM remap factor to [1, RowGroups]: splitting finer
-// than one parallel-row group gains nothing.
-func (f *Footprint) clampRemap(m int) int {
-	return max(1, min(m, f.RowGroups))
-}
-
 // CopyTiles returns the number of physical crossbar tiles one copy of f
-// occupies at WLM remap factor m (clamped as placement clamps it): each
-// row-stripe splits into sub-tiles, and every sub-tile spans the copy's
-// column tiles. Every stripe but the last is a full crossbar high and splits
-// alike, so the count is closed-form, O(1) whatever the stripe count.
+// occupies at WLM remap factor m ≥ 1: each row-stripe splits into
+// sub-tiles, and every sub-tile spans the copy's column tiles. Every stripe
+// but the last is a full crossbar high and splits alike, so the count is
+// closed-form, O(1) whatever the stripe count.
 func (f *Footprint) CopyTiles(a *arch.Arch, m int) int {
 	if f.TilesR < 1 {
 		return 0
 	}
-	m = f.clampRemap(m)
 	full, _ := subTiles(a.XB.Rows, m)
 	last, _ := subTiles(f.TileRows(f.TilesR-1, a), m)
 	return ((f.TilesR-1)*full + last) * f.TilesC
@@ -53,7 +46,7 @@ func (f *Footprint) CopyTiles(a *arch.Arch, m int) int {
 // so together with the node's Footprint an extent determines every tile.
 type Extent struct {
 	Node, Segment int
-	Dup, Remap    int // Remap after clamping to the footprint's row groups
+	Dup, Remap    int // Remap in [1, RowGroups], as packNode accepts it
 	FirstCore     int
 	FirstXB       int
 	Window        int // crossbars from FirstXB to the end of the chip: one round's capacity
@@ -69,16 +62,22 @@ func (e Extent) slot(s int) (xb, round int) {
 	return e.FirstXB + s%e.Window, s / e.Window
 }
 
-// packNode applies the packing rules to one node. A copy whose upper bound
-// XBsPerCopy·m exceeds the window is oversized: legal only undivided (d=1,
-// m=1), in which case its tiles wrap into rounds. Because the window is never
-// empty and an extent never exceeds it, a segment cannot outgrow the core
-// grid without failing here.
+// packNode applies the packing rules to one node, and is the one place that
+// decides whether a node's copies d and remap m are legal: both at least 1,
+// m at most the footprint's row groups (splitting finer than one
+// parallel-row group activates nothing extra), and a copy whose upper bound
+// XBsPerCopy·m exceeds the window — an oversized one — only undivided (d=1,
+// m=1), in which case its tiles wrap into rounds. Nothing downstream clamps
+// or falls back: the cost model, the simulator and codegen price and emit a
+// setting as given. Because the window is never empty and an extent never
+// exceeds it, a segment cannot outgrow the core grid without failing here.
 func packNode(a *arch.Arch, f *Footprint, firstCore, d, m int) (Extent, error) {
 	if d < 1 || m < 1 {
 		return Extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
 	}
-	m = f.clampRemap(m)
+	if m > f.RowGroups {
+		return Extent{}, fmt.Errorf("mapping: node %d remapped by %d beyond its %d row groups", f.Node, m, f.RowGroups)
+	}
 	xbPerCore := a.Core.XBCount()
 	firstXB := firstCore * xbPerCore
 	window := a.TotalCrossbars() - firstXB

@@ -58,7 +58,7 @@ func updateDuplication(s *sched.Schedule, m *cost.Model) error {
 				continue // digital operator
 			}
 			f := &m.FPs[id]
-			if f.Rounds(s.Arch) > 1 {
+			if f.Rounds > 1 {
 				continue // oversized: cannot duplicate
 			}
 			d := s.DupOf(id)

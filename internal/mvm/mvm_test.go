@@ -180,7 +180,7 @@ func TestOversizedOpsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range g.CIMNodeIDs() {
-		if m.FPs[id].Rounds(a) > 1 && s.DupOf(id) != 1 {
+		if m.FPs[id].Rounds > 1 && s.DupOf(id) != 1 {
 			t.Fatalf("oversized node %d duplicated", id)
 		}
 	}

@@ -76,7 +76,7 @@ func TestChipStagesSplitsOverCapacityModel(t *testing.T) {
 		}
 		total := 0
 		for _, f := range fps {
-			if f.Rounds(a) > 1 {
+			if f.Rounds > 1 {
 				t.Errorf("stage %d has a multi-round operator", s.Index)
 			}
 			total += f.CoresPerCopy

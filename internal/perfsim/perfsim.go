@@ -25,12 +25,11 @@ import (
 	"cimmlc/internal/sched"
 )
 
-// OpTiming records one operator's simulated execution interval.
+// OpTiming records one operator's simulated execution interval; its cost
+// is the cost model's (cost.Model.Op) under the schedule's settings.
 type OpTiming struct {
-	Node   int
 	Start  float64
 	Finish float64
-	Cost   cost.OpCost
 	// ActiveXBs is the number of crossbars this operator keeps activated
 	// while running (already accounting for duplication, remap and the
 	// staggered-activation pipeline).
@@ -90,7 +89,12 @@ func Simulate(s *sched.Schedule) (*Report, error) {
 // is the placement of s (mapping.Placement.Holds), the report's occupancy is
 // the one p recorded; otherwise, as without one, it is folded from s.
 func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement) (*Report, error) {
+	// Occupancy first: the placement calculus refuses an illegal setting
+	// before the cost model is asked to price it.
 	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
+	if err := fillOccupancy(ctx, s, m, p, rep); err != nil {
+		return nil, err
+	}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
 	segOf := make([]int, len(s.Graph.Nodes))
 	segStart, reload := 0.0, segmentReload(s, m)
@@ -110,9 +114,6 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	rep.PeakActiveXBs = peakConcurrency(rep)
 	rep.PeakPower = cost.PeakPower(s.Arch, rep.PeakActiveXBs)
 	rep.Energy = totalEnergy(s, m, segOf)
-	if err := fillOccupancy(ctx, s, m, p, rep); err != nil {
-		return nil, err
-	}
 	return rep, nil
 }
 
@@ -173,10 +174,8 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 			finish = lastInput + oc.PerWindow
 		}
 		rep.PerOp[id] = OpTiming{
-			Node:      id,
 			Start:     start,
 			Finish:    finish,
-			Cost:      oc,
 			ActiveXBs: activeXBs(s, m, id, &oc),
 		}
 		segOf[id] = segIdx + 1
@@ -200,14 +199,7 @@ func activeXBs(s *sched.Schedule, m *cost.Model, node int, oc *cost.OpCost) floa
 		return 0 // digital operators draw ALU power, not crossbar power
 	}
 	f := &m.FPs[node]
-	remap := s.RemapOf(node)
-	if remap > f.RowGroups {
-		remap = f.RowGroups
-	}
-	dup := s.DupOf(node)
-	if oc.Rounds > 1 {
-		dup, remap = 1, 1
-	}
+	dup, remap := s.DupOf(node), s.RemapOf(node)
 	perCopy := float64(f.TilesR * f.TilesC * remap)
 	copies := float64(dup)
 	if s.Stagger {
@@ -334,10 +326,9 @@ func totalEnergy(s *sched.Schedule, m *cost.Model, segOf []int) float64 {
 		}
 		f := &m.FPs[id]
 		total += float64(f.MVMs) * float64(f.XBsPerCopy) * perXB
-		rounds := f.Rounds(m.Arch)
-		if rounds > 1 {
+		if f.Rounds > 1 {
 			cells := float64(f.Rows) * float64(f.CellCols)
-			total += cells * writeE * float64(rounds-1) / float64(rounds)
+			total += cells * writeE * float64(f.Rounds-1) / float64(f.Rounds)
 		}
 	}
 	return total

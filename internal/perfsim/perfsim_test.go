@@ -12,6 +12,7 @@ import (
 	"cimmlc/internal/cg"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/mapping"
 	"cimmlc/internal/models"
 	"cimmlc/internal/sched"
 )
@@ -39,6 +40,21 @@ func toySchedule(t *testing.T) *sched.Schedule {
 	return sequential(models.ConvReLU(), arch.ToyExample())
 }
 
+// runCycles is node id's busy time alone under s, as the cost model prices
+// it (a report keeps timings, not costs).
+func runCycles(t *testing.T, s *sched.Schedule, id int) float64 {
+	t.Helper()
+	m, err := cost.New(s.Graph, s.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := m.Op(id, s.DupOf(id), s.RemapOf(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oc.Run()
+}
+
 func TestSequentialLatencyIsSumOfOps(t *testing.T) {
 	s := toySchedule(t)
 	rep, err := Simulate(s)
@@ -53,7 +69,7 @@ func TestSequentialLatencyIsSumOfOps(t *testing.T) {
 	if relu.Start < conv.Finish {
 		t.Fatal("sequential: relu must start after conv finishes")
 	}
-	want := conv.Cost.Run() + relu.Cost.Run()
+	want := runCycles(t, s, 1) + runCycles(t, s, 2)
 	if math.Abs(rep.Cycles-want) > want*0.05 {
 		t.Fatalf("cycles = %v, want ≈%v", rep.Cycles, want)
 	}
@@ -96,7 +112,7 @@ func TestDuplicationSpeedsUp(t *testing.T) {
 		t.Fatalf("dup-4 %v not faster than dup-1 %v", rd.Cycles, rb.Cycles)
 	}
 	// Nearly 4× on the conv itself.
-	ratio := rb.PerOp[1].Cost.Run() / rd.PerOp[1].Cost.Run()
+	ratio := runCycles(t, base, 1) / runCycles(t, dup, 1)
 	if ratio < 3.5 {
 		t.Fatalf("conv speedup = %v, want ≈4", ratio)
 	}
@@ -237,11 +253,33 @@ func TestSimulateRejectsInvalidSchedule(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsOverCapacity: Simulate, which validates the schedule
+// itself, refuses every setting placement refuses — more copies than the
+// chip holds, a remap past the row groups, copies or a remap on an operator
+// larger than the chip — with Place's error, verbatim.
 func TestSimulateRejectsOverCapacity(t *testing.T) {
-	s := toySchedule(t)
-	s.Dup[1] = 64 // toy has 4 crossbars
-	if _, err := Simulate(s); err == nil {
-		t.Fatal("accepted over-capacity duplication")
+	big := graph.NewBuilder("big", 8, 6, 6).Conv(128, 3, 1, 1).MustFinish()
+	for _, c := range []struct {
+		name       string
+		g          *graph.Graph
+		dup, remap int
+	}{
+		{"over-capacity duplication", models.ConvReLU(), 64, 1}, // toy has 4 crossbars
+		{"remap beyond row groups", models.ConvReLU(), 1, 3},
+		{"oversized with dup", big, 2, 1},
+		{"oversized with remap", big, 1, 2},
+	} {
+		s := sequential(c.g, arch.ToyExample())
+		s.Dup[1], s.Remap[1] = c.dup, c.remap
+		_, err := Simulate(s)
+		m, merr := cost.New(s.Graph, s.Arch)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		_, perr := mapping.Place(context.Background(), s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
+		if perr == nil || err == nil || err.Error() != "perfsim: placement: "+perr.Error() {
+			t.Fatalf("%s: Simulate: %v, Place: %v", c.name, err, perr)
+		}
 	}
 }
 
@@ -280,6 +318,7 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 		{"remap < 1", toy, nil, func(s *sched.Schedule) { s.Remap[1] = -1 }, "remap -1"},
 		{"oversized with dup", big, nil, func(s *sched.Schedule) { s.Dup[1] = 2 }, "exceeds chip capacity"},
 		{"oversized with remap", big, nil, func(s *sched.Schedule) { s.Remap[1] = 2 }, "exceeds chip capacity"},
+		{"remap beyond row groups", toy, nil, func(s *sched.Schedule) { s.Remap[1] = 3 }, "remapped by 3 beyond its 2 row groups"},
 		{"window overflow", toy, nil, func(s *sched.Schedule) { s.Dup[1] = 64 }, "crossbars but only"},
 		{"segment over the core grid", chain, nil, func(s *sched.Schedule) { s.Segments = [][]int{{1, 2, 3, 4, 5}} }, "no crossbars left"},
 		{"cancelled ctx", toy, cancelled, func(*sched.Schedule) {}, "cancelled"},
@@ -303,6 +342,11 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 			_, err = SimulateWithModel(ctx, s, m, nil)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+			// The refusal is the placement calculus's own, word for word.
+			_, _, perr := mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
+			if perr == nil || !strings.HasSuffix(err.Error(), ": "+perr.Error()) {
+				t.Fatalf("err = %v, the placement calculus refuses with %v", err, perr)
 			}
 			if c.ctx != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v does not wrap context.Canceled", err)

@@ -61,8 +61,9 @@ func Neighbors(s *sched.Schedule, m *cost.Model, k Knobs) []Candidate {
 	}
 
 	// Per-node knob steps, nodes in ID order.
-	for id, f := range m.FPs {
-		if !s.Graph.Nodes[id].Op.CIMSupported() || f.Rounds(a) > 1 {
+	for id := range m.FPs {
+		f := &m.FPs[id]
+		if !s.Graph.Nodes[id].Op.CIMSupported() || f.Rounds > 1 {
 			continue // digital, or oversized: a single copy already wraps the chip
 		}
 		segIdx := segOf[id] - 1

@@ -121,7 +121,7 @@ func TestNeighborsTableDriven(t *testing.T) {
 		capped := s.Clone()
 		id := -1
 		for _, nid := range ids {
-			if f := m.FPs[nid]; f.Rounds(s.Arch) == 1 && f.MVMs >= 1 {
+			if f := m.FPs[nid]; f.Rounds == 1 && f.MVMs >= 1 {
 				capped.Dup[nid] = int(f.MVMs)
 				id = nid
 				break

@@ -30,8 +30,8 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 		return nil, fmt.Errorf("vvm: architecture %q exposes %s; VVM-grained optimization needs WLM", s.Arch.Name, s.Arch.Mode)
 	}
 	if opt.Remap {
-		for segIdx, seg := range s.Segments {
-			if err := remapSegment(s, m, segIdx, seg); err != nil {
+		for _, seg := range s.Segments {
+			if err := remapSegment(s, m, seg); err != nil {
 				return nil, err
 			}
 		}
@@ -45,7 +45,7 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 
 // remapSegment greedily raises remap factors within one segment while spare
 // cores remain and a remapping still reduces the segment's summed runtime.
-func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error {
+func remapSegment(s *sched.Schedule, m *cost.Model, seg []int) error {
 	type cand struct {
 		id  int
 		dup int
@@ -57,7 +57,7 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 			continue
 		}
 		f := &m.FPs[id]
-		if f.Rounds(s.Arch) > 1 {
+		if f.Rounds > 1 {
 			coresUsed = s.Arch.Chip.CoreCount()
 			continue
 		}
@@ -113,7 +113,6 @@ func remapSegment(s *sched.Schedule, m *cost.Model, segIdx int, seg []int) error
 		s.SetRemap(bestID, s.RemapOf(bestID)+1)
 		coresUsed += bestCost
 	}
-	_ = segIdx
 	return nil
 }
 
