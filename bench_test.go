@@ -393,7 +393,16 @@ func BenchmarkAutoTune(b *testing.B) {
 // -cpu 1`. Where BenchmarkCompileThroughput singles out the long searches, the
 // grid weighs every cell alike, as op_ms_gm does, so the light cells off
 // isaac-baseline that most of its terms come from are measured too.
-func BenchmarkCompileGrid(b *testing.B) {
+func BenchmarkCompileGrid(b *testing.B) { benchCompileGrid(b, core.Options{}) }
+
+// BenchmarkCompileGridVerified is the same grid with the IR verifier on, the
+// setting of every test binary and of `cimmlc vet`: what the verifier's
+// checks cost on top of BenchmarkCompileGrid.
+func BenchmarkCompileGridVerified(b *testing.B) {
+	benchCompileGrid(b, core.Options{VerifyIR: true})
+}
+
+func benchCompileGrid(b *testing.B, opt core.Options) {
 	for _, preset := range arch.PresetNames() {
 		a, err := arch.Preset(preset)
 		if err != nil {
@@ -411,7 +420,7 @@ func BenchmarkCompileGrid(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, g := range grid {
-					if _, err := core.Compile(g, a, core.Options{}); err != nil {
+					if _, err := core.Compile(g, a, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

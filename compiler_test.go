@@ -12,6 +12,7 @@ import (
 	"cimmlc/internal/arch"
 	"cimmlc/internal/core"
 	"cimmlc/internal/mapping"
+	"cimmlc/internal/partition"
 	"cimmlc/internal/perfsim"
 )
 
@@ -735,6 +736,116 @@ func TestRemapBeyondRowGroupsFailsCompile(t *testing.T) {
 		}
 		if _, err := comp.Compile(context.Background(), g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("compile with remap past the row groups: %v, want an error naming %q", err, c.want)
+		}
+	}
+}
+
+// dropNodePass removes one node from the schedule's segments, leaving a
+// schedule that no longer covers the graph.
+type dropNodePass struct{ node int }
+
+func (dropNodePass) Name() string         { return "test-drop-node" }
+func (dropNodePass) Applicable(Mode) bool { return true }
+func (d dropNodePass) Run(_ context.Context, pc *PassContext) error {
+	for i, seg := range pc.Schedule.Segments {
+		var kept []int
+		for _, id := range seg {
+			if id != d.node {
+				kept = append(kept, id)
+			}
+		}
+		pc.Schedule.Segments[i] = kept
+	}
+	return nil
+}
+
+// TestUserPassScheduleIsChecked: a user pass's schedule is outside input,
+// checked whether the verifier runs or not. Dropping conv-relu's ReLU after
+// the VVM level or after placement fails the compile naming the node,
+// instead of compiling to a Report that leaves the node out.
+func TestUserPassScheduleIsChecked(t *testing.T) {
+	a, err := Preset("isaac-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Model("conv-relu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relu := -1
+	for _, n := range g.Nodes {
+		if n.Name == "relu_1" {
+			relu = n.ID
+		}
+	}
+	want := fmt.Sprintf("node %d (relu_1) not scheduled", relu)
+	for _, anchor := range []string{PassVVM, PassPlace} {
+		for _, verify := range []Option{WithVerifyIR(), WithoutVerifyIR()} {
+			c, err := New(a, WithCache(0), WithPass(anchor, dropNodePass{relu}), verify)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Compile(context.Background(), g); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("after %s, verifier %t: compile returned %v, want an error naming %q", anchor, c.opt.VerifyIR, err, want)
+			}
+		}
+	}
+}
+
+// TestBuiltinPassesLeaveTheGraph: no built-in pass writes the graph, which
+// is what lets the verifier skip re-checking it after them. Every short-zoo
+// cell, at every level and verified, compiles to a schedule over a graph
+// equal to its input after shape inference; in a staged compile, each CIM
+// subgraph equals the partitioner's cut of that input.
+func TestBuiltinPassesLeaveTheGraph(t *testing.T) {
+	models := append(append([]string{"conv-relu", "mlp", "lenet5"}, MixedModelNames()...), "vgg7", "vit-tiny")
+	for _, model := range models {
+		g, err := Model(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inferred := g.Clone()
+		if err := inferred.InferShapes(); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := partition.Partition(inferred, partition.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, archName := range []string{"isaac-baseline", "puma", "toy-table2"} {
+			a, err := Preset(archName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, level := range []Mode{CM, XBM, WLM} {
+				cell := fmt.Sprintf("%s.%s.%s", model, archName, level)
+				c, err := New(a, WithCache(0), WithHostFallback(), WithMaxLevel(level), WithVerifyIR())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Compile(context.Background(), g)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if res.Partition == nil {
+					if !reflect.DeepEqual(res.Schedule.Graph, inferred) {
+						t.Errorf("%s: the compiled graph differs from the inferred input", cell)
+					}
+					continue
+				}
+				for i, sub := range res.Partition.Subs {
+					if sub.Res == nil {
+						continue
+					}
+					want := plan.Subs[i].G.Clone()
+					if err := want.InferShapes(); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(sub.Res.Schedule.Graph, want) {
+						t.Errorf("%s: compiled subgraph %d differs from the cut of the inferred input", cell, i)
+					}
+				}
+			}
 		}
 	}
 }

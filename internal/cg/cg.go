@@ -100,9 +100,6 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 	if s.Segments, err = w.segment(ctx, a, order); err != nil {
 		return nil, err
 	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("cg: produced invalid schedule: %w", err)
-	}
 	return s, nil
 }
 

@@ -384,3 +384,53 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 	}
 	return choice, dup
 }
+
+// TestSearchPricesWhatTheSimulatorCharges: the duplication search prices a
+// copy count with opInfo.run, the simulator with cost.OpCost.Run, and the two
+// associate their products differently. For every zoo node on every preset
+// they must agree bit for bit: a CIM node at each of its candidate copy
+// counts, a digital node at one copy.
+func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
+	checked := 0
+	for _, preset := range arch.PresetNames() {
+		a, err := arch.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range models.Names() {
+			g, err := models.Build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.InferShapes(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := cost.New(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, order, err := collectInfos(g, a, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range order {
+				oi := infos[id]
+				cands := []candidate{{d: 1, run: oi.run(1)}}
+				if oi.cim {
+					cands = oi.candidates(a.Chip.CoreCount(), nil)
+				}
+				for _, c := range cands {
+					oc, err := m.Op(id, c.d, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := math.Float64bits(c.run), math.Float64bits(oc.Run()); got != want {
+						t.Fatalf("%s.%s node %d at %d copies: the search prices %v, the simulator %v", model, preset, id, c.d, c.run, oc.Run())
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d (node, copies) prices agree", checked)
+}

@@ -78,9 +78,12 @@ type Result struct {
 }
 
 // Compile runs the multi-level scheduling workflow on one chip. Like
-// CompilePasses it infers g's shapes into g itself; it validates g first.
+// CompilePasses it infers g's shapes into g itself; it validates g and a first.
 func Compile(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var extras []Insertion
@@ -99,21 +102,26 @@ func Compile(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 // entry point the public Compiler uses so one validated pipeline can be
 // shared by many concurrent compilations.
 //
-// g must be valid (graph.Validate), which CompilePasses does not check
-// again, and be the compilation's own: its shapes are inferred into it, once,
-// and the Result's schedule refers to it. The public Compiler hands it a
-// private Clone of its caller's graph.
+// g must be valid (graph.Validate) and a valid (arch.Validate), which
+// CompilePasses does not check again, and g must be the compilation's own:
+// its shapes are inferred into it, once, and the Result's schedule refers to
+// it. The public Compiler hands it a private Clone of its caller's graph and
+// the architecture snapshot New validated.
 //
 // cut selects the partitioner's policies. A graph the cutter leaves whole —
 // nothing for the host, and either no chip policy or a footprint that fits
 // one chip — compiles as itself; any other becomes a staged plan.
 func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, cut partition.Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	if !opt.HostFallback {
 		if err := RequireCIMLowering(g); err != nil {
 			return nil, err
+		}
+	}
+	if opt.VerifyIR {
+		// The verifier's input check, once, before any pass or the cutter:
+		// the cutter's subgraphs are its own output, checked by VerifyPartition.
+		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
+			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
 		}
 	}
 	if len(g.HostOnlyNodeIDs()) == 0 && cut.Chip == nil && len(cut.ForceHost) == 0 {
@@ -124,9 +132,6 @@ func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Option
 		// and 597 allocations per compile to 0.17 ms, 104 KB and 1135 without
 		// this shortcut, lenet5.isaac-baseline from 0.10 ms to 0.13 ms.
 		return compileSingle(ctx, g, a, opt, passes, trace)
-	}
-	if err := verifyInput(g, opt); err != nil {
-		return nil, err
 	}
 	plan, err := partition.Partition(g, cut)
 	if err != nil {
@@ -151,26 +156,11 @@ func RequireCIMLowering(g *graph.Graph) error {
 		g.Name, n.Name, n.Op, joinOps(graph.CIMLowerableOps()))
 }
 
-// verifyInput runs the IR verifier on an input graph when it is on.
-// VerifyGraph subsumes shape inference, so a malformed graph is reported with
-// rule-named diagnostics before any pass (or cutter) runs.
-func verifyInput(g *graph.Graph, opt Options) error {
-	if opt.VerifyIR {
-		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
-			return fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
-		}
-	}
-	return nil
-}
-
 // compileSingle runs the single-target (pure CIM) pipeline — the paper's
 // workflow, unchanged by the multi-target refactor. g is valid and a
 // validated: this is where the compilation infers g's shapes, the one time it
 // does, before the cost model reads them.
 func compileSingle(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
-	if err := verifyInput(g, opt); err != nil {
-		return nil, err
-	}
 	if err := g.InferValidShapes(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

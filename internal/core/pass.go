@@ -37,7 +37,8 @@ type Pass interface {
 
 // PassContext carries one compilation's state through the pipeline. Built-in
 // passes populate Schedule, Placement and Report in order; user passes may
-// inspect or rewrite any field that earlier passes have produced.
+// inspect and rewrite those three. No pass writes Graph, Arch or Model: they
+// are checked once, before the pipeline runs, and read as checked.
 type PassContext struct {
 	Graph *graph.Graph
 	Arch  *arch.Arch
@@ -138,7 +139,8 @@ func BuildPasses(extras []Insertion) ([]Pass, error) {
 }
 
 // RunPasses executes a pipeline over the context, checking ctx before every
-// pass and reporting each step to trace (which may be nil).
+// pass and reporting each step to trace (which may be nil). After each pass
+// it checks what that pass can have changed, once (see check).
 func RunPasses(ctx context.Context, passes []Pass, pc *PassContext, trace func(TraceEvent)) error {
 	for _, p := range passes {
 		if err := ctx.Err(); err != nil {
@@ -154,18 +156,42 @@ func RunPasses(ctx context.Context, passes []Pass, pc *PassContext, trace func(T
 		if err := p.Run(ctx, pc); err != nil {
 			return fmt.Errorf("core: %s: %w", p.Name(), err)
 		}
-		if pc.Opt.VerifyIR {
-			// The pass sandwich: whatever state exists after each stage —
-			// graph, schedule, placement — must satisfy the IR invariants,
-			// so a pass that emits an illegal intermediate fails here with
-			// the stage name instead of corrupting downstream passes.
-			if vs := irverify.CheckState(pc.Graph, pc.Arch, pc.Level, pc.Model.FPs, pc.Schedule, pc.Placement); len(vs) > 0 {
-				return fmt.Errorf("core: %s: %w", p.Name(), &irverify.Error{Stage: p.Name(), Violations: vs})
-			}
+		if err := check(p, pc); err != nil {
+			return fmt.Errorf("core: %s: %w", p.Name(), err)
 		}
 		if trace != nil {
 			trace(TraceEvent{Pass: p.Name(), Duration: time.Since(start)})
 		}
+	}
+	return nil
+}
+
+// check checks what pass p can have changed. A built-in pass is trusted:
+// only the verifier (Options.VerifyIR) looks at the one artifact it writes
+// (simulate writes only the report). A pass BuildPasses spliced in is
+// outside input: its schedule is checked even with the verifier off, and
+// with it on everything it can have rewritten is, graph included.
+func check(p Pass, pc *PassContext) error {
+	verify := pc.Opt.VerifyIR
+	var vs []irverify.Violation
+	switch p.(type) {
+	case cgPass, mvmPass, vvmPass:
+		if verify {
+			vs = irverify.VerifySchedule(pc.Graph, pc.Arch, pc.Level, pc.Model.FPs, pc.Schedule)
+		}
+	case placePass:
+		if verify {
+			vs = irverify.VerifyPlacement(pc.Graph, pc.Arch, pc.Model.FPs, pc.Schedule, pc.Placement)
+		}
+	case simulatePass:
+	default:
+		if !verify {
+			return pc.Schedule.Validate()
+		}
+		vs = irverify.CheckState(pc.Graph, pc.Arch, pc.Level, pc.Model.FPs, pc.Schedule, pc.Placement)
+	}
+	if len(vs) > 0 {
+		return &irverify.Error{Stage: p.Name(), Violations: vs}
 	}
 	return nil
 }
@@ -225,8 +251,8 @@ func (vvmPass) Run(ctx context.Context, pc *PassContext) error {
 	return nil
 }
 
-// placePass packs every operator copy onto physical crossbars and validates
-// the packing at the level it is kept: the extents tiles derive from.
+// placePass packs every operator copy onto physical crossbars: the extents
+// tiles derive from.
 type placePass struct{}
 
 func (placePass) Name() string              { return PassPlace }
@@ -236,9 +262,6 @@ func (placePass) Run(ctx context.Context, pc *PassContext) error {
 	p, err := mapping.Place(ctx, pc.Graph, pc.Arch, pc.Model.FPs, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		return err
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("validation: %w", err)
 	}
 	pc.Placement = p
 	return nil

@@ -211,11 +211,7 @@ func digitalWork(g *graph.Graph, n *graph.Node) (int64, float64) {
 	switch n.Op {
 	case graph.OpReLU, graph.OpAdd, graph.OpIdentity, graph.OpFlatten, graph.OpConcat, graph.OpTranspose:
 		w, elems := spatialWindows(out)
-		factor := 1.0
-		if n.Op == graph.OpAdd {
-			factor = 1.0
-		}
-		return w, float64(elems) / float64(w) * factor
+		return w, float64(elems) / float64(w)
 	case graph.OpGELU:
 		w, elems := spatialWindows(out)
 		return w, float64(elems) / float64(w) * 8 // tanh-series approximation

@@ -1,8 +1,8 @@
 // Package irverify is the static IR legality verifier of the compilation
-// pipeline: a pass-sandwich checker that validates the compiler's
-// intermediate state after every stage, so an illegal schedule, an
-// overlapping crossbar mapping or a use-before-def flow becomes a
-// compile-time error instead of a wrong number out of the simulator.
+// pipeline: under Options.VerifyIR it checks the compiler's intermediate
+// state after every stage, so an illegal schedule, an overlapping crossbar
+// mapping or a use-before-def flow becomes a compile-time error instead of a
+// wrong number out of the simulator.
 //
 // Four rule families mirror the pipeline's artifacts:
 //
@@ -13,14 +13,17 @@
 //	          endpoint existence, parallel write conflicts)
 //
 // Every violation carries a stable rule name so tests and the `cimmlc vet`
-// subcommand can assert on the class of defect, not the message text. The
-// capacity rules fold mapping's one placement calculus (SegmentCores,
-// Occupancy) — the fold Place keeps its extents from — so the checker and
-// the placer cannot disagree. A placement is checked at the cost of its
-// extents: mapping.Placement.Validate, the one placement check, plus the two
-// rules only the schedule can decide — every CIM node placed once in its
-// scheduled segment, and the recorded occupancy what the schedule's fold
-// yields (map/plan-drift). No tile is derived.
+// subcommand can assert on the class of defect, not the message text.
+//
+// After each stage the compiler checks only what the stage can have written:
+// a level pass's schedule (VerifySchedule), the placement (VerifyPlacement),
+// everything after a user pass (CheckState). Each check folds the schedule
+// once by mapping's one placement calculus (Occupancy), so the checker and
+// the placer cannot disagree, and reports a refusal under the rule it
+// carries. A placement is checked by its own check, Placement.Validate, plus
+// what only the schedule decides: every CIM node placed once in its segment,
+// and the recorded occupancy the fold's (map/plan-drift). No tile is derived,
+// and a defect is reported once.
 package irverify
 
 import (
@@ -44,21 +47,22 @@ const (
 	RuleGraphAcyclic   = "graph/acyclic"
 	RuleGraphShapes    = "graph/shapes"
 
-	RuleSchedStructure   = "sched/structure"
-	RuleSchedLevelRemap  = "sched/level-remap"
-	RuleSchedLevelStag   = "sched/level-stagger"
-	RuleSchedRemapBounds = "sched/remap-bounds"
-	RuleSchedCapacity    = "sched/capacity"
+	RuleSchedStructure  = "sched/structure"
+	RuleSchedLevelRemap = "sched/level-remap"
+	RuleSchedLevelStag  = "sched/level-stagger"
+	RuleSchedCapacity   = "sched/capacity"
 
-	// The map/* family lives in internal/mapping, beside the placement
-	// calculus it checks, and the flow/* family in internal/flowdata (the
-	// dataflow framework that computes them); both are aliased here so every
-	// stable rule identifier is still reachable from one package.
-	RuleMapGrid       = mapping.RuleGrid
-	RuleMapTileBounds = mapping.RuleTileBounds
-	RuleMapOverlap    = mapping.RuleOverlap
-	RuleMapCoverage   = mapping.RuleCoverage
-	RuleMapPlanDrift  = mapping.RulePlanDrift
+	// The map/* family and the remap bound live in internal/mapping, beside
+	// the placement calculus that decides them, and the flow/* family in
+	// internal/flowdata (the dataflow framework that computes them); all are
+	// aliased here so every stable rule identifier is still reachable from
+	// one package.
+	RuleSchedRemapBounds = mapping.RuleRemapBounds
+	RuleMapGrid          = mapping.RuleGrid
+	RuleMapTileBounds    = mapping.RuleTileBounds
+	RuleMapOverlap       = mapping.RuleOverlap
+	RuleMapCoverage      = mapping.RuleCoverage
+	RuleMapPlanDrift     = mapping.RulePlanDrift
 
 	RuleFlowStructure    = flowdata.RuleStructure
 	RuleFlowEndpoint     = flowdata.RuleEndpoint
@@ -146,50 +150,46 @@ func VerifyGraph(g *graph.Graph) []Violation {
 	if err := g.Validate(); err != nil {
 		return []Violation{{Rule: RuleGraphStructure, Node: -1, Msg: err.Error()}}
 	}
-	if err := g.InferShapes(); err != nil {
+	if err := g.InferValidShapes(); err != nil {
 		return []Violation{{Rule: RuleGraphShapes, Node: -1, Msg: err.Error()}}
 	}
 	return nil
 }
 
-// VerifySchedule checks one schedule's legality: structural coverage (via
-// sched.Validate), the computing-mode level gates of Table 1 (remap needs
-// WLM, stagger needs XBM or finer), remap factors within each footprint's
-// row-group bound, and per-segment chip capacity via mapping.SegmentCores —
-// the fold placement itself runs.
-// level is the compilation's effective optimization ceiling (the arch's mode
-// capped by MaxLevel); capacity uses the arch's physical mode via s.Arch.
+// VerifySchedule checks one schedule's legality: structure (sched.Validate),
+// the level gates of Table 1 (remap needs WLM, stagger XBM or finer), and,
+// by one fold of mapping.Occupancy, what placement refuses: chip capacity, a
+// divided oversized node, a remap beyond the row groups. level is the
+// effective ceiling (the arch's mode capped by MaxLevel); capacity uses the
+// physical mode of s.Arch.
 func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) []Violation {
-	if s == nil {
-		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: "nil schedule"}}
-	}
+	vs, _, _ := verifySchedule(g, a, level, fps, s)
+	return vs
+}
+
+// verifySchedule is VerifySchedule, also returning what each segment
+// occupies by the schedule's fold (nil when it never folds or is refused).
+func verifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) (vs []Violation, cores, xbs []int) {
 	if err := s.Validate(); err != nil {
-		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: err.Error()}}
+		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: err.Error()}}, nil, nil
 	}
-	var vs []Violation
 	if s.Stagger && !level.AtLeast(arch.XBM) {
 		vs = append(vs, Violation{RuleSchedLevelStag, -1,
 			fmt.Sprintf("stagger enabled but level %s exposes no crossbar-granularity control (needs %s)", level, arch.XBM)})
 	}
 	for id, m := range s.Remap {
-		if m <= 1 {
-			continue
-		}
-		if !level.AtLeast(arch.WLM) {
+		if m > 1 && !level.AtLeast(arch.WLM) {
 			vs = append(vs, Violation{RuleSchedLevelRemap, id,
 				fmt.Sprintf("remap %d but level %s exposes no wordline control (needs %s)", m, level, arch.WLM)})
 		}
-		if m > fps[id].RowGroups {
-			vs = append(vs, Violation{RuleSchedRemapBounds, id,
-				fmt.Sprintf("remap %d exceeds the footprint's %d row groups: finer splitting activates nothing extra", m, fps[id].RowGroups)})
-		}
 	}
-	for segIdx, seg := range s.Segments {
-		if _, err := mapping.SegmentCores(g, a, fps, s.Dup, s.Remap, seg); err != nil {
-			vs = append(vs, Violation{RuleSchedCapacity, -1, fmt.Sprintf("segment %d: %v", segIdx, err)})
-		}
+	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
+	if err != nil {
+		re := &mapping.RuleError{Rule: RuleSchedCapacity, Node: -1, Msg: err.Error()}
+		errors.As(err, &re)
+		vs = append(vs, Violation{re.Rule, re.Node, re.Msg})
 	}
-	return vs
+	return vs, cores, xbs
 }
 
 // VerifyPlacement checks mapping soundness at the cost of the extents:
@@ -197,22 +197,23 @@ func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping
 // exactly one extent, in its scheduled segment, and each segment's recorded
 // cores and crossbars equal what mapping.Occupancy derives from the schedule.
 func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
-	if p == nil {
-		return []Violation{{Rule: RuleMapCoverage, Node: -1, Msg: "nil placement"}}
+	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
+	return verifyPlacement(g, s, p, cores, xbs, err)
+}
+
+// verifyPlacement is VerifyPlacement against the schedule's fold: cores and
+// xbs per segment, or the fold's refusal foldErr.
+func verifyPlacement(g *graph.Graph, s *sched.Schedule, p *mapping.Placement, cores, xbs []int, foldErr error) []Violation {
+	if err := p.Validate(); err != nil {
+		re := &mapping.RuleError{Rule: RuleMapCoverage, Node: -1, Msg: err.Error()}
+		errors.As(err, &re)
+		return []Violation{{re.Rule, re.Node, re.Msg}}
 	}
 	var vs []Violation
 	report := func(rule string, node int, format string, args ...any) {
 		if len(vs) < maxViolations {
 			vs = append(vs, Violation{rule, node, fmt.Sprintf(format, args...)})
 		}
-	}
-	if err := p.Validate(); err != nil {
-		re := &mapping.RuleError{Rule: RuleMapCoverage, Node: -1, Msg: err.Error()}
-		errors.As(err, &re)
-		vs = append(vs, Violation{re.Rule, re.Node, re.Msg})
-	}
-	if nSegs := len(s.Segments); len(p.SegmentCores) != nSegs || len(p.SegmentXBs) != nSegs {
-		report(RuleMapCoverage, -1, "placement records %d/%d segments, schedule has %d", len(p.SegmentCores), len(p.SegmentXBs), nSegs)
 	}
 	// Coverage: every CIM node holds one extent, in its scheduled segment.
 	// By node ID: 1 + the segment the schedule gives it (0 for none), and
@@ -240,26 +241,25 @@ func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *s
 			report(RuleMapCoverage, id, "CIM node holds %d extents, want 1", placed[id])
 		}
 	}
-	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
-	if err != nil {
-		report(RuleMapPlanDrift, -1, "schedule was placed but the placement calculus rejects it: %v", err)
+	if foldErr != nil {
+		report(RuleMapPlanDrift, -1, "schedule was placed but the placement calculus rejects it: %v", foldErr)
 	} else if !slices.Equal(p.SegmentCores, cores) || !slices.Equal(p.SegmentXBs, xbs) {
 		report(RuleMapPlanDrift, -1, "placement records cores %v / crossbars %v per segment, the schedule occupies %v / %v", p.SegmentCores, p.SegmentXBs, cores, xbs)
 	}
 	return vs
 }
 
-// CheckState verifies everything the pipeline has produced so far: the
-// graph always, the schedule once a scheduling pass set one, the placement
-// once the placement pass ran. Nil schedule/placement are simply skipped —
-// early stages have not produced them yet.
+// CheckState verifies everything a pass can have rewritten — the graph, the
+// schedule and, once placement ran (p non-nil), the placement — folding the
+// schedule once for both. A broken graph is reported alone, and a placement
+// is not compared with a schedule its fold rejects.
 func CheckState(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
-	vs := VerifyGraph(g)
-	if s != nil {
-		vs = append(vs, VerifySchedule(g, a, level, fps, s)...)
+	if vs := VerifyGraph(g); len(vs) > 0 {
+		return vs
 	}
-	if s != nil && p != nil {
-		vs = append(vs, VerifyPlacement(g, a, fps, s, p)...)
+	vs, cores, xbs := verifySchedule(g, a, level, fps, s)
+	if p != nil && cores != nil {
+		vs = append(vs, verifyPlacement(g, s, p, cores, xbs, nil)...)
 	}
 	return vs
 }

@@ -52,6 +52,26 @@ func TestFixturesRejected(t *testing.T) {
 	}
 }
 
+// TestOneDefectOneViolation: a corruption that breaks one rule is reported
+// once. A remap past the row groups is the fold's refusal, under its own
+// rule (no capacity violation beside it), and a corrupted occupancy total is
+// Placement.Validate's drift (no second drift from comparing it with the
+// schedule's fold).
+func TestOneDefectOneViolation(t *testing.T) {
+	for _, fx := range Fixtures() {
+		if fx.Name != "remap-over-rowgroups" && fx.Name != "segment-core-drift" {
+			continue
+		}
+		vs, err := fx.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 1 || vs[0].Rule != fx.Rule {
+			t.Errorf("%s: violations %v, want exactly one %s", fx.Name, vs, fx.Rule)
+		}
+	}
+}
+
 // TestVerifyScheduleNilAndStructure covers the degenerate entries.
 func TestVerifyScheduleNilAndStructure(t *testing.T) {
 	g := models.ConvReLU()

@@ -201,13 +201,16 @@ func (e *Extent) tiles(a *arch.Arch, f *Footprint, yield func(Tile) bool) bool {
 
 // Rule names of the placement checks. These are stable identifiers:
 // Validate reports under them, irverify reports its schedule-relative checks
-// under them too, and tests and `cimmlc vet` match on them.
+// under them too, and tests and `cimmlc vet` match on them. packNode's
+// refusal of a remap beyond the row groups carries RuleRemapBounds, so the
+// verifier reports it as that and not as capacity.
 const (
-	RuleGrid       = "map/grid"        // an extent outside the chip, or not where packNode starts it
-	RuleTileBounds = "map/tile-bounds" // a tile outside its crossbar or its node's cell matrix
-	RuleOverlap    = "map/overlap"     // two tiles that could claim one crossbar in one round
-	RuleCoverage   = "map/coverage"    // a node placed without footprint, segment or copy
-	RulePlanDrift  = "map/plan-drift"  // recorded occupancy other than what the extents yield
+	RuleGrid        = "map/grid"           // an extent outside the chip, or not where packNode starts it
+	RuleTileBounds  = "map/tile-bounds"    // a tile outside its crossbar or its node's cell matrix
+	RuleOverlap     = "map/overlap"        // two tiles that could claim one crossbar in one round
+	RuleCoverage    = "map/coverage"       // a node placed without footprint, segment or copy
+	RulePlanDrift   = "map/plan-drift"     // recorded occupancy other than what the extents yield
+	RuleRemapBounds = "sched/remap-bounds" // a remap beyond the footprint's row groups
 )
 
 // RuleError is a placement check's finding, under its rule.

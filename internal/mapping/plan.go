@@ -76,7 +76,7 @@ func packNode(a *arch.Arch, f *Footprint, firstCore, d, m int) (Extent, error) {
 		return Extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
 	}
 	if m > f.RowGroups {
-		return Extent{}, fmt.Errorf("mapping: node %d remapped by %d beyond its %d row groups", f.Node, m, f.RowGroups)
+		return Extent{}, ruleErr(RuleRemapBounds, f.Node, "node %d remapped by %d beyond its %d row groups", f.Node, m, f.RowGroups)
 	}
 	xbPerCore := a.Core.XBCount()
 	firstXB := firstCore * xbPerCore

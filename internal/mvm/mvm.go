@@ -36,9 +36,6 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 		s.Stagger = true
 	}
 	s.Levels = append(s.Levels, "MVM")
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("mvm: produced invalid schedule: %w", err)
-	}
 	return s, nil
 }
 

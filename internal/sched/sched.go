@@ -88,8 +88,8 @@ func set(t []int, n, id, v int) []int {
 // Validate checks the schedule covers every non-input node exactly once, in
 // segment-topological order, with positive dup/remap values.
 func (s *Schedule) Validate() error {
-	if s.Graph == nil || s.Arch == nil {
-		return fmt.Errorf("sched: schedule missing graph or arch")
+	if s == nil || s.Graph == nil || s.Arch == nil {
+		return fmt.Errorf("sched: no schedule, or one missing its graph or arch")
 	}
 	if len(s.Segments) == 0 {
 		return fmt.Errorf("sched: no segments")

@@ -37,9 +37,6 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 		}
 	}
 	s.Levels = append(s.Levels, "VVM")
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("vvm: produced invalid schedule: %w", err)
-	}
 	return s, nil
 }
 

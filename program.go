@@ -329,9 +329,6 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 		st.host, err = hostexec.Compile(sub.G, w)
 		return st, err
 	}
-	if sub.Target != TargetCIM || res == nil {
-		return nil, fmt.Errorf("target %q without a CIM compilation result", sub.Target)
-	}
 	calib := make(map[int]*Tensor, len(st.needs))
 	for _, lid := range st.needs {
 		t, ok := refVals[sub.GlobalOf[lid]]
@@ -346,10 +343,6 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 	}
 	if fr.Truncated {
 		return nil, fmt.Errorf("flow was truncated by codegen (MaxWindowsPerOp); not executable")
-	}
-	// Validate once here: per-request execution skips it.
-	if err := fr.Flow.Validate(); err != nil {
-		return nil, err
 	}
 	gc, err := cloneGraph(sub.G)
 	if err != nil {
