@@ -23,7 +23,8 @@ type FlowReport = flowdata.Report
 // facts would be meaningless). For a staged compilation the per-stage
 // reports merge into one aggregate whose Partition section records the
 // partition shape, the transfer volume and the latency decomposition. Like
-// Lower, it works on a private copy of g.
+// Lower, it refuses a g that res was not compiled over and reads the
+// compilation's own graphs.
 func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -31,8 +32,8 @@ func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt Codeg
 	if g == nil || res == nil {
 		return nil, fmt.Errorf("cimmlc: Analyze: nil graph or result")
 	}
-	plan, subs, err := stagePlan(g, res)
-	if err != nil {
+	plan, subs := stagePlan(res)
+	if err := compiledOver(g, plan.Graph); err != nil {
 		return nil, fmt.Errorf("cimmlc: Analyze: %w", err)
 	}
 	level := string(c.opt.MaxLevel)
@@ -49,16 +50,12 @@ func (c *Compiler) Analyze(ctx context.Context, g *Graph, res *Result, opt Codeg
 		if sr == nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: missing CIM compilation result", sub.Index)
 		}
-		fr, an, err := c.lower(ctx, sub.G, sr, opt)
+		fr, an, err := c.lower(ctx, sr, opt)
 		if err != nil {
 			return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
 		}
 		if an == nil { // verification off: nothing analyzed the flow yet
-			gc, err := cloneGraph(sub.G)
-			if err != nil {
-				return nil, fmt.Errorf("cimmlc: Analyze: subgraph %d: %w", sub.Index, err)
-			}
-			an = flowdata.Build(gc, &a, fr)
+			an = flowdata.Build(sub.G, &a, fr)
 		}
 		parts = append(parts, flowdata.NewReport(g.Name, c.arch.Name, level, fr, an))
 	}

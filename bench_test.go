@@ -243,7 +243,9 @@ func bodySize(p *Program) (kernels, windows int) {
 // kernel closures a request runs through: a window sweep is one, however many
 // windows it walks. items/op is the work items pool64 cuts each RunBatch into.
 // verify is Program.Verify of one request on the one-worker Program: the run,
-// the quantized reference of every CIM stage and the float reference.
+// the quantized reference of every CIM stage and the float reference. build is
+// a Build whose compile hits the artifact cache: the lowering, the boundary
+// calibration, the weight programming and the body's compilation.
 func BenchmarkExecCells(b *testing.B) {
 	ctx := context.Background()
 	const batch = 64
@@ -299,6 +301,21 @@ func BenchmarkExecCells(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := p.Verify(ctx, reqs[i%batch], 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		cached, err := New(c.Arch(), WithHostFallback(), WithoutVerifyIR())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cached.Compile(ctx, g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cell[0]+"."+cell[1]+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cached.Build(ctx, g, w, CodegenOptions{}, WithWorkers(1)); err != nil {
 					b.Fatal(err)
 				}
 			}

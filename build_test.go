@@ -1,10 +1,15 @@
 package cimmlc
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
+
+	"cimmlc/internal/graph"
 )
 
 // buildCell returns what one Build of model for the preset archName takes,
@@ -262,5 +267,91 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportMetric(float64(crossbars), "xbs")
 			b.ReportMetric(float64(distinct), "distinct_xbs")
 		})
+	}
+}
+
+// TestBuildReadsTheCompiledGraphs: each graph's shapes are inferred once, by
+// whoever makes it — the compile its private copy of the caller's graph, the
+// partitioner each subgraph — and every layer after that reads those graphs.
+// A monolithic Build's plan and stage image hold the Result's schedule graph;
+// a staged Build's CIM images and host programs hold their subgraphs' graphs.
+// The caller's graph, its non-input shapes left uninferred so an inference
+// into it would show, encodes to the same bytes after Compile, Lower,
+// Analyze, Build and Verify.
+func TestBuildReadsTheCompiledGraphs(t *testing.T) {
+	ctx := context.Background()
+	for _, cell := range [][2]string{{"lenet5", "puma"}, {"conv-gate", "puma"}} {
+		name := cell[0] + "." + cell[1]
+		a, err := Preset(cell[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(a, WithHostFallback())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Model(cell[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Nodes {
+			if n.Op != graph.OpInput {
+				n.OutShape = nil
+			}
+		}
+		before, err := EncodeGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Compile(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partition == nil {
+			if _, err := c.Lower(ctx, g, res, CodegenOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Analyze(ctx, g, res, CodegenOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Build(ctx, g, RandomWeights(g, 1), CodegenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Verify(ctx, seededRequest(p, 1), 0.5); err != nil {
+			t.Fatal(err)
+		}
+
+		if info := res.Partition; info == nil {
+			want := res.Schedule.Graph
+			if st := p.stages[0]; p.g != want || st.sub.G != want || st.img.Graph() != want {
+				t.Errorf("%s: the program's graph, its stage's and its image's are not the Result's schedule graph", name)
+			}
+		} else {
+			if p.g != info.Plan.Graph {
+				t.Errorf("%s: the program's graph is not the plan's", name)
+			}
+			for i, st := range p.stages {
+				sub := info.Plan.Subs[i]
+				switch {
+				case st.sub != sub:
+					t.Errorf("%s stage %d: not the plan's subgraph %d", name, i, i)
+				case st.img != nil && (st.img.Graph() != sub.G || info.Subs[i].Res.Schedule.Graph != sub.G):
+					t.Errorf("%s stage %d: the image or the schedule holds another graph than the subgraph's", name, i)
+				// hostexec.Program keeps its graph unexported; reading a
+				// pointer field through reflect is allowed.
+				case st.host != nil && reflect.ValueOf(st.host).Elem().FieldByName("g").Pointer() != uintptr(unsafe.Pointer(sub.G)):
+					t.Errorf("%s stage %d: the host program holds another graph than the subgraph's", name, i)
+				}
+			}
+		}
+		after, err := EncodeGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: the caller's graph changed", name)
+		}
 	}
 }

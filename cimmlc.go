@@ -192,7 +192,10 @@ func TensorFromSlice(data []float32, shape ...int) (*Tensor, error) {
 // RandomWeights returns deterministic pseudo-random weights for a graph.
 func RandomWeights(g *Graph, seed uint64) Weights { return graph.RandomWeights(g, seed) }
 
-// Simulate runs a schedule through the performance simulator.
+// Simulate runs a schedule through the performance simulator. The schedule's
+// graph must be shape-inferred, as it is in every schedule Compile,
+// NoOptSchedule and PolySchedule return; Simulate only reads it, so it may run
+// beside a Build or Analyze of the same Result.
 func Simulate(s *Schedule) (*Report, error) { return perfsim.Simulate(s) }
 
 // NoOptSchedule returns the unoptimized layer-serial schedule for a model.

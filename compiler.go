@@ -270,9 +270,10 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, cut partition.Options)
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	// Compile a private copy of the graph (shape inference mutates it), on
-	// a private copy of the architecture, so concurrent callers sharing g
-	// never race and cached results are immune to later caller mutations.
+	// Compile a private copy of the graph, on a private copy of the
+	// architecture: shape inference writes the copy, and every later reader of
+	// the Result shares it read-only, so concurrent callers sharing g never
+	// race and cached results are immune to later caller mutations.
 	a := c.arch
 	if cut.Chip != nil {
 		cut.Chip = &a
@@ -299,36 +300,36 @@ func (c *Compiler) compile(ctx context.Context, g *Graph, cut partition.Options)
 }
 
 // Lower generates the meta-operator flow for a compilation result — the
-// codegen step of §3.4. Like Compile, it works on a private copy of g (shape
-// inference mutates the graph), so callers may share Graph values across
-// goroutines.
+// codegen step of §3.4. g must be the graph res was compiled over; Lower
+// refuses any other, and generates over the compile's own copy of it, which it
+// only reads, so callers may share Graph values and Results across goroutines.
 func (c *Compiler) Lower(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowResult, error) {
-	fr, _, err := c.lower(ctx, g, res, opt)
+	if g == nil || res == nil {
+		return nil, fmt.Errorf("cimmlc: Lower: nil graph or result")
+	}
+	if res.Partition != nil {
+		return nil, fmt.Errorf("cimmlc: Lower: result is partitioned (multi-target); a single flow cannot express it — use Build, which orchestrates per-subgraph programs")
+	}
+	if err := compiledOver(g, res.Schedule.Graph); err != nil {
+		return nil, fmt.Errorf("cimmlc: Lower: %w", err)
+	}
+	fr, _, err := c.lower(ctx, res, opt)
 	return fr, err
 }
 
-// lower is Lower, also returning the flow's dataflow analysis when WithVerifyIR
-// built one to verify the flow (nil otherwise), so Analyze need not build it
-// again.
-func (c *Compiler) lower(ctx context.Context, g *Graph, res *Result, opt CodegenOptions) (*FlowResult, *flowdata.Analysis, error) {
+// lower is Lower of a monolithic result over its schedule's graph, also
+// returning the flow's dataflow analysis when WithVerifyIR built one to verify
+// the flow (nil otherwise), so Analyze need not build it again.
+func (c *Compiler) lower(ctx context.Context, res *Result, opt CodegenOptions) (*FlowResult, *flowdata.Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if g == nil || res == nil {
-		return nil, nil, fmt.Errorf("cimmlc: Lower: nil graph or result")
-	}
-	if res.Partition != nil {
-		return nil, nil, fmt.Errorf("cimmlc: Lower: result is partitioned (multi-target); a single flow cannot express it — use Build, which orchestrates per-subgraph programs")
-	}
-	gc, err := cloneGraph(g)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cimmlc: Lower: %w", err)
-	}
+	g := res.Schedule.Graph
 	a := c.arch
-	fr, err := codegen.Generate(gc, &a, res.Schedule, res.Placement, res.Model, opt)
+	fr, err := codegen.Generate(g, &a, res.Schedule, res.Placement, res.Model, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -336,21 +337,26 @@ func (c *Compiler) lower(ctx context.Context, g *Graph, res *Result, opt Codegen
 		return fr, nil, nil
 	}
 	// Truncated flows verify vacuously: they are illustrative, not executable.
-	an := flowdata.Build(gc, &a, fr)
+	an := flowdata.Build(g, &a, fr)
 	if vs := irverify.FlowViolations(an); len(vs) > 0 {
 		return nil, nil, fmt.Errorf("cimmlc: Lower: %w", &irverify.Error{Stage: "codegen", Violations: vs})
 	}
 	return fr, an, nil
 }
 
-// cloneGraph returns a private, shape-inferred deep copy of g, so the
-// Compiler never writes to caller-owned graphs.
-func cloneGraph(g *Graph) (*Graph, error) {
-	gc := g.Clone()
-	if err := gc.InferShapes(); err != nil {
-		return nil, err
+// compiledOver refuses g unless it is the graph compiled was copied from, as
+// far as the flow and its analyses index it: the same node count and the same
+// operator at every node ID.
+func compiledOver(g, compiled *Graph) error {
+	if len(g.Nodes) != len(compiled.Nodes) {
+		return fmt.Errorf("graph %q has %d nodes, the result was compiled over %d", g.Name, len(g.Nodes), len(compiled.Nodes))
 	}
-	return gc, nil
+	for i, n := range g.Nodes {
+		if n == nil || n.Op != compiled.Nodes[i].Op {
+			return fmt.Errorf("graph %q is not the one the result was compiled over: node %d is not a %s", g.Name, i, compiled.Nodes[i].Op)
+		}
+	}
+	return nil
 }
 
 func fingerprint(data []byte) string {

@@ -11,6 +11,7 @@ import (
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/core"
+	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
 	"cimmlc/internal/partition"
 	"cimmlc/internal/perfsim"
@@ -466,11 +467,111 @@ func TestCompilerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCompilerLowerRunConcurrent drives the whole Compile → Lower → Build →
-// Run surface from goroutines sharing one Graph value; under -race this
-// verifies that no Compiler method writes to caller-owned graphs.
+// TestCompilerLowerRunConcurrent drives the whole Compile → Lower → Analyze →
+// Build → Run → Verify surface from goroutines sharing one Graph value and one
+// cached Result, on a monolithic cell, a host-fallback cell and a model
+// BuildPipeline spreads over two chips. Builds read the Result's own graphs,
+// so under -race this verifies that no Compiler or Program method writes to
+// caller-owned graphs or to a cached Result.
 func TestCompilerLowerRunConcurrent(t *testing.T) {
-	a, err := Preset("toy-table2")
+	ctx := context.Background()
+	for _, cell := range []struct {
+		model, arch string
+		opts        []Option
+		// pipeline builds through BuildPipeline on the preset shrunk to 2×4
+		// cores, where the model needs two chips.
+		pipeline bool
+	}{
+		{"conv-relu", "toy-table2", nil, false},
+		{"conv-gate", "puma", []Option{WithHostFallback()}, false},
+		{"mlp", "jia-isscc21", []Option{WithStationaryWeights()}, true},
+	} {
+		t.Run(cell.model+"."+cell.arch, func(t *testing.T) {
+			a, err := Preset(cell.arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cell.pipeline {
+				a.Chip.CoreRows, a.Chip.CoreCols = 2, 4
+			}
+			c, err := New(a, cell.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Model(cell.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cut partition.Options
+			build := func() (*Program, error) { return c.Build(ctx, g, RandomWeights(g, 1), CodegenOptions{}) }
+			if cell.pipeline {
+				cut.Chip = &c.arch
+				build = func() (*Program, error) {
+					return c.BuildPipeline(ctx, g, RandomWeights(g, 1), CodegenOptions{}, 0)
+				}
+			}
+			res, err := c.compile(ctx, g, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The cells with options are the staged ones.
+			if p.Result() != res || (res.Partition == nil) != (cell.opts == nil) {
+				t.Fatalf("built from another result, or partition %v", res.Partition != nil)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 7)
+			do := func(i int, f func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = f()
+				}()
+			}
+			do(0, func() error { _, err := c.compile(ctx, g, cut); return err })
+			do(1, func() error { _, err := c.Analyze(ctx, g, res, CodegenOptions{}); return err })
+			do(2, func() error {
+				if res.Partition != nil {
+					return nil // a staged result has no single flow to lower
+				}
+				_, err := c.Lower(ctx, g, res, CodegenOptions{})
+				return err
+			})
+			do(3, func() error { return p.Verify(ctx, seededRequest(p, 3), 0.5) })
+			for i := 4; i < len(errs); i++ {
+				do(i, func() error {
+					q, err := build()
+					if err != nil {
+						return err
+					}
+					req := seededRequest(q, uint64(i))
+					if _, err := q.Run(ctx, req); err != nil {
+						return err
+					}
+					return q.Verify(ctx, req, 0.5)
+				})
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSimulateBesideBuild runs the performance simulator on a cached
+// Result's schedule beside a Build and an Analyze of that Result: Simulate
+// reads the schedule's graph, which the Build's stage shares, so under -race a
+// write to it from either side fails here. The simulation must reproduce the
+// compile's report.
+func TestSimulateBesideBuild(t *testing.T) {
+	ctx := context.Background()
+	a, err := Preset("puma")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,45 +579,84 @@ func TestCompilerLowerRunConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Model("conv-relu")
+	g, err := Model("lenet5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	res, err := c.Compile(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := RandomWeights(g, 1)
-	in := NewTensor(3, 32, 32)
-	in.Rand(2, 1)
-
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i == 0 {
-				_, errs[i] = c.Compile(ctx, g)
-				return
-			}
-			if _, err := c.Lower(ctx, g, res, CodegenOptions{}); err != nil {
-				errs[i] = err
-				return
-			}
-			p, err := c.Build(ctx, g, w, CodegenOptions{})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			_, errs[i] = p.Run(ctx, map[int]*Tensor{0: in})
-		}(i)
-	}
+	var rep *Report
+	errs := make([]error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		rep, errs[0] = Simulate(res.Schedule)
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[1] = c.Build(ctx, g, RandomWeights(g, 1), CodegenOptions{})
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[2] = c.Analyze(ctx, g, res, CodegenOptions{})
+	}()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if rep.Cycles != res.Report.Cycles || rep.Energy != res.Report.Energy {
+		t.Fatalf("Simulate(res.Schedule) = %g cycles, %g energy; the compile reported %g, %g", rep.Cycles, rep.Energy, res.Report.Cycles, res.Report.Energy)
+	}
+}
+
+// TestLowerAndAnalyzeRefuseAnotherGraph: Lower and Analyze index the graph they
+// are given by the node IDs res was compiled over, so a graph of another shape
+// is refused rather than read out of range or lowered under the wrong
+// operators, with the verifier on and off, in both directions, and when only
+// one operator differs.
+func TestLowerAndAnalyzeRefuseAnotherGraph(t *testing.T) {
+	ctx := context.Background()
+	a, err := Preset("puma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := func(name string) *Graph {
+		g, err := Model(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	swapped := model("conv-relu")
+	swapped.Nodes[len(swapped.Nodes)-1].Op = graph.OpSigmoid
+	for _, verify := range []Option{WithVerifyIR(), WithoutVerifyIR()} {
+		c, err := New(a, verify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range []struct {
+			g        *Graph
+			compiled string
+		}{
+			{model("conv-relu"), "lenet5"},
+			{model("lenet5"), "conv-relu"},
+			{swapped, "conv-relu"},
+		} {
+			res, err := c.Compile(ctx, model(pair.compiled))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Lower(ctx, pair.g, res, CodegenOptions{}); err == nil || !strings.Contains(err.Error(), "compiled over") {
+				t.Errorf("Lower(%s, Compile(%s)) = %v, want a refusal", pair.g.Name, pair.compiled, err)
+			}
+			if _, err := c.Analyze(ctx, pair.g, res, CodegenOptions{}); err == nil || !strings.Contains(err.Error(), "compiled over") {
+				t.Errorf("Analyze(%s, Compile(%s)) = %v, want a refusal", pair.g.Name, pair.compiled, err)
+			}
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestHostFallbackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := graph.Execute(g.Clone(), w, in)
+	ref, err := graph.Execute(g, w, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func FuzzPartition(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		p, err := c.buildStaged(ctx, g, res, w, CodegenOptions{}, []BuildOption{WithWorkers(1)})
+		p, err := c.buildStaged(ctx, res, w, CodegenOptions{}, []BuildOption{WithWorkers(1)})
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -497,7 +497,7 @@ func overflowedReference(t *testing.T, g *Graph, w Weights, in map[int]*Tensor, 
 	if n, _ := fmt.Sscanf(err.Error(), "cimmlc: Verify: output %d: float reference element %d is ", &id, &elem); n != 2 {
 		return false
 	}
-	ref, rerr := graph.Execute(g.Clone(), w, in)
+	ref, rerr := graph.Execute(g, w, in)
 	if rerr != nil {
 		t.Fatalf("%v, and the float reference fails: %v", err, rerr)
 	}

@@ -104,9 +104,11 @@ func Compile(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 //
 // g must be valid (graph.Validate) and a valid (arch.Validate), which
 // CompilePasses does not check again, and g must be the compilation's own:
-// its shapes are inferred into it, once, and the Result's schedule refers to
-// it. The public Compiler hands it a private Clone of its caller's graph and
-// the architecture snapshot New validated.
+// its shapes are inferred into it here, once — by irverify.VerifyGraph under
+// the verifier — and from then on it is only read: the Result's schedule (or
+// its plan) refers to it, and Lower, Build and Analyze read it as compiled.
+// The public Compiler hands it a private Clone of its caller's graph and the
+// architecture snapshot New validated.
 //
 // cut selects the partitioner's policies. A graph the cutter leaves whole —
 // nothing for the host, and either no chip policy or a footprint that fits
@@ -123,11 +125,13 @@ func CompilePasses(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Option
 		if vs := irverify.VerifyGraph(g); len(vs) > 0 {
 			return nil, fmt.Errorf("core: %w", &irverify.Error{Stage: "input", Violations: vs})
 		}
+	} else if err := g.InferValidShapes(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(g.HostOnlyNodeIDs()) == 0 && cut.Chip == nil && len(cut.ForceHost) == 0 {
 		// No policy has anything to say, so the cutter could only hand the graph
-		// back whole — after cloning it, inferring its shapes and extracting it
-		// once more. That is what every plain Compile would pay: measured on
+		// back whole — after cloning it and extracting it once more. That is
+		// what every plain Compile would pay: measured on
 		// BenchmarkCompileThroughput, vgg16.toy-table2 goes from 0.12 ms, 71 KB
 		// and 597 allocations per compile to 0.17 ms, 104 KB and 1135 without
 		// this shortcut, lenet5.isaac-baseline from 0.10 ms to 0.13 ms.
@@ -157,13 +161,10 @@ func RequireCIMLowering(g *graph.Graph) error {
 }
 
 // compileSingle runs the single-target (pure CIM) pipeline — the paper's
-// workflow, unchanged by the multi-target refactor. g is valid and a
-// validated: this is where the compilation infers g's shapes, the one time it
-// does, before the cost model reads them.
+// workflow, unchanged by the multi-target refactor. g is valid and
+// shape-inferred (by CompilePasses, or as an extracted subgraph) and a
+// validated; nothing here writes g.
 func compileSingle(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options, passes []Pass, trace func(TraceEvent)) (*Result, error) {
-	if err := g.InferValidShapes(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	m, err := cost.New(g, a)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

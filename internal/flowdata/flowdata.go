@@ -200,8 +200,8 @@ func countTrue(bs []bool) int {
 
 // Build analyzes one generated flow against its layout. Truncated flows
 // (MaxWindowsPerOp) are not executable by design and analyze vacuously. The
-// graph must be shape-inferred; callers pass the same private clone codegen
-// consumed.
+// graph must be shape-inferred; callers pass the graph codegen consumed, which
+// Build only reads.
 func Build(g *graph.Graph, a *arch.Arch, fr *codegen.Result) *Analysis {
 	an := &Analysis{arch: a, g: g}
 	if fr == nil || fr.Flow == nil || fr.Layout == nil {

@@ -136,11 +136,9 @@ type xbProg struct {
 // architecture's weight precision, and per-node activation scales are
 // calibrated by running the float reference on calib. The returned image
 // has no crossbars programmed yet — ProgramInit executes a flow's init
-// section into it.
+// section into it. g must be shape-inferred, as the graph a flow was
+// generated over is; the image reads it and never writes it.
 func NewImage(g *graph.Graph, a *arch.Arch, lay *codegen.Layout, weights graph.Weights, calib map[int]*tensor.Tensor) (*Image, error) {
-	if err := g.InferShapes(); err != nil {
-		return nil, err
-	}
 	ref, err := graph.Execute(g, weights, calib)
 	if err != nil {
 		return nil, fmt.Errorf("funcsim: reference execution for calibration: %w", err)

@@ -40,11 +40,9 @@ func RandomWeights(g *Graph, seed uint64) Weights {
 // Execute runs a reference forward pass over the graph using the kernels in
 // internal/tensor, returning the output tensor of every node. It is the
 // golden model (the paper's PyTorch stand-in) that the functional simulator
-// is verified against.
+// is verified against. g must be shape-inferred (InferShapes); Execute reads
+// it and never writes it, so concurrent executions may share one graph.
 func Execute(g *Graph, w Weights, inputs map[int]*tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	if err := g.InferShapes(); err != nil {
-		return nil, err
-	}
 	vals := make(map[int]*tensor.Tensor, len(g.Nodes))
 	for _, n := range g.Nodes {
 		out, err := ExecNode(g, n, w, inputs, vals)
@@ -58,9 +56,7 @@ func Execute(g *Graph, w Weights, inputs map[int]*tensor.Tensor) (map[int]*tenso
 
 // ExecNode evaluates one node with the reference kernels, reading operand
 // tensors from vals (and Input tensors from inputs). It is the single-step
-// form of Execute: internal/hostexec drives it in topological order without
-// re-running shape inference, so concurrent executions over a shared,
-// already-inferred graph never write to it.
+// form of Execute: internal/hostexec drives it in topological order.
 func ExecNode(g *Graph, n *Node, w Weights, inputs, vals map[int]*tensor.Tensor) (*tensor.Tensor, error) {
 	out, err := executeNode(g, n, w, inputs, vals)
 	if err != nil {

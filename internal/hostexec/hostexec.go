@@ -16,22 +16,18 @@ import (
 	"cimmlc/internal/tensor"
 )
 
-// Program is a compiled host subgraph: a shape-inferred private clone of the
-// graph plus its weights. Run is safe for concurrent use — execution never
-// mutates the graph or the weights.
+// Program is a compiled host subgraph: the graph plus its weights. Run is safe
+// for concurrent use — execution never mutates the graph or the weights.
 type Program struct {
 	g *graph.Graph
 	w graph.Weights
 }
 
-// Compile prepares a host program for the given graph. Shape inference runs
-// once here so concurrent Runs share the graph read-only.
-func Compile(g *graph.Graph, w graph.Weights) (*Program, error) {
-	gc := g.Clone()
-	if err := gc.InferShapes(); err != nil {
-		return nil, fmt.Errorf("hostexec: %w", err)
-	}
-	return &Program{g: gc, w: w}, nil
+// Compile prepares a host program for g, which must be shape-inferred (the
+// partitioner's subgraphs are) and is kept, not copied: concurrent Runs share
+// it read-only.
+func Compile(g *graph.Graph, w graph.Weights) *Program {
+	return &Program{g: g, w: w}
 }
 
 // Run executes one forward pass. inputs maps the graph's Input-node IDs to

@@ -30,16 +30,13 @@ func testInput(g *graph.Graph, seed uint64) map[int]*tensor.Tensor {
 // same kernels, so bit-identical.
 func TestRunMatchesReference(t *testing.T) {
 	g, w := testGraph()
-	p, err := Compile(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Compile(g, w)
 	in := testInput(g, 1)
 	got, err := p.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := graph.Execute(g.Clone(), w, in)
+	want, err := graph.Execute(g, w, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +51,7 @@ func TestRunMatchesReference(t *testing.T) {
 // avoid: many Runs over one shared Program (meaningful under -race).
 func TestConcurrentRuns(t *testing.T) {
 	g, w := testGraph()
-	p, err := Compile(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Compile(g, w)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -73,10 +67,7 @@ func TestConcurrentRuns(t *testing.T) {
 
 func TestRunCancellation(t *testing.T) {
 	g, w := testGraph()
-	p, err := Compile(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Compile(g, w)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Run(ctx, testInput(g, 1)); err == nil {
@@ -86,9 +77,6 @@ func TestRunCancellation(t *testing.T) {
 
 func TestOpsEstimate(t *testing.T) {
 	g, _ := testGraph()
-	if err := g.InferShapes(); err != nil {
-		t.Fatal(err)
-	}
 	ops := Ops(g)
 	// dense 16→8: 8·2·16 = 256; sigmoid + tanh: 8·8 each.
 	if want := int64(256 + 64 + 64); ops != want {

@@ -100,13 +100,11 @@ func buildPipe(mode arch.Mode, withFlow bool) (*pipe, error) {
 }
 
 // buildPipeOn is buildPipe on an arbitrary model, for fixtures that need more
-// than conv-relu's single CIM node (e.g. cross-node scratch corruption).
+// than conv-relu's single CIM node (e.g. cross-node scratch corruption). g
+// comes from a Builder, so its shapes are inferred.
 func buildPipeOn(g *graph.Graph, mode arch.Mode, withFlow bool) (*pipe, error) {
 	a := arch.ToyExample()
 	a.Mode = mode
-	if err := g.InferShapes(); err != nil {
-		return nil, fmt.Errorf("fixture baseline: %w", err)
-	}
 	m, err := cost.New(g, a)
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)

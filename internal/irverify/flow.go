@@ -20,8 +20,8 @@ import (
 // transfer is rejected.
 //
 // Truncated flows (MaxWindowsPerOp) are not executable by design and verify
-// vacuously. The graph must be shape-inferred; callers pass the same
-// private clone codegen consumed.
+// vacuously. The graph must be shape-inferred; callers pass the graph
+// codegen consumed.
 func VerifyFlow(g *graph.Graph, a *arch.Arch, fr *codegen.Result) []Violation {
 	return FlowViolations(flowdata.Build(g, a, fr))
 }

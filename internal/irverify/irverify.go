@@ -119,8 +119,9 @@ const maxViolations = 64
 // VerifyGraph checks the graph IR: node IDs dense and ordered, edges
 // strictly backward (the DAG property this representation encodes
 // positionally), structural arity/weight invariants, and shape inference.
-// It may run shape inference on g, so callers must pass a private copy —
-// the pipeline already compiles on one.
+// It infers g's shapes into g — under the verifier, the compilation's one
+// inference of its input — so callers must pass a private copy; the pipeline
+// already compiles on one.
 func VerifyGraph(g *graph.Graph) []Violation {
 	if g == nil {
 		return []Violation{{Rule: RuleGraphStructure, Node: -1, Msg: "nil graph"}}

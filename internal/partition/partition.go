@@ -99,13 +99,12 @@ type Plan struct {
 }
 
 // Partition labels every node of g with an execution target and a chip and
-// splits the graph into the maximal equal-label runs. The input graph is not
-// mutated.
+// splits the graph into the maximal equal-label runs. g must be valid and
+// shape-inferred (a compilation's own copy is) and is not mutated: the labels
+// go into the Plan's clone, whose shapes come with it, and each extracted
+// subgraph is inferred once, as it is made.
 func Partition(g *graph.Graph, opts Options) (*Plan, error) {
 	gc := g.Clone()
-	if err := gc.InferShapes(); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
 	tgt := make([]graph.Target, len(gc.Nodes))
 	chip := make([]int, len(gc.Nodes))
 	for _, n := range gc.Nodes {

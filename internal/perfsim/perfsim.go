@@ -62,17 +62,14 @@ type Report struct {
 }
 
 // Simulate runs the schedule through the event model. It validates the
-// schedule and its architecture and infers the shapes of its graph (into
-// s.Graph) before it builds the cost model, so it accepts a schedule whatever
-// made it.
+// schedule and its architecture before it builds the cost model. s.Graph
+// must be shape-inferred — every schedule a compilation or a baseline makes
+// is — and is only read, so schedules sharing a graph simulate concurrently.
 func Simulate(s *sched.Schedule) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if err := s.Arch.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Graph.InferShapes(); err != nil {
 		return nil, err
 	}
 	m, err := cost.New(s.Graph, s.Arch)

@@ -174,7 +174,7 @@ func (c *Compiler) Build(ctx context.Context, g *Graph, w Weights, opt CodegenOp
 	if err != nil {
 		return nil, err
 	}
-	return c.buildStaged(ctx, g, res, w, opt, bopts)
+	return c.buildStaged(ctx, res, w, opt, bopts)
 }
 
 // BuildPipeline is Build for a model spread across as many chips of the
@@ -199,14 +199,15 @@ func (c *Compiler) BuildPipeline(ctx context.Context, g *Graph, w Weights, opt C
 	if err != nil {
 		return nil, fmt.Errorf("cimmlc: BuildPipeline: %w", err)
 	}
-	return c.buildStaged(ctx, g, res, w, opt, bopts)
+	return c.buildStaged(ctx, res, w, opt, bopts)
 }
 
 // buildStaged assembles the Program for a compilation result: every CIM
 // subgraph of its plan is lowered, calibrated on the activations it will see
 // at its boundary and weight-programmed; every host subgraph becomes a
-// host-executor program. A monolithic result is the one-stage plan.
-func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Weights, opt CodegenOptions, bopts []BuildOption) (*Program, error) {
+// host-executor program. A monolithic result is the one-stage plan. Every
+// stage reads the compilation's own graphs and writes none of them.
+func (c *Compiler) buildStaged(ctx context.Context, res *Result, w Weights, opt CodegenOptions, bopts []BuildOption) (*Program, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -217,10 +218,7 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 		}
 	}
 	p := &Program{arch: c.arch, res: res, w: w, workers: cfg.workers}
-	plan, subs, err := stagePlan(g, res)
-	if err != nil {
-		return nil, fmt.Errorf("cimmlc: Build: %w", err)
-	}
+	plan, subs := stagePlan(res)
 	if res.Partition != nil {
 		p.part = partitionStats(res.Partition)
 	}
@@ -236,14 +234,13 @@ func (c *Compiler) buildStaged(ctx context.Context, g *Graph, res *Result, w Wei
 	}
 	// Boundary calibration: reference-execute the full graph on the
 	// calibration set so each stage's synthetic inputs calibrate on the
-	// activation distribution they will actually see. Execute re-runs shape
-	// inference, so give it a private clone — plan.Graph may be shared
-	// through the compiler's artifact cache. A plan without transfers has
-	// no boundary: the calibration set itself covers every stage input.
+	// activation distribution they will actually see. A plan without
+	// transfers has no boundary: the calibration set itself covers every
+	// stage input.
 	refVals := calib
 	if len(plan.Transfers) > 0 {
 		var err error
-		if refVals, err = graph.Execute(p.g.Clone(), w, calib); err != nil {
+		if refVals, err = graph.Execute(p.g, w, calib); err != nil {
 			return nil, fmt.Errorf("cimmlc: Build: boundary calibration: %w", err)
 		}
 	}
@@ -285,22 +282,18 @@ func (p *Program) Replica() *Program {
 
 // stagePlan returns the stages of a compilation result and the per-stage
 // results that go with them: the partition's own plan, or for a monolithic
-// result the one-stage plan over a private, shape-inferred copy of g.
-func stagePlan(g *Graph, res *Result) (*partition.Plan, []core.SubResult, error) {
+// result the one-stage plan over its schedule's graph. Either way the graphs
+// are the compilation's own, shape-inferred, and only read from here on.
+func stagePlan(res *Result) (*partition.Plan, []core.SubResult) {
 	if res.Partition != nil {
-		return res.Partition.Plan, res.Partition.Subs, nil
+		return res.Partition.Plan, res.Partition.Subs
 	}
-	gc, err := cloneGraph(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return wholePlan(gc), []core.SubResult{{Target: TargetCIM, Res: res}}, nil
+	return wholePlan(res.Schedule.Graph), []core.SubResult{{Target: TargetCIM, Res: res}}
 }
 
 // wholePlan returns the one-stage plan of a monolithic compilation: g itself
-// (already shape-inferred) as the only subgraph, local node IDs equal to the
-// global ones — one identity table serves as its nodes and both maps —
-// nothing transferred.
+// as the only subgraph, local node IDs equal to the global ones — one identity
+// table serves as its nodes and both maps — nothing transferred.
 func wholePlan(g *Graph) *partition.Plan {
 	ids := make([]int, len(g.Nodes))
 	for id := range ids {
@@ -312,9 +305,9 @@ func wholePlan(g *Graph) *partition.Plan {
 
 // newStage builds one stage of a plan. A host subgraph compiles to a
 // host-executor program. A CIM subgraph is lowered from its compilation
-// result res; a private, shape-inferred clone of its graph is calibrated on
-// refVals (keyed by global node ID), the flow's init section is programmed
-// into a crossbar image and its body compiled.
+// result res, whose schedule's graph is sub.G; the image over sub.G is
+// calibrated on refVals (keyed by global node ID), the flow's init section is
+// programmed into it and its body compiled.
 func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *Result, w Weights, refVals map[int]*Tensor, opt CodegenOptions) (*stage, error) {
 	st := &stage{sub: sub}
 	for _, n := range sub.G.Nodes {
@@ -325,9 +318,8 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 		}
 	}
 	if sub.Target == TargetHost {
-		var err error
-		st.host, err = hostexec.Compile(sub.G, w)
-		return st, err
+		st.host = hostexec.Compile(sub.G, w)
+		return st, nil
 	}
 	calib := make(map[int]*Tensor, len(st.needs))
 	for _, lid := range st.needs {
@@ -337,19 +329,15 @@ func (c *Compiler) newStage(ctx context.Context, sub *partition.Subgraph, res *R
 		}
 		calib[lid] = t
 	}
-	fr, err := c.Lower(ctx, sub.G, res, opt)
+	fr, _, err := c.lower(ctx, res, opt)
 	if err != nil {
 		return nil, err
 	}
 	if fr.Truncated {
 		return nil, fmt.Errorf("flow was truncated by codegen (MaxWindowsPerOp); not executable")
 	}
-	gc, err := cloneGraph(sub.G)
-	if err != nil {
-		return nil, err
-	}
 	a := c.arch
-	if st.img, err = funcsim.NewImage(gc, &a, fr.Layout, w, calib); err != nil {
+	if st.img, err = funcsim.NewImage(sub.G, &a, fr.Layout, w, calib); err != nil {
 		return nil, err
 	}
 	if err := st.img.ProgramInit(fr.Flow.Init); err != nil {
@@ -835,7 +823,7 @@ func (p *Program) Verify(ctx context.Context, inputs map[int]*Tensor, floatTol f
 			return fmt.Errorf("cimmlc: Verify: stage %d: %w", i, err)
 		}
 	}
-	ref, err := graph.Execute(p.g.Clone(), p.w, inputs)
+	ref, err := graph.Execute(p.g, p.w, inputs)
 	if err != nil {
 		return err
 	}

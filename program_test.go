@@ -61,7 +61,7 @@ func sameOutputs(t *testing.T, got, want map[int]*Tensor) {
 // on the program's own image must need no second one.
 func quantReference(t *testing.T, c *Compiler, g *Graph, w Weights, p *Program, inputs map[int]*Tensor) map[int]*Tensor {
 	t.Helper()
-	img, err := funcsim.NewImage(g.Clone(), c.Arch(), p.Flow().Layout, w, inputs)
+	img, err := funcsim.NewImage(g, c.Arch(), p.Flow().Layout, w, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
