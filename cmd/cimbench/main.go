@@ -8,12 +8,16 @@
 //	cimbench -list           # list experiment IDs
 //	cimbench -json fig20a    # machine-readable results
 //	cimbench -flows fig16    # print the full Figure-16 flows
+//
+// `go test ./cmd/cimbench` holds every experiment to
+// testdata/experiments_golden.json; `-update` rewrites it.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cimmlc"
@@ -69,9 +73,7 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tables); err != nil {
+		if err := writeJSON(os.Stdout, tables); err != nil {
 			fmt.Fprintf(os.Stderr, "cimbench: %v\n", err)
 			failed = true
 		}
@@ -79,6 +81,14 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// writeJSON writes tables as `cimbench -json` prints them, the format of
+// testdata/experiments_golden.json.
+func writeJSON(w io.Writer, tables []*cimmlc.ExperimentTable) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(tables)
 }
 
 // truncateFlow keeps the first n lines of a printed flow (the §3.4 example

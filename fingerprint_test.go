@@ -17,11 +17,11 @@ var compileGridModels = []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet5
 var pinnedFingerprints = map[string]string{
 	"lenet5.isaac-baseline":   "321d95a086db32bdc7d75fded03e82d5",
 	"vgg7.isaac-baseline":     "d9c963048cc696ac2f4f707941cd0a89",
-	"vgg16.isaac-baseline":    "57f83033b44a1a2679ae85ce0a5c2612",
+	"vgg16.isaac-baseline":    "55966c7ea76f759d82a9444c2ec0234d",
 	"resnet18.isaac-baseline": "085edd65565a0c3e7cb1e322ce5aa687",
 	"resnet50.isaac-baseline": "7f5bd19306c065a9bfd6daffb14bfb39",
 	"vit-tiny.isaac-baseline": "487bc08497da6faec108d685d32a70b2",
-	"vit-base.isaac-baseline": "093613b76846b81da3255afdcf8b4397",
+	"vit-base.isaac-baseline": "1170a4155641df1e61e304203373cfe8",
 	"lenet5.jain-jssc21":      "e946d980ce7e6f05717cad4f537c6122",
 	"vgg7.jain-jssc21":        "c8d30494fbfb8631ce25271341f0fef4",
 	"vgg16.jain-jssc21":       "5d9330f192e4724f5583263de38a7af5",
@@ -38,9 +38,9 @@ var pinnedFingerprints = map[string]string{
 	"vit-base.jia-isscc21":    "5d6d2598fdb53a789bd2afe82cccce1c",
 	"lenet5.puma":             "39fae437d183466d122f37a3565e95b6",
 	"vgg7.puma":               "28448b71e4846f2c681f13315c34129d",
-	"vgg16.puma":              "f1613d4f602942e94ffdb51869051257",
-	"resnet18.puma":           "77f43303086852acfb14332156471c72",
-	"resnet50.puma":           "12db56aea8b03dcea691ebc8430b59ef",
+	"vgg16.puma":              "b85316463ee9247c363f454dbad7dd7e",
+	"resnet18.puma":           "6b38d33c2da0058c92e086c23553c799",
+	"resnet50.puma":           "33bac07f82409e6cd8fb2321b7d57184",
 	"vit-tiny.puma":           "12fc029bb05c7c729eef11246cf5bc29",
 	"vit-base.puma":           "4b5236e27c00f10563ee1df04e9d5683",
 	"lenet5.toy-table2":       "c211e0d6824d138c023998e9cfaf0168",

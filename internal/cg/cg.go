@@ -97,7 +97,7 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 		Levels:   []string{"CG"},
 	}
 	w := workspace{infos: infos, budget: a.Chip.CoreCount(), opt: opt, dup: s.Dup}
-	if s.Segments, err = w.segment(ctx, a, order); err != nil {
+	if s.Segments, err = w.segment(ctx, m.Reprogram, order); err != nil {
 		return nil, err
 	}
 	return s, nil

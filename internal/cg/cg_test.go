@@ -3,6 +3,7 @@ package cg
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"cimmlc/internal/arch"
@@ -433,4 +434,75 @@ func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
 		}
 	}
 	t.Logf("%d (node, copies) prices agree", checked)
+}
+
+// TestSegmenterPricesReloadPerCore: a pop is worth it only if the copies it
+// frees save more than the reload the popped segment pays, and that reload
+// is the cost model's, every crossbar of a core programmed serially. On a
+// Table-2 machine with four crossbars a core, the fixture's pop saves twice
+// one crossbar's reprogramming: it would pay at a per-crossbar price, and at
+// the price the simulator charges it does not, so the prefix stays whole.
+func TestSegmenterPricesReloadPerCore(t *testing.T) {
+	a := arch.ToyExample()
+	a.Core.XBCols = 2
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cost.New(models.ConvReLU(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perXB := m.Reprogram / float64(a.Core.XBCount())
+	// Nodes 1 and 2 take one core each and fill the two-core chip, so node 3
+	// starts the next prefix. Popping node 2 lets both run at two copies,
+	// saving one window of each: 2 × perXB.
+	op := func(id, cores int) opInfo {
+		return opInfo{id: id, cim: true, coresCopy: cores, maxDup: 2, windows: 2, perWindow: perXB, rounds: 1}
+	}
+	infos := []opInfo{{}, op(1, 1), op(2, 1), op(3, 2)}
+	segment := func(reload float64) [][]int {
+		w := workspace{infos: infos, budget: a.Chip.CoreCount(), opt: Options{Duplicate: true}, dup: make([]int, len(infos))}
+		segs, err := w.segment(context.Background(), reload, []int{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	if got, want := segment(m.Reprogram), [][]int{{1, 2}, {3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("at the model's reload %v: segments %v, want the prefix whole: %v", m.Reprogram, got, want)
+	}
+	if got, want := segment(perXB), [][]int{{1}, {2}, {3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("at one crossbar's reload %v: segments %v, want node 2 popped: %v", perXB, got, want)
+	}
+}
+
+// TestReloadCyclesAreTheModelsPrice: the simulator charges the cost model's
+// Reprogram once per segment after the first, on a multi-segment cell of
+// every preset.
+func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
+	for _, preset := range arch.PresetNames() {
+		a, err := arch.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := models.VGG16()
+		m, err := cost.New(g, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Segments) < 2 {
+			t.Fatalf("vgg16.%s: %d segments, want several", preset, len(s.Segments))
+		}
+		rep, err := perfsim.SimulateWithModel(context.Background(), s, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(len(s.Segments)-1) * m.Reprogram; rep.ReloadCycles != want {
+			t.Errorf("vgg16.%s: %d segments reload %v cycles, want %v", preset, len(s.Segments), rep.ReloadCycles, want)
+		}
+	}
 }

@@ -493,7 +493,6 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			budget := a.Chip.CoreCount()
-			reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
 
 			// A table's work is read when its search is done with it, the
 			// cell allocateDP prices after the rows included: the next
@@ -518,7 +517,7 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 				dup = make([]int, len(infos))
 				scatter(dup, ops, opDup)
 			} else {
-				segs, dup, old = segmentFromScratch(t, infos, order, budget, reload)
+				segs, dup, old = segmentFromScratch(t, infos, order, budget, m.Reprogram)
 				refined++
 			}
 			if !reflect.DeepEqual(s.Segments, segs) {
@@ -562,10 +561,12 @@ func (c *countdownCtx) Err() error {
 
 // TestOptimizeHonoursCancellation: the search polls its context once per
 // operator row, so a context cancelled mid-search stops it there with a
-// wrapped context.Canceled instead of running the pass to completion.
+// wrapped context.Canceled instead of running the pass to completion. vgg16
+// on puma is cut into many segments, so its search polls well over twice per
+// operator.
 func TestOptimizeHonoursCancellation(t *testing.T) {
 	g := models.VGG16()
-	a := arch.ISAACBaseline()
+	a := arch.PUMAAccelerator()
 	m, err := cost.New(g, a)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"cimmlc/internal/arch"
 )
 
 // ErrOverCapacity reports that a model's crossbar footprint exceeds one
@@ -21,10 +19,12 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // Otherwise it iteratively constructs the maximal prefix sub-graph that fits
 // within CIM capacity, then refines it by successively popping trailing
 // nodes while the dynamic-programming latency estimate of (remaining segment
-// + popped nodes as their own segment + weight reload) improves. Operators
-// larger than the whole chip (multi-round) always get a dedicated segment.
-// Under Options.Duplicate each kept segment's copies go into w.dup.
-func (w *workspace) segment(ctx context.Context, a *arch.Arch, order []int) ([][]int, error) {
+// + popped nodes as their own segment + reload) improves; reload is the cost
+// model's Reprogram, what the simulator charges each segment after the
+// first. Operators larger than the whole chip (multi-round) always get a
+// dedicated segment. Under Options.Duplicate each kept segment's copies go
+// into w.dup.
+func (w *workspace) segment(ctx context.Context, reload float64, order []int) ([][]int, error) {
 	if totalCores, anyOversized := demand(w.infos, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
 		// Serving-grade compilation: weights stay resident for the program's
 		// lifetime, so the reload-based escape hatches (segment reprogramming,
@@ -36,7 +36,6 @@ func (w *workspace) segment(ctx context.Context, a *arch.Arch, order []int) ([][
 	}
 	// A model that fits the chip is one prefix, taken whole and never refined
 	// (one segment even when it has no node).
-	reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency
 	// A capacity, not a bound: every segment holds a CIM operator but one of
 	// the digital nodes before a multi-round operator.
 	segs := make([][]int, 0, cimCount(w.infos, order))

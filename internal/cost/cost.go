@@ -20,6 +20,10 @@
 //
 // CIMOp prices only settings that placement accepts: mapping's packing
 // rule alone decides which copies and remap a node may take.
+//
+// The model owns the one price of reprogramming the chip, Model.Reprogram:
+// the segmenter (internal/cg) weighs a cut against it and the simulator
+// charges it before every segment after the first.
 package cost
 
 import (
@@ -37,6 +41,11 @@ type Model struct {
 	Arch  *arch.Arch
 	Graph *graph.Graph
 	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
+	// Reprogram is the cycles to program the chip: each core owns one write
+	// port, so its crossbars program serially (wordline by wordline at the
+	// device write latency) while cores program in parallel. A multi-round
+	// operator pays it per round and a segment after the first once.
+	Reprogram float64
 
 	// fixed is by node ID: an input or digital node's whole OpCost, and for a
 	// CIM node the terms CIMOp does not recompute per call (Node, IO, Rounds,
@@ -64,20 +73,15 @@ const (
 // compiler has made them before it builds the one model of a compilation.
 func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 	m := &Model{
-		Arch:   a,
-		Graph:  g,
-		FPs:    make([]mapping.Footprint, len(g.Nodes)),
-		fixed:  make([]OpCost, len(g.Nodes)),
-		kind:   make([]opKind, len(g.Nodes)),
-		phases: float64(a.DACPhases()),
-		read:   a.XB.Device.Profile().ReadLatency,
+		Arch:      a,
+		Graph:     g,
+		FPs:       make([]mapping.Footprint, len(g.Nodes)),
+		Reprogram: float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency * float64(a.Core.XBCount()),
+		fixed:     make([]OpCost, len(g.Nodes)),
+		kind:      make([]opKind, len(g.Nodes)),
+		phases:    float64(a.DACPhases()),
+		read:      a.XB.Device.Profile().ReadLatency,
 	}
-	// Programming one round's weights: each core owns one write port, so its
-	// crossbars program serially (wordline by wordline at the device write
-	// latency) while cores program in parallel. Only multi-round operators
-	// pay it during inference; single-round weights are programmed once at
-	// initialization.
-	reload := float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency * float64(a.Core.XBCount())
 	for _, n := range g.Nodes {
 		switch {
 		case n.Op == graph.OpInput:
@@ -88,7 +92,7 @@ func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 				return nil, err
 			}
 			m.FPs[n.ID] = f
-			m.kind[n.ID], m.fixed[n.ID] = cimOp, m.cimFixed(n, &m.FPs[n.ID], reload)
+			m.kind[n.ID], m.fixed[n.ID] = cimOp, m.cimFixed(n, &m.FPs[n.ID])
 		default:
 			m.kind[n.ID], m.fixed[n.ID] = digitalOp, m.digitalCost(n)
 		}
@@ -147,12 +151,13 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 // cimFixed returns the terms of CIM node n's cost that copies and remap do
 // not change: IO per window through the local buffer (the input vector in,
 // the output vector out, both ActBits wide), the weight-loading rounds, the
-// reload each round pays (reload, when there is more than one), and the
+// reload each round pays (Reprogram, when there is more than one), and the
 // pipeline coupling.
-func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint, reload float64) OpCost {
+func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint) OpCost {
 	a := m.Arch
 	inBits := int64(f.Rows) * int64(a.ActBits)
 	outBits := int64(f.Cols) * int64(a.ActBits)
+	reload := m.Reprogram
 	if f.Rounds <= 1 {
 		reload = 0
 	}

@@ -94,11 +94,11 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
 	segOf := make([]int, len(s.Graph.Nodes))
-	segStart, reload := 0.0, segmentReload(s, m)
+	segStart := 0.0
 	for segIdx, seg := range s.Segments {
 		if segIdx > 0 {
-			rep.ReloadCycles += reload
-			segStart += reload
+			rep.ReloadCycles += m.Reprogram
+			segStart += m.Reprogram
 		}
 		segEnd, err := simulateSegment(ctx, s, m, segIdx, seg, segStart, rep, segOf)
 		if err != nil {
@@ -329,14 +329,6 @@ func totalEnergy(s *sched.Schedule, m *cost.Model, segOf []int) float64 {
 		}
 	}
 	return total
-}
-
-// segmentReload returns the cycles to reprogram the chip between segments:
-// each core has one write port, so its crossbars program serially (wordline
-// by wordline at the device write latency) while cores program in parallel.
-func segmentReload(s *sched.Schedule, m *cost.Model) float64 {
-	perXB := float64(m.Arch.XB.Rows) * m.Arch.XB.Device.Profile().WriteLatency
-	return perXB * float64(m.Arch.Core.XBCount())
 }
 
 // fillOccupancy counts the cores and crossbars the schedule occupies: the
