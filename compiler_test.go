@@ -729,9 +729,10 @@ func TestCompilerTrace(t *testing.T) {
 }
 
 // TestReportOccupancyIsTheSchedules: the simulate pass takes its per-segment
-// cores and crossbars from the placement rather than folding the schedule a
-// second time, so on every compile-zoo cell the Report must still count what
-// mapping.Occupancy derives from the final schedule.
+// cores, crossbars and busiest-core wordlines from the placement rather than
+// folding the schedule a second time, so on every compile-zoo cell the Report
+// must still count, and charge to reprogram every segment after the first,
+// what mapping.Occupancy derives from the final schedule.
 func TestReportOccupancyIsTheSchedules(t *testing.T) {
 	for _, preset := range arch.PresetNames() {
 		a, err := Preset(preset)
@@ -752,17 +753,23 @@ func TestReportOccupancyIsTheSchedules(t *testing.T) {
 				t.Fatalf("%s.%s: %v", model, preset, err)
 			}
 			s := res.Schedule
-			cores, xbs, err := mapping.Occupancy(context.Background(), s.Graph, s.Arch, res.Model.FPs, s.Dup, s.Remap, s.Segments)
+			cores, xbs, wordlines, err := mapping.Occupancy(context.Background(), s.Graph, s.Arch, res.Model.FPs, s.Dup, s.Remap, s.Segments)
 			if err != nil {
 				t.Fatalf("%s.%s: %v", model, preset, err)
 			}
-			wantCores, wantXBs := 0, 0
+			wantCores, wantXBs, wantReload := 0, 0, 0.0
 			for seg := range cores {
 				wantCores, wantXBs = max(wantCores, cores[seg]), wantXBs+xbs[seg]
+				if seg > 0 {
+					wantReload += res.Model.Program(wordlines[seg])
+				}
 			}
 			if res.Report.CoresUsed != wantCores || res.Report.XBsUsed != wantXBs {
 				t.Errorf("%s.%s: report uses %d cores / %d crossbars, the schedule occupies %d / %d",
 					model, preset, res.Report.CoresUsed, res.Report.XBsUsed, wantCores, wantXBs)
+			}
+			if res.Report.ReloadCycles != wantReload {
+				t.Errorf("%s.%s: report reloads %v cycles, the schedule's segments write %v: %v", model, preset, res.Report.ReloadCycles, wordlines, wantReload)
 			}
 		}
 	}

@@ -68,12 +68,13 @@ type opInfo struct {
 	windows   int64   // work units at dup 1
 	perWindow float64 // stage cycles per unit
 	rounds    int
-	reload    float64
+	reload    float64 // cycles to program rounds 1 … rounds−1
 }
 
+// run is cost.OpCost.Run at d copies, remap 1.
 func (oi opInfo) run(d int) float64 {
 	w := ceilDiv64(oi.windows, int64(d))
-	return float64(oi.rounds)*float64(w)*oi.perWindow + float64(oi.rounds)*oi.reload
+	return float64(oi.rounds)*float64(w)*oi.perWindow + oi.reload
 }
 
 // Optimize performs CG-grained optimization and returns the schedule
@@ -96,8 +97,8 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 		Pipeline: opt.Pipeline,
 		Levels:   []string{"CG"},
 	}
-	w := workspace{infos: infos, budget: a.Chip.CoreCount(), opt: opt, dup: s.Dup}
-	if s.Segments, err = w.segment(ctx, m.Reprogram, order); err != nil {
+	w := workspace{m: m, infos: infos, budget: a.Chip.CoreCount(), opt: opt, dup: s.Dup}
+	if s.Segments, err = w.segment(ctx, order); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -108,6 +109,7 @@ func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, 
 // into a hundred segments allocates tables once, not once per segment. It
 // lives and dies inside that call.
 type workspace struct {
+	m      *cost.Model
 	infos  []opInfo // by node ID
 	budget int      // the chip's cores
 	opt    Options

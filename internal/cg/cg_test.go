@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cimmlc/internal/arch"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/mapping"
 	"cimmlc/internal/models"
 	"cimmlc/internal/perfsim"
 	"cimmlc/internal/sched"
@@ -390,9 +392,11 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 // copy count with opInfo.run, the simulator with cost.OpCost.Run, and the two
 // associate their products differently. For every zoo node on every preset
 // they must agree bit for bit: a CIM node at each of its candidate copy
-// counts, a digital node at one copy.
+// counts, a digital node at one copy. Both charge an oversized operator the
+// reprogramming of its rounds after the first only (Rounds−1 of them: round
+// 0 is its segment's), and that is pinned here too.
 func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
-	checked := 0
+	checked, oversized := 0, 0
 	for _, preset := range arch.PresetNames() {
 		a, err := arch.Preset(preset)
 		if err != nil {
@@ -430,55 +434,94 @@ func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
 					}
 					checked++
 				}
+				if oi.rounds > 1 {
+					oc, err := m.CIMOp(id, 1, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, later := m.FPs[id].Wordlines(a)
+					want := float64(oc.Rounds)*float64(oc.Windows)*oc.PerWindow + m.Program(later)
+					if oc.Run() != want || oi.run(1) != want {
+						t.Fatalf("%s.%s node %d: %d rounds run %v in the simulator, %v in the search, want %v (rounds after the first write %d wordlines)",
+							model, preset, id, oc.Rounds, oc.Run(), oi.run(1), want, later)
+					}
+					oversized++
+				}
 			}
 		}
 	}
-	t.Logf("%d (node, copies) prices agree", checked)
+	t.Logf("%d (node, copies) prices agree, %d oversized operators", checked, oversized)
+	if oversized == 0 {
+		t.Error("no zoo node is oversized: the Rounds−1 rule went unchecked")
+	}
 }
 
-// TestSegmenterPricesReloadPerCore: a pop is worth it only if the copies it
-// frees save more than the reload the popped segment pays, and that reload
-// is the cost model's, every crossbar of a core programmed serially. On a
-// Table-2 machine with four crossbars a core, the fixture's pop saves twice
-// one crossbar's reprogramming: it would pay at a per-crossbar price, and at
-// the price the simulator charges it does not, so the prefix stays whole.
+// TestSegmenterPricesReloadPerCore: a pop is worth it only if the
+// copies it frees save more than programming the popped operator, one copy
+// at remap 1, costs: the cost model's Program of the wordlines that copy
+// writes on its busiest core, every crossbar of a core programmed serially.
+// On a Table-2 machine with four crossbars a core, the fixture's pop saves
+// twice one full crossbar's programming: it pays for an operator that writes
+// one crossbar (32 input features), and not for one that fills its core
+// (128: four stripes), so that prefix stays whole. The price is what the
+// simulator charges a segment that holds one copy of the operator.
 func TestSegmenterPricesReloadPerCore(t *testing.T) {
 	a := arch.ToyExample()
 	a.Core.XBCols = 2
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := cost.New(models.ConvReLU(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perXB := m.Reprogram / float64(a.Core.XBCount())
-	// Nodes 1 and 2 take one core each and fill the two-core chip, so node 3
-	// starts the next prefix. Popping node 2 lets both run at two copies,
-	// saving one window of each: 2 × perXB.
-	op := func(id, cores int) opInfo {
-		return opInfo{id: id, cim: true, coresCopy: cores, maxDup: 2, windows: 2, perWindow: perXB, rounds: 1}
-	}
-	infos := []opInfo{{}, op(1, 1), op(2, 1), op(3, 2)}
-	segment := func(reload float64) [][]int {
-		w := workspace{infos: infos, budget: a.Chip.CoreCount(), opt: Options{Duplicate: true}, dup: make([]int, len(infos))}
-		segs, err := w.segment(context.Background(), reload, []int{1, 2, 3})
+	segment := func(features int) ([][]int, *cost.Model) {
+		g := graph.NewBuilder("pop", 32).Dense(features).Dense(16).Dense(16).MustFinish()
+		m, err := cost.New(g, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return segs
+		// Nodes 1 and 2 take one core each and fill the two-core chip, so
+		// node 3 starts the next prefix. Popping node 2 lets both run at two
+		// copies, saving one window of each: 2 × one crossbar's programming.
+		perXB := m.Program(a.XB.Rows)
+		op := func(id, cores int) opInfo {
+			return opInfo{id: id, cim: true, coresCopy: cores, maxDup: 2, windows: 2, perWindow: perXB, rounds: 1}
+		}
+		infos := []opInfo{{}, op(1, 1), op(2, 1), op(3, 2)}
+		w := workspace{m: m, infos: infos, budget: a.Chip.CoreCount(), opt: Options{Duplicate: true}, dup: make([]int, len(infos))}
+		segs, err := w.segment(context.Background(), []int{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs, m
 	}
-	if got, want := segment(m.Reprogram), [][]int{{1, 2}, {3}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("at the model's reload %v: segments %v, want the prefix whole: %v", m.Reprogram, got, want)
+	full, m := segment(4 * a.XB.Rows)
+	if want := [][]int{{1, 2}, {3}}; !reflect.DeepEqual(full, want) {
+		t.Errorf("popping a copy that fills its core (%v cycles): segments %v, want the prefix whole: %v", popPrice(m, 2), full, want)
 	}
-	if got, want := segment(perXB), [][]int{{1}, {2}, {3}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("at one crossbar's reload %v: segments %v, want node 2 popped: %v", perXB, got, want)
+	if got, want := popPrice(m, 2), m.Program(a.Core.XBCount()*a.XB.Rows); got != want {
+		t.Errorf("a copy of four full stripes costs %v to program, want a whole core's %v", got, want)
+	}
+	one, m := segment(a.XB.Rows)
+	if want := [][]int{{1}, {2}, {3}}; !reflect.DeepEqual(one, want) {
+		t.Errorf("popping a copy of one crossbar (%v cycles): segments %v, want node 2 popped: %v", popPrice(m, 2), one, want)
+	}
+	// Each operator in a segment of its own, at one copy: the simulator
+	// charges the second and third segments what a pop of them is priced.
+	s := &sched.Schedule{Graph: m.Graph, Arch: a, Dup: make([]int, 4), Remap: make([]int, 4), Segments: [][]int{{1}, {2}, {3}}}
+	rep, err := perfsim.SimulateWithModel(context.Background(), s, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := popPrice(m, 2) + popPrice(m, 3); rep.ReloadCycles != want || want <= 0 {
+		t.Errorf("segments of one copy each reload %v cycles, their pops are priced %v", rep.ReloadCycles, want)
 	}
 }
 
-// TestReloadCyclesAreTheModelsPrice: the simulator charges the cost model's
-// Reprogram once per segment after the first, on a multi-segment cell of
-// every preset.
+// TestReloadCyclesAreTheModelsPrice: the simulator charges each segment
+// after the first the cost model's Program of the wordlines its busiest core
+// writes, as the placement records them, on a multi-segment cell of every
+// preset: nothing for a segment of digital nodes alone (the ones cut off
+// before an oversized operator), which programs no crossbar. An oversized
+// operator's run pays the rounds after its first, round 0 being its
+// segment's.
 func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 	for _, preset := range arch.PresetNames() {
 		a, err := arch.Preset(preset)
@@ -501,8 +544,33 @@ func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := float64(len(s.Segments)-1) * m.Reprogram; rep.ReloadCycles != want {
-			t.Errorf("vgg16.%s: %d segments reload %v cycles, want %v", preset, len(s.Segments), rep.ReloadCycles, want)
+		_, _, wordlines, err := mapping.Occupancy(context.Background(), g, a, m.FPs, s.Dup, s.Remap, s.Segments)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, digital := 0.0, 0
+		for seg := 1; seg < len(s.Segments); seg++ {
+			want += m.Program(wordlines[seg])
+			if !slices.ContainsFunc(s.Segments[seg], func(id int) bool { return g.Nodes[id].Op.CIMSupported() }) {
+				digital++
+				if wordlines[seg] != 0 {
+					t.Errorf("vgg16.%s: segment %d of digital nodes writes %d wordlines", preset, seg, wordlines[seg])
+				}
+			}
+		}
+		if rep.ReloadCycles != want {
+			t.Errorf("vgg16.%s: %d segments reload %v cycles, want %v (wordlines %v)", preset, len(s.Segments), rep.ReloadCycles, want, wordlines)
+		}
+		for _, id := range g.CIMNodeIDs() {
+			oc, err := m.CIMOp(id, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, later := m.FPs[id].Wordlines(a)
+			if oc.Reload != m.Program(later) || (oc.Rounds > 1) != (later > 0) {
+				t.Errorf("vgg16.%s node %d: %d rounds reload %v cycles, the rounds after the first write %d wordlines", preset, id, oc.Rounds, oc.Reload, later)
+			}
+		}
+		t.Logf("vgg16.%s: %d segments, %d of digital nodes alone, %v reload cycles", preset, len(s.Segments), digital, rep.ReloadCycles)
 	}
 }

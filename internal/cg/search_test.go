@@ -414,7 +414,7 @@ func tableWork(t *dupTable) searchWork {
 // a table: every estimate — two per loop iteration over the prefix and its
 // head, one over the popped group — re-runs a whole exhaustive search. It
 // returns the segments, the duplication by node ID and the work that took.
-func segmentFromScratch(t *testing.T, infos []opInfo, order []int, budget int, reload float64) ([][]int, []int, searchWork) {
+func segmentFromScratch(t *testing.T, m *cost.Model, infos []opInfo, order []int, budget int) ([][]int, []int, searchWork) {
 	var work searchWork
 	dup := make([]int, len(infos))
 	search := func(nodes []int) {
@@ -443,7 +443,7 @@ func segmentFromScratch(t *testing.T, infos []opInfo, order []int, budget int, r
 			}
 			head, group := prefix[:cut], prefix[cut:]
 			baseline := estimate(prefix)
-			candidate := estimate(head) + estimate(group) + reload
+			candidate := estimate(head) + estimate(group) + popPrice(m, group[0])
 			if candidate >= baseline {
 				break
 			}
@@ -517,7 +517,7 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 				dup = make([]int, len(infos))
 				scatter(dup, ops, opDup)
 			} else {
-				segs, dup, old = segmentFromScratch(t, infos, order, budget, m.Reprogram)
+				segs, dup, old = segmentFromScratch(t, m, infos, order, budget)
 				refined++
 			}
 			if !reflect.DeepEqual(s.Segments, segs) {

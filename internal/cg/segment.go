@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"cimmlc/internal/cost"
 )
 
 // ErrOverCapacity reports that a model's crossbar footprint exceeds one
@@ -20,11 +22,12 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // within CIM capacity, then refines it by successively popping trailing
 // nodes while the dynamic-programming latency estimate of (remaining segment
 // + popped nodes as their own segment + reload) improves; reload is the cost
-// model's Reprogram, what the simulator charges each segment after the
-// first. Operators larger than the whole chip (multi-round) always get a
+// model's Program of the wordlines one copy of the popped operator writes on
+// its busiest core, what the simulator charges for a segment that starts
+// with it. Operators larger than the whole chip (multi-round) always get a
 // dedicated segment. Under Options.Duplicate each kept segment's copies go
 // into w.dup.
-func (w *workspace) segment(ctx context.Context, reload float64, order []int) ([][]int, error) {
+func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 	if totalCores, anyOversized := demand(w.infos, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
 		// Serving-grade compilation: weights stay resident for the program's
 		// lifetime, so the reload-based escape hatches (segment reprogramming,
@@ -47,7 +50,7 @@ func (w *workspace) segment(ctx context.Context, reload float64, order []int) ([
 		switch {
 		case !w.opt.Duplicate:
 		case len(rest) > 0:
-			prefix, err = w.refinePrefix(ctx, prefix, reload)
+			prefix, err = w.refinePrefix(ctx, prefix)
 		default:
 			err = w.allocate(ctx, prefix)
 		}
@@ -110,7 +113,8 @@ func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, er
 // refinePrefix pops trailing node groups (the last CIM operator plus any
 // digital successors after it) off the prefix while the total latency
 // estimate improves: freeing cores lets the remaining operators duplicate
-// more, which can outweigh the extra reload the popped group will pay. It
+// more, which can outweigh the extra reload the popped group will pay: the
+// programming of its operator's one copy at remap 1 (popPrice). It
 // returns the head of prefix it keeps, whose copies it leaves in w.dup; the
 // popped nodes stay in the stream after it, for the next prefix to
 // reconsider with full capacity.
@@ -123,7 +127,7 @@ func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, er
 // last takes its copies from a walk-back too, which is what a fresh search
 // over it returns (under AllocWaterfill, which has no table, every price is
 // a search).
-func (w *workspace) refinePrefix(ctx context.Context, prefix []int, reload float64) ([]int, error) {
+func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, error) {
 	var table *dupTable
 	if w.opt.Allocator != AllocWaterfill {
 		w.sharedOps = segCIMInfos(w.sharedOps, w.infos, prefix)
@@ -158,7 +162,7 @@ func (w *workspace) refinePrefix(ctx context.Context, prefix []int, reload float
 		if err != nil {
 			return nil, err
 		}
-		if candidate := headCost + groupCost + reload; candidate >= baseline {
+		if candidate := headCost + groupCost + popPrice(w.m, group[0]); candidate >= baseline {
 			break
 		}
 		prefix, baseline = head, headCost
@@ -171,6 +175,15 @@ func (w *workspace) refinePrefix(ctx context.Context, prefix []int, reload float
 		searchDone(table)
 	}
 	return prefix, nil
+}
+
+// popPrice is the reload a pop of CIM node into a segment it starts pays:
+// programming its one copy at remap 1, which writes what the copy's busiest
+// core holds. The simulator charges the whole segment's busiest core, which
+// the copies and operators after it can only raise.
+func popPrice(m *cost.Model, node int) float64 {
+	first, _ := m.FPs[node].Wordlines(m.Arch)
+	return m.Program(first)
 }
 
 func cimCount(infos []opInfo, nodes []int) int {

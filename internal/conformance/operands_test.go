@@ -14,60 +14,80 @@ import (
 // without error — the crossbar programming records threaded through in
 // program order — so the addresses the emitter chose are ones the verifier and
 // the executor both take. The models the matrix does not execute lower two
-// windows per operator, like the CLI sweeps: a truncated flow does not run,
-// but every operator it holds still resolves. A staged (mixed) cell resolves
-// each of its CIM stages' flows.
+// windows per operator (compileStages): every operator a truncated flow holds
+// still resolves. A staged (mixed) cell resolves each of its CIM stages'
+// flows.
 func TestZooOperandsResolve(t *testing.T) {
 	cfg := ShortConfig()
-	ctx := context.Background()
+	for _, cell := range shortCells(cfg) {
+		t.Run(cell.Key(), func(t *testing.T) {
+			c, a, stages, winCap := compileStages(t, cell, cfg)
+			for _, st := range stages {
+				resolveStage(t, c, a, st.g, st.res, winCap)
+			}
+		})
+	}
+}
+
+// shortCells lists the cells of cfg, model by model, arch by arch, level by
+// level.
+func shortCells(cfg Config) []Cell {
+	var cells []Cell
 	for _, model := range cfg.Models {
 		for _, archName := range cfg.Archs {
 			for _, level := range cfg.Levels {
-				cell := Cell{Model: model, Arch: archName, Level: level}
-				t.Run(cell.Key(), func(t *testing.T) {
-					g, err := cimmlc.Model(model)
-					if err != nil {
-						t.Fatal(err)
-					}
-					a, err := cellArch(cell)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The resolver is the check here; the IR verifier would walk
-					// the same operands again.
-					opts, _ := cellOptions(cell, cimmlc.WithoutVerifyIR())
-					c, err := cimmlc.New(a, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := c.Compile(ctx, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var winCap int64 = 2
-					if execCell(cell, cfg) {
-						winCap = 0
-					}
-					type stage struct {
-						g   *cimmlc.Graph
-						res *cimmlc.Result
-					}
-					stages := []stage{{g, res}}
-					if info := res.Partition; info != nil {
-						stages = nil
-						for i, sub := range info.Plan.Subs {
-							if sr := info.Subs[i].Res; sr != nil {
-								stages = append(stages, stage{sub.G, sr})
-							}
-						}
-					}
-					for _, st := range stages {
-						resolveStage(t, c, a, st.g, st.res, winCap)
-					}
-				})
+				cells = append(cells, Cell{Model: model, Arch: archName, Level: level})
 			}
 		}
 	}
+	return cells
+}
+
+// stage is one one-chip compilation of a cell: the whole model, or one CIM
+// stage of a staged (mixed) one.
+type stage struct {
+	g   *cimmlc.Graph
+	res *cimmlc.Result
+}
+
+// compileStages compiles one cell with the IR verifier off and returns its
+// compiler, arch and CIM stages, and the windows per operator to lower: all
+// of them on the models the matrix executes, two elsewhere, like the CLI
+// sweeps (a truncated flow does not run, but every operator it holds is
+// emitted, and every weight write).
+func compileStages(t *testing.T, cell Cell, cfg Config) (*cimmlc.Compiler, *cimmlc.Arch, []stage, int64) {
+	t.Helper()
+	g, err := cimmlc.Model(cell.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cellArch(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, _ := cellOptions(cell, cimmlc.WithoutVerifyIR())
+	c, err := cimmlc.New(a, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Compile(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var winCap int64 = 2
+	if execCell(cell, cfg) {
+		winCap = 0
+	}
+	stages := []stage{{g, res}}
+	if info := res.Partition; info != nil {
+		stages = nil
+		for i, sub := range info.Plan.Subs {
+			if sr := info.Subs[i].Res; sr != nil {
+				stages = append(stages, stage{sub.G, sr})
+			}
+		}
+	}
+	return c, a, stages, winCap
 }
 
 // resolveStage lowers one one-stage compilation and resolves every operator

@@ -21,9 +21,17 @@
 // CIMOp prices only settings that placement accepts: mapping's packing
 // rule alone decides which copies and remap a node may take.
 //
-// The model owns the one price of reprogramming the chip, Model.Reprogram:
-// the segmenter (internal/cg) weighs a cut against it and the simulator
-// charges it before every segment after the first.
+// The model owns the one price of programming crossbars, Model.Program: the
+// cycles to write a number of wordlines on the busiest core, since each core
+// owns one write port (its crossbars program serially, wordline by wordline
+// at the device write latency) while cores program in parallel. What is
+// written comes from the placement calculus (mapping's wordlines.go), as
+// codegen emits it: a segment's first round is programmed before the segment
+// (the simulator charges it for every segment after the first, whose
+// programming is not the flow's init section), and an operator larger than
+// the chip reprograms itself for each of its later rounds (OpCost.Reload).
+// The segmenter (internal/cg) weighs a cut against what programming the
+// popped operator costs.
 package cost
 
 import (
@@ -41,11 +49,6 @@ type Model struct {
 	Arch  *arch.Arch
 	Graph *graph.Graph
 	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
-	// Reprogram is the cycles to program the chip: each core owns one write
-	// port, so its crossbars program serially (wordline by wordline at the
-	// device write latency) while cores program in parallel. A multi-round
-	// operator pays it per round and a segment after the first once.
-	Reprogram float64
 
 	// fixed is by node ID: an input or digital node's whole OpCost, and for a
 	// CIM node the terms CIMOp does not recompute per call (Node, IO, Rounds,
@@ -53,8 +56,9 @@ type Model struct {
 	fixed []OpCost
 	kind  []opKind
 	// phases and read are the operands of every CIM node's compute term: DAC
-	// phases and the device read latency, as floats.
-	phases, read float64
+	// phases and the device read latency, as floats; write is the device
+	// write latency, Program's operand.
+	phases, read, write float64
 }
 
 // opKind is how a node is priced.
@@ -73,14 +77,14 @@ const (
 // compiler has made them before it builds the one model of a compilation.
 func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 	m := &Model{
-		Arch:      a,
-		Graph:     g,
-		FPs:       make([]mapping.Footprint, len(g.Nodes)),
-		Reprogram: float64(a.XB.Rows) * a.XB.Device.Profile().WriteLatency * float64(a.Core.XBCount()),
-		fixed:     make([]OpCost, len(g.Nodes)),
-		kind:      make([]opKind, len(g.Nodes)),
-		phases:    float64(a.DACPhases()),
-		read:      a.XB.Device.Profile().ReadLatency,
+		Arch:   a,
+		Graph:  g,
+		FPs:    make([]mapping.Footprint, len(g.Nodes)),
+		fixed:  make([]OpCost, len(g.Nodes)),
+		kind:   make([]opKind, len(g.Nodes)),
+		phases: float64(a.DACPhases()),
+		read:   a.XB.Device.Profile().ReadLatency,
+		write:  a.XB.Device.Profile().WriteLatency,
 	}
 	for _, n := range g.Nodes {
 		switch {
@@ -110,18 +114,24 @@ type OpCost struct {
 	Compute   float64 // compute component of PerWindow (before max with IO)
 	IO        float64 // IO component of PerWindow
 	Rounds    int     // sequential weight-loading rounds (oversized operators)
-	Reload    float64 // cycles to (re)program one round's weights
+	Reload    float64 // cycles to program rounds 1 … Rounds−1; round 0 is its segment's
 	// FirstFrac is the fraction of this operator's input that must exist
 	// before it can emit its first output — the pipeline-overlap coupling
 	// used by the latency estimator.
 	FirstFrac float64
 }
 
-// Run returns the operator's total busy cycles executed alone.
+// Run returns the operator's total busy cycles executed alone: every round's
+// windows and the reprogramming before each round after the first.
 func (c OpCost) Run() float64 {
 	perRound := float64(c.Windows) * c.PerWindow
-	total := float64(c.Rounds)*perRound + float64(c.Rounds)*c.Reload
-	return total
+	return float64(c.Rounds)*perRound + c.Reload
+}
+
+// Program returns the cycles to program crossbars when the busiest core
+// writes the given wordlines: the one price of a weight write.
+func (m *Model) Program(wordlines int) float64 {
+	return float64(wordlines) * m.write
 }
 
 // CIMOp returns the cost of a CIM-supported node executed with `dup`
@@ -151,15 +161,18 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 // cimFixed returns the terms of CIM node n's cost that copies and remap do
 // not change: IO per window through the local buffer (the input vector in,
 // the output vector out, both ActBits wide), the weight-loading rounds, the
-// reload each round pays (Reprogram, when there is more than one), and the
-// pipeline coupling.
+// reprogramming of the rounds after the first, and the pipeline coupling.
+// Only an oversized operator has later rounds; placement packs it undivided
+// and its segment holds it alone, from core 0, so they are priced from
+// the footprint.
 func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint) OpCost {
 	a := m.Arch
 	inBits := int64(f.Rows) * int64(a.ActBits)
 	outBits := int64(f.Cols) * int64(a.ActBits)
-	reload := m.Reprogram
-	if f.Rounds <= 1 {
-		reload = 0
+	var reload float64
+	if f.Rounds > 1 {
+		_, later := f.Wordlines(a)
+		reload = m.Program(later)
 	}
 	return OpCost{
 		Node:      n.ID,

@@ -164,15 +164,19 @@ func VerifyGraph(g *graph.Graph) []Violation {
 // effective ceiling (the arch's mode capped by MaxLevel); capacity uses the
 // physical mode of s.Arch.
 func VerifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) []Violation {
-	vs, _, _ := verifySchedule(g, a, level, fps, s)
+	vs, _ := verifySchedule(g, a, level, fps, s)
 	return vs
 }
 
+// occupancy is what mapping.Occupancy folds from a schedule, per segment.
+type occupancy struct{ cores, xbs, wordlines []int }
+
 // verifySchedule is VerifySchedule, also returning what each segment
 // occupies by the schedule's fold (nil when it never folds or is refused).
-func verifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) (vs []Violation, cores, xbs []int) {
+func verifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Footprint, s *sched.Schedule) ([]Violation, *occupancy) {
+	var vs []Violation
 	if err := s.Validate(); err != nil {
-		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: err.Error()}}, nil, nil
+		return []Violation{{Rule: RuleSchedStructure, Node: -1, Msg: err.Error()}}, nil
 	}
 	if s.Stagger && !level.AtLeast(arch.XBM) {
 		vs = append(vs, Violation{RuleSchedLevelStag, -1,
@@ -184,27 +188,32 @@ func verifySchedule(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping
 				fmt.Sprintf("remap %d but level %s exposes no wordline control (needs %s)", m, level, arch.WLM)})
 		}
 	}
-	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
+	var occ occupancy
+	var err error
+	occ.cores, occ.xbs, occ.wordlines, err = mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
 	if err != nil {
 		re := &mapping.RuleError{Rule: RuleSchedCapacity, Node: -1, Msg: err.Error()}
 		errors.As(err, &re)
-		vs = append(vs, Violation{re.Rule, re.Node, re.Msg})
+		return append(vs, Violation{re.Rule, re.Node, re.Msg}), nil
 	}
-	return vs, cores, xbs
+	return vs, &occ
 }
 
 // VerifyPlacement checks mapping soundness at the cost of the extents:
 // Placement.Validate, then the schedule-relative rules — each CIM node holds
 // exactly one extent, in its scheduled segment, and each segment's recorded
-// cores and crossbars equal what mapping.Occupancy derives from the schedule.
+// cores, crossbars and busiest-core wordlines equal what mapping.Occupancy
+// derives from the schedule.
 func VerifyPlacement(g *graph.Graph, a *arch.Arch, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []Violation {
-	cores, xbs, err := mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
-	return verifyPlacement(g, s, p, cores, xbs, err)
+	var occ occupancy
+	var err error
+	occ.cores, occ.xbs, occ.wordlines, err = mapping.Occupancy(context.Background(), g, a, fps, s.Dup, s.Remap, s.Segments)
+	return verifyPlacement(g, s, p, &occ, err)
 }
 
-// verifyPlacement is VerifyPlacement against the schedule's fold: cores and
-// xbs per segment, or the fold's refusal foldErr.
-func verifyPlacement(g *graph.Graph, s *sched.Schedule, p *mapping.Placement, cores, xbs []int, foldErr error) []Violation {
+// verifyPlacement is VerifyPlacement against the schedule's fold occ, or the
+// fold's refusal foldErr.
+func verifyPlacement(g *graph.Graph, s *sched.Schedule, p *mapping.Placement, occ *occupancy, foldErr error) []Violation {
 	if err := p.Validate(); err != nil {
 		re := &mapping.RuleError{Rule: RuleMapCoverage, Node: -1, Msg: err.Error()}
 		errors.As(err, &re)
@@ -244,8 +253,9 @@ func verifyPlacement(g *graph.Graph, s *sched.Schedule, p *mapping.Placement, co
 	}
 	if foldErr != nil {
 		report(RuleMapPlanDrift, -1, "schedule was placed but the placement calculus rejects it: %v", foldErr)
-	} else if !slices.Equal(p.SegmentCores, cores) || !slices.Equal(p.SegmentXBs, xbs) {
-		report(RuleMapPlanDrift, -1, "placement records cores %v / crossbars %v per segment, the schedule occupies %v / %v", p.SegmentCores, p.SegmentXBs, cores, xbs)
+	} else if !slices.Equal(p.SegmentCores, occ.cores) || !slices.Equal(p.SegmentXBs, occ.xbs) || !slices.Equal(p.SegmentWordlines, occ.wordlines) {
+		report(RuleMapPlanDrift, -1, "placement records cores %v / crossbars %v / busiest-core wordlines %v per segment, the schedule occupies %v / %v / %v",
+			p.SegmentCores, p.SegmentXBs, p.SegmentWordlines, occ.cores, occ.xbs, occ.wordlines)
 	}
 	return vs
 }
@@ -258,9 +268,9 @@ func CheckState(g *graph.Graph, a *arch.Arch, level arch.Mode, fps []mapping.Foo
 	if vs := VerifyGraph(g); len(vs) > 0 {
 		return vs
 	}
-	vs, cores, xbs := verifySchedule(g, a, level, fps, s)
-	if p != nil && cores != nil {
-		vs = append(vs, verifyPlacement(g, s, p, cores, xbs, nil)...)
+	vs, occ := verifySchedule(g, a, level, fps, s)
+	if p != nil && occ != nil {
+		vs = append(vs, verifyPlacement(g, s, p, occ, nil)...)
 	}
 	return vs
 }

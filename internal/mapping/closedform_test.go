@@ -107,8 +107,10 @@ func TestClosedFormsMatchStripeWalks(t *testing.T) {
 // TestClosedFormsOnHugeFootprint places a Dense operator of 2⁴⁰ rows on a
 // one-row crossbar: 2⁴⁰ row stripes, one tile each, which a stripe-by-stripe
 // walk would take hours over. CopyTiles, validate, packNode and with them
-// Place, Placement.Validate and XBSpan must answer at once; CI runs this test
-// under a one-minute timeout.
+// Place, Placement.Validate and XBSpan must answer at once, and so must the
+// wordlines its 2³⁸ rounds write (its segment's first round and the sum of
+// the later ones) and those of two copies of it at remap 3 on a chip of
+// 2²⁰ × 2²⁰ cores; CI runs this test under a one-minute timeout.
 func TestClosedFormsOnHugeFootprint(t *testing.T) {
 	const stripes = 1 << 40
 	a, err := arch.Preset("toy-table2")
@@ -155,6 +157,31 @@ func TestClosedFormsOnHugeFootprint(t *testing.T) {
 	}
 	if got := p.XBSpan(); got != a.TotalCrossbars() {
 		t.Fatalf("XBSpan = %d, want the chip's %d crossbars", got, a.TotalCrossbars())
+	}
+	// Every round fills the chip with one-row tiles: each core writes one
+	// wordline per crossbar, in every one of the stripes / chip rounds.
+	x, rounds := a.Core.XBCount(), stripes/a.TotalCrossbars()
+	if first, later := f.Wordlines(a); first != x || later != (rounds-1)*x || p.SegmentWordlines[0] != x {
+		t.Fatalf("%d rounds: Wordlines = %d, %d; the segment records %d; want %d, %d", rounds, first, later, p.SegmentWordlines[0], x, (rounds-1)*x)
+	}
+	// Two copies of it at remap 3 on three-row crossbars fill a chip of 2⁴⁰
+	// cores without wrapping; every sub-tile is one row.
+	big := a.Clone()
+	big.Chip.CoreRows, big.Chip.CoreCols = 1<<20, 1<<20
+	big.XB.Rows = 3
+	if err := big.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bf, err := ComputeFootprint(g.Nodes[fc], big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := packNode(big, &bf, 0, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := be.wordlines(big, &bf); got != x {
+		t.Fatalf("two copies at remap 3 of %d stripes: %d wordlines on the busiest core, want %d", bf.TilesR, got, x)
 	}
 	// One stripe too many: the check finds the empty last stripe as fast.
 	bad := *f

@@ -21,8 +21,9 @@ import (
 // checks it against the per-tile rules Placement.Validate proves from the
 // extents alone — inside the core/crossbar grid, inside its crossbar and its
 // node's cell matrix, no crossbar claimed twice in one (segment, round) — and
-// that per segment the tiles reach the cores (highest one + 1) and the
-// crossbars (those of round 0) the placement records. Given a schedule it
+// that per segment the tiles reach the cores (highest one + 1), the crossbars
+// (those of round 0) and the busiest core's wordlines (the most Tile.Rows one
+// core sums in round 0) the placement records. Given a schedule it
 // also checks what only the schedule decides, as irverify.VerifyPlacement
 // does from the extents: every CIM node tiled, in its scheduled segment.
 func tileFaults(g *graph.Graph, fps []mapping.Footprint, s *sched.Schedule, p *mapping.Placement) []string {
@@ -44,7 +45,8 @@ func tileFaults(g *graph.Graph, fps []mapping.Footprint, s *sched.Schedule, p *m
 	nSegs, xbPerCore := len(p.SegmentCores), a.Core.XBCount()
 	type slot struct{ seg, round, xb int }
 	seen := map[slot]bool{}
-	tileCores, tileXBs := make([]int, nSegs), make([]int, nSegs)
+	tileCores, tileXBs, tileWordlines := make([]int, nSegs), make([]int, nSegs), make([]int, nSegs)
+	coreRows := map[[2]int]int{} // (segment, core) → wordlines in round 0
 	tiled := map[int]bool{}
 	for t := range p.Tiles() {
 		if n, err := g.Node(t.Node); err != nil || !n.Op.CIMSupported() || t.Node >= len(fps) {
@@ -78,10 +80,16 @@ func tileFaults(g *graph.Graph, fps []mapping.Footprint, s *sched.Schedule, p *m
 		tileCores[t.Segment] = max(tileCores[t.Segment], t.Core+1)
 		if t.Round == 0 {
 			tileXBs[t.Segment]++
+			k := [2]int{t.Segment, t.Core}
+			coreRows[k] += t.Rows
+			tileWordlines[t.Segment] = max(tileWordlines[t.Segment], coreRows[k])
 		}
 	}
 	if !slices.Equal(tileCores, p.SegmentCores) || !slices.Equal(tileXBs, p.SegmentXBs) {
 		fault("tiles reach cores %v / crossbars %v per segment, the placement records %v / %v", tileCores, tileXBs, p.SegmentCores, p.SegmentXBs)
+	}
+	if !slices.Equal(tileWordlines, p.SegmentWordlines) {
+		fault("tiles write %v wordlines on the busiest core of each segment, the placement records %v", tileWordlines, p.SegmentWordlines)
 	}
 	if s != nil {
 		for _, id := range g.CIMNodeIDs() {
@@ -323,7 +331,7 @@ func FuzzExtentCheck(f *testing.F) {
 			*fields[int(field)%len(fields)] += int(delta)
 			fps[node] = fp
 		case corruptTotal:
-			totals := [][]int{p.SegmentCores, p.SegmentXBs}[field%2]
+			totals := [][]int{p.SegmentCores, p.SegmentXBs, p.SegmentWordlines}[field%3]
 			totals[int(which)%len(totals)] += int(delta)
 		}
 		vs := irverify.VerifyPlacement(g, p.Arch, fps, res.Schedule, p)

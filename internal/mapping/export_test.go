@@ -24,12 +24,13 @@ func (p *Placement) Tiles() iter.Seq[Tile] {
 func (p *Placement) Corruptible() (*Placement, []Footprint) {
 	fps := slices.Clone(p.fps)
 	return &Placement{
-		Arch:         p.Arch,
-		Extents:      slices.Clone(p.Extents),
-		SegmentCores: slices.Clone(p.SegmentCores),
-		SegmentXBs:   slices.Clone(p.SegmentXBs),
-		fps:          fps,
-		extent:       slices.Clone(p.extent),
+		Arch:             p.Arch,
+		Extents:          slices.Clone(p.Extents),
+		SegmentCores:     slices.Clone(p.SegmentCores),
+		SegmentXBs:       slices.Clone(p.SegmentXBs),
+		SegmentWordlines: slices.Clone(p.SegmentWordlines),
+		fps:              fps,
+		extent:           slices.Clone(p.extent),
 	}, fps
 }
 

@@ -20,8 +20,11 @@
 // Work grows with operators, not with the tiles a small crossbar cuts them
 // into: every row stripe of a footprint but the last is a full crossbar high
 // and every column tile but the last a full UsableCols wide, so CopyTiles,
-// the footprint's tiling check and with them packNode, Placement.Validate and
-// XBSpan are closed-form, O(1) per extent. Only TilesOf walks tiles.
+// the footprint's tiling check and with them packNode and XBSpan are
+// closed-form, O(1) per extent, and the wordlines an extent's busiest core
+// writes (wordlines.go, which the fold and Placement.Validate count) take
+// work bounded by the crossbars of a core and the sub-tiles of a stripe.
+// Only TilesOf walks tiles.
 //
 // Footprints reads the shapes of a graph its caller has inferred; nothing in
 // this package infers or validates a graph. A Footprint is a dozen words read

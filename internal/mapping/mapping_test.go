@@ -331,7 +331,7 @@ func refusal(t *testing.T, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, r
 	if err == nil {
 		t.Fatalf("Place accepted dup %v remap %v", dup, remap)
 	}
-	if _, _, oerr := Occupancy(context.Background(), g, a, fps, dup, remap, oneSegment(g)); oerr == nil || oerr.Error() != err.Error() {
+	if _, _, _, oerr := Occupancy(context.Background(), g, a, fps, dup, remap, oneSegment(g)); oerr == nil || oerr.Error() != err.Error() {
 		t.Fatalf("Occupancy: %v, Place: %v", oerr, err)
 	}
 	if _, serr := SegmentCores(g, a, fps, dup, remap, oneSegment(g)[0]); serr == nil || serr.Error() != err.Error() {

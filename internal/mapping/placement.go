@@ -45,9 +45,12 @@ type Placement struct {
 	// segment by segment, nodes in segment order.
 	Extents []Extent
 	// SegmentCores and SegmentXBs count the cores and the distinct crossbars
-	// each segment occupies, as the calculus of plan.go derives them.
-	SegmentCores []int
-	SegmentXBs   []int
+	// each segment occupies, as the calculus of plan.go derives them, and
+	// SegmentWordlines the wordlines the busiest core writes to program the
+	// segment's first round (wordlines.go).
+	SegmentCores     []int
+	SegmentXBs       []int
+	SegmentWordlines []int
 
 	fps    []Footprint // the footprints the extents were packed from, by node ID
 	extent []int32     // by node ID: the index of its extent in Extents, -1 for none
@@ -74,7 +77,7 @@ func Place(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, d
 		p.Extents = make([]Extent, 0, cim) // one per CIM node, or the fold fails
 	}
 	var err error
-	p.SegmentCores, p.SegmentXBs, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(e Extent) {
+	p.SegmentCores, p.SegmentXBs, p.SegmentWordlines, err = foldSchedule(ctx, g, a, fps, dup, remap, segments, func(e Extent) {
 		p.extent[e.Node] = int32(len(p.Extents))
 		p.Extents = append(p.Extents, e)
 	})
@@ -97,10 +100,11 @@ func (p *Placement) ExtentOf(node int) (Extent, bool) {
 // Holds reports whether p is the placement of a schedule's decisions: one
 // extent per CIM node of segments, in segment order, each in its segment with
 // the node's copies, its remap factor and the footprint fps gives it — every
-// input of the fold that made the extents. Then p's SegmentCores and
-// SegmentXBs are what Occupancy would return for them, without folding
-// again. A placement made before a later pass changed a decision does not
-// hold the changed schedule. g must be the graph the segments index.
+// input of the fold that made the extents. Then p's SegmentCores,
+// SegmentXBs and SegmentWordlines are what Occupancy would return for them,
+// without folding again. A placement made before a later pass changed a
+// decision does not hold the changed schedule. g must be the graph the
+// segments index.
 func (p *Placement) Holds(g *graph.Graph, fps []Footprint, dup, remap []int, segments [][]int) bool {
 	if len(p.SegmentCores) != len(segments) {
 		return false
@@ -226,12 +230,13 @@ func ruleErr(rule string, node int, format string, args ...any) *RuleError {
 	return &RuleError{Rule: rule, Node: node, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Validate is the placement check, O(1) per extent: each extent
-// inside the chip and where packNode starts it, the extents of a segment on
-// consecutive disjoint core ranges, copies on disjoint slots that wrap into
-// rounds only undivided and fill exactly the extent's own cores, every row
-// stripe and column tile of each footprint inside a crossbar and the node's
-// cell matrix, and the recorded per-segment totals the extents' sums. Every
+// Validate is the placement check, per extent in work that does not grow
+// with its tiles: each extent inside the chip and where packNode starts it,
+// the extents of a segment on consecutive disjoint core ranges, copies on
+// disjoint slots that wrap into rounds only undivided and fill exactly the
+// extent's own cores, every row stripe and column tile of each footprint
+// inside a crossbar and the node's cell matrix, and the recorded per-segment
+// totals the extents' sums and busiest-core wordlines. Every
 // per-tile property — grid and crossbar bounds, cell region inside the
 // matrix, no crossbar claimed twice in a (segment, round) — is an arithmetic
 // consequence (see DESIGN §2), so no tile is derived, and CopyTiles and the
@@ -240,7 +245,7 @@ func ruleErr(rule string, node int, format string, args ...any) *RuleError {
 func (p *Placement) Validate() error {
 	a := p.Arch
 	xbPerCore := a.Core.XBCount()
-	cores, xbs := make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores))
+	cores, xbs, wordlines := make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores)), make([]int, len(p.SegmentCores))
 	for i := range p.Extents {
 		e := &p.Extents[i]
 		if e.Segment < 0 || e.Segment >= len(cores) {
@@ -297,9 +302,13 @@ func (p *Placement) Validate() error {
 		}
 		cores[e.Segment] += e.Cores
 		xbs[e.Segment] += e.XBs
+		wordlines[e.Segment] = max(wordlines[e.Segment], e.wordlines(a, f))
 	}
 	if !slices.Equal(cores, p.SegmentCores) || !slices.Equal(xbs, p.SegmentXBs) {
 		return ruleErr(RulePlanDrift, -1, "extents span cores %v / crossbars %v per segment, placement records %v / %v", cores, xbs, p.SegmentCores, p.SegmentXBs)
+	}
+	if !slices.Equal(wordlines, p.SegmentWordlines) {
+		return ruleErr(RulePlanDrift, -1, "extents write %v wordlines on their busiest core per segment, placement records %v", wordlines, p.SegmentWordlines)
 	}
 	return nil
 }

@@ -142,19 +142,25 @@ func foldSegment(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footpr
 
 // foldSchedule folds every segment (segments execute sequentially and reuse
 // the chip, so each packs from core 0) and adds the whole-schedule rules: at
-// least one segment, and every CIM node in exactly one.
-func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int, visit func(Extent)) (cores, xbs []int, err error) {
+// least one segment, and every CIM node in exactly one. Per segment it
+// returns the cores, the distinct crossbars and the wordlines the busiest
+// core writes to program the segment (wordlines.go): extents of a segment
+// take disjoint cores, so that is the most any one extent writes on a core.
+func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int, visit func(Extent)) (cores, xbs, wordlines []int, err error) {
 	if len(segments) == 0 {
-		return nil, nil, fmt.Errorf("mapping: no segments to place")
+		return nil, nil, nil, fmt.Errorf("mapping: no segments to place")
 	}
 	placed := make([]bool, len(g.Nodes))
-	cores, xbs = make([]int, len(segments)), make([]int, len(segments))
+	n := len(segments)
+	totals := make([]int, 3*n)
+	cores, xbs, wordlines = totals[:n:n], totals[n:2*n:2*n], totals[2*n:]
 	for segIdx, seg := range segments {
 		c, x, err := foldSegment(ctx, g, a, fps, dup, remap, seg, func(e Extent) error {
 			if placed[e.Node] {
 				return fmt.Errorf("mapping: node %d appears in multiple segments", e.Node)
 			}
 			placed[e.Node] = true
+			wordlines[segIdx] = max(wordlines[segIdx], e.wordlines(a, &fps[e.Node]))
 			if visit != nil {
 				e.Segment = segIdx
 				visit(e)
@@ -162,17 +168,17 @@ func foldSchedule(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footp
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		cores[segIdx], xbs[segIdx] = c, x
 	}
 	//cimlint:ignore ctxcancel -- coverage check over node IDs; the fold above polls per node
 	for _, n := range g.Nodes {
 		if n.Op.CIMSupported() && !placed[n.ID] {
-			return nil, nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", n.ID)
+			return nil, nil, nil, fmt.Errorf("mapping: CIM node %d not covered by any segment", n.ID)
 		}
 	}
-	return cores, xbs, nil
+	return cores, xbs, wordlines, nil
 }
 
 // SegmentCores returns the cores one segment's placement consumes, or the
@@ -184,8 +190,9 @@ func SegmentCores(g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []in
 }
 
 // Occupancy returns the cores and distinct crossbars each segment of a
-// schedule occupies — what Place records as SegmentCores and SegmentXBs —
-// and rejects exactly what Place rejects.
-func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (cores, xbs []int, err error) {
+// schedule occupies and the wordlines its busiest core writes — what Place
+// records as SegmentCores, SegmentXBs and SegmentWordlines — and rejects
+// exactly what Place rejects.
+func Occupancy(ctx context.Context, g *graph.Graph, a *arch.Arch, fps []Footprint, dup, remap []int, segments [][]int) (cores, xbs, wordlines []int, err error) {
 	return foldSchedule(ctx, g, a, fps, dup, remap, segments, nil)
 }

@@ -40,11 +40,12 @@ type OpTiming struct {
 type Report struct {
 	// Cycles is the end-to-end latency of one inference.
 	Cycles float64
-	// SegmentCycles is the latency per graph segment (including the weight
-	// reload that precedes segments after the first).
+	// SegmentCycles is the latency per graph segment, from the end of the
+	// weight reload that precedes segments after the first.
 	SegmentCycles []float64
 	// ReloadCycles is the total inter-segment weight-programming time
-	// included in Cycles.
+	// included in Cycles: for each segment after the first, the cost model's
+	// Program of the wordlines its busiest core writes.
 	ReloadCycles float64
 	// PerOp is indexed by node ID: each simulated operator's timing, the
 	// zero OpTiming for every other node.
@@ -89,7 +90,8 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	// Occupancy first: the placement calculus refuses an illegal setting
 	// before the cost model is asked to price it.
 	rep := &Report{PerOp: make([]OpTiming, len(s.Graph.Nodes))}
-	if err := fillOccupancy(ctx, s, m, p, rep); err != nil {
+	wordlines, err := fillOccupancy(ctx, s, m, p, rep)
+	if err != nil {
 		return nil, err
 	}
 	// segOf[id] is 1 + the segment that simulated node id, 0 until it has.
@@ -97,8 +99,11 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	segStart := 0.0
 	for segIdx, seg := range s.Segments {
 		if segIdx > 0 {
-			rep.ReloadCycles += m.Reprogram
-			segStart += m.Reprogram
+			// The first segment's weights are the flow's init section; every
+			// later one is programmed before it runs.
+			reload := m.Program(wordlines[segIdx])
+			rep.ReloadCycles += reload
+			segStart += reload
 		}
 		segEnd, err := simulateSegment(ctx, s, m, segIdx, seg, segStart, rep, segOf)
 		if err != nil {
@@ -331,18 +336,19 @@ func totalEnergy(s *sched.Schedule, m *cost.Model, segOf []int) float64 {
 	return total
 }
 
-// fillOccupancy counts the cores and crossbars the schedule occupies: the
+// fillOccupancy counts the cores and crossbars the schedule occupies and
+// returns the wordlines the busiest core writes to program each segment: the
 // ones p recorded when p is the schedule's placement, else those the placement
 // calculus folds from the schedule, which rejects a schedule the placer would
 // reject with the same error.
-func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement, rep *Report) error {
-	var cores, xbs []int
+func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, p *mapping.Placement, rep *Report) ([]int, error) {
+	var cores, xbs, wordlines []int
 	if p != nil && p.Holds(s.Graph, m.FPs, s.Dup, s.Remap, s.Segments) {
-		cores, xbs = p.SegmentCores, p.SegmentXBs
+		cores, xbs, wordlines = p.SegmentCores, p.SegmentXBs, p.SegmentWordlines
 	} else {
 		var err error
-		if cores, xbs, err = mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments); err != nil {
-			return fmt.Errorf("perfsim: placement: %w", err)
+		if cores, xbs, wordlines, err = mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments); err != nil {
+			return nil, fmt.Errorf("perfsim: placement: %w", err)
 		}
 	}
 	//cimlint:ignore ctxcancel -- max and sum over segment count; Holds and Occupancy above are per node
@@ -350,5 +356,5 @@ func fillOccupancy(ctx context.Context, s *sched.Schedule, m *cost.Model, p *map
 		rep.CoresUsed = max(rep.CoresUsed, cores[seg])
 		rep.XBsUsed += xbs[seg]
 	}
-	return nil
+	return wordlines, nil
 }

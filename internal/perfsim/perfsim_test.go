@@ -161,10 +161,24 @@ func TestStaggerCutsPeakPowerNotLatency(t *testing.T) {
 	}
 }
 
+// twoConvs is two 3×3 convolutions with a ReLU between them: on the Table-2
+// machine the second takes 72 wordlines in three stripes of one tile, 64 of
+// them on the two crossbars of core 0.
+func twoConvs() *graph.Graph {
+	return graph.NewBuilder("conv-relu-conv", 3, 8, 8).
+		Conv(8, 3, 1, 1).ReLU().
+		Conv(8, 3, 1, 1).
+		MustFinish()
+}
+
+// TestSegmentsAddReload: a segment after the first pays to program what its
+// busiest core writes, and a segment of digital nodes alone programs nothing
+// and pays nothing.
 func TestSegmentsAddReload(t *testing.T) {
-	one := toySchedule(t)
-	two := toySchedule(t)
-	two.Segments = [][]int{{1}, {2}}
+	g := twoConvs()
+	one := sequential(g, arch.ToyExample())
+	two := sequential(g, arch.ToyExample())
+	two.Segments = [][]int{{1, 2}, {3}}
 	r1, err := Simulate(one)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +187,12 @@ func TestSegmentsAddReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.ReloadCycles <= 0 {
-		t.Fatal("two segments must pay reload")
+	m, err := cost.New(g, two.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Program(64); r2.ReloadCycles != want {
+		t.Fatalf("two segments reload %v cycles, want core 0's 64 wordlines: %v", r2.ReloadCycles, want)
 	}
 	if len(r2.SegmentCycles) != 2 {
 		t.Fatalf("segment cycles = %v", r2.SegmentCycles)
@@ -182,15 +200,28 @@ func TestSegmentsAddReload(t *testing.T) {
 	if r2.Cycles <= r1.Cycles {
 		t.Fatal("segmentation cannot be free")
 	}
+	digital := toySchedule(t)
+	digital.Segments = [][]int{{1}, {2}}
+	rd, err := Simulate(digital)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := Simulate(toySchedule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.ReloadCycles != 0 || rd.Cycles != rs.Cycles {
+		t.Fatalf("a ReLU alone in a segment reloads %v cycles and takes %v, want 0 and the serial %v", rd.ReloadCycles, rd.Cycles, rs.Cycles)
+	}
 }
 
 func TestReloadCostlierOnReRAM(t *testing.T) {
-	g := models.ConvReLU()
+	g := twoConvs()
 	mkSched := func(dev arch.Device) *sched.Schedule {
 		a := arch.ToyExample()
 		a.XB.Device = dev
 		s := sequential(g, a)
-		s.Segments = [][]int{{1}, {2}}
+		s.Segments = [][]int{{1, 2}, {3}}
 		return s
 	}
 	rs, err := Simulate(mkSched(arch.SRAM))
@@ -201,7 +232,7 @@ func TestReloadCostlierOnReRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.ReloadCycles <= rs.ReloadCycles {
+	if rr.ReloadCycles <= rs.ReloadCycles || rs.ReloadCycles <= 0 {
 		t.Fatalf("ReRAM reload %v must exceed SRAM %v", rr.ReloadCycles, rs.ReloadCycles)
 	}
 }
@@ -344,7 +375,7 @@ func TestSimulateRejectsWhatPlacementRejects(t *testing.T) {
 				t.Fatalf("err = %v, want one containing %q", err, c.want)
 			}
 			// The refusal is the placement calculus's own, word for word.
-			_, _, perr := mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
+			_, _, _, perr := mapping.Occupancy(ctx, s.Graph, s.Arch, m.FPs, s.Dup, s.Remap, s.Segments)
 			if perr == nil || !strings.HasSuffix(err.Error(), ": "+perr.Error()) {
 				t.Fatalf("err = %v, the placement calculus refuses with %v", err, perr)
 			}
