@@ -146,14 +146,14 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 	}
 	b.Run("greedy-prefix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true}); err != nil {
+			if _, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pop-refined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true}); err != nil {
+			if _, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -27,7 +27,7 @@ func NoOpt(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func PolySchedule(g *graph.Graph, a *arch.Arch) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Allocator: cg.AllocWaterfill})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Duplicate: true, Allocator: cg.AllocWaterfill})
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func PUMANative(g *graph.Graph) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"cimmlc/internal/arch"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/sched"
@@ -59,124 +58,75 @@ type Options struct {
 	Stationary bool
 }
 
-// opInfo caches the per-operator quantities the optimizer needs.
-type opInfo struct {
-	id        int
-	cim       bool
-	coresCopy int     // cores per additional copy
-	maxDup    int     // duplication ceiling (capacity, window count, rounds)
-	windows   int64   // work units at dup 1
-	perWindow float64 // stage cycles per unit
-	rounds    int
-	reload    float64 // cycles to program rounds 1 … rounds−1
-}
-
-// run is cost.OpCost.Run at d copies, remap 1.
-func (oi opInfo) run(d int) float64 {
-	w := ceilDiv64(oi.windows, int64(d))
-	return float64(oi.rounds)*float64(w)*oi.perWindow + oi.reload
-}
-
-// Optimize performs CG-grained optimization and returns the schedule
-// (Levels = ["CG"]). The cost model m must be built over (g, a). ctx is
-// polled once per operator of every duplication search, so a cancelled
-// compilation stops mid-search.
-func Optimize(ctx context.Context, g *graph.Graph, a *arch.Arch, m *cost.Model, opt Options) (*sched.Schedule, error) {
+// Optimize performs CG-grained optimization over m's graph and architecture
+// and returns the schedule (Levels = ["CG"]). ctx is polled once per
+// operator of every duplication search, so a cancelled compilation stops
+// mid-search.
+func Optimize(ctx context.Context, m *cost.Model, opt Options) (*sched.Schedule, error) {
 	if opt.Allocator == "" {
 		opt.Allocator = AllocDP
 	}
-	infos, order, err := collectInfos(g, a, m)
-	if err != nil {
-		return nil, err
-	}
+	g := m.Graph
 	s := &sched.Schedule{
 		Graph:    g,
-		Arch:     a,
+		Arch:     m.Arch,
 		Dup:      make([]int, len(g.Nodes)),
 		Remap:    make([]int, len(g.Nodes)),
 		Pipeline: opt.Pipeline,
 		Levels:   []string{"CG"},
 	}
-	w := workspace{m: m, infos: infos, budget: a.Chip.CoreCount(), opt: opt, dup: s.Dup}
-	if s.Segments, err = w.segment(ctx, order); err != nil {
+	w := workspace{m: m, budget: m.Arch.Chip.CoreCount(), opt: opt, dup: s.Dup}
+	var err error
+	if s.Segments, err = w.segment(ctx, nonInputs(g)); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// nonInputs returns the IDs of g's non-input nodes in topological order.
+func nonInputs(g *graph.Graph) []int {
+	order := make([]int, 0, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpInput {
+			order = append(order, n.ID)
+		}
+	}
+	return order
+}
+
 // workspace is one Optimize call's search state: its inputs, the schedule's
 // copies it writes, and the tables its searches reuse, so that a model cut
 // into a hundred segments allocates tables once, not once per segment. It
-// lives and dies inside that call.
+// lives and dies inside that call. Every operator is read off the model's
+// rows by node ID.
 type workspace struct {
 	m      *cost.Model
-	infos  []opInfo // by node ID
-	budget int      // the chip's cores
+	budget int // the chip's cores
 	opt    Options
 	dup    []int // the schedule's copies by node ID: a kept segment's are final
 	// shared is the table refinePrefix walks back across its pops, scratch
 	// the one every other search builds meanwhile; sharedOps and ops are the
-	// operator lists they are built over.
+	// node IDs of the operators they are built over.
 	shared, scratch dupTable
-	sharedOps, ops  []opInfo
+	sharedOps, ops  []int
 }
 
-// collectInfos builds opInfo for every non-input node, in a table indexed by
-// node ID (an input's entry is the zero opInfo), and returns the non-input
-// nodes in topological order.
-func collectInfos(g *graph.Graph, a *arch.Arch, m *cost.Model) ([]opInfo, []int, error) {
-	infos := make([]opInfo, len(g.Nodes))
-	order := make([]int, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if n.Op == graph.OpInput {
-			continue
-		}
-		oc, err := m.Op(n.ID, 1, 1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cg: node %d: %w", n.ID, err)
-		}
-		oi := opInfo{
-			id:        n.ID,
-			cim:       n.Op.CIMSupported(),
-			windows:   oc.Windows,
-			perWindow: oc.PerWindow,
-			rounds:    oc.Rounds,
-			reload:    oc.Reload,
-		}
-		if oi.cim {
-			f := &m.FPs[n.ID]
-			oi.coresCopy = f.CoresPerCopy
-			oi.maxDup = int(minI64(int64(a.Chip.CoreCount()*a.Core.XBCount()/maxInt(f.XBsPerCopy, 1)), f.MVMs))
-			if oi.maxDup < 1 {
-				oi.maxDup = 1
-			}
-			if oi.rounds > 1 {
-				oi.maxDup = 1
-				oi.coresCopy = a.Chip.CoreCount()
-			}
-		}
-		infos[n.ID] = oi
-		order = append(order, n.ID)
-	}
-	return infos, order, nil
-}
-
-// segCIMInfos returns the CIM operators of seg, in order, in buf's storage.
-func segCIMInfos(buf, infos []opInfo, seg []int) []opInfo {
+// segCIMOps returns the CIM operators of seg, in order, in buf's storage.
+func segCIMOps(buf []int, rows []cost.Row, seg []int) []int {
 	buf = buf[:0]
 	for _, id := range seg {
-		if oi := infos[id]; oi.cim {
-			buf = append(buf, oi)
+		if rows[id].Cores > 0 {
+			buf = append(buf, id)
 		}
 	}
 	return buf
 }
 
 // coresAtDupOne returns the cores ops occupy with one copy each.
-func coresAtDupOne(ops []opInfo) int {
+func coresAtDupOne(rows []cost.Row, ops []int) int {
 	cores := 0
-	for _, oi := range ops {
-		cores += oi.coresCopy
+	for _, id := range ops {
+		cores += rows[id].Cores
 	}
 	return cores
 }
@@ -184,42 +134,44 @@ func coresAtDupOne(ops []opInfo) int {
 // allocate distributes the core budget over the CIM operators of nodes and
 // writes each one's copies into w.dup.
 func (w *workspace) allocate(ctx context.Context, nodes []int) error {
-	w.ops = segCIMInfos(w.ops, w.infos, nodes)
+	rows := w.m.Rows
+	w.ops = segCIMOps(w.ops, rows, nodes)
 	if len(w.ops) == 0 {
 		return nil
 	}
-	if baseline := coresAtDupOne(w.ops); baseline > w.budget {
+	if baseline := coresAtDupOne(rows, w.ops); baseline > w.budget {
 		return fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, w.budget)
 	}
 	if w.opt.Allocator == AllocWaterfill {
 		//cimlint:ignore ctxcancel -- one store per operator, after the search
-		for i, d := range waterfill(w.ops, w.budget) {
-			w.dup[w.ops[i].id] = d
+		for i, d := range waterfill(rows, w.ops, w.budget) {
+			w.dup[w.ops[i]] = d
 		}
 		return nil
 	}
-	return w.scratch.allocateDP(ctx, w.ops, w.budget, w.dup)
+	return w.scratch.allocateDP(ctx, rows, w.ops, w.budget, w.dup)
 }
 
 // allocateDP is the paper's dynamic-programming search: the copies per
-// operator that minimize the summed runtime within the core budget, written
-// into dup by node ID. Only the last operator's cell at the full budget is
-// ever read, so t is built over the rows before it and that one cell is
-// priced off its last row (a one-operator search builds no row); the rows
-// are walked back from the cores the cell leaves, at most budget − the last
-// operator's cores, which the table takes as its reserve.
-func (t *dupTable) allocateDP(ctx context.Context, ops []opInfo, budget int, dup []int) error {
+// operator of ops, node IDs into rows, that minimize the summed runtime
+// within the core budget, written into dup by node ID. Only the last
+// operator's cell at the full budget is ever read, so t is built over the
+// rows before it and that one cell is priced off its last row (a
+// one-operator search builds no row); the rows are walked back from the
+// cores the cell leaves, at most budget − the last operator's cores, which
+// the table takes as its reserve.
+func (t *dupTable) allocateDP(ctx context.Context, rows []cost.Row, ops []int, budget int, dup []int) error {
 	n := len(ops) - 1
-	if err := t.build(ctx, ops[:n], budget, ops[n].coresCopy); err != nil {
+	last := &rows[ops[n]]
+	if err := t.build(ctx, rows, ops[:n], budget, last.Cores); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return cancelled(err)
 	}
-	last := ops[n]
 	d := max(1, t.next(last))
-	t.walk(dup, n, max(0, budget-d*last.coresCopy))
-	dup[last.id] = d
+	t.walk(dup, n, max(0, budget-d*last.Cores))
+	dup[ops[n]] = d
 	if searchDone != nil {
 		searchDone(t)
 	}
@@ -234,20 +186,20 @@ type candidate struct {
 	run      float64
 }
 
-// candidates appends to buf the copy counts of oi that can win a table cell,
-// in ascending order: run(d) depends on d only through ceil(windows/d), the
+// candidates appends to buf the copy counts of r that can win a table cell,
+// in ascending order: RunAt(d) depends on d only through ceil(Windows/d), the
 // table's rows are non-increasing in the cores left and a tie keeps the
 // candidate tried first, so of the copy counts sharing a ceiling only the
-// smallest is ever chosen. The list stops at maxDup, at the budget, and at
-// the first d ≥ windows (one window per copy: more copies cannot help).
-func (oi opInfo) candidates(budget int, buf []candidate) []candidate {
-	for d := 1; d <= oi.maxDup && d*oi.coresCopy <= budget; {
-		buf = append(buf, candidate{d, d * oi.coresCopy, oi.run(d)})
-		q := ceilDiv64(oi.windows, int64(d))
+// smallest is ever chosen. The list stops at MaxDup, at the budget, and at
+// the first d ≥ Windows (one window per copy: more copies cannot help).
+func candidates(r *cost.Row, budget int, buf []candidate) []candidate {
+	for d := 1; d <= r.MaxDup && d*r.Cores <= budget; {
+		buf = append(buf, candidate{d, d * r.Cores, r.RunAt(d)})
+		q := ceilDiv64(r.Windows, int64(d))
 		if q <= 1 {
 			break
 		}
-		d = int(ceilDiv64(oi.windows, q-1)) // the smallest d with a lower ceiling
+		d = int(ceilDiv64(r.Windows, q-1)) // the smallest d with a lower ceiling
 	}
 	return buf
 }
@@ -255,15 +207,16 @@ func (oi opInfo) candidates(budget int, buf []candidate) []candidate {
 // inf is the summed runtime of a cell no allocation fits.
 const inf = math.MaxFloat64 / 4
 
-// dupTable is the forward half of the dynamic program over ops and a core
-// budget: row i holds, for every r ≤ budget, how many copies operator i gets
-// in the allocation of ops[:i+1] to at most r cores that minimizes their
-// summed runtime (0: no copy fits). Row i depends on operators 0..i only, so
-// one table answers every leading sub-list of ops (dup).
+// dupTable is the forward half of the dynamic program over ops, node IDs into
+// rows, and a core budget: row i holds, for every r ≤ budget, how many
+// copies operator i gets in the allocation of ops[:i+1] to at most r cores
+// that minimizes their summed runtime (0: no copy fits). Row i depends on
+// operators 0..i only, so one table answers every leading sub-list of ops
+// (dup).
 //
 // A row stores only its live window, the columns a walk-back can read that
 // its candidates decide (span, at):
-//   - Dead prefix. Below L_i + coresCopy_i, L_i the cores of one copy of each
+//   - Dead prefix. Below L_i + Cores_i, L_i the cores of one copy of each
 //     operator before row i, no allocation fits: the row before is inf there
 //     and the choice is 0.
 //   - Constant tail. Row i is constant from S_i, the summed cores of the
@@ -275,11 +228,12 @@ const inf = math.MaxFloat64 / 4
 //     all its rows, from at most budget − reserve cores (allocateDP: the last
 //     operator takes at least one copy after them). Each operator after row
 //     i takes at least one copy too, so row i is read only up to its cap,
-//     budget − reserve − Σ_(j>i) coresCopy_j, and holds no column past it:
+//     budget − reserve − Σ_(j>i) Cores_j, and holds no column past it:
 //     with the dead prefix, no row is wider than the cores the walk can
-//     spare, budget − reserve − Σ_j coresCopy_j, plus one.
+//     spare, budget − reserve − Σ_j Cores_j, plus one.
 type dupTable struct {
-	ops    []opInfo
+	rows   []cost.Row
+	ops    []int
 	budget int
 	spans  []span    // row i's live window
 	choice []int     // row i at column r in its window is choice[spans[i].off+r]
@@ -288,7 +242,7 @@ type dupTable struct {
 	// cands[starts[i]:starts[i+1]], then those of the cell next priced.
 	cands  []candidate
 	starts []int
-	rows   []float64 // the two float rows build streams; last is one of them
+	sums   []float64 // the two float rows build streams; last is one of them
 }
 
 // span is one row's live window: its candidates stream over the columns
@@ -319,16 +273,16 @@ func resize[T any](s []T, n int) []T {
 // candidate on an inf cell of the row before cannot win it). reserve > 0 caps
 // the rows for the one walk allocateDP makes; reserve 0 keeps every column,
 // for walk-backs of any head from the full budget. ctx is polled once per row.
-func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int) error {
-	t.ops, t.budget, t.cands = ops, budget, t.cands[:0]
+func (t *dupTable) build(ctx context.Context, rows []cost.Row, ops []int, budget, reserve int) error {
+	t.rows, t.ops, t.budget, t.cands = rows, ops, budget, t.cands[:0]
 	t.spans, t.starts = resize(t.spans, len(ops)), resize(t.starts, len(ops)+1)
 	t.starts[0] = 0
 	total := 0 // L_n, the cores of one copy of every operator
 	//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
-	for i, oi := range ops {
-		t.cands = oi.candidates(budget, t.cands)
+	for i, id := range ops {
+		t.cands = candidates(&rows[id], budget, t.cands)
 		t.starts[i+1] = len(t.cands)
-		total += oi.coresCopy
+		total += rows[id].Cores
 	}
 	// Under a reserve, every row's cap lies the cores a walk can spare above
 	// its lo: row i's lo is L_(i+1), and its cap is budget − reserve − L_n +
@@ -336,11 +290,11 @@ func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int)
 	spare := budget - reserve - total
 	low, sum, size, end := 0, 0, 0, 0 // L_i, S_i, the columns stored so far and the last row's end
 	//cimlint:ignore ctxcancel -- O(1) per operator; the row loop below polls per row
-	for i, oi := range ops {
+	for i, id := range ops {
 		if c := t.starts[i+1]; c > t.starts[i] {
 			sum += t.cands[c-1].cores
 		}
-		sp := span{lo: low + oi.coresCopy, cap: budget}
+		sp := span{lo: low + rows[id].Cores, cap: budget}
 		if reserve > 0 {
 			sp.cap = sp.lo + spare
 		}
@@ -359,13 +313,14 @@ func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int)
 	// at most r cores, cur[r] the same including operator i; a row's buffer is
 	// meaningful from its lo to its cap only. No row ends past the last.
 	w := max(0, end) + 1
-	t.rows = resize(t.rows, 2*w)
-	prev, cur := t.rows[:w], t.rows[w:]
+	t.sums = resize(t.sums, 2*w)
+	prev, cur := t.sums[:w], t.sums[w:]
 	clear(prev) // before row 0: no operators, zero runtime at every r
-	for i, oi := range ops {
+	for i, id := range ops {
 		if err := ctx.Err(); err != nil {
 			return cancelled(err)
 		}
+		cores := rows[id].Cores
 		sp := t.spans[i]
 		if sp.end < sp.lo {
 			// No live column: this row or one before has no candidate (an
@@ -383,9 +338,9 @@ func (t *dupTable) build(ctx context.Context, ops []opInfo, budget, reserve int)
 			for r := range win {
 				win[r] = inf
 			}
-			from := sp.lo - oi.coresCopy // L_i: the row before is finite from here
+			from := sp.lo - cores // L_i: the row before is finite from here
 			for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
-				k := c.cores - oi.coresCopy // c's first column in the window
+				k := c.cores - cores // c's first column in the window
 				if k >= len(win) {
 					break
 				}
@@ -425,11 +380,11 @@ func (t *dupTable) at(i, r int) int {
 	return t.choice[sp.off+r]
 }
 
-// next returns the copies oi gets at the full budget when it follows the
+// next returns the copies r gets at the full budget when it follows the
 // table's operators: the one cell of a row after the last, tried with that
 // row's candidates, float expression and tie rule.
-func (t *dupTable) next(oi opInfo) int {
-	t.cands = oi.candidates(t.budget, t.cands)
+func (t *dupTable) next(r *cost.Row) int {
+	t.cands = candidates(r, t.budget, t.cands)
 	best, bestD := inf, 0
 	for _, c := range t.cands[t.starts[len(t.ops)]:] {
 		if v := t.last[min(t.budget-c.cores, len(t.last)-1)] + c.run; v < best {
@@ -445,38 +400,40 @@ func (t *dupTable) next(oi opInfo) int {
 func (t *dupTable) walk(dup []int, k, r int) {
 	for i := k - 1; i >= 0; i-- {
 		d := max(1, t.at(i, r))
-		dup[t.ops[i].id] = d
-		r = max(0, r-d*t.ops[i].coresCopy)
+		dup[t.ops[i]] = d
+		r = max(0, r-d*t.rows[t.ops[i]].Cores)
 	}
 }
 
-// waterfill minimizes the pipeline bottleneck stage: binary search the
-// target stage time T, then spend leftover cores on whichever operator
-// currently bounds the pipeline.
-func waterfill(ops []opInfo, budget int) []int {
+// waterfill minimizes the pipeline bottleneck stage of ops, node IDs into
+// rows: binary search the target stage time T, then spend leftover cores on
+// whichever operator currently bounds the pipeline. It returns the copies of
+// each of ops.
+func waterfill(rows []cost.Row, ops []int, budget int) []int {
 	// Feasibility check for a target T: the duplication each op needs.
 	need := func(t float64) (int, []int) {
 		total := 0
 		dup := make([]int, len(ops))
-		for i, oi := range ops {
+		for i, id := range ops {
+			r := &rows[id]
 			d := 1
-			if t > 0 && oi.perWindow > 0 {
-				d = int(math.Ceil(float64(oi.windows) * oi.perWindow * float64(oi.rounds) / t))
+			if t > 0 && r.PerWindow > 0 {
+				d = int(math.Ceil(float64(r.Windows) * r.PerWindow * float64(r.Rounds) / t))
 			}
 			if d < 1 {
 				d = 1
 			}
-			if d > oi.maxDup {
-				d = oi.maxDup
+			if d > r.MaxDup {
+				d = r.MaxDup
 			}
 			dup[i] = d
-			total += d * oi.coresCopy
+			total += d * r.Cores
 		}
 		return total, dup
 	}
 	lo, hi := 1.0, 0.0
-	for _, oi := range ops {
-		if r := oi.run(1); r > hi {
+	for _, id := range ops {
+		if r := rows[id].RunAt(1); r > hi {
 			hi = r
 		}
 	}
@@ -496,21 +453,21 @@ func waterfill(ops []opInfo, budget int) []int {
 	}
 	// Greedy top-up with the leftovers.
 	used := 0
-	for i, oi := range ops {
-		used += best[i] * oi.coresCopy
+	for i, id := range ops {
+		used += best[i] * rows[id].Cores
 	}
 	for {
 		// Find the bottleneck that can still be improved.
 		bi, bt := -1, -1.0
-		for i, oi := range ops {
-			d := best[i]
-			if d >= oi.maxDup {
+		for i, id := range ops {
+			r, d := &rows[id], best[i]
+			if d >= r.MaxDup {
 				continue
 			}
-			if used+oi.coresCopy > budget {
+			if used+r.Cores > budget {
 				continue
 			}
-			if t := oi.run(d); t > bt {
+			if t := r.RunAt(d); t > bt {
 				bt = t
 				bi = i
 			}
@@ -519,7 +476,7 @@ func waterfill(ops []opInfo, budget int) []int {
 			break
 		}
 		best[bi]++
-		used += ops[bi].coresCopy
+		used += rows[ops[bi]].Cores
 	}
 	return best
 }
@@ -528,18 +485,4 @@ func waterfill(ops []opInfo, budget int) []int {
 // positive by arch.Validate.
 func ceilDiv64(a, b int64) int64 {
 	return (a + b - 1) / b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -22,7 +22,7 @@ func optimize(t *testing.T, g *graph.Graph, a *arch.Arch, opt Options) *sched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Optimize(context.Background(), g, a, m, opt)
+	s, err := Optimize(context.Background(), m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestRefinementNotWorse(t *testing.T) {
 	g := models.VGG16()
 	a := arch.JiaAccelerator()
 	m, _ := cost.New(g, a)
-	greedy, err := Optimize(context.Background(), g, a, m, Options{})
+	greedy, err := Optimize(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Optimize(context.Background(), g, a, m, Options{Duplicate: true})
+	refined, err := Optimize(context.Background(), m, Options{Duplicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +248,17 @@ func TestRefinementNotWorse(t *testing.T) {
 	}
 }
 
+// cimRow is the row of a CIM operator of one round that takes cores a copy,
+// up to maxDup copies, over windows windows of perWindow cycles.
+func cimRow(cores, maxDup int, windows int64, perWindow float64) cost.Row {
+	return cost.Row{OpCost: cost.OpCost{Windows: windows, PerWindow: perWindow, Rounds: 1}, Cores: cores, MaxDup: maxDup}
+}
+
 func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 	// Two synthetic ops: one with 100 windows, one with 4; budget for 8
 	// extra copies must mostly go to the first.
-	ops := []opInfo{
-		{id: 1, cim: true, coresCopy: 1, maxDup: 100, windows: 100, perWindow: 10, rounds: 1},
-		{id: 2, cim: true, coresCopy: 1, maxDup: 100, windows: 4, perWindow: 10, rounds: 1},
-	}
-	dup, err := allocateList(context.Background(), new(dupTable), ops, 10)
+	rows := []cost.Row{{}, cimRow(1, 100, 100, 10), cimRow(1, 100, 4, 10)}
+	dup, err := allocateList(context.Background(), new(dupTable), rows, []int{1, 2}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestDPAllocatorPrefersHighWorkOps(t *testing.T) {
 
 func TestAllocateRejectsImpossibleBudget(t *testing.T) {
 	w := workspace{
-		infos:  []opInfo{{}, {id: 1, cim: true, coresCopy: 10, maxDup: 1, windows: 1, perWindow: 1, rounds: 1}},
+		m:      &cost.Model{Rows: []cost.Row{{}, cimRow(10, 1, 1, 1)}},
 		budget: 5,
 		dup:    make([]int, 2),
 	}
@@ -281,28 +284,25 @@ func TestAllocateRejectsImpossibleBudget(t *testing.T) {
 func TestAllocatorsAblation(t *testing.T) {
 	// The DESIGN.md ablation: both allocators produce feasible schedules on
 	// the same model; DP wins on total runtime, waterfill on bottleneck.
-	ops := []opInfo{
-		{id: 1, cim: true, coresCopy: 2, maxDup: 50, windows: 1000, perWindow: 5, rounds: 1},
-		{id: 2, cim: true, coresCopy: 1, maxDup: 50, windows: 300, perWindow: 5, rounds: 1},
-		{id: 3, cim: true, coresCopy: 4, maxDup: 50, windows: 50, perWindow: 5, rounds: 1},
-	}
+	rows := []cost.Row{{}, cimRow(2, 50, 1000, 5), cimRow(1, 50, 300, 5), cimRow(4, 50, 50, 5)}
+	ops := []int{1, 2, 3}
 	budget := 40
-	dp, err := allocateList(context.Background(), new(dupTable), ops, budget)
+	dp, err := allocateList(context.Background(), new(dupTable), rows, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf := waterfill(ops, budget)
+	wf := waterfill(rows, ops, budget)
 	sum := func(dup []int) float64 {
 		t := 0.0
-		for i, oi := range ops {
-			t += oi.run(dup[i])
+		for i, id := range ops {
+			t += rows[id].RunAt(dup[i])
 		}
 		return t
 	}
 	worst := func(dup []int) float64 {
 		w := 0.0
-		for i, oi := range ops {
-			if r := oi.run(dup[i]); r > w {
+		for i, id := range ops {
+			if r := rows[id].RunAt(dup[i]); r > w {
 				w = r
 			}
 		}
@@ -316,8 +316,8 @@ func TestAllocatorsAblation(t *testing.T) {
 	}
 	for _, dup := range [][]int{dp, wf} {
 		used := 0
-		for i, oi := range ops {
-			used += dup[i] * oi.coresCopy
+		for i, id := range ops {
+			used += dup[i] * rows[id].Cores
 		}
 		if used > budget {
 			t.Fatalf("allocator exceeded budget: %v", dup)
@@ -327,10 +327,10 @@ func TestAllocatorsAblation(t *testing.T) {
 
 // exhaustiveDP is the duplication search as it stood before the forward table
 // pruned it — every copy count of every operator tried at every core count,
-// run(d) re-evaluated each time — kept verbatim as the oracle the pruned
-// search is tested against. It also returns the choice table it walks back.
-// dup[i] is the copies of ops[i].
-func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
+// RunAt(d) re-evaluated each time — kept verbatim as the oracle the pruned
+// search is tested against. ops are node IDs into rows. It also returns the
+// choice table it walks back. dup[i] is the copies of ops[i].
+func exhaustiveDP(rows []cost.Row, ops []int, budget int) ([][]int, []int) {
 	const inf = math.MaxFloat64 / 4
 	choice := make([][]int, len(ops))
 	// dp is built operator by operator; cur[r] = min total runtime of the
@@ -339,31 +339,32 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 	for r := range prev {
 		prev[r] = 0
 	}
-	for i, oi := range ops {
+	for i, id := range ops {
+		oi := &rows[id]
 		cur := make([]float64, budget+1)
 		ch := make([]int, budget+1)
 		for r := 0; r <= budget; r++ {
 			cur[r] = inf
 			ch[r] = 0
-			maxD := oi.maxDup
-			if oi.coresCopy > 0 {
-				if lim := r / oi.coresCopy; lim < maxD {
+			maxD := oi.MaxDup
+			if oi.Cores > 0 {
+				if lim := r / oi.Cores; lim < maxD {
 					maxD = lim
 				}
 			}
 			for d := 1; d <= maxD; d++ {
-				c := d * oi.coresCopy
+				c := d * oi.Cores
 				if c > r {
 					break
 				}
-				v := prev[r-c] + oi.run(d)
+				v := prev[r-c] + oi.RunAt(d)
 				if v < cur[r] {
 					cur[r] = v
 					ch[r] = d
 				}
 				// Early exit: once the operator is down to one window per
 				// copy, more copies cannot help.
-				if int64(d) >= oi.windows {
+				if int64(d) >= oi.Windows {
 					break
 				}
 			}
@@ -380,7 +381,7 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 			d = 1
 		}
 		dup[i] = d
-		r -= d * ops[i].coresCopy
+		r -= d * rows[ops[i]].Cores
 		if r < 0 {
 			r = 0
 		}
@@ -389,12 +390,12 @@ func exhaustiveDP(ops []opInfo, budget int) ([][]int, []int) {
 }
 
 // TestSearchPricesWhatTheSimulatorCharges: the duplication search prices a
-// copy count with opInfo.run, the simulator with cost.OpCost.Run, and the two
-// associate their products differently. For every zoo node on every preset
-// they must agree bit for bit: a CIM node at each of its candidate copy
-// counts, a digital node at one copy. Both charge an oversized operator the
-// reprogramming of its rounds after the first only (Rounds−1 of them: round
-// 0 is its segment's), and that is pinned here too.
+// copy count with the model's row, cost.Row.RunAt, the simulator with
+// cost.OpCost.Run on what CIMOp returns at those copies. For every zoo node
+// on every preset they must agree bit for bit: a CIM node at each of its
+// candidate copy counts, a digital node at one copy. Both charge an
+// oversized operator the reprogramming of its rounds after the first only
+// (Rounds−1 of them: round 0 is its segment's), and that is pinned here too.
 func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
 	checked, oversized := 0, 0
 	for _, preset := range arch.PresetNames() {
@@ -414,15 +415,11 @@ func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			infos, order, err := collectInfos(g, a, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range order {
-				oi := infos[id]
-				cands := []candidate{{d: 1, run: oi.run(1)}}
-				if oi.cim {
-					cands = oi.candidates(a.Chip.CoreCount(), nil)
+			for _, id := range nonInputs(g) {
+				r := &m.Rows[id]
+				cands := []candidate{{d: 1, run: r.RunAt(1)}}
+				if r.Cores > 0 {
+					cands = candidates(r, a.Chip.CoreCount(), nil)
 				}
 				for _, c := range cands {
 					oc, err := m.Op(id, c.d, 1)
@@ -434,16 +431,16 @@ func TestSearchPricesWhatTheSimulatorCharges(t *testing.T) {
 					}
 					checked++
 				}
-				if oi.rounds > 1 {
+				if r.Rounds > 1 {
 					oc, err := m.CIMOp(id, 1, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					_, later := m.FPs[id].Wordlines(a)
 					want := float64(oc.Rounds)*float64(oc.Windows)*oc.PerWindow + m.Program(later)
-					if oc.Run() != want || oi.run(1) != want {
+					if oc.Run() != want || r.RunAt(1) != want {
 						t.Fatalf("%s.%s node %d: %d rounds run %v in the simulator, %v in the search, want %v (rounds after the first write %d wordlines)",
-							model, preset, id, oc.Rounds, oc.Run(), oi.run(1), want, later)
+							model, preset, id, oc.Rounds, oc.Run(), r.RunAt(1), want, later)
 					}
 					oversized++
 				}
@@ -480,12 +477,11 @@ func TestSegmenterPricesReloadPerCore(t *testing.T) {
 		// Nodes 1 and 2 take one core each and fill the two-core chip, so
 		// node 3 starts the next prefix. Popping node 2 lets both run at two
 		// copies, saving one window of each: 2 × one crossbar's programming.
+		// The search reads these rows; the pops are priced off m.
 		perXB := m.Program(a.XB.Rows)
-		op := func(id, cores int) opInfo {
-			return opInfo{id: id, cim: true, coresCopy: cores, maxDup: 2, windows: 2, perWindow: perXB, rounds: 1}
-		}
-		infos := []opInfo{{}, op(1, 1), op(2, 1), op(3, 2)}
-		w := workspace{m: m, infos: infos, budget: a.Chip.CoreCount(), opt: Options{Duplicate: true}, dup: make([]int, len(infos))}
+		synthetic := *m
+		synthetic.Rows = []cost.Row{{}, cimRow(1, 2, 2, perXB), cimRow(1, 2, 2, perXB), cimRow(2, 2, 2, perXB)}
+		w := workspace{m: &synthetic, budget: a.Chip.CoreCount(), opt: Options{Duplicate: true}, dup: make([]int, len(synthetic.Rows))}
 		segs, err := w.segment(context.Background(), []int{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
@@ -533,7 +529,7 @@ func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
+		s, err := Optimize(context.Background(), m, Options{Pipeline: true, Duplicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,37 +22,39 @@ import (
 
 var primes = []int64{2, 3, 5, 7, 97, 101, 499, 1009, 2503, 4999}
 
-// randomOps draws an operator set and a budget. Every tenth draw gets the
-// tightest feasible budget (the dup-1 baseline), every seventh a one-window
-// or prime-window operator.
-func randomOps(rng *rand.Rand, draw int) ([]opInfo, int) {
+// randomOps draws an operator set and a budget: the operators' rows by node
+// ID (node 0 is no operator) and their node IDs, 1 up. Every tenth draw gets
+// the tightest feasible budget (the dup-1 baseline), every seventh a
+// one-window or prime-window operator.
+func randomOps(rng *rand.Rand, draw int) ([]cost.Row, []int, int) {
 	budget := 1 + rng.IntN(768)
-	ops := make([]opInfo, 1+rng.IntN(8))
+	n := 1 + rng.IntN(8)
+	rows, ops := make([]cost.Row, n+1), make([]int, n)
 	baseline := 0
 	for i := range ops {
-		oi := opInfo{
-			id:        i + 1,
-			cim:       true,
-			coresCopy: 1 + rng.IntN(8),
-			maxDup:    1 + rng.IntN(budget),
-			windows:   1 + rng.Int64N(5000),
-			perWindow: 0.5 + 100*rng.Float64(),
-			rounds:    1 + rng.IntN(3),
-			reload:    float64(rng.IntN(3)) * 1000 * rng.Float64(),
+		r := cost.Row{
+			Cores:  1 + rng.IntN(8),
+			MaxDup: 1 + rng.IntN(budget),
+			OpCost: cost.OpCost{
+				Windows:   1 + rng.Int64N(5000),
+				PerWindow: 0.5 + 100*rng.Float64(),
+				Rounds:    1 + rng.IntN(3),
+				Reload:    float64(rng.IntN(3)) * 1000 * rng.Float64(),
+			},
 		}
 		switch (draw + i) % 7 {
 		case 0:
-			oi.windows = 1
+			r.Windows = 1
 		case 1:
-			oi.windows = primes[rng.IntN(len(primes))]
+			r.Windows = primes[rng.IntN(len(primes))]
 		}
-		ops[i] = oi
-		baseline += oi.coresCopy
+		ops[i], rows[i+1] = i+1, r
+		baseline += r.Cores
 	}
 	if draw%10 == 0 {
 		budget = baseline
 	}
-	return ops, budget
+	return rows, ops, budget
 }
 
 // TestPrunedSearchMatchesExhaustive: on seeded random operator sets the
@@ -64,25 +66,26 @@ func randomOps(rng *rand.Rand, draw int) ([]opInfo, int) {
 func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 332))
 	for draw := 0; draw < 1000; draw++ {
-		ops, budget := randomOps(rng, draw)
-		checkAgainstExhaustive(t, fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops), ops, budget)
+		rows, ops, budget := randomOps(rng, draw)
+		checkAgainstExhaustive(t, fmt.Sprintf("draw %d (budget %d, rows %+v)", draw, budget, rows[1:]), rows, ops, budget)
 	}
 }
 
-// checkAgainstExhaustive holds every search over ops and budget to
+// checkAgainstExhaustive holds every search over ops, node IDs into rows, and
+// budget to
 // exhaustiveDP: every cell of the uncapped table and every walk-back of it;
 // allocateDP; and every cell of the table allocateDP builds over the
 // operators before the last, with the last's cores in reserve, at the columns
 // its walk can read — r ≤ budget − reserve_i, reserve_i the cores of one copy
 // of each operator after row i.
-func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int) {
+func checkAgainstExhaustive(t *testing.T, what string, rows []cost.Row, ops []int, budget int) {
 	t.Helper()
 	ctx := context.Background()
-	table, err := newTable(ctx, ops, budget, 0)
+	table, err := newTable(ctx, rows, ops, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice, dup := exhaustiveDP(ops, budget)
+	choice, dup := exhaustiveDP(rows, ops, budget)
 	for i := range ops {
 		for r := 0; r <= budget; r++ {
 			if got := table.at(i, r); got != choice[i][r] {
@@ -91,12 +94,12 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 		}
 	}
 	for k := 0; k <= len(ops); k++ {
-		_, fresh := exhaustiveDP(ops[:k], budget)
+		_, fresh := exhaustiveDP(rows, ops[:k], budget)
 		if got := walkList(table, k, budget); !slices.Equal(got, fresh) {
 			t.Fatalf("%s: walk-back of %d rows gives %v, a fresh search over ops[:%d] %v", what, k, got, k, fresh)
 		}
 	}
-	got, err := allocateList(ctx, new(dupTable), ops, budget)
+	got, err := allocateList(ctx, new(dupTable), rows, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,57 +107,48 @@ func checkAgainstExhaustive(t *testing.T, what string, ops []opInfo, budget int)
 		t.Fatalf("%s: allocateDP %v, exhaustive search %v", what, got, dup)
 	}
 	n := len(ops) - 1
-	capped, err := newTable(ctx, ops[:n], budget, ops[n].coresCopy)
+	capped, err := newTable(ctx, rows, ops[:n], budget, rows[ops[n]].Cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reserve := ops[n].coresCopy
+	reserve := rows[ops[n]].Cores
 	for i := n - 1; i >= 0; i-- {
 		for r := 0; r <= budget-reserve; r++ {
 			if got := capped.at(i, r); got != choice[i][r] {
 				t.Fatalf("%s: reserve-capped choice[%d][%d] = %d (cap %d), exhaustive search chose %d", what, i, r, got, budget-reserve, choice[i][r])
 			}
 		}
-		reserve += ops[i].coresCopy
+		reserve += rows[ops[i]].Cores
 	}
 }
 
 // newTable builds a table over ops in fresh buffers.
-func newTable(ctx context.Context, ops []opInfo, budget, reserve int) (*dupTable, error) {
+func newTable(ctx context.Context, rows []cost.Row, ops []int, budget, reserve int) (*dupTable, error) {
 	t := new(dupTable)
-	return t, t.build(ctx, ops, budget, reserve)
-}
-
-// byNode returns a copies table indexed by the node IDs of ops.
-func byNode(ops []opInfo) []int {
-	n := 0
-	for _, oi := range ops {
-		n = max(n, oi.id+1)
-	}
-	return make([]int, n)
+	return t, t.build(ctx, rows, ops, budget, reserve)
 }
 
 // inOrder reads dup, copies by node ID, back as a list: out[i] the copies of
-// ops[i], for the first k of ops.
-func inOrder(ops []opInfo, k int, dup []int) []int {
+// node ops[i], for the first k of ops.
+func inOrder(ops []int, k int, dup []int) []int {
 	out := make([]int, k)
 	for i := range out {
-		out[i] = dup[ops[i].id]
+		out[i] = dup[ops[i]]
 	}
 	return out
 }
 
 // walkList is t's walk-back of k rows from r cores as a list.
 func walkList(t *dupTable, k, r int) []int {
-	dup := byNode(t.ops)
+	dup := make([]int, len(t.rows))
 	t.walk(dup, k, r)
 	return inOrder(t.ops, k, dup)
 }
 
 // allocateList runs allocateDP on t and returns its answer as a list.
-func allocateList(ctx context.Context, t *dupTable, ops []opInfo, budget int) ([]int, error) {
-	dup := byNode(ops)
-	if err := t.allocateDP(ctx, ops, budget, dup); err != nil {
+func allocateList(ctx context.Context, t *dupTable, rows []cost.Row, ops []int, budget int) ([]int, error) {
+	dup := make([]int, len(rows))
+	if err := t.allocateDP(ctx, rows, ops, budget, dup); err != nil {
 		return nil, err
 	}
 	return inOrder(ops, len(ops), dup), nil
@@ -173,42 +167,39 @@ func TestReusedTableMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(48, 2))
 	var tables reusedTables
 	for draw := 0; draw < 400; draw++ {
-		ops, budget := randomOps(rng, draw)
+		rows, ops, budget := randomOps(rng, draw)
 		if draw%3 == 1 {
 			ops, budget = ops[:1+rng.IntN(min(2, len(ops)))], 1+rng.IntN(budget)
 		}
-		tables.check(t, fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops), ops, budget)
+		tables.check(t, fmt.Sprintf("draw %d (budget %d, rows %+v)", draw, budget, rows[1:len(ops)+1]), rows, ops, budget)
 	}
 }
 
-// TestRowWithoutCandidates: an operator with no copy count to try (maxDup 0,
-// which collectInfos never makes) fits no column, so its row and every row
+// TestRowWithoutCandidates: an operator with no copy count to try (MaxDup 0,
+// which no CIM row has) fits no column, so its row and every row
 // after it are inf and choose 0 everywhere. Its row has no live window; the
 // next row reads it all the same, so it must be written, in fresh and reused
 // buffers alike. Pinned: at budget 146, with the row left unwritten, a fresh
 // table read zeros there and gave the next operator 66 copies where the
 // exhaustive search gives none.
 func TestRowWithoutCandidates(t *testing.T) {
-	ops := []opInfo{
-		{id: 1, cim: true, coresCopy: 2, maxDup: 0, windows: 100, perWindow: 1, rounds: 1},
-		{id: 2, cim: true, coresCopy: 2, maxDup: 67, windows: 5000, perWindow: 1, rounds: 1},
-	}
-	table, err := newTable(context.Background(), ops, 146, 0)
+	rows, ops := []cost.Row{{}, cimRow(2, 0, 100, 1), cimRow(2, 67, 5000, 1)}, []int{1, 2}
+	table, err := newTable(context.Background(), rows, ops, 146, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := table.at(1, 146); got != 0 {
 		t.Fatalf("row 1 at 146 cores chooses %d copies after a row without candidates, want 0", got)
 	}
-	checkAgainstExhaustive(t, "pinned (budget 146)", ops, 146)
+	checkAgainstExhaustive(t, "pinned (budget 146)", rows, ops, 146)
 	rng := rand.New(rand.NewPCG(49, 3))
 	var tables reusedTables
 	for draw := 0; draw < 400; draw++ {
-		ops, budget := randomOps(rng, draw)
-		ops[draw%len(ops)].maxDup = 0
-		what := fmt.Sprintf("draw %d (budget %d, ops %+v)", draw, budget, ops)
-		checkAgainstExhaustive(t, what, ops, budget)
-		tables.check(t, what, ops, budget)
+		rows, ops, budget := randomOps(rng, draw)
+		rows[ops[draw%len(ops)]].MaxDup = 0
+		what := fmt.Sprintf("draw %d (budget %d, rows %+v)", draw, budget, rows[1:])
+		checkAgainstExhaustive(t, what, rows, ops, budget)
+		tables.check(t, what, rows, ops, budget)
 	}
 }
 
@@ -216,21 +207,21 @@ func TestRowWithoutCandidates(t *testing.T) {
 // uncapped, one under allocateDP's reserve, one allocateDP builds.
 type reusedTables struct{ uncapped, capped, searched dupTable }
 
-// check rebuilds each of ts over ops and budget and holds it, and what it
-// serves, to a table built in fresh buffers.
-func (ts *reusedTables) check(t *testing.T, what string, ops []opInfo, budget int) {
+// check rebuilds each of ts over ops, node IDs into rows, and budget and
+// holds it, and what it serves, to a table built in fresh buffers.
+func (ts *reusedTables) check(t *testing.T, what string, rows []cost.Row, ops []int, budget int) {
 	t.Helper()
 	ctx := context.Background()
 	n := len(ops) - 1
 	for _, c := range []struct {
 		t       *dupTable
-		ops     []opInfo
+		ops     []int
 		reserve int
-	}{{&ts.uncapped, ops, 0}, {&ts.capped, ops[:n], ops[n].coresCopy}} {
-		if err := c.t.build(ctx, c.ops, budget, c.reserve); err != nil {
+	}{{&ts.uncapped, ops, 0}, {&ts.capped, ops[:n], rows[ops[n]].Cores}} {
+		if err := c.t.build(ctx, rows, c.ops, budget, c.reserve); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := newTable(ctx, c.ops, budget, c.reserve)
+		fresh, err := newTable(ctx, rows, c.ops, budget, c.reserve)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,12 +240,12 @@ func (ts *reusedTables) check(t *testing.T, what string, ops []opInfo, budget in
 			}
 		}
 	}
-	got, err := allocateList(ctx, &ts.searched, ops, budget)
+	got, err := allocateList(ctx, &ts.searched, rows, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := new(dupTable)
-	want, err := allocateList(ctx, fresh, ops, budget)
+	want, err := allocateList(ctx, fresh, rows, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,46 +275,46 @@ func sameTable(t *testing.T, what string, got, fresh *dupTable) {
 // decodeOps reads an operator set and a budget from fuzz bytes, over
 // randomOps' field ranges widened where the search has edges: budgets up to
 // 2048, copies as wide as the whole budget, windows of 1 and primes, and
-// perWindow 0 (every copy count ties). Ten bytes make an operator, up to
+// PerWindow 0 (every copy count ties). Ten bytes make an operator, up to
 // eight of them; a short input is padded with zeros. An odd budgetBits makes
 // the budget the dup-1 baseline, the tightest feasible one.
-func decodeOps(budgetBits uint16, data []byte) ([]opInfo, int) {
+func decodeOps(budgetBits uint16, data []byte) ([]cost.Row, []int, int) {
 	budget := 1 + int(budgetBits>>1)%2048
 	n := min(8, max(1, len(data)/10))
 	data = append(data, make([]byte, 10*n)...)
 	u16 := func(b []byte) int { return int(b[0])<<8 | int(b[1]) }
-	ops := make([]opInfo, n)
+	rows, ops := make([]cost.Row, n+1), make([]int, n)
 	baseline := 0
 	for i := range ops {
 		b := data[10*i : 10*i+10]
-		oi := opInfo{
-			id:        i + 1,
-			cim:       true,
-			coresCopy: 1 + int(b[0])%8,
-			maxDup:    1 + u16(b[1:])%budget,
-			windows:   1 + int64(u16(b[3:])%5000),
-			perWindow: 0.5 + 100*float64(b[5])/255,
-			rounds:    1 + int(b[6])%3,
-			reload:    float64(b[7]%3) * 1000 * float64(b[9]) / 255,
+		r := cost.Row{
+			Cores:  1 + int(b[0])%8,
+			MaxDup: 1 + u16(b[1:])%budget,
+			OpCost: cost.OpCost{
+				Windows:   1 + int64(u16(b[3:])%5000),
+				PerWindow: 0.5 + 100*float64(b[5])/255,
+				Rounds:    1 + int(b[6])%3,
+				Reload:    float64(b[7]%3) * 1000 * float64(b[9]) / 255,
+			},
 		}
 		if b[0]&0x80 != 0 {
-			oi.coresCopy = 1 + u16(b[8:])%budget
+			r.Cores = 1 + u16(b[8:])%budget
 		}
 		switch b[5] % 8 {
 		case 0:
-			oi.perWindow = 0
+			r.PerWindow = 0
 		case 1:
-			oi.windows = 1
+			r.Windows = 1
 		case 2:
-			oi.windows = primes[int(b[4])%len(primes)]
+			r.Windows = primes[int(b[4])%len(primes)]
 		}
-		ops[i] = oi
-		baseline += oi.coresCopy
+		ops[i], rows[i+1] = i+1, r
+		baseline += r.Cores
 	}
 	if budgetBits&1 != 0 {
 		budget = baseline
 	}
-	return ops, budget
+	return rows, ops, budget
 }
 
 // FuzzDupSearch holds the streamed search to the exhaustive one on decoded
@@ -340,32 +331,33 @@ func FuzzDupSearch(f *testing.F) {
 	// the reserve, so row 1 reads the copied tail.
 	f.Add(uint16(300<<1), []byte{0, 0, 50, 0, 0, 9, 0, 0, 0, 0, 1, 0, 100, 0x07, 0xd0, 20, 0, 0, 0, 0, 0, 0, 10, 0, 200, 30, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, budgetBits uint16, data []byte) {
-		ops, budget := decodeOps(budgetBits, data)
-		checkAgainstExhaustive(t, fmt.Sprintf("budget %d, ops %+v", budget, ops), ops, budget)
+		rows, ops, budget := decodeOps(budgetBits, data)
+		checkAgainstExhaustive(t, fmt.Sprintf("budget %d, rows %+v", budget, rows[1:]), rows, ops, budget)
 	})
 }
 
 // TestCandidatesOnePerCeiling pins the pruning rule itself: the candidate
 // list is exactly the smallest copy count of every distinct ceil(windows/d)
-// the exhaustive loop would try, with that loop's run(d).
+// the exhaustive loop would try, with that loop's RunAt(d).
 func TestCandidatesOnePerCeiling(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for draw := 0; draw < 500; draw++ {
-		ops, budget := randomOps(rng, draw)
-		for _, oi := range ops {
+		rows, ops, budget := randomOps(rng, draw)
+		for _, id := range ops {
+			r := &rows[id]
 			var want []candidate
 			lastCeil := int64(-1)
-			for d := 1; d <= oi.maxDup && d*oi.coresCopy <= budget; d++ {
-				if q := ceilDiv64(oi.windows, int64(d)); q != lastCeil {
-					want = append(want, candidate{d, d * oi.coresCopy, oi.run(d)})
+			for d := 1; d <= r.MaxDup && d*r.Cores <= budget; d++ {
+				if q := ceilDiv64(r.Windows, int64(d)); q != lastCeil {
+					want = append(want, candidate{d, d * r.Cores, r.RunAt(d)})
 					lastCeil = q
 				}
-				if int64(d) >= oi.windows {
+				if int64(d) >= r.Windows {
 					break
 				}
 			}
-			if got := oi.candidates(budget, nil); !slices.Equal(got, want) {
-				t.Fatalf("budget %d, op %+v: candidates %v, want %v", budget, oi, got, want)
+			if got := candidates(r, budget, nil); !slices.Equal(got, want) {
+				t.Fatalf("budget %d, row %+v: candidates %v, want %v", budget, *r, got, want)
 			}
 		}
 	}
@@ -381,14 +373,15 @@ func (w *searchWork) add(o searchWork) {
 	w.runs += o.runs
 }
 
-// exhaustiveWork is what exhaustiveDP does over ops: it evaluates run(d) at
-// every step, and takes min(maxDup, r/coresCopy, max(windows, 1)) steps per
+// exhaustiveWork is what exhaustiveDP does over ops: it evaluates RunAt(d)
+// at every step, and takes min(MaxDup, r/Cores, max(Windows, 1)) steps per
 // (operator, r).
-func exhaustiveWork(ops []opInfo, budget int) searchWork {
+func exhaustiveWork(rows []cost.Row, ops []int, budget int) searchWork {
 	w := searchWork{searches: 1}
-	for _, oi := range ops {
+	for _, id := range ops {
+		oi := &rows[id]
 		for r := 0; r <= budget; r++ {
-			w.steps += int(min(int64(oi.maxDup), int64(r/oi.coresCopy), max(oi.windows, 1)))
+			w.steps += int(min(int64(oi.MaxDup), int64(r/oi.Cores), max(oi.Windows, 1)))
 		}
 	}
 	w.runs = w.steps
@@ -403,7 +396,7 @@ func tableWork(t *dupTable) searchWork {
 	w := searchWork{searches: 1, runs: len(t.cands)}
 	for i, sp := range t.spans {
 		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
-			w.steps += max(0, sp.end+1-sp.lo-(c.cores-t.ops[i].coresCopy))
+			w.steps += max(0, sp.end+1-sp.lo-(c.cores-t.rows[t.ops[i]].Cores))
 		}
 	}
 	w.steps += len(t.cands) - t.starts[len(t.ops)]
@@ -414,30 +407,31 @@ func tableWork(t *dupTable) searchWork {
 // a table: every estimate — two per loop iteration over the prefix and its
 // head, one over the popped group — re-runs a whole exhaustive search. It
 // returns the segments, the duplication by node ID and the work that took.
-func segmentFromScratch(t *testing.T, m *cost.Model, infos []opInfo, order []int, budget int) ([][]int, []int, searchWork) {
+func segmentFromScratch(t *testing.T, m *cost.Model, order []int, budget int) ([][]int, []int, searchWork) {
 	var work searchWork
-	dup := make([]int, len(infos))
+	rows := m.Rows
+	dup := make([]int, len(rows))
 	search := func(nodes []int) {
-		ops := segCIMInfos(nil, infos, nodes)
+		ops := segCIMOps(nil, rows, nodes)
 		if len(ops) == 0 {
 			return
 		}
-		work.add(exhaustiveWork(ops, budget))
-		_, opDup := exhaustiveDP(ops, budget)
+		work.add(exhaustiveWork(rows, ops, budget))
+		_, opDup := exhaustiveDP(rows, ops, budget)
 		scatter(dup, ops, opDup)
 	}
 	estimate := func(nodes []int) float64 {
 		search(nodes)
-		return latency(infos, nodes, dup)
+		return latency(rows, nodes, dup)
 	}
 	var segs [][]int
 	for remaining := order; len(remaining) > 0; {
-		prefix, rest, err := takePrefix(infos, remaining, budget)
+		prefix, rest, err := takePrefix(rows, remaining, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for len(rest) > 0 && cimCount(infos, prefix) > 1 {
-			cut := lastCIMIndex(infos, prefix)
+		for len(rest) > 0 && cimCount(rows, prefix) > 1 {
+			cut := lastCIMIndex(rows, prefix)
 			if cut <= 0 {
 				break
 			}
@@ -459,9 +453,9 @@ func segmentFromScratch(t *testing.T, m *cost.Model, infos []opInfo, order []int
 }
 
 // scatter writes dup, the copies of each of ops, into table, by node ID.
-func scatter(table []int, ops []opInfo, dup []int) {
-	for i, oi := range ops {
-		table[oi.id] = dup[i]
+func scatter(table []int, ops []int, dup []int) {
+	for i, id := range ops {
+		table[id] = dup[i]
 	}
 }
 
@@ -488,18 +482,14 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			infos, order, err := collectInfos(g, a, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			budget := a.Chip.CoreCount()
+			order, budget := nonInputs(g), a.Chip.CoreCount()
 
 			// A table's work is read when its search is done with it, the
 			// cell allocateDP prices after the rows included: the next
 			// search of the Optimize call refills the same buffers.
 			var now searchWork
 			searchDone = func(tb *dupTable) { now.add(tableWork(tb)) }
-			s, err := Optimize(context.Background(), g, a, m, Options{Pipeline: true, Duplicate: true})
+			s, err := Optimize(context.Background(), m, Options{Pipeline: true, Duplicate: true})
 			searchDone = nil
 			if err != nil {
 				t.Fatalf("%s.%s: %v", model, preset, err)
@@ -511,13 +501,13 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			if len(s.Segments) == 1 {
 				// The model fits: no segmentation, one search.
 				segs = [][]int{order}
-				ops := segCIMInfos(nil, infos, order)
-				old = exhaustiveWork(ops, budget)
-				_, opDup := exhaustiveDP(ops, budget)
-				dup = make([]int, len(infos))
+				ops := segCIMOps(nil, m.Rows, order)
+				old = exhaustiveWork(m.Rows, ops, budget)
+				_, opDup := exhaustiveDP(m.Rows, ops, budget)
+				dup = make([]int, len(m.Rows))
 				scatter(dup, ops, opDup)
 			} else {
-				segs, dup, old = segmentFromScratch(t, m, infos, order, budget)
+				segs, dup, old = segmentFromScratch(t, m, order, budget)
 				refined++
 			}
 			if !reflect.DeepEqual(s.Segments, segs) {
@@ -573,7 +563,7 @@ func TestOptimizeHonoursCancellation(t *testing.T) {
 	}
 	opt := Options{Pipeline: true, Duplicate: true}
 	whole := &countdownCtx{Context: context.Background(), left: 1 << 30}
-	if _, err := Optimize(whole, g, a, m, opt); err != nil {
+	if _, err := Optimize(whole, m, opt); err != nil {
 		t.Fatal(err)
 	}
 	if rows := len(g.CIMNodeIDs()); whole.polls < 2*rows {
@@ -581,7 +571,7 @@ func TestOptimizeHonoursCancellation(t *testing.T) {
 	}
 	for _, after := range []int{0, 1, whole.polls / 2, whole.polls - 1} {
 		ctx := &countdownCtx{Context: context.Background(), left: after}
-		_, err := Optimize(ctx, g, a, m, opt)
+		_, err := Optimize(ctx, m, opt)
 		if !errors.Is(err, context.Canceled) || !strings.HasPrefix(fmt.Sprint(err), "cg: cancelled: ") {
 			t.Errorf("cancelled after %d of %d polls: err = %v, want cg: cancelled: context canceled", after, whole.polls, err)
 		}
@@ -609,29 +599,25 @@ func BenchmarkDupTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		infos, order, err := collectInfos(g, a, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops, budget := segCIMInfos(nil, infos, order), a.Chip.CoreCount()
+		ops, budget := segCIMOps(nil, m.Rows, nonInputs(g)), a.Chip.CoreCount()
 		b.Run(model+"/table", func(b *testing.B) {
 			var t dupTable
 			for i := 0; i < b.N; i++ {
-				if err := t.build(context.Background(), ops, budget, 0); err != nil {
+				if err := t.build(context.Background(), m.Rows, ops, budget, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 			steps := tableWork(&t).steps
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 		})
-		if coresAtDupOne(ops) > budget {
+		if coresAtDupOne(m.Rows, ops) > budget {
 			continue // over capacity: only refinePrefix's tables see this list
 		}
 		b.Run(model+"/allocateDP", func(b *testing.B) {
 			var t dupTable
-			dup := byNode(ops)
+			dup := make([]int, len(m.Rows))
 			for i := 0; i < b.N; i++ {
-				if err := t.allocateDP(context.Background(), ops, budget, dup); err != nil {
+				if err := t.allocateDP(context.Background(), m.Rows, ops, budget, dup); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,7 +28,8 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // dedicated segment. Under Options.Duplicate each kept segment's copies go
 // into w.dup.
 func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
-	if totalCores, anyOversized := demand(w.infos, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
+	rows := w.m.Rows
+	if totalCores, anyOversized := demand(rows, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
 		// Serving-grade compilation: weights stay resident for the program's
 		// lifetime, so the reload-based escape hatches (segment reprogramming,
 		// multi-round operators) are not available.
@@ -41,9 +42,9 @@ func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 	// (one segment even when it has no node).
 	// A capacity, not a bound: every segment holds a CIM operator but one of
 	// the digital nodes before a multi-round operator.
-	segs := make([][]int, 0, cimCount(w.infos, order))
+	segs := make([][]int, 0, cimCount(rows, order))
 	for remaining := order; ; {
-		prefix, rest, err := takePrefix(w.infos, remaining, w.budget)
+		prefix, rest, err := takePrefix(rows, remaining, w.budget)
 		if err != nil {
 			return nil, err
 		}
@@ -66,14 +67,13 @@ func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 
 // demand returns the cores the operators that fit the chip occupy with one
 // copy each, and whether any operator is larger than the whole chip.
-func demand(infos []opInfo, order []int) (cores int, anyOversized bool) {
+func demand(rows []cost.Row, order []int) (cores int, anyOversized bool) {
 	for _, id := range order {
-		oi := infos[id]
-		if oi.cim {
-			if oi.rounds > 1 {
+		if r := &rows[id]; r.Cores > 0 {
+			if r.Rounds > 1 {
 				anyOversized = true
 			} else {
-				cores += oi.coresCopy
+				cores += r.Cores
 			}
 		}
 	}
@@ -83,29 +83,29 @@ func demand(infos []opInfo, order []int) (cores int, anyOversized bool) {
 // takePrefix returns the maximal prefix of `order` whose CIM operators fit
 // the core budget; a multi-round operator at the head becomes a singleton
 // prefix.
-func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, err error) {
+func takePrefix(rows []cost.Row, order []int, budget int) (prefix, rest []int, err error) {
 	cores := 0
 	for i, id := range order {
-		oi := infos[id]
-		if !oi.cim {
+		r := &rows[id]
+		if r.Cores == 0 {
 			continue
 		}
-		if oi.rounds > 1 {
+		if r.Rounds > 1 {
 			if i == 0 {
 				return order[:1], order[1:], nil
 			}
 			return order[:i], order[i:], nil
 		}
-		if oi.coresCopy > budget {
-			return nil, nil, fmt.Errorf("cg: operator %d needs %d cores alone but the chip has %d (and is not multi-round)", id, oi.coresCopy, budget)
+		if r.Cores > budget {
+			return nil, nil, fmt.Errorf("cg: operator %d needs %d cores alone but the chip has %d (and is not multi-round)", id, r.Cores, budget)
 		}
-		if cores+oi.coresCopy > budget {
+		if cores+r.Cores > budget {
 			if i == 0 {
 				return nil, nil, fmt.Errorf("cg: first operator %d does not fit the budget", id)
 			}
 			return order[:i], order[i:], nil
 		}
-		cores += oi.coresCopy
+		cores += r.Cores
 	}
 	return order, nil, nil
 }
@@ -128,10 +128,11 @@ func takePrefix(infos []opInfo, order []int, budget int) (prefix, rest []int, er
 // over it returns (under AllocWaterfill, which has no table, every price is
 // a search).
 func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, error) {
+	rows := w.m.Rows
 	var table *dupTable
 	if w.opt.Allocator != AllocWaterfill {
-		w.sharedOps = segCIMInfos(w.sharedOps, w.infos, prefix)
-		if err := w.shared.build(ctx, w.sharedOps, w.budget, 0); err != nil {
+		w.sharedOps = segCIMOps(w.sharedOps, rows, prefix)
+		if err := w.shared.build(ctx, rows, w.sharedOps, w.budget, 0); err != nil {
 			return nil, err
 		}
 		table = &w.shared
@@ -141,15 +142,15 @@ func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, erro
 		if table == nil {
 			return w.estimate(ctx, nodes)
 		}
-		table.walk(w.dup, cimCount(w.infos, nodes), w.budget)
-		return latency(w.infos, nodes, w.dup), nil
+		table.walk(w.dup, cimCount(rows, nodes), w.budget)
+		return latency(rows, nodes, w.dup), nil
 	}
 	baseline, err := price(prefix)
 	if err != nil {
 		return nil, err
 	}
-	for cimCount(w.infos, prefix) > 1 {
-		cut := lastCIMIndex(w.infos, prefix)
+	for cimCount(rows, prefix) > 1 {
+		cut := lastCIMIndex(rows, prefix)
 		if cut <= 0 {
 			break
 		}
@@ -186,19 +187,19 @@ func popPrice(m *cost.Model, node int) float64 {
 	return m.Program(first)
 }
 
-func cimCount(infos []opInfo, nodes []int) int {
+func cimCount(rows []cost.Row, nodes []int) int {
 	c := 0
 	for _, id := range nodes {
-		if infos[id].cim {
+		if rows[id].Cores > 0 {
 			c++
 		}
 	}
 	return c
 }
 
-func lastCIMIndex(infos []opInfo, nodes []int) int {
+func lastCIMIndex(rows []cost.Row, nodes []int) int {
 	for i := len(nodes) - 1; i >= 0; i-- {
-		if infos[nodes[i]].cim {
+		if rows[nodes[i]].Cores > 0 {
 			return i
 		}
 	}
@@ -213,22 +214,22 @@ func (w *workspace) estimate(ctx context.Context, nodes []int) (float64, error) 
 	if err := w.allocate(ctx, nodes); err != nil {
 		return 0, err
 	}
-	return latency(w.infos, nodes, w.dup), nil
+	return latency(w.m.Rows, nodes, w.dup), nil
 }
 
 // latency sums the group's runtimes under dup, the copies by node ID: the
-// digital operators in node order, then the CIM operators in node order. The order is part of the contract —
-// refinePrefix compares these floats.
-func latency(infos []opInfo, nodes []int, dup []int) float64 {
+// digital operators in node order, then the CIM operators in node order.
+// The order is part of the contract: refinePrefix compares these floats.
+func latency(rows []cost.Row, nodes []int, dup []int) float64 {
 	total := 0.0
 	for _, id := range nodes {
-		if oi := infos[id]; !oi.cim {
-			total += oi.run(1)
+		if r := &rows[id]; r.Cores == 0 {
+			total += r.Run()
 		}
 	}
 	for _, id := range nodes {
-		if oi := infos[id]; oi.cim {
-			total += oi.run(dup[id])
+		if r := &rows[id]; r.Cores > 0 {
+			total += r.RunAt(dup[id])
 		}
 	}
 	return total

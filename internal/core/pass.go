@@ -204,7 +204,7 @@ type cgPass struct{}
 func (cgPass) Name() string              { return PassCG }
 func (cgPass) Applicable(arch.Mode) bool { return true }
 func (cgPass) Run(ctx context.Context, pc *PassContext) error {
-	s, err := cg.Optimize(ctx, pc.Graph, pc.Arch, pc.Model, cg.Options{
+	s, err := cg.Optimize(ctx, pc.Model, cg.Options{
 		Pipeline:   !pc.Opt.DisablePipeline,
 		Duplicate:  !pc.Opt.DisableDuplication,
 		Allocator:  pc.Opt.Allocator,

@@ -1,7 +1,7 @@
 // Package cost is the cycle-level cost model of the reproduction: the single
 // source of truth for how many cycles a crossbar MVM, a digital ALU
-// operator, a buffer stream or a NoC transfer takes, and how much power an
-// active crossbar draws.
+// operator or a buffer stream takes, and how much power an active crossbar
+// draws.
 //
 // Both the compile-time schedulers (internal/cg, internal/mvm, internal/vvm)
 // and the performance simulator (internal/perfsim) consume these primitives,
@@ -11,12 +11,13 @@
 //
 // A compilation prices every node many times over (the duplication search,
 // the MVM and VVM refinements, the simulator), so New prices each node once,
-// in the pass that computes its footprint, into a table indexed by node ID:
-// a digital or input node's whole OpCost, and a CIM node's terms that depend
-// on neither copies nor remap. CIMOp computes only the rest. What is
-// precomputed are operands, never partial products: every float expression
-// keeps the order of its terms, so a cost is bit-identical to pricing the
-// node from scratch.
+// in the pass that computes its footprint, into Rows, a table indexed by node
+// ID that is the one place a node's cost facts live: its OpCost at one copy
+// and remap 1, the cores one copy charges the duplication search and its
+// copy ceiling. Row.RunAt is the runtime at a copy count; CIMOp recomputes
+// only what copies and remap decide. What is precomputed are operands, never
+// partial products: every float expression keeps the order of its terms, so
+// a cost is bit-identical to pricing the node from scratch.
 //
 // CIMOp prices only settings that placement accepts: mapping's packing
 // rule alone decides which copies and remap a node may take.
@@ -43,45 +44,52 @@ import (
 )
 
 // Model bundles the graph, architecture and footprints a cost query needs,
-// and the node-indexed table of the cost terms that depend on neither copies
-// nor remap.
+// and the node-indexed table of each node's cost facts.
 type Model struct {
 	Arch  *arch.Arch
 	Graph *graph.Graph
 	FPs   []mapping.Footprint // by node ID; the zero Footprint off CIM nodes
+	Rows  []Row               // by node ID
 
-	// fixed is by node ID: an input or digital node's whole OpCost, and for a
-	// CIM node the terms CIMOp does not recompute per call (Node, IO, Rounds,
-	// Reload, FirstFrac). kind says which.
-	fixed []OpCost
-	kind  []opKind
 	// phases and read are the operands of every CIM node's compute term: DAC
 	// phases and the device read latency, as floats; write is the device
 	// write latency, Program's operand.
 	phases, read, write float64
 }
 
-// opKind is how a node is priced.
-type opKind uint8
+// Row is one node's cost facts.
+type Row struct {
+	OpCost // at one copy and remap 1; an input's costs nothing
+	// Cores is what one copy charges the duplication search's core budget:
+	// the footprint's CoresPerCopy, or the whole chip for an oversized
+	// operator (Rounds > 1), which sits alone in its segment. It is 0
+	// exactly off CIM nodes: every CIM footprint holds a crossbar.
+	Cores int
+	// MaxDup is the most copies the search tries: as many as the chip's
+	// crossbars hold, at most one per window, one for an oversized operator;
+	// 0 off CIM nodes.
+	MaxDup int
+}
 
-const (
-	inputOp   opKind = iota // costs nothing
-	cimOp                   // on crossbars: CIMOp
-	digitalOp               // on the digital ALUs: digitalCost
-)
+// RunAt returns the node's runtime with d copies (remap 1): OpCost.Run over
+// ⌈Windows/d⌉ windows.
+func (r *Row) RunAt(d int) float64 {
+	c := r.OpCost
+	c.Windows = ceilDiv64(c.Windows, int64(d))
+	return c.Run()
+}
 
 // New builds a cost model: in one pass over g it computes the footprint of
-// every CIM node from the shapes g holds and fills the table of each node's
-// fixed cost terms. It checks neither argument: g must be valid with its
-// shapes inferred (graph.InferShapes) and a valid (arch.Validate), as the
-// compiler has made them before it builds the one model of a compilation.
+// every CIM node from the shapes g holds and fills each node's row. It checks
+// neither argument: g must be valid with its shapes inferred
+// (graph.InferShapes) and a valid (arch.Validate), as the compiler has made
+// them before it builds the one model of a compilation.
 func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 	m := &Model{
 		Arch:   a,
 		Graph:  g,
 		FPs:    make([]mapping.Footprint, len(g.Nodes)),
-		fixed:  make([]OpCost, len(g.Nodes)),
-		kind:   make([]opKind, len(g.Nodes)),
+		Rows:   make([]Row, len(g.Nodes)),
 		phases: float64(a.DACPhases()),
 		read:   a.XB.Device.Profile().ReadLatency,
 		write:  a.XB.Device.Profile().WriteLatency,
@@ -89,16 +97,16 @@ func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 	for _, n := range g.Nodes {
 		switch {
 		case n.Op == graph.OpInput:
-			m.fixed[n.ID] = OpCost{Node: n.ID, Windows: 0, Rounds: 1}
+			m.Rows[n.ID].Rounds = 1
 		case n.Op.CIMSupported():
 			f, err := mapping.ComputeFootprint(n, a)
 			if err != nil {
 				return nil, err
 			}
 			m.FPs[n.ID] = f
-			m.kind[n.ID], m.fixed[n.ID] = cimOp, m.cimFixed(n, &m.FPs[n.ID])
+			m.Rows[n.ID] = m.cimRow(n, &m.FPs[n.ID])
 		default:
-			m.kind[n.ID], m.fixed[n.ID] = digitalOp, m.digitalCost(n)
+			m.Rows[n.ID].OpCost = m.digitalCost(n)
 		}
 	}
 	return m, nil
@@ -108,7 +116,6 @@ func New(g *graph.Graph, a *arch.Arch) (*Model, error) {
 // decisions. The operator processes Windows work units; each unit occupies a
 // pipeline stage for PerWindow cycles. Run() is the end-to-end busy time.
 type OpCost struct {
-	Node      int
 	Windows   int64   // work units per inference (MVMs or spatial positions)
 	PerWindow float64 // stage cycles per unit after duplication
 	Compute   float64 // compute component of PerWindow (before max with IO)
@@ -136,18 +143,22 @@ func (m *Model) Program(wordlines int) float64 {
 
 // CIMOp returns the cost of a CIM-supported node executed with `dup`
 // spatially concurrent copies and WLM remap factor `remap` (both ≥1). It
-// reads the node's fixed terms off the model's table and computes only what
-// copies and remap decide, as given: a setting placement refuses (remap
-// beyond the row groups, a divided oversized node) has no meaningful price.
+// starts from the node's row and recomputes only what copies and remap
+// decide, as given: a setting placement refuses (remap beyond the row
+// groups, a divided oversized node) has no meaningful price.
 func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
-	if uint(node) >= uint(len(m.kind)) || m.kind[node] != cimOp {
+	if uint(node) >= uint(len(m.Rows)) || m.Rows[node].Cores == 0 {
 		return OpCost{}, fmt.Errorf("cost: node %d is not a CIM operator", node)
 	}
 	if dup < 1 || remap < 1 {
 		return OpCost{}, fmt.Errorf("cost: node %d: dup %d / remap %d must be ≥1", node, dup, remap)
 	}
-	f, oc := &m.FPs[node], m.fixed[node]
+	return m.scaled(&m.FPs[node], m.Rows[node].OpCost, dup, remap), nil
+}
 
+// scaled returns oc, CIM footprint f's cost, with the terms copies and remap
+// decide priced at dup and remap.
+func (m *Model) scaled(f *mapping.Footprint, oc OpCost, dup, remap int) OpCost {
 	// Compute: DAC phases × sequential row groups × device read latency,
 	// plus a shift-add merge tree over the row stripes and one ADC drain.
 	groups := ceilDiv(f.RowGroups, remap)
@@ -155,32 +166,36 @@ func (m *Model) CIMOp(node, dup, remap int) (OpCost, error) {
 	oc.Compute = m.phases*float64(groups)*m.read + float64(merge)
 	oc.PerWindow = max(oc.Compute, oc.IO) // the builtin keeps math.Max's NaN and ±0 rules
 	oc.Windows = ceilDiv64(f.MVMs, int64(dup))
-	return oc, nil
+	return oc
 }
 
-// cimFixed returns the terms of CIM node n's cost that copies and remap do
-// not change: IO per window through the local buffer (the input vector in,
-// the output vector out, both ActBits wide), the weight-loading rounds, the
+// cimRow returns CIM node n's row. The terms copies and remap do not change
+// are IO per window through the local buffer (the input vector in, the
+// output vector out, both ActBits wide), the weight-loading rounds, the
 // reprogramming of the rounds after the first, and the pipeline coupling.
 // Only an oversized operator has later rounds; placement packs it undivided
-// and its segment holds it alone, from core 0, so they are priced from
-// the footprint.
-func (m *Model) cimFixed(n *graph.Node, f *mapping.Footprint) OpCost {
+// and its segment holds it alone, from core 0, so they are priced from the
+// footprint, and it charges the search the whole chip for its one copy.
+func (m *Model) cimRow(n *graph.Node, f *mapping.Footprint) Row {
 	a := m.Arch
 	inBits := int64(f.Rows) * int64(a.ActBits)
 	outBits := int64(f.Cols) * int64(a.ActBits)
-	var reload float64
+	r := Row{
+		OpCost: OpCost{
+			IO:        arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW),
+			Rounds:    f.Rounds,
+			FirstFrac: m.firstFrac(n),
+		},
+		Cores:  f.CoresPerCopy,
+		MaxDup: max(1, int(min(int64(a.TotalCrossbars()/f.XBsPerCopy), f.MVMs))),
+	}
 	if f.Rounds > 1 {
 		_, later := f.Wordlines(a)
-		reload = m.Program(later)
+		r.Reload = m.Program(later)
+		r.Cores, r.MaxDup = a.Chip.CoreCount(), 1
 	}
-	return OpCost{
-		Node:      n.ID,
-		IO:        arch.BufferCycles(inBits, a.Core.L1BW) + arch.BufferCycles(outBits, a.Core.L1BW),
-		Rounds:    f.Rounds,
-		Reload:    reload,
-		FirstFrac: m.firstFrac(n),
-	}
+	r.OpCost = m.scaled(f, r.OpCost, 1, 1)
+	return r
 }
 
 // digitalCost prices digital node n.
@@ -196,7 +211,7 @@ func (m *Model) digitalCost(n *graph.Node) OpCost {
 	}
 	// Stream the produced elements through the global buffer.
 	outBits := graph.NumElements(n.OutShape) * int64(m.Arch.ActBits)
-	io := arch.BufferCycles(outBits, m.Arch.Chip.L0BW) / float64(maxI64(windows, 1))
+	io := arch.BufferCycles(outBits, m.Arch.Chip.L0BW) / float64(max(windows, 1))
 	if io > per {
 		per = io
 	}
@@ -204,7 +219,6 @@ func (m *Model) digitalCost(n *graph.Node) OpCost {
 		per = 1.0 / 1024 // a data-movement floor so zero-cost ops cannot vanish
 	}
 	return OpCost{
-		Node:      n.ID,
 		Windows:   windows,
 		PerWindow: per,
 		Compute:   per,
@@ -213,14 +227,13 @@ func (m *Model) digitalCost(n *graph.Node) OpCost {
 	}
 }
 
-// Op dispatches to CIMOp on a CIM node and otherwise reads the node's
-// whole cost off the model's table: a digital node's on the ALUs, an input's
-// nothing.
+// Op dispatches to CIMOp on a CIM node and otherwise returns the node's
+// row: a digital node's cost on the ALUs, an input's nothing.
 func (m *Model) Op(node, dup, remap int) (OpCost, error) {
-	if m.kind[node] == cimOp {
+	if m.Rows[node].Cores > 0 {
 		return m.CIMOp(node, dup, remap)
 	}
-	return m.fixed[node], nil
+	return m.Rows[node].OpCost, nil
 }
 
 // digitalWork returns (windows, ALU ops per window) for a digital node.
@@ -320,13 +333,6 @@ func log2Ceil(n int) int {
 	b := 0
 	for v := n - 1; v > 0; v >>= 1 {
 		b++
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
 	}
 	return b
 }

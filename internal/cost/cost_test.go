@@ -14,7 +14,7 @@ import (
 
 // digitalOpCost is Op on a digital node and an error on any other.
 func digitalOpCost(m *Model, node int) (OpCost, error) {
-	if m.kind[node] != digitalOp {
+	if op := m.Graph.MustNode(node).Op; op.CIMSupported() || op == graph.OpInput {
 		return OpCost{}, fmt.Errorf("cost: node %d (%s) is not a digital operator", node, m.Graph.MustNode(node).Op)
 	}
 	return m.Op(node, 1, 1)
@@ -69,7 +69,6 @@ func cimFromScratch(m *Model, node, dup, remap, later int) OpCost {
 		reload = float64(later) * a.XB.Device.Profile().WriteLatency
 	}
 	return OpCost{
-		Node:      node,
 		Windows:   ceilDiv64(f.MVMs, int64(dup)),
 		PerWindow: math.Max(compute, io),
 		Compute:   compute,
@@ -107,8 +106,8 @@ func laterRoundsByTile(m *Model, node int) int {
 	return sum
 }
 
-// TestTableMatchesPricingFromScratch holds CIMOp, which reads a node's fixed
-// terms off the model's table, to pricing the node from scratch, bit for bit,
+// TestTableMatchesPricingFromScratch holds CIMOp, which starts from the
+// node's row, to pricing the node from scratch, bit for bit,
 // on every zoo model and preset at several copy counts and every remap up to
 // one past the row groups, settings placement refuses included (neither side
 // clamps); on every other node Op answers the cost the node is priced at now.
@@ -129,7 +128,7 @@ func TestTableMatchesPricingFromScratch(t *testing.T) {
 			}
 			for _, n := range g.Nodes {
 				if !n.Op.CIMSupported() {
-					want := OpCost{Node: n.ID, Rounds: 1}
+					want := OpCost{Rounds: 1}
 					if n.Op != graph.OpInput {
 						want = m.digitalCost(n)
 					}
@@ -152,6 +151,58 @@ func TestTableMatchesPricingFromScratch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRowChargesTheFootprintRule pins what each row charges the duplication
+// search, on every zoo node and preset, against the footprint: one copy takes
+// its CoresPerCopy, and as many copies as the chip's crossbars hold, at most
+// one per window and at least one, may be tried; an oversized operator takes
+// the whole chip and one copy. A digital or input node's row charges
+// nothing (0 and 0), and every CIM copy holds a crossbar, so Cores > 0 is
+// exactly the CIM nodes.
+func TestRowChargesTheFootprintRule(t *testing.T) {
+	oversized := 0
+	for _, name := range models.Names() {
+		for _, preset := range arch.PresetNames() {
+			g, err := models.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := arch.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range g.Nodes {
+				f := &m.FPs[n.ID]
+				cores, maxDup := 0, 0
+				switch {
+				case !n.Op.CIMSupported():
+				case f.Rounds > 1:
+					cores, maxDup = a.Chip.CoreCount(), 1
+					oversized++
+				default:
+					cores, maxDup = f.CoresPerCopy, 1
+					for d := 2; int64(d) <= f.MVMs && d*f.XBsPerCopy <= a.TotalCrossbars(); d++ {
+						maxDup = d
+					}
+				}
+				if n.Op.CIMSupported() && (f.XBsPerCopy < 1 || cores < 1) {
+					t.Fatalf("%s.%s node %d: a copy holds %d crossbars on %d cores", name, preset, n.ID, f.XBsPerCopy, cores)
+				}
+				if r := m.Rows[n.ID]; r.Cores != cores || r.MaxDup != maxDup {
+					t.Fatalf("%s.%s node %d (%s, %d rounds): row charges %d cores, %d copies at most; want %d, %d",
+						name, preset, n.ID, n.Op, f.Rounds, r.Cores, r.MaxDup, cores, maxDup)
+				}
+			}
+		}
+	}
+	if oversized == 0 {
+		t.Error("no zoo node is oversized: the whole-chip charge went unchecked")
 	}
 }
 

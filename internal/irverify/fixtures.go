@@ -109,7 +109,7 @@ func buildPipeOn(g *graph.Graph, mode arch.Mode, withFlow bool) (*pipe, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
 	if err != nil {
 		return nil, fmt.Errorf("fixture baseline: %w", err)
 	}

@@ -103,7 +103,7 @@ func FuzzVerifyIR(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+		s, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

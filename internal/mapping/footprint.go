@@ -71,11 +71,15 @@ type Footprint struct {
 }
 
 // ComputeFootprint returns the footprint of node n on architecture a. The
-// node must be CIM-supported and shapes must have been inferred.
+// node must be CIM-supported with a non-empty weight matrix, so that a copy
+// holds at least one crossbar, and shapes must have been inferred.
 func ComputeFootprint(n *graph.Node, a *arch.Arch) (Footprint, error) {
 	r, c, ok := n.WeightMatrixDims()
 	if !ok {
 		return Footprint{}, fmt.Errorf("mapping: node %d (%s) is not CIM-supported", n.ID, n.Op)
+	}
+	if r <= 0 || c <= 0 {
+		return Footprint{}, fmt.Errorf("mapping: node %d has an empty %d×%d weight matrix", n.ID, r, c)
 	}
 	if len(n.OutShape) == 0 {
 		return Footprint{}, fmt.Errorf("mapping: node %d has no inferred shape", n.ID)

@@ -119,6 +119,19 @@ func TestFootprintRejectsTooNarrowCrossbar(t *testing.T) {
 	}
 }
 
+// TestFootprintRejectsEmptyWeights: a copy of a CIM operator holds at least
+// one crossbar, so an empty weight matrix, which would occupy none, has no
+// footprint.
+func TestFootprintRejectsEmptyWeights(t *testing.T) {
+	a := arch.ToyExample()
+	for _, w := range [][]int{{32, 0}, {0, 16}} {
+		n := &graph.Node{ID: 1, Op: graph.OpDense, WeightShape: w, OutShape: []int{w[1]}}
+		if f, err := ComputeFootprint(n, a); err == nil {
+			t.Fatalf("a %d×%d weight matrix got footprint %+v", w[0], w[1], f)
+		}
+	}
+}
+
 func TestTileRowsAndCols(t *testing.T) {
 	g := models.ResNet18()
 	a := arch.ISAACBaseline()

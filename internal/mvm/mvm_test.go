@@ -37,7 +37,7 @@ func cgSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

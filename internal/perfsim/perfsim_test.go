@@ -439,7 +439,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestShortTablesSimulateAsUnset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Pipeline: true, Duplicate: true})
+	full, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

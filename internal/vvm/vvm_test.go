@@ -38,7 +38,7 @@ func mvmSchedule(t *testing.T, g *graph.Graph, a *arch.Arch) (*sched.Schedule, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cg.Optimize(context.Background(), g, a, m, cg.Options{Duplicate: true, Pipeline: true})
+	s, err := cg.Optimize(context.Background(), m, cg.Options{Duplicate: true, Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
