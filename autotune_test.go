@@ -163,3 +163,46 @@ func TestAutoTuneProgramStats(t *testing.T) {
 		t.Errorf("tuned program fails verification: %v", err)
 	}
 }
+
+// TestTunedExtentsRunTheirRounds: on the compile-zoo grid, tuned at the
+// default budget, every placed extent runs exactly the rounds its footprint
+// counts, the rounds the cost model and the simulator charge. A copy that
+// wrapped over what earlier nodes of its segment left would run more rounds
+// than priced: placement refuses it, so the tuner cannot gain by it.
+func TestTunedExtentsRunTheirRounds(t *testing.T) {
+	ctx := context.Background()
+	extents, wrapped := 0, 0
+	for _, preset := range []string{"isaac-baseline", "jain-jssc21", "jia-isscc21", "puma", "toy-table2"} {
+		a, err := Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(a, WithAutoTune(Budget{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet50", "vit-tiny", "vit-base"} {
+			g, err := Model(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Compile(ctx, g)
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			for _, e := range res.Placement.Extents {
+				f := &res.Model.FPs[e.Node]
+				slots := (e.Dup-1)*e.Stride + f.CopyTiles(a, e.Remap)
+				if rounds := (slots + e.Window - 1) / e.Window; rounds != f.Rounds {
+					t.Errorf("%s.%s node %d: dup %d remap %d from core %d runs %d rounds over a window of %d, its footprint counts %d",
+						model, preset, e.Node, e.Dup, e.Remap, e.FirstCore, rounds, e.Window, f.Rounds)
+				}
+				if f.Rounds > 1 {
+					wrapped++
+				}
+				extents++
+			}
+		}
+	}
+	t.Logf("%d extents, %d of oversized operators", extents, wrapped)
+}

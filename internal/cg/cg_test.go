@@ -2,6 +2,7 @@ package cg
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -12,8 +13,10 @@ import (
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
 	"cimmlc/internal/models"
+	"cimmlc/internal/mvm"
 	"cimmlc/internal/perfsim"
 	"cimmlc/internal/sched"
+	"cimmlc/internal/vvm"
 )
 
 func optimize(t *testing.T, g *graph.Graph, a *arch.Arch, opt Options) *sched.Schedule {
@@ -291,7 +294,7 @@ func TestAllocatorsAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf := waterfill(rows, ops, budget)
+	wf := waterfill(rows, ops, budget, nil)
 	sum := func(dup []int) float64 {
 		t := 0.0
 		for i, id := range ops {
@@ -514,10 +517,11 @@ func TestSegmenterPricesReloadPerCore(t *testing.T) {
 // TestReloadCyclesAreTheModelsPrice: the simulator charges each segment
 // after the first the cost model's Program of the wordlines its busiest core
 // writes, as the placement records them, on a multi-segment cell of every
-// preset: nothing for a segment of digital nodes alone (the ones cut off
-// before an oversized operator), which programs no crossbar. An oversized
-// operator's run pays the rounds after its first, round 0 being its
-// segment's.
+// preset. No segment holds digital nodes alone: those after an oversized
+// operator, up to the next CIM node, share its segment (perfsim's
+// TestSegmentsAddReload prices such a segment, built by hand, at 0). An
+// oversized operator's run pays the rounds after its first, round 0 being
+// its segment's.
 func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 	for _, preset := range arch.PresetNames() {
 		a, err := arch.Preset(preset)
@@ -544,14 +548,11 @@ func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, digital := 0.0, 0
+		want := 0.0
 		for seg := 1; seg < len(s.Segments); seg++ {
 			want += m.Program(wordlines[seg])
 			if !slices.ContainsFunc(s.Segments[seg], func(id int) bool { return g.Nodes[id].Op.CIMSupported() }) {
-				digital++
-				if wordlines[seg] != 0 {
-					t.Errorf("vgg16.%s: segment %d of digital nodes writes %d wordlines", preset, seg, wordlines[seg])
-				}
+				t.Errorf("vgg16.%s: segment %d holds digital nodes alone: %v", preset, seg, s.Segments[seg])
 			}
 		}
 		if rep.ReloadCycles != want {
@@ -567,6 +568,88 @@ func TestReloadCyclesAreTheModelsPrice(t *testing.T) {
 				t.Errorf("vgg16.%s node %d: %d rounds reload %v cycles, the rounds after the first write %d wordlines", preset, id, oc.Rounds, oc.Reload, later)
 			}
 		}
-		t.Logf("vgg16.%s: %d segments, %d of digital nodes alone, %v reload cycles", preset, len(s.Segments), digital, rep.ReloadCycles)
+		t.Logf("vgg16.%s: %d segments, %v reload cycles", preset, len(s.Segments), rep.ReloadCycles)
 	}
+}
+
+// TestArbitrationKeepsTheFaster: on every segment of every zoo cell (the
+// mixed models, which need a host, aside) at CM, XBM and WLM, the copies the
+// default allocator keeps simulate no slower than the dynamic program's own.
+// Both schedules go through the levels a compile runs after CG (the MVM
+// level's repack and stagger at XBM and finer, the VVM level's remap at
+// WLM), and each segment is timed by the simulator alone; the DP's copies
+// are Optimize's with Pipeline off, which arbitrates nothing and cuts the
+// same segments.
+func TestArbitrationKeepsTheFaster(t *testing.T) {
+	var sim perfsim.Segment
+	segments, moved := 0, 0
+	for _, preset := range arch.PresetNames() {
+		for _, model := range models.Names() {
+			if models.Mixed(model) {
+				continue
+			}
+			for _, level := range []arch.Mode{arch.CM, arch.XBM, arch.WLM} {
+				a, err := arch.Preset(preset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !a.Mode.AtLeast(level) {
+					continue
+				}
+				g, err := models.Build(model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := cost.New(g, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell := fmt.Sprintf("%s.%s@%s", model, preset, level)
+				opt := Options{Pipeline: true, Duplicate: true, Repack: level.AtLeast(arch.XBM)}
+				kept, err := Optimize(context.Background(), m, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				opt.Pipeline = false
+				dp, err := Optimize(context.Background(), m, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				dp.Pipeline = true
+				if !reflect.DeepEqual(kept.Segments, dp.Segments) {
+					t.Fatalf("%s: arbitrated segments %v, DP's %v", cell, kept.Segments, dp.Segments)
+				}
+				for _, s := range []*sched.Schedule{kept, dp} {
+					if level.AtLeast(arch.XBM) {
+						if _, err := mvm.Optimize(s, m, mvm.Options{Duplicate: true, Stagger: true}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if level.AtLeast(arch.WLM) {
+						if _, err := vvm.Optimize(s, m, vvm.Options{Remap: true}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i, seg := range kept.Segments {
+					k, err := sim.Makespan(context.Background(), kept, m, seg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := sim.Makespan(context.Background(), dp, m, seg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if k > d {
+						t.Errorf("%s segment %d: kept copies run %v cycles, the DP's %v", cell, i, k, d)
+					}
+					if k < d {
+						moved++
+					}
+					segments++
+				}
+			}
+		}
+	}
+	t.Logf("%d segments, %d faster than the DP's copies", segments, moved)
 }

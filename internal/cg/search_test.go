@@ -71,6 +71,26 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestWaterfillReusesItsBuffer: waterfill run in one buffer over a thousand
+// seeded operator sets, each left dirty by the last, returns what it returns
+// in a fresh one, and, once the buffer has grown, allocates nothing.
+func TestWaterfillReusesItsBuffer(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 58))
+	var buf []int
+	for draw := 0; draw < 1000; draw++ {
+		rows, ops, budget := randomOps(rng, draw)
+		want := waterfill(rows, ops, budget, nil)
+		if buf = waterfill(rows, ops, budget, buf); !slices.Equal(buf, want) {
+			t.Fatalf("draw %d: waterfill in a reused buffer %v, in a fresh one %v", draw, buf, want)
+		}
+	}
+	rows, ops, budget := randomOps(rng, 1)
+	buf = make([]int, 0, 2*len(ops))
+	if n := testing.AllocsPerRun(10, func() { buf = waterfill(rows, ops, budget, buf) }); n != 0 {
+		t.Errorf("waterfill allocates %v times a call in a buffer large enough", n)
+	}
+}
+
 // checkAgainstExhaustive holds every search over ops, node IDs into rows, and
 // budget to
 // exhaustiveDP: every cell of the uncapped table and every walk-back of it;
@@ -463,11 +483,22 @@ func scatter(table []int, ops []int, dup []int) {
 // bench's 35-cell grid — which holds the over-capacity cells whose prefixes
 // are actually refined: vgg16 / vit-base on isaac-baseline and puma,
 // resnet50 on jia-isscc21 — and requires identical segments and duplication.
-// It also reports the search work each did, per cell and summed: the counts
-// CHANGES.md quotes.
+// The dynamic program's copies are the ones compared: with Pipeline off a
+// segment keeps them unarbitrated (the summed runtime is then its exact
+// makespan), and segments do not depend on Pipeline. It also reports the
+// search work each did, per cell and summed, and how many segments a
+// default compile (Pipeline on, Repack from the preset's mode) priced both
+// ways and switched to waterfill: the counts CHANGES.md quotes.
 func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 	var sumOld, sumNew searchWork
-	refined := 0
+	refined, priced, switched := 0, 0, 0
+	arbitrated = func(sw bool) {
+		priced++
+		if sw {
+			switched++
+		}
+	}
+	defer func() { arbitrated = nil }()
 	for _, preset := range arch.PresetNames() {
 		for _, model := range []string{"lenet5", "vgg7", "vgg16", "resnet18", "resnet50", "vit-tiny", "vit-base"} {
 			a, err := arch.Preset(preset)
@@ -489,10 +520,17 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			// search of the Optimize call refills the same buffers.
 			var now searchWork
 			searchDone = func(tb *dupTable) { now.add(tableWork(tb)) }
-			s, err := Optimize(context.Background(), m, Options{Pipeline: true, Duplicate: true})
+			s, err := Optimize(context.Background(), m, Options{Duplicate: true})
 			searchDone = nil
 			if err != nil {
 				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			p, err := Optimize(context.Background(), m, Options{Pipeline: true, Duplicate: true, Repack: a.Mode.AtLeast(arch.XBM)})
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			if !reflect.DeepEqual(p.Segments, s.Segments) {
+				t.Errorf("%s.%s: pipelined segments %v, unpipelined %v", model, preset, p.Segments, s.Segments)
 			}
 
 			var segs [][]int
@@ -524,8 +562,12 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 	}
 	t.Logf("grid: searches %d → %d, (r,d) steps %d → %d, run(d) evaluations %d → %d; %d cells segmented",
 		sumOld.searches, sumNew.searches, sumOld.steps, sumNew.steps, sumOld.runs, sumNew.runs, refined)
+	t.Logf("grid: %d segments priced both ways by the simulator, %d switched to waterfill", priced, switched)
 	if refined < 5 {
 		t.Errorf("only %d cells were segmented; the grid no longer exercises refinePrefix", refined)
+	}
+	if priced == 0 {
+		t.Error("no segment was priced both ways; the grid no longer exercises the arbitration")
 	}
 	if sumNew.steps > 4_600_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
 		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 4.6 M / ≤ 21 K / ≤ 1 700",

@@ -24,9 +24,9 @@ var ErrOverCapacity = errors.New("model exceeds single-chip crossbar capacity")
 // + popped nodes as their own segment + reload) improves; reload is the cost
 // model's Program of the wordlines one copy of the popped operator writes on
 // its busiest core, what the simulator charges for a segment that starts
-// with it. Operators larger than the whole chip (multi-round) always get a
-// dedicated segment. Under Options.Duplicate each kept segment's copies go
-// into w.dup.
+// with it. An operator larger than the whole chip (multi-round) is always
+// the one CIM operator of its segment (takePrefix). Under Options.Duplicate
+// each kept segment's copies go into w.dup, arbitrated when w.arbitrates.
 func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 	rows := w.m.Rows
 	if totalCores, anyOversized := demand(rows, order); w.opt.Stationary && (totalCores > w.budget || anyOversized) {
@@ -39,9 +39,8 @@ func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 		return nil, fmt.Errorf("cg: model needs %d cores but the chip has %d: %w", totalCores, w.budget, ErrOverCapacity)
 	}
 	// A model that fits the chip is one prefix, taken whole and never refined
-	// (one segment even when it has no node).
-	// A capacity, not a bound: every segment holds a CIM operator but one of
-	// the digital nodes before a multi-round operator.
+	// (one segment even when it has no node). Every segment holds a CIM
+	// operator, but the one segment of a model with none.
 	segs := make([][]int, 0, cimCount(rows, order))
 	for remaining := order; ; {
 		prefix, rest, err := takePrefix(rows, remaining, w.budget)
@@ -54,6 +53,9 @@ func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 			prefix, err = w.refinePrefix(ctx, prefix)
 		default:
 			err = w.allocate(ctx, prefix)
+		}
+		if err == nil && w.arbitrates {
+			err = w.arbitrate(ctx, prefix)
 		}
 		if err != nil {
 			return nil, err
@@ -81,8 +83,12 @@ func demand(rows []cost.Row, order []int) (cores int, anyOversized bool) {
 }
 
 // takePrefix returns the maximal prefix of `order` whose CIM operators fit
-// the core budget; a multi-round operator at the head becomes a singleton
-// prefix.
+// the core budget. A multi-round operator is the one CIM operator of its
+// prefix: a prefix that reaches it holding CIM operators ends before it, and
+// otherwise the prefix runs through it and the digital nodes after it, up to
+// the next CIM node. Cut off, those would be a segment of digital nodes
+// alone, waiting for the whole operator, where in its segment they pipeline
+// behind it.
 func takePrefix(rows []cost.Row, order []int, budget int) (prefix, rest []int, err error) {
 	cores := 0
 	for i, id := range order {
@@ -91,10 +97,14 @@ func takePrefix(rows []cost.Row, order []int, budget int) (prefix, rest []int, e
 			continue
 		}
 		if r.Rounds > 1 {
-			if i == 0 {
-				return order[:1], order[1:], nil
+			if cores > 0 {
+				return order[:i], order[i:], nil
 			}
-			return order[:i], order[i:], nil
+			end := i + 1
+			for end < len(order) && rows[order[end]].Cores == 0 {
+				end++
+			}
+			return order[:end], order[end:], nil
 		}
 		if r.Cores > budget {
 			return nil, nil, fmt.Errorf("cg: operator %d needs %d cores alone but the chip has %d (and is not multi-round)", id, r.Cores, budget)

@@ -362,6 +362,18 @@ func runCell(ctx context.Context, cell Cell, cfg Config, vs *violationSet) CellR
 	out.CompileTime = time.Since(t0)
 	out.Digest = digestOf(res)
 
+	// Every segment holds a CIM operator: digital nodes cut off alone would
+	// wait for the whole segment before them, where the segmenter pipelines
+	// them in their producer's segment.
+	for _, sr := range stageResults(res) {
+		s := sr.Schedule
+		for i, seg := range s.Segments {
+			if !slices.ContainsFunc(seg, func(id int) bool { return s.Graph.Nodes[id].Op.CIMSupported() }) {
+				vs.addf("%s: segment %d of %d holds digital nodes alone: %v", cell.Key(), i, len(s.Segments), seg)
+			}
+		}
+	}
+
 	// Strict determinism: an independent compiler over the same inputs must
 	// reproduce every metric bit-for-bit (§4's simulator results are only
 	// comparable because repeated runs agree exactly).
@@ -516,8 +528,11 @@ func checkTuneImprovement(results []CellResult, vs *violationSet) {
 // runScaleChecks verifies resource monotonicity: doubling the core grid at
 // the preset's native mode must not increase latency (more cores only widen
 // the duplication and pipelining search space). Crossbars-per-core scaling
-// is deliberately not asserted — it grows the intra-core NoC diameter, which
-// legitimately raises per-MVM movement cost on some presets.
+// is deliberately not asserted: a core programs its crossbars serially
+// through its one write port, so a segment's reload grows with its busiest
+// core's crossbars (twice the crossbars per core makes vgg16.isaac-baseline
+// 22 % slower, its reload 307 200 → 512 000 cycles). No intra-core
+// interconnect is priced (ROADMAP item 13).
 func runScaleChecks(ctx context.Context, cfg Config, results []CellResult, vs *violationSet) {
 	models := cfg.ScaleModels
 	if len(models) == 0 {

@@ -209,6 +209,8 @@ func (cgPass) Run(ctx context.Context, pc *PassContext) error {
 		Duplicate:  !pc.Opt.DisableDuplication,
 		Allocator:  pc.Opt.Allocator,
 		Stationary: pc.Opt.Stationary,
+		// The MVM pass repacks the copies when it runs with duplication on.
+		Repack: pc.Level.AtLeast(arch.XBM) && !pc.Opt.DisableDuplication,
 	})
 	if err != nil {
 		return err

@@ -140,6 +140,29 @@ func TotalCores(fps []Footprint) int {
 	return total
 }
 
+// RepackedCopies is Equation 1 (§3.3.3): the copies that d core-grain
+// copies of f become when they are repacked at crossbar granularity into
+// the cores the CG level granted them,
+//
+//	D′ = ⌊ CoresPerCopy · d · CoreVXB / XBsPerCopy ⌋
+//
+// with CoreVXB the crossbars per core (the §3.4 walkthrough's step from
+// duplication 2 to 4). D′ is never below d and never above one copy per
+// MVM, and an oversized copy (Rounds > 1), which cannot be duplicated, keeps
+// d. The MVM level applies it, and the CG level prices its candidates with
+// it when the MVM level will run.
+func (f *Footprint) RepackedCopies(a *arch.Arch, d int) int {
+	if f.Rounds > 1 {
+		return d
+	}
+	dPrime := max(d, f.CoresPerCopy*d*a.Core.XBCount()/f.XBsPerCopy)
+	// More copies than MVMs is wasted silicon.
+	if int64(dPrime) > f.MVMs {
+		dPrime = int(f.MVMs)
+	}
+	return max(dPrime, 1)
+}
+
 // TileRows returns the number of weight-matrix rows tile (i, ·) of a copy
 // holds: full crossbar height except possibly the last row-stripe.
 func (f *Footprint) TileRows(tileR int, a *arch.Arch) int {

@@ -233,7 +233,7 @@ func ruleErr(rule string, node int, format string, args ...any) *RuleError {
 // Validate is the placement check, per extent in work that does not grow
 // with its tiles: each extent inside the chip and where packNode starts it,
 // the extents of a segment on consecutive disjoint core ranges, copies on
-// disjoint slots that wrap into rounds only undivided and fill exactly the
+// disjoint slots that wrap into rounds only undivided from core 0 and fill exactly the
 // extent's own cores, every row stripe and column tile of each footprint
 // inside a crossbar and the node's cell matrix, and the recorded per-segment
 // totals the extents' sums and busiest-core wordlines. Every
@@ -285,8 +285,8 @@ func (p *Placement) Validate() error {
 			return ruleErr(RuleOverlap, e.Node, "node %d copies are %d slots apart but hold %d tiles", e.Node, e.Stride, tiles)
 		}
 		slots := (e.Dup-1)*e.Stride + tiles
-		if slots > e.Window && (e.Dup > 1 || e.Remap > 1) {
-			return ruleErr(RuleOverlap, e.Node, "node %d with dup %d remap %d wraps %d slots over a window of %d; only an undivided operator takes rounds", e.Node, e.Dup, e.Remap, slots, e.Window)
+		if slots > e.Window && (e.Dup > 1 || e.Remap > 1 || e.FirstCore > 0) {
+			return ruleErr(RuleOverlap, e.Node, "node %d with dup %d remap %d from core %d wraps %d slots over a window of %d; only an undivided operator takes rounds, from core 0", e.Node, e.Dup, e.Remap, e.FirstCore, slots, e.Window)
 		}
 		// A round's slots fill the extent's cores up to its last one: none
 		// spills onto the next extent's cores, none is left empty.

@@ -67,10 +67,14 @@ func (e Extent) slot(s int) (xb, round int) {
 // m at most the footprint's row groups (splitting finer than one
 // parallel-row group activates nothing extra), and a copy whose upper bound
 // XBsPerCopy·m exceeds the window — an oversized one — only undivided (d=1,
-// m=1), in which case its tiles wrap into rounds. Nothing downstream clamps
-// or falls back: the cost model, the simulator and codegen price and emit a
-// setting as given. Because the window is never empty and an extent never
-// exceeds it, a segment cannot outgrow the core grid without failing here.
+// m=1) and only from core 0, in which case its tiles wrap into rounds over
+// the whole chip: the rounds the cost model and the simulator charge
+// (Footprint.Rounds) are counted over the whole chip, so a copy that wraps
+// over what earlier nodes of its segment left would run rounds nobody
+// prices. Nothing downstream clamps or falls back: the cost model, the
+// simulator and codegen price and emit a setting as given. Because the
+// window is never empty and an extent never exceeds it, a segment cannot
+// outgrow the core grid without failing here.
 func packNode(a *arch.Arch, f *Footprint, firstCore, d, m int) (Extent, error) {
 	if d < 1 || m < 1 {
 		return Extent{}, fmt.Errorf("mapping: node %d has non-positive dup %d or remap %d", f.Node, d, m)
@@ -97,8 +101,8 @@ func packNode(a *arch.Arch, f *Footprint, firstCore, d, m int) (Extent, error) {
 		stride = ceilDiv(tiles, xbPerCore) * xbPerCore
 	}
 	slots := (d-1)*stride + tiles
-	if divided && slots > window {
-		return Extent{}, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain", f.Node, d, m, slots, window)
+	if (divided || firstCore > 0) && slots > window {
+		return Extent{}, fmt.Errorf("mapping: node %d with dup %d remap %d needs %d crossbars but only %d remain from core %d", f.Node, d, m, slots, window, firstCore)
 	}
 	return Extent{
 		Node: f.Node, Dup: d, Remap: m,

@@ -99,8 +99,9 @@ func TestSegmentCoresMatchesPlace(t *testing.T) {
 }
 
 // TestExtentCorners pins the two packings whose crossbar count is not simply
-// dup × tiles: a lone oversized operator wrapping into rounds over the window
-// left on the chip, and core-mode copies padded to core boundaries.
+// dup × tiles: an oversized operator wrapping into rounds over the whole
+// chip, alone in its segment from core 0, and core-mode copies padded to core
+// boundaries.
 func TestExtentCorners(t *testing.T) {
 	t.Run("oversized multi-round", func(t *testing.T) {
 		a := arch.ToyExample() // 2 cores × 2 crossbars of 32×32
@@ -114,27 +115,41 @@ func TestExtentCorners(t *testing.T) {
 		if small.XBsPerCopy != 1 || big.XBsPerCopy <= 2*a.TotalCrossbars() {
 			t.Fatalf("fixture drifted: footprints of %d and %d crossbars", small.XBsPerCopy, big.XBsPerCopy)
 		}
-		p, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g))
+		// The big conv alone in its segment wraps over the whole chip.
+		alone := [][]int{{0, cim[0], cim[0] + 1}, {cim[1]}}
+		p, err := Place(context.Background(), g, a, fps, nil, nil, alone)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// The small conv takes core 0; the big one wraps over core 1's window.
-		window := a.TotalCrossbars() - a.Core.XBCount()
-		cores, xbs, rounds := emitted(p, 0)
-		if wantXBs := 1 + window; xbs != wantXBs || p.SegmentXBs[0] != wantXBs {
-			t.Errorf("crossbars: tiles %d, calculus %d, want %d", xbs, p.SegmentXBs[0], wantXBs)
+		cores, xbs, rounds := emitted(p, 1)
+		if wantXBs := a.TotalCrossbars(); xbs != wantXBs || p.SegmentXBs[1] != wantXBs {
+			t.Errorf("crossbars: tiles %d, calculus %d, want %d", xbs, p.SegmentXBs[1], wantXBs)
 		}
-		if cores != a.Chip.CoreCount() || p.SegmentCores[0] != cores {
-			t.Errorf("cores: tiles %d, calculus %d, want %d", cores, p.SegmentCores[0], a.Chip.CoreCount())
+		if cores != a.Chip.CoreCount() || p.SegmentCores[1] != cores {
+			t.Errorf("cores: tiles %d, calculus %d, want %d", cores, p.SegmentCores[1], a.Chip.CoreCount())
 		}
-		if want := (big.XBsPerCopy + window - 1) / window; rounds != want {
-			t.Errorf("rounds = %d, want %d", rounds, want)
+		if rounds != big.Rounds {
+			t.Errorf("rounds = %d, want the footprint's %d", rounds, big.Rounds)
 		}
-		if _, err := Place(context.Background(), g, a, fps, nodeTable(g, cim[1], 2), nil, oneSegment(g)); err == nil {
+		if _, err := Place(context.Background(), g, a, fps, nodeTable(g, cim[1], 2), nil, alone); err == nil {
 			t.Error("accepted a duplicated oversized operator")
+		}
+		// After the small conv it would wrap over core 1's window alone, into
+		// more rounds than its footprint counts: refused.
+		if _, err := Place(context.Background(), g, a, fps, nil, nil, oneSegment(g)); err == nil {
+			t.Error("accepted an oversized operator wrapping from core 1")
+		}
+		// So is an extent that claims such a wrap.
+		e := p.Extents[1]
+		e.FirstCore, e.FirstXB, e.Window = 1, a.Core.XBCount(), a.TotalCrossbars()-a.Core.XBCount()
+		e.Cores = 1
+		q := &Placement{Arch: a, Extents: []Extent{p.Extents[0], e}, SegmentCores: []int{2}, SegmentXBs: []int{1 + e.Window}, SegmentWordlines: p.SegmentWordlines[:1], fps: fps}
+		q.Extents[1].Segment = 0
+		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "only an undivided operator takes rounds, from core 0") {
+			t.Errorf("Validate of an oversized extent wrapping from core 1 = %v", err)
 		}
 	})
 	t.Run("CM alignment padding", func(t *testing.T) {

@@ -39,40 +39,19 @@ func Optimize(s *sched.Schedule, m *cost.Model, opt Options) (*sched.Schedule, e
 	return s, nil
 }
 
-// updateDuplication applies Equation 1 to every CIM operator:
-//
-//	D′ = ⌊ numCores · D · CoreVXB / numVXB ⌋
-//
-// where numCores is the cores one copy occupies, D the CG duplication,
-// CoreVXB the crossbars per core, and numVXB the crossbars one copy needs —
-// i.e. the copies are repacked at crossbar granularity into the same core
-// allocation the CG level granted (the §3.4 walkthrough's step from
-// duplication 2 to 4).
+// updateDuplication applies Equation 1 (mapping.Footprint.RepackedCopies) to
+// every CIM operator: its copies are repacked at crossbar granularity into the
+// same core allocation the CG level granted.
 func updateDuplication(s *sched.Schedule, m *cost.Model) error {
 	for _, seg := range s.Segments {
 		for _, id := range seg {
 			if !s.Graph.Nodes[id].Op.CIMSupported() {
 				continue // digital operator
 			}
-			f := &m.FPs[id]
-			if f.Rounds > 1 {
-				continue // oversized: cannot duplicate
-			}
 			d := s.DupOf(id)
-			coresPerCopy := f.CoresPerCopy
-			totalXBs := coresPerCopy * d * s.Arch.Core.XBCount()
-			dPrime := totalXBs / f.XBsPerCopy
-			if dPrime < d {
-				dPrime = d
+			if dPrime := m.FPs[id].RepackedCopies(s.Arch, d); dPrime != d {
+				s.SetDup(id, dPrime)
 			}
-			// More copies than MVMs is wasted silicon.
-			if int64(dPrime) > f.MVMs {
-				dPrime = int(f.MVMs)
-			}
-			if dPrime < 1 {
-				dPrime = 1
-			}
-			s.SetDup(id, dPrime)
 		}
 	}
 	return nil

@@ -105,7 +105,7 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 			rep.ReloadCycles += reload
 			segStart += reload
 		}
-		segEnd, err := simulateSegment(ctx, s, m, segIdx, seg, segStart, rep, segOf)
+		segEnd, err := simulateSegment(ctx, s, m, seg, segStart, segIdx+1, rep.PerOp, segOf)
 		if err != nil {
 			return nil, err
 		}
@@ -119,11 +119,42 @@ func SimulateWithModel(ctx context.Context, s *sched.Schedule, m *cost.Model, p 
 	return rep, nil
 }
 
-// simulateSegment walks segment segIdx in order, computing each operator's
-// start and finish under the pipeline (or strictly serial) discipline, and
-// returns the segment's completion time. It marks each node it simulates in
-// segOf.
-func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segIdx int, seg []int, segStart float64, rep *Report, segOf []int) (float64, error) {
+// Segment simulates one segment of a schedule on its own, as Simulate
+// simulates it within the whole schedule, in buffers it keeps across calls:
+// what the duplication search asks of the simulator when it prices the
+// copies of a segment it keeps. The zero value is ready to use; a Segment is
+// not safe for concurrent use.
+type Segment struct {
+	perOp []OpTiming // by node ID: the timings of the last call that simulated the node
+	mark  []int      // by node ID: that call's number, -1 for none
+	calls int
+}
+
+// Makespan returns how long segment seg of s runs, from its start after its
+// reload to its completion, as Simulate times it (Report.SegmentCycles).
+// Every input produced outside seg counts as materialized, as a segment's
+// inputs from an earlier segment do in Simulate. It prices s's copies and
+// remap factors as given and checks neither the schedule nor its placement;
+// s's tables are only read.
+func (b *Segment) Makespan(ctx context.Context, s *sched.Schedule, m *cost.Model, seg []int) (float64, error) {
+	if n := len(s.Graph.Nodes); len(b.mark) != n {
+		b.perOp, b.mark, b.calls = make([]OpTiming, n), make([]int, n), 0
+		//cimlint:ignore ctxcancel -- one store per node, once per graph; the segment loop polls per operator
+		for i := range b.mark {
+			b.mark[i] = -1
+		}
+	}
+	b.calls++
+	return simulateSegment(ctx, s, m, seg, 0, b.calls, b.perOp, b.mark)
+}
+
+// simulateSegment walks segment seg in order from segStart, computing each
+// operator's start and finish under the pipeline (or strictly serial)
+// discipline into perOp, and returns the segment's completion time. It marks
+// each node it simulates with mark in segOf: an input marked otherwise was
+// produced outside the segment and is materialized, one marked 0 was never
+// simulated.
+func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, seg []int, segStart float64, mark int, perOp []OpTiming, segOf []int) (float64, error) {
 	end := segStart
 	prevFinish := segStart
 	for _, id := range seg {
@@ -145,11 +176,11 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 			if segOf[in] == 0 {
 				return 0, fmt.Errorf("perfsim: node %d consumes unsimulated node %d", id, in)
 			}
-			if segOf[in] != segIdx+1 {
+			if segOf[in] != mark {
 				// Produced by an earlier segment: fully materialized.
 				continue
 			}
-			pt := &rep.PerOp[in]
+			pt := &perOp[in]
 			if s.Pipeline {
 				ready := pt.Start + oc.FirstFrac*(pt.Finish-pt.Start)
 				if ready > start {
@@ -175,12 +206,12 @@ func simulateSegment(ctx context.Context, s *sched.Schedule, m *cost.Model, segI
 		if lastInput > 0 && lastInput+oc.PerWindow > finish {
 			finish = lastInput + oc.PerWindow
 		}
-		rep.PerOp[id] = OpTiming{
+		perOp[id] = OpTiming{
 			Start:     start,
 			Finish:    finish,
 			ActiveXBs: activeXBs(s, m, id, &oc),
 		}
-		segOf[id] = segIdx + 1
+		segOf[id] = mark
 		prevFinish = finish
 		if finish > end {
 			end = finish

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"cimmlc/internal/arch"
-	"cimmlc/internal/cg"
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
 	"cimmlc/internal/mapping"
@@ -173,11 +171,15 @@ func twoConvs() *graph.Graph {
 
 // TestSegmentsAddReload: a segment after the first pays to program what its
 // busiest core writes, and a segment of digital nodes alone programs nothing
-// and pays nothing.
+// and pays nothing. The chip is the Table-2 machine with twice its cores, so
+// that both convolutions also fit one segment: on two cores the second would
+// wrap from core 1, which placement refuses.
 func TestSegmentsAddReload(t *testing.T) {
 	g := twoConvs()
-	one := sequential(g, arch.ToyExample())
-	two := sequential(g, arch.ToyExample())
+	a := arch.ToyExample()
+	a.Chip.CoreCols = 2
+	one := sequential(g, a)
+	two := sequential(g, a)
 	two.Segments = [][]int{{1, 2}, {3}}
 	r1, err := Simulate(one)
 	if err != nil {
@@ -427,64 +429,5 @@ func TestBranchingGraphTimings(t *testing.T) {
 	c2 := rep.PerOp[2]
 	if add.Finish < c2.Finish {
 		t.Fatal("add finished before its producer")
-	}
-}
-
-// BenchmarkSimulate is one autotuner-candidate evaluation: a duplicated,
-// pipelined ResNet-18 schedule on the baseline through a shared cost model.
-func BenchmarkSimulate(b *testing.B) {
-	g := models.ResNet18()
-	a := arch.ISAACBaseline()
-	m, err := cost.New(g, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for b.Loop() {
-		if _, err := SimulateWithModel(context.Background(), s, m, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestShortTablesSimulateAsUnset: a schedule built outside the compiler may
-// leave its Dup and Remap tables nil or stop them at its last setting other
-// than the default; every node past the end reads as the default, so the
-// report equals that of the same decisions in full-length tables.
-func TestShortTablesSimulateAsUnset(t *testing.T) {
-	g := models.ResNet18()
-	a := arch.ISAACBaseline()
-	m, err := cost.New(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := cg.Optimize(context.Background(), m, cg.Options{Pipeline: true, Duplicate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := full.Clone()
-	last := 0
-	for id, d := range short.Dup {
-		if d > 1 {
-			last = id
-		}
-	}
-	if last == 0 || last == len(g.Nodes)-1 {
-		t.Fatalf("want a schedule duplicating a node before the graph's last, got node %d of %d", last, len(g.Nodes))
-	}
-	short.Dup, short.Remap = short.Dup[:last+1], nil
-	want, err := Simulate(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Simulate(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("short tables simulate to %+v, full ones to %+v", got, want)
 	}
 }
