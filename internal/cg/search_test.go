@@ -61,12 +61,50 @@ func randomOps(rng *rand.Rand, draw int) ([]cost.Row, []int, int) {
 // forward table holds the exhaustive search's choice in every cell, and its
 // walk-back returns the same duplication — for the whole list and for every
 // leading sub-list, which is what lets refinePrefix share one table — and
-// allocateDP, on the reserve-capped table it builds, the same as a fresh
-// search.
+// allocateDP, on the pruned one-walk table it builds, the same as a fresh
+// search. Enough of the draws prune a cell that the bound is exercised.
 func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 332))
+	pruning := 0
 	for draw := 0; draw < 1000; draw++ {
 		rows, ops, budget := randomOps(rng, draw)
+		if checkAgainstExhaustive(t, fmt.Sprintf("draw %d (budget %d, rows %+v)", draw, budget, rows[1:]), rows, ops, budget) > 0 {
+			pruning++
+		}
+	}
+	t.Logf("%d of 1000 one-walk tables pruned", pruning)
+	if pruning < 100 {
+		t.Errorf("only %d of 1000 one-walk tables pruned a cell; the draws no longer exercise the bound", pruning)
+	}
+}
+
+// TestPrunedWalkEdgeCases holds the pruned search to the exhaustive one
+// (checkAgainstExhaustive) on seeded operator sets bent to the bound's
+// edges, one per draw in turn: every copy count of every operator tied
+// (PerWindow 0), so the greedy has nothing to gain and the bound's slope is
+// flat; an operator with no candidate (MaxDup 0), where nothing is pruned;
+// every operator multi-round with a reload, which the bound adds outside
+// the relaxation; and a budget of exactly L_n, one copy of each, where the
+// bound's U is the optimum itself.
+func TestPrunedWalkEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewPCG(60, 4))
+	for draw := 0; draw < 800; draw++ {
+		rows, ops, budget := randomOps(rng, draw)
+		switch draw % 4 {
+		case 0:
+			for _, id := range ops {
+				rows[id].PerWindow = 0
+			}
+		case 1:
+			rows[ops[rng.IntN(len(ops))]].MaxDup = 0
+		case 2:
+			for _, id := range ops {
+				rows[id].Rounds = 2 + rng.IntN(3)
+				rows[id].Reload = 1 + 5000*rng.Float64()
+			}
+		case 3:
+			budget = coresAtDupOne(rows, ops)
+		}
 		checkAgainstExhaustive(t, fmt.Sprintf("draw %d (budget %d, rows %+v)", draw, budget, rows[1:]), rows, ops, budget)
 	}
 }
@@ -92,16 +130,16 @@ func TestWaterfillReusesItsBuffer(t *testing.T) {
 }
 
 // checkAgainstExhaustive holds every search over ops, node IDs into rows, and
-// budget to
-// exhaustiveDP: every cell of the uncapped table and every walk-back of it;
-// allocateDP; and every cell of the table allocateDP builds over the
-// operators before the last, with the last's cores in reserve, at the columns
-// its walk can read — r ≤ budget − reserve_i, reserve_i the cores of one copy
-// of each operator after row i.
-func checkAgainstExhaustive(t *testing.T, what string, rows []cost.Row, ops []int, budget int) {
+// budget to exhaustiveDP: every cell of the uncapped table and every walk-back
+// of it; allocateDP; and, on the pruned one-walk table allocateDP builds,
+// every cell its walk reads. The one-walk table's other cells may be pruned
+// or hold more than the exhaustive search's, so they are not compared. The
+// greedy allocation that bounds the pruning must be no faster than the
+// optimum, summed in the same order. It returns the cells the bound pruned.
+func checkAgainstExhaustive(t *testing.T, what string, rows []cost.Row, ops []int, budget int) int {
 	t.Helper()
 	ctx := context.Background()
-	table, err := newTable(ctx, rows, ops, budget, 0)
+	table, err := newTable(ctx, rows, ops, budget, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,26 +164,38 @@ func checkAgainstExhaustive(t *testing.T, what string, rows []cost.Row, ops []in
 	if !slices.Equal(got, dup) {
 		t.Fatalf("%s: allocateDP %v, exhaustive search %v", what, got, dup)
 	}
-	n := len(ops) - 1
-	capped, err := newTable(ctx, rows, ops[:n], budget, rows[ops[n]].Cores)
+	once, err := newTable(ctx, rows, ops, budget, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reserve := rows[ops[n]].Cores
-	for i := n - 1; i >= 0; i-- {
-		for r := 0; r <= budget-reserve; r++ {
-			if got := capped.at(i, r); got != choice[i][r] {
-				t.Fatalf("%s: reserve-capped choice[%d][%d] = %d (cap %d), exhaustive search chose %d", what, i, r, got, budget-reserve, choice[i][r])
-			}
-		}
-		reserve += rows[ops[i]].Cores
+	n := len(ops) - 1
+	if d := once.next(); d != choice[n][budget] {
+		t.Fatalf("%s: the one-walk table prices %d copies for the last operator, exhaustive search chose %d", what, d, choice[n][budget])
 	}
+	for i, r := n-1, max(0, budget-dup[n]*rows[ops[n]].Cores); i >= 0; i-- {
+		if got := once.at(i, r); got != choice[i][r] {
+			t.Fatalf("%s: one-walk choice[%d][%d] on the walk = %d, exhaustive search chose %d", what, i, r, got, choice[i][r])
+		}
+		r = max(0, r-dup[i]*rows[ops[i]].Cores)
+	}
+	pruned := tableWork(once).pruned
+	if choice[n][budget] == 0 {
+		return pruned // no allocation fits: nothing to bound
+	}
+	opt := 0.0
+	for i, id := range ops {
+		opt += rows[id].RunAt(dup[i])
+	}
+	if u := once.greedy(len(ops)); u < opt {
+		t.Fatalf("%s: the greedy allocation sums to %v, below the optimum %v", what, u, opt)
+	}
+	return pruned
 }
 
 // newTable builds a table over ops in fresh buffers.
-func newTable(ctx context.Context, rows []cost.Row, ops []int, budget, reserve int) (*dupTable, error) {
+func newTable(ctx context.Context, rows []cost.Row, ops []int, budget int, once bool) (*dupTable, error) {
 	t := new(dupTable)
-	return t, t.build(ctx, rows, ops, budget, reserve)
+	return t, t.build(ctx, rows, ops, budget, once)
 }
 
 // inOrder reads dup, copies by node ID, back as a list: out[i] the copies of
@@ -204,7 +254,7 @@ func TestReusedTableMatchesFresh(t *testing.T) {
 // exhaustive search gives none.
 func TestRowWithoutCandidates(t *testing.T) {
 	rows, ops := []cost.Row{{}, cimRow(2, 0, 100, 1), cimRow(2, 67, 5000, 1)}, []int{1, 2}
-	table, err := newTable(context.Background(), rows, ops, 146, 0)
+	table, err := newTable(context.Background(), rows, ops, 146, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +274,8 @@ func TestRowWithoutCandidates(t *testing.T) {
 }
 
 // reusedTables are the tables a search test rebuilds draw after draw: one
-// uncapped, one under allocateDP's reserve, one allocateDP builds.
-type reusedTables struct{ uncapped, capped, searched dupTable }
+// uncapped, one one-walk, one allocateDP builds.
+type reusedTables struct{ uncapped, once, searched dupTable }
 
 // check rebuilds each of ts over ops, node IDs into rows, and budget and
 // holds it, and what it serves, to a table built in fresh buffers.
@@ -234,29 +284,28 @@ func (ts *reusedTables) check(t *testing.T, what string, rows []cost.Row, ops []
 	ctx := context.Background()
 	n := len(ops) - 1
 	for _, c := range []struct {
-		t       *dupTable
-		ops     []int
-		reserve int
-	}{{&ts.uncapped, ops, 0}, {&ts.capped, ops[:n], rows[ops[n]].Cores}} {
-		if err := c.t.build(ctx, rows, c.ops, budget, c.reserve); err != nil {
+		t    *dupTable
+		once bool
+	}{{&ts.uncapped, false}, {&ts.once, true}} {
+		if err := c.t.build(ctx, rows, ops, budget, c.once); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := newTable(ctx, rows, c.ops, budget, c.reserve)
+		fresh, err := newTable(ctx, rows, ops, budget, c.once)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameTable(t, fmt.Sprintf("%s, reserve %d", what, c.reserve), c.t, fresh)
-		if c.reserve == 0 {
-			for k := 0; k <= len(c.ops); k++ {
+		sameTable(t, fmt.Sprintf("%s, one-walk %v", what, c.once), c.t, fresh)
+		if !c.once {
+			for k := 0; k <= len(ops); k++ {
 				if got, want := walkList(c.t, k, budget), walkList(fresh, k, budget); !slices.Equal(got, want) {
 					t.Fatalf("%s: walk-back of %d rows: reused table %v, fresh table %v", what, k, got, want)
 				}
 			}
 			continue
 		}
-		for r := 0; r <= budget-c.reserve; r++ {
+		for r := 0; r <= budget-rows[ops[n]].Cores; r++ {
 			if got, want := walkList(c.t, n, r), walkList(fresh, n, r); !slices.Equal(got, want) {
-				t.Fatalf("%s, reserve %d: walk-back from %d cores: reused table %v, fresh table %v", what, c.reserve, r, got, want)
+				t.Fatalf("%s, one-walk: walk-back from %d cores: reused table %v, fresh table %v", what, r, got, want)
 			}
 		}
 	}
@@ -294,8 +343,9 @@ func sameTable(t *testing.T, what string, got, fresh *dupTable) {
 
 // decodeOps reads an operator set and a budget from fuzz bytes, over
 // randomOps' field ranges widened where the search has edges: budgets up to
-// 2048, copies as wide as the whole budget, windows of 1 and primes, and
-// PerWindow 0 (every copy count ties). Ten bytes make an operator, up to
+// 2048, copies as wide as the whole budget, windows of 1 and primes,
+// PerWindow 0 (every copy count ties) and MaxDup 0 (no copy count to try, a
+// seventh byte from 0xf0 up). Ten bytes make an operator, up to
 // eight of them; a short input is padded with zeros. An odd budgetBits makes
 // the budget the dup-1 baseline, the tightest feasible one.
 func decodeOps(budgetBits uint16, data []byte) ([]cost.Row, []int, int) {
@@ -319,6 +369,9 @@ func decodeOps(budgetBits uint16, data []byte) ([]cost.Row, []int, int) {
 		}
 		if b[0]&0x80 != 0 {
 			r.Cores = 1 + u16(b[8:])%budget
+		}
+		if b[6] >= 0xf0 {
+			r.MaxDup = 0 // no candidate: nothing fits, nothing is pruned
 		}
 		switch b[5] % 8 {
 		case 0:
@@ -350,6 +403,12 @@ func FuzzDupSearch(f *testing.F) {
 	// Row 0 (one window: S_0 = 1) turns constant far below its cap under
 	// the reserve, so row 1 reads the copied tail.
 	f.Add(uint16(300<<1), []byte{0, 0, 50, 0, 0, 9, 0, 0, 0, 0, 1, 0, 100, 0x07, 0xd0, 20, 0, 0, 0, 0, 0, 0, 10, 0, 200, 30, 0, 0, 0, 0})
+	// Every copy count ties (PerWindow 0) on a second operator.
+	f.Add(uint16(90<<1), []byte{2, 0, 30, 0, 60, 9, 0, 0, 0, 0, 1, 0, 20, 0, 40, 8, 0, 0, 0, 0})
+	// Three rounds with a reload on each operator, at exactly L_n cores.
+	f.Add(uint16(1), []byte{2, 0, 30, 1, 0, 100, 2, 2, 0, 200, 3, 0, 9, 0, 77, 60, 5, 1, 0, 90})
+	// A row with no candidate between two that have some.
+	f.Add(uint16(200<<1), []byte{1, 0, 40, 0, 80, 50, 0, 0, 0, 0, 2, 0, 9, 0, 30, 20, 0xf3, 0, 0, 0, 1, 0, 50, 1, 0, 70, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, budgetBits uint16, data []byte) {
 		rows, ops, budget := decodeOps(budgetBits, data)
 		checkAgainstExhaustive(t, fmt.Sprintf("budget %d, rows %+v", budget, rows[1:]), rows, ops, budget)
@@ -384,13 +443,15 @@ func TestCandidatesOnePerCeiling(t *testing.T) {
 }
 
 // searchWork counts the inner-loop work of duplication searches: tables (or
-// exhaustive searches) run, (r, d) steps taken and run(d) evaluations made.
-type searchWork struct{ searches, steps, runs int }
+// exhaustive searches) run, (r, d) steps taken, run(d) evaluations made and
+// stored cells a one-walk table's bound emptied.
+type searchWork struct{ searches, steps, runs, pruned int }
 
 func (w *searchWork) add(o searchWork) {
 	w.searches += o.searches
 	w.steps += o.steps
 	w.runs += o.runs
+	w.pruned += o.pruned
 }
 
 // exhaustiveWork is what exhaustiveDP does over ops: it evaluates RunAt(d)
@@ -408,19 +469,57 @@ func exhaustiveWork(rows []cost.Row, ops []int, budget int) searchWork {
 	return w
 }
 
-// tableWork is what a search did with t: one run(d) per candidate, one step
-// per column each candidate of a row streams over — those of the row's live
-// window it fits — and one step per candidate of the cell next priced after
-// the rows, if any.
+// tableWork is what a search did with t: one run(d) per candidate; one step
+// per column of row 0's window, which is closed-form; one step per column
+// each candidate of a later row streams over, the cells of the row before in
+// that row's finite band whose column it fits lies in the window; and one
+// step per candidate of the cell next priced after the rows, if any. Its
+// pruned cells are those of the rows' uncut windows (uncut) that the table
+// leaves choosing no copy, cut off its stored window or emptied in it: with
+// a candidate for every operator, an unpruned table fills every one.
 func tableWork(t *dupTable) searchWork {
 	w := searchWork{searches: 1, runs: len(t.cands)}
 	for i, sp := range t.spans {
+		w.pruned += uncut(t, i)
+		for r := sp.lo; r <= sp.end; r++ {
+			if t.at(i, r) != 0 {
+				w.pruned--
+			}
+		}
+		if sp.end < sp.lo {
+			continue
+		}
+		if i == 0 {
+			w.steps += sp.end + 1 - sp.lo
+			continue
+		}
 		for _, c := range t.cands[t.starts[i]:t.starts[i+1]] {
-			w.steps += max(0, sp.end+1-sp.lo-(c.cores-t.rows[t.ops[i]].Cores))
+			w.steps += max(0, min(sp.to, sp.end-c.cores)-max(sp.from, sp.lo-c.cores)+1)
 		}
 	}
-	w.steps += len(t.cands) - t.starts[len(t.ops)]
+	w.steps += len(t.cands) - t.starts[len(t.spans)]
 	return w
+}
+
+// uncut returns the width row i of t would store unpruned: from L_i +
+// Cores_i to the least of S_i and its cap, the budget or, in a one-walk
+// table, the cores a walk can spare above that start.
+func uncut(t *dupTable, i int) int {
+	lo, sum, all := 0, 0, 0
+	for j, id := range t.ops {
+		all += t.rows[id].Cores
+		if j <= i {
+			lo += t.rows[id].Cores
+			if c := t.starts[j+1]; c > t.starts[j] {
+				sum += t.cands[c-1].cores
+			}
+		}
+	}
+	hi := t.budget
+	if len(t.ops) > len(t.spans) {
+		hi = lo + t.budget - all
+	}
+	return max(0, min(hi, sum)-lo+1)
 }
 
 // segmentFromScratch is the segmenter as it stood before refinePrefix shared
@@ -554,14 +653,14 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 			if !slices.Equal(s.Dup, dup) {
 				t.Errorf("%s.%s: dup %v, exhaustive search %v", model, preset, s.Dup, dup)
 			}
-			t.Logf("%-9s %-14s %3d segments  searches %4d → %3d  (r,d) steps %10d → %8d  run(d) %10d → %6d",
-				model, preset, len(segs), old.searches, now.searches, old.steps, now.steps, old.runs, now.runs)
+			t.Logf("%-9s %-14s %3d segments  searches %4d → %3d  (r,d) steps %10d → %8d  run(d) %10d → %6d  pruned %7d",
+				model, preset, len(segs), old.searches, now.searches, old.steps, now.steps, old.runs, now.runs, now.pruned)
 			sumOld.add(old)
 			sumNew.add(now)
 		}
 	}
-	t.Logf("grid: searches %d → %d, (r,d) steps %d → %d, run(d) evaluations %d → %d; %d cells segmented",
-		sumOld.searches, sumNew.searches, sumOld.steps, sumNew.steps, sumOld.runs, sumNew.runs, refined)
+	t.Logf("grid: searches %d → %d, (r,d) steps %d → %d, run(d) evaluations %d → %d, %d table cells pruned; %d cells segmented",
+		sumOld.searches, sumNew.searches, sumOld.steps, sumNew.steps, sumOld.runs, sumNew.runs, sumNew.pruned, refined)
 	t.Logf("grid: %d segments priced both ways by the simulator, %d switched to waterfill", priced, switched)
 	if refined < 5 {
 		t.Errorf("only %d cells were segmented; the grid no longer exercises refinePrefix", refined)
@@ -569,9 +668,51 @@ func TestSharedTableSegmentsLikeFromScratch(t *testing.T) {
 	if priced == 0 {
 		t.Error("no segment was priced both ways; the grid no longer exercises the arbitration")
 	}
-	if sumNew.steps > 4_600_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
-		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 4.6 M / ≤ 21 K / ≤ 1 700",
+	if sumNew.steps > 1_500_000 || sumNew.runs > 21_000 || sumNew.searches > 1_700 {
+		t.Errorf("the pruned search takes %d steps / %d run(d) evaluations / %d searches over the grid, want ≤ 1.5 M / ≤ 21 K / ≤ 1 700",
 			sumNew.steps, sumNew.runs, sumNew.searches)
+	}
+}
+
+// TestOptimizeMatchesUnprunedReference runs the whole CG search over every
+// zoo model on every preset and holds its segments and copies to the
+// from-scratch segmenter, whose every search is the unpruned exhaustive one
+// (segmentFromScratch): pruning the one-walk tables must not move a single
+// decision. With Pipeline off no segment is arbitrated, so the copies
+// compared are the dynamic program's own.
+func TestOptimizeMatchesUnprunedReference(t *testing.T) {
+	var work searchWork
+	for _, preset := range arch.PresetNames() {
+		a, err := arch.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range models.Names() {
+			g, err := models.Build(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := cost.New(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			searchDone = func(tb *dupTable) { work.add(tableWork(tb)) }
+			s, err := Optimize(context.Background(), m, Options{Duplicate: true})
+			searchDone = nil
+			if err != nil {
+				t.Fatalf("%s.%s: %v", model, preset, err)
+			}
+			segs, dup, _ := segmentFromScratch(t, m, nonInputs(g), a.Chip.CoreCount())
+			if !reflect.DeepEqual(s.Segments, segs) {
+				t.Errorf("%s.%s: segments %v, unpruned reference %v", model, preset, s.Segments, segs)
+			}
+			if !slices.Equal(s.Dup, dup) {
+				t.Errorf("%s.%s: dup %v, unpruned reference %v", model, preset, s.Dup, dup)
+			}
+		}
+	}
+	if work.pruned == 0 {
+		t.Error("no cell was pruned over the zoo; the grid no longer exercises the bound")
 	}
 }
 
@@ -645,7 +786,7 @@ func BenchmarkDupTable(b *testing.B) {
 		b.Run(model+"/table", func(b *testing.B) {
 			var t dupTable
 			for i := 0; i < b.N; i++ {
-				if err := t.build(context.Background(), m.Rows, ops, budget, 0); err != nil {
+				if err := t.build(context.Background(), m.Rows, ops, budget, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -142,7 +142,7 @@ func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, erro
 	var table *dupTable
 	if w.opt.Allocator != AllocWaterfill {
 		w.sharedOps = segCIMOps(w.sharedOps, rows, prefix)
-		if err := w.shared.build(ctx, rows, w.sharedOps, w.budget, 0); err != nil {
+		if err := w.shared.build(ctx, rows, w.sharedOps, w.budget, false); err != nil {
 			return nil, err
 		}
 		table = &w.shared
