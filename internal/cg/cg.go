@@ -4,29 +4,31 @@
 // balancing, and the resource-adaptive compute graph segmentation of
 // Figure 9(b) for models that exceed chip capacity.
 //
-// The dynamic program is split in two (dupTable): a forward table built once
-// per operator list, trying per operator only the copy counts that can win
-// (one per distinct ceil(windows/d), see candidates), and a walk-back that
-// reads the allocation of any leading sub-list off it — so the segmenter's
-// pop-and-re-estimate loop prices every head it tries from one table, and a
-// segment it keeps takes its duplication from that table too. The walk-back
-// writes copies by node ID, straight into the schedule's Dup as each segment
-// is kept. One Optimize call builds all its tables in the buffers of two, the
-// one the segmenter shares across its pops and one for every other search
-// (workspace): a model cut into a hundred segments allocates its tables once,
-// not once per segment. The table is built candidate-major (each candidate
-// streams over the columns it fits), and each row streams and stores only its
-// live window: no dead prefix where no allocation fits, no constant tail past
-// the point where the row stops changing, and, in a search's table, no column
-// past what its one walk-back can read with one copy of every later operator
-// in reserve. Row 0, which reads a row of zeros, is closed-form. A search
-// prices its last operator as the one cell the walk-back starts from, and
-// prunes its table to the cells an optimal walk can read: a cell whose value
-// plus a lower bound on the operators after it (their continuous relaxation)
-// exceeds the summed runtime of one feasible allocation (a greedy one) holds
-// inf with choice 0, and the next row streams only over the finite band of
-// the row before. Every cell an optimal walk reads is exact, so the search
-// returns what the unpruned program returns, choice for choice.
+// Every duplication search (allocateDP) is one dynamic program over an
+// operator list, split in two (dupTable): a forward table with a row for
+// each operator but the last, trying per operator only the copy counts that
+// can win (one per distinct ceil(windows/d), see candidates), then the last
+// operator priced as the one cell at the full budget and the rows walked
+// back from the cores it leaves, writing copies by node ID straight into the
+// schedule's Dup. The segmenter's pop-and-re-estimate loop prices every head
+// it tries and every popped group with such a search, and a head it keeps
+// holds the copies its search wrote. One Optimize call builds all its tables
+// in the buffers of two (workspace): the one the segmenter's heads are
+// searched on, which keeps its candidates from one head to the next (each is
+// a leading part of the one before), and one for every other search; a model
+// cut into a hundred segments allocates its tables once, not once per
+// segment. The table is built candidate-major (each candidate streams over
+// the columns it fits), and each row streams and stores only its live window:
+// no dead prefix where no allocation fits, no constant tail past the point
+// where the row stops changing, and no column past what the walk-back can
+// read with one copy of every later operator in reserve. Row 0, which reads a
+// row of zeros, is closed-form. A table with cores to spare (minPruneSpare) is
+// pruned to the cells an optimal walk can read: a cell whose value plus a
+// lower bound on the operators after it (their continuous relaxation) exceeds
+// the summed runtime of one feasible allocation (a greedy one) holds inf with
+// choice 0, and the next row streams only over the finite band of the row
+// before. Every cell an optimal walk reads is exact, so the search returns
+// what the unpruned program returns, choice for choice.
 //
 // The dynamic program minimizes a segment's summed runtime, a number the
 // simulator never charges: internal/perfsim pipelines a segment, so its time
@@ -44,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"cimmlc/internal/cost"
 	"cimmlc/internal/graph"
@@ -131,11 +134,13 @@ type workspace struct {
 	budget int // the chip's cores
 	opt    Options
 	dup    []int // the schedule's copies by node ID: a kept segment's are final
-	// shared is the table refinePrefix walks back across its pops, scratch
-	// the one every other search builds meanwhile; sharedOps and ops are the
-	// node IDs of the operators they are built over.
+	// shared is the table refinePrefix prices its heads on, scratch the one
+	// every other search builds (popped groups included); ops is the node IDs
+	// of the operators a search is built over, and kept the copies of
+	// refinePrefix's prefix by position, saved before it prices a pop, for a
+	// refused pop to restore.
 	shared, scratch dupTable
-	sharedOps, ops  []int
+	ops, kept       []int
 	// fill is waterfill's buffer. arbitrates says whether each kept segment
 	// is arbitrated (arbitrate); sim is the schedule its copies are priced
 	// on, whose Dup, priced, holds the copies under price by node ID, and
@@ -168,8 +173,9 @@ func coresAtDupOne(rows []cost.Row, ops []int) int {
 }
 
 // allocate distributes the core budget over the CIM operators of nodes and
-// writes each one's copies into w.dup.
-func (w *workspace) allocate(ctx context.Context, nodes []int) error {
+// writes each one's copies into w.dup; the dynamic program builds its table
+// in t's buffers.
+func (w *workspace) allocate(ctx context.Context, t *dupTable, nodes []int) error {
 	rows := w.m.Rows
 	w.ops = segCIMOps(w.ops, rows, nodes)
 	if len(w.ops) == 0 {
@@ -186,7 +192,7 @@ func (w *workspace) allocate(ctx context.Context, nodes []int) error {
 		}
 		return nil
 	}
-	return w.scratch.allocateDP(ctx, rows, w.ops, w.budget, w.dup)
+	return t.allocateDP(ctx, rows, w.ops, w.budget, w.dup)
 }
 
 // arbitrated, when a test sets it, sees every segment arbitrate priced both
@@ -277,7 +283,7 @@ func (w *workspace) repacked(node, d int) int {
 // its last row (a one-operator search builds no row); the rows are walked
 // back from the cores the cell leaves.
 func (t *dupTable) allocateDP(ctx context.Context, rows []cost.Row, ops []int, budget int, dup []int) error {
-	if err := t.build(ctx, rows, ops, budget, true); err != nil {
+	if err := t.build(ctx, rows, ops, budget); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -286,7 +292,7 @@ func (t *dupTable) allocateDP(ctx context.Context, rows []cost.Row, ops []int, b
 	n := len(t.spans)
 	last := &rows[ops[n]]
 	d := max(1, t.next())
-	t.walk(dup, n, max(0, budget-d*last.Cores))
+	t.walk(dup, max(0, budget-d*last.Cores))
 	dup[ops[n]] = d
 	if searchDone != nil {
 		searchDone(t)
@@ -323,14 +329,20 @@ func candidates(r *cost.Row, budget int, buf []candidate) []candidate {
 // inf is the summed runtime of a cell no allocation fits.
 const inf = math.MaxFloat64 / 4
 
+// minPruneSpare is the fewest cores a table's walk must be able to spare for
+// the table to be pruned: rows narrower than that stream in about the time
+// the bound takes (greedy, admit, prune), as the small chips' segment heads
+// do. Tests lower it to hold the bound to the exhaustive search everywhere.
+var minPruneSpare = 32
+
 // dupTable is the forward half of the dynamic program over ops, node IDs into
-// rows, and a core budget: row i holds, for every r ≤ budget, how many
-// copies operator i gets in the allocation of ops[:i+1] to at most r cores
-// that minimizes their summed runtime (0: no copy fits). Row i depends on
-// operators 0..i only, so one table answers every leading sub-list of ops
-// (dup).
+// rows, and a core budget: a row for each operator but the last, whose one
+// cell at the full budget next prices. Row i holds, for the columns r the
+// table's one walk-back can read, how many copies operator i gets in the
+// allocation of ops[:i+1] to at most r cores that minimizes their summed
+// runtime (0: no copy fits).
 //
-// A row stores only its live window, the columns a walk-back can read that
+// A row stores only its live window, the columns the walk-back can read that
 // its candidates decide (span, at):
 //   - Dead prefix. Below L_i + Cores_i, L_i the cores of one copy of each
 //     operator before row i, no allocation fits: the row before is inf there
@@ -340,34 +352,39 @@ const inf = math.MaxFloat64 / 4
 //     and reads the row before at an index ≥ S_(i-1), where that row is
 //     constant too. Column r > S_i reads column S_i, so a core budget far
 //     beyond what the operators can use costs the table nothing.
-//   - One-walk reserve. A one-walk table (allocateDP) is walked once, over
-//     all its rows, from at most budget − Cores_last cores: the operator
-//     after its rows, whose one cell next prices, takes at least one copy.
+//   - Reserve. The table is walked once, over all its rows, from at most
+//     budget − Cores_last cores: the last operator takes at least one copy.
 //     Each operator after row i takes at least one copy too, so row i is read
 //     only up to its cap, budget − Σ_(j>i) Cores_j (the last operator
 //     included), and holds no column past it: with the dead prefix, no row is
 //     wider than the cores the walk can spare, budget − Σ_j Cores_j, plus one.
 //
 // Row 0 reads a row of zeros, so it is written in closed form (firstRow). A
-// one-walk table is also pruned to the cells an optimal walk can read
-// (bound): a cell whose value plus a lower bound on the operators after its
-// row exceeds the summed runtime of one feasible allocation holds inf with
-// choice 0. Each row's window is first cut to the columns where a lower
-// bound on its own operators leaves any cell a chance (admit), then each
-// cell is checked (prune), and the next row streams only over the row's
-// finite band. Every cell an optimal walk reads holds what the unpruned
-// table holds; the others may hold more.
+// table whose walk can spare minPruneSpare cores or more is also pruned to
+// the cells an optimal walk can read (bound): a cell whose value plus a lower
+// bound on the operators after its row exceeds the summed runtime of one
+// feasible allocation holds inf with choice 0. Each row's window is first cut
+// to the columns where a lower bound on its own operators leaves any cell a
+// chance (admit), then each cell is checked (prune), and the next row streams
+// only over the row's finite band. Every cell an optimal walk reads holds
+// what the unpruned table holds; the others may hold more.
+//
+// A build over a leading part of the operators the table last listed, on the
+// same rows and budget, keeps their candidates: the heads refinePrefix prices
+// shrink from the end. The table compares against its own copy of the IDs,
+// not the caller's buffer.
 type dupTable struct {
 	rows   []cost.Row
-	ops    []int // row i's operator is ops[i]; a one-walk table's last is next's
+	ops    []int // row i's operator is ops[i], the last is next's: the table's own copy
 	budget int
+	fresh  bool      // whether the last build listed its candidates rather than kept them
 	spans  []span    // row i's live window, one per row
 	choice []int     // row i at column r in its window is choice[spans[i].off+r]
 	last   []float64 // the last row's summed runtimes, inf outside its finite band (zeros for no row)
 	// cands holds every row's candidates back to back, row i's at
 	// cands[starts[i]:starts[i+1]], then those of the cell next priced.
-	// starts shares its buffer with the picks and heap of the allocation
-	// bound greedily takes.
+	// ops (its first len(rows) words), starts and the picks and heap of the
+	// allocation bound greedily takes share one buffer.
 	cands  []candidate
 	starts []int
 	sums   []float64 // the two float rows build streams; last is one of them
@@ -400,10 +417,8 @@ func resize[T any](s []T, n int) []T {
 }
 
 // build fills t with the table over ops, in the buffers of the table t held
-// before. With once, it is a one-walk table: the last of ops is no row but
-// the cell next prices, its cores are the rows' reserve, and the table is
-// pruned when bound can bound it. Without, every row keeps every column,
-// for walk-backs of any head from the full budget.
+// before: the last of ops is no row but the cell next prices, its cores are
+// the rows' reserve, and the table is pruned when bound can bound it.
 //
 // Row 0 is closed-form; every later row starts at inf over its live window,
 // and each candidate, in ascending d, streams over the columns of that window
@@ -413,31 +428,31 @@ func resize[T any](s []T, n int) []T {
 // float expression and strict <, and holds the value and choice that scan
 // finds (a candidate on an inf cell of the row before cannot win it). ctx is
 // polled once per row.
-func (t *dupTable) build(ctx context.Context, rows []cost.Row, ops []int, budget int, once bool) error {
-	t.rows, t.ops, t.budget, t.cands = rows, ops, budget, t.cands[:0]
-	all, reserve := ops, 0
-	if once {
-		ops = ops[:len(ops)-1]
-		reserve = rows[all[len(ops)]].Cores
-	}
-	m := len(all)
-	t.spans, t.starts = resize(t.spans, len(ops)), resize(t.starts, 3*m+1)[:m+1]
-	t.starts[0] = 0
-	total := 0 // L_n, the cores of one copy of every row's operator
-	//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
-	for i, id := range all {
-		t.cands = candidates(&rows[id], budget, t.cands)
-		t.starts[i+1] = len(t.cands)
-		if i < len(ops) {
-			total += rows[id].Cores
+func (t *dupTable) build(ctx context.Context, rows []cost.Row, ops []int, budget int) error {
+	m := len(ops)
+	// The candidates of the operators last listed stay at cands[:starts[m]]:
+	// a build's greedy writes its picks and heap past starts[m].
+	t.fresh = m > len(t.ops) || budget != t.budget || len(rows) != len(t.rows) || &rows[0] != &t.rows[0] || !slices.Equal(ops, t.ops[:m])
+	t.rows, t.budget = rows, budget
+	ints := resize(t.ops, len(rows)+3*m+1)
+	t.spans, t.starts = resize(t.spans, m-1), ints[len(rows):len(rows)+m+1]
+	if t.fresh {
+		t.ops, t.cands, t.starts[0] = append(ints[:0], ops...), t.cands[:0], 0
+		//cimlint:ignore ctxcancel -- O(√windows) candidates per operator; the row loop below polls per row
+		for i, id := range ops {
+			t.cands = candidates(&rows[id], budget, t.cands)
+			t.starts[i+1] = len(t.cands)
 		}
+	} else {
+		t.ops, t.cands = ints[:m], t.cands[:t.starts[m]]
 	}
+	ops = ops[:m-1]
 	clear(t.spans)
-	prune := once && t.bound(all)
-	// Under a reserve, every row's cap lies the cores a walk can spare above
-	// its lo: row i's lo is L_(i+1), and its cap is budget − reserve − L_n +
-	// L_(i+1).
-	spare := budget - reserve - total
+	// Every row's cap lies the cores a walk can spare above its lo: row i's lo
+	// is L_(i+1), and its cap is budget − Cores_last − L_n + L_(i+1), L_n the
+	// cores of one copy of every row's operator.
+	spare := budget - coresAtDupOne(rows, t.ops)
+	prune := spare >= minPruneSpare && t.bound(t.ops)
 	low, sum, size, end := 0, 0, 0, 0 // L_i, S_i, the columns stored so far and the last row's uncut end
 	root, reload := 0.0, 0.0          // the bound's terms for the operators up to row i
 	//cimlint:ignore ctxcancel -- O(log columns) per operator; the row loop below polls per row
@@ -447,10 +462,8 @@ func (t *dupTable) build(ctx context.Context, rows []cost.Row, ops []int, budget
 			sum += t.cands[c-1].cores
 		}
 		sp := &t.spans[i]
-		sp.lo, sp.cap = low+r.Cores, budget
-		if once {
-			sp.cap = sp.lo + spare
-		}
+		sp.lo = low + r.Cores
+		sp.cap = sp.lo + spare
 		sp.end = min(sp.cap, sum)
 		low, end = sp.lo, sp.end
 		if prune {
@@ -567,7 +580,7 @@ func relaxed(r *cost.Row) float64 {
 	return math.Sqrt(float64(r.Rounds) * float64(r.Windows) * r.PerWindow * float64(r.Cores))
 }
 
-// bound readies a one-walk table over all, its rows' operators then the one
+// bound readies the table over all, its rows' operators then the one
 // next prices, for pruning, and reports whether it prunes. U is the summed
 // runtime of one feasible allocation (greedy); the walk's optimum is at most
 // U. The operators after row i, on the b cores the walk leaves them, run at
@@ -751,7 +764,7 @@ func (t *dupTable) at(i, r int) int {
 	return t.choice[sp.off+r]
 }
 
-// next returns the copies the operator after a one-walk table's rows gets
+// next returns the copies the operator after the table's rows gets
 // at the full budget: the one cell of a row after the last, tried with that
 // row's candidates, float expression and tie rule.
 func (t *dupTable) next() int {
@@ -764,11 +777,10 @@ func (t *dupTable) next() int {
 	return bestD
 }
 
-// walk walks the choices of the first k operators back from r cores and
-// writes their copies into dup by node ID: from the full budget, what a
-// fresh search over ops[:k] returns.
-func (t *dupTable) walk(dup []int, k, r int) {
-	for i := k - 1; i >= 0; i-- {
+// walk walks the rows' choices back from r cores and writes their copies
+// into dup by node ID.
+func (t *dupTable) walk(dup []int, r int) {
+	for i := len(t.spans) - 1; i >= 0; i-- {
 		d := max(1, t.at(i, r))
 		dup[t.ops[i]] = d
 		r = max(0, r-d*t.rows[t.ops[i]].Cores)

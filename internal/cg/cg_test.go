@@ -279,7 +279,7 @@ func TestAllocateRejectsImpossibleBudget(t *testing.T) {
 		budget: 5,
 		dup:    make([]int, 2),
 	}
-	if err := w.allocate(context.Background(), []int{1}); err == nil {
+	if err := w.allocate(context.Background(), &w.scratch, []int{1}); err == nil {
 		t.Fatal("accepted impossible budget")
 	}
 }

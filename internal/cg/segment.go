@@ -52,7 +52,7 @@ func (w *workspace) segment(ctx context.Context, order []int) ([][]int, error) {
 		case len(rest) > 0:
 			prefix, err = w.refinePrefix(ctx, prefix)
 		default:
-			err = w.allocate(ctx, prefix)
+			err = w.allocate(ctx, &w.scratch, prefix)
 		}
 		if err == nil && w.arbitrates {
 			err = w.arbitrate(ctx, prefix)
@@ -129,33 +129,16 @@ func takePrefix(rows []cost.Row, order []int, budget int) (prefix, rest []int, e
 // popped nodes stay in the stream after it, for the next prefix to
 // reconsider with full capacity.
 //
-// Every head the loop prices is a leading part of the first prefix, so under
-// the dynamic program one forward table over that prefix answers them all (a
-// head with k CIM operators is a walk-back of k rows); only the popped group,
-// one operator, runs a search of its own. A head that is kept is the next
-// iteration's baseline, at the price already computed, and the prefix kept
-// last takes its copies from a walk-back too, which is what a fresh search
-// over it returns (under AllocWaterfill, which has no table, every price is
-// a search).
+// Every head is priced by a search of its own (estimate), the popped group by
+// another. Heads shrink from the end, so each is a leading part of the one
+// before and the table they are searched on (w.shared) keeps its candidates;
+// the groups are searched on w.scratch. A head that is kept is the next
+// iteration's baseline, at the price already computed, and its copies are
+// already in w.dup. A refused pop writes back the prefix's copies, saved
+// before the head was priced.
 func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, error) {
 	rows := w.m.Rows
-	var table *dupTable
-	if w.opt.Allocator != AllocWaterfill {
-		w.sharedOps = segCIMOps(w.sharedOps, rows, prefix)
-		if err := w.shared.build(ctx, rows, w.sharedOps, w.budget, false); err != nil {
-			return nil, err
-		}
-		table = &w.shared
-	}
-	// price writes the copies of nodes into w.dup and returns their latency.
-	price := func(nodes []int) (float64, error) {
-		if table == nil {
-			return w.estimate(ctx, nodes)
-		}
-		table.walk(w.dup, cimCount(rows, nodes), w.budget)
-		return latency(rows, nodes, w.dup), nil
-	}
-	baseline, err := price(prefix)
+	baseline, err := w.estimate(ctx, &w.shared, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -164,26 +147,28 @@ func (w *workspace) refinePrefix(ctx context.Context, prefix []int) ([]int, erro
 		if cut <= 0 {
 			break
 		}
+		w.kept = resize(w.kept, len(prefix))
+		//cimlint:ignore ctxcancel -- one load per node, before the searches
+		for i, id := range prefix {
+			w.kept[i] = w.dup[id]
+		}
 		head, group := prefix[:cut], prefix[cut:]
-		headCost, err := price(head)
+		headCost, err := w.estimate(ctx, &w.shared, head)
 		if err != nil {
 			return nil, err
 		}
-		groupCost, err := w.estimate(ctx, group)
+		groupCost, err := w.estimate(ctx, &w.scratch, group)
 		if err != nil {
 			return nil, err
 		}
 		if candidate := headCost + groupCost + popPrice(w.m, group[0]); candidate >= baseline {
+			//cimlint:ignore ctxcancel -- one store per node, after the searches
+			for i, id := range prefix {
+				w.dup[id] = w.kept[i]
+			}
 			break
 		}
 		prefix, baseline = head, headCost
-	}
-	// The last head priced may be one the loop refused.
-	if _, err := price(prefix); err != nil {
-		return nil, err
-	}
-	if table != nil && searchDone != nil {
-		searchDone(table)
 	}
 	return prefix, nil
 }
@@ -216,12 +201,12 @@ func lastCIMIndex(rows []cost.Row, nodes []int) int {
 	return -1
 }
 
-// estimate writes the copies of the node group's CIM operators into w.dup
-// and returns the group's summed-runtime latency under them — the
-// segmentation loop's objective. Groups are cut from prefixes built to fit,
-// so an allocation error is a cancellation.
-func (w *workspace) estimate(ctx context.Context, nodes []int) (float64, error) {
-	if err := w.allocate(ctx, nodes); err != nil {
+// estimate writes the copies of the node group's CIM operators into w.dup,
+// searched on t, and returns the group's summed-runtime latency under them —
+// the segmentation loop's objective. Groups are cut from prefixes built to
+// fit, so an allocation error is a cancellation.
+func (w *workspace) estimate(ctx context.Context, t *dupTable, nodes []int) (float64, error) {
+	if err := w.allocate(ctx, t, nodes); err != nil {
 		return 0, err
 	}
 	return latency(w.m.Rows, nodes, w.dup), nil
